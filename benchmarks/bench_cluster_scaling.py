@@ -62,7 +62,7 @@ def _run_topology(ds_shards: int) -> dict:
         system.run()
         for ds in system.ds_shards.values():
             for name in system.subscribers:
-                ds.host.set_link_bandwidth(name, DS_LINK_BPS)
+                system.network.host(ds.name).set_link_bandwidth(name, DS_LINK_BPS)
         publisher = system.add_publisher("pub")
         started = system.now
         for _ in range(PUBLICATIONS):

@@ -121,7 +121,7 @@ def copy_registrations(source_ds, target_ds) -> int:
     copied = 0
     for client, token in list(source_ds.registered_tokens):
         if (client, token) not in target_ds.registered_tokens:
-            target_ds._register_token(client, token)
+            target_ds.register_token(client, token)
             copied += 1
     for topic, clients in list(source_ds.subscriptions.items()):
         for client in list(clients):

@@ -38,6 +38,7 @@ __all__ = [
     "ds_shards_of",
     "rs_replicas_for",
     "shard_names",
+    "shard_topology",
 ]
 
 
@@ -130,6 +131,22 @@ class ClusterMap:
                 k: round(v, 4) for k, v in self.rs_ring.keyspace_share().items()
             },
         }
+
+
+def shard_topology(config) -> tuple[list[str], list[str], ClusterMap | None]:
+    """``(ds_names, rs_names, cluster)`` for a deployment config.
+
+    1/1 shards without replication is the classic single-node topology:
+    bare names and no cluster machinery at all (``cluster`` is None).
+    """
+    ds_names = shard_names("ds", config.ds_shards)
+    rs_names = shard_names("rs", config.rs_shards)
+    replication = max(1, min(config.rs_replication, len(rs_names)))
+    if len(ds_names) <= 1 and len(rs_names) <= 1 and replication <= 1:
+        return ds_names, rs_names, None
+    return ds_names, rs_names, ClusterMap(
+        ds_names=list(ds_names), rs_names=list(rs_names), rs_replication=replication
+    )
 
 
 # -- directory-aware helpers (single-node fallback built in) --------------------

@@ -16,9 +16,7 @@ assumes of an anonymizing channel.
 
 from __future__ import annotations
 
-from ..net.channel import SecureChannelLayer
-from ..net.network import Host
-from ..net.rpc import RpcEndpoint
+from ..net.ports import ports_on
 from ..obs import profile as obs
 from .messages import RPC_ANON_FORWARD, AnonEnvelope, wire_size_of
 
@@ -26,22 +24,23 @@ __all__ = ["AnonymizationService"]
 
 
 class AnonymizationService:
-    """One-hop anonymizing relay for P3S request-response traffic."""
+    """One-hop anonymizing relay for P3S request-response traffic, served
+    on ``ports`` (a simulator :class:`~repro.net.network.Host` stands for
+    simulator ports on it)."""
 
-    def __init__(self, host: Host):
-        self.host = host
-        self.rpc = RpcEndpoint(SecureChannelLayer(host))
-        self.rpc.serve(RPC_ANON_FORWARD, self._handle_forward)
+    def __init__(self, ports):
+        self.ports = ports_on(ports)
         self.forwarded_count = 0
         # what the relay itself could record: (requester, destination) pairs
         self.observed_links: list[tuple[str, str]] = []
+        self.ports.serve(RPC_ANON_FORWARD, self._handle_forward)
 
     @property
     def name(self) -> str:
-        return self.host.name
+        return self.ports.name
 
     def start(self) -> None:
-        self.rpc.start()
+        self.ports.start()
 
     def _handle_forward(self, src: str, message):
         envelope: AnonEnvelope = message.payload
@@ -53,7 +52,7 @@ class AnonymizationService:
             parent=obs.extract(message.headers),
             dst=envelope.dst,
         )
-        response = yield self.rpc.call(
+        response = yield self.ports.call(
             envelope.dst,
             envelope.inner_type,
             envelope.inner_payload,

@@ -30,16 +30,20 @@ the natural host for the parallel matching hot path.  Delivery *sets*
 are unchanged: matched subscribers re-run the same local match, so a
 delegated deployment delivers byte-identical payloads to the broadcast
 one (``tests/par/test_equivalence.py``).
+
+Every DS rule is written once, against a substrate ports object
+(:mod:`repro.net.ports`): ``DisseminationServer(host, ...)`` serves them
+on a simulator host, and
+:class:`repro.live.services.LiveDisseminationServer` is the same class
+behind an asyncio listener.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from ..mq import messages as frames
 from ..mq.broker import Broker
 from ..mq.messages import JmsFrame
-from ..net.network import Host, Message
 from ..obs import profile as obs
 from ..par import MatchPool
 from ..store import MemoryEngine, StorageEngine
@@ -75,7 +79,7 @@ class DisseminationServer(Broker):
 
     def __init__(
         self,
-        host: Host,
+        ports,
         rs_name: str,
         metadata_topic: str = "p3s.metadata",
         group=None,
@@ -84,7 +88,7 @@ class DisseminationServer(Broker):
         store: StorageEngine | None = None,
         cluster=None,
     ):
-        super().__init__(host)
+        super().__init__(ports)
         self.rs_name = rs_name
         # repro.cluster.ClusterMap (shared by reference through the
         # ServiceDirectory): with one attached, payloads forward to the
@@ -103,20 +107,22 @@ class DisseminationServer(Broker):
         self._match_pool: MatchPool | None = None
         self.recovered_registrations = 0
         if self.store.durable:
-            self.recovered_registrations = self._recover_registrations()
+            self.recovered_registrations = self.recover_registrations()
         # HBC-observable state (§6.1: "the DS knows the per-publisher
         # publication rate and number of items published by each publisher",
         # and "the size of payloads and the size of encrypted PBE metadata").
         self.publications_by_publisher: dict[str, int] = defaultdict(int)
         self.observed_sizes: list[tuple[str, int]] = []
 
-    def on_publish(self, src: str, frame: JmsFrame) -> None:
+    def on_publish(self, src: str, frame: JmsFrame):
         kind = frame.headers.get("p3s-kind")
         if kind == KIND_METADATA:
             self.publications_by_publisher[src] += 1
             self.observed_sizes.append((KIND_METADATA, frame.body_size))
             if self.registered_tokens and self.group is not None:
-                self.sim.process(self._delegated_fan_out(frame))
+                # an activity of its own: matching takes time, and the
+                # DS keeps serving frames meanwhile
+                self.ports.spawn(self._delegated_fan_out(frame))
             else:
                 # forward PBE-encrypted metadata to ALL registered subscribers
                 with obs.span(
@@ -128,28 +134,30 @@ class DisseminationServer(Broker):
                     # re-parent the propagated context so each subscriber's
                     # match span hangs off this fan-out hop
                     obs.inject(frame.headers, span)
-                    self.fan_out(self.metadata_topic, frame)
+                    yield from self.fan_out(self.metadata_topic, frame)
         elif kind == KIND_PAYLOAD:
             self.observed_sizes.append((KIND_PAYLOAD, frame.body_size))
-            self._forward_to_rs(frame)
+            yield from self._forward_to_rs(frame)
         elif kind == KIND_TOKEN_REG:
-            self._register_token(src, frame.body)
+            self.register_token(src, frame.body)
         elif kind == KIND_TOKEN_UNREG:
-            self._unregister_token(src, frame.body)
+            self.unregister_token(src, frame.body)
         else:
             # plain JMS traffic keeps working unchanged (§5: the top-level
             # JMS interface is retained)
-            super().on_publish(src, frame)
+            yield from super().on_publish(src, frame)
 
     # -- durable registrations -------------------------------------------------
 
-    def _recover_registrations(self) -> int:
+    def recover_registrations(self) -> int:
         """Reload token registrations and subscriptions from the store.
 
         Registration order is not persisted (engine iteration order is
         key order); delivery sets do not depend on it — matched fan-out
         iterates the subscription table, and a re-registering client
-        lands in the same slots it would have re-earned.
+        lands in the same slots it would have re-earned.  Recovered
+        subscribers whose connections died with the old process simply
+        drop deliveries until they redial.
         """
         recovered = 0
         for _key, value in self.store.items(NS_TOKENS):
@@ -162,11 +170,13 @@ class DisseminationServer(Broker):
             if client not in self.subscriptions[topic]:
                 self.subscriptions[topic].append(client)
                 recovered += 1
+        if self.registered_tokens:
+            self._commit_to_delegated_matching()
         return recovered
 
     # -- delegated matching ---------------------------------------------------
 
-    def _register_token(self, src: str, token_bytes: bytes) -> None:
+    def register_token(self, src: str, token_bytes: bytes) -> None:
         entry = (src, bytes(token_bytes))
         if entry not in self.registered_tokens:
             self.registered_tokens.append(entry)
@@ -174,8 +184,17 @@ class DisseminationServer(Broker):
                 NS_TOKENS, token_key(src, entry[1]), encode_token(src, entry[1])
             )
             obs.record_op("ds.token_reg")
+            self._commit_to_delegated_matching()
 
-    def _unregister_token(self, src: str, token_bytes: bytes) -> None:
+    def _commit_to_delegated_matching(self) -> None:
+        """A registered (or recovered) token commits the DS to delegated
+        matching, so the pool exists from here on: readiness
+        (``match_pool_warm``) must not wait for a first publication — a
+        readiness-gated deployment would never send one."""
+        if self.group is not None:
+            self.match_pool
+
+    def unregister_token(self, src: str, token_bytes: bytes) -> None:
         entry = (src, bytes(token_bytes))
         if entry in self.registered_tokens:
             self.registered_tokens.remove(entry)
@@ -201,7 +220,7 @@ class DisseminationServer(Broker):
     def _delegated_fan_out(self, frame: JmsFrame):
         """Match the publication against registered tokens, then fan out
         only to matching (or token-less) subscribers, in subscription
-        order.  Simulated compute time is the pool makespan: the token
+        order.  Modelled compute time is the pool makespan: the token
         batch split across ``effective_workers`` lanes at ``pbe_match``
         per evaluation."""
         tokens = list(self.registered_tokens)
@@ -216,29 +235,25 @@ class DisseminationServer(Broker):
         effective_workers = max(1, pool.workers)
         lanes = -(-len(tokens) // effective_workers)  # ceil
         if self.timings is not None:
-            yield self.sim.timeout(lanes * self.timings.pbe_match)
-        with obs.attach(span):
-            matched = pool.match_indices(
-                envelope.hve_bytes, [token for _, token in tokens]
-            )
+            yield self.ports.compute(lanes * self.timings.pbe_match)
+        matched = yield self.ports.offload(
+            pool.match_indices,
+            envelope.hve_bytes,
+            [token for _, token in tokens],
+            span=span,
+        )
         matched_names = {tokens[index][0] for index in matched}
         token_holders = {name for name, _ in tokens}
-        delivery = JmsFrame(
-            topic=self.metadata_topic,
-            body=frame.body,
-            body_size=frame.body_size,
-            message_id=next(self._message_ids),
-            headers=self.delivery_headers(frame),
-        )
+        delivery = self.delivery_frame(self.metadata_topic, frame)
         obs.inject(delivery.headers, span)
         skipped = 0
-        for client in self.subscriptions[self.metadata_topic]:
+        for client in list(self.subscriptions[self.metadata_topic]):
             # token holders are pre-filtered; everyone else still gets the
             # baseline broadcast
             if client in token_holders and client not in matched_names:
                 skipped += 1
                 continue
-            self.deliver_to(client, delivery)
+            yield from self.deliver_to(client, delivery)
         obs.record_op("ds.delegated_match")
         if skipped:
             obs.record_op("ds.fanout_skipped", skipped)
@@ -262,7 +277,7 @@ class DisseminationServer(Broker):
         removes); with the memory engine the old semantics hold."""
         super().restart()
         if self.store.durable:
-            self.recovered_registrations = self._recover_registrations()
+            self.recovered_registrations = self.recover_registrations()
 
     def _rs_targets(self, guid: bytes) -> tuple[str, ...]:
         """The RS shards this payload is written to (the replica set)."""
@@ -270,7 +285,7 @@ class DisseminationServer(Broker):
             return (self.rs_name,)
         return self.cluster.rs_replicas(guid)
 
-    def _forward_to_rs(self, frame: JmsFrame) -> None:
+    def _forward_to_rs(self, frame: JmsFrame):
         submission: PayloadSubmission = frame.body
         targets = self._rs_targets(submission.guid)
         with obs.span(
@@ -280,7 +295,7 @@ class DisseminationServer(Broker):
             replicas=len(targets),
         ) as span:
             for rs_name in targets:
-                self.channel.send(
+                yield self.ports.cast(
                     rs_name,
                     RPC_STORE,
                     submission,

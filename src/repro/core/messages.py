@@ -52,6 +52,10 @@ __all__ = [
     "PayloadSubmission",
     "AnonEnvelope",
     "wire_size_of",
+    "ok_reply",
+    "error_reply",
+    "split_reply",
+    "BARE_ERROR",
 ]
 
 
@@ -113,3 +117,28 @@ def wire_size_of(payload: Any) -> int:
     if size is None:
         raise SerializationError(f"payload {type(payload).__name__} has no wire size")
     return size
+
+
+# -- status-prefixed replies (RS retrievals, PBE-TS token requests) -------------
+#
+# Both exchanges answer with one status byte then the body, sealed under
+# the requester's K_s.  The byte values are this module's business only.
+
+_OK = b"\x01"
+_ERR = b"\x00"
+# what a server answers when it cannot even recover K_s from the request
+# (nothing to seal under): a bare error byte the requester fails to open
+BARE_ERROR = _ERR
+
+
+def ok_reply(body: bytes) -> bytes:
+    return _OK + body
+
+
+def error_reply(reason: str) -> bytes:
+    return _ERR + reason.encode("utf-8")
+
+
+def split_reply(plaintext: bytes) -> tuple[bool, bytes]:
+    """``(succeeded, body)`` of an unsealed reply; empty reads as failure."""
+    return plaintext[:1] == _OK, plaintext[1:]

@@ -25,15 +25,13 @@ from ..crypto.pke import PKEKeyPair
 from ..crypto.signing import Certificate, VerifyKey
 from ..crypto.symmetric import SecretBox
 from ..errors import CertificateError, DecryptionError, SchemaError, TokenRequestError
-from ..net.network import Host
-from ..net.rpc import RpcEndpoint
-from ..net.channel import SecureChannelLayer
+from ..net.ports import ports_on
 from ..obs import profile as obs
 from ..pbe.hve import HVE, HVEMasterKey
 from ..pbe.schema import ANY, Interest, MetadataSchema
 from ..pbe.serialize import serialize_hve_token
 from .config import ComputeTimings
-from .messages import RPC_TOKEN_REQUEST
+from .messages import BARE_ERROR, RPC_TOKEN_REQUEST, error_reply, ok_reply, split_reply
 
 __all__ = [
     "PBETokenServer",
@@ -42,9 +40,6 @@ __all__ = [
     "encode_token_request",
     "decode_token_response",
 ]
-
-_OK = b"\x01"
-_ERR = b"\x00"
 
 
 @dataclass(frozen=True)
@@ -108,12 +103,12 @@ def decode_token_response(session_key: bytes, sealed: bytes) -> bytes:
 
     Raises :class:`TokenRequestError` if the server reported a failure.
     """
-    plaintext = SecretBox(session_key).open(sealed)
-    if not plaintext or plaintext[:1] != _OK:
+    ok, body = split_reply(SecretBox(session_key).open(sealed))
+    if not ok:
         raise TokenRequestError(
-            f"PBE-TS refused token: {plaintext[1:].decode('utf-8', 'replace') or 'unknown error'}"
+            f"PBE-TS refused token: {body.decode('utf-8', 'replace') or 'unknown error'}"
         )
-    return plaintext[1:]
+    return body
 
 
 class TokenIssuer:
@@ -121,11 +116,11 @@ class TokenIssuer:
 
     Holds the HVE master material, the certificate trust root, the
     subscription policy, the per-subject quota counters, and the
-    honest-but-curious observation logs.  The simulator service
-    interleaves its compute-time yields between these calls; the live
-    asyncio service (:mod:`repro.live.services`) calls them back to
-    back — both substrates mint identical tokens for identical requests
-    because this is the only implementation.
+    honest-but-curious observation logs.
+    :class:`PBETokenServer` puts the modelled compute time between
+    these calls (no time at all on the live substrate) — both substrates
+    mint identical tokens for identical requests because this is the
+    only implementation.
     """
 
     def __init__(
@@ -149,6 +144,14 @@ class TokenIssuer:
         self.observed_subjects: list[str] = []  # certificate pseudonyms
         self.tokens_issued = 0
         self._issued_by_subject: dict[str, int] = defaultdict(int)
+
+    @classmethod
+    def provisioned_by(cls, ara, config) -> "TokenIssuer":
+        """The issuer the ARA provisions for one deployment config."""
+        master_key, verify_key = ara.provision_pbe_ts()
+        return cls(
+            HVE(ara.group), master_key, config.schema, verify_key, config.subscription_policy
+        )
 
     def open_request(
         self, pke: PKEKeyPair, payload: bytes
@@ -192,37 +195,24 @@ class TokenIssuer:
 
 
 class PBETokenServer:
-    """The PBE-TS service process on the simulator substrate."""
+    """The PBE-TS: the Fig. 3 token-request exchange, served on ``ports``
+    (a simulator :class:`~repro.net.network.Host` stands for simulator
+    ports on it)."""
 
-    def __init__(
-        self,
-        host: Host,
-        hve: HVE,
-        master_key: HVEMasterKey,
-        schema: MetadataSchema,
-        ara_verify_key: VerifyKey,
-        timings: ComputeTimings,
-        subscription_policy: SubscriptionPolicy | None = None,
-    ):
-        self.host = host
-        self.hve = hve
-        self.schema = schema
+    def __init__(self, ports, issuer: TokenIssuer, pke: PKEKeyPair, timings: ComputeTimings):
+        self.ports = ports_on(ports)
+        self.issuer = issuer
+        self.pke = pke
         self.timings = timings
-        self.issuer = TokenIssuer(
-            hve, master_key, schema, ara_verify_key, subscription_policy
-        )
-        self.pke = PKEKeyPair(hve.group)
-        self.rpc = RpcEndpoint(SecureChannelLayer(host))
-        self.rpc.serve(RPC_TOKEN_REQUEST, self._handle_token_request)
         self.observed_sources: list[str] = []  # transport-level view
+        self.ports.serve(RPC_TOKEN_REQUEST, self._handle_token_request)
 
     @property
     def name(self) -> str:
-        return self.host.name
+        return self.ports.name
 
-    @property
-    def sim(self):
-        return self.host.network.sim
+    def start(self) -> None:
+        self.ports.start()
 
     @property
     def subscription_policy(self) -> SubscriptionPolicy | None:
@@ -241,11 +231,6 @@ class PBETokenServer:
     def tokens_issued(self) -> int:
         return self.issuer.tokens_issued
 
-    def start(self) -> None:
-        self.rpc.start()
-
-    # -- request handling (generator: advances simulated compute time) --------
-
     def _handle_token_request(self, src: str, message):
         self.observed_sources.append(src)  # with the anonymizer this is never a subscriber
         span = obs.start_span(
@@ -253,7 +238,7 @@ class PBETokenServer:
             component=self.name,
             parent=obs.extract(message.headers),
         )
-        yield self.sim.timeout(self.timings.pke_op)
+        yield self.ports.compute(self.timings.pke_op)
         try:
             with obs.attach(span):
                 session_key, certificate, interest = self.issuer.open_request(
@@ -261,18 +246,18 @@ class PBETokenServer:
                 )
         except TokenRequestError:
             obs.end_span(span, status="malformed")
-            return (_ERR, 1)  # cannot even recover K_s; reply with a bare error
+            return (BARE_ERROR, 1)  # cannot even recover K_s; reply with a bare error
         status = "ok"
         try:
-            self.issuer.authorize(certificate, interest, now=self.sim.now)
-            yield self.sim.timeout(self.timings.pbe_token_gen)
+            self.issuer.authorize(certificate, interest, now=self.ports.now())
+            yield self.ports.compute(self.timings.pbe_token_gen)
             with obs.attach(span):
                 token_bytes = self.issuer.mint(certificate.subject, interest)
-            reply = _OK + token_bytes
+            reply = ok_reply(token_bytes)
         except (CertificateError, SchemaError, TokenRequestError) as exc:
-            reply = _ERR + str(exc).encode("utf-8")
+            reply = error_reply(str(exc))
             status = "refused"
-        yield self.sim.timeout(self.timings.symmetric(len(reply)))
+        yield self.ports.compute(self.timings.symmetric(len(reply)))
         with obs.attach(span):
             sealed = SecretBox(session_key).seal(reply)
         obs.end_span(span, status=status)

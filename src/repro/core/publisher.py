@@ -12,6 +12,11 @@ client: for each publication the publisher
 
 The publisher never learns whether the item matched anyone, nor who
 received it (§6.1).
+
+:class:`PublisherProtocol` is that sequence, written once against a
+substrate ports object (:mod:`repro.net.ports`); :class:`Publisher`
+sends its frames through the simulator JMS client,
+:class:`repro.live.clients.LivePublisher` over a live channel.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from ..abe.serialize import serialize_hybrid
 from ..cluster.router import ds_shard_for
 from ..crypto.group import PairingGroup
 from ..mq.client import JmsConnection
+from ..net.ports import SimPorts
 from ..obs import profile as obs
 from ..pbe.hve import HVE
 from ..pbe.serialize import serialize_hve_ciphertext
@@ -35,6 +41,7 @@ from .messages import KIND_METADATA, KIND_PAYLOAD, EncryptedMetadata, PayloadSub
 
 __all__ = [
     "Publisher",
+    "PublisherProtocol",
     "PublicationRecord",
     "encrypt_metadata_envelope",
     "encrypt_payload_ciphertext",
@@ -44,10 +51,7 @@ __all__ = [
 def encrypt_metadata_envelope(hve, group, hve_public_key, schema, metadata, guid):
     """Steps 1–2 of §4.3: PBE-encrypt the GUID under the item's metadata.
 
-    Returns the serialized HVE ciphertext bytes.  Substrate-free — both
-    the simulator publisher and :class:`repro.live.clients.LivePublisher`
-    call exactly this, so the two substrates put identical protocol
-    content on the wire.
+    Returns the serialized HVE ciphertext bytes.
     """
     attribute_vector = schema.encode_metadata(metadata)
     hve_ciphertext = hve.encrypt(hve_public_key, attribute_vector, guid)
@@ -78,34 +82,33 @@ class PublicationRecord:
     headers: dict = field(default_factory=dict)
 
 
-class Publisher:
-    """One P3S publisher endpoint."""
+class PublisherProtocol:
+    """One P3S publisher endpoint: the §4.3 publication sequence.
+
+    A substrate supplies ``_send_to_ds(body, size, headers, broker)`` —
+    one JMS PUBLISH frame to one DS shard — returning whatever of its
+    ports the body should wait on.
+    """
 
     _publication_ids = itertools.count(1)
 
     def __init__(
         self,
         credentials: PublisherCredentials,
-        connection: JmsConnection,
+        ports,
         group: PairingGroup,
         timings: ComputeTimings,
         guid_bytes: int = 16,
         publish_topic: str = "p3s.publish",
-        reliable_publish: bool = False,
     ):
         self.credentials = credentials
-        self.connection = connection
+        self.ports = ports
         self.group = group
         self.timings = timings
         self.guid_bytes = guid_bytes
-        # wait for the broker's PUBACK and retransmit on silence (the
-        # docs/CHAOS.md publish-path gap, closed).  Opt-in like the
-        # subscriber's call_timeout_s: the ack timeout is a non-daemon
-        # event, so it holds loss-free runs open past quiescence.
-        self.reliable_publish = reliable_publish
+        self.publish_topic = publish_topic
         self.hve = HVE(group)
         self.cpabe = HybridCPABE(group)
-        self._producer = connection.create_session().create_producer(publish_topic)
         self.published: list[PublicationRecord] = []
 
     @property
@@ -113,8 +116,8 @@ class Publisher:
         return self.credentials.name
 
     @property
-    def sim(self):
-        return self.connection.sim
+    def directory(self):
+        return self.credentials.directory
 
     def publish(
         self,
@@ -122,12 +125,9 @@ class Publisher:
         payload: bytes,
         policy: str | PolicyNode,
         ttl_s: float = 3600.0,
-    ) -> PublicationRecord:
-        """Publish one item; returns its record immediately.
-
-        Encryption and transmission run as a simulator process; the
-        record's ``submitted_at`` is stamped when the process starts.
-        """
+    ):
+        """Publish one item; what the substrate's driver returns resolves
+        to the :class:`PublicationRecord` once both frames are sent."""
         record = PublicationRecord(
             publication_id=next(self._publication_ids),
             guid=random_guid(self.guid_bytes),
@@ -136,22 +136,16 @@ class Publisher:
             ttl_s=ttl_s,
         )
         self.published.append(record)
-        self.sim.process(self._publish_process(record, payload))
-        return record
-
-    def reconnect(self) -> None:
-        """Re-register with a restarted DS (§6.1: "upon restart a publisher
-        needs only to (re)register with the DS")."""
-        self.connection.reconnect()
+        return self.ports.drive(self._publish_process(record, payload))
 
     # -- the §4.3 publication protocol ------------------------------------------
 
     def _publish_process(self, record: PublicationRecord, payload: bytes):
-        record.submitted_at = self.sim.now
+        record.submitted_at = self.ports.now()
         schema = self.credentials.schema
         # both frames of one publication go to the DS shard owning its
         # GUID (single-node deployments resolve to the one "ds")
-        broker = ds_shard_for(self.credentials.directory, record.guid)
+        broker = ds_shard_for(self.directory, record.guid)
         root = obs.start_span(
             "publish",
             component=self.name,
@@ -160,7 +154,7 @@ class Publisher:
 
         # Step 1-2: PBE-encrypt the GUID under the metadata, send to DS.
         step = obs.start_span("pbe.encrypt", component=self.name, parent=root)
-        yield self.sim.timeout(self.timings.pbe_encrypt)
+        yield self.ports.compute(self.timings.pbe_encrypt)
         with obs.attach(step):
             hve_bytes = encrypt_metadata_envelope(
                 self.hve,
@@ -173,7 +167,7 @@ class Publisher:
         record.metadata_bytes = len(hve_bytes)
         obs.end_span(step, bytes=record.metadata_bytes)
         envelope = EncryptedMetadata(hve_bytes=hve_bytes, publication_id=record.publication_id)
-        self._send(
+        yield self._send_to_ds(
             envelope,
             envelope.wire_size,
             obs.inject({"p3s-kind": KIND_METADATA}, root),
@@ -182,7 +176,7 @@ class Publisher:
 
         # Step 3: CP-ABE-encrypt (GUID, payload) under the policy, send to DS→RS.
         step = obs.start_span("abe.encrypt", component=self.name, parent=root)
-        yield self.sim.timeout(
+        yield self.ports.compute(
             self.timings.cpabe_encrypt + self.timings.symmetric(len(payload))
         )
         with obs.attach(step):
@@ -199,20 +193,66 @@ class Publisher:
         submission = PayloadSubmission(
             guid=record.guid, ciphertext=ciphertext, ttl_s=record.ttl_s
         )
-        self._send(
+        yield self._send_to_ds(
             submission,
             submission.wire_size,
             obs.inject({"p3s-kind": KIND_PAYLOAD}, root),
             broker,
         )
         obs.end_span(root)
+        return record
 
-    def _send(self, body, size: int, headers: dict, broker: str) -> None:
+
+class Publisher(PublisherProtocol):
+    """A publisher on the simulator, beneath the JMS client API (§5)."""
+
+    def __init__(
+        self,
+        credentials: PublisherCredentials,
+        connection: JmsConnection,
+        group: PairingGroup,
+        timings: ComputeTimings,
+        guid_bytes: int = 16,
+        publish_topic: str = "p3s.publish",
+        reliable_publish: bool = False,
+    ):
+        super().__init__(
+            credentials, SimPorts(connection.endpoint), group, timings, guid_bytes, publish_topic
+        )
+        self.connection = connection
+        # wait for the broker's PUBACK and retransmit on silence (the
+        # docs/CHAOS.md publish-path gap, closed).  Opt-in like the
+        # subscriber's call_timeout_s: the ack timeout is a non-daemon
+        # event, so it holds loss-free runs open past quiescence.
+        self.reliable_publish = reliable_publish
+        self._producer = connection.create_session().create_producer(publish_topic)
+
+    def publish(
+        self,
+        metadata: dict[str, str],
+        payload: bytes,
+        policy: str | PolicyNode,
+        ttl_s: float = 3600.0,
+    ) -> PublicationRecord:
+        """Publish one item; returns its record immediately.
+
+        Encryption and transmission run as a simulator process; the
+        record's ``submitted_at`` is stamped when the process starts.
+        """
+        super().publish(metadata, payload, policy, ttl_s)
+        return self.published[-1]
+
+    def reconnect(self) -> None:
+        """Re-register with a restarted DS (§6.1: "upon restart a publisher
+        needs only to (re)register with the DS")."""
+        self.connection.reconnect()
+
+    def _send_to_ds(self, body, size: int, headers: dict, broker: str) -> None:
         """One publish frame: a fire-and-forget cast, or (reliable mode)
         a detached acked-retransmit process — detached so publish timing
         on the loss-free path matches the classic cast exactly."""
         if self.reliable_publish:
-            self.sim.process(
+            self.ports.spawn(
                 self._producer.send(
                     body, size, headers=headers, broker=broker, reliable=True
                 )

@@ -13,10 +13,12 @@ Deletion (§4.3): each item carries TTL_item; the RS deletes it at
 slow consumers.  ``T_G = 0`` gives the strict interpretation, at the cost
 of more failed fetches.
 
-The storage/TTL/crypto logic lives in the substrate-free
-:class:`RepositoryStore` engine, shared verbatim by this simulator
-service and the asyncio TCP service in :mod:`repro.live.services` — both
-substrates serve byte-identical replies because they run the same engine.
+The storage/TTL logic lives in the :class:`RepositoryStore` engine and
+the store/retrieve exchange in :class:`RepositoryServer`, written once
+against a substrate ports object (:mod:`repro.net.ports`) — simulator
+ports in :class:`~repro.core.system.P3SSystem`, asyncio ports under
+:class:`repro.live.services.LiveRepositoryServer`.  Both substrates
+serve byte-identical replies because there is one implementation.
 
 Like the PBE-TS, the RS records what an honest-but-curious operator would
 inevitably learn (request counts per stored item, item sizes, whether an
@@ -32,17 +34,22 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..crypto.pke import PKEKeyPair
-from ..crypto.group import PairingGroup
 from ..crypto.symmetric import SecretBox
 from ..errors import DecryptionError, RetrievalError
-from ..net.channel import SecureChannelLayer
-from ..net.network import Host
-from ..net.rpc import RpcEndpoint
+from ..net.ports import ports_on
 from ..obs import profile as obs
 from ..store import MemoryEngine, StorageEngine
 from ..store.codec import NS_ITEMS, decode_item, encode_item
 from .config import ComputeTimings
-from .messages import RPC_RETRIEVE, RPC_STORE, PayloadSubmission
+from .messages import (
+    BARE_ERROR,
+    RPC_RETRIEVE,
+    RPC_STORE,
+    PayloadSubmission,
+    error_reply,
+    ok_reply,
+    split_reply,
+)
 
 __all__ = [
     "RepositoryServer",
@@ -51,9 +58,6 @@ __all__ = [
     "decode_retrieval_request",
     "decode_retrieval_response",
 ]
-
-_OK = b"\x01"
-_ERR = b"\x00"
 
 
 def encode_retrieval_request(session_key: bytes, guid: bytes) -> bytes:
@@ -79,12 +83,10 @@ def decode_retrieval_response(session_key: bytes, sealed: bytes) -> bytes:
 
     Raises :class:`RetrievalError` if the item was missing or expired.
     """
-    plaintext = SecretBox(session_key).open(sealed)
-    if not plaintext or plaintext[:1] != _OK:
-        raise RetrievalError(
-            plaintext[1:].decode("utf-8", "replace") or "unknown retrieval failure"
-        )
-    return plaintext[1:]
+    ok, body = split_reply(SecretBox(session_key).open(sealed))
+    if not ok:
+        raise RetrievalError(body.decode("utf-8", "replace") or "unknown retrieval failure")
+    return body
 
 
 @dataclass
@@ -98,9 +100,9 @@ class _StoredItem:
 class RepositoryStore:
     """The RS's substrate-free storage engine (the "disk").
 
-    Every method takes ``now`` explicitly — the simulator passes
-    ``sim.now``, the live service passes its wall clock — so TTL
-    semantics are identical on both substrates.
+    Every method takes ``now`` explicitly — the protocol passes its
+    ports' clock (``sim.now``, or the live service's wall clock) — so
+    TTL semantics are identical on both substrates.
 
     Durability is delegated to a pluggable
     :class:`~repro.store.StorageEngine`: every store writes through to
@@ -195,9 +197,9 @@ class RepositoryStore:
         item = self._items.get(guid)
         if item is None or now >= item.expires_at:
             self.failed_retrievals += 1
-            return _ERR + b"no such item (unknown GUID or expired)", "miss"
+            return error_reply("no such item (unknown GUID or expired)"), "miss"
         item.request_count += 1
-        return _OK + item.ciphertext, "hit"
+        return ok_reply(item.ciphertext), "hit"
 
     def collect_garbage(self, now: float, compact: bool = False) -> int:
         """Drop every item past ``TTL_item + T_G``; returns how many.
@@ -278,40 +280,39 @@ class RepositoryStore:
 
 
 class RepositoryServer:
-    """The RS service process on the simulator substrate."""
+    """The RS: store what the DS forwards, answer retrievals, sweep
+    expired items — served on ``ports`` (a simulator
+    :class:`~repro.net.network.Host` stands for simulator ports on it)."""
 
     def __init__(
         self,
-        host: Host,
-        group: PairingGroup,
+        ports,
+        pke: PKEKeyPair,
         timings: ComputeTimings,
-        t_g: float = 60.0,
+        store: RepositoryStore,
         gc_interval_s: float = 10.0,
-        engine: StorageEngine | None = None,
     ):
-        self.host = host
+        self.ports = ports_on(ports)
+        self.pke = pke
         self.timings = timings
-        self.t_g = t_g
         self.gc_interval_s = gc_interval_s
-        self.pke = PKEKeyPair(group)
-        self.rpc = RpcEndpoint(SecureChannelLayer(host))
-        self.rpc.serve(RPC_STORE, self._handle_store)
-        self.rpc.serve(RPC_RETRIEVE, self._handle_retrieve)
         # the engine models the on-disk store: "The RS stores encrypted
         # content on disk" (§6.1) — it survives crash()/restart().  With
         # a durable repro.store backend it survives process death too.
-        self.store = RepositoryStore(t_g=t_g, engine=engine)
+        self.store = store
         self.crashed = False
         # HBC-observable state (consumed by the privacy analysis):
         self.observed_sources: list[str] = []
+        self.ports.serve(RPC_STORE, self._handle_store)
+        self.ports.serve(RPC_RETRIEVE, self._handle_retrieve)
 
     @property
     def name(self) -> str:
-        return self.host.name
+        return self.ports.name
 
-    @property
-    def sim(self):
-        return self.host.network.sim
+    def start(self) -> None:
+        self.ports.start()
+        self.ports.spawn(self._gc_loop())
 
     # engine counters, surfaced under their historical names
     @property
@@ -326,10 +327,6 @@ class RepositoryServer:
     def failed_retrievals(self) -> int:
         return self.store.failed_retrievals
 
-    def start(self) -> None:
-        self.rpc.start()
-        self.sim.process(self._gc_loop())
-
     # -- store (one-way, forwarded by the DS) ----------------------------------
 
     def _handle_store(self, src: str, message) -> None:
@@ -342,7 +339,7 @@ class RepositoryServer:
             parent=obs.extract(message.headers),
             bytes=len(submission.ciphertext),
         ):
-            self.store.store(submission, now=self.sim.now)
+            self.store.store(submission, now=self.ports.now())
 
     # -- retrieve (request-response via anonymizer) ---------------------------------
 
@@ -353,15 +350,15 @@ class RepositoryServer:
         span = obs.start_span(
             "rs.retrieve", component=self.name, parent=obs.extract(message.headers)
         )
-        yield self.sim.timeout(self.timings.pke_op)
+        yield self.ports.compute(self.timings.pke_op)
         try:
             with obs.attach(span):
                 session_key, guid = decode_retrieval_request(self.pke, message.payload)
         except RetrievalError:
             obs.end_span(span, status="malformed")
-            return (_ERR, 1)
-        reply, status = self.store.lookup(guid, now=self.sim.now)
-        yield self.sim.timeout(self.timings.symmetric(len(reply)))
+            return (BARE_ERROR, 1)
+        reply, status = self.store.lookup(guid, now=self.ports.now())
+        yield self.ports.compute(self.timings.symmetric(len(reply)))
         with obs.attach(span):
             sealed = SecretBox(session_key).seal(reply)
         obs.end_span(span, status=status, bytes=len(sealed))
@@ -371,8 +368,8 @@ class RepositoryServer:
 
     def _gc_loop(self):
         while True:
-            # daemon: the periodic sweep must not keep the simulation alive
-            yield self.sim.timeout(self.gc_interval_s, daemon=True)
+            # daemon: the periodic sweep must not keep a simulation alive
+            yield self.ports.sleep(self.gc_interval_s, daemon=True)
             self.collect_garbage()
 
     def collect_garbage(self) -> int:
@@ -382,7 +379,7 @@ class RepositoryServer:
         ciphertext is gone from the store files, not merely tombstoned.
         """
         return self.store.collect_garbage(
-            now=self.sim.now, compact=self.store.engine.durable
+            now=self.ports.now(), compact=self.store.engine.durable
         )
 
     # -- crash / restart (§6.1) --------------------------------------------------------
@@ -400,7 +397,7 @@ class RepositoryServer:
     # -- introspection ---------------------------------------------------------------------
 
     def holds(self, guid: bytes) -> bool:
-        return self.store.holds(guid, now=self.sim.now)
+        return self.store.holds(guid, now=self.ports.now())
 
     def request_count(self, guid: bytes) -> int:
         return self.store.request_count(guid)

@@ -16,6 +16,11 @@ protocols:
   subscriber's CP-ABE attributes satisfy the publisher's policy.  The
   recovered GUID is compared with the requested one to correlate
   request and response (§4.3).
+
+:class:`SubscriberProtocol` is all three, written once against a
+substrate ports object (:mod:`repro.net.ports`); :class:`Subscriber`
+receives its broadcasts through the simulator JMS client,
+:class:`repro.live.clients.LiveSubscriber` over a live channel.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from ..errors import (
     TransportError,
 )
 from ..mq.client import JmsConnection
+from ..net.ports import SimPorts
 from ..obs import profile as obs
 from ..pbe.hve import HVE, HVEToken
 from ..pbe.schema import Interest
@@ -61,6 +67,7 @@ from .rs import decode_retrieval_response, encode_retrieval_request
 
 __all__ = [
     "Subscriber",
+    "SubscriberProtocol",
     "Delivery",
     "GuidDeduper",
     "SubscriberStats",
@@ -105,9 +112,8 @@ def match_tokens(hve, tokens, ciphertext):
     """Local matching: test each held token against one broadcast.
 
     ``tokens`` is the subscriber's ``(interest, token)`` list; returns
-    ``(guid_or_None, attempts)``.  Substrate-free — the live subscriber
-    runs exactly this loop; the simulator subscriber interleaves its
-    modeled per-attempt compute time but performs the same queries.
+    ``(guid_or_None, attempts)``.  The subscriber's own match step is
+    this loop with the modelled per-attempt compute time in between.
     """
     attempts = 0
     for _, token in tokens:
@@ -159,13 +165,20 @@ class SubscriberStats:
     deliveries: list[Delivery] = field(default_factory=list)
 
 
-class Subscriber:
-    """One P3S subscriber endpoint."""
+class SubscriberProtocol:
+    """One P3S subscriber endpoint: subscription, local matching,
+    retrieval.
+
+    A substrate supplies ``_send_to_ds(body, size, headers, broker)`` —
+    one JMS PUBLISH frame to one DS shard, returning whatever of its
+    ports the body should wait on — and ``broker_names``, the DS shards
+    this subscriber is connected to.
+    """
 
     def __init__(
         self,
         credentials: SubscriberCredentials,
-        connection: JmsConnection,
+        ports,
         group: PairingGroup,
         timings: ComputeTimings,
         use_anonymizer: bool = True,
@@ -179,11 +192,12 @@ class Subscriber:
         delegate_tokens: bool = False,
     ):
         self.credentials = credentials
-        self.connection = connection
+        self.ports = ports
         self.group = group
         self.timings = timings
         self.use_anonymizer = use_anonymizer
         self.guid_bytes = guid_bytes
+        self.metadata_topic = metadata_topic
         self.hve = HVE(group)
         self.cpabe = HybridCPABE(group)
         self.on_payload = on_payload
@@ -191,10 +205,11 @@ class Subscriber:
         self.retrieval_retries = retrieval_retries
         self.retry_delay_s = retry_delay_s
         # Bound on each anonymized RPC round trip.  None (the default)
-        # waits forever — correct on a lossless network.  Chaos runs set
-        # it so a dropped request/response frame surfaces as a
-        # TransportError and consumes a retry instead of wedging the
-        # retrieval process.
+        # is the substrate's own: forever on the simulator — correct on
+        # a lossless network — and the endpoint's deadline on live TCP.
+        # Chaos runs set it so a dropped request/response frame surfaces
+        # as a TransportError and consumes a retry instead of wedging
+        # the retrieval process.
         self.call_timeout_s = call_timeout_s
         self._dedup: GuidDeduper | None = GuidDeduper()
         # Delegated matching (opt-in, privacy trade-off — see
@@ -204,18 +219,10 @@ class Subscriber:
         self.delegate_tokens = delegate_tokens
         self.stats = SubscriberStats()
         self.tokens: list[tuple[Interest, HVEToken]] = []
-        session = connection.create_session()
-        consumer = session.create_consumer(metadata_topic)
-        consumer.set_message_listener(self._on_metadata)
-        self._producer = session.create_producer(metadata_topic)
 
     @property
     def name(self) -> str:
         return self.credentials.name
-
-    @property
-    def sim(self):
-        return self.connection.sim
 
     @property
     def directory(self):
@@ -224,19 +231,20 @@ class Subscriber:
     # -- subscription (Fig. 3) -------------------------------------------------
 
     def subscribe(self, interest: Interest):
-        """Obtain a PBE token for ``interest``; returns the process event."""
-        return self.sim.process(self._subscribe_process(interest))
+        """Obtain a PBE token for ``interest``; what the substrate's
+        driver returns resolves to the token."""
+        return self.ports.drive(self._subscribe_process(interest))
 
     def _subscribe_process(self, interest: Interest):
         root = obs.start_span("subscribe", component=self.name)
         if self.local_token_source is not None:
             # §8 future-work configuration: mint the token locally — the
             # plaintext predicate never leaves the subscriber.
-            yield self.sim.timeout(self.timings.pbe_token_gen)
+            yield self.ports.compute(self.timings.pbe_token_gen)
             with obs.attach(root):
                 token = self.local_token_source.gen_token(interest)
             self.tokens.append((interest, token))
-            self._register_with_ds(token, KIND_TOKEN_REG)
+            yield from self._register_with_ds(token, KIND_TOKEN_REG)
             obs.end_span(root, local=True)
             return token
         session_key = SecretBox.generate_key()
@@ -244,12 +252,12 @@ class Subscriber:
             body = encode_token_request(
                 session_key, self.credentials.certificate, interest, self.group.zr_bytes
             )
-        yield self.sim.timeout(self.timings.pke_op)
+        yield self.ports.compute(self.timings.pke_op)
         request = self.directory.pbe_ts_public_key.encrypt(body)
         sealed = yield self._anonymized_call(
             self.directory.pbe_ts_name, RPC_TOKEN_REQUEST, request, span=root
         )
-        yield self.sim.timeout(self.timings.symmetric(len(sealed)))
+        yield self.ports.compute(self.timings.symmetric(len(sealed)))
         try:
             token_bytes = decode_token_response(session_key, sealed)
         except (TokenRequestError, DecryptionError) as exc:
@@ -257,59 +265,41 @@ class Subscriber:
             raise TokenRequestError(f"{self.name}: token request failed: {exc}") from exc
         token = deserialize_hve_token(self.group, token_bytes)
         self.tokens.append((interest, token))
-        self._register_with_ds(token, KIND_TOKEN_REG)
+        yield from self._register_with_ds(token, KIND_TOKEN_REG)
         obs.end_span(root, status="ok")
         return token
 
-    def _register_with_ds(self, token: HVEToken, kind: str) -> None:
+    def _register_with_ds(self, token: HVEToken, kind: str):
         if not self.delegate_tokens:
             return
         data = serialize_hve_token(self.group, token)
         # every DS shard may own the next publication, so the token must
         # be registered on all of them (matching compute per publication
         # still lands on exactly one shard — that is what scales)
-        for broker in self.connection.broker_names:
-            self._producer.send(data, len(data), headers={"p3s-kind": kind}, broker=broker)
+        for broker in self.broker_names:
+            yield self._send_to_ds(data, len(data), {"p3s-kind": kind}, broker)
 
-    def unsubscribe(self, interest: Interest) -> bool:
+    def unsubscribe(self, interest: Interest):
         """Drop the local token for ``interest``.
 
         With local matching, unsubscribing is purely client-side: the
         token is discarded and future broadcasts stop matching.  (No party
         needs to be told — another consequence of interest privacy.)
         Under delegated matching the DS registration is withdrawn too.
-        Returns whether a token was found and removed.
+        What the substrate's driver returns resolves to whether a token
+        was found and removed.
         """
+        return self.ports.drive(self._unsubscribe_process(interest))
+
+    def _unsubscribe_process(self, interest: Interest):
         for index, (held, token) in enumerate(self.tokens):
             if held.constraints == interest.constraints:
                 del self.tokens[index]
-                self._register_with_ds(token, KIND_TOKEN_UNREG)
+                yield from self._register_with_ds(token, KIND_TOKEN_UNREG)
                 return True
         return False
 
-    # -- crash / restart (§6.1 robustness) ---------------------------------------
-
-    def restart(self):
-        """Simulate a subscriber crash + restart.
-
-        "A restarted subscriber simply needs to (re)register with the DS
-        and (re)obtain its PBE tokens from the PBE-TS" (§6.1).  Volatile
-        state (tokens) is lost; the remembered interests are re-requested.
-        Returns the list of re-subscription process events.
-        """
-        interests = [interest for interest, _ in self.tokens]
-        self.tokens.clear()
-        self.connection.reconnect()
-        return [self.subscribe(interest) for interest in interests]
-
-    def reconnect(self) -> None:
-        """Re-register with a restarted DS (no token loss on our side)."""
-        self.connection.reconnect()
-
     # -- metadata matching (local, on every DS broadcast) -----------------------
-
-    def _on_metadata(self, frame) -> None:
-        self.sim.process(self._match_process(frame.body, obs.extract(frame.headers)))
 
     def _match_process(self, envelope: EncryptedMetadata, parent=None):
         self.stats.metadata_seen += 1
@@ -324,7 +314,7 @@ class Subscriber:
         guid = None
         attempts = 0
         for _, token in self.tokens:
-            yield self.sim.timeout(self.timings.pbe_match)
+            yield self.ports.compute(self.timings.pbe_match)
             attempts += 1
             with obs.attach(span):
                 guid = self.hve.query(token, ciphertext)
@@ -339,7 +329,7 @@ class Subscriber:
             # retransmitted metadata frame: the pipeline already ran (or
             # is running) for this GUID — deliver-at-most-once holds here
             self.stats.duplicates_suppressed += 1
-            self.stats.duplicate_suppressed_at.append(self.sim.now)
+            self.stats.duplicate_suppressed_at.append(self.ports.now())
             obs.record_op("subscriber.duplicate_suppressed")
             return
         yield from self._retrieve_process(guid, envelope.publication_id, parent=span)
@@ -363,21 +353,21 @@ class Subscriber:
         replicas = rs_replicas_for(self.directory, guid)
         for attempt in range(self.retrieval_retries + 1):
             if attempt:
-                yield self.sim.timeout(self.retry_delay_s)
+                yield self.ports.sleep(self.retry_delay_s)
             rs_name, rs_public_key = replicas[attempt % len(replicas)]
             session_key = SecretBox.generate_key()
             body = encode_retrieval_request(session_key, guid)
-            yield self.sim.timeout(self.timings.pke_op)
+            yield self.ports.compute(self.timings.pke_op)
             request = rs_public_key.encrypt(body)
             try:
                 sealed = yield self._anonymized_call(
                     rs_name, RPC_RETRIEVE, request, span=span
                 )
             except TransportError:
-                # lost request or response (call_timeout_s fired): the
+                # lost request or response (the call timed out): the
                 # same retry budget covers wire loss and the store race
                 continue
-            yield self.sim.timeout(self.timings.symmetric(len(sealed)))
+            yield self.ports.compute(self.timings.symmetric(len(sealed)))
             try:
                 ciphertext_bytes = decode_retrieval_response(session_key, sealed)
                 break
@@ -388,7 +378,7 @@ class Subscriber:
             obs.end_span(span, status="failed_fetch", attempts=attempt + 1)
             return
         step = obs.start_span("abe.decrypt", component=self.name, parent=span)
-        yield self.sim.timeout(
+        yield self.ports.compute(
             self.timings.cpabe_decrypt + self.timings.symmetric(len(ciphertext_bytes))
         )
         try:
@@ -416,7 +406,7 @@ class Subscriber:
             publication_id=publication_id,
             guid=guid,
             payload=payload,
-            delivered_at=self.sim.now,
+            delivered_at=self.ports.now(),
         )
         self.stats.deliveries.append(delivery)
         obs.end_span(
@@ -429,6 +419,10 @@ class Subscriber:
             )
         )
         obs.end_span(span, status="delivered", attempts=attempt + 1)
+        self._hand_over(delivery)
+
+    def _hand_over(self, delivery: Delivery) -> None:
+        """Give one decrypted payload to the application."""
         if self.on_payload is not None:
             self.on_payload(delivery)
 
@@ -438,7 +432,7 @@ class Subscriber:
         headers = obs.inject({}, span)
         if self.use_anonymizer and self.directory.anonymizer_name:
             envelope = AnonEnvelope(dst=dst, inner_type=msg_type, inner_payload=request)
-            return self.connection.endpoint.call(
+            return self.ports.call(
                 self.directory.anonymizer_name,
                 RPC_ANON_FORWARD,
                 envelope,
@@ -446,7 +440,63 @@ class Subscriber:
                 headers=headers,
                 timeout_s=self.call_timeout_s,
             )
-        return self.connection.endpoint.call(
+        return self.ports.call(
             dst, msg_type, request, len(request), headers=headers,
             timeout_s=self.call_timeout_s,
         )
+
+
+class Subscriber(SubscriberProtocol):
+    """A subscriber on the simulator, beneath the JMS client API (§5)."""
+
+    def __init__(
+        self,
+        credentials: SubscriberCredentials,
+        connection: JmsConnection,
+        group: PairingGroup,
+        timings: ComputeTimings,
+        **options,
+    ):
+        super().__init__(
+            credentials, SimPorts(connection.endpoint), group, timings, **options
+        )
+        self.connection = connection
+        session = connection.create_session()
+        consumer = session.create_consumer(self.metadata_topic)
+        consumer.set_message_listener(self._on_metadata)
+        self._producer = session.create_producer(self.metadata_topic)
+
+    @property
+    def broker_names(self) -> list[str]:
+        return self.connection.broker_names
+
+    def _send_to_ds(self, body, size: int, headers: dict, broker: str) -> None:
+        self._producer.send(body, size, headers=headers, broker=broker)
+
+    def _on_metadata(self, frame) -> None:
+        self.ports.spawn(self._match_process(frame.body, obs.extract(frame.headers)))
+
+    def unsubscribe(self, interest: Interest) -> bool:
+        """Synchronous on the simulator — a cast is a scheduled send,
+        there is nothing to wait for; returns whether a token was found
+        and removed."""
+        return self.ports.finish(self._unsubscribe_process(interest))
+
+    # -- crash / restart (§6.1 robustness) ---------------------------------------
+
+    def restart(self):
+        """Simulate a subscriber crash + restart.
+
+        "A restarted subscriber simply needs to (re)register with the DS
+        and (re)obtain its PBE tokens from the PBE-TS" (§6.1).  Volatile
+        state (tokens) is lost; the remembered interests are re-requested.
+        Returns the list of re-subscription process events.
+        """
+        interests = [interest for interest, _ in self.tokens]
+        self.tokens.clear()
+        self.connection.reconnect()
+        return [self.subscribe(interest) for interest in interests]
+
+    def reconnect(self) -> None:
+        """Re-register with a restarted DS (no token loss on our side)."""
+        self.connection.reconnect()

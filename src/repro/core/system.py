@@ -27,24 +27,24 @@ single-node code and tests run unchanged; ``system.ds_shards`` /
 
 from __future__ import annotations
 
-import os
-
-from ..cluster import ClusterMap, MembershipTable, shard_names
+from ..cluster import ClusterMap, MembershipTable
+from ..cluster.router import shard_topology
 from ..cluster.rebalance import HandoffReport, copy_registrations, handoff_items
 from ..crypto.group import PairingGroup
+from ..crypto.pke import PKEKeyPair
 from ..mq.client import JmsConnection
 from ..net.network import Network
 from ..net.simulator import Simulator
 from ..pbe.hve import HVE
 from ..pbe.schema import Interest
-from ..store import StorageEngine, open_engine
+from ..store import StorageEngine, open_service_engine
 from .anonymizer import AnonymizationService
 from .ara import RegistrationAuthority
 from .config import P3SConfig
 from .ds import DisseminationServer
-from .pbe_ts import PBETokenServer
+from .pbe_ts import PBETokenServer, TokenIssuer
 from .publisher import PublicationRecord, Publisher
-from .rs import RepositoryServer
+from .rs import RepositoryServer, RepositoryStore
 from .subscriber import Delivery, Subscriber
 
 __all__ = ["P3SSystem"]
@@ -79,57 +79,24 @@ class P3SSystem:
         self.group = PairingGroup(self.config.param_set)
         self.ara = RegistrationAuthority(self.group, self.config.schema)
 
-        ds_names = shard_names("ds", self.config.ds_shards)
-        rs_names = shard_names("rs", self.config.rs_shards)
-        replication = max(1, min(self.config.rs_replication, len(rs_names)))
-        self.cluster: ClusterMap | None = None
-        if len(ds_names) > 1 or len(rs_names) > 1 or replication > 1:
-            self.cluster = ClusterMap(
-                ds_names=list(ds_names),
-                rs_names=list(rs_names),
-                rs_replication=replication,
-            )
+        ds_names, rs_names, self.cluster = shard_topology(self.config)
 
         # --- third parties (Fig. 1) ---
         self.rs_shards: dict[str, RepositoryServer] = {}
         for name in rs_names:
-            self.rs_shards[name] = RepositoryServer(
-                self.network.add_host(name),
-                self.group,
-                self.config.timings,
-                t_g=self.config.t_g,
-                gc_interval_s=self.config.rs_gc_interval_s,
-                engine=self._open_store(name),
-            )
+            self.rs_shards[name] = self._build_rs(name)
         self.rs = self.rs_shards[rs_names[0]]
 
         self.ds_shards: dict[str, DisseminationServer] = {}
         for name in ds_names:
-            ds_host = self.network.add_host(name)
-            for rs_name in rs_names:
-                ds_host.set_link_bandwidth(rs_name, self.config.lan_bandwidth_bps)
-            self.ds_shards[name] = DisseminationServer(
-                ds_host,
-                rs_names[0],
-                self.config.metadata_topic,
-                group=self.group,
-                timings=self.config.timings,
-                match_workers=self.config.match_workers,
-                store=self._open_store(name),
-                cluster=self.cluster,
-            )
+            self.ds_shards[name] = self._build_ds(name, rs_names[0])
         self.ds = self.ds_shards[ds_names[0]]
 
-        hve = HVE(self.group)
-        master_key, verify_key = self.ara.provision_pbe_ts()
         self.pbe_ts = PBETokenServer(
             self.network.add_host("pbe-ts"),
-            hve,
-            master_key,
-            self.config.schema,
-            verify_key,
+            TokenIssuer.provisioned_by(self.ara, self.config),
+            PKEKeyPair(self.group),
             self.config.timings,
-            subscription_policy=self.config.subscription_policy,
         )
         self.anonymizer = AnonymizationService(self.network.add_host("anon"))
 
@@ -163,30 +130,33 @@ class P3SSystem:
         self.publishers: dict[str, Publisher] = {}
         self.subscribers: dict[str, Subscriber] = {}
 
-    def _open_store(self, role: str) -> StorageEngine | None:
-        """One storage engine per durable service, under ``data_dir/<role>``.
+    def _build_rs(self, name: str) -> RepositoryServer:
+        return RepositoryServer(
+            self.network.add_host(name),
+            PKEKeyPair(self.group),
+            self.config.timings,
+            RepositoryStore(t_g=self.config.t_g, engine=self._open_store(name)),
+            self.config.rs_gc_interval_s,
+        )
 
-        With the default ``memory`` backend returns None so the service
-        constructs its own MemoryEngine — exactly the historical
-        behaviour.  Shard names ("ds0", "rs1", …) each get their own
-        subtree, so shards never share store files.
-        """
-        backend = self.config.store_backend
-        if backend == "memory":
-            return None
-        if self.config.data_dir is None:
-            raise ValueError(f"store_backend={backend!r} requires data_dir")
-        root = os.path.join(self.config.data_dir, role)
-        path = os.path.join(root, "store.db") if backend == "sqlite" else root
-        if backend == "sqlite":
-            os.makedirs(root, exist_ok=True)
-        return open_engine(
-            backend,
-            path,
-            key=self.config.store_key,
-            fsync=self.config.store_fsync,
-            snapshot_every=self.config.store_snapshot_every,
-            component=role,
+    def _build_ds(self, name: str, rs_name: str) -> DisseminationServer:
+        host = self.network.add_host(name)
+        for rs_shard in self.rs_shards:
+            host.set_link_bandwidth(rs_shard, self.config.lan_bandwidth_bps)
+        return DisseminationServer(
+            host,
+            rs_name,
+            self.config.metadata_topic,
+            group=self.group,
+            timings=self.config.timings,
+            match_workers=self.config.match_workers,
+            store=self._open_store(name),
+            cluster=self.cluster,
+        )
+
+    def _open_store(self, role: str) -> StorageEngine | None:
+        return open_service_engine(
+            self.config, self.config.data_dir, role, self.config.store_key
         )
 
     # -- membership / failure detection (repro.cluster) ------------------------
@@ -247,19 +217,7 @@ class P3SSystem:
         name = name or f"ds{len(self.ds_shards)}"
         if name in self.ds_shards:
             raise ValueError(f"DS shard {name!r} already exists")
-        host = self.network.add_host(name)
-        for rs_name in self.rs_shards:
-            host.set_link_bandwidth(rs_name, self.config.lan_bandwidth_bps)
-        ds = DisseminationServer(
-            host,
-            self.ds.rs_name,
-            self.config.metadata_topic,
-            group=self.group,
-            timings=self.config.timings,
-            match_workers=self.config.match_workers,
-            store=self._open_store(name),
-            cluster=cluster,
-        )
+        ds = self._build_ds(name, self.ds.rs_name)
         ds.start()
         self.ds_shards[name] = ds
         copy_registrations(self.ds, ds)
@@ -285,16 +243,11 @@ class P3SSystem:
         name = name or f"rs{len(self.rs_shards)}"
         if name in self.rs_shards:
             raise ValueError(f"RS shard {name!r} already exists")
-        rs = RepositoryServer(
-            self.network.add_host(name),
-            self.group,
-            self.config.timings,
-            t_g=self.config.t_g,
-            gc_interval_s=self.config.rs_gc_interval_s,
-            engine=self._open_store(name),
-        )
-        for ds in self.ds_shards.values():
-            ds.host.set_link_bandwidth(name, self.config.lan_bandwidth_bps)
+        rs = self._build_rs(name)
+        for ds_name in self.ds_shards:
+            self.network.host(ds_name).set_link_bandwidth(
+                name, self.config.lan_bandwidth_bps
+            )
         rs.start()
         self.rs_shards[name] = rs
         cluster.add_rs(name, rs.pke.public)
@@ -353,7 +306,6 @@ class P3SSystem:
         connection.start()
         token_source = None
         if embedded_token_source:
-            from ..pbe.hve import HVE
             from .embedded_ts import EmbeddedTokenSource
 
             master_key, _ = self.ara.provision_pbe_ts()

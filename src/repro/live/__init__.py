@@ -14,8 +14,9 @@ service also answers the operational telemetry RPCs — health, metrics
 in :mod:`repro.live.telemetry` and aggregated deployment-wide by
 ``repro live status`` / ``repro live top``.
 
-Protocol logic is shared with the simulator via the substrate-free
-engines in :mod:`repro.core` — both substrates deliver identical
+No protocol rule lives here: the services and clients subclass the
+:mod:`repro.core` classes, whose rules are generators over substrate
+ports (:mod:`repro.net.ports`) — both substrates deliver identical
 plaintext sets for identical scenarios (``tests/live/test_parity.py``).
 """
 

@@ -1,83 +1,68 @@
 """Live publisher and subscriber clients.
 
-These are the TCP counterparts of :class:`repro.core.publisher.Publisher`
-and :class:`repro.core.subscriber.Subscriber`.  All protocol-content
-construction is delegated to the substrate-free helpers the simulator
-clients use — :func:`~repro.core.publisher.encrypt_metadata_envelope`,
-:func:`~repro.core.publisher.encrypt_payload_ciphertext`,
-:func:`~repro.core.subscriber.match_tokens`,
-:func:`~repro.core.subscriber.open_delivery`, and the
-``encode_*``/``decode_*`` request codecs — so a live deployment delivers
+These are the TCP shells around
+:class:`repro.core.publisher.PublisherProtocol` and
+:class:`repro.core.subscriber.SubscriberProtocol` — the same classes the
+simulator clients extend.  The §4.3 publication sequence, the Fig. 3
+token request, local matching and the Fig. 4 retrieval are written once,
+there, as generators over substrate ports (:mod:`repro.net.ports`);
+``publish`` / ``subscribe`` / ``unsubscribe`` are inherited and return a
+coroutine to await.  What lives here is the live JMS uplink the
+simulator gets from :mod:`repro.mq.client` — CONNECT/SUBSCRIBE on every
+DS shard, one PUBLISH frame per send, ACK on every delivery — plus
+``wait_for_deliveries`` and shutdown, so a live deployment delivers
 exactly what a simulated one delivers for the same scenario.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import time
 from typing import Callable
 
-from ..abe.hybrid import HybridCPABE
-from ..abe.policy import PolicyNode
-from ..crypto.group import PairingGroup
-from ..crypto.symmetric import SecretBox
-from ..errors import (
-    DecryptionError,
-    GuidMismatchError,
-    RetrievalError,
-    TokenRequestError,
-    TransportError,
-)
-from ..cluster.router import ds_shard_for, ds_shards_of, rs_replicas_for
+from ..cluster.router import ds_shards_of
 from ..core.ara import PublisherCredentials, SubscriberCredentials
-from ..core.guid import random_guid
-from ..core.messages import (
-    KIND_METADATA,
-    KIND_PAYLOAD,
-    KIND_TOKEN_REG,
-    KIND_TOKEN_UNREG,
-    RPC_ANON_FORWARD,
-    RPC_RETRIEVE,
-    RPC_TOKEN_REQUEST,
-    AnonEnvelope,
-    EncryptedMetadata,
-    PayloadSubmission,
-)
-from ..core.pbe_ts import decode_token_response, encode_token_request
-from ..core.publisher import (
-    PublicationRecord,
-    encrypt_metadata_envelope,
-    encrypt_payload_ciphertext,
-)
-from ..core.rs import decode_retrieval_response, encode_retrieval_request
-from ..core.subscriber import (
-    Delivery,
-    GuidDeduper,
-    SubscriberStats,
-    match_tokens,
-    open_delivery,
-)
+from ..core.config import ComputeTimings
+from ..core.publisher import PublisherProtocol
+from ..core.subscriber import Delivery, SubscriberProtocol
+from ..crypto.group import PairingGroup
+from ..errors import TransportError
 from ..mq import messages as frames
 from ..mq.messages import JmsFrame
+from ..net.ports import LivePorts
 from ..obs import profile as obs
-from ..pbe.hve import HVE, HVEToken
-from ..pbe.schema import Interest
-from ..pbe.serialize import (
-    deserialize_hve_ciphertext,
-    deserialize_hve_token,
-    serialize_hve_token,
-)
 from .rpc import LiveRpcEndpoint
 
 __all__ = ["LivePublisher", "LiveSubscriber"]
 
 
-class LivePublisher:
-    """One P3S publisher speaking the live JMS dialect to the DS."""
+class _LiveJmsClient:
+    """The slice of a JMS client connection both live clients need."""
 
-    _publication_ids = itertools.count(1)
-    _frame_ids = itertools.count(1)
+    endpoint: LiveRpcEndpoint
+    _topic: str  # what this client's own PUBLISH frames are addressed to
+
+    @property
+    def broker_names(self) -> tuple[str, ...]:
+        """Every DS shard: publications hash to one, so a client must
+        be connected (and a subscriber listening) everywhere."""
+        return ds_shards_of(self.directory)
+
+    async def connect(self) -> None:
+        """Open the live channel to every DS shard (JMS CONNECT)."""
+        for ds_name in self.broker_names:
+            await self.endpoint.cast(ds_name, frames.CONNECT, JmsFrame(topic=""))
+
+    def _send_to_ds(self, body, body_size: int, headers: dict, broker: str):
+        frame = JmsFrame(topic=self._topic, body=body, body_size=body_size, headers=headers)
+        return self.endpoint.cast(broker, frames.PUBLISH, frame)
+
+    async def close(self) -> None:
+        await self.endpoint.close()
+
+
+class LivePublisher(_LiveJmsClient, PublisherProtocol):
+    """One P3S publisher speaking the live JMS dialect to the DS."""
 
     def __init__(
         self,
@@ -88,227 +73,55 @@ class LivePublisher:
         publish_topic: str = "p3s.publish",
         clock: Callable[[], float] = time.monotonic,
     ):
-        self.credentials = credentials
+        PublisherProtocol.__init__(
+            self,
+            credentials,
+            LivePorts(endpoint, clock),
+            group,
+            ComputeTimings(),
+            guid_bytes,
+            publish_topic,
+        )
         self.endpoint = endpoint
-        self.group = group
-        self.guid_bytes = guid_bytes
-        self.publish_topic = publish_topic
-        self.clock = clock
-        self.hve = HVE(group)
-        self.cpabe = HybridCPABE(group)
-        self.published: list[PublicationRecord] = []
-
-    @property
-    def name(self) -> str:
-        return self.credentials.name
-
-    @property
-    def directory(self):
-        return self.credentials.directory
-
-    async def connect(self) -> None:
-        """Open the live channel to every DS shard (JMS CONNECT)."""
-        for ds_name in ds_shards_of(self.directory):
-            await self.endpoint.cast(ds_name, frames.CONNECT, JmsFrame(topic=""))
-
-    async def _send_to_ds(self, body, body_size: int, headers: dict, broker: str) -> None:
-        frame = JmsFrame(
-            topic=self.publish_topic,
-            body=body,
-            body_size=body_size,
-            message_id=next(self._frame_ids),
-            headers=headers,
-        )
-        await self.endpoint.cast(broker, frames.PUBLISH, frame)
-
-    async def publish(
-        self,
-        metadata: dict[str, str],
-        payload: bytes,
-        policy: str | PolicyNode,
-        ttl_s: float = 3600.0,
-    ) -> PublicationRecord:
-        """Run the §4.3 publication protocol over TCP; returns the record."""
-        record = PublicationRecord(
-            publication_id=next(self._publication_ids),
-            guid=random_guid(self.guid_bytes),
-            metadata=dict(metadata),
-            policy=policy,
-            ttl_s=ttl_s,
-            submitted_at=self.clock(),
-        )
-        self.published.append(record)
-        # both frames of one publication target the DS shard owning its
-        # GUID (single-node directories resolve to the one "ds")
-        broker = ds_shard_for(self.directory, record.guid)
-        root = obs.start_span(
-            "publish", component=self.name, publication_id=record.publication_id
-        )
-
-        step = obs.start_span("pbe.encrypt", component=self.name, parent=root)
-        with obs.attach(step):
-            hve_bytes = encrypt_metadata_envelope(
-                self.hve,
-                self.group,
-                self.credentials.hve_public_key,
-                self.credentials.schema,
-                record.metadata,
-                record.guid,
-            )
-        record.metadata_bytes = len(hve_bytes)
-        obs.end_span(step, bytes=record.metadata_bytes)
-        envelope = EncryptedMetadata(
-            hve_bytes=hve_bytes, publication_id=record.publication_id
-        )
-        await self._send_to_ds(
-            envelope,
-            envelope.wire_size,
-            obs.inject({"p3s-kind": KIND_METADATA}, root),
-            broker,
-        )
-
-        step = obs.start_span("abe.encrypt", component=self.name, parent=root)
-        with obs.attach(step):
-            ciphertext = encrypt_payload_ciphertext(
-                self.cpabe,
-                self.group,
-                self.credentials.cpabe_public_key,
-                record.guid,
-                payload,
-                record.policy,
-            )
-        record.payload_bytes = len(ciphertext)
-        obs.end_span(step, bytes=record.payload_bytes)
-        submission = PayloadSubmission(
-            guid=record.guid, ciphertext=ciphertext, ttl_s=record.ttl_s
-        )
-        await self._send_to_ds(
-            submission,
-            submission.wire_size,
-            obs.inject({"p3s-kind": KIND_PAYLOAD}, root),
-            broker,
-        )
-        obs.end_span(root)
-        return record
-
-    async def close(self) -> None:
-        await self.endpoint.close()
+        self._topic = publish_topic
 
 
-class LiveSubscriber:
+class LiveSubscriber(_LiveJmsClient, SubscriberProtocol):
     """One P3S subscriber endpoint on the live substrate.
 
     The DS pushes ``jms.deliver`` frames back over the connection this
-    subscriber opened; each one triggers the same local match → retrieve
-    → decrypt pipeline as the simulator subscriber.
+    subscriber opened; each one runs the shared match → retrieve →
+    decrypt pipeline.
     """
-
-    _frame_ids = itertools.count(1)
 
     def __init__(
         self,
         credentials: SubscriberCredentials,
         endpoint: LiveRpcEndpoint,
         group: PairingGroup,
-        use_anonymizer: bool = True,
-        guid_bytes: int = 16,
-        metadata_topic: str = "p3s.metadata",
-        on_payload: Callable[[Delivery], None] | None = None,
-        retrieval_retries: int = 3,
-        retry_delay_s: float = 0.05,
-        delegate_tokens: bool = False,
         clock: Callable[[], float] = time.monotonic,
+        **options,
     ):
-        self.credentials = credentials
+        # loopback/LAN round trips, not the simulator's 45 ms WAN
+        options.setdefault("retry_delay_s", 0.05)
+        SubscriberProtocol.__init__(
+            self, credentials, LivePorts(endpoint, clock), group, ComputeTimings(), **options
+        )
         self.endpoint = endpoint
-        self.group = group
-        self.use_anonymizer = use_anonymizer
-        self.guid_bytes = guid_bytes
-        self.metadata_topic = metadata_topic
-        self.on_payload = on_payload
-        self.retrieval_retries = retrieval_retries
-        self.retry_delay_s = retry_delay_s
-        self.delegate_tokens = delegate_tokens
-        self.clock = clock
-        self.hve = HVE(group)
-        self.cpabe = HybridCPABE(group)
-        self.stats = SubscriberStats()
-        self.tokens: list[tuple[Interest, HVEToken]] = []
-        self._dedup: GuidDeduper | None = GuidDeduper()
+        self._topic = self.metadata_topic
         self._delivery_event = asyncio.Event()
-        endpoint.serve(frames.DELIVER, self._on_deliver)
-
-    @property
-    def name(self) -> str:
-        return self.credentials.name
-
-    @property
-    def directory(self):
-        return self.credentials.directory
+        endpoint.serve(frames.DELIVER, self._on_frame)
 
     async def connect(self) -> None:
-        """JMS CONNECT + SUBSCRIBE to the metadata topic, on every DS
-        shard — publications hash to one shard, so a subscriber must
-        listen everywhere to see them all."""
-        for ds_name in ds_shards_of(self.directory):
-            await self.endpoint.cast(ds_name, frames.CONNECT, JmsFrame(topic=""))
+        """JMS CONNECT, then SUBSCRIBE to the metadata topic, on every
+        DS shard."""
+        await super().connect()
+        for ds_name in self.broker_names:
             await self.endpoint.cast(
                 ds_name, frames.SUBSCRIBE, JmsFrame(topic=self.metadata_topic)
             )
 
-    # -- subscription (Fig. 3) -------------------------------------------------
-
-    async def subscribe(self, interest: Interest) -> HVEToken:
-        """Obtain a PBE token for ``interest`` via the live PBE-TS."""
-        root = obs.start_span("subscribe", component=self.name)
-        session_key = SecretBox.generate_key()
-        with obs.attach(root):
-            body = encode_token_request(
-                session_key, self.credentials.certificate, interest, self.group.zr_bytes
-            )
-        request = self.directory.pbe_ts_public_key.encrypt(body)
-        sealed = await self._anonymized_call(
-            self.directory.pbe_ts_name, RPC_TOKEN_REQUEST, request, span=root
-        )
-        try:
-            token_bytes = decode_token_response(session_key, sealed)
-        except (TokenRequestError, DecryptionError) as exc:
-            obs.end_span(root, status="refused")
-            raise TokenRequestError(f"{self.name}: token request failed: {exc}") from exc
-        token = deserialize_hve_token(self.group, token_bytes)
-        self.tokens.append((interest, token))
-        await self._register_with_ds(token, KIND_TOKEN_REG)
-        obs.end_span(root, status="ok")
-        return token
-
-    async def _register_with_ds(self, token: HVEToken, kind: str) -> None:
-        if not self.delegate_tokens:
-            return
-        data = serialize_hve_token(self.group, token)
-        # every shard pre-filters the publications it owns, so the token
-        # must be registered with all of them
-        for ds_name in ds_shards_of(self.directory):
-            frame = JmsFrame(
-                topic=self.metadata_topic,
-                body=data,
-                body_size=len(data),
-                message_id=next(self._frame_ids),
-                headers={"p3s-kind": kind},
-            )
-            await self.endpoint.cast(ds_name, frames.PUBLISH, frame)
-
-    async def unsubscribe(self, interest: Interest) -> bool:
-        """Drop the local token (and its DS registration, if delegated)."""
-        for index, (held, token) in enumerate(self.tokens):
-            if held.constraints == interest.constraints:
-                del self.tokens[index]
-                await self._register_with_ds(token, KIND_TOKEN_UNREG)
-                return True
-        return False
-
-    # -- metadata matching + retrieval ------------------------------------------
-
-    async def _on_deliver(self, src: str, message) -> None:
+    async def _on_frame(self, src: str, message) -> None:
         frame: JmsFrame = message.payload
         if frame.topic != self.metadata_topic:
             return
@@ -318,110 +131,13 @@ class LiveSubscriber:
         await self.endpoint.cast(
             src, frames.ACK, JmsFrame(message_id=frame.message_id)
         )
-        envelope: EncryptedMetadata = frame.body
-        self.stats.metadata_seen += 1
-        span = obs.start_span(
-            "subscriber.match",
-            component=self.name,
-            parent=obs.extract(frame.headers),
-            publication_id=envelope.publication_id,
+        await self.ports.drive(
+            self._match_process(frame.body, obs.extract(frame.headers))
         )
-        with obs.attach(span):
-            ciphertext = deserialize_hve_ciphertext(self.group, envelope.hve_bytes)
-            guid, attempts = match_tokens(self.hve, self.tokens, ciphertext)
-        obs.end_span(span, matched=guid is not None, attempts=attempts)
-        if guid is None:
-            self.stats.non_matches += 1
-            return
-        self.stats.matches += 1
-        if self._dedup is not None and self._dedup.seen(guid):
-            # duplicated DELIVER frame: this GUID's retrieve pipeline
-            # already ran — same at-most-once boundary as the simulator
-            self.stats.duplicates_suppressed += 1
-            self.stats.duplicate_suppressed_at.append(self.clock())
-            obs.record_op("subscriber.duplicate_suppressed")
-            return
-        await self._retrieve(guid, envelope.publication_id, parent=span)
 
-    async def _retrieve(self, guid: bytes, publication_id: int, parent=None) -> None:
-        span = obs.start_span(
-            "subscriber.retrieve",
-            component=self.name,
-            parent=parent,
-            publication_id=publication_id,
-        )
-        ciphertext_bytes = None
-        attempt = 0
-        # the GUID's replica set, in ring order; successive attempts
-        # rotate through it, so a dead/partitioned replica costs one
-        # failed attempt before the next one is asked
-        replicas = rs_replicas_for(self.directory, guid)
-        for attempt in range(self.retrieval_retries + 1):
-            if attempt:
-                # same race as the simulator: the payload may still be in
-                # flight DS→RS when a fast matcher asks for it
-                await asyncio.sleep(self.retry_delay_s)
-            rs_name, rs_public_key = replicas[attempt % len(replicas)]
-            session_key = SecretBox.generate_key()
-            body = encode_retrieval_request(session_key, guid)
-            request = rs_public_key.encrypt(body)
-            try:
-                sealed = await self._anonymized_call(
-                    rs_name, RPC_RETRIEVE, request, span=span
-                )
-            except TransportError:
-                continue
-            try:
-                ciphertext_bytes = decode_retrieval_response(session_key, sealed)
-                break
-            except (RetrievalError, DecryptionError):
-                continue
-        if ciphertext_bytes is None:
-            self.stats.failed_fetches += 1
-            obs.end_span(span, status="failed_fetch", attempts=attempt + 1)
-            return
-        step = obs.start_span("abe.decrypt", component=self.name, parent=span)
-        try:
-            with obs.attach(step):
-                payload = open_delivery(
-                    self.cpabe,
-                    self.group,
-                    self.credentials.cpabe_secret_key,
-                    guid,
-                    self.guid_bytes,
-                    ciphertext_bytes,
-                )
-        except GuidMismatchError:
-            self.stats.access_denied += 1
-            obs.end_span(step)
-            obs.end_span(span, status="guid_mismatch", attempts=attempt + 1)
-            return
-        except DecryptionError:
-            self.stats.access_denied += 1
-            obs.end_span(step, status="denied")
-            obs.end_span(span, status="access_denied", attempts=attempt + 1)
-            return
-        obs.end_span(step)
-        delivery = Delivery(
-            publication_id=publication_id,
-            guid=guid,
-            payload=payload,
-            delivered_at=self.clock(),
-        )
-        self.stats.deliveries.append(delivery)
+    def _hand_over(self, delivery: Delivery) -> None:
         self._delivery_event.set()
-        obs.end_span(
-            obs.start_span(
-                "deliver",
-                component=self.name,
-                parent=span,
-                publication_id=publication_id,
-                bytes=len(payload),
-            )
-        )
-        obs.end_span(span, status="delivered", attempts=attempt + 1)
-        if self.on_payload is not None:
-            self.on_payload(delivery)
+        super()._hand_over(delivery)
 
     async def wait_for_deliveries(self, count: int, timeout_s: float = 30.0) -> None:
         """Block until this subscriber has at least ``count`` deliveries."""
@@ -442,20 +158,3 @@ class LiveSubscriber:
                 await asyncio.wait_for(self._delivery_event.wait(), remaining)
             except asyncio.TimeoutError:
                 pass
-
-    # -- transport helper -------------------------------------------------------
-
-    async def _anonymized_call(self, dst: str, msg_type: str, request: bytes, span=None):
-        headers = obs.inject({}, span)
-        if self.use_anonymizer and self.directory.anonymizer_name:
-            envelope = AnonEnvelope(dst=dst, inner_type=msg_type, inner_payload=request)
-            return await self.endpoint.call(
-                self.directory.anonymizer_name,
-                RPC_ANON_FORWARD,
-                envelope,
-                headers=headers,
-            )
-        return await self.endpoint.call(dst, msg_type, request, headers=headers)
-
-    async def close(self) -> None:
-        await self.endpoint.close()

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import time
 
-from ..cluster.router import ClusterMap, shard_names
+from ..cluster.router import shard_topology
 from ..core.ara import RegistrationAuthority
 from ..core.config import P3SConfig
 from ..core.pbe_ts import TokenIssuer
 from ..crypto.group import PairingGroup
-from ..pbe.hve import HVE
 from .channel import ServerIdentity
 from .clients import LivePublisher, LiveSubscriber
 from .rpc import AddressBook, LiveRpcEndpoint
@@ -67,16 +66,7 @@ class LiveDeployment:
             self.obs.install()
         # shard topology (repro.cluster): 1/1 keeps the classic names
         # and no cluster machinery at all
-        self.ds_names = shard_names(DS_NAME, self.config.ds_shards)
-        self.rs_names = shard_names(RS_NAME, self.config.rs_shards)
-        replication = max(1, min(self.config.rs_replication, len(self.rs_names)))
-        self.cluster: ClusterMap | None = None
-        if len(self.ds_names) > 1 or len(self.rs_names) > 1 or replication > 1:
-            self.cluster = ClusterMap(
-                ds_names=list(self.ds_names),
-                rs_names=list(self.rs_names),
-                rs_replication=replication,
-            )
+        self.ds_names, self.rs_names, self.cluster = shard_topology(self.config)
         self.ds_shards: dict[str, LiveDisseminationServer] = {}
         self.rs_shards: dict[str, LiveRepositoryServer] = {}
         self.ds: LiveDisseminationServer | None = None
@@ -131,17 +121,9 @@ class LiveDeployment:
                 cluster=self.cluster,
             )
         self.ds = self.ds_shards[self.ds_names[0]]
-        hve = HVE(self.group)
-        master_key, verify_key = self.ara.provision_pbe_ts()
         self.pbe_ts = LivePBETokenServer(
             self._service_endpoint(PBE_TS_NAME),
-            TokenIssuer(
-                hve,
-                master_key,
-                config.schema,
-                verify_key,
-                subscription_policy=config.subscription_policy,
-            ),
+            TokenIssuer.provisioned_by(self.ara, config),
             self.group,
         )
         self.anonymizer = LiveAnonymizationService(self._service_endpoint(ANON_NAME))

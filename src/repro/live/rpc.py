@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..crypto.signing import VerifyKey
-from ..errors import MessageLossError, NetworkError, TransportError
+from ..errors import MessageLossError, NetworkError, ReproError, TransportError
 from ..net.transport import TransportMessage
 from ..obs import profile as obs
 from .channel import SecureChannel, ServerIdentity, ServiceKey, accept_channel, connect_channel
@@ -378,14 +378,20 @@ class LiveRpcEndpoint:
                 future.set_result(message.payload)
             return
         if kind == "request":
-            self._spawn(self._handle_request(message))
+            self.spawn(self._handle_request(message))
             return
         handler = self._handlers.get(message.msg_type)
         if handler is None:
             return  # unrouted one-way frame; drop (same as the simulator)
-        result = handler(message.src, message)
+        try:
+            result = handler(message.src, message)
+        except ReproError:
+            # a protocol rule refused the frame (SUBSCRIBE before
+            # CONNECT): drop it; the peer's reader loop keeps running
+            obs.record_op("live.frame_rejected")
+            return
         if asyncio.iscoroutine(result):
-            self._spawn(result)
+            self.spawn(result)
 
     async def _handle_request(self, message: TransportMessage) -> None:
         handler = self._handlers.get(message.msg_type)
@@ -403,7 +409,8 @@ class LiveRpcEndpoint:
             {"rpc": "response", "corr": message.headers.get("corr")},
         )
 
-    def _spawn(self, coro) -> None:
+    def spawn(self, coro) -> None:
+        """Run ``coro`` as a task this endpoint owns (cancelled on close)."""
         task = asyncio.ensure_future(coro)
         self._handler_tasks.add(task)
         task.add_done_callback(self._handler_tasks.discard)

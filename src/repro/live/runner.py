@@ -21,15 +21,14 @@ import os
 import pickle
 from dataclasses import dataclass, field
 
-from ..cluster.router import ClusterMap, shard_names
+from ..cluster.router import ClusterMap, shard_names, shard_topology
 from ..core.ara import RegistrationAuthority
 from ..core.config import P3SConfig
 from ..core.pbe_ts import TokenIssuer
 from ..crypto.group import PairingGroup
 from ..crypto.pke import PKEKeyPair
 from ..errors import RegistrationError
-from ..pbe.hve import HVE
-from ..store import StorageEngine, open_engine
+from ..store import StorageEngine, open_service_engine
 from .channel import ServerIdentity
 from .clients import LivePublisher, LiveSubscriber
 from .deployment import ANON_NAME, DS_NAME, PBE_TS_NAME, RS_NAME
@@ -90,29 +89,10 @@ class DeploymentState:
         return getattr(self.ara.directory, "cluster", None)
 
     def open_store(self, role: str) -> StorageEngine | None:
-        """Open ``role``'s storage engine per the deployment config.
-
-        None with the ``memory`` backend — the service builds its own
-        volatile engine, the pre-persistence behaviour.
-        """
-        backend = self.config.store_backend
-        if backend == "memory":
-            return None
-        if self.data_dir is None:
-            raise RegistrationError(
-                f"store_backend={backend!r} needs `repro live init --data-dir`"
-            )
-        root = os.path.join(self.data_dir, role)
-        path = os.path.join(root, "store.db") if backend == "sqlite" else root
-        if backend == "sqlite":
-            os.makedirs(root, exist_ok=True)
-        return open_engine(
-            backend,
-            path,
-            key=self.store_keys.get(role),
-            fsync=self.config.store_fsync,
-            snapshot_every=self.config.store_snapshot_every,
-            component=role,
+        """``role``'s storage engine, sealed with the key minted for it
+        at `repro live init --data-dir` time."""
+        return open_service_engine(
+            self.config, self.data_dir, role, self.store_keys.get(role)
         )
 
     def address_book(self) -> AddressBook:
@@ -151,9 +131,7 @@ def init_state(
         raise RegistrationError(
             f"store_backend={config.store_backend!r} needs --data-dir"
         )
-    ds_names = shard_names(DS_NAME, config.ds_shards)
-    rs_names = shard_names(RS_NAME, config.rs_shards)
-    replication = max(1, min(config.rs_replication, len(rs_names)))
+    ds_names, rs_names, cluster = shard_topology(config)
     roles = (*ds_names, *rs_names, PBE_TS_NAME, ANON_NAME)
     group = PairingGroup(config.param_set)
     ara = RegistrationAuthority(group, config.schema)
@@ -165,15 +143,11 @@ def init_state(
     ara.install_service("rs", rs_names[0], rs_pke.public)
     ara.install_service("pbe_ts", PBE_TS_NAME, pbe_ts_pke.public)
     ara.install_service("anonymizer", ANON_NAME)
-    if len(ds_names) > 1 or len(rs_names) > 1 or replication > 1:
+    if cluster is not None:
         # the cluster map rides inside the pickled directory, so every
         # serve-* process and every client loads the same topology
-        ara.directory.cluster = ClusterMap(
-            ds_names=list(ds_names),
-            rs_names=list(rs_names),
-            rs_replication=replication,
-            rs_public_keys={name: pke.public for name, pke in rs_pkes.items()},
-        )
+        cluster.rs_public_keys.update((name, pke.public) for name, pke in rs_pkes.items())
+        ara.directory.cluster = cluster
     store_keys: dict[str, bytes] = {}
     if data_dir is not None:
         os.makedirs(data_dir, exist_ok=True)
@@ -232,17 +206,9 @@ def build_service(role: str, state: DeploymentState):
             engine=state.open_store(role),
         )
     if role == PBE_TS_NAME:
-        master_key, verify_key = state.ara.provision_pbe_ts()
-        issuer = TokenIssuer(
-            HVE(state.group),
-            master_key,
-            state.config.schema,
-            verify_key,
-            subscription_policy=state.config.subscription_policy,
-        )
         return LivePBETokenServer(
             state.endpoint(PBE_TS_NAME, state.identities[PBE_TS_NAME]),
-            issuer,
+            TokenIssuer.provisioned_by(state.ara, state.config),
             state.group,
             pke=state.pbe_ts_pke,
         )

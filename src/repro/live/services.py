@@ -1,66 +1,43 @@
 """The P3S third parties as real asyncio TCP services.
 
-Each class here is the live-substrate counterpart of a simulator service
-in :mod:`repro.core` — same protocol, same engines, different event loop:
+Each class here is the live-substrate shell around the service class in
+:mod:`repro.core` — the *same* class the simulator runs:
 
-================================  =======================================
-simulator (:mod:`repro.core`)     live (this module)
-================================  =======================================
-:class:`~repro.core.ds.DisseminationServer`    :class:`LiveDisseminationServer`
-:class:`~repro.core.rs.RepositoryServer`       :class:`LiveRepositoryServer`
-:class:`~repro.core.pbe_ts.PBETokenServer`     :class:`LivePBETokenServer`
+====================================================  ==================================
+service (:mod:`repro.core`)                           live shell (this module)
+====================================================  ==================================
+:class:`~repro.core.ds.DisseminationServer`           :class:`LiveDisseminationServer`
+:class:`~repro.core.rs.RepositoryServer`              :class:`LiveRepositoryServer`
+:class:`~repro.core.pbe_ts.PBETokenServer`            :class:`LivePBETokenServer`
 :class:`~repro.core.anonymizer.AnonymizationService`  :class:`LiveAnonymizationService`
-================================  =======================================
+====================================================  ==================================
 
-Protocol logic is **shared, not reimplemented**: the RS runs the same
-:class:`repro.core.rs.RepositoryStore`, the PBE-TS the same
-:class:`repro.core.pbe_ts.TokenIssuer`, the DS the same fan-out /
-delegated-matching rules over the same frame kinds.  What differs is
-purely the substrate — asyncio tasks instead of simulator processes, the
-wall clock instead of ``sim.now``, and real sockets instead of modeled
-links — which is why live deliveries are byte-identical to simulated
-ones (``tests/live/test_parity.py``).
+No protocol rule is written here.  The rules are generators in
+:mod:`repro.core` that yield what their substrate ports hand them
+(:mod:`repro.net.ports`); a shell gives them
+:class:`~repro.net.ports.LivePorts` — asyncio awaitables, the wall
+clock, no modelled compute — and adds only what is genuinely substrate:
+the endpoint and its listener, background tasks, readiness checks and
+metric samples for the telemetry plane, and shutdown.  That is why live
+deliveries are byte-identical to simulated ones
+(``tests/live/test_parity.py``), and ``tests/live/test_no_protocol_fork.py``
+keeps it so.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from collections import defaultdict
 from typing import Callable
 
-from ..core.messages import (
-    KIND_METADATA,
-    KIND_PAYLOAD,
-    KIND_TOKEN_REG,
-    KIND_TOKEN_UNREG,
-    RPC_ANON_FORWARD,
-    RPC_RETRIEVE,
-    RPC_STORE,
-    RPC_TOKEN_REQUEST,
-    AnonEnvelope,
-    PayloadSubmission,
-    wire_size_of,
-)
-from ..core.pbe_ts import _ERR, _OK, TokenIssuer
-from ..core.rs import RepositoryStore, decode_retrieval_request
+from ..core.anonymizer import AnonymizationService
+from ..core.config import ComputeTimings
+from ..core.ds import DisseminationServer
+from ..core.pbe_ts import PBETokenServer, TokenIssuer
+from ..core.rs import RepositoryServer, RepositoryStore
 from ..crypto.pke import PKEKeyPair
-from ..crypto.symmetric import SecretBox
-from ..errors import CertificateError, RetrievalError, SchemaError, TokenRequestError, TransportError
-from ..mq import messages as frames
-from ..mq.messages import JmsFrame
-from ..obs import profile as obs
-from ..par import MatchPool
-from ..store import MemoryEngine, StorageEngine
-from ..store.codec import (
-    NS_SUBS,
-    NS_TOKENS,
-    decode_sub_key,
-    decode_token,
-    encode_token,
-    sub_key,
-    token_key,
-)
+from ..net.ports import LivePorts
+from ..store import StorageEngine
 from .rpc import LiveRpcEndpoint
 from .telemetry import install_telemetry
 
@@ -126,7 +103,7 @@ class _LiveService:
         await self.endpoint.close()
 
 
-class LiveDisseminationServer(_LiveService):
+class LiveDisseminationServer(_LiveService, DisseminationServer):
     """The DS over TCP: topic broker + P3S publication handling.
 
     Clients reach the DS over their own live channels; delivery frames are
@@ -134,222 +111,9 @@ class LiveDisseminationServer(_LiveService):
     the "TLS tunnels" the paper's broker keeps to its clients).
     """
 
-    def __init__(
-        self,
-        endpoint: LiveRpcEndpoint,
-        rs_name: str,
-        metadata_topic: str = "p3s.metadata",
-        group=None,
-        match_workers: int | None = None,
-        store: StorageEngine | None = None,
-        cluster=None,
-    ):
-        super().__init__(endpoint)
-        self.rs_name = rs_name
-        # repro.cluster.ClusterMap (or None): payloads go to the GUID's
-        # rs_replication ring successors instead of the single rs_name
-        self.cluster = cluster
-        self.metadata_topic = metadata_topic
-        self.group = group
-        self.match_workers = match_workers
-        self.subscriptions: dict[str, list[str]] = defaultdict(list)
-        self.connected_clients: set[str] = set()
-        self.registered_tokens: list[tuple[str, bytes]] = []
-        self.store = store if store is not None else MemoryEngine()
-        self._match_pool: MatchPool | None = None
-        self.recovered_registrations = 0
-        if self.store.durable:
-            self.recovered_registrations = self._recover_registrations()
-            if self.registered_tokens and self.group is not None:
-                # same rule as _register_token: recovered tokens mean the
-                # DS is already committed to delegated matching, and
-                # readiness (`match_pool_warm`) must not wait for the
-                # first publication to lazily fork the pool — a
-                # readiness-gated deployment would never send one
-                self.match_pool
-        self._message_ids = iter(range(1, 1 << 62))
-        self.published_count = 0
-        self.delivered_count = 0
-        self.acked_count = 0
-        # HBC-observable state, same shape as the simulator DS (§6.1)
-        self.publications_by_publisher: dict[str, int] = defaultdict(int)
-        self.observed_sizes: list[tuple[str, int]] = []
-        endpoint.serve(frames.CONNECT, self._on_connect)
-        endpoint.serve(frames.SUBSCRIBE, self._on_subscribe)
-        endpoint.serve(frames.UNSUBSCRIBE, self._on_unsubscribe)
-        endpoint.serve(frames.PUBLISH, self._on_publish)
-        endpoint.serve(frames.ACK, self._on_ack)
-
-    # -- JMS surface ----------------------------------------------------------
-
-    def _on_connect(self, src: str, message) -> None:
-        self.connected_clients.add(src)
-
-    def _on_subscribe(self, src: str, message) -> None:
-        topic = message.payload.topic
-        if src not in self.subscriptions[topic]:
-            self.subscriptions[topic].append(src)
-        self.store.put(NS_SUBS, sub_key(topic, src), b"")
-
-    def _on_unsubscribe(self, src: str, message) -> None:
-        topic = message.payload.topic
-        if src in self.subscriptions[topic]:
-            self.subscriptions[topic].remove(src)
-        self.store.delete(NS_SUBS, sub_key(topic, src))
-
-    def _recover_registrations(self) -> int:
-        """Reload the durable registries after a restart (same rules as
-        the simulator DS): recovered subscribers whose connections died
-        with the old process simply drop deliveries until they redial."""
-        recovered = 0
-        for _key, value in self.store.items(NS_TOKENS):
-            entry = decode_token(value)
-            if entry not in self.registered_tokens:
-                self.registered_tokens.append(entry)
-                recovered += 1
-        for key, _value in self.store.items(NS_SUBS):
-            topic, client = decode_sub_key(key)
-            if client not in self.subscriptions[topic]:
-                self.subscriptions[topic].append(client)
-                recovered += 1
-        return recovered
-
-    def _on_ack(self, src: str, message) -> None:
-        self.acked_count += 1
-
-    async def _on_publish(self, src: str, message) -> None:
-        frame: JmsFrame = message.payload
-        self.published_count += 1
-        kind = frame.headers.get("p3s-kind")
-        if kind == KIND_METADATA:
-            self.publications_by_publisher[src] += 1
-            self.observed_sizes.append((KIND_METADATA, frame.body_size))
-            if self.registered_tokens and self.group is not None:
-                await self._delegated_fan_out(frame)
-            else:
-                with obs.span(
-                    "ds.fan_out",
-                    component=self.name,
-                    parent=obs.extract(frame.headers),
-                    subscribers=self.subscriber_count(self.metadata_topic),
-                ) as span:
-                    obs.inject(frame.headers, span)
-                    await self._fan_out(self.metadata_topic, frame)
-        elif kind == KIND_PAYLOAD:
-            self.observed_sizes.append((KIND_PAYLOAD, frame.body_size))
-            await self._forward_to_rs(frame)
-        elif kind == KIND_TOKEN_REG:
-            self._register_token(src, frame.body)
-        elif kind == KIND_TOKEN_UNREG:
-            self._unregister_token(src, frame.body)
-        else:
-            await self._fan_out(frame.topic, frame)
-
-    # -- fan-out --------------------------------------------------------------
-
-    def _delivery_frame(self, topic: str, frame: JmsFrame) -> JmsFrame:
-        return JmsFrame(
-            topic=topic,
-            body=frame.body,
-            body_size=frame.body_size,
-            message_id=next(self._message_ids),
-            headers=dict(frame.headers),
-        )
-
-    async def _fan_out(self, topic: str, frame: JmsFrame) -> None:
-        delivery = self._delivery_frame(topic, frame)
-        for client in list(self.subscriptions[topic]):
-            await self._deliver_to(client, delivery)
-
-    async def _deliver_to(self, client: str, frame: JmsFrame) -> None:
-        try:
-            await self.endpoint.cast(client, frames.DELIVER, frame)
-            self.delivered_count += 1
-        except TransportError:
-            # the subscriber's connection is gone — same as a broker
-            # losing frames to a disconnected client
-            obs.record_op("ds.delivery_dropped")
-
-    def _rs_targets(self, guid: bytes) -> list[str]:
-        if self.cluster is not None and len(self.cluster.rs_names) > 1:
-            return list(self.cluster.rs_replicas(guid))
-        return [self.rs_name]
-
-    async def _forward_to_rs(self, frame: JmsFrame) -> None:
-        submission: PayloadSubmission = frame.body
-        targets = self._rs_targets(submission.guid)
-        with obs.span(
-            "ds.forward_rs",
-            component=self.name,
-            parent=obs.extract(frame.headers),
-            replicas=len(targets),
-        ) as span:
-            for target in targets:
-                await self.endpoint.cast(
-                    target, RPC_STORE, submission, headers=obs.inject({}, span)
-                )
-
-    # -- delegated matching (same rules as repro.core.ds) ----------------------
-
-    def _register_token(self, src: str, token_bytes: bytes) -> None:
-        entry = (src, bytes(token_bytes))
-        if entry not in self.registered_tokens:
-            self.registered_tokens.append(entry)
-            self.store.put(
-                NS_TOKENS, token_key(src, entry[1]), encode_token(src, entry[1])
-            )
-            obs.record_op("ds.token_reg")
-            if self.group is not None:
-                # warm the worker pool now, not on the first publication —
-                # readiness (`match_pool_warm`) should flip when the DS
-                # commits to delegated matching, and the first matched
-                # fan-out should not pay the fork cost
-                self.match_pool
-
-    def _unregister_token(self, src: str, token_bytes: bytes) -> None:
-        entry = (src, bytes(token_bytes))
-        if entry in self.registered_tokens:
-            self.registered_tokens.remove(entry)
-            self.store.delete(NS_TOKENS, token_key(src, entry[1]))
-            obs.record_op("ds.token_unreg")
-
-    @property
-    def match_pool(self) -> MatchPool:
-        if self._match_pool is None:
-            self._match_pool = MatchPool(self.group, workers=self.match_workers)
-        return self._match_pool
-
-    async def _delegated_fan_out(self, frame: JmsFrame) -> None:
-        tokens = list(self.registered_tokens)
-        envelope = frame.body
-        span = obs.start_span(
-            "ds.delegated_fan_out",
-            component=self.name,
-            parent=obs.extract(frame.headers),
-            tokens=len(tokens),
-        )
-        pool = self.match_pool
-        # run the batch off the event loop so the DS keeps serving frames
-        matched = await asyncio.to_thread(
-            pool.match_indices, envelope.hve_bytes, [token for _, token in tokens]
-        )
-        matched_names = {tokens[index][0] for index in matched}
-        token_holders = {name for name, _ in tokens}
-        delivery = self._delivery_frame(self.metadata_topic, frame)
-        obs.inject(delivery.headers, span)
-        skipped = 0
-        for client in list(self.subscriptions[self.metadata_topic]):
-            if client in token_holders and client not in matched_names:
-                skipped += 1
-                continue
-            await self._deliver_to(client, delivery)
-        obs.record_op("ds.delegated_match")
-        if skipped:
-            obs.record_op("ds.fanout_skipped", skipped)
-        obs.end_span(span, matched=len(matched_names), skipped=skipped)
-
-    def subscriber_count(self, topic: str) -> int:
-        return len(self.subscriptions[topic])
+    def __init__(self, endpoint: LiveRpcEndpoint, rs_name: str, **options):
+        _LiveService.__init__(self, endpoint)
+        DisseminationServer.__init__(self, LivePorts(endpoint), rs_name, **options)
 
     def health_checks(self) -> dict[str, bool]:
         checks = super().health_checks()
@@ -401,16 +165,13 @@ class LiveDisseminationServer(_LiveService):
         return samples
 
     async def close(self) -> None:
-        if self._match_pool is not None:
-            self._match_pool.close()
-            self._match_pool = None
+        self.close_match_pool()
         await super().close()
         self.store.close()
 
 
-class LiveRepositoryServer(_LiveService):
-    """The RS over TCP: the same :class:`RepositoryStore` engine on the
-    wall clock, with a real periodic GC task."""
+class LiveRepositoryServer(_LiveService, RepositoryServer):
+    """The RS over TCP, on the wall clock, with a real periodic GC task."""
 
     def __init__(
         self,
@@ -422,58 +183,27 @@ class LiveRepositoryServer(_LiveService):
         pke: PKEKeyPair | None = None,
         engine: StorageEngine | None = None,
     ):
-        super().__init__(endpoint)
-        # injectable keypair: multi-process `repro live serve-rs` must use
-        # the PKE key the shared deployment state installed in the directory
-        self.pke = pke or PKEKeyPair(group)
-        self.gc_interval_s = gc_interval_s
-        self.clock = clock
-        # now=clock(): recovered items' expiries must be rebased onto
-        # *this* process's clock epoch — the persisted readings came from
-        # a clock (time.monotonic) whose epoch died with the old boot
-        self.store = RepositoryStore(t_g=t_g, engine=engine, now=clock())
-        self.observed_sources: list[str] = []
-        endpoint.serve(RPC_STORE, self._handle_store)
-        endpoint.serve(RPC_RETRIEVE, self._handle_retrieve)
+        _LiveService.__init__(self, endpoint)
+        RepositoryServer.__init__(
+            self,
+            LivePorts(endpoint, clock),
+            # injectable keypair: multi-process `repro live serve-rs` must
+            # use the PKE key the shared deployment state installed in
+            # the directory
+            pke or PKEKeyPair(group),
+            ComputeTimings(),
+            # now=clock(): recovered items' expiries must be rebased onto
+            # *this* process's clock epoch — the persisted readings came
+            # from a clock (time.monotonic) whose epoch died with the old
+            # boot
+            RepositoryStore(t_g=t_g, engine=engine, now=clock()),
+            gc_interval_s,
+        )
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         bound = await super().start(host, port)
-        self._background(self._gc_loop())
+        self._background(self.ports.drive(self._gc_loop()))
         return bound
-
-    def _handle_store(self, src: str, message) -> None:
-        submission: PayloadSubmission = message.payload
-        with obs.span(
-            "rs.store",
-            component=self.name,
-            parent=obs.extract(message.headers),
-            bytes=len(submission.ciphertext),
-        ):
-            self.store.store(submission, now=self.clock())
-
-    def _handle_retrieve(self, src: str, message):
-        self.observed_sources.append(src)
-        span = obs.start_span(
-            "rs.retrieve", component=self.name, parent=obs.extract(message.headers)
-        )
-        try:
-            with obs.attach(span):
-                session_key, guid = decode_retrieval_request(self.pke, message.payload)
-        except RetrievalError:
-            obs.end_span(span, status="malformed")
-            return (b"\x00", 1)
-        reply, status = self.store.lookup(guid, now=self.clock())
-        with obs.attach(span):
-            sealed = SecretBox(session_key).seal(reply)
-        obs.end_span(span, status=status, bytes=len(sealed))
-        return (sealed, len(sealed))
-
-    async def _gc_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.gc_interval_s)
-            self.store.collect_garbage(
-                now=self.clock(), compact=self.store.engine.durable
-            )
 
     def health_checks(self) -> dict[str, bool]:
         checks = super().health_checks()
@@ -505,8 +235,8 @@ class LiveRepositoryServer(_LiveService):
         self.store.close()
 
 
-class LivePBETokenServer(_LiveService):
-    """The PBE-TS over TCP: the same :class:`TokenIssuer` engine."""
+class LivePBETokenServer(_LiveService, PBETokenServer):
+    """The PBE-TS over TCP."""
 
     def __init__(
         self,
@@ -516,41 +246,10 @@ class LivePBETokenServer(_LiveService):
         clock: Callable[[], float] = time.time,
         pke: PKEKeyPair | None = None,
     ):
-        super().__init__(endpoint)
-        self.issuer = issuer
-        self.pke = pke or PKEKeyPair(group)
-        self.clock = clock
-        self.observed_sources: list[str] = []
-        endpoint.serve(RPC_TOKEN_REQUEST, self._handle_token_request)
-
-    def _handle_token_request(self, src: str, message):
-        self.observed_sources.append(src)
-        span = obs.start_span(
-            "pbe_ts.token_request",
-            component=self.name,
-            parent=obs.extract(message.headers),
+        _LiveService.__init__(self, endpoint)
+        PBETokenServer.__init__(
+            self, LivePorts(endpoint, clock), issuer, pke or PKEKeyPair(group), ComputeTimings()
         )
-        try:
-            with obs.attach(span):
-                session_key, certificate, interest = self.issuer.open_request(
-                    self.pke, message.payload
-                )
-        except TokenRequestError:
-            obs.end_span(span, status="malformed")
-            return (_ERR, 1)
-        status = "ok"
-        try:
-            self.issuer.authorize(certificate, interest, now=self.clock())
-            with obs.attach(span):
-                token_bytes = self.issuer.mint(certificate.subject, interest)
-            reply = _OK + token_bytes
-        except (CertificateError, SchemaError, TokenRequestError) as exc:
-            reply = _ERR + str(exc).encode("utf-8")
-            status = "refused"
-        with obs.attach(span):
-            sealed = SecretBox(session_key).seal(reply)
-        obs.end_span(span, status=status)
-        return (sealed, len(sealed))
 
     def extra_metrics(self) -> list[dict]:
         samples = super().extra_metrics()
@@ -564,34 +263,13 @@ class LivePBETokenServer(_LiveService):
         return samples
 
 
-class LiveAnonymizationService(_LiveService):
+class LiveAnonymizationService(_LiveService, AnonymizationService):
     """The anonymizing relay over TCP: re-originates each inner request,
     so the RS/PBE-TS see the relay — never the subscriber — as the caller."""
 
     def __init__(self, endpoint: LiveRpcEndpoint):
-        super().__init__(endpoint)
-        self.forwarded_count = 0
-        self.observed_links: list[tuple[str, str]] = []
-        endpoint.serve(RPC_ANON_FORWARD, self._handle_forward)
-
-    async def _handle_forward(self, src: str, message):
-        envelope: AnonEnvelope = message.payload
-        self.observed_links.append((src, envelope.dst))
-        self.forwarded_count += 1
-        span = obs.start_span(
-            "anon.forward",
-            component=self.name,
-            parent=obs.extract(message.headers),
-            dst=envelope.dst,
-        )
-        response = await self.endpoint.call(
-            envelope.dst,
-            envelope.inner_type,
-            envelope.inner_payload,
-            headers=obs.inject({}, span),
-        )
-        obs.end_span(span)
-        return (response, wire_size_of(response))
+        _LiveService.__init__(self, endpoint)
+        AnonymizationService.__init__(self, LivePorts(endpoint))
 
     def extra_metrics(self) -> list[dict]:
         samples = super().extra_metrics()

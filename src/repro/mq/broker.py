@@ -8,6 +8,11 @@ this class the same way.  Scope is the slice of JMS that P3S exercises:
 * durable topic subscriptions,
 * publish with fan-out to all current subscribers,
 * per-message acknowledgements and delivery accounting.
+
+The rules are written once, against a substrate ports object
+(:mod:`repro.net.ports`): ``Broker(host)`` serves them on a simulator
+host, and the live DS is the same class behind an asyncio listener
+(:mod:`repro.live.services`).
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict, deque
 
-from ..errors import BrokerError
-from ..net.channel import SecureChannelLayer
-from ..net.network import Host, Message
+from ..errors import BrokerError, TransportError
+from ..net.ports import ports_on
+from ..obs import profile as obs
 from . import messages as frames
 from .messages import JmsFrame
 
@@ -25,17 +30,17 @@ __all__ = ["Broker"]
 
 
 class Broker:
-    """The broker process on one host.
+    """The broker's rules, one handler per JMS frame type, served on
+    ``ports`` (a simulator :class:`~repro.net.network.Host` stands for
+    simulator ports on it).
 
     Subclasses may override :meth:`on_publish` (used by the P3S DS to
     split metadata fan-out from payload forwarding) and
     :meth:`on_connect`.
     """
 
-    def __init__(self, host: Host):
-        self.host = host
-        self.channel = SecureChannelLayer(host)
-        self.sim = host.network.sim
+    def __init__(self, ports):
+        self.ports = ports_on(ports)
         self.subscriptions: dict[str, list[str]] = defaultdict(list)
         self.connected_clients: set[str] = set()
         self._message_ids = itertools.count(1)
@@ -49,54 +54,59 @@ class Broker:
         # at the broker)
         self._seen_pub_order: deque[tuple[str, int]] = deque(maxlen=1024)
         self._seen_pubs: set[tuple[str, int]] = set()
-        self._started = False
         self.crashed = False
+        # unknown frames are dropped, as AMQ does for bad destinations
+        for msg_type, handler in (
+            (frames.CONNECT, self.on_connect),
+            (frames.SUBSCRIBE, self._on_subscribe),
+            (frames.UNSUBSCRIBE, self._on_unsubscribe),
+            (frames.PUBLISH, self._on_publish_frame),
+            (frames.ACK, self._on_ack),
+        ):
+            self.ports.serve(msg_type, self._unless_crashed(handler))
 
     @property
     def name(self) -> str:
-        return self.host.name
+        return self.ports.name
 
     def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.sim.process(self._serve())
+        self.ports.start()
 
-    # -- broker loop ----------------------------------------------------------
+    # -- frame handlers ---------------------------------------------------------
 
-    def _serve(self):
-        while True:
-            src, message = yield self.channel.receive()
-            if self.crashed:
-                continue  # a crashed broker loses in-flight frames
-            frame = message.payload
-            if message.msg_type == frames.CONNECT:
-                self.on_connect(src, frame)
-            elif message.msg_type == frames.SUBSCRIBE:
-                self._subscribe(src, frame.topic)
-            elif message.msg_type == frames.UNSUBSCRIBE:
-                self._unsubscribe(src, frame.topic)
-            elif message.msg_type == frames.PUBLISH:
-                if not self._accept_publish(src, frame):
-                    continue
-                self.published_count += 1
-                self.on_publish(src, frame)
-            elif message.msg_type == frames.ACK:
-                self.acked_count += 1
-            # unknown frames are dropped, as AMQ does for bad destinations
+    def _unless_crashed(self, handler):
+        def guarded(src: str, message):
+            # a crashed broker loses in-flight frames
+            return None if self.crashed else handler(src, message)
 
-    # -- overridable behaviour ----------------------------------------------------
+        return guarded
 
-    def on_connect(self, src: str, frame: JmsFrame) -> None:
+    def on_connect(self, src: str, message) -> None:
         self.connected_clients.add(src)
 
-    def on_publish(self, src: str, frame: JmsFrame) -> None:
+    def _on_subscribe(self, src: str, message) -> None:
+        self._subscribe(src, message.payload.topic)
+
+    def _on_unsubscribe(self, src: str, message) -> None:
+        self._unsubscribe(src, message.payload.topic)
+
+    def _on_ack(self, src: str, message) -> None:
+        self.acked_count += 1
+
+    def _on_publish_frame(self, src: str, message):
+        frame = message.payload
+        if not (yield from self._accept_publish(src, frame)):
+            return
+        self.published_count += 1
+        yield from self.on_publish(src, frame)
+
+    def on_publish(self, src: str, frame: JmsFrame):
         """Default JMS behaviour: fan the frame out to all topic subscribers."""
-        self.fan_out(frame.topic, frame)
+        yield from self.fan_out(frame.topic, frame)
 
     # -- reliable publish (PUBACK + dedup) ----------------------------------------
 
-    def _accept_publish(self, src: str, frame: JmsFrame) -> bool:
+    def _accept_publish(self, src: str, frame: JmsFrame):
         """Ack a sequenced PUBLISH and decide whether to process it.
 
         Reads the sequence with ``get`` — never ``pop`` — because the
@@ -107,7 +117,7 @@ class Broker:
         seq = frame.headers.get(frames.HDR_PUB_SEQ)
         if seq is None:
             return True  # legacy fire-and-forget publish
-        self.channel.send(src, frames.PUBACK, JmsFrame(message_id=seq), 32)
+        yield self.ports.cast(src, frames.PUBACK, JmsFrame(message_id=seq), 32)
         key = (src, seq)
         if key in self._seen_pubs:
             self.duplicate_publishes += 1
@@ -135,21 +145,30 @@ class Broker:
         if client in self.subscriptions[topic]:
             self.subscriptions[topic].remove(client)
 
-    def fan_out(self, topic: str, frame: JmsFrame) -> None:
-        """Deliver ``frame`` to every subscriber of ``topic``."""
-        delivery = JmsFrame(
+    def delivery_frame(self, topic: str, frame: JmsFrame) -> JmsFrame:
+        return JmsFrame(
             topic=topic,
             body=frame.body,
             body_size=frame.body_size,
             message_id=next(self._message_ids),
             headers=self.delivery_headers(frame),
         )
-        for client in self.subscriptions[topic]:
-            self.deliver_to(client, delivery)
 
-    def deliver_to(self, client: str, frame: JmsFrame) -> None:
-        self.delivered_count += 1
-        self.channel.send(client, frames.DELIVER, frame, frame.wire_size)
+    def fan_out(self, topic: str, frame: JmsFrame):
+        """Deliver ``frame`` to every subscriber of ``topic``."""
+        delivery = self.delivery_frame(topic, frame)
+        # a copy: the table may change while a delivery is in flight
+        for client in list(self.subscriptions[topic]):
+            yield from self.deliver_to(client, delivery)
+
+    def deliver_to(self, client: str, frame: JmsFrame):
+        try:
+            yield self.ports.cast(client, frames.DELIVER, frame, frame.wire_size)
+            self.delivered_count += 1
+        except TransportError:
+            # the subscriber's connection is gone: the broker loses the
+            # frame, as it does to any disconnected client
+            obs.record_op("ds.delivery_dropped")
 
     def subscriber_count(self, topic: str) -> int:
         return len(self.subscriptions[topic])

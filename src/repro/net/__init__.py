@@ -10,10 +10,9 @@ from .simulator import Event, Process, Simulator, Store, all_of
 from .network import DEFAULT_BANDWIDTH_BPS, DEFAULT_LATENCY_S, Host, Message, Network, WireRecord
 from .channel import SecureChannelLayer, TLS_RECORD_OVERHEAD
 from .rpc import RpcEndpoint
-from .transport import Endpoint, TransportMessage
+from .transport import TransportMessage
 
 __all__ = [
-    "Endpoint",
     "TransportMessage",
     "Simulator",
     "Event",

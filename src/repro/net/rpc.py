@@ -109,9 +109,16 @@ class RpcEndpoint:
         )
         return reply
 
-    def cast(self, dst: str, msg_type: str, payload: Any, size_bytes: int) -> float:
+    def cast(
+        self,
+        dst: str,
+        msg_type: str,
+        payload: Any,
+        size_bytes: int,
+        headers: dict[str, Any] | None = None,
+    ) -> float:
         """One-way message (no response expected)."""
-        return self.channel.send(dst, msg_type, payload, size_bytes)
+        return self.channel.send(dst, msg_type, payload, size_bytes, headers=headers)
 
     # -- dispatch ----------------------------------------------------------------
 

@@ -1,31 +1,26 @@
-"""The substrate-independent transport contract.
+"""The frame a handler sees, on either substrate.
 
 P3S components speak a small request/response + one-way messaging
-vocabulary: ``serve`` a message type, ``call`` a peer and wait for the
-reply, ``cast`` a one-way frame.  Two substrates implement it:
-
-* :class:`repro.net.rpc.RpcEndpoint` — the discrete-event simulator,
-  where ``call`` returns a simulator :class:`~repro.net.simulator.Event`
-  and time is modeled;
-* :class:`repro.live.rpc.LiveRpcEndpoint` — real asyncio TCP services,
-  where ``call`` returns an awaitable and time is wall-clock.
+vocabulary — ``serve`` a message type, ``call`` a peer and wait for the
+reply, ``cast`` a one-way frame — over :class:`repro.net.rpc.RpcEndpoint`
+(the discrete-event simulator) or :class:`repro.live.rpc.LiveRpcEndpoint`
+(asyncio TCP).  What the protocol code is written against is the ports
+object wrapping either one: see :mod:`repro.net.ports`.
 
 Handlers on both substrates receive ``(src, message)`` where ``message``
 exposes ``msg_type``, ``payload`` and ``headers`` — the simulator hands
 its :class:`~repro.net.network.Message`, the live stack hands a
 :class:`TransportMessage` decoded from the wire frame.  Request handlers
 return ``(payload, size_bytes)``; the substrate frames and returns the
-response.  Everything above this line — DS, RS, PBE-TS, anonymizer,
-publisher and subscriber protocol logic — is written against this
-contract and runs unchanged on either side.
+response.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any
 
-__all__ = ["TransportMessage", "Endpoint"]
+__all__ = ["TransportMessage"]
 
 
 @dataclass
@@ -41,32 +36,3 @@ class TransportMessage:
     payload: Any
     src: str = ""
     headers: dict[str, Any] = field(default_factory=dict)
-
-
-@runtime_checkable
-class Endpoint(Protocol):
-    """What a P3S component needs from its messaging substrate."""
-
-    @property
-    def name(self) -> str:  # pragma: no cover - protocol
-        ...
-
-    def serve(self, msg_type: str, handler: Callable) -> None:
-        """Register a handler for ``msg_type`` frames."""
-        ...  # pragma: no cover - protocol
-
-    def call(
-        self,
-        dst: str,
-        msg_type: str,
-        payload: Any,
-        size_bytes: int,
-        headers: dict[str, Any] | None = None,
-    ):
-        """Request/response: returns the substrate's future-like value
-        (simulator event or awaitable) that resolves with the reply."""
-        ...  # pragma: no cover - protocol
-
-    def cast(self, dst: str, msg_type: str, payload: Any, size_bytes: int):
-        """One-way frame; no response expected."""
-        ...  # pragma: no cover - protocol

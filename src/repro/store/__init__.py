@@ -21,7 +21,7 @@ protocol, and the deletion/compaction guarantees.
 """
 
 from .codec import NS_ITEMS, NS_SUBS, NS_TOKENS
-from .engine import BACKENDS, MemoryEngine, StorageEngine, open_engine
+from .engine import BACKENDS, MemoryEngine, StorageEngine, open_engine, open_service_engine
 from .faults import (
     CRASH_POINTS,
     FaultPlan,
@@ -54,5 +54,6 @@ __all__ = [
     "format_inspection",
     "inspect_store",
     "open_engine",
+    "open_service_engine",
     "tear_tail",
 ]

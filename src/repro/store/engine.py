@@ -27,9 +27,11 @@ changes durability, never protocol behaviour.
 
 from __future__ import annotations
 
+import os
+
 from ..errors import StorageError
 
-__all__ = ["StorageEngine", "MemoryEngine", "BACKENDS", "open_engine"]
+__all__ = ["StorageEngine", "MemoryEngine", "BACKENDS", "open_engine", "open_service_engine"]
 
 BACKENDS = ("memory", "wal", "sqlite")
 
@@ -186,3 +188,33 @@ def open_engine(
 
         return SqliteEngine(path, key=key, component=component)
     raise StorageError(f"unknown storage backend {backend!r}; expected one of {BACKENDS}")
+
+
+def open_service_engine(
+    config, data_dir: str | None, role: str, key: bytes | None
+) -> StorageEngine | None:
+    """One durable service's engine under ``data_dir/<role>``, per the
+    deployment config's store knobs.
+
+    None with the ``memory`` backend: the service builds its own
+    volatile engine — the pre-persistence behaviour.  Shard names
+    ("ds0", "rs1", …) each get their own subtree, so shards never share
+    store files.
+    """
+    backend = config.store_backend
+    if backend == "memory":
+        return None
+    if data_dir is None:
+        raise StorageError(f"store_backend={backend!r} requires a data directory")
+    path = os.path.join(data_dir, role)
+    if backend == "sqlite":
+        os.makedirs(path, exist_ok=True)
+        path = os.path.join(path, "store.db")
+    return open_engine(
+        backend,
+        path,
+        key=key,
+        fsync=config.store_fsync,
+        snapshot_every=config.store_snapshot_every,
+        component=role,
+    )

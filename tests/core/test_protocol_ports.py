@@ -1,0 +1,577 @@
+"""The protocol rules, driven with no substrate at all.
+
+Every body in :mod:`repro.core` is a generator over a ports object
+(:mod:`repro.net.ports`).  Here the ports are a recording fake — no
+``Simulator``, no sockets, no event loop — and the driver is the ten
+lines of :func:`run`.  Parties reach each other through a dict: a
+``call`` runs the peer's registered handler on the spot.  This is the
+battery that could not be written while each rule was welded to
+``self.sim`` or to ``await``.
+"""
+
+from __future__ import annotations
+
+import random
+from types import SimpleNamespace
+
+import pytest
+
+from repro.cluster.router import ClusterMap
+from repro.core.anonymizer import AnonymizationService
+from repro.core.ara import RegistrationAuthority
+from repro.core.config import ComputeTimings
+from repro.core.ds import DisseminationServer
+from repro.core.messages import (
+    KIND_METADATA,
+    KIND_PAYLOAD,
+    KIND_TOKEN_REG,
+    KIND_TOKEN_UNREG,
+    RPC_ANON_FORWARD,
+    RPC_RETRIEVE,
+    RPC_STORE,
+    RPC_TOKEN_REQUEST,
+    AnonEnvelope,
+    EncryptedMetadata,
+    PayloadSubmission,
+    wire_size_of,
+)
+from repro.core.pbe_ts import (
+    PBETokenServer,
+    TokenIssuer,
+    decode_token_response,
+    encode_token_request,
+)
+from repro.core.publisher import encrypt_metadata_envelope, encrypt_payload_ciphertext
+from repro.core.rs import (
+    RepositoryServer,
+    RepositoryStore,
+    decode_retrieval_response,
+    encode_retrieval_request,
+)
+from repro.core.subscriber import SubscriberProtocol
+from repro.crypto.group import PairingGroup
+from repro.crypto.pke import PKEKeyPair
+from repro.crypto.symmetric import SecretBox
+from repro.errors import BrokerError, RetrievalError, TransportError
+from repro.mq import messages as frames
+from repro.mq.messages import JmsFrame
+from repro.pbe.hve import HVE
+from repro.pbe.schema import AttributeSpec, Interest, MetadataSchema
+from repro.pbe.serialize import (
+    deserialize_hve_token,
+    serialize_hve_ciphertext,
+    serialize_hve_token,
+)
+from repro.store import MemoryEngine
+from repro.store.codec import NS_SUBS, NS_TOKENS
+
+TIMINGS = ComputeTimings()
+SCHEMA = MetadataSchema(
+    [AttributeSpec("topic", ("a", "b", "c", "d")), AttributeSpec("prio", ("lo", "hi"))]
+)
+
+
+# -- the fake substrate -----------------------------------------------------------
+
+
+class _Failed:
+    """What a port returns when the wait it stands for ends in an error."""
+
+    def __init__(self, error: Exception):
+        self.error = error
+
+
+def run(gen):
+    """The whole driver: answer every yield with the yielded value."""
+    value = failure = None
+    while True:
+        try:
+            target = gen.send(value) if failure is None else gen.throw(failure)
+        except StopIteration as stop:
+            return stop.value
+        value, failure = (
+            (None, target.error) if isinstance(target, _Failed) else (target, None)
+        )
+
+
+class RecordingPorts:
+    """Ports that write down what the body asked for and answer at once."""
+
+    def __init__(self, name: str, net: dict | None = None):
+        self.name = name
+        self.net = net if net is not None else {}
+        self.net[name] = self
+        self.clock = 0.0
+        self.handlers: dict = {}
+        self.casts: list[tuple] = []  # (dst, msg_type, payload, headers)
+        self.calls: list[tuple] = []  # (dst, msg_type)
+        self.computed: list[float] = []
+        self.slept: list[float] = []
+        self.spawned = 0
+        self.call_failures: list[Exception | None] = []  # consumed one per call
+
+    def now(self) -> float:
+        return self.clock
+
+    def compute(self, model_seconds: float) -> None:
+        self.computed.append(model_seconds)
+
+    def sleep(self, seconds: float) -> None:
+        self.slept.append(seconds)
+
+    def serve(self, msg_type, handler) -> None:
+        self.handlers[msg_type] = handler
+
+    def deliver(self, src: str, msg_type: str, payload, headers=None):
+        """Hand one frame to this party's handler; returns its reply."""
+        message = SimpleNamespace(msg_type=msg_type, payload=payload, headers=headers or {})
+        result = self.handlers[msg_type](src, message)
+        return run(result) if hasattr(result, "send") else result
+
+    def cast(self, dst, msg_type, payload, size_bytes, headers=None) -> None:
+        self.casts.append((dst, msg_type, payload, headers))
+        peer = self.net.get(dst)
+        if peer is not None and msg_type in peer.handlers:
+            peer.deliver(self.name, msg_type, payload, headers)
+
+    def call(self, dst, msg_type, payload, size_bytes, headers=None, timeout_s=None):
+        self.calls.append((dst, msg_type))
+        failure = self.call_failures.pop(0) if self.call_failures else None
+        if failure is not None:
+            return _Failed(failure)
+        reply, _size = self.net[dst].deliver(self.name, msg_type, payload, headers)
+        return reply
+
+    def offload(self, fn, *args, span=None):
+        return fn(*args)
+
+    def drive(self, gen):
+        return run(gen)
+
+    def spawn(self, gen) -> None:
+        self.spawned += 1
+        run(gen)
+
+    def sent(self, msg_type: str) -> list[str]:
+        """Destinations of the casts of one type, in order."""
+        return [dst for dst, kind, _, _ in self.casts if kind == msg_type]
+
+
+@pytest.fixture(scope="module")
+def group():
+    return PairingGroup("TOY", rng=random.Random(0x9012))
+
+
+@pytest.fixture(scope="module")
+def ara(group):
+    return RegistrationAuthority(group, SCHEMA)
+
+
+def _frame(kind: str | None, body=b"", topic="p3s.publish") -> JmsFrame:
+    headers = {} if kind is None else {"p3s-kind": kind}
+    return JmsFrame(topic=topic, body=body, body_size=wire_size_of(body), headers=headers)
+
+
+def _connected_ds(ports, subscribers, **options) -> DisseminationServer:
+    ds = DisseminationServer(ports, "rs", **options)
+    for name in subscribers:
+        ports.deliver(name, frames.CONNECT, JmsFrame())
+        ports.deliver(name, frames.SUBSCRIBE, JmsFrame(topic=ds.metadata_topic))
+    return ds
+
+
+def _publish(ds, src: str, frame: JmsFrame) -> None:
+    ds.ports.deliver(src, frames.PUBLISH, frame)
+
+
+# -- DS ----------------------------------------------------------------------------
+
+
+class TestDisseminationRouting:
+    def test_metadata_is_broadcast_in_subscription_order(self):
+        ports = RecordingPorts("ds")
+        ds = _connected_ds(ports, ["carol", "alice", "bob"])
+        envelope = EncryptedMetadata(hve_bytes=b"x" * 40, publication_id=1)
+        _publish(ds, "pub", _frame(KIND_METADATA, envelope))
+        assert ports.sent(frames.DELIVER) == ["carol", "alice", "bob"]
+        delivered = [p for _, kind, p, _ in ports.casts if kind == frames.DELIVER]
+        assert all(f.topic == ds.metadata_topic and f.body is envelope for f in delivered)
+        assert len({f.message_id for f in delivered}) == 1  # one delivery frame, fanned out
+        assert ds.publications_by_publisher == {"pub": 1}
+        assert ds.observed_sizes == [(KIND_METADATA, 40)]
+        assert ports.spawned == 0
+
+    def test_payload_is_forwarded_to_the_rs_only(self):
+        ports = RecordingPorts("ds")
+        ds = _connected_ds(ports, ["alice"])
+        submission = PayloadSubmission(guid=b"g" * 16, ciphertext=b"c" * 64, ttl_s=5.0)
+        _publish(ds, "pub", _frame(KIND_PAYLOAD, submission))
+        assert ports.sent(RPC_STORE) == ["rs"]
+        assert ports.sent(frames.DELIVER) == []
+        assert ds.publications_by_publisher == {}  # the rate is counted on metadata
+
+    def test_token_frames_edit_the_registry_and_go_nowhere(self):
+        ports = RecordingPorts("ds")
+        ds = _connected_ds(ports, ["alice"])
+        _publish(ds, "alice", _frame(KIND_TOKEN_REG, b"tok"))
+        assert ds.registered_tokens == [("alice", b"tok")]
+        _publish(ds, "alice", _frame(KIND_TOKEN_UNREG, b"tok"))
+        assert ds.registered_tokens == []
+        assert ports.casts == []
+
+    def test_unmarked_frames_are_plain_jms(self):
+        ports = RecordingPorts("ds")
+        ds = _connected_ds(ports, ["alice"])
+        ports.deliver("alice", frames.SUBSCRIBE, JmsFrame(topic="news"))
+        _publish(ds, "pub", _frame(None, b"hello", topic="news"))
+        ((dst, kind, frame, _),) = ports.casts
+        assert (dst, kind, frame.topic, frame.body) == ("alice", frames.DELIVER, "news", b"hello")
+
+    def test_subscribe_before_connect_is_rejected_and_not_persisted(self):
+        ports = RecordingPorts("ds")
+        ds = DisseminationServer(ports, "rs")
+        with pytest.raises(BrokerError):
+            ports.deliver("rogue", frames.SUBSCRIBE, JmsFrame(topic=ds.metadata_topic))
+        assert ds.subscriptions[ds.metadata_topic] == []
+        assert ds.store.items(NS_SUBS) == []
+
+    def test_lost_connection_drops_one_delivery_not_the_fan_out(self):
+        class Flaky(RecordingPorts):
+            def cast(self, dst, *args, **kwargs):
+                if dst == "alice":
+                    return _Failed(TransportError("gone"))
+                return super().cast(dst, *args, **kwargs)
+
+        ports = Flaky("ds")
+        ds = _connected_ds(ports, ["alice", "bob"])
+        _publish(ds, "pub", _frame(KIND_METADATA, EncryptedMetadata(b"x", 1)))
+        assert ports.sent(frames.DELIVER) == ["bob"]
+        assert ds.delivered_count == 1
+
+
+class TestRsTargets:
+    def test_single_rs_without_a_cluster_map(self):
+        ds = DisseminationServer(RecordingPorts("ds"), "rs")
+        assert ds._rs_targets(b"g" * 16) == ("rs",)
+
+    def test_one_shard_cluster_keeps_the_configured_rs(self):
+        cluster = ClusterMap(ds_names=["ds0", "ds1"], rs_names=["rs0"])
+        ds = DisseminationServer(RecordingPorts("ds0"), "rs0", cluster=cluster)
+        assert ds._rs_targets(b"g" * 16) == ("rs0",)
+
+    def test_replica_set_comes_from_the_ring(self):
+        cluster = ClusterMap(
+            ds_names=["ds0"], rs_names=["rs0", "rs1", "rs2"], rs_replication=2
+        )
+        ports = RecordingPorts("ds0")
+        ds = DisseminationServer(ports, "rs0", cluster=cluster)
+        guid = b"\x07" * 16
+        assert ds._rs_targets(guid) == cluster.rs_replicas(guid)
+        assert len(set(ds._rs_targets(guid))) == 2
+        _publish(ds, "pub", _frame(KIND_PAYLOAD, PayloadSubmission(guid, b"c", 1.0)))
+        assert tuple(ports.sent(RPC_STORE)) == cluster.rs_replicas(guid)
+
+
+class TestDelegatedMatching:
+    @pytest.fixture(scope="class")
+    def tokens(self, group):
+        hve = HVE(group)
+        public, master = hve.setup(4)
+
+        def token(y):
+            return serialize_hve_token(group, hve.gen_token(master, y))
+
+        hve_bytes = serialize_hve_ciphertext(
+            group, hve.encrypt(public, [1, 0, 1, 1], b"guid-0123456789a")
+        )
+        return {
+            "hit": token([1, 0, None, None]),
+            "miss": token([0, None, None, None]),
+            "hve_bytes": hve_bytes,
+        }
+
+    def test_skip_and_deliver_sets_follow_subscription_order(self, group, tokens):
+        ports = RecordingPorts("ds")
+        ds = _connected_ds(
+            ports, ["dave", "alice", "bob", "carol"], group=group, timings=TIMINGS,
+            match_workers=0,
+        )
+        try:
+            ds.register_token("alice", tokens["hit"])
+            ds.register_token("bob", tokens["miss"])
+            ds.register_token("carol", tokens["miss"])
+            ds.register_token("carol", tokens["hit"])  # any one token suffices
+            envelope = EncryptedMetadata(hve_bytes=tokens["hve_bytes"], publication_id=9)
+            _publish(ds, "pub", _frame(KIND_METADATA, envelope))
+            # dave holds no token: he still gets the baseline broadcast
+            assert ports.sent(frames.DELIVER) == ["dave", "alice", "carol"]
+            assert ports.spawned == 1  # the match ran as an activity of its own
+            # modelled makespan: 4 tokens on one serial lane
+            assert ports.computed == [4 * TIMINGS.pbe_match]
+        finally:
+            ds.close_match_pool()
+
+    def test_registration_commits_the_ds_to_delegated_matching(self, group):
+        """One warm-up rule (drift #2): the pool exists as soon as a token
+        is registered or recovered — not at the first matched publication."""
+        engine = MemoryEngine()
+        ds = DisseminationServer(
+            RecordingPorts("ds"), "rs", group=group, match_workers=0, store=engine
+        )
+        assert ds._match_pool is None
+        ds.register_token("alice", b"tok")
+        assert ds._match_pool is not None
+        ds.crash()
+        assert ds._match_pool is None and ds.registered_tokens == []
+
+        reborn = DisseminationServer(
+            RecordingPorts("ds"), "rs", group=group, match_workers=0, store=engine
+        )
+        assert reborn._match_pool is None  # nothing recovered yet: memory is not durable
+        assert reborn.recover_registrations() == 1
+        assert reborn._match_pool is not None
+        reborn.close_match_pool()
+
+    def test_without_a_group_tokens_are_recorded_but_never_matched(self):
+        ports = RecordingPorts("ds")
+        ds = _connected_ds(ports, ["alice"])
+        ds.register_token("alice", b"tok")
+        assert ds._match_pool is None
+        _publish(ds, "pub", _frame(KIND_METADATA, EncryptedMetadata(b"x", 1)))
+        assert ports.sent(frames.DELIVER) == ["alice"] and ports.spawned == 0
+
+
+class TestRegistryRoundTrip:
+    def test_put_delete_recover_against_memory_engine(self):
+        engine = MemoryEngine()
+        ds = _connected_ds(RecordingPorts("ds"), ["alice", "bob"], store=engine)
+        ds.register_token("alice", b"t1")
+        ds.register_token("alice", b"t1")  # idempotent
+        ds.register_token("bob", b"t2")
+        assert len(engine.items(NS_TOKENS)) == 2
+        assert len(engine.items(NS_SUBS)) == 2
+        ds.unregister_token("bob", b"t2")
+        ds.ports.deliver("bob", frames.UNSUBSCRIBE, JmsFrame(topic=ds.metadata_topic))
+        assert len(engine.items(NS_TOKENS)) == 1
+        assert len(engine.items(NS_SUBS)) == 1
+
+        reborn = DisseminationServer(RecordingPorts("ds"), "rs", store=engine)
+        assert reborn.registered_tokens == [] and reborn.recovered_registrations == 0
+        assert reborn.recover_registrations() == 2
+        assert reborn.registered_tokens == [("alice", b"t1")]
+        assert reborn.subscriptions[reborn.metadata_topic] == ["alice"]
+        assert reborn.recover_registrations() == 0  # nothing new the second time
+
+
+# -- RS, PBE-TS, anonymizer --------------------------------------------------------
+
+
+def _rs(ports, group) -> RepositoryServer:
+    return RepositoryServer(ports, PKEKeyPair(group), TIMINGS, RepositoryStore(t_g=1.0))
+
+
+class TestRepositoryExchange:
+    def test_store_then_retrieve_round_trip(self, group):
+        ports = RecordingPorts("rs")
+        rs = _rs(ports, group)
+        ports.clock = 10.0
+        ports.deliver("ds", RPC_STORE, PayloadSubmission(b"g" * 16, b"ciphertext", 5.0))
+        assert rs.holds(b"g" * 16)
+        session_key = SecretBox.generate_key()
+        request = rs.pke.public.encrypt(encode_retrieval_request(session_key, b"g" * 16))
+        sealed, size = ports.deliver("anon", RPC_RETRIEVE, request)
+        assert size == len(sealed)
+        assert decode_retrieval_response(session_key, sealed) == b"ciphertext"
+        assert rs.observed_sources == ["anon"]
+        assert ports.computed[0] == TIMINGS.pke_op and len(ports.computed) == 2
+
+    def test_expiry_follows_the_ports_clock(self, group):
+        ports = RecordingPorts("rs")
+        rs = _rs(ports, group)
+        ports.deliver("ds", RPC_STORE, PayloadSubmission(b"g" * 16, b"c", 5.0))
+        ports.clock = 6.0  # TTL 5 + T_G 1
+        session_key = SecretBox.generate_key()
+        request = rs.pke.public.encrypt(encode_retrieval_request(session_key, b"g" * 16))
+        sealed, _ = ports.deliver("anon", RPC_RETRIEVE, request)
+        with pytest.raises(RetrievalError):
+            decode_retrieval_response(session_key, sealed)
+        assert rs.collect_garbage() == 1 and rs.item_count == 0
+
+    def test_malformed_request_gets_the_bare_error(self, group):
+        ports = RecordingPorts("rs")
+        _rs(ports, group)
+        stray = PKEKeyPair(group).public.encrypt(b"addressed to some other server")
+        assert ports.deliver("anon", RPC_RETRIEVE, stray) == (b"\x00", 1)
+
+    def test_crashed_rs_loses_stores_and_answers_nothing_useful(self, group):
+        ports = RecordingPorts("rs")
+        rs = _rs(ports, group)
+        rs.crash()
+        ports.deliver("ds", RPC_STORE, PayloadSubmission(b"g" * 16, b"c", 5.0))
+        assert rs.item_count == 0
+        assert ports.deliver("anon", RPC_RETRIEVE, b"whatever") == (b"", 1)
+
+
+class TestTokenRequestExchange:
+    def test_token_is_minted_and_sealed_under_the_session_key(self, group, ara):
+        ports = RecordingPorts("pbe-ts")
+        master_key, verify_key = ara.provision_pbe_ts()
+        server = PBETokenServer(
+            ports,
+            TokenIssuer(HVE(group), master_key, SCHEMA, verify_key),
+            PKEKeyPair(group),
+            TIMINGS,
+        )
+        credentials = ara.register_subscriber("ts-alice", {"org"})
+        session_key = SecretBox.generate_key()
+        body = encode_token_request(
+            session_key, credentials.certificate, Interest({"topic": "a"}), group.zr_bytes
+        )
+        sealed, _ = ports.deliver("anon", RPC_TOKEN_REQUEST, server.pke.public.encrypt(body))
+        token = deserialize_hve_token(group, decode_token_response(session_key, sealed))
+        assert token is not None and server.tokens_issued == 1
+        assert server.observed_sources == ["anon"]
+        assert ports.computed[:2] == [TIMINGS.pke_op, TIMINGS.pbe_token_gen]
+
+    def test_malformed_request_gets_the_bare_error(self, group, ara):
+        ports = RecordingPorts("pbe-ts")
+        master_key, verify_key = ara.provision_pbe_ts()
+        PBETokenServer(
+            ports,
+            TokenIssuer(HVE(group), master_key, SCHEMA, verify_key),
+            PKEKeyPair(group),
+            TIMINGS,
+        )
+        stray = PKEKeyPair(group).public.encrypt(b"addressed to some other server")
+        assert ports.deliver("anon", RPC_TOKEN_REQUEST, stray) == (b"\x00", 1)
+
+
+class TestAnonymizerRelay:
+    def test_inner_request_is_reoriginated(self):
+        net: dict = {}
+        relay_ports = RecordingPorts("anon", net)
+        relay = AnonymizationService(relay_ports)
+        seen = []
+        RecordingPorts("rs", net).serve(
+            RPC_RETRIEVE, lambda src, message: (seen.append(src), (b"reply", 5))[1]
+        )
+        envelope = AnonEnvelope(dst="rs", inner_type=RPC_RETRIEVE, inner_payload=b"req")
+        assert relay_ports.deliver("alice", RPC_ANON_FORWARD, envelope) == (b"reply", 5)
+        assert seen == ["anon"]  # the RS never sees alice
+        assert relay.observed_links == [("alice", "rs")] and relay.forwarded_count == 1
+
+
+# -- subscriber --------------------------------------------------------------------
+
+
+class _Subscriber(SubscriberProtocol):
+    broker_names = ("ds0", "ds1")
+
+    def _send_to_ds(self, body, size, headers, broker):
+        return self.ports.cast(broker, frames.PUBLISH, _frame(headers["p3s-kind"], body), size)
+
+
+class TestSubscriberRetrieval:
+    @pytest.fixture()
+    def world(self, group, ara):
+        """alice, an anonymizer and two RS replicas behind a ClusterMap."""
+        net: dict = {}
+        replicas = {name: _rs(RecordingPorts(name, net), group) for name in ("rs0", "rs1")}
+        AnonymizationService(RecordingPorts("anon", net))
+        cluster = ClusterMap(
+            ds_names=["ds0", "ds1"],
+            rs_names=list(replicas),
+            rs_replication=2,
+            rs_public_keys={name: rs.pke.public for name, rs in replicas.items()},
+        )
+        credentials = ara.register_subscriber(f"alice-{len(ara._registered)}", {"org"})
+        directory = SimpleNamespace(
+            anonymizer_name="anon", cluster=cluster, rs_name="rs0", rs_public_key=None
+        )
+        ports = RecordingPorts("alice", net)
+        alice = _Subscriber(
+            SimpleNamespace(
+                name="alice", directory=directory, cpabe_secret_key=credentials.cpabe_secret_key
+            ),
+            ports,
+            group,
+            TIMINGS,
+            retrieval_retries=3,
+            retry_delay_s=0.25,
+        )
+        guid = b"\x42" * 16
+        ciphertext = encrypt_payload_ciphertext(
+            alice.cpabe, group, ara.cpabe_public_key, guid, b"the payload", "org"
+        )
+        return SimpleNamespace(
+            alice=alice, ports=ports, replicas=replicas, cluster=cluster, guid=guid,
+            submission=PayloadSubmission(guid, ciphertext, 60.0),
+        )
+
+    def test_retries_rotate_through_the_replica_set(self, world):
+        order = world.cluster.rs_replicas(world.guid)
+        # only the *second* replica ever got the payload
+        world.replicas[order[1]].ports.deliver("ds", RPC_STORE, world.submission)
+        run(world.alice._retrieve_process(world.guid, 7))
+        (delivery,) = world.alice.stats.deliveries
+        assert delivery.payload == b"the payload" and delivery.publication_id == 7
+        assert world.replicas[order[0]].observed_sources == ["anon"]  # asked first: a miss
+        assert world.replicas[order[1]].observed_sources == ["anon"]
+        assert world.ports.slept == [0.25]
+        assert world.ports.calls == [("anon", RPC_ANON_FORWARD)] * 2
+
+    def test_transport_error_consumes_a_retry(self, world):
+        order = world.cluster.rs_replicas(world.guid)
+        for rs in world.replicas.values():
+            rs.ports.deliver("ds", RPC_STORE, world.submission)
+        world.ports.call_failures = [TransportError("timed out"), TransportError("timed out")]
+        run(world.alice._retrieve_process(world.guid, 1))
+        assert len(world.alice.stats.deliveries) == 1
+        assert len(world.ports.calls) == 3 and world.ports.slept == [0.25, 0.25]
+        # attempts 0 and 1 never arrived; attempt 2 wrapped round to replica 0
+        assert world.replicas[order[0]].observed_sources == ["anon"]
+        assert world.replicas[order[1]].observed_sources == []
+
+    def test_budget_exhausted_is_a_failed_fetch(self, world):
+        world.ports.call_failures = [TransportError("x")] * 4
+        run(world.alice._retrieve_process(world.guid, 1))
+        assert world.alice.stats.failed_fetches == 1
+        assert len(world.ports.calls) == 4 and world.alice.stats.deliveries == []
+
+    def test_duplicate_broadcast_is_suppressed_by_guid(self, world, group, ara):
+        for rs in world.replicas.values():
+            rs.ports.deliver("ds", RPC_STORE, world.submission)
+        alice = world.alice
+        hve = HVE(group)
+        master_key, _ = ara.provision_pbe_ts()
+        interest = Interest({"topic": "a"})
+        alice.tokens.append(
+            (interest, hve.gen_token(master_key, SCHEMA.encode_interest(interest)))
+        )
+        envelope = EncryptedMetadata(
+            hve_bytes=encrypt_metadata_envelope(
+                hve, group, ara.hve_public_key, SCHEMA, {"topic": "a", "prio": "hi"}, world.guid
+            ),
+            publication_id=3,
+        )
+        delivered = []
+        alice.on_payload = delivered.append
+        run(alice._match_process(envelope))
+        world.ports.clock = 4.5
+        run(alice._match_process(envelope))
+        assert len(delivered) == 1 and alice.stats.matches == 2
+        assert alice.stats.duplicates_suppressed == 1
+        assert alice.stats.duplicate_suppressed_at == [4.5]
+
+    def test_token_registration_reaches_every_ds_shard(self, world, group, ara):
+        alice = world.alice
+        alice.delegate_tokens = True
+        master_key, _ = ara.provision_pbe_ts()
+        token = HVE(group).gen_token(
+            master_key, SCHEMA.encode_interest(Interest({"topic": "b"}))
+        )
+        run(alice._register_with_ds(token, KIND_TOKEN_REG))
+        assert world.ports.sent(frames.PUBLISH) == ["ds0", "ds1"]
+        alice.delegate_tokens = False
+        run(alice._register_with_ds(token, KIND_TOKEN_REG))
+        assert len(world.ports.casts) == 2  # local matching tells no one
