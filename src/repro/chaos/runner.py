@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 from ..core.config import P3SConfig
 from ..core.system import P3SSystem
+from ..live.scenario import delivered, play_on_simulator
 from ..obs.slo import SloEngine, chaos_slos
 from ..store.wal import WalEngine
 from .inject import SimFaultInjector
@@ -181,9 +182,9 @@ def run_chaos(
     ``data_dir`` hosts the durable profiles' WAL; a temp directory is
     used (and removed) when omitted.
     """
-    prof: Profile = PROFILES[profile] if profile in PROFILES else PROFILES["default"]
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
+    prof: Profile = PROFILES[profile]
     scenario = generate_scenario(seed, prof.subscribers, prof.publications)
     expected = expected_deliveries(scenario)
     if schedule is None:
@@ -215,39 +216,28 @@ def run_chaos(
     system = None
     try:
         system = P3SSystem(config)
-        subscribers = {}
-        for spec in scenario.subscribers:
-            subscriber = system.add_subscriber(spec.name, attributes=set(spec.attributes))
+
+        def harden(subscriber) -> None:
             # retry hardening: the profile's loss windows stay inside
             # this budget, so delivery deviations are real bugs
             subscriber.retrieval_retries = prof.retrieval_retries
             subscriber.retry_delay_s = prof.retry_delay_s
             subscriber.call_timeout_s = prof.call_timeout_s
-            subscribers[spec.name] = subscriber
-            for interest in spec.interests:
-                system.subscribe(subscriber, interest)
-        system.run()  # subscription phase, fault-free
 
-        if mutate is not None:
-            mutate(system)
+        injector = SimFaultInjector(schedule, system.sim)
 
-        injector = SimFaultInjector(schedule, system.sim, epoch=system.now)
-        system.set_fault_injector(injector)
-        publisher = system.add_publisher(scenario.publisher_name)
-        for publication in scenario.publications:
-            publisher.publish(
-                publication.metadata_dict,
-                publication.payload,
-                policy=publication.policy,
-                ttl_s=publication.ttl_s,
-            )
-        system.run()  # through the fault window, to quiescence
-        system.set_fault_injector(None)
+        def open_fault_window() -> None:
+            # the subscription phase ran fault-free; break the system on
+            # purpose if asked, then arm the injector for the publications
+            if mutate is not None:
+                mutate(system)
+            injector.arm(system.now)
+            system.set_fault_injector(injector)
 
-        actual = {
-            name: tuple(sorted(d.payload for d in sub.stats.deliveries))
-            for name, sub in sorted(system.subscribers.items())
-        }
+        publisher = play_on_simulator(system, scenario, harden, open_fault_window)
+        system.set_fault_injector(None)  # ran through the fault window, to quiescence
+
+        actual = delivered(system.subscribers)
         delivered_ids = {
             name: [d.publication_id for d in sub.stats.deliveries]
             for name, sub in sorted(system.subscribers.items())

@@ -193,6 +193,12 @@ def _cmd_attacks(args) -> None:
           f"→ recovered {token_accumulation_attack(hve, accumulated, ciphertext, schema)}")
 
 
+def _print_deliveries(delivered, indent: str = "") -> None:
+    for name in sorted(delivered):
+        payloads = ", ".join(repr(p) for p in delivered[name]) or "(nothing)"
+        print(f"{indent}{name}: {payloads}")
+
+
 def _cmd_live_demo(args) -> None:
     import asyncio
 
@@ -209,9 +215,7 @@ def _cmd_live_demo(args) -> None:
         simulated = run_on_simulator(scenario, config)
         live = asyncio.run(run_on_live(scenario, config, expected=simulated))
         print(f"--- {label} ---")
-        for name in sorted(live):
-            payloads = ", ".join(repr(p) for p in live[name]) or "(nothing)"
-            print(f"  {name}: {payloads}")
+        _print_deliveries(live, indent="  ")
         verdict = "MATCH" if simulated == live else "MISMATCH"
         print(f"  simulator vs live delivery sets: {verdict}")
         if simulated != live:
@@ -226,28 +230,21 @@ def _cmd_live_init(args) -> None:
         ds_shards=args.ds_shards,
         rs_shards=args.rs_shards,
         rs_replication=args.replication,
-    )
-    if args.store_backend:
-        config = config.with_(store_backend=args.store_backend)
-    state = init_state(
-        args.state,
-        host=args.host,
-        base_port=args.base_port,
-        config=config,
         data_dir=args.data_dir,
+        store_backend=args.store_backend or "memory",
     )
+    state = init_state(args.state, host=args.host, base_port=args.base_port, config=config)
     plan = ", ".join(f"{name}={port}" for name, port in state.ports.items())
     print(f"wrote deployment state to {args.state} ({plan})")
-    if state.cluster is not None:
+    if state.plan.cluster is not None:
         print(
-            f"sharded topology: {len(state.cluster.ds_names)} DS x "
-            f"{len(state.cluster.rs_names)} RS, "
-            f"replication {state.cluster.rs_replication}"
+            f"sharded topology: {len(state.plan.cluster.ds_names)} DS x "
+            f"{len(state.plan.cluster.rs_names)} RS, "
+            f"replication {state.plan.cluster.rs_replication}"
         )
-    if state.data_dir is not None:
-        print(
-            f"durable stores ({state.config.store_backend}) under {state.data_dir}"
-        )
+    config = state.plan.config  # init_state may have defaulted the backend to wal
+    if config.data_dir is not None:
+        print(f"durable stores ({config.store_backend}) under {config.data_dir}")
 
 
 def _cmd_store_inspect(args) -> None:
@@ -414,61 +411,34 @@ def _cmd_live_run(args) -> None:
     from .live.runner import load_state, run_clients
     from .live.scenario import default_scenario
 
-    delivered = asyncio.run(run_clients(load_state(args.state), default_scenario()))
-    for name in sorted(delivered):
-        payloads = ", ".join(repr(p) for p in delivered[name]) or "(nothing)"
-        print(f"{name}: {payloads}")
+    _print_deliveries(asyncio.run(run_clients(load_state(args.state), default_scenario())))
 
 
-def _demo_metadata(**overrides: str) -> dict[str, str]:
-    base = {f"attr{i:02d}": "v00" for i in range(10)}
-    base.update(overrides)
-    return base
+async def _scrape_once(state_path: str | None):
+    """One telemetry sweep: of the running deployment ``state_path``
+    describes, or — without one — of an in-process deployment stood up
+    to run the demo scenario."""
+    if state_path:
+        from .live.runner import load_state
 
-
-async def _scrape_deployment_state(state, services):
-    """One telemetry sweep against an already-running multi-process deployment."""
-    from .live.telemetry import TelemetryClient
-
-    client = TelemetryClient(state.endpoint("telemetry"), services)
-    try:
-        return await client.scrape()
-    finally:
-        await client.close()
-
-
-async def _scrape_demo_deployment(config, scenario, expected):
-    """Stand up an in-process deployment, run ``scenario``, scrape, tear down."""
-    import asyncio
-
+        return await load_state(state_path).deployment().scrape()
+    from .core.config import P3SConfig
     from .live.deployment import LiveDeployment
+    from .live.scenario import default_scenario, play_on_live, run_on_simulator
+    from .obs import Observability
+    from .obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY
 
-    deployment = LiveDeployment(config)
-    await deployment.start()
+    scenario = default_scenario()
+    expected = run_on_simulator(scenario, P3SConfig())
+    obs = Observability(span_capacity=DEFAULT_FLIGHT_RECORDER_CAPACITY)
+    deployment = LiveDeployment(P3SConfig(obs=obs))
     try:
-        for spec in scenario.subscribers:
-            subscriber = await deployment.add_subscriber(spec.name, set(spec.attributes))
-            for interest in spec.interests:
-                await subscriber.subscribe(interest)
-        publisher = await deployment.add_publisher(scenario.publisher_name)
-        for publication in scenario.publications:
-            await publisher.publish(
-                publication.metadata_dict,
-                publication.payload,
-                policy=publication.policy,
-                ttl_s=publication.ttl_s,
-            )
-        await asyncio.gather(
-            *(
-                deployment.subscribers[name].wait_for_deliveries(len(payloads), 60.0)
-                for name, payloads in expected.items()
-                if payloads
-            )
-        )
-        await asyncio.sleep(0.2)  # let acks, stores, and span ends settle
+        await deployment.start()
+        await play_on_live(deployment, scenario, expected)
         return await deployment.scrape()
     finally:
         await deployment.close()
+        obs.uninstall()
 
 
 def _print_status(aggregator, engine=None) -> None:
@@ -508,29 +478,7 @@ def _cmd_live_status(args) -> None:
     import asyncio
     import json
 
-    if args.state:
-        from .live.runner import load_state, service_roles
-
-        state = load_state(args.state)
-        aggregator = asyncio.run(
-            _scrape_deployment_state(state, service_roles(state))
-        )
-    else:
-        # no running deployment to poll: stand one up in-process, run the
-        # demo scenario through it, and report on that
-        from .core.config import P3SConfig
-        from .live.scenario import default_scenario, run_on_simulator
-        from .obs import Observability
-        from .obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY
-
-        scenario = default_scenario()
-        expected = run_on_simulator(scenario, P3SConfig())
-        obs = Observability(span_capacity=DEFAULT_FLIGHT_RECORDER_CAPACITY)
-        config = P3SConfig(obs=obs)
-        try:
-            aggregator = asyncio.run(_scrape_demo_deployment(config, scenario, expected))
-        finally:
-            obs.uninstall()
+    aggregator = asyncio.run(_scrape_once(args.state))
     # judge the scrape against the stock wall-clock SLOs so alert state
     # rides along in every output form (table footer, JSON, slo_* series)
     from .obs.slo import SLO_GAUGE_METRICS, SloEngine, default_slos
@@ -568,41 +516,26 @@ async def _open_telemetry_session(args, purpose: str):
     """
     import asyncio
     import contextlib
-    import os
-
-    from .live.telemetry import TelemetryClient
 
     if args.state:
-        from .live.runner import load_state, service_roles
+        from .live.runner import load_state
 
-        state = load_state(args.state)
-        services = list(service_roles(state))
-        client = TelemetryClient(state.endpoint(purpose), services)
-
-        async def close() -> None:
-            await client.close()
-
-        return client, services, close
+        deployment = load_state(args.state).deployment()
+        client = deployment.telemetry_client(purpose)
+        return client, list(deployment.service_names), client.close
 
     from .core.config import P3SConfig
     from .live.deployment import LiveDeployment
+    from .live.scenario import demo_metadata
     from .obs import Observability
+    from .obs.prof import start_default_profiler
     from .obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY
     from .pbe.schema import Interest
 
     obs = Observability(span_capacity=DEFAULT_FLIGHT_RECORDER_CAPACITY)
-    profiler = None
-    if os.environ.get("P3S_PROFILE", "wall") != "off":
-        # same default-on profiling as serve_role, so the in-process view
-        # has hot frames to show
-        from .obs.prof import StackSampler
-
-        profiler = obs.profiler = StackSampler(
-            hz=float(os.environ.get("P3S_PROFILE_HZ", "19")),
-            obs=obs,
-            origin="inproc-wall",
-        )
-        profiler.start()
+    # same default-on profiling as serve_role, so the in-process view
+    # has hot frames to show
+    profiler = start_default_profiler(obs, origin="inproc-wall")
     deployment = LiveDeployment(P3SConfig(obs=obs))
     await deployment.start()
     subscriber = await deployment.add_subscriber("alice", {"org:acme"})
@@ -614,7 +547,7 @@ async def _open_telemetry_session(args, purpose: str):
         tick = 0
         while not stop.is_set():
             await publisher.publish(
-                _demo_metadata(attr00="v01"),
+                dict(demo_metadata(attr00="v01")),
                 f"tick {tick}".encode(),
                 policy="org:acme",
             )
@@ -633,8 +566,7 @@ async def _open_telemetry_session(args, purpose: str):
         await deployment.close()
         if profiler is not None:
             profiler.stop()
-        if deployment.obs is not None:
-            deployment.obs.uninstall()
+        obs.uninstall()
 
     return client, list(deployment.service_names), close
 
@@ -745,21 +677,22 @@ def _cmd_cluster_status(args) -> None:
     if args.state:
         # topology from a provisioned multi-process bundle (no I/O to the
         # services — this reads the signed registration material)
-        from .live.runner import load_state, service_roles
+        from .live.runner import load_state
 
         state = load_state(args.state)
         status = {
-            "sharded": state.cluster is not None,
-            "roles": list(service_roles(state)),
+            "sharded": state.plan.cluster is not None,
+            "roles": list(state.plan.service_names),
             "ports": dict(state.ports),
         }
-        if state.cluster is not None:
-            status["cluster"] = state.cluster.describe()
+        if state.plan.cluster is not None:
+            status["cluster"] = state.plan.cluster.describe()
     else:
         # no bundle: stand up an in-process *simulated* sharded system,
         # run the demo scenario through it, and report live counters —
         # membership, per-shard items/publications, keyspace shares
         from .core import P3SConfig, P3SSystem
+        from .live import scenario as sc
         from .pbe import Interest
 
         config = P3SConfig(
@@ -767,20 +700,18 @@ def _cmd_cluster_status(args) -> None:
             rs_shards=args.rs_shards,
             rs_replication=args.replication,
         )
+        alice = sc.SubscriberSpec(
+            "alice", frozenset({"clearance"}), (Interest({"attr00": "v01"}),)
+        )
+        publications = tuple(
+            sc.PublicationSpec(
+                sc.demo_metadata(attr00="v01"), f"cluster demo {tick}".encode(), "clearance"
+            )
+            for tick in range(args.publications)
+        )
         system = P3SSystem(config)
         try:
-            alice = system.add_subscriber("alice", {"clearance"})
-            system.subscribe(alice, Interest({"attr00": "v01"}))
-            system.run()
-            publisher = system.add_publisher("pub")
-            system.run()
-            for tick in range(args.publications):
-                publisher.publish(
-                    _demo_metadata(attr00="v01"),
-                    f"cluster demo {tick}".encode(),
-                    policy="clearance",
-                )
-            system.run()
+            sc.play_on_simulator(system, sc.Scenario((alice,), publications))
             status = system.cluster_status()
         finally:
             system.close()
@@ -950,29 +881,7 @@ def _slo_report_doc(args) -> dict:
 
     from .obs.slo import SloEngine, default_slos
 
-    if args.state:
-        from .live.runner import load_state, service_roles
-
-        state = load_state(args.state)
-        aggregator = asyncio.run(
-            _scrape_deployment_state(state, service_roles(state))
-        )
-    else:
-        from .core.config import P3SConfig
-        from .live.scenario import default_scenario, run_on_simulator
-        from .obs import Observability
-        from .obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY
-
-        scenario = default_scenario()
-        expected = run_on_simulator(scenario, P3SConfig())
-        obs = Observability(span_capacity=DEFAULT_FLIGHT_RECORDER_CAPACITY)
-        config = P3SConfig(obs=obs)
-        try:
-            aggregator = asyncio.run(
-                _scrape_demo_deployment(config, scenario, expected)
-            )
-        finally:
-            obs.uninstall()
+    aggregator = asyncio.run(_scrape_once(args.state))
     engine = SloEngine(default_slos(latency_threshold_s=args.latency_slo))
     engine.ingest(aggregator, now=0.0)
     engine.evaluate(0.0)

@@ -29,7 +29,7 @@ identically — see ``docs/CLUSTER.md``.
 from .membership import Member, MembershipTable
 from .rebalance import handoff_items, moved_fraction, plan_moves
 from .ring import DEFAULT_VNODES, HashRing
-from .router import ClusterMap, ds_shard_for, ds_shards_of, rs_replicas_for, shard_names
+from .router import ClusterMap, ds_shard_for, rs_replicas_for, shard_names
 
 __all__ = [
     "DEFAULT_VNODES",
@@ -38,7 +38,6 @@ __all__ = [
     "MembershipTable",
     "ClusterMap",
     "ds_shard_for",
-    "ds_shards_of",
     "rs_replicas_for",
     "shard_names",
     "plan_moves",

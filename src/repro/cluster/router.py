@@ -35,7 +35,6 @@ from .ring import DEFAULT_VNODES, HashRing
 __all__ = [
     "ClusterMap",
     "ds_shard_for",
-    "ds_shards_of",
     "rs_replicas_for",
     "shard_names",
     "shard_topology",
@@ -162,14 +161,6 @@ def ds_shard_for(directory, guid: bytes) -> str:
     if cluster is None or len(cluster.ds_names) <= 1:
         return directory.ds_name
     return cluster.ds_owner(guid)
-
-
-def ds_shards_of(directory) -> tuple[str, ...]:
-    """Every DS shard — the connect/subscribe/token-registration set."""
-    cluster = _cluster_of(directory)
-    if cluster is None or not cluster.ds_names:
-        return (directory.ds_name,)
-    return tuple(cluster.ds_names)
 
 
 def rs_replicas_for(directory, guid: bytes) -> tuple[tuple[str, object], ...]:

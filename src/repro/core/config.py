@@ -77,7 +77,6 @@ class P3SConfig:
     lan_bandwidth_bps: float = 100_000_000  # DS→RS hop (§6.2)
     latency_s: float = 0.045  # ℓ, Table 1
     guid_bytes: int = 16
-    default_ttl_s: float = 3600.0  # TTL_item default
     t_g: float = 60.0  # RS grace period T_G
     rs_gc_interval_s: float = 10.0
     use_anonymizer: bool = True
@@ -135,13 +134,6 @@ class P3SConfig:
     # to None: the ack timeout holds the simulation open past
     # quiescence on loss-free runs.  The chaos runner always enables it.
     reliable_publish: bool = False
-    # -- SLO engine (repro.obs.slo; see docs/OBSERVABILITY.md) --
-    # A repro.obs.SloEngine to evaluate this deployment's service-level
-    # objectives (delivery latency, publish-ack success, store recovery)
-    # with error-budget accounting and multi-window burn-rate alerting,
-    # or None: no SLO evaluation.  The chaos runner builds its own
-    # engine per run; `repro slo report` feeds one from live telemetry.
-    slo: object | None = None
 
     def with_(self, **overrides) -> "P3SConfig":
         """A copy with the given fields replaced."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
+from ..obs.metrics import nearest_rank
 from .publisher import PublicationRecord
 from .system import P3SSystem
 
@@ -35,17 +36,12 @@ class LatencyStats:
         if not values:
             return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0)
         ordered = sorted(values)
-
-        def percentile(fraction: float) -> float:
-            index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-            return ordered[index]
-
         return cls(
             count=len(ordered),
             mean=sum(ordered) / len(ordered),
-            median=percentile(0.5),
-            p95=percentile(0.95),
-            p99=percentile(0.99),
+            median=nearest_rank(ordered, 0.5),
+            p95=nearest_rank(ordered, 0.95),
+            p99=nearest_rank(ordered, 0.99),
             maximum=ordered[-1],
         )
 

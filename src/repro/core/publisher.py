@@ -13,10 +13,11 @@ client: for each publication the publisher
 The publisher never learns whether the item matched anyone, nor who
 received it (§6.1).
 
-:class:`PublisherProtocol` is that sequence, written once against a
-substrate ports object (:mod:`repro.net.ports`); :class:`Publisher`
-sends its frames through the simulator JMS client,
-:class:`repro.live.clients.LivePublisher` over a live channel.
+:class:`PublisherProtocol` is that sequence, written once against the
+ports of the JMS connection beneath it (:mod:`repro.net.ports`,
+:mod:`repro.mq.client`); :class:`Publisher` is its simulator face
+(``publish`` hands back the record at once),
+:class:`repro.live.clients.LivePublisher` its asyncio one.
 """
 
 from __future__ import annotations
@@ -24,17 +25,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from ..abe.hybrid import HybridCPABE
 from ..abe.policy import PolicyNode
 from ..abe.serialize import serialize_hybrid
 from ..cluster.router import ds_shard_for
 from ..crypto.group import PairingGroup
 from ..mq.client import JmsConnection
-from ..net.ports import SimPorts
 from ..obs import profile as obs
-from ..pbe.hve import HVE
 from ..pbe.serialize import serialize_hve_ciphertext
 from .ara import PublisherCredentials
+from .client import P3SClient
 from .config import ComputeTimings
 from .guid import random_guid
 from .messages import KIND_METADATA, KIND_PAYLOAD, EncryptedMetadata, PayloadSubmission
@@ -82,42 +81,31 @@ class PublicationRecord:
     headers: dict = field(default_factory=dict)
 
 
-class PublisherProtocol:
-    """One P3S publisher endpoint: the §4.3 publication sequence.
-
-    A substrate supplies ``_send_to_ds(body, size, headers, broker)`` —
-    one JMS PUBLISH frame to one DS shard — returning whatever of its
-    ports the body should wait on.
-    """
+class PublisherProtocol(P3SClient):
+    """One P3S publisher endpoint: the §4.3 publication sequence."""
 
     _publication_ids = itertools.count(1)
 
     def __init__(
         self,
         credentials: PublisherCredentials,
-        ports,
+        connection: JmsConnection,
         group: PairingGroup,
         timings: ComputeTimings,
         guid_bytes: int = 16,
         publish_topic: str = "p3s.publish",
+        reliable_publish: bool = False,
     ):
-        self.credentials = credentials
-        self.ports = ports
-        self.group = group
-        self.timings = timings
-        self.guid_bytes = guid_bytes
-        self.publish_topic = publish_topic
-        self.hve = HVE(group)
-        self.cpabe = HybridCPABE(group)
+        super().__init__(
+            credentials, connection, group, timings, guid_bytes, publish_topic
+        )
+        # wait for the broker's PUBACK and retransmit on silence (the
+        # docs/CHAOS.md publish-path gap, closed).  Opt-in like the
+        # subscriber's call_timeout_s: on the simulator the ack timeout
+        # is a non-daemon event, so it holds loss-free runs open past
+        # quiescence.
+        self.reliable_publish = reliable_publish
         self.published: list[PublicationRecord] = []
-
-    @property
-    def name(self) -> str:
-        return self.credentials.name
-
-    @property
-    def directory(self):
-        return self.credentials.directory
 
     def publish(
         self,
@@ -206,27 +194,6 @@ class PublisherProtocol:
 class Publisher(PublisherProtocol):
     """A publisher on the simulator, beneath the JMS client API (§5)."""
 
-    def __init__(
-        self,
-        credentials: PublisherCredentials,
-        connection: JmsConnection,
-        group: PairingGroup,
-        timings: ComputeTimings,
-        guid_bytes: int = 16,
-        publish_topic: str = "p3s.publish",
-        reliable_publish: bool = False,
-    ):
-        super().__init__(
-            credentials, SimPorts(connection.endpoint), group, timings, guid_bytes, publish_topic
-        )
-        self.connection = connection
-        # wait for the broker's PUBACK and retransmit on silence (the
-        # docs/CHAOS.md publish-path gap, closed).  Opt-in like the
-        # subscriber's call_timeout_s: the ack timeout is a non-daemon
-        # event, so it holds loss-free runs open past quiescence.
-        self.reliable_publish = reliable_publish
-        self._producer = connection.create_session().create_producer(publish_topic)
-
     def publish(
         self,
         metadata: dict[str, str],
@@ -241,21 +208,3 @@ class Publisher(PublisherProtocol):
         """
         super().publish(metadata, payload, policy, ttl_s)
         return self.published[-1]
-
-    def reconnect(self) -> None:
-        """Re-register with a restarted DS (§6.1: "upon restart a publisher
-        needs only to (re)register with the DS")."""
-        self.connection.reconnect()
-
-    def _send_to_ds(self, body, size: int, headers: dict, broker: str) -> None:
-        """One publish frame: a fire-and-forget cast, or (reliable mode)
-        a detached acked-retransmit process — detached so publish timing
-        on the loss-free path matches the classic cast exactly."""
-        if self.reliable_publish:
-            self.ports.spawn(
-                self._producer.send(
-                    body, size, headers=headers, broker=broker, reliable=True
-                )
-            )
-        else:
-            self._producer.send(body, size, headers=headers, broker=broker)

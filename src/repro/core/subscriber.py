@@ -17,10 +17,11 @@ protocols:
   recovered GUID is compared with the requested one to correlate
   request and response (§4.3).
 
-:class:`SubscriberProtocol` is all three, written once against a
-substrate ports object (:mod:`repro.net.ports`); :class:`Subscriber`
-receives its broadcasts through the simulator JMS client,
-:class:`repro.live.clients.LiveSubscriber` over a live channel.
+:class:`SubscriberProtocol` is all three, written once against the
+ports of the JMS connection beneath it (:mod:`repro.net.ports`,
+:mod:`repro.mq.client`); :class:`Subscriber` is its simulator face (it
+adds crash/restart), :class:`repro.live.clients.LiveSubscriber` its
+asyncio one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..abe.hybrid import HybridCPABE
 from ..abe.serialize import deserialize_hybrid
 from ..cluster.router import rs_replicas_for
 from ..crypto.group import PairingGroup
@@ -42,9 +42,8 @@ from ..errors import (
     TransportError,
 )
 from ..mq.client import JmsConnection
-from ..net.ports import SimPorts
 from ..obs import profile as obs
-from ..pbe.hve import HVE, HVEToken
+from ..pbe.hve import HVEToken
 from ..pbe.schema import Interest
 from ..pbe.serialize import (
     deserialize_hve_ciphertext,
@@ -52,6 +51,7 @@ from ..pbe.serialize import (
     serialize_hve_token,
 )
 from .ara import SubscriberCredentials
+from .client import P3SClient
 from .config import ComputeTimings
 from .messages import (
     KIND_TOKEN_REG,
@@ -71,7 +71,6 @@ __all__ = [
     "Delivery",
     "GuidDeduper",
     "SubscriberStats",
-    "match_tokens",
     "open_delivery",
 ]
 
@@ -106,22 +105,6 @@ class GuidDeduper:
 
     def __len__(self) -> int:
         return len(self._order)
-
-
-def match_tokens(hve, tokens, ciphertext):
-    """Local matching: test each held token against one broadcast.
-
-    ``tokens`` is the subscriber's ``(interest, token)`` list; returns
-    ``(guid_or_None, attempts)``.  The subscriber's own match step is
-    this loop with the modelled per-attempt compute time in between.
-    """
-    attempts = 0
-    for _, token in tokens:
-        attempts += 1
-        guid = hve.query(token, ciphertext)
-        if guid is not None:
-            return guid, attempts
-    return None, attempts
 
 
 def open_delivery(cpabe, group, secret_key, guid, guid_bytes, ciphertext_bytes):
@@ -165,20 +148,14 @@ class SubscriberStats:
     deliveries: list[Delivery] = field(default_factory=list)
 
 
-class SubscriberProtocol:
+class SubscriberProtocol(P3SClient):
     """One P3S subscriber endpoint: subscription, local matching,
-    retrieval.
-
-    A substrate supplies ``_send_to_ds(body, size, headers, broker)`` —
-    one JMS PUBLISH frame to one DS shard, returning whatever of its
-    ports the body should wait on — and ``broker_names``, the DS shards
-    this subscriber is connected to.
-    """
+    retrieval."""
 
     def __init__(
         self,
         credentials: SubscriberCredentials,
-        ports,
+        connection: JmsConnection,
         group: PairingGroup,
         timings: ComputeTimings,
         use_anonymizer: bool = True,
@@ -191,15 +168,11 @@ class SubscriberProtocol:
         call_timeout_s: float | None = None,
         delegate_tokens: bool = False,
     ):
-        self.credentials = credentials
-        self.ports = ports
-        self.group = group
-        self.timings = timings
+        super().__init__(
+            credentials, connection, group, timings, guid_bytes, metadata_topic
+        )
         self.use_anonymizer = use_anonymizer
-        self.guid_bytes = guid_bytes
         self.metadata_topic = metadata_topic
-        self.hve = HVE(group)
-        self.cpabe = HybridCPABE(group)
         self.on_payload = on_payload
         self.local_token_source = local_token_source
         self.retrieval_retries = retrieval_retries
@@ -220,13 +193,13 @@ class SubscriberProtocol:
         self.stats = SubscriberStats()
         self.tokens: list[tuple[Interest, HVEToken]] = []
 
-    @property
-    def name(self) -> str:
-        return self.credentials.name
+    def _start_process(self):
+        session = yield from super()._start_process()
+        consumer = session.create_consumer(self.metadata_topic)
+        yield consumer.set_message_listener(self._on_metadata)
 
-    @property
-    def directory(self):
-        return self.credentials.directory
+    def _on_metadata(self, frame) -> None:
+        self.ports.spawn(self._match_process(frame.body, obs.extract(frame.headers)))
 
     # -- subscription (Fig. 3) -------------------------------------------------
 
@@ -276,7 +249,7 @@ class SubscriberProtocol:
         # every DS shard may own the next publication, so the token must
         # be registered on all of them (matching compute per publication
         # still lands on exactly one shard — that is what scales)
-        for broker in self.broker_names:
+        for broker in tuple(self.connection.broker_names):
             yield self._send_to_ds(data, len(data), {"p3s-kind": kind}, broker)
 
     def unsubscribe(self, interest: Interest):
@@ -286,10 +259,11 @@ class SubscriberProtocol:
         token is discarded and future broadcasts stop matching.  (No party
         needs to be told — another consequence of interest privacy.)
         Under delegated matching the DS registration is withdrawn too.
-        What the substrate's driver returns resolves to whether a token
-        was found and removed.
+        Returns whether a token was found and removed — at once on the
+        simulator (a cast is a scheduled send, there is nothing to wait
+        for), as an awaitable on asyncio.
         """
-        return self.ports.drive(self._unsubscribe_process(interest))
+        return self.ports.finish(self._unsubscribe_process(interest))
 
     def _unsubscribe_process(self, interest: Interest):
         for index, (held, token) in enumerate(self.tokens):
@@ -429,58 +403,23 @@ class SubscriberProtocol:
     # -- transport helper ------------------------------------------------------------
 
     def _anonymized_call(self, dst: str, msg_type: str, request: bytes, span=None):
-        headers = obs.inject({}, span)
+        size = len(request)
         if self.use_anonymizer and self.directory.anonymizer_name:
-            envelope = AnonEnvelope(dst=dst, inner_type=msg_type, inner_payload=request)
-            return self.ports.call(
-                self.directory.anonymizer_name,
-                RPC_ANON_FORWARD,
-                envelope,
-                envelope.wire_size,
-                headers=headers,
-                timeout_s=self.call_timeout_s,
-            )
+            request = AnonEnvelope(dst=dst, inner_type=msg_type, inner_payload=request)
+            dst, msg_type = self.directory.anonymizer_name, RPC_ANON_FORWARD
+            size = request.wire_size
         return self.ports.call(
-            dst, msg_type, request, len(request), headers=headers,
+            dst,
+            msg_type,
+            request,
+            size,
+            headers=obs.inject({}, span),
             timeout_s=self.call_timeout_s,
         )
 
 
 class Subscriber(SubscriberProtocol):
     """A subscriber on the simulator, beneath the JMS client API (§5)."""
-
-    def __init__(
-        self,
-        credentials: SubscriberCredentials,
-        connection: JmsConnection,
-        group: PairingGroup,
-        timings: ComputeTimings,
-        **options,
-    ):
-        super().__init__(
-            credentials, SimPorts(connection.endpoint), group, timings, **options
-        )
-        self.connection = connection
-        session = connection.create_session()
-        consumer = session.create_consumer(self.metadata_topic)
-        consumer.set_message_listener(self._on_metadata)
-        self._producer = session.create_producer(self.metadata_topic)
-
-    @property
-    def broker_names(self) -> list[str]:
-        return self.connection.broker_names
-
-    def _send_to_ds(self, body, size: int, headers: dict, broker: str) -> None:
-        self._producer.send(body, size, headers=headers, broker=broker)
-
-    def _on_metadata(self, frame) -> None:
-        self.ports.spawn(self._match_process(frame.body, obs.extract(frame.headers)))
-
-    def unsubscribe(self, interest: Interest) -> bool:
-        """Synchronous on the simulator — a cast is a scheduled send,
-        there is nothing to wait for; returns whether a token was found
-        and removed."""
-        return self.ports.finish(self._unsubscribe_process(interest))
 
     # -- crash / restart (§6.1 robustness) ---------------------------------------
 
@@ -494,9 +433,5 @@ class Subscriber(SubscriberProtocol):
         """
         interests = [interest for interest, _ in self.tokens]
         self.tokens.clear()
-        self.connection.reconnect()
+        self.reconnect()
         return [self.subscribe(interest) for interest in interests]
-
-    def reconnect(self) -> None:
-        """Re-register with a restarted DS (no token loss on our side)."""
-        self.connection.reconnect()

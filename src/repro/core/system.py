@@ -28,23 +28,16 @@ single-node code and tests run unchanged; ``system.ds_shards`` /
 from __future__ import annotations
 
 from ..cluster import ClusterMap, MembershipTable
-from ..cluster.router import shard_topology
 from ..cluster.rebalance import HandoffReport, copy_registrations, handoff_items
-from ..crypto.group import PairingGroup
-from ..crypto.pke import PKEKeyPair
-from ..mq.client import JmsConnection
 from ..net.network import Network
 from ..net.simulator import Simulator
 from ..pbe.hve import HVE
 from ..pbe.schema import Interest
-from ..store import StorageEngine, open_service_engine
-from .anonymizer import AnonymizationService
-from .ara import RegistrationAuthority
 from .config import P3SConfig
 from .ds import DisseminationServer
-from .pbe_ts import PBETokenServer, TokenIssuer
+from .plan import ANON_NAME, PBE_TS_NAME, DeploymentPlan, install_observability
 from .publisher import PublicationRecord, Publisher
-from .rs import RepositoryServer, RepositoryStore
+from .rs import RepositoryServer
 from .subscriber import Delivery, Subscriber
 
 __all__ = ["P3SSystem"]
@@ -60,54 +53,32 @@ class P3SSystem:
         self.config = config or P3SConfig()
         self.sim = Simulator()
         self.obs = self.config.obs
-        self.profiler = self.config.profiler
-        if self.profiler is not None and self.obs is None:
-            raise ValueError("P3SConfig(profiler=...) requires obs=Observability()")
-        if self.obs is not None:
-            # bind span timestamps to this simulator's clock and become
-            # the process-wide sink for the instrumentation hooks
-            self.obs.bind_clock(lambda: self.sim.now)
-            if self.profiler is not None:
-                self.obs.profiler = self.profiler
-                self.profiler.start()
-            self.obs.install()
+        # first, so the registration crypto below is already observed
+        install_observability(self.config, lambda: self.sim.now)
         self.network = Network(
             self.sim,
             default_bandwidth_bps=self.config.bandwidth_bps,
             latency_s=self.config.latency_s,
         )
-        self.group = PairingGroup(self.config.param_set)
-        self.ara = RegistrationAuthority(self.group, self.config.schema)
-
-        ds_names, rs_names, self.cluster = shard_topology(self.config)
+        # everything substrate-free — topology, ARA provisioning, service
+        # keys, store engines, client options — comes from the plan
+        self.plan = DeploymentPlan.derive(self.config)
+        self.group = self.plan.group
+        self.ara = self.plan.ara
+        ds_names, rs_names = self.plan.ds_names, self.plan.rs_names
 
         # --- third parties (Fig. 1) ---
-        self.rs_shards: dict[str, RepositoryServer] = {}
-        for name in rs_names:
-            self.rs_shards[name] = self._build_rs(name)
+        self.rs_shards: dict[str, RepositoryServer] = {
+            name: self.plan.service(name, self.network.add_host(name)) for name in rs_names
+        }
         self.rs = self.rs_shards[rs_names[0]]
-
-        self.ds_shards: dict[str, DisseminationServer] = {}
-        for name in ds_names:
-            self.ds_shards[name] = self._build_ds(name, rs_names[0])
+        self.ds_shards: dict[str, DisseminationServer] = {
+            name: self._build_ds(name) for name in ds_names
+        }
         self.ds = self.ds_shards[ds_names[0]]
 
-        self.pbe_ts = PBETokenServer(
-            self.network.add_host("pbe-ts"),
-            TokenIssuer.provisioned_by(self.ara, self.config),
-            PKEKeyPair(self.group),
-            self.config.timings,
-        )
-        self.anonymizer = AnonymizationService(self.network.add_host("anon"))
-
-        self.ara.install_service("ds", ds_names[0])
-        self.ara.install_service("rs", rs_names[0], self.rs.pke.public)
-        self.ara.install_service("pbe_ts", "pbe-ts", self.pbe_ts.pke.public)
-        self.ara.install_service("anonymizer", "anon")
-        if self.cluster is not None:
-            for name, rs in self.rs_shards.items():
-                self.cluster.rs_public_keys[name] = rs.pke.public
-            self.ara.directory.cluster = self.cluster
+        self.pbe_ts = self.plan.service(PBE_TS_NAME, self.network.add_host(PBE_TS_NAME))
+        self.anonymizer = self.plan.service(ANON_NAME, self.network.add_host(ANON_NAME))
 
         # membership: every shard joins at epoch; a daemon heartbeat
         # process keeps the table current on sharded deployments and
@@ -130,34 +101,15 @@ class P3SSystem:
         self.publishers: dict[str, Publisher] = {}
         self.subscribers: dict[str, Subscriber] = {}
 
-    def _build_rs(self, name: str) -> RepositoryServer:
-        return RepositoryServer(
-            self.network.add_host(name),
-            PKEKeyPair(self.group),
-            self.config.timings,
-            RepositoryStore(t_g=self.config.t_g, engine=self._open_store(name)),
-            self.config.rs_gc_interval_s,
-        )
+    @property
+    def cluster(self) -> ClusterMap | None:
+        return self.plan.cluster
 
-    def _build_ds(self, name: str, rs_name: str) -> DisseminationServer:
+    def _build_ds(self, name: str) -> DisseminationServer:
         host = self.network.add_host(name)
         for rs_shard in self.rs_shards:
             host.set_link_bandwidth(rs_shard, self.config.lan_bandwidth_bps)
-        return DisseminationServer(
-            host,
-            rs_name,
-            self.config.metadata_topic,
-            group=self.group,
-            timings=self.config.timings,
-            match_workers=self.config.match_workers,
-            store=self._open_store(name),
-            cluster=self.cluster,
-        )
-
-    def _open_store(self, role: str) -> StorageEngine | None:
-        return open_service_engine(
-            self.config, self.config.data_dir, role, self.config.store_key
-        )
+        return self.plan.service(name, host)
 
     # -- membership / failure detection (repro.cluster) ------------------------
 
@@ -186,21 +138,12 @@ class P3SSystem:
     # -- elastic topology (repro.cluster.rebalance) ----------------------------
 
     def _ensure_cluster(self) -> ClusterMap:
-        """Attach a ClusterMap to a classic single-node deployment the
-        first time its topology grows; existing credentials see it
-        immediately (the directory is embedded by reference)."""
+        """The plan's ClusterMap; a classic single-node deployment gets
+        one (and its heartbeat process) the first time it grows."""
         if self.cluster is None:
-            self.cluster = ClusterMap(
-                ds_names=list(self.ds_shards),
-                rs_names=list(self.rs_shards),
-                rs_replication=max(1, self.config.rs_replication),
-                rs_public_keys={
-                    name: rs.pke.public for name, rs in self.rs_shards.items()
-                },
-            )
-            self.ara.directory.cluster = self.cluster
+            cluster = self.plan.ensure_cluster()
             for ds in self.ds_shards.values():
-                ds.cluster = self.cluster
+                ds.cluster = cluster
             self.sim.process(self._heartbeat_loop())
         return self.cluster
 
@@ -213,20 +156,18 @@ class P3SSystem:
         ring picks it up — so it starts owning its share of *new*
         publications immediately.
         """
-        cluster = self._ensure_cluster()
+        self._ensure_cluster()
         name = name or f"ds{len(self.ds_shards)}"
         if name in self.ds_shards:
             raise ValueError(f"DS shard {name!r} already exists")
-        ds = self._build_ds(name, self.ds.rs_name)
+        self.plan.add_ds(name)
+        ds = self._build_ds(name)
         ds.start()
         self.ds_shards[name] = ds
         copy_registrations(self.ds, ds)
-        cluster.add_ds(name)
         self.membership.join(name, "ds", now=self.sim.now)
-        for subscriber in self.subscribers.values():
-            subscriber.connection.add_broker(name)
-        for publisher in self.publishers.values():
-            publisher.connection.add_broker(name)
+        for client in (*self.subscribers.values(), *self.publishers.values()):
+            client.connection.add_broker(name)
         return ds
 
     def add_rs_shard(
@@ -243,14 +184,14 @@ class P3SSystem:
         name = name or f"rs{len(self.rs_shards)}"
         if name in self.rs_shards:
             raise ValueError(f"RS shard {name!r} already exists")
-        rs = self._build_rs(name)
+        self.plan.add_rs(name)
+        rs = self.plan.service(name, self.network.add_host(name))
         for ds_name in self.ds_shards:
             self.network.host(ds_name).set_link_bandwidth(
                 name, self.config.lan_bandwidth_bps
             )
         rs.start()
         self.rs_shards[name] = rs
-        cluster.add_rs(name, rs.pke.public)
         self.membership.join(name, "rs", now=self.sim.now)
         report = handoff_items(
             {shard: server.store for shard, server in self.rs_shards.items()},
@@ -262,19 +203,8 @@ class P3SSystem:
     # -- participants -----------------------------------------------------------
 
     def add_publisher(self, name: str) -> Publisher:
-        credentials = self.ara.register_publisher(name)
-        connection = JmsConnection(
-            self.network.add_host(name), list(self.ds_shards)
-        )
-        connection.start()
-        publisher = Publisher(
-            credentials,
-            connection,
-            self.group,
-            self.config.timings,
-            guid_bytes=self.config.guid_bytes,
-            reliable_publish=self.config.reliable_publish,
-        )
+        publisher = self.plan.publisher(Publisher, self.network.add_host(name), name)
+        publisher.start()
         self.publishers[name] = publisher
         return publisher
 
@@ -297,31 +227,22 @@ class P3SSystem:
         registers this subscriber's tokens with the DS for pre-filtered
         fan-out — see :mod:`repro.core.ds` for the privacy trade-off.
         """
-        if delegate_tokens is None:
-            delegate_tokens = self.config.delegated_matching
-        credentials = self.ara.register_subscriber(name, attributes)
-        connection = JmsConnection(
-            self.network.add_host(name), list(self.ds_shards)
-        )
-        connection.start()
         token_source = None
         if embedded_token_source:
             from .embedded_ts import EmbeddedTokenSource
 
             master_key, _ = self.ara.provision_pbe_ts()
             token_source = EmbeddedTokenSource(HVE(self.group), master_key, self.config.schema)
-        subscriber = Subscriber(
-            credentials,
-            connection,
-            self.group,
-            self.config.timings,
-            use_anonymizer=self.config.use_anonymizer,
-            guid_bytes=self.config.guid_bytes,
-            metadata_topic=self.config.metadata_topic,
+        subscriber = self.plan.subscriber(
+            Subscriber,
+            self.network.add_host(name),
+            name,
+            attributes,
             on_payload=on_payload,
             local_token_source=token_source,
             delegate_tokens=delegate_tokens,
         )
+        subscriber.start()
         self.subscribers[name] = subscriber
         return subscriber
 
@@ -352,8 +273,8 @@ class P3SSystem:
 
     def close(self) -> None:
         """Release every shard's pool workers and store handles."""
-        if self.profiler is not None:
-            self.profiler.stop()
+        if self.config.profiler is not None:
+            self.config.profiler.stop()
         for ds in self.ds_shards.values():
             ds.close_match_pool()
             ds.store.close()

@@ -10,7 +10,6 @@ the bignum multiplies, and affine formulas keep the Miller loop simple.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 
 from ..errors import NotOnCurveError, SerializationError
@@ -51,7 +50,7 @@ _FB_PROMOTE_AFTER = 2  # big muls a base must perform before a table is built
 _FB_MAX_TABLES = 128
 _FB_MAX_COUNTS = 4096
 
-_fb_enabled = os.environ.get("P3S_PRECOMPUTE", "1") != "0"
+_fb_enabled = True  # set_fixed_base_enabled(False) is the A/B seam
 _fb_tables: "OrderedDict[tuple[int, int, int], FixedBaseTable]" = OrderedDict()
 _fb_counts: "OrderedDict[tuple[int, int, int], int]" = OrderedDict()
 _fb_builds = 0

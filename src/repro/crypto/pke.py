@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import DecryptionError, SerializationError
+from ..errors import DecryptionError
 from .curve import Point
 from .group import PairingGroup
 from .hashing import kdf
@@ -61,7 +61,9 @@ class PKEKeyPair:
     def decrypt(self, ciphertext: bytes) -> bytes:
         point_len = self.group.g1_bytes
         if len(ciphertext) < point_len + OVERHEAD:
-            raise SerializationError("PKE ciphertext too short")
+            # a DecryptionError like every other bad ciphertext, so the
+            # request decoders that feed this hostile bytes refuse cleanly
+            raise DecryptionError("PKE ciphertext too short")
         try:
             ephemeral_public = self.group.deserialize_g1(ciphertext[:point_len])
         except Exception as exc:

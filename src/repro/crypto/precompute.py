@@ -23,10 +23,8 @@ each warm their own copy) and both paths are bit-identical to the naive
 ones — enforced by ``tests/par/test_equivalence.py`` and the golden
 vectors in ``tests/crypto/vectors/``.
 
-Environment:
-
-* ``P3S_PRECOMPUTE=0`` disables the fixed-base fast path at import time
-  (A/B benchmarking; :func:`set_enabled` flips it at runtime).
+:func:`set_enabled` switches the fixed-base fast path off and on at
+runtime (A/B benchmarking, the equivalence tests).
 """
 
 from __future__ import annotations

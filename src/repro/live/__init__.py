@@ -29,7 +29,6 @@ from .scenario import (
     Scenario,
     SubscriberSpec,
     default_scenario,
-    run_live,
     run_on_live,
     run_on_simulator,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "default_scenario",
     "run_on_simulator",
     "run_on_live",
-    "run_live",
     "TelemetryClient",
     "install_telemetry",
     "encode_frame",

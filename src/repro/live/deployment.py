@@ -26,11 +26,9 @@ from __future__ import annotations
 
 import time
 
-from ..cluster.router import shard_topology
-from ..core.ara import RegistrationAuthority
 from ..core.config import P3SConfig
-from ..core.pbe_ts import TokenIssuer
-from ..crypto.group import PairingGroup
+from ..core.plan import ANON_NAME, PBE_TS_NAME, DeploymentPlan, install_observability
+from ..net.ports import LivePorts
 from .channel import ServerIdentity
 from .clients import LivePublisher, LiveSubscriber
 from .rpc import AddressBook, LiveRpcEndpoint
@@ -44,124 +42,101 @@ from .telemetry import TelemetryClient
 
 __all__ = ["LiveDeployment", "SERVICE_NAMES"]
 
-DS_NAME = "ds"
-RS_NAME = "rs"
-PBE_TS_NAME = "pbe-ts"
-ANON_NAME = "anon"
-SERVICE_NAMES = (DS_NAME, RS_NAME, PBE_TS_NAME, ANON_NAME)
+SERVICE_NAMES = ("ds", "rs", PBE_TS_NAME, ANON_NAME)  # the single-node third parties
+LIVE_SERVICES = (
+    LiveDisseminationServer,
+    LiveRepositoryServer,
+    LivePBETokenServer,
+    LiveAnonymizationService,
+)
 
 
 class LiveDeployment:
-    """One fully-wired P3S deployment on real TCP sockets."""
+    """One fully-wired P3S deployment on real TCP sockets.
 
-    def __init__(self, config: P3SConfig | None = None):
-        self.config = config or P3SConfig()
-        self.group = PairingGroup(self.config.param_set)
-        self.ara = RegistrationAuthority(self.group, self.config.schema)
+    Built from a :class:`P3SConfig` — or from an existing
+    :class:`DeploymentPlan`, when the third parties it names run in
+    other processes (:meth:`repro.live.runner.DeploymentState.deployment`
+    fills :attr:`addresses` and :attr:`identities`; skip :meth:`start`).
+    """
+
+    def __init__(self, config: P3SConfig | DeploymentPlan | None = None):
+        if not isinstance(config, DeploymentPlan):
+            config = DeploymentPlan.derive(config or P3SConfig())
+        self.plan = config
+        self.config = self.plan.config
         self.addresses = AddressBook()
-        self.obs = self.config.obs
-        if self.obs is not None:
-            epoch = time.monotonic()
-            self.obs.bind_clock(lambda: time.monotonic() - epoch)
-            self.obs.install()
-        # shard topology (repro.cluster): 1/1 keeps the classic names
-        # and no cluster machinery at all
-        self.ds_names, self.rs_names, self.cluster = shard_topology(self.config)
+        # each service's ARA-signed channel identity, minted on first use
+        self.identities: dict[str, ServerIdentity] = {}
+        epoch = time.monotonic()
+        install_observability(self.config, lambda: time.monotonic() - epoch)
         self.ds_shards: dict[str, LiveDisseminationServer] = {}
         self.rs_shards: dict[str, LiveRepositoryServer] = {}
         self.ds: LiveDisseminationServer | None = None
         self.rs: LiveRepositoryServer | None = None
         self.pbe_ts: LivePBETokenServer | None = None
         self.anonymizer: LiveAnonymizationService | None = None
+        self._services: list = []  # what start() brought up, in bring-up order
         self.publishers: dict[str, LivePublisher] = {}
         self.subscribers: dict[str, LiveSubscriber] = {}
-        self._started = False
 
     @property
     def service_names(self) -> tuple[str, ...]:
         """Every third party in this deployment (telemetry poll set)."""
-        return (*self.ds_names, *self.rs_names, PBE_TS_NAME, ANON_NAME)
+        return self.plan.service_names
 
     # -- service bring-up -------------------------------------------------------
 
-    def _service_endpoint(self, name: str) -> LiveRpcEndpoint:
-        identity = ServerIdentity.issue(self.ara, self.group, name)
+    def build_service(self, role: str):
+        """One third party of the plan as a (not yet listening) live
+        service, under its ARA-signed channel identity."""
+        if role not in self.identities:
+            self.identities[role] = ServerIdentity.issue(
+                self.plan.ara, self.plan.group, role
+            )
+        return self.plan.service(
+            role,
+            self._client_endpoint(role, self.identities[role]),
+            LIVE_SERVICES,
+            now=LiveRepositoryServer.clock(),
+        )
+
+    def _client_endpoint(self, name: str, identity: ServerIdentity | None = None):
         return LiveRpcEndpoint(
             name,
             self.addresses,
-            ara_verify_key=self.ara.directory.ara_verify_key,
+            ara_verify_key=self.plan.ara.directory.ara_verify_key,
             identity=identity,
         )
 
-    def _client_endpoint(self, name: str) -> LiveRpcEndpoint:
-        return LiveRpcEndpoint(
-            name, self.addresses, ara_verify_key=self.ara.directory.ara_verify_key
-        )
-
     async def start(self, host: str = "127.0.0.1") -> None:
-        """Bind every third party to an ephemeral port and publish the
-        directory (addresses + ARA-signed service keys) — the live
-        rendition of §4.3's registration hand-out."""
-        config = self.config
-        for rs_name in self.rs_names:
-            self.rs_shards[rs_name] = LiveRepositoryServer(
-                self._service_endpoint(rs_name),
-                self.group,
-                t_g=config.t_g,
-                gc_interval_s=config.rs_gc_interval_s,
-            )
-        self.rs = self.rs_shards[self.rs_names[0]]
-        for ds_name in self.ds_names:
-            self.ds_shards[ds_name] = LiveDisseminationServer(
-                self._service_endpoint(ds_name),
-                self.rs_names[0],
-                metadata_topic=config.metadata_topic,
-                group=self.group,
-                match_workers=config.match_workers,
-                cluster=self.cluster,
-            )
-        self.ds = self.ds_shards[self.ds_names[0]]
-        self.pbe_ts = LivePBETokenServer(
-            self._service_endpoint(PBE_TS_NAME),
-            TokenIssuer.provisioned_by(self.ara, config),
-            self.group,
-        )
-        self.anonymizer = LiveAnonymizationService(self._service_endpoint(ANON_NAME))
-
-        for service in (
-            *self.rs_shards.values(),
-            *self.ds_shards.values(),
-            self.pbe_ts,
-            self.anonymizer,
-        ):
+        """Bind every third party to an ephemeral port and publish its
+        address next to its ARA-signed service key — the live rendition
+        of §4.3's registration hand-out (the directory itself is the
+        plan's)."""
+        plan = self.plan
+        self.rs_shards = {name: self.build_service(name) for name in plan.rs_names}
+        self.ds_shards = {name: self.build_service(name) for name in plan.ds_names}
+        self.rs = self.rs_shards[plan.rs_names[0]]
+        self.ds = self.ds_shards[plan.ds_names[0]]
+        self.pbe_ts = self.build_service(PBE_TS_NAME)
+        self.anonymizer = self.build_service(ANON_NAME)
+        self._services = [
+            *self.rs_shards.values(), *self.ds_shards.values(), self.pbe_ts, self.anonymizer
+        ]
+        for service in self._services:
             bound_host, bound_port = await service.start(host)
             self.addresses.register(
                 service.name, bound_host, bound_port, service.endpoint.identity.service_key
             )
 
-        self.ara.install_service("ds", self.ds_names[0])
-        self.ara.install_service("rs", self.rs_names[0], self.rs.pke.public)
-        self.ara.install_service("pbe_ts", PBE_TS_NAME, self.pbe_ts.pke.public)
-        self.ara.install_service("anonymizer", ANON_NAME)
-        if self.cluster is not None:
-            for rs_name, rs in self.rs_shards.items():
-                self.cluster.rs_public_keys[rs_name] = rs.pke.public
-            # by reference: every credential embeds this directory, so
-            # all clients route through the same live ClusterMap
-            self.ara.directory.cluster = self.cluster
-        self._started = True
-
     # -- participants -----------------------------------------------------------
 
     async def add_publisher(self, name: str) -> LivePublisher:
-        credentials = self.ara.register_publisher(name)
-        publisher = LivePublisher(
-            credentials,
-            self._client_endpoint(name),
-            self.group,
-            guid_bytes=self.config.guid_bytes,
+        publisher = self.plan.publisher(
+            LivePublisher, LivePorts(self._client_endpoint(name)), name
         )
-        await publisher.connect()
+        await publisher.start()
         self.publishers[name] = publisher
         return publisher
 
@@ -174,22 +149,17 @@ class LiveDeployment:
         retrieval_retries: int = 10,
         retry_delay_s: float = 0.05,
     ) -> LiveSubscriber:
-        if delegate_tokens is None:
-            delegate_tokens = self.config.delegated_matching
-        credentials = self.ara.register_subscriber(name, attributes)
-        subscriber = LiveSubscriber(
-            credentials,
-            self._client_endpoint(name),
-            self.group,
-            use_anonymizer=self.config.use_anonymizer,
-            guid_bytes=self.config.guid_bytes,
-            metadata_topic=self.config.metadata_topic,
+        subscriber = self.plan.subscriber(
+            LiveSubscriber,
+            LivePorts(self._client_endpoint(name)),
+            name,
+            attributes,
             on_payload=on_payload,
+            delegate_tokens=delegate_tokens,
             retrieval_retries=retrieval_retries,
             retry_delay_s=retry_delay_s,
-            delegate_tokens=delegate_tokens,
         )
-        await subscriber.connect()
+        await subscriber.start()
         self.subscribers[name] = subscriber
         return subscriber
 
@@ -217,20 +187,16 @@ class LiveDeployment:
 
     async def close(self) -> None:
         """Graceful teardown: clients first, then services."""
+        if self.config.profiler is not None:
+            self.config.profiler.stop()
         for publisher in self.publishers.values():
             await publisher.close()
         for subscriber in self.subscribers.values():
             await subscriber.close()
-        for service in (
-            self.anonymizer,
-            self.pbe_ts,
-            *self.ds_shards.values(),
-            *self.rs_shards.values(),
-        ):
-            if service is not None:
-                await service.close()
+        for service in reversed(self._services):
+            await service.close()
+        self._services.clear()
         self.publishers.clear()
         self.subscribers.clear()
         self.ds_shards.clear()
         self.rs_shards.clear()
-        self._started = False

@@ -285,8 +285,8 @@ class LiveRpcEndpoint:
         endpoint; the live wire measures itself.
         """
         correlation = next(self._correlation)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[correlation] = future
+        reply, _ = self.completable(timeout_s, f"call {msg_type} to {dst}")
+        self._pending[correlation] = reply
         self.pending_high_water = max(self.pending_high_water, len(self._pending))
         frame_headers = {
             **(headers or {}),
@@ -296,15 +296,41 @@ class LiveRpcEndpoint:
         }
         try:
             await self._send_frame(dst, msg_type, payload, frame_headers)
-            return await asyncio.wait_for(
-                future, timeout_s if timeout_s is not None else self.call_timeout_s
-            )
-        except asyncio.TimeoutError as exc:
-            raise TransportError(
-                f"{self._name}: call {msg_type} to {dst} timed out"
-            ) from exc
+            return await reply
         finally:
+            reply.cancel()  # disarms the deadline when the send failed; else a no-op
             self._pending.pop(correlation, None)
+
+    def completable(
+        self, timeout_s: float | None, what: str
+    ) -> tuple[asyncio.Future, Callable]:
+        """``(future, complete)``: the contract of the simulator endpoint's
+        :meth:`~repro.net.rpc.RpcEndpoint.completable`, on asyncio.  With
+        ``timeout_s`` None the deadline is the endpoint's ``call_timeout_s``."""
+        loop = asyncio.get_running_loop()
+        wait: asyncio.Future = loop.create_future()
+
+        def complete(value: Any = None) -> None:
+            if not wait.done():
+                wait.set_result(value)
+
+        def expire() -> None:
+            if not wait.done():
+                wait.set_exception(TransportError(f"{self._name}: {what} timed out"))
+
+        deadline = loop.call_later(
+            self.call_timeout_s if timeout_s is None else timeout_s, expire
+        )
+
+        def settled(_wait: asyncio.Future) -> None:
+            deadline.cancel()
+            if not wait.cancelled():
+                # mark it retrieved: a waiter that already left (its send
+                # failed first) is not an unhandled error
+                wait.exception()
+
+        wait.add_done_callback(settled)
+        return wait, complete
 
     async def cast(
         self,
@@ -356,18 +382,10 @@ class LiveRpcEndpoint:
         except (TransportError, asyncio.CancelledError):
             pass
         finally:
+            # pending calls are correlated, not per-channel: a redial may
+            # still carry their retries, so only close() fails them
             if self._channels.get(peer) is channel:
                 del self._channels[peer]
-            self._fail_pending_if_unreachable(peer)
-
-    def _fail_pending_if_unreachable(self, peer: str) -> None:
-        # calls are correlated, not per-channel; only fail them when the
-        # endpoint is shutting down (reconnect may still serve retries)
-        if not self._closed:
-            return
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(TransportError(f"endpoint {self._name} closed"))
 
     def _dispatch(self, message: TransportMessage) -> None:
         kind = message.headers.get("rpc")

@@ -2,13 +2,16 @@
 
 A :class:`Scenario` describes *what happens* — who subscribes to what,
 who publishes what under which policy — with no reference to a substrate.
-:func:`run_on_simulator` executes it inside the discrete-event simulator
-(:class:`repro.core.system.P3SSystem`); :func:`run_on_live` executes it
-over real TCP sockets (:class:`repro.live.deployment.LiveDeployment`).
-Both return the same shape — per-subscriber sorted delivered plaintexts —
-so a test can assert the two substrates deliver identical content
-(GUIDs and ciphertexts are randomized per run; the *plaintext delivery
-sets* are the substrate-independent observable).
+There is one player per substrate: :func:`play_on_simulator` runs a
+scenario on a :class:`repro.core.system.P3SSystem`,
+:func:`play_on_live` on a :class:`repro.live.deployment.LiveDeployment`
+(the chaos runner, the CLI's telemetry demos and the multi-process
+``live run`` all go through them).  :func:`run_on_simulator` and
+:func:`run_on_live` stand the deployment up as well.  Both return the
+same shape — per-subscriber sorted delivered plaintexts — so a test can
+assert the two substrates deliver identical content (GUIDs and
+ciphertexts are randomized per run; the *plaintext delivery sets* are
+the substrate-independent observable).
 """
 
 from __future__ import annotations
@@ -26,9 +29,12 @@ __all__ = [
     "PublicationSpec",
     "Scenario",
     "default_scenario",
+    "demo_metadata",
+    "delivered",
+    "play_on_simulator",
+    "play_on_live",
     "run_on_simulator",
     "run_on_live",
-    "run_live",
 ]
 
 
@@ -64,7 +70,8 @@ class Scenario:
     publisher_name: str = "pub"
 
 
-def _metadata(**overrides: str) -> tuple[tuple[str, str], ...]:
+def demo_metadata(**overrides: str) -> tuple[tuple[str, str], ...]:
+    """Default-schema metadata: every attribute "v00" but ``overrides``."""
     base = {f"attr{i:02d}": "v00" for i in range(10)}
     base.update(overrides)
     return tuple(sorted(base.items()))
@@ -90,15 +97,15 @@ def default_scenario() -> Scenario:
         ),
         publications=(
             PublicationSpec(
-                _metadata(attr00="v01"), b"breaking: acme merger", "org:acme"
+                demo_metadata(attr00="v01"), b"breaking: acme merger", "org:acme"
             ),
             PublicationSpec(
-                _metadata(attr01="v02", attr02="v03"),
+                demo_metadata(attr01="v02", attr02="v03"),
                 b"quarterly analyst brief",
                 "org:acme and role:analyst",
             ),
             PublicationSpec(
-                _metadata(attr00="v09"), b"nobody subscribed to this", "org:acme"
+                demo_metadata(attr00="v09"), b"nobody subscribed to this", "org:acme"
             ),
         ),
     )
@@ -107,21 +114,31 @@ def default_scenario() -> Scenario:
 DeliveryMap = dict[str, tuple[bytes, ...]]
 
 
-def _delivered(subscribers) -> DeliveryMap:
+def delivered(subscribers) -> DeliveryMap:
+    """Per-subscriber sorted delivered plaintexts."""
     return {
         name: tuple(sorted(d.payload for d in subscriber.stats.deliveries))
-        for name, subscriber in subscribers.items()
+        for name, subscriber in sorted(subscribers.items())
     }
 
 
-def run_on_simulator(scenario: Scenario, config: P3SConfig | None = None) -> DeliveryMap:
-    """Execute ``scenario`` in the discrete-event simulator."""
-    system = P3SSystem(config or P3SConfig())
+def play_on_simulator(system: P3SSystem, scenario: Scenario, tune=None, between=None):
+    """Subscribe everyone, run to quiescence, publish everything, run
+    to quiescence; returns the publisher.
+
+    ``tune(subscriber)`` sees each subscriber before it subscribes;
+    ``between()`` runs between the two phases — the chaos runner's
+    seams for retry hardening and for arming its fault injector.
+    """
     for spec in scenario.subscribers:
         subscriber = system.add_subscriber(spec.name, attributes=set(spec.attributes))
+        if tune is not None:
+            tune(subscriber)
         for interest in spec.interests:
             system.subscribe(subscriber, interest)
     system.run()
+    if between is not None:
+        between()
     publisher = system.add_publisher(scenario.publisher_name)
     for publication in scenario.publications:
         publisher.publish(
@@ -131,9 +148,57 @@ def run_on_simulator(scenario: Scenario, config: P3SConfig | None = None) -> Del
             ttl_s=publication.ttl_s,
         )
     system.run()
-    result = _delivered(system.subscribers)
-    system.ds.close_match_pool()
-    return result
+    return publisher
+
+
+async def play_on_live(
+    deployment: LiveDeployment,
+    scenario: Scenario,
+    expected: DeliveryMap | None = None,
+    timeout_s: float = 60.0,
+    settle_s: float = 0.2,
+) -> DeliveryMap:
+    """Subscribe everyone, publish everything, wait, and report what
+    each subscriber delivered.
+
+    ``expected`` (e.g. a prior :func:`run_on_simulator` result) tells the
+    player how many deliveries to await per subscriber; without it only
+    ``settle_s`` of quiescence after the last publication is waited —
+    fine for demos, racy for assertions.
+    """
+    for spec in scenario.subscribers:
+        subscriber = await deployment.add_subscriber(spec.name, set(spec.attributes))
+        for interest in spec.interests:
+            await subscriber.subscribe(interest)
+    publisher = await deployment.add_publisher(scenario.publisher_name)
+    for publication in scenario.publications:
+        await publisher.publish(
+            publication.metadata_dict,
+            publication.payload,
+            policy=publication.policy,
+            ttl_s=publication.ttl_s,
+        )
+    if expected is not None:
+        await asyncio.gather(
+            *(
+                deployment.subscribers[name].wait_for_deliveries(len(payloads), timeout_s)
+                for name, payloads in expected.items()
+                if payloads
+            )
+        )
+    # let non-matches, acks, counters, span ends and the RS store settle
+    await asyncio.sleep(settle_s)
+    return delivered(deployment.subscribers)
+
+
+def run_on_simulator(scenario: Scenario, config: P3SConfig | None = None) -> DeliveryMap:
+    """Execute ``scenario`` in the discrete-event simulator."""
+    system = P3SSystem(config or P3SConfig())
+    try:
+        play_on_simulator(system, scenario)
+        return delivered(system.subscribers)
+    finally:
+        system.close()
 
 
 async def run_on_live(
@@ -143,52 +208,10 @@ async def run_on_live(
     timeout_s: float = 60.0,
     settle_s: float = 0.2,
 ) -> DeliveryMap:
-    """Execute ``scenario`` over real TCP sockets on localhost.
-
-    ``expected`` (e.g. a prior :func:`run_on_simulator` result) tells the
-    runner how many deliveries to await per subscriber; without it the
-    runner waits ``settle_s`` of quiescence after the last publication —
-    fine for demos, racy for assertions.
-    """
+    """Execute ``scenario`` over real TCP sockets on localhost."""
     deployment = LiveDeployment(config)
     await deployment.start()
     try:
-        for spec in scenario.subscribers:
-            subscriber = await deployment.add_subscriber(
-                spec.name, set(spec.attributes)
-            )
-            for interest in spec.interests:
-                await subscriber.subscribe(interest)
-        publisher = await deployment.add_publisher(scenario.publisher_name)
-        for publication in scenario.publications:
-            await publisher.publish(
-                publication.metadata_dict,
-                publication.payload,
-                policy=publication.policy,
-                ttl_s=publication.ttl_s,
-            )
-        if expected is not None:
-            await asyncio.gather(
-                *(
-                    deployment.subscribers[name].wait_for_deliveries(
-                        len(payloads), timeout_s
-                    )
-                    for name, payloads in expected.items()
-                    if payloads
-                )
-            )
-        # let non-matches, counters, and the RS store settle
-        await asyncio.sleep(settle_s)
-        return _delivered(deployment.subscribers)
+        return await play_on_live(deployment, scenario, expected, timeout_s, settle_s)
     finally:
         await deployment.close()
-
-
-def run_live(
-    scenario: Scenario,
-    config: P3SConfig | None = None,
-    expected: DeliveryMap | None = None,
-    timeout_s: float = 60.0,
-) -> DeliveryMap:
-    """Synchronous wrapper: run the live scenario in a fresh event loop."""
-    return asyncio.run(run_on_live(scenario, config, expected, timeout_s))

@@ -28,14 +28,11 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Callable
 
 from ..core.anonymizer import AnonymizationService
-from ..core.config import ComputeTimings
 from ..core.ds import DisseminationServer
-from ..core.pbe_ts import PBETokenServer, TokenIssuer
-from ..core.rs import RepositoryServer, RepositoryStore
-from ..crypto.pke import PKEKeyPair
+from ..core.pbe_ts import PBETokenServer
+from ..core.rs import RepositoryServer
 from ..net.ports import LivePorts
 from ..store import StorageEngine
 from .rpc import LiveRpcEndpoint
@@ -70,12 +67,18 @@ def _store_samples(engine: StorageEngine, recovered: int) -> list[dict]:
 
 
 class _LiveService:
-    """Shared shell: one endpoint, one listener, optional background tasks."""
+    """Shared shell: one endpoint, one listener, optional background
+    tasks.  ``LiveX(endpoint, *parts, **options)`` builds the
+    :mod:`repro.core` service ``X(ports, *parts, **options)`` next in the
+    MRO over :class:`~repro.net.ports.LivePorts` on ``endpoint``."""
 
-    def __init__(self, endpoint: LiveRpcEndpoint):
+    clock = staticmethod(time.monotonic)  # what the service's ports.now() reads
+
+    def __init__(self, endpoint: LiveRpcEndpoint, *parts, **options):
         self.endpoint = endpoint
         self._tasks: list[asyncio.Task] = []
         install_telemetry(self)
+        super().__init__(LivePorts(endpoint, self.clock), *parts, **options)
 
     @property
     def name(self) -> str:
@@ -83,9 +86,6 @@ class _LiveService:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         return await self.endpoint.start_server(host, port)
-
-    def _background(self, coro) -> None:
-        self._tasks.append(asyncio.ensure_future(coro))
 
     def health_checks(self) -> dict[str, bool]:
         """Service-specific readiness checks; substrate checks (listener,
@@ -110,10 +110,6 @@ class LiveDisseminationServer(_LiveService, DisseminationServer):
     pushed back over the same connection the subscriber opened (exactly
     the "TLS tunnels" the paper's broker keeps to its clients).
     """
-
-    def __init__(self, endpoint: LiveRpcEndpoint, rs_name: str, **options):
-        _LiveService.__init__(self, endpoint)
-        DisseminationServer.__init__(self, LivePorts(endpoint), rs_name, **options)
 
     def health_checks(self) -> dict[str, bool]:
         checks = super().health_checks()
@@ -171,38 +167,15 @@ class LiveDisseminationServer(_LiveService, DisseminationServer):
 
 
 class LiveRepositoryServer(_LiveService, RepositoryServer):
-    """The RS over TCP, on the wall clock, with a real periodic GC task."""
+    """The RS over TCP, on the wall clock, with a real periodic GC task.
 
-    def __init__(
-        self,
-        endpoint: LiveRpcEndpoint,
-        group,
-        t_g: float = 60.0,
-        gc_interval_s: float = 10.0,
-        clock: Callable[[], float] = time.monotonic,
-        pke: PKEKeyPair | None = None,
-        engine: StorageEngine | None = None,
-    ):
-        _LiveService.__init__(self, endpoint)
-        RepositoryServer.__init__(
-            self,
-            LivePorts(endpoint, clock),
-            # injectable keypair: multi-process `repro live serve-rs` must
-            # use the PKE key the shared deployment state installed in
-            # the directory
-            pke or PKEKeyPair(group),
-            ComputeTimings(),
-            # now=clock(): recovered items' expiries must be rebased onto
-            # *this* process's clock epoch — the persisted readings came
-            # from a clock (time.monotonic) whose epoch died with the old
-            # boot
-            RepositoryStore(t_g=t_g, engine=engine, now=clock()),
-            gc_interval_s,
-        )
+    Its ``store`` part must have been recovered against this clock's
+    reading — ``plan.service(name, endpoint, ..., now=LiveRepositoryServer.clock())``.
+    """
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         bound = await super().start(host, port)
-        self._background(self.ports.drive(self._gc_loop()))
+        self._tasks.append(asyncio.ensure_future(self.ports.drive(self._gc_loop())))
         return bound
 
     def health_checks(self) -> dict[str, bool]:
@@ -238,18 +211,7 @@ class LiveRepositoryServer(_LiveService, RepositoryServer):
 class LivePBETokenServer(_LiveService, PBETokenServer):
     """The PBE-TS over TCP."""
 
-    def __init__(
-        self,
-        endpoint: LiveRpcEndpoint,
-        issuer: TokenIssuer,
-        group,
-        clock: Callable[[], float] = time.time,
-        pke: PKEKeyPair | None = None,
-    ):
-        _LiveService.__init__(self, endpoint)
-        PBETokenServer.__init__(
-            self, LivePorts(endpoint, clock), issuer, pke or PKEKeyPair(group), ComputeTimings()
-        )
+    clock = staticmethod(time.time)  # certificate validity is calendar time
 
     def extra_metrics(self) -> list[dict]:
         samples = super().extra_metrics()
@@ -266,10 +228,6 @@ class LivePBETokenServer(_LiveService, PBETokenServer):
 class LiveAnonymizationService(_LiveService, AnonymizationService):
     """The anonymizing relay over TCP: re-originates each inner request,
     so the RS/PBE-TS see the relay — never the subscriber — as the caller."""
-
-    def __init__(self, endpoint: LiveRpcEndpoint):
-        _LiveService.__init__(self, endpoint)
-        AnonymizationService.__init__(self, LivePorts(endpoint))
 
     def extra_metrics(self) -> list[dict]:
         samples = super().extra_metrics()

@@ -7,11 +7,18 @@ that JMS-shaped surface — connection / session / producer / consumer with
 message listeners — and the P3S client libraries in :mod:`repro.core`
 plug in beneath it.
 
-A connection rides on an :class:`~repro.net.rpc.RpcEndpoint` rather than
-owning the host's inbox: P3S clients multiplex JMS deliveries (encrypted
-metadata) and request-response traffic (token requests, retrievals) over
-the same host, exactly as the prototype multiplexes JMS and web-service
-calls.
+Every client rule — CONNECT, SUBSCRIBE fan-out, ACK to the deliverer,
+publish, acknowledged publish, reconnect — is written once, as a body
+over a substrate ports object (:mod:`repro.net.ports`): a simulator
+host stands for simulator ports on it, a live client passes
+:class:`~repro.net.ports.LivePorts`.  Whatever sends frames returns what
+``ports.finish`` returns: nothing on the simulator (the frames are on
+the wire already), an awaitable on asyncio.
+
+A connection rides on an RPC endpoint rather than owning the host's
+inbox: P3S clients multiplex JMS deliveries (encrypted metadata) and
+request-response traffic (token requests, retrievals) over the same
+host, exactly as the prototype multiplexes JMS and web-service calls.
 
 Two extensions beyond the classic JMS slice:
 
@@ -38,9 +45,7 @@ import random
 from typing import Any, Callable, Iterable
 
 from ..errors import BrokerError, TransportError
-from ..net.channel import SecureChannelLayer
-from ..net.network import Host
-from ..net.rpc import RpcEndpoint
+from ..net.ports import ports_on
 from ..obs import profile as obs
 from . import messages as frames
 from .messages import JmsFrame
@@ -55,7 +60,9 @@ def _jitter_rng(*parts: Any) -> random.Random:
 
 
 class JmsConnection:
-    """A client's connection to one broker — or to a shard set of them.
+    """A client's connection to one broker — or to a shard set of them —
+    over ``ports`` (a simulator :class:`~repro.net.network.Host` stands
+    for simulator ports on it).
 
     ``broker_name`` may be a single name or a sequence; the first entry
     stays available as :attr:`broker_name` (the classic single-broker
@@ -64,9 +71,8 @@ class JmsConnection:
 
     def __init__(
         self,
-        host: Host,
+        ports,
         broker_name: str | Iterable[str],
-        endpoint: RpcEndpoint | None = None,
         publish_retries: int = 4,
         puback_timeout_s: float = 1.0,
         publish_backoff_s: float = 0.2,
@@ -74,56 +80,52 @@ class JmsConnection:
         names = (broker_name,) if isinstance(broker_name, str) else tuple(broker_name)
         if not names:
             raise BrokerError("connection needs at least one broker")
-        self.host = host
+        self.ports = ports_on(ports)
         self.broker_names: list[str] = list(dict.fromkeys(names))
         self.broker_name = self.broker_names[0]
-        self.endpoint = endpoint or RpcEndpoint(SecureChannelLayer(host))
-        self.sim = host.network.sim
         self.publish_retries = publish_retries
         self.puback_timeout_s = puback_timeout_s
         self.publish_backoff_s = publish_backoff_s
-        self._listeners: dict[str, list[Callable[[JmsFrame], None]]] = {}
+        self._listeners: dict[str, list[Callable]] = {}
         self._pub_seq = itertools.count(1)
-        self._pending_acks: dict[tuple[str, int], Any] = {}
+        self._pending_acks: dict[tuple[str, int], Callable] = {}  # -> complete()
         self.publish_retransmits = 0
         self.publish_failures = 0
         self._started = False
 
     @property
-    def client_name(self) -> str:
-        return self.host.name
+    def endpoint(self):
+        return self.ports.endpoint
 
-    def start(self) -> None:
+    @property
+    def client_name(self) -> str:
+        return self.ports.name
+
+    def start(self):
         """CONNECT to every broker and begin dispatching deliveries."""
         if self._started:
-            return
+            return None
         self._started = True
-        self.endpoint.serve(frames.DELIVER, self._on_deliver)
-        self.endpoint.serve(frames.PUBACK, self._on_puback)
-        self.endpoint.start()
-        for broker in self.broker_names:
-            self.endpoint.cast(broker, frames.CONNECT, JmsFrame(), 64)
+        self.ports.serve(frames.DELIVER, self._on_deliver)
+        self.ports.serve(frames.PUBACK, self._on_puback)
+        self.ports.start()
+        return self._register_at(self.broker_names)
 
-    def add_broker(self, broker: str) -> None:
+    def add_broker(self, broker: str):
         """Join a broker that appeared after the connection started
         (a DS shard added by rebalancing): CONNECT, then re-SUBSCRIBE
         every topic this client listens to."""
-        if broker in self.broker_names:
-            return
-        self.broker_names.append(broker)
-        if self._started:
-            self.endpoint.cast(broker, frames.CONNECT, JmsFrame(), 64)
-            for topic in self._listeners:
-                self.endpoint.cast(
-                    broker, frames.SUBSCRIBE, JmsFrame(topic=topic), 64
-                )
+        if broker not in self.broker_names:
+            self.broker_names.append(broker)
+            if self._started:
+                return self._register_at((broker,))
 
     def create_session(self) -> "JmsSession":
         if not self._started:
             raise BrokerError("connection not started")
         return JmsSession(self)
 
-    def reconnect(self) -> None:
+    def reconnect(self):
         """Re-register with the brokers after a restart (§6.1).
 
         Re-sends CONNECT plus a SUBSCRIBE for every topic this client
@@ -131,40 +133,44 @@ class JmsConnection:
         """
         if not self._started:
             raise BrokerError("connection not started")
-        for broker in self.broker_names:
-            self.endpoint.cast(broker, frames.CONNECT, JmsFrame(), 64)
-            for topic in self._listeners:
-                self.endpoint.cast(
-                    broker, frames.SUBSCRIBE, JmsFrame(topic=topic), 64
-                )
+        return self._register_at(self.broker_names)
 
     # -- internals -------------------------------------------------------------
 
-    def _on_deliver(self, src: str, message) -> None:
+    def _register_at(self, brokers):
+        """CONNECT at each of ``brokers`` and (re-)SUBSCRIBE every topic
+        this client listens to."""
+        return self.ports.finish(self._announce(tuple(brokers), tuple(self._listeners)))
+
+    def _announce(self, brokers, topics, connect: bool = True):
+        """At each of ``brokers``: CONNECT, then SUBSCRIBE each of ``topics``."""
+        for broker in brokers:
+            if connect:
+                yield self.ports.cast(broker, frames.CONNECT, JmsFrame(), 64)
+            for topic in topics:
+                yield self.ports.cast(broker, frames.SUBSCRIBE, JmsFrame(topic=topic), 64)
+
+    def _on_deliver(self, src: str, message):
         frame: JmsFrame = message.payload
         # remember which broker delivered this copy so the consumer's
         # ACK returns to it, not to the default broker
         frame.delivered_by = src
         for listener in self._listeners.get(frame.topic, []):
-            listener(frame)
+            yield from listener(frame)
 
     def _on_puback(self, src: str, message) -> None:
-        ack = self._pending_acks.pop((src, message.payload.message_id), None)
-        if ack is not None and not ack.triggered:
-            ack.succeed(None)
+        complete = self._pending_acks.pop((src, message.payload.message_id), None)
+        if complete is not None:
+            complete()
 
-    def _register_listener(self, topic: str, listener: Callable[[JmsFrame], None]) -> None:
+    def _register_listener(self, topic: str, listener: Callable):
         self._listeners.setdefault(topic, []).append(listener)
-        for broker in self.broker_names:
-            self.endpoint.cast(broker, frames.SUBSCRIBE, JmsFrame(topic=topic), 64)
-
-    def _send_publish(self, frame: JmsFrame, broker: str | None = None) -> None:
-        self.endpoint.cast(
-            broker or self.broker_name, frames.PUBLISH, frame, frame.wire_size
+        return self.ports.finish(
+            self._announce(tuple(self.broker_names), (topic,), connect=False)
         )
 
-    def _send_ack(self, frame: JmsFrame) -> None:
-        self.endpoint.cast(
+    def _send_ack(self, frame: JmsFrame):
+        return self.ports.cast(
             getattr(frame, "delivered_by", self.broker_name),
             frames.ACK,
             JmsFrame(message_id=frame.message_id),
@@ -174,52 +180,44 @@ class JmsConnection:
     # -- reliable publish ------------------------------------------------------
 
     def publish_reliable(self, frame: JmsFrame, broker: str | None = None):
-        """Generator process: publish ``frame`` and retransmit until the
-        broker PUBACKs or the retry budget is spent.
+        """Body: publish ``frame`` and retransmit until the broker
+        PUBACKs or the retry budget is spent; returns True/False.
 
-        Yieldable from client protocol processes (``yield
-        sim.process(conn.publish_reliable(...))`` returns True/False) or
-        spawnable detached.  The sequence header survives retransmission
-        because the broker never mutates the frame it receives.
+        Drive it from a client protocol body or spawn it detached.  The
+        sequence header survives retransmission because the broker never
+        mutates the frame it receives.
         """
         target = broker or self.broker_name
         seq = next(self._pub_seq)
         frame.headers[frames.HDR_PUB_SEQ] = seq
-        for attempt in range(self.publish_retries + 1):
-            ack = self.sim.event()
-            key = (target, seq)
-            self._pending_acks[key] = ack
-
-            def _expire(key=key, ack=ack):
-                if self._pending_acks.get(key) is ack and not ack.triggered:
-                    del self._pending_acks[key]
-                    ack.fail(
-                        TransportError(
-                            f"{self.client_name}: publish seq {key[1]} to "
-                            f"{key[0]} unacknowledged"
-                        )
-                    )
-
-            # non-daemon, same rationale as RpcEndpoint.call: a parked
-            # publisher must hold the run open for its own timeout
-            self.sim.schedule(self.puback_timeout_s, _expire)
-            if attempt:
-                self.publish_retransmits += 1
-                obs.record_op("mq.publish_retransmit")
-            self.endpoint.cast(target, frames.PUBLISH, frame, frame.wire_size)
-            try:
-                yield ack
-                return True
-            except TransportError:
-                if attempt < self.publish_retries:
-                    backoff = self.publish_backoff_s * (2**attempt)
-                    jitter = _jitter_rng(
-                        self.client_name, target, seq, attempt
-                    ).uniform(0.0, backoff)
-                    yield self.sim.timeout(backoff + jitter)
-        self.publish_failures += 1
-        obs.record_op("mq.publish_failed")
-        return False
+        key = (target, seq)
+        try:
+            for attempt in range(self.publish_retries + 1):
+                # armed before the frame leaves, so the PUBACK cannot
+                # beat it; one key for every attempt, so a late ack of
+                # an earlier transmission settles the current wait
+                acked, self._pending_acks[key] = self.ports.completable(
+                    self.puback_timeout_s, f"publish seq {seq} to {target}"
+                )
+                if attempt:
+                    self.publish_retransmits += 1
+                    obs.record_op("mq.publish_retransmit")
+                try:
+                    yield self.ports.cast(target, frames.PUBLISH, frame, frame.wire_size)
+                    yield acked
+                    return True
+                except TransportError:
+                    if attempt < self.publish_retries:
+                        backoff = self.publish_backoff_s * (2**attempt)
+                        jitter = _jitter_rng(
+                            self.client_name, target, seq, attempt
+                        ).uniform(0.0, backoff)
+                        yield self.ports.sleep(backoff + jitter)
+            self.publish_failures += 1
+            obs.record_op("mq.publish_failed")
+            return False
+        finally:
+            self._pending_acks.pop(key, None)
 
 
 class JmsSession:
@@ -253,17 +251,17 @@ class MessageProducer:
         """Publish one frame.
 
         ``broker`` routes to a specific shard (default: the connection's
-        first broker).  ``reliable=True`` returns the acked-publish
-        generator for the caller's process to drive (or to hand to
-        ``sim.process``); the plain path stays a fire-and-forget cast.
+        first broker).  ``reliable=True`` returns the acked-publish body
+        for the caller to drive or spawn; the plain path is a
+        fire-and-forget cast and returns what the cast returned.
         """
         frame = JmsFrame(
             topic=self.topic, body=body, body_size=body_size, headers=headers or {}
         )
         if reliable:
             return self.connection.publish_reliable(frame, broker=broker)
-        self.connection._send_publish(frame, broker=broker)
-        return None
+        target = broker or self.connection.broker_name
+        return self.connection.ports.cast(target, frames.PUBLISH, frame, frame.wire_size)
 
 
 class MessageConsumer:
@@ -274,13 +272,14 @@ class MessageConsumer:
         self.topic = topic
         self._listener: Callable[[JmsFrame], None] | None = None
 
-    def set_message_listener(self, listener: Callable[[JmsFrame], None]) -> None:
+    def set_message_listener(self, listener: Callable[[JmsFrame], None]):
         if self._listener is not None:
             raise BrokerError("consumer already has a listener")
         self._listener = listener
-        self.connection._register_listener(self.topic, self._on_frame)
+        return self.connection._register_listener(self.topic, self._on_frame)
 
-    def _on_frame(self, frame: JmsFrame) -> None:
-        self.connection._send_ack(frame)
-        if self._listener is not None:
-            self._listener(frame)
+    def _on_frame(self, frame: JmsFrame):
+        # ACK on receipt: the broker's delivered/acked counters are the
+        # publish-ack SLO signal
+        yield self.connection._send_ack(frame)
+        self._listener(frame)

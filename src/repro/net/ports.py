@@ -6,8 +6,9 @@ the subscriber's match → retrieve → decrypt pipeline — is written once,
 in :mod:`repro.core` (and :mod:`repro.mq.broker` for the JMS slice), as
 a generator that yields what its *ports* object hands it: ``now()``,
 ``compute(model_seconds)``, ``sleep(s)``, ``call(...)``, ``cast(...)``,
-``offload(fn, *args)``, ``spawn(gen)``; ``serve(type, handler)``
-registers a handler and ``drive(gen)`` steps a body.  (The module sits
+``completable(timeout_s, what)``, ``offload(fn, *args)``, ``spawn(gen)``;
+``serve(type, handler)`` registers a handler, ``drive(gen)`` steps a
+body and ``finish(gen)`` steps one that only casts.  (The module sits
 in :mod:`repro.net`, beside the endpoints it wraps, because
 ``mq.broker`` needs it and ``core`` imports ``mq``.)
 
@@ -75,6 +76,12 @@ class _Ports:
 
     def cast(self, dst, msg_type, payload, size_bytes=None, headers=None):
         return self.endpoint.cast(dst, msg_type, payload, size_bytes, headers=headers)
+
+    def completable(self, timeout_s: float | None, what: str):
+        """``(wait, complete)``: yield ``wait`` to park until a handler
+        calls ``complete(value)`` — or, past ``timeout_s``, to get a
+        :class:`~repro.errors.TransportError` thrown in."""
+        return self.endpoint.completable(timeout_s, what)
 
     def serve(self, msg_type: str, handler: Callable) -> None:
         """Register ``handler(src, message)``; one that returns a
@@ -154,6 +161,10 @@ class LivePorts(_Ports):
         super().__init__(endpoint)
         self.now = clock
 
+    def start(self) -> None:
+        """Nothing to start: an endpoint dials on demand, and a service's
+        listener is bound by its shell (:mod:`repro.live.services`)."""
+
     def compute(self, model_seconds: float) -> None:
         return None
 
@@ -184,6 +195,10 @@ class LivePorts(_Ports):
                     value = target
         finally:
             gen.close()  # a cancelled task unwinds the body's open spans now
+
+    # a cast is a socket write, so even a body that only casts has to be
+    # awaited: "now" is the simulator's privilege
+    finish = drive
 
     def spawn(self, gen) -> None:
         self.endpoint.spawn(self.drive(gen))

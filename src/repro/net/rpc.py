@@ -36,7 +36,7 @@ class RpcEndpoint:
         self.channel = channel
         self.sim = channel.host.network.sim
         self._handlers: dict[str, Callable] = {}
-        self._pending: dict[int, Event] = {}
+        self._pending: dict[int, Callable] = {}  # correlation -> complete(reply)
         self._started = False
 
     @property
@@ -73,28 +73,16 @@ class RpcEndpoint:
         for simulation-side metadata such as the observability span
         context (none of it is accounted in ``size_bytes``).
 
-        ``timeout_s`` bounds the wait: when no response lands in time
-        the event fails with :class:`TransportError`, mirroring the
-        live endpoint's ``call_timeout_s``.  Without it a request or
+        ``timeout_s`` bounds the wait (:meth:`completable`), mirroring
+        the live endpoint's ``call_timeout_s``.  Without it a request or
         response lost on the wire would park the caller forever — the
         timeout is what turns a chaos drop into a retryable error.
         """
         correlation = next(self._correlation)
-        reply = self.sim.event()
-        self._pending[correlation] = reply
-        if timeout_s is not None:
-            def _expire(corr: int = correlation, reply: Event = reply) -> None:
-                if self._pending.pop(corr, None) is not None and not reply.triggered:
-                    reply.fail(
-                        TransportError(f"{self.name}: call {msg_type} to {dst} timed out")
-                    )
-
-            # non-daemon on purpose: a parked caller is not in the event
-            # queue, so if the expiry did not hold the run open, run()
-            # would declare quiescence with the call still outstanding
-            # and the timeout would never fire.  On success the expiry
-            # is a no-op (the correlation is gone from _pending).
-            self.sim.schedule(timeout_s, _expire)
+        reply, complete = self.completable(timeout_s, f"call {msg_type} to {dst}")
+        self._pending[correlation] = complete
+        # answered or expired, the correlation is spent
+        reply.add_callback(lambda _reply: self._pending.pop(correlation, None))
         self.channel.send(
             dst,
             msg_type,
@@ -108,6 +96,34 @@ class RpcEndpoint:
             },
         )
         return reply
+
+    def completable(self, timeout_s: float | None, what: str) -> tuple[Event, Callable]:
+        """A wait that a later frame completes: ``(event, complete)``.
+
+        ``complete(value)`` fires the event (once; later calls are
+        no-ops).  With ``timeout_s`` the event instead fails with
+        :class:`TransportError` when nothing completed it in time —
+        the RPC reply wait and the JMS client's PUBACK wait are both
+        this.
+        """
+        wait = self.sim.event()
+
+        def complete(value: Any = None) -> None:
+            if not wait.triggered:
+                wait.succeed(value)
+
+        if timeout_s is not None:
+            def _expire() -> None:
+                if not wait.triggered:
+                    wait.fail(TransportError(f"{self.name}: {what} timed out"))
+
+            # non-daemon on purpose: a parked waiter is not in the event
+            # queue, so if the expiry did not hold the run open, run()
+            # would declare quiescence with the wait still outstanding
+            # and the timeout would never fire.  Once completed the
+            # expiry is a no-op.
+            self.sim.schedule(timeout_s, _expire)
+        return wait, complete
 
     def cast(
         self,
@@ -127,7 +143,9 @@ class RpcEndpoint:
             src, message = yield self.channel.receive()
             kind = message.headers.get("rpc")
             if kind == "response":
-                self._complete(message)
+                complete = self._pending.pop(message.headers.get("corr"), None)
+                if complete is not None:
+                    complete(message.payload)
             elif kind == "request":
                 self.sim.process(self._handle_request(src, message))
             else:
@@ -137,12 +155,6 @@ class RpcEndpoint:
                 result = handler(src, message)
                 if hasattr(result, "send"):  # generator handler
                     self.sim.process(result)
-
-    def _complete(self, message) -> None:
-        correlation = message.headers.get("corr")
-        reply = self._pending.pop(correlation, None)
-        if reply is not None and not reply.triggered:
-            reply.succeed(message.payload)
 
     def _handle_request(self, src: str, message):
         handler = self._handlers.get(message.msg_type)

@@ -44,9 +44,18 @@ import io
 from dataclasses import dataclass, field
 from typing import Callable
 
-__all__ = ["Counter", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry", "nearest_rank"]
 
 _LabelKey = tuple[tuple[str, str], ...]
+
+
+def nearest_rank(ordered: list[float], fraction: float) -> float:
+    """The repo's one percentile rule: the sample at index
+    ``round(fraction * (n - 1))`` of the sorted values (0.0 when there
+    are none) — always an observed value, never an interpolation."""
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))]
 
 
 def _label_key(labels: dict[str, object]) -> _LabelKey:
@@ -76,8 +85,8 @@ class Histogram:
     """All observed values for one (name, labels) series.
 
     Raw values are kept (simulation scale makes this cheap) so any
-    percentile can be computed exactly with the same nearest-rank rule as
-    :class:`repro.core.metrics.LatencyStats`.
+    percentile can be computed exactly — :func:`nearest_rank`, the rule
+    :class:`repro.core.metrics.LatencyStats` uses too.
 
     ``exemplars`` holds up to :data:`MAX_EXEMPLARS` ``(value, trace_id)``
     pairs — the worst observations seen, each pointing at the trace that
@@ -121,11 +130,7 @@ class Histogram:
         return max(self.values) if self.values else 0.0
 
     def percentile(self, fraction: float) -> float:
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-        return ordered[index]
+        return nearest_rank(sorted(self.values), fraction)
 
 
 class MetricsRegistry:

@@ -41,7 +41,7 @@ from .model import (
     parse_folded,
     parse_speedscope,
 )
-from .sampler import DeterministicSampler, StackSampler
+from .sampler import DeterministicSampler, StackSampler, start_default_profiler
 from .workload import record_demo
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "parse_speedscope",
     "StackSampler",
     "DeterministicSampler",
+    "start_default_profiler",
     "LedgerRow",
     "cost_ledger",
     "format_ledger",

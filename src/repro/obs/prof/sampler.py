@@ -34,7 +34,7 @@ from .model import OVERFLOW_FRAME, Profile, Stack
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability import Observability
 
-__all__ = ["StackSampler", "DeterministicSampler"]
+__all__ = ["StackSampler", "DeterministicSampler", "start_default_profiler"]
 
 # Stack frames deeper than this are truncated (root side kept): protects
 # the table from pathological recursion blowing up stack cardinality.
@@ -352,3 +352,18 @@ class DeterministicSampler:
         return self._table.snapshot(
             Profile(mode=self.mode, origin=self.origin, meta=meta)
         )
+
+
+def start_default_profiler(obs, origin: str) -> StackSampler | None:
+    """The always-on wall sampler of a long-running process (a served
+    role, the in-process ``live top`` view): attached to ``obs`` and
+    started, unless ``P3S_PROFILE=off``.  ``P3S_PROFILE_HZ`` sets the
+    rate (default 19 — deliberately gentle).  The one place the two
+    variables are read.
+    """
+    if os.environ.get("P3S_PROFILE", "wall") == "off":
+        return None
+    hz = float(os.environ.get("P3S_PROFILE_HZ", "19"))
+    profiler = obs.profiler = StackSampler(hz=hz, obs=obs, origin=origin)
+    profiler.start()
+    return profiler

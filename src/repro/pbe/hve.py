@@ -41,7 +41,6 @@ resistance: components from different tokens use incompatible sharings of
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -112,8 +111,8 @@ class HVE:
     Args:
         group: the pairing group.
         precompute: evaluate ``Query`` through per-token Miller-line
-            precomputation (``None`` reads ``P3S_HVE_PRECOMPUTE``,
-            default on).  A token's line functions are computed on its
+            precomputation (default on; ``False`` is the ablation
+            seam).  A token's line functions are computed on its
             first query and cached, so a subscription matched against a
             stream of ciphertexts pays the setup once; results are
             bit-identical to the naive multi-pairing (enforced by
@@ -130,12 +129,10 @@ class HVE:
     def __init__(
         self,
         group: PairingGroup,
-        precompute: bool | None = None,
+        precompute: bool = True,
         match_cache_size: int = 256,
     ):
         self.group = group
-        if precompute is None:
-            precompute = os.environ.get("P3S_HVE_PRECOMPUTE", "1") != "0"
         self.precompute = precompute
         self._token_pre: OrderedDict[HVEToken, list] = OrderedDict()
         self._match_cache_size = match_cache_size

@@ -6,6 +6,11 @@ of the anonymizer tearing connections and delaying frames, and a
 dispatch shim duplicating DELIVER pushes at every subscriber.  Three
 fixed seeds; each run must end with simulator-equal delivery sets and a
 reassemblable span trace despite the reconnects and retries underneath.
+
+The publish leg is faulted too: live clients run the same
+``JmsConnection`` as the simulator's, so ``reliable_publish=True`` means
+PUBACK + retransmit on TCP as well — duplicated PUBLISH frames are
+deduplicated by the broker, a suppressed one is retransmitted.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import pytest
 
 from repro.chaos.proxy import FaultProxy, duplicate_dispatch, interpose
 from repro.live.deployment import LiveDeployment
-from repro.live.scenario import default_scenario, run_on_simulator
+from repro.live.scenario import default_scenario, play_on_live, run_on_simulator
 from repro.mq import messages as frames
 from repro.obs import Observability
 from repro.obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY
@@ -51,8 +56,8 @@ async def _run_faulted(scenario, config, expected, seed):
             )
             # a torn connection must surface as a retryable timeout well
             # inside the test budget, not the 15s production default
-            subscriber.endpoint.call_timeout_s = 2.0
-            duplicate_dispatch(subscriber.endpoint, frames.DELIVER, every=2)
+            subscriber.connection.endpoint.call_timeout_s = 2.0
+            duplicate_dispatch(subscriber.connection.endpoint, frames.DELIVER, every=2)
             for interest in spec.interests:
                 await subscriber.subscribe(interest)
         for proxy in proxies.values():
@@ -131,3 +136,67 @@ class TestLiveParityUnderFaults:
         assert "subscriber.retrieve" in span_names
         latency = aggregator.latency_summary()
         assert latency["count"] >= sum(1 for p in expected.values() for _ in p)
+
+
+class TestLiveReliablePublish:
+    def test_duplicated_publish_frames_are_deduplicated_by_the_broker(self):
+        from repro.core.config import P3SConfig
+
+        scenario = default_scenario()
+        expected = run_on_simulator(scenario, P3SConfig())
+
+        async def run():
+            deployment = LiveDeployment(P3SConfig(reliable_publish=True))
+            await deployment.start()
+            try:
+                duplicate_dispatch(deployment.ds.endpoint, frames.PUBLISH, every=2)
+                delivered = await play_on_live(deployment, scenario, expected)
+                publisher = deployment.publishers[scenario.publisher_name]
+                return delivered, deployment.ds.duplicate_publishes, publisher.connection
+            finally:
+                await deployment.close()
+
+        delivered, duplicate_publishes, connection = run_async(run())
+        assert delivered == expected
+        assert duplicate_publishes > 0  # the shim fired; the dedup window absorbed it
+        assert connection.publish_failures == 0
+
+    def test_a_suppressed_publish_frame_is_retransmitted_and_delivered_once(self):
+        from repro.core.config import P3SConfig
+        from repro.pbe.schema import Interest
+
+        async def run():
+            deployment = LiveDeployment(P3SConfig(reliable_publish=True))
+            await deployment.start()
+            try:
+                alice = await deployment.add_subscriber("alice", {"org:acme"})
+                await alice.subscribe(Interest({"attr00": "v01"}))
+                publisher = await deployment.add_publisher("pub")
+                publisher.connection.puback_timeout_s = 0.2  # keep the test short
+                lost = []
+
+                def lose_the_first_publish(message) -> int:
+                    if message.msg_type == frames.PUBLISH and not lost:
+                        lost.append(message)
+                        return 0  # never dispatched: no PUBACK, no fan-out
+                    return 1
+
+                deployment.ds.endpoint.dispatch_fanout = lose_the_first_publish
+                metadata = {f"attr{i:02d}": "v00" for i in range(10)} | {"attr00": "v01"}
+                await publisher.publish(metadata, b"only once", policy="org:acme")
+                await alice.wait_for_deliveries(1, 30.0)
+                await asyncio.sleep(0.3)  # a second copy would have landed by now
+                return (
+                    len(lost),
+                    [d.payload for d in alice.stats.deliveries],
+                    publisher.connection.publish_retransmits,
+                    deployment.ds.duplicate_publishes,
+                )
+            finally:
+                await deployment.close()
+
+        lost, payloads, retransmits, duplicate_publishes = run_async(run())
+        assert lost == 1
+        assert payloads == [b"only once"]
+        assert retransmits >= 1
+        assert duplicate_publishes == 0  # the DS saw that sequence number once

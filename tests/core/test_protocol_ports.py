@@ -45,15 +45,17 @@ from repro.core.publisher import encrypt_metadata_envelope, encrypt_payload_ciph
 from repro.core.rs import (
     RepositoryServer,
     RepositoryStore,
+    decode_retrieval_request,
     decode_retrieval_response,
     encode_retrieval_request,
 )
 from repro.core.subscriber import SubscriberProtocol
 from repro.crypto.group import PairingGroup
-from repro.crypto.pke import PKEKeyPair
+from repro.crypto.pke import PKEKeyPair, pke_overhead
 from repro.crypto.symmetric import SecretBox
-from repro.errors import BrokerError, RetrievalError, TransportError
+from repro.errors import BrokerError, RetrievalError, TokenRequestError, TransportError
 from repro.mq import messages as frames
+from repro.mq.client import JmsConnection
 from repro.mq.messages import JmsFrame
 from repro.pbe.hve import HVE
 from repro.pbe.schema import AttributeSpec, Interest, MetadataSchema
@@ -81,6 +83,18 @@ class _Failed:
         self.error = error
 
 
+class _Wait:
+    """What ``completable`` hands out: completed by now, or it never will be."""
+
+    def __init__(self, what: str):
+        self.what = what
+        self.completed = False
+        self.value = None
+
+    def complete(self, value=None) -> None:
+        self.completed, self.value = True, value
+
+
 def run(gen):
     """The whole driver: answer every yield with the yielded value."""
     value = failure = None
@@ -89,6 +103,13 @@ def run(gen):
             target = gen.send(value) if failure is None else gen.throw(failure)
         except StopIteration as stop:
             return stop.value
+        if isinstance(target, _Wait):
+            # nothing runs concurrently here: an uncompleted wait has timed out
+            target = (
+                target.value
+                if target.completed
+                else _Failed(TransportError(f"{target.what} timed out"))
+            )
         value, failure = (
             (None, target.error) if isinstance(target, _Failed) else (target, None)
         )
@@ -142,11 +163,20 @@ class RecordingPorts:
         reply, _size = self.net[dst].deliver(self.name, msg_type, payload, headers)
         return reply
 
+    def completable(self, timeout_s, what):
+        wait = _Wait(what)
+        return wait, wait.complete
+
     def offload(self, fn, *args, span=None):
         return fn(*args)
 
+    def start(self) -> None:
+        pass
+
     def drive(self, gen):
         return run(gen)
+
+    finish = drive
 
     def spawn(self, gen) -> None:
         self.spawned += 1
@@ -446,6 +476,50 @@ class TestTokenRequestExchange:
         assert ports.deliver("anon", RPC_TOKEN_REQUEST, stray) == (b"\x00", 1)
 
 
+def _hostile(group, pke):
+    """PKE ciphertexts a hostile peer can send: each too short to hold
+    an ephemeral point plus a sealed body, or cut inside the seal."""
+    sealed = pke.public.encrypt(b"{}")
+    floor = pke_overhead(group)
+    return {
+        "empty": b"",
+        "one byte": b"\x00",
+        "point only": sealed[: group.g1_bytes],
+        "seal cut below its overhead": sealed[: floor - 1],
+        "seal cut by one byte": sealed[:-1],
+    }
+
+
+HOSTILE_CASES = ("empty", "one byte", "point only", "seal cut below its overhead",
+                 "seal cut by one byte")  # fmt: skip
+
+
+class TestHostileRequestBytes:
+    """A short PKE ciphertext is refused as a bad request by both
+    decoders that face the anonymizer, never an escaped crypto error
+    (which would kill the RS / PBE-TS handler)."""
+
+    @pytest.mark.parametrize("case", HOSTILE_CASES)
+    def test_retrieval_request_is_refused(self, group, case):
+        pke = PKEKeyPair(group)
+        with pytest.raises(RetrievalError):
+            decode_retrieval_request(pke, _hostile(group, pke)[case])
+
+    @pytest.mark.parametrize("case", HOSTILE_CASES)
+    def test_token_request_is_refused(self, group, ara, case):
+        pke = PKEKeyPair(group)
+        master_key, verify_key = ara.provision_pbe_ts()
+        issuer = TokenIssuer(HVE(group), master_key, SCHEMA, verify_key)
+        with pytest.raises(TokenRequestError):
+            issuer.open_request(pke, _hostile(group, pke)[case])
+
+    @pytest.mark.parametrize("case", HOSTILE_CASES)
+    def test_rs_handler_survives_and_answers_the_bare_error(self, group, case):
+        ports = RecordingPorts("rs")
+        rs = _rs(ports, group)
+        assert ports.deliver("anon", RPC_RETRIEVE, _hostile(group, rs.pke)[case]) == (b"\x00", 1)
+
+
 class TestAnonymizerRelay:
     def test_inner_request_is_reoriginated(self):
         net: dict = {}
@@ -461,14 +535,73 @@ class TestAnonymizerRelay:
         assert relay.observed_links == [("alice", "rs")] and relay.forwarded_count == 1
 
 
+# -- JMS client ---------------------------------------------------------------------
+
+
+class TestJmsClient:
+    def _client(self, brokers=("ds0", "ds1")):
+        net: dict = {}
+        ports = RecordingPorts("alice", net)
+        connection = JmsConnection(ports, brokers, publish_retries=2)
+        connection.start()
+        return net, ports, connection
+
+    def test_registration_reaches_every_broker_connect_first(self):
+        _, ports, connection = self._client()
+        assert ports.sent(frames.CONNECT) == ["ds0", "ds1"]
+        got = []
+        connection.create_session().create_consumer("t").set_message_listener(got.append)
+        assert ports.sent(frames.SUBSCRIBE) == ["ds0", "ds1"]
+        ports.casts.clear()
+        connection.add_broker("ds2")  # a shard that joined later
+        assert [(dst, kind) for dst, kind, _, _ in ports.casts] == [
+            ("ds2", frames.CONNECT), ("ds2", frames.SUBSCRIBE),
+        ]  # fmt: skip
+        ports.casts.clear()
+        connection.reconnect()  # §6.1: a restarted DS rebuilt its registry from scratch
+        assert ports.sent(frames.CONNECT) == ports.sent(frames.SUBSCRIBE) == ["ds0", "ds1", "ds2"]
+
+    def test_ack_returns_to_the_broker_that_delivered(self):
+        _, ports, connection = self._client()
+        got = []
+        connection.create_session().create_consumer("t").set_message_listener(got.append)
+        ports.deliver("ds1", frames.DELIVER, JmsFrame(topic="t", body=b"x", message_id=9))
+        ports.deliver("ds1", frames.DELIVER, JmsFrame(topic="other", body=b"y", message_id=10))
+        assert [frame.body for frame in got] == [b"x"]
+        (ack,) = [(dst, p.message_id) for dst, kind, p, _ in ports.casts if kind == frames.ACK]
+        assert ack == ("ds1", 9)
+
+    def test_reliable_publish_retransmits_until_acked_and_the_broker_dedups(self):
+        net, ports, connection = self._client(brokers=("ds",))
+        ds_ports = RecordingPorts("ds", net)
+        ds = _connected_ds(ds_ports, ["alice"])
+        ds.crashed = True  # the first transmission falls on a dead broker
+        producer = connection.create_session().create_producer("p3s.publish")
+
+        def revive_then_sleep(seconds):
+            ports.slept.append(seconds)
+            ds.crashed = False
+
+        ports.sleep = revive_then_sleep
+        envelope = EncryptedMetadata(hve_bytes=b"x" * 40, publication_id=1)
+        body = producer.send(
+            envelope, 40, headers={"p3s-kind": KIND_METADATA}, broker="ds", reliable=True
+        )
+        assert run(body) is True
+        assert ports.sent(frames.PUBLISH) == ["ds", "ds"] and len(ports.slept) == 1
+        assert connection.publish_retransmits == 1 and connection.publish_failures == 0
+        assert ds.published_count == 1 and ds.duplicate_publishes == 0
+        assert connection._pending_acks == {}
+
+    def test_reliable_publish_gives_up_after_its_budget(self):
+        _, ports, connection = self._client(brokers=("ds",))  # nobody is listening on "ds"
+        producer = connection.create_session().create_producer("p3s.publish")
+        assert run(producer.send(b"x", 1, reliable=True)) is False
+        assert len(ports.sent(frames.PUBLISH)) == 3  # 1 + publish_retries
+        assert connection.publish_failures == 1 and connection._pending_acks == {}
+
+
 # -- subscriber --------------------------------------------------------------------
-
-
-class _Subscriber(SubscriberProtocol):
-    broker_names = ("ds0", "ds1")
-
-    def _send_to_ds(self, body, size, headers, broker):
-        return self.ports.cast(broker, frames.PUBLISH, _frame(headers["p3s-kind"], body), size)
 
 
 class TestSubscriberRetrieval:
@@ -489,16 +622,17 @@ class TestSubscriberRetrieval:
             anonymizer_name="anon", cluster=cluster, rs_name="rs0", rs_public_key=None
         )
         ports = RecordingPorts("alice", net)
-        alice = _Subscriber(
+        alice = SubscriberProtocol(
             SimpleNamespace(
                 name="alice", directory=directory, cpabe_secret_key=credentials.cpabe_secret_key
             ),
-            ports,
+            JmsConnection(ports, ("ds0", "ds1")),
             group,
             TIMINGS,
             retrieval_retries=3,
             retry_delay_s=0.25,
         )
+        alice.start()
         guid = b"\x42" * 16
         ciphertext = encrypt_payload_ciphertext(
             alice.cpabe, group, ara.cpabe_public_key, guid, b"the payload", "org"
@@ -574,4 +708,4 @@ class TestSubscriberRetrieval:
         assert world.ports.sent(frames.PUBLISH) == ["ds0", "ds1"]
         alice.delegate_tokens = False
         run(alice._register_with_ds(token, KIND_TOKEN_REG))
-        assert len(world.ports.casts) == 2  # local matching tells no one
+        assert len(world.ports.sent(frames.PUBLISH)) == 2  # local matching tells no one

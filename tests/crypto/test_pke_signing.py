@@ -32,7 +32,7 @@ class TestPKE:
             other.decrypt(self.keys.public.encrypt(b"m"))
 
     def test_short_ciphertext_rejected(self):
-        with pytest.raises(SerializationError):
+        with pytest.raises(DecryptionError):
             self.keys.decrypt(b"tiny")
 
     def test_corrupt_ephemeral_point_rejected(self):

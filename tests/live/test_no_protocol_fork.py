@@ -4,19 +4,25 @@ ROADMAP aim 2 — "one implementation of each protocol rule" — as a test
 instead of a sentence.  Every rule lives in :mod:`repro.core` (and
 :mod:`repro.mq.broker`) as a generator over substrate ports; a module
 under ``src/repro/live/`` that starts importing the registry codec, the
-match pool, a ``p3s-kind`` routing constant or a request codec, or that
-defines a function by the name of a body the merge deleted, is growing
-the fork back.  No sockets here: the scan is pure ``ast``.
+match pool, a ``p3s-kind`` routing constant or a request codec, that
+names a JMS frame type (the client rules are :mod:`repro.mq.client`'s,
+over the same ports), or that defines a function by the name of a body
+the merges deleted, is growing the fork back.  The deployment is derived
+once too: ``install_service`` has one calling module.  No sockets here:
+the scan is pure ``ast`` and ``re``.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
 import repro.live
+from repro.mq import messages as frames
 
 LIVE_DIR = pathlib.Path(repro.live.__file__).parent
+SRC_DIR = LIVE_DIR.parent
 
 # the protocol bodies deleted from live/services.py and live/clients.py
 DELETED_BODIES = {
@@ -26,11 +32,18 @@ DELETED_BODIES = {
     "_handle_retrieve", "_handle_token_request", "_handle_forward", "publish",
     "subscribe", "_register_with_ds", "unsubscribe", "_on_deliver", "_retrieve",
     "_anonymized_call",
+    # the live JMS client slice (live/clients.py _LiveJmsClient), now mq/client.py
+    "connect", "_send_to_ds", "_on_frame",
 }  # fmt: skip
 FORBIDDEN_MODULES = ("repro.store.codec", "repro.par")
 # the frame kinds the DS routes on; the telemetry plane's admin RPC kinds
 # (KIND_HEALTH/METRICS/SPANS/PROFILE) are live-only and not protocol rules
 ROUTING_KINDS = {"KIND_METADATA", "KIND_PAYLOAD", "KIND_TOKEN_REG", "KIND_TOKEN_UNREG"}
+# the JMS frame types a client or broker casts, by constant name and by
+# wire value; wire.py is the codec and may name anything it encodes
+JMS_FRAME_TYPES = {"CONNECT", "SUBSCRIBE", "UNSUBSCRIBE", "PUBLISH", "ACK", "PUBACK"}
+JMS_WIRE_VALUES = {getattr(frames, name): name for name in JMS_FRAME_TYPES}
+CODEC_MODULE = "wire.py"
 
 
 def _absolute(module: str | None, level: int, package: str) -> str:
@@ -39,6 +52,22 @@ def _absolute(module: str | None, level: int, package: str) -> str:
     parts = package.split(".")
     base = parts[: len(parts) - level + 1]
     return ".".join(base + ([module] if module else []))
+
+
+def _jms_frame_types(node: ast.AST) -> list[str]:
+    """The JMS frame types ``node`` names: imported, as a bare or dotted
+    identifier, or spelled out as the wire string."""
+    if isinstance(node, ast.ImportFrom):
+        named = [alias.name for alias in node.names]
+    elif isinstance(node, ast.Name):
+        named = [node.id]
+    elif isinstance(node, ast.Attribute):
+        named = [node.attr]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        named = [JMS_WIRE_VALUES.get(node.value)]
+    else:
+        return []
+    return [name for name in named if name in JMS_FRAME_TYPES]
 
 
 def _violations(path: pathlib.Path) -> list[str]:
@@ -66,6 +95,8 @@ def _violations(path: pathlib.Path) -> list[str]:
                     "repro.live"
                 ):
                     found.append(f"imports request codec {alias.name}")
+        if path.name != CODEC_MODULE:
+            found.extend(f"names JMS frame type {name}" for name in _jms_frame_types(node))
     return [f"{path.name}: {what}" for what in found]
 
 
@@ -94,3 +125,39 @@ def test_the_scan_sees_a_fork(tmp_path):
         "forked.py: imports request codec decode_retrieval_request",
         "forked.py: defines protocol body _on_publish()",
     ]
+
+
+def test_the_scan_sees_a_live_jms_client(tmp_path):
+    """The pre-merge ``_LiveJmsClient``, re-introduced, trips the gate."""
+    forked = tmp_path / "clients.py"
+    forked.write_text(
+        "from ..mq import messages as frames\n"
+        "from ..mq.messages import ACK, JmsFrame\n"
+        "class _LiveJmsClient:\n"
+        "    async def connect(self):\n"
+        "        await self.endpoint.cast('ds', frames.CONNECT, JmsFrame())\n"
+        "    def _send_to_ds(self, body, size, headers, broker):\n"
+        "        return self.endpoint.cast(broker, 'jms.publish', body)\n"
+    )
+    assert sorted(_violations(forked)) == [
+        "clients.py: defines protocol body _send_to_ds()",
+        "clients.py: defines protocol body connect()",
+        "clients.py: names JMS frame type ACK",
+        "clients.py: names JMS frame type CONNECT",
+        "clients.py: names JMS frame type PUBLISH",
+    ]
+    # the codec is exempt: it may name whatever it encodes
+    codec = tmp_path / "wire.py"
+    codec.write_text("from ..mq.messages import PUBLISH\n")
+    assert _violations(codec) == []
+
+
+def test_the_deployment_is_derived_in_one_module():
+    """The four ``install_service`` calls (Fig. 1's directory) are typed
+    once; simulator, TCP deployment and runner realise that plan."""
+    callers = sorted(
+        str(path.relative_to(SRC_DIR))
+        for path in SRC_DIR.rglob("*.py")
+        if re.search(r"\.install_service\(", path.read_text(encoding="utf-8"))
+    )
+    assert callers == ["core/plan.py"]

@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.system import P3SSystem
+from repro.errors import StorageError
+from repro.live.deployment import LiveDeployment
 from repro.live.rpc import AddressBook, LiveRpcEndpoint
 from repro.live.services import LiveDisseminationServer
+from repro.pbe.schema import Interest
 from repro.store import WalEngine
 from repro.store.codec import NS_TOKENS, encode_token, token_key
 
-from .conftest import run_async
+from .conftest import run_async, small_config
 
 pytestmark = pytest.mark.live
 
@@ -63,3 +67,50 @@ class TestRecoveredRegistrationsWarmPool:
             assert ds.health_checks()["match_pool_warm"]
         finally:
             run_async(ds.close())
+
+
+class TestDeploymentHonoursTheStoreConfig:
+    """``P3SConfig``'s store fields reach the live RS/DS engines exactly
+    as they reach the simulator's (both realise one DeploymentPlan)."""
+
+    def test_wal_backend_persists_and_recovers_across_deployments(self, tmp_path):
+        config = small_config(
+            store_backend="wal",
+            data_dir=str(tmp_path),
+            store_key=b"k" * 32,
+            store_fsync=False,
+        )
+
+        async def first_boot():
+            deployment = LiveDeployment(config)
+            await deployment.start()
+            try:
+                assert deployment.rs.store.engine.durable and deployment.ds.store.durable
+                alice = await deployment.add_subscriber("alice", {"org"})
+                await alice.subscribe(Interest({"topic": "a"}))
+                publisher = await deployment.add_publisher("pub")
+                await publisher.publish({"topic": "a", "prio": "hi"}, b"kept", policy="org")
+                await alice.wait_for_deliveries(1)
+            finally:
+                await deployment.close()
+
+        async def second_boot():
+            deployment = LiveDeployment(config)
+            await deployment.start()
+            try:
+                return deployment.rs.store.recovered_count, deployment.ds.recovered_registrations
+            finally:
+                await deployment.close()
+
+        run_async(first_boot())
+        assert (tmp_path / "rs").exists() and (tmp_path / "ds").exists()
+        recovered_items, recovered_registrations = run_async(second_boot())
+        assert recovered_items >= 1  # the published ciphertext
+        assert recovered_registrations >= 1  # alice's metadata-topic subscription
+
+    def test_durable_backend_without_data_dir_is_refused_like_the_simulator(self):
+        config = small_config(store_backend="wal")
+        with pytest.raises(StorageError):
+            P3SSystem(config)
+        with pytest.raises(StorageError):
+            run_async(LiveDeployment(config).start())

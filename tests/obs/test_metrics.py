@@ -94,6 +94,37 @@ class TestHistograms:
         assert histogram.percentile(1.5) == 3.0
 
 
+class TestOnePercentileRule:
+    """``nearest_rank`` is the only percentile in the repo; Histogram
+    and LatencyStats both answer through it."""
+
+    # n -> (p50, p95, p99) of the samples 0.0 .. n-1: index round(f * (n-1)),
+    # ties to even as Python rounds
+    PINNED = {
+        1: (0.0, 0.0, 0.0),
+        2: (0.0, 1.0, 1.0),  # round(0.5) == 0
+        20: (10.0, 18.0, 19.0),  # round(9.5) == 10, round(18.05) == 18
+        101: (50.0, 95.0, 99.0),
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_rule_is_pinned_and_shared(self, n):
+        from repro.core.metrics import LatencyStats
+        from repro.obs.metrics import nearest_rank
+
+        values = [float(v) for v in range(n)]
+        p50, p95, p99 = self.PINNED[n]
+        assert tuple(nearest_rank(values, f) for f in (0.5, 0.95, 0.99)) == (p50, p95, p99)
+        registry = MetricsRegistry()
+        for value in reversed(values):  # both callers sort for themselves
+            registry.observe("h", value)
+        histogram = registry.histogram("h")
+        assert tuple(histogram.percentile(f) for f in (0.5, 0.95, 0.99)) == (p50, p95, p99)
+        stats = LatencyStats.from_values(list(reversed(values)))
+        assert (stats.median, stats.p95, stats.p99) == (p50, p95, p99)
+        assert stats.maximum == histogram.percentile(1.0) == float(n - 1)
+
+
 class TestSeriesSnapshots:
     def test_counter_series_filter(self):
         registry = MetricsRegistry()
