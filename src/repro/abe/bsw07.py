@@ -74,11 +74,15 @@ class CPABECiphertext:
     leaf_components: tuple[tuple[str, Point, Point], ...]  # (att(y), C_y, C'_y) in leaf order
 
 
+_ATTRIBUTE_MEMO_SIZE = 1024  # hashed attribute points kept per CPABE instance
+
+
 class CPABE:
     """The BSW07 scheme over a :class:`PairingGroup`."""
 
     def __init__(self, group: PairingGroup):
         self.group = group
+        self._attribute_points: dict[str, Point] = {}
 
     # -- Setup ---------------------------------------------------------------
 
@@ -184,7 +188,15 @@ class CPABE:
     # -- internals -------------------------------------------------------------------
 
     def _hash_attribute(self, attribute: str) -> Point:
-        return self.group.hash_to_g1("cpabe-attr:" + attribute)
+        """``H(attribute)``, memoised: the same few attribute strings recur on
+        every encrypt/keygen/delegate and each hash is a cofactor multiplication."""
+        point = self._attribute_points.get(attribute)
+        if point is None:
+            if len(self._attribute_points) >= _ATTRIBUTE_MEMO_SIZE:
+                self._attribute_points.clear()
+            point = self.group.hash_to_g1("cpabe-attr:" + attribute)
+            self._attribute_points[attribute] = point
+        return point
 
     def _share_secret(self, node: PolicyNode, secret: int) -> list[int]:
         """Shamir-share ``secret`` down the tree; returns per-leaf shares in leaf order."""

@@ -2,9 +2,15 @@
 
 Points live in ``E(F_q)``; the pairing module applies the distortion map
 ``ψ(x, y) = (−x, i·y)`` implicitly, so this module never needs points with
-``F_q²`` coordinates.  Affine coordinates are used throughout: CPython's
-``pow(x, -1, q)`` makes the per-addition modular inverse cheap relative to
-the bignum multiplies, and affine formulas keep the Miller loop simple.
+``F_q²`` coordinates.
+
+Representation rule: a :class:`Point` is *affine* — at rest, on the wire,
+in every table and as every result — so equality, hashing and serialization
+see one canonical form.  A modular inverse costs 40–55 field
+multiplications, so only the single-operation group law (``+``,
+``double``) pays one per call; every scalar multiplication runs in
+Jacobian coordinates (:mod:`repro.crypto.jacobian`) and pays one inversion
+per result, every table build one per batch.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from collections import OrderedDict
 
 from ..errors import NotOnCurveError, SerializationError
 from ..obs.profile import record_op
-from .field import fq_is_square, fq_sqrt
+from .field import fq_inv, fq_is_square, fq_sqrt
+from .jacobian import INFINITY, add_affine, multiples, normalise, scalar_mul
 from .params import TypeAParams
 
 __all__ = [
@@ -99,30 +106,33 @@ class FixedBaseTable:
         self.base = base
         self.window = window
         self.max_bits = max_bits
-        num_rows = -(-max_bits // window)  # ceil
+        params, q, width = base.params, base.params.q, 1 << window
         rows: list[list[Point]] = []
-        current = base
-        for _ in range(num_rows):
-            row = [current]
-            for _ in range(2, 1 << window):
-                row.append(row[-1] + current)
-            rows.append(row)
-            current = row[-1] + current  # 2^window · current
+        current = (base.x, base.y, 1)
+        for _ in range(-(-max_bits // window)):  # ceil
+            # 1·cur … 2^w·cur with one inversion; the last one seeds the next
+            # row (None once a base of small order has run out: 2^(w·j)·B = O)
+            row = [None] * width if current is None else multiples(*current[:2], width, q)
+            current = row.pop()
+            rows.append([Point._from_affine(entry, params) for entry in row])
         self.rows = rows
 
     def mul(self, k: int) -> "Point":
         """``k · B`` by table lookups; ``k`` must be in ``[0, 2^max_bits)``."""
-        result = Point.infinity(self.base.params)
+        q = self.base.params.q
         mask = (1 << self.window) - 1
         rows = self.rows
+        X, Y, Z = INFINITY
         j = 0
         while k:
             digit = k & mask
             if digit:
-                result = result + rows[j][digit - 1]
+                entry = rows[j][digit - 1]
+                if entry.x is not None:
+                    X, Y, Z, _ = add_affine(X, Y, Z, entry.x, entry.y, q)
             k >>= self.window
             j += 1
-        return result
+        return Point._from_affine(normalise([(X, Y, Z)], q)[0], self.base.params)
 
 
 def fixed_base_table(point: "Point", max_bits: int | None = None) -> FixedBaseTable:
@@ -233,9 +243,9 @@ class Point:
         if x1 == x2:
             if (y1 + y2) % q == 0:
                 return Point.infinity(self.params)
-            lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, q) % q
+            lam = (3 * x1 * x1 + 1) * fq_inv(2 * y1, q) % q
         else:
-            lam = (y2 - y1) * pow(x2 - x1, -1, q) % q
+            lam = (y2 - y1) * fq_inv(x2 - x1, q) % q
         x3 = (lam * lam - x1 - x2) % q
         y3 = (lam * (x1 - x3) - y1) % q
         return Point(x3, y3, self.params, check=False)
@@ -248,8 +258,8 @@ class Point:
 
         ``k`` is used as given — it is *not* reduced modulo ``r``, because
         cofactor clearing multiplies points that are not yet in the
-        order-``r`` subgroup.  Large scalars go through the windowed
-        ladder (fewer additions); small ones use plain double-and-add.
+        order-``r`` subgroup.  Large scalars use a 4-bit window (fewer
+        additions); small ones plain double-and-add.
         """
         if k < 0:
             return (-self) * (-k)
@@ -264,17 +274,7 @@ class Point:
                 _fb_hits += 1
                 record_op("g1_exp.fixed_base")
                 return table.mul(k)
-        if bits > 32:
-            return self.scalar_mul_windowed(k)
-        result = Point.infinity(self.params)
-        addend = self
-        while k:
-            if k & 1:
-                result = result + addend
-            k >>= 1
-            if k:
-                addend = addend + addend
-        return result
+        return self.scalar_mul_windowed(k, 4 if bits > 32 else 1)
 
     __rmul__ = __mul__
 
@@ -283,27 +283,21 @@ class Point:
 
         Precomputes ``2^w − 1`` multiples, then needs one addition per
         ``w`` doublings — roughly a quarter of the additions of plain
-        double-and-add for 160-bit scalars at ``w = 4``.
+        double-and-add (``w = 1``) for 160-bit scalars at ``w = 4``.
         """
         if k < 0:
             return (-self).scalar_mul_windowed(-k, window_bits)
         if k == 0 or self.is_infinity:
             return Point.infinity(self.params)
-        table = [Point.infinity(self.params), self]
-        for _ in range(2, 1 << window_bits):
-            table.append(table[-1] + self)
-        result = Point.infinity(self.params)
-        mask = (1 << window_bits) - 1
-        digits = []
-        while k:
-            digits.append(k & mask)
-            k >>= window_bits
-        for digit in reversed(digits):
-            for _ in range(window_bits):
-                result = result + result
-            if digit:
-                result = result + table[digit]
-        return result
+        result = scalar_mul(self.x, self.y, k, self.params.q, window_bits)
+        return Point._from_affine(result, self.params)
+
+    @classmethod
+    def _from_affine(cls, entry: tuple | None, params: TypeAParams) -> "Point":
+        """Wrap one :func:`jacobian.normalise` result (``None`` = infinity)."""
+        if entry is None:
+            return cls.infinity(params)
+        return cls(entry[0], entry[1], params, check=False)
 
     # -- serialization -------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from ..errors import ParameterError
 from ..obs.profile import record_op
 
-__all__ = ["Fq2", "fq_inv", "fq_sqrt", "fq_is_square"]
+__all__ = ["Fq2", "fq_inv", "fq_batch_inv", "fq_sqrt", "fq_is_square"]
 
 
 def fq_inv(a: int, q: int) -> int:
@@ -29,6 +29,30 @@ def fq_inv(a: int, q: int) -> int:
     behaviour of :func:`pow` with exponent ``-1``.
     """
     return pow(a, -1, q)
+
+
+def fq_batch_inv(values: list[int], q: int) -> list[int]:
+    """Invert every non-zero entry of ``values`` (each reduced modulo ``q``).
+
+    Montgomery's simultaneous-inversion trick: one :func:`fq_inv` of the
+    running product plus three multiplications per entry.  Zeros come back
+    as zeros, so a batch may carry points at infinity (``Z = 0``).
+    """
+    if not values:
+        return []
+    prefix = []
+    acc = 1
+    for value in values:
+        prefix.append(acc)
+        if value:
+            acc = acc * value % q
+    inv = fq_inv(acc, q)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        if values[i]:
+            out[i] = inv * prefix[i] % q
+            inv = inv * values[i] % q
+    return out
 
 
 def fq_is_square(a: int, q: int) -> bool:
@@ -131,7 +155,7 @@ class Fq2:
         norm = (self.a * self.a + self.b * self.b) % q
         if norm == 0:
             raise ZeroDivisionError("inverse of zero in F_q2")
-        inv_norm = pow(norm, -1, q)
+        inv_norm = fq_inv(norm, q)
         return Fq2(self.a * inv_norm, -self.b * inv_norm, q)
 
     def __pow__(self, exponent: int) -> "Fq2":

@@ -6,7 +6,7 @@ the distortion map ``ψ(x, y) = (−x, i·y)`` sends ``E(F_q)`` into
 
     ê(P, Q) = f_{r,P}(ψ(Q)) ^ ((q² − 1) / r),   ê : G1 × G1 → GT ⊂ F_q².
 
-Two standard optimisations for even embedding degree are used:
+Three standard optimisations for even embedding degree are used:
 
 * **Denominator elimination** — vertical-line values lie in the subfield
   ``F_q`` and are annihilated by the final exponentiation (which contains
@@ -15,6 +15,13 @@ Two standard optimisations for even embedding degree are used:
   slope ``λ``, evaluated at ``ψ(Q) = (−x_Q, i·y_Q)``, equals
   ``(λ·(x_Q + x_T) − y_T) + i·y_Q`` — its real part needs only ``F_q``
   arithmetic and its imaginary part is constant across the whole loop.
+* **Inversion-free steps** — the plain loop carries ``T`` in Jacobian
+  coordinates (:mod:`repro.crypto.jacobian`), whose steps hand back the
+  slope as a fraction ``N / Z₃``; each line is multiplied through by its
+  denominator, a factor in ``F_q*`` that the final exponentiation kills
+  for the same reason.  A raw Miller value is therefore defined only up to
+  ``F_q*``; :func:`precompute_miller` divides the slopes out in one batch
+  and stores plain affine lines.
 
 :func:`multi_pairing` computes ``Π ê(P_j, Q_j)`` sharing the accumulator
 squaring and the final exponentiation across all pairs — the dominant cost
@@ -28,6 +35,7 @@ from ..errors import ParameterError
 from ..obs.profile import record_op
 from .curve import Point
 from .field import Fq2
+from .jacobian import add_affine, double, normalise
 from .params import TypeAParams
 
 __all__ = [
@@ -43,64 +51,49 @@ __all__ = [
 ]
 
 
-def _line_real(xt: int, yt: int, lam: int, xq: int, q: int) -> int:
-    """Real part of the line through T (slope lam) evaluated at ψ(Q)."""
-    return (lam * (xq + xt) - yt) % q
+def _miller_product(pairs: list[tuple[Point, Point]], params: TypeAParams) -> Fq2:
+    """``Π_j f_{r,P_j}(ψ(Q_j))`` over finite pairs, up to a factor in ``F_q*``.
+
+    Identity: ``Π_j f_j² · l_j = (Π_j f_j)² · Π_j l_j``, so a single
+    ``F_q²`` accumulator (raw ints) serves every pair: per Miller step one
+    squaring in total plus one line multiplication per pair.
+    """
+    q = params.q
+    # [X, Y, Z, xp, yp, xq, yq] per pair: the running point T, then constants
+    live = [[p.x, p.y, 1, p.x, p.y, qp.x, qp.y] for p, qp in pairs]
+    f_a, f_b = 1, 0
+    for bit in bin(params.r)[3:]:  # MSB-first, skipping the leading 1
+        f_a, f_b = (f_a + f_b) * (f_a - f_b) % q, 2 * f_a * f_b % q
+        for state in live:
+            X, Y, Z, xp, yp, xq, yq = state
+            if not Z:
+                continue  # T = O: no more lines from this pair
+            # f <- f · l_{T,T}(ψQ), the tangent scaled by Z3·Z²;  T <- 2T
+            X3, Y3, Z3, M, YY, ZZ = double(X, Y, Z, q)
+            line_a = (M * (xq * ZZ % q + X) - 2 * YY) % q
+            line_b = yq * (Z3 * ZZ % q) % q
+            f_a, f_b = (f_a * line_a - f_b * line_b) % q, (f_a * line_b + f_b * line_a) % q
+            if bit == "1" and Z3:
+                # f <- f · l_{T,P}(ψQ), the chord through P scaled by Z3;  T <- T + P
+                X3, Y3, Z3, R = add_affine(X3, Y3, Z3, xp, yp, q)
+                if Z3:  # else T = −P: vertical line, eliminated like the denominators
+                    line_a = (R * (xq + xp) - yp * Z3) % q
+                    line_b = yq * Z3 % q
+                    f_a, f_b = (f_a * line_a - f_b * line_b) % q, (f_a * line_b + f_b * line_a) % q
+            state[0], state[1], state[2] = X3, Y3, Z3
+    return Fq2(f_a, f_b, q)
 
 
 def miller_loop(p: Point, q_point: Point) -> Fq2:
     """Evaluate ``f_{r,P}(ψ(Q))`` without the final exponentiation.
 
     Both inputs must be finite points of ``E(F_q)``.  The result is only
-    meaningful after :func:`final_exponentiation`.
+    meaningful after :func:`final_exponentiation` (before it, it is one
+    representative of a coset of ``F_q*``).
     """
-    params = p.params
     if p.is_infinity or q_point.is_infinity:
         raise ParameterError("miller_loop requires finite points")
-    q = params.q
-    r = params.r
-    xq, yq = q_point.x, q_point.y
-
-    f_a, f_b = 1, 0  # accumulator in F_q2, kept as raw ints for speed
-    xt, yt = p.x, p.y  # running point T
-    t_inf = False  # T hits infinity only at the final add (T = −P), if ever
-
-    for bit in bin(r)[3:]:  # MSB-first, skipping the leading 1
-        # f <- f^2 (complex squaring: (a+b)(a-b), 2ab); the tangent at
-        # infinity contributes nothing, so skip the line once T = O.
-        sq_a = (f_a + f_b) * (f_a - f_b) % q
-        sq_b = 2 * f_a * f_b % q
-        f_a, f_b = sq_a, sq_b
-        if not t_inf:
-            # f <- f * l_{T,T}(ψQ);  T <- 2T
-            lam = (3 * xt * xt + 1) * pow(2 * yt, -1, q) % q
-            line_a = _line_real(xt, yt, lam, xq, q)
-            new_a = (f_a * line_a - f_b * yq) % q
-            f_b = (f_a * yq + f_b * line_a) % q
-            f_a = new_a
-            x3 = (lam * lam - 2 * xt) % q
-            yt = (lam * (xt - x3) - yt) % q
-            xt = x3
-        if bit == "1" and not t_inf:
-            # f <- f * l_{T,P}(ψQ);  T <- T + P
-            if xt == p.x:
-                if (yt + p.y) % q == 0:
-                    # T = −P: vertical line, eliminated by the final
-                    # exponentiation; T becomes the point at infinity.
-                    t_inf = True
-                    continue
-                lam = (3 * xt * xt + 1) * pow(2 * yt, -1, q) % q
-            else:
-                lam = (p.y - yt) * pow(p.x - xt, -1, q) % q
-            line_a = _line_real(xt, yt, lam, xq, q)
-            new_a = (f_a * line_a - f_b * yq) % q
-            f_b = (f_a * yq + f_b * line_a) % q
-            f_a = new_a
-            x3 = (lam * lam - xt - p.x) % q
-            yt = (lam * (xt - x3) - yt) % q
-            xt = x3
-
-    return Fq2(f_a, f_b, q)
+    return _miller_product([(p, q_point)], p.params)
 
 
 def final_exponentiation(f: Fq2, params: TypeAParams) -> Fq2:
@@ -132,10 +125,10 @@ class MillerPrecomputed:
 
     Per Miller-loop bit this stores the ``(λ, x_T, y_T)`` triple of the
     doubling line and, on set bits, of the addition line (``None`` once
-    ``T`` reaches infinity).  Every per-step modular *inversion* of the
-    plain loop — the dominant cost, ~35 multiplications' worth in CPython
-    — is paid once here; evaluating the pairing against any second
-    argument then needs only multiplications.
+    ``T`` reaches infinity) — plain affine lines, their slopes divided out
+    with one batched inversion.  Evaluating the pairing against any second
+    argument then needs no point arithmetic at all: one accumulator
+    squaring and one short line multiplication per step.
 
     This is the classic "fixed-argument pairing" optimisation (Scott,
     "Computing the Tate pairing", CT-RSA'05 §5): an HVE subscription token
@@ -156,39 +149,37 @@ def precompute_miller(p: Point) -> MillerPrecomputed:
         raise ParameterError("precompute_miller requires a finite point")
     record_op("pairing.precompute")
     q = params.q
-    xt, yt = p.x, p.y
-    t_inf = False
-    steps: list[tuple[tuple[int, int, int] | None, tuple[int, int, int] | None]] = []
+    xp, yp = p.x, p.y
+    # Line k is drawn at chain[k] and lands on chain[k+1]; its slope is
+    # numerators[k] / Z(chain[k+1]).  A step that lands on infinity drew a
+    # vertical line (denominator-eliminated) and ends the walk.
+    chain = [(xp, yp, 1)]
+    numerators: list[int] = []
+    shape: list[list[int | None]] = []  # per bit: index of its doubling and addition line
     for bit in bin(params.r)[3:]:
-        dbl: tuple[int, int, int] | None = None
-        add: tuple[int, int, int] | None = None
-        if not t_inf:
-            lam = (3 * xt * xt + 1) * pow(2 * yt, -1, q) % q
-            dbl = (lam, xt, yt)
-            x3 = (lam * lam - 2 * xt) % q
-            yt = (lam * (xt - x3) - yt) % q
-            xt = x3
-        if bit == "1" and not t_inf:
-            if xt == p.x and (yt + p.y) % q == 0:
-                # T = −P: vertical line, denominator-eliminated; the pair
-                # contributes nothing from here on.
-                t_inf = True
-            else:
-                if xt == p.x:
-                    lam = (3 * xt * xt + 1) * pow(2 * yt, -1, q) % q
-                else:
-                    lam = (p.y - yt) * pow(p.x - xt, -1, q) % q
-                add = (lam, xt, yt)
-                x3 = (lam * lam - xt - p.x) % q
-                yt = (lam * (xt - x3) - yt) % q
-                xt = x3
-        steps.append((dbl, add))
+        drawn: list[int | None] = [None, None]
+        for slot in range(1 + (bit == "1")):
+            X, Y, Z = chain[-1]
+            if not Z:
+                break
+            X, Y, Z, numer = add_affine(X, Y, Z, xp, yp, q) if slot else double(X, Y, Z, q)[:4]
+            chain.append((X, Y, Z))
+            if Z:
+                drawn[slot] = len(numerators)
+                numerators.append(numer)
+        shape.append(drawn)
+    points = normalise(chain, q)  # one inversion for every slope and base point
+    lines = [
+        (numer * points[k + 1][2] % q, points[k][0], points[k][1])
+        for k, numer in enumerate(numerators)
+    ]
+    steps = [tuple(None if k is None else lines[k] for k in drawn) for drawn in shape]
     return MillerPrecomputed(params, steps)
 
 
 def miller_eval(pre: MillerPrecomputed, q_point: Point) -> Fq2:
-    """``f_{r,P}(ψ(Q))`` from precomputed lines — identical to
-    :func:`miller_loop` of the original point, with no inversions."""
+    """``f_{r,P}(ψ(Q))`` from precomputed lines — :func:`miller_loop` of the
+    original point up to a factor in ``F_q*``, with no point arithmetic."""
     if q_point.is_infinity:
         raise ParameterError("miller_eval requires a finite point")
     q = pre.params.q
@@ -216,8 +207,8 @@ def miller_eval(pre: MillerPrecomputed, q_point: Point) -> Fq2:
 def tate_pairing_precomputed(pre: MillerPrecomputed, q_point: Point) -> Fq2:
     """``ê(P, Q)`` with ``P``'s Miller lines precomputed.
 
-    Bit-identical to ``tate_pairing(P, Q)`` — same Miller value, same
-    final exponentiation.
+    Bit-identical to ``tate_pairing(P, Q)``: the two Miller values differ
+    by a factor in ``F_q*``, which the final exponentiation kills.
     """
     if q_point.is_infinity:
         return Fq2.one(pre.params.q)
@@ -278,62 +269,18 @@ def multi_pairing_precomputed(
 def multi_pairing(pairs: list[tuple[Point, Point]], params: TypeAParams) -> Fq2:
     """Compute ``Π_j ê(P_j, Q_j)`` with shared squaring and one final exp.
 
-    Identity: ``Π_j f_j² · l_j = (Π_j f_j)² · Π_j l_j``, so a single
-    ``F_q²`` accumulator serves every pair; per Miller step we pay one
-    squaring plus one line-multiplication per pair, and the expensive
-    final exponentiation once in total.
+    Every pair shares one Miller accumulator (:func:`_miller_product`) and
+    the expensive final exponentiation is paid once in total.
     """
-    # [xt, yt, xp, yp, xq, yq, t_inf] per pair; t_inf flags T = O (only
-    # reachable at the final add step, where the vertical line is
-    # denominator-eliminated).
-    live: list[list[int]] = []
     q = params.q
+    live = []
     for p, qp in pairs:
         if p.params.q != q or qp.params.q != q:
             raise ParameterError("multi_pairing arguments use mismatched parameters")
-        if p.is_infinity or qp.is_infinity:
-            continue  # contributes the identity
-        live.append([p.x, p.y, p.x, p.y, qp.x, qp.y, 0])
+        if not (p.is_infinity or qp.is_infinity):  # else: contributes the identity
+            live.append((p, qp))
     if not live:
         return Fq2.one(q)
     record_op("pairing", len(live))
     record_op("multi_pairing")
-
-    f_a, f_b = 1, 0
-    for bit in bin(params.r)[3:]:
-        sq_a = (f_a + f_b) * (f_a - f_b) % q
-        sq_b = 2 * f_a * f_b % q
-        f_a, f_b = sq_a, sq_b
-        for state in live:
-            if state[6]:
-                continue
-            xt, yt, xp, yp, xq, yq, _ = state
-            lam = (3 * xt * xt + 1) * pow(2 * yt, -1, q) % q
-            line_a = (lam * (xq + xt) - yt) % q
-            new_a = (f_a * line_a - f_b * yq) % q
-            f_b = (f_a * yq + f_b * line_a) % q
-            f_a = new_a
-            x3 = (lam * lam - 2 * xt) % q
-            state[1] = (lam * (xt - x3) - yt) % q
-            state[0] = x3
-        if bit == "1":
-            for state in live:
-                if state[6]:
-                    continue
-                xt, yt, xp, yp, xq, yq, _ = state
-                if xt == xp:
-                    if (yt + yp) % q == 0:
-                        state[6] = 1  # T = −P: vertical line, eliminated
-                        continue
-                    lam = (3 * xt * xt + 1) * pow(2 * yt, -1, q) % q
-                else:
-                    lam = (yp - yt) * pow(xp - xt, -1, q) % q
-                line_a = (lam * (xq + xt) - yt) % q
-                new_a = (f_a * line_a - f_b * yq) % q
-                f_b = (f_a * yq + f_b * line_a) % q
-                f_a = new_a
-                x3 = (lam * lam - xt - xp) % q
-                state[1] = (lam * (xt - x3) - yt) % q
-                state[0] = x3
-
-    return final_exponentiation(Fq2(f_a, f_b, q), params)
+    return final_exponentiation(_miller_product(live, params), params)

@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass
 
 from ..errors import ParameterError
+from .jacobian import scalar_mul
 
 __all__ = [
     "TypeAParams",
@@ -121,8 +122,7 @@ def _find_generator(q: int, r: int, h: int, seed: int = 1) -> tuple[int, int]:
 
     Walks x-coordinates from ``seed``, lifts to a curve point, multiplies by
     the cofactor, and returns the first point of exact order ``r``.  Uses
-    only integer arithmetic to avoid importing :mod:`.curve` (which imports
-    this module).
+    the raw-int ladder directly: :mod:`.curve` imports this module.
     """
     x = seed
     while True:
@@ -130,44 +130,12 @@ def _find_generator(q: int, r: int, h: int, seed: int = 1) -> tuple[int, int]:
         if pow(rhs, (q - 1) // 2, q) == 1 or rhs == 0:
             y = pow(rhs, (q + 1) // 4, q)
             if (y * y) % q == rhs:
-                point = _scalar_mul_affine(x, y, h, q)
+                point = scalar_mul(x, y, h, q, 4)
                 if point is not None:
-                    px, py = point
-                    if _scalar_mul_affine(px, py, r, q) is None:
+                    px, py = point[:2]
+                    if scalar_mul(px, py, r, q, 4) is None:
                         return px, py
         x += 1
-
-
-def _scalar_mul_affine(x: int, y: int, k: int, q: int) -> tuple[int, int] | None:
-    """Minimal affine double-and-add on y² = x³ + x; None is infinity."""
-    result: tuple[int, int] | None = None
-    addend: tuple[int, int] | None = (x, y)
-    while k:
-        if k & 1:
-            result = _point_add_affine(result, addend, q)
-        addend = _point_add_affine(addend, addend, q)
-        k >>= 1
-    return result
-
-
-def _point_add_affine(
-    p1: tuple[int, int] | None, p2: tuple[int, int] | None, q: int
-) -> tuple[int, int] | None:
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % q == 0:
-            return None
-        lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, q) % q
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, q) % q
-    x3 = (lam * lam - x1 - x2) % q
-    y3 = (lam * (x1 - x3) - y1) % q
-    return x3, y3
 
 
 def generate_type_a_params(

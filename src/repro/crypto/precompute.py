@@ -1,22 +1,23 @@
 """The precomputation layer: one façade over both crypto caches.
 
-Two independent precomputations make the P3S hot paths fast; the
-mechanics live next to the arithmetic they accelerate, and this module is
-the policy/observation surface over both:
+The ladders and Miller loops underneath are inversion-free on their own
+(:mod:`repro.crypto.jacobian`); two independent precomputations amortise
+what is left — doublings, and the point arithmetic of a fixed pairing
+argument.  The mechanics live next to the arithmetic they accelerate, and
+this module is the policy/observation surface over both:
 
 * **Fixed-base comb tables** (:mod:`repro.crypto.curve`) — the group
   generator ``g`` and the HVE/CP-ABE public-key bases are multiplied by
   fresh scalars on every setup, encrypt and token-gen call.  Tables are
   keyed by base, auto-promoted after a base's second large scalar
-  multiplication, and LRU-bounded.  ~6x per scalar multiplication at TOY
+  multiplication, and LRU-bounded.  ~5x per scalar multiplication at TOY
   parameters.
 
 * **Miller-loop line precomputation** (:mod:`repro.crypto.pairing`) — a
   pairing argument reused across many pairings (an HVE subscription token
   matched against a stream of ciphertexts) pays its line-function setup
-  — all the per-step modular inversions — once.  ~10x per token×
-  ciphertext evaluation at TOY parameters; see
-  ``benchmarks/bench_match_fanout.py``.
+  — the whole walk of ``T`` — once.  ~4x per token×ciphertext
+  evaluation at TOY parameters; see ``benchmarks/bench_match_fanout.py``.
 
 Both caches are process-global (workers of a :class:`repro.par.MatchPool`
 each warm their own copy) and both paths are bit-identical to the naive

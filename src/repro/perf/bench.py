@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import asdict, dataclass
@@ -379,14 +380,15 @@ def load_bench_file(path: str) -> list[BenchRecord]:
 def load_history(root: str) -> dict[str, BenchRecord]:
     """Every ``BENCH_*.json`` under ``root`` as one name → record map.
 
-    Files load in sorted order, so when two files carry the same record
-    name the lexically later one wins — re-running a migrated bench
-    supersedes its legacy ancestor.
+    Files load in natural order (``BENCH_pr9`` before ``BENCH_pr10``), so
+    when two files carry the same record name the later PR's wins —
+    re-running a migrated bench supersedes its legacy ancestor.
     """
     history: dict[str, BenchRecord] = {}
-    for entry in sorted(os.listdir(root)):
-        if not (entry.startswith("BENCH_") and entry.endswith(".json")):
-            continue
+    entries = [e for e in os.listdir(root) if e.startswith("BENCH_") and e.endswith(".json")]
+    for entry in sorted(
+        entries, key=lambda e: [int(t) if t.isdigit() else t for t in re.split(r"(\d+)", e)]
+    ):
         for record in load_bench_file(os.path.join(root, entry)):
             history[record.name] = record
     return history

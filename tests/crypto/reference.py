@@ -1,0 +1,41 @@
+"""Affine reference arithmetic for the ladder and Miller-loop tests.
+
+Nothing here touches the code under test beyond ``Point.__add__``: the
+single-operation group law is the reference every faster path is held to.
+"""
+
+from repro.crypto.curve import Point
+from repro.crypto.field import fq_is_square, fq_sqrt
+from repro.crypto.params import TOY
+
+
+def plain_mul(point, k):
+    """Affine double-and-add: nothing but ``Point.__add__``."""
+    if k < 0:
+        point, k = -point, -k
+    result = Point.infinity(point.params)
+    while k:
+        if k & 1:
+            result = result + point
+        point = point + point
+        k >>= 1
+    return result
+
+
+def lifted_point(params, start):
+    """A raw curve point: *not* multiplied into the order-``r`` subgroup."""
+    x = start
+    while True:
+        rhs = (x * x * x + x) % params.q
+        if rhs and fq_is_square(rhs, params.q):
+            return Point(x, fq_sqrt(rhs, params.q), params)
+        x += 1
+
+
+def small_order_point(order):
+    """A TOY point of exactly ``order`` (a divisor of the cofactor)."""
+    for start in range(2, 400):
+        point = plain_mul(lifted_point(TOY, start), TOY.r * (TOY.h // order))
+        if all(not plain_mul(point, d).is_infinity for d in range(1, order)):
+            return point
+    raise AssertionError(f"no point of order {order} found")

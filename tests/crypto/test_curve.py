@@ -7,6 +7,8 @@ from repro.crypto.curve import Point, hash_to_point
 from repro.crypto.params import TOY
 from repro.errors import NotOnCurveError, SerializationError
 
+from .reference import lifted_point, plain_mul, small_order_point
+
 G = Point.generator(TOY)
 R = TOY.r
 
@@ -114,3 +116,81 @@ class TestHashToPoint:
             point = hash_to_point(f"label-{i}".encode(), TOY)
             assert point._on_curve()
             assert (point * R).is_infinity
+
+
+# -- every ladder against a reference that uses only Point.__add__ -----------------
+
+
+LADDER_SCALARS = [0, 1, 2, 15, 16, 2**32 - 1, 2**32, 2**32 + 1, R - 1, R, R + 1, TOY.h, -7, -R - 3]
+LADDER_POINTS = {
+    "generator": G,
+    "hashed": hash_to_point(b"ladder", TOY),
+    "two_torsion": Point(0, 0, TOY),
+    "outside_subgroup": lifted_point(TOY, 5),
+    "order_4": small_order_point(4),
+    "infinity": Point.infinity(TOY),
+}
+
+
+class TestLaddersAgainstAffineReference:
+    @pytest.mark.parametrize("name", LADDER_POINTS)
+    def test_mul_every_branch(self, name):
+        from repro.crypto import precompute
+
+        point = LADDER_POINTS[name]
+        for fixed_base in (False, True):  # the windowed ladder, then the comb table
+            precompute.clear_caches()
+            precompute.set_enabled(fixed_base)
+            try:
+                if fixed_base:
+                    precompute.warm_fixed_base([point])
+                for k in LADDER_SCALARS:
+                    assert point * k == plain_mul(point, k), (name, k, fixed_base)
+            finally:
+                precompute.set_enabled(True)
+                precompute.clear_caches()
+
+    @pytest.mark.parametrize("name", LADDER_POINTS)
+    @pytest.mark.parametrize("window", [1, 2, 4, 5])
+    def test_windowed_every_window(self, name, window):
+        point = LADDER_POINTS[name]
+        for k in LADDER_SCALARS:
+            assert point.scalar_mul_windowed(k, window) == plain_mul(point, k)
+
+    def test_doubling_the_two_torsion_point_is_infinity(self):
+        torsion = Point(0, 0, TOY)
+        assert torsion.double().is_infinity
+        assert (torsion * 2).is_infinity
+        assert torsion * 3 == torsion
+
+    @pytest.mark.parametrize("name", ["generator", "two_torsion", "order_4", "outside_subgroup"])
+    def test_comb_table_full_range(self, name):
+        """Every scalar a small table accepts — rows and running sums at
+        infinity included (a 2-torsion base has ``[B, O, B, O, …]`` rows)."""
+        from repro.crypto.curve import FixedBaseTable
+
+        base = LADDER_POINTS[name]
+        table = FixedBaseTable(base, max_bits=9)
+        assert len(table.rows) == 3 and all(len(row) == 15 for row in table.rows)
+        for j, row in enumerate(table.rows):
+            for d, entry in enumerate(row, start=1):
+                assert entry == plain_mul(base, d * 16**j)
+        for k in range(1 << 9):
+            assert table.mul(k) == plain_mul(base, k)
+
+    def test_comb_table_full_size(self):
+        from repro.crypto.curve import FixedBaseTable
+
+        table = FixedBaseTable(G, max_bits=R.bit_length() + 4)
+        top = (1 << table.max_bits) - 1
+        for k in (0, 1, R - 1, R, R + 1, 2 * R, top, top - R, 0xF0F0F0F0F0F0F0F0F):
+            assert table.mul(k) == plain_mul(G, k)
+
+    def test_paper_cofactor_multiplication(self):
+        """What ``hash_to_point`` does at PAPER: a raw lifted point times ``h``."""
+        from repro.crypto.params import PAPER
+
+        raw = lifted_point(PAPER, 0xC0FFEE)
+        cleared = raw * PAPER.h
+        assert cleared == plain_mul(raw, PAPER.h)
+        assert (cleared * PAPER.r).is_infinity and not cleared.is_infinity

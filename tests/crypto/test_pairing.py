@@ -8,6 +8,8 @@ from repro.crypto.pairing import miller_loop, multi_pairing, tate_pairing
 from repro.crypto.params import TEST, TOY
 from repro.errors import ParameterError
 
+from .reference import small_order_point
+
 G = Point.generator(TOY)
 R = TOY.r
 E = tate_pairing(G, G)
@@ -92,3 +94,86 @@ class TestMultiPairing:
         pairs = [(G * a, G * b) for a, b in scalar_pairs]
         exponent = sum(a * b for a, b in scalar_pairs) % R
         assert multi_pairing(pairs, TOY) == E**exponent
+
+
+# -- the Jacobian Miller walk against an affine textbook reference -----------------
+
+
+def reference_miller(p, qp):
+    """Miller's loop with ``Point.__add__`` for T and affine slopes; vertical
+    lines are dropped (denominator elimination), T = O ends the walk."""
+    from repro.crypto.field import Fq2
+
+    q = TOY.q
+
+    def line(a, b):
+        if a.x == b.x and (a.y + b.y) % q == 0:
+            return Fq2.one(q)
+        if a == b:
+            lam = (3 * a.x * a.x + 1) * pow(2 * a.y, -1, q) % q
+        else:
+            lam = (b.y - a.y) * pow(b.x - a.x, -1, q) % q
+        return Fq2(lam * (qp.x + a.x) - a.y, qp.y, q)
+
+    f = Fq2.one(q)
+    t = p
+    for bit in bin(R)[3:]:
+        f = f.square()
+        if not t.is_infinity:
+            f, t = f * line(t, t), t + t
+        if bit == "1" and not t.is_infinity:
+            f, t = f * line(t, p), t + p
+    return f
+
+
+class TestMillerBranches:
+    def reduced(self, f):
+        from repro.crypto.pairing import final_exponentiation
+
+        return final_exponentiation(f, TOY)
+
+    def check(self, p, qp):
+        from repro.crypto.pairing import miller_eval, precompute_miller
+
+        expected = self.reduced(reference_miller(p, qp))
+        assert self.reduced(miller_loop(p, qp)) == expected
+        assert self.reduced(miller_eval(precompute_miller(p), qp)) == expected
+        assert multi_pairing([(p, qp)], TOY) == expected
+        # a raw Miller value is one representative of a coset of F_q*
+        ratio = miller_loop(p, qp) * reference_miller(p, qp).inverse()
+        assert ratio.b == 0 and not ratio.is_zero()
+
+    def test_generic_points_end_on_the_vertical_line(self):
+        # r is odd, so every G1 walk ends with T = −P at the final addition
+        self.check(G * 1234567, G * 7654321)
+        self.check(hash_to_point(b"p", TOY), hash_to_point(b"q", TOY))
+
+    def test_second_argument_is_plus_or_minus_the_first(self):
+        p = G * 99
+        self.check(p, p)
+        self.check(p, -p)
+
+    def test_tangent_branch_of_the_addition_step(self):
+        # an order-5 point meets T = P at an addition step (prefix 0b10110 of r is 1 mod 5)
+        p = small_order_point(5)
+        prefix = int(bin(R)[2:6], 2)
+        assert bin(R)[6] == "1" and 2 * prefix % 5 == 1
+        self.check(p, G * 31337)
+
+    def test_early_vertical_line_ends_the_walk(self):
+        # an order-3 point reaches T = −P at the very first addition
+        assert bin(R)[3] == "1"
+        self.check(small_order_point(3), G * 31337)
+
+    def test_doubling_a_two_torsion_point_ends_the_walk(self):
+        self.check(small_order_point(4), G * 31337)
+
+    def test_pair_at_infinity_inside_a_product(self):
+        inf = Point.infinity(TOY)
+        p, qp = G * 5, hash_to_point(b"q", TOY)
+        small = small_order_point(5)
+        product = multi_pairing([(p, qp), (inf, qp), (small, G), (p, inf), (G, G * 3)], TOY)
+        expected = self.reduced(
+            reference_miller(p, qp) * reference_miller(small, G) * reference_miller(G, G * 3)
+        )
+        assert product == expected
