@@ -4,7 +4,8 @@ Everything the P3S schemes need, implemented from scratch:
 
 * :class:`~repro.crypto.group.PairingGroup` — Type-A symmetric pairing
   (supersingular curve, modified Tate pairing) with three parameter sets.
-* :class:`~repro.crypto.symmetric.SecretBox` — ChaCha20 + HMAC-SHA256 AEAD.
+* :class:`~repro.crypto.symmetric.SecretBox` — SHAKE-256 keystream +
+  HMAC-SHA256 encrypt-then-MAC AEAD (the stand-in for the paper's AES).
 * :class:`~repro.crypto.pke.PKEKeyPair` — ECIES-style public-key encryption.
 * :class:`~repro.crypto.signing.SigningKeyPair` / ``Certificate`` — Schnorr
   signatures and ARA-issued participant certificates.
@@ -17,7 +18,7 @@ from .pairing import multi_pairing, tate_pairing
 from .params import PAPER, PARAM_SETS, TEST, TOY, TypeAParams, generate_type_a_params
 from .pke import PKEKeyPair, PKEPublicKey
 from .signing import Certificate, Signature, SigningKeyPair, VerifyKey
-from .symmetric import SecretBox, chacha20_xor
+from .symmetric import SecretBox
 from .hashing import hash_bytes, hash_to_int, kdf
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "Signature",
     "Certificate",
     "SecretBox",
-    "chacha20_xor",
     "hash_bytes",
     "hash_to_int",
     "kdf",

@@ -1,10 +1,24 @@
-"""Symmetric authenticated encryption: ChaCha20 + HMAC-SHA256 (EtM).
+"""Symmetric authenticated encryption: SHAKE-256 keystream + HMAC-SHA256 (EtM).
 
 The paper's prototype rides on JSSE/AES for its symmetric needs (TLS
 links, the K_s super-encryption of PBE tokens and retrieved payloads, and
-the DEM half of hybrid CP-ABE).  AES is unavailable offline, so this
-module provides RFC 7539 ChaCha20 in pure Python plus an
-encrypt-then-MAC :class:`SecretBox` with the same interface shape and the
+the DEM half of hybrid CP-ABE), at hardware speed.  AES is unavailable
+offline, so :class:`SecretBox` stands in for it with the strongest
+primitive the standard library runs at C speed: the keystream is the
+SHAKE-256 XOF over ``enc_key || nonce``, XORed onto the message as one
+big-integer operation, and the result is authenticated with HMAC-SHA256
+(encrypt-then-MAC, tag checked before any keystream is produced).
+
+Why a keyed XOF is a sound stream cipher here: ``enc_key`` (32 bytes)
+and the nonce (12 bytes) have fixed lengths, so the XOF input is an
+unambiguous 44-byte prefix and no two (key, nonce) pairs collide;
+SHAKE-256's output under a secret 256-bit prefix is indistinguishable
+from random (the sponge's keyed-prefix PRF use), which is all a
+synchronous stream cipher asks of its generator.  The 96-bit nonce is
+drawn fresh per seal; one box seals far fewer than the 2^32 messages up
+to which a random 96-bit nonce is considered safe (SP 800-38D's bound).
+
+It remains a stand-in for AES, with the same interface shape and the
 same constant ciphertext expansion (nonce + tag), which is all the
 performance models care about.
 """
@@ -14,69 +28,15 @@ from __future__ import annotations
 import hmac
 import hashlib
 import secrets
-import struct
 
 from ..errors import IntegrityError, ParameterError
 from .hashing import kdf
 
-__all__ = ["chacha20_xor", "SecretBox", "NONCE_LEN", "TAG_LEN", "OVERHEAD"]
+__all__ = ["SecretBox", "NONCE_LEN", "TAG_LEN", "OVERHEAD"]
 
 NONCE_LEN = 12
 TAG_LEN = 32
 OVERHEAD = NONCE_LEN + TAG_LEN
-
-_MASK = 0xFFFFFFFF
-
-
-def _quarter_round(state: list[int], a: int, b: int, c: int, d: int) -> None:
-    state[a] = (state[a] + state[b]) & _MASK
-    state[d] ^= state[a]
-    state[d] = ((state[d] << 16) | (state[d] >> 16)) & _MASK
-    state[c] = (state[c] + state[d]) & _MASK
-    state[b] ^= state[c]
-    state[b] = ((state[b] << 12) | (state[b] >> 20)) & _MASK
-    state[a] = (state[a] + state[b]) & _MASK
-    state[d] ^= state[a]
-    state[d] = ((state[d] << 8) | (state[d] >> 24)) & _MASK
-    state[c] = (state[c] + state[d]) & _MASK
-    state[b] ^= state[c]
-    state[b] = ((state[b] << 7) | (state[b] >> 25)) & _MASK
-
-
-def _chacha20_block(key_words: tuple[int, ...], counter: int, nonce_words: tuple[int, ...]) -> bytes:
-    state = [
-        0x61707865, 0x3320646E, 0x79622D32, 0x6B206574,
-        *key_words,
-        counter, *nonce_words,
-    ]
-    working = list(state)
-    for _ in range(10):
-        _quarter_round(working, 0, 4, 8, 12)
-        _quarter_round(working, 1, 5, 9, 13)
-        _quarter_round(working, 2, 6, 10, 14)
-        _quarter_round(working, 3, 7, 11, 15)
-        _quarter_round(working, 0, 5, 10, 15)
-        _quarter_round(working, 1, 6, 11, 12)
-        _quarter_round(working, 2, 7, 8, 13)
-        _quarter_round(working, 3, 4, 9, 14)
-    return struct.pack("<16I", *((w + s) & _MASK for w, s in zip(working, state)))
-
-
-def chacha20_xor(key: bytes, nonce: bytes, data: bytes, initial_counter: int = 1) -> bytes:
-    """XOR ``data`` with the ChaCha20 keystream (encryption == decryption)."""
-    if len(key) != 32:
-        raise ParameterError("ChaCha20 key must be 32 bytes")
-    if len(nonce) != NONCE_LEN:
-        raise ParameterError("ChaCha20 nonce must be 12 bytes")
-    key_words = struct.unpack("<8I", key)
-    nonce_words = struct.unpack("<3I", nonce)
-    out = bytearray(len(data))
-    for block_index in range((len(data) + 63) // 64):
-        keystream = _chacha20_block(key_words, initial_counter + block_index, nonce_words)
-        start = block_index * 64
-        chunk = data[start : start + 64]
-        out[start : start + len(chunk)] = bytes(x ^ y for x, y in zip(chunk, keystream))
-    return bytes(out)
 
 
 class SecretBox:
@@ -90,8 +50,11 @@ class SecretBox:
     def __init__(self, key: bytes):
         if len(key) != 32:
             raise ParameterError("SecretBox key must be 32 bytes")
-        self._enc_key = kdf(key, "secretbox-enc")
-        self._mac_key = kdf(key, "secretbox-mac")
+        # The labels carry the format version: a value sealed under the
+        # version-1 keystream must fail the tag, not authenticate and then
+        # XOR to noise.
+        self._enc_key = kdf(key, "secretbox2-enc")
+        self._mac_key = kdf(key, "secretbox2-mac")
 
     @classmethod
     def generate_key(cls) -> bytes:
@@ -99,7 +62,7 @@ class SecretBox:
 
     def seal(self, plaintext: bytes, associated_data: bytes = b"") -> bytes:
         nonce = secrets.token_bytes(NONCE_LEN)
-        ciphertext = chacha20_xor(self._enc_key, nonce, plaintext)
+        ciphertext = self._keystream_xor(nonce, plaintext)
         tag = self._tag(nonce, ciphertext, associated_data)
         return nonce + ciphertext + tag
 
@@ -112,7 +75,14 @@ class SecretBox:
         expected = self._tag(nonce, ciphertext, associated_data)
         if not hmac.compare_digest(tag, expected):
             raise IntegrityError("MAC verification failed")
-        return chacha20_xor(self._enc_key, nonce, ciphertext)
+        return self._keystream_xor(nonce, ciphertext)
+
+    def _keystream_xor(self, nonce: bytes, data: bytes) -> bytes:
+        """XOR ``data`` with the keystream (encryption == decryption)."""
+        size = len(data)
+        stream = hashlib.shake_256(self._enc_key + nonce).digest(size)
+        mixed = int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")
+        return mixed.to_bytes(size, "little")
 
     def _tag(self, nonce: bytes, ciphertext: bytes, associated_data: bytes) -> bytes:
         mac = hmac.new(self._mac_key, digestmod=hashlib.sha256)

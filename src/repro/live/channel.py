@@ -3,7 +3,7 @@
 This is the live substrate's counterpart of the simulator's *modeled*
 TLS layer (:mod:`repro.net.channel`): instead of accounting a constant
 record overhead, every frame really is protected by the repo's own
-ChaCha20+HMAC AEAD (:class:`repro.crypto.symmetric.SecretBox`).
+SHAKE-256+HMAC AEAD (:class:`repro.crypto.symmetric.SecretBox`).
 
 **Handshake** (one round trip, server authenticated by an ARA-signed key
 binding — the "public key certificates" the ARA distributes in §4.3):
