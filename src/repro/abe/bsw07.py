@@ -15,8 +15,13 @@ Algorithms (notation as in the paper's §3.2 definition):
 * ``Encrypt(PP, M, A) → CT_A`` — shares ``s`` down the tree with one
   degree-(k−1) polynomial per gate; ``C̃ = M·ê(g,g)^{αs}``, ``C = h^s``,
   per leaf ``y``: ``C_y = g^{q_y(0)}``, ``C'_y = H(att(y))^{q_y(0)}``.
-* ``Decrypt(PP, SK, CT)`` — recursive pairing evaluation with Lagrange
-  recombination at each gate.
+* ``Decrypt(PP, SK, CT)`` — the satisfied subtree is flattened (BSW07 §5):
+  Lagrange coefficients are multiplied down to each used leaf ``y``, and
+  ``M = C̃ · Π_y ê(D_j, z_y·C_y) · ê(D'_j, −z_y·C'_y) · ê(D, −C)`` is ONE
+  multi-pairing — one shared accumulator, one final exponentiation.  Every
+  first argument is a point of the secret key, so its Miller lines are
+  computed once per key and reused across ciphertexts, exactly as HVE
+  does for subscription tokens.
 
 Messages are GT elements; byte payloads go through
 :mod:`repro.abe.hybrid` (KEM-DEM), exactly like the cpabe toolkit wraps an
@@ -25,12 +30,13 @@ AES session key.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..crypto.curve import Point
 from ..crypto.field import Fq2
 from ..crypto.group import PairingGroup
-from ..errors import PolicyError, PolicyNotSatisfiedError
+from ..errors import MalformedCiphertextError, PolicyError, PolicyNotSatisfiedError
 from ..obs.profile import instrument
 from .policy import PolicyNode, parse_policy
 
@@ -63,6 +69,11 @@ class CPABESecretKey:
     d: Point  # g^{(α+r)/β}
     components: dict[str, tuple[Point, Point]]  # j -> (D_j, D'_j)
 
+    def __hash__(self) -> int:
+        # ``components`` is a dict, so the generated field-wise hash cannot
+        # work; ``d`` carries the per-key randomizer and tells keys apart
+        return hash(self.d)
+
 
 @dataclass(frozen=True)
 class CPABECiphertext:
@@ -73,16 +84,39 @@ class CPABECiphertext:
     c: Point  # h^s
     leaf_components: tuple[tuple[str, Point, Point], ...]  # (att(y), C_y, C'_y) in leaf order
 
+    def labels_match_policy(self) -> bool:
+        """Whether the leaf components name the policy's leaves one for one
+        (the labels travel beside the policy text, so a sender can make
+        them disagree)."""
+        return [leaf.attribute for leaf in self.policy.leaves()] == [
+            attribute for attribute, _, _ in self.leaf_components
+        ]
+
 
 _ATTRIBUTE_MEMO_SIZE = 1024  # hashed attribute points kept per CPABE instance
+_KEY_CACHE_SIZE = 8  # secret keys whose Miller lines are kept per CPABE instance
 
 
 class CPABE:
-    """The BSW07 scheme over a :class:`PairingGroup`."""
+    """The BSW07 scheme over a :class:`PairingGroup`.
+
+    An instance that decrypts keeps, per secret key, the Miller lines of
+    the key points it has paired with (``D`` and each used ``D_j``,
+    ``D'_j``) in a small LRU.  The lines are key material: they live on
+    this instance only and are never serialised; :meth:`clear_caches`
+    drops them.
+    """
 
     def __init__(self, group: PairingGroup):
         self.group = group
         self._attribute_points: dict[str, Point] = {}
+        # key -> {key point: its Miller lines}, for the points paired with so far
+        self._key_lines: OrderedDict[CPABESecretKey, dict] = OrderedDict()
+
+    def clear_caches(self) -> None:
+        """Drop the cached key lines and the hashed-attribute memo."""
+        self._key_lines.clear()
+        self._attribute_points.clear()
 
     # -- Setup ---------------------------------------------------------------
 
@@ -173,17 +207,41 @@ class CPABE:
 
     @instrument("abe.decrypt")
     def decrypt(self, key: CPABESecretKey, ciphertext: CPABECiphertext) -> Fq2:
-        """Recover the GT message; raises :class:`PolicyNotSatisfiedError`."""
-        attributes = set(key.attributes)
-        if not ciphertext.policy.satisfied_by(attributes):
+        """Recover the GT message.
+
+        Raises :class:`PolicyNotSatisfiedError` when the key's attributes do
+        not satisfy the policy, and :class:`MalformedCiphertextError` when
+        the leaf components do not label the policy's leaves one for one.
+        """
+        policy = ciphertext.policy
+        attributes = key.attributes
+        if not policy.satisfied_by(attributes):
             raise PolicyNotSatisfiedError(
-                f"attributes {sorted(attributes)} do not satisfy policy {ciphertext.policy}"
+                f"attributes {sorted(attributes)} do not satisfy policy {policy}"
             )
-        leaf_map = self._leaf_component_map(ciphertext)
-        a = self._decrypt_node(ciphertext.policy, key, attributes, leaf_map, counter=[0])
-        # ê(C, D) = ê(g,g)^{s(α+r)}; A = ê(g,g)^{rs}  →  M = C̃·A / ê(C, D)
-        e_c_d = self.group.pair(ciphertext.c, key.d)
-        return ciphertext.c_tilde * a * e_c_d.inverse()
+        if not ciphertext.labels_match_policy():
+            raise MalformedCiphertextError("ciphertext leaf components do not match its policy")
+        group = self.group
+        order = group.order
+        lines = self._lines_for(key)
+
+        def lines_of(point: Point):
+            if point not in lines:
+                lines[point] = group.precompute_pairing(point)
+            return lines[point]
+
+        # ê(D, −C) = ê(g,g)^{−s(α+r)}; the leaves contribute ê(g,g)^{rs}
+        entries = [(lines_of(key.d), -ciphertext.c)]
+        for position, z in self._leaf_coefficients(policy, attributes, 1, 0):
+            attribute, c_y, c_y_prime = ciphertext.leaf_components[position]
+            d_j, d_j_prime = key.components[attribute]
+            if z > order // 2:
+                z -= order  # symmetric range: −1 is a negation, not a 160-bit ladder
+            # (ê(D_j, C_y) / ê(D'_j, C'_y))^z = ê(g,g)^{r·z·q_y(0)}; z is public,
+            # so bilinearity moves it onto the ciphertext's points
+            entries.append((lines_of(d_j), _scaled(c_y, z)))
+            entries.append((lines_of(d_j_prime), _scaled(c_y_prime, -z)))
+        return ciphertext.c_tilde * group.multi_pair_precomputed(entries)
 
     # -- internals -------------------------------------------------------------------
 
@@ -218,47 +276,35 @@ class CPABE:
             result = (result * x + coefficient) % order
         return result
 
-    def _leaf_component_map(self, ciphertext: CPABECiphertext) -> list[tuple[str, Point, Point]]:
-        leaves = ciphertext.policy.leaves()
-        if len(leaves) != len(ciphertext.leaf_components):
-            raise PolicyError("ciphertext leaf components do not match policy shape")
-        return list(ciphertext.leaf_components)
+    def _lines_for(self, key: CPABESecretKey) -> dict:
+        """``key``'s entry in the bounded LRU of Miller lines, filled by
+        :meth:`decrypt` as key points are first paired."""
+        cache = self._key_lines
+        lines = cache.setdefault(key, {})
+        cache.move_to_end(key)
+        while len(cache) > _KEY_CACHE_SIZE:
+            cache.popitem(last=False)
+        return lines
 
-    def _decrypt_node(
-        self,
-        node: PolicyNode,
-        key: CPABESecretKey,
-        attributes: set[str],
-        leaf_map: list[tuple[str, Point, Point]],
-        counter: list[int],
-    ) -> Fq2:
-        """Return ê(g,g)^{r·q_node(0)} for a satisfied subtree.
-
-        ``counter`` tracks the traversal position into ``leaf_map`` so each
-        leaf consumes its own ciphertext components even when attributes repeat.
+    def _leaf_coefficients(
+        self, node: PolicyNode, attributes: frozenset[str], z: int, first: int
+    ) -> list[tuple[int, int]]:
+        """``(leaf position, coefficient mod r)`` for every leaf a satisfied
+        subtree uses: the product of the Lagrange coefficients on the path
+        from ``node`` (entered with ``z``) down to the leaf, so that
+        ``Σ z_y·q_y(0) = z·q_node(0)``.  ``first`` is the position of the
+        subtree's leftmost leaf, which keeps repeated attributes apart.
         """
-        group = self.group
         if node.is_leaf:
-            attribute, c_y, c_y_prime = leaf_map[counter[0]]
-            counter[0] += 1
-            d_j, d_j_prime = key.components[attribute]
-            # ê(D_j, C_y) / ê(D'_j, C'_y) = ê(g,g)^{r·q_y(0)}
-            return group.multi_pair([(d_j, c_y), (-d_j_prime, c_y_prime)])
-        picked = set(node.satisfying_children(attributes))
-        factors: list[tuple[int, Fq2]] = []
+            return [(first, z)]
+        picked = node.satisfying_children(attributes)
+        used: list[tuple[int, int]] = []
         for index, child in enumerate(node.children, start=1):
             if index in picked:
-                factors.append((index, self._decrypt_node(child, key, attributes, leaf_map, counter)))
-            else:
-                self._skip_leaves(child, counter)
-        indices = [index for index, _ in factors]
-        result = Fq2.one(group.params.q)
-        for index, value in factors:
-            result = result * (value ** self._lagrange(index, indices))
-        return result
-
-    def _skip_leaves(self, node: PolicyNode, counter: list[int]) -> None:
-        counter[0] += len(node.leaves())
+                z_child = z * self._lagrange(index, picked) % self.group.order
+                used.extend(self._leaf_coefficients(child, attributes, z_child, first))
+            first += len(child.leaves())
+        return used
 
     def _lagrange(self, i: int, indices: list[int]) -> int:
         """Lagrange coefficient Δ_{i,S}(0) mod r."""
@@ -270,3 +316,10 @@ class CPABE:
             numerator = numerator * (-j) % order
             denominator = denominator * (i - j) % order
         return numerator * pow(denominator, -1, order) % order
+
+
+def _scaled(point: Point, z: int) -> Point:
+    """``z·point`` for ``z`` in the symmetric range; ``±1`` costs nothing."""
+    if z < 0:
+        point, z = -point, -z
+    return point if z == 1 else point * z

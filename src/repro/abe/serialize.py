@@ -11,7 +11,7 @@ import struct
 
 from ..crypto.field import Fq2
 from ..crypto.group import PairingGroup
-from ..errors import SerializationError
+from ..errors import NotOnCurveError, ParameterError, PolicyError, SerializationError
 from .bsw07 import CPABECiphertext, CPABEMasterKey, CPABEPublicKey, CPABESecretKey
 from .hybrid import HybridCiphertext
 from .policy import parse_policy, policy_to_string
@@ -60,34 +60,44 @@ def serialize_ciphertext(group: PairingGroup, ciphertext: CPABECiphertext) -> by
 
 
 def deserialize_ciphertext(group: PairingGroup, data: bytes) -> CPABECiphertext:
-    policy_text, offset = _unpack_bytes(data, 0)
-    c_tilde_raw, offset = _unpack_bytes(data, offset)
-    c_raw, offset = _unpack_bytes(data, offset)
-    if offset + 4 > len(data):
-        raise SerializationError("truncated leaf count")
-    (leaf_count,) = struct.unpack_from(">I", data, offset)
-    offset += 4
-    leaves = []
-    for _ in range(leaf_count):
-        attribute_raw, offset = _unpack_bytes(data, offset)
-        c_y_raw, offset = _unpack_bytes(data, offset)
-        c_y_prime_raw, offset = _unpack_bytes(data, offset)
-        leaves.append(
-            (
-                attribute_raw.decode("utf-8"),
-                group.deserialize_g1(c_y_raw),
-                group.deserialize_g1(c_y_prime_raw),
+    """Decode one ciphertext, or raise :class:`SerializationError`.
+
+    The bytes come from a publisher by way of the RS, so whatever is wrong
+    with them — framing, a point off the curve, policy text that does not
+    parse, leaf labels that do not name the policy's leaves one for one —
+    is reported as the one error a receiver handles.
+    """
+    try:
+        policy_text, offset = _unpack_bytes(data, 0)
+        c_tilde_raw, offset = _unpack_bytes(data, offset)
+        c_raw, offset = _unpack_bytes(data, offset)
+        if offset + 4 > len(data):
+            raise SerializationError("truncated leaf count")
+        (leaf_count,) = struct.unpack_from(">I", data, offset)
+        offset += 4
+        leaves = []
+        for _ in range(leaf_count):
+            attribute_raw, offset = _unpack_bytes(data, offset)
+            c_y_raw, offset = _unpack_bytes(data, offset)
+            c_y_prime_raw, offset = _unpack_bytes(data, offset)
+            leaves.append(
+                (
+                    attribute_raw.decode("utf-8"),
+                    group.deserialize_g1(c_y_raw),
+                    group.deserialize_g1(c_y_prime_raw),
+                )
             )
+        ciphertext = CPABECiphertext(
+            policy=parse_policy(policy_text.decode("utf-8")),
+            c_tilde=group.deserialize_gt(c_tilde_raw),
+            c=group.deserialize_g1(c_raw),
+            leaf_components=tuple(leaves),
         )
-    policy = parse_policy(policy_text.decode("utf-8"))
-    if len(policy.leaves()) != leaf_count:
+    except (NotOnCurveError, ParameterError, PolicyError, UnicodeDecodeError) as exc:
+        raise SerializationError(f"malformed CP-ABE ciphertext: {exc}") from exc
+    if not ciphertext.labels_match_policy():
         raise SerializationError("leaf components do not match policy")
-    return CPABECiphertext(
-        policy=policy,
-        c_tilde=group.deserialize_gt(c_tilde_raw),
-        c=group.deserialize_g1(c_raw),
-        leaf_components=tuple(leaves),
-    )
+    return ciphertext
 
 
 def serialize_secret_key(group: PairingGroup, key: CPABESecretKey) -> bytes:

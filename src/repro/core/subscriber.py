@@ -38,6 +38,7 @@ from ..errors import (
     DecryptionError,
     GuidMismatchError,
     RetrievalError,
+    SerializationError,
     TokenRequestError,
     TransportError,
 )
@@ -111,9 +112,10 @@ def open_delivery(cpabe, group, secret_key, guid, guid_bytes, ciphertext_bytes):
     """CP-ABE-decrypt one retrieved payload and verify its embedded GUID.
 
     Returns the application payload.  Raises :class:`DecryptionError`
-    when the subscriber's attributes do not satisfy the policy, and
-    :class:`GuidMismatchError` when decryption succeeds but the recovered
-    GUID differs from the requested one (§4.3 correlation check).
+    when the subscriber's attributes do not satisfy the policy,
+    :class:`SerializationError` when the bytes are not a CP-ABE item at
+    all, and :class:`GuidMismatchError` when decryption succeeds but the
+    recovered GUID differs from the requested one (§4.3 correlation check).
     """
     plaintext = cpabe.decrypt(secret_key, deserialize_hybrid(group, ciphertext_bytes))
     recovered_guid, payload = plaintext[:guid_bytes], plaintext[guid_bytes:]
@@ -140,7 +142,7 @@ class SubscriberStats:
     matches: int = 0
     non_matches: int = 0
     failed_fetches: int = 0  # expired / unknown GUID at the RS
-    access_denied: int = 0  # CP-ABE attributes insufficient
+    access_denied: int = 0  # CP-ABE attributes insufficient, or the item undecodable
     duplicates_suppressed: int = 0  # retransmitted frames dropped by GUID dedup
     # simulated times of each suppression — the chaos SLO engine turns
     # these into delivery-integrity events at their exact instants
@@ -369,6 +371,13 @@ class SubscriberProtocol(P3SClient):
             self.stats.access_denied += 1  # treat as undecodable
             obs.end_span(step)
             obs.end_span(span, status="guid_mismatch", attempts=attempt + 1)
+            return
+        except SerializationError:
+            # a truncated or otherwise malformed item: whoever stored it, it
+            # must cost this subscriber one delivery, not its handler
+            self.stats.access_denied += 1
+            obs.end_span(step, status="undecodable")
+            obs.end_span(span, status="undecodable", attempts=attempt + 1)
             return
         except DecryptionError:
             self.stats.access_denied += 1

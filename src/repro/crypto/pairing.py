@@ -34,7 +34,7 @@ from __future__ import annotations
 from ..errors import ParameterError
 from ..obs.profile import record_op
 from .curve import Point
-from .field import Fq2
+from .field import Fq2, fq_inv
 from .jacobian import add_affine, double, normalise
 from .params import TypeAParams
 
@@ -99,12 +99,38 @@ def miller_loop(p: Point, q_point: Point) -> Fq2:
 def final_exponentiation(f: Fq2, params: TypeAParams) -> Fq2:
     """Raise the Miller value to ``(q² − 1)/r``.
 
-    Split as ``(q − 1) · (q + 1)/r``; the first factor is the cheap
-    Frobenius step ``f̄ / f`` (conjugation is ``f^q`` in ``F_q²``).
+    Split as ``(q − 1) · (q + 1)/r``.  The first factor is the cheap
+    Frobenius step ``u = f̄ / f`` (conjugation is ``f^q`` in ``F_q²``), and
+    ``u`` has norm 1, so ``u^h`` for ``h = (q + 1)/r`` comes from the Lucas
+    sequence ``V_k = u^k + ū^k`` over raw ints — ``V_{2k} = V_k² − 2``,
+    ``V_{2k+1} = V_k·V_{k+1} − P`` with ``P = V_1 = 2·Re(u)`` — at one
+    squaring and one multiplication per exponent bit:
+
+        Re(u^h) = V_h / 2,    Im(u^h) = (P·V_h − 2·V_{h+1}) / (4·Im(u)).
+
+    With ``f = a + bi`` and ``n = a² + b²``, ``Im(u) = −2ab/n``; the single
+    inversion ``w = 1/(8ab·n)`` yields both ``1/n`` and ``1/(4·Im(u))``.
     """
     record_op("final_exp")
-    easy = f.conjugate() * f.inverse()
-    return easy ** ((params.q + 1) // params.r)
+    q = params.q
+    a, b = f.a, f.b
+    if not a or not b:
+        if not (a or b):
+            raise ZeroDivisionError("final exponentiation of zero in F_q2")
+        # f real or purely imaginary: u = f̄/f = ±1, and h is even (4 | q + 1)
+        return Fq2.one(q)
+    norm = (a * a + b * b) % q
+    ab8 = 8 * a * b % q
+    w = fq_inv(norm * ab8 % q, q)
+    trace = 2 * (a + b) * (a - b) * (w * ab8 % q) % q  # P = 2·Re(u) = 2(a² − b²)/n
+    inv_4im = -norm * norm * w % q  # 1/(4·Im u) = −n/(8ab)
+    v0, v1 = trace, (trace * trace - 2) % q  # (V_1, V_2): the leading bit of h
+    for bit in bin((q + 1) // params.r)[3:]:
+        if bit == "1":
+            v0, v1 = (v0 * v1 - trace) % q, (v1 * v1 - 2) % q
+        else:
+            v0, v1 = (v0 * v0 - 2) % q, (v0 * v1 - trace) % q
+    return Fq2(v0 * ((q + 1) >> 1), (trace * v0 - 2 * v1) * inv_4im, q)
 
 
 def tate_pairing(p: Point, q_point: Point) -> Fq2:

@@ -15,14 +15,18 @@ this module is the policy/observation surface over both:
 
 * **Miller-loop line precomputation** (:mod:`repro.crypto.pairing`) — a
   pairing argument reused across many pairings (an HVE subscription token
-  matched against a stream of ciphertexts) pays its line-function setup
-  — the whole walk of ``T`` — once.  ~4x per token×ciphertext
-  evaluation at TOY parameters; see ``benchmarks/bench_match_fanout.py``.
+  *or a CP-ABE secret key*, paired against a stream of ciphertexts) pays
+  its line-function setup — the whole walk of ``T`` — once.  ~4x per
+  token×ciphertext evaluation at TOY parameters; see
+  ``benchmarks/bench_match_fanout.py``.  The lines themselves are kept by
+  their consumers, per instance and LRU-bounded (``HVE._token_pre``,
+  ``CPABE._key_lines``): they are token / key material.
 
-Both caches are process-global (workers of a :class:`repro.par.MatchPool`
-each warm their own copy) and both paths are bit-identical to the naive
-ones — enforced by ``tests/par/test_equivalence.py`` and the golden
-vectors in ``tests/crypto/vectors/``.
+The comb tables are process-global (workers of a
+:class:`repro.par.MatchPool` each warm their own copy) and both paths are
+bit-identical to the naive ones — enforced by
+``tests/par/test_equivalence.py`` and the golden vectors in
+``tests/crypto/vectors/``.
 
 :func:`set_enabled` switches the fixed-base fast path off and on at
 runtime (A/B benchmarking, the equivalence tests).

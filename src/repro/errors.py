@@ -53,6 +53,11 @@ class PolicyNotSatisfiedError(DecryptionError):
     """The attribute set does not satisfy the ciphertext policy."""
 
 
+class MalformedCiphertextError(DecryptionError):
+    """A ciphertext's components disagree with the policy it carries (leaf
+    labels that do not name the policy's leaves one for one)."""
+
+
 class PredicateMismatchError(DecryptionError):
     """A PBE token did not match the ciphertext's attribute vector."""
 

@@ -249,7 +249,7 @@ class HVE:
         exponentiation (:meth:`PairingGroup.multi_pair`) — the ablation
         bench ``bench_ablation_multipairing`` quantifies the saving — and,
         when :attr:`precompute` is on, with the token's cached Miller
-        lines (one-time setup, ~10x cheaper per ciphertext after).
+        lines (one-time setup, ~3.7x cheaper per ciphertext after).
 
         ``Query`` is deterministic, so the result is memoised: evaluating
         the same (token, ciphertext) pair again — the ``matches()`` probe

@@ -81,6 +81,36 @@ class TestSerialization:
         with pytest.raises(SerializationError):
             deserialize_hybrid(GROUP, blob[: len(blob) // 2])
 
+    def test_leaf_label_that_disagrees_with_the_policy_rejected(self):
+        ct = SCHEME.abe.encrypt(PUBLIC, GROUP.random_gt(), "org:acme")
+        ((_, c_y, c_y_prime),) = ct.leaf_components
+        hostile = type(ct)(ct.policy, ct.c_tilde, ct.c, (("org:zzz", c_y, c_y_prime),))
+        with pytest.raises(SerializationError):
+            deserialize_ciphertext(GROUP, serialize_ciphertext(GROUP, hostile))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b"org:acme and role:analyst", b"org:acme and and analyst "),  # does not parse
+            (b"org:acme and role:analyst", b"org:acme and role:\xff\xfealyst"),  # not UTF-8
+            (b"\x08org:acme", b"\x08org:acm\xff"),  # a leaf label that is not UTF-8
+        ],
+        ids=["policy-syntax", "policy-encoding", "label-encoding"],
+    )
+    def test_every_decoding_failure_is_a_serialization_error(self, old, new):
+        ct = SCHEME.abe.encrypt(PUBLIC, GROUP.random_gt(), "org:acme and role:analyst")
+        blob = serialize_ciphertext(GROUP, ct)
+        assert len(old) == len(new) and old in blob
+        with pytest.raises(SerializationError):
+            deserialize_ciphertext(GROUP, blob.replace(old, new, 1))
+
+    def test_point_off_the_curve_is_a_serialization_error(self):
+        ct = SCHEME.abe.encrypt(PUBLIC, GROUP.random_gt(), "org:acme")
+        blob = bytearray(serialize_ciphertext(GROUP, ct))
+        blob[-1] ^= 1  # last byte of C'_y's y-coordinate
+        with pytest.raises(SerializationError):
+            deserialize_ciphertext(GROUP, bytes(blob))
+
     def test_trailing_bytes_rejected(self):
         ct = SCHEME.encrypt(PUBLIC, b"bytes", "org:acme")
         with pytest.raises(SerializationError):

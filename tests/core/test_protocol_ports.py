@@ -672,6 +672,23 @@ class TestSubscriberRetrieval:
         assert world.alice.stats.failed_fetches == 1
         assert len(world.ports.calls) == 4 and world.alice.stats.deliveries == []
 
+    def test_hostile_items_are_counted_not_raised(self, world, group):
+        """A mislabelled leaf used to escape as a bare ``KeyError`` and a
+        truncated item as a ``SerializationError``, killing the handler."""
+        good = world.submission.ciphertext
+        head, tail = good.rsplit(b"\x03org", 1)  # the leaf label; the policy text comes first
+        mislabelled = head + b"\x03zzz" + tail
+        assert b"\x03org" in head
+        items = {b"\x01" * 16: mislabelled, b"\x02" * 16: good[: len(good) // 2], world.guid: good}
+        for guid, ciphertext in items.items():
+            for rs in world.replicas.values():
+                rs.ports.deliver("ds", RPC_STORE, PayloadSubmission(guid, ciphertext, 60.0))
+        for publication_id, guid in enumerate(items):
+            run(world.alice._retrieve_process(guid, publication_id))
+        assert world.alice.stats.access_denied == 2 and world.alice.stats.failed_fetches == 0
+        (delivery,) = world.alice.stats.deliveries
+        assert delivery.payload == b"the payload" and delivery.publication_id == 2
+
     def test_duplicate_broadcast_is_suppressed_by_guid(self, world, group, ara):
         for rs in world.replicas.values():
             rs.ports.deliver("ds", RPC_STORE, world.submission)

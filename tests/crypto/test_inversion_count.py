@@ -84,3 +84,82 @@ def test_miller_loops_never_invert_before_the_final_exponentiation(inversions):
 
     pairing.multi_pairing([(p, q), (q, g)], TOY)  # the final exponentiation's f̄ / f
     assert len(inversions) == 1
+
+
+@pytest.fixture
+def decrypt_counts(monkeypatch, inversions):
+    """What a CP-ABE decryption did, counted since the fixture was last asked."""
+    from repro.crypto import group as group_module
+    from repro.obs import Observability
+
+    counts = {"precompute_miller": 0, "final_exponentiation": 0, "Fq2.__pow__": 0}
+
+    def counted(name, real):
+        def counting(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return counting
+
+    monkeypatch.setattr(
+        group_module, "precompute_miller", counted("precompute_miller", pairing.precompute_miller)
+    )
+    monkeypatch.setattr(
+        pairing,
+        "final_exponentiation",
+        counted("final_exponentiation", pairing.final_exponentiation),
+    )
+    monkeypatch.setattr(field.Fq2, "__pow__", counted("Fq2.__pow__", field.Fq2.__pow__))
+    obs = Observability()
+    pairings_before = 0
+    with obs.installed():
+
+        def since_last_asked():
+            nonlocal pairings_before
+            pairings = obs.metrics.counter_total("op.pairing")
+            taken = dict(counts, fq_inv=len(inversions), pairings=pairings - pairings_before)
+            pairings_before = pairings
+            for name in counts:
+                counts[name] = 0
+            del inversions[:]
+            return taken
+
+        yield since_last_asked
+
+
+def test_warm_cpabe_decryption_is_one_multi_pairing(decrypt_counts):
+    from repro.abe.bsw07 import CPABE
+    from repro.crypto.group import PairingGroup
+
+    group = PairingGroup("TOY")
+    scheme = CPABE(group)
+    public, master = scheme.setup()
+    key = scheme.keygen(master, {"a", "b", "c"})
+    message = group.random_gt()
+    both = scheme.encrypt(public, message, "a and b")
+    either = scheme.encrypt(public, message, "a or b")
+    decrypt_counts()
+
+    assert scheme.decrypt(key, both) == message
+    first = decrypt_counts()
+    assert first["precompute_miller"] == 5 <= 1 + 2 * len(key.attributes)  # D, and a's and b's pairs
+    assert first["pairings"] == 5  # one per pair, as op.pairing has always counted
+
+    assert scheme.decrypt(key, both) == message
+    warm = decrypt_counts()
+    assert warm["precompute_miller"] == 0
+    assert warm["final_exponentiation"] == 1
+    assert warm["Fq2.__pow__"] == 0
+    assert warm["pairings"] == 5
+    # the final exponentiation's, plus one for each of the two ciphertext
+    # points that leaf a's Lagrange coefficient 2 is moved onto (b's is −1)
+    assert warm["fq_inv"] == 1 + 2
+
+    assert scheme.decrypt(key, either) == message  # coefficient 1: nothing to move
+    assert decrypt_counts() == {
+        "precompute_miller": 0,
+        "final_exponentiation": 1,
+        "Fq2.__pow__": 0,
+        "fq_inv": 1,
+        "pairings": 3,
+    }

@@ -1,11 +1,14 @@
 """Bilinearity, non-degeneracy, and multi-pairing correctness."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.curve import Point, hash_to_point
-from repro.crypto.pairing import miller_loop, multi_pairing, tate_pairing
-from repro.crypto.params import TEST, TOY
+from repro.crypto.field import Fq2
+from repro.crypto.pairing import final_exponentiation, miller_loop, multi_pairing, tate_pairing
+from repro.crypto.params import PAPER, TEST, TOY
 from repro.errors import ParameterError
 
 from .reference import small_order_point
@@ -177,3 +180,42 @@ class TestMillerBranches:
             reference_miller(p, qp) * reference_miller(small, G) * reference_miller(G, G * 3)
         )
         assert product == expected
+
+
+def generic_final_exponentiation(f, params):
+    """``(f̄ / f) ** ((q + 1)/r)`` by plain square-and-multiply."""
+    return (f.conjugate() * f.inverse()) ** ((params.q + 1) // params.r)
+
+
+class TestFinalExponentiation:
+    """The Lucas ladder against the generic power it replaced."""
+
+    @pytest.mark.parametrize("params", [TOY, TEST, PAPER], ids=["TOY", "TEST", "PAPER"])
+    def test_miller_values_of_random_pairs(self, params):
+        rng = random.Random(0xF1A1)
+        g = Point.generator(params)
+        for _ in range(3):
+            f = miller_loop(g * rng.randrange(1, params.r), g * rng.randrange(1, params.r))
+            assert final_exponentiation(f, params) == generic_final_exponentiation(f, params)
+
+    @pytest.mark.parametrize("params", [TOY, TEST, PAPER], ids=["TOY", "TEST", "PAPER"])
+    def test_real_imaginary_one_and_unitary_inputs(self, params):
+        q = params.q
+        unitary = generic_final_exponentiation(Fq2(3, 4, q), params)  # norm 1, order r
+        for f in (Fq2(5, 0, q), Fq2(0, 7, q), Fq2.one(q), Fq2(0, 1, q), Fq2(-1, 0, q), unitary):
+            assert final_exponentiation(f, params) == generic_final_exponentiation(f, params), f
+        assert final_exponentiation(Fq2(5, 0, q), params).is_one()
+
+    def test_zero_has_no_final_exponentiation(self):
+        with pytest.raises(ZeroDivisionError):
+            final_exponentiation(Fq2.zero(TOY.q), TOY)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, TOY.q - 1), st.integers(0, TOY.q - 1))
+    def test_any_nonzero_element(self, a, b):
+        f = Fq2(a, b, TOY.q)
+        if f.is_zero():
+            return
+        out = final_exponentiation(f, TOY)
+        assert out == generic_final_exponentiation(f, TOY)
+        assert (out**R).is_one()
