@@ -19,9 +19,7 @@ Run with ``-s`` for the table; ``P3S_WRITE_BENCH=1`` writes
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
+from conftest import BenchRecord
 
 from repro.core.config import P3SConfig
 from repro.core.system import P3SSystem
@@ -84,7 +82,7 @@ def _run_topology(ds_shards: int) -> dict:
         system.close()
 
 
-def test_ds_sharding_scales_delivery_throughput(capsys):
+def test_ds_sharding_scales_delivery_throughput(capsys, bench_writer):
     rows = [_run_topology(k) for k in SHARD_COUNTS]
     base = rows[0]["deliveries_per_s"]
     for row in rows:
@@ -112,22 +110,26 @@ def test_ds_sharding_scales_delivery_throughput(capsys):
     assert by_shards[2]["speedup"] >= MIN_SPEEDUP_2_SHARDS
     assert by_shards[4]["speedup"] > by_shards[2]["speedup"]  # still climbing at 4
 
-    if os.environ.get("P3S_WRITE_BENCH"):
-        target = pathlib.Path(__file__).resolve().parents[1] / "BENCH_pr8.json"
-        target.write_text(
-            json.dumps(
-                {
-                    "workload": {
-                        "subscribers": SUBSCRIBERS,
-                        "publications": PUBLICATIONS,
-                        "payload_bytes": len(PAYLOAD),
-                        "ds_subscriber_link_bps": DS_LINK_BPS,
-                        "rs_shards": 2,
-                        "rs_replication": 2,
-                    },
-                    "scaling": rows,
-                },
-                indent=2,
+    bench_writer(
+        "BENCH_pr8.json",
+        suite="cluster",
+        workload={
+            "subscribers": SUBSCRIBERS,
+            "publications": PUBLICATIONS,
+            "payload_bytes": len(PAYLOAD),
+            "ds_subscriber_link_bps": DS_LINK_BPS,
+            "rs_shards": 2,
+            "rs_replication": 2,
+        },
+        records=[
+            # sub-linear but real scaling: at least half the ideal speedup
+            BenchRecord(
+                f"cluster.speedup_ds{row['ds_shards']}",
+                row["speedup"],
+                "ratio",
+                floor=row["ds_shards"] / 2,
             )
-            + "\n"
-        )
+            for row in rows
+            if row["ds_shards"] > 1
+        ],
+    )

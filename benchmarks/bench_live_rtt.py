@@ -24,13 +24,11 @@ Run with ``-s`` for the table; ``P3S_WRITE_BENCH=1`` writes
 from __future__ import annotations
 
 import asyncio
-import json
-import os
-import pathlib
 import statistics
 import time
 
 import pytest
+from conftest import BenchRecord
 
 from repro.core.config import P3SConfig
 from repro.live.channel import ServerIdentity
@@ -193,7 +191,7 @@ def _measure_substrate_overhead() -> dict:
     }
 
 
-def test_live_rtt_report(capsys):
+def test_live_rtt_report(capsys, bench_writer):
     echo = asyncio.run(asyncio.wait_for(_measure_echo_rtt(), 120.0))
     latency = asyncio.run(asyncio.wait_for(_measure_publish_deliver(), 300.0))
     burst = asyncio.run(asyncio.wait_for(_measure_burst_throughput(), 300.0))
@@ -220,22 +218,36 @@ def test_live_rtt_report(capsys):
             f"({overhead['live_over_sim']:.2f}x, same 5-publication scenario)"
         )
 
-    if os.environ.get("P3S_WRITE_BENCH"):
-        target = pathlib.Path(__file__).resolve().parents[1] / "BENCH_pr3.json"
-        target.write_text(
-            json.dumps(
-                {
-                    "workload": {
-                        "param_set": "TOY",
-                        "transport": "loopback TCP + AEAD records",
-                        "schema_attributes": 2,
-                    },
-                    "rpc_echo_rtt": echo,
-                    "publish_deliver_latency": latency,
-                    "burst_throughput": burst,
-                    "substrate_overhead": overhead,
-                },
-                indent=1,
-            )
-            + "\n"
-        )
+    bench_writer(
+        "BENCH_pr3.json",
+        suite="live_substrate",
+        workload={
+            "param_set": "TOY",
+            "transport": "loopback TCP + AEAD records",
+            "schema_attributes": 2,
+        },
+        records=[
+            BenchRecord(
+                "live_substrate.rpc_echo_p95_ms", echo["p95_ms"], "ms", direction="lower"
+            ),
+            BenchRecord(
+                "live_substrate.publish_deliver_p95_ms",
+                latency["p95_ms"],
+                "ms",
+                direction="lower",
+            ),
+            BenchRecord(
+                "live_substrate.publications_per_s",
+                burst["publications_per_s"],
+                "ops/s",
+                floor=1.0,
+            ),
+            BenchRecord(
+                "live_substrate.live_over_sim",
+                overhead["live_over_sim"],
+                "ratio",
+                direction="lower",
+                ceiling=25.0,
+            ),
+        ],
+    )

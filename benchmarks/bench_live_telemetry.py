@@ -20,13 +20,11 @@ Run with ``-s`` for the table; ``P3S_WRITE_BENCH=1`` writes
 from __future__ import annotations
 
 import asyncio
-import json
-import os
-import pathlib
 import statistics
 import time
 
 import pytest
+from conftest import BenchRecord
 
 from repro.core.config import P3SConfig
 from repro.live.deployment import LiveDeployment
@@ -146,7 +144,7 @@ def _measure_recorder_tax() -> dict:
     }
 
 
-def test_live_telemetry_report(capsys):
+def test_live_telemetry_report(capsys, bench_writer):
     scrape, exposition = asyncio.run(
         asyncio.wait_for(_measure_scrape_and_exposition(), 300.0)
     )
@@ -170,21 +168,28 @@ def test_live_telemetry_report(capsys):
             f"({tax['overhead_pct']:+.1f}%, capacity {tax['recorder_capacity']})"
         )
 
-    if os.environ.get("P3S_WRITE_BENCH"):
-        target = pathlib.Path(__file__).resolve().parents[1] / "BENCH_pr4.json"
-        target.write_text(
-            json.dumps(
-                {
-                    "workload": {
-                        "param_set": "TOY",
-                        "transport": "loopback TCP + AEAD records",
-                        "services_scraped": 4,
-                    },
-                    "scrape_sweep": scrape,
-                    "openmetrics_exposition": exposition,
-                    "flight_recorder_tax": tax,
-                },
-                indent=1,
-            )
-            + "\n"
-        )
+    bench_writer(
+        "BENCH_pr4.json",
+        suite="telemetry",
+        workload={
+            "param_set": "TOY",
+            "transport": "loopback TCP + AEAD records",
+            "services_scraped": 4,
+        },
+        records=[
+            BenchRecord("telemetry.scrape_p95_ms", scrape["p95_ms"], "ms", direction="lower"),
+            BenchRecord(
+                "telemetry.exposition_render_ms",
+                exposition["render_ms"],
+                "ms",
+                direction="lower",
+            ),
+            BenchRecord(
+                "telemetry.flight_recorder_overhead_pct",
+                tax["overhead_pct"],
+                "count",
+                direction="lower",
+                ceiling=80.0,
+            ),
+        ],
+    )

@@ -1,113 +1,53 @@
 """PR-9 observability tax: what does tracing cost, and what does
 tail-based sampling buy back?
 
-One synthetic delivery pipeline — per message a publish → fan_out →
-deliver span tree around a crypto-weight unit of work (iterated SHA-256,
-calibrated to a few hundred microseconds: cheap relative to the real
-pipeline's pairing operations, so the measured tracing tax is an upper
-bound on the deployed one).  Every 100 messages the finished spans are
-drained, JSON-serialized and ingested into a
-:class:`~repro.obs.aggregate.TelemetryAggregator` — the full
-KIND_SPANS scrape path, which is where always-on tracing actually
-hurts.  Three modes:
+The measurement is ``repro.perf.gate.probe_obs_recovery`` — the function
+`repro perf gate --only obs` re-runs against the committed baseline; this
+bench calls it at bench size and owns only the assertions and the record
+metadata.  One synthetic delivery pipeline — per message a publish →
+fan_out → deliver span tree around a crypto-weight unit of work (iterated
+SHA-256, calibrated to a few hundred microseconds: cheap relative to the
+real pipeline's pairing operations, so the measured tracing tax is an
+upper bound on the deployed one) — with the full KIND_SPANS scrape path
+every 100 messages, which is where always-on tracing actually hurts.
+Three modes, interleaved, best-of-``REPEATS``:
 
 * **off** — no tracer at all: the baseline throughput;
 * **always** — every span recorded and exported (``sampler=None``);
 * **sampled** — deterministic tail sampling at 1% keep: unsampled spans
   are buffered for tail promotion and never exported.
 
-The modes run interleaved (off/always/sampled, repeated) so CPU
-frequency drift hits all three equally; best-of-``REPEATS`` is scored.
-
 Run with ``-s`` for the table; ``P3S_WRITE_BENCH=1`` writes
-``BENCH_pr9.json`` at the repo root (the committed record, in the
-versioned schema of ``benchmarks/schema.py``).
+``BENCH_pr9.json`` at the repo root (the committed record).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import time
+from conftest import BenchRecord
 
-from schema import BenchRecord
-
-from repro.obs.aggregate import TelemetryAggregator
-from repro.obs.sampling import TraceSampler, decision
-from repro.obs.tracing import Tracer
+from repro.obs.sampling import decision
+from repro.perf.gate import (
+    OBS_DRAIN_EVERY,
+    OBS_HASH_ROUNDS,
+    OBS_KEEP_RATE,
+    OBS_PAYLOAD_BYTES,
+    OBS_SEED,
+    probe_obs_recovery,
+)
 
 MESSAGES = 500
-PAYLOAD = b"\x5a" * 4096
-HASH_ROUNDS = 160
-DRAIN_EVERY = 100
 REPEATS = 5
-KEEP_RATE = 0.01
-SEED = 9
 RECOVERY_FLOOR = 0.90  # 1%-keep must recover ≥90% of tracing-off
-
-
-def _work() -> int:
-    """The per-message application work standing in for HVE matching."""
-    digest = PAYLOAD
-    for _ in range(HASH_ROUNDS):
-        digest = hashlib.sha256(digest).digest() + PAYLOAD
-    return digest[0]
-
-
-def _make_tracer(mode: str) -> Tracer | None:
-    if mode == "off":
-        return None
-    sampler = TraceSampler(KEEP_RATE, seed=SEED) if mode == "sampled" else None
-    return Tracer(capacity=4096, sampler=sampler)
-
-
-def _run_once(mode: str) -> dict:
-    tracer = _make_tracer(mode)
-    aggregator = TelemetryAggregator()
-    exported_bytes = 0
-    exported_spans = 0
-    sink = 0
-    start = time.perf_counter()
-    for index in range(MESSAGES):
-        if tracer is None:
-            sink += _work()
-            continue
-        with tracer.span("publish", "pub"):
-            with tracer.span("ds.fan_out", "ds"):
-                sink += _work()
-            with tracer.span("deliver", "sub"):
-                pass
-        if index % DRAIN_EVERY == DRAIN_EVERY - 1:
-            drained = tracer.drain_finished()
-            wire = json.dumps([span.to_dict() for span in drained])
-            exported_bytes += len(wire)
-            exported_spans += len(drained)
-            aggregator.add_spans("ds", json.loads(wire), dropped=tracer.dropped_spans)
-    elapsed = time.perf_counter() - start
-    kept_traces = sorted(aggregator.publish_deliver_trace_latencies())
-    return {
-        "seconds": elapsed,
-        "messages_per_s": MESSAGES / elapsed,
-        "exported_spans": exported_spans,
-        "exported_bytes": exported_bytes,
-        "kept_traces": kept_traces,
-        "sampler": dict(tracer.sampler.counters()) if tracer and tracer.sampler else None,
-        "sink": sink,
-    }
 
 
 def test_bench_obs_overhead(bench_writer):
     modes = ("off", "always", "sampled")
-    best: dict[str, dict] = {}
-    for _ in range(REPEATS):
-        for mode in modes:  # interleaved: frequency drift hits all modes
-            result = _run_once(mode)
-            if mode not in best or result["seconds"] < best[mode]["seconds"]:
-                best[mode] = result
-
+    gated, best = probe_obs_recovery(MESSAGES, REPEATS)
     off, always, sampled = (best[mode] for mode in modes)
     recovery = {
-        mode: best[mode]["messages_per_s"] / off["messages_per_s"] for mode in modes
+        "off": 1.0,
+        "always": always["messages_per_s"] / off["messages_per_s"],
+        "sampled": gated["obs_overhead.sampled_recovery"],
     }
 
     print()
@@ -130,7 +70,7 @@ def test_bench_obs_overhead(bench_writer):
     expected_kept = [
         trace_id
         for trace_id in range(1, MESSAGES + 1)
-        if decision(SEED, trace_id, KEEP_RATE)
+        if decision(OBS_SEED, trace_id, OBS_KEEP_RATE)
     ]
     assert sampled["kept_traces"] == expected_kept
     assert sampled["sampler"]["kept_traces"] == len(expected_kept)
@@ -138,21 +78,19 @@ def test_bench_obs_overhead(bench_writer):
     # 3) sampling pays for itself: 1%-keep recovers ≥90% of tracing-off
     assert recovery["sampled"] >= RECOVERY_FLOOR, recovery
 
-    # Record names match the legacy BENCH_pr9.json normalizer, so a
-    # re-run supersedes the committed history entry-for-entry.
     written = bench_writer(
         "BENCH_pr9.json",
         suite="obs_overhead",
-        seed=SEED,
+        seed=OBS_SEED,
         workload={
             "messages": MESSAGES,
             "spans_per_message": 3,
-            "payload_bytes": len(PAYLOAD),
-            "hash_rounds": HASH_ROUNDS,
-            "drain_every": DRAIN_EVERY,
+            "payload_bytes": OBS_PAYLOAD_BYTES,
+            "hash_rounds": OBS_HASH_ROUNDS,
+            "drain_every": OBS_DRAIN_EVERY,
             "repeats": REPEATS,
-            "keep_rate": KEEP_RATE,
-            "seed": SEED,
+            "keep_rate": OBS_KEEP_RATE,
+            "seed": OBS_SEED,
         },
         records=[
             BenchRecord(
@@ -160,14 +98,14 @@ def test_bench_obs_overhead(bench_writer):
                 recovery["always"],
                 "fraction",
                 floor=0.5,
-                seed=SEED,
+                seed=OBS_SEED,
             ),
             BenchRecord(
                 "obs_overhead.sampled_recovery",
                 recovery["sampled"],
                 "fraction",
                 floor=RECOVERY_FLOOR,
-                seed=SEED,
+                seed=OBS_SEED,
             ),
             BenchRecord("obs_overhead.off_messages_per_s", off["messages_per_s"], "ops/s"),
             BenchRecord(

@@ -21,12 +21,11 @@ Run with ``-s`` for the table; ``P3S_WRITE_BENCH=1`` writes
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import time
 
 import pytest
+from conftest import BenchRecord
 
 from repro.core.messages import PayloadSubmission
 from repro.core.rs import RepositoryStore
@@ -134,7 +133,7 @@ def _bench_gc(sizes=GC_SIZES) -> list[dict]:
     return rows
 
 
-def test_bench_store_wal(tmp_path):
+def test_bench_store_wal(tmp_path, bench_writer):
     appends = _bench_appends(tmp_path)
     recovery = _bench_recovery(tmp_path)
     gc = _bench_gc()
@@ -162,22 +161,34 @@ def test_bench_store_wal(tmp_path):
     assert appends["wal_nofsync"]["records_per_s"] > appends["wal_fsync"]["records_per_s"]
     assert all(row["heap_examined"] == GC_EXPIRED for row in gc)
 
-    if os.environ.get("P3S_WRITE_BENCH"):
-        target = pathlib.Path(__file__).resolve().parents[1] / "BENCH_pr6.json"
-        target.write_text(
-            json.dumps(
-                {
-                    "workload": {
-                        "append_records": APPEND_RECORDS,
-                        "value_bytes": VALUE_BYTES,
-                        "gc_expired": GC_EXPIRED,
-                    },
-                    "append_throughput": appends,
-                    "recovery_open": recovery,
-                    "gc_sweep": gc,
-                },
-                indent=2,
+    append_floors = {"wal_fsync": 50.0, "wal_nofsync": 500.0, "sqlite": 25.0}
+    written = bench_writer(
+        "BENCH_pr6.json",
+        suite="store",
+        workload={
+            "append_records": APPEND_RECORDS,
+            "value_bytes": VALUE_BYTES,
+            "gc_expired": GC_EXPIRED,
+        },
+        records=[
+            BenchRecord(
+                f"store.{backend}_records_per_s",
+                row["records_per_s"],
+                "ops/s",
+                floor=append_floors[backend],
             )
-            + "\n"
-        )
-        print(f"wrote {target}")
+            for backend, row in appends.items()
+        ]
+        + [
+            BenchRecord(
+                f"store.compaction_speedup_{row['log_records']}", row["speedup"], "ratio", floor=1.0
+            )
+            for row in recovery
+        ]
+        + [
+            BenchRecord(f"store.gc_speedup_{row['live_items']}", row["speedup"], "ratio", floor=1.0)
+            for row in gc
+        ],
+    )
+    if written is not None:
+        print(f"wrote {written}")

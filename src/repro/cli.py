@@ -351,7 +351,8 @@ async def _prof_top(args) -> None:
     origins = aggregator.profile_origins()
     if not origins:
         raise SystemExit(
-            "no profiles scraped — are the services running with P3S_PROFILE=off?"
+            "no profiles scraped — no reachable service has a sampler attached "
+            "(every `live serve-*` process starts one)"
         )
     merged = aggregator.merged_profile()
     print(
@@ -564,8 +565,7 @@ async def _open_telemetry_session(args, purpose: str):
             await driver
         await client.close()
         await deployment.close()
-        if profiler is not None:
-            profiler.stop()
+        profiler.stop()
         obs.uninstall()
 
     return client, list(deployment.service_names), close

@@ -100,9 +100,8 @@ class P3SConfig:
     # interest privacy at the DS for bandwidth; delivery sets are
     # unchanged (tests/par/test_equivalence.py proves it).
     delegated_matching: bool = False
-    # MatchPool size for the DS: None defers to P3S_MATCH_WORKERS (then
-    # serial); values <= 1 force the serial in-process path.
-    match_workers: int | None = None
+    # MatchPool size for the DS: values <= 1 are the serial in-process path.
+    match_workers: int = 0
     # -- durable persistence (repro.store; see docs/PERSISTENCE.md) --
     # Backend for RS items and DS registrations: "memory" (default, the
     # historical purely-in-memory behaviour), "wal", or "sqlite".  The

@@ -84,7 +84,7 @@ class DisseminationServer(Broker):
         metadata_topic: str = "p3s.metadata",
         group=None,
         timings: ComputeTimings | None = None,
-        match_workers: int | None = None,
+        match_workers: int = 0,
         store: StorageEngine | None = None,
         cluster=None,
     ):

@@ -29,9 +29,7 @@ __all__ = [
     "hash_to_point",
     "FixedBaseTable",
     "fixed_base_table",
-    "set_fixed_base_enabled",
     "clear_fixed_base_cache",
-    "fixed_base_cache_info",
 ]
 
 # ---------------------------------------------------------------------------
@@ -57,36 +55,14 @@ _FB_PROMOTE_AFTER = 2  # big muls a base must perform before a table is built
 _FB_MAX_TABLES = 128
 _FB_MAX_COUNTS = 4096
 
-_fb_enabled = True  # set_fixed_base_enabled(False) is the A/B seam
 _fb_tables: "OrderedDict[tuple[int, int, int], FixedBaseTable]" = OrderedDict()
 _fb_counts: "OrderedDict[tuple[int, int, int], int]" = OrderedDict()
-_fb_builds = 0
-_fb_hits = 0
-
-
-def set_fixed_base_enabled(enabled: bool) -> None:
-    """Toggle the fixed-base fast path (used by A/B benchmarks and tests)."""
-    global _fb_enabled
-    _fb_enabled = enabled
 
 
 def clear_fixed_base_cache() -> None:
     """Drop all tables and promotion counters (test isolation)."""
-    global _fb_builds, _fb_hits
     _fb_tables.clear()
     _fb_counts.clear()
-    _fb_builds = 0
-    _fb_hits = 0
-
-
-def fixed_base_cache_info() -> dict[str, int]:
-    """Cache statistics: tables built/live, hits since the last clear."""
-    return {
-        "tables": len(_fb_tables),
-        "builds": _fb_builds,
-        "hits": _fb_hits,
-        "tracked_bases": len(_fb_counts),
-    }
 
 
 class FixedBaseTable:
@@ -141,7 +117,6 @@ def fixed_base_table(point: "Point", max_bits: int | None = None) -> FixedBaseTa
     Services with known-hot bases (the PBE-TS, publishers) call this once
     so even their first request takes the fast path.
     """
-    global _fb_builds
     key = (point.x, point.y, point.params.q)
     table = _fb_tables.get(key)
     if table is None:
@@ -150,7 +125,6 @@ def fixed_base_table(point: "Point", max_bits: int | None = None) -> FixedBaseTa
         table = FixedBaseTable(point, max_bits)
         _fb_tables[key] = table
         _fb_counts.pop(key, None)
-        _fb_builds += 1
         record_op("g1_exp.fb_build")
         while len(_fb_tables) > _FB_MAX_TABLES:
             _fb_tables.popitem(last=False)
@@ -267,13 +241,10 @@ class Point:
             return Point.infinity(self.params)
         record_op("g1_exp")
         bits = k.bit_length()
-        if _fb_enabled:
-            table = _fb_lookup(self, bits)
-            if table is not None and bits <= table.max_bits:
-                global _fb_hits
-                _fb_hits += 1
-                record_op("g1_exp.fixed_base")
-                return table.mul(k)
+        table = _fb_lookup(self, bits)
+        if table is not None and bits <= table.max_bits:
+            record_op("g1_exp.fixed_base")
+            return table.mul(k)
         return self.scalar_mul_windowed(k, 4 if bits > 32 else 1)
 
     __rmul__ = __mul__

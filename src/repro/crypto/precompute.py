@@ -27,21 +27,11 @@ The comb tables are process-global (workers of a
 bit-identical to the naive ones — enforced by
 ``tests/par/test_equivalence.py`` and the golden vectors in
 ``tests/crypto/vectors/``.
-
-:func:`set_enabled` switches the fixed-base fast path off and on at
-runtime (A/B benchmarking, the equivalence tests).
 """
 
 from __future__ import annotations
 
-from .curve import (
-    FixedBaseTable,
-    Point,
-    clear_fixed_base_cache,
-    fixed_base_cache_info,
-    fixed_base_table,
-    set_fixed_base_enabled,
-)
+from .curve import FixedBaseTable, Point, clear_fixed_base_cache, fixed_base_table
 from .pairing import MillerPrecomputed, precompute_miller
 
 __all__ = [
@@ -51,9 +41,7 @@ __all__ = [
     "precompute_miller",
     "warm_fixed_base",
     "warm_generator",
-    "set_enabled",
     "clear_caches",
-    "cache_info",
 ]
 
 
@@ -80,16 +68,6 @@ def warm_generator(group) -> None:
     fixed_base_table(group.generator)
 
 
-def set_enabled(enabled: bool) -> None:
-    """Toggle the fixed-base fast path process-wide."""
-    set_fixed_base_enabled(enabled)
-
-
 def clear_caches() -> None:
     """Drop every precomputation cache (test isolation)."""
     clear_fixed_base_cache()
-
-
-def cache_info() -> dict[str, int]:
-    """Fixed-base cache statistics (tables, builds, hits, tracked bases)."""
-    return fixed_base_cache_info()

@@ -354,16 +354,12 @@ class DeterministicSampler:
         )
 
 
-def start_default_profiler(obs, origin: str) -> StackSampler | None:
+def start_default_profiler(obs, origin: str) -> StackSampler:
     """The always-on wall sampler of a long-running process (a served
     role, the in-process ``live top`` view): attached to ``obs`` and
-    started, unless ``P3S_PROFILE=off``.  ``P3S_PROFILE_HZ`` sets the
-    rate (default 19 — deliberately gentle).  The one place the two
-    variables are read.
+    started at 19 Hz — deliberately gentle, it samples all the process's
+    life.
     """
-    if os.environ.get("P3S_PROFILE", "wall") == "off":
-        return None
-    hz = float(os.environ.get("P3S_PROFILE_HZ", "19"))
-    profiler = obs.profiler = StackSampler(hz=hz, obs=obs, origin=origin)
+    profiler = obs.profiler = StackSampler(hz=19.0, obs=obs, origin=origin)
     profiler.start()
     return profiler

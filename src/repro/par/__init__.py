@@ -4,10 +4,9 @@
 subscriber tokens, over a process pool (``workers >= 2``) or a serial
 in-process fallback — both produce identical, index-ordered results.
 The DS uses it for delegated matching (see :mod:`repro.core.ds`); pool
-size is wired through :class:`repro.core.config.P3SConfig` or the
-``P3S_MATCH_WORKERS`` environment variable.
+size is :attr:`repro.core.config.P3SConfig.match_workers`.
 """
 
-from .pool import MatchPool, resolve_workers
+from .pool import MatchPool
 
-__all__ = ["MatchPool", "resolve_workers"]
+__all__ = ["MatchPool"]

@@ -17,12 +17,10 @@ Worker processes are long-lived (created once, reused across
 publications) and each holds its own precomputation caches — an HVE
 token's Miller-loop setup is paid once per worker, then amortized over
 the publication stream.  The ``fork`` start method is preferred (cheap,
-inherits warmed parent caches); ``spawn`` works too because workers
-rebuild state from a picklable parameter tuple.
+inherits the parent's comb tables); ``spawn`` works too because workers
+build their state from a picklable parameter tuple.
 
-Pool size resolution: explicit ``workers`` argument, else the
-``P3S_MATCH_WORKERS`` environment variable, else serial.  Metrics go
-through the process-global :mod:`repro.obs` hooks:
+Metrics go through the process-global :mod:`repro.obs` hooks:
 
 ======================  =====================================================
 ``par.match``           counter — one per (token, ciphertext) evaluation
@@ -36,25 +34,13 @@ through the process-global :mod:`repro.obs` hooks:
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 
 from ..crypto.group import PairingGroup
 from ..obs.profile import observe, record_op
 from . import worker as worker_mod
 
-__all__ = ["MatchPool", "resolve_workers"]
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Effective worker count: argument → ``P3S_MATCH_WORKERS`` → 0 (serial)."""
-    if workers is None:
-        raw = os.environ.get("P3S_MATCH_WORKERS", "").strip()
-        try:
-            workers = int(raw) if raw else 0
-        except ValueError:
-            workers = 0
-    return max(0, workers)
+__all__ = ["MatchPool"]
 
 
 class MatchPool:
@@ -62,25 +48,14 @@ class MatchPool:
 
     Args:
         group: the :class:`PairingGroup` tokens/ciphertexts live in.
-        workers: pool size; ``None`` defers to ``P3S_MATCH_WORKERS``;
-            values ``<= 1`` select the serial in-process path.
-        chunk_size: tokens per pool task; ``None`` balances chunks so
-            every worker gets at most two.
+        workers: pool size; values ``<= 1`` select the serial in-process
+            path.  Pool tasks are balanced so every worker gets at most
+            two chunks of tokens.
     """
 
-    def __init__(
-        self,
-        group: PairingGroup,
-        workers: int | None = None,
-        chunk_size: int | None = None,
-        warm: tuple[bytes, list[bytes]] | None = None,
-    ):
+    def __init__(self, group: PairingGroup, workers: int = 0):
         self.group = group
-        self.workers = resolve_workers(workers)
-        self.chunk_size = chunk_size
-        # (ciphertext_bytes, token_bytes_list) evaluated by every worker at
-        # startup, so the whole pool enters service with hot caches
-        self.warm = warm
+        self.workers = workers
         self._pool = None
         self._serial_state: worker_mod.WorkerState | None = None
 
@@ -91,38 +66,21 @@ class MatchPool:
         return self.workers >= 2
 
     def start(self) -> "MatchPool":
-        """Create (and for serial mode, warm) the execution backend.
+        """Create the execution backend.
 
         Lazy — :meth:`match` calls this on first use; calling it eagerly
         moves worker startup out of the latency-critical first match.
         """
-        warm_job = None
-        if self.warm is not None:
-            ciphertext_bytes, token_bytes_list = self.warm
-            warm_job = (ciphertext_bytes, list(enumerate(token_bytes_list)))
-        if self.parallel:
-            if self._pool is None:
-                wire = worker_mod.params_to_wire(self.group.params)
-                ctx = self._context()
-                if ctx.get_start_method() == "fork":
-                    # Build (and warm) the worker state in the parent, then
-                    # fork: every child inherits the hot caches through
-                    # copy-on-write, and the warm-up is synchronous — no
-                    # worker starts cold or mid-warm-up.
-                    worker_mod.init_worker(wire, warm_job)
-                    self._pool = ctx.Pool(processes=self.workers)
-                else:
-                    self._pool = ctx.Pool(
-                        processes=self.workers,
-                        initializer=worker_mod.init_worker,
-                        initargs=(wire, warm_job),
-                    )
-        elif self._serial_state is None:
-            self._serial_state = worker_mod.WorkerState(
-                worker_mod.params_to_wire(self.group.params)
-            )
-            if warm_job is not None:
-                self._serial_state.match_chunk(*warm_job)
+        if self._pool is None and self._serial_state is None:
+            wire = worker_mod.params_to_wire(self.group.params)
+            if self.parallel:
+                self._pool = self._context().Pool(
+                    processes=self.workers,
+                    initializer=worker_mod.init_worker,
+                    initargs=(wire,),
+                )
+            else:
+                self._serial_state = worker_mod.WorkerState(wire)
         return self
 
     @staticmethod
@@ -182,9 +140,7 @@ class MatchPool:
     def _match_parallel(
         self, ciphertext_bytes: bytes, indexed: list[tuple[int, bytes]]
     ) -> tuple[list[bytes | None], float]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-len(indexed) // (2 * self.workers)))
+        size = max(1, -(-len(indexed) // (2 * self.workers)))
         chunks = [indexed[i : i + size] for i in range(0, len(indexed), size)]
         record_op("par.chunk", len(chunks))
         jobs = [(ciphertext_bytes, chunk) for chunk in chunks]

@@ -76,20 +76,10 @@ class WorkerState:
 _state: WorkerState | None = None
 
 
-def init_worker(params_wire: tuple, warm_job=None) -> None:
-    """Pool initializer: build the process-global :class:`WorkerState`.
-
-    ``warm_job`` — an optional ``(ciphertext_bytes, [(index, token_bytes),
-    ...])`` chunk evaluated immediately, so *every* worker enters service
-    with its token deserialization and Miller-precomputation caches hot
-    (``pool.map`` has no worker↔chunk affinity, so lazy warming would
-    leave each worker paying cold setup for tokens it first sees
-    mid-stream)."""
+def init_worker(params_wire: tuple) -> None:
+    """Pool initializer: build the process-global :class:`WorkerState`."""
     global _state
     _state = WorkerState(params_wire)
-    if warm_job is not None:
-        ciphertext_bytes, indexed_tokens = warm_job
-        _state.match_chunk(ciphertext_bytes, indexed_tokens)
 
 
 def match_chunk(job: tuple[bytes, list[tuple[int, bytes]]]):

@@ -110,13 +110,6 @@ class HVE:
 
     Args:
         group: the pairing group.
-        precompute: evaluate ``Query`` through per-token Miller-line
-            precomputation (default on; ``False`` is the ablation
-            seam).  A token's line functions are computed on its
-            first query and cached, so a subscription matched against a
-            stream of ciphertexts pays the setup once; results are
-            bit-identical to the naive multi-pairing (enforced by
-            ``tests/par/test_equivalence.py``).
         match_cache_size: entries in the (token, ciphertext) → result
             memo.  ``Query`` is deterministic, so a repeated evaluation —
             the ``matches()``-then-``query()`` pattern of the delegated
@@ -126,14 +119,8 @@ class HVE:
 
     _TOKEN_CACHE_SIZE = 128
 
-    def __init__(
-        self,
-        group: PairingGroup,
-        precompute: bool = True,
-        match_cache_size: int = 256,
-    ):
+    def __init__(self, group: PairingGroup, match_cache_size: int = 256):
         self.group = group
-        self.precompute = precompute
         self._token_pre: OrderedDict[HVEToken, list] = OrderedDict()
         self._match_cache_size = match_cache_size
         self._match_memo: OrderedDict[tuple[HVEToken, HVECiphertext], bytes | None] = (
@@ -247,9 +234,12 @@ class HVE:
 
         The pairing product is evaluated with a shared final
         exponentiation (:meth:`PairingGroup.multi_pair`) — the ablation
-        bench ``bench_ablation_multipairing`` quantifies the saving — and,
-        when :attr:`precompute` is on, with the token's cached Miller
-        lines (one-time setup, ~3.7x cheaper per ciphertext after).
+        bench ``bench_ablation_multipairing`` quantifies the saving — over
+        the token's Miller lines, computed on its first query and cached:
+        a subscription matched against a stream of ciphertexts pays the
+        setup once (~3.7x cheaper per ciphertext after).  The result is
+        bit-identical to the textbook multi-pairing
+        (``tests/pbe/reference.py``).
 
         ``Query`` is deterministic, so the result is memoised: evaluating
         the same (token, ciphertext) pair again — the ``matches()`` probe
@@ -309,23 +299,16 @@ class HVE:
     def _query_key(self, token: HVEToken, ciphertext: HVECiphertext) -> bytes:
         if token.n != ciphertext.n:
             raise ParameterError("token and ciphertext vector lengths differ")
-        if self.precompute:
-            # ê is symmetric on G1, so pair (token, ciphertext) with the
-            # token's precomputed lines as the Miller argument — same GT
-            # element, bit for bit, as the naive orientation below.
-            entries = []
-            for i, (pre_y, pre_l) in zip(
-                token.positions, self._token_precomputation(token)
-            ):
-                entries.append((pre_y, ciphertext.x_components[i]))
-                entries.append((pre_l, ciphertext.w_components[i]))
-            z = self.group.multi_pair_precomputed(entries)
-        else:
-            pairs: list[tuple[Point, Point]] = []
-            for i, (y_i, l_i) in zip(token.positions, token.components):
-                pairs.append((ciphertext.x_components[i], y_i))
-                pairs.append((ciphertext.w_components[i], l_i))
-            z = self.group.multi_pair(pairs)
+        # ê is symmetric on G1, so pair (token, ciphertext) with the
+        # token's precomputed lines as the Miller argument — same GT
+        # element, bit for bit, as ê(X_i, Y_i)·ê(W_i, L_i).
+        entries = []
+        for i, (pre_y, pre_l) in zip(
+            token.positions, self._token_precomputation(token)
+        ):
+            entries.append((pre_y, ciphertext.x_components[i]))
+            entries.append((pre_l, ciphertext.w_components[i]))
+        z = self.group.multi_pair_precomputed(entries)
         return kdf(self.group.serialize_gt(z), "hve-kem")
 
     @staticmethod

@@ -1,8 +1,7 @@
-"""The versioned benchmark record schema and the BENCH_*.json readers.
+"""The versioned benchmark record schema and the BENCH_*.json reader.
 
-Nine PRs accumulated one-off BENCH_pr*.json shapes — each readable only
-by the bench that wrote it.  This module is the single point of truth
-for benchmark output from here on:
+This module is the single point of truth for benchmark output; every
+committed ``BENCH_*.json`` is a v1 document:
 
 * :class:`BenchRecord` — one named, unit-tagged measurement with gating
   metadata: ``direction`` (which way is better), ``tolerance`` (the
@@ -11,9 +10,8 @@ for benchmark output from here on:
 * :func:`write_bench` — the v1 document writer every bench emits
   through (``bench_schema: 1`` plus suite, workload, seed, git rev and
   environment fingerprint);
-* :func:`load_bench_file` — reads v1 documents *and* normalizes the six
-  legacy PR-era shapes into records, so the committed history is one
-  uniform stream however old the file;
+* :func:`load_bench_file` — reads one v1 document and refuses anything
+  else;
 * :func:`load_history` — every ``BENCH_*.json`` under a root, merged
   newest-wins by record name.
 
@@ -31,7 +29,7 @@ import re
 import subprocess
 import sys
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -159,221 +157,21 @@ def write_bench(
     return document
 
 
-# -- readers: v1 and the legacy PR-era shapes -----------------------------------------
-
-
-def _records_v1(doc: dict[str, Any], source: str) -> list[BenchRecord]:
-    return [BenchRecord.from_dict(entry, source) for entry in doc.get("records", [])]
-
-
-def _records_pr2(doc: dict[str, Any], source: str) -> list[BenchRecord]:
-    """PR 2: match fan-out speedups + fixed-base scalar-mul micro."""
-    fanout = doc["match_fanout"]
-    micro = doc.get("fixed_base_micro", {})
-    records = [
-        BenchRecord(
-            "match_fanout.precompute_speedup",
-            fanout["precompute_speedup"],
-            "ratio",
-            floor=1.3,
-            source=source,
-        ),
-        BenchRecord(
-            "match_fanout.pool4_speedup",
-            fanout["pool4_speedup"],
-            "ratio",
-            floor=2.0,
-            source=source,
-        ),
-    ]
-    if "speedup" in micro:
-        records.append(
-            BenchRecord(
-                "match_fanout.fixed_base_speedup",
-                micro["speedup"],
-                "ratio",
-                floor=1.5,
-                source=source,
-            )
-        )
-    return records
-
-
-def _records_pr3(doc: dict[str, Any], source: str) -> list[BenchRecord]:
-    """PR 3: live TCP substrate latencies and throughput."""
-    return [
-        BenchRecord(
-            "live_substrate.rpc_echo_p95_ms",
-            doc["rpc_echo_rtt"]["p95_ms"],
-            "ms",
-            direction="lower",
-            source=source,
-        ),
-        BenchRecord(
-            "live_substrate.publish_deliver_p95_ms",
-            doc["publish_deliver_latency"]["p95_ms"],
-            "ms",
-            direction="lower",
-            source=source,
-        ),
-        BenchRecord(
-            "live_substrate.publications_per_s",
-            doc["burst_throughput"]["publications_per_s"],
-            "ops/s",
-            floor=1.0,
-            source=source,
-        ),
-        BenchRecord(
-            "live_substrate.live_over_sim",
-            doc["substrate_overhead"]["live_over_sim"],
-            "ratio",
-            direction="lower",
-            ceiling=25.0,
-            source=source,
-        ),
-    ]
-
-
-def _records_pr4(doc: dict[str, Any], source: str) -> list[BenchRecord]:
-    """PR 4: telemetry-plane scrape, exposition and flight-recorder tax."""
-    return [
-        BenchRecord(
-            "telemetry.scrape_p95_ms",
-            doc["scrape_sweep"]["p95_ms"],
-            "ms",
-            direction="lower",
-            source=source,
-        ),
-        BenchRecord(
-            "telemetry.exposition_render_ms",
-            doc["openmetrics_exposition"]["render_ms"],
-            "ms",
-            direction="lower",
-            source=source,
-        ),
-        BenchRecord(
-            "telemetry.flight_recorder_overhead_pct",
-            doc["flight_recorder_tax"]["overhead_pct"],
-            "count",
-            direction="lower",
-            ceiling=80.0,
-            source=source,
-        ),
-    ]
-
-
-def _records_pr6(doc: dict[str, Any], source: str) -> list[BenchRecord]:
-    """PR 6: durable-store append throughput, recovery, GC sweeps."""
-    records: list[BenchRecord] = []
-    for backend, floor in (("wal_fsync", 50.0), ("wal_nofsync", 500.0), ("sqlite", 25.0)):
-        entry = doc["append_throughput"].get(backend)
-        if entry:
-            records.append(
-                BenchRecord(
-                    f"store.{backend}_records_per_s",
-                    entry["records_per_s"],
-                    "ops/s",
-                    floor=floor,
-                    source=source,
-                )
-            )
-    for entry in doc.get("recovery_open", []):
-        records.append(
-            BenchRecord(
-                f"store.compaction_speedup_{entry['log_records']}",
-                entry["speedup"],
-                "ratio",
-                floor=1.0,
-                source=source,
-            )
-        )
-    for entry in doc.get("gc_sweep", []):
-        records.append(
-            BenchRecord(
-                f"store.gc_speedup_{entry['live_items']}",
-                entry["speedup"],
-                "ratio",
-                floor=1.0,
-                source=source,
-            )
-        )
-    return records
-
-
-def _records_pr8(doc: dict[str, Any], source: str) -> list[BenchRecord]:
-    """PR 8: cluster scaling — deliveries/s speedup per DS shard count."""
-    records: list[BenchRecord] = []
-    for entry in doc.get("scaling", []):
-        shards = entry["ds_shards"]
-        if shards <= 1:
-            continue
-        # sub-linear but real scaling: at least half the ideal speedup
-        records.append(
-            BenchRecord(
-                f"cluster.speedup_ds{shards}",
-                entry["speedup"],
-                "ratio",
-                floor=shards / 2,
-                source=source,
-            )
-        )
-    return records
-
-
-def _records_pr9(doc: dict[str, Any], source: str) -> list[BenchRecord]:
-    """PR 9: observability tax — throughput recovery per tracing mode."""
-    modes = doc["modes"]
-    seed = doc.get("workload", {}).get("seed")
-    records = [
-        BenchRecord(
-            "obs_overhead.always_recovery",
-            modes["always"]["recovery_vs_off"],
-            "fraction",
-            floor=0.5,
-            seed=seed,
-            source=source,
-        ),
-        BenchRecord(
-            "obs_overhead.sampled_recovery",
-            modes["sampled"]["recovery_vs_off"],
-            "fraction",
-            floor=0.90,
-            seed=seed,
-            source=source,
-        ),
-    ]
-    return records
-
-
-# Shape detection: the first key that identifies a legacy document.
-_LEGACY_NORMALIZERS: list[tuple[str, Callable[[dict, str], list[BenchRecord]]]] = [
-    ("match_fanout", _records_pr2),
-    ("rpc_echo_rtt", _records_pr3),
-    ("scrape_sweep", _records_pr4),
-    ("append_throughput", _records_pr6),
-    ("scaling", _records_pr8),
-    ("modes", _records_pr9),
-]
-
-
 def load_bench_file(path: str) -> list[BenchRecord]:
-    """Records from one BENCH file — v1 or any legacy PR-era shape.
+    """Records from one v1 BENCH file.
 
-    Unknown shapes raise ``ValueError`` (a silent empty read would make
+    Anything else raises ``ValueError`` (a silent empty read would make
     the gate vacuously green).
     """
     with open(path) as handle:
         doc = json.load(handle)
     source = os.path.basename(path)
     if doc.get("bench_schema") == BENCH_SCHEMA_VERSION:
-        return _records_v1(doc, source)
+        return [BenchRecord.from_dict(entry, source) for entry in doc.get("records", [])]
     if isinstance(doc.get("bench_schema"), int):
         raise ValueError(
             f"{source}: unsupported bench_schema {doc['bench_schema']}"
         )
-    for key, normalizer in _LEGACY_NORMALIZERS:
-        if key in doc:
-            return normalizer(doc, source)
     raise ValueError(f"{source}: unrecognized benchmark document shape")
 
 
@@ -381,8 +179,7 @@ def load_history(root: str) -> dict[str, BenchRecord]:
     """Every ``BENCH_*.json`` under ``root`` as one name → record map.
 
     Files load in natural order (``BENCH_pr9`` before ``BENCH_pr10``), so
-    when two files carry the same record name the later PR's wins —
-    re-running a migrated bench supersedes its legacy ancestor.
+    when two files carry the same record name the later PR's wins.
     """
     history: dict[str, BenchRecord] = {}
     entries = [e for e in os.listdir(root) if e.startswith("BENCH_") and e.endswith(".json")]

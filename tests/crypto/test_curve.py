@@ -137,18 +137,24 @@ class TestLaddersAgainstAffineReference:
     def test_mul_every_branch(self, name):
         from repro.crypto import precompute
 
+        from repro.obs import Observability
+
         point = LADDER_POINTS[name]
-        for fixed_base in (False, True):  # the windowed ladder, then the comb table
-            precompute.clear_caches()
-            precompute.set_enabled(fixed_base)
-            try:
-                if fixed_base:
-                    precompute.warm_fixed_base([point])
+        obs = Observability()
+        try:
+            with obs.installed():
                 for k in LADDER_SCALARS:
-                    assert point * k == plain_mul(point, k), (name, k, fixed_base)
-            finally:
-                precompute.set_enabled(True)
-                precompute.clear_caches()
+                    # no table and a zero promotion count: the windowed ladder
+                    precompute.clear_caches()
+                    assert point * k == plain_mul(point, k), (name, k, "windowed")
+                assert obs.metrics.counter_total("op.g1_exp.fixed_base") == 0
+                precompute.warm_fixed_base([point])
+                for k in LADDER_SCALARS:
+                    assert point * k == plain_mul(point, k), (name, k, "comb")
+                if not point.is_infinity:
+                    assert obs.metrics.counter_total("op.g1_exp.fixed_base") > 0
+        finally:
+            precompute.clear_caches()
 
     @pytest.mark.parametrize("name", LADDER_POINTS)
     @pytest.mark.parametrize("window", [1, 2, 4, 5])

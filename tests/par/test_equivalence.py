@@ -9,7 +9,7 @@ is that contract:
   ``k = 0``, ``k < 0``, ``k ≥ r`` and ``k`` beyond the table width;
 * precomputed Miller evaluation vs the plain Miller loop, pre- and
   post-final-exponentiation;
-* the HVE precomputed query path vs the naive multi-pairing path;
+* ``HVE.query`` vs the textbook multi-pairing of ``tests/pbe/reference.py``;
 * a delegated-matching deployment vs the baseline broadcast deployment —
   byte-identical delivery sets.
 """
@@ -36,6 +36,8 @@ from repro.crypto.pairing import (
 )
 from repro.pbe.hve import HVE
 from repro.pbe.schema import Interest
+
+from ..pbe.reference import naive_query
 
 SEED = 0x0EC4
 
@@ -159,18 +161,26 @@ def test_multi_pairing_precomputed_bit_identical(group, rng):
 def test_hve_precompute_query_equivalent(group):
     hve_rng = random.Random(SEED ^ 1)
     seeded = PairingGroup("TOY", rng=hve_rng)
-    naive_hve = HVE(seeded, precompute=False)
-    public, master = naive_hve.setup(6)
-    ct = naive_hve.encrypt(public, [1, 0, 1, 0, 1, 1], b"guid-equivalence")
-    tokens = [
-        naive_hve.gen_token(master, [1, 0, None, None, None, None]),
-        naive_hve.gen_token(master, [None, None, 1, 0, None, 1]),
-        naive_hve.gen_token(master, [0, 0, None, None, None, None]),
-        naive_hve.gen_token(master, [None, 1, None, None, None, None]),
+    hve = HVE(seeded)
+    public, master = hve.setup(6)
+    x = [1, 0, 1, 0, 1, 1]
+    ct = hve.encrypt(public, x, b"guid-equivalence")
+    interests = [
+        ([1, 0, None, None, None, None], True),
+        ([None, None, 1, 0, None, 1], True),
+        ([0, 0, None, None, None, None], False),  # a miss
+        ([None, 1, None, None, None, None], False),
+        ([None, None, None, None, None, 1], True),  # all but one wildcard
+        (x, True),  # full width
+        ([1, 0, 1, 0, 1, 0], False),  # full width, near-miss on the last position
     ]
-    fast_hve = HVE(seeded, precompute=True)
-    for token in tokens:
-        assert fast_hve.query(token, ct) == naive_hve.query(token, ct)
+    for y, matches in interests:
+        token = hve.gen_token(master, y)
+        expected = naive_query(seeded, token, ct)
+        assert (expected == b"guid-equivalence") is matches, y
+        assert hve.query(token, ct) == expected, y  # cold: builds the token's lines
+        hve.clear_match_memo()
+        assert hve.query(token, ct) == expected, y  # warm: cached lines, no memo hit
 
 
 # -- delegated vs broadcast deployments ----------------------------------------

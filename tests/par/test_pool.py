@@ -1,29 +1,20 @@
 """MatchPool: serial/parallel equivalence, ordering, lifecycle, metrics.
 
 The parallel jobs are real process-pool dispatches; on a single-core
-machine they still exercise chunking, reassembly and determinism.  The
-parallel cases are skipped in the CI serial-only job
-(``P3S_MATCH_WORKERS=1``), which pins the whole suite to the in-process
-path.
+machine they still exercise chunking, reassembly and determinism.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
 
 from repro.crypto.group import PairingGroup
 from repro.obs import Observability
-from repro.par import MatchPool, resolve_workers
+from repro.par import MatchPool
 from repro.pbe.hve import HVE
 from repro.pbe.serialize import serialize_hve_ciphertext, serialize_hve_token
-
-SERIAL_ONLY = os.environ.get("P3S_MATCH_WORKERS") == "1"
-parallel_test = pytest.mark.skipif(
-    SERIAL_ONLY, reason="serial-only job (P3S_MATCH_WORKERS=1)"
-)
 
 
 @pytest.fixture(scope="module")
@@ -67,28 +58,30 @@ def test_empty_token_list(fixture_data):
         assert pool.match(ct_bytes, []) == []
 
 
-@parallel_test
 def test_parallel_identical_and_identically_ordered(fixture_data):
     group, ct_bytes, tokens = fixture_data
     with MatchPool(group, workers=0) as serial:
         expected = serial.match(ct_bytes, tokens)
+    # 7 tokens, at most two chunks per worker: 2+2+2+1 either way;
+    # reassembly is by token index whatever order the chunks finish in
     for workers in (2, 3):
-        with MatchPool(group, workers=workers) as pool:
+        obs = Observability()
+        with obs.installed(), MatchPool(group, workers=workers) as pool:
             assert pool.parallel
             assert pool.match(ct_bytes, tokens) == expected
+        assert obs.metrics.counter_total("op.par.chunk") == 4
 
 
-@parallel_test
 def test_parallel_chunk_size_one(fixture_data):
+    # fewer tokens than two per worker: every chunk is a single token
     group, ct_bytes, tokens = fixture_data
-    with MatchPool(group, workers=2, chunk_size=1) as pool:
+    obs = Observability()
+    with obs.installed(), MatchPool(group, workers=4) as pool:
         results = pool.match(ct_bytes, tokens)
-    assert [
-        i for i, r in enumerate(results) if r is not None
-    ] == EXPECTED_MATCH_INDICES
+    assert obs.metrics.counter_total("op.par.chunk") == len(tokens)
+    assert [i for i, r in enumerate(results) if r is not None] == EXPECTED_MATCH_INDICES
 
 
-@parallel_test
 def test_pool_reuse_across_publications(fixture_data):
     group, ct_bytes, tokens = fixture_data
     with MatchPool(group, workers=2) as pool:
@@ -101,17 +94,6 @@ def test_match_indices(fixture_data):
     group, ct_bytes, tokens = fixture_data
     with MatchPool(group, workers=0) as pool:
         assert pool.match_indices(ct_bytes, tokens) == EXPECTED_MATCH_INDICES
-
-
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("P3S_MATCH_WORKERS", raising=False)
-    assert resolve_workers(None) == 0
-    assert resolve_workers(4) == 4
-    assert resolve_workers(-2) == 0
-    monkeypatch.setenv("P3S_MATCH_WORKERS", "3")
-    assert resolve_workers(None) == 3
-    monkeypatch.setenv("P3S_MATCH_WORKERS", "garbage")
-    assert resolve_workers(None) == 0
 
 
 def test_metrics_recorded(fixture_data):

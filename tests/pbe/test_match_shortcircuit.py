@@ -84,15 +84,3 @@ def test_memo_disabled_reevaluates():
         assert hve.query(token, ct) is None
         assert _pairings(obs.metrics) == 2 * first, "no memo → full re-evaluation"
 
-
-def test_precompute_disabled_still_memoizes():
-    hve_naive = HVE(PairingGroup("TOY"), precompute=False)
-    public, master = hve_naive.setup(4)
-    ct = hve_naive.encrypt(public, [0, 1, 0, 1], b"naive-memo-guid!")
-    token = hve_naive.gen_token(master, [0, 1, None, None])
-    obs = Observability()
-    with obs.installed():
-        assert hve_naive.query(token, ct) == b"naive-memo-guid!"
-        first = _pairings(obs.metrics)
-        assert hve_naive.query(token, ct) == b"naive-memo-guid!"
-        assert _pairings(obs.metrics) == first

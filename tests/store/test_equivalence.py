@@ -34,7 +34,7 @@ def run_scenario(backend: str, root: str, delegated: bool = False):
         data_dir=os.path.join(root, backend) if backend != "memory" else None,
         store_key=bytes(range(32)) if backend != "memory" else None,
         delegated_matching=delegated,
-        match_workers=1 if delegated else None,
+        match_workers=1 if delegated else 0,
     )
     system = P3SSystem(config)
     try:
