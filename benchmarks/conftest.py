@@ -16,6 +16,8 @@ Environment knobs:
   prototype constants).
 * ``P3S_WRITE_BENCH=1`` — write the ``BENCH_<x>.json`` a bench names at
   the repo root; unset (the default) leaves the committed record alone.
+* ``P3S_PR20_RUNS`` — the directory of parent/change harness runs
+  ``bench_publisher_floor.py`` turns into records (it skips without it).
 """
 
 import os

@@ -8,20 +8,23 @@ Representation rule: a :class:`Point` is *affine* — at rest, on the wire,
 in every table and as every result — so equality, hashing and serialization
 see one canonical form.  A modular inverse costs 40–55 field
 multiplications, so only the single-operation group law (``+``,
-``double``) pays one per call; every scalar multiplication runs in
-Jacobian coordinates (:mod:`repro.crypto.jacobian`) and pays one inversion
-per result, every table build one per batch.
+``double``) pays one per call.  A single scalar multiplication is a
+dependent chain: Jacobian coordinates, one inversion per result.  A batch
+of independent comb multiplications (:func:`mul_many`) and the rows of a
+comb table stay affine and walk in lock-step, one inversion per step.
+Both walks are :mod:`repro.crypto.jacobian`'s.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from itertools import zip_longest
 
-from ..errors import NotOnCurveError, SerializationError
+from ..errors import NotOnCurveError, ParameterError, SerializationError
 from ..obs.profile import record_op
 from .field import fq_inv, fq_is_square, fq_sqrt
-from .jacobian import INFINITY, add_affine, multiples, normalise, scalar_mul
+from .jacobian import INFINITY, add_affine, add_many, double, normalise, scalar_mul
 from .params import TypeAParams
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "FixedBaseTable",
     "fixed_base_table",
     "clear_fixed_base_cache",
+    "mul_many",
 ]
 
 # ---------------------------------------------------------------------------
@@ -45,9 +49,15 @@ __all__ = [
 # Tables are promoted automatically: a base pays for its table only after
 # ``_FB_PROMOTE_AFTER`` large scalar multiplications, so one-shot points
 # (hash-to-point candidates, ephemeral keys) never trigger a build.  Both
-# the table cache and the use-count map are LRU-bounded.  Results are
-# bit-identical to the naive ladder — the group law is deterministic and
-# both paths compute the same multiple.
+# the table cache and the use-count map are LRU-bounded.
+#
+# A single multiplication (``FixedBaseTable.mul``) is a dependent chain: a
+# Jacobian accumulator, one inversion for the result.  A batch in hand at
+# once (``mul_many``: the 2n of one ``HVE.encrypt``) keeps its accumulators
+# affine and advances them in lock-step, one shared inversion per window —
+# as the table build fills all its rows.  Having a batch is what selects
+# the walk.  Results are bit-identical to the naive ladder either way: the
+# group law is deterministic and every path computes the same multiple.
 # ---------------------------------------------------------------------------
 
 _FB_WINDOW = 4
@@ -69,9 +79,9 @@ class FixedBaseTable:
     """Comb precomputation for one base point.
 
     ``rows[j][d-1] = d · 2^(window·j) · B`` for digits ``d ∈ [1, 2^w)``;
-    :meth:`mul` then needs only one table lookup and addition per window
-    of the scalar.  Supports scalars up to ``max_bits`` bits (larger ones
-    fall back to the generic ladder in :meth:`Point.__mul__`).
+    :meth:`mul` (and a :func:`mul_many` batch) then needs only one table
+    lookup and addition per window of the scalar.  Supports scalars up to
+    ``max_bits`` bits (larger ones fall back to the generic ladder).
     """
 
     __slots__ = ("base", "window", "max_bits", "rows")
@@ -82,36 +92,50 @@ class FixedBaseTable:
         self.base = base
         self.window = window
         self.max_bits = max_bits
-        params, q, width = base.params, base.params.q, 1 << window
-        rows: list[list[Point]] = []
-        current = (base.x, base.y, 1)
-        for _ in range(-(-max_bits // window)):  # ceil
-            # 1·cur … 2^w·cur with one inversion; the last one seeds the next
-            # row (None once a base of small order has run out: 2^(w·j)·B = O)
-            row = [None] * width if current is None else multiples(*current[:2], width, q)
-            current = row.pop()
-            rows.append([Point._from_affine(entry, params) for entry in row])
-        self.rows = rows
+        params, q = base.params, base.params.q
+        # the row seeds 2^(w·j)·B: one doubling chain, normalised once (None
+        # once a base of small order has run out: 2^(w·j)·B = O) …
+        chain = [(base.x, base.y, 1)]
+        for _ in range(-(-max_bits // window) - 1):  # ceil
+            X, Y, Z = chain[-1]
+            for _ in range(window):
+                X, Y, Z = double(X, Y, Z, q)[:3]
+            chain.append((X, Y, Z))
+        seeds = [entry and entry[:2] for entry in normalise(chain, q)]
+        # … then digit d of every row from digit d − 1, all rows in lock-step
+        digits = [seeds]
+        for _ in range(2, 1 << window):
+            digits.append(add_many(digits[-1], seeds, q))
+        self.rows = [[Point._from_affine(entry, params) for entry in row] for row in zip(*digits)]
+
+    def _addends(self, k: int) -> "list[tuple[int, int] | None]":
+        """The table entries ``k``'s digits select, lowest window first
+        (``None`` for a zero digit or an entry at infinity): their sum is
+        ``k · B``.  ``k`` must be in ``[0, 2^max_bits)``."""
+        if k < 0 or k.bit_length() > self.max_bits:
+            raise ParameterError(f"scalar outside the comb table's [0, 2^{self.max_bits})")
+        mask = (1 << self.window) - 1
+        addends = []
+        for row in self.rows:
+            if not k:
+                break
+            digit = k & mask
+            entry = row[digit - 1] if digit else None
+            addends.append(None if entry is None or entry.x is None else (entry.x, entry.y))
+            k >>= self.window
+        return addends
 
     def mul(self, k: int) -> "Point":
         """``k · B`` by table lookups; ``k`` must be in ``[0, 2^max_bits)``."""
         q = self.base.params.q
-        mask = (1 << self.window) - 1
-        rows = self.rows
         X, Y, Z = INFINITY
-        j = 0
-        while k:
-            digit = k & mask
-            if digit:
-                entry = rows[j][digit - 1]
-                if entry.x is not None:
-                    X, Y, Z, _ = add_affine(X, Y, Z, entry.x, entry.y, q)
-            k >>= self.window
-            j += 1
+        for entry in self._addends(k):
+            if entry is not None:
+                X, Y, Z, _ = add_affine(X, Y, Z, entry[0], entry[1], q)
         return Point._from_affine(normalise([(X, Y, Z)], q)[0], self.base.params)
 
 
-def fixed_base_table(point: "Point", max_bits: int | None = None) -> FixedBaseTable:
+def fixed_base_table(point: "Point") -> FixedBaseTable:
     """Get-or-build the comb table for ``point`` (explicit warm-up API).
 
     Services with known-hot bases (the PBE-TS, publishers) call this once
@@ -120,9 +144,7 @@ def fixed_base_table(point: "Point", max_bits: int | None = None) -> FixedBaseTa
     key = (point.x, point.y, point.params.q)
     table = _fb_tables.get(key)
     if table is None:
-        if max_bits is None:
-            max_bits = point.params.r.bit_length() + _FB_WINDOW
-        table = FixedBaseTable(point, max_bits)
+        table = FixedBaseTable(point, point.params.r.bit_length() + _FB_WINDOW)
         _fb_tables[key] = table
         _fb_counts.pop(key, None)
         record_op("g1_exp.fb_build")
@@ -134,21 +156,53 @@ def fixed_base_table(point: "Point", max_bits: int | None = None) -> FixedBaseTa
 
 
 def _fb_lookup(point: "Point", bits: int) -> FixedBaseTable | None:
-    """Fast-path check inside ``Point.__mul__``: table hit, or count a use."""
+    """Count one multiplication of ``point`` by a ``bits``-bit scalar and
+    return the comb table that serves it: a cached one wide enough, or the
+    one this use promotes the base to."""
+    record_op("g1_exp")
     key = (point.x, point.y, point.params.q)
     table = _fb_tables.get(key)
     if table is not None:
         _fb_tables.move_to_end(key)
-        return table
-    if bits > 32:
+    elif bits > 32:
         count = _fb_counts.get(key, 0) + 1
         if count > _FB_PROMOTE_AFTER:
-            return fixed_base_table(point)
-        _fb_counts[key] = count
-        _fb_counts.move_to_end(key)
-        while len(_fb_counts) > _FB_MAX_COUNTS:
-            _fb_counts.popitem(last=False)
-    return None
+            table = fixed_base_table(point)
+        else:
+            _fb_counts[key] = count
+            _fb_counts.move_to_end(key)
+            while len(_fb_counts) > _FB_MAX_COUNTS:
+                _fb_counts.popitem(last=False)
+    if table is None or bits > table.max_bits:
+        return None
+    record_op("g1_exp.fixed_base")
+    return table
+
+
+def mul_many(pairs: "list[tuple[Point, int]]") -> "list[Point]":
+    """``[base * k for base, k in pairs]`` for bases on one curve, each
+    entry counted, promoted and served exactly as ``Point.__mul__`` would;
+    the comb-table entries walk in lock-step, one inversion per window for
+    all of them."""
+    results: list[Point | None] = []
+    walk = []  # (slot, table, k) of every entry a comb table serves
+    for base, k in pairs:
+        if base.params.q != pairs[0][0].params.q:
+            raise ParameterError("mul_many: bases on different curves")
+        if k < 0:
+            base, k = -base, -k
+        table = None if k == 0 or base.is_infinity else _fb_lookup(base, k.bit_length())
+        if table is None:
+            results.append(base.scalar_mul_windowed(k, 4 if k.bit_length() > 32 else 1))
+        else:
+            walk.append((len(results), table, k))
+            results.append(None)
+    sums: list[tuple[int, int] | None] = [None] * len(walk)
+    for step in zip_longest(*(table._addends(k) for _, table, k in walk)):
+        sums = add_many(sums, step, pairs[0][0].params.q)
+    for (slot, table, _), entry in zip(walk, sums):
+        results[slot] = Point._from_affine(entry, table.base.params)
+    return results
 
 
 class Point:
@@ -237,15 +291,10 @@ class Point:
         """
         if k < 0:
             return (-self) * (-k)
-        if k == 0 or self.is_infinity:
-            return Point.infinity(self.params)
-        record_op("g1_exp")
-        bits = k.bit_length()
-        table = _fb_lookup(self, bits)
-        if table is not None and bits <= table.max_bits:
-            record_op("g1_exp.fixed_base")
+        table = None if k == 0 or self.is_infinity else _fb_lookup(self, k.bit_length())
+        if table is not None:
             return table.mul(k)
-        return self.scalar_mul_windowed(k, 4 if bits > 32 else 1)
+        return self.scalar_mul_windowed(k, 4 if k.bit_length() > 32 else 1)
 
     __rmul__ = __mul__
 

@@ -1,6 +1,6 @@
 """The precomputation layer: one façade over both crypto caches.
 
-The ladders and Miller loops underneath are inversion-free on their own
+No ladder or Miller loop underneath inverts per step
 (:mod:`repro.crypto.jacobian`); two independent precomputations amortise
 what is left — doublings, and the point arithmetic of a fixed pairing
 argument.  The mechanics live next to the arithmetic they accelerate, and
@@ -11,7 +11,8 @@ this module is the policy/observation surface over both:
   fresh scalars on every setup, encrypt and token-gen call.  Tables are
   keyed by base, auto-promoted after a base's second large scalar
   multiplication, and LRU-bounded.  ~5x per scalar multiplication at TOY
-  parameters.
+  parameters.  One multiplication walks its table in Jacobian form; a
+  batch (``curve.mul_many``) and a table's build, affine in lock-step.
 
 * **Miller-loop line precomputation** (:mod:`repro.crypto.pairing`) — a
   pairing argument reused across many pairings (an HVE subscription token
@@ -31,7 +32,7 @@ bit-identical to the naive ones — enforced by
 
 from __future__ import annotations
 
-from .curve import FixedBaseTable, Point, clear_fixed_base_cache, fixed_base_table
+from .curve import FixedBaseTable, clear_fixed_base_cache, fixed_base_table
 from .pairing import MillerPrecomputed, precompute_miller
 
 __all__ = [
@@ -39,24 +40,9 @@ __all__ = [
     "MillerPrecomputed",
     "fixed_base_table",
     "precompute_miller",
-    "warm_fixed_base",
     "warm_generator",
     "clear_caches",
 ]
-
-
-def warm_fixed_base(points) -> int:
-    """Eagerly build comb tables for every finite point in ``points``.
-
-    Returns the number of tables now live for them.  Idempotent — already
-    warmed bases are a dictionary hit.
-    """
-    count = 0
-    for point in points:
-        if isinstance(point, Point) and not point.is_infinity:
-            fixed_base_table(point)
-            count += 1
-    return count
 
 
 def warm_generator(group) -> None:

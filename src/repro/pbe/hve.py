@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..crypto.curve import Point
+from ..crypto.curve import Point, mul_many
 from ..crypto.group import PairingGroup
 from ..crypto.hashing import kdf
 from ..crypto.symmetric import SecretBox
@@ -152,13 +152,14 @@ class HVE:
         r = tuple(group.random_zr() for _ in range(n))
         m = tuple(group.random_zr() for _ in range(n))
         g = group.generator
+        points = mul_many([(g, e) for e in t + v + r + m])  # one batch: lock-step
         public = HVEPublicKey(
             n=n,
             y_gt=group.gt_generator**y0,
-            t=tuple(g * e for e in t),
-            v=tuple(g * e for e in v),
-            r=tuple(g * e for e in r),
-            m=tuple(g * e for e in m),
+            t=tuple(points[:n]),
+            v=tuple(points[n : 2 * n]),
+            r=tuple(points[2 * n : 3 * n]),
+            m=tuple(points[3 * n :]),
         )
         return public, HVEMasterKey(n=n, y0=y0, t=t, v=v, r=r, m=m)
 
@@ -171,22 +172,20 @@ class HVE:
         group = self.group
         order = group.order
         s = group.random_zr()
-        x_components: list[Point] = []
-        w_components: list[Point] = []
+        pairs: list[tuple[Point, int]] = []  # X_0, W_0, X_1, W_1, …
         for i, bit in enumerate(x):
             s_i = group.random_zr(nonzero=False)
-            if bit == 1:
-                x_components.append(public.t[i] * ((s - s_i) % order))
-                w_components.append(public.v[i] * s_i)
-            else:
-                x_components.append(public.r[i] * ((s - s_i) % order))
-                w_components.append(public.m[i] * s_i)
+            x_base, w_base = (public.t[i], public.v[i]) if bit == 1 else (public.r[i], public.m[i])
+            pairs.append((x_base, (s - s_i) % order))
+            pairs.append((w_base, s_i))
+        # 2n independent multiplications in hand at once: one lock-step batch
+        points = mul_many(pairs)
         key = kdf(group.serialize_gt(public.y_gt**s), "hve-kem")
         sealed = SecretBox(key).seal(payload)
         return HVECiphertext(
             n=public.n,
-            x_components=tuple(x_components),
-            w_components=tuple(w_components),
+            x_components=tuple(points[0::2]),
+            w_components=tuple(points[1::2]),
             sealed=sealed,
         )
 

@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.curve import Point, hash_to_point
-from repro.crypto.params import TOY
-from repro.errors import NotOnCurveError, SerializationError
+from repro.crypto import precompute
+from repro.crypto.curve import FixedBaseTable, Point, fixed_base_table, hash_to_point, mul_many
+from repro.crypto.jacobian import add_many
+from repro.crypto.params import PAPER, TOY
+from repro.errors import NotOnCurveError, ParameterError, SerializationError
 
 from .reference import lifted_point, plain_mul, small_order_point
 
@@ -148,7 +150,8 @@ class TestLaddersAgainstAffineReference:
                     precompute.clear_caches()
                     assert point * k == plain_mul(point, k), (name, k, "windowed")
                 assert obs.metrics.counter_total("op.g1_exp.fixed_base") == 0
-                precompute.warm_fixed_base([point])
+                if not point.is_infinity:
+                    fixed_base_table(point)
                 for k in LADDER_SCALARS:
                     assert point * k == plain_mul(point, k), (name, k, "comb")
                 if not point.is_infinity:
@@ -200,3 +203,123 @@ class TestLaddersAgainstAffineReference:
         cleared = raw * PAPER.h
         assert cleared == plain_mul(raw, PAPER.h)
         assert (cleared * PAPER.r).is_infinity and not cleared.is_infinity
+
+
+# -- the lock-step affine walk: a batch against the same one-at-a-time reference ---
+
+
+def _raw(point):
+    return None if point.is_infinity else (point.x, point.y)
+
+
+@pytest.fixture
+def clean_tables():
+    precompute.clear_caches()
+    yield
+    precompute.clear_caches()
+
+
+class TestAddMany:
+    def test_every_branch_in_one_list(self):
+        """Chord, tangent, opposite, 2-torsion and infinity on either side,
+        mixed in one call: each sum is ``Point.__add__``'s."""
+        inf = Point.infinity(TOY)
+        torsion = Point(0, 0, TOY)
+        p, q = G * 5, hash_to_point(b"add-many", TOY)
+        small = [small_order_point(order) for order in (3, 4, 5)]
+        cases = [(p, q), (q, p), (p, p), (p, -p), (inf, p), (p, inf), (inf, inf)]
+        cases += [(torsion, torsion), (torsion, p), (p, torsion)]
+        for point in small:  # the whole orbit: d·P + P passes through −P + P and O + P
+            cases += [(plain_mul(point, d), point) for d in range(6)]
+            cases += [(point, point), (point, -point), (point, q)]
+        lhs = [_raw(a) for a, _ in cases]
+        rhs = [_raw(b) for _, b in cases]
+        assert add_many(lhs, rhs, TOY.q) == [_raw(a + b) for a, b in cases]
+
+    def test_empty_and_single(self):
+        assert add_many([], [], TOY.q) == []
+        assert add_many([_raw(G)], [_raw(G)], TOY.q) == [_raw(G + G)]
+
+    @settings(max_examples=20)
+    @given(st.lists(st.tuples(scalars, scalars), min_size=1, max_size=6))
+    def test_matches_point_add(self, pairs):
+        points = [(G * a, G * b) for a, b in pairs]  # a == b, a == −b and 0 all occur
+        sums = add_many([_raw(a) for a, _ in points], [_raw(b) for _, b in points], TOY.q)
+        assert sums == [_raw(a + b) for a, b in points]
+
+
+@pytest.mark.usefixtures("clean_tables")
+class TestMulMany:
+    WIDE = 1 << (R.bit_length() + 12)  # wider than any comb table
+
+    def test_battery_table_backed_and_table_less(self):
+        """The ladder battery's scalars × bases in ONE batch, bases repeated:
+        first with no table anywhere (every entry a ladder), then with a
+        table under every finite base (the lock-step walk)."""
+        scalars_ = LADDER_SCALARS + [self.WIDE + 5]
+        pairs = [(point, k) for point in LADDER_POINTS.values() for k in scalars_]
+        expected = [plain_mul(point, k) for point, k in pairs]
+        small = [(point, k) for point, k in pairs if abs(k) < 2**32]  # never promotes
+        assert mul_many(small) == [plain_mul(point, k) for point, k in small]
+        for point in LADDER_POINTS.values():
+            if not point.is_infinity:
+                fixed_base_table(point)
+        assert mul_many(pairs) == expected
+
+    def test_mixed_backing(self):
+        hashed = LADDER_POINTS["hashed"]
+        fixed_base_table(G)
+        pairs = [(G, 7), (hashed, R - 2), (G, R - 1), (G, 0), (hashed, -3)]
+        pairs += [(G, R - 1 - i) for i in range(12)]  # 14 table-backed, 2 ladders
+        assert mul_many(pairs) == [plain_mul(point, k) for point, k in pairs]
+        assert mul_many(pairs[2:3]) == [plain_mul(G, R - 1)]
+        assert mul_many([]) == []
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(LADDER_POINTS)), scalars), max_size=12))
+    def test_equals_plain_mul(self, named):
+        fixed_base_table(G)
+        fixed_base_table(LADDER_POINTS["order_4"])
+        pairs = [(LADDER_POINTS[name], k) for name, k in named]
+        assert mul_many(pairs) == [plain_mul(point, k) for point, k in pairs]
+
+    def test_counts_and_promotes_like_point_mul(self):
+        """Per entry one ``g1_exp``; a base's third large use builds its
+        table even when that use arrives inside a batch."""
+        from repro.obs import Observability
+
+        base = hash_to_point(b"promoted-in-a-batch", TOY)
+        obs = Observability()
+        with obs.installed():
+            base * (R - 1)
+            base * (R - 2)
+            total = lambda name: obs.metrics.counter_total("op.g1_exp" + name)  # noqa: E731
+            assert (total(""), total(".fb_build"), total(".fixed_base")) == (2, 0, 0)
+            batch = [(base, R - 3), (base, 9), (base, 0), (base, R - 4)]
+            assert mul_many(batch) == [plain_mul(base, k) for _, k in batch]
+            # 0 is not a multiplication; the other three are, all on the new table
+            assert (total(""), total(".fb_build"), total(".fixed_base")) == (5, 1, 3)
+
+    def test_bases_on_different_curves_rejected(self):
+        with pytest.raises(ParameterError):
+            mul_many([(G, 3), (Point.generator(PAPER), 3)])
+
+
+@pytest.mark.usefixtures("clean_tables")
+class TestCombTableRange:
+    def test_fixed_base_table_has_one_width(self):
+        """It took a ``max_bits`` that a cache hit silently ignored."""
+        import inspect
+
+        assert list(inspect.signature(fixed_base_table).parameters) == ["point"]
+        assert fixed_base_table(G).max_bits == R.bit_length() + 4
+        assert fixed_base_table(G) is fixed_base_table(G)
+
+    @pytest.mark.parametrize("k", [-1, 1 << 9, (1 << 12) + 1, 1 << 200])
+    def test_out_of_range_scalar_rejected_before_any_lookup(self, k):
+        table = FixedBaseTable(G, max_bits=9)
+        with pytest.raises(ParameterError):
+            table.mul(k)
+        with pytest.raises(ParameterError):
+            table._addends(k)  # the digit selection both walks share
+        assert table.mul((1 << 9) - 1) == plain_mul(G, (1 << 9) - 1)

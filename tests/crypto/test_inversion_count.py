@@ -55,15 +55,47 @@ def test_ladders_invert_once_per_result_or_batch(inversions, params):
     del inversions[:]
 
     table = FixedBaseTable(base, params.r.bit_length() + 4)
-    assert len(inversions) <= len(table.rows)  # never rows × 2^w
+    assert len(table.rows) > 16 >= len(inversions)  # one per digit, never one per row
     del inversions[:]
 
-    table.mul(k)
-    assert len(inversions) <= 1
+    table.mul(k)  # a single multiplication keeps the Jacobian walk
+    assert len(inversions) == 1
     del inversions[:]
 
     hash_to_point(b"another label", params)  # try-and-increment + one cofactor multiply
     assert len(inversions) <= 2
+
+
+def test_warm_hve_encrypt_inverts_once_per_window_not_once_per_point(inversions):
+    """2n = 80 comb multiplications walk in lock-step: one shared inversion
+    per 4-bit window of the widest scalar (it was one per multiplication),
+    and the operation counts are what 80 ``Point.__mul__`` calls record."""
+    from repro.crypto.group import PairingGroup
+    from repro.obs import Observability
+    from repro.pbe.hve import HVE
+
+    n = 40
+    group = PairingGroup("TOY")
+    hve = HVE(group)
+    public, _ = hve.setup(n)
+    x = [i % 2 for i in range(n)]
+    obs = Observability()
+    with obs.installed():
+        for _ in range(3):  # the third use of each base builds its table
+            hve.encrypt(public, x, b"warm-up")
+        assert obs.metrics.counter_total("op.g1_exp.fb_build") == 2 * n
+        before = {
+            name: obs.metrics.counter_total(name)
+            for name in ("op.g1_exp", "op.g1_exp.fixed_base", "op.g1_exp.fb_build")
+        }
+        del inversions[:]
+        hve.encrypt(public, x, b"measured")
+        windows = -(-(TOY.r.bit_length() + 4) // 4)
+        assert len(inversions) <= windows + 1 < 2 * n
+        after = {name: obs.metrics.counter_total(name) for name in before}
+    assert after["op.g1_exp"] - before["op.g1_exp"] == 2 * n
+    assert after["op.g1_exp.fixed_base"] - before["op.g1_exp.fixed_base"] == 2 * n
+    assert after["op.g1_exp.fb_build"] == before["op.g1_exp.fb_build"]
 
 
 def test_miller_loops_never_invert_before_the_final_exponentiation(inversions):
