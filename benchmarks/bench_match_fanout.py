@@ -22,10 +22,11 @@ Acceptance floors (asserted): precomputed serial ≥ 1.3× naive; warmed
 from worker-side precomputation caches; on multicore it compounds with
 real parallelism.
 
-``P3S_WRITE_BENCH=1`` additionally writes the measured numbers to
-``BENCH_pr2.json`` at the repo root (a later-numbered file carrying the
-same record name shadows it: ``BENCH_pr15.json`` holds the gated
-baselines today).
+``P3S_WRITE_BENCH=1`` additionally writes the pool records to
+``BENCH_pr2.json`` at the repo root.  A record name lives in one BENCH
+file: the two gated ratios and the serial timings are held by
+``BENCH_pr15.json`` (medians of three runs of this bench, entered there
+by hand), so they are printed here and not written.
 """
 
 from __future__ import annotations
@@ -102,17 +103,7 @@ def test_match_fanout_speedups(capsys, bench_writer):
             "param_set": "TOY",
         },
         records=[
-            BenchRecord(
-                "match_fanout.precompute_speedup", serial_speedup, "ratio", floor=1.3
-            ),
             BenchRecord("match_fanout.pool4_speedup", pool_speedup, "ratio", floor=2.0),
-            BenchRecord(
-                "match_fanout.fixed_base_speedup", micro_speedup, "ratio", floor=1.5
-            ),
-            BenchRecord("match_fanout.naive_serial_s", naive_s, "seconds", direction="lower"),
-            BenchRecord(
-                "match_fanout.precomputed_serial_s", pre_s, "seconds", direction="lower"
-            ),
             BenchRecord("match_fanout.pool4_s", pool_s, "seconds", direction="lower"),
         ],
     )

@@ -43,6 +43,7 @@ def test_table1_and_section62_report(bench_calibration, capsys):
     # the same calibration's remaining constants (half-wildcard token, n = 40)
     section62 = [
         ["PBE match, token's first query", "-", format_seconds(measured.pbe_match_cold_s)],
+        ["PBE encrypt, key's first use", "-", format_seconds(measured.pbe_encrypt_cold_s)],
         ["PBE token generation", "-", format_seconds(measured.pbe_token_gen_s)],
         ["PKE operation", "-", format_seconds(measured.pke_op_s)],
         ["pairing (1 op)", "-", format_seconds(measured.pairing_s)],

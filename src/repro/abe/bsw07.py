@@ -37,7 +37,7 @@ from ..crypto.curve import Point
 from ..crypto.field import Fq2
 from ..crypto.group import PairingGroup
 from ..errors import MalformedCiphertextError, PolicyError, PolicyNotSatisfiedError
-from ..obs.profile import instrument
+from ..obs.hooks import instrument
 from .policy import PolicyNode, parse_policy
 
 __all__ = ["CPABE", "CPABEPublicKey", "CPABEMasterKey", "CPABESecretKey", "CPABECiphertext"]

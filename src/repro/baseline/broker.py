@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from ..core.config import ComputeTimings
 from ..net.channel import SecureChannelLayer
 from ..net.network import Host
-from ..obs import profile as obs
+from ..obs import hooks as obs
 from ..pbe.schema import Interest
 
 __all__ = ["BaselineBroker", "BaselinePublication"]

@@ -9,7 +9,7 @@ from ..core.config import ComputeTimings
 from ..net.channel import SecureChannelLayer
 from ..net.network import Network
 from ..net.simulator import Simulator
-from ..obs import profile as obs_profile
+from ..obs import hooks as obs_hooks
 from ..pbe.schema import Interest
 from .broker import MSG_DELIVER, MSG_PUBLISH, MSG_SUBSCRIBE, BaselineBroker, BaselinePublication
 
@@ -59,11 +59,11 @@ class BaselineSubscriber:
                     delivered_at=self.system.sim.now,
                 )
             )
-            obs_profile.end_span(
-                obs_profile.start_span(
+            obs_hooks.end_span(
+                obs_hooks.start_span(
                     "deliver",
                     component=self.name,
-                    parent=obs_profile.extract(message.headers),
+                    parent=obs_hooks.extract(message.headers),
                     publication_id=publication.publication_id,
                     bytes=len(publication.payload),
                 )
@@ -86,7 +86,7 @@ class BaselinePublisher:
             publication_id=next(self._ids), metadata=dict(metadata), payload=payload
         )
         self.published.append((publication.publication_id, self.system.sim.now))
-        with obs_profile.span(
+        with obs_hooks.span(
             "publish",
             component=self.name,
             publication_id=publication.publication_id,
@@ -96,7 +96,7 @@ class BaselinePublisher:
                 MSG_PUBLISH,
                 publication,
                 publication.wire_size,
-                headers=obs_profile.inject({}, span),
+                headers=obs_hooks.inject({}, span),
             )
         return publication.publication_id
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..obs import profile as obs
 from .schedule import FaultSchedule
 
 __all__ = ["SimFaultInjector"]
@@ -60,7 +59,6 @@ class SimFaultInjector:
             # first matching fault wins: deterministic and independently
             # removable, which is what minimization relies on
             self.applied[(index, fault.kind, src, dst)] += 1
-            obs.record_op(f"chaos.{fault.kind}")
             if fault.kind in ("drop", "partition"):
                 return []
             if fault.kind in ("delay", "reorder"):

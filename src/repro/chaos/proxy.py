@@ -27,8 +27,6 @@ from __future__ import annotations
 import asyncio
 import random
 
-from ..obs import profile as obs
-
 __all__ = ["FaultProxy", "interpose", "duplicate_dispatch"]
 
 
@@ -113,7 +111,6 @@ class FaultProxy:
                     if self.armed:
                         if tear_at is not None and chunk_count[0] >= tear_at:
                             self.tears += 1
-                            obs.record_op("chaos.live.tear")
                             # abort both directions: a mid-session RST,
                             # not a graceful FIN
                             writer.transport.abort()
@@ -124,7 +121,6 @@ class FaultProxy:
                             and chunk_count[0] % self.delay_every_chunks == 0
                         ):
                             self.delays += 1
-                            obs.record_op("chaos.live.delay")
                             await asyncio.sleep(self.delay_s)
                     dst.write(data)
                     await dst.drain()
@@ -190,7 +186,6 @@ def duplicate_dispatch(endpoint, msg_type: str, every: int = 2) -> None:
             return 1
         counter[0] += 1
         if counter[0] % every == 0:
-            obs.record_op("chaos.live.duplicate")
             return 2
         return 1
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..obs import profile as obs
-
 __all__ = ["Member", "MembershipTable"]
 
 
@@ -60,7 +58,6 @@ class MembershipTable:
         if member is None:
             member = Member(name=name, role=role, joined_at=now, last_heartbeat=now)
             self.members[name] = member
-            obs.record_op("cluster.join")
         else:
             member.last_heartbeat = now
         return member
@@ -70,11 +67,9 @@ class MembershipTable:
         if member is None:
             raise KeyError(f"heartbeat from unknown member {name!r}")
         member.last_heartbeat = now
-        obs.record_op("cluster.heartbeat")
         if not member.alive:
             member.alive = True
             member.recoveries += 1
-            obs.record_op("cluster.member_recovered")
 
     def sweep(self, now: float) -> list[str]:
         """Mark silent members dead; returns the names that died *now*."""
@@ -84,7 +79,6 @@ class MembershipTable:
                 member.alive = False
                 member.failures += 1
                 died.append(member.name)
-                obs.record_op("cluster.member_failed")
         return died
 
     # -- queries ---------------------------------------------------------------

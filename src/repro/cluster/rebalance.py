@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..obs import profile as obs
 from .ring import HashRing
 
 __all__ = [
@@ -104,9 +103,6 @@ def handoff_items(stores: dict, ring: HashRing, replication: int = 1) -> Handoff
             if name not in replicas:
                 store.evict(guid)
                 report.evicted += 1
-    if report.copied or report.evicted:
-        obs.record_op("cluster.items_copied", report.copied)
-        obs.record_op("cluster.items_evicted", report.evicted)
     return report
 
 
@@ -133,6 +129,4 @@ def copy_registrations(source_ds, target_ds) -> int:
                 target_ds.connected_clients.add(client)
                 target_ds._subscribe(client, topic)
                 copied += 1
-    if copied:
-        obs.record_op("cluster.registrations_copied", copied)
     return copied

@@ -17,7 +17,7 @@ assumes of an anonymizing channel.
 from __future__ import annotations
 
 from ..net.ports import ports_on
-from ..obs import profile as obs
+from ..obs import hooks as obs
 from .messages import RPC_ANON_FORWARD, AnonEnvelope, wire_size_of
 
 __all__ = ["AnonymizationService"]

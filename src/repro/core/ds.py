@@ -44,7 +44,7 @@ from collections import defaultdict
 
 from ..mq.broker import Broker
 from ..mq.messages import JmsFrame
-from ..obs import profile as obs
+from ..obs import hooks as obs
 from ..par import MatchPool
 from ..store import MemoryEngine, StorageEngine
 from ..store.codec import (
@@ -183,7 +183,6 @@ class DisseminationServer(Broker):
             self.store.put(
                 NS_TOKENS, token_key(src, entry[1]), encode_token(src, entry[1])
             )
-            obs.record_op("ds.token_reg")
             self._commit_to_delegated_matching()
 
     def _commit_to_delegated_matching(self) -> None:
@@ -199,7 +198,6 @@ class DisseminationServer(Broker):
         if entry in self.registered_tokens:
             self.registered_tokens.remove(entry)
             self.store.delete(NS_TOKENS, token_key(src, entry[1]))
-            obs.record_op("ds.token_unreg")
 
     # -- durable subscription table --------------------------------------------
 
@@ -254,9 +252,6 @@ class DisseminationServer(Broker):
                 skipped += 1
                 continue
             yield from self.deliver_to(client, delivery)
-        obs.record_op("ds.delegated_match")
-        if skipped:
-            obs.record_op("ds.fanout_skipped", skipped)
         obs.end_span(span, matched=len(matched_names), skipped=skipped)
 
     def close_match_pool(self) -> None:

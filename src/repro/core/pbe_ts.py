@@ -26,7 +26,7 @@ from ..crypto.signing import Certificate, VerifyKey
 from ..crypto.symmetric import SecretBox
 from ..errors import CertificateError, DecryptionError, SchemaError, TokenRequestError
 from ..net.ports import ports_on
-from ..obs import profile as obs
+from ..obs import hooks as obs
 from ..pbe.hve import HVE, HVEMasterKey
 from ..pbe.schema import ANY, Interest, MetadataSchema
 from ..pbe.serialize import serialize_hve_token

@@ -30,7 +30,7 @@ from ..abe.serialize import serialize_hybrid
 from ..cluster.router import ds_shard_for
 from ..crypto.group import PairingGroup
 from ..mq.client import JmsConnection
-from ..obs import profile as obs
+from ..obs import hooks as obs
 from ..pbe.serialize import serialize_hve_ciphertext
 from .ara import PublisherCredentials
 from .client import P3SClient

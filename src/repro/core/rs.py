@@ -37,7 +37,7 @@ from ..crypto.pke import PKEKeyPair
 from ..crypto.symmetric import SecretBox
 from ..errors import DecryptionError, RetrievalError
 from ..net.ports import ports_on
-from ..obs import profile as obs
+from ..obs import hooks as obs
 from ..store import MemoryEngine, StorageEngine
 from ..store.codec import NS_ITEMS, decode_item, encode_item
 from .config import ComputeTimings
@@ -221,10 +221,8 @@ class RepositoryStore:
             self.engine.delete(NS_ITEMS, guid)
             removed += 1
         self.expired_count += removed
-        if removed:
-            obs.record_op("rs.gc_expired", removed)
-            if compact:
-                self.engine.compact()
+        if removed and compact:
+            self.engine.compact()
         return removed
 
     def compact(self) -> dict:

@@ -43,7 +43,7 @@ from ..errors import (
     TransportError,
 )
 from ..mq.client import JmsConnection
-from ..obs import profile as obs
+from ..obs import hooks as obs
 from ..pbe.hve import HVEToken
 from ..pbe.schema import Interest
 from ..pbe.serialize import (
@@ -306,7 +306,6 @@ class SubscriberProtocol(P3SClient):
             # is running) for this GUID — deliver-at-most-once holds here
             self.stats.duplicates_suppressed += 1
             self.stats.duplicate_suppressed_at.append(self.ports.now())
-            obs.record_op("subscriber.duplicate_suppressed")
             return
         yield from self._retrieve_process(guid, envelope.publication_id, parent=span)
 

@@ -22,7 +22,7 @@ from collections import OrderedDict
 from itertools import zip_longest
 
 from ..errors import NotOnCurveError, ParameterError, SerializationError
-from ..obs.profile import record_op
+from ..obs.hooks import record_op
 from .field import fq_inv, fq_is_square, fq_sqrt
 from .jacobian import INFINITY, add_affine, add_many, double, normalise, scalar_mul
 from .params import TypeAParams

@@ -17,7 +17,7 @@ multiplications (Karatsuba-style 3-mult product, 2-mult squaring).
 from __future__ import annotations
 
 from ..errors import ParameterError
-from ..obs.profile import record_op
+from ..obs.hooks import record_op
 
 __all__ = ["Fq2", "fq_inv", "fq_batch_inv", "fq_sqrt", "fq_is_square"]
 

@@ -32,7 +32,7 @@ evaluated (see DESIGN.md §5 for the ablation bench).
 from __future__ import annotations
 
 from ..errors import ParameterError
-from ..obs.profile import record_op
+from ..obs.hooks import record_op
 from .curve import Point
 from .field import Fq2, fq_inv
 from .jacobian import add_affine, double, normalise

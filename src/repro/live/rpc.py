@@ -42,7 +42,7 @@ from typing import Any, Callable
 from ..crypto.signing import VerifyKey
 from ..errors import MessageLossError, NetworkError, ReproError, TransportError
 from ..net.transport import TransportMessage
-from ..obs import profile as obs
+from ..obs import hooks as obs
 from .channel import SecureChannel, ServerIdentity, ServiceKey, accept_channel, connect_channel
 from .wire import decode_frame, encode_frame
 
@@ -122,9 +122,7 @@ class LiveRpcEndpoint:
         # telemetry gauges/counters — plain attribute bumps, always on
         self.tx_bytes: dict[str, int] = defaultdict(int)
         self.rx_bytes: dict[str, int] = defaultdict(int)
-        self.tx_frames: dict[str, int] = defaultdict(int)
         self.rx_frames: dict[str, int] = defaultdict(int)
-        self.dials = 0
         self.reconnects = 0
         self.pending_high_water = 0
         self._backoff_peers: set[str] = set()
@@ -163,14 +161,12 @@ class LiveRpcEndpoint:
             "open_connections": self.open_connections,
             "in_flight_calls": self.in_flight_calls,
             "pending_high_water": self.pending_high_water,
-            "dials": self.dials,
             "reconnects": self.reconnects,
             "dial_backoff_active": self.dial_backoff_active,
             "bytes_sent": self.bytes_sent,
             "bytes_received": self.bytes_received,
             "tx_bytes": dict(self.tx_bytes),
             "rx_bytes": dict(self.rx_bytes),
-            "tx_frames": dict(self.tx_frames),
             "rx_frames": dict(self.rx_frames),
         }
 
@@ -255,12 +251,9 @@ class LiveRpcEndpoint:
                         timeout=self.connect_timeout_s,
                     )
                     self._adopt(dst, channel)
-                    self.dials += 1
-                    obs.record_op("live.dial")
                     return channel
                 except TransportError as exc:
                     last_error = exc
-                    obs.record_op("live.dial_retry")
         finally:
             self._backoff_peers.discard(dst)
         raise TransportError(
@@ -355,8 +348,6 @@ class LiveRpcEndpoint:
         wire_len = await channel.send_record(record)
         self.bytes_sent += len(record)
         self.tx_bytes[dst] += wire_len
-        self.tx_frames[dst] += 1
-        obs.observe("net.live.bytes", len(record), direction="sent", endpoint=self._name)
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -368,9 +359,6 @@ class LiveRpcEndpoint:
                 self.bytes_received += len(record)
                 self.rx_bytes[peer] += channel.bytes_received - wire_before
                 self.rx_frames[peer] += 1
-                obs.observe(
-                    "net.live.bytes", len(record), direction="received", endpoint=self._name
-                )
                 message = decode_frame(record)
                 message.src = channel.peer_name  # trust the handshake, not the frame
                 copies = 1 if self.dispatch_fanout is None else self.dispatch_fanout(message)

@@ -124,13 +124,13 @@ async def serve_role(role: str, state: DeploymentState) -> None:
     ``KIND_PROFILE`` RPC serves the cumulative profile.
     """
     from ..obs import Observability
-    from ..obs import profile as obs_profile
+    from ..obs import hooks as obs_hooks
     from ..obs.prof import start_default_profiler
     from ..obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY
 
-    if obs_profile.active() is None:
+    if obs_hooks.active() is None:
         Observability(span_capacity=DEFAULT_FLIGHT_RECORDER_CAPACITY).install()
-    obs = obs_profile.active()
+    obs = obs_hooks.active()
     profiler = None
     if obs.profiler is None:
         profiler = start_default_profiler(obs, origin=f"{role}-wall")

@@ -12,9 +12,9 @@ same AEAD channels) as application traffic:
     A point-in-time snapshot of the service's metric series — the
     endpoint's transport gauges, service protocol counters, and the
     slice of the process-global observability registry attributed to
-    this service's component — as structured JSON, or as
-    Prometheus/OpenMetrics text when the request payload says
-    ``"openmetrics"``.
+    this service's component — as structured JSON.  (The OpenMetrics
+    text operators read is rendered from the aggregator's merged
+    registry, ``repro live status --metrics-out``.)
 ``KIND_SPANS``
     A destructive drain of the flight recorder
     (:mod:`repro.obs.ring`): finished spans leave the process exactly
@@ -47,10 +47,8 @@ import time
 from typing import Any, Iterable
 
 from ..core.messages import KIND_HEALTH, KIND_METRICS, KIND_PROFILE, KIND_SPANS
-from ..obs import profile
+from ..obs import hooks
 from ..obs.aggregate import TelemetryAggregator
-from ..obs.exposition import to_openmetrics
-from ..obs.metrics import MetricsRegistry
 from .rpc import LiveRpcEndpoint
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "service_metrics_snapshot",
     "drain_spans_snapshot",
     "profile_snapshot",
-    "snapshot_registry",
     "TelemetryClient",
 ]
 
@@ -74,8 +71,6 @@ GAUGE_METRICS = frozenset(
         "ds.subscribers",
         "ds.registered_tokens",
         "rs.stored_items",
-        "obs.slow_spans",
-        "obs.sampler.keep_rate",
         "store.recovery_s",
     }
 )
@@ -92,25 +87,15 @@ def _endpoint_samples(endpoint: LiveRpcEndpoint) -> list[dict[str, Any]]:
         {"name": "live.rpc.open_connections", "labels": {}, "value": stats["open_connections"]},
         {"name": "live.rpc.in_flight_calls", "labels": {}, "value": stats["in_flight_calls"]},
         {"name": "live.rpc.pending_high_water", "labels": {}, "value": stats["pending_high_water"]},
-        {"name": "live.rpc.dials", "labels": {}, "value": stats["dials"]},
         {"name": "live.rpc.reconnects", "labels": {}, "value": stats["reconnects"]},
     ]
-    for direction, per_peer in (
-        ("tx", stats["tx_bytes"]),
-        ("rx", stats["rx_bytes"]),
-    ):
-        for peer, value in sorted(per_peer.items()):
-            samples.append(
-                {"name": f"live.net.{direction}_bytes", "labels": {"peer": peer}, "value": value}
-            )
-    for direction, per_peer in (
-        ("tx", stats["tx_frames"]),
-        ("rx", stats["rx_frames"]),
-    ):
-        for peer, value in sorted(per_peer.items()):
-            samples.append(
-                {"name": f"live.net.{direction}_frames", "labels": {"peer": peer}, "value": value}
-            )
+    # names spelled out, not built: the signal inventory reads them off the source
+    for peer, value in sorted(stats["tx_bytes"].items()):
+        samples.append({"name": "live.net.tx_bytes", "labels": {"peer": peer}, "value": value})
+    for peer, value in sorted(stats["rx_bytes"].items()):
+        samples.append({"name": "live.net.rx_bytes", "labels": {"peer": peer}, "value": value})
+    for peer, value in sorted(stats["rx_frames"].items()):
+        samples.append({"name": "live.net.rx_frames", "labels": {"peer": peer}, "value": value})
     return samples
 
 
@@ -149,10 +134,10 @@ def service_metrics_snapshot(service) -> dict[str, Any]:
     the service's own protocol counters (``extra_metrics()``), and —
     when an observability instance is installed — the slice of the
     process-global registry whose ``component`` label is this service,
-    plus the flight recorder's drop/slow accounting.  The component
-    filter is what keeps a single-process deployment's per-service
-    scrapes disjoint: summing them equals the global registry's totals
-    for those components, with no double counting.
+    plus the flight recorder's drop count.  The component filter is
+    what keeps a single-process deployment's per-service scrapes
+    disjoint: summing them equals the global registry's totals for
+    those components, with no double counting.
     """
     endpoint = service.endpoint
     name = endpoint.name
@@ -161,7 +146,7 @@ def service_metrics_snapshot(service) -> dict[str, Any]:
     if callable(extra):
         counters.extend(extra())
     histograms: list[dict[str, Any]] = []
-    obs = profile.active()
+    obs = hooks.active()
     if obs is not None:
         mine = lambda _n, labels: labels.get("component") == name  # noqa: E731
         counters.extend(obs.metrics.counter_series(where=mine))
@@ -171,35 +156,12 @@ def service_metrics_snapshot(service) -> dict[str, Any]:
         counters.append(
             {"name": "obs.dropped_spans", "labels": {}, "value": obs.tracer.dropped_spans}
         )
-        counters.append(
-            {"name": "obs.slow_spans", "labels": {}, "value": len(obs.tracer.slow_spans)}
-        )
-        sampler = obs.sampler
-        if sampler is not None:
-            for counter, value in sampler.counters().items():
-                counters.append(
-                    {"name": f"obs.sampler.{counter}", "labels": {}, "value": value}
-                )
-            counters.append(
-                {"name": "obs.sampler.keep_rate", "labels": {}, "value": sampler.keep_rate}
-            )
     return {
         "service": name,
         "time": time.time(),
         "counters": counters,
         "histograms": histograms,
     }
-
-
-def snapshot_registry(snapshot: dict[str, Any]) -> MetricsRegistry:
-    """Rebuild one snapshot as a standalone registry (for exposition)."""
-    registry = MetricsRegistry()
-    for entry in snapshot.get("counters", []):
-        registry.inc(entry["name"], entry.get("value", 0), **entry.get("labels", {}))
-    for entry in snapshot.get("histograms", []):
-        for value in entry.get("values", []):
-            registry.observe(entry["name"], value, **entry.get("labels", {}))
-    return registry
 
 
 def drain_spans_snapshot(service) -> dict[str, Any]:
@@ -210,15 +172,14 @@ def drain_spans_snapshot(service) -> dict[str, Any]:
     the aggregator deduplicates by span identity, and nothing is lost
     or duplicated either way.
     """
-    obs = profile.active()
+    obs = hooks.active()
     if obs is None:
-        return {"service": service.endpoint.name, "spans": [], "dropped_spans": 0, "slow_spans": []}
+        return {"service": service.endpoint.name, "spans": [], "dropped_spans": 0}
     drained = obs.tracer.drain_finished()
     return {
         "service": service.endpoint.name,
         "spans": [span.to_dict() for span in drained],
         "dropped_spans": obs.tracer.dropped_spans,
-        "slow_spans": [span.to_dict() for span in obs.tracer.slow_spans],
     }
 
 
@@ -231,7 +192,7 @@ def profile_snapshot(service) -> dict[str, Any]:
     summing — repeated polls, or four services sharing one process-wide
     sampler, never inflate the weights.
     """
-    profiler = profile.active_profiler()
+    profiler = hooks.active_profiler()
     if profiler is None:
         return {"service": service.endpoint.name, "profile": None}
     return {"service": service.endpoint.name, "profile": profiler.profile().to_dict()}
@@ -246,15 +207,7 @@ def install_telemetry(service) -> None:
         return body, len(body)
 
     def handle_metrics(src: str, message) -> tuple[str, int]:
-        snapshot = service_metrics_snapshot(service)
-        if message.payload == "openmetrics":
-            body = to_openmetrics(
-                snapshot_registry(snapshot),
-                gauge_names=GAUGE_METRICS,
-                extra_labels={"service": snapshot["service"]},
-            )
-        else:
-            body = json.dumps(snapshot, default=str)
+        body = json.dumps(service_metrics_snapshot(service), default=str)
         return body, len(body)
 
     def handle_spans(src: str, message) -> tuple[str, int]:
@@ -292,15 +245,9 @@ class TelemetryClient:
 
     async def metrics(self, service: str) -> dict[str, Any]:
         body = await self.endpoint.call(
-            service, KIND_METRICS, "json", timeout_s=self.call_timeout_s
+            service, KIND_METRICS, None, timeout_s=self.call_timeout_s
         )
         return json.loads(body)
-
-    async def metrics_text(self, service: str) -> str:
-        """The service's own Prometheus/OpenMetrics exposition."""
-        return await self.endpoint.call(
-            service, KIND_METRICS, "openmetrics", timeout_s=self.call_timeout_s
-        )
 
     async def spans(self, service: str) -> dict[str, Any]:
         body = await self.endpoint.call(

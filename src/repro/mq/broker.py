@@ -22,7 +22,7 @@ from collections import defaultdict, deque
 
 from ..errors import BrokerError, TransportError
 from ..net.ports import ports_on
-from ..obs import profile as obs
+from ..obs import hooks as obs
 from . import messages as frames
 from .messages import JmsFrame
 

@@ -46,7 +46,6 @@ from typing import Any, Callable, Iterable
 
 from ..errors import BrokerError, TransportError
 from ..net.ports import ports_on
-from ..obs import profile as obs
 from . import messages as frames
 from .messages import JmsFrame
 
@@ -201,7 +200,6 @@ class JmsConnection:
                 )
                 if attempt:
                     self.publish_retransmits += 1
-                    obs.record_op("mq.publish_retransmit")
                 try:
                     yield self.ports.cast(target, frames.PUBLISH, frame, frame.wire_size)
                     yield acked
@@ -214,7 +212,6 @@ class JmsConnection:
                         ).uniform(0.0, backoff)
                         yield self.ports.sleep(backoff + jitter)
             self.publish_failures += 1
-            obs.record_op("mq.publish_failed")
             return False
         finally:
             self._pending_acks.pop(key, None)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..errors import RoutingError
-from ..obs import profile as obs
+from ..obs import hooks as obs
 from .simulator import Simulator, Store
 
 __all__ = ["Message", "Host", "Network", "WireRecord"]
@@ -169,7 +169,6 @@ class Network:
             active.metrics.inc(
                 "net.bytes", message.size_bytes, src=src.name, dst=dst_name
             )
-            active.metrics.inc("net.messages", 1, src=src.name, dst=dst_name)
             if start > self.sim.now:
                 # time this frame waits behind earlier frames on the
                 # sender's egress — the DS/RS bottleneck signal

@@ -31,7 +31,7 @@ import inspect
 import time
 from typing import Any, Callable
 
-from ..obs import profile as obs
+from ..obs import hooks as obs
 from .channel import SecureChannelLayer
 from .network import Host
 from .rpc import RpcEndpoint

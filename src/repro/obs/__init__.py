@@ -13,7 +13,7 @@ Pieces:
   subscriber.retrieve → deliver``);
 * :mod:`~repro.obs.metrics` — labelled counters and histograms
   (pairings, exponentiations, HVE matches, bytes per hop, queue depths);
-* :mod:`~repro.obs.profile` — the hooks installed into hot paths, and
+* :mod:`~repro.obs.hooks` — the hooks installed into hot paths, and
   the global on/off switch that makes everything a no-op when disabled;
 * :mod:`~repro.obs.export` — JSONL spans, CSV metrics, console trees;
 * :mod:`~repro.obs.ring` — the bounded flight recorder behind a live
@@ -23,9 +23,6 @@ Pieces:
 * :mod:`~repro.obs.aggregate` — :class:`TelemetryAggregator`, merging
   per-service scrapes into one deployment-wide registry and reassembling
   cross-socket publish→deliver span trees;
-* :mod:`~repro.obs.sampling` — :class:`TraceSampler`, deterministic
-  seedable tail-based trace sampling (head decision propagated in the
-  context header, slow/error traces always promoted);
 * :mod:`~repro.obs.slo` — :class:`SloEngine`, declarative SLOs with
   error-budget accounting and multi-window multi-burn-rate alerting;
 * :mod:`~repro.obs.prof` — continuous profiling: span-attributed stack
@@ -47,11 +44,10 @@ from .export import (
     write_spans_jsonl,
 )
 from .exposition import Exposition, parse_openmetrics, sanitize_metric_name, to_openmetrics
+from .hooks import active, active_profiler, instrument, record_op
 from .metrics import Counter, Histogram, MetricsRegistry
 from .observability import Observability
-from .profile import active, active_profiler, instrument, record_op
 from .ring import DEFAULT_FLIGHT_RECORDER_CAPACITY, FlightRecorder
-from .sampling import TraceSampler
 from .slo import (
     CHAOS_WINDOWS,
     DEFAULT_WINDOWS,
@@ -67,7 +63,6 @@ from .tracing import CONTEXT_HEADER, Span, SpanContext, Tracer
 
 __all__ = [
     "Observability",
-    "TraceSampler",
     "SloEngine",
     "SloSpec",
     "BurnRateWindow",

@@ -297,38 +297,6 @@ class TelemetryAggregator:
 
     # -- export ------------------------------------------------------------------
 
-    def service_observability(self, service: str) -> dict:
-        """One service's span-pipeline health: drops, slow spans, sampler.
-
-        Read from the service's latest metrics snapshot, so it reflects
-        what that process reported — not what this aggregator retained.
-        The ``sampler`` block only appears when the service runs a
-        tail sampler (``obs.sampler.*`` counters present).
-        """
-        names = {
-            entry["name"]
-            for entry in self._metrics.get(service, {}).get("counters", [])
-        }
-        block: dict[str, object] = {
-            "dropped_spans": self.service_counter_total(service, "obs.dropped_spans"),
-            "slow_spans": self.service_counter_total(service, "obs.slow_spans"),
-        }
-        if "obs.sampler.keep_rate" in names:
-            block["sampler"] = {
-                "keep_rate": self.service_counter_total(service, "obs.sampler.keep_rate"),
-                "kept_traces": self.service_counter_total(service, "obs.sampler.kept_traces"),
-                "dropped_traces": self.service_counter_total(
-                    service, "obs.sampler.dropped_traces"
-                ),
-                "promoted_traces": self.service_counter_total(
-                    service, "obs.sampler.promoted_traces"
-                ),
-                "evicted_traces": self.service_counter_total(
-                    service, "obs.sampler.evicted_traces"
-                ),
-            }
-        return block
-
     def to_json(self) -> dict:
         """The ``repro live status --json`` document."""
         merged = self.merged_registry()
@@ -357,8 +325,12 @@ class TelemetryAggregator:
                     for frame, value, fraction in self.hot_frames()
                 ],
             },
+            # what each process's flight recorder reported evicting — not
+            # what this aggregator retained
             "observability": {
-                service: self.service_observability(service)
+                service: {
+                    "dropped_spans": self.service_counter_total(service, "obs.dropped_spans")
+                }
                 for service in sorted(self._metrics)
             },
         }

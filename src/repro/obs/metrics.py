@@ -15,27 +15,13 @@ metric                   kind / labels              incremented by
 ``op.<op>``              counter, ``component``     ``record_op`` / ``@instrument``
 ``op.<op>.wall_s``       histogram, ``component``   ``@instrument`` (real compute)
 ``net.bytes``            counter, ``src``, ``dst``  :meth:`Network.transmit`
-``net.messages``         counter, ``src``, ``dst``  :meth:`Network.transmit`
 ``net.egress_wait_s``    histogram, ``host``        sender-side queueing delay
 ``net.inbox_depth``      histogram, ``host``        receiver queue depth at deliver
 =======================  =========================  =======================
 
-Crypto op names: ``pairing``, ``multi_pairing``, ``final_exp``,
-``g1_exp``, ``gt_exp``, ``hve.encrypt``, ``hve.token_gen``,
-``hve.match`` / ``hve.match_hit`` / ``hve.match_memo_hit``,
-``abe.encrypt``, ``abe.decrypt``, ``abe.keygen``.
-
-Precomputation and parallel-matching ops (PR 2):
-
-* ``g1_exp.fixed_base`` — scalar-muls served from a comb table,
-  ``g1_exp.fb_build`` — comb tables built;
-* ``pairing.precompute`` — Miller-loop line precomputations,
-  ``multi_pairing.precomputed`` — multi-pairings on the precomputed path;
-* ``par.match`` / ``par.match_batch`` / ``par.chunk`` — MatchPool
-  evaluations, batches, and dispatched chunks, with ``par.match_wall_s``
-  and ``par.match_busy_s`` histograms;
-* ``ds.token_reg`` / ``ds.token_unreg`` / ``ds.delegated_match`` /
-  ``ds.fanout_skipped`` — delegated-matching traffic at the DS.
+The full list of emitted names, each with what reads it, is the
+"Signals and their consumers" table of docs/OBSERVABILITY.md
+(``tests/obs/test_signal_inventory.py`` keeps it exact).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 This is the object experiments hold.  Pass it to a deployment via
 ``P3SConfig(obs=...)`` (or ``BaselineSystem(obs=...)``); the system binds
 the tracer's clock to its simulator and installs the instance as the
-process-wide hook sink (:mod:`repro.obs.profile`).  When no instance is
+process-wide hook sink (:mod:`repro.obs.hooks`).  When no instance is
 installed every hook in the codebase is a no-op.
 
 Typical use::
@@ -29,7 +29,7 @@ from __future__ import annotations
 import contextlib
 from typing import Callable
 
-from . import profile
+from . import hooks
 from .export import (
     format_op_summary,
     format_span_tree,
@@ -38,7 +38,6 @@ from .export import (
     write_spans_jsonl,
 )
 from .metrics import MetricsRegistry
-from .sampling import TraceSampler
 from .tracing import Tracer
 
 __all__ = ["Observability"]
@@ -50,10 +49,7 @@ class Observability:
     ``span_capacity`` bounds span storage with the flight-recorder ring
     (see :mod:`repro.obs.ring`) — mandatory hygiene for long-running
     live services, left unbounded by default so experiment runs keep
-    every span.  ``slow_span_threshold_s`` logs spans whose wall-clock
-    time reaches the threshold into ``tracer.slow_spans``.  ``sampler``
-    (a :class:`~repro.obs.sampling.TraceSampler`) enables deterministic
-    tail-based trace sampling; ``None`` keeps every trace.
+    every span.
 
     ``profiler`` attaches a profile sampler
     (:class:`~repro.obs.prof.sampler.StackSampler` or
@@ -69,22 +65,11 @@ class Observability:
         self,
         clock: Callable[[], float] | None = None,
         span_capacity: int | None = None,
-        slow_span_threshold_s: float | None = None,
-        sampler: TraceSampler | None = None,
         profiler: object | None = None,
     ):
-        self.tracer = Tracer(
-            clock,
-            capacity=span_capacity,
-            slow_span_threshold_s=slow_span_threshold_s,
-            sampler=sampler,
-        )
+        self.tracer = Tracer(clock, capacity=span_capacity)
         self.metrics = MetricsRegistry()
         self.profiler = profiler
-
-    @property
-    def sampler(self) -> TraceSampler | None:
-        return self.tracer.sampler
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -94,16 +79,16 @@ class Observability:
 
     def install(self) -> "Observability":
         """Become the process-wide hook sink; returns self for chaining."""
-        profile.activate(self)
+        hooks.activate(self)
         return self
 
     def uninstall(self) -> None:
         """Stop receiving hook data (only if currently installed)."""
-        profile.deactivate(self)
+        hooks.deactivate(self)
 
     @property
     def active(self) -> bool:
-        return profile.active() is self
+        return hooks.active() is self
 
     @contextlib.contextmanager
     def installed(self):

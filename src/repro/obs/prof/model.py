@@ -373,7 +373,7 @@ def format_report(
     counters = {
         key: value
         for key, value in profile.meta.items()
-        if key in ("ticks", "ring_evicted", "overflowed", "self_s", "ops_seen")
+        if key in ("ticks", "overflowed", "self_s", "ops_seen")
     }
     if counters:
         out.append(

@@ -4,13 +4,12 @@
 ``hz`` times a second, captures the Python stacks via
 ``sys._current_frames()``, and attributes each sample with the
 component and span name of the tracer's innermost active span.  Memory
-is bounded twice over: a fixed-capacity ring of raw (timestamped,
-trace-linked) samples with an eviction counter, and a capped aggregate
-stack table that folds further stacks into the ``<overflow>`` bucket so
-total weight is preserved while cardinality stays flat.
+is bounded by a capped aggregate stack table that folds further stacks
+into the ``<overflow>`` bucket so total weight is preserved while
+cardinality stays flat.
 
 :class:`DeterministicSampler` is the simulator shape: no threads, no
-clocks.  The :func:`repro.obs.profile.record_op` /
+clocks.  The :func:`repro.obs.hooks.record_op` /
 ``@instrument`` hooks call :meth:`on_op` for every counted crypto op and
 every ``every``-th op takes a sample whose stack is
 ``(component, span, span, ..., op.<name>)``.  Because the simulator's op
@@ -26,7 +25,6 @@ import os
 import sys
 import threading
 import time
-from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from .model import OVERFLOW_FRAME, Profile, Stack
@@ -100,9 +98,8 @@ class StackSampler:
     from the innermost active span (``unattributed`` outside any span),
     and charges the tick's wall/CPU deltas to the sampled stacks.
 
-    ``ring_capacity`` bounds the raw-sample ring (oldest evicted, with a
-    counter); ``max_stacks`` bounds the aggregate table (overflow folds
-    to :data:`OVERFLOW_FRAME`).  ``obs`` pins which observability
+    ``max_stacks`` bounds the aggregate table (overflow folds to
+    :data:`OVERFLOW_FRAME`).  ``obs`` pins which observability
     instance supplies span attribution; by default the process-global
     active one is read at every tick.
     """
@@ -112,7 +109,6 @@ class StackSampler:
     def __init__(
         self,
         hz: float = 97.0,
-        ring_capacity: int = 2048,
         max_stacks: int = 4096,
         all_threads: bool = False,
         obs: "Observability | None" = None,
@@ -126,9 +122,6 @@ class StackSampler:
         self._obs = obs
         self._lock = threading.Lock()
         self._table = _StackTable(max_stacks)
-        self._ring: deque[dict[str, Any]] = deque()
-        self._ring_capacity = ring_capacity
-        self.ring_evicted = 0
         self.ticks = 0
         self.self_s = 0.0  # sampler's own wall overhead, accounted
         self._stop = threading.Event()
@@ -189,15 +182,15 @@ class StackSampler:
                 pass
             self.self_s += time.perf_counter() - tick_start
 
-    def _attribution(self):
-        """(stack prefix, innermost active span) for the main thread."""
-        from .. import profile as hooks  # local: hooks module imports us
+    def _attribution(self) -> tuple[str, ...]:
+        """The main thread's stack prefix: its innermost active span."""
+        from .. import hooks  # local: hooks module imports us
 
         obs = self._obs or hooks.active()
         span = obs.tracer.current_span() if obs is not None else None
         if span is not None:
-            return (span.component, span.name), span
-        return ("unattributed",), None
+            return (span.component, span.name)
+        return ("unattributed",)
 
     def _sample_once(self, wall_dt: float, cpu_dt: float) -> None:
         frames = sys._current_frames()
@@ -212,7 +205,7 @@ class StackSampler:
             targets.append((threads.get(ident, f"tid-{ident}"), ident, frame))
         if not targets:
             return
-        prefix, span = self._attribution()
+        prefix = self._attribution()
         wall_share = wall_dt / len(targets)
         cpu_share = cpu_dt / len(targets)
         with self._lock:
@@ -225,26 +218,8 @@ class StackSampler:
                     stack = (f"thread:{name}",) + tuple(pystack)
                 stack = stack[:MAX_STACK_DEPTH]
                 self._table.add(stack, 1, wall_share, cpu_share)
-                if len(self._ring) >= self._ring_capacity:
-                    self._ring.popleft()
-                    self.ring_evicted += 1
-                self._ring.append(
-                    {
-                        "wall": time.perf_counter(),
-                        "thread": name,
-                        "stack": stack,
-                        "trace_id": span.trace_id if span is not None else None,
-                        "span_id": span.span_id if span is not None else None,
-                        "component": prefix[0],
-                    }
-                )
 
     # -- output ------------------------------------------------------------------
-
-    def recent_samples(self) -> list[dict[str, Any]]:
-        """The raw bounded ring, oldest first (trace-linked samples)."""
-        with self._lock:
-            return list(self._ring)
 
     def profile(self) -> Profile:
         """Snapshot the aggregate table as a :class:`Profile`."""
@@ -256,7 +231,6 @@ class StackSampler:
                     meta={
                         "hz": self.hz,
                         "ticks": self.ticks,
-                        "ring_evicted": self.ring_evicted,
                         "overflowed": self._table.overflowed,
                         "self_s": round(self.self_s, 6),
                     },
@@ -267,7 +241,7 @@ class StackSampler:
 class DeterministicSampler:
     """Op-count-triggered sampler for seed-replayable simulator profiles.
 
-    Called (via the :mod:`repro.obs.profile` hooks) for every counted
+    Called (via the :mod:`repro.obs.hooks` hooks) for every counted
     op; every ``every``-th op takes one sample.  The stack is built from
     the tracer's synchronous span stack — ``(component, span, span, ...,
     op.<name>)`` — so the profile folds exactly like the wall sampler's,
@@ -326,7 +300,7 @@ class DeterministicSampler:
         fires = self.ops_seen // self.every - before // self.every
         if fires <= 0:
             return
-        from .. import profile as hooks  # local: hooks module imports us
+        from .. import hooks  # local: hooks module imports us
 
         obs = self._obs or hooks.active()
         if obs is not None and obs.tracer._stack:

@@ -33,27 +33,19 @@ Two usage patterns, matching the two shapes of work in the simulator:
 from __future__ import annotations
 
 import time
-from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from .ring import FlightRecorder
-from .sampling import TraceSampler
 
-__all__ = ["Span", "SpanContext", "Tracer", "TraceSampler", "CONTEXT_HEADER"]
+__all__ = ["Span", "SpanContext", "Tracer", "CONTEXT_HEADER"]
 
 # Header key under which a SpanContext rides in message/frame headers.
 CONTEXT_HEADER = "obs-ctx"
 
-# Unsampled traces buffered per tracer awaiting a possible tail
-# promotion; evicting the oldest whole trace keeps this memory-flat.
-DEFAULT_PENDING_TRACE_CAPACITY = 256
-
-# Span ``status`` values that mean the hop succeeded.  The tail rule
-# promotes on any *other* status (miss, refused, malformed, ...) — the
-# protocol stamps successes routinely, and keeping every
-# ``status="delivered"`` trace would nullify sampling.
-OK_STATUSES = frozenset({"ok", "delivered", "hit"})
+# Ids are process-local counters from 1; a peer's header is outside
+# input, so anything beyond a signed 64-bit id is refused, not carried.
+_MAX_ID = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -63,35 +55,27 @@ class SpanContext:
     Inside the simulator the context object itself rides in header
     dicts; on the live TCP substrate it must survive byte serialization,
     so :meth:`to_wire`/:meth:`from_wire` give it a JSON-safe form that
-    :mod:`repro.live.wire` embeds in the frame header.  ``sampled``
-    carries the tail-sampler's head decision downstream
-    (:mod:`repro.obs.sampling`): a receiving tracer honours it instead
-    of re-deciding, so a kept trace is complete across processes.
+    :mod:`repro.live.wire` embeds in the frame header.
     """
 
     trace_id: int
     span_id: int
-    sampled: bool = True
 
     def to_wire(self) -> list[int]:
         """JSON-serializable form for the live frame header."""
-        return [self.trace_id, self.span_id, 1 if self.sampled else 0]
+        return [self.trace_id, self.span_id]
 
     @classmethod
     def from_wire(cls, value: object) -> "SpanContext | None":
-        """Rebuild a context from its wire form; ``None`` if malformed.
-
-        Accepts both the historical 2-element ``[trace_id, span_id]``
-        form (pre-sampling peers: implicitly sampled) and the 3-element
-        form carrying the sampling decision.
-        """
+        """Rebuild a context from its wire form ``[trace_id, span_id]``;
+        ``None`` for any other shape — the receiver's span is then
+        simply rootless."""
         if (
             isinstance(value, (list, tuple))
-            and len(value) in (2, 3)
-            and all(isinstance(item, int) for item in value)
+            and len(value) == 2
+            and all(type(item) is int and 0 < item <= _MAX_ID for item in value)
         ):
-            sampled = bool(value[2]) if len(value) == 3 else True
-            return cls(value[0], value[1], sampled)
+            return cls(value[0], value[1])
         return None
 
 
@@ -109,11 +93,10 @@ class Span:
     wall_start: float = 0.0
     wall_end: float | None = None
     attributes: dict[str, Any] = field(default_factory=dict)
-    sampled: bool = True
 
     @property
     def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id, self.sampled)
+        return SpanContext(self.trace_id, self.span_id)
 
     @property
     def finished(self) -> bool:
@@ -162,40 +145,22 @@ class Tracer:
     ``clock`` supplies simulated time; the orchestrator binds it to
     ``sim.now`` when the observability instance is installed.
 
-    Span storage is a :class:`~repro.obs.ring.FlightRecorder`:
-    ``capacity=None`` (default) keeps the historical unbounded-list
-    behaviour; a live service passes a bound so a week of traffic stays
-    memory-flat, with evictions counted in :attr:`dropped_spans`.
-    Spans whose wall-clock duration reaches ``slow_span_threshold_s``
-    additionally land in the bounded :attr:`slow_spans` log.
-
-    ``sampler`` (a :class:`~repro.obs.sampling.TraceSampler`) enables
-    tail-based sampling: locally rooted traces get a deterministic head
-    decision, remote parents' decisions are honoured, and unsampled
-    spans are buffered instead of recorded — promoted wholesale into the
-    recorder if any span of the trace ends slow, with an ``error``
-    attribute, or with a ``status`` outside :data:`OK_STATUSES`.
+    Every span is recorded, into a
+    :class:`~repro.obs.ring.FlightRecorder`: the SLO engine judges
+    delivery latency from reassembled publish→deliver traces, so it
+    needs the whole population, not a sample.  ``capacity=None``
+    (default) keeps the historical unbounded-list behaviour; a live
+    service passes a bound so a week of traffic stays memory-flat, with
+    evictions counted in :attr:`dropped_spans`.
     """
 
     def __init__(
         self,
         clock: Callable[[], float] | None = None,
         capacity: int | None = None,
-        slow_span_threshold_s: float | None = None,
-        slow_log_capacity: int = 32,
-        sampler: TraceSampler | None = None,
-        pending_trace_capacity: int = DEFAULT_PENDING_TRACE_CAPACITY,
     ):
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         self.spans: FlightRecorder = FlightRecorder(capacity, on_evict=self._forget)
-        self.slow_span_threshold_s = slow_span_threshold_s
-        self.slow_spans: deque[Span] = deque(maxlen=slow_log_capacity)
-        self.sampler = sampler
-        self.pending_trace_capacity = pending_trace_capacity
-        # unsampled traces awaiting a possible tail promotion, oldest first
-        self._pending: OrderedDict[int, list[Span]] = OrderedDict()
-        # trace ids already promoted: later spans record directly
-        self._promoted: OrderedDict[int, None] = OrderedDict()
         self._by_id: dict[int, Span] = {}
         self._stack: list[Span] = []
         self._next_span_id = 1
@@ -231,13 +196,9 @@ class Tracer:
             trace_id = self._next_trace_id
             self._next_trace_id += 1
             parent_id = None
-            sampled = self.sampler is None or self.sampler.keep(trace_id)
         else:
             trace_id = context.trace_id
             parent_id = context.span_id
-            # honour the propagated/parent decision — never re-decide,
-            # so a kept trace is complete across processes
-            sampled = context.sampled
         span = Span(
             span_id=self._next_span_id,
             trace_id=trace_id,
@@ -247,14 +208,10 @@ class Tracer:
             start=self.clock(),
             wall_start=time.perf_counter(),
             attributes=dict(attrs),
-            sampled=sampled,
         )
         self._next_span_id += 1
-        if sampled or trace_id in self._promoted:
-            self.spans.append(span)
-            self._by_id[span.span_id] = span
-        else:
-            self._buffer_pending(span)
+        self.spans.append(span)
+        self._by_id[span.span_id] = span
         return span
 
     def end_span(self, span: Span, **attrs: Any) -> Span:
@@ -263,55 +220,7 @@ class Tracer:
         if not span.finished:
             span.end = self.clock()
             span.wall_end = time.perf_counter()
-            if (
-                self.slow_span_threshold_s is not None
-                and span.wall_duration >= self.slow_span_threshold_s
-            ):
-                self.slow_spans.append(span)
-            if (
-                not span.sampled
-                and span.trace_id not in self._promoted
-                and self._should_promote(span)
-            ):
-                self._promote(span.trace_id, ensure=span)
         return span
-
-    # -- tail sampling ---------------------------------------------------------
-
-    def _buffer_pending(self, span: Span) -> None:
-        """Hold an unsampled span for a possible tail promotion."""
-        trace = self._pending.setdefault(span.trace_id, [])
-        trace.append(span)
-        self._pending.move_to_end(span.trace_id)
-        while len(self._pending) > self.pending_trace_capacity:
-            self._pending.popitem(last=False)
-            if self.sampler is not None:
-                self.sampler.evicted_traces += 1
-
-    def _should_promote(self, span: Span) -> bool:
-        """Tail rule: errors and failure statuses always; slow if bounded."""
-        if "error" in span.attributes:
-            return True
-        status = span.attributes.get("status")
-        if status is not None and status not in OK_STATUSES:
-            return True
-        threshold = self.slow_span_threshold_s
-        return threshold is not None and span.wall_duration >= threshold
-
-    def _promote(self, trace_id: int, ensure: Span | None = None) -> None:
-        """Move a buffered trace into the recorder; later spans follow."""
-        for buffered in self._pending.pop(trace_id, []):
-            self.spans.append(buffered)
-            self._by_id[buffered.span_id] = buffered
-        if ensure is not None and ensure.span_id not in self._by_id:
-            # the triggering span outlived its buffered trace (evicted)
-            self.spans.append(ensure)
-            self._by_id[ensure.span_id] = ensure
-        self._promoted[trace_id] = None
-        while len(self._promoted) > 4 * self.pending_trace_capacity:
-            self._promoted.popitem(last=False)
-        if self.sampler is not None:
-            self.sampler.promoted_traces += 1
 
     def drain_finished(self) -> list[Span]:
         """Destructive scrape: remove and return every finished span.
@@ -373,11 +282,8 @@ class Tracer:
 
     def clear(self) -> None:
         self.spans.clear()
-        self.slow_spans.clear()
         self._by_id.clear()
         self._stack.clear()
-        self._pending.clear()
-        self._promoted.clear()
 
     # -- propagation ---------------------------------------------------------------
 

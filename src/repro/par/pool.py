@@ -27,7 +27,6 @@ Metrics go through the process-global :mod:`repro.obs` hooks:
 ``par.match_batch``     counter — one per :meth:`MatchPool.match` call
 ``par.chunk``           counter — chunks dispatched to the pool
 ``par.match_wall_s``    observation — wall time of one batch
-``par.match_busy_s``    observation — summed worker busy time of one batch
 ======================  =====================================================
 """
 
@@ -37,7 +36,7 @@ import multiprocessing
 import time
 
 from ..crypto.group import PairingGroup
-from ..obs.profile import observe, record_op
+from ..obs.hooks import observe, record_op
 from . import worker as worker_mod
 
 __all__ = ["MatchPool"]
@@ -118,16 +117,13 @@ class MatchPool:
         if not indexed:
             return []
         if self.parallel:
-            results, busy = self._match_parallel(ciphertext_bytes, indexed)
+            results = self._match_parallel(ciphertext_bytes, indexed)
         else:
-            chunk_results, busy = self._serial_state.match_chunk(
-                ciphertext_bytes, indexed
-            )
+            chunk_results = self._serial_state.match_chunk(ciphertext_bytes, indexed)
             results = [payload for _, payload in chunk_results]
         record_op("par.match_batch")
         record_op("par.match", len(indexed))
         observe("par.match_wall_s", time.perf_counter() - started)
-        observe("par.match_busy_s", busy)
         return results
 
     def match_indices(
@@ -139,15 +135,13 @@ class MatchPool:
 
     def _match_parallel(
         self, ciphertext_bytes: bytes, indexed: list[tuple[int, bytes]]
-    ) -> tuple[list[bytes | None], float]:
+    ) -> list[bytes | None]:
         size = max(1, -(-len(indexed) // (2 * self.workers)))
         chunks = [indexed[i : i + size] for i in range(0, len(indexed), size)]
         record_op("par.chunk", len(chunks))
         jobs = [(ciphertext_bytes, chunk) for chunk in chunks]
         ordered: list[bytes | None] = [None] * len(indexed)
-        busy = 0.0
-        for chunk_results, chunk_busy in self._pool.map(worker_mod.match_chunk, jobs):
-            busy += chunk_busy
+        for chunk_results in self._pool.map(worker_mod.match_chunk, jobs):
             for index, payload in chunk_results:
                 ordered[index] = payload
-        return ordered, busy
+        return ordered

@@ -16,7 +16,6 @@ the actual crypto — result equivalence is structural, not accidental.
 from __future__ import annotations
 
 import hashlib
-import time
 from collections import OrderedDict
 
 from ..crypto.group import PairingGroup
@@ -62,15 +61,13 @@ class WorkerState:
 
     def match_chunk(
         self, ciphertext_bytes: bytes, indexed_tokens: list[tuple[int, bytes]]
-    ) -> tuple[list[tuple[int, bytes | None]], float]:
-        """Evaluate one chunk; returns indexed results plus busy seconds."""
-        started = time.perf_counter()
+    ) -> list[tuple[int, bytes | None]]:
+        """Evaluate one chunk; returns the indexed results."""
         ciphertext = deserialize_hve_ciphertext(self.group, ciphertext_bytes)
-        results = [
+        return [
             (index, self.hve.query(self.token(token_bytes), ciphertext))
             for index, token_bytes in indexed_tokens
         ]
-        return results, time.perf_counter() - started
 
 
 _state: WorkerState | None = None

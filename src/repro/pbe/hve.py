@@ -49,7 +49,7 @@ from ..crypto.group import PairingGroup
 from ..crypto.hashing import kdf
 from ..crypto.symmetric import SecretBox
 from ..errors import DecryptionError, ParameterError
-from ..obs.profile import instrument, record_op
+from ..obs.hooks import instrument, record_op
 
 __all__ = ["HVE", "HVEPublicKey", "HVEMasterKey", "HVEToken", "HVECiphertext", "WILDCARD"]
 

@@ -12,8 +12,8 @@ committed ``BENCH_*.json`` is a v1 document:
   environment fingerprint);
 * :func:`load_bench_file` — reads one v1 document and refuses anything
   else;
-* :func:`load_history` — every ``BENCH_*.json`` under a root, merged
-  newest-wins by record name.
+* :func:`load_history` — every ``BENCH_*.json`` under a root as one map;
+  a record name lives in exactly one file.
 
 Units are informal but consistent: ``ratio`` (speedups — the only unit
 comparable across machines), ``fraction`` (0..1 recoveries), ``ms`` /
@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import re
 import subprocess
 import sys
 from dataclasses import asdict, dataclass
@@ -178,14 +177,17 @@ def load_bench_file(path: str) -> list[BenchRecord]:
 def load_history(root: str) -> dict[str, BenchRecord]:
     """Every ``BENCH_*.json`` under ``root`` as one name → record map.
 
-    Files load in natural order (``BENCH_pr9`` before ``BENCH_pr10``), so
-    when two files carry the same record name the later PR's wins.
+    A record name lives in exactly one file: a second file carrying it
+    raises ``ValueError`` rather than deciding which one the gate reads.
     """
     history: dict[str, BenchRecord] = {}
-    entries = [e for e in os.listdir(root) if e.startswith("BENCH_") and e.endswith(".json")]
-    for entry in sorted(
-        entries, key=lambda e: [int(t) if t.isdigit() else t for t in re.split(r"(\d+)", e)]
-    ):
+    for entry in sorted(os.listdir(root)):
+        if not (entry.startswith("BENCH_") and entry.endswith(".json")):
+            continue
         for record in load_bench_file(os.path.join(root, entry)):
+            if record.name in history:
+                raise ValueError(
+                    f"{record.name}: recorded in both {history[record.name].source} and {entry}"
+                )
             history[record.name] = record
     return history

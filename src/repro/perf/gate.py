@@ -7,8 +7,8 @@ documentation into a check, in two layers:
 
 * **smoke** — every history record's absolute ``floor``/``ceiling``
   bounds must hold.  These are machine-independent claims ("the
-  precomputed match path is ≥1.3× the naive one", "1%-keep tracing
-  recovers ≥90% of tracing-off"), so they are checkable anywhere —
+  precomputed match path is ≥1.3× the naive one", "always-on tracing
+  recovers ≥50% of tracing-off"), so they are checkable anywhere —
   including CI runners that never ran the original bench;
 * **fresh** — quick re-measurements of the machine-independent *ratio*
   metrics (match-path speedups, fixed-base micro, tracing recovery,
@@ -205,26 +205,24 @@ def probe_match_speedups(
 OBS_PAYLOAD_BYTES = 4096
 OBS_HASH_ROUNDS = 160
 OBS_DRAIN_EVERY = 100
-OBS_KEEP_RATE = 0.01
-OBS_SEED = 9
 
 
 def probe_obs_recovery(
     messages: int = 200, repeats: int = 3
 ) -> tuple[dict[str, float], dict[str, Any]]:
-    """``obs_overhead.sampled_recovery``: throughput of a synthetic
-    delivery pipeline under 1 %-keep tail sampling over the same pipeline
-    with no tracer.  Per message a publish → fan_out → deliver span tree
-    around iterated SHA-256; every ``OBS_DRAIN_EVERY`` messages the
-    finished spans are drained, JSON-serialized and ingested into a
-    :class:`TelemetryAggregator` — the KIND_SPANS scrape path.  Modes run
-    interleaved (off/always/sampled) so drift hits all three; ``detail``
-    is the best-of-``repeats`` row per mode."""
+    """``obs_overhead.always_recovery``: throughput of a synthetic
+    delivery pipeline with every span recorded and scraped over the same
+    pipeline with no tracer — the telemetry tax a deployment pays.  Per
+    message a publish → fan_out → deliver span tree around iterated
+    SHA-256; every ``OBS_DRAIN_EVERY`` messages the finished spans are
+    drained, JSON-serialized and ingested into a
+    :class:`TelemetryAggregator` — the KIND_SPANS scrape path.  The two
+    modes run interleaved (off/always) so drift hits both; ``detail`` is
+    the best-of-``repeats`` row per mode."""
     import hashlib
     import json
 
     from ..obs.aggregate import TelemetryAggregator
-    from ..obs.sampling import TraceSampler
     from ..obs.tracing import Tracer
 
     payload = b"\x5a" * OBS_PAYLOAD_BYTES
@@ -236,10 +234,7 @@ def probe_obs_recovery(
         return digest[0]
 
     def run(mode: str) -> dict[str, Any]:
-        tracer = None
-        if mode != "off":
-            sampler = TraceSampler(OBS_KEEP_RATE, seed=OBS_SEED) if mode == "sampled" else None
-            tracer = Tracer(capacity=4096, sampler=sampler)
+        tracer = None if mode == "off" else Tracer(capacity=4096)
         aggregator = TelemetryAggregator()
         exported_bytes = exported_spans = 0
         start = time.perf_counter()
@@ -264,13 +259,12 @@ def probe_obs_recovery(
             "messages_per_s": messages / elapsed,
             "exported_spans": exported_spans,
             "exported_bytes": exported_bytes,
-            "kept_traces": sorted(aggregator.publish_deliver_trace_latencies()),
-            "sampler": dict(tracer.sampler.counters()) if tracer and tracer.sampler else None,
+            "traces": len(aggregator.publish_deliver_trace_latencies()),
         }
 
-    best = _interleaved_best(("off", "always", "sampled"), run, repeats)
-    recovery = best["off"]["seconds"] / best["sampled"]["seconds"]
-    return {"obs_overhead.sampled_recovery": min(1.0, recovery)}, best
+    best = _interleaved_best(("off", "always"), run, repeats)
+    recovery = best["off"]["seconds"] / best["always"]["seconds"]
+    return {"obs_overhead.always_recovery": min(1.0, recovery)}, best
 
 
 PROF_EVERY = 8  # the DeterministicSampler period BENCH_pr10.json recorded

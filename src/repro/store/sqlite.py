@@ -32,7 +32,7 @@ import sqlite3
 
 from ..crypto.symmetric import SecretBox
 from ..errors import CorruptRecordError, IntegrityError, RecoveryError, StorageError
-from ..obs import profile as obs
+from ..obs import hooks as obs
 from .engine import StorageEngine
 
 __all__ = ["SqliteEngine"]
@@ -171,7 +171,6 @@ class SqliteEngine(StorageEngine):
         with obs.span("store.compact", component=self.component, backend=self.backend, live=live):
             self._conn.execute("VACUUM")
             self._conn.commit()
-        obs.record_op("store.compaction")
         return {"backend": self.backend, "live_records": live, "dropped_records": 0}
 
     def close(self) -> None:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 from ..crypto.symmetric import SecretBox
 from ..errors import CorruptRecordError, RecoveryError, StorageError
-from ..obs import profile as obs
+from ..obs import hooks as obs
 from .engine import StorageEngine
 from .faults import FaultPlan, SimulatedCrash
 from .records import (
@@ -209,7 +209,6 @@ class WalEngine(StorageEngine):
                 result = scan_frames(data, start=HEADER_LEN, strict=True)
             except CorruptRecordError:
                 skipped += 1
-                obs.record_op("store.snapshot_skipped")
                 continue
             if sealed != self._sealed:
                 raise RecoveryError(
@@ -377,7 +376,6 @@ class WalEngine(StorageEngine):
             _fsync_dir(self.path)
         self._log_records = 0
         self.compactions += 1
-        obs.record_op("store.compaction")
         return {
             "backend": self.backend,
             "snapshot_lsn": snap_lsn,

@@ -11,8 +11,10 @@ from repro.core.ara import RegistrationAuthority
 from repro.errors import TransportError
 from repro.live.channel import ServerIdentity
 from repro.live.rpc import AddressBook, LiveRpcEndpoint
+from repro.obs import Observability, hooks
 from repro.pbe.schema import AttributeSpec, MetadataSchema
 
+from ..obs.test_context_wire import HOSTILE, frame_with_context
 from .conftest import run_async
 
 pytestmark = pytest.mark.live
@@ -219,3 +221,38 @@ class TestReconnectAndShutdown:
             await server.close()
 
         run_async(scenario())
+
+
+class TestHostileSpanContext:
+    def test_endpoint_keeps_serving_and_the_spans_are_rootless(self, ara, group):
+        def handle(src, message):
+            # what every service handler does with an incoming frame
+            span = hooks.start_span("probe", "svc", parent=hooks.extract(message.headers))
+            hooks.end_span(span)
+
+        async def scenario():
+            server = await server_endpoint(ara, group)
+            server.serve("probe", handle)
+            server.serve("echo", lambda src, msg: (msg.payload, 1))
+            bound = await server.start_server()
+            client = client_endpoint(ara, server, bound)
+            try:
+                # below encode_frame, which refuses to write such a header
+                channel = await client._ensure_channel("svc")
+                for value in HOSTILE:
+                    await channel.send_record(frame_with_context(value))
+                await channel.send_record(frame_with_context([5, 6]))
+                # same channel, same reader loop: it is still there to answer
+                assert await client.call("svc", "echo", b"alive") == b"alive"
+            finally:
+                await client.close()
+                await server.close()
+
+        with Observability().installed() as obs:
+            run_async(scenario())
+            probes = obs.tracer.find("probe")
+        assert len(probes) == len(HOSTILE) + 1
+        *hostile, parented = probes
+        assert all(span.parent_id is None for span in hostile)
+        assert len({span.trace_id for span in hostile}) == len(HOSTILE)
+        assert (parented.trace_id, parented.parent_id) == (5, 6)

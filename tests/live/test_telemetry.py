@@ -15,8 +15,8 @@ from repro.live.channel import ServerIdentity
 from repro.live.deployment import SERVICE_NAMES, LiveDeployment
 from repro.live.rpc import AddressBook, LiveRpcEndpoint
 from repro.live.services import LiveAnonymizationService
-from repro.live.telemetry import service_health_snapshot
-from repro.obs import Histogram, Observability, parse_openmetrics
+from repro.live.telemetry import GAUGE_METRICS, service_health_snapshot
+from repro.obs import Histogram, Observability, parse_openmetrics, to_openmetrics
 from repro.pbe.schema import Interest
 
 from .conftest import run_async, small_config
@@ -130,6 +130,8 @@ class TestMetricsAggregation:
 
 class TestExpositionOverRpc:
     def test_openmetrics_round_trips_through_the_wire(self, obs):
+        # the exposition operators read (`live status --metrics-out`) is
+        # rendered from the scraped, merged registry
         async def scenario():
             deployment = LiveDeployment(small_config(obs=obs))
             await deployment.start()
@@ -137,13 +139,14 @@ class TestExpositionOverRpc:
             try:
                 await _run_traffic(deployment)
                 snapshot = await client.metrics("ds")
-                text = await client.metrics_text("ds")
+                aggregator = await client.scrape()
             finally:
                 await client.close()
                 await deployment.close()
-            return snapshot, text
+            return snapshot, aggregator
 
-        snapshot, text = run_async(scenario())
+        snapshot, aggregator = run_async(scenario())
+        text = to_openmetrics(aggregator.merged_registry(), gauge_names=GAUGE_METRICS)
         parsed = parse_openmetrics(text)
         published = next(
             entry["value"]

@@ -227,36 +227,10 @@ class TestSpanTableBound:
 
 
 class TestServiceObservability:
-    def _sampler_counters(self):
-        return [
-            {"name": "obs.dropped_spans", "labels": {}, "value": 3},
-            {"name": "obs.slow_spans", "labels": {}, "value": 1},
-            {"name": "obs.sampler.keep_rate", "labels": {}, "value": 0.01},
-            {"name": "obs.sampler.kept_traces", "labels": {}, "value": 5},
-            {"name": "obs.sampler.dropped_traces", "labels": {}, "value": 495},
-            {"name": "obs.sampler.promoted_traces", "labels": {}, "value": 2},
-            {"name": "obs.sampler.evicted_traces", "labels": {}, "value": 0},
-        ]
-
-    def test_sampler_block_present_when_sampling(self):
-        agg = TelemetryAggregator()
-        agg.update_metrics("ds", _snapshot("ds", self._sampler_counters()))
-        block = agg.service_observability("ds")
-        assert block["dropped_spans"] == 3
-        assert block["slow_spans"] == 1
-        assert block["sampler"]["keep_rate"] == 0.01
-        assert block["sampler"]["dropped_traces"] == 495
-
-    def test_sampler_block_absent_without_sampler(self):
-        agg = TelemetryAggregator()
-        agg.update_metrics(
-            "rs", _snapshot("rs", [{"name": "obs.dropped_spans", "labels": {}, "value": 0}])
-        )
-        assert "sampler" not in agg.service_observability("rs")
-
     def test_to_json_carries_per_service_observability(self):
         agg = TelemetryAggregator()
         agg.update_health("ds", _health("ds"))
-        agg.update_metrics("ds", _snapshot("ds", self._sampler_counters()))
-        document = agg.to_json()
-        assert document["observability"]["ds"]["sampler"]["kept_traces"] == 5
+        agg.update_metrics(
+            "ds", _snapshot("ds", [{"name": "obs.dropped_spans", "labels": {}, "value": 3}])
+        )
+        assert agg.to_json()["observability"] == {"ds": {"dropped_spans": 3}}

@@ -118,8 +118,8 @@ class TestProfileModel:
 
 
 class TestStackSampler:
-    def test_ring_stays_bounded_under_soak(self):
-        sampler = StackSampler(hz=50.0, ring_capacity=64, max_stacks=256)
+    def test_stack_table_stays_bounded_under_soak(self):
+        sampler = StackSampler(hz=50.0, max_stacks=256)
         errors: list[BaseException] = []
 
         def soak():
@@ -136,12 +136,10 @@ class TestStackSampler:
         worker.join()
         assert not errors
         assert sampler.ticks == 10_000
-        # memory flat: ring holds exactly its capacity, rest evicted+counted
-        assert len(sampler.recent_samples()) == 64
-        assert sampler.ring_evicted == 10_000 - 64
         profile = sampler.profile()
-        assert profile.meta["ring_evicted"] == 10_000 - 64
-        # nothing lost from the aggregate either
+        # memory flat: the table holds at most its bound plus the overflow
+        # bucket, and nothing is lost from the aggregate
+        assert len(profile.samples) <= 256 + 1
         assert profile.total("count") == 10_000
 
     def test_background_thread_attributes_active_span(self):
@@ -162,21 +160,6 @@ class TestStackSampler:
         assert "pub" in roots
         attributed = [s for s in profile.samples if s[0] == "pub"]
         assert all(stack[1] == "pbe.encrypt" for stack in attributed)
-
-    def test_recent_samples_carry_trace_links(self):
-        obs = Observability()
-        try:
-            sampler = StackSampler(hz=250.0, obs=obs)
-            deadline = time.perf_counter() + 0.3
-            with sampler:
-                with obs.tracer.span("ds.fan_out", "ds"):
-                    while time.perf_counter() < deadline:
-                        sum(i * i for i in range(500))
-        finally:
-            obs.uninstall()
-        linked = [s for s in sampler.recent_samples() if s["component"] == "ds"]
-        assert linked
-        assert all(s["trace_id"] is not None for s in linked)
 
 
 class TestDeterministicSampler:

@@ -5,7 +5,7 @@ import pytest
 from repro.core import P3SConfig, P3SSystem
 from repro.core.metrics import MetricsCollector
 from repro.obs import Observability
-from repro.obs import profile
+from repro.obs import hooks
 from repro.pbe import AttributeSpec, Interest, MetadataSchema
 
 
@@ -136,7 +136,7 @@ class TestDisabledMode:
         assert len(system.deliveries_for(record)) == 2
         assert sentinel.metrics.empty
         assert sentinel.tracer.spans == []
-        assert profile.active() is None
+        assert hooks.active() is None
 
     def test_collector_falls_back_to_host_counters(self):
         system, _ = run_system(obs=None)
@@ -147,7 +147,7 @@ class TestDisabledMode:
         obs = Observability()
         obs.install()
         obs.uninstall()
-        profile.record_op("pairing")
+        hooks.record_op("pairing")
         assert obs.metrics.empty
 
     def test_install_is_exclusive(self):
@@ -156,11 +156,11 @@ class TestDisabledMode:
             first.install()
             second.install()
             assert not first.active and second.active
-            profile.record_op("pairing")
+            hooks.record_op("pairing")
             assert first.metrics.empty
             assert second.metrics.counter_total("op.pairing") == 1
         finally:
-            profile.deactivate()
+            hooks.deactivate()
 
 
 @pytest.mark.live

@@ -110,20 +110,3 @@ class TestTracerWithRecorder:
         assert list(tracer.spans) == [open_span]
         tracer.end_span(open_span)
         assert [span.name for span in tracer.drain_finished()] == ["long"]
-
-    def test_slow_span_log(self):
-        tracer = Tracer(slow_span_threshold_s=0.0)  # everything is "slow"
-        tracer.end_span(tracer.start_span("a", component="c"))
-        tracer.end_span(tracer.start_span("b", component="c"))
-        assert [span.name for span in tracer.slow_spans] == ["a", "b"]
-
-    def test_no_slow_log_without_threshold(self):
-        tracer = Tracer()
-        tracer.end_span(tracer.start_span("a", component="c"))
-        assert not tracer.slow_spans
-
-    def test_slow_log_is_bounded(self):
-        tracer = Tracer(slow_span_threshold_s=0.0, slow_log_capacity=3)
-        for index in range(10):
-            tracer.end_span(tracer.start_span(f"s{index}", component="c"))
-        assert [span.name for span in tracer.slow_spans] == ["s7", "s8", "s9"]

@@ -69,12 +69,15 @@ class TestCommittedHistory:
     """The committed history is one format: every root BENCH file is v1."""
 
     EXPECTED = {
-        "BENCH_pr2.json": {"match_fanout.precompute_speedup", "match_fanout.pool4_speedup"},
+        "BENCH_pr2.json": {"match_fanout.pool4_speedup"},
         "BENCH_pr3.json": {"live_substrate.rpc_echo_p95_ms", "live_substrate.live_over_sim"},
-        "BENCH_pr4.json": {"telemetry.scrape_p95_ms", "telemetry.flight_recorder_overhead_pct"},
         "BENCH_pr6.json": {"store.wal_fsync_records_per_s"},
         "BENCH_pr8.json": {"cluster.speedup_ds2"},
-        "BENCH_pr9.json": {"obs_overhead.always_recovery", "obs_overhead.sampled_recovery"},
+        "BENCH_pr9.json": {"obs_overhead.always_recovery"},
+        "BENCH_pr15.json": {
+            "match_fanout.precompute_speedup",
+            "match_fanout.fixed_base_speedup",
+        },
     }
     # one document in each shape a bench once wrote privately (PR 2/3/4/6/8/9)
     OLD_SHAPES = [
@@ -88,7 +91,7 @@ class TestCommittedHistory:
 
     def test_every_committed_file_is_v1(self):
         paths = glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))
-        assert len(paths) >= 10
+        assert len(paths) >= 9
         for path in paths:
             with open(path) as handle:
                 assert json.load(handle)["bench_schema"] == BENCH_SCHEMA_VERSION, path
@@ -109,23 +112,21 @@ class TestCommittedHistory:
         for expected in self.EXPECTED.values():
             assert expected <= set(history)
         assert history["prof.det_recovery"].source == "BENCH_pr10.json"
-        # natural file order: pr15 supersedes pr2 for the names both carry
         assert history["match_fanout.precompute_speedup"].source == "BENCH_pr15.json"
         assert history["match_fanout.pool4_speedup"].source == "BENCH_pr2.json"
         for record in history.values():
             if record.floor is not None:
                 assert record.value >= record.floor, record.name
 
-    def test_later_files_supersede_earlier_records(self, tmp_path):
+    def test_duplicate_record_name_raises(self, tmp_path):
         write_bench(
             str(tmp_path / "BENCH_a.json"), "a", [BenchRecord("shared.metric", 1.0)]
         )
         write_bench(
             str(tmp_path / "BENCH_b.json"), "b", [BenchRecord("shared.metric", 2.0)]
         )
-        history = load_history(str(tmp_path))
-        assert history["shared.metric"].value == 2.0
-        assert history["shared.metric"].source == "BENCH_b.json"
+        with pytest.raises(ValueError, match="shared.metric.*BENCH_a.json.*BENCH_b.json"):
+            load_history(str(tmp_path))
 
 
 class TestGate:
@@ -201,7 +202,7 @@ class TestGate:
         assert set(gated) == {
             "match_fanout.precompute_speedup",
             "match_fanout.fixed_base_speedup",
-            "obs_overhead.sampled_recovery",
+            "obs_overhead.always_recovery",
             "prof.det_recovery",
         }
         assert set(gated) <= set(load_history(REPO_ROOT))
