@@ -4,9 +4,9 @@ What does durability cost, and what does recovery buy back?  Three
 measurements over real files in a temp directory:
 
 * **append throughput** — WAL puts/second with ``fsync=True`` (the
-  committed-on-return guarantee) vs ``fsync=False`` (OS page cache) vs
-  the SQLite backend.  The fsync column is the price of "a put that
-  returned survives ``kill -9``";
+  committed-on-return guarantee) vs ``fsync=False`` (OS page cache).
+  The fsync column is the price of "a put that returned survives
+  ``kill -9``";
 * **recovery time vs log size** — time to open a store whose log holds
   N unsnapshotted records, and the same store after ``compact()``
   (recovery then reads one snapshot and an empty log — the
@@ -29,7 +29,7 @@ from conftest import BenchRecord
 
 from repro.core.messages import PayloadSubmission
 from repro.core.rs import RepositoryStore
-from repro.store import SqliteEngine, WalEngine
+from repro.store import WalEngine
 
 APPEND_RECORDS = 300
 VALUE_BYTES = 512
@@ -44,7 +44,6 @@ def _bench_appends(tmp_path) -> dict:
     for label, factory in (
         ("wal_fsync", lambda p: WalEngine(p, fsync=True, snapshot_every=0)),
         ("wal_nofsync", lambda p: WalEngine(p, fsync=False, snapshot_every=0)),
-        ("sqlite", lambda p: SqliteEngine(p + ".db")),
     ):
         engine = factory(str(tmp_path / label))
         start = time.perf_counter()
@@ -161,7 +160,7 @@ def test_bench_store_wal(tmp_path, bench_writer):
     assert appends["wal_nofsync"]["records_per_s"] > appends["wal_fsync"]["records_per_s"]
     assert all(row["heap_examined"] == GC_EXPIRED for row in gc)
 
-    append_floors = {"wal_fsync": 50.0, "wal_nofsync": 500.0, "sqlite": 25.0}
+    append_floors = {"wal_fsync": 50.0, "wal_nofsync": 500.0}
     written = bench_writer(
         "BENCH_pr6.json",
         suite="store",

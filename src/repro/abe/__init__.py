@@ -16,13 +16,10 @@ from .policy import PolicyNode, parse_policy, policy_to_string
 from .bsw07 import CPABE, CPABECiphertext, CPABEMasterKey, CPABEPublicKey, CPABESecretKey
 from .hybrid import HybridCPABE, HybridCiphertext
 from .serialize import (
-    cpabe_ciphertext_size,
     deserialize_ciphertext,
     deserialize_hybrid,
-    deserialize_secret_key,
     serialize_ciphertext,
     serialize_hybrid,
-    serialize_secret_key,
 )
 
 __all__ = [
@@ -38,9 +35,6 @@ __all__ = [
     "HybridCiphertext",
     "serialize_ciphertext",
     "deserialize_ciphertext",
-    "serialize_secret_key",
-    "deserialize_secret_key",
     "serialize_hybrid",
     "deserialize_hybrid",
-    "cpabe_ciphertext_size",
 ]

@@ -49,7 +49,7 @@ class CPABEPublicKey:
 
     g: Point
     h: Point  # g^β
-    f: Point  # g^{1/β} (used for key delegation)
+    f: Point  # g^{1/β} (BSW07's delegation element; part of PK_C)
     e_gg_alpha: Fq2  # ê(g, g)^α
 
 
@@ -153,37 +153,6 @@ class CPABE:
             components[attribute] = (d_j, d_j_prime)
         return CPABESecretKey(frozenset(attributes), d, components)
 
-    # -- Delegate (BSW07 §4.2) ---------------------------------------------------
-
-    def delegate(
-        self, public: CPABEPublicKey, key: CPABESecretKey, subset: set[str]
-    ) -> CPABESecretKey:
-        """Derive a key for ``subset ⊆ attributes`` without the master key.
-
-        Part of the original BSW07 scheme: a client can hand a colleague a
-        strictly weaker key.  The derived key is re-randomized (fresh
-        ``r̃``), so delegated keys collude with neither their parent nor
-        each other.
-        """
-        if not subset:
-            raise PolicyError("delegated attribute set must be non-empty")
-        missing = subset - set(key.attributes)
-        if missing:
-            raise PolicyError(f"cannot delegate attributes not held: {sorted(missing)}")
-        group = self.group
-        r_tilde = group.random_zr()
-        d = key.d + public.f * r_tilde  # g^{(α+r+r̃)/β}
-        g_r_tilde = group.generator * r_tilde
-        components: dict[str, tuple[Point, Point]] = {}
-        for attribute in sorted(subset):
-            r_k = group.random_zr()
-            d_j, d_j_prime = key.components[attribute]
-            components[attribute] = (
-                d_j + g_r_tilde + self._hash_attribute(attribute) * r_k,
-                d_j_prime + group.generator * r_k,
-            )
-        return CPABESecretKey(frozenset(subset), d, components)
-
     # -- Encrypt -----------------------------------------------------------------
 
     @instrument("abe.encrypt")
@@ -247,7 +216,7 @@ class CPABE:
 
     def _hash_attribute(self, attribute: str) -> Point:
         """``H(attribute)``, memoised: the same few attribute strings recur on
-        every encrypt/keygen/delegate and each hash is a cofactor multiplication."""
+        every encrypt/keygen and each hash is a cofactor multiplication."""
         point = self._attribute_points.get(attribute)
         if point is None:
             if len(self._attribute_points) >= _ATTRIBUTE_MEMO_SIZE:

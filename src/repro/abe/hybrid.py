@@ -7,8 +7,7 @@ seal the actual bytes with :class:`~repro.crypto.symmetric.SecretBox`.
 
 The ciphertext size follows the paper's model ``c_A = 2·V·k + m`` (V policy
 attributes, k security parameter, m payload bytes) up to the constant AEAD
-overhead; :func:`repro.abe.serialize.cpabe_ciphertext_size` reports it
-exactly.
+overhead.
 """
 
 from __future__ import annotations

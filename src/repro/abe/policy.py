@@ -66,14 +66,6 @@ class PolicyNode:
     def gate(cls, threshold: int, children: list["PolicyNode"]) -> "PolicyNode":
         return cls(attribute=None, threshold=threshold, children=tuple(children))
 
-    @classmethod
-    def and_(cls, *children: "PolicyNode") -> "PolicyNode":
-        return cls.gate(len(children), list(children))
-
-    @classmethod
-    def or_(cls, *children: "PolicyNode") -> "PolicyNode":
-        return cls.gate(1, list(children))
-
     # -- structure --------------------------------------------------------------
 
     @property

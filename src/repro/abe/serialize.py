@@ -1,4 +1,4 @@
-"""Serialization for CP-ABE keys and ciphertexts.
+"""Serialization for CP-ABE ciphertexts.
 
 Wire formats are fixed-width and length-prefixed so that (a) every object
 round-trips exactly and (b) the byte sizes feeding the performance models
@@ -12,22 +12,15 @@ import struct
 from ..crypto.field import Fq2
 from ..crypto.group import PairingGroup
 from ..errors import NotOnCurveError, ParameterError, PolicyError, SerializationError
-from .bsw07 import CPABECiphertext, CPABEMasterKey, CPABEPublicKey, CPABESecretKey
+from .bsw07 import CPABECiphertext
 from .hybrid import HybridCiphertext
 from .policy import parse_policy, policy_to_string
 
 __all__ = [
     "serialize_ciphertext",
     "deserialize_ciphertext",
-    "serialize_secret_key",
-    "deserialize_secret_key",
-    "serialize_public_key",
-    "deserialize_public_key",
-    "serialize_master_key",
-    "deserialize_master_key",
     "serialize_hybrid",
     "deserialize_hybrid",
-    "cpabe_ciphertext_size",
 ]
 
 
@@ -100,78 +93,6 @@ def deserialize_ciphertext(group: PairingGroup, data: bytes) -> CPABECiphertext:
     return ciphertext
 
 
-def serialize_secret_key(group: PairingGroup, key: CPABESecretKey) -> bytes:
-    parts = [_pack_bytes(group.serialize_g1(key.d)), struct.pack(">I", len(key.components))]
-    for attribute in sorted(key.components):
-        d_j, d_j_prime = key.components[attribute]
-        parts.append(_pack_bytes(attribute.encode("utf-8")))
-        parts.append(_pack_bytes(group.serialize_g1(d_j)))
-        parts.append(_pack_bytes(group.serialize_g1(d_j_prime)))
-    return b"".join(parts)
-
-
-def deserialize_secret_key(group: PairingGroup, data: bytes) -> CPABESecretKey:
-    d_raw, offset = _unpack_bytes(data, 0)
-    if offset + 4 > len(data):
-        raise SerializationError("truncated component count")
-    (count,) = struct.unpack_from(">I", data, offset)
-    offset += 4
-    components = {}
-    for _ in range(count):
-        attribute_raw, offset = _unpack_bytes(data, offset)
-        d_j_raw, offset = _unpack_bytes(data, offset)
-        d_j_prime_raw, offset = _unpack_bytes(data, offset)
-        components[attribute_raw.decode("utf-8")] = (
-            group.deserialize_g1(d_j_raw),
-            group.deserialize_g1(d_j_prime_raw),
-        )
-    return CPABESecretKey(
-        attributes=frozenset(components),
-        d=group.deserialize_g1(d_raw),
-        components=components,
-    )
-
-
-def serialize_public_key(group: PairingGroup, public: CPABEPublicKey) -> bytes:
-    """PK_C — what the ARA ships to publishers (Fig. 2)."""
-    return (
-        _pack_bytes(group.serialize_g1(public.g))
-        + _pack_bytes(group.serialize_g1(public.h))
-        + _pack_bytes(group.serialize_g1(public.f))
-        + _pack_bytes(group.serialize_gt(public.e_gg_alpha))
-    )
-
-
-def deserialize_public_key(group: PairingGroup, data: bytes) -> CPABEPublicKey:
-    g_raw, offset = _unpack_bytes(data, 0)
-    h_raw, offset = _unpack_bytes(data, offset)
-    f_raw, offset = _unpack_bytes(data, offset)
-    egg_raw, offset = _unpack_bytes(data, offset)
-    if offset != len(data):
-        raise SerializationError("trailing bytes after CP-ABE public key")
-    return CPABEPublicKey(
-        g=group.deserialize_g1(g_raw),
-        h=group.deserialize_g1(h_raw),
-        f=group.deserialize_g1(f_raw),
-        e_gg_alpha=group.deserialize_gt(egg_raw),
-    )
-
-
-def serialize_master_key(group: PairingGroup, master: CPABEMasterKey) -> bytes:
-    """MSK — held by the ARA only; serialized for at-rest storage."""
-    return master.beta.to_bytes(group.zr_bytes, "big") + group.serialize_g1(master.g_alpha)
-
-
-def deserialize_master_key(group: PairingGroup, data: bytes) -> CPABEMasterKey:
-    width = group.zr_bytes
-    if len(data) != width + group.g1_bytes:
-        raise SerializationError("bad CP-ABE master key length")
-    return CPABEMasterKey(
-        beta=int.from_bytes(data[:width], "big"),
-        g_alpha=group.deserialize_g1(data[width:]),
-    )
-
-
 def serialize_hybrid(group: PairingGroup, ciphertext: HybridCiphertext) -> bytes:
     return _pack_bytes(serialize_ciphertext(group, ciphertext.kem)) + _pack_bytes(
         ciphertext.sealed
@@ -184,21 +105,3 @@ def deserialize_hybrid(group: PairingGroup, data: bytes) -> HybridCiphertext:
     if offset != len(data):
         raise SerializationError("trailing bytes after hybrid ciphertext")
     return HybridCiphertext(kem=deserialize_ciphertext(group, kem_raw), sealed=sealed)
-
-
-def cpabe_ciphertext_size(group: PairingGroup, num_leaves: int, payload_len: int, policy_text_len: int = 0) -> int:
-    """Exact wire size of a hybrid CP-ABE ciphertext.
-
-    Mirrors the paper's ``c_A ≈ 2·V·k + m`` model: two G1 elements per
-    policy leaf plus the GT header and the AEAD-sealed payload.
-    """
-    from ..crypto.symmetric import OVERHEAD
-
-    kem = (
-        4 + policy_text_len
-        + 4 + group.gt_bytes
-        + 4 + group.g1_bytes
-        + 4
-        + num_leaves * (4 + 16 + 2 * (4 + group.g1_bytes))  # ~16-byte attribute names
-    )
-    return 4 + kem + 4 + payload_len + OVERHEAD

@@ -37,6 +37,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 
 from .perf.calibrate import calibrate
 from .perf.latency import baseline_latency, latency_ratio, p3s_latency
@@ -231,7 +232,6 @@ def _cmd_live_init(args) -> None:
         rs_shards=args.rs_shards,
         rs_replication=args.replication,
         data_dir=args.data_dir,
-        store_backend=args.store_backend or "memory",
     )
     state = init_state(args.state, host=args.host, base_port=args.base_port, config=config)
     plan = ", ".join(f"{name}={port}" for name, port in state.ports.items())
@@ -242,7 +242,7 @@ def _cmd_live_init(args) -> None:
             f"{len(state.plan.cluster.rs_names)} RS, "
             f"replication {state.plan.cluster.rs_replication}"
         )
-    config = state.plan.config  # init_state may have defaulted the backend to wal
+    config = state.plan.config  # init_state turns a data dir into the wal backend
     if config.data_dir is not None:
         print(f"durable stores ({config.store_backend}) under {config.data_dir}")
 
@@ -336,9 +336,8 @@ async def _prof_top(args) -> None:
     from .obs.aggregate import TelemetryAggregator
     from .obs.prof import format_report
 
-    client, services, close = await _open_telemetry_session(args, "prof")
     aggregator = TelemetryAggregator()
-    try:
+    async with _telemetry_session(args, "prof") as (client, _services):
         if not args.state:
             import asyncio
 
@@ -346,8 +345,6 @@ async def _prof_top(args) -> None:
             # samplers something to see before the one-shot scrape
             await asyncio.sleep(args.warmup)
         await client.scrape(aggregator)
-    finally:
-        await close()
     origins = aggregator.profile_origins()
     if not origins:
         raise SystemExit(
@@ -367,13 +364,18 @@ async def _prof_top(args) -> None:
         print(f"merged profile -> {args.out}")
 
 
-def _cmd_prof_top(args) -> None:
+def _run_until_interrupted(command) -> None:
+    """Run a telemetry view's coroutine; Ctrl-C just ends it."""
     import asyncio
 
     try:
-        asyncio.run(_prof_top(args))
+        asyncio.run(command)
     except KeyboardInterrupt:
         pass
+
+
+def _cmd_prof_top(args) -> None:
+    _run_until_interrupted(_prof_top(args))
 
 
 def _cmd_perf_gate(args) -> None:
@@ -415,6 +417,30 @@ def _cmd_live_run(args) -> None:
     _print_deliveries(asyncio.run(run_clients(load_state(args.state), default_scenario())))
 
 
+@contextlib.asynccontextmanager
+async def _inprocess_deployment(profiled: bool = False):
+    """A started in-process ``LiveDeployment`` under its own installed
+    ``Observability`` (``profiled``: with the wall-clock sampler every
+    ``live serve-*`` process runs), torn down on exit."""
+    from .core.config import P3SConfig
+    from .live.deployment import LiveDeployment
+    from .obs import Observability
+    from .obs.prof import start_default_profiler
+    from .obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY
+
+    obs = Observability(span_capacity=DEFAULT_FLIGHT_RECORDER_CAPACITY)
+    profiler = start_default_profiler(obs, origin="inproc-wall") if profiled else None
+    deployment = LiveDeployment(P3SConfig(obs=obs))
+    try:
+        await deployment.start()
+        yield deployment
+    finally:
+        await deployment.close()
+        if profiler is not None:
+            profiler.stop()
+        obs.uninstall()
+
+
 async def _scrape_once(state_path: str | None):
     """One telemetry sweep: of the running deployment ``state_path``
     describes, or — without one — of an in-process deployment stood up
@@ -424,22 +450,13 @@ async def _scrape_once(state_path: str | None):
 
         return await load_state(state_path).deployment().scrape()
     from .core.config import P3SConfig
-    from .live.deployment import LiveDeployment
     from .live.scenario import default_scenario, play_on_live, run_on_simulator
-    from .obs import Observability
-    from .obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY
 
     scenario = default_scenario()
     expected = run_on_simulator(scenario, P3SConfig())
-    obs = Observability(span_capacity=DEFAULT_FLIGHT_RECORDER_CAPACITY)
-    deployment = LiveDeployment(P3SConfig(obs=obs))
-    try:
-        await deployment.start()
+    async with _inprocess_deployment() as deployment:
         await play_on_live(deployment, scenario, expected)
         return await deployment.scrape()
-    finally:
-        await deployment.close()
-        obs.uninstall()
 
 
 def _print_status(aggregator, engine=None) -> None:
@@ -506,169 +523,156 @@ def _cmd_live_status(args) -> None:
         raise SystemExit(1)
 
 
-async def _open_telemetry_session(args, purpose: str):
-    """``(client, services, close)`` for a telemetry-consuming command.
+@contextlib.asynccontextmanager
+async def _telemetry_session(args, purpose: str):
+    """``(client, services)`` for a telemetry-consuming command.
 
     With ``--state`` this connects to a running multi-process
     deployment; without, it stands up a self-driving in-process
     deployment with a background publisher so the view has live traffic
-    to show.  ``close`` is an async callable tearing down whatever was
-    created.
+    to show.  Whatever was created is torn down on exit.
     """
-    import asyncio
-    import contextlib
-
     if args.state:
         from .live.runner import load_state
 
         deployment = load_state(args.state).deployment()
         client = deployment.telemetry_client(purpose)
-        return client, list(deployment.service_names), client.close
+        try:
+            yield client, list(deployment.service_names)
+        finally:
+            await client.close()
+        return
 
-    from .core.config import P3SConfig
-    from .live.deployment import LiveDeployment
+    import asyncio
+
     from .live.scenario import demo_metadata
-    from .obs import Observability
-    from .obs.prof import start_default_profiler
-    from .obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY
     from .pbe.schema import Interest
 
-    obs = Observability(span_capacity=DEFAULT_FLIGHT_RECORDER_CAPACITY)
-    # same default-on profiling as serve_role, so the in-process view
-    # has hot frames to show
-    profiler = start_default_profiler(obs, origin="inproc-wall")
-    deployment = LiveDeployment(P3SConfig(obs=obs))
-    await deployment.start()
-    subscriber = await deployment.add_subscriber("alice", {"org:acme"})
-    await subscriber.subscribe(Interest({"attr00": "v01"}))
-    publisher = await deployment.add_publisher("pub")
-    stop = asyncio.Event()
+    # profiled like serve_role, so the in-process view has hot frames to show
+    async with _inprocess_deployment(profiled=True) as deployment:
+        subscriber = await deployment.add_subscriber("alice", {"org:acme"})
+        await subscriber.subscribe(Interest({"attr00": "v01"}))
+        publisher = await deployment.add_publisher("pub")
 
-    async def _drive() -> None:
-        tick = 0
-        while not stop.is_set():
-            await publisher.publish(
-                dict(demo_metadata(attr00="v01")),
-                f"tick {tick}".encode(),
-                policy="org:acme",
-            )
-            tick += 1
-            await asyncio.sleep(0.05)
+        async def _drive() -> None:
+            tick = 0
+            while True:
+                await publisher.publish(
+                    dict(demo_metadata(attr00="v01")),
+                    f"tick {tick}".encode(),
+                    policy="org:acme",
+                )
+                tick += 1
+                await asyncio.sleep(0.05)
 
-    driver = asyncio.ensure_future(_drive())
-    client = deployment.telemetry_client(purpose)
-
-    async def close() -> None:
-        stop.set()
-        driver.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await driver
-        await client.close()
-        await deployment.close()
-        profiler.stop()
-        obs.uninstall()
-
-    return client, list(deployment.service_names), close
+        driver = asyncio.ensure_future(_drive())
+        client = deployment.telemetry_client(purpose)
+        try:
+            yield client, list(deployment.service_names)
+        finally:
+            driver.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await driver
+            await client.close()
 
 
-async def _live_top(args) -> None:
+async def _watch(args, purpose: str, aggregator, engine, draw) -> None:
+    """The sweep loop under ``live top`` and ``slo watch``: scrape into
+    ``aggregator``, feed and evaluate the SLO ``engine`` at run time
+    ``run_t``, clear the screen, ``draw(iteration, run_t, services)``."""
     import asyncio
     import time as wall
 
-    from .obs.aggregate import TelemetryAggregator
-    from .obs.slo import SloEngine, default_slos
-
-    client, services, close = await _open_telemetry_session(args, "top")
-    aggregator = TelemetryAggregator(latency_window=args.window)
-    engine = SloEngine(default_slos())
-    started = wall.monotonic()
-    previous: dict[str, float] = {}
-    previous_at: float | None = None
-    try:
+    async with _telemetry_session(args, purpose) as (client, services):
+        started = wall.monotonic()
         for iteration in range(args.iterations):
             if iteration:
                 await asyncio.sleep(args.interval)
             await client.scrape(aggregator)
-            now = wall.monotonic()
-            run_t = now - started
+            run_t = wall.monotonic() - started
             engine.ingest(aggregator, now=run_t)
             engine.evaluate(run_t)
-            active = engine.active_alerts()
-            elapsed = (now - previous_at) if previous_at is not None else None
-            rows = []
-            for service in services:
-                health = aggregator.health(service)
-                frames = aggregator.service_counter_total(service, "live.net.rx_frames")
-                rate = (
-                    (frames - previous.get(service, 0.0)) / elapsed
-                    if elapsed
-                    else 0.0
-                )
-                previous[service] = frames
-                service_alerts = sum(
-                    1 for alert in active
-                    if dict(alert.labels).get("service") == service
-                )
-                rows.append([
-                    service,
-                    "yes" if health.get("ready") else "NO",
-                    f"{rate:7.1f}",
-                    f"{aggregator.service_counter_total(service, 'live.rpc.open_connections'):.0f}",
-                    f"{aggregator.service_counter_total(service, 'live.rpc.in_flight_calls'):.0f}",
-                    f"{aggregator.service_counter_total(service, 'live.rpc.pending_high_water'):.0f}",
-                    f"{aggregator.service_counter_total(service, 'live.rpc.reconnects'):.0f}",
-                    format_size(aggregator.service_counter_total(service, "live.net.tx_bytes")),
-                    format_size(aggregator.service_counter_total(service, "live.net.rx_bytes")),
-                    str(service_alerts) if service_alerts else "-",
-                ])
-            previous_at = now
-            latency = aggregator.latency_summary()
             if not args.no_clear:
                 print("\x1b[2J\x1b[H", end="")
-            print(format_table(
-                ["service", "ready", "rx fr/s", "conns", "inflight", "pend hw",
-                 "reconn", "tx", "rx", "alerts"],
-                rows,
-                title=f"repro live top — sweep {iteration + 1}/{args.iterations}",
-            ))
-            if latency["count"]:
-                print(
-                    f"publish→deliver: p50 {latency['p50_s'] * 1000:.1f} ms, "
-                    f"p95 {latency['p95_s'] * 1000:.1f} ms over {latency['count']} "
-                    f"deliveries (window {args.window})"
-                )
-            print(
-                f"spans: {len(aggregator.spans())} aggregated, "
-                f"{aggregator.total_dropped_spans} dropped"
-            )
-            hot = aggregator.hot_frames(limit=args.hot_frames)
-            if hot:
-                print(
-                    "hot frames: "
-                    + ", ".join(
-                        f"{frame} {fraction:.0%}" for frame, _self, fraction in hot
-                    )
-                )
-            if active:
-                print("SLO alerts: " + ", ".join(
-                    f"{alert.slo}[{alert.severity} {alert.window}]"
-                    + (f" {dict(alert.labels).get('service')}"
-                       if dict(alert.labels).get("service") else "")
-                    for alert in active
-                ))
-            else:
-                print("SLO alerts: none")
-    finally:
-        await close()
+            draw(iteration, run_t, services)
 
 
 def _cmd_live_top(args) -> None:
-    import asyncio
+    from .obs.aggregate import TelemetryAggregator
+    from .obs.slo import SloEngine, default_slos
 
-    try:
-        asyncio.run(_live_top(args))
-    except KeyboardInterrupt:
-        pass
+    aggregator = TelemetryAggregator(latency_window=args.window)
+    engine = SloEngine(default_slos())
+    previous: dict[str, float] = {}
+    previous_at: float | None = None  # run time of the sweep before this one
+
+    def draw(iteration: int, run_t: float, services: list[str]) -> None:
+        nonlocal previous_at
+        active = engine.active_alerts()
+        elapsed = (run_t - previous_at) if previous_at is not None else None
+        rows = []
+        for service in services:
+            health = aggregator.health(service)
+            frames = aggregator.service_counter_total(service, "live.net.rx_frames")
+            rate = (
+                (frames - previous.get(service, 0.0)) / elapsed
+                if elapsed
+                else 0.0
+            )
+            previous[service] = frames
+            service_alerts = sum(
+                1 for alert in active
+                if dict(alert.labels).get("service") == service
+            )
+            rows.append([
+                service,
+                "yes" if health.get("ready") else "NO",
+                f"{rate:7.1f}",
+                f"{aggregator.service_counter_total(service, 'live.rpc.open_connections'):.0f}",
+                f"{aggregator.service_counter_total(service, 'live.rpc.in_flight_calls'):.0f}",
+                f"{aggregator.service_counter_total(service, 'live.rpc.pending_high_water'):.0f}",
+                f"{aggregator.service_counter_total(service, 'live.rpc.reconnects'):.0f}",
+                format_size(aggregator.service_counter_total(service, "live.net.tx_bytes")),
+                format_size(aggregator.service_counter_total(service, "live.net.rx_bytes")),
+                str(service_alerts) if service_alerts else "-",
+            ])
+        previous_at = run_t
+        latency = aggregator.latency_summary()
+        print(format_table(
+            ["service", "ready", "rx fr/s", "conns", "inflight", "pend hw",
+             "reconn", "tx", "rx", "alerts"],
+            rows,
+            title=f"repro live top — sweep {iteration + 1}/{args.iterations}",
+        ))
+        if latency["count"]:
+            print(
+                f"publish→deliver: p50 {latency['p50_s'] * 1000:.1f} ms, "
+                f"p95 {latency['p95_s'] * 1000:.1f} ms over {latency['count']} "
+                f"deliveries (window {args.window})"
+            )
+        print(
+            f"spans: {len(aggregator.spans())} aggregated, "
+            f"{aggregator.total_dropped_spans} dropped"
+        )
+        hot = aggregator.hot_frames(limit=args.hot_frames)
+        if hot:
+            print(
+                "hot frames: "
+                + ", ".join(
+                    f"{frame} {fraction:.0%}" for frame, _self, fraction in hot
+                )
+            )
+        if active:
+            print("SLO alerts: " + ", ".join(
+                f"{alert.slo}[{alert.severity} {alert.window}]"
+                + (f" {dict(alert.labels).get('service')}"
+                   if dict(alert.labels).get("service") else "")
+                for alert in active
+            ))
+        else:
+            print("SLO alerts: none")
+
+    _run_until_interrupted(_watch(args, "top", aggregator, engine, draw))
 
 
 def _cmd_cluster_status(args) -> None:
@@ -917,71 +921,48 @@ def _cmd_slo_report(args) -> None:
         print("gate ok")
 
 
-async def _slo_watch(args) -> None:
-    import asyncio
-    import time as wall
-
+def _cmd_slo_watch(args) -> None:
     from .obs.aggregate import TelemetryAggregator
     from .obs.slo import SloEngine, default_slos
 
-    client, services, close = await _open_telemetry_session(args, "slo")
-    aggregator = TelemetryAggregator()
     engine = SloEngine(default_slos(latency_threshold_s=args.latency_slo))
-    started = wall.monotonic()
-    try:
-        for iteration in range(args.iterations):
-            if iteration:
-                await asyncio.sleep(args.interval)
-            await client.scrape(aggregator)
-            run_t = wall.monotonic() - started
-            engine.ingest(aggregator, now=run_t)
-            engine.evaluate(run_t)
-            if not args.no_clear:
-                print("\x1b[2J\x1b[H", end="")
-            report = engine.report(run_t)
-            rows = []
-            for name, entry in report["slos"].items():
-                fast = next(iter(entry["burn_rates"].values()))
-                rows.append([
-                    name,
-                    f"{entry['objective']:.2f}",
-                    f"{entry['good']}/{entry['bad']}",
-                    f"{entry['error_budget_remaining']:.3f}",
-                    f"{fast['short_burn']:.2f}",
-                    f"{fast['long_burn']:.2f}",
-                    str(entry["active_alerts"]) if entry["active_alerts"] else "-",
-                ])
-            print(format_table(
-                ["slo", "obj", "good/bad", "budget left",
-                 "fast short", "fast long", "active"],
-                rows,
-                title=(
-                    f"repro slo watch — sweep {iteration + 1}/{args.iterations}, "
-                    f"t={run_t:.1f}s"
-                ),
-            ))
-            active = engine.active_alerts()
-            if active:
-                for alert in active:
-                    labels = dict(alert.labels)
-                    where = f" ({labels['service']})" if "service" in labels else ""
-                    print(
-                        f"ALERT {alert.severity}: {alert.slo}{where} "
-                        f"window {alert.window}, firing since t={alert.fired_at:.1f}s"
-                    )
-            else:
-                print("no active alerts")
-    finally:
-        await close()
 
+    def draw(iteration: int, run_t: float, _services: list[str]) -> None:
+        report = engine.report(run_t)
+        rows = []
+        for name, entry in report["slos"].items():
+            fast = next(iter(entry["burn_rates"].values()))
+            rows.append([
+                name,
+                f"{entry['objective']:.2f}",
+                f"{entry['good']}/{entry['bad']}",
+                f"{entry['error_budget_remaining']:.3f}",
+                f"{fast['short_burn']:.2f}",
+                f"{fast['long_burn']:.2f}",
+                str(entry["active_alerts"]) if entry["active_alerts"] else "-",
+            ])
+        print(format_table(
+            ["slo", "obj", "good/bad", "budget left",
+             "fast short", "fast long", "active"],
+            rows,
+            title=(
+                f"repro slo watch — sweep {iteration + 1}/{args.iterations}, "
+                f"t={run_t:.1f}s"
+            ),
+        ))
+        active = engine.active_alerts()
+        if active:
+            for alert in active:
+                labels = dict(alert.labels)
+                where = f" ({labels['service']})" if "service" in labels else ""
+                print(
+                    f"ALERT {alert.severity}: {alert.slo}{where} "
+                    f"window {alert.window}, firing since t={alert.fired_at:.1f}s"
+                )
+        else:
+            print("no active alerts")
 
-def _cmd_slo_watch(args) -> None:
-    import asyncio
-
-    try:
-        asyncio.run(_slo_watch(args))
-    except KeyboardInterrupt:
-        pass
+    _run_until_interrupted(_watch(args, "slo", TelemetryAggregator(), engine, draw))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1042,12 +1023,8 @@ def build_parser() -> argparse.ArgumentParser:
     live_init.add_argument("--base-port", type=int, default=7341)
     live_init.add_argument(
         "--data-dir", metavar="DIR", default=None,
-        help="enable durable persistence: RS/DS state under DIR/<role> "
-             "(default backend: wal)",
-    )
-    live_init.add_argument(
-        "--store-backend", choices=["wal", "sqlite"], default=None,
-        help="storage backend when --data-dir is given (default wal)",
+        help="enable durable persistence: RS/DS state in a WAL store "
+             "under DIR/<role>",
     )
     live_init.add_argument(
         "--ds-shards", type=int, default=1, metavar="N",
@@ -1256,9 +1233,9 @@ def build_parser() -> argparse.ArgumentParser:
     store_inspect = store_sub.add_parser(
         "inspect",
         help="dump record counts, live/tombstone ratio, and last committed "
-             "LSN of a store directory or sqlite file (no key needed)",
+             "LSN of a WAL store directory (no key needed)",
     )
-    store_inspect.add_argument("path", help="WAL store directory or sqlite database file")
+    store_inspect.add_argument("path", help="WAL store directory")
     store_inspect.add_argument("--json", action="store_true", help="emit JSON")
     store_inspect.set_defaults(func=_cmd_store_inspect)
 

@@ -17,7 +17,6 @@ Modules:
 :mod:`~repro.cluster.ring`        deterministic consistent-hash ring (vnodes)
 :mod:`~repro.cluster.membership`  heartbeat membership + failure detection
 :mod:`~repro.cluster.router`      the :class:`ClusterMap` + client-side routing
-:mod:`~repro.cluster.rebalance`   minimal-movement migration on ring change
 ========================  ====================================================
 
 Both substrates consume the same :class:`~repro.cluster.router.ClusterMap`
@@ -27,7 +26,6 @@ identically — see ``docs/CLUSTER.md``.
 """
 
 from .membership import Member, MembershipTable
-from .rebalance import handoff_items, moved_fraction, plan_moves
 from .ring import DEFAULT_VNODES, HashRing
 from .router import ClusterMap, ds_shard_for, rs_replicas_for, shard_names
 
@@ -40,7 +38,4 @@ __all__ = [
     "ds_shard_for",
     "rs_replicas_for",
     "shard_names",
-    "plan_moves",
-    "moved_fraction",
-    "handoff_items",
 ]

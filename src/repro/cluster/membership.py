@@ -5,7 +5,7 @@ alive.  Every shard (or a supervisor on its behalf) calls
 :meth:`MembershipTable.heartbeat` periodically; :meth:`sweep` marks any
 member silent for longer than ``failure_timeout_s`` as dead and reports
 the transitions so the caller can react — shrink the routing ring,
-trigger a rebalance, flip a readiness probe.
+flip a readiness probe.
 
 Time is always an explicit ``now`` argument, the same convention as
 :class:`repro.core.rs.RepositoryStore`: the simulator passes ``sim.now``,
@@ -92,13 +92,6 @@ class MembershipTable:
             m.name
             for m in self.members.values()
             if m.alive and (role is None or m.role == role)
-        ]
-
-    def dead(self, role: str | None = None) -> list[str]:
-        return [
-            m.name
-            for m in self.members.values()
-            if not m.alive and (role is None or m.role == role)
         ]
 
     def snapshot(self, now: float) -> list[dict]:

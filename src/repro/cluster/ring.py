@@ -14,10 +14,8 @@ factor of the mean (property-tested in ``tests/cluster/test_ring.py``).
 Replication walks the ring clockwise collecting *distinct* nodes — the
 "write to N successors" set.
 
-Rings are immutable; topology changes produce a new ring via
-:meth:`HashRing.with_node` / :meth:`HashRing.without_node`, and
-:mod:`repro.cluster.rebalance` diffs the two to compute the minimal key
-movement.
+Rings are immutable; :class:`~repro.cluster.router.ClusterMap` builds a
+new one when the set of live DS shards changes.
 """
 
 from __future__ import annotations
@@ -92,18 +90,6 @@ class HashRing:
                 if len(out) == want:
                     break
         return tuple(out)
-
-    # -- topology changes (immutable) ---------------------------------------
-
-    def with_node(self, node: str) -> "HashRing":
-        if node in self.nodes:
-            return self
-        return HashRing(self.nodes + (node,), self.vnodes)
-
-    def without_node(self, node: str) -> "HashRing":
-        if node not in self.nodes:
-            return self
-        return HashRing(tuple(n for n in self.nodes if n != node), self.vnodes)
 
     # -- load accounting ------------------------------------------------------
 

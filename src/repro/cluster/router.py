@@ -4,9 +4,9 @@ The ClusterMap is the one routing artifact both substrates share.  It is
 built once at deployment bring-up, attached to the ARA's
 :class:`~repro.core.ara.ServiceDirectory` (``directory.cluster``), and
 therefore reaches every publisher, subscriber, and DS by reference —
-credentials embed the directory, so a topology change made through
-:meth:`ClusterMap.add_ds` / :meth:`ClusterMap.add_rs` propagates to all
-parties without re-issuing anything.
+credentials embed the directory, so routing around a dead DS shard
+(:meth:`ClusterMap.remove_ds`, and :meth:`ClusterMap.add_ds` when it
+beats again) reaches all parties without re-issuing anything.
 
 Placement policy (see ``docs/CLUSTER.md`` for the rationale):
 
@@ -87,7 +87,7 @@ class ClusterMap:
     def rs_replicas(self, guid: bytes) -> tuple[str, ...]:
         return self.rs_ring.successors(guid, self.rs_replication)
 
-    # -- topology changes (propagate by reference through the directory) -------
+    # -- DS failure routing (propagates by reference through the directory) -----
 
     def add_ds(self, name: str) -> None:
         if name not in self.ds_names:
@@ -101,18 +101,6 @@ class ClusterMap:
         if name in self.ds_names and len(self.ds_names) > 1:
             self.ds_names.remove(name)
             self._ds_ring = None
-
-    def add_rs(self, name: str, public_key=None) -> None:
-        if name not in self.rs_names:
-            self.rs_names.append(name)
-            self._rs_ring = None
-        if public_key is not None:
-            self.rs_public_keys[name] = public_key
-
-    def remove_rs(self, name: str) -> None:
-        if name in self.rs_names:
-            self.rs_names.remove(name)
-            self._rs_ring = None
 
     # -- reporting -------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from .ara import (
 from .anonymizer import AnonymizationService
 from .config import ComputeTimings, P3SConfig, default_schema
 from .ds import DisseminationServer
-from .guid import GUID_BYTES, format_guid, random_guid
+from .guid import GUID_BYTES, random_guid
 from .messages import AnonEnvelope, EncryptedMetadata, PayloadSubmission
 from .embedded_ts import EmbeddedTokenSource
 from .pbe_ts import PBETokenServer, SubscriptionPolicy
@@ -48,6 +48,5 @@ __all__ = [
     "PayloadSubmission",
     "AnonEnvelope",
     "random_guid",
-    "format_guid",
     "GUID_BYTES",
 ]

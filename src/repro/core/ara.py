@@ -186,5 +186,3 @@ class RegistrationAuthority:
         if name in self._registered:
             raise RegistrationError(f"{name!r} already registered as {self._registered[name]}")
 
-    def registered_role(self, name: str) -> str | None:
-        return self._registered.get(name)

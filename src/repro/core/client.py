@@ -31,7 +31,6 @@ class P3SClient:
         connection: JmsConnection,
         group: PairingGroup,
         timings: ComputeTimings,
-        guid_bytes: int,
         topic: str,
     ):
         self.credentials = credentials
@@ -39,7 +38,6 @@ class P3SClient:
         self.ports = connection.ports
         self.group = group
         self.timings = timings
-        self.guid_bytes = guid_bytes
         self.hve = HVE(group)
         self.cpabe = HybridCPABE(group)
         self._topic = topic  # what this client's own PUBLISH frames are addressed to

@@ -76,11 +76,9 @@ class P3SConfig:
     bandwidth_bps: float = 10_000_000  # ℬ, Table 1
     lan_bandwidth_bps: float = 100_000_000  # DS→RS hop (§6.2)
     latency_s: float = 0.045  # ℓ, Table 1
-    guid_bytes: int = 16
     t_g: float = 60.0  # RS grace period T_G
     rs_gc_interval_s: float = 10.0
     use_anonymizer: bool = True
-    metadata_topic: str = "p3s.metadata"
     # a repro.core.pbe_ts.SubscriptionPolicy, or None for the paper's
     # open model ("legitimate clients may, within a metadata space,
     # register any subscription", §2)
@@ -104,9 +102,9 @@ class P3SConfig:
     match_workers: int = 0
     # -- durable persistence (repro.store; see docs/PERSISTENCE.md) --
     # Backend for RS items and DS registrations: "memory" (default, the
-    # historical purely-in-memory behaviour), "wal", or "sqlite".  The
-    # durable backends need ``data_dir``; each service gets its own
-    # subtree (``<data_dir>/rs``, ``<data_dir>/ds``).
+    # historical purely-in-memory behaviour) or "wal", which needs
+    # ``data_dir``; each service gets its own subtree
+    # (``<data_dir>/rs``, ``<data_dir>/ds``).
     store_backend: str = "memory"
     data_dir: str | None = None
     # 32-byte at-rest AEAD key sealing record values, or None for clear

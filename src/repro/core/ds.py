@@ -42,10 +42,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from ..errors import ReproError
 from ..mq.broker import Broker
 from ..mq.messages import JmsFrame
 from ..obs import hooks as obs
 from ..par import MatchPool
+from ..pbe.serialize import deserialize_hve_token
 from ..store import MemoryEngine, StorageEngine
 from ..store.codec import (
     NS_SUBS,
@@ -58,6 +60,7 @@ from ..store.codec import (
 )
 from .config import ComputeTimings
 from .messages import (
+    METADATA_TOPIC,
     KIND_METADATA,
     KIND_PAYLOAD,
     KIND_TOKEN_REG,
@@ -72,17 +75,17 @@ __all__ = ["DisseminationServer"]
 class DisseminationServer(Broker):
     """The DS: a topic broker with P3S publication handling grafted on.
 
-    ``group``/``timings``/``match_workers`` enable delegated matching;
-    without a ``group`` the DS ignores token registrations and always
-    broadcasts (the baseline architecture).
+    ``group``/``vector_length``/``timings``/``match_workers`` enable
+    delegated matching; without a ``group`` the DS never decodes a
+    registered token and always broadcasts (the baseline architecture).
     """
 
     def __init__(
         self,
         ports,
         rs_name: str,
-        metadata_topic: str = "p3s.metadata",
         group=None,
+        vector_length: int | None = None,
         timings: ComputeTimings | None = None,
         match_workers: int = 0,
         store: StorageEngine | None = None,
@@ -94,8 +97,8 @@ class DisseminationServer(Broker):
         # ServiceDirectory): with one attached, payloads forward to the
         # GUID's full RS replica set instead of the single rs_name
         self.cluster = cluster
-        self.metadata_topic = metadata_topic
         self.group = group
+        self.vector_length = vector_length
         self.timings = timings
         self.match_workers = match_workers
         # Delegated-matching registry: (subscriber name, serialized token).
@@ -134,7 +137,7 @@ class DisseminationServer(Broker):
                     # re-parent the propagated context so each subscriber's
                     # match span hangs off this fan-out hop
                     obs.inject(frame.headers, span)
-                    yield from self.fan_out(self.metadata_topic, frame)
+                    yield from self.fan_out(METADATA_TOPIC, frame)
         elif kind == KIND_PAYLOAD:
             self.observed_sizes.append((KIND_PAYLOAD, frame.body_size))
             yield from self._forward_to_rs(frame)
@@ -162,7 +165,7 @@ class DisseminationServer(Broker):
         recovered = 0
         for _key, value in self.store.items(NS_TOKENS):
             entry = decode_token(value)
-            if entry not in self.registered_tokens:
+            if entry not in self.registered_tokens and self._admissible(entry[1]):
                 self.registered_tokens.append(entry)
                 recovered += 1
         for key, _value in self.store.items(NS_SUBS):
@@ -176,9 +179,32 @@ class DisseminationServer(Broker):
 
     # -- delegated matching ---------------------------------------------------
 
+    def _admissible(self, token_bytes: bytes) -> bool:
+        """Whether the matcher can be handed these bytes: they are a
+        connected client's to choose, and one token that fails inside
+        ``MatchPool.match_indices`` fails the whole batch — every
+        subscriber's delivery, for every later publication.  A token
+        must decode, be for this deployment's vector length (the ``n``
+        of every ciphertext the DS relays) and index it in strictly
+        increasing positions below ``n``.  Anything else is counted and
+        dropped at the door."""
+        if self.group is None:
+            return True  # never decoded: this DS only broadcasts
+        try:
+            token = deserialize_hve_token(self.group, token_bytes)
+        except ReproError:
+            token = None
+        if token is not None and token.n == self.vector_length and all(
+            previous < position < token.n
+            for previous, position in zip((-1, *token.positions), token.positions)
+        ):
+            return True
+        obs.record_op("ds.token_rejected")
+        return False
+
     def register_token(self, src: str, token_bytes: bytes) -> None:
         entry = (src, bytes(token_bytes))
-        if entry not in self.registered_tokens:
+        if entry not in self.registered_tokens and self._admissible(entry[1]):
             self.registered_tokens.append(entry)
             self.store.put(
                 NS_TOKENS, token_key(src, entry[1]), encode_token(src, entry[1])
@@ -242,10 +268,10 @@ class DisseminationServer(Broker):
         )
         matched_names = {tokens[index][0] for index in matched}
         token_holders = {name for name, _ in tokens}
-        delivery = self.delivery_frame(self.metadata_topic, frame)
+        delivery = self.delivery_frame(METADATA_TOPIC, frame)
         obs.inject(delivery.headers, span)
         skipped = 0
-        for client in list(self.subscriptions[self.metadata_topic]):
+        for client in list(self.subscriptions[METADATA_TOPIC]):
             # token holders are pre-filtered; everyone else still gets the
             # baseline broadcast
             if client in token_holders and client not in matched_names:
@@ -300,4 +326,4 @@ class DisseminationServer(Broker):
 
     @property
     def registered_subscriber_count(self) -> int:
-        return self.subscriber_count(self.metadata_topic)
+        return self.subscriber_count(METADATA_TOPIC)

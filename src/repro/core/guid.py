@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import secrets
 
-__all__ = ["GUID_BYTES", "random_guid", "format_guid"]
+__all__ = ["GUID_BYTES", "random_guid"]
 
 GUID_BYTES = 16  # 128-bit space; paper's model uses ~10-byte GUIDs
 
 
-def random_guid(num_bytes: int = GUID_BYTES) -> bytes:
+def random_guid() -> bytes:
     """A fresh unguessable GUID."""
-    return secrets.token_bytes(num_bytes)
-
-
-def format_guid(guid: bytes) -> str:
-    """Short printable form for logs and reports."""
-    return guid[:8].hex()
+    return secrets.token_bytes(GUID_BYTES)

@@ -14,6 +14,8 @@ from typing import Any
 
 from ..errors import SerializationError
 
+# the topic every subscriber consumes and the DS fans metadata out on
+METADATA_TOPIC = "p3s.metadata"
 # P3S frame kinds carried in JMS headers / RPC message types
 KIND_METADATA = "p3s.metadata"
 KIND_PAYLOAD = "p3s.payload"
@@ -36,6 +38,7 @@ KIND_SPANS = "p3s.telemetry-spans"
 KIND_PROFILE = "p3s.telemetry-profile"
 
 __all__ = [
+    "METADATA_TOPIC",
     "KIND_METADATA",
     "KIND_PAYLOAD",
     "KIND_TOKEN_REG",
@@ -63,9 +66,10 @@ __all__ = [
 class EncryptedMetadata:
     """PBE-encrypted GUID, broadcast by the DS to every subscriber.
 
-    ``publication_id`` is a simulation-only correlation handle used by the
-    metrics collector; it is not on the real wire (and carries no
-    information the DS could not already infer from frame ordering).
+    ``publication_id`` is a simulation-only correlation handle (deliveries
+    carry it back to the run's reports); it is not on the real wire (and
+    carries no information the DS could not already infer from frame
+    ordering).
     """
 
     hve_bytes: bytes

@@ -227,10 +227,6 @@ class PBETokenServer:
     def observed_subjects(self) -> list[str]:
         return self.issuer.observed_subjects
 
-    @property
-    def tokens_issued(self) -> int:
-        return self.issuer.tokens_issued
-
     def _handle_token_request(self, src: str, message):
         self.observed_sources.append(src)  # with the anonymizer this is never a subscriber
         span = obs.start_span(

@@ -108,30 +108,6 @@ class DeploymentPlan:
         """Every third party in this deployment."""
         return (*self.ds_names, *self.rs_names, PBE_TS_NAME, ANON_NAME)
 
-    # -- elastic topology (repro.cluster.rebalance) ----------------------------
-
-    def ensure_cluster(self) -> ClusterMap:
-        """Attach a ClusterMap to a classic single-node plan the first
-        time its topology grows; existing credentials see it immediately
-        (the directory is embedded by reference)."""
-        if self.cluster is None:
-            self.ara.directory.cluster = ClusterMap(
-                ds_names=list(self.ds_names),
-                rs_names=list(self.rs_names),
-                rs_replication=max(1, self.config.rs_replication),
-                rs_public_keys={name: pke.public for name, pke in self.rs_pkes.items()},
-            )
-        return self.cluster
-
-    def add_ds(self, name: str) -> None:
-        self.ds_names.append(name)
-        self.ensure_cluster().add_ds(name)
-
-    def add_rs(self, name: str) -> None:
-        self.rs_names.append(name)
-        self.rs_pkes[name] = PKEKeyPair(self.group)
-        self.ensure_cluster().add_rs(name, self.rs_pkes[name].public)
-
     # -- third parties -------------------------------------------------------------
 
     def open_store(self, role: str) -> StorageEngine | None:
@@ -161,8 +137,8 @@ class DeploymentPlan:
             return ds_class(
                 ports,
                 self.rs_names[0],
-                metadata_topic=config.metadata_topic,
                 group=self.group,
+                vector_length=config.schema.vector_length,
                 timings=config.timings,
                 match_workers=config.match_workers,
                 store=self.open_store(role),
@@ -195,7 +171,6 @@ class DeploymentPlan:
             cls,
             self.ara.register_publisher(name),
             ports,
-            guid_bytes=self.config.guid_bytes,
             reliable_publish=self.config.reliable_publish,
         )
 
@@ -206,8 +181,6 @@ class DeploymentPlan:
         value (``delegate_tokens``) or the class default."""
         options = dict(
             use_anonymizer=self.config.use_anonymizer,
-            guid_bytes=self.config.guid_bytes,
-            metadata_topic=self.config.metadata_topic,
             delegate_tokens=self.config.delegated_matching,
         )
         options.update(

@@ -92,13 +92,10 @@ class PublisherProtocol(P3SClient):
         connection: JmsConnection,
         group: PairingGroup,
         timings: ComputeTimings,
-        guid_bytes: int = 16,
         publish_topic: str = "p3s.publish",
         reliable_publish: bool = False,
     ):
-        super().__init__(
-            credentials, connection, group, timings, guid_bytes, publish_topic
-        )
+        super().__init__(credentials, connection, group, timings, publish_topic)
         # wait for the broker's PUBACK and retransmit on silence (the
         # docs/CHAOS.md publish-path gap, closed).  Opt-in like the
         # subscriber's call_timeout_s: on the simulator the ack timeout
@@ -118,7 +115,7 @@ class PublisherProtocol(P3SClient):
         to the :class:`PublicationRecord` once both frames are sent."""
         record = PublicationRecord(
             publication_id=next(self._publication_ids),
-            guid=random_guid(self.guid_bytes),
+            guid=random_guid(),
             metadata=dict(metadata),
             policy=policy,
             ttl_s=ttl_s,

@@ -107,7 +107,7 @@ class RepositoryStore:
     Durability is delegated to a pluggable
     :class:`~repro.store.StorageEngine`: every store writes through to
     the engine's ``items`` namespace and every GC deletion tombstones
-    it, so with a durable backend (``wal``/``sqlite``) the committed
+    it, so with a durable backend (``wal``) the committed
     item set survives ``kill -9`` and is recovered at construction.
     The default :class:`~repro.store.MemoryEngine` reproduces the old
     purely-in-memory behaviour bit for bit.
@@ -232,39 +232,6 @@ class RepositoryStore:
         item = self._items.get(guid)
         return item is not None and now < item.expires_at
 
-    # -- rebalance handoff (repro.cluster.rebalance) ---------------------------
-    #
-    # The transfer record is the engine's own encoded item (clocks +
-    # ciphertext, see repro.store.codec), so a migrated item keeps its
-    # exact stored_at/expires_at/wall timestamps on the receiving shard
-    # and both sides' in-memory index and durable engine stay in step.
-
-    def guids(self) -> list[bytes]:
-        return list(self._items)
-
-    def contains(self, guid: bytes) -> bool:
-        return guid in self._items
-
-    def export_item(self, guid: bytes) -> tuple[bytes]:
-        value = self.engine.get(NS_ITEMS, guid)
-        if value is None:
-            raise KeyError(f"export of unknown item {guid.hex()}")
-        return (value,)
-
-    def import_item(self, guid: bytes, value: bytes) -> None:
-        stored_at, expires_at, _wall_stored_at, ciphertext = decode_item(value)
-        self._items[guid] = _StoredItem(
-            ciphertext=ciphertext, stored_at=stored_at, expires_at=expires_at
-        )
-        heapq.heappush(self._expiry_heap, (expires_at, guid))
-        self.engine.put(NS_ITEMS, guid, value)
-
-    def evict(self, guid: bytes) -> None:
-        """Drop an item this shard no longer owns (not an expiry: the
-        counters stay untouched; the stale heap entry is lazily skipped)."""
-        if self._items.pop(guid, None) is not None:
-            self.engine.delete(NS_ITEMS, guid)
-
     def request_count(self, guid: bytes) -> int:
         item = self._items.get(guid)
         return 0 if item is None else item.request_count
@@ -320,10 +287,6 @@ class RepositoryServer:
     @property
     def expired_count(self) -> int:
         return self.store.expired_count
-
-    @property
-    def failed_retrievals(self) -> int:
-        return self.store.failed_retrievals
 
     # -- store (one-way, forwarded by the DS) ----------------------------------
 

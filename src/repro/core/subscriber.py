@@ -54,7 +54,9 @@ from ..pbe.serialize import (
 from .ara import SubscriberCredentials
 from .client import P3SClient
 from .config import ComputeTimings
+from .guid import GUID_BYTES
 from .messages import (
+    METADATA_TOPIC,
     KIND_TOKEN_REG,
     KIND_TOKEN_UNREG,
     RPC_ANON_FORWARD,
@@ -108,7 +110,7 @@ class GuidDeduper:
         return len(self._order)
 
 
-def open_delivery(cpabe, group, secret_key, guid, guid_bytes, ciphertext_bytes):
+def open_delivery(cpabe, group, secret_key, guid, ciphertext_bytes):
     """CP-ABE-decrypt one retrieved payload and verify its embedded GUID.
 
     Returns the application payload.  Raises :class:`DecryptionError`
@@ -118,7 +120,7 @@ def open_delivery(cpabe, group, secret_key, guid, guid_bytes, ciphertext_bytes):
     recovered GUID differs from the requested one (§4.3 correlation check).
     """
     plaintext = cpabe.decrypt(secret_key, deserialize_hybrid(group, ciphertext_bytes))
-    recovered_guid, payload = plaintext[:guid_bytes], plaintext[guid_bytes:]
+    recovered_guid, payload = plaintext[:GUID_BYTES], plaintext[GUID_BYTES:]
     if recovered_guid != guid:
         raise GuidMismatchError("recovered GUID does not match the requested one")
     return payload
@@ -161,8 +163,6 @@ class SubscriberProtocol(P3SClient):
         group: PairingGroup,
         timings: ComputeTimings,
         use_anonymizer: bool = True,
-        guid_bytes: int = 16,
-        metadata_topic: str = "p3s.metadata",
         on_payload: Callable[[Delivery], None] | None = None,
         local_token_source=None,
         retrieval_retries: int = 3,
@@ -170,11 +170,8 @@ class SubscriberProtocol(P3SClient):
         call_timeout_s: float | None = None,
         delegate_tokens: bool = False,
     ):
-        super().__init__(
-            credentials, connection, group, timings, guid_bytes, metadata_topic
-        )
+        super().__init__(credentials, connection, group, timings, METADATA_TOPIC)
         self.use_anonymizer = use_anonymizer
-        self.metadata_topic = metadata_topic
         self.on_payload = on_payload
         self.local_token_source = local_token_source
         self.retrieval_retries = retrieval_retries
@@ -197,7 +194,7 @@ class SubscriberProtocol(P3SClient):
 
     def _start_process(self):
         session = yield from super()._start_process()
-        consumer = session.create_consumer(self.metadata_topic)
+        consumer = session.create_consumer(METADATA_TOPIC)
         yield consumer.set_message_listener(self._on_metadata)
 
     def _on_metadata(self, frame) -> None:
@@ -363,7 +360,6 @@ class SubscriberProtocol(P3SClient):
                     self.group,
                     self.credentials.cpabe_secret_key,
                     guid,
-                    self.guid_bytes,
                     ciphertext_bytes,
                 )
         except GuidMismatchError:

@@ -28,7 +28,6 @@ single-node code and tests run unchanged; ``system.ds_shards`` /
 from __future__ import annotations
 
 from ..cluster import ClusterMap, MembershipTable
-from ..cluster.rebalance import HandoffReport, copy_registrations, handoff_items
 from ..net.network import Network
 from ..net.simulator import Simulator
 from ..pbe.hve import HVE
@@ -116,9 +115,8 @@ class P3SSystem:
     def _heartbeat_loop(self):
         """Daemon process: shards that are up heartbeat; silent ones are
         swept dead and removed from the DS routing ring until they beat
-        again.  The RS ring is deliberately left static — replication
-        plus retrieval failover covers a dead replica, and churning the
-        ring on every flap would force rebalances mid-failure."""
+        again.  The RS ring is static — replication plus retrieval
+        failover covers a dead replica."""
         while True:
             yield self.sim.timeout(HEARTBEAT_INTERVAL_S, daemon=True)
             now = self.sim.now
@@ -134,71 +132,6 @@ class P3SSystem:
             for name in self.membership.alive("ds"):
                 if name in self.ds_shards and name not in self.cluster.ds_names:
                     self.cluster.add_ds(name)
-
-    # -- elastic topology (repro.cluster.rebalance) ----------------------------
-
-    def _ensure_cluster(self) -> ClusterMap:
-        """The plan's ClusterMap; a classic single-node deployment gets
-        one (and its heartbeat process) the first time it grows."""
-        if self.cluster is None:
-            cluster = self.plan.ensure_cluster()
-            for ds in self.ds_shards.values():
-                ds.cluster = cluster
-            self.sim.process(self._heartbeat_loop())
-        return self.cluster
-
-    def add_ds_shard(self, name: str | None = None) -> DisseminationServer:
-        """Grow the DS tier by one shard, live.
-
-        The joiner bootstraps its token/subscription tables from an
-        existing shard (:func:`~repro.cluster.rebalance.copy_registrations`),
-        every connected client learns the new broker, and the routing
-        ring picks it up — so it starts owning its share of *new*
-        publications immediately.
-        """
-        self._ensure_cluster()
-        name = name or f"ds{len(self.ds_shards)}"
-        if name in self.ds_shards:
-            raise ValueError(f"DS shard {name!r} already exists")
-        self.plan.add_ds(name)
-        ds = self._build_ds(name)
-        ds.start()
-        self.ds_shards[name] = ds
-        copy_registrations(self.ds, ds)
-        self.membership.join(name, "ds", now=self.sim.now)
-        for client in (*self.subscribers.values(), *self.publishers.values()):
-            client.connection.add_broker(name)
-        return ds
-
-    def add_rs_shard(
-        self, name: str | None = None
-    ) -> tuple[RepositoryServer, HandoffReport]:
-        """Grow the RS tier by one shard and rebalance.
-
-        Existing items are handed off through
-        :func:`~repro.cluster.rebalance.handoff_items` so only the key
-        range the new ring assigns to the joiner (≈ 1/n of the keyspace)
-        actually moves.
-        """
-        cluster = self._ensure_cluster()
-        name = name or f"rs{len(self.rs_shards)}"
-        if name in self.rs_shards:
-            raise ValueError(f"RS shard {name!r} already exists")
-        self.plan.add_rs(name)
-        rs = self.plan.service(name, self.network.add_host(name))
-        for ds_name in self.ds_shards:
-            self.network.host(ds_name).set_link_bandwidth(
-                name, self.config.lan_bandwidth_bps
-            )
-        rs.start()
-        self.rs_shards[name] = rs
-        self.membership.join(name, "rs", now=self.sim.now)
-        report = handoff_items(
-            {shard: server.store for shard, server in self.rs_shards.items()},
-            cluster.rs_ring,
-            cluster.rs_replication,
-        )
-        return rs, report
 
     # -- participants -----------------------------------------------------------
 

@@ -99,10 +99,6 @@ class Fq2:
     def one(cls, q: int) -> "Fq2":
         return cls(1, 0, q)
 
-    @classmethod
-    def zero(cls, q: int) -> "Fq2":
-        return cls(0, 0, q)
-
     # -- predicates --------------------------------------------------------
 
     def is_one(self) -> bool:

@@ -26,7 +26,6 @@ from .pairing import (
     multi_pairing_precomputed,
     precompute_miller,
     tate_pairing,
-    tate_pairing_precomputed,
 )
 from .params import PARAM_SETS, TypeAParams
 
@@ -129,11 +128,6 @@ class PairingGroup:
         if point.is_infinity:
             return None
         return precompute_miller(point)
-
-    def pair_precomputed(self, pre: MillerPrecomputed | None, q_point: Point) -> Fq2:
-        if pre is None or q_point.is_infinity:
-            return Fq2.one(self.params.q)
-        return tate_pairing_precomputed(pre, q_point)
 
     def multi_pair_precomputed(
         self, entries: list[tuple[MillerPrecomputed | None, Point]]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 
-__all__ = ["hash_bytes", "hash_to_int", "kdf", "constant_time_equal"]
+__all__ = ["hash_bytes", "hash_to_int", "kdf"]
 
 
 def hash_bytes(domain: str, *parts: bytes) -> bytes:
@@ -49,8 +49,3 @@ def kdf(secret: bytes, label: str, length: int = 32, salt: bytes = b"") -> bytes
         output += block
         counter += 1
     return output[:length]
-
-
-def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Constant-time byte-string comparison (MAC verification)."""
-    return hmac.compare_digest(a, b)

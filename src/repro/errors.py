@@ -58,10 +58,6 @@ class MalformedCiphertextError(DecryptionError):
     labels that do not name the policy's leaves one for one)."""
 
 
-class PredicateMismatchError(DecryptionError):
-    """A PBE token did not match the ciphertext's attribute vector."""
-
-
 class GuidMismatchError(DecryptionError):
     """A retrieved payload decrypted, but its embedded GUID does not match
     the requested one (§4.3: the recovered GUID correlates request and
@@ -150,7 +146,3 @@ class RecoveryError(StorageError):
 
 class RetrievalError(P3SError):
     """Repository Server could not satisfy a payload retrieval."""
-
-
-class ItemExpiredError(RetrievalError):
-    """The requested item was deleted by TTL garbage collection."""

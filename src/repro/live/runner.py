@@ -71,9 +71,8 @@ def init_state(
     """Mint a deployment's trust material and write it to ``path``.
 
     ``config.data_dir`` turns on durable persistence: the RS and DS open
-    ``repro.store`` engines under ``<data_dir>/<role>`` (backend from
-    ``config.store_backend``, defaulting to ``wal`` when a data dir is
-    given), each sealed with its own key minted here.
+    ``repro.store`` WAL engines under ``<data_dir>/<role>``, each sealed
+    with its own key minted here.
     """
     config = config or P3SConfig()
     if config.data_dir is not None and config.store_backend == "memory":

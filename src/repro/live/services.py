@@ -31,6 +31,7 @@ import time
 
 from ..core.anonymizer import AnonymizationService
 from ..core.ds import DisseminationServer
+from ..core.messages import METADATA_TOPIC
 from ..core.pbe_ts import PBETokenServer
 from ..core.rs import RepositoryServer
 from ..net.ports import LivePorts
@@ -134,8 +135,8 @@ class LiveDisseminationServer(_LiveService, DisseminationServer):
                 {"name": "ds.acked", "labels": {}, "value": self.acked_count},
                 {
                     "name": "ds.subscribers",
-                    "labels": {"topic": self.metadata_topic},
-                    "value": self.subscriber_count(self.metadata_topic),
+                    "labels": {"topic": METADATA_TOPIC},
+                    "value": self.registered_subscriber_count,
                 },
                 {
                     "name": "ds.registered_tokens",

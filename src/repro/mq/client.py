@@ -110,15 +110,6 @@ class JmsConnection:
         self.ports.start()
         return self._register_at(self.broker_names)
 
-    def add_broker(self, broker: str):
-        """Join a broker that appeared after the connection started
-        (a DS shard added by rebalancing): CONNECT, then re-SUBSCRIBE
-        every topic this client listens to."""
-        if broker not in self.broker_names:
-            self.broker_names.append(broker)
-            if self._started:
-                return self._register_at((broker,))
-
     def create_session(self) -> "JmsSession":
         if not self._started:
             raise BrokerError("connection not started")

@@ -6,7 +6,7 @@ from real serialized ciphertexts, so serialization times are
 byte-accurate.
 """
 
-from .simulator import Event, Process, Simulator, Store, all_of
+from .simulator import Event, Process, Simulator, Store
 from .network import DEFAULT_BANDWIDTH_BPS, DEFAULT_LATENCY_S, Host, Message, Network, WireRecord
 from .channel import SecureChannelLayer, TLS_RECORD_OVERHEAD
 from .rpc import RpcEndpoint
@@ -18,7 +18,6 @@ __all__ = [
     "Event",
     "Process",
     "Store",
-    "all_of",
     "Network",
     "Host",
     "Message",

@@ -70,7 +70,6 @@ class Host:
         self._egress_free_at = 0.0
         # per-destination overrides (e.g. the DS→RS LAN hop)
         self._link_bandwidth: dict[str, float] = {}
-        self._link_latency: dict[str, float] = {}
         self.bytes_sent = 0
         self.bytes_received = 0
 
@@ -79,12 +78,6 @@ class Host:
 
     def link_bandwidth(self, dst: str) -> float:
         return self._link_bandwidth.get(dst, self.bandwidth_bps)
-
-    def set_link_latency(self, dst: str, latency_s: float) -> None:
-        self._link_latency[dst] = latency_s
-
-    def link_latency(self, dst: str) -> float:
-        return self._link_latency.get(dst, self.network.latency_s)
 
     def send(self, dst: str, message: Message) -> float:
         """Queue ``message`` for transmission; returns predicted arrival time."""
@@ -159,7 +152,7 @@ class Network:
         start = max(self.sim.now, src._egress_free_at)
         tx_done = start + serialization
         src._egress_free_at = tx_done
-        arrival = tx_done + src.link_latency(dst_name)
+        arrival = tx_done + self.latency_s
         src.bytes_sent += message.size_bytes
         self.trace.append(
             WireRecord(self.sim.now, src.name, dst_name, message.size_bytes, message.wire_label)

@@ -13,7 +13,6 @@ Model (deliberately SimPy-like, implemented from scratch):
 * :class:`Event` is a one-shot future; :meth:`Simulator.timeout` makes a
   delay event; :class:`Store` is an unbounded FIFO whose ``get`` returns
   an event.
-* :func:`all_of` joins several events.
 
 Example::
 
@@ -32,11 +31,11 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from ..errors import NetworkError
 
-__all__ = ["Simulator", "Event", "Process", "Store", "all_of"]
+__all__ = ["Simulator", "Event", "Process", "Store"]
 
 
 class Event:
@@ -142,33 +141,6 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
-
-
-def all_of(sim: "Simulator", events: Iterable[Event]) -> Event:
-    """An event that fires (with the list of values) when every input has."""
-    events = list(events)
-    joined = Event(sim)
-    remaining = len(events)
-    values: list[Any] = [None] * remaining
-    if remaining == 0:
-        return joined.succeed([])
-
-    def make_callback(index: int):
-        def on_fire(event: Event) -> None:
-            nonlocal remaining
-            if event.failure is not None and not joined.triggered:
-                joined.fail(event.failure)
-                return
-            values[index] = event.value
-            remaining -= 1
-            if remaining == 0 and not joined.triggered:
-                joined.succeed(values)
-
-        return on_fire
-
-    for index, event in enumerate(events):
-        event.add_callback(make_callback(index))
-    return joined
 
 
 class Simulator:

@@ -246,9 +246,6 @@ class TelemetryAggregator:
         """Every accumulated span, ordered by start time."""
         return sorted(self._spans.values(), key=lambda s: (s.get("start_s") or 0.0))
 
-    def trace_ids(self) -> list[int]:
-        return sorted({key[0] for key in self._spans})
-
     def trace(self, trace_id: int) -> list[dict]:
         return [span for (t, _), span in sorted(self._spans.items()) if t == trace_id]
 

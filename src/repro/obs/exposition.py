@@ -140,7 +140,7 @@ def to_openmetrics(
         lines.append(f"# TYPE {flat} summary")
         for label_key, histogram in series:
             labels = {**dict(label_key), **stamp}
-            top = getattr(histogram, "top_exemplar", None)
+            top = histogram.top_exemplar
             for index, quantile in enumerate(SUMMARY_QUANTILES):
                 q_labels = {**labels, "quantile": f"{quantile:g}"}
                 line = (
@@ -183,14 +183,6 @@ class Exposition:
         """One sample's value; raises ``KeyError`` when absent."""
         key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
         return self.samples[key]
-
-    def exemplar(self, name: str, **labels: str) -> tuple[_LabelsKey, float] | None:
-        """One sample's exemplar annotation, or ``None``."""
-        key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
-        return self.exemplars.get(key)
-
-    def sample_names(self) -> list[str]:
-        return sorted({name for name, _ in self.samples})
 
     def total(self, name: str) -> float:
         """Sum of every sample of ``name`` across label sets."""

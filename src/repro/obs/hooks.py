@@ -43,7 +43,6 @@ __all__ = [
     "end_span",
     "span",
     "attach",
-    "annotate",
     "inject",
     "extract",
     "current_component",
@@ -197,11 +196,6 @@ def attach(span_obj: Span | None):
     if obs is None or span_obj is None:
         return _NULL
     return obs.tracer.attach(span_obj)
-
-
-def annotate(span_obj: Span | None, **attrs: Any) -> None:
-    if span_obj is not None:
-        span_obj.attributes.update(attrs)
 
 
 def inject(headers: dict[str, Any], span_obj: Span | None) -> dict[str, Any]:

@@ -33,7 +33,6 @@ from . import hooks
 from .export import (
     format_op_summary,
     format_span_tree,
-    spans_to_jsonl,
     write_metrics_csv,
     write_spans_jsonl,
 )
@@ -106,14 +105,8 @@ class Observability:
 
     # -- export conveniences ----------------------------------------------------
 
-    def spans_jsonl(self) -> str:
-        return spans_to_jsonl(self.tracer.spans)
-
     def write_spans(self, path: str) -> None:
         write_spans_jsonl(path, self.tracer.spans)
-
-    def metrics_csv(self) -> str:
-        return self.metrics.to_csv()
 
     def write_metrics(self, path: str) -> None:
         write_metrics_csv(path, self.metrics)

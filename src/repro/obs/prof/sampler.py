@@ -148,10 +148,6 @@ class StackSampler:
             self._thread = None
         return self
 
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
     def __enter__(self) -> "StackSampler":
         return self.start()
 
@@ -280,10 +276,6 @@ class DeterministicSampler:
 
     def stop(self) -> "DeterministicSampler":
         return self
-
-    @property
-    def running(self) -> bool:
-        return True
 
     def __enter__(self) -> "DeterministicSampler":
         return self

@@ -18,7 +18,7 @@ relies on — including equality against plain lists.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator, TYPE_CHECKING
+from typing import Iterator, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .tracing import Span
@@ -40,29 +40,22 @@ class FlightRecorder:
     the old list keeps working.
     """
 
-    __slots__ = ("capacity", "dropped", "_spans", "_on_evict")
+    __slots__ = ("capacity", "dropped", "_spans")
 
-    def __init__(
-        self,
-        capacity: int | None = None,
-        on_evict: "Callable[[Span], None] | None" = None,
-    ):
+    def __init__(self, capacity: int | None = None):
         if capacity is not None and capacity < 1:
             raise ValueError(f"flight recorder capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.dropped = 0
         self._spans: "deque[Span]" = deque()
-        self._on_evict = on_evict
 
     # -- recording -----------------------------------------------------------
 
     def append(self, span: "Span") -> None:
         """Record one span, evicting the oldest when at capacity."""
         if self.capacity is not None and len(self._spans) >= self.capacity:
-            evicted = self._spans.popleft()
+            self._spans.popleft()
             self.dropped += 1
-            if self._on_evict is not None:
-                self._on_evict(evicted)
         self._spans.append(span)
 
     def drain(self) -> "list[Span]":
@@ -82,7 +75,7 @@ class FlightRecorder:
         return list(self._spans)
 
     def clear(self) -> None:
-        """Drop everything (eviction hooks do not fire; count stays)."""
+        """Drop everything (the ``dropped`` count stays)."""
         self._spans.clear()
 
     # -- list compatibility ----------------------------------------------------

@@ -160,8 +160,7 @@ class Tracer:
         capacity: int | None = None,
     ):
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
-        self.spans: FlightRecorder = FlightRecorder(capacity, on_evict=self._forget)
-        self._by_id: dict[int, Span] = {}
+        self.spans: FlightRecorder = FlightRecorder(capacity)
         self._stack: list[Span] = []
         self._next_span_id = 1
         self._next_trace_id = 1
@@ -170,10 +169,6 @@ class Tracer:
     def dropped_spans(self) -> int:
         """Spans evicted from the flight recorder (never silent)."""
         return self.spans.dropped
-
-    def _forget(self, span: Span) -> None:
-        """Eviction hook: keep the id index in step with the ring."""
-        self._by_id.pop(span.span_id, None)
 
     # -- creation ------------------------------------------------------------
 
@@ -211,7 +206,6 @@ class Tracer:
         )
         self._next_span_id += 1
         self.spans.append(span)
-        self._by_id[span.span_id] = span
         return span
 
     def end_span(self, span: Span, **attrs: Any) -> Span:
@@ -229,10 +223,7 @@ class Tracer:
         see each span exactly once, and the recorder never regrows past
         its capacity between polls.
         """
-        drained = self.spans.drain()
-        for span in drained:
-            self._by_id.pop(span.span_id, None)
-        return drained
+        return self.spans.drain()
 
     # -- scoped (stack-managed) use -------------------------------------------
 
@@ -282,7 +273,6 @@ class Tracer:
 
     def clear(self) -> None:
         self.spans.clear()
-        self._by_id.clear()
         self._stack.clear()
 
     # -- propagation ---------------------------------------------------------------

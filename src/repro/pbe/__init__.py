@@ -19,19 +19,15 @@ Public API::
     assert hve.query(token, ct) == guid
 """
 
-from .encoding import bits_needed, decode_value, encode_value, wildcard_bits
+from .encoding import bits_needed, encode_value, wildcard_bits
 from .hve import HVE, HVECiphertext, HVEMasterKey, HVEPublicKey, HVEToken, WILDCARD
 from .schema import ANY, AttributeSpec, Interest, MetadataSchema
 from .serialize import (
     deserialize_hve_ciphertext,
-    deserialize_hve_master_key,
-    deserialize_hve_public_key,
     deserialize_hve_token,
     hve_ciphertext_size,
     hve_token_size,
     serialize_hve_ciphertext,
-    serialize_hve_master_key,
-    serialize_hve_public_key,
     serialize_hve_token,
 )
 
@@ -48,16 +44,11 @@ __all__ = [
     "MetadataSchema",
     "bits_needed",
     "encode_value",
-    "decode_value",
     "wildcard_bits",
     "serialize_hve_ciphertext",
     "deserialize_hve_ciphertext",
     "serialize_hve_token",
     "deserialize_hve_token",
-    "serialize_hve_public_key",
-    "deserialize_hve_public_key",
-    "serialize_hve_master_key",
-    "deserialize_hve_master_key",
     "hve_ciphertext_size",
     "hve_token_size",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..errors import SchemaError
 
-__all__ = ["bits_needed", "encode_value", "decode_value", "wildcard_bits"]
+__all__ = ["bits_needed", "encode_value", "wildcard_bits"]
 
 
 def bits_needed(domain_size: int) -> int:
@@ -28,18 +28,6 @@ def encode_value(index: int, domain_size: int) -> list[int]:
     if not 0 <= index < domain_size:
         raise SchemaError(f"value index {index} out of range [0, {domain_size})")
     return [(index >> (width - 1 - position)) & 1 for position in range(width)]
-
-
-def decode_value(bits: list[int], domain_size: int) -> int:
-    width = bits_needed(domain_size)
-    if len(bits) != width:
-        raise SchemaError(f"expected {width} bits, got {len(bits)}")
-    index = 0
-    for bit in bits:
-        index = (index << 1) | bit
-    if index >= domain_size:
-        raise SchemaError(f"decoded index {index} outside domain of size {domain_size}")
-    return index
 
 
 def wildcard_bits(domain_size: int) -> list[None]:

@@ -6,17 +6,13 @@ import struct
 
 from ..crypto.group import PairingGroup
 from ..errors import SerializationError
-from .hve import HVECiphertext, HVEMasterKey, HVEPublicKey, HVEToken
+from .hve import HVECiphertext, HVEToken
 
 __all__ = [
     "serialize_hve_ciphertext",
     "deserialize_hve_ciphertext",
     "serialize_hve_token",
     "deserialize_hve_token",
-    "serialize_hve_public_key",
-    "deserialize_hve_public_key",
-    "serialize_hve_master_key",
-    "deserialize_hve_master_key",
     "hve_ciphertext_size",
     "hve_token_size",
 ]
@@ -118,64 +114,3 @@ def hve_ciphertext_size(
 
 def hve_token_size(group: PairingGroup, num_positions: int) -> int:
     return 8 + 4 * num_positions + 2 * num_positions * group.g1_bytes
-
-
-def serialize_hve_public_key(group: PairingGroup, public: HVEPublicKey) -> bytes:
-    """The PBE public parameters the ARA ships to publishers (Fig. 2)."""
-    parts = [struct.pack(">I", public.n), group.serialize_gt(public.y_gt)]
-    for family in (public.t, public.v, public.r, public.m):
-        for point in family:
-            parts.append(group.serialize_g1(point))
-    return b"".join(parts)
-
-
-def deserialize_hve_public_key(group: PairingGroup, data: bytes) -> HVEPublicKey:
-    if len(data) < 4:
-        raise SerializationError("HVE public key too short")
-    (n,) = struct.unpack_from(">I", data, 0)
-    point_len = group.g1_bytes
-    expected = 4 + group.gt_bytes + 4 * n * point_len
-    if len(data) != expected:
-        raise SerializationError(f"HVE public key must be {expected} bytes, got {len(data)}")
-    offset = 4
-    y_gt = group.deserialize_gt(data[offset : offset + group.gt_bytes])
-    offset += group.gt_bytes
-    families = []
-    for _ in range(4):
-        points = []
-        for _ in range(n):
-            points.append(group.deserialize_g1(data[offset : offset + point_len]))
-            offset += point_len
-        families.append(tuple(points))
-    return HVEPublicKey(n=n, y_gt=y_gt, t=families[0], v=families[1], r=families[2], m=families[3])
-
-
-def serialize_hve_master_key(group: PairingGroup, master: HVEMasterKey) -> bytes:
-    """The PBE master secret (ARA → PBE-TS provisioning)."""
-    width = group.zr_bytes
-    parts = [struct.pack(">I", master.n), master.y0.to_bytes(width, "big")]
-    for family in (master.t, master.v, master.r, master.m):
-        for value in family:
-            parts.append(value.to_bytes(width, "big"))
-    return b"".join(parts)
-
-
-def deserialize_hve_master_key(group: PairingGroup, data: bytes) -> HVEMasterKey:
-    if len(data) < 4:
-        raise SerializationError("HVE master key too short")
-    (n,) = struct.unpack_from(">I", data, 0)
-    width = group.zr_bytes
-    expected = 4 + width * (1 + 4 * n)
-    if len(data) != expected:
-        raise SerializationError(f"HVE master key must be {expected} bytes, got {len(data)}")
-    offset = 4
-    y0 = int.from_bytes(data[offset : offset + width], "big")
-    offset += width
-    families = []
-    for _ in range(4):
-        values = []
-        for _ in range(n):
-            values.append(int.from_bytes(data[offset : offset + width], "big"))
-            offset += width
-        families.append(tuple(values))
-    return HVEMasterKey(n=n, y0=y0, t=families[0], v=families[1], r=families[2], m=families[3])

@@ -9,8 +9,7 @@ comb tables are built and a token's, respectively a secret key's, Miller
 lines are cached, as they are for every publication after the first few
 — and the first-use costs are the separate ``*_cold_s`` fields.
 The results plug into :class:`~repro.perf.params.ModelParams` (for the
-analytic models) and :class:`~repro.core.config.ComputeTimings` (for
-end-to-end simulations), making the whole reproduction self-consistent.
+analytic models).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 
 from ..abe.hybrid import HybridCPABE
 from ..abe.serialize import serialize_hybrid
-from ..core.config import ComputeTimings
 from ..crypto.group import PairingGroup
 from ..crypto.pke import PKEKeyPair
 from ..pbe.hve import HVE
@@ -64,17 +62,6 @@ class CalibrationResult:
             cpabe_encrypt_s=self.cpabe_encrypt_s,
             cpabe_decrypt_s=self.cpabe_decrypt_s,
             encrypted_metadata_bytes=self.encrypted_metadata_bytes,
-        )
-
-    def as_compute_timings(self) -> ComputeTimings:
-        """Timings for end-to-end simulations."""
-        return ComputeTimings(
-            pbe_encrypt=self.pbe_encrypt_s,
-            pbe_match=self.pbe_match_s,
-            pbe_token_gen=self.pbe_token_gen_s,
-            cpabe_encrypt=self.cpabe_encrypt_s,
-            cpabe_decrypt=self.cpabe_decrypt_s,
-            pke_op=self.pke_op_s,
         )
 
 

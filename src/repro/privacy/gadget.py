@@ -112,29 +112,6 @@ class Gadget:
             )
         return records
 
-    def to_dot(self) -> str:
-        """Graphviz DOT rendering (reproduces Fig. 5's visual conventions:
-        dark-bordered sensitive elements, boxed AND gates, dashed attack
-        edges)."""
-        lines = [f'digraph "{self.name}" {{', "  rankdir=LR;"]
-        for node, data in self.graph.nodes(data=True):
-            if data.get("kind") == "and":
-                style = "shape=box, label=\"&\""
-                if data.get("attack"):
-                    style += ", color=orange"
-                lines.append(f'  "{node}" [{style}];')
-            else:
-                style = "shape=ellipse"
-                if data.get("sensitive"):
-                    style += ", penwidth=3"
-                lines.append(f'  "{node}" [{style}];')
-        for src, dst in self.graph.edges():
-            attack = self.graph.nodes[src].get("attack") or self.graph.nodes[dst].get("attack")
-            attrs = " [style=dashed, color=orange]" if attack else ""
-            lines.append(f'  "{src}" -> "{dst}"{attrs};')
-        lines.append("}")
-        return "\n".join(lines)
-
     def merge(self, other: "Gadget", rename: dict[str, str] | None = None) -> None:
         """Graft another gadget into this one (shared names fuse).
 

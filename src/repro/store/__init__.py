@@ -4,13 +4,12 @@ The paper's prototype keeps Repository Server state in Apache Derby and
 treats timely, *verifiable* deletion as a privacy requirement (§4.3: an
 item must be gone after ``TTL_item + T_G``).  This package is that
 storage layer for the reproduction: a pluggable
-:class:`~repro.store.engine.StorageEngine` with three backends —
+:class:`~repro.store.engine.StorageEngine` with two backends —
 
 * ``memory`` — non-durable dicts (the simulator default);
 * ``wal`` — append-only log of CRC-checksummed, AEAD-sealed records
-  with snapshot/compaction and torn-tail-tolerant crash recovery;
-* ``sqlite`` — the stdlib embedded database, inspectable and
-  multi-process-readable (the Derby analogue);
+  with snapshot/compaction and torn-tail-tolerant crash recovery (the
+  Derby analogue);
 
 plus deterministic fault injection (:mod:`repro.store.faults`) so the
 recovery path is tested, not trusted, and keyless file inspection
@@ -32,7 +31,6 @@ from .faults import (
 )
 from .inspect import format_inspection, inspect_store
 from .records import Record
-from .sqlite import SqliteEngine
 from .wal import RecoveryInfo, WalEngine
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "Record",
     "RecoveryInfo",
     "SimulatedCrash",
-    "SqliteEngine",
     "StorageEngine",
     "WalEngine",
     "corrupt_crc",

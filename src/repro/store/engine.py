@@ -3,11 +3,10 @@
 :class:`StorageEngine` is the contract the Repository Server's item
 store and the Dissemination Server's registries program against: a
 namespaced key→value map with last-writer-wins puts, tombstoning
-deletes, an explicit durability barrier (:meth:`StorageEngine.sync`)
-and a compaction step after which deleted values are physically
+deletes and a compaction step after which deleted values are physically
 unrecoverable from the backend's files.
 
-Three backends implement it:
+Two backends implement it:
 
 ``memory`` (:class:`MemoryEngine`, here)
     Today's behaviour and the simulator default.  ``durable=False``:
@@ -16,11 +15,8 @@ Three backends implement it:
     Append-only log of CRC-checksummed, optionally AEAD-sealed records
     with periodic snapshot + compaction, and torn-tail-tolerant crash
     recovery.  The production-shaped backend.
-``sqlite`` (:class:`~repro.store.sqlite.SqliteEngine`)
-    The stdlib ``sqlite3`` module, for ad-hoc inspection with external
-    tooling and multi-process readers.
 
-All three yield byte-identical delivery sets when substituted under a
+Both yield byte-identical delivery sets when substituted under a
 P3S deployment (``tests/store/test_equivalence.py``) — the engine
 changes durability, never protocol behaviour.
 """
@@ -33,7 +29,7 @@ from ..errors import StorageError
 
 __all__ = ["StorageEngine", "MemoryEngine", "BACKENDS", "open_engine", "open_service_engine"]
 
-BACKENDS = ("memory", "wal", "sqlite")
+BACKENDS = ("memory", "wal")
 
 
 class StorageEngine:
@@ -41,7 +37,7 @@ class StorageEngine:
 
     Keys and values are ``bytes``; namespaces are short strings
     (``"items"``, ``"tokens"``, ``"subs"``).  Every mutation is assigned
-    a monotonically increasing LSN; ``last_lsn`` after :meth:`sync`
+    a monotonically increasing LSN; ``status()["last_committed_lsn"]``
     identifies the committed state a restart must reproduce.
     """
 
@@ -65,10 +61,6 @@ class StorageEngine:
     def count(self, namespace: str) -> int:
         return len(self.items(namespace))
 
-    def sync(self) -> None:
-        """Durability barrier: everything already written survives a
-        crash after this returns (no-op for non-durable backends)."""
-
     def compact(self) -> dict:
         """Rewrite the backend so tombstoned/overwritten values are gone
         from its files; returns compaction stats."""
@@ -76,10 +68,6 @@ class StorageEngine:
 
     def close(self) -> None:
         pass
-
-    @property
-    def last_lsn(self) -> int:
-        raise NotImplementedError
 
     @property
     def healthy(self) -> bool:
@@ -130,10 +118,6 @@ class MemoryEngine(StorageEngine):
     def items(self, namespace: str) -> list[tuple[bytes, bytes]]:
         return list(self._namespaces.get(namespace, {}).items())
 
-    @property
-    def last_lsn(self) -> int:
-        return self._lsn
-
     def status(self) -> dict:
         live = sum(len(entries) for entries in self._namespaces.values())
         return {
@@ -163,9 +147,9 @@ def open_engine(
 ) -> StorageEngine:
     """Open one storage engine by backend name.
 
-    ``path`` is a directory for ``wal``, a database file for ``sqlite``,
-    and ignored for ``memory``.  ``key`` (32 bytes) turns on at-rest
-    AEAD sealing of record values.  ``faults`` threads a
+    ``path`` is a directory for ``wal`` and ignored for ``memory``.
+    ``key`` (32 bytes) turns on at-rest AEAD sealing of record values.
+    ``faults`` threads a
     :class:`~repro.store.faults.FaultPlan` into the WAL write path.
     """
     if backend == "memory":
@@ -183,10 +167,6 @@ def open_engine(
             snapshot_every=snapshot_every,
             component=component,
         )
-    if backend == "sqlite":
-        from .sqlite import SqliteEngine
-
-        return SqliteEngine(path, key=key, component=component)
     raise StorageError(f"unknown storage backend {backend!r}; expected one of {BACKENDS}")
 
 
@@ -206,13 +186,9 @@ def open_service_engine(
         return None
     if data_dir is None:
         raise StorageError(f"store_backend={backend!r} requires a data directory")
-    path = os.path.join(data_dir, role)
-    if backend == "sqlite":
-        os.makedirs(path, exist_ok=True)
-        path = os.path.join(path, "store.db")
     return open_engine(
         backend,
-        path,
+        os.path.join(data_dir, role),
         key=key,
         fsync=config.store_fsync,
         snapshot_every=config.store_snapshot_every,

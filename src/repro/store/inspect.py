@@ -6,17 +6,15 @@ on whatever box the files were copied to).  Record *framing* — LSNs,
 ops, namespaces, keys, counts — is deliberately left in the clear for
 exactly this reason; only values are sealed.
 
-:func:`inspect_store` sniffs the path (a directory with ``wal.log`` →
-WAL store; a file starting with the SQLite magic → SQLite store) and
-returns a plain dict: record counts, live/tombstone ratio, last
-committed LSN, snapshot coverage, and whether the log carries a torn
-tail that the next open would truncate.
+:func:`inspect_store` takes a WAL store directory (one holding
+``wal.log``) and returns a plain dict: record counts, live/tombstone
+ratio, last committed LSN, snapshot coverage, and whether the log
+carries a torn tail that the next open would truncate.
 """
 
 from __future__ import annotations
 
 import os
-import sqlite3
 
 from ..errors import StorageError
 from .records import (
@@ -31,25 +29,21 @@ from .wal import LOG_NAME, SNAPSHOT_PREFIX, SNAPSHOT_SUFFIX
 
 __all__ = ["inspect_store", "format_inspection"]
 
-_SQLITE_MAGIC = b"SQLite format 3\x00"
-
 
 def inspect_store(path: str) -> dict:
-    """Summarize one store (WAL directory or SQLite file) without a key."""
+    """Summarize one WAL store directory without a key."""
     if os.path.isdir(path):
         if not os.path.exists(os.path.join(path, LOG_NAME)):
             raise StorageError(f"{path} is a directory but holds no {LOG_NAME}")
         return _inspect_wal(path)
     if os.path.isfile(path):
         with open(path, "rb") as handle:
-            magic = handle.read(len(_SQLITE_MAGIC))
-        if magic == _SQLITE_MAGIC:
-            return _inspect_sqlite(path)
-        if magic[:8] == LOG_MAGIC or magic[:8] == SNAPSHOT_MAGIC:
+            magic = handle.read(len(LOG_MAGIC))
+        if magic in (LOG_MAGIC, SNAPSHOT_MAGIC):
             raise StorageError(
                 f"{path} is a single WAL store file; inspect its directory instead"
             )
-        raise StorageError(f"{path} is neither a WAL store directory nor a SQLite store")
+        raise StorageError(f"{path} is not a WAL store directory")
     raise StorageError(f"no store at {path}")
 
 
@@ -99,54 +93,21 @@ def _inspect_wal(path: str) -> dict:
     }
 
 
-def _inspect_sqlite(path: str) -> dict:
-    uri = f"file:{path}?mode=ro"
-    conn = sqlite3.connect(uri, uri=True)
-    try:
-        meta = dict(conn.execute("SELECT name, value FROM meta"))
-        namespaces = {
-            namespace: int(count)
-            for namespace, count in conn.execute(
-                "SELECT namespace, COUNT(*) FROM records GROUP BY namespace "
-                "ORDER BY namespace"
-            )
-        }
-    finally:
-        conn.close()
-    live = sum(namespaces.values())
-    appended = int(meta.get("appended", 0))
-    return {
-        "backend": "sqlite",
-        "path": path,
-        "last_committed_lsn": int(meta.get("last_lsn", 0)),
-        "total_records": appended,
-        "live_records": live,
-        "tombstones": int(meta.get("tombstones", 0)),
-        "live_ratio": (live / appended) if appended else 1.0,
-        "namespaces": namespaces,
-    }
-
-
 def format_inspection(report: dict) -> str:
     """Human-readable rendering for the CLI."""
-    lines = [f"{report['backend']} store at {report['path']}"]
-    if report["backend"] == "wal":
+    lines = [
+        f"{report['backend']} store at {report['path']}",
+        f"  sealed values: {'yes' if report['sealed'] else 'no'}; "
+        f"snapshot lsn {report['snapshot_lsn']}"
+        + ("" if report["snapshot_ok"] else " (CORRUPT)"),
+        f"  records: {report['snapshot_records']} snapshot "
+        f"+ {report['log_records']} log = {report['total_records']}",
+    ]
+    if report["torn_tail_bytes"]:
         lines.append(
-            f"  sealed values: {'yes' if report['sealed'] else 'no'}; "
-            f"snapshot lsn {report['snapshot_lsn']}"
-            + ("" if report["snapshot_ok"] else " (CORRUPT)")
+            f"  torn tail: {report['torn_tail_bytes']} bytes "
+            f"(next open truncates them)"
         )
-        lines.append(
-            f"  records: {report['snapshot_records']} snapshot "
-            f"+ {report['log_records']} log = {report['total_records']}"
-        )
-        if report["torn_tail_bytes"]:
-            lines.append(
-                f"  torn tail: {report['torn_tail_bytes']} bytes "
-                f"(next open truncates them)"
-            )
-    else:
-        lines.append(f"  records appended: {report['total_records']}")
     lines.append(
         f"  live: {report['live_records']}  tombstones: {report['tombstones']}  "
         f"live ratio: {report['live_ratio']:.2f}"

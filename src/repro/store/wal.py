@@ -318,12 +318,6 @@ class WalEngine(StorageEngine):
     def items(self, namespace: str) -> list[tuple[bytes, bytes]]:
         return list(self._live.get(namespace, {}).items())
 
-    def sync(self) -> None:
-        if self._crashed or self._closed:
-            return
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
     # -- snapshot + compaction -------------------------------------------------
 
     def compact(self) -> dict:
@@ -396,10 +390,6 @@ class WalEngine(StorageEngine):
             except (OSError, ValueError):
                 pass
         self._handle.close()
-
-    @property
-    def last_lsn(self) -> int:
-        return self._lsn
 
     @property
     def healthy(self) -> bool:

@@ -78,17 +78,6 @@ def test_wrong_authority_garbage_is_the_same_garbage(toy):
     assert toy.scheme.decrypt(key, ciphertext) == reference_decrypt(toy.group, key, ciphertext)
 
 
-def test_delegated_key_has_its_own_cache_entry(toy):
-    scheme = CPABE(toy.group)
-    parent, ciphertext, message = toy.pair("a and b", {"a", "b", "c"})
-    child = scheme.delegate(toy.public, parent, {"a", "b"})
-    assert scheme.decrypt(parent, ciphertext) == message
-    assert scheme.decrypt(child, ciphertext) == message
-    assert scheme.decrypt(child, ciphertext) == reference_decrypt(toy.group, child, ciphertext)
-    assert list(scheme._key_lines) == [parent, child]
-    assert not set(scheme._key_lines[parent]) & set(scheme._key_lines[child])  # re-randomised
-
-
 def test_lines_are_built_only_for_the_key_points_a_decryption_uses(toy):
     scheme = CPABE(toy.group)
     key, ciphertext, message = toy.pair("attr:0 or attr:1", set(TEN))

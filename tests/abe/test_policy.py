@@ -147,12 +147,6 @@ class TestNodeValidation:
         with pytest.raises(PolicyError):
             PolicyNode.gate(3, [PolicyNode.leaf("a")])
 
-    def test_helpers(self):
-        node = PolicyNode.and_(PolicyNode.leaf("a"), PolicyNode.leaf("b"))
-        assert node.threshold == 2
-        node = PolicyNode.or_(PolicyNode.leaf("a"), PolicyNode.leaf("b"))
-        assert node.threshold == 1
-
 
 attribute_names = st.sampled_from(["a", "b", "c", "d", "e"])
 

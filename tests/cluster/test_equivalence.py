@@ -118,7 +118,7 @@ class TestShardedPlacement:
             for record in records:
                 for name, rs in system.rs_shards.items():
                     expected = name in system.cluster.rs_replicas(record.guid)
-                    assert rs.store.contains(record.guid) == expected
+                    assert rs.store.holds(record.guid, system.now) == expected
 
             # each publication was brokered by the shard owning its GUID
             from collections import Counter

@@ -22,7 +22,7 @@ class TestMembershipTable:
         table.heartbeat("ds0", now=2.0)
         assert table.sweep(now=4.0) == ["rs0"]  # silent past the timeout
         assert table.alive() == ["ds0"]
-        assert table.dead("rs") == ["rs0"]
+        assert not table.is_alive("rs0") and table.alive("rs") == []
         assert table.sweep(now=5.0) == []  # a death is reported once
 
     def test_heartbeat_revives_a_dead_member(self):
@@ -93,7 +93,7 @@ class TestSimulatedFailureDetection:
 
     def test_rs_ring_stays_static_through_an_rs_crash(self):
         # replication + retrieval failover cover a dead replica; the RS
-        # ring must NOT churn (that would force a rebalance mid-failure)
+        # ring must NOT churn (that would re-home items mid-failure)
         system = P3SSystem(small_config(ds_shards=2, rs_shards=2, rs_replication=2))
         try:
             system.rs_shards["rs1"].crash()

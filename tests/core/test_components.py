@@ -5,7 +5,7 @@ import pytest
 from repro.core import P3SConfig, P3SSystem, default_schema
 from repro.core.ara import RegistrationAuthority
 from repro.core.config import ComputeTimings
-from repro.core.guid import GUID_BYTES, format_guid, random_guid
+from repro.core.guid import GUID_BYTES, random_guid
 from repro.core.messages import AnonEnvelope, EncryptedMetadata, PayloadSubmission, wire_size_of
 from repro.crypto.group import PairingGroup
 from repro.errors import RegistrationError, SerializationError, TokenRequestError
@@ -24,10 +24,6 @@ class TestGuid:
 
     def test_uniqueness(self):
         assert len({random_guid() for _ in range(100)}) == 100
-
-    def test_format(self):
-        assert len(format_guid(b"\xab" * 16)) == 16
-        assert format_guid(b"\xab" * 16) == "ab" * 8
 
 
 class TestMessages:
@@ -69,11 +65,6 @@ class TestARA:
         with pytest.raises(RegistrationError):
             self.ara.register_publisher("alice")
 
-    def test_registered_role(self):
-        self.ara.register_publisher("bob")
-        assert self.ara.registered_role("bob") == "publisher"
-        assert self.ara.registered_role("ghost") is None
-
     def test_unknown_service_role_rejected(self):
         with pytest.raises(RegistrationError):
             self.ara.install_service("mailman", "m")
@@ -94,7 +85,7 @@ class TestPBETokenServer:
         alice = system.add_subscriber("alice", {"a"})
         system.subscribe(alice, Interest({"topic": "a"}))
         system.run()
-        assert system.pbe_ts.tokens_issued == 1
+        assert system.pbe_ts.issuer.tokens_issued == 1
         assert len(alice.tokens) == 1
 
     def test_publisher_certificate_rejected(self):
@@ -126,7 +117,7 @@ class TestPBETokenServer:
 
         with pytest.raises(TokenRequestError):
             decode_token_response(session_key, sealed_holder[0])
-        assert system.pbe_ts.tokens_issued == 0
+        assert system.pbe_ts.issuer.tokens_issued == 0
 
     def test_expired_certificate_rejected(self):
         system = self.make_system()
@@ -192,7 +183,7 @@ class TestRepositoryServer:
 
         system.sim.process(attempt())
         system.run()
-        assert system.rs.failed_retrievals == 1
+        assert system.rs.store.failed_retrievals == 1
 
 
 class TestAnonymizer:

@@ -11,6 +11,7 @@ battery that could not be written while each rule was welded to
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from repro.core.ara import RegistrationAuthority
 from repro.core.config import ComputeTimings
 from repro.core.ds import DisseminationServer
 from repro.core.messages import (
+    METADATA_TOPIC,
     KIND_METADATA,
     KIND_PAYLOAD,
     KIND_TOKEN_REG,
@@ -57,6 +59,7 @@ from repro.errors import BrokerError, RetrievalError, TokenRequestError, Transpo
 from repro.mq import messages as frames
 from repro.mq.client import JmsConnection
 from repro.mq.messages import JmsFrame
+from repro.obs import Observability
 from repro.pbe.hve import HVE
 from repro.pbe.schema import AttributeSpec, Interest, MetadataSchema
 from repro.pbe.serialize import (
@@ -65,7 +68,7 @@ from repro.pbe.serialize import (
     serialize_hve_token,
 )
 from repro.store import MemoryEngine
-from repro.store.codec import NS_SUBS, NS_TOKENS
+from repro.store.codec import NS_SUBS, NS_TOKENS, encode_token
 
 TIMINGS = ComputeTimings()
 SCHEMA = MetadataSchema(
@@ -206,7 +209,7 @@ def _connected_ds(ports, subscribers, **options) -> DisseminationServer:
     ds = DisseminationServer(ports, "rs", **options)
     for name in subscribers:
         ports.deliver(name, frames.CONNECT, JmsFrame())
-        ports.deliver(name, frames.SUBSCRIBE, JmsFrame(topic=ds.metadata_topic))
+        ports.deliver(name, frames.SUBSCRIBE, JmsFrame(topic=METADATA_TOPIC))
     return ds
 
 
@@ -225,7 +228,7 @@ class TestDisseminationRouting:
         _publish(ds, "pub", _frame(KIND_METADATA, envelope))
         assert ports.sent(frames.DELIVER) == ["carol", "alice", "bob"]
         delivered = [p for _, kind, p, _ in ports.casts if kind == frames.DELIVER]
-        assert all(f.topic == ds.metadata_topic and f.body is envelope for f in delivered)
+        assert all(f.topic == METADATA_TOPIC and f.body is envelope for f in delivered)
         assert len({f.message_id for f in delivered}) == 1  # one delivery frame, fanned out
         assert ds.publications_by_publisher == {"pub": 1}
         assert ds.observed_sizes == [(KIND_METADATA, 40)]
@@ -261,8 +264,8 @@ class TestDisseminationRouting:
         ports = RecordingPorts("ds")
         ds = DisseminationServer(ports, "rs")
         with pytest.raises(BrokerError):
-            ports.deliver("rogue", frames.SUBSCRIBE, JmsFrame(topic=ds.metadata_topic))
-        assert ds.subscriptions[ds.metadata_topic] == []
+            ports.deliver("rogue", frames.SUBSCRIBE, JmsFrame(topic=METADATA_TOPIC))
+        assert ds.subscriptions[METADATA_TOPIC] == []
         assert ds.store.items(NS_SUBS) == []
 
     def test_lost_connection_drops_one_delivery_not_the_fan_out(self):
@@ -323,9 +326,9 @@ class TestDelegatedMatching:
     def test_skip_and_deliver_sets_follow_subscription_order(self, group, tokens):
         ports = RecordingPorts("ds")
         ds = _connected_ds(
-            ports, ["dave", "alice", "bob", "carol"], group=group, timings=TIMINGS,
-            match_workers=0,
-        )
+            ports, ["dave", "alice", "bob", "carol"], group=group, vector_length=4,
+            timings=TIMINGS, match_workers=0,
+        )  # fmt: skip
         try:
             ds.register_token("alice", tokens["hit"])
             ds.register_token("bob", tokens["miss"])
@@ -341,26 +344,85 @@ class TestDelegatedMatching:
         finally:
             ds.close_match_pool()
 
-    def test_registration_commits_the_ds_to_delegated_matching(self, group):
+    def test_registration_commits_the_ds_to_delegated_matching(self, group, tokens):
         """One warm-up rule (drift #2): the pool exists as soon as a token
         is registered or recovered — not at the first matched publication."""
         engine = MemoryEngine()
-        ds = DisseminationServer(
-            RecordingPorts("ds"), "rs", group=group, match_workers=0, store=engine
-        )
+        options = dict(group=group, vector_length=4, match_workers=0, store=engine)
+        ds = DisseminationServer(RecordingPorts("ds"), "rs", **options)
         assert ds._match_pool is None
-        ds.register_token("alice", b"tok")
+        ds.register_token("alice", tokens["hit"])
         assert ds._match_pool is not None
         ds.crash()
         assert ds._match_pool is None and ds.registered_tokens == []
 
-        reborn = DisseminationServer(
-            RecordingPorts("ds"), "rs", group=group, match_workers=0, store=engine
-        )
+        reborn = DisseminationServer(RecordingPorts("ds"), "rs", **options)
         assert reborn._match_pool is None  # nothing recovered yet: memory is not durable
         assert reborn.recover_registrations() == 1
         assert reborn._match_pool is not None
         reborn.close_match_pool()
+
+    @staticmethod
+    def _reframed(group, token_bytes: bytes, **header) -> bytes:
+        """A well-framed token with its header fields rewritten."""
+        token = deserialize_hve_token(group, token_bytes)
+        return serialize_hve_token(group, dataclasses.replace(token, **header))
+
+    def hostile_tokens(self, group, tokens) -> dict[str, bytes]:
+        """What a connected client can put in a ``p3s.token-reg`` frame to
+        make the matcher raise: each of these used to fail the whole
+        batch, for every subscriber and every later publication."""
+        hit = tokens["hit"]
+        return {
+            "garbage": b"\x00" * 9,  # SerializationError: not a token frame at all
+            "truncated": hit[:-1],
+            "n+1": self._reframed(group, hit, n=5),  # ParameterError in _query_key
+            "n-1": self._reframed(group, hit, n=3),
+            "position>=n": self._reframed(group, hit, positions=(0, 4)),  # IndexError
+            "positions-not-increasing": self._reframed(group, hit, positions=(1, 1)),
+            "point-off-curve": hit[:-1] + bytes([hit[-1] ^ 1]),
+        }
+
+    def test_hostile_token_frames_are_counted_not_stored(self, group, tokens):
+        ports = RecordingPorts("ds")
+        ds = _connected_ds(
+            ports, ["alice", "mallory"], group=group, vector_length=4,
+            timings=TIMINGS, match_workers=0,
+        )  # fmt: skip
+        obs = Observability()
+        try:
+            ds.register_token("alice", tokens["hit"])
+            registered = list(ds.registered_tokens)
+            hostile = self.hostile_tokens(group, tokens)
+            with obs.installed():
+                for frame_body in hostile.values():
+                    _publish(ds, "mallory", _frame(KIND_TOKEN_REG, frame_body))
+            assert obs.metrics.counter_total("op.ds.token_rejected") == len(hostile)
+            assert ds.registered_tokens == registered
+            assert len(ds.store.items(NS_TOKENS)) == 1
+            # the honest subscriber's delivery is untouched; mallory holds no
+            # token, so she gets the baseline broadcast
+            envelope = EncryptedMetadata(hve_bytes=tokens["hve_bytes"], publication_id=1)
+            _publish(ds, "pub", _frame(KIND_METADATA, envelope))
+            assert ports.sent(frames.DELIVER) == ["alice", "mallory"]
+        finally:
+            ds.close_match_pool()
+
+    def test_hostile_tokens_already_on_disk_are_not_recovered(self, group, tokens):
+        """The same door on the way back in: a registry written before the
+        check existed (or by other hands) must not re-arm the failure."""
+        engine = MemoryEngine()
+        for index, token in enumerate(self.hostile_tokens(group, tokens).values()):
+            engine.put(NS_TOKENS, b"k%d" % index, encode_token("mallory", token))
+        engine.put(NS_TOKENS, b"honest", encode_token("alice", tokens["hit"]))
+        ds = DisseminationServer(
+            RecordingPorts("ds"), "rs", group=group, vector_length=4, store=engine
+        )
+        try:
+            assert ds.recover_registrations() == 1
+            assert ds.registered_tokens == [("alice", tokens["hit"])]
+        finally:
+            ds.close_match_pool()
 
     def test_without_a_group_tokens_are_recorded_but_never_matched(self):
         ports = RecordingPorts("ds")
@@ -381,7 +443,7 @@ class TestRegistryRoundTrip:
         assert len(engine.items(NS_TOKENS)) == 2
         assert len(engine.items(NS_SUBS)) == 2
         ds.unregister_token("bob", b"t2")
-        ds.ports.deliver("bob", frames.UNSUBSCRIBE, JmsFrame(topic=ds.metadata_topic))
+        ds.ports.deliver("bob", frames.UNSUBSCRIBE, JmsFrame(topic=METADATA_TOPIC))
         assert len(engine.items(NS_TOKENS)) == 1
         assert len(engine.items(NS_SUBS)) == 1
 
@@ -389,7 +451,7 @@ class TestRegistryRoundTrip:
         assert reborn.registered_tokens == [] and reborn.recovered_registrations == 0
         assert reborn.recover_registrations() == 2
         assert reborn.registered_tokens == [("alice", b"t1")]
-        assert reborn.subscriptions[reborn.metadata_topic] == ["alice"]
+        assert reborn.subscriptions[METADATA_TOPIC] == ["alice"]
         assert reborn.recover_registrations() == 0  # nothing new the second time
 
 
@@ -459,7 +521,7 @@ class TestTokenRequestExchange:
         )
         sealed, _ = ports.deliver("anon", RPC_TOKEN_REQUEST, server.pke.public.encrypt(body))
         token = deserialize_hve_token(group, decode_token_response(session_key, sealed))
-        assert token is not None and server.tokens_issued == 1
+        assert token is not None and server.issuer.tokens_issued == 1
         assert server.observed_sources == ["anon"]
         assert ports.computed[:2] == [TIMINGS.pke_op, TIMINGS.pbe_token_gen]
 
@@ -553,13 +615,8 @@ class TestJmsClient:
         connection.create_session().create_consumer("t").set_message_listener(got.append)
         assert ports.sent(frames.SUBSCRIBE) == ["ds0", "ds1"]
         ports.casts.clear()
-        connection.add_broker("ds2")  # a shard that joined later
-        assert [(dst, kind) for dst, kind, _, _ in ports.casts] == [
-            ("ds2", frames.CONNECT), ("ds2", frames.SUBSCRIBE),
-        ]  # fmt: skip
-        ports.casts.clear()
         connection.reconnect()  # §6.1: a restarted DS rebuilt its registry from scratch
-        assert ports.sent(frames.CONNECT) == ports.sent(frames.SUBSCRIBE) == ["ds0", "ds1", "ds2"]
+        assert ports.sent(frames.CONNECT) == ports.sent(frames.SUBSCRIBE) == ["ds0", "ds1"]
 
     def test_ack_returns_to_the_broker_that_delivered(self):
         _, ports, connection = self._client()

@@ -90,11 +90,11 @@ class TestSubscriberRecovery:
         system.subscribe(alice, Interest({"topic": "b"}))
         system.run()
         assert len(alice.tokens) == 2
-        issued_before = system.pbe_ts.tokens_issued
+        issued_before = system.pbe_ts.issuer.tokens_issued
         alice.restart()
         system.run()
         assert len(alice.tokens) == 2  # re-obtained
-        assert system.pbe_ts.tokens_issued == issued_before + 2
+        assert system.pbe_ts.issuer.tokens_issued == issued_before + 2
         # and matching still works end to end
         publisher = system.add_publisher("bob")
         system.run()

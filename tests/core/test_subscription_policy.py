@@ -47,7 +47,7 @@ class TestSubscriptionPolicy:
         event = system.subscribe(alice, Interest({"topic": "a"}))  # only 1 constrained
         with pytest.raises(TokenRequestError):
             system.run()
-        assert system.pbe_ts.tokens_issued == 0
+        assert system.pbe_ts.issuer.tokens_issued == 0
 
     def test_compliant_predicate_accepted(self):
         policy = SubscriptionPolicy(min_constrained_attributes=2)

@@ -294,3 +294,32 @@ class TestFailureHandling:
         system.run()
         with pytest.raises(RetrievalError):
             decode_retrieval_response(session_key, responses[0])
+
+    def test_malformed_token_registration_does_not_silence_the_ds(self):
+        """One ``p3s.token-reg`` frame of garbage from a connected client
+        used to fail every later delegated fan-out — and ``system.run()``
+        with it; the DS now counts it and drops it at the door."""
+        from repro.core.messages import KIND_TOKEN_REG
+        from repro.store.codec import NS_TOKENS
+
+        system = make_system(delegated_matching=True)
+        alice = system.add_subscriber("alice", {"org:acme"})
+        mallory = system.add_subscriber("mallory", {"org:acme"}, delegate_tokens=False)
+        system.subscribe(alice, Interest({"topic": "m&a"}))
+        system.run()
+        registered = list(system.ds.registered_tokens)
+
+        def hostile():
+            yield mallory._send_to_ds(b"\x00" * 9, 9, {"p3s-kind": KIND_TOKEN_REG}, "ds")
+
+        mallory.ports.drive(hostile())
+        system.run()
+        assert system.ds.registered_tokens == registered
+        assert len(system.ds.store.items(NS_TOKENS)) == len(registered) == 1
+
+        bob = system.add_publisher("bob")
+        record = bob.publish(METADATA, b"deal update", policy="org:acme")
+        system.run()
+        assert [d.payload for d in alice.stats.deliveries] == [b"deal update"]
+        assert len(system.deliveries_for(record)) == 1  # mallory declared no interest
+        system.close()

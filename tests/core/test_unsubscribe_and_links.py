@@ -1,10 +1,6 @@
-"""Unsubscribe semantics, publisher reconnect, per-link latency."""
-
-import pytest
+"""Unsubscribe semantics, publisher reconnect."""
 
 from repro.core import P3SConfig, P3SSystem
-from repro.net.network import Message, Network
-from repro.net.simulator import Simulator
 from repro.pbe import AttributeSpec, Interest, MetadataSchema
 
 
@@ -66,21 +62,3 @@ class TestPublisherReconnect:
         record = publisher.publish({"topic": "a"}, b"resumed", policy="org")
         system.run()
         assert len(system.deliveries_for(record)) == 1
-
-
-class TestPerLinkLatency:
-    def test_latency_override(self):
-        sim = Simulator()
-        net = Network(sim, latency_s=0.045)
-        a, b = net.add_host("a"), net.add_host("b")
-        a.set_link_latency("b", 0.002)  # same rack
-        arrival = a.send("b", Message("m", None, 1000))
-        assert arrival == pytest.approx((1000 * 8) / 10_000_000 + 0.002)
-
-    def test_default_latency_unaffected(self):
-        sim = Simulator()
-        net = Network(sim, latency_s=0.045)
-        a, b, c = net.add_host("a"), net.add_host("b"), net.add_host("c")
-        a.set_link_latency("b", 0.001)
-        arrival_c = a.send("c", Message("m", None, 0))
-        assert arrival_c == pytest.approx(0.045)

@@ -23,21 +23,14 @@ import contextlib
 import hashlib
 import random
 
+import struct
+
 from repro.abe.bsw07 import CPABE
-from repro.abe.serialize import (
-    serialize_master_key,
-    serialize_public_key,
-    serialize_secret_key,
-)
 from repro.crypto import symmetric
 from repro.crypto.group import PairingGroup
 from repro.crypto.pairing import tate_pairing
 from repro.pbe.hve import HVE
-from repro.pbe.serialize import (
-    serialize_hve_ciphertext,
-    serialize_hve_public_key,
-    serialize_hve_token,
-)
+from repro.pbe.serialize import serialize_hve_ciphertext, serialize_hve_token
 
 PARAM_SET = "TOY"
 SEED = 20120806  # paper year + vector freeze date
@@ -73,6 +66,47 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# Keys never cross a wire (they travel as objects in the pickled state
+# bundle), so the program has no key format.  The committed digests were
+# taken over the byte layouts below, which live here for that purpose only.
+
+
+def _prefixed(data: bytes) -> bytes:
+    return struct.pack(">I", len(data)) + data
+
+
+def _hve_public_key_bytes(group, public) -> bytes:
+    points = [*public.t, *public.v, *public.r, *public.m]
+    return (
+        struct.pack(">I", public.n)
+        + group.serialize_gt(public.y_gt)
+        + b"".join(group.serialize_g1(point) for point in points)
+    )
+
+
+def _cpabe_public_key_bytes(group, public) -> bytes:
+    return (
+        b"".join(_prefixed(group.serialize_g1(p)) for p in (public.g, public.h, public.f))
+        + _prefixed(group.serialize_gt(public.e_gg_alpha))
+    )
+
+
+def _cpabe_master_key_bytes(group, master) -> bytes:
+    return master.beta.to_bytes(group.zr_bytes, "big") + group.serialize_g1(master.g_alpha)
+
+
+def _cpabe_secret_key_bytes(group, key) -> bytes:
+    parts = [_prefixed(group.serialize_g1(key.d)), struct.pack(">I", len(key.components))]
+    for attribute in sorted(key.components):
+        d_j, d_j_prime = key.components[attribute]
+        parts += [
+            _prefixed(attribute.encode("utf-8")),
+            _prefixed(group.serialize_g1(d_j)),
+            _prefixed(group.serialize_g1(d_j_prime)),
+        ]
+    return b"".join(parts)
+
+
 def derive_vectors() -> dict:
     """Recompute every golden vector from the fixed seeds."""
     data: dict = {"param_set": PARAM_SET, "seed": SEED}
@@ -103,7 +137,7 @@ def derive_vectors() -> dict:
     data["hve"] = {
         "n": HVE_N,
         "x": HVE_X,
-        "public_key_sha256": _sha256(serialize_hve_public_key(hve_group, public)),
+        "public_key_sha256": _sha256(_hve_public_key_bytes(hve_group, public)),
         "ciphertext_hex": serialize_hve_ciphertext(hve_group, ciphertext).hex(),
         "token_match_hex": serialize_hve_token(hve_group, token_match).hex(),
         "token_miss_sha256": _sha256(serialize_hve_token(hve_group, token_miss)),
@@ -118,8 +152,8 @@ def derive_vectors() -> dict:
     key = cpabe.keygen(abe_master, BSW07_ATTRIBUTES)
     data["bsw07"] = {
         "attributes": sorted(BSW07_ATTRIBUTES),
-        "public_key_sha256": _sha256(serialize_public_key(abe_group, abe_public)),
-        "master_key_sha256": _sha256(serialize_master_key(abe_group, abe_master)),
-        "secret_key_sha256": _sha256(serialize_secret_key(abe_group, key)),
+        "public_key_sha256": _sha256(_cpabe_public_key_bytes(abe_group, abe_public)),
+        "master_key_sha256": _sha256(_cpabe_master_key_bytes(abe_group, abe_master)),
+        "secret_key_sha256": _sha256(_cpabe_secret_key_bytes(abe_group, key)),
     }
     return data

@@ -75,4 +75,4 @@ def test_bilinearity_holds_on_precomputed_path(group, rng):
     b = rng.randrange(1, group.order)
     p, q = g * a, g * b
     pre = group.precompute_pairing(p)
-    assert group.pair_precomputed(pre, q) == group.pair(g, g) ** (a * b % group.order)
+    assert group.multi_pair_precomputed([(pre, q)]) == group.pair(g, g) ** (a * b % group.order)

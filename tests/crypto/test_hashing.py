@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.hashing import constant_time_equal, hash_bytes, hash_to_int, kdf
+from repro.crypto.hashing import hash_bytes, hash_to_int, kdf
 
 
 class TestHashBytes:
@@ -58,12 +58,3 @@ class TestKdf:
 
     def test_prefix_consistency(self):
         assert kdf(b"secret", "l", 64)[:32] == kdf(b"secret", "l", 32)
-
-
-class TestConstantTimeEqual:
-    def test_equal(self):
-        assert constant_time_equal(b"abc", b"abc")
-
-    def test_not_equal(self):
-        assert not constant_time_equal(b"abc", b"abd")
-        assert not constant_time_equal(b"abc", b"abcd")

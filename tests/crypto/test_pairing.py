@@ -208,7 +208,7 @@ class TestFinalExponentiation:
 
     def test_zero_has_no_final_exponentiation(self):
         with pytest.raises(ZeroDivisionError):
-            final_exponentiation(Fq2.zero(TOY.q), TOY)
+            final_exponentiation(Fq2(0, 0, TOY.q), TOY)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, TOY.q - 1), st.integers(0, TOY.q - 1))

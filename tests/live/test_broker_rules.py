@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.messages import KIND_HEALTH
+from repro.core.messages import KIND_HEALTH, METADATA_TOPIC
 from repro.live.deployment import LiveDeployment
 from repro.mq import messages as frames
 from repro.mq.messages import JmsFrame
@@ -31,7 +31,7 @@ def test_subscribe_before_connect_rejected_and_ds_keeps_serving():
         rogue = deployment._client_endpoint("rogue")
         try:
             ds = deployment.ds
-            topic = deployment.config.metadata_topic
+            topic = METADATA_TOPIC
             # forge a SUBSCRIBE without CONNECT, then round-trip a request
             # on the same connection: frames are handled in order, so the
             # reply proves the SUBSCRIBE was processed — and that the

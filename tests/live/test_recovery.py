@@ -17,7 +17,9 @@ from repro.errors import StorageError
 from repro.live.deployment import LiveDeployment
 from repro.live.rpc import AddressBook, LiveRpcEndpoint
 from repro.live.services import LiveDisseminationServer
+from repro.pbe.hve import HVE
 from repro.pbe.schema import Interest
+from repro.pbe.serialize import serialize_hve_token
 from repro.store import WalEngine
 from repro.store.codec import NS_TOKENS, encode_token, token_key
 
@@ -30,15 +32,17 @@ class TestRecoveredRegistrationsWarmPool:
     def test_restarted_ds_is_ready_before_any_publication(self, tmp_path, group):
         path = str(tmp_path / "ds")
         # a previous DS process registered one delegated-matching token
+        hve = HVE(group)
+        _, master = hve.setup(4)
+        token = serialize_hve_token(group, hve.gen_token(master, [1, None, None, 0]))
         with WalEngine(path) as engine:
-            engine.put(
-                NS_TOKENS, token_key("alice", b"tok"), encode_token("alice", b"tok")
-            )
+            engine.put(NS_TOKENS, token_key("alice", token), encode_token("alice", token))
 
         ds = LiveDisseminationServer(
             LiveRpcEndpoint("ds", AddressBook()),
             "rs",
             group=group,
+            vector_length=4,
             match_workers=1,
             store=WalEngine(path),
         )

@@ -108,15 +108,3 @@ class TestNetworkProperties:
         predicted = a.send("b", Message("m", None, size))
         expected = (size * 8) / 10_000_000 + latency
         assert abs(predicted - expected) < 1e-9
-
-
-class TestGadgetDot:
-    def test_dot_renders_conventions(self):
-        from repro.privacy.gadget import pbe_gadget
-
-        dot = pbe_gadget().to_dot()
-        assert dot.startswith('digraph "pbe"')
-        assert "penwidth=3" in dot  # sensitive elements
-        assert 'label="&"' in dot  # AND gates
-        assert "color=orange" in dot  # attack gates
-        assert dot.rstrip().endswith("}")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.simulator import Simulator, all_of
+from repro.net.simulator import Simulator
 
 
 class TestClockAndTimeouts:
@@ -204,30 +204,3 @@ class TestStore:
         store.put(1)
         store.put(2)
         assert len(store) == 2
-
-
-class TestAllOf:
-    def test_joins_values(self):
-        sim = Simulator()
-        results = []
-
-        def proc():
-            events = [sim.timeout(1.0, "a"), sim.timeout(3.0, "b"), sim.timeout(2.0, "c")]
-            values = yield all_of(sim, events)
-            results.append((sim.now, values))
-
-        sim.process(proc())
-        sim.run()
-        assert results == [(3.0, ["a", "b", "c"])]
-
-    def test_empty(self):
-        sim = Simulator()
-        results = []
-
-        def proc():
-            values = yield all_of(sim, [])
-            results.append(values)
-
-        sim.process(proc())
-        sim.run()
-        assert results == [[]]

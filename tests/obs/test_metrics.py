@@ -50,7 +50,7 @@ class TestHistograms:
         for value in range(100):
             registry.observe("h", float(value))
         histogram = registry.histogram("h")
-        # same rule as LatencyStats: index = round(fraction * (n-1))
+        # nearest rank: index = round(fraction * (n-1))
         assert histogram.percentile(0.95) == 94.0
         assert histogram.percentile(0.99) == 98.0
         assert histogram.percentile(0.0) == 0.0
@@ -96,7 +96,7 @@ class TestHistograms:
 
 class TestOnePercentileRule:
     """``nearest_rank`` is the only percentile in the repo; Histogram
-    and LatencyStats both answer through it."""
+    answers through it."""
 
     # n -> (p50, p95, p99) of the samples 0.0 .. n-1: index round(f * (n-1)),
     # ties to even as Python rounds
@@ -109,20 +109,17 @@ class TestOnePercentileRule:
 
     @pytest.mark.parametrize("n", sorted(PINNED))
     def test_rule_is_pinned_and_shared(self, n):
-        from repro.core.metrics import LatencyStats
         from repro.obs.metrics import nearest_rank
 
         values = [float(v) for v in range(n)]
         p50, p95, p99 = self.PINNED[n]
         assert tuple(nearest_rank(values, f) for f in (0.5, 0.95, 0.99)) == (p50, p95, p99)
         registry = MetricsRegistry()
-        for value in reversed(values):  # both callers sort for themselves
+        for value in reversed(values):  # the histogram sorts for itself
             registry.observe("h", value)
         histogram = registry.histogram("h")
         assert tuple(histogram.percentile(f) for f in (0.5, 0.95, 0.99)) == (p50, p95, p99)
-        stats = LatencyStats.from_values(list(reversed(values)))
-        assert (stats.median, stats.p95, stats.p99) == (p50, p95, p99)
-        assert stats.maximum == histogram.percentile(1.0) == float(n - 1)
+        assert histogram.percentile(1.0) == float(n - 1)
 
 
 class TestSeriesSnapshots:

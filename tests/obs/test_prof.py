@@ -154,7 +154,7 @@ class TestStackSampler:
             profile = sampler.profile()
         finally:
             obs.uninstall()
-        assert not sampler.running
+        assert sampler._thread is None  # the context manager stopped it
         assert profile.meta["ticks"] > 0
         roots = {stack[0] for stack in profile.samples}
         assert "pub" in roots

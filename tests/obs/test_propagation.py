@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core import P3SConfig, P3SSystem
-from repro.core.metrics import MetricsCollector
-from repro.obs import Observability
+from repro.obs import Observability, spans_to_jsonl
 from repro.obs import hooks
 from repro.pbe import AttributeSpec, Interest, MetadataSchema
 
@@ -104,29 +103,29 @@ class TestSpanPropagation:
 
     def test_exports_nonempty(self, traced_run):
         obs, _, _ = traced_run
-        jsonl = obs.spans_jsonl()
+        jsonl = spans_to_jsonl(obs.tracer.spans)
         assert len(jsonl.strip().splitlines()) == len(obs.tracer.spans)
-        assert "net.bytes" in obs.metrics_csv()
+        assert "net.bytes" in obs.metrics.to_csv()
         tree = obs.format_tree()
         assert "publish [pub]" in tree
         assert "hve.match" in obs.format_ops()
 
 
-class TestCollectorIntegration:
-    def test_component_bytes_from_registry(self, traced_run):
+class TestRegistryTotals:
+    def test_net_bytes_agree_with_the_host_counters(self, traced_run):
         obs, system, _ = traced_run
-        collector = MetricsCollector(system)
-        counters = collector.component_bytes()
-        # the registry path must agree with the per-host counters
+        sent = obs.metrics.counters_by_label("net.bytes", "src")
+        received = obs.metrics.counters_by_label("net.bytes", "dst")
         for name, host in system.network.hosts.items():
-            assert counters[name] == (host.bytes_sent, host.bytes_received)
+            assert (sent.get(name, 0), received.get(name, 0)) == (
+                host.bytes_sent,
+                host.bytes_received,
+            )
 
-    def test_crypto_op_counts(self, traced_run):
-        obs, system, _ = traced_run
-        counts = MetricsCollector(system).crypto_op_counts()
-        assert counts["op.hve.match"] == 3
-        assert counts["op.abe.decrypt"] == 2
-        assert all(name.startswith("op.") for name in counts)
+    def test_crypto_op_totals(self, traced_run):
+        obs, _, _ = traced_run
+        assert obs.metrics.counter_total("op.hve.match") == 3
+        assert obs.metrics.counter_total("op.abe.decrypt") == 2
 
 
 class TestDisabledMode:
@@ -138,10 +137,9 @@ class TestDisabledMode:
         assert sentinel.tracer.spans == []
         assert hooks.active() is None
 
-    def test_collector_falls_back_to_host_counters(self):
+    def test_host_byte_counters_run_without_observability(self):
         system, _ = run_system(obs=None)
-        counters = MetricsCollector(system).component_bytes()
-        assert counters["ds"][0] > 0
+        assert system.network.hosts["ds"].bytes_sent > 0
 
     def test_uninstall_stops_recording(self):
         obs = Observability()

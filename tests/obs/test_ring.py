@@ -46,14 +46,6 @@ class TestFlightRecorder:
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
 
-    def test_eviction_hook_sees_the_evicted_span(self):
-        evicted = []
-        ring = FlightRecorder(capacity=2, on_evict=evicted.append)
-        spans = [_span(i) for i in range(5)]
-        for span in spans:
-            ring.append(span)
-        assert evicted == spans[:3]
-
     def test_drain_returns_finished_only_and_removes_them(self):
         ring = FlightRecorder(capacity=8)
         done = [_span(1), _span(3)]
@@ -94,12 +86,6 @@ class TestTracerWithRecorder:
             tracer.end_span(tracer.start_span("op", component="c"))
         assert len(tracer.spans) == 16
         assert tracer.dropped_spans == 200 - 16
-
-    def test_eviction_prunes_the_id_index(self):
-        tracer = Tracer(capacity=4)
-        for _ in range(100):
-            tracer.end_span(tracer.start_span("op", component="c"))
-        assert len(tracer._by_id) == 4
 
     def test_drain_finished_leaves_open_spans(self):
         tracer = Tracer(capacity=16)

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchemaError
-from repro.pbe.encoding import bits_needed, decode_value, encode_value, wildcard_bits
+from repro.pbe.encoding import bits_needed, encode_value, wildcard_bits
+
+
+def _as_int(bits: list[int]) -> int:
+    """The index a big-endian bit list spells."""
+    return int("".join(str(bit) for bit in bits), 2)
 
 
 class TestBitsNeeded:
@@ -32,7 +37,8 @@ class TestEncodeDecode:
     def test_roundtrip_exhaustive(self):
         for domain in (2, 3, 5, 8, 11):
             for index in range(domain):
-                assert decode_value(encode_value(index, domain), domain) == index
+                bits = encode_value(index, domain)
+                assert len(bits) == bits_needed(domain) and _as_int(bits) == index
 
     def test_big_endian(self):
         assert encode_value(4, 8) == [1, 0, 0]
@@ -44,20 +50,11 @@ class TestEncodeDecode:
         with pytest.raises(SchemaError):
             encode_value(-1, 8)
 
-    def test_decode_wrong_width(self):
-        with pytest.raises(SchemaError):
-            decode_value([0, 1], 8)
-
-    def test_decode_out_of_domain(self):
-        # 3 values need 2 bits, but '11' = 3 is outside the domain
-        with pytest.raises(SchemaError):
-            decode_value([1, 1], 3)
-
     @settings(max_examples=50)
     @given(st.integers(min_value=2, max_value=64), st.data())
     def test_roundtrip_property(self, domain, data):
         index = data.draw(st.integers(min_value=0, max_value=domain - 1))
-        assert decode_value(encode_value(index, domain), domain) == index
+        assert _as_int(encode_value(index, domain)) == index
 
 
 class TestWildcard:

@@ -1,4 +1,4 @@
-"""HVE public/master key serialization and compressed ciphertexts."""
+"""Compressed HVE ciphertexts and compressed points."""
 
 import pytest
 
@@ -7,12 +7,8 @@ from repro.errors import SerializationError
 from repro.pbe import (
     HVE,
     deserialize_hve_ciphertext,
-    deserialize_hve_master_key,
-    deserialize_hve_public_key,
     hve_ciphertext_size,
     serialize_hve_ciphertext,
-    serialize_hve_master_key,
-    serialize_hve_public_key,
 )
 
 GROUP = PairingGroup("TOY")
@@ -20,34 +16,6 @@ SCHEME = HVE(GROUP)
 N = 4
 PUBLIC, MASTER = SCHEME.setup(N)
 GUID = b"guid-abcdef12345"
-
-
-class TestHVEKeySerialization:
-    def test_public_key_roundtrip_encrypts(self):
-        restored = deserialize_hve_public_key(
-            GROUP, serialize_hve_public_key(GROUP, PUBLIC)
-        )
-        ciphertext = SCHEME.encrypt(restored, [1, 0, 1, 0], GUID)
-        token = SCHEME.gen_token(MASTER, [1, 0, None, None])
-        assert SCHEME.query(token, ciphertext) == GUID
-
-    def test_master_key_roundtrip_mints_tokens(self):
-        restored = deserialize_hve_master_key(
-            GROUP, serialize_hve_master_key(GROUP, MASTER)
-        )
-        ciphertext = SCHEME.encrypt(PUBLIC, [1, 0, 1, 0], GUID)
-        token = SCHEME.gen_token(restored, [1, 0, 1, 0])
-        assert SCHEME.query(token, ciphertext) == GUID
-
-    def test_public_key_bad_length(self):
-        data = serialize_hve_public_key(GROUP, PUBLIC)
-        with pytest.raises(SerializationError):
-            deserialize_hve_public_key(GROUP, data[:-1])
-
-    def test_master_key_bad_length(self):
-        data = serialize_hve_master_key(GROUP, MASTER)
-        with pytest.raises(SerializationError):
-            deserialize_hve_master_key(GROUP, data + b"\x00")
 
 
 class TestCompressedCiphertexts:

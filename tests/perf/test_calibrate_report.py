@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.config import ComputeTimings
 from repro.perf.calibrate import calibrate
 from repro.perf.params import ModelParams
 from repro.perf.report import format_rate, format_seconds, format_size, format_table, series_table
@@ -37,11 +36,6 @@ class TestCalibration:
         assert params.encrypted_metadata_bytes == result.encrypted_metadata_bytes
         # untouched fields keep Table 1 values
         assert params.num_subscribers == ModelParams().num_subscribers
-
-    def test_as_compute_timings(self, result):
-        timings = result.as_compute_timings()
-        assert isinstance(timings, ComputeTimings)
-        assert timings.pbe_match == result.pbe_match_s
 
     def test_timed_encryption_is_warm_and_the_cold_one_is_named(self, monkeypatch):
         """``pbe_encrypt_s < pbe_encrypt_cold_s``, stated without a clock:

@@ -29,7 +29,7 @@ class TestTraceVisibility:
     def test_all_claims_hold_with_anonymizer(self):
         system = run_scenario(use_anonymizer=True)
         report = trace_visibility(system)
-        assert report.all_hold(), [
+        assert not report.failures(), [
             (c.component, c.claim, c.evidence) for c in report.failures()
         ]
 
@@ -44,7 +44,7 @@ class TestTraceVisibility:
         subscribers."""
         system = run_scenario(use_anonymizer=False)
         report = trace_visibility(system)
-        assert report.all_hold()
+        assert not report.failures()
         assert "matcher" in system.pbe_ts.observed_sources
 
     def test_failure_detection(self):
@@ -55,8 +55,6 @@ class TestTraceVisibility:
         failures = report.failures()
         assert any(c.component == "rs" for c in failures)
 
-    def test_per_component_accessor(self):
+    def test_the_ds_is_held_to_three_claims(self):
         report = trace_visibility(run_scenario())
-        ds_claims = report.for_component("ds")
-        assert len(ds_claims) == 3
-        assert all(c.component == "ds" for c in ds_claims)
+        assert len([c for c in report.claims if c.component == "ds"]) == 3

@@ -106,7 +106,7 @@ class TestCompactionCrashes:
             engine.compact()
         recovered = WalEngine(path)
         assert dict(recovered.items("items")) == committed
-        assert recovered.last_lsn == 10  # 8 puts + 2 deletes, none lost
+        assert recovered.status()["last_committed_lsn"] == 10  # 8 puts + 2 deletes, none lost
         # a compaction after recovery completes and converges the files
         recovered.compact()
         recovered.close()

@@ -8,17 +8,15 @@ keystream, ``secretbox-enc``/``secretbox-mac`` sub-keys) with::
         seal_value(box, NAMESPACE, RECORD_KEY, V1_PLAINTEXT)
 
 The current box derives its MAC key under a versioned label, so the old
-tag no longer verifies and both durable engines surface the record as
+tag no longer verifies and the WAL engine surfaces the record as
 ``CorruptRecordError`` — it is never XORed with the new keystream and
 handed back as noise.
 """
 
-import sqlite3
-
 import pytest
 
 from repro.errors import CorruptRecordError
-from repro.store import SqliteEngine, WalEngine
+from repro.store import WalEngine
 from repro.store.records import LOG_MAGIC, OP_PUT, encode_header, encode_record
 from repro.store.wal import LOG_NAME
 
@@ -42,22 +40,3 @@ def test_wal_engine_rejects_a_value_sealed_by_the_old_box(tmp_path):
     (path / LOG_NAME).write_bytes(log)
     with pytest.raises(CorruptRecordError, match="wrong store key or damaged file"):
         WalEngine(str(path), key=KEY)
-
-
-def test_sqlite_engine_rejects_a_value_sealed_by_the_old_box(tmp_path):
-    path = str(tmp_path / "store.sqlite")
-    with SqliteEngine(path, key=KEY) as engine:
-        engine.put(NAMESPACE, RECORD_KEY, V1_PLAINTEXT)
-    conn = sqlite3.connect(path)
-    with conn:
-        changed = conn.execute(
-            "UPDATE records SET value = ? WHERE namespace = ? AND key = ?",
-            (V1_SEALED, NAMESPACE, RECORD_KEY),
-        ).rowcount
-    conn.close()
-    assert changed == 1
-    with SqliteEngine(path, key=KEY) as engine:
-        with pytest.raises(CorruptRecordError, match="wrong store key or damaged"):
-            engine.get(NAMESPACE, RECORD_KEY)
-        with pytest.raises(CorruptRecordError):
-            engine.items(NAMESPACE)

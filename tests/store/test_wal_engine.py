@@ -44,7 +44,7 @@ class TestRoundtrip:
             assert engine.get("items", b"a") is None
             assert engine.get("items", b"b") == b"beta"
             assert engine.items("subs") == [(b"t\x00alice", b"")]
-            assert engine.last_lsn == 4
+            assert engine.status()["last_committed_lsn"] == 4
 
     def test_last_writer_wins_across_reopen(self, tmp_path):
         path = str(tmp_path / "store")
@@ -130,7 +130,7 @@ class TestCorruption:
             assert not engine.recovery.clean
             assert engine.recovery.torn_bytes > 0
             assert engine.count("items") == 4  # last record lost, prefix intact
-            assert engine.last_lsn == 4
+            assert engine.status()["last_committed_lsn"] == 4
         with WalEngine(path) as engine:
             assert engine.recovery.clean  # the tail was truncated off
 

@@ -21,10 +21,8 @@ class TestHierarchy:
     def test_scheme_failures_are_decryption_errors(self):
         # callers catch DecryptionError to handle "could not decrypt" uniformly
         assert issubclass(errors.PolicyNotSatisfiedError, errors.DecryptionError)
-        assert issubclass(errors.PredicateMismatchError, errors.DecryptionError)
 
     def test_p3s_family(self):
-        assert issubclass(errors.ItemExpiredError, errors.RetrievalError)
         assert issubclass(errors.RetrievalError, errors.P3SError)
         assert issubclass(errors.TokenRequestError, errors.P3SError)
         assert issubclass(errors.CertificateError, errors.P3SError)
