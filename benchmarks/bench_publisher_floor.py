@@ -84,7 +84,7 @@ def _reads(runs: str) -> dict[str, list[float]]:
     return reads
 
 
-def _e2e_reads(runs: str) -> dict[str, dict[str, dict[str, list[float]]]]:
+def e2e_reads(runs: str) -> dict[str, dict[str, dict[str, list[float]]]]:
     """``{"<workload>-<seed>": {side: {metric: [value of pair 1, 2, …]}}}``."""
     out: dict[str, dict[str, dict[str, list[float]]]] = {}
     for path in sorted(glob.glob(os.path.join(runs, "e2e", "*.jsonl"))):
@@ -138,7 +138,7 @@ def test_publisher_floor_records(capsys, bench_writer):
             "parent": "e93d9a6",
             "vector_bits": VECTOR_BITS,
             "reads": reads,
-            "e2e_reads": _e2e_reads(runs),
+            "e2e_reads": e2e_reads(runs),
         },
         records=records,
     )

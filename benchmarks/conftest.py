@@ -18,6 +18,8 @@ Environment knobs:
   the repo root; unset (the default) leaves the committed record alone.
 * ``P3S_PR20_RUNS`` — the directory of parent/change harness runs
   ``bench_publisher_floor.py`` turns into records (it skips without it).
+* ``P3S_PR24_RUNS`` — likewise for ``bench_key_tables.py`` (it measures
+  and asserts without it, and writes ``BENCH_pr24.json`` only with it).
 """
 
 import os

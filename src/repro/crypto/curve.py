@@ -31,6 +31,7 @@ __all__ = [
     "Point",
     "hash_to_point",
     "FixedBaseTable",
+    "TableCache",
     "fixed_base_table",
     "clear_fixed_base_cache",
     "mul_many",
@@ -46,10 +47,14 @@ __all__ = [
 # scalar multiplication from ~``1.5·b`` group operations to ``b/4``
 # additions (no doublings at all).
 #
-# Tables are promoted automatically: a base pays for its table only after
-# ``_FB_PROMOTE_AFTER`` large scalar multiplications, so one-shot points
-# (hash-to-point candidates, ephemeral keys) never trigger a build.  Both
-# the table cache and the use-count map are LRU-bounded.
+# Tables are promoted automatically: a base pays for its table only on its
+# third large scalar multiplication, so one-shot points (hash-to-point
+# candidates, ephemeral keys) never trigger a build.  A table lives with
+# whoever owns its base (``TableCache``): an HVE public key carries those
+# of its own 4n bases — 4n at most, freed with the key — and every other
+# base (``g``, CP-ABE, PKE and signing keys: 6–13 on any workload) is
+# served by value from one process-global cache, LRU-bounded because
+# nothing else bounds it.
 #
 # A single multiplication (``FixedBaseTable.mul``) is a dependent chain: a
 # Jacobian accumulator, one inversion for the result.  A batch in hand at
@@ -64,15 +69,6 @@ _FB_WINDOW = 4
 _FB_PROMOTE_AFTER = 2  # big muls a base must perform before a table is built
 _FB_MAX_TABLES = 128
 _FB_MAX_COUNTS = 4096
-
-_fb_tables: "OrderedDict[tuple[int, int, int], FixedBaseTable]" = OrderedDict()
-_fb_counts: "OrderedDict[tuple[int, int, int], int]" = OrderedDict()
-
-
-def clear_fixed_base_cache() -> None:
-    """Drop all tables and promotion counters (test isolation)."""
-    _fb_tables.clear()
-    _fb_counts.clear()
 
 
 class FixedBaseTable:
@@ -135,55 +131,81 @@ class FixedBaseTable:
         return Point._from_affine(normalise([(X, Y, Z)], q)[0], self.base.params)
 
 
+class TableCache:
+    """Comb tables of a set of bases, keyed by value, and the use counts that
+    earn them; each LRU-bounded (a key sizes both to its own bases: no eviction)."""
+
+    def __init__(self, max_tables: int, max_counts: int):
+        self.max_tables = max_tables
+        self.max_counts = max_counts
+        self.tables: "OrderedDict[tuple[int, int, int], FixedBaseTable]" = OrderedDict()
+        self.counts: "OrderedDict[tuple[int, int, int], int]" = OrderedDict()
+
+    def clear(self) -> None:
+        self.tables.clear()
+        self.counts.clear()
+
+    def table(self, point: "Point") -> FixedBaseTable:
+        """Get-or-build the comb table for ``point``."""
+        key = (point.x, point.y, point.params.q)
+        table = self.tables.get(key)
+        if table is None:
+            table = FixedBaseTable(point, point.params.r.bit_length() + _FB_WINDOW)
+            self.tables[key] = table
+            self.counts.pop(key, None)
+            record_op("g1_exp.fb_build")
+            while len(self.tables) > self.max_tables:
+                self.tables.popitem(last=False)
+        else:
+            self.tables.move_to_end(key)
+        return table
+
+    def lookup(self, point: "Point", bits: int) -> FixedBaseTable | None:
+        """Count one multiplication of ``point`` by a ``bits``-bit scalar and
+        return the comb table that serves it: a cached one wide enough, or
+        the one this use promotes the base to."""
+        record_op("g1_exp")
+        key = (point.x, point.y, point.params.q)
+        table = self.tables.get(key)
+        if table is not None:
+            self.tables.move_to_end(key)
+        elif bits > 32:
+            count = self.counts.get(key, 0) + 1
+            if count > _FB_PROMOTE_AFTER:
+                table = self.table(point)
+            else:
+                self.counts[key] = count
+                self.counts.move_to_end(key)
+                while len(self.counts) > self.max_counts:
+                    self.counts.popitem(last=False)
+        if table is None or bits > table.max_bits:
+            return None
+        record_op("g1_exp.fixed_base")
+        return table
+
+
+_adhoc_tables = TableCache(_FB_MAX_TABLES, _FB_MAX_COUNTS)  # every base no key owns
+
+
+def clear_fixed_base_cache() -> None:
+    """Drop the ad-hoc tables and promotion counters (test isolation)."""
+    _adhoc_tables.clear()
+
+
 def fixed_base_table(point: "Point") -> FixedBaseTable:
-    """Get-or-build the comb table for ``point`` (explicit warm-up API).
+    """Get-or-build the ad-hoc comb table for ``point`` (explicit warm-up API).
 
     Services with known-hot bases (the PBE-TS, publishers) call this once
     so even their first request takes the fast path.
     """
-    key = (point.x, point.y, point.params.q)
-    table = _fb_tables.get(key)
-    if table is None:
-        table = FixedBaseTable(point, point.params.r.bit_length() + _FB_WINDOW)
-        _fb_tables[key] = table
-        _fb_counts.pop(key, None)
-        record_op("g1_exp.fb_build")
-        while len(_fb_tables) > _FB_MAX_TABLES:
-            _fb_tables.popitem(last=False)
-    else:
-        _fb_tables.move_to_end(key)
-    return table
+    return _adhoc_tables.table(point)
 
 
-def _fb_lookup(point: "Point", bits: int) -> FixedBaseTable | None:
-    """Count one multiplication of ``point`` by a ``bits``-bit scalar and
-    return the comb table that serves it: a cached one wide enough, or the
-    one this use promotes the base to."""
-    record_op("g1_exp")
-    key = (point.x, point.y, point.params.q)
-    table = _fb_tables.get(key)
-    if table is not None:
-        _fb_tables.move_to_end(key)
-    elif bits > 32:
-        count = _fb_counts.get(key, 0) + 1
-        if count > _FB_PROMOTE_AFTER:
-            table = fixed_base_table(point)
-        else:
-            _fb_counts[key] = count
-            _fb_counts.move_to_end(key)
-            while len(_fb_counts) > _FB_MAX_COUNTS:
-                _fb_counts.popitem(last=False)
-    if table is None or bits > table.max_bits:
-        return None
-    record_op("g1_exp.fixed_base")
-    return table
-
-
-def mul_many(pairs: "list[tuple[Point, int]]") -> "list[Point]":
+def mul_many(pairs: "list[tuple[Point, int]]", owner: TableCache = _adhoc_tables) -> "list[Point]":
     """``[base * k for base, k in pairs]`` for bases on one curve, each
-    entry counted, promoted and served exactly as ``Point.__mul__`` would;
-    the comb-table entries walk in lock-step, one inversion per window for
-    all of them."""
+    entry counted, promoted and served exactly as ``Point.__mul__`` would
+    (from ``owner``, when the bases are one key's own); the comb-table
+    entries walk in lock-step, one inversion per window for all of them."""
     results: list[Point | None] = []
     walk = []  # (slot, table, k) of every entry a comb table serves
     for base, k in pairs:
@@ -191,7 +213,7 @@ def mul_many(pairs: "list[tuple[Point, int]]") -> "list[Point]":
             raise ParameterError("mul_many: bases on different curves")
         if k < 0:
             base, k = -base, -k
-        table = None if k == 0 or base.is_infinity else _fb_lookup(base, k.bit_length())
+        table = None if k == 0 or base.is_infinity else owner.lookup(base, k.bit_length())
         if table is None:
             results.append(base.scalar_mul_windowed(k, 4 if k.bit_length() > 32 else 1))
         else:
@@ -291,7 +313,7 @@ class Point:
         """
         if k < 0:
             return (-self) * (-k)
-        table = None if k == 0 or self.is_infinity else _fb_lookup(self, k.bit_length())
+        table = None if k == 0 or self.is_infinity else _adhoc_tables.lookup(self, k.bit_length())
         if table is not None:
             return table.mul(k)
         return self.scalar_mul_windowed(k, 4 if k.bit_length() > 32 else 1)
@@ -338,12 +360,12 @@ class Point:
         if len(data) != 1 + 2 * width:
             raise SerializationError(f"point encoding must be {1 + 2 * width} bytes, got {len(data)}")
         tag = data[0]
-        if tag == 0x00:
-            return cls.infinity(params)
-        if tag != 0x04:
-            raise SerializationError(f"unknown point tag {tag:#x}")
         x = int.from_bytes(data[1 : 1 + width], "big")
         y = int.from_bytes(data[1 + width :], "big")
+        if tag == 0x00 and x == y == 0:
+            return cls.infinity(params)
+        if tag != 0x04 or x >= params.q or y >= params.q:  # one encoding a point
+            raise SerializationError(f"not a canonical point encoding (tag {tag:#x})")
         return cls(x, y, params)  # membership check on by default
 
     def to_bytes_compressed(self) -> bytes:
@@ -367,12 +389,12 @@ class Point:
                 f"compressed point encoding must be {1 + width} bytes, got {len(data)}"
             )
         tag = data[0]
-        if tag == 0x00:
-            return cls.infinity(params)
-        if tag not in (0x02, 0x03):
-            raise SerializationError(f"unknown compressed point tag {tag:#x}")
         x = int.from_bytes(data[1:], "big")
         q = params.q
+        if tag == 0x00 and x == 0:
+            return cls.infinity(params)
+        if tag not in (0x02, 0x03) or x >= q or (x == 0 and tag == 0x03):  # one encoding a point
+            raise SerializationError(f"not a canonical compressed point encoding (tag {tag:#x})")
         rhs = (x * x * x + x) % q
         if not fq_is_square(rhs, q):
             raise NotOnCurveError(f"x = {x:#x} is not on the curve")

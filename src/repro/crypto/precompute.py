@@ -9,10 +9,10 @@ this module is the policy/observation surface over both:
 * **Fixed-base comb tables** (:mod:`repro.crypto.curve`) — the group
   generator ``g`` and the HVE/CP-ABE public-key bases are multiplied by
   fresh scalars on every setup, encrypt and token-gen call.  Tables are
-  keyed by base, auto-promoted after a base's second large scalar
-  multiplication, and LRU-bounded.  ~5x per scalar multiplication at TOY
-  parameters.  One multiplication walks its table in Jacobian form; a
-  batch (``curve.mul_many``) and a table's build, affine in lock-step.
+  keyed by base and auto-promoted on a base's third large scalar
+  multiplication.  ~5x per scalar multiplication at TOY parameters.  One
+  multiplication walks its table in Jacobian form; a batch
+  (``curve.mul_many``) and a table's build, affine in lock-step.
 
 * **Miller-loop line precomputation** (:mod:`repro.crypto.pairing`) — a
   pairing argument reused across many pairings (an HVE subscription token
@@ -23,9 +23,14 @@ this module is the policy/observation surface over both:
   their consumers, per instance and LRU-bounded (``HVE._token_pre``,
   ``CPABE._key_lines``): they are token / key material.
 
-The comb tables are process-global (workers of a
-:class:`repro.par.MatchPool` each warm their own copy) and both paths are
-bit-identical to the naive ones — enforced by
+A comb table lives with whoever owns its base.  An ``HVEPublicKey``
+carries the tables of its own 4n bases (``HVEPublicKey.tables``): key
+material like the lines above — 4n at most, freed with the key, never
+serialized; ≈ 42 KB a table at ``TOY``, ≈ 160 KB at ``PAPER``.  Every other
+base (``g``, CP-ABE, PKE and signing keys: 6–13 on any workload) is served
+by value from one process-global, LRU-bounded cache (workers of a
+:class:`repro.par.MatchPool` each warm their own copy).  Both precomputed
+paths are bit-identical to the naive ones — enforced by
 ``tests/par/test_equivalence.py`` and the golden vectors in
 ``tests/crypto/vectors/``.
 """
@@ -55,5 +60,6 @@ def warm_generator(group) -> None:
 
 
 def clear_caches() -> None:
-    """Drop every precomputation cache (test isolation)."""
+    """Drop every process-global precomputation cache (test isolation; a
+    harness's "new process").  Tables a key owns go when the key does."""
     clear_fixed_base_cache()

@@ -42,9 +42,9 @@ resistance: components from different tokens use incompatible sharings of
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from ..crypto.curve import Point, mul_many
+from ..crypto.curve import Point, TableCache, mul_many
 from ..crypto.group import PairingGroup
 from ..crypto.hashing import kdf
 from ..crypto.symmetric import SecretBox
@@ -58,7 +58,12 @@ WILDCARD = None  # interest-vector positions use None for '*'
 
 @dataclass(frozen=True)
 class HVEPublicKey:
-    """Public parameters for vector length ``n``."""
+    """Public parameters for vector length ``n``.
+
+    ``tables`` holds the comb tables of this key's own 4n bases — key
+    material, as a token's Miller lines are (``HVE._token_pre``): freed with
+    the key, never compared, hashed or pickled (a copy starts with none).
+    """
 
     n: int
     y_gt: object  # Y = ê(g,g)^{y₀}  (Fq2)
@@ -66,6 +71,13 @@ class HVEPublicKey:
     v: tuple[Point, ...]
     r: tuple[Point, ...]
     m: tuple[Point, ...]
+    tables: TableCache = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tables", TableCache(4 * self.n, 4 * self.n))
+
+    def __reduce__(self):
+        return HVEPublicKey, (self.n, self.y_gt, self.t, self.v, self.r, self.m)
 
 
 @dataclass(frozen=True)
@@ -179,7 +191,7 @@ class HVE:
             pairs.append((x_base, (s - s_i) % order))
             pairs.append((w_base, s_i))
         # 2n independent multiplications in hand at once: one lock-step batch
-        points = mul_many(pairs)
+        points = mul_many(pairs, public.tables)
         key = kdf(group.serialize_gt(public.y_gt**s), "hve-kem")
         sealed = SecretBox(key).seal(payload)
         return HVECiphertext(

@@ -23,3 +23,17 @@ def naive_query(group, token, ciphertext) -> bytes | None:
         return SecretBox(kdf(group.serialize_gt(z), "hve-kem")).open(ciphertext.sealed)
     except DecryptionError:
         return None
+
+
+def naive_encrypt_points(group, public, x):
+    """``(X, W, s)`` of the textbook IP08 ``Encrypt``: the scalars drawn in
+    ``HVE.encrypt``'s order, every multiplication the table-less windowed
+    ladder — no comb table, no batch, no promotion."""
+    s = group.random_zr()
+    xs, ws = [], []
+    for i, bit in enumerate(x):
+        s_i = group.random_zr(nonzero=False)
+        x_base, w_base = (public.t[i], public.v[i]) if bit == 1 else (public.r[i], public.m[i])
+        xs.append(x_base.scalar_mul_windowed((s - s_i) % group.order))
+        ws.append(w_base.scalar_mul_windowed(s_i))
+    return tuple(xs), tuple(ws), s
