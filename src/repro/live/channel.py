@@ -187,9 +187,9 @@ class SecureChannel:
 
     async def close(self) -> None:
         """Graceful half: flush, FIN, release."""
-        if self._closed:
-            return
         self._closed = True
+        if self._writer.is_closing():
+            return  # a failed read or send marks the channel closed, not the socket
         try:
             self._writer.close()
             await self._writer.wait_closed()

@@ -1,11 +1,11 @@
 """Request/response RPC over live secure channels.
 
-:class:`LiveRpcEndpoint` is the asyncio implementation of the
-substrate contract in :mod:`repro.net.transport` — the same
-``serve`` / ``call`` / ``cast`` surface as the simulator's
-:class:`repro.net.rpc.RpcEndpoint`, with the same frame-header
-conventions (``rpc`` / ``corr`` / ``reply_to``), so P3S protocol logic
-reads identically on both substrates.
+:class:`LiveRpcEndpoint` is the asyncio substrate under the frame rules
+of :class:`repro.net.rpc.Endpoint` — the rules the simulator's
+:class:`~repro.net.rpc.RpcEndpoint` runs too, so P3S protocol logic reads
+identically on both substrates.  What is written here is only how a
+frame leaves (dial, then ``send_record``), how a wait is made (a
+future with a deadline) and how a body runs (a task the endpoint owns).
 
 Connection management:
 
@@ -13,14 +13,18 @@ Connection management:
   :class:`AddressBook`, with bounded exponential-backoff retries
   (``backoff_base * 2^attempt``, capped), then kept open and multiplexed;
 * **serving** — services call :meth:`start_server`; every accepted
-  connection is handshaken and registered under the client's name, so a
-  service can *push* frames to connected clients (the DS delivering
-  metadata broadcasts) over the same connection the client opened;
+  connection is handshaken and read.  A client's name is a claim, so an
+  accepted channel becomes the way to its peer only for a name the
+  directory does not hold: a service can *push* frames to connected
+  clients (the DS delivering metadata broadcasts) over the connection
+  the client opened, while a directory name is always reached over the
+  channel this endpoint dialed.  A reply goes back over the channel its
+  request came in on;
 * **timeouts** — every ``call`` has a deadline
   (:class:`~repro.errors.TransportError` on expiry); handshakes and
   dials have their own;
 * **graceful shutdown** — :meth:`close` stops the listener, closes every
-  channel, cancels reader tasks, and fails pending calls instead of
+  channel, cancels reader tasks, and fails pending waits instead of
   leaving them hanging;
 * **gauges** — every endpoint keeps always-on transport accounting for
   the telemetry plane (:meth:`stats`): open connections, in-flight
@@ -34,13 +38,13 @@ Connection management:
 from __future__ import annotations
 
 import asyncio
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..crypto.signing import VerifyKey
-from ..errors import MessageLossError, NetworkError, ReproError, TransportError
+from ..errors import MessageLossError, NetworkError, TransportError
+from ..net.rpc import Endpoint
 from ..net.transport import TransportMessage
 from ..obs import hooks as obs
 from .channel import SecureChannel, ServerIdentity, ServiceKey, accept_channel, connect_channel
@@ -67,6 +71,9 @@ class AddressBook:
     def __init__(self) -> None:
         self._entries: dict[str, _Entry] = {}
 
+    def __contains__(self, name: str) -> bool:
+        return name in self._entries
+
     def register(self, name: str, host: str, port: int, service_key: ServiceKey) -> None:
         self._entries[name] = _Entry(host, port, service_key)
 
@@ -83,10 +90,8 @@ class AddressBook:
         return {name: (e.host, e.port) for name, e in self._entries.items()}
 
 
-class LiveRpcEndpoint:
+class LiveRpcEndpoint(Endpoint):
     """RPC + one-way messaging endpoint for one live P3S party."""
-
-    _correlation = itertools.count(1)
 
     def __init__(
         self,
@@ -100,6 +105,7 @@ class LiveRpcEndpoint:
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 1.0,
     ):
+        super().__init__()
         self._name = name
         self.addresses = addresses
         self.ara_verify_key = ara_verify_key
@@ -109,16 +115,13 @@ class LiveRpcEndpoint:
         self.reconnect_attempts = reconnect_attempts
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
-        self._handlers: dict[str, Callable] = {}
-        self._channels: dict[str, SecureChannel] = {}
-        self._readers: dict[str, asyncio.Task] = {}
+        self._channels: dict[str, SecureChannel] = {}  # the way to each peer
+        self._readers: dict[SecureChannel, asyncio.Task] = {}  # every adopted channel
         self._dial_locks: dict[str, asyncio.Lock] = {}
-        self._pending: dict[int, asyncio.Future] = {}
+        self._waits: set[asyncio.Future] = set()  # outstanding completables
         self._handler_tasks: set[asyncio.Task] = set()
         self._server: asyncio.base_events.Server | None = None
         self._closed = False
-        self.bytes_sent = 0
-        self.bytes_received = 0
         # telemetry gauges/counters — plain attribute bumps, always on
         self.tx_bytes: dict[str, int] = defaultdict(int)
         self.rx_bytes: dict[str, int] = defaultdict(int)
@@ -143,7 +146,7 @@ class LiveRpcEndpoint:
     @property
     def open_connections(self) -> int:
         """Live channels currently usable (dialed or accepted)."""
-        return sum(1 for channel in self._channels.values() if not channel.closed)
+        return sum(1 for channel in self._readers if not channel.closed)
 
     @property
     def in_flight_calls(self) -> int:
@@ -162,25 +165,12 @@ class LiveRpcEndpoint:
             "in_flight_calls": self.in_flight_calls,
             "pending_high_water": self.pending_high_water,
             "reconnects": self.reconnects,
-            "dial_backoff_active": self.dial_backoff_active,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
             "tx_bytes": dict(self.tx_bytes),
             "rx_bytes": dict(self.rx_bytes),
             "rx_frames": dict(self.rx_frames),
         }
 
     # -- server side -----------------------------------------------------------
-
-    def serve(self, msg_type: str, handler: Callable) -> None:
-        """Register a handler; may be sync or ``async def``.
-
-        Request handlers return ``(payload, size_bytes)`` — same contract
-        as the simulator substrate; one-way handlers return ``None``.
-        """
-        if msg_type in self._handlers:
-            raise NetworkError(f"handler for {msg_type!r} already registered")
-        self._handlers[msg_type] = handler
 
     async def start_server(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Listen for live connections; returns the bound ``(host, port)``.
@@ -201,18 +191,18 @@ class LiveRpcEndpoint:
             channel = await accept_channel(reader, writer, self.identity)
         except NetworkError:
             return  # failed handshakes never reach the application
-        self._adopt(channel.peer_name, channel)
+        self._adopt(channel.peer_name, channel, dialed=False)
 
     # -- connection management -------------------------------------------------
 
-    def _adopt(self, peer: str, channel: SecureChannel) -> None:
-        """Track a live channel and start its reader loop."""
-        old = self._readers.pop(peer, None)
-        if old is not None:
-            old.cancel()
-        self._channels[peer] = channel
-        task = asyncio.ensure_future(self._reader_loop(peer, channel))
-        self._readers[peer] = task
+    def _adopt(self, peer: str, channel: SecureChannel, dialed: bool) -> None:
+        """Start ``channel``'s reader loop, and make it the way to ``peer``
+        unless ``peer`` is a directory name this endpoint did not dial: a
+        client's name is a claim, and a claim must not displace the
+        authenticated channel to the service it names."""
+        if dialed or peer not in self.addresses:
+            self._channels[peer] = channel
+        self._readers[channel] = asyncio.ensure_future(self._reader_loop(peer, channel))
 
     async def _ensure_channel(self, dst: str) -> SecureChannel:
         channel = self._channels.get(dst)
@@ -250,7 +240,7 @@ class LiveRpcEndpoint:
                         self._name,
                         timeout=self.connect_timeout_s,
                     )
-                    self._adopt(dst, channel)
+                    self._adopt(dst, channel, dialed=True)
                     return channel
                 except TransportError as exc:
                     last_error = exc
@@ -277,18 +267,12 @@ class LiveRpcEndpoint:
         ``size_bytes`` exists for signature parity with the simulator
         endpoint; the live wire measures itself.
         """
-        correlation = next(self._correlation)
-        reply, _ = self.completable(timeout_s, f"call {msg_type} to {dst}")
-        self._pending[correlation] = reply
+        correlation, reply, sent = self._request(
+            dst, msg_type, payload, size_bytes, headers, timeout_s
+        )
         self.pending_high_water = max(self.pending_high_water, len(self._pending))
-        frame_headers = {
-            **(headers or {}),
-            "rpc": "request",
-            "corr": correlation,
-            "reply_to": self._name,
-        }
         try:
-            await self._send_frame(dst, msg_type, payload, frame_headers)
+            await sent
             return await reply
         finally:
             reply.cancel()  # disarms the deadline when the send failed; else a no-op
@@ -314,9 +298,11 @@ class LiveRpcEndpoint:
         deadline = loop.call_later(
             self.call_timeout_s if timeout_s is None else timeout_s, expire
         )
+        self._waits.add(wait)
 
         def settled(_wait: asyncio.Future) -> None:
             deadline.cancel()
+            self._waits.discard(wait)
             if not wait.cancelled():
                 # mark it retrieved: a waiter that already left (its send
                 # failed first) is not an unhandled error
@@ -334,20 +320,18 @@ class LiveRpcEndpoint:
         headers: dict[str, Any] | None = None,
     ) -> None:
         """One-way frame (no response expected)."""
-        await self._send_frame(dst, msg_type, payload, dict(headers or {}))
+        await self._send(dst, msg_type, payload, size_bytes, dict(headers or {}))
 
-    async def _send_frame(
-        self, dst: str, msg_type: str, payload: Any, headers: dict[str, Any]
-    ) -> None:
+    async def _send(self, to, msg_type: str, payload: Any, size_bytes, headers) -> None:
+        """``to`` is a peer's name, or the channel a request came in on."""
         if self._closed:
             raise TransportError(f"endpoint {self._name} is closed")
-        channel = await self._ensure_channel(dst)
+        channel = to if isinstance(to, SecureChannel) else await self._ensure_channel(to)
         record = encode_frame(
             TransportMessage(msg_type=msg_type, payload=payload, src=self._name, headers=headers)
         )
         wire_len = await channel.send_record(record)
-        self.bytes_sent += len(record)
-        self.tx_bytes[dst] += wire_len
+        self.tx_bytes[channel.peer_name] += wire_len
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -356,75 +340,62 @@ class LiveRpcEndpoint:
             while True:
                 wire_before = channel.bytes_received
                 record = await channel.recv_record()
-                self.bytes_received += len(record)
                 self.rx_bytes[peer] += channel.bytes_received - wire_before
                 self.rx_frames[peer] += 1
                 message = decode_frame(record)
                 message.src = channel.peer_name  # trust the handshake, not the frame
                 copies = 1 if self.dispatch_fanout is None else self.dispatch_fanout(message)
                 for _ in range(copies):
-                    self._dispatch(message)
+                    self._dispatch(message, channel)
         except MessageLossError:
             obs.record_op("live.record_gap")
             await channel.close()
-        except (TransportError, asyncio.CancelledError):
+        except TransportError:
+            await channel.close()  # e.g. an undecodable frame: the peer redials
+        except asyncio.CancelledError:
             pass
         finally:
             # pending calls are correlated, not per-channel: a redial may
             # still carry their retries, so only close() fails them
+            self._readers.pop(channel, None)
             if self._channels.get(peer) is channel:
                 del self._channels[peer]
 
-    def _dispatch(self, message: TransportMessage) -> None:
-        kind = message.headers.get("rpc")
-        if kind == "response":
-            correlation = message.headers.get("corr")
-            future = self._pending.pop(correlation, None)
-            if future is not None and not future.done():
-                future.set_result(message.payload)
-            return
-        if kind == "request":
-            self.spawn(self._handle_request(message))
-            return
-        handler = self._handlers.get(message.msg_type)
-        if handler is None:
-            return  # unrouted one-way frame; drop (same as the simulator)
+    async def drive(self, gen) -> Any:
+        """Step the body ``gen`` inside the awaiting task; returns its value."""
+        value = failure = None
         try:
-            result = handler(message.src, message)
-        except ReproError:
-            # a protocol rule refused the frame (SUBSCRIBE before
-            # CONNECT): drop it; the peer's reader loop keeps running
-            obs.record_op("live.frame_rejected")
-            return
-        if asyncio.iscoroutine(result):
-            self.spawn(result)
+            while True:
+                try:
+                    target = gen.send(value) if failure is None else gen.throw(failure)
+                except StopIteration as stop:
+                    return stop.value
+                value = failure = None
+                if hasattr(target, "__await__"):
+                    try:
+                        value = await target
+                    except Exception as exc:
+                        failure = exc
+                else:
+                    value = target
+        finally:
+            gen.close()  # a cancelled task unwinds the body's open spans now
 
-    async def _handle_request(self, message: TransportMessage) -> None:
-        handler = self._handlers.get(message.msg_type)
-        if handler is None:
-            return  # unknown RPC; P3S services ignore unroutable requests
-        result = handler(message.src, message)
-        if asyncio.iscoroutine(result):
-            result = await result
-        payload, _size = result
-        reply_to = message.headers.get("reply_to", message.src)
-        await self._send_frame(
-            reply_to,
-            message.msg_type + ":reply",
-            payload,
-            {"rpc": "response", "corr": message.headers.get("corr")},
-        )
-
-    def spawn(self, coro) -> None:
-        """Run ``coro`` as a task this endpoint owns (cancelled on close)."""
-        task = asyncio.ensure_future(coro)
+    def spawn(self, gen) -> None:
+        """Run the body ``gen`` as a task this endpoint owns (cancelled on close)."""
+        task = asyncio.ensure_future(self.drive(gen))
         self._handler_tasks.add(task)
         task.add_done_callback(self._handler_tasks.discard)
+
+    _one_way = spawn  # the reader loop only reads: every handler runs as a task
+    # a cast is a socket write, so even a body that only casts has to be
+    # awaited: "now" is the simulator's privilege
+    finish = drive
 
     # -- shutdown ------------------------------------------------------------------
 
     async def close(self) -> None:
-        """Graceful shutdown: listener, channels, readers, pending calls."""
+        """Graceful shutdown: listener, channels, readers, pending waits."""
         if self._closed:
             return
         self._closed = True
@@ -433,13 +404,11 @@ class LiveRpcEndpoint:
             await self._server.wait_closed()
         for task in self._handler_tasks:
             task.cancel()
-        for task in self._readers.values():
-            task.cancel()
-        for channel in list(self._channels.values()):
+        for channel, reader in list(self._readers.items()):
+            reader.cancel()
             await channel.close()
         self._channels.clear()
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(TransportError(f"endpoint {self._name} closed"))
-        self._pending.clear()
+        for wait in list(self._waits):
+            if not wait.done():
+                wait.set_exception(TransportError(f"endpoint {self._name} closed"))
         await asyncio.sleep(0)  # let cancellations propagate

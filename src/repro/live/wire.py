@@ -22,6 +22,12 @@ on the wire: raw bytes, the three :mod:`repro.core.messages` dataclasses,
 JMS frames (which nest one of the others as their body), strings and
 ``None``.  Unknown payload types are a :class:`~repro.errors.TransportError`
 at encode time — nothing silently pickles.
+
+Decoding reads bytes a peer chose: whatever is not a frame this module
+could have written — malformed JSON, text that is not UTF-8, a header
+that is not a JSON object, a type or source that is not a string,
+payloads nested deeper than :data:`MAX_PAYLOAD_DEPTH` — is a
+:class:`~repro.errors.TransportError`, never another exception.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ __all__ = [
 ]
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024  # sanity bound on one record
+# payloads inside payloads: the protocol puts one leaf in a JMS frame or
+# an anonymizer envelope; the rest is room for a relay cascade
+MAX_PAYLOAD_DEPTH = 8
 
 _TAG_NONE = 0
 _TAG_BYTES = 1
@@ -75,7 +84,24 @@ def _pack_str(text: str) -> bytes:
 
 def _unpack_str(buffer: bytes, offset: int) -> tuple[str, int]:
     raw, offset = _unpack_bytes(buffer, offset)
-    return raw.decode("utf-8"), offset
+    return _text(raw), offset
+
+
+def _text(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TransportError(f"malformed frame: text is not UTF-8: {exc}") from exc
+
+
+def _json_object(raw: bytes, what: str) -> dict:
+    try:
+        value = json.loads(_text(raw))
+    except (ValueError, RecursionError) as exc:
+        raise TransportError(f"malformed {what}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise TransportError(f"malformed {what}: not a JSON object")
+    return value
 
 
 # -- payload codecs ------------------------------------------------------------
@@ -121,15 +147,21 @@ def encode_payload(payload: Any) -> bytes:
 
 
 def decode_payload(data: bytes) -> Any:
+    return _decode_payload(data, 0)
+
+
+def _decode_payload(data: bytes, depth: int) -> Any:
     if not data:
         raise TransportError("empty payload encoding")
+    if depth > MAX_PAYLOAD_DEPTH:
+        raise TransportError(f"payload nested deeper than {MAX_PAYLOAD_DEPTH}")
     tag, body = data[0], data[1:]
     if tag == _TAG_NONE:
         return None
     if tag == _TAG_BYTES:
         return body
     if tag == _TAG_STR:
-        return body.decode("utf-8")
+        return _text(body)
     if tag == _TAG_METADATA:
         if len(body) < 4:
             raise TransportError("truncated EncryptedMetadata payload")
@@ -145,7 +177,7 @@ def decode_payload(data: bytes) -> Any:
         dst, offset = _unpack_str(body, 0)
         inner_type, offset = _unpack_str(body, offset)
         return AnonEnvelope(
-            dst=dst, inner_type=inner_type, inner_payload=decode_payload(body[offset:])
+            dst=dst, inner_type=inner_type, inner_payload=_decode_payload(body[offset:], depth + 1)
         )
     if tag == _TAG_JMS:
         topic, offset = _unpack_str(body, 0)
@@ -156,7 +188,7 @@ def decode_payload(data: bytes) -> Any:
         headers_raw, offset = _unpack_bytes(body, offset + 12)
         return JmsFrame(
             topic=topic,
-            body=decode_payload(body[offset:]),
+            body=_decode_payload(body[offset:], depth + 1),
             body_size=body_size,
             message_id=message_id,
             headers=_decode_headers(headers_raw),
@@ -182,7 +214,7 @@ def _encode_headers(headers: dict[str, Any]) -> bytes:
 
 
 def _decode_headers(raw: bytes) -> dict[str, Any]:
-    headers = json.loads(raw.decode("utf-8")) if raw else {}
+    headers = _json_object(raw, "frame headers") if raw else {}
     context = SpanContext.from_wire(headers.get(CONTEXT_HEADER))
     if context is not None:
         headers[CONTEXT_HEADER] = context
@@ -214,11 +246,10 @@ def decode_frame(data: bytes) -> TransportMessage:
     (header_len,) = struct.unpack_from(">H", data, 0)
     if 2 + header_len > len(data):
         raise TransportError("truncated frame: header shorter than declared")
-    try:
-        meta = json.loads(data[2 : 2 + header_len].decode("utf-8"))
-        msg_type, src = meta["t"], meta.get("s", "")
-    except (ValueError, KeyError) as exc:
-        raise TransportError(f"malformed frame header: {exc}") from exc
+    meta = _json_object(data[2 : 2 + header_len], "frame header")
+    msg_type, src = meta.get("t"), meta.get("s", "")
+    if not (isinstance(msg_type, str) and isinstance(src, str)):
+        raise TransportError("malformed frame header: type and source must be strings")
     headers_raw, offset = _unpack_bytes(data, 2 + header_len)
     return TransportMessage(
         msg_type=msg_type,

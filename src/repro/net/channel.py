@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import ChannelClosedError, MessageLossError
+from ..errors import ChannelClosedError
 from .network import Host, Message
 
 __all__ = ["SecureChannelLayer", "TLS_RECORD_OVERHEAD"]
@@ -44,16 +44,12 @@ class _PeerState:
 class SecureChannelLayer:
     """Sequenced, overhead-accounted messaging endpoint for one host.
 
-    ``strict=True`` turns detected sequence gaps into
-    :class:`~repro.errors.MessageLossError` (the live substrate's
-    behaviour — a gap on an ordered stream means records were dropped);
-    the default keeps the paper's application-level model of counting
-    gaps and letting the request/response layer retry.
+    A detected sequence gap is counted, not raised: the paper's
+    application-level model, where the request/response layer retries.
     """
 
-    def __init__(self, host: Host, strict: bool = False):
+    def __init__(self, host: Host):
         self.host = host
-        self.strict = strict
         self._peers: dict[str, _PeerState] = {}
         self._closed = False
 
@@ -100,15 +96,9 @@ class SecureChannelLayer:
         state = self._peer(src)
         seq = message.headers.get("seq")
         if seq is not None:
-            expected = state.recv_seq
-            if seq > expected:
-                state.gaps_detected += seq - expected
+            if seq > state.recv_seq:
+                state.gaps_detected += seq - state.recv_seq
             state.recv_seq = max(state.recv_seq, seq + 1)
-            if self.strict and seq > expected:
-                raise MessageLossError(
-                    f"{self.host.name}: sequence gap from {src}: "
-                    f"expected {expected}, got {seq}"
-                )
 
     def gaps_detected(self, peer: str) -> int:
         """Messages from ``peer`` known lost (application-level loss detection)."""

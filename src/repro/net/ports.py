@@ -21,13 +21,13 @@ work runs inline.  On asyncio (:class:`LivePorts`) they are awaitables —
 a cast is awaited, offloaded work goes to a thread, and modelled compute
 is ``None``: no suspension at all, the real work takes the real time.
 So each substrate keeps exactly the suspension points it had when it
-carried its own copy of the rules.
+carried its own copy of the rules.  The steppers themselves belong to
+the endpoints (:mod:`repro.net.rpc`), which drive handler bodies too.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
 import time
 from typing import Any, Callable
 
@@ -37,30 +37,12 @@ from .network import Host
 from .rpc import RpcEndpoint
 from .simulator import Event
 
-__all__ = ["SimPorts", "LivePorts", "ports_on", "sim_steps"]
-
-
-def sim_steps(gen):
-    """Adapt a protocol body to a simulator process: forward the Events
-    it yields, answer everything else on the spot."""
-    value = failure = None
-    while True:
-        try:
-            target = gen.send(value) if failure is None else gen.throw(failure)
-        except StopIteration as stop:
-            return stop.value
-        value = failure = None
-        if isinstance(target, Event):
-            try:
-                value = yield target
-            except Exception as exc:
-                failure = exc
-        else:
-            value = target
+__all__ = ["SimPorts", "LivePorts", "ports_on"]
 
 
 class _Ports:
-    """What both substrates share: the endpoint and its RPC verbs."""
+    """What both substrates share: the endpoint, its RPC verbs and its
+    body runners."""
 
     def __init__(self, endpoint):
         self.endpoint = endpoint
@@ -85,13 +67,20 @@ class _Ports:
 
     def serve(self, msg_type: str, handler: Callable) -> None:
         """Register ``handler(src, message)``; one that returns a
-        protocol body is driven the way this substrate drives handlers."""
+        protocol body is driven the way this substrate drives bodies."""
+        self.endpoint.serve(msg_type, handler)
 
-        def adapted(src, message):
-            result = handler(src, message)
-            return self._run_handler(result, message) if inspect.isgenerator(result) else result
+    def drive(self, gen):
+        """Step ``gen`` in a wait of its own; the wait ends with its value."""
+        return self.endpoint.drive(gen)
 
-        self.endpoint.serve(msg_type, adapted)
+    def spawn(self, gen) -> None:
+        self.endpoint.spawn(gen)
+
+    def finish(self, gen):
+        """Run a body that only casts: at once on the simulator; on asyncio
+        the caller awaits what this returns."""
+        return self.endpoint.finish(gen)
 
 
 class SimPorts(_Ports):
@@ -118,31 +107,6 @@ class SimPorts(_Ports):
         # inline, so the span can own the work (per-op attribution)
         with obs.attach(span):
             return fn(*args)
-
-    def drive(self, gen) -> Event:
-        """Run ``gen`` as a process of its own; the returned event fires
-        with its return value."""
-        return self.sim.process(sim_steps(gen))
-
-    def spawn(self, gen) -> None:
-        self.drive(gen)
-
-    def finish(self, gen) -> Any:
-        """Run to completion, now, a body with nothing to park on (it
-        only casts) — for callers that are not processes."""
-        steps = sim_steps(gen)
-        try:
-            next(steps)
-        except StopIteration as stop:
-            return stop.value
-        raise RuntimeError(f"{self.name}: body parked on an event; drive() it instead")
-
-    def _run_handler(self, gen, message):
-        # a request handler is a process the endpoint waits on; a one-way
-        # frame is handled inside the endpoint's dispatch loop, in order
-        if message.headers.get("rpc") == "request":
-            return sim_steps(gen)
-        return self.finish(gen)
 
 
 def ports_on(host_or_ports):
@@ -175,33 +139,3 @@ class LivePorts(_Ports):
         # off the event loop, so the service keeps serving frames; the
         # tracer's span stack belongs to the loop thread and stays there
         return asyncio.to_thread(fn, *args)
-
-    async def drive(self, gen) -> Any:
-        """Step ``gen`` inside the awaiting task; returns its value."""
-        value = failure = None
-        try:
-            while True:
-                try:
-                    target = gen.send(value) if failure is None else gen.throw(failure)
-                except StopIteration as stop:
-                    return stop.value
-                value = failure = None
-                if hasattr(target, "__await__"):
-                    try:
-                        value = await target
-                    except Exception as exc:
-                        failure = exc
-                else:
-                    value = target
-        finally:
-            gen.close()  # a cancelled task unwinds the body's open spans now
-
-    # a cast is a socket write, so even a body that only casts has to be
-    # awaited: "now" is the simulator's privilege
-    finish = drive
-
-    def spawn(self, gen) -> None:
-        self.endpoint.spawn(self.drive(gen))
-
-    def _run_handler(self, gen, message):
-        return self.drive(gen)

@@ -61,12 +61,15 @@ CRASH_POINTS = (
 )
 
 
-class SimulatedCrash(StorageError):
+class SimulatedCrash(BaseException):
     """Raised by an armed :class:`FaultPlan`: the process 'died' here.
 
     Tests catch this at the engine boundary, drop the engine object
     without closing it (a real crash runs no destructors), and re-open
-    the directory to exercise recovery.
+    the directory to exercise recovery.  Like ``SystemExit`` it is no
+    :class:`Exception`: a process that died handles nothing, so no
+    error handler — an RPC endpoint refusing a frame, a retry loop —
+    may catch it and carry on.
     """
 
 

@@ -3,19 +3,26 @@
 from __future__ import annotations
 
 import asyncio
+import json
+import struct
 import time
 
 import pytest
 
 from repro.core.ara import RegistrationAuthority
+from repro.core.messages import KIND_HEALTH, RPC_STORE
 from repro.errors import TransportError
 from repro.live.channel import ServerIdentity
+from repro.live.deployment import LiveDeployment
 from repro.live.rpc import AddressBook, LiveRpcEndpoint
+from repro.mq import messages as frames
+from repro.mq.messages import JmsFrame
 from repro.obs import Observability, hooks
-from repro.pbe.schema import AttributeSpec, MetadataSchema
+from repro.pbe.schema import AttributeSpec, Interest, MetadataSchema
 
+from ..net.rpc_contract import RpcContract
 from ..obs.test_context_wire import HOSTILE, frame_with_context
-from .conftest import run_async
+from .conftest import run_async, small_config
 
 pytestmark = pytest.mark.live
 
@@ -256,3 +263,101 @@ class TestHostileSpanContext:
         assert all(span.parent_id is None for span in hostile)
         assert len({span.trace_id for span in hostile}) == len(HOSTILE)
         assert (parented.trace_id, parented.parent_id) == (5, 6)
+
+
+class TestRpcContract(RpcContract):
+    """The contract of ``tests/net/rpc_contract.py`` over loopback TCP."""
+
+    timeout_s = 0.5
+    slow_s = 0.1
+
+    @pytest.fixture(autouse=True)
+    def _trust_root(self, ara, group):
+        self.ara, self.group = ara, group
+
+    def pair(self):
+        verify_key = self.ara.directory.ara_verify_key
+        self.server = LiveRpcEndpoint(
+            "svc", AddressBook(), ara_verify_key=verify_key,
+            identity=ServerIdentity.issue(self.ara, self.group, "svc"),
+        )  # fmt: skip
+        self.client = LiveRpcEndpoint("cli", AddressBook(), ara_verify_key=verify_key)
+        return self.server, self.client
+
+    def sleep(self, seconds):
+        return asyncio.sleep(seconds)
+
+    def run(self, *bodies):
+        async def scenario():
+            host, port = await self.server.start_server()
+            self.client.addresses.register("svc", host, port, self.server.identity.service_key)
+            try:
+                return list(await asyncio.gather(*map(self.client.drive, bodies)))
+            finally:
+                await self.client.close()
+                await self.server.close()
+
+        return run_async(scenario())
+
+
+class TestHostileHeaders:
+    def test_a_response_naming_no_call_is_dropped(self, ara, group):
+        """A response's ``corr`` is the peer's to choose, even an unhashable
+        one, and it arrives while the caller has a call pending."""
+        meta = json.dumps({"t": "echo:reply", "s": "svc"}).encode()
+        headers = json.dumps({"rpc": "response", "corr": [1]}).encode()
+        record = (
+            struct.pack(">H", len(meta)) + meta
+            + struct.pack(">I", len(headers)) + headers + b"\x00"
+        )  # fmt: skip
+
+        async def scenario():
+            server = await server_endpoint(ara, group)
+
+            async def echo(src, msg):
+                # below encode_frame, which refuses to write such a header
+                await server._channels[src].send_record(record)
+                return (msg.payload, 1)
+
+            server.serve("echo", echo)
+            bound = await server.start_server()
+            client = client_endpoint(ara, server, bound)
+            try:
+                assert await client.call("svc", "echo", b"alive", timeout_s=5.0) == b"alive"
+            finally:
+                await client.close()
+                await server.close()
+
+        run_async(scenario())
+
+
+class TestClaimedNames:
+    def test_a_client_claiming_a_service_name_does_not_displace_it(self):
+        """Client names are claims: a client that connects to the DS as
+        ``rs`` must not become the DS's way to the RS."""
+
+        async def scenario():
+            deployment = LiveDeployment(small_config())
+            await deployment.start()
+            rogue = deployment._client_endpoint(deployment.rs.name)
+            stolen = []
+            rogue.serve(RPC_STORE, lambda src, msg: stolen.append(msg.payload))
+            try:
+                alice = await deployment.add_subscriber("alice", {"org"})
+                await alice.subscribe(Interest({"topic": "a"}))
+                publisher = await deployment.add_publisher("pub")
+                metadata = {"topic": "a", "prio": "lo"}
+                await publisher.publish(metadata, b"first", policy="org")
+                await alice.wait_for_deliveries(1)
+                # squat: the DS reads this connection before the next publication
+                await rogue.cast("ds", frames.CONNECT, JmsFrame())
+                assert await rogue.call("ds", KIND_HEALTH, None)
+                await publisher.publish(metadata, b"second", policy="org")
+                await alice.wait_for_deliveries(2, 10.0)
+                assert [d.payload for d in alice.stats.deliveries] == [b"first", b"second"]
+                assert stolen == []
+            finally:
+                await rogue.close()
+                await deployment.close()
+
+        run_async(scenario())

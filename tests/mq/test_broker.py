@@ -103,19 +103,28 @@ class TestBrokerAccounting:
         assert len(set(ids)) == 2
 
     def test_subscribe_before_connect_rejected(self):
-        sim = Simulator()
-        net = Network(sim)
-        broker = Broker(net.add_host("broker"))
-        broker.start()
-        # forge a SUBSCRIBE without CONNECT
+        """The refused frame is dropped and counted; the broker, and the
+        simulated deployment around it, keep running."""
         from repro.mq import messages as frames
         from repro.mq.messages import JmsFrame
         from repro.net.channel import SecureChannelLayer
+        from repro.obs import Observability
 
-        rogue = SecureChannelLayer(net.add_host("rogue"))
-        rogue.send("broker", frames.SUBSCRIBE, JmsFrame(topic="t"), 64)
-        with pytest.raises(BrokerError):
+        sim, net, broker, (pub, sub) = make_system()
+        received = []
+        sub.create_session().create_consumer("t").set_message_listener(
+            lambda frame: received.append(frame.body)
+        )
+        with Observability().installed() as obs:
+            # forge a SUBSCRIBE without CONNECT
+            rogue = SecureChannelLayer(net.add_host("rogue"))
+            rogue.send("broker", frames.SUBSCRIBE, JmsFrame(topic="t"), 64)
             sim.run()
+            assert obs.metrics.counter_total("op.rpc.frame_rejected") == 1
+        assert "rogue" not in broker.subscriptions["t"]
+        pub.create_session().create_producer("t").send(b"still serving", 13)
+        sim.run()
+        assert received == [b"still serving"]
 
     def test_frame_wire_size(self):
         from repro.mq.messages import JmsFrame

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.errors import ChannelClosedError, NetworkError
+from repro.errors import ChannelClosedError
 from repro.net.channel import TLS_RECORD_OVERHEAD, SecureChannelLayer
 from repro.net.network import Network
 from repro.net.rpc import RpcEndpoint
 from repro.net.simulator import Simulator
+
+from .rpc_contract import RpcContract
 
 
 def make_pair():
@@ -59,67 +61,26 @@ class TestSecureChannel:
             a.send("b", "t", None, 10)
 
 
-class TestRpc:
-    def test_call_response(self):
-        sim, net, a, b = make_pair()
-        ra, rb = RpcEndpoint(a), RpcEndpoint(b)
-        rb.serve("double", lambda src, msg: (msg.payload * 2, 8))
-        ra.start(), rb.start()
-        results = []
+class TestRpc(RpcContract):
+    """The contract on the simulator; the clock is simulated, so waits are free."""
 
-        def client():
-            results.append((yield ra.call("b", "double", 21, 8)))
+    timeout_s = 5.0
+    slow_s = 1.0
 
-        sim.process(client())
-        sim.run()
-        assert results == [42]
+    def pair(self):
+        self.sim, _, a, b = make_pair()
+        self.server, self.client = RpcEndpoint(b), RpcEndpoint(a)
+        return self.server, self.client
 
-    def test_concurrent_calls_correlate(self):
-        sim, net, a, b = make_pair()
-        ra, rb = RpcEndpoint(a), RpcEndpoint(b)
+    def sleep(self, seconds):
+        return self.sim.timeout(seconds)
 
-        def slow(src, msg):
-            yield sim.timeout(1.0 if msg.payload == "slow" else 0.0)
-            return ("answer-" + msg.payload, 16)
-
-        rb.serve("work", slow)
-        ra.start(), rb.start()
-        results = {}
-
-        def client(tag):
-            results[tag] = yield ra.call("b", "work", tag, 16)
-
-        sim.process(client("slow"))
-        sim.process(client("fast"))
-        sim.run()
-        assert results == {"slow": "answer-slow", "fast": "answer-fast"}
-
-    def test_duplicate_handler_rejected(self):
-        _, _, a, _ = make_pair()
-        endpoint = RpcEndpoint(a)
-        endpoint.serve("x", lambda s, m: (None, 0))
-        with pytest.raises(NetworkError):
-            endpoint.serve("x", lambda s, m: (None, 0))
-
-    def test_one_way_cast_handler(self):
-        sim, net, a, b = make_pair()
-        ra, rb = RpcEndpoint(a), RpcEndpoint(b)
-        seen = []
-        rb.serve("notify", lambda src, msg: seen.append((src, msg.payload)))
-        ra.start(), rb.start()
-        ra.cast("b", "notify", "hello", 16)
-        sim.run()
-        assert seen == [("a", "hello")]
-
-    def test_unknown_request_ignored(self):
-        sim, net, a, b = make_pair()
-        ra, rb = RpcEndpoint(a), RpcEndpoint(b)
-        ra.start(), rb.start()
-        fired = []
-        reply = ra.call("b", "nope", None, 8)
-        reply.add_callback(lambda event: fired.append(True))
-        sim.run()
-        assert not fired  # no handler: request silently dropped
+    def run(self, *bodies):
+        self.server.start()
+        self.client.start()
+        processes = [self.client.drive(body) for body in bodies]
+        self.sim.run()
+        return [process.value for process in processes]
 
     def test_generator_handler_simulated_time(self):
         sim, net, a, b = make_pair()
