@@ -7,8 +7,9 @@ metadata.  One synthetic delivery pipeline — per message a publish →
 fan_out → deliver span tree around a crypto-weight unit of work (iterated
 SHA-256, calibrated to a few hundred microseconds: cheap relative to the
 real pipeline's pairing operations, so the measured tracing tax is an
-upper bound on the deployed one) — with the full KIND_SPANS scrape path
-every 100 messages, which is where always-on tracing actually hurts.
+upper bound on the deployed one) — with the span half of the telemetry
+scrape path (drain, snapshot JSON, aggregator ingest) every 100
+messages, which is where always-on tracing actually hurts.
 Two modes, interleaved, best-of-``REPEATS``:
 
 * **off** — no tracer at all: the baseline throughput;

@@ -56,9 +56,11 @@ def deserialize_ciphertext(group: PairingGroup, data: bytes) -> CPABECiphertext:
     """Decode one ciphertext, or raise :class:`SerializationError`.
 
     The bytes come from a publisher by way of the RS, so whatever is wrong
-    with them — framing, a point off the curve, policy text that does not
-    parse, leaf labels that do not name the policy's leaves one for one —
-    is reported as the one error a receiver handles.
+    with them — framing, trailing bytes, a point off the curve, a GT
+    coordinate not below q, policy text that does not parse or is not the
+    encoder's spelling, leaf labels that do not name the policy's leaves
+    one for one — is reported as the one error a receiver handles.  What
+    decodes re-encodes to the bytes it came from.
     """
     try:
         policy_text, offset = _unpack_bytes(data, 0)
@@ -80,8 +82,13 @@ def deserialize_ciphertext(group: PairingGroup, data: bytes) -> CPABECiphertext:
                     group.deserialize_g1(c_y_prime_raw),
                 )
             )
+        if offset != len(data):
+            raise SerializationError("trailing bytes after CP-ABE ciphertext")
+        policy = parse_policy(policy_text.decode("utf-8"))
+        if policy_to_string(policy).encode("utf-8") != policy_text:
+            raise SerializationError("policy text is not in canonical form")
         ciphertext = CPABECiphertext(
-            policy=parse_policy(policy_text.decode("utf-8")),
+            policy=policy,
             c_tilde=group.deserialize_gt(c_tilde_raw),
             c=group.deserialize_g1(c_raw),
             leaf_components=tuple(leaves),

@@ -332,19 +332,11 @@ def _cmd_prof_ledger(args) -> None:
     print(format_ledger(rows))
 
 
-async def _prof_top(args) -> None:
-    from .obs.aggregate import TelemetryAggregator
+def _cmd_prof_top(args) -> None:
     from .obs.prof import format_report
 
-    aggregator = TelemetryAggregator()
-    async with _telemetry_session(args, "prof") as (client, _services):
-        if not args.state:
-            import asyncio
-
-            # in-process deployment: let the background publisher give the
-            # samplers something to see before the one-shot scrape
-            await asyncio.sleep(args.warmup)
-        await client.scrape(aggregator)
+    # in-process: let the background publisher give the sampler something to see
+    aggregator = _sweep_once(args, warmup_s=0.0 if args.state else args.warmup)
     origins = aggregator.profile_origins()
     if not origins:
         raise SystemExit(
@@ -362,20 +354,6 @@ async def _prof_top(args) -> None:
     if args.out:
         _write_profile(merged, args.out, args.force)
         print(f"merged profile -> {args.out}")
-
-
-def _run_until_interrupted(command) -> None:
-    """Run a telemetry view's coroutine; Ctrl-C just ends it."""
-    import asyncio
-
-    try:
-        asyncio.run(command)
-    except KeyboardInterrupt:
-        pass
-
-
-def _cmd_prof_top(args) -> None:
-    _run_until_interrupted(_prof_top(args))
 
 
 def _cmd_perf_gate(args) -> None:
@@ -418,48 +396,101 @@ def _cmd_live_run(args) -> None:
 
 
 @contextlib.asynccontextmanager
-async def _inprocess_deployment(profiled: bool = False):
-    """A started in-process ``LiveDeployment`` under its own installed
-    ``Observability`` (``profiled``: with the wall-clock sampler every
-    ``live serve-*`` process runs), torn down on exit."""
-    from .core.config import P3SConfig
-    from .live.deployment import LiveDeployment
-    from .obs import Observability
-    from .obs.prof import start_default_profiler
-    from .obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY
+async def _telemetry_session(state: str | None):
+    """The operator's telemetry client: every command that sweeps takes
+    its sweeps through this one session.
 
-    obs = Observability(span_capacity=DEFAULT_FLIGHT_RECORDER_CAPACITY)
-    profiler = start_default_profiler(obs, origin="inproc-wall") if profiled else None
-    deployment = LiveDeployment(P3SConfig(obs=obs))
-    try:
-        await deployment.start()
-        yield deployment
-    finally:
-        await deployment.close()
-        if profiler is not None:
-            profiler.stop()
-        obs.uninstall()
+    With ``state`` it polls the running multi-process deployment that
+    bundle describes.  Without, it stands up an in-process deployment —
+    profiled like a ``live serve-*`` process, with one subscriber and a
+    background publisher — and yields once two publications were
+    delivered, so the first sweep already has whole traces to show.
+    Whatever was created is torn down on exit.
+    """
+    import asyncio
+    import itertools
+
+    async with contextlib.AsyncExitStack() as cleanup:
+        if state:
+            from .live.runner import load_state
+
+            deployment = load_state(state).deployment()
+        else:
+            from .core.config import P3SConfig
+            from .live.deployment import LiveDeployment
+            from .live.scenario import demo_metadata
+            from .obs import Observability
+            from .obs.prof import start_default_profiler
+            from .obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY
+            from .pbe.schema import Interest
+
+            obs = Observability(span_capacity=DEFAULT_FLIGHT_RECORDER_CAPACITY)
+            cleanup.callback(obs.uninstall)
+            cleanup.callback(start_default_profiler(obs, origin="inproc-wall").stop)
+            deployment = LiveDeployment(P3SConfig(obs=obs))
+            cleanup.push_async_callback(deployment.close)
+            await deployment.start()
+            subscriber = await deployment.add_subscriber("alice", {"org:acme"})
+            await subscriber.subscribe(Interest({"attr00": "v01"}))
+            publisher = await deployment.add_publisher("pub")
+
+            async def publish_ticks() -> None:
+                for tick in itertools.count():
+                    await publisher.publish(
+                        dict(demo_metadata(attr00="v01")),
+                        f"tick {tick}".encode(),
+                        policy="org:acme",
+                    )
+                    await asyncio.sleep(0.05)
+
+            driver = asyncio.ensure_future(publish_ticks())
+
+            async def stop_driver() -> None:
+                driver.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await driver
+
+            cleanup.push_async_callback(stop_driver)
+            await subscriber.wait_for_deliveries(2)
+        client = deployment.telemetry_client()
+        cleanup.push_async_callback(client.close)
+        yield client
 
 
-async def _scrape_once(state_path: str | None):
-    """One telemetry sweep: of the running deployment ``state_path``
-    describes, or — without one — of an in-process deployment stood up
-    to run the demo scenario."""
-    if state_path:
-        from .live.runner import load_state
+def _sweep_once(args, warmup_s: float = 0.0):
+    """One telemetry sweep of ``args.state``'s deployment or an in-process one."""
+    import asyncio
 
-        return await load_state(state_path).deployment().scrape()
-    from .core.config import P3SConfig
-    from .live.scenario import default_scenario, play_on_live, run_on_simulator
+    async def sweep():
+        async with _telemetry_session(args.state) as client:
+            await asyncio.sleep(warmup_s)
+            return await client.scrape()
 
-    scenario = default_scenario()
-    expected = run_on_simulator(scenario, P3SConfig())
-    async with _inprocess_deployment() as deployment:
-        await play_on_live(deployment, scenario, expected)
-        return await deployment.scrape()
+    return asyncio.run(sweep())
 
 
-def _print_status(aggregator, engine=None) -> None:
+def _judge(aggregator, latency_threshold_s: float):
+    """The stock wall-clock SLOs over one sweep — what ``live status`` and
+    ``slo report`` judge a deployment by."""
+    from .obs.slo import SloEngine, default_slos
+
+    engine = SloEngine(default_slos(latency_threshold_s=latency_threshold_s))
+    engine.ingest(aggregator, now=0.0)
+    engine.evaluate(0.0)
+    return engine
+
+
+def _alerts_line(engine) -> str:
+    """The ``SLO alerts:`` footer of ``live status`` and ``live top``."""
+    alerts = [
+        f"{alert.slo}[{alert.severity} {alert.window}]"
+        + "".join(f" {value}" for key, value in alert.labels if key == "service")
+        for alert in engine.active_alerts()
+    ]
+    return "SLO alerts: " + (", ".join(alerts) or "none")
+
+
+def _print_status(aggregator, engine) -> None:
     latency = aggregator.latency_summary()
     print(format_table(
         ["service", "alive", "ready", "failing checks"],
@@ -482,31 +513,20 @@ def _print_status(aggregator, engine=None) -> None:
         f"spans aggregated: {len(aggregator.spans())}, "
         f"dropped by flight recorders: {aggregator.total_dropped_spans}"
     )
-    if engine is not None:
-        active = engine.active_alerts()
-        if active:
-            print("SLO alerts: " + ", ".join(
-                f"{alert.slo}[{alert.severity} {alert.window}]" for alert in active
-            ))
-        else:
-            print("SLO alerts: none")
+    print(_alerts_line(engine))
 
 
 def _cmd_live_status(args) -> None:
-    import asyncio
     import json
 
-    aggregator = asyncio.run(_scrape_once(args.state))
-    # judge the scrape against the stock wall-clock SLOs so alert state
-    # rides along in every output form (table footer, JSON, slo_* series)
-    from .obs.slo import SLO_GAUGE_METRICS, SloEngine, default_slos
-
-    engine = SloEngine(default_slos(latency_threshold_s=2.5))
-    engine.ingest(aggregator, now=0.0)
-    engine.evaluate(0.0)
+    aggregator = _sweep_once(args)
+    # judge the sweep against the stock SLOs so alert state rides along in
+    # every output form (table footer, JSON, slo_* series)
+    engine = _judge(aggregator, latency_threshold_s=2.5)
     if args.metrics_out:
         from .live.telemetry import GAUGE_METRICS
         from .obs import to_openmetrics
+        from .obs.slo import SLO_GAUGE_METRICS
 
         base = to_openmetrics(aggregator.merged_registry(), gauge_names=GAUGE_METRICS)
         slo_text = to_openmetrics(engine.registry(), gauge_names=SLO_GAUGE_METRICS)
@@ -523,78 +543,32 @@ def _cmd_live_status(args) -> None:
         raise SystemExit(1)
 
 
-@contextlib.asynccontextmanager
-async def _telemetry_session(args, purpose: str):
-    """``(client, services)`` for a telemetry-consuming command.
-
-    With ``--state`` this connects to a running multi-process
-    deployment; without, it stands up a self-driving in-process
-    deployment with a background publisher so the view has live traffic
-    to show.  Whatever was created is torn down on exit.
-    """
-    if args.state:
-        from .live.runner import load_state
-
-        deployment = load_state(args.state).deployment()
-        client = deployment.telemetry_client(purpose)
-        try:
-            yield client, list(deployment.service_names)
-        finally:
-            await client.close()
-        return
-
-    import asyncio
-
-    from .live.scenario import demo_metadata
-    from .pbe.schema import Interest
-
-    # profiled like serve_role, so the in-process view has hot frames to show
-    async with _inprocess_deployment(profiled=True) as deployment:
-        subscriber = await deployment.add_subscriber("alice", {"org:acme"})
-        await subscriber.subscribe(Interest({"attr00": "v01"}))
-        publisher = await deployment.add_publisher("pub")
-
-        async def _drive() -> None:
-            tick = 0
-            while True:
-                await publisher.publish(
-                    dict(demo_metadata(attr00="v01")),
-                    f"tick {tick}".encode(),
-                    policy="org:acme",
-                )
-                tick += 1
-                await asyncio.sleep(0.05)
-
-        driver = asyncio.ensure_future(_drive())
-        client = deployment.telemetry_client(purpose)
-        try:
-            yield client, list(deployment.service_names)
-        finally:
-            driver.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await driver
-            await client.close()
-
-
-async def _watch(args, purpose: str, aggregator, engine, draw) -> None:
+def _watch(args, aggregator, engine, draw) -> None:
     """The sweep loop under ``live top`` and ``slo watch``: scrape into
     ``aggregator``, feed and evaluate the SLO ``engine`` at run time
-    ``run_t``, clear the screen, ``draw(iteration, run_t, services)``."""
+    ``run_t``, clear the screen, ``draw(iteration, run_t, services)``;
+    Ctrl-C just ends it."""
     import asyncio
     import time as wall
 
-    async with _telemetry_session(args, purpose) as (client, services):
-        started = wall.monotonic()
-        for iteration in range(args.iterations):
-            if iteration:
-                await asyncio.sleep(args.interval)
-            await client.scrape(aggregator)
-            run_t = wall.monotonic() - started
-            engine.ingest(aggregator, now=run_t)
-            engine.evaluate(run_t)
-            if not args.no_clear:
-                print("\x1b[2J\x1b[H", end="")
-            draw(iteration, run_t, services)
+    async def sweeps() -> None:
+        async with _telemetry_session(args.state) as client:
+            started = wall.monotonic()
+            for iteration in range(args.iterations):
+                if iteration:
+                    await asyncio.sleep(args.interval)
+                await client.scrape(aggregator)
+                run_t = wall.monotonic() - started
+                engine.ingest(aggregator, now=run_t)
+                engine.evaluate(run_t)
+                if not args.no_clear:
+                    print("\x1b[2J\x1b[H", end="")
+                draw(iteration, run_t, client.services)
+
+    try:
+        asyncio.run(sweeps())
+    except KeyboardInterrupt:
+        pass
 
 
 def _cmd_live_top(args) -> None:
@@ -662,17 +636,9 @@ def _cmd_live_top(args) -> None:
                     f"{frame} {fraction:.0%}" for frame, _self, fraction in hot
                 )
             )
-        if active:
-            print("SLO alerts: " + ", ".join(
-                f"{alert.slo}[{alert.severity} {alert.window}]"
-                + (f" {dict(alert.labels).get('service')}"
-                   if dict(alert.labels).get("service") else "")
-                for alert in active
-            ))
-        else:
-            print("SLO alerts: none")
+        print(_alerts_line(engine))
 
-    _run_until_interrupted(_watch(args, "top", aggregator, engine, draw))
+    _watch(args, aggregator, engine, draw)
 
 
 def _cmd_cluster_status(args) -> None:
@@ -881,15 +847,7 @@ def _slo_report_doc(args) -> dict:
 
     # live mode: one telemetry sweep (running deployment or in-process
     # demo), judged by the wall-clock SLO set
-    import asyncio
-
-    from .obs.slo import SloEngine, default_slos
-
-    aggregator = asyncio.run(_scrape_once(args.state))
-    engine = SloEngine(default_slos(latency_threshold_s=args.latency_slo))
-    engine.ingest(aggregator, now=0.0)
-    engine.evaluate(0.0)
-    return engine.report()
+    return _judge(_sweep_once(args), latency_threshold_s=args.latency_slo).report()
 
 
 def _cmd_slo_report(args) -> None:
@@ -962,7 +920,7 @@ def _cmd_slo_watch(args) -> None:
         else:
             print("no active alerts")
 
-    _run_until_interrupted(_watch(args, "slo", TelemetryAggregator(), engine, draw))
+    _watch(args, TelemetryAggregator(), engine, draw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1310,8 +1268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof_top = prof_sub.add_parser(
         "top",
-        help="scrape live services' profiles (KIND_PROFILE), merge, and "
-             "report hot frames",
+        help="scrape live services' profiles, merge, and report hot frames",
     )
     prof_top.add_argument(
         "--state", metavar="FILE", default=None,

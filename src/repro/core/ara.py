@@ -33,10 +33,13 @@ __all__ = [
     "PublisherCredentials",
     "RegistrationAuthority",
     "SERVICE_KEY_CONTEXT",
+    "TELEMETRY_CONTEXT",
 ]
 
 # Domain-separation prefix for live-channel service-key signatures.
 SERVICE_KEY_CONTEXT = b"p3s-live-service-key-v1:"
+# ... and for the operator's telemetry requests, each naming its service.
+TELEMETRY_CONTEXT = b"p3s-telemetry-request-v1:"
 
 
 @dataclass
@@ -134,6 +137,17 @@ class RegistrationAuthority:
         made concrete.
         """
         return self._signer.sign(SERVICE_KEY_CONTEXT + name.encode("utf-8") + key_bytes)
+
+    def sign_telemetry_request(self, service: str):
+        """The operator's credential for one telemetry request to ``service``.
+
+        A live service hands its snapshot — spans that name subscribers,
+        per-peer byte counts, the flight-recorder drain — only to a
+        request carrying this signature over its own name, checked with
+        the ARA verify key it already holds for channel handshakes.  Bound
+        to the name, one service cannot replay it to another.
+        """
+        return self._signer.sign(TELEMETRY_CONTEXT + service.encode("utf-8"))
 
     @property
     def cpabe_public_key(self) -> CPABEPublicKey:

@@ -28,14 +28,9 @@ RPC_TOKEN_REQUEST = "p3s.token-request"
 RPC_RETRIEVE = "p3s.retrieve"
 RPC_STORE = "p3s.store"
 RPC_ANON_FORWARD = "p3s.anon-forward"
-# Operational telemetry plane (repro.live.telemetry): admin RPCs every
-# live service answers.  Responses are JSON text — operational metadata,
-# never protocol ciphertext — so they ride the same AEAD channels as
-# application traffic without new codec work.
-KIND_HEALTH = "p3s.telemetry-health"
-KIND_METRICS = "p3s.telemetry-metrics"
-KIND_SPANS = "p3s.telemetry-spans"
-KIND_PROFILE = "p3s.telemetry-profile"
+# Operational telemetry plane (repro.live.telemetry): the one admin request
+# every live service answers, to the operator only, with a JSON snapshot.
+KIND_TELEMETRY = "p3s.telemetry"
 
 __all__ = [
     "METADATA_TOPIC",
@@ -43,10 +38,7 @@ __all__ = [
     "KIND_PAYLOAD",
     "KIND_TOKEN_REG",
     "KIND_TOKEN_UNREG",
-    "KIND_HEALTH",
-    "KIND_METRICS",
-    "KIND_SPANS",
-    "KIND_PROFILE",
+    "KIND_TELEMETRY",
     "RPC_TOKEN_REQUEST",
     "RPC_RETRIEVE",
     "RPC_STORE",

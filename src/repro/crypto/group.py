@@ -176,7 +176,10 @@ class PairingGroup:
     def deserialize_gt(self, data: bytes) -> Fq2:
         if len(data) != self.gt_bytes:
             raise ParameterError(f"GT encoding must be {self.gt_bytes} bytes, got {len(data)}")
-        return Fq2.from_bytes(data, self.params.q)
+        element = Fq2.from_bytes(data, self.params.q)
+        if self.serialize_gt(element) != data:
+            raise ParameterError("GT encoding has a coordinate not below q")
+        return element
 
     def gt_to_key(self, element: Fq2, label: str = "gt-kem") -> bytes:
         """Derive a 32-byte symmetric key from a GT element (KEM step)."""

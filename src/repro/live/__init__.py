@@ -9,9 +9,9 @@ simulator endpoint's API (:mod:`repro.live.rpc`), the four third parties
 as services (:mod:`repro.live.services`), publisher/subscriber clients
 (:mod:`repro.live.clients`), and deployment/scenario orchestration
 (:mod:`repro.live.deployment`, :mod:`repro.live.scenario`).  Every
-service also answers the operational telemetry RPCs — health, metrics
-(JSON or OpenMetrics text), and a flight-recorder span drain — defined
-in :mod:`repro.live.telemetry` and aggregated deployment-wide by
+service also answers the operator's telemetry request — one snapshot of
+health, metrics, drained spans and profile — defined in
+:mod:`repro.live.telemetry` and aggregated deployment-wide by
 ``repro live status`` / ``repro live top``.
 
 No protocol rule lives here: the services and clients subclass the

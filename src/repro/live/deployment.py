@@ -166,22 +166,9 @@ class LiveDeployment:
     # -- telemetry --------------------------------------------------------------
 
     def telemetry_client(self, name: str = "telemetry") -> TelemetryClient:
-        """A poller over every third party's admin RPCs (health, metrics,
-        spans) — the engine under ``repro live status`` and ``live top``."""
-        return TelemetryClient(self._client_endpoint(name), self.service_names)
-
-    async def scrape(self, aggregator=None):
-        """One-shot telemetry sweep of all four services.
-
-        Opens a short-lived client endpoint, polls, and closes it; pass an
-        existing :class:`~repro.obs.aggregate.TelemetryAggregator` to keep
-        state across sweeps (``live top`` does, for rates).
-        """
-        client = self.telemetry_client()
-        try:
-            return await client.scrape(aggregator)
-        finally:
-            await client.close()
+        """The operator's poller over every third party's telemetry —
+        the plan holds the ARA, whose signature makes it the operator."""
+        return TelemetryClient(self._client_endpoint(name), self.service_names, self.plan.ara)
 
     # -- shutdown ---------------------------------------------------------------
 

@@ -267,8 +267,10 @@ class LiveRpcEndpoint(Endpoint):
         ``size_bytes`` exists for signature parity with the simulator
         endpoint; the live wire measures itself.
         """
-        correlation, reply, sent = self._request(
-            dst, msg_type, payload, size_bytes, headers, timeout_s
+        # the request's channel is the one peer whose response completes it
+        channel = await self._channel_to(dst)
+        key, reply, sent = self._request(
+            channel, msg_type, payload, size_bytes, headers, timeout_s, dst
         )
         self.pending_high_water = max(self.pending_high_water, len(self._pending))
         try:
@@ -276,7 +278,7 @@ class LiveRpcEndpoint(Endpoint):
             return await reply
         finally:
             reply.cancel()  # disarms the deadline when the send failed; else a no-op
-            self._pending.pop(correlation, None)
+            self._pending.pop(key, None)
 
     def completable(
         self, timeout_s: float | None, what: str
@@ -322,11 +324,16 @@ class LiveRpcEndpoint(Endpoint):
         """One-way frame (no response expected)."""
         await self._send(dst, msg_type, payload, size_bytes, dict(headers or {}))
 
-    async def _send(self, to, msg_type: str, payload: Any, size_bytes, headers) -> None:
-        """``to`` is a peer's name, or the channel a request came in on."""
+    async def _channel_to(self, to) -> SecureChannel:
+        """``to`` is a peer's name, or already a channel to it."""
         if self._closed:
             raise TransportError(f"endpoint {self._name} is closed")
-        channel = to if isinstance(to, SecureChannel) else await self._ensure_channel(to)
+        return to if isinstance(to, SecureChannel) else await self._ensure_channel(to)
+
+    async def _send(self, to, msg_type: str, payload: Any, size_bytes, headers) -> None:
+        """``to`` is a peer's name, or the channel a request came in or
+        goes out on."""
+        channel = await self._channel_to(to)
         record = encode_frame(
             TransportMessage(msg_type=msg_type, payload=payload, src=self._name, headers=headers)
         )
@@ -355,8 +362,8 @@ class LiveRpcEndpoint(Endpoint):
         except asyncio.CancelledError:
             pass
         finally:
-            # pending calls are correlated, not per-channel: a redial may
-            # still carry their retries, so only close() fails them
+            # calls pending on this channel can no longer be answered; they
+            # fail at their deadline (or at close()), and a retry redials
             self._readers.pop(channel, None)
             if self._channels.get(peer) is channel:
                 del self._channels[peer]

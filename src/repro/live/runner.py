@@ -114,13 +114,13 @@ async def serve_role(role: str, state: DeploymentState) -> None:
 
     A served role always has telemetry to report: when the process has no
     observability installed, a default bounded one (flight-recorder span
-    storage at the stock capacity) is installed so ``KIND_METRICS`` /
-    ``KIND_SPANS`` answer with real data instead of empty snapshots —
-    and memory stays flat however long the service runs.
+    storage at the stock capacity) is installed so the telemetry snapshot
+    carries real metrics and spans — and memory stays flat however long
+    the service runs.
 
     Continuous profiling rides along
     (:func:`~repro.obs.prof.sampler.start_default_profiler`); the
-    ``KIND_PROFILE`` RPC serves the cumulative profile.
+    snapshot carries the cumulative profile.
     """
     from ..obs import Observability
     from ..obs import hooks as obs_hooks

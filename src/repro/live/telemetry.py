@@ -1,63 +1,74 @@
 """The operational telemetry plane for live P3S deployments.
 
-Every live service answers three admin RPCs over the same
-:class:`~repro.live.rpc.LiveRpcEndpoint` substrate (and therefore the
-same AEAD channels) as application traffic:
+Every live service answers one admin request, ``KIND_TELEMETRY``, over
+the same :class:`~repro.live.rpc.LiveRpcEndpoint` substrate (and
+therefore the same AEAD channels) as application traffic.  The answer is
+one snapshot document (:func:`telemetry_snapshot`):
 
-``KIND_HEALTH``
+``service``, ``time``, ``origin``
+    The answering service, its wall clock, and :data:`ORIGIN` — a token
+    unique to the process, so the aggregator can tell four services of
+    one process from four processes.
+``alive``, ``ready``, ``checks``
     Liveness + readiness: the trust root is loaded, the listener is
     bound, no dial-backoff loop is active, and service-specific warmth
     checks pass (DS match pool forked, RS garbage collector running).
-``KIND_METRICS``
-    A point-in-time snapshot of the service's metric series — the
-    endpoint's transport gauges, service protocol counters, and the
-    slice of the process-global observability registry attributed to
-    this service's component — as structured JSON.  (The OpenMetrics
-    text operators read is rendered from the aggregator's merged
-    registry, ``repro live status --metrics-out``.)
-``KIND_SPANS``
-    A destructive drain of the flight recorder
-    (:mod:`repro.obs.ring`): finished spans leave the process exactly
-    once, open spans wait for the next poll, and the cumulative
-    ``dropped_spans`` count rides along so truncation is never silent.
-``KIND_PROFILE``
-    A snapshot of the process's profile sampler
-    (:mod:`repro.obs.prof`) as a profile dict — cumulative weighted
-    stacks tagged with an ``origin`` token unique to the sampler, so
-    the aggregator can replace rather than sum when four services of a
-    single-process deployment all hand over the same profile.  Empty
-    when no profiler is attached.
+``counters``, ``histograms``
+    The endpoint's transport gauges, the service's protocol counters,
+    and the slice of the process-global observability registry
+    attributed to this service's component — plus ``obs.dropped_spans``,
+    the flight recorder's cumulative eviction count.
+``spans``
+    A destructive drain of the flight recorder (:mod:`repro.obs.ring`):
+    finished spans leave the process exactly once; open spans wait for
+    the next request.
+``profile``
+    The process profiler's cumulative profile (:mod:`repro.obs.prof`),
+    or ``None`` when no profiler is attached.
 
-:class:`TelemetryClient` is the polling side: one client endpoint that
-scrapes any set of services into a
-:class:`~repro.obs.aggregate.TelemetryAggregator` — the engine under
-``repro live status`` and ``repro live top``.
+A process-wide signal (the drop count, the profile) is the same in the
+snapshot of every service its process hosts; the
+:class:`~repro.obs.aggregate.TelemetryAggregator` keeps it once per
+origin.
 
-Telemetry responses are operational metadata (counts, booleans, span
-timings) — never protocol ciphertext, tokens, or key material — so
-exposing them over the authenticated channels adds no adversary
-knowledge beyond what §6.1 already grants an honest-but-curious service
-operator about their own process.
+**Only the operator may ask.**  A snapshot is not harmless: its spans
+name the subscribers a DS delivered to and whose retrieval was denied,
+its per-peer byte counts show who talks to whom, and the drain is
+destructive, so a peer that could ask would also blind the operator.
+Channels authenticate the server only — a client's name is a claim — so
+the request carries the ARA's signature over :data:`TELEMETRY_CONTEXT`
+and the target service's name
+(:meth:`~repro.core.ara.RegistrationAuthority.sign_telemetry_request`),
+which the service checks with the ARA verify key it already holds.  An
+unsigned or mis-bound request breaks a rule like any refused frame: it
+is counted as ``op.rpc.frame_rejected`` and gets no reply.
+
+:class:`TelemetryClient` is the operator's side: one request per
+service per sweep, folded into an aggregator — the engine under
+``repro live status``, ``live top``, ``slo report|watch`` and ``prof
+top``.
 """
 
 from __future__ import annotations
 
 import json
+import secrets
 import time
 from typing import Any, Iterable
 
-from ..core.messages import KIND_HEALTH, KIND_METRICS, KIND_PROFILE, KIND_SPANS
+from ..core.ara import TELEMETRY_CONTEXT
+from ..core.messages import KIND_TELEMETRY
+from ..crypto.signing import Signature
+from ..errors import CertificateError, TransportError
 from ..obs import hooks
 from ..obs.aggregate import TelemetryAggregator
 from .rpc import LiveRpcEndpoint
 
 __all__ = [
     "GAUGE_METRICS",
+    "ORIGIN",
     "install_telemetry",
-    "service_health_snapshot",
-    "service_metrics_snapshot",
-    "drain_spans_snapshot",
-    "profile_snapshot",
+    "telemetry_snapshot",
     "TelemetryClient",
 ]
 
@@ -79,6 +90,9 @@ GAUGE_METRICS = frozenset(
 # still travel, only raw values are windowed.
 MAX_HISTOGRAM_VALUES = 1024
 
+# this process's identity in every snapshot it hands over
+ORIGIN = secrets.token_hex(8)
+
 
 def _endpoint_samples(endpoint: LiveRpcEndpoint) -> list[dict[str, Any]]:
     """The endpoint's transport gauges as counter-series entries."""
@@ -99,195 +113,102 @@ def _endpoint_samples(endpoint: LiveRpcEndpoint) -> list[dict[str, Any]]:
     return samples
 
 
-def service_health_snapshot(service) -> dict[str, Any]:
-    """Liveness/readiness document for one live service.
+def telemetry_snapshot(service) -> dict[str, Any]:
+    """One live service's telemetry, as the document this module describes.
 
-    ``alive`` means "the process answered this RPC" (trivially true in
-    the response); ``ready`` is the conjunction of every check —
-    substrate checks here plus whatever the service adds via
-    ``health_checks()``.
+    ``ready`` is the conjunction of every check — substrate checks here
+    plus the service's ``health_checks()``.  The registry slice is the
+    series whose ``component`` label is this service: that filter keeps
+    a single-process deployment's per-service snapshots disjoint, so
+    summing them equals the process registry's totals for those
+    components.  In such a deployment all services share one flight
+    recorder, so whichever is asked first hands over every finished
+    span; the aggregator deduplicates by span identity either way.
     """
     endpoint = service.endpoint
-    server = getattr(endpoint, "_server", None)
+    name = endpoint.name
+    server = endpoint._server
     checks: dict[str, bool] = {
         "identity_loaded": endpoint.identity is not None,
         "trust_root_loaded": endpoint.ara_verify_key is not None,
         "listening": server is not None and server.is_serving(),
         "dial_backoff_quiet": not endpoint.dial_backoff_active,
     }
-    extra = getattr(service, "health_checks", None)
-    if callable(extra):
-        checks.update(extra())
-    return {
-        "service": endpoint.name,
-        "alive": True,
-        "ready": all(checks.values()),
-        "checks": checks,
-        "time": time.time(),
-    }
-
-
-def service_metrics_snapshot(service) -> dict[str, Any]:
-    """Point-in-time metric series for one live service.
-
-    Three sources merge: the endpoint's transport gauges (always on),
-    the service's own protocol counters (``extra_metrics()``), and —
-    when an observability instance is installed — the slice of the
-    process-global registry whose ``component`` label is this service,
-    plus the flight recorder's drop count.  The component filter is
-    what keeps a single-process deployment's per-service scrapes
-    disjoint: summing them equals the global registry's totals for
-    those components, with no double counting.
-    """
-    endpoint = service.endpoint
-    name = endpoint.name
-    counters = _endpoint_samples(endpoint)
-    extra = getattr(service, "extra_metrics", None)
-    if callable(extra):
-        counters.extend(extra())
+    checks.update(service.health_checks())
+    counters = _endpoint_samples(endpoint) + service.extra_metrics()
     histograms: list[dict[str, Any]] = []
+    spans: list[dict[str, Any]] = []
     obs = hooks.active()
     if obs is not None:
         mine = lambda _n, labels: labels.get("component") == name  # noqa: E731
         counters.extend(obs.metrics.counter_series(where=mine))
-        histograms.extend(
-            obs.metrics.histogram_series(where=mine, max_values=MAX_HISTOGRAM_VALUES)
-        )
+        histograms = obs.metrics.histogram_series(where=mine, max_values=MAX_HISTOGRAM_VALUES)
         counters.append(
             {"name": "obs.dropped_spans", "labels": {}, "value": obs.tracer.dropped_spans}
         )
+        spans = [span.to_dict() for span in obs.tracer.drain_finished()]
+    profiler = hooks.active_profiler()
     return {
         "service": name,
+        "origin": ORIGIN,
         "time": time.time(),
+        "alive": True,
+        "ready": all(checks.values()),
+        "checks": checks,
         "counters": counters,
         "histograms": histograms,
+        "spans": spans,
+        "profile": None if profiler is None else profiler.profile().to_dict(),
     }
-
-
-def drain_spans_snapshot(service) -> dict[str, Any]:
-    """Drain the process flight recorder: each finished span leaves once.
-
-    In a single-process deployment all services share one recorder, so
-    whichever service a poller asks first hands over everything —
-    the aggregator deduplicates by span identity, and nothing is lost
-    or duplicated either way.
-    """
-    obs = hooks.active()
-    if obs is None:
-        return {"service": service.endpoint.name, "spans": [], "dropped_spans": 0}
-    drained = obs.tracer.drain_finished()
-    return {
-        "service": service.endpoint.name,
-        "spans": [span.to_dict() for span in drained],
-        "dropped_spans": obs.tracer.dropped_spans,
-    }
-
-
-def profile_snapshot(service) -> dict[str, Any]:
-    """The process profiler's cumulative profile, as a wire dict.
-
-    Non-destructive (unlike the span drain): the profile is cumulative
-    and carries its sampler's ``origin`` token, so the aggregator
-    replaces the previous snapshot from the same origin instead of
-    summing — repeated polls, or four services sharing one process-wide
-    sampler, never inflate the weights.
-    """
-    profiler = hooks.active_profiler()
-    if profiler is None:
-        return {"service": service.endpoint.name, "profile": None}
-    return {"service": service.endpoint.name, "profile": profiler.profile().to_dict()}
 
 
 def install_telemetry(service) -> None:
-    """Register the four telemetry handlers on a service's endpoint."""
+    """Serve ``KIND_TELEMETRY`` on a service's endpoint, to the operator only."""
     endpoint = service.endpoint
+    statement = TELEMETRY_CONTEXT + endpoint.name.encode("utf-8")
 
-    def handle_health(src: str, message) -> tuple[str, int]:
-        body = json.dumps(service_health_snapshot(service), default=str)
+    def handle(src: str, message) -> tuple[str, int]:
+        verify_key = endpoint.ara_verify_key
+        if verify_key is None or not isinstance(message.payload, bytes):
+            raise CertificateError(f"{src}: telemetry request carries no ARA signature")
+        signature = Signature.from_bytes(message.payload, verify_key.group.zr_bytes)
+        if not verify_key.verify(statement, signature):
+            raise CertificateError(f"{src}: telemetry request not signed for {endpoint.name}")
+        body = json.dumps(telemetry_snapshot(service), default=str)
         return body, len(body)
 
-    def handle_metrics(src: str, message) -> tuple[str, int]:
-        body = json.dumps(service_metrics_snapshot(service), default=str)
-        return body, len(body)
-
-    def handle_spans(src: str, message) -> tuple[str, int]:
-        body = json.dumps(drain_spans_snapshot(service), default=str)
-        return body, len(body)
-
-    def handle_profile(src: str, message) -> tuple[str, int]:
-        body = json.dumps(profile_snapshot(service), default=str)
-        return body, len(body)
-
-    endpoint.serve(KIND_HEALTH, handle_health)
-    endpoint.serve(KIND_METRICS, handle_metrics)
-    endpoint.serve(KIND_SPANS, handle_spans)
-    endpoint.serve(KIND_PROFILE, handle_profile)
+    endpoint.serve(KIND_TELEMETRY, handle)
 
 
 class TelemetryClient:
-    """Scrape health/metrics/spans from a set of live services."""
+    """The operator's poller: one signed snapshot request per service."""
 
-    def __init__(
-        self,
-        endpoint: LiveRpcEndpoint,
-        services: Iterable[str],
-        call_timeout_s: float = 10.0,
-    ):
+    def __init__(self, endpoint: LiveRpcEndpoint, services: Iterable[str], ara):
         self.endpoint = endpoint
         self.services = list(services)
-        self.call_timeout_s = call_timeout_s
+        self.ara = ara  # the trust root: what makes this client the operator
 
-    async def health(self, service: str) -> dict[str, Any]:
-        body = await self.endpoint.call(
-            service, KIND_HEALTH, None, timeout_s=self.call_timeout_s
-        )
-        return json.loads(body)
-
-    async def metrics(self, service: str) -> dict[str, Any]:
-        body = await self.endpoint.call(
-            service, KIND_METRICS, None, timeout_s=self.call_timeout_s
-        )
-        return json.loads(body)
-
-    async def spans(self, service: str) -> dict[str, Any]:
-        body = await self.endpoint.call(
-            service, KIND_SPANS, None, timeout_s=self.call_timeout_s
-        )
-        return json.loads(body)
-
-    async def profile(self, service: str) -> dict[str, Any]:
-        body = await self.endpoint.call(
-            service, KIND_PROFILE, None, timeout_s=self.call_timeout_s
-        )
+    async def snapshot(self, service: str) -> dict[str, Any]:
+        request = self.ara.sign_telemetry_request(service).to_bytes(self.ara.group.zr_bytes)
+        body = await self.endpoint.call(service, KIND_TELEMETRY, request, timeout_s=10.0)
         return json.loads(body)
 
     async def scrape(
         self, aggregator: TelemetryAggregator | None = None
     ) -> TelemetryAggregator:
-        """Poll every service (health, metrics, spans) into an aggregator.
+        """Ask every service once and fold the answers into an aggregator.
 
         A service that cannot be reached is recorded dead
         (``alive=False``) rather than failing the scrape — ``status``
         must report a down deployment, not crash on one.
         """
-        from ..errors import TransportError
-
         aggregator = aggregator or TelemetryAggregator()
         for service in self.services:
             try:
-                aggregator.update_health(service, await self.health(service))
-                aggregator.update_metrics(service, await self.metrics(service))
-                drained = await self.spans(service)
-                aggregator.add_spans(
-                    service, drained.get("spans", []), drained.get("dropped_spans", 0)
-                )
-                profiled = await self.profile(service)
-                if profiled.get("profile") is not None:
-                    aggregator.add_profile(service, profiled["profile"])
+                aggregator.ingest(await self.snapshot(service))
             except TransportError:
-                aggregator.update_health(
-                    service,
-                    {"service": service, "alive": False, "ready": False, "checks": {}},
+                aggregator.ingest(
+                    {"service": service, "alive": False, "ready": False, "checks": {}}
                 )
         return aggregator
 

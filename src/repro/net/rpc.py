@@ -7,10 +7,10 @@ PBE-TS, payload retrievals from the RS) and one-way everywhere else.
 * ``call`` frames a request (headers ``rpc`` and ``corr``) and parks on
   a wait that the matching response completes;
 * ``serve(msg_type, handler)`` registers the one handler of a type;
-* inbound dispatch is three-way — a response completes its pending call,
-  a request runs its handler and is answered with ``<type>:reply`` to
-  its sender, a one-way frame goes to its handler — and a frame of a
-  type nobody serves is dropped;
+* inbound dispatch is three-way — a response completes its pending call
+  if it comes from where the request went, a request runs its handler
+  and is answered with ``<type>:reply`` to its sender, a one-way frame
+  goes to its handler — and a frame of a type nobody serves is dropped;
 * a handler that raises :class:`~repro.errors.ReproError` refuses its
   frame: the frame is dropped and counted (``op.rpc.frame_rejected``),
   no reply is sent, and the endpoint keeps serving.
@@ -69,21 +69,26 @@ class Endpoint:
 
     def __init__(self) -> None:
         self._handlers: dict[str, Callable] = {}
-        self._pending: dict[int, Callable] = {}  # correlation -> complete(reply)
+        # (peer, correlation) -> complete(reply).  The peer is where the
+        # request went — a name on the simulator, whose hosts cannot forge
+        # a source, the channel it left on over TCP, where a name is a
+        # claim — so a third party cannot answer a call it did not get.
+        self._pending: dict[tuple[Any, int], Callable] = {}
 
     def serve(self, msg_type: str, handler: Callable) -> None:
         if msg_type in self._handlers:
             raise NetworkError(f"handler for {msg_type!r} already registered")
         self._handlers[msg_type] = handler
 
-    def _request(self, dst, msg_type, payload, size_bytes, headers, timeout_s):
-        """Send a request: ``(correlation, reply, sent)`` — the wait its
-        response completes and what sending the frame returned."""
-        correlation = next(self._correlation)
-        reply, complete = self.completable(timeout_s, f"call {msg_type} to {dst}")
-        self._pending[correlation] = complete
-        headers = {**(headers or {}), "rpc": "request", "corr": correlation}
-        return correlation, reply, self._send(dst, msg_type, payload, size_bytes, headers)
+    def _request(self, peer, msg_type, payload, size_bytes, headers, timeout_s, dst=None):
+        """Send a request to ``peer`` (named ``dst``): ``(key, reply, sent)``
+        — its pending entry, the wait its response completes and what
+        sending the frame returned."""
+        key = (peer, next(self._correlation))
+        reply, complete = self.completable(timeout_s, f"call {msg_type} to {dst or peer}")
+        self._pending[key] = complete
+        headers = {**(headers or {}), "rpc": "request", "corr": key[1]}
+        return key, reply, self._send(peer, msg_type, payload, size_bytes, headers)
 
     def _dispatch(self, message, sender) -> None:
         """Route one inbound frame; a reply goes back to ``sender``."""
@@ -92,7 +97,7 @@ class Endpoint:
             correlation = message.headers.get("corr")
             # a peer chose the header: only an int can name a pending call
             if isinstance(correlation, int):
-                complete = self._pending.pop(correlation, None)
+                complete = self._pending.pop((sender, correlation), None)
                 if complete is not None:
                     complete(message.payload)
             return
@@ -169,11 +174,9 @@ class RpcEndpoint(Endpoint):
         response lost on the wire would park the caller forever — the
         timeout is what turns a chaos drop into a retryable error.
         """
-        correlation, reply, _ = self._request(
-            dst, msg_type, payload, size_bytes, headers, timeout_s
-        )
+        key, reply, _ = self._request(dst, msg_type, payload, size_bytes, headers, timeout_s)
         # answered or expired, the correlation is spent
-        reply.add_callback(lambda _reply: self._pending.pop(correlation, None))
+        reply.add_callback(lambda _reply: self._pending.pop(key, None))
         return reply
 
     def completable(self, timeout_s: float | None, what: str) -> tuple[Event, Callable]:

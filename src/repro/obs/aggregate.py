@@ -1,11 +1,11 @@
 """Merge per-service telemetry snapshots into one deployment-wide view.
 
 A live P3S deployment is four services (and any number of clients), each
-exporting its own health document, metric series, and drained spans over
-the telemetry RPCs (:mod:`repro.live.telemetry`).  The
+answering the telemetry request (:mod:`repro.live.telemetry`) with one
+snapshot: health, metric series, drained spans and profile.  The
 :class:`TelemetryAggregator` is the substrate-free half of that plane:
-it accepts plain snapshot dicts — whatever JSON came off the wire — and
-maintains
+:meth:`~TelemetryAggregator.ingest` accepts plain snapshot dicts —
+whatever JSON came off the wire — and maintains
 
 * a **merged metrics registry**: every service's counters and histograms
   under a ``service`` label, rebuilt from the latest snapshot per
@@ -13,12 +13,12 @@ maintains
 * a **reassembled span store**: spans from every scrape deduplicated by
   ``(trace_id, span_id)``, from which cross-socket publish→deliver trees
   are put back together and end-to-end latencies computed;
-* a **merged profile**: the latest profile snapshot per *origin* token
-  (a sampler instance's identity), so a single-process deployment whose
-  four service endpoints all export the same process-wide sampler folds
-  to one copy of each stack while four real processes sum — the
-  hot-frames panel of ``repro live top`` and ``repro prof top`` read
-  this;
+* the **process-wide signals** — the profile and the flight recorder's
+  drop count — kept as the latest value per *origin* token, so a
+  single-process deployment whose four services all hand over the same
+  process's values counts them once while four real processes sum (the
+  hot-frames panel of ``repro live top`` and ``repro prof top`` read the
+  merged profile);
 * the **health table** behind ``repro live status`` / ``repro live top``.
 
 Nothing here imports asyncio or sockets — the aggregator is equally
@@ -36,6 +36,8 @@ from .metrics import Histogram, MetricsRegistry
 __all__ = ["TelemetryAggregator", "DEFAULT_SPAN_TABLE_CAPACITY"]
 
 SERVICE_LABEL = "service"
+# what of a snapshot is its service's health document
+HEALTH_FIELDS = ("service", "alive", "ready", "checks", "time")
 
 # Span-dedup table bound: a `live top` left running for a week must not
 # grow without limit, so the table is an LRU over span identity — the
@@ -56,42 +58,47 @@ class TelemetryAggregator:
         self.span_table_capacity = span_table_capacity
         self._health: dict[str, dict] = {}
         self._metrics: dict[str, dict] = {}
-        # profile-origin token -> (reporting services, latest profile dict);
-        # replacement per origin is the (service, stack) dedup the live
-        # tests pin: re-polling or multi-endpoint export never double-counts
-        self._profiles: dict[str, tuple[set[str], dict]] = {}
+        # (signal, origin) -> (reporting services, latest value): what a
+        # process reports through every service it hosts, kept once
+        self._per_origin: dict[tuple[str, str], tuple[set[str], object]] = {}
         # (trace_id, span_id) -> span dict; finished spans win over open
         # ones; LRU-ordered so the bound evicts the least recently seen
         self._spans: OrderedDict[tuple[int, int], dict] = OrderedDict()
-        self.total_dropped_spans = 0
         self.span_evictions = 0
 
     # -- feeding ---------------------------------------------------------------
 
-    def update_health(self, service: str, health: dict) -> None:
-        """Record ``service``'s latest health document (replaces prior)."""
-        self._health[service] = dict(health)
+    def ingest(self, snapshot: dict) -> None:
+        """Fold in one service's telemetry snapshot.
 
-    def update_metrics(self, service: str, snapshot: dict) -> None:
-        """Record ``service``'s latest metrics snapshot (replaces prior).
-
-        Snapshots carry point-in-time totals, so merging is
-        *replacement*, never accumulation — polling twice must not
-        double a counter.
+        * Health and metrics are point-in-time totals: a service's latest
+          snapshot *replaces* its previous one, so polling twice never
+          doubles a counter.  A snapshot without ``counters`` (a service
+          that could not be reached) replaces its health only.
+        * Spans were drained, so they accumulate.  In a single-process
+          deployment every service drains the same flight recorder, and
+          ``(trace_id, span_id)`` identity keeps exactly one copy.
+        * The profile and the ``obs.dropped_spans`` count are cumulative
+          and process-wide: every service of one process hands over the
+          same value.  Each is kept as the latest value per origin — the
+          profile's sampler token, the snapshot's process token — and
+          distinct origins sum.
         """
-        self._metrics[service] = snapshot
-
-    def add_spans(self, service: str, spans: list[dict], dropped: int | None = None) -> None:
-        """Fold drained spans in, deduplicating across services.
-
-        In a single-process deployment every service drains the same
-        process-global flight recorder, so the same span can arrive via
-        two services' scrapes — ``(trace_id, span_id)`` identity keeps
-        exactly one copy.  ``dropped`` is the recorder's cumulative
-        eviction count at scrape time (max-merged per call, since drains
-        are destructive but the drop counter is monotone).
-        """
-        for span in spans:
+        service = snapshot["service"]
+        self._health[service] = {
+            field: snapshot[field] for field in HEALTH_FIELDS if field in snapshot
+        }
+        if "counters" in snapshot:
+            counters = snapshot["counters"]
+            self._metrics[service] = {
+                "counters": counters,
+                "histograms": snapshot.get("histograms", []),
+            }
+            dropped = sum(
+                entry.get("value", 0) for entry in counters if entry["name"] == "obs.dropped_spans"
+            )
+            self._keep_latest("dropped_spans", snapshot.get("origin", service), service, dropped)
+        for span in snapshot.get("spans", ()):
             key = (span.get("trace_id"), span.get("span_id"))
             existing = self._spans.get(key)
             if existing is None or (existing.get("end_s") is None and span.get("end_s") is not None):
@@ -101,28 +108,33 @@ class TelemetryAggregator:
             while len(self._spans) > self.span_table_capacity:
                 self._spans.popitem(last=False)
                 self.span_evictions += 1
-        if dropped:
-            self.total_dropped_spans += dropped
+        profile = snapshot.get("profile")
+        if profile is not None:
+            self._keep_latest("profile", profile.get("origin", service), service, dict(profile))
 
-    def add_profile(self, service: str, profile: dict) -> None:
-        """Record ``service``'s latest profile snapshot.
-
-        Profiles are cumulative and keyed by their sampler's ``origin``
-        token: a later snapshot from the same origin *replaces* the
-        earlier one (same semantics as metrics), and two services
-        exporting the same process-wide sampler collapse to one entry —
-        dedup by (origin, stack).  Distinct origins (real multi-process
-        deployments) merge additively in :meth:`merged_profile`.
-        """
-        origin = profile.get("origin", service)
-        services, _ = self._profiles.get(origin, (set(), None))
+    def _keep_latest(self, signal: str, origin: str, service: str, value) -> None:
+        services, _ = self._per_origin.get((signal, origin), (set(), None))
         services.add(service)
-        self._profiles[origin] = (services, dict(profile))
+        self._per_origin[(signal, origin)] = (services, value)
+
+    def _origins(self, signal: str) -> dict[str, tuple[set[str], object]]:
+        """``origin -> (reporting services, latest value)`` of one signal."""
+        return {
+            origin: entry
+            for (name, origin), entry in sorted(self._per_origin.items())
+            if name == signal
+        }
+
+    @property
+    def total_dropped_spans(self) -> int:
+        """Spans the flight recorders evicted: each origin's latest count,
+        summed over origins."""
+        return sum(dropped for _services, dropped in self._origins("dropped_spans").values())
 
     # -- health ----------------------------------------------------------------
 
     def services(self) -> list[str]:
-        return sorted(set(self._health) | set(self._metrics))
+        return sorted(self._health)
 
     def health(self, service: str) -> dict:
         return self._health.get(service, {"service": service, "alive": False, "ready": False})
@@ -201,14 +213,14 @@ class TelemetryAggregator:
         """One deployment-wide :class:`~repro.obs.prof.model.Profile`.
 
         Sums the latest snapshot of every distinct origin; snapshots
-        sharing an origin were already collapsed by
-        :meth:`add_profile`.  Empty profile when nothing was exported.
+        sharing an origin were already collapsed by :meth:`ingest`.
+        Empty profile when nothing was exported.
         """
         from .prof.model import Profile  # lazy: prof pulls in the crypto stack
 
         merged = Profile(mode="wall", origin="merged")
         modes: set[str] = set()
-        for origin, (services, snapshot) in sorted(self._profiles.items()):
+        for origin, (services, snapshot) in self._origins("profile").items():
             part = Profile.from_dict(snapshot)
             modes.add(part.mode)
             merged.merge(part)
@@ -220,8 +232,7 @@ class TelemetryAggregator:
     def profile_origins(self) -> dict[str, list[str]]:
         """Which services reported each profile origin (dedup evidence)."""
         return {
-            origin: sorted(services)
-            for origin, (services, _) in sorted(self._profiles.items())
+            origin: sorted(services) for origin, (services, _) in self._origins("profile").items()
         }
 
     def hot_frames(self, limit: int = 10) -> list[tuple[str, float, float]]:

@@ -55,7 +55,7 @@ class Observability:
     :class:`~repro.obs.prof.sampler.DeterministicSampler`): while this
     instance is the active hook sink, every counted op is also offered
     to ``profiler.on_op`` and the live telemetry plane exposes
-    ``profiler.profile()`` over the ``KIND_PROFILE`` RPC.  ``None`` (the
+    ``profiler.profile()`` in every telemetry snapshot.  ``None`` (the
     default) keeps profiling off — op hooks pay one extra attribute
     load only when an instance is installed at all.
     """

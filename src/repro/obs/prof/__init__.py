@@ -22,8 +22,8 @@ Profiling scaled down to this reproduction:
 * :mod:`~repro.obs.prof.workload` — the seeded demo workload behind
   ``repro prof record`` and the profiler test battery.
 
-The live plane exposes the active profiler over a ``KIND_PROFILE``
-admin RPC on every service (:mod:`repro.live.telemetry`), the
+The live plane exposes the active profiler in every service's
+telemetry snapshot (:mod:`repro.live.telemetry`), the
 :class:`~repro.obs.aggregate.TelemetryAggregator` merges scrapes
 deduplicating by (origin, stack), and ``repro prof record|report|
 diff|top`` is the offline surface.

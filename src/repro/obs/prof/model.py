@@ -17,7 +17,7 @@ Export forms:
 * **speedscope JSON** (:meth:`Profile.to_speedscope`) — the
   ``type: "sampled"`` schema https://www.speedscope.app understands;
 * **profile dict** (:meth:`Profile.to_dict`) — the JSON wire form the
-  ``KIND_PROFILE`` telemetry RPC ships and the aggregator merges.
+  telemetry snapshot ships and the aggregator merges.
 
 Merging is origin-aware: every profile carries an ``origin`` token
 unique to the sampler instance that produced it, so a single-process

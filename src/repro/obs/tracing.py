@@ -219,7 +219,7 @@ class Tracer:
     def drain_finished(self) -> list[Span]:
         """Destructive scrape: remove and return every finished span.
 
-        The telemetry plane's KIND_SPANS RPC calls this — repeated polls
+        Every telemetry snapshot calls this — repeated polls
         see each span exactly once, and the recorder never regrows past
         its capacity between polls.
         """

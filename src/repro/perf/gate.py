@@ -215,8 +215,8 @@ def probe_obs_recovery(
     pipeline with no tracer — the telemetry tax a deployment pays.  Per
     message a publish → fan_out → deliver span tree around iterated
     SHA-256; every ``OBS_DRAIN_EVERY`` messages the finished spans are
-    drained, JSON-serialized and ingested into a
-    :class:`TelemetryAggregator` — the KIND_SPANS scrape path.  The two
+    drained into a telemetry snapshot, JSON-serialized and ingested into
+    a :class:`TelemetryAggregator` — the scrape path.  The two
     modes run interleaved (off/always) so drift hits both; ``detail`` is
     the best-of-``repeats`` row per mode."""
     import hashlib
@@ -249,10 +249,18 @@ def probe_obs_recovery(
                     pass
             if index % OBS_DRAIN_EVERY == OBS_DRAIN_EVERY - 1:
                 drained = tracer.drain_finished()
-                wire = json.dumps([span.to_dict() for span in drained])
+                dropped = {"name": "obs.dropped_spans", "labels": {}, "value": tracer.dropped_spans}
+                wire = json.dumps(
+                    {
+                        "service": "ds",
+                        "origin": "probe",
+                        "counters": [dropped],
+                        "spans": [span.to_dict() for span in drained],
+                    }
+                )
                 exported_bytes += len(wire)
                 exported_spans += len(drained)
-                aggregator.add_spans("ds", json.loads(wire), dropped=tracer.dropped_spans)
+                aggregator.ingest(json.loads(wire))
         elapsed = time.perf_counter() - start
         return {
             "seconds": elapsed,

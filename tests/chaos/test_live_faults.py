@@ -26,7 +26,7 @@ from repro.mq import messages as frames
 from repro.obs import Observability
 from repro.obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY
 
-from ..live.conftest import run_async
+from ..live.conftest import run_async, scrape
 
 pytestmark = pytest.mark.live
 
@@ -88,7 +88,7 @@ async def _run_faulted(scenario, config, expected, seed):
             name: subscriber.stats
             for name, subscriber in deployment.subscribers.items()
         }
-        aggregator = await deployment.scrape()
+        aggregator = await scrape(deployment)
         proxy_counters = {
             name: {"tears": p.tears, "delays": p.delays, "connections": p.connections}
             for name, p in proxies.items()

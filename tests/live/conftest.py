@@ -27,6 +27,16 @@ def run_async(coro, timeout_s: float = DEFAULT_TIMEOUT_S):
     return asyncio.run(asyncio.wait_for(coro, timeout_s))
 
 
+async def scrape(deployment, aggregator=None):
+    """One operator telemetry sweep of ``deployment`` over a short-lived
+    client; pass an aggregator to keep state across sweeps."""
+    client = deployment.telemetry_client()
+    try:
+        return await client.scrape(aggregator)
+    finally:
+        await client.close()
+
+
 def small_config(**overrides) -> P3SConfig:
     """A deployment config sized for fast tests (2-attribute schema)."""
     schema = MetadataSchema(

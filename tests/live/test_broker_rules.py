@@ -12,32 +12,35 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.messages import KIND_HEALTH, METADATA_TOPIC
+from repro.core.messages import METADATA_TOPIC
 from repro.live.deployment import LiveDeployment
 from repro.mq import messages as frames
 from repro.mq.messages import JmsFrame
+from repro.obs import Observability
 from repro.pbe.schema import Interest
 from repro.store.codec import NS_SUBS, decode_sub_key
 
-from .conftest import run_async, small_config
+from .conftest import run_async, scrape, small_config
 
 pytestmark = pytest.mark.live
 
 
 def test_subscribe_before_connect_rejected_and_ds_keeps_serving():
+    obs = Observability()
+
     async def scenario():
-        deployment = LiveDeployment(small_config())
+        deployment = LiveDeployment(small_config(obs=obs))
         await deployment.start()
         rogue = deployment._client_endpoint("rogue")
         try:
             ds = deployment.ds
             topic = METADATA_TOPIC
-            # forge a SUBSCRIBE without CONNECT, then round-trip a request
-            # on the same connection: frames are handled in order, so the
-            # reply proves the SUBSCRIBE was processed — and that the
-            # rejection did not take the connection's reader down with it
+            # forge a SUBSCRIBE without CONNECT; the operator's probe is
+            # answered after it was refused (and counted), and proves the
+            # rejection did not take the DS down with it
             await rogue.cast("ds", frames.SUBSCRIBE, JmsFrame(topic=topic))
-            assert await rogue.call("ds", KIND_HEALTH, None)
+            assert (await scrape(deployment)).health("ds")["ready"]
+            assert obs.metrics.counter_total("op.rpc.frame_rejected") == 1
             assert "rogue" not in ds.subscriptions[topic]
             stored = [decode_sub_key(key) for key, _ in ds.store.items(NS_SUBS)]
             assert (topic, "rogue") not in stored
@@ -59,4 +62,7 @@ def test_subscribe_before_connect_rejected_and_ds_keeps_serving():
             await rogue.close()
             await deployment.close()
 
-    run_async(scenario())
+    try:
+        run_async(scenario())
+    finally:
+        obs.uninstall()

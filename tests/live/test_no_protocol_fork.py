@@ -36,8 +36,8 @@ DELETED_BODIES = {
     "connect", "_send_to_ds", "_on_frame",
 }  # fmt: skip
 FORBIDDEN_MODULES = ("repro.store.codec", "repro.par")
-# the frame kinds the DS routes on; the telemetry plane's admin RPC kinds
-# (KIND_HEALTH/METRICS/SPANS/PROFILE) are live-only and not protocol rules
+# the frame kinds the DS routes on; the telemetry plane's one request kind
+# (KIND_TELEMETRY) is live-only and not a protocol rule
 ROUTING_KINDS = {"KIND_METADATA", "KIND_PAYLOAD", "KIND_TOKEN_REG", "KIND_TOKEN_UNREG"}
 # the JMS frame types a client or broker casts, by constant name and by
 # wire value; wire.py is the codec and may name anything it encodes
@@ -112,7 +112,7 @@ def test_the_scan_sees_a_fork(tmp_path):
     forked.write_text(
         "from ..store.codec import NS_SUBS\n"
         "from ..par import MatchPool\n"
-        "from ..core.messages import KIND_METADATA, KIND_HEALTH\n"
+        "from ..core.messages import KIND_METADATA, KIND_TELEMETRY\n"
         "from ..core.rs import decode_retrieval_request\n"
         "from .wire import decode_frame\n"
         "class S:\n"

@@ -1,5 +1,6 @@
-"""The live profiling surface: KIND_PROFILE admin RPCs, scrape-time
-profile collection, and origin-dedup across co-hosted services."""
+"""The live profiling surface: the profile in every telemetry snapshot,
+scrape-time profile collection, and origin-dedup across co-hosted
+services."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from repro.obs import Observability
 from repro.obs.prof import DeterministicSampler, StackSampler
 from repro.pbe.schema import Interest
 
-from .conftest import run_async, small_config
+from .conftest import run_async, scrape, small_config
 
 pytestmark = pytest.mark.live
 
@@ -44,7 +45,7 @@ class TestProfileRpc:
             client = deployment.telemetry_client("probe")
             try:
                 await _run_traffic(deployment)
-                return await client.profile("ds")
+                return await client.snapshot("ds")
             finally:
                 await client.close()
                 await deployment.close()
@@ -64,13 +65,14 @@ class TestProfileRpc:
             await deployment.start()
             client = deployment.telemetry_client("probe")
             try:
-                return await client.profile("rs")
+                return await client.snapshot("rs")
             finally:
                 await client.close()
                 await deployment.close()
 
         snapshot = run_async(scenario())
-        assert snapshot == {"service": "rs", "profile": None}
+        assert snapshot["service"] == "rs"
+        assert snapshot["profile"] is None
 
 
 class TestScrapeCollection:
@@ -84,9 +86,9 @@ class TestScrapeCollection:
             await deployment.start()
             try:
                 await _run_traffic(deployment)
-                aggregator = await deployment.scrape()
+                aggregator = await scrape(deployment)
                 # scraping twice must not double the merged weights
-                return await deployment.scrape(aggregator)
+                return await scrape(deployment, aggregator)
             finally:
                 await deployment.close()
 
@@ -111,7 +113,7 @@ class TestScrapeCollection:
             await deployment.start()
             try:
                 await _run_traffic(deployment, publications=3)
-                return await deployment.scrape()
+                return await scrape(deployment)
             finally:
                 await deployment.close()
                 obs.profiler.stop()

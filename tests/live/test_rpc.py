@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.core.ara import RegistrationAuthority
-from repro.core.messages import KIND_HEALTH, RPC_STORE
+from repro.core.messages import RPC_STORE
 from repro.errors import TransportError
 from repro.live.channel import ServerIdentity
 from repro.live.deployment import LiveDeployment
@@ -22,7 +22,7 @@ from repro.pbe.schema import AttributeSpec, Interest, MetadataSchema
 
 from ..net.rpc_contract import RpcContract
 from ..obs.test_context_wire import HOSTILE, frame_with_context
-from .conftest import run_async, small_config
+from .conftest import run_async, scrape, small_config
 
 pytestmark = pytest.mark.live
 
@@ -275,27 +275,39 @@ class TestRpcContract(RpcContract):
     def _trust_root(self, ara, group):
         self.ara, self.group = ara, group
 
-    def pair(self):
-        verify_key = self.ara.directory.ara_verify_key
-        self.server = LiveRpcEndpoint(
-            "svc", AddressBook(), ara_verify_key=verify_key,
-            identity=ServerIdentity.issue(self.ara, self.group, "svc"),
+    def _server(self, name):
+        self.servers.append(
+            LiveRpcEndpoint(
+                name, AddressBook(), ara_verify_key=self.ara.directory.ara_verify_key,
+                identity=ServerIdentity.issue(self.ara, self.group, name),
+            )
         )  # fmt: skip
-        self.client = LiveRpcEndpoint("cli", AddressBook(), ara_verify_key=verify_key)
-        return self.server, self.client
+        return self.servers[-1]
+
+    def pair(self):
+        self.servers = []
+        self.client = LiveRpcEndpoint(
+            "cli", AddressBook(), ara_verify_key=self.ara.directory.ara_verify_key
+        )
+        return self._server("svc"), self.client
+
+    def bystander(self):
+        return self._server("other")
 
     def sleep(self, seconds):
         return asyncio.sleep(seconds)
 
     def run(self, *bodies):
         async def scenario():
-            host, port = await self.server.start_server()
-            self.client.addresses.register("svc", host, port, self.server.identity.service_key)
+            for server in self.servers:
+                host, port = await server.start_server()
+                self.client.addresses.register(server.name, host, port, server.identity.service_key)
             try:
                 return list(await asyncio.gather(*map(self.client.drive, bodies)))
             finally:
                 await self.client.close()
-                await self.server.close()
+                for server in self.servers:
+                    await server.close()
 
         return run_async(scenario())
 
@@ -351,7 +363,7 @@ class TestClaimedNames:
                 await alice.wait_for_deliveries(1)
                 # squat: the DS reads this connection before the next publication
                 await rogue.cast("ds", frames.CONNECT, JmsFrame())
-                assert await rogue.call("ds", KIND_HEALTH, None)
+                assert (await scrape(deployment)).health("ds")["ready"]
                 await publisher.publish(metadata, b"second", policy="org")
                 await alice.wait_for_deliveries(2, 10.0)
                 assert [d.payload for d in alice.stats.deliveries] == [b"first", b"second"]

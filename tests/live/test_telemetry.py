@@ -1,6 +1,7 @@
-"""The live telemetry plane: health RPCs, per-service metrics scrapes,
-OpenMetrics round-trips over the wire, and the flight-recorder
-memory-flatness guarantee (the PR's acceptance scenario)."""
+"""The live telemetry plane: one operator-only snapshot per service —
+health, per-service metrics, OpenMetrics round-trips over the wire, the
+flight-recorder memory-flatness guarantee, a drop count reported once per
+process, and a rogue client that can neither read nor drain it."""
 
 from __future__ import annotations
 
@@ -9,17 +10,19 @@ import socket
 
 import pytest
 
-from repro.core.ara import RegistrationAuthority
+from repro.core.ara import TELEMETRY_CONTEXT, RegistrationAuthority
+from repro.core.messages import KIND_TELEMETRY
+from repro.crypto.signing import SigningKeyPair
 from repro.errors import TransportError
 from repro.live.channel import ServerIdentity
 from repro.live.deployment import SERVICE_NAMES, LiveDeployment
 from repro.live.rpc import AddressBook, LiveRpcEndpoint
 from repro.live.services import LiveAnonymizationService
-from repro.live.telemetry import GAUGE_METRICS, service_health_snapshot
+from repro.live.telemetry import GAUGE_METRICS, telemetry_snapshot
 from repro.obs import Histogram, Observability, parse_openmetrics, to_openmetrics
 from repro.pbe.schema import Interest
 
-from .conftest import run_async, small_config
+from .conftest import run_async, scrape, small_config
 
 pytestmark = pytest.mark.live
 
@@ -50,7 +53,7 @@ class TestHealth:
             deployment = LiveDeployment(small_config(obs=obs))
             await deployment.start()
             try:
-                aggregator = await deployment.scrape()
+                aggregator = await scrape(deployment)
             finally:
                 await deployment.close()
             assert aggregator.services() == sorted(SERVICE_NAMES)
@@ -71,7 +74,7 @@ class TestHealth:
             await deployment.start()
             try:
                 await deployment.pbe_ts.close()
-                aggregator = await deployment.scrape()
+                aggregator = await scrape(deployment)
             finally:
                 await deployment.close()
             assert not aggregator.health("pbe-ts")["alive"]
@@ -90,7 +93,7 @@ class TestMetricsAggregation:
             await deployment.start()
             try:
                 await _run_traffic(deployment)
-                return await deployment.scrape()
+                return await scrape(deployment)
             finally:
                 await deployment.close()
 
@@ -115,7 +118,7 @@ class TestMetricsAggregation:
             await deployment.start()
             try:
                 await _run_traffic(deployment, publications=1)
-                return await deployment.scrape()
+                return await scrape(deployment)
             finally:
                 await deployment.close()
 
@@ -138,7 +141,7 @@ class TestExpositionOverRpc:
             client = deployment.telemetry_client("probe")
             try:
                 await _run_traffic(deployment)
-                snapshot = await client.metrics("ds")
+                snapshot = await client.snapshot("ds")
                 aggregator = await client.scrape()
             finally:
                 await client.close()
@@ -176,7 +179,7 @@ class TestFlightRecorderAcceptance:
                     await _run_traffic(deployment, publications=6)
                     assert obs.tracer.dropped_spans > 0
                     assert len(obs.tracer.spans) <= capacity
-                    aggregator = await deployment.scrape()
+                    aggregator = await scrape(deployment)
                     # phase 2 — polled traffic, the pattern `live top`
                     # drives: scraping between publications reassembles
                     # complete traces across drains even though the ring
@@ -189,13 +192,13 @@ class TestFlightRecorderAcceptance:
                             f"polled {index}".encode(),
                             policy="org:acme",
                         )
-                        aggregator = await deployment.scrape(aggregator)
+                        aggregator = await scrape(deployment, aggregator)
                     await subscriber.wait_for_deliveries(8, 60.0)
                     await asyncio.sleep(0.2)
-                    aggregator = await deployment.scrape(aggregator)
+                    aggregator = await scrape(deployment, aggregator)
                     first_count = len(aggregator.spans())
                     # drains are exactly-once: a second sweep adds nothing
-                    aggregator = await deployment.scrape(aggregator)
+                    aggregator = await scrape(deployment, aggregator)
                     assert len(aggregator.spans()) == first_count
                     assert len(obs.tracer.spans) <= capacity
                     return aggregator
@@ -249,17 +252,17 @@ class TestBackoffReadiness:
             ghost = ServerIdentity.issue(ara, group, "ghost")
             book.register("ghost", "127.0.0.1", dead_port, ghost.service_key)
             try:
-                assert service_health_snapshot(service)["ready"]
+                assert telemetry_snapshot(service)["ready"]
                 call = asyncio.ensure_future(
                     endpoint.call("ghost", "p3s.anything", None, timeout_s=10.0)
                 )
                 await asyncio.sleep(0.45)  # inside the retry backoff window
-                during = service_health_snapshot(service)
+                during = telemetry_snapshot(service)
                 assert during["checks"]["dial_backoff_quiet"] is False
                 assert not during["ready"]
                 with pytest.raises(TransportError):
                     await call
-                after = service_health_snapshot(service)
+                after = telemetry_snapshot(service)
                 assert after["checks"]["dial_backoff_quiet"] is True
                 assert after["ready"]
                 assert endpoint.reconnects >= 1
@@ -267,3 +270,67 @@ class TestBackoffReadiness:
                 await service.close()
 
         run_async(scenario())
+
+
+class TestDroppedSpans:
+    def test_one_process_reports_its_drop_count_once_and_sweeps_do_not_grow_it(self):
+        # four services share one flight recorder: each snapshot carries the
+        # same cumulative count, which must be counted once, not per service
+        # and not once more per sweep
+        obs = Observability(span_capacity=8)
+        try:
+
+            async def scenario():
+                deployment = LiveDeployment(small_config(obs=obs))
+                await deployment.start()
+                try:
+                    await _run_traffic(deployment)
+                    aggregator = await scrape(deployment)
+                    first = (aggregator.total_dropped_spans, obs.tracer.dropped_spans)
+                    aggregator = await scrape(deployment, aggregator)
+                    return first, (aggregator.total_dropped_spans, obs.tracer.dropped_spans)
+                finally:
+                    await deployment.close()
+
+            first, second = run_async(scenario())
+        finally:
+            obs.uninstall()
+        assert first[1] > 0
+        assert first[0] == first[1]
+        assert second[0] == second[1]
+
+
+class TestOperatorOnly:
+    def test_a_rogue_drains_nothing_and_the_operator_sees_every_span(self, obs):
+        async def scenario():
+            deployment = LiveDeployment(small_config(obs=obs))
+            await deployment.start()
+            rogue = deployment._client_endpoint("rogue-subscriber")
+            zr_bytes = deployment.plan.group.zr_bytes
+            try:
+                await _run_traffic(deployment)
+                finished = {(s.trace_id, s.span_id) for s in obs.tracer.spans if s.finished}
+                requests = [
+                    None,  # unsigned
+                    # signed, but not by the ARA
+                    SigningKeyPair(deployment.plan.group)
+                    .sign(TELEMETRY_CONTEXT + b"ds").to_bytes(zr_bytes),
+                    # the operator's request to the RS, replayed to the DS
+                    deployment.plan.ara.sign_telemetry_request("rs").to_bytes(zr_bytes),
+                ]  # fmt: skip
+                for request in requests:
+                    with pytest.raises(TransportError, match="timed out"):
+                        await rogue.call("ds", KIND_TELEMETRY, request, timeout_s=0.5)
+                return finished, await scrape(deployment)
+            finally:
+                await rogue.close()
+                await deployment.close()
+
+        finished, aggregator = run_async(scenario())
+        assert obs.metrics.counter_total("op.rpc.frame_rejected") == 3
+        seen = {(span["trace_id"], span["span_id"]) for span in aggregator.spans()}
+        assert finished and finished <= seen
+        assert any(
+            span["name"] == "subscriber.retrieve" and span["component"] == "alice"
+            for span in aggregator.spans()
+        )

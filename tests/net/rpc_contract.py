@@ -25,6 +25,10 @@ class RpcContract:
         """A fresh ``(server, client)`` pair; the client can reach the server."""
         raise NotImplementedError
 
+    def bystander(self):
+        """A second server of the latest pair's client, which it can reach."""
+        raise NotImplementedError
+
     def sleep(self, seconds: float):
         raise NotImplementedError
 
@@ -122,3 +126,36 @@ class RpcContract:
             )  # fmt: skip
 
         assert self.run(body()) == [b"mine"]
+
+    def test_a_third_partys_response_leaves_the_call_pending(self):
+        """Only the peer a request went to can answer it: a bystander the
+        client also talks to, which learned the live correlation id, sends
+        its response first, and the call still returns the server's."""
+        server, client = self.pair()
+        bystander = self.bystander()
+        asked, forged = [], []
+
+        def ask(src, msg):
+            asked.append(msg.headers["corr"])
+            while not forged:
+                yield self.sleep(0.01)
+            return (b"honest", 8)
+
+        server.serve("ask", ask)
+        bystander.serve("hello", lambda src, msg: (None, 8))
+        client.serve("sync", lambda src, msg: (None, 8))
+
+        def call():
+            return (yield client.call(server.name, "ask", None, 8))
+
+        def forge():
+            yield client.call(bystander.name, "hello", None, 8)  # now it can push to the client
+            while not asked:
+                yield self.sleep(0.01)
+            response = {"rpc": "response", "corr": asked[0]}
+            yield bystander.cast(client.name, "ask:reply", b"forged", 8, headers=response)
+            # frames are handled in order: the reply proves the forgery landed
+            yield bystander.call(client.name, "sync", None, 8)
+            forged.append(True)
+
+        assert self.run(call(), forge())[0] == b"honest"

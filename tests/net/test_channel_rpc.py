@@ -68,16 +68,21 @@ class TestRpc(RpcContract):
     slow_s = 1.0
 
     def pair(self):
-        self.sim, _, a, b = make_pair()
+        self.sim, self.net, a, b = make_pair()
         self.server, self.client = RpcEndpoint(b), RpcEndpoint(a)
+        self.endpoints = [self.server, self.client]
         return self.server, self.client
+
+    def bystander(self):
+        self.endpoints.append(RpcEndpoint(SecureChannelLayer(self.net.add_host("c"))))
+        return self.endpoints[-1]
 
     def sleep(self, seconds):
         return self.sim.timeout(seconds)
 
     def run(self, *bodies):
-        self.server.start()
-        self.client.start()
+        for endpoint in self.endpoints:
+            endpoint.start()
         processes = [self.client.drive(body) for body in bodies]
         self.sim.run()
         return [process.value for process in processes]

@@ -220,6 +220,11 @@ class TestDeterministicSampler:
             assert sampler.profile().total("count") == calls // every
 
 
+def _profiled(service: str, profile: dict) -> dict:
+    """A telemetry snapshot carrying nothing but a profile."""
+    return {"service": service, "alive": True, "ready": True, "checks": {}, "profile": profile}
+
+
 class TestAggregatorMerge:
     def _profile_dict(self, origin: str, count: int = 10) -> dict:
         profile = Profile(mode="det", origin=origin)
@@ -227,11 +232,11 @@ class TestAggregatorMerge:
         return profile.to_dict()
 
     def test_same_origin_across_services_dedups(self):
-        # one process hosting four services reports the same sampler to
-        # each KIND_PROFILE scrape: merge must keep one copy, not four
+        # one process hosting four services reports the same sampler in
+        # each service's snapshot: merge must keep one copy, not four
         aggregator = TelemetryAggregator()
         for service in ("anon", "ds", "rs", "pbe-ts"):
-            aggregator.add_profile(service, self._profile_dict("wall-77-1"))
+            aggregator.ingest(_profiled(service, self._profile_dict("wall-77-1")))
         merged = aggregator.merged_profile()
         assert merged.total("count") == 10
         assert aggregator.profile_origins() == {
@@ -240,8 +245,8 @@ class TestAggregatorMerge:
 
     def test_distinct_origins_sum(self):
         aggregator = TelemetryAggregator()
-        aggregator.add_profile("ds0", self._profile_dict("wall-77-1", 10))
-        aggregator.add_profile("ds1", self._profile_dict("wall-78-1", 3))
+        aggregator.ingest(_profiled("ds0", self._profile_dict("wall-77-1", 10)))
+        aggregator.ingest(_profiled("ds1", self._profile_dict("wall-78-1", 3)))
         merged = aggregator.merged_profile()
         assert merged.total("count") == 13
         assert merged.samples[("ds", "ds.fan_out", "op.hve.match")].count == 13
@@ -251,7 +256,7 @@ class TestAggregatorMerge:
         profile = Profile(mode="det", origin="det-1")
         profile.add(("pub", "op.g1_exp"), count=9)
         profile.add(("pub", "op.pairing"), count=1)
-        aggregator.add_profile("pub", profile.to_dict())
+        aggregator.ingest(_profiled("pub", profile.to_dict()))
         frames = aggregator.hot_frames(limit=2)
         assert frames[0][0] == "op.g1_exp"
         assert frames[0][2] == pytest.approx(0.9)
