@@ -3,40 +3,17 @@
 "Increasing the match rate benefits P3S.  The baseline only disseminates
 to subscribers who match, whereas P3S must disseminate to all of them,
 and if more subscribers match, the baseline loses its advantage."
+Asserted on the figure's one definition (``python -m repro fig10``
+prints it) against Fig. 9's f = 5%.
 """
 
+from repro.perf.figures import FIGURES, throughput_series
 from repro.perf.params import MESSAGE_SIZES, PAPER_PARAMS
-from repro.perf.report import format_rate, series_table
-from repro.perf.throughput import baseline_throughput, p3s_throughput, throughput_ratio
-
-F50 = PAPER_PARAMS.with_(match_fraction=0.5)
 
 
-def _series(params):
-    base = [baseline_throughput(m, params).total for m in MESSAGE_SIZES]
-    p3s = [p3s_throughput(m, params).total for m in MESSAGE_SIZES]
-    ratio = [throughput_ratio(m, params) for m in MESSAGE_SIZES]
-    return base, p3s, ratio
-
-
-def test_fig10_throughput_f50(benchmark, capsys):
-    base, p3s, ratio = benchmark(_series, F50)
-    _, _, ratio_f5 = _series(PAPER_PARAMS)
-    with capsys.disabled():
-        print()
-        print(
-            series_table(
-                MESSAGE_SIZES,
-                {"baseline": base, "P3S": p3s, "ratio(b)": ratio, "ratio@f=5%": ratio_f5},
-                formatters={
-                    "baseline": format_rate,
-                    "P3S": format_rate,
-                    "ratio(b)": ".3f",
-                    "ratio@f=5%": ".3f",
-                },
-                title="Fig. 10 — throughput, f = 50% (vs Fig. 9's f = 5%)",
-            )
-        )
+def test_fig10_throughput_f50(benchmark):
+    base, p3s, ratio = benchmark(throughput_series, FIGURES["fig10"].params)
+    _, _, ratio_f5 = throughput_series(PAPER_PARAMS)
 
     # at every size, f=50% treats P3S at least as well as f=5%
     assert all(r50 >= r5 - 1e-12 for r50, r5 in zip(ratio, ratio_f5))

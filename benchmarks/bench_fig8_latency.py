@@ -1,39 +1,16 @@
 """Fig. 8 — end-to-end latency over payload size (a) and relative to baseline (b).
 
-Reproduces both panels for ℬ = 10 Mbps: the absolute latency series for
-the baseline and P3S, and the P3S/baseline ratio against the 10× target.
-Shape assertions encode the paper's claims; absolute values use Table 1
-constants (swap in measured constants with the ``calibrated`` variant).
+Asserts the paper's shape claims on the figure's one definition
+(:data:`repro.perf.figures.FIGURES`; ``python -m repro fig8`` prints it),
+at Table 1 constants and again with this repository's measured constants.
 """
 
-from repro.perf.latency import baseline_latency, latency_ratio, p3s_latency
-from repro.perf.params import MESSAGE_SIZES, PAPER_PARAMS
-from repro.perf.report import format_seconds, series_table
+from repro.perf.figures import latency_series
+from repro.perf.params import PAPER_PARAMS
 
 
-def _series(params):
-    base = [baseline_latency(m, params).total for m in MESSAGE_SIZES]
-    p3s = [p3s_latency(m, params).total for m in MESSAGE_SIZES]
-    ratio = [latency_ratio(m, params) for m in MESSAGE_SIZES]
-    return base, p3s, ratio
-
-
-def test_fig8_latency_series(benchmark, capsys):
-    base, p3s, ratio = benchmark(_series, PAPER_PARAMS)
-    with capsys.disabled():
-        print()
-        print(
-            series_table(
-                MESSAGE_SIZES,
-                {
-                    "baseline": base,
-                    "P3S": p3s,
-                    "ratio(b)": ratio,
-                },
-                formatters={"baseline": format_seconds, "P3S": format_seconds, "ratio(b)": ".2f"},
-                title="Fig. 8 — end-to-end latency, ℬ = 10 Mbps (paper parameters)",
-            )
-        )
+def test_fig8_latency_series(benchmark):
+    base, p3s, ratio = benchmark(latency_series, PAPER_PARAMS)
 
     # paper claim: baseline has low latency for small payloads
     assert base[0] < p3s[0]
@@ -45,20 +22,10 @@ def test_fig8_latency_series(benchmark, capsys):
     assert max(ratio) < 10.0
 
 
-def test_fig8_with_measured_constants(bench_calibration, benchmark, capsys):
+def test_fig8_with_measured_constants(bench_calibration, benchmark):
     """Same figure with OUR measured crypto constants substituted."""
     params = bench_calibration.as_model_params(PAPER_PARAMS)
-    base, p3s, ratio = benchmark(_series, params)
-    with capsys.disabled():
-        print()
-        print(
-            series_table(
-                MESSAGE_SIZES,
-                {"baseline": base, "P3S": p3s, "ratio(b)": ratio},
-                formatters={"baseline": format_seconds, "P3S": format_seconds, "ratio(b)": ".2f"},
-                title=f"Fig. 8 — with constants measured at {bench_calibration.param_set}",
-            )
-        )
+    base, p3s, ratio = benchmark(latency_series, params)
     # the qualitative shape must survive recalibration
     assert base[0] < p3s[0]
     assert abs(ratio[-1] - 1.0) < 0.1

@@ -1,37 +1,19 @@
 """Fig. 9 — throughput over payload size at f = 5% (a) and relative (b).
 
-Reproduces the f = 5% panels: absolute publications/second for baseline
-and P3S with the limiting stage, and the relative series showing the
+Asserts the f = 5% panels' shape on the figure's one definition
+(``python -m repro fig9`` prints it): the limiting stage, the
 small-payload penalty ("P3S performs worse than the baseline for small
 payloads") and large-payload parity.
 """
 
+from repro.perf.figures import throughput_series
 from repro.perf.params import MESSAGE_SIZES, PAPER_PARAMS
-from repro.perf.report import format_rate, series_table
-from repro.perf.throughput import baseline_throughput, p3s_throughput, throughput_ratio
+from repro.perf.throughput import p3s_throughput, throughput_ratio
 
 
-def _series(params):
-    base = [baseline_throughput(m, params).total for m in MESSAGE_SIZES]
-    p3s = [p3s_throughput(m, params).total for m in MESSAGE_SIZES]
-    ratio = [throughput_ratio(m, params) for m in MESSAGE_SIZES]
-    return base, p3s, ratio
-
-
-def test_fig9_throughput_f5(benchmark, capsys):
-    base, p3s, ratio = benchmark(_series, PAPER_PARAMS)
+def test_fig9_throughput_f5(benchmark):
+    base, p3s, ratio = benchmark(throughput_series, PAPER_PARAMS)
     bottlenecks = [p3s_throughput(m, PAPER_PARAMS).bottleneck for m in MESSAGE_SIZES]
-    with capsys.disabled():
-        print()
-        print(
-            series_table(
-                MESSAGE_SIZES,
-                {"baseline": base, "P3S": p3s, "ratio(b)": ratio},
-                formatters={"baseline": format_rate, "P3S": format_rate, "ratio(b)": ".3f"},
-                title="Fig. 9 — throughput, f = 5% (paper parameters)",
-            )
-        )
-        print(f"P3S bottleneck shifts: {bottlenecks[0]} → {bottlenecks[-1]}")
 
     # flat small-payload region limited by the DS broadcast
     assert bottlenecks[0] == "r1_ds_broadcast"
@@ -43,7 +25,7 @@ def test_fig9_throughput_f5(benchmark, capsys):
     assert ratio[0] < 0.1
 
 
-def test_fig9_no_ns_dependence(benchmark, capsys):
+def test_fig9_no_ns_dependence(benchmark):
     """Paper: the relative throughput does not depend on N_s for fixed f."""
 
     def ratios_across_ns():
@@ -53,8 +35,5 @@ def test_fig9_no_ns_dependence(benchmark, capsys):
         }
 
     ratios = benchmark(ratios_across_ns)
-    with capsys.disabled():
-        print()
-        print("Fig. 9 companion — ratio vs N_s at m=10KB:", {k: round(v, 4) for k, v in ratios.items()})
     values = list(ratios.values())
     assert max(values) - min(values) < 1e-9

@@ -41,6 +41,7 @@ from repro.live.scenario import (
     run_on_live,
     run_on_simulator,
 )
+from repro.obs.metrics import nearest_rank
 from repro.pbe.schema import AttributeSpec, Interest, MetadataSchema
 
 pytestmark = pytest.mark.live
@@ -56,11 +57,6 @@ SCHEMA = MetadataSchema(
 
 def _config() -> P3SConfig:
     return P3SConfig(schema=SCHEMA)
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 async def _measure_echo_rtt() -> dict:
@@ -96,7 +92,7 @@ async def _measure_echo_rtt() -> dict:
             "payload_bytes": len(payload),
             "mean_ms": statistics.mean(samples) * 1e3,
             "median_ms": statistics.median(samples) * 1e3,
-            "p95_ms": _percentile(samples, 0.95) * 1e3,
+            "p95_ms": nearest_rank(sorted(samples), 0.95) * 1e3,
         }
     finally:
         await client.close()
@@ -123,7 +119,7 @@ async def _measure_publish_deliver() -> dict:
             "publications": LATENCY_PUBLICATIONS,
             "mean_ms": statistics.mean(samples) * 1e3,
             "median_ms": statistics.median(samples) * 1e3,
-            "p95_ms": _percentile(samples, 0.95) * 1e3,
+            "p95_ms": nearest_rank(sorted(samples), 0.95) * 1e3,
         }
     finally:
         await deployment.close()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["DEFAULT_VNODES", "HashRing", "hash_key"]
 
@@ -101,13 +101,6 @@ class HashRing:
             share[owner] += point - previous
             previous = point
         return {node: arc / _RING_SPACE for node, arc in sorted(share.items())}
-
-    def counts(self, keys: Sequence[bytes | str]) -> dict[str, int]:
-        """How many of ``keys`` each node owns (empirical balance)."""
-        out = {node: 0 for node in self.nodes}
-        for key in keys:
-            out[self.owner(key)] += 1
-        return out
 
     # -- equality / debugging --------------------------------------------------
 

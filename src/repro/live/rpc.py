@@ -83,9 +83,6 @@ class AddressBook:
             raise TransportError(f"no address for {name!r} in the service directory")
         return entry
 
-    def names(self) -> list[str]:
-        return sorted(self._entries)
-
     def to_dict(self) -> dict[str, tuple[str, int]]:
         return {name: (e.host, e.port) for name, e in self._entries.items()}
 

@@ -102,7 +102,6 @@ class Network:
         self.latency_s = latency_s
         self.hosts: dict[str, Host] = {}
         self.trace: list[WireRecord] = []
-        self._drop_filter: Callable[[str, str, Message], bool] | None = None
         self._fault_injector: Callable[[str, str, Message, float], list[float]] | None = None
 
     def add_host(self, name: str, bandwidth_bps: float | None = None) -> Host:
@@ -117,10 +116,6 @@ class Network:
             return self.hosts[name]
         except KeyError:
             raise RoutingError(f"unknown host {name!r}") from None
-
-    def set_drop_filter(self, predicate: Callable[[str, str, Message], bool] | None) -> None:
-        """Failure injection: drop transmissions for which ``predicate`` is true."""
-        self._drop_filter = predicate
 
     def set_fault_injector(
         self, injector: Callable[[str, str, Message, float], list[float]] | None
@@ -168,8 +163,6 @@ class Network:
                 active.metrics.observe(
                     "net.egress_wait_s", start - self.sim.now, host=src.name
                 )
-        if self._drop_filter is not None and self._drop_filter(src.name, dst_name, message):
-            return arrival  # silently lost on the wire
         base_delay = arrival - self.sim.now
         if self._fault_injector is None:
             delays = (base_delay,)

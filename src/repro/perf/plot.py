@@ -1,4 +1,4 @@
-"""Terminal (ASCII) plots for the figure benches and the CLI.
+"""Terminal (ASCII) plots for ``python -m repro fig8|fig9|fig10``.
 
 Log-log line plots good enough to eyeball the Fig. 8-10 shapes without a
 plotting stack: each named series gets a marker; collisions show the

@@ -1,8 +1,8 @@
-"""Plain-text reporting helpers for the benchmark harness.
+"""Plain-text reporting helpers for the CLI and the benchmark harness.
 
-Every table/figure bench prints the same rows or series the paper reports,
-via these formatters, so ``pytest benchmarks/ --benchmark-only -s`` yields
-a readable reproduction transcript (also captured into EXPERIMENTS.md).
+Table 1 and Figs. 8-10 (:mod:`repro.perf.figures`, printed by ``python
+-m repro table1|fig8|fig9|fig10``) and every bench that prints a table
+go through these formatters (transcripts are in EXPERIMENTS.md).
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ A :class:`FaultPlan` is armed with a crash point name and a hit count;
 the engine calls :meth:`FaultPlan.fire` at each instrumented point, and
 on the matching hit a :class:`SimulatedCrash` propagates out of the
 write path — the in-process stand-in for ``kill -9`` between two
-syscalls.  ``partial=`` additionally asks the engine to write only a
-prefix of the frame before dying, which is how a torn tail is
+syscalls.  Armed at ``append.partial_write``, it makes the engine write
+only a prefix of the frame before dying, which is how a torn tail is
 manufactured on purpose.
 
 Crash points instrumented in :class:`~repro.store.wal.WalEngine`:
@@ -85,11 +85,6 @@ class FaultPlan:
         self.hit = hit
         self.hits: Counter[str] = Counter()
         self.fired = False
-
-    @property
-    def partial(self) -> bool:
-        """Whether the armed point asks for a half-written frame."""
-        return self.point == "append.partial_write"
 
     def would_fire(self, point: str) -> bool:
         """Record one visit; True when this is the armed point's Nth hit.

@@ -137,12 +137,12 @@ class TestSequenceHeaderHygiene:
         system, publisher, _alice = _ready_system()
         to_alice = []
 
-        def recorder(src, dst, message):
+        def recorder(src, dst, message, delay):
             if dst == "alice":
                 to_alice.append(message)
-            return False  # observe only, drop nothing
+            return [delay]  # observe only, drop nothing
 
-        system.network.set_drop_filter(recorder)
+        system.network.set_fault_injector(recorder)
         record = publisher.publish(_metadata(), b"clean", policy="org")
         system.run()
         assert len(system.deliveries_for(record)) == 1

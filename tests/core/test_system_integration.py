@@ -256,13 +256,13 @@ class TestFailureHandling:
         system.run()
         bob = system.add_publisher("bob")
         system.run()
-        system.network.set_drop_filter(
-            lambda src, dst, msg: src == "ds" and dst == "alice"
+        system.network.set_fault_injector(
+            lambda src, dst, msg, delay: [] if (src, dst) == ("ds", "alice") else [delay]
         )
         record = bob.publish(METADATA, b"payload", policy="org:acme")
         system.run()
         assert system.deliveries_for(record) == []
-        system.network.set_drop_filter(None)
+        system.network.set_fault_injector(None)
 
     def test_guid_unguessable_fetch_fails(self):
         """A party that never matched cannot fetch by guessing GUIDs."""

@@ -42,7 +42,9 @@ class TestSecureChannel:
 
     def test_loss_detected_via_gap(self):
         sim, net, a, b = make_pair()
-        net.set_drop_filter(lambda src, dst, message: message.headers.get("seq") == 1)
+        net.set_fault_injector(
+            lambda src, dst, message, delay: [] if message.headers.get("seq") == 1 else [delay]
+        )
 
         def receiver():
             while True:

@@ -140,7 +140,7 @@ class TestFailureInjection:
     def test_drop_filter_loses_message(self):
         sim, net = make_net()
         a, b = net.add_host("a"), net.add_host("b")
-        net.set_drop_filter(lambda src, dst, message: dst == "b")
+        net.set_fault_injector(lambda src, dst, message, delay: [] if dst == "b" else [delay])
         received = []
 
         def receiver():
@@ -156,7 +156,9 @@ class TestFailureInjection:
     def test_drop_filter_selective(self):
         sim, net = make_net()
         a, b = net.add_host("a"), net.add_host("b")
-        net.set_drop_filter(lambda src, dst, message: message.msg_type == "bad")
+        net.set_fault_injector(
+            lambda src, dst, message, delay: [] if message.msg_type == "bad" else [delay]
+        )
         received = []
 
         def receiver():

@@ -52,9 +52,19 @@ class TestCli:
         assert "Fig. 8" in output
         assert "100 MB" in output
 
+    def test_fig9_runs(self, capsys):
+        assert main(["fig9"]) == 0
+        assert "Fig. 9 — throughput, f = 5%" in capsys.readouterr().out
+
     def test_fig10_runs(self, capsys):
         assert main(["fig10"]) == 0
         assert "f = 50%" in capsys.readouterr().out
+
+    def test_table1_runs(self, capsys):
+        assert main(["table1", "-p", "TOY"]) == 0
+        output = capsys.readouterr().out
+        assert "Table 1 — performance-model parameters" in output
+        assert "§6.2 crypto micro-measurements" in output
 
     def test_calibrate_runs_small(self, capsys):
         assert main(["calibrate", "-p", "TOY", "--vector-bits", "4"]) == 0

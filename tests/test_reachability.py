@@ -8,9 +8,13 @@ strings and ``from x import y`` re-exports are not references, and tests
 are not callers: code only its own tests reach is deleted, not kept.
 
 The one exception is :data:`INSTRUMENTS` — code that tests use to exercise
-behaviour that remains.  Matching is by bare name, so the scan
-under-reports (a method called ``get`` is always "reached"); it exists to
-stop whole unreferenced paths from accumulating, not to prove liveness.
+behaviour that remains.  Matching is by name, narrowed where the AST
+allows: a bare ``name`` reaches only module-level definitions,
+``self.<name>`` and ``cls.<name>`` only the methods of the enclosing
+class's own hierarchy (its bases and subclasses, by class name), and any
+other ``obj.<name>`` every definition of that name.  So the scan still
+under-reports (``obj.get`` reaches every ``get``); it exists to stop whole
+unreferenced paths from accumulating, not to prove liveness.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 CALLER_ROOTS = (REPO / "src", REPO / "benchmarks", REPO / "examples")
 TRACING = REPO / "benchmarks" / "e2e" / "tracing.py"
+MODULE = "<module>"  # the owner of a bare-name reference
 
 # name -> why tests need it although the program does not call it.
 INSTRUMENTS = {
@@ -33,7 +38,6 @@ INSTRUMENTS = {
     "interpose": "chaos/proxy: put a FaultProxy in front of one live service",
     "disarm": "chaos/proxy: stop injecting so a test can watch the deployment heal",
     "duplicate_dispatch": "chaos/proxy: deliver one live frame twice (dedup tests)",
-    "set_drop_filter": "Network: drop chosen simulator messages in the loss/retry tests",
     # obs: how an assertion reads what a run recorded
     "counter_value": "MetricsRegistry: one labelled counter, in op-count assertions",
     "counter_total": "MetricsRegistry/TelemetryAggregator: one counter summed over its labels",
@@ -82,33 +86,85 @@ def definitions():
     return found
 
 
-def references():
-    """name -> [(path, line)] of every Load reference outside the tests."""
-    refs: dict[str, list[tuple[Path, int]]] = {}
+def _walk(node: ast.AST, owner: str | None = None):
+    """Every node under ``node`` with the name of its innermost enclosing class."""
+    for child in ast.iter_child_nodes(node):
+        yield child, owner
+        yield from _walk(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+
+def _trees():
     for root in CALLER_ROOTS:
         for path in _python_files(root):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    refs.setdefault(node.id, []).append((path, node.lineno))
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    refs.setdefault(node.attr, []).append((path, node.lineno))
+            yield path, ast.parse(path.read_text())
+
+
+def references():
+    """name -> [(path, line, owner)] of every Load reference outside the
+    tests; ``owner`` is :data:`MODULE` for a bare name, the enclosing class
+    of a ``self.``/``cls.`` attribute and ``None`` for any other attribute."""
+    refs: dict[str, list[tuple[Path, int, str | None]]] = {}
+    for path, tree in _trees():
+        for node, owner in _walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.setdefault(node.id, []).append((path, node.lineno, MODULE))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                on_self = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+                refs.setdefault(node.attr, []).append(
+                    (path, node.lineno, owner if on_self else None)
+                )
     # the benchmark wraps callables it names in strings ("Class.method")
     for node in ast.walk(ast.parse(TRACING.read_text())):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             for part in node.value.split("."):
                 if part.isidentifier():
-                    refs.setdefault(part, []).append((TRACING, node.lineno))
+                    refs.setdefault(part, []).append((TRACING, node.lineno, None))
     return refs
+
+
+def hierarchies():
+    """class name -> the class names a ``self.`` reference inside it can
+    reach: itself, its ancestors and its descendants."""
+    bases: dict[str, set[str]] = {}
+    for _path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(
+                    base.id if isinstance(base, ast.Name) else base.attr
+                    for base in node.bases
+                    if isinstance(base, (ast.Name, ast.Attribute))
+                )
+
+    def ancestors(name: str) -> set[str]:
+        found, todo = set(), [name]
+        while todo:
+            for base in bases.get(todo.pop(), ()):
+                if base not in found:
+                    found.add(base)
+                    todo.append(base)
+        return found
+
+    lineage = {name: ancestors(name) for name in bases}
+    return {
+        name: {name} | up | {other for other, theirs in lineage.items() if name in theirs}
+        for name, up in lineage.items()
+    }
 
 
 def unreached():
     refs = references()
+    family = hierarchies()
     missing = []
     for name, qualname, path, first, last in definitions():
+        cls = qualname.split(".")[0] if "." in qualname else None
         outside = [
             (ref_path, line)
-            for ref_path, line in refs.get(name, ())
+            for ref_path, line, owner in refs.get(name, ())
             if not (ref_path == path and first <= line <= last)
+            and (
+                owner is None
+                or (cls is None if owner == MODULE else cls in family.get(owner, {owner}))
+            )
         ]
         if not outside:
             missing.append((name, f"{path.relative_to(REPO)}:{first} {qualname}"))
