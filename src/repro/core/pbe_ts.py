@@ -24,7 +24,7 @@ from ..crypto import precompute
 from ..crypto.pke import PKEKeyPair
 from ..crypto.signing import Certificate, VerifyKey
 from ..crypto.symmetric import SecretBox
-from ..errors import CertificateError, DecryptionError, SchemaError, TokenRequestError
+from ..errors import CertificateError, ReproError, SchemaError, TokenRequestError
 from ..net.ports import ports_on
 from ..obs import hooks as obs
 from ..pbe.hve import HVE, HVEMasterKey
@@ -156,15 +156,18 @@ class TokenIssuer:
     def open_request(
         self, pke: PKEKeyPair, payload: bytes
     ) -> tuple[bytes, Certificate, Interest]:
-        """Decrypt and parse one token request under the server's PKE key."""
+        """Decrypt and parse one token request under the server's PKE key;
+        a body of any other shape is a :class:`TokenRequestError`."""
         try:
             body = json.loads(pke.decrypt(payload).decode("utf-8"))
+            if not isinstance(body, dict) or not all(
+                isinstance(body.get(name), str) for name in ("ks", "cert", "interest")
+            ):
+                raise ValueError("not an object of three strings")
             session_key = bytes.fromhex(body["ks"])
-            certificate = Certificate.from_bytes(
-                bytes.fromhex(body["cert"]), self.hve.group.zr_bytes
-            )
+            certificate = Certificate.from_bytes(bytes.fromhex(body["cert"]), self.hve.group)
             interest = Interest.from_json(body["interest"])
-        except (DecryptionError, ValueError, KeyError) as exc:
+        except (ReproError, ValueError) as exc:  # undecryptable, bad JSON/hex, bad fields
             raise TokenRequestError(f"malformed token request: {exc}") from exc
         return session_key, certificate, interest
 

@@ -1,0 +1,106 @@
+"""Signed-digit comb tables: fixed-base multiplication in G1, fixed-base
+exponentiation in GT.
+
+The hot bases of this codebase are raised to fresh scalars on every setup,
+encrypt and token-gen call: the group generator ``g`` and the HVE / CP-ABE
+public-key points in G1, and ``Y = ê(g,g)^{y₀}``, ``ê(g,g)^α`` and
+``ê(g,g)`` itself in GT.  A comb table for base ``B`` stores, in row ``j``,
+the multiples ``d · 32^j · B`` (in GT the powers ``B^(d·32^j)``) for the
+digits ``d = 1…16``.  A scalar recoded into signed radix-32 digits
+``d ∈ [−15, 16]`` (:func:`signed_digits`) then costs one lookup and one
+group operation a digit and no doublings or squarings: at most 33 for a
+160-bit scalar.  A negative digit selects the inverse of an entry, which is
+free in both groups: ``−(x, y) = (x, −y)`` on the curve, and an ``F_q²``
+element of norm 1 — every GT element — inverts by conjugation.
+
+Tables are promoted automatically: a base pays for its table only on its
+third large (>32-bit) use, so one-shot values (hash-to-point candidates,
+ephemeral keys, pairing results) never trigger a build.  A table lives with
+whoever owns its base (:class:`TableCache`): an HVE public key carries
+those of its own 4n points — 4n at most, freed with the key — and every
+other base (``g``, CP-ABE, PKE and signing keys, the GT bases: a dozen or
+so on any workload) is served by value from one process-global cache,
+:data:`shared_tables`, LRU-bounded because nothing else bounds it.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+
+__all__ = ["WINDOW", "signed_digits", "TableCache", "shared_tables"]
+
+WINDOW = 5  # digit width in bits: a row holds the 2^(WINDOW−1) = 16 positive digits
+ROW = 1 << (WINDOW - 1)
+_PROMOTE_AFTER = 2  # large uses a base must make before a table is built
+MAX_TABLES = 128
+_MAX_COUNTS = 4096
+
+
+def signed_digits(k: int) -> list[int]:
+    """``k ≥ 0`` in signed radix ``2^WINDOW``, lowest digit first.
+
+    Every digit lies in ``[1 − ROW, ROW]`` and ``Σ d_j · 2^(WINDOW·j) = k``;
+    a ``b``-bit ``k`` has at most ``b // WINDOW + 1`` digits (the last one
+    only when a carry runs off the top)."""
+    digits = []
+    while k:
+        digit = k & ((1 << WINDOW) - 1)
+        if digit > ROW:
+            digit -= 1 << WINDOW
+        digits.append(digit)
+        k = (k - digit) >> WINDOW
+    return digits
+
+
+class TableCache:
+    """Comb tables of a set of bases, keyed by value, and the use counts that
+    earn them; each LRU-bounded (a key sizes both to its own bases: no eviction).
+
+    A base is a curve point or an ``F_q²`` element of norm 1, and builds its
+    own table (``base.comb_table()``); one cache may hold both kinds."""
+
+    def __init__(self, max_tables: int, max_counts: int):
+        self.max_tables = max_tables
+        self.max_counts = max_counts
+        self.tables: OrderedDict = OrderedDict()
+        self.counts: OrderedDict = OrderedDict()
+
+    def clear(self) -> None:
+        self.tables.clear()
+        self.counts.clear()
+
+    def table(self, base):
+        """Get-or-build the comb table for ``base``."""
+        table = self.tables.get(base)
+        if table is None:
+            table = base.comb_table()
+            self.tables[base] = table
+            self.counts.pop(base, None)
+            while len(self.tables) > self.max_tables:
+                self.tables.popitem(last=False)
+        else:
+            self.tables.move_to_end(base)
+        return table
+
+    def lookup(self, base, bits: int):
+        """Count one use of ``base`` with a ``bits``-bit scalar and return the
+        comb table that serves it: a cached one wide enough, or the one this
+        use promotes the base to (``None`` otherwise)."""
+        table = self.tables.get(base)
+        if table is not None:
+            self.tables.move_to_end(base)
+        elif bits > 32:
+            count = self.counts.get(base, 0) + 1
+            if count > _PROMOTE_AFTER:
+                table = self.table(base)
+            else:
+                self.counts[base] = count
+                self.counts.move_to_end(base)
+                while len(self.counts) > self.max_counts:
+                    self.counts.popitem(last=False)
+        if table is None or bits > table.max_bits:
+            return None
+        return table
+
+
+shared_tables = TableCache(MAX_TABLES, _MAX_COUNTS)  # every base no key owns

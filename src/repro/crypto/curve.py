@@ -18,107 +18,83 @@ Both walks are :mod:`repro.crypto.jacobian`'s.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from itertools import zip_longest
 
 from ..errors import NotOnCurveError, ParameterError, SerializationError
 from ..obs.hooks import record_op
+from .comb import ROW, WINDOW, TableCache, shared_tables, signed_digits
 from .field import fq_inv, fq_is_square, fq_sqrt
 from .jacobian import INFINITY, add_affine, add_many, double, normalise, scalar_mul
 from .params import TypeAParams
 
-__all__ = [
-    "Point",
-    "hash_to_point",
-    "FixedBaseTable",
-    "TableCache",
-    "fixed_base_table",
-    "clear_fixed_base_cache",
-    "mul_many",
-]
+__all__ = ["Point", "hash_to_point", "FixedBaseTable", "fixed_base_table", "mul_many"]
 
 # ---------------------------------------------------------------------------
-# Fixed-base precomputation (comb method).
+# Fixed-base precomputation: the G1 half of :mod:`repro.crypto.comb`.
 #
-# The hot bases of this codebase — the group generator ``g`` and the HVE /
-# CP-ABE public-key points — are multiplied by fresh scalars on every
-# setup, encrypt and token-gen call.  A comb table for base ``B`` stores
-# ``d · 16^j · B`` for every window digit ``d``, reducing a ``b``-bit
-# scalar multiplication from ~``1.5·b`` group operations to ``b/4``
-# additions (no doublings at all).
-#
-# Tables are promoted automatically: a base pays for its table only on its
-# third large scalar multiplication, so one-shot points (hash-to-point
-# candidates, ephemeral keys) never trigger a build.  A table lives with
-# whoever owns its base (``TableCache``): an HVE public key carries those
-# of its own 4n bases — 4n at most, freed with the key — and every other
-# base (``g``, CP-ABE, PKE and signing keys: 6–13 on any workload) is
-# served by value from one process-global cache, LRU-bounded because
-# nothing else bounds it.
+# A signed comb table turns a ``b``-bit scalar multiplication from ~``1.5·b``
+# group operations into at most ``b/5 + 1`` additions (no doublings at all);
+# which bases earn one, and who keeps it, is ``comb``'s ``TableCache``.
 #
 # A single multiplication (``FixedBaseTable.mul``) is a dependent chain: a
 # Jacobian accumulator, one inversion for the result.  A batch in hand at
 # once (``mul_many``: the 2n of one ``HVE.encrypt``) keeps its accumulators
-# affine and advances them in lock-step, one shared inversion per window —
+# affine and advances them in lock-step, one shared inversion per digit —
 # as the table build fills all its rows.  Having a batch is what selects
 # the walk.  Results are bit-identical to the naive ladder either way: the
 # group law is deterministic and every path computes the same multiple.
 # ---------------------------------------------------------------------------
 
-_FB_WINDOW = 4
-_FB_PROMOTE_AFTER = 2  # big muls a base must perform before a table is built
-_FB_MAX_TABLES = 128
-_FB_MAX_COUNTS = 4096
-
 
 class FixedBaseTable:
-    """Comb precomputation for one base point.
+    """Signed comb precomputation for one base point.
 
-    ``rows[j][d-1] = d · 2^(window·j) · B`` for digits ``d ∈ [1, 2^w)``;
-    :meth:`mul` (and a :func:`mul_many` batch) then needs only one table
-    lookup and addition per window of the scalar.  Supports scalars up to
-    ``max_bits`` bits (larger ones fall back to the generic ladder).
+    ``rows[j][d-1] = d · 32^j · B`` for ``d ∈ [1, 16]``, ``max_bits // 5 + 1``
+    rows: enough for the signed digits of every scalar in ``[0, 2^max_bits)``
+    (:func:`~repro.crypto.comb.signed_digits`).  A negative digit selects
+    the negated entry ``(x, −y)``, so :meth:`mul` (and a :func:`mul_many`
+    batch) needs one lookup and addition per digit.  Larger scalars fall
+    back to the generic ladder.
     """
 
-    __slots__ = ("base", "window", "max_bits", "rows")
+    __slots__ = ("base", "max_bits", "rows")
 
-    def __init__(self, base: "Point", max_bits: int, window: int = _FB_WINDOW):
+    def __init__(self, base: "Point", max_bits: int):
         if base.is_infinity:
             raise ValueError("cannot build a fixed-base table for the point at infinity")
         self.base = base
-        self.window = window
         self.max_bits = max_bits
         params, q = base.params, base.params.q
-        # the row seeds 2^(w·j)·B: one doubling chain, normalised once (None
-        # once a base of small order has run out: 2^(w·j)·B = O) …
+        # the row seeds 32^j·B: one doubling chain, normalised once (None
+        # once a base of small order has run out: 32^j·B = O) …
         chain = [(base.x, base.y, 1)]
-        for _ in range(-(-max_bits // window) - 1):  # ceil
+        for _ in range(max_bits // WINDOW):
             X, Y, Z = chain[-1]
-            for _ in range(window):
+            for _ in range(WINDOW):
                 X, Y, Z = double(X, Y, Z, q)[:3]
             chain.append((X, Y, Z))
         seeds = [entry and entry[:2] for entry in normalise(chain, q)]
         # … then digit d of every row from digit d − 1, all rows in lock-step
         digits = [seeds]
-        for _ in range(2, 1 << window):
+        for _ in range(1, ROW):
             digits.append(add_many(digits[-1], seeds, q))
         self.rows = [[Point._from_affine(entry, params) for entry in row] for row in zip(*digits)]
 
     def _addends(self, k: int) -> "list[tuple[int, int] | None]":
-        """The table entries ``k``'s digits select, lowest window first
-        (``None`` for a zero digit or an entry at infinity): their sum is
-        ``k · B``.  ``k`` must be in ``[0, 2^max_bits)``."""
+        """The table entries ``k``'s signed digits select, lowest first, each
+        negated for a negative digit (``None`` for a zero digit or an entry
+        at infinity): their sum is ``k · B``.  ``k`` must be in
+        ``[0, 2^max_bits)``."""
         if k < 0 or k.bit_length() > self.max_bits:
             raise ParameterError(f"scalar outside the comb table's [0, 2^{self.max_bits})")
-        mask = (1 << self.window) - 1
+        q = self.base.params.q
         addends = []
-        for row in self.rows:
-            if not k:
-                break
-            digit = k & mask
-            entry = row[digit - 1] if digit else None
-            addends.append(None if entry is None or entry.x is None else (entry.x, entry.y))
-            k >>= self.window
+        for row, digit in zip(self.rows, signed_digits(k)):
+            entry = row[abs(digit) - 1] if digit else None
+            if entry is None or entry.x is None:
+                addends.append(None)
+            else:
+                addends.append((entry.x, entry.y if digit > 0 else -entry.y % q))
         return addends
 
     def mul(self, k: int) -> "Point":
@@ -131,81 +107,32 @@ class FixedBaseTable:
         return Point._from_affine(normalise([(X, Y, Z)], q)[0], self.base.params)
 
 
-class TableCache:
-    """Comb tables of a set of bases, keyed by value, and the use counts that
-    earn them; each LRU-bounded (a key sizes both to its own bases: no eviction)."""
-
-    def __init__(self, max_tables: int, max_counts: int):
-        self.max_tables = max_tables
-        self.max_counts = max_counts
-        self.tables: "OrderedDict[tuple[int, int, int], FixedBaseTable]" = OrderedDict()
-        self.counts: "OrderedDict[tuple[int, int, int], int]" = OrderedDict()
-
-    def clear(self) -> None:
-        self.tables.clear()
-        self.counts.clear()
-
-    def table(self, point: "Point") -> FixedBaseTable:
-        """Get-or-build the comb table for ``point``."""
-        key = (point.x, point.y, point.params.q)
-        table = self.tables.get(key)
-        if table is None:
-            table = FixedBaseTable(point, point.params.r.bit_length() + _FB_WINDOW)
-            self.tables[key] = table
-            self.counts.pop(key, None)
-            record_op("g1_exp.fb_build")
-            while len(self.tables) > self.max_tables:
-                self.tables.popitem(last=False)
-        else:
-            self.tables.move_to_end(key)
-        return table
-
-    def lookup(self, point: "Point", bits: int) -> FixedBaseTable | None:
-        """Count one multiplication of ``point`` by a ``bits``-bit scalar and
-        return the comb table that serves it: a cached one wide enough, or
-        the one this use promotes the base to."""
-        record_op("g1_exp")
-        key = (point.x, point.y, point.params.q)
-        table = self.tables.get(key)
-        if table is not None:
-            self.tables.move_to_end(key)
-        elif bits > 32:
-            count = self.counts.get(key, 0) + 1
-            if count > _FB_PROMOTE_AFTER:
-                table = self.table(point)
-            else:
-                self.counts[key] = count
-                self.counts.move_to_end(key)
-                while len(self.counts) > self.max_counts:
-                    self.counts.popitem(last=False)
-        if table is None or bits > table.max_bits:
-            return None
-        record_op("g1_exp.fixed_base")
-        return table
-
-
-_adhoc_tables = TableCache(_FB_MAX_TABLES, _FB_MAX_COUNTS)  # every base no key owns
-
-
-def clear_fixed_base_cache() -> None:
-    """Drop the ad-hoc tables and promotion counters (test isolation)."""
-    _adhoc_tables.clear()
-
-
 def fixed_base_table(point: "Point") -> FixedBaseTable:
-    """Get-or-build the ad-hoc comb table for ``point`` (explicit warm-up API).
+    """Get-or-build the shared comb table for ``point`` (explicit warm-up API).
 
     Services with known-hot bases (the PBE-TS, publishers) call this once
     so even their first request takes the fast path.
     """
-    return _adhoc_tables.table(point)
+    return shared_tables.table(point)
 
 
-def mul_many(pairs: "list[tuple[Point, int]]", owner: TableCache = _adhoc_tables) -> "list[Point]":
+def _served(owner: TableCache, point: "Point", k: int) -> FixedBaseTable | None:
+    """Count ``point · k`` (``k ≥ 0``) as one ``g1_exp`` and return the comb
+    table of ``owner`` that serves it, if any (none for ``0`` or infinity)."""
+    if k == 0 or point.is_infinity:
+        return None
+    record_op("g1_exp")
+    table = owner.lookup(point, k.bit_length())
+    if table is not None:
+        record_op("g1_exp.fixed_base")
+    return table
+
+
+def mul_many(pairs: "list[tuple[Point, int]]", owner: TableCache = shared_tables) -> "list[Point]":
     """``[base * k for base, k in pairs]`` for bases on one curve, each
     entry counted, promoted and served exactly as ``Point.__mul__`` would
     (from ``owner``, when the bases are one key's own); the comb-table
-    entries walk in lock-step, one inversion per window for all of them."""
+    entries walk in lock-step, one inversion per digit for all of them."""
     results: list[Point | None] = []
     walk = []  # (slot, table, k) of every entry a comb table serves
     for base, k in pairs:
@@ -213,7 +140,7 @@ def mul_many(pairs: "list[tuple[Point, int]]", owner: TableCache = _adhoc_tables
             raise ParameterError("mul_many: bases on different curves")
         if k < 0:
             base, k = -base, -k
-        table = None if k == 0 or base.is_infinity else owner.lookup(base, k.bit_length())
+        table = _served(owner, base, k)
         if table is None:
             results.append(base.scalar_mul_windowed(k, 4 if k.bit_length() > 32 else 1))
         else:
@@ -308,12 +235,14 @@ class Point:
 
         ``k`` is used as given — it is *not* reduced modulo ``r``, because
         cofactor clearing multiplies points that are not yet in the
-        order-``r`` subgroup.  Large scalars use a 4-bit window (fewer
-        additions); small ones plain double-and-add.
+        order-``r`` subgroup.  A base with a comb table (the shared one,
+        earned on its third large use) is served from its signed digits;
+        otherwise large scalars use a 4-bit window (fewer additions) and
+        small ones plain double-and-add.
         """
         if k < 0:
             return (-self) * (-k)
-        table = None if k == 0 or self.is_infinity else _adhoc_tables.lookup(self, k.bit_length())
+        table = _served(shared_tables, self, k)
         if table is not None:
             return table.mul(k)
         return self.scalar_mul_windowed(k, 4 if k.bit_length() > 32 else 1)
@@ -333,6 +262,12 @@ class Point:
             return Point.infinity(self.params)
         result = scalar_mul(self.x, self.y, k, self.params.q, window_bits)
         return Point._from_affine(result, self.params)
+
+    def comb_table(self) -> FixedBaseTable:
+        """A new comb table for this base, as wide as ``r`` plus one digit
+        (what a :class:`~repro.crypto.comb.TableCache` builds)."""
+        record_op("g1_exp.fb_build")
+        return FixedBaseTable(self, self.params.r.bit_length() + WINDOW)
 
     @classmethod
     def _from_affine(cls, entry: tuple | None, params: TypeAParams) -> "Point":

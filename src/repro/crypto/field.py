@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from ..errors import ParameterError
 from ..obs.hooks import record_op
+from .comb import ROW, shared_tables, signed_digits
 
-__all__ = ["Fq2", "fq_inv", "fq_batch_inv", "fq_sqrt", "fq_is_square"]
+__all__ = ["Fq2", "PowerTable", "fq_inv", "fq_batch_inv", "fq_sqrt", "fq_is_square"]
 
 
 def fq_inv(a: int, q: int) -> int:
@@ -145,20 +146,33 @@ class Fq2:
     def conjugate(self) -> "Fq2":
         return Fq2(self.a, -self.b, self.q)
 
+    def norm(self) -> int:
+        """``a² + b²``, which is ``self^(q+1)``: 1 for every GT element."""
+        return (self.a * self.a + self.b * self.b) % self.q
+
     def inverse(self) -> "Fq2":
         # 1/(a + bi) = (a − bi) / (a² + b²)
         q = self.q
-        norm = (self.a * self.a + self.b * self.b) % q
+        norm = self.norm()
         if norm == 0:
             raise ZeroDivisionError("inverse of zero in F_q2")
         inv_norm = fq_inv(norm, q)
         return Fq2(self.a * inv_norm, -self.b * inv_norm, q)
 
     def __pow__(self, exponent: int) -> "Fq2":
+        """``self^exponent``; an element of norm 1 (every GT element) is
+        served from its shared comb table once it has earned one
+        (:mod:`repro.crypto.comb`), anything else by square-and-multiply."""
         if exponent < 0:
             return self.inverse() ** (-exponent)
         record_op("gt_exp")
-        result = Fq2.one(self.q)
+        q = self.q
+        if self.norm() == 1:
+            exponent %= q + 1
+            table = shared_tables.lookup(self, exponent.bit_length())
+            if table is not None:
+                return table.pow(exponent)
+        result = Fq2.one(q)
         base = self
         while exponent:
             if exponent & 1:
@@ -166,6 +180,11 @@ class Fq2:
             base = base.square()
             exponent >>= 1
         return result
+
+    def comb_table(self) -> "PowerTable":
+        """A new comb table for this base (what a
+        :class:`~repro.crypto.comb.TableCache` builds)."""
+        return PowerTable(self)
 
     # -- misc ----------------------------------------------------------------
 
@@ -180,3 +199,51 @@ class Fq2:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Fq2({self.a:#x}, {self.b:#x})"
+
+
+class PowerTable:
+    """Signed comb precomputation for the powers of one base ``B`` of norm 1.
+
+    ``rows[j][d-1] = B^(d·32^j)`` for ``d ∈ [1, 16]``; a row is added the
+    first time an exponent's signed digits
+    (:func:`~repro.crypto.comb.signed_digits`) reach it, from the square of
+    the row before's last entry.  A negative digit selects the conjugate of
+    an entry — its inverse, at norm 1 — so :meth:`pow` costs one
+    multiplication per non-zero digit.  ``max_bits`` covers every exponent
+    :meth:`Fq2.__pow__` hands over: it reduces them modulo ``q + 1``.
+    """
+
+    __slots__ = ("base", "max_bits", "rows")
+
+    def __init__(self, base: Fq2):
+        if base.norm() != 1:
+            raise ValueError("only an element of norm 1 has a comb table")
+        self.base = base
+        self.max_bits = (base.q + 1).bit_length()
+        self.rows: list[list[Fq2]] = []
+
+    def pow(self, k: int) -> Fq2:
+        """``B^k`` by table lookups, for ``k ≥ 0``."""
+        digits = signed_digits(k)
+        result = None
+        for row, digit in zip(self._rows(len(digits)), digits):
+            if digit:
+                entry = row[digit - 1] if digit > 0 else row[-digit - 1].conjugate()
+                result = entry if result is None else result * entry
+        return Fq2.one(self.base.q) if result is None else result
+
+    def _rows(self, count: int) -> list[list[Fq2]]:
+        """At least ``count`` rows, grown on a copy (a concurrent reader
+        keeps a consistent list)."""
+        rows = self.rows
+        if len(rows) < count:
+            rows = list(rows)
+            seed = rows[-1][-1].square() if rows else self.base  # B^(32^j)
+            while len(rows) < count:
+                row = [seed]
+                for _ in range(1, ROW):
+                    row.append(row[-1] * seed)
+                rows.append(row)
+                seed = row[-1].square()
+            self.rows = rows
+        return rows

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import DecryptionError
+from ..errors import DecryptionError, ReproError
 from .curve import Point
 from .group import PairingGroup
 from .hashing import kdf
@@ -66,7 +66,7 @@ class PKEKeyPair:
             raise DecryptionError("PKE ciphertext too short")
         try:
             ephemeral_public = self.group.deserialize_g1(ciphertext[:point_len])
-        except Exception as exc:
+        except ReproError as exc:  # not a canonical encoding, or not on the curve
             raise DecryptionError(f"bad ephemeral point: {exc}") from exc
         shared = ephemeral_public * self._secret
         key = kdf(self.group.serialize_g1(shared), "pke-dem")

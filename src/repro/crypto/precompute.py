@@ -2,17 +2,22 @@
 
 No ladder or Miller loop underneath inverts per step
 (:mod:`repro.crypto.jacobian`); two independent precomputations amortise
-what is left — doublings, and the point arithmetic of a fixed pairing
-argument.  The mechanics live next to the arithmetic they accelerate, and
-this module is the policy/observation surface over both:
+what is left — doublings and squarings, and the point arithmetic of a
+fixed pairing argument.  The mechanics live next to the arithmetic they
+accelerate, and this module is the policy/observation surface over both:
 
-* **Fixed-base comb tables** (:mod:`repro.crypto.curve`) — the group
+* **Signed-digit comb tables** (:mod:`repro.crypto.comb`) — the group
   generator ``g`` and the HVE/CP-ABE public-key bases are multiplied by
-  fresh scalars on every setup, encrypt and token-gen call.  Tables are
-  keyed by base and auto-promoted on a base's third large scalar
-  multiplication.  ~5x per scalar multiplication at TOY parameters.  One
-  multiplication walks its table in Jacobian form; a batch
-  (``curve.mul_many``) and a table's build, affine in lock-step.
+  fresh scalars on every setup, encrypt and token-gen call, and the GT
+  bases ``Y``, ``ê(g,g)^α`` and ``ê(g,g)`` are raised to fresh powers.
+  A table stores ``d · 32^j`` times its base for ``d = 1…16``; a scalar's
+  signed radix-32 digits ``d ∈ [−15, 16]`` then cost one group operation
+  each (a negative digit is a negated point, or a conjugated GT element).
+  Tables are keyed by base and auto-promoted on a base's third large use.
+  One G1 multiplication walks its table (:class:`repro.crypto.curve.
+  FixedBaseTable`) in Jacobian form; a batch (``curve.mul_many``) and a
+  table's build, affine in lock-step.  A GT table
+  (:class:`repro.crypto.field.PowerTable`) grows a row at a time.
 
 * **Miller-loop line precomputation** (:mod:`repro.crypto.pairing`) — a
   pairing argument reused across many pairings (an HVE subscription token
@@ -24,20 +29,21 @@ this module is the policy/observation surface over both:
   ``CPABE._key_lines``): they are token / key material.
 
 A comb table lives with whoever owns its base.  An ``HVEPublicKey``
-carries the tables of its own 4n bases (``HVEPublicKey.tables``): key
+carries the tables of its own 4n points (``HVEPublicKey.tables``): key
 material like the lines above — 4n at most, freed with the key, never
-serialized; ≈ 42 KB a table at ``TOY``, ≈ 160 KB at ``PAPER``.  Every other
-base (``g``, CP-ABE, PKE and signing keys: 6–13 on any workload) is served
-by value from one process-global, LRU-bounded cache (workers of a
-:class:`repro.par.MatchPool` each warm their own copy).  Both precomputed
-paths are bit-identical to the naive ones — enforced by
+serialized; 16 entries a row, 34 rows at ``PAPER``.  Every other base
+(``g``, CP-ABE, PKE and signing keys, the GT bases: a dozen or so on any
+workload) is served by value from one process-global, LRU-bounded cache
+(workers of a :class:`repro.par.MatchPool` each warm their own copy).
+Both precomputed paths are bit-identical to the naive ones — enforced by
 ``tests/par/test_equivalence.py`` and the golden vectors in
 ``tests/crypto/vectors/``.
 """
 
 from __future__ import annotations
 
-from .curve import FixedBaseTable, clear_fixed_base_cache, fixed_base_table
+from .comb import shared_tables
+from .curve import FixedBaseTable, fixed_base_table
 from .pairing import MillerPrecomputed, precompute_miller
 
 __all__ = [
@@ -60,6 +66,7 @@ def warm_generator(group) -> None:
 
 
 def clear_caches() -> None:
-    """Drop every process-global precomputation cache (test isolation; a
-    harness's "new process").  Tables a key owns go when the key does."""
-    clear_fixed_base_cache()
+    """Drop every process-global precomputation cache — the shared G1 and GT
+    comb tables and their promotion counts (test isolation; a harness's
+    "new process").  Tables a key owns go when the key does."""
+    shared_tables.clear()

@@ -10,6 +10,7 @@ module provides the signature scheme and a small certificate structure
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from ..errors import CertificateError, SerializationError
@@ -30,13 +31,15 @@ class Signature:
         return self.challenge.to_bytes(zr_bytes, "big") + self.response.to_bytes(zr_bytes, "big")
 
     @classmethod
-    def from_bytes(cls, data: bytes, zr_bytes: int) -> "Signature":
-        if len(data) != 2 * zr_bytes:
+    def from_bytes(cls, data: bytes, group: PairingGroup) -> "Signature":
+        width = group.zr_bytes
+        if len(data) != 2 * width:
             raise SerializationError("bad signature length")
-        return cls(
-            int.from_bytes(data[:zr_bytes], "big"),
-            int.from_bytes(data[zr_bytes:], "big"),
-        )
+        challenge = int.from_bytes(data[:width], "big")
+        response = int.from_bytes(data[width:], "big")
+        if challenge >= group.order or response >= group.order:  # one encoding a signature
+            raise SerializationError("signature scalar not below the group order")
+        return cls(challenge, response)
 
 
 @dataclass(frozen=True)
@@ -131,14 +134,31 @@ class Certificate:
         return len(body).to_bytes(4, "big") + body + self.signature.to_bytes(zr_bytes)
 
     @classmethod
-    def from_bytes(cls, data: bytes, zr_bytes: int) -> "Certificate":
+    def from_bytes(cls, data: bytes, group: PairingGroup) -> "Certificate":
+        """The certificate ``data`` encodes; anything but the one canonical
+        encoding of string ``subject``/``role`` and a ``not_after`` that is
+        ``None`` or a finite number is a :class:`SerializationError`."""
         if len(data) < 4:
             raise SerializationError("certificate too short")
         body_len = int.from_bytes(data[:4], "big")
         body = data[4 : 4 + body_len]
-        sig = Signature.from_bytes(data[4 + body_len :], zr_bytes)
+        sig = Signature.from_bytes(data[4 + body_len :], group)
         try:
             fields = json.loads(body.decode("utf-8"))
-            return cls(fields["subject"], fields["role"], fields["not_after"], sig)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise SerializationError(f"malformed certificate body: {exc}") from exc
+        if not isinstance(fields, dict):
+            raise SerializationError("certificate body is not an object")
+        subject, role, not_after = (fields.get(name) for name in ("subject", "role", "not_after"))
+        if not (isinstance(subject, str) and isinstance(role, str) and _is_time(not_after)):
+            raise SerializationError("certificate field of the wrong type")
+        if cls._payload(subject, role, not_after) != body:  # one encoding a certificate
+            raise SerializationError("non-canonical certificate body")
+        return cls(subject, role, not_after, sig)
+
+
+def _is_time(value) -> bool:
+    """``None`` or a finite number (a bool is not one)."""
+    if value is None or (isinstance(value, int) and not isinstance(value, bool)):
+        return True
+    return isinstance(value, float) and math.isfinite(value)

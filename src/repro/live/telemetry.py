@@ -171,7 +171,7 @@ def install_telemetry(service) -> None:
         verify_key = endpoint.ara_verify_key
         if verify_key is None or not isinstance(message.payload, bytes):
             raise CertificateError(f"{src}: telemetry request carries no ARA signature")
-        signature = Signature.from_bytes(message.payload, verify_key.group.zr_bytes)
+        signature = Signature.from_bytes(message.payload, verify_key.group)
         if not verify_key.verify(statement, signature):
             raise CertificateError(f"{src}: telemetry request not signed for {endpoint.name}")
         body = json.dumps(telemetry_snapshot(service), default=str)

@@ -9,8 +9,8 @@ sequence — and therefore the deterministic sampler's folded output — is
 a pure function of ``(publications, seed, every)``.
 
 :func:`record_demo` owns the full lifecycle: build, attach, run, detach,
-snapshot.  It clears the process-global fixed-base comb cache first so
-two in-process recordings replay identically (a warm cache would skip
+snapshot.  It clears the process-global comb cache first so two
+in-process recordings replay identically (a warm cache would skip
 ``g1_exp.fb_build`` ops the first run paid).
 """
 
@@ -47,10 +47,10 @@ def run_demo_workload(
     import random
 
     from ...core import P3SConfig, P3SSystem
-    from ...crypto.curve import clear_fixed_base_cache
+    from ...crypto import precompute
     from ...pbe import Interest
 
-    clear_fixed_base_cache()
+    precompute.clear_caches()
     rng = random.Random(seed)
     config = P3SConfig(schema=demo_schema(), obs=obs)
     system = P3SSystem(config)

@@ -44,7 +44,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..crypto.curve import Point, TableCache, mul_many
+from ..crypto.comb import TableCache
+from ..crypto.curve import Point, mul_many
 from ..crypto.group import PairingGroup
 from ..crypto.hashing import kdf
 from ..crypto.symmetric import SecretBox

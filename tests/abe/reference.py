@@ -2,12 +2,14 @@
 is compared against.
 
 It shares no code with :mod:`repro.abe.bsw07`'s decryption: a cold
-``tate_pairing`` quotient per leaf, ``Fq2.__pow__`` for the Lagrange
-recombination at every gate, its own Lagrange arithmetic, no cache.
+``tate_pairing`` quotient per leaf, table-free square-and-multiply for the
+Lagrange recombination at every gate, its own Lagrange arithmetic, no cache.
 """
 
 from repro.crypto.field import Fq2
 from repro.crypto.pairing import tate_pairing
+
+from ..crypto.reference import plain_pow
 
 
 def reference_decrypt(group, key, ciphertext) -> Fq2:
@@ -43,5 +45,5 @@ def _decrypt_node(group, node, key, components):
                 numerator *= -j
                 denominator *= i - j
         exponent = numerator * pow(denominator, -1, group.order) % group.order
-        result = result * values[i] ** exponent
+        result = result * plain_pow(values[i], exponent)
     return result

@@ -12,6 +12,7 @@ battery that could not be written while each rule was welded to
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from types import SimpleNamespace
 
@@ -580,6 +581,73 @@ class TestHostileRequestBytes:
         ports = RecordingPorts("rs")
         rs = _rs(ports, group)
         assert ports.deliver("anon", RPC_RETRIEVE, _hostile(group, rs.pke)[case]) == (b"\x00", 1)
+
+
+WRONG_SHAPES = ("a list", "a string", "a number", "ks not a string",
+                "certificate body a list", "not_after not a number")  # fmt: skip
+
+
+@pytest.fixture(scope="module")
+def wrong_shapes(group, ara):
+    """``(credentials, {case: body})``: token-request plaintexts that decrypt
+    under the PBE-TS key but are not the 3-tuple of strings around a
+    certificate of the right field types."""
+    credentials = ara.register_subscriber("ts-shapes", {"org"})
+    certificate = credentials.certificate
+    request = json.loads(
+        encode_token_request(b"k" * 32, certificate, Interest({"topic": "a"}), group.zr_bytes)
+    )
+    signature = certificate.signature.to_bytes(group.zr_bytes)
+
+    def certificate_body(body: bytes) -> dict:
+        return dict(request, cert=(len(body).to_bytes(4, "big") + body + signature).hex())
+
+    fields = {"not_after": "x", "role": "subscriber", "subject": certificate.subject}
+    bodies = {
+        "a list": [1],
+        "a string": "x",
+        "a number": 5,
+        "ks not a string": dict(request, ks=5),
+        "certificate body a list": certificate_body(b"[1]"),
+        "not_after not a number": certificate_body(json.dumps(fields, sort_keys=True).encode()),
+    }
+    return credentials, {case: json.dumps(body).encode() for case, body in bodies.items()}
+
+
+class TestWrongShapeTokenRequests:
+    """A well-encrypted token request of the wrong shape is malformed.  Each
+    escaped the PBE-TS handler as a ``TypeError``: the first five from
+    ``open_request``, the last from ``authorize`` (``now > "x"``), before the
+    signature check — and a non-``ReproError`` is not refused and counted."""
+
+    @pytest.mark.parametrize("case", WRONG_SHAPES)
+    def test_is_refused_as_malformed(self, group, ara, wrong_shapes, case):
+        pke = PKEKeyPair(group)
+        master_key, verify_key = ara.provision_pbe_ts()
+        issuer = TokenIssuer(HVE(group), master_key, SCHEMA, verify_key)
+        with pytest.raises(TokenRequestError):
+            issuer.open_request(pke, pke.public.encrypt(wrong_shapes[1][case]))
+
+    def test_server_answers_the_bare_error_and_keeps_serving(self, group, ara, wrong_shapes):
+        credentials, bodies = wrong_shapes
+        ports = RecordingPorts("pbe-ts")
+        master_key, verify_key = ara.provision_pbe_ts()
+        server = PBETokenServer(
+            ports,
+            TokenIssuer(HVE(group), master_key, SCHEMA, verify_key),
+            PKEKeyPair(group),
+            TIMINGS,
+        )
+        for case in WRONG_SHAPES:
+            request = server.pke.public.encrypt(bodies[case])
+            assert ports.deliver("anon", RPC_TOKEN_REQUEST, request) == (b"\x00", 1), case
+        session_key = SecretBox.generate_key()
+        body = encode_token_request(
+            session_key, credentials.certificate, Interest({"topic": "a"}), group.zr_bytes
+        )
+        sealed, _ = ports.deliver("anon", RPC_TOKEN_REQUEST, server.pke.public.encrypt(body))
+        assert deserialize_hve_token(group, decode_token_response(session_key, sealed)) is not None
+        assert server.issuer.tokens_issued == 1 and len(server.observed_predicates) == 1
 
 
 class TestAnonymizerRelay:

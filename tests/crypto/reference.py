@@ -1,11 +1,12 @@
-"""Affine reference arithmetic for the ladder and Miller-loop tests.
+"""Affine reference arithmetic for the ladder, comb and Miller-loop tests.
 
-Nothing here touches the code under test beyond ``Point.__add__``: the
-single-operation group law is the reference every faster path is held to.
+Nothing here touches the code under test beyond ``Point.__add__`` and
+``Fq2.__mul__``: the single-operation group laws are the reference every
+faster path is held to.
 """
 
 from repro.crypto.curve import Point
-from repro.crypto.field import fq_is_square, fq_sqrt
+from repro.crypto.field import Fq2, fq_is_square, fq_sqrt
 from repro.crypto.params import TOY
 
 
@@ -18,6 +19,20 @@ def plain_mul(point, k):
         if k & 1:
             result = result + point
         point = point + point
+        k >>= 1
+    return result
+
+
+def plain_pow(element, k):
+    """Square-and-multiply in ``F_q²``: nothing but ``Fq2.__mul__`` (and
+    ``Fq2.inverse`` for a negative ``k``) — no comb table, no reduction."""
+    if k < 0:
+        element, k = element.inverse(), -k
+    result = Fq2.one(element.q)
+    while k:
+        if k & 1:
+            result = result * element
+        element = element * element
         k >>= 1
     return result
 

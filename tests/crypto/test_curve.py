@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import precompute
+from repro.crypto.comb import WINDOW, signed_digits
 from repro.crypto.curve import FixedBaseTable, Point, fixed_base_table, hash_to_point, mul_many
 from repro.crypto.jacobian import add_many
 from repro.crypto.params import PAPER, TOY
@@ -174,23 +175,22 @@ class TestLaddersAgainstAffineReference:
 
     @pytest.mark.parametrize("name", ["generator", "two_torsion", "order_4", "outside_subgroup"])
     def test_comb_table_full_range(self, name):
-        """Every scalar a small table accepts — rows and running sums at
-        infinity included (a 2-torsion base has ``[B, O, B, O, …]`` rows)."""
-        from repro.crypto.curve import FixedBaseTable
-
+        """Every scalar a small table accepts — negated entries, rows and
+        running sums at infinity included (a 2-torsion base has ``[B, O, B,
+        O, …]`` rows and is its own negation), and the carries: the third
+        row is reached only by one running off the top of the second."""
         base = LADDER_POINTS[name]
-        table = FixedBaseTable(base, max_bits=9)
-        assert len(table.rows) == 3 and all(len(row) == 15 for row in table.rows)
+        table = FixedBaseTable(base, max_bits=10)
+        assert len(table.rows) == 3 and all(len(row) == 16 for row in table.rows)
         for j, row in enumerate(table.rows):
             for d, entry in enumerate(row, start=1):
-                assert entry == plain_mul(base, d * 16**j)
-        for k in range(1 << 9):
+                assert entry == plain_mul(base, d * 32**j)
+        assert signed_digits((1 << 10) - 1) == [-1, 0, 1]
+        for k in range(1 << 10):
             assert table.mul(k) == plain_mul(base, k)
 
     def test_comb_table_full_size(self):
-        from repro.crypto.curve import FixedBaseTable
-
-        table = FixedBaseTable(G, max_bits=R.bit_length() + 4)
+        table = FixedBaseTable(G, max_bits=R.bit_length() + WINDOW)
         top = (1 << table.max_bits) - 1
         for k in (0, 1, R - 1, R, R + 1, 2 * R, top, top - R, 0xF0F0F0F0F0F0F0F0F):
             assert table.mul(k) == plain_mul(G, k)
@@ -210,13 +210,6 @@ class TestLaddersAgainstAffineReference:
 
 def _raw(point):
     return None if point.is_infinity else (point.x, point.y)
-
-
-@pytest.fixture
-def clean_tables():
-    precompute.clear_caches()
-    yield
-    precompute.clear_caches()
 
 
 class TestAddMany:
@@ -308,11 +301,18 @@ class TestMulMany:
 @pytest.mark.usefixtures("clean_tables")
 class TestCombTableRange:
     def test_fixed_base_table_has_one_width(self):
-        """It took a ``max_bits`` that a cache hit silently ignored."""
+        """It took a ``max_bits`` that a cache hit silently ignored.  One
+        width, one row shape: ``|r|`` plus a digit, 16 signed entries a row
+        — at ``PAPER`` 34 rows, 544 entries (the unsigned 4-bit table had 615)."""
         import inspect
 
         assert list(inspect.signature(fixed_base_table).parameters) == ["point"]
-        assert fixed_base_table(G).max_bits == R.bit_length() + 4
+        for params in (TOY, PAPER):
+            table = fixed_base_table(Point.generator(params))
+            assert table.max_bits == params.r.bit_length() + WINDOW
+            assert len(table.rows) == table.max_bits // WINDOW + 1
+            assert all(len(row) == 16 for row in table.rows)
+        assert sum(map(len, table.rows)) == 544 <= 615
         assert fixed_base_table(G) is fixed_base_table(G)
 
     @pytest.mark.parametrize("k", [-1, 1 << 9, (1 << 12) + 1, 1 << 200])

@@ -1,11 +1,17 @@
-"""Unit and property tests for F_q / F_q2 arithmetic."""
+"""Unit and property tests for F_q / F_q2 arithmetic, and the GT comb."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.crypto.field import Fq2, fq_inv, fq_is_square, fq_sqrt
+from repro.crypto import precompute
+from repro.crypto.comb import ROW, WINDOW, shared_tables, signed_digits
+from repro.crypto.curve import Point
+from repro.crypto.field import Fq2, PowerTable, fq_inv, fq_is_square, fq_sqrt
+from repro.crypto.pairing import tate_pairing
 from repro.crypto.params import TOY
 from repro.errors import ParameterError
+
+from .reference import plain_pow
 
 Q = TOY.q
 
@@ -116,3 +122,70 @@ class TestFq2Properties:
     @given(elements)
     def test_add_neg_is_zero(self, x):
         assert (x + (-x)).is_zero()
+
+
+# -- the GT comb: a signed radix-32 table of an element of norm 1 ---------------------
+
+GT = tate_pairing(Point.generator(TOY), Point.generator(TOY))
+UNITARY = Fq2(3, -4, Q) * Fq2(3, 4, Q).inverse()  # norm 1, outside the order-r subgroup
+NOT_UNITARY = Fq2(3, 5, Q)  # norm 34
+
+# digit strings: every 5-bit window chosen, so all-carry runs (every digit
+# above 16) and carries off the top occur, beside the edges of both ranges
+digit_strings = st.lists(st.integers(0, (1 << WINDOW) - 1), min_size=1, max_size=40).map(
+    lambda digits: sum(d << (WINDOW * j) for j, d in enumerate(digits))
+)
+edges = st.sampled_from([0, 1, 2, 16, 17, 31, 32, TOY.r - 1, TOY.r, TOY.r + 1, Q, Q + 1, Q + 2])
+exponents = (
+    st.integers(0, TOY.r - 1)
+    | digit_strings
+    | edges
+    | st.integers(1, 40).map(lambda m: (1 << (WINDOW * m)) - 1)  # every digit −1, then a carry
+    | st.integers(-(1 << 200), -1)
+)
+
+
+@pytest.mark.usefixtures("clean_tables")
+class TestGtComb:
+    @settings(max_examples=200)
+    @given(st.integers(0, 1 << 300) | edges)
+    def test_signed_digits_recode_every_scalar(self, k):
+        digits = signed_digits(k)
+        assert sum(d << (WINDOW * j) for j, d in enumerate(digits)) == k
+        assert all(1 - ROW <= d <= ROW for d in digits) and (not digits or digits[-1])
+        assert len(digits) <= k.bit_length() // WINDOW + 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([GT, GT**12345, UNITARY]), exponents)
+    @example(GT, (1 << (WINDOW * 13)) - 1)
+    def test_comb_equals_square_and_multiply(self, base, k):
+        shared_tables.table(base)  # the comb, whatever the exponent's width
+        assert base**k == plain_pow(base, k)
+        assert PowerTable(base).pow(abs(k)) == plain_pow(base, abs(k))
+
+    def test_a_base_not_of_norm_1_never_gets_a_table(self):
+        for k in (TOY.r - 1, TOY.r - 2, TOY.r - 3, TOY.r - 4):
+            assert NOT_UNITARY**k == plain_pow(NOT_UNITARY, k)
+        assert NOT_UNITARY not in shared_tables.tables and NOT_UNITARY not in shared_tables.counts
+        with pytest.raises(ValueError):
+            shared_tables.table(NOT_UNITARY)
+        assert not shared_tables.tables
+
+    def test_promotion_on_the_third_large_use(self):
+        base = GT**777
+        for k in (5, 1 << 31, (1 << 32) - 1):  # ≤ 32 bits: not counted
+            assert base**k == plain_pow(base, k)
+        assert base not in shared_tables.counts
+        for use, k in enumerate((1 << 32, TOY.r - 1, TOY.r - 2), start=1):
+            assert base**k == plain_pow(base, k)
+            assert (base in shared_tables.tables) == (use == 3)
+        rows = shared_tables.tables[base].rows
+        assert len(rows) == TOY.r.bit_length() // WINDOW + 1 and all(len(row) == ROW for row in rows)
+
+    def test_clear_caches_drops_gt_tables(self):
+        shared_tables.table(GT)
+        GT ** (TOY.r - 1)
+        (GT**12345) ** (TOY.r - 1)
+        assert GT in shared_tables.tables and shared_tables.counts
+        precompute.clear_caches()
+        assert not shared_tables.tables and not shared_tables.counts

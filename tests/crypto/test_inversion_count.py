@@ -11,6 +11,7 @@ import inspect
 import pytest
 
 from repro.crypto import curve, field, jacobian, pairing, precompute
+from repro.crypto.comb import ROW, WINDOW
 from repro.crypto.curve import FixedBaseTable, Point, hash_to_point
 from repro.crypto.params import PAPER, TOY
 
@@ -54,8 +55,9 @@ def test_ladders_invert_once_per_result_or_batch(inversions, params):
     assert len(inversions) <= 1
     del inversions[:]
 
-    table = FixedBaseTable(base, params.r.bit_length() + 4)
-    assert len(table.rows) > 16 >= len(inversions)  # one per digit, never one per row
+    table = FixedBaseTable(base, params.r.bit_length() + WINDOW)
+    assert len(inversions) == ROW  # the row seeds' normalisation, then one per digit 2…16
+    assert params is TOY or len(table.rows) > ROW  # at PAPER, 34 rows: never one per row
     del inversions[:]
 
     table.mul(k)  # a single multiplication keeps the Jacobian walk
@@ -68,7 +70,7 @@ def test_ladders_invert_once_per_result_or_batch(inversions, params):
 
 def test_warm_hve_encrypt_inverts_once_per_window_not_once_per_point(inversions):
     """2n = 80 comb multiplications walk in lock-step: one shared inversion
-    per 4-bit window of the widest scalar (it was one per multiplication),
+    per signed digit of the widest scalar (it was one per multiplication),
     and the operation counts are what 80 ``Point.__mul__`` calls record."""
     from repro.crypto.group import PairingGroup
     from repro.obs import Observability
@@ -90,8 +92,8 @@ def test_warm_hve_encrypt_inverts_once_per_window_not_once_per_point(inversions)
         }
         del inversions[:]
         hve.encrypt(public, x, b"measured")
-        windows = -(-(TOY.r.bit_length() + 4) // 4)
-        assert len(inversions) <= windows + 1 < 2 * n
+        digits = TOY.r.bit_length() // WINDOW + 1  # of a scalar below r
+        assert len(inversions) <= digits + 1 < 2 * n
         after = {name: obs.metrics.counter_total(name) for name in before}
     assert after["op.g1_exp"] - before["op.g1_exp"] == 2 * n
     assert after["op.g1_exp.fixed_base"] - before["op.g1_exp.fixed_base"] == 2 * n

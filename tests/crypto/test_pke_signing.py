@@ -72,11 +72,22 @@ class TestSchnorr:
     def test_signature_serialization(self):
         sig = self.signer.sign(b"m")
         data = sig.to_bytes(GROUP.zr_bytes)
-        assert Signature.from_bytes(data, GROUP.zr_bytes) == sig
+        assert Signature.from_bytes(data, GROUP) == sig
 
     def test_bad_signature_length(self):
         with pytest.raises(SerializationError):
-            Signature.from_bytes(b"\x00" * 3, GROUP.zr_bytes)
+            Signature.from_bytes(b"\x00" * 3, GROUP)
+
+    def test_scalars_not_below_r_rejected(self):
+        """``(c, s + r)`` verifies like ``(c, s)``: it was a second encoding
+        of every certificate's and telemetry request's signature."""
+        r, width = GROUP.order, GROUP.zr_bytes
+        signatures = (self.signer.sign(b"m") for _ in range(200))
+        sig = next(s for s in signatures if (s.response + r).bit_length() <= 8 * width)
+        assert self.signer.verify_key.verify(b"m", Signature(sig.challenge, sig.response + r))
+        for c, s in ((sig.challenge, sig.response + r), (r, sig.response), (sig.challenge, r)):
+            with pytest.raises(SerializationError):
+                Signature.from_bytes(c.to_bytes(width, "big") + s.to_bytes(width, "big"), GROUP)
 
 
 class TestCertificate:
@@ -106,13 +117,13 @@ class TestCertificate:
 
     def test_serialization_roundtrip(self):
         cert = Certificate.issue(self.ara, "alice", "subscriber", not_after=77.0)
-        restored = Certificate.from_bytes(cert.to_bytes(GROUP.zr_bytes), GROUP.zr_bytes)
+        restored = Certificate.from_bytes(cert.to_bytes(GROUP.zr_bytes), GROUP)
         assert restored == cert
         restored.validate(self.ara.verify_key, "subscriber", now=0.0)
 
     def test_malformed_bytes(self):
         with pytest.raises(SerializationError):
-            Certificate.from_bytes(b"\x00", GROUP.zr_bytes)
+            Certificate.from_bytes(b"\x00", GROUP)
 
     def test_tampered_subject_rejected(self):
         cert = Certificate.issue(self.ara, "alice", "subscriber")

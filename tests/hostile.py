@@ -21,9 +21,11 @@ HUGE = st.sampled_from([0xFFFFFFFF, 0x80000000, 0x7FFFFFFF, 0x01000000, 0xFFFF, 
 @st.composite
 def hostile(draw, blobs: list[bytes], length_fields: Callable[[bytes], list[tuple[int, str]]]):
     """One of ``blobs`` mutated; ``length_fields(blob)`` lists the
-    ``(offset, struct format)`` of each length field in it."""
+    ``(offset, struct format)`` of each length field in it (an encoding
+    without one is never inflated)."""
     blob = draw(st.sampled_from(blobs))
-    mutation = draw(st.sampled_from(["truncate", "flip", "inflate", "splice"]))
+    mutations = ["truncate", "flip", "splice"] + (["inflate"] if length_fields(blob) else [])
+    mutation = draw(st.sampled_from(mutations))
     if mutation == "truncate":
         return blob[: draw(st.integers(0, len(blob) - 1))]
     if mutation == "flip":

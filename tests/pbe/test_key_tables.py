@@ -14,22 +14,23 @@ import weakref
 
 import pytest
 
-from repro.crypto import curve, precompute
+from repro.crypto import comb, curve, precompute
 from repro.crypto.group import PairingGroup
 from repro.crypto.hashing import kdf
 from repro.crypto.symmetric import SecretBox
 from repro.obs import Observability
 from repro.pbe.hve import HVE, HVEPublicKey
 
+from ..crypto.reference import plain_pow
 from .reference import naive_encrypt_points
 
-N = curve._FB_MAX_TABLES // 2 + 1
+N = comb.MAX_TABLES // 2 + 1
 COUNTERS = ("op.g1_exp", "op.g1_exp.fixed_base", "op.g1_exp.fb_build")
 
 
 def warm_key():
     """``(hve, public)``: every one of the key's 4n bases past its third use."""
-    assert 4 * N > 2 * curve._FB_MAX_TABLES
+    assert 4 * N > 2 * comb.MAX_TABLES
     hve = HVE(PairingGroup("TOY", rng=random.Random(24)))
     public, _ = hve.setup(N)
     for bit in (0, 1):
@@ -55,8 +56,9 @@ def _counts(obs):
 def test_random_vectors_build_nothing_once_every_base_is_warm(warm):
     hve, public, obs = warm
     before = _counts(obs)
-    assert len(public.tables.tables) == 4 * N  # and g's, in the ad-hoc cache
-    assert before["op.g1_exp.fb_build"] == 4 * N + len(curve._adhoc_tables.tables)
+    assert len(public.tables.tables) == 4 * N  # and g's, in the shared cache (beside Y's)
+    shared_points = [base for base in comb.shared_tables.tables if isinstance(base, curve.Point)]
+    assert before["op.g1_exp.fb_build"] == 4 * N + len(shared_points)
     vectors = random.Random(1)
     for done in range(1, 51):
         hve.encrypt(public, [vectors.randrange(2) for _ in range(N)], b"measured")
@@ -76,7 +78,7 @@ def test_ciphertext_is_the_table_less_one_bit_for_bit(warm):
         group._rng.setstate(state)
         xs, ws, s = naive_encrypt_points(group, public, x)
         assert (ciphertext.x_components, ciphertext.w_components) == (xs, ws)
-        key = kdf(group.serialize_gt(public.y_gt**s), "hve-kem")
+        key = kdf(group.serialize_gt(plain_pow(public.y_gt, s)), "hve-kem")
         assert SecretBox(key).open(ciphertext.sealed) == b"payload"
 
 
@@ -107,9 +109,9 @@ def test_dropping_the_key_frees_its_tables():
 
 def test_the_ad_hoc_cache_never_sees_a_key_base(warm):
     hve, public, _ = warm
-    adhoc = curve._adhoc_tables
+    adhoc = comb.shared_tables
     before = (list(adhoc.tables), list(adhoc.counts))
-    assert len(before[0]) <= 2  # g, served by value: nothing of the key
+    assert len(before[0]) <= 2  # g and Y, served by value: no point of the key
     vectors = random.Random(3)
     for _ in range(200):
         hve.encrypt(public, [vectors.randrange(2) for _ in range(N)], b"measured")
