@@ -1,0 +1,151 @@
+"""Monic Miller lines on r's signed digits: how many lines a precomputed
+``PAPER`` point holds, what they weigh, and what one subscriber query
+costs — ``BENCH_pr29.json``.
+
+A precomputed line used to be the triple ``(λ, x_T, y_T)``, evaluated in
+five multiplications; dividing it by ``y_Q`` (a factor in ``F_q*``, killed
+by the final exponentiation) makes it the monic ``a + i``, two stored
+integers ``(λ, c)`` and four multiplications.  The walk reads ``r``'s
+non-adjacent form, so ``PAPER`` draws 215 lines, not 239.  Three records,
+all under ``repro perf gate --smoke``:
+
+* ``miller_lines.PAPER.lines_per_pair`` — lines one ``precompute_miller``
+  stores: an exact count (parent 239, ceiling 215);
+* ``miller_lines.PAPER.line_kib_per_point`` — what ``tracemalloc`` sees
+  eight line sets hold, per set (parent 96.7, ceiling 70);
+* ``miller_lines.PAPER.query_over_fq2_mul`` — a warm 8-pair
+  ``multi_pair_precomputed`` (one HVE query of the workloads: four
+  positions, two pairings each) over one ``F_q²`` multiplication, medians:
+  a ratio that does not depend on the machine (parent ≈ 3600, ceiling
+  3200).
+
+``python benchmarks/bench_miller_lines.py`` prints the three over
+whichever ``repro`` is on the path — how the parent's were read.  A record
+is the median of five reads.  ``P3S_PR29_RUNS`` names a directory holding
+
+* ``parent.json`` — ``{name: [reads]}`` of this file's output over the
+  parent's ``src``;
+* ``binary.json`` — the same over a copy of this tree whose walk reads
+  ``r``'s binary digits (monic lines alone: the NAF ablation);
+* ``e2e/[<label>-]<workload>-<seed>.jsonl`` — one line per
+  ``benchmarks/e2e/run.py --workload … --seed …`` run of the alternating
+  pairs, ``{"side", "pair", "result": <the harness's last stdout line>}``
+  (``traced-…``: ``--trace 1``, for the per-layer attribution).
+
+The records are measured and their ceilings asserted on every run;
+``BENCH_pr29.json`` is written only with ``P3S_PR29_RUNS`` and
+``P3S_WRITE_BENCH=1``.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import os
+import random
+import statistics
+import time
+import tracemalloc
+
+from bench_publisher_floor import e2e_reads
+from conftest import BenchRecord
+
+LINES = "miller_lines.PAPER.lines_per_pair"
+KIB = "miller_lines.PAPER.line_kib_per_point"
+RATIO = "miller_lines.PAPER.query_over_fq2_mul"
+CEILING = {LINES: 215.0, KIB: 70.0, RATIO: 3200.0}
+UNIT = {LINES: "count", KIB: "KiB", RATIO: "ratio"}
+PAIRS = 8
+QUERIES = 20
+MULS = 1000
+READS = 5
+
+
+def measure() -> dict[str, float]:
+    """The three records over whichever ``repro`` is on the path."""
+    from repro.crypto.group import PairingGroup
+
+    group = PairingGroup("PAPER", rng=random.Random(29))
+    points = [group.random_g1() for _ in range(2 * PAIRS)]
+    group.precompute_pairing(points[0])  # anything a first walk builds once
+    gc.collect()  # empties the free lists, whose reuse tracemalloc would not see
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    held = [group.precompute_pairing(point) for point in points[:PAIRS]]
+    kib = (tracemalloc.get_traced_memory()[0] - before) / PAIRS / 1024
+    tracemalloc.stop()
+    # a step is its drawn lines (the parent's held a None where none was drawn)
+    lines = sum(line is not None for step in held[0].steps for line in step)
+
+    entries = list(zip(held, points[PAIRS:]))
+    group.multi_pair_precomputed(entries)
+    queries = []
+    for _ in range(QUERIES):
+        start = time.perf_counter()
+        group.multi_pair_precomputed(entries)
+        queries.append(time.perf_counter() - start)
+    a, b = group.random_gt(), group.random_gt()
+    products = []
+    for _ in range(20):
+        start = time.perf_counter()
+        for _ in range(MULS):
+            a * b
+        products.append((time.perf_counter() - start) / MULS)
+    return {
+        LINES: float(lines),
+        KIB: kib,
+        RATIO: statistics.median(queries) / statistics.median(products),
+    }
+
+
+def test_miller_lines_records(capsys, bench_writer):
+    reads = {name: [] for name in CEILING}
+    for _ in range(READS):
+        for name, read in measure().items():
+            reads[name].append(read)
+    runs = os.environ.get("P3S_PR29_RUNS")
+    ablation = {}
+    if runs:
+        with open(os.path.join(runs, "parent.json")) as handle:  # {name: [its reads]}
+            reads.update({name + ".parent": values for name, values in json.load(handle).items()})
+        with open(os.path.join(runs, "binary.json")) as handle:
+            ablation = {name + ".binary_walk": values for name, values in json.load(handle).items()}
+    value = {name: statistics.median(values) for name, values in reads.items()}
+    records = [
+        BenchRecord(
+            name,
+            value[name],
+            UNIT[name.split(".parent")[0]],
+            direction="lower",
+            ceiling=CEILING.get(name),
+        )
+        for name in sorted(value)
+    ]
+    with capsys.disabled():
+        print()
+        for record in records:
+            print(f"  {record.name:58s} {record.value:9.3f} {record.unit}")
+
+    assert all(value[name] <= ceiling for name, ceiling in CEILING.items())
+    if runs:
+        assert all(value[name + ".parent"] > ceiling for name, ceiling in CEILING.items())
+        bench_writer(
+            "BENCH_pr29.json",
+            suite="miller_lines",
+            seed=29,
+            workload={
+                "harness": f"bench_miller_lines.measure: PAPER, {PAIRS} line sets under tracemalloc; "
+                f"{QUERIES} warm {PAIRS}-pair multi_pair_precomputed over {MULS} F_q2 products, "
+                f"medians; value = median of {READS} reads; .parent = the same file over the "
+                "parent's src; .binary_walk = over this tree walking r's binary digits",
+                "parent": "223ed50",
+                "pairs": PAIRS,
+                "reads": {**reads, **ablation},
+                "e2e_reads": e2e_reads(runs),
+            },
+            records=records,
+        )
+
+
+if __name__ == "__main__":
+    print(json.dumps(measure()))

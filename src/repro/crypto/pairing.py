@@ -6,22 +6,32 @@ the distortion map ``ψ(x, y) = (−x, i·y)`` sends ``E(F_q)`` into
 
     ê(P, Q) = f_{r,P}(ψ(Q)) ^ ((q² − 1) / r),   ê : G1 × G1 → GT ⊂ F_q².
 
-Three standard optimisations for even embedding degree are used:
+Four standard optimisations for even embedding degree are used:
 
 * **Denominator elimination** — vertical-line values lie in the subfield
   ``F_q`` and are annihilated by the final exponentiation (which contains
   the factor ``q − 1``), so Miller's loop skips them entirely.
-* **Cheap line evaluation** — a line through points of ``E(F_q)`` with
-  slope ``λ``, evaluated at ``ψ(Q) = (−x_Q, i·y_Q)``, equals
-  ``(λ·(x_Q + x_T) − y_T) + i·y_Q`` — its real part needs only ``F_q``
-  arithmetic and its imaginary part is constant across the whole loop.
+* **Monic lines** — a line through points of ``E(F_q)`` with slope ``λ``,
+  evaluated at ``ψ(Q) = (−x_Q, i·y_Q)``, equals
+  ``(λ·x_Q + c) + i·y_Q`` with ``c = λ·x_T − y_T``.  Divided by ``y_Q`` —
+  another factor in ``F_q*`` — it is ``a + i`` with
+  ``a = λ·(x_Q/y_Q) + c·(1/y_Q)``, and ``f·(a + i) = (f_a·a − f_b) +
+  i·(f_a + f_b·a)``: four multiplications a line.  A precomputed line is
+  the pair ``(λ, c)``; one batched inversion gives every pair's ``1/y_Q``.
+  The 2-torsion point ``(0, 0)`` has no ``1/y_Q``, and it needs none: all
+  its line values lie in ``F_q``, so a pair with it contributes the
+  identity, in both walks.
+* **A signed-digit walk** — both walks read ``r``'s non-adjacent form
+  (:func:`_naf_digits`); a −1 digit draws the chord through ``−P``, whose
+  extra vertical line is eliminated like the others.  ``PAPER``'s walk
+  draws 215 lines instead of 239.
 * **Inversion-free steps** — the plain loop carries ``T`` in Jacobian
   coordinates (:mod:`repro.crypto.jacobian`), whose steps hand back the
   slope as a fraction ``N / Z₃``; each line is multiplied through by its
   denominator, a factor in ``F_q*`` that the final exponentiation kills
   for the same reason.  A raw Miller value is therefore defined only up to
   ``F_q*``; :func:`precompute_miller` divides the slopes out in one batch
-  and stores plain affine lines.
+  and stores monic lines.
 
 :func:`multi_pairing` computes ``Π ê(P_j, Q_j)`` sharing the accumulator
 squaring and the final exponentiation across all pairs — the dominant cost
@@ -31,10 +41,12 @@ evaluated (see DESIGN.md §5 for the ablation bench).
 
 from __future__ import annotations
 
+import functools
+
 from ..errors import ParameterError
 from ..obs.hooks import record_op
 from .curve import Point
-from .field import Fq2, fq_inv
+from .field import Fq2, fq_batch_inv, fq_inv
 from .jacobian import add_affine, double, normalise
 from .params import TypeAParams
 
@@ -51,18 +63,31 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=8)
+def _naf_digits(r: int) -> tuple[int, ...]:
+    """``r``'s non-adjacent form, most significant digit first, without its
+    leading 1: the one digit string both Miller walks read."""
+    digits = []
+    while r:
+        digit = 2 - (r & 3) if r & 1 else 0
+        digits.append(digit)
+        r = (r - digit) >> 1
+    return tuple(reversed(digits[:-1]))
+
+
 def _miller_product(pairs: list[tuple[Point, Point]], params: TypeAParams) -> Fq2:
     """``Π_j f_{r,P_j}(ψ(Q_j))`` over finite pairs, up to a factor in ``F_q*``.
 
     Identity: ``Π_j f_j² · l_j = (Π_j f_j)² · Π_j l_j``, so a single
     ``F_q²`` accumulator (raw ints) serves every pair: per Miller step one
-    squaring in total plus one line multiplication per pair.
+    squaring in total plus one line multiplication per pair.  A pair whose
+    ``Q`` is ``(0, 0)`` draws no lines (its values lie in ``F_q``).
     """
     q = params.q
     # [X, Y, Z, xp, yp, xq, yq] per pair: the running point T, then constants
-    live = [[p.x, p.y, 1, p.x, p.y, qp.x, qp.y] for p, qp in pairs]
+    live = [[p.x, p.y, 1, p.x, p.y, qp.x, qp.y] for p, qp in pairs if qp.y]
     f_a, f_b = 1, 0
-    for bit in bin(params.r)[3:]:  # MSB-first, skipping the leading 1
+    for digit in _naf_digits(params.r):
         f_a, f_b = (f_a + f_b) * (f_a - f_b) % q, 2 * f_a * f_b % q
         for state in live:
             X, Y, Z, xp, yp, xq, yq = state
@@ -73,10 +98,12 @@ def _miller_product(pairs: list[tuple[Point, Point]], params: TypeAParams) -> Fq
             line_a = (M * (xq * ZZ % q + X) - 2 * YY) % q
             line_b = yq * (Z3 * ZZ % q) % q
             f_a, f_b = (f_a * line_a - f_b * line_b) % q, (f_a * line_b + f_b * line_a) % q
-            if bit == "1" and Z3:
-                # f <- f · l_{T,P}(ψQ), the chord through P scaled by Z3;  T <- T + P
+            if digit and Z3:
+                # f <- f · l_{T,±P}(ψQ), the chord through ±P scaled by Z3;  T <- T ± P
+                if digit < 0:
+                    yp = q - yp
                 X3, Y3, Z3, R = add_affine(X3, Y3, Z3, xp, yp, q)
-                if Z3:  # else T = −P: vertical line, eliminated like the denominators
+                if Z3:  # else T = ∓P: vertical line, eliminated like the denominators
                     line_a = (R * (xq + xp) - yp * Z3) % q
                     line_b = yq * Z3 % q
                     f_a, f_b = (f_a * line_a - f_b * line_b) % q, (f_a * line_b + f_b * line_a) % q
@@ -149,12 +176,14 @@ def tate_pairing(p: Point, q_point: Point) -> Fq2:
 class MillerPrecomputed:
     """Precomputed line functions of ``f_{r,P}`` for a fixed first argument.
 
-    Per Miller-loop bit this stores the ``(λ, x_T, y_T)`` triple of the
-    doubling line and, on set bits, of the addition line (``None`` once
-    ``T`` reaches infinity) — plain affine lines, their slopes divided out
-    with one batched inversion.  Evaluating the pairing against any second
-    argument then needs no point arithmetic at all: one accumulator
-    squaring and one short line multiplication per step.
+    ``steps`` holds one tuple per digit of ``r``'s non-adjacent form: the
+    ``(λ, c)`` of its doubling line and, on a non-zero digit, of its
+    addition line (empty once ``T`` reaches infinity) — plain affine lines,
+    their slopes divided out with one batched inversion.  A line is two
+    integers below ``q`` because its value at ``ψ(Q)``, divided by ``y_Q``,
+    is the monic ``λ·(x_Q/y_Q) + c·(1/y_Q) + i``.  Evaluating the pairing
+    against any second argument then needs no point arithmetic at all: one
+    accumulator squaring a step and four multiplications a line.
 
     This is the classic "fixed-argument pairing" optimisation (Scott,
     "Computing the Tate pairing", CT-RSA'05 §5): an HVE subscription token
@@ -163,7 +192,7 @@ class MillerPrecomputed:
 
     __slots__ = ("params", "steps")
 
-    def __init__(self, params: TypeAParams, steps: list[tuple[tuple[int, int, int] | None, tuple[int, int, int] | None]]):
+    def __init__(self, params: TypeAParams, steps: list[tuple[tuple[int, int], ...]]):
         self.params = params
         self.steps = steps
 
@@ -181,26 +210,52 @@ def precompute_miller(p: Point) -> MillerPrecomputed:
     # vertical line (denominator-eliminated) and ends the walk.
     chain = [(xp, yp, 1)]
     numerators: list[int] = []
-    shape: list[list[int | None]] = []  # per bit: index of its doubling and addition line
-    for bit in bin(params.r)[3:]:
-        drawn: list[int | None] = [None, None]
-        for slot in range(1 + (bit == "1")):
+    shape: list[list[int]] = []  # per digit: the indices of the lines it drew
+    for digit in _naf_digits(params.r):
+        drawn: list[int] = []
+        for slot in range(1 + (digit != 0)):
             X, Y, Z = chain[-1]
             if not Z:
                 break
-            X, Y, Z, numer = add_affine(X, Y, Z, xp, yp, q) if slot else double(X, Y, Z, q)[:4]
+            if slot:
+                X, Y, Z, numer = add_affine(X, Y, Z, xp, yp if digit > 0 else q - yp, q)
+            else:
+                X, Y, Z, numer = double(X, Y, Z, q)[:4]
             chain.append((X, Y, Z))
             if Z:
-                drawn[slot] = len(numerators)
+                drawn.append(len(numerators))
                 numerators.append(numer)
         shape.append(drawn)
     points = normalise(chain, q)  # one inversion for every slope and base point
-    lines = [
-        (numer * points[k + 1][2] % q, points[k][0], points[k][1])
-        for k, numer in enumerate(numerators)
-    ]
-    steps = [tuple(None if k is None else lines[k] for k in drawn) for drawn in shape]
-    return MillerPrecomputed(params, steps)
+    lines = []
+    for k, numer in enumerate(numerators):
+        lam = numer * points[k + 1][2] % q
+        lines.append((lam, (lam * points[k][0] - points[k][1]) % q))
+    return MillerPrecomputed(params, [tuple(lines[k] for k in drawn) for drawn in shape])
+
+
+def _line_product(entries: list[tuple[MillerPrecomputed, Point]], params: TypeAParams) -> Fq2:
+    """``Π_j f_{r,P_j}(ψ(Q_j))`` from precomputed lines over finite ``Q_j``,
+    up to a factor in ``F_q*`` — the one evaluation loop.
+
+    Every line of pair ``j`` is divided by ``y_{Q_j}``, so it is monic; one
+    batched inversion serves all pairs.  ``Q_j = (0, 0)`` has no inverse —
+    :func:`~repro.crypto.field.fq_batch_inv` hands back 0 — and its pair
+    is dropped: its line values lie in ``F_q``.
+    """
+    q = params.q
+    live = []  # (steps, x_Q/y_Q, 1/y_Q)
+    for (pre, q_point), y_inv in zip(entries, fq_batch_inv([qp.y for _, qp in entries], q)):
+        if y_inv:
+            live.append((pre.steps, q_point.x * y_inv % q, y_inv))
+    f_a, f_b = 1, 0
+    for i in range(len(_naf_digits(params.r))):
+        f_a, f_b = (f_a + f_b) * (f_a - f_b) % q, 2 * f_a * f_b % q
+        for steps, u, v in live:
+            for lam, c in steps[i]:
+                a = (lam * u + c * v) % q
+                f_a, f_b = (f_a * a - f_b) % q, (f_a + f_b * a) % q
+    return Fq2(f_a, f_b, q)
 
 
 def miller_eval(pre: MillerPrecomputed, q_point: Point) -> Fq2:
@@ -208,26 +263,7 @@ def miller_eval(pre: MillerPrecomputed, q_point: Point) -> Fq2:
     original point up to a factor in ``F_q*``, with no point arithmetic."""
     if q_point.is_infinity:
         raise ParameterError("miller_eval requires a finite point")
-    q = pre.params.q
-    xq, yq = q_point.x, q_point.y
-    f_a, f_b = 1, 0
-    for dbl, add in pre.steps:
-        sq_a = (f_a + f_b) * (f_a - f_b) % q
-        sq_b = 2 * f_a * f_b % q
-        f_a, f_b = sq_a, sq_b
-        if dbl is not None:
-            lam, xt, yt = dbl
-            line_a = (lam * (xq + xt) - yt) % q
-            new_a = (f_a * line_a - f_b * yq) % q
-            f_b = (f_a * yq + f_b * line_a) % q
-            f_a = new_a
-        if add is not None:
-            lam, xt, yt = add
-            line_a = (lam * (xq + xt) - yt) % q
-            new_a = (f_a * line_a - f_b * yq) % q
-            f_b = (f_a * yq + f_b * line_a) % q
-            f_a = new_a
-    return Fq2(f_a, f_b, q)
+    return _line_product([(pre, q_point)], pre.params)
 
 
 def tate_pairing_precomputed(pre: MillerPrecomputed, q_point: Point) -> Fq2:
@@ -239,7 +275,7 @@ def tate_pairing_precomputed(pre: MillerPrecomputed, q_point: Point) -> Fq2:
     if q_point.is_infinity:
         return Fq2.one(pre.params.q)
     record_op("pairing")
-    return final_exponentiation(miller_eval(pre, q_point), pre.params)
+    return final_exponentiation(_line_product([(pre, q_point)], pre.params), pre.params)
 
 
 def multi_pairing_precomputed(
@@ -255,41 +291,19 @@ def multi_pairing_precomputed(
     equals ``multi_pairing`` on the argument-swapped pairs bit for bit.
     """
     q = params.q
-    live: list[tuple[list, int, int]] = []  # (steps, xq, yq)
+    live = []
     for pre, q_point in entries:
         if pre is None or q_point.is_infinity:
             continue
         if pre.params.q != q or q_point.params.q != q:
             raise ParameterError("multi_pairing_precomputed arguments use mismatched parameters")
-        live.append((pre.steps, q_point.x, q_point.y))
+        live.append((pre, q_point))
     if not live:
         return Fq2.one(q)
     record_op("pairing", len(live))
     record_op("multi_pairing")
     record_op("multi_pairing.precomputed")
-
-    f_a, f_b = 1, 0
-    num_bits = len(bin(params.r)) - 3
-    for i in range(num_bits):
-        sq_a = (f_a + f_b) * (f_a - f_b) % q
-        sq_b = 2 * f_a * f_b % q
-        f_a, f_b = sq_a, sq_b
-        for steps, xq, yq in live:
-            dbl, add = steps[i]
-            if dbl is not None:
-                lam, xt, yt = dbl
-                line_a = (lam * (xq + xt) - yt) % q
-                new_a = (f_a * line_a - f_b * yq) % q
-                f_b = (f_a * yq + f_b * line_a) % q
-                f_a = new_a
-            if add is not None:
-                lam, xt, yt = add
-                line_a = (lam * (xq + xt) - yt) % q
-                new_a = (f_a * line_a - f_b * yq) % q
-                f_b = (f_a * yq + f_b * line_a) % q
-                f_a = new_a
-
-    return final_exponentiation(Fq2(f_a, f_b, q), params)
+    return final_exponentiation(_line_product(live, params), params)
 
 
 def multi_pairing(pairs: list[tuple[Point, Point]], params: TypeAParams) -> Fq2:

@@ -37,6 +37,25 @@ def plain_pow(element, k):
     return result
 
 
+def binary_digits(k):
+    """``k``'s bits, most significant first, without the leading 1."""
+    return tuple(int(bit) for bit in bin(k)[3:])
+
+
+def naf_digits(k):
+    """``k``'s non-adjacent form (digits in {−1, 0, 1}, no two adjacent
+    non-zero), most significant first, without the leading 1."""
+    digits = []
+    while k:
+        digit = 0
+        if k % 2:
+            digit = 1 if k % 4 == 1 else -1
+        digits.insert(0, digit)
+        k = (k - digit) // 2
+    assert digits[0] == 1
+    return tuple(digits[1:])
+
+
 def lifted_point(params, start):
     """A raw curve point: *not* multiplied into the order-``r`` subgroup."""
     x = start

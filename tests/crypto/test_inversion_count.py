@@ -100,7 +100,7 @@ def test_warm_hve_encrypt_inverts_once_per_window_not_once_per_point(inversions)
     assert after["op.g1_exp.fb_build"] == before["op.g1_exp.fb_build"]
 
 
-def test_miller_loops_never_invert_before_the_final_exponentiation(inversions):
+def test_plain_miller_walks_never_invert_and_a_precomputed_product_inverts_once(inversions):
     g = Point.generator(TOY)
     p, q = g * 1234567, g * 7654321
     del inversions[:]
@@ -109,12 +109,18 @@ def test_miller_loops_never_invert_before_the_final_exponentiation(inversions):
     pairing._miller_product([(p, q), (q, p), (g, g)], TOY)
     assert inversions == []
 
-    pre = pairing.precompute_miller(p)
-    assert len(inversions) <= 1
+    pre = pairing.precompute_miller(p)  # every slope and base point in one batch
+    assert len(inversions) == 1
     del inversions[:]
 
-    pairing.miller_eval(pre, q)
-    assert inversions == []
+    pairing.miller_eval(pre, q)  # the batched 1/y_Q that makes every line monic
+    assert len(inversions) == 1
+    del inversions[:]
+
+    # one batch for every pair's 1/y_Q, then the final exponentiation's f̄ / f
+    pairing.multi_pairing_precomputed([(pre, q), (pre, g), (None, g), (pre, q)], TOY)
+    assert len(inversions) == 1 + 1
+    del inversions[:]
 
     pairing.multi_pairing([(p, q), (q, g)], TOY)  # the final exponentiation's f̄ / f
     assert len(inversions) == 1
@@ -185,15 +191,16 @@ def test_warm_cpabe_decryption_is_one_multi_pairing(decrypt_counts):
     assert warm["final_exponentiation"] == 1
     assert warm["Fq2.__pow__"] == 0
     assert warm["pairings"] == 5
-    # the final exponentiation's, plus one for each of the two ciphertext
-    # points that leaf a's Lagrange coefficient 2 is moved onto (b's is −1)
-    assert warm["fq_inv"] == 1 + 2
+    # the batched 1/y_Q and the final exponentiation's, plus one for each of
+    # the two ciphertext points that leaf a's Lagrange coefficient 2 is
+    # moved onto (b's is −1)
+    assert warm["fq_inv"] == 1 + 1 + 2
 
     assert scheme.decrypt(key, either) == message  # coefficient 1: nothing to move
     assert decrypt_counts() == {
         "precompute_miller": 0,
         "final_exponentiation": 1,
         "Fq2.__pow__": 0,
-        "fq_inv": 1,
+        "fq_inv": 1 + 1,
         "pairings": 3,
     }

@@ -3,15 +3,23 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.crypto.curve import Point, hash_to_point
 from repro.crypto.field import Fq2
-from repro.crypto.pairing import final_exponentiation, miller_loop, multi_pairing, tate_pairing
+from repro.crypto.group import PairingGroup
+from repro.crypto.pairing import (
+    final_exponentiation,
+    miller_loop,
+    multi_pairing,
+    multi_pairing_precomputed,
+    precompute_miller,
+    tate_pairing,
+)
 from repro.crypto.params import PAPER, TEST, TOY
 from repro.errors import ParameterError
 
-from .reference import plain_pow, small_order_point
+from .reference import binary_digits, lifted_point, naf_digits, plain_mul, plain_pow, small_order_point
 
 G = Point.generator(TOY)
 R = TOY.r
@@ -102,12 +110,14 @@ class TestMultiPairing:
 # -- the Jacobian Miller walk against an affine textbook reference -----------------
 
 
-def reference_miller(p, qp):
-    """Miller's loop with ``Point.__add__`` for T and affine slopes; vertical
-    lines are dropped (denominator elimination), T = O ends the walk."""
-    from repro.crypto.field import Fq2
+NAF = naf_digits(R)
 
-    q = TOY.q
+
+def reference_miller(p, qp, digits=NAF):
+    """Miller's loop over a signed digit string with ``Point.__add__`` for T
+    and affine slopes; a −1 digit draws the chord through −P; vertical lines
+    are dropped (denominator elimination), T = O ends the walk."""
+    q = p.params.q
 
     def line(a, b):
         if a.x == b.x and (a.y + b.y) % q == 0:
@@ -120,19 +130,18 @@ def reference_miller(p, qp):
 
     f = Fq2.one(q)
     t = p
-    for bit in bin(R)[3:]:
+    for digit in digits:
         f = f.square()
         if not t.is_infinity:
             f, t = f * line(t, t), t + t
-        if bit == "1" and not t.is_infinity:
-            f, t = f * line(t, p), t + p
+        addend = p if digit > 0 else -p
+        if digit and not t.is_infinity:
+            f, t = f * line(t, addend), t + addend
     return f
 
 
 class TestMillerBranches:
     def reduced(self, f):
-        from repro.crypto.pairing import final_exponentiation
-
         return final_exponentiation(f, TOY)
 
     def check(self, p, qp):
@@ -142,12 +151,14 @@ class TestMillerBranches:
         assert self.reduced(miller_loop(p, qp)) == expected
         assert self.reduced(miller_eval(precompute_miller(p), qp)) == expected
         assert multi_pairing([(p, qp)], TOY) == expected
-        # a raw Miller value is one representative of a coset of F_q*
-        ratio = miller_loop(p, qp) * reference_miller(p, qp).inverse()
-        assert ratio.b == 0 and not ratio.is_zero()
+        # a raw Miller value is one representative of a coset of F_q*, on
+        # either walk: Jacobian denominators, or the monic lines' 1/y_Q
+        for raw in (miller_loop(p, qp), miller_eval(precompute_miller(p), qp)):
+            ratio = raw * reference_miller(p, qp).inverse()
+            assert ratio.b == 0 and not ratio.is_zero()
 
     def test_generic_points_end_on_the_vertical_line(self):
-        # r is odd, so every G1 walk ends with T = −P at the final addition
+        # r is odd, so every G1 walk ends with T = ∓P at the final addition
         self.check(G * 1234567, G * 7654321)
         self.check(hash_to_point(b"p", TOY), hash_to_point(b"q", TOY))
 
@@ -157,15 +168,15 @@ class TestMillerBranches:
         self.check(p, -p)
 
     def test_tangent_branch_of_the_addition_step(self):
-        # an order-5 point meets T = P at an addition step (prefix 0b10110 of r is 1 mod 5)
-        p = small_order_point(5)
-        prefix = int(bin(R)[2:6], 2)
-        assert bin(R)[6] == "1" and 2 * prefix % 5 == 1
-        self.check(p, G * 31337)
+        # r's NAF opens 1 0 0 −1: the first addition adds −P to T = 8P, and
+        # for an order-9 point 8P = −P, so the chord through −P is a tangent
+        assert NAF[:3] == (0, 0, -1)
+        self.check(small_order_point(9), G * 31337)
 
     def test_early_vertical_line_ends_the_walk(self):
-        # an order-3 point reaches T = −P at the very first addition
-        assert bin(R)[3] == "1"
+        # an order-3 point has T = 7P = P after the first addition; two
+        # digits on, T = 28P = P meets −P: a vertical line, and T = O
+        assert NAF[:5] == (0, 0, -1, 0, -1)
         self.check(small_order_point(3), G * 31337)
 
     def test_doubling_a_two_torsion_point_ends_the_walk(self):
@@ -180,6 +191,68 @@ class TestMillerBranches:
             reference_miller(p, qp) * reference_miller(small, G) * reference_miller(G, G * 3)
         )
         assert product == expected
+
+
+@pytest.mark.parametrize("params", [TOY, TEST, PAPER], ids=["TOY", "TEST", "PAPER"])
+def test_binary_and_naf_walks_agree_after_the_final_exponentiation(params):
+    """The two references differ only by vertical lines, which lie in
+    ``F_q``: restating the walks on r's NAF cannot move a pairing value."""
+    rng = random.Random(0x4AF)
+    g = Point.generator(params)
+    binary, naf = binary_digits(params.r), naf_digits(params.r)
+    assert sum(1 for d in naf if d) < sum(binary)
+    for _ in range(2):
+        p, qp = g * rng.randrange(1, params.r), g * rng.randrange(1, params.r)
+        by_bits = final_exponentiation(reference_miller(p, qp, binary), params)
+        assert final_exponentiation(reference_miller(p, qp, naf), params) == by_bits
+        assert tate_pairing(p, qp) == by_bits
+
+
+# -- the 2-torsion point: on the curve, outside G1, and without a 1/y -------------
+
+TWO_TORSION = Point(0, 0, TOY)
+
+
+class TestTwoTorsionSecondArgument:
+    """``Point.from_bytes`` checks the curve, not the subgroup, so a hostile
+    ciphertext can carry ``(0, 0)``.  Its line values lie in ``F_q``: the
+    pair contributes the identity, and nothing raises."""
+
+    def test_precomputed_product_drops_the_pair(self):
+        group = PairingGroup("TOY")
+        kept = [(group.precompute_pairing(G * 7), G * 11), (group.precompute_pairing(G * 3), G)]
+        hostile = (group.precompute_pairing(G * 5), TWO_TORSION)
+        without = group.multi_pair_precomputed(kept)
+        assert group.multi_pair_precomputed(kept[:1] + [hostile] + kept[1:]) == without
+        assert group.multi_pair_precomputed([hostile]).is_one()
+        assert group.multi_pair([(G * 5, TWO_TORSION)]).is_one()
+
+
+def curve_points(params):
+    """Arbitrary points of ``E(F_q)``: G1 multiples (infinity included),
+    points of small order (a lifted point times ``r`` and part of the
+    cofactor), and ``(0, 0)``."""
+    g = Point.generator(params)
+    divisors = [d for d in range(2, 40) if params.h % d == 0]
+    small = st.builds(
+        lambda start, d: plain_mul(lifted_point(params, start), params.r * (params.h // d)),
+        st.integers(2, 200),
+        st.sampled_from(divisors),
+    )
+    return st.one_of(
+        st.integers(0, params.r - 1).map(lambda k: g * k),
+        small,
+        st.just(Point(0, 0, params)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(curve_points(TOY), curve_points(TOY)), min_size=1, max_size=3))
+@example([(small_order_point(4), TWO_TORSION)])  # a tangent through (0, 0): its value there is 0
+@example([(TWO_TORSION, G), (G * 5, TWO_TORSION)])
+def test_precomputed_product_equals_the_plain_one_on_any_curve_points(pairs):
+    entries = [(None if p.is_infinity else precompute_miller(p), qp) for p, qp in pairs]
+    assert multi_pairing_precomputed(entries, TOY) == multi_pairing(pairs, TOY)
 
 
 def generic_final_exponentiation(f, params):

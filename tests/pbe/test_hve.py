@@ -1,8 +1,11 @@
 """IP08 HVE: match semantics, wildcards, collusion, serialization."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.curve import Point
 from repro.crypto.group import PairingGroup
 from repro.errors import ParameterError, SerializationError
 from repro.pbe.hve import HVE, HVEToken
@@ -172,6 +175,22 @@ class TestHVESerialization:
         blob = serialize_hve_token(GROUP, token([1] + [None] * (N - 1)))
         with pytest.raises(SerializationError):
             deserialize_hve_token(GROUP, blob[:-1])
+
+    def test_two_torsion_component_decodes_and_matches_nothing(self):
+        """``(0, 0)`` is on the curve but outside G1 and has no ``1/y``: a
+        ciphertext carrying it is simply no match, for every component."""
+        bits = [1, 0, 1, 1, 0, 0]
+        ct = encrypt(bits)
+        two_torsion = Point(0, 0, GROUP.params)
+        for field in ("x_components", "w_components"):
+            for i in (0, N - 1):
+                components = list(getattr(ct, field))
+                components[i] = two_torsion
+                hostile = dataclasses.replace(ct, **{field: tuple(components)})
+                decoded = deserialize_hve_ciphertext(GROUP, serialize_hve_ciphertext(GROUP, hostile))
+                assert getattr(decoded, field)[i] == two_torsion
+                assert SCHEME.query(token(bits), decoded) is None
+        assert SCHEME.query(token(bits), ct) == GUID
 
     def test_size_formulas_track_n(self):
         for n in (1, 4, 16):
