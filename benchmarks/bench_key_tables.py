@@ -52,7 +52,7 @@ from conftest import BenchRecord
 BUILDS = "key_tables.TOY.builds_per_encrypt_varying"
 RATIO = "key_tables.TOY.encrypt_varying_over_constant"
 RATIO_CEILING = 1.15
-VECTOR_BITS = 40  # the workloads' HVE vector: 4n = 160 bases, 2n = 80 in use at once
+VECTOR_BITS = 40  # default_schema() under the bit encoding: 4n = 160 bases, 2n = 80 in use at once
 ENCRYPTIONS = 200
 BLOCK = 20
 READS = 5

@@ -45,7 +45,7 @@ from conftest import BenchRecord
 RUNGS = ("hve.encrypt_ms", "curve.fixed_base_mul_ms", "curve.scalar_mul_ms")
 RATIO = "ladder.PAPER.hve.encrypt_over_fixed_base_mul"
 RATIO_CEILING = 0.9
-VECTOR_BITS = 40  # the workloads' HVE vector: 2n = 80 multiplications an encryption
+VECTOR_BITS = 40  # default_schema() under the bit encoding: 2n = 80 multiplications an encryption
 
 
 def table_build_ms(repeats: int = 5) -> dict[str, float]:

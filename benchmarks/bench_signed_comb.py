@@ -51,7 +51,7 @@ from conftest import BenchRecord
 STEPS = "signed_comb.PAPER.steps_per_encrypt"
 RATIO = "signed_comb.PAPER.gt_exp_over_fq2_mul"
 CEILING = {STEPS: 33.0, RATIO: 120.0}
-VECTOR_BITS = 40  # the workloads' HVE vector: 2n = 80 multiplications an encryption
+VECTOR_BITS = 40  # default_schema() under the bit encoding: 2n = 80 multiplications an encryption
 POWERS = 100
 MULS = 1000
 READS = 5

@@ -29,7 +29,8 @@ def small_model() -> ModelParams:
         num_subscribers=10,
         match_fraction=0.2,
         broker_threads=1,
-        encrypted_metadata_bytes=hve_ciphertext_size(group, 3, 16),
+        # the simulated schema (perf.validation): one 8-valued attribute, one position
+        encrypted_metadata_bytes=hve_ciphertext_size(group, 1, 16),
     )
 
 

@@ -36,7 +36,8 @@ _POLICIES = (
 
 
 def chaos_schema() -> MetadataSchema:
-    """A deliberately small metadata space (2 attributes, 3 vector bits).
+    """A deliberately small metadata space (2 attributes: 2 HVE positions,
+    3 under the bit encoding).
 
     Chaos runs execute the real HVE/CP-ABE pipeline per publication ×
     subscriber; a compact schema keeps a multi-fault run fast without

@@ -56,7 +56,7 @@ def _cmd_attacks(args) -> None:
         AttributeSpec("prio", ("lo", "hi")),
     ])
     hve = HVE(group)
-    public, master = hve.setup(schema.vector_length)
+    public, master = hve.setup(schema.alphabet_sizes)
 
     secret = Interest({"topic": "c", "prio": ANY})
     token = hve.gen_token(master, schema.encode_interest(secret))

@@ -99,7 +99,7 @@ class RegistrationAuthority:
         self._cpabe_public, self._cpabe_master = self._cpabe.setup()
 
         self._hve = HVE(group)
-        self._hve_public, self._hve_master = self._hve.setup(schema.vector_length)
+        self._hve_public, self._hve_master = self._hve.setup(schema.alphabet_sizes)
 
         self._registered: dict[str, str] = {}  # name -> role
         self._pseudonyms: dict[str, str] = {}  # certificate pseudonym -> name

@@ -48,9 +48,12 @@ class ComputeTimings:
 
 
 def default_schema() -> MetadataSchema:
-    """A 40-bit metadata space matching Table 1 (P = 40 bits).
+    """The metadata space of Table 1 (P = 40 bits).
 
-    Ten attributes with 16 values each → 10 × 4 = 40 vector bits.
+    Ten attributes with 16 values each: 10 × 4 = 40 bits of metadata.  The
+    default symbol encoding makes that an HVE vector of 10 positions of 16
+    symbols; ``MetadataSchema(default_schema().attributes, "bit")`` is the
+    paper's 40 binary positions.
     """
     return MetadataSchema(
         [

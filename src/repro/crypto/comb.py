@@ -13,14 +13,22 @@ group operation a digit and no doublings or squarings: at most 33 for a
 free in both groups: ``−(x, y) = (x, −y)`` on the curve, and an ``F_q²``
 element of norm 1 — every GT element — inverts by conjugation.
 
-Tables are promoted automatically: a base pays for its table only on its
-third large (>32-bit) use, so one-shot values (hash-to-point candidates,
-ephemeral keys, pairing results) never trigger a build.  A table lives with
-whoever owns its base (:class:`TableCache`): an HVE public key carries
-those of its own 4n points — 4n at most, freed with the key — and every
-other base (``g``, CP-ABE, PKE and signing keys, the GT bases: a dozen or
-so on any workload) is served by value from one process-global cache,
-:data:`shared_tables`, LRU-bounded because nothing else bounds it.
+A table lives with whoever owns its base (:class:`TableCache`): an HVE
+public key carries those of its own 2·Σ|Σ_i| points (one pair a symbol of
+each position: 4n for a binary key) — that many at most, freed with the
+key — and every other base (``g``, CP-ABE, PKE and signing keys, the GT
+bases: a dozen or so on any workload) is served by value from one
+process-global cache, :data:`shared_tables`, LRU-bounded because nothing
+else bounds it.
+
+Tables are promoted automatically, on a base's first large (>32-bit) use
+that its owner's rule admits.  The shared cache admits a base on its
+third use, so one-shot values (hash-to-point candidates, ephemeral keys,
+pairing results) never trigger a build.  A key admits its own bases on
+their first use: none of them is one-shot, the key bounds how many there
+are, and a base of a 16-symbol position, used by about one encryption in
+sixteen, would otherwise spend its first two uses — dozens of
+encryptions — on the table-less ladder.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ __all__ = ["WINDOW", "signed_digits", "TableCache", "shared_tables"]
 
 WINDOW = 5  # digit width in bits: a row holds the 2^(WINDOW−1) = 16 positive digits
 ROW = 1 << (WINDOW - 1)
-_PROMOTE_AFTER = 2  # large uses a base must make before a table is built
+_PROMOTE_AFTER = 2  # large uses a shared base must make before a table is built
 MAX_TABLES = 128
 _MAX_COUNTS = 4096
 
@@ -55,13 +63,15 @@ def signed_digits(k: int) -> list[int]:
 class TableCache:
     """Comb tables of a set of bases, keyed by value, and the use counts that
     earn them; each LRU-bounded (a key sizes both to its own bases: no eviction).
+    A base earns its table on the large use after ``promote_after`` of them.
 
     A base is a curve point or an ``F_q²`` element of norm 1, and builds its
     own table (``base.comb_table()``); one cache may hold both kinds."""
 
-    def __init__(self, max_tables: int, max_counts: int):
+    def __init__(self, max_tables: int, max_counts: int, promote_after: int = _PROMOTE_AFTER):
         self.max_tables = max_tables
         self.max_counts = max_counts
+        self.promote_after = promote_after
         self.tables: OrderedDict = OrderedDict()
         self.counts: OrderedDict = OrderedDict()
 
@@ -91,7 +101,7 @@ class TableCache:
             self.tables.move_to_end(base)
         elif bits > 32:
             count = self.counts.get(base, 0) + 1
-            if count > _PROMOTE_AFTER:
+            if count > self.promote_after:
                 table = self.table(base)
             else:
                 self.counts[base] = count

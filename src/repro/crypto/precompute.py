@@ -13,7 +13,8 @@ accelerate, and this module is the policy/observation surface over both:
   A table stores ``d · 32^j`` times its base for ``d = 1…16``; a scalar's
   signed radix-32 digits ``d ∈ [−15, 16]`` then cost one group operation
   each (a negative digit is a negated point, or a conjugated GT element).
-  Tables are keyed by base and auto-promoted on a base's third large use.
+  Tables are keyed by base and auto-promoted on a shared base's third
+  large use, and on an HVE key's own base's first.
   One G1 multiplication walks its table (:class:`repro.crypto.curve.
   FixedBaseTable`) in Jacobian form; a batch (``curve.mul_many``) and a
   table's build, affine in lock-step.  A GT table
@@ -29,9 +30,10 @@ accelerate, and this module is the policy/observation surface over both:
   ``CPABE._key_lines``): they are token / key material.
 
 A comb table lives with whoever owns its base.  An ``HVEPublicKey``
-carries the tables of its own 4n points (``HVEPublicKey.tables``): key
-material like the lines above — 4n at most, freed with the key, never
-serialized; 16 entries a row, 34 rows at ``PAPER``.  Every other base
+carries the tables of its own 2·Σ|Σ_i| points (``HVEPublicKey.tables``;
+4n for a binary key): key material like the lines above — that many at
+most, freed with the key, never serialized; 16 entries a row, 34 rows at
+``PAPER``.  Every other base
 (``g``, CP-ABE, PKE and signing keys, the GT bases: a dozen or so on any
 workload) is served by value from one process-global, LRU-bounded cache
 (workers of a :class:`repro.par.MatchPool` each warm their own copy).

@@ -1,4 +1,5 @@
-"""Predicate-Based Encryption: IP08 HVE plus the P3S metadata-space mapping.
+"""Predicate-Based Encryption: IP08 HVE over per-position alphabets, plus the
+P3S metadata-space mapping.
 
 Public API::
 
@@ -9,7 +10,7 @@ Public API::
         AttributeSpec("region", ("us", "eu", "apac", "latam")),
     ])
     hve = HVE(group)
-    public, master = hve.setup(schema.vector_length)
+    public, master = hve.setup(schema.alphabet_sizes)
 
     x = schema.encode_metadata({"topic": "m&a", "region": "us"})
     ct = hve.encrypt(public, x, guid)
@@ -21,7 +22,7 @@ Public API::
 
 from .encoding import bits_needed, encode_value, wildcard_bits
 from .hve import HVE, HVECiphertext, HVEMasterKey, HVEPublicKey, HVEToken, WILDCARD
-from .schema import ANY, AttributeSpec, Interest, MetadataSchema
+from .schema import ANY, ENCODINGS, AttributeSpec, Interest, MetadataSchema
 from .serialize import (
     deserialize_hve_ciphertext,
     deserialize_hve_token,
@@ -39,6 +40,7 @@ __all__ = [
     "HVEToken",
     "WILDCARD",
     "ANY",
+    "ENCODINGS",
     "AttributeSpec",
     "Interest",
     "MetadataSchema",

@@ -1,22 +1,25 @@
 """Hidden-Vector Encryption over prime-order groups (Iovino-Persiano '08).
 
 This is P3S's predicate-based encryption (paper §3.1 and [7, 10]): the
-publisher encrypts under an *attribute vector* ``x ∈ {0,1}^n``; the
-subscriber holds a *token* for an *interest vector* ``y ∈ {0,1,*}^n``;
-querying the ciphertext with the token recovers the message iff
-``match(x, y) = 1`` (equality on every non-wildcard position).
+publisher encrypts under an *attribute vector* ``x`` with one symbol
+``x_i ∈ Σ_i`` a position; the subscriber holds a *token* for an
+*interest vector* ``y`` with ``y_i ∈ Σ_i ∪ {*}``; querying the ciphertext
+with the token recovers the message iff ``match(x, y) = 1`` (equality on
+every non-wildcard position).  Each position carries its own alphabet
+size ``|Σ_i| ≥ 2``: the paper's binary alphabet is the all-2 case, and
+:class:`repro.pbe.schema.MetadataSchema` chooses the alphabets (one bit a
+position, or one attribute a position).
 
-Construction (notation follows [7]):
+Construction (notation follows [7]; binary IP08 names ``T_{i,1}, V_{i,1}``
+``T_i, V_i`` and ``T_{i,0}, V_{i,0}`` ``R_i, M_i``):
 
-* ``Setup(n)`` — master secret ``y₀`` and, per position ``i``, secrets
-  ``t_i, v_i, r_i, m_i``; public key ``Y = ê(g,g)^{y₀}`` and
-  ``T_i = g^{t_i}, V_i = g^{v_i}, R_i = g^{r_i}, M_i = g^{m_i}``.
-* ``Encrypt(x)`` — pick ``s`` and per-position ``s_i``; for bit 1 emit
-  ``X_i = T_i^{s−s_i}, W_i = V_i^{s_i}``; for bit 0 emit
-  ``X_i = R_i^{s−s_i}, W_i = M_i^{s_i}``.
+* ``Setup(Σ_1…Σ_n)`` — master secret ``y₀`` and, per position ``i`` and
+  symbol ``σ``, secrets ``t_{i,σ}, v_{i,σ}``; public key
+  ``Y = ê(g,g)^{y₀}`` and ``T_{i,σ} = g^{t_{i,σ}}, V_{i,σ} = g^{v_{i,σ}}``.
+* ``Encrypt(x)`` — pick ``s`` and per-position ``s_i``; emit
+  ``X_i = T_{i,x_i}^{s−s_i}, W_i = V_{i,x_i}^{s_i}``.
 * ``GenToken(y)`` — additively share ``y₀ = Σ a_i`` over the non-wildcard
-  positions ``S``; for ``y_i = 1`` emit ``Y_i = g^{a_i/t_i}, L_i = g^{a_i/v_i}``,
-  for ``y_i = 0`` emit ``Y_i = g^{a_i/r_i}, L_i = g^{a_i/m_i}``.
+  positions ``S``; emit ``Y_i = g^{a_i/t_{i,y_i}}, L_i = g^{a_i/v_{i,y_i}}``.
 * ``Query`` — ``Z = Π_{i∈S} ê(X_i, Y_i)·ê(W_i, L_i)``; on a match every
   factor is ``ê(g,g)^{a_i·s}`` so ``Z = Y^s``; any mismatched position
   contributes a random-looking factor.
@@ -28,11 +31,11 @@ payload rides in an authenticated :class:`SecretBox` keyed by
 (MAC failure ⇒ no match).  This mirrors how any deployment would carry
 bytes and adds only constant overhead.
 
-Security properties (paper §3.1): semantic security and collusion
-resistance hold for [7]'s construction; **token security does not** — a
-party holding a token that can also encrypt chosen metadata can probe the
-interest vector (see :mod:`repro.privacy.analysis`, which implements
-exactly that attack).
+Security properties (paper §3.1, argued for any alphabet in
+docs/PROTOCOL.md): semantic security and collusion resistance hold for
+[7]'s construction; **token security does not** — a party holding a
+token that can also encrypt chosen metadata can probe the interest vector
+(see :mod:`repro.privacy.analysis`, which implements exactly that attack).
 
 The per-token freshness of the additive shares ``a_i`` provides collusion
 resistance: components from different tokens use incompatible sharings of
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..crypto.comb import TableCache
 from ..crypto.curve import Point, mul_many
@@ -59,38 +63,45 @@ WILDCARD = None  # interest-vector positions use None for '*'
 
 @dataclass(frozen=True)
 class HVEPublicKey:
-    """Public parameters for vector length ``n``.
+    """Public parameters for positions with alphabet sizes ``alphabet``.
 
-    ``tables`` holds the comb tables of this key's own 4n bases — key
+    ``t[i][σ]``, ``v[i][σ]`` are the bases ``T_{i,σ}``, ``V_{i,σ}``.
+    ``tables`` holds the comb tables of this key's own 2·Σ|Σ_i| bases, each
+    built on the base's first use (:mod:`repro.crypto.comb`) — key
     material, as a token's Miller lines are (``HVE._token_pre``): freed with
     the key, never compared, hashed or pickled (a copy starts with none).
     """
 
-    n: int
+    alphabet: tuple[int, ...]
     y_gt: object  # Y = ê(g,g)^{y₀}  (Fq2)
-    t: tuple[Point, ...]
-    v: tuple[Point, ...]
-    r: tuple[Point, ...]
-    m: tuple[Point, ...]
+    t: tuple[tuple[Point, ...], ...]
+    v: tuple[tuple[Point, ...], ...]
     tables: TableCache = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tables", TableCache(4 * self.n, 4 * self.n))
+        bases = 2 * sum(self.alphabet)
+        object.__setattr__(self, "tables", TableCache(bases, bases, promote_after=0))
 
     def __reduce__(self):
-        return HVEPublicKey, (self.n, self.y_gt, self.t, self.v, self.r, self.m)
+        return HVEPublicKey, (self.alphabet, self.y_gt, self.t, self.v)
+
+    @property
+    def n(self) -> int:
+        return len(self.alphabet)
 
 
 @dataclass(frozen=True)
 class HVEMasterKey:
     """Master secret — held only by the PBE Token Server."""
 
-    n: int
+    alphabet: tuple[int, ...]
     y0: int
-    t: tuple[int, ...]
-    v: tuple[int, ...]
-    r: tuple[int, ...]
-    m: tuple[int, ...]
+    t: tuple[tuple[int, ...], ...]
+    v: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.alphabet)
 
 
 @dataclass(frozen=True)
@@ -155,42 +166,53 @@ class HVE:
 
     # -- Setup ------------------------------------------------------------
 
-    def setup(self, n: int) -> tuple[HVEPublicKey, HVEMasterKey]:
-        if n < 1:
+    def setup(self, alphabet: int | Sequence[int]) -> tuple[HVEPublicKey, HVEMasterKey]:
+        """Keys for ``alphabet`` — one size a position, or ``n`` for the
+        binary ``{0,1}^n``.
+
+        Secrets are drawn a layer at a time from each position's top
+        symbol down (all ``t``, then all ``v`` of a layer), so an all-2
+        key draws IP08's ``t, v`` (symbol 1) before its ``r, m`` (symbol 0).
+        """
+        alphabet = (2,) * alphabet if isinstance(alphabet, int) else tuple(alphabet)
+        if not alphabet:
             raise ParameterError("vector length must be >= 1")
+        if any(size < 2 for size in alphabet):
+            raise ParameterError("each position needs an alphabet of at least 2 symbols")
         group = self.group
         y0 = group.random_zr()
-        t = tuple(group.random_zr() for _ in range(n))
-        v = tuple(group.random_zr() for _ in range(n))
-        r = tuple(group.random_zr() for _ in range(n))
-        m = tuple(group.random_zr() for _ in range(n))
+        t: list[list[int]] = [[0] * size for size in alphabet]
+        v: list[list[int]] = [[0] * size for size in alphabet]
+        for layer in range(max(alphabet)):
+            rows = [(i, size - 1 - layer) for i, size in enumerate(alphabet) if size > layer]
+            for secrets in (t, v):
+                for i, symbol in rows:
+                    secrets[i][symbol] = group.random_zr()
         g = group.generator
-        points = mul_many([(g, e) for e in t + v + r + m])  # one batch: lock-step
-        public = HVEPublicKey(
-            n=n,
-            y_gt=group.gt_generator**y0,
-            t=tuple(points[:n]),
-            v=tuple(points[n : 2 * n]),
-            r=tuple(points[2 * n : 3 * n]),
-            m=tuple(points[3 * n :]),
+        exponents = [e for secrets in (t, v) for row in secrets for e in row]
+        points = iter(mul_many([(g, e) for e in exponents]))  # one batch: lock-step
+        t_points, v_points = (
+            tuple(tuple(next(points) for _ in range(size)) for size in alphabet)
+            for _ in range(2)
         )
-        return public, HVEMasterKey(n=n, y0=y0, t=t, v=v, r=r, m=m)
+        public = HVEPublicKey(alphabet, group.gt_generator**y0, t_points, v_points)
+        master = HVEMasterKey(alphabet, y0, tuple(map(tuple, t)), tuple(map(tuple, v)))
+        return public, master
 
     # -- Encrypt -------------------------------------------------------------
 
     @instrument("hve.encrypt")
     def encrypt(self, public: HVEPublicKey, x: list[int], payload: bytes) -> HVECiphertext:
-        """Encrypt ``payload`` under attribute vector ``x ∈ {0,1}^n``."""
-        self._check_attribute_vector(public.n, x)
+        """Encrypt ``payload`` under attribute vector ``x``, one symbol a position."""
+        self._check_vector(public.alphabet, x, wildcards=False)
         group = self.group
         order = group.order
         s = group.random_zr()
         pairs: list[tuple[Point, int]] = []  # X_0, W_0, X_1, W_1, …
-        for i, bit in enumerate(x):
+        for i, symbol in enumerate(x):
             s_i = group.random_zr(nonzero=False)
-            x_base, w_base = (public.t[i], public.v[i]) if bit == 1 else (public.r[i], public.m[i])
-            pairs.append((x_base, (s - s_i) % order))
-            pairs.append((w_base, s_i))
+            pairs.append((public.t[i][symbol], (s - s_i) % order))
+            pairs.append((public.v[i][symbol], s_i))
         # 2n independent multiplications in hand at once: one lock-step batch
         points = mul_many(pairs, public.tables)
         key = kdf(group.serialize_gt(public.y_gt**s), "hve-kem")
@@ -206,21 +228,17 @@ class HVE:
 
     @instrument("hve.token_gen")
     def gen_token(self, master: HVEMasterKey, y: list[int | None]) -> HVEToken:
-        """Token for interest vector ``y ∈ {0,1,*}^n`` (``None`` = wildcard).
+        """Token for interest vector ``y`` (``None`` = wildcard).
 
         At least one position must be non-wildcard (the all-wildcard token
         would trivially decrypt everything; the paper assumes honest
         clients never subscribe to everything, and the scheme cannot share
         ``y₀`` over zero positions).
         """
-        if len(y) != master.n:
-            raise ParameterError(f"interest vector length {len(y)} != n={master.n}")
+        self._check_vector(master.alphabet, y, wildcards=True)
         positions = tuple(i for i, value in enumerate(y) if value is not None)
         if not positions:
             raise ParameterError("all-wildcard interest vectors are not supported")
-        for i in positions:
-            if y[i] not in (0, 1):
-                raise ParameterError(f"interest position {i} must be 0, 1 or wildcard")
         group = self.group
         order = group.order
         # additive sharing of y₀ over the non-wildcard positions
@@ -229,12 +247,9 @@ class HVE:
         g = group.generator
         components: list[tuple[Point, Point]] = []
         for i, a_i in zip(positions, shares):
-            if y[i] == 1:
-                first = g * (a_i * pow(master.t[i], -1, order) % order)
-                second = g * (a_i * pow(master.v[i], -1, order) % order)
-            else:
-                first = g * (a_i * pow(master.r[i], -1, order) % order)
-                second = g * (a_i * pow(master.m[i], -1, order) % order)
+            t_i, v_i = master.t[i][y[i]], master.v[i][y[i]]
+            first = g * (a_i * pow(t_i, -1, order) % order)
+            second = g * (a_i * pow(v_i, -1, order) % order)
             components.append((first, second))
         return HVEToken(n=master.n, positions=positions, components=tuple(components))
 
@@ -324,9 +339,14 @@ class HVE:
         return kdf(self.group.serialize_gt(z), "hve-kem")
 
     @staticmethod
-    def _check_attribute_vector(n: int, x: list[int]) -> None:
-        if len(x) != n:
-            raise ParameterError(f"attribute vector length {len(x)} != n={n}")
-        for i, bit in enumerate(x):
-            if bit not in (0, 1):
-                raise ParameterError(f"attribute position {i} must be 0 or 1 (got {bit!r})")
+    def _check_vector(alphabet: tuple[int, ...], vector: list, wildcards: bool) -> None:
+        kind = "interest" if wildcards else "attribute"
+        if len(vector) != len(alphabet):
+            raise ParameterError(f"{kind} vector length {len(vector)} != n={len(alphabet)}")
+        for i, (symbol, size) in enumerate(zip(vector, alphabet)):
+            if symbol is None and wildcards:
+                continue
+            if not isinstance(symbol, int) or not 0 <= symbol < size:
+                raise ParameterError(
+                    f"{kind} position {i} must be a symbol in [0, {size}) (got {symbol!r})"
+                )

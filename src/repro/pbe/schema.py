@@ -10,8 +10,17 @@ attribute-value pairs", with ``*`` wildcards allowed per attribute.
 (it is what the ARA hands to publishers and subscribers at registration —
 "the PBE metadata format, i.e. field/value information", §4.3).  It maps:
 
-* full metadata dicts → HVE attribute vectors ``x ∈ {0,1}^n``,
-* :class:`Interest` predicates → HVE interest vectors ``y ∈ {0,1,*}^n``.
+* full metadata dicts → HVE attribute vectors, one symbol a position,
+* :class:`Interest` predicates → HVE interest vectors (``None`` = ``*``).
+
+Its *encoding* decides the positions.  ``"symbol"`` (the default) gives
+each attribute one position whose alphabet is the attribute's domain, so a
+16-valued attribute is one position of 16 symbols.  ``"bit"`` is the
+paper's §3.1 choice: each attribute spreads over ``⌈log₂|domain|⌉``
+binary positions, and a wildcard spans all of them.  Both express the same
+predicates, because an interest only ever wildcards whole attributes; the
+symbol encoding does it with fewer positions, so fewer pairings a match
+and fewer points a ciphertext.
 """
 
 from __future__ import annotations
@@ -22,7 +31,9 @@ from dataclasses import dataclass, field
 from ..errors import SchemaError
 from .encoding import bits_needed, encode_value, wildcard_bits
 
-__all__ = ["ANY", "AttributeSpec", "MetadataSchema", "Interest"]
+__all__ = ["ANY", "AttributeSpec", "MetadataSchema", "Interest", "ENCODINGS"]
+
+ENCODINGS = ("symbol", "bit")
 
 
 class _Any:
@@ -122,25 +133,38 @@ class MetadataSchema:
 
     Args:
         attributes: the attribute specs, in canonical order (the order
-            defines bit positions in the HVE vectors and must be shared by
+            defines the positions in the HVE vectors and must be shared by
             all participants — the ARA distributes it).
+        encoding: ``"symbol"`` (one position per attribute) or ``"bit"``
+            (the paper's binary alphabet); see the module docstring.
     """
 
-    def __init__(self, attributes: list[AttributeSpec]):
+    def __init__(self, attributes: list[AttributeSpec], encoding: str = "symbol"):
         if not attributes:
             raise SchemaError("metadata schema needs at least one attribute")
         names = [spec.name for spec in attributes]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate attribute names in schema")
+        if encoding not in ENCODINGS:
+            raise SchemaError(f"unknown schema encoding {encoding!r}")
         self.attributes = tuple(attributes)
+        self.encoding = encoding
         self._by_name = {spec.name: spec for spec in attributes}
 
     # -- shape ---------------------------------------------------------------
 
     @property
+    def alphabet_sizes(self) -> tuple[int, ...]:
+        """The HVE alphabet size of every position, in order."""
+        if self.encoding == "bit":
+            return (2,) * sum(spec.bits for spec in self.attributes)
+        return tuple(len(spec.values) for spec in self.attributes)
+
+    @property
     def vector_length(self) -> int:
-        """Total HVE vector length n = Σ bits(attribute)."""
-        return sum(spec.bits for spec in self.attributes)
+        """The HVE vector length n: Σ bits(attribute) under ``"bit"``, the
+        attribute count under ``"symbol"``."""
+        return len(self.alphabet_sizes)
 
     def attribute(self, name: str) -> AttributeSpec:
         try:
@@ -150,8 +174,15 @@ class MetadataSchema:
 
     # -- encoding ----------------------------------------------------------------
 
+    def _positions(self, spec: AttributeSpec, index: int | None) -> list[int | None]:
+        """One attribute's positions for value ``index`` (``None`` = ``*``)."""
+        if self.encoding == "symbol":
+            return [index]
+        size = len(spec.values)
+        return wildcard_bits(size) if index is None else encode_value(index, size)
+
     def encode_metadata(self, metadata: dict[str, str]) -> list[int]:
-        """Full metadata → attribute vector ``x ∈ {0,1}^n``.
+        """Full metadata → attribute vector, one symbol a position.
 
         Every schema attribute must be present: published items carry a
         complete description (the paper's model has the publisher choose
@@ -160,15 +191,15 @@ class MetadataSchema:
         unknown = set(metadata) - set(self._by_name)
         if unknown:
             raise SchemaError(f"metadata has attributes outside the schema: {sorted(unknown)}")
-        bits: list[int] = []
+        symbols: list[int] = []
         for spec in self.attributes:
             if spec.name not in metadata:
                 raise SchemaError(f"metadata missing attribute {spec.name!r}")
-            bits.extend(encode_value(spec.index_of(metadata[spec.name]), len(spec.values)))
-        return bits
+            symbols.extend(self._positions(spec, spec.index_of(metadata[spec.name])))
+        return symbols
 
     def encode_interest(self, interest: Interest) -> list[int | None]:
-        """Interest → interest vector ``y ∈ {0,1,*}^n`` (None = wildcard)."""
+        """Interest → interest vector (None = wildcard)."""
         unknown = set(interest.constraints) - set(self._by_name)
         if unknown:
             raise SchemaError(f"interest has attributes outside the schema: {sorted(unknown)}")
@@ -177,35 +208,66 @@ class MetadataSchema:
                 "all-wildcard interests are rejected (paper §2: honest clients "
                 "do not subscribe with wildcards for all attributes)"
             )
-        bits: list[int | None] = []
+        symbols: list[int | None] = []
         for spec in self.attributes:
             wanted = interest.constraints.get(spec.name, ANY)
-            if wanted is ANY:
-                bits.extend(wildcard_bits(len(spec.values)))
-            else:
-                bits.extend(encode_value(spec.index_of(wanted), len(spec.values)))
-        return bits
+            symbols.extend(self._positions(spec, None if wanted is ANY else spec.index_of(wanted)))
+        return symbols
 
     # -- (de)serialization — the ARA ships the schema to clients -----------------
 
     def to_json(self) -> str:
         return json.dumps(
-            [{"name": spec.name, "values": list(spec.values)} for spec in self.attributes]
+            {
+                "encoding": self.encoding,
+                "attributes": [
+                    {"name": spec.name, "values": list(spec.values)} for spec in self.attributes
+                ],
+            }
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "MetadataSchema":
+    def from_json(cls, text: str | bytes) -> "MetadataSchema":
+        """The schema :meth:`to_json` wrote, or :class:`SchemaError`: every
+        name and value a string, every domain a list, no key missing,
+        repeated or unknown, and a known encoding."""
         try:
-            raw = json.loads(text)
-            specs = [AttributeSpec(entry["name"], tuple(entry["values"])) for entry in raw]
-        except (ValueError, KeyError, TypeError) as exc:
+            raw = json.loads(text, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"malformed schema JSON: {exc}") from exc
-        return cls(specs)
+        _expect_keys(raw, {"encoding", "attributes"}, "schema")
+        if not isinstance(raw["attributes"], list):
+            raise SchemaError("schema attributes must be a list")
+        specs = []
+        for entry in raw["attributes"]:
+            _expect_keys(entry, {"name", "values"}, "attribute")
+            name, values = entry["name"], entry["values"]
+            if not isinstance(values, list):
+                raise SchemaError(f"domain of attribute {name!r} must be a list")
+            if not all(isinstance(item, str) for item in [name, *values]):
+                raise SchemaError(f"attribute {name!r}: names and values must be strings")
+            specs.append(AttributeSpec(name, tuple(values)))
+        return cls(specs, raw["encoding"])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MetadataSchema):
             return NotImplemented
-        return self.attributes == other.attributes
+        return (self.attributes, self.encoding) == (other.attributes, other.encoding)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MetadataSchema({[spec.name for spec in self.attributes]}, n={self.vector_length})"
+        return (
+            f"MetadataSchema({[spec.name for spec in self.attributes]}, "
+            f"encoding={self.encoding!r}, n={self.vector_length})"
+        )
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) != len(keys):
+        raise SchemaError(f"repeated key in schema JSON: {keys}")
+    return dict(pairs)
+
+
+def _expect_keys(raw: object, keys: set[str], what: str) -> None:
+    if not isinstance(raw, dict) or set(raw) != keys:
+        raise SchemaError(f"a {what} must be an object with exactly the keys {sorted(keys)}")

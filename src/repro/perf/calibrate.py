@@ -49,8 +49,8 @@ class CalibrationResult:
     # Miller-loop precomputation (amortized away on every later query —
     # pbe_match_s is that warm steady-state cost).
     pbe_match_cold_s: float = 0.0
-    # First encryption under a public key: none of its 2n bases has a
-    # comb table yet, every multiplication walks the windowed ladder.
+    # First encryption under a public key: each of its 2n bases builds
+    # its comb table (a key's own bases are promoted on first use).
     pbe_encrypt_cold_s: float = 0.0
 
     def as_model_params(self, base: ModelParams | None = None) -> ModelParams:
@@ -74,10 +74,10 @@ def _time(fn, repetitions: int) -> float:
     return best
 
 
-# A base earns its comb table on its third large multiplication
-# (``crypto.curve``), and a token or secret key caches its Miller lines on
-# first use: after this many calls on fresh keys an operation is at the
-# cost every later call pays.
+# A shared base earns its comb table on its third large multiplication (a
+# key's own base on its first, ``crypto.comb``), and a token or secret key
+# caches its Miller lines on first use: after this many calls on fresh keys
+# an operation is at the cost every later call pays.
 _WARM_CALLS = 3
 
 

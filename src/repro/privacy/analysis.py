@@ -284,7 +284,9 @@ def with_epoch_attribute(schema: MetadataSchema, num_epochs: int = 16) -> Metada
     if num_epochs < 2:
         raise SchemaError("need at least 2 epochs")
     epoch_values = tuple(f"e{i}" for i in range(num_epochs))
-    return MetadataSchema(list(schema.attributes) + [AttributeSpec("epoch", epoch_values)])
+    return MetadataSchema(
+        list(schema.attributes) + [AttributeSpec("epoch", epoch_values)], schema.encoding
+    )
 
 
 def epoch_of(now: float, epoch_length_s: float, num_epochs: int = 16) -> str:

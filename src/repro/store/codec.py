@@ -85,6 +85,10 @@ def decode_token(value: bytes) -> tuple[str, bytes]:
     """Returns ``(subscriber, token_bytes)``."""
     try:
         (name_len,) = struct.unpack_from(">H", value, 0)
+        if len(value) < 2 + name_len:
+            raise CorruptRecordError(
+                f"token registration names {name_len} bytes, holds {len(value) - 2}"
+            )
         name = value[2 : 2 + name_len].decode("utf-8")
     except (struct.error, UnicodeDecodeError) as exc:
         raise CorruptRecordError(f"undecodable token registration: {exc}") from exc
@@ -100,4 +104,7 @@ def decode_sub_key(key: bytes) -> tuple[str, str]:
     topic, sep, client = key.partition(b"\x00")
     if not sep:
         raise CorruptRecordError(f"undecodable subscription key {key!r}")
-    return topic.decode("utf-8"), client.decode("utf-8")
+    try:
+        return topic.decode("utf-8"), client.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptRecordError(f"undecodable subscription key {key!r}: {exc}") from exc

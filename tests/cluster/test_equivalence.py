@@ -14,14 +14,16 @@ from functools import lru_cache
 
 import pytest
 
+from repro.core.config import P3SConfig, default_schema
 from repro.core.system import P3SSystem
 from repro.live.scenario import (
     PublicationSpec,
     Scenario,
     SubscriberSpec,
+    default_scenario,
     run_on_simulator,
 )
-from repro.pbe.schema import Interest
+from repro.pbe.schema import ENCODINGS, Interest, MetadataSchema
 
 from ..live.conftest import small_config
 
@@ -89,6 +91,25 @@ class TestShardedEquivalence:
             match_workers=1,
         )
         assert run_on_simulator(SCENARIO, config) == single_node_baseline(True)
+
+    def test_default_schema_under_both_encodings(self):
+        """The demo episode on ``default_schema()``: one delivery map for
+        either encoding, sharded or not, broadcast or delegated."""
+        maps = []
+        for encoding in ENCODINGS:
+            schema = MetadataSchema(default_schema().attributes, encoding)
+            for delegated in (False, True):
+                for ds_shards, rs_shards, replication in ((1, 1, 1), (2, 2, 2)):
+                    config = P3SConfig(
+                        schema=schema,
+                        ds_shards=ds_shards,
+                        rs_shards=rs_shards,
+                        rs_replication=replication,
+                        delegated_matching=delegated,
+                    )
+                    maps.append(run_on_simulator(default_scenario(), config))
+        assert all(delivered == maps[0] for delivered in maps), maps
+        assert any(maps[0].values())
 
     def test_the_baseline_itself_is_nontrivial(self):
         baseline = single_node_baseline(False)

@@ -51,12 +51,14 @@ class TestARA:
         credentials = self.ara.register_subscriber("alice", {"org:acme"})
         assert credentials.certificate.role == "subscriber"
         assert credentials.cpabe_secret_key.attributes == frozenset({"org:acme"})
-        assert credentials.schema.vector_length == 2
+        assert credentials.schema.vector_length == 1  # one position of 4 symbols
+        assert credentials.schema == small_schema()
 
     def test_register_publisher_credentials(self):
         credentials = self.ara.register_publisher("bob")
         assert credentials.certificate.role == "publisher"
-        assert credentials.hve_public_key.n == 2
+        assert credentials.hve_public_key.n == 1
+        assert credentials.hve_public_key.alphabet == small_schema().alphabet_sizes == (4,)
 
     def test_duplicate_registration_rejected(self):
         self.ara.register_subscriber("alice", {"a"})
@@ -204,7 +206,10 @@ class TestConfig:
         assert config.latency_s == 0.045  # original untouched
 
     def test_default_schema_is_40_bits(self):
-        assert default_schema().vector_length == 40  # Table 1: P = 40 bits
+        schema = default_schema()
+        bits = MetadataSchema(schema.attributes, "bit")
+        assert bits.vector_length == 40  # Table 1: P = 40 bits
+        assert schema.encoding == "symbol" and schema.alphabet_sizes == (16,) * 10
 
     def test_timings_symmetric_scales(self):
         timings = ComputeTimings()

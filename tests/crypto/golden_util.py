@@ -76,7 +76,9 @@ def _prefixed(data: bytes) -> bytes:
 
 
 def _hve_public_key_bytes(group, public) -> bytes:
-    points = [*public.t, *public.v, *public.r, *public.m]
+    """IP08's ``n ‖ Y ‖ T ‖ V ‖ R ‖ M`` of an all-2 key (``T_i = t[i][1]``,
+    ``R_i = t[i][0]``, likewise ``V``/``M`` from ``v``)."""
+    points = [row[symbol] for symbol in (1, 0) for bases in (public.t, public.v) for row in bases]
     return (
         struct.pack(">I", public.n)
         + group.serialize_gt(public.y_gt)

@@ -19,7 +19,8 @@ from repro.live.scenario import (
     run_on_live,
     run_on_simulator,
 )
-from repro.pbe.schema import Interest
+from repro.core.config import P3SConfig, default_schema
+from repro.pbe.schema import ENCODINGS, Interest, MetadataSchema
 
 from .conftest import run_async, small_config
 
@@ -69,11 +70,14 @@ class TestDeliveryParity:
         assert live["alice"] == (b"payload-for-topic-a",)
 
     def test_default_demo_scenario_parity(self):
+        """On ``default_schema()``, under both encodings."""
         scenario = default_scenario()
-        simulated = run_on_simulator(scenario)
-        live = run_async(run_on_live(scenario, expected=simulated))
-        assert simulated == live
-        assert any(payloads for payloads in live.values())
+        for encoding in ENCODINGS:
+            config = P3SConfig(schema=MetadataSchema(default_schema().attributes, encoding))
+            simulated = run_on_simulator(scenario, config)
+            live = run_async(run_on_live(scenario, config, expected=simulated))
+            assert simulated == live, encoding
+            assert any(payloads for payloads in live.values())
 
 
 class TestLiveObservables:

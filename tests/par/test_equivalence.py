@@ -11,7 +11,8 @@ is that contract:
   post-final-exponentiation;
 * ``HVE.query`` vs the textbook multi-pairing of ``tests/pbe/reference.py``;
 * a delegated-matching deployment vs the baseline broadcast deployment —
-  byte-identical delivery sets.
+  byte-identical delivery sets, on ``default_schema()`` under both
+  encodings.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 
 import pytest
 
-from repro.core.config import P3SConfig
+from repro.core.config import P3SConfig, default_schema
 from repro.core.system import P3SSystem
 from repro.crypto.curve import Point, fixed_base_table
 from repro.crypto.group import PairingGroup
@@ -35,7 +36,7 @@ from repro.crypto.pairing import (
     tate_pairing_precomputed,
 )
 from repro.pbe.hve import HVE
-from repro.pbe.schema import Interest
+from repro.pbe.schema import ENCODINGS, Interest, MetadataSchema
 
 from ..pbe.reference import naive_query
 
@@ -186,8 +187,9 @@ def test_hve_precompute_query_equivalent(group):
 # -- delegated vs broadcast deployments ----------------------------------------
 
 
-def _run_deployment(delegated: bool):
-    system = P3SSystem(P3SConfig(delegated_matching=delegated))
+def _run_deployment(delegated: bool, encoding: str):
+    schema = MetadataSchema(default_schema().attributes, encoding)
+    system = P3SSystem(P3SConfig(schema=schema, delegated_matching=delegated))
     names_interests = [
         ("alice", Interest({"attr00": "v01"})),
         ("bobby", Interest({"attr00": "v02"})),
@@ -215,14 +217,16 @@ def _run_deployment(delegated: bool):
 
 
 def test_delegated_matching_delivery_sets_identical():
-    broadcast = _run_deployment(delegated=False)
-    delegated = _run_deployment(delegated=True)
-    # GUIDs are random per run; compare per-subscriber payload multisets and
-    # that exactly the same subscribers received exactly the same counts
-    assert {
-        name: [payload for _, _, payload in rows] for name, rows in broadcast.items()
-    } == {
-        name: [payload for _, _, payload in rows] for name, rows in delegated.items()
-    }
-    assert delegated["alice"] and delegated["carol"]
-    assert not delegated["bobby"]
+    payloads = {}
+    for encoding in ENCODINGS:
+        for delegated in (False, True):
+            # GUIDs are random per run; compare per-subscriber payload multisets
+            # and that exactly the same subscribers received the same counts
+            payloads[encoding, delegated] = {
+                name: [payload for _, _, payload in rows]
+                for name, rows in _run_deployment(delegated, encoding).items()
+            }
+    first, *rest = payloads.values()
+    assert all(other == first for other in rest), payloads
+    assert first["alice"] and first["carol"]
+    assert not first["bobby"]

@@ -1,4 +1,5 @@
-"""An HVE public key owns the comb tables of its own 4n bases.
+"""An HVE public key owns the comb tables of its own 2·Σ|Σ_i| bases (4n
+for the binary keys below).
 
 The key below is larger than the ad-hoc cache twice over (sized off the
 module constant, so raising the constant cannot make these pass): were
@@ -84,7 +85,7 @@ def test_ciphertext_is_the_table_less_one_bit_for_bit(warm):
 
 def test_equality_hash_repr_and_copies_ignore_table_state(warm):
     _, public, _ = warm
-    cold = HVEPublicKey(public.n, public.y_gt, public.t, public.v, public.r, public.m)
+    cold = HVEPublicKey(public.alphabet, public.y_gt, public.t, public.v)
     assert not cold.tables.tables and len(public.tables.tables) == 4 * N
     assert cold == public and hash(cold) == hash(public) and repr(cold) == repr(public)
     assert pickle.dumps(cold) == pickle.dumps(public)
@@ -117,3 +118,14 @@ def test_the_ad_hoc_cache_never_sees_a_key_base(warm):
         hve.encrypt(public, [vectors.randrange(2) for _ in range(N)], b"measured")
     assert (list(adhoc.tables), list(adhoc.counts)) == before
     assert len(public.tables.tables) == 4 * N
+
+
+def test_a_key_builds_each_base_table_on_its_first_use():
+    """A key's bases are never one-shot: a 16-symbol position's base, used by
+    about one encryption in sixteen, gets its table the first time."""
+    hve = HVE(PairingGroup("TOY", rng=random.Random(33)))
+    public, _ = hve.setup([16, 16, 2])
+    hve.encrypt(public, [3, 15, 1], b"first")
+    assert len(public.tables.tables) == 6 and not public.tables.counts
+    hve.encrypt(public, [3, 0, 1], b"second")
+    assert len(public.tables.tables) == 8

@@ -18,7 +18,7 @@ def pipeline():
         ]
     )
     hve = HVE(GROUP)
-    public, master = hve.setup(schema.vector_length)
+    public, master = hve.setup(schema.alphabet_sizes)
     return schema, hve, public, master
 
 

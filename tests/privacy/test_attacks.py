@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto.group import PairingGroup
 from repro.errors import SchemaError
-from repro.pbe import ANY, HVE, AttributeSpec, Interest, MetadataSchema
+from repro.pbe import ANY, ENCODINGS, HVE, AttributeSpec, Interest, MetadataSchema
 from repro.privacy.analysis import (
     epoch_of,
     token_accumulation_attack,
@@ -24,7 +24,7 @@ def setting():
         ]
     )
     hve = HVE(GROUP)
-    public, master = hve.setup(schema.vector_length)
+    public, master = hve.setup(schema.alphabet_sizes)
     return schema, hve, public, master
 
 
@@ -48,7 +48,7 @@ class TestTokenProbing:
 
     def test_foreign_token_detected(self, setting):
         schema, hve, public, master = setting
-        _, other_master = hve.setup(schema.vector_length)
+        _, other_master = hve.setup(schema.alphabet_sizes)
         token = hve.gen_token(other_master, schema.encode_interest(Interest({"topic": "a"})))
         with pytest.raises(SchemaError):
             token_probing_attack(hve, public, token, schema)
@@ -93,13 +93,15 @@ class TestTimestampedTokenMitigation:
     def test_epoch_schema_shape(self, setting):
         schema, *_ = setting
         extended = with_epoch_attribute(schema, num_epochs=4)
-        assert extended.vector_length == schema.vector_length + 2
+        assert extended.vector_length == schema.vector_length + 1  # one symbol position
         assert extended.attribute("epoch").values == ("e0", "e1", "e2", "e3")
+        bits = MetadataSchema(schema.attributes, "bit")
+        assert with_epoch_attribute(bits, num_epochs=4).vector_length == bits.vector_length + 2
 
     def test_token_stops_matching_after_rotation(self, setting):
         schema, hve, _, _ = setting
         extended = with_epoch_attribute(schema, num_epochs=4)
-        public, master = hve.setup(extended.vector_length)
+        public, master = hve.setup(extended.alphabet_sizes)
         # token pinned to epoch e0
         token = hve.gen_token(
             master, extended.encode_interest(Interest({"topic": "a", "epoch": "e0"}))
@@ -136,3 +138,18 @@ class TestTimestampedTokenMitigation:
         for spec in extended.attributes:
             extended_space *= len(spec.values)
         assert extended_space == base_space * 16
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_no_token_security_under_either_encoding(encoding):
+    """The §6.1 caveat does not depend on the alphabet: a token plus encrypt
+    capability gives up the interest whether a position is a bit or a whole
+    attribute."""
+    schema = MetadataSchema(
+        [AttributeSpec("topic", ("a", "b", "c", "d")), AttributeSpec("prio", ("lo", "hi"))],
+        encoding,
+    )
+    hve = HVE(GROUP)
+    public, master = hve.setup(schema.alphabet_sizes)
+    token = hve.gen_token(master, schema.encode_interest(Interest({"topic": "c"})))
+    assert token_probing_attack(hve, public, token, schema).constraints == {"topic": "c", "prio": ANY}
