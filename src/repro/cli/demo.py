@@ -4,7 +4,7 @@ attacks, run against the real HVE."""
 from __future__ import annotations
 
 from ..crypto import PairingGroup
-from ..obs import Observability
+from ..obs import Observability, to_openmetrics
 from ..pbe import ANY, HVE, AttributeSpec, Interest, MetadataSchema
 
 
@@ -40,7 +40,8 @@ def _cmd_demo(args) -> None:
                 observability.write_spans(args.trace_out)
                 print(f"wrote spans to {args.trace_out}")
             if args.metrics_out:
-                observability.write_metrics(args.metrics_out)
+                with open(args.metrics_out, "w", encoding="utf-8") as handle:
+                    handle.write(to_openmetrics(observability.metrics))
                 print(f"wrote metrics to {args.metrics_out}")
     finally:
         if observability is not None:
@@ -86,7 +87,7 @@ def register(sub) -> None:
     )
     demo.add_argument(
         "--metrics-out", metavar="PATH", default=None,
-        help="write the metrics registry as CSV to PATH",
+        help="write the metrics registry as OpenMetrics text to PATH",
     )
     demo.set_defaults(func=_cmd_demo)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import os
 
+from ..errors import ProfileError
 from ..obs import Observability
 from ..perf.calibrate import calibrate
 from .paper import add_params
@@ -13,7 +14,9 @@ from .telemetry import sweep_once
 
 
 def _write_profile(profile, out: str, force: bool) -> None:
-    """Write a profile as speedscope JSON (or ``.folded`` text by suffix).
+    """Write a profile as its profile-dict JSON, the one format ``prof
+    report``/``diff`` read back (or as ``.folded`` text, an export, by
+    suffix).
 
     Refuses to clobber an existing recording unless ``--force`` — a
     before/after diff workflow lives or dies on not losing the "before".
@@ -25,7 +28,7 @@ def _write_profile(profile, out: str, force: bool) -> None:
             handle.write(profile.folded())
         return
     with open(out, "w") as handle:
-        json.dump(profile.to_speedscope(name=os.path.basename(out)), handle, indent=2)
+        json.dump(profile.to_dict(), handle, indent=2)
         handle.write("\n")
 
 
@@ -48,17 +51,27 @@ def _cmd_prof_record(args) -> None:
     print(format_report(profile, limit=args.limit))
 
 
-def _cmd_prof_report(args) -> None:
-    from ..obs.prof import format_report, load_profile
+def _load(path: str):
+    """The recording at ``path``, or exit with one line naming it."""
+    from ..obs.prof import load_profile
 
-    print(format_report(load_profile(args.profile), limit=args.limit))
+    try:
+        return load_profile(path)
+    except ProfileError as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def _cmd_prof_report(args) -> None:
+    from ..obs.prof import format_report
+
+    print(format_report(_load(args.profile), limit=args.limit))
 
 
 def _cmd_prof_diff(args) -> None:
-    from ..obs.prof import diff_profiles, format_diff, load_profile
+    from ..obs.prof import diff_profiles, format_diff
 
-    before = load_profile(args.before)
-    after = load_profile(args.after)
+    before = _load(args.before)
+    after = _load(args.after)
     deltas = diff_profiles(before, after, normalize=not args.absolute)
     print(format_diff(deltas, limit=args.limit, normalized=not args.absolute))
 
@@ -113,8 +126,8 @@ def register(sub) -> None:
 
     prof_record = prof_sub.add_parser(
         "record",
-        help="profile the seeded demo workload and write a speedscope "
-             "(or .folded) recording",
+        help="profile the seeded demo workload and write a profile-dict "
+             "JSON (or .folded) recording",
     )
     prof_record.add_argument(
         "--mode", choices=("det", "wall"), default="det",
@@ -133,7 +146,7 @@ def register(sub) -> None:
     )
     prof_record.add_argument(
         "--out", metavar="FILE", default=None,
-        help="write the recording (speedscope JSON, or collapsed-stack "
+        help="write the recording (profile-dict JSON, or collapsed-stack "
              "text when FILE ends in .folded)",
     )
     prof_record.add_argument(
@@ -146,7 +159,7 @@ def register(sub) -> None:
     prof_report = prof_sub.add_parser(
         "report", help="hot-frames report of a recorded profile"
     )
-    prof_report.add_argument("profile", help="speedscope JSON or .folded recording")
+    prof_report.add_argument("profile", help="profile-dict JSON recording (prof record --out)")
     prof_report.add_argument("--limit", type=int, default=20, metavar="N")
     prof_report.set_defaults(func=_cmd_prof_report)
 
@@ -187,7 +200,7 @@ def register(sub) -> None:
     )
     prof_top.add_argument(
         "--out", metavar="FILE", default=None,
-        help="also write the merged profile (speedscope JSON / .folded)",
+        help="also write the merged profile (profile-dict JSON / .folded)",
     )
     prof_top.add_argument("--force", action="store_true", help="overwrite --out")
     prof_top.add_argument("--limit", type=int, default=20, metavar="N")

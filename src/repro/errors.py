@@ -146,3 +146,12 @@ class RecoveryError(StorageError):
 
 class RetrievalError(P3SError):
     """Repository Server could not satisfy a payload retrieval."""
+
+
+# --------------------------------------------------------------------------
+# Observability (repro.obs)
+# --------------------------------------------------------------------------
+
+class ProfileError(ReproError):
+    """A profile document that is not the one ``Profile.to_dict`` writes
+    (a recording on disk, or a service's telemetry snapshot)."""

@@ -15,22 +15,23 @@ Pieces:
   (pairings, exponentiations, HVE matches, bytes per hop, queue depths);
 * :mod:`~repro.obs.hooks` — the hooks installed into hot paths, and
   the global on/off switch that makes everything a no-op when disabled;
-* :mod:`~repro.obs.export` — JSONL spans, CSV metrics, console trees;
+* :mod:`~repro.obs.export` — JSONL spans and console trees;
 * :mod:`~repro.obs.ring` — the bounded flight recorder behind a live
   service's span storage (memory-flat for week-long processes);
-* :mod:`~repro.obs.exposition` — Prometheus/OpenMetrics text rendering
-  and the strict round-trip parser;
+* :mod:`~repro.obs.exposition` — Prometheus/OpenMetrics text, the one
+  format metrics are written in;
 * :mod:`~repro.obs.aggregate` — :class:`TelemetryAggregator`, merging
   per-service scrapes into one deployment-wide registry and reassembling
   cross-socket publish→deliver span trees;
 * :mod:`~repro.obs.slo` — :class:`SloEngine`, declarative SLOs with
   error-budget accounting and multi-window multi-burn-rate alerting;
 * :mod:`~repro.obs.prof` — continuous profiling: span-attributed stack
-  samplers (wall-clock and deterministic op-count modes), collapsed
-  stack / speedscope export, self-time diffs, and the crypto cost
-  ledger.  Imported on demand (``from repro.obs.prof import ...``), not
-  re-exported here — the ledger pulls in the crypto stack, which itself
-  imports this package's hooks;
+  samplers (wall-clock and deterministic op-count modes), the profile
+  dict recordings and the telemetry wire share, collapsed-stack export,
+  self-time diffs, and the crypto cost ledger.  Imported on demand
+  (``from repro.obs.prof import ...``), not re-exported here — the
+  ledger pulls in the crypto stack, which itself imports this package's
+  hooks;
 * :mod:`~repro.obs.observability` — the :class:`Observability` bundle
   experiments pass via ``P3SConfig(obs=...)``.
 """
@@ -40,10 +41,9 @@ from .export import (
     format_op_summary,
     format_span_tree,
     spans_to_jsonl,
-    write_metrics_csv,
     write_spans_jsonl,
 )
-from .exposition import Exposition, parse_openmetrics, sanitize_metric_name, to_openmetrics
+from .exposition import sanitize_metric_name, to_openmetrics
 from .hooks import active, active_profiler, instrument, record_op
 from .metrics import Counter, Histogram, MetricsRegistry
 from .observability import Observability
@@ -82,9 +82,7 @@ __all__ = [
     "FlightRecorder",
     "DEFAULT_FLIGHT_RECORDER_CAPACITY",
     "TelemetryAggregator",
-    "Exposition",
     "to_openmetrics",
-    "parse_openmetrics",
     "sanitize_metric_name",
     "record_op",
     "instrument",
@@ -92,7 +90,6 @@ __all__ = [
     "active_profiler",
     "spans_to_jsonl",
     "write_spans_jsonl",
-    "write_metrics_csv",
     "format_span_tree",
     "format_op_summary",
 ]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from ..errors import ProfileError
 from .export import format_op_summary
 from .metrics import Histogram, MetricsRegistry
 
@@ -82,9 +83,19 @@ class TelemetryAggregator:
           and process-wide: every service of one process hands over the
           same value.  Each is kept as the latest value per origin — the
           profile's sampler token, the snapshot's process token — and
-          distinct origins sum.
+          distinct origins sum.  The profile is decoded first: a malformed
+          one raises :class:`~repro.errors.ProfileError` naming the service
+          before anything of the snapshot is folded in.
         """
         service = snapshot["service"]
+        if snapshot.get("profile") is not None:
+            from .prof.model import Profile  # lazy: prof pulls in the crypto stack
+
+            try:
+                profile = Profile.from_dict(snapshot["profile"])
+            except ProfileError as exc:
+                raise ProfileError(f"service {service!r} sent a malformed profile: {exc}") from None
+            self._keep_latest("profile", profile.origin, service, profile)
         self._health[service] = {
             field: snapshot[field] for field in HEALTH_FIELDS if field in snapshot
         }
@@ -108,9 +119,6 @@ class TelemetryAggregator:
             while len(self._spans) > self.span_table_capacity:
                 self._spans.popitem(last=False)
                 self.span_evictions += 1
-        profile = snapshot.get("profile")
-        if profile is not None:
-            self._keep_latest("profile", profile.get("origin", service), service, dict(profile))
 
     def _keep_latest(self, signal: str, origin: str, service: str, value) -> None:
         services, _ = self._per_origin.get((signal, origin), (set(), None))
@@ -220,8 +228,7 @@ class TelemetryAggregator:
 
         merged = Profile(mode="wall", origin="merged")
         modes: set[str] = set()
-        for origin, (services, snapshot) in self._origins("profile").items():
-            part = Profile.from_dict(snapshot)
+        for origin, (services, part) in self._origins("profile").items():
             modes.add(part.mode)
             merged.merge(part)
             merged.meta[f"origin:{origin}"] = ",".join(sorted(services))

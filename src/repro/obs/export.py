@@ -1,11 +1,10 @@
-"""Exporters: JSONL span dumps, CSV metric dumps, console span trees.
+"""Exporters: JSONL span dumps and console span trees.
 
-Three consumers, three formats:
+Two consumers, two formats (metrics have theirs in
+:mod:`~repro.obs.exposition`, OpenMetrics text):
 
 * ``spans_to_jsonl`` — one JSON object per span, offline tooling's view
   (load with ``[json.loads(l) for l in open(p)]``);
-* ``MetricsRegistry.to_csv`` (re-exported helpers here) — flat counter /
-  histogram rows for spreadsheets;
 * ``format_span_tree`` / ``format_op_summary`` — the human view: a
   flame-style indented tree per trace with simulated durations, plus a
   per-component crypto-op breakdown table.
@@ -22,7 +21,6 @@ from .tracing import Span, Tracer
 __all__ = [
     "spans_to_jsonl",
     "write_spans_jsonl",
-    "write_metrics_csv",
     "format_span_tree",
     "format_op_summary",
 ]
@@ -36,11 +34,6 @@ def spans_to_jsonl(spans: Iterable[Span]) -> str:
 def write_spans_jsonl(path: str, spans: Iterable[Span]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(spans_to_jsonl(spans))
-
-
-def write_metrics_csv(path: str, registry: MetricsRegistry) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(registry.to_csv())
 
 
 def _span_line(span: Span, depth: int, last_end: float) -> str:

@@ -26,7 +26,6 @@ The full list of emitted names, each with what reads it, is the
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -270,17 +269,3 @@ class MetricsRegistry:
                 }
             )
         return out
-
-    def to_csv(self) -> str:
-        buffer = io.StringIO()
-        columns = ["kind", "name", "labels", "count", "sum", "mean", "p95", "max"]
-        buffer.write(",".join(columns) + "\n")
-        for row in self.rows():
-            buffer.write(",".join(_format_cell(row[c]) for c in columns) + "\n")
-        return buffer.getvalue()
-
-
-def _format_cell(value: object) -> str:
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)

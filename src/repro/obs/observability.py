@@ -8,7 +8,7 @@ installed every hook in the codebase is a no-op.
 
 Typical use::
 
-    from repro.obs import Observability
+    from repro.obs import Observability, to_openmetrics
 
     obs = Observability()
     system = P3SSystem(P3SConfig(obs=obs))
@@ -16,7 +16,7 @@ Typical use::
     print(obs.format_tree())        # causal span tree per publication
     print(obs.format_ops())         # per-component crypto-op counts
     obs.write_spans("trace.jsonl")  # offline analysis
-    obs.write_metrics("metrics.csv")
+    text = to_openmetrics(obs.metrics)  # metrics, OpenMetrics text
 
 Only one instance is active at a time (the crypto layer counts into a
 process global); installing a second instance supersedes the first.
@@ -30,12 +30,7 @@ import contextlib
 from typing import Callable
 
 from . import hooks
-from .export import (
-    format_op_summary,
-    format_span_tree,
-    write_metrics_csv,
-    write_spans_jsonl,
-)
+from .export import format_op_summary, format_span_tree, write_spans_jsonl
 from .metrics import MetricsRegistry
 from .tracing import Tracer
 
@@ -107,9 +102,6 @@ class Observability:
 
     def write_spans(self, path: str) -> None:
         write_spans_jsonl(path, self.tracer.spans)
-
-    def write_metrics(self, path: str) -> None:
-        write_metrics_csv(path, self.metrics)
 
     def format_tree(self, max_traces: int | None = None) -> str:
         return format_span_tree(self.tracer, max_traces=max_traces)

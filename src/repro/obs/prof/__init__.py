@@ -6,9 +6,10 @@ span*.  Following the continuous-profiling practice of Google-Wide
 Profiling scaled down to this reproduction:
 
 * :mod:`~repro.obs.prof.model` — the :class:`Profile` value type:
-  weighted call stacks with collapsed-stack ("folded") text and
-  speedscope JSON export, self/total-time queries, origin-deduplicated
-  merging, and self-time-delta diffs between two recordings;
+  weighted call stacks in one readable format (the profile dict the
+  telemetry wire carries) and one export (collapsed-stack "folded"
+  text), self/total-time queries, origin-deduplicated merging, and
+  self-time-delta diffs between two recordings;
 * :mod:`~repro.obs.prof.sampler` — :class:`StackSampler`, the
   low-overhead background wall+CPU sampler (``sys._current_frames()``
   at a configurable hz, bounded ring, bounded stack table), every
@@ -38,8 +39,6 @@ from .model import (
     format_diff,
     format_report,
     load_profile,
-    parse_folded,
-    parse_speedscope,
 )
 from .sampler import DeterministicSampler, StackSampler, start_default_profiler
 from .workload import record_demo
@@ -52,8 +51,6 @@ __all__ = [
     "format_diff",
     "format_report",
     "load_profile",
-    "parse_folded",
-    "parse_speedscope",
     "StackSampler",
     "DeterministicSampler",
     "start_default_profiler",

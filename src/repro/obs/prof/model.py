@@ -1,4 +1,4 @@
-"""The :class:`Profile` value type: weighted stacks and their exports.
+"""The :class:`Profile` value type: weighted stacks, one format, one export.
 
 A profile is a map from *stack* — a root-first tuple of frame names —
 to a :class:`StackWeight` (sample count, wall seconds, CPU seconds).
@@ -8,16 +8,18 @@ and span name of the innermost active span, so folding the profile
 groups time by protocol role (``ds;ds.delegated_fan_out;…`` vs
 ``rs;rs.retrieve;…``) rather than by Python module alone.
 
-Export forms:
+One format, one export:
 
+* **profile dict** (:meth:`Profile.to_dict`) — the JSON the telemetry
+  snapshot ships, the aggregator merges and ``prof record --out``
+  writes; :meth:`Profile.from_dict` (and :func:`load_profile` over a
+  file) is the one reader, strict because a profile may come from a
+  service the operator does not trust;
 * **collapsed-stack text** (:meth:`Profile.folded`) — one
   ``frame;frame;frame weight`` line per stack, Brendan Gregg's
-  flamegraph input format, sorted so equal profiles render
-  byte-identically (the deterministic-replay contract);
-* **speedscope JSON** (:meth:`Profile.to_speedscope`) — the
-  ``type: "sampled"`` schema https://www.speedscope.app understands;
-* **profile dict** (:meth:`Profile.to_dict`) — the JSON wire form the
-  telemetry snapshot ships and the aggregator merges.
+  flamegraph input format (speedscope opens it too), sorted so equal
+  profiles render byte-identically (the deterministic-replay contract).
+  It drops the mode, origin, meta and seconds, so it is never read back.
 
 Merging is origin-aware: every profile carries an ``origin`` token
 unique to the sampler instance that produced it, so a single-process
@@ -28,8 +30,11 @@ stack (dedup by ``(origin, stack)``), while four real processes sum.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterable
+
+from ...errors import ProfileError
 
 __all__ = [
     "Profile",
@@ -39,13 +44,12 @@ __all__ = [
     "format_diff",
     "format_report",
     "load_profile",
-    "parse_folded",
-    "parse_speedscope",
 ]
 
 Stack = tuple[str, ...]
 
 PROFILE_VERSION = 1
+MODES = ("wall", "det")
 
 # Bucket stacks land in once the bounded stack table is full: aggregate
 # weight is preserved (memory stays flat, truncation is never silent).
@@ -126,18 +130,21 @@ class Profile:
         return self
 
     # -- queries ----------------------------------------------------------------
+    # Weighted queries walk the stacks in sorted order, so a sum of float
+    # seconds does not depend on the order the stacks arrived in: a
+    # recording read back reports exactly what its recorder printed.
 
     @property
     def sample_count(self) -> int:
         return sum(weight.count for weight in self.samples.values())
 
     def total(self, weight_key: str = "count") -> float:
-        return sum(weight.get(weight_key) for weight in self.samples.values())
+        return sum(weight.get(weight_key) for _, weight in sorted(self.samples.items()))
 
     def self_times(self, weight_key: str = "count") -> dict[str, float]:
         """Per-frame *self* weight: samples where the frame is the leaf."""
         out: dict[str, float] = {}
-        for stack, weight in self.samples.items():
+        for stack, weight in sorted(self.samples.items()):
             if not stack:
                 continue
             leaf = stack[-1]
@@ -148,7 +155,7 @@ class Profile:
         """Per-frame *total* weight: samples where the frame appears
         anywhere on the stack (counted once per stack)."""
         out: dict[str, float] = {}
-        for stack, weight in self.samples.items():
+        for stack, weight in sorted(self.samples.items()):
             value = weight.get(weight_key)
             for frame in set(stack):
                 out[frame] = out.get(frame, 0.0) + value
@@ -157,7 +164,7 @@ class Profile:
     def by_component(self, weight_key: str = "count") -> dict[str, float]:
         """Weight grouped by the stack root — the attributed component."""
         out: dict[str, float] = {}
-        for stack, weight in self.samples.items():
+        for stack, weight in sorted(self.samples.items()):
             root = stack[0] if stack else "(empty)"
             out[root] = out.get(root, 0.0) + weight.get(weight_key)
         return out
@@ -183,55 +190,6 @@ class Profile:
             lines.append(";".join(stack) + f" {max(value, 0)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    # -- speedscope ----------------------------------------------------------------
-
-    def to_speedscope(self, name: str = "p3s") -> dict[str, Any]:
-        """The speedscope ``type: "sampled"`` document (JSON-ready).
-
-        Wall mode weighs samples in seconds; deterministic mode in raw
-        sample counts (unit ``none``) so the viewer shows exact op
-        ticks.
-        """
-        weight_key = "wall_s" if self.mode == "wall" else "count"
-        frame_index: dict[str, int] = {}
-        frames: list[dict[str, str]] = []
-        samples: list[list[int]] = []
-        weights: list[float] = []
-        for stack in sorted(self.samples):
-            weight = self.samples[stack].get(weight_key)
-            if weight <= 0:
-                continue
-            indexed = []
-            for frame in stack:
-                if frame not in frame_index:
-                    frame_index[frame] = len(frames)
-                    frames.append({"name": frame})
-                indexed.append(frame_index[frame])
-            samples.append(indexed)
-            weights.append(weight)
-        total = sum(weights)
-        return {
-            "$schema": "https://www.speedscope.app/file-format-schema.json",
-            "name": name,
-            "exporter": "repro.obs.prof",
-            "activeProfileIndex": 0,
-            "shared": {"frames": frames},
-            "profiles": [
-                {
-                    "type": "sampled",
-                    "name": f"{name} ({self.mode})",
-                    "unit": "seconds" if weight_key == "wall_s" else "none",
-                    "startValue": 0,
-                    "endValue": total,
-                    "samples": samples,
-                    "weights": weights,
-                }
-            ],
-            # non-standard but round-trippable: keep the full weights +
-            # meta so `prof diff` on two --out files loses nothing
-            "x-repro-profile": self.to_dict(),
-        }
-
     # -- dict wire form --------------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
@@ -247,75 +205,69 @@ class Profile:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Profile":
-        profile = cls(
-            mode=data.get("mode", "wall"),
-            origin=data.get("origin", "local"),
-            meta=data.get("meta"),
-        )
-        for entry in data.get("samples", []):
-            profile.add(
-                tuple(entry["stack"]),
-                count=int(entry.get("count", 0)),
-                wall_s=float(entry.get("wall_s", 0.0)),
-                cpu_s=float(entry.get("cpu_s", 0.0)),
-            )
+    def from_dict(cls, data: Any) -> "Profile":
+        """The profile :meth:`to_dict` wrote, or :class:`ProfileError`.
+
+        Nothing is coerced: every key :meth:`to_dict` writes is present
+        and no other, the version and mode are known, every stack is a
+        list of strings, and every weight a non-negative finite number (a
+        count an integer).
+        """
+        _expect_keys(data, ("version", "mode", "origin", "meta", "samples"), "profile")
+        if data["version"] != PROFILE_VERSION:
+            raise ProfileError(f"unknown profile version {data['version']!r}")
+        if data["mode"] not in MODES:
+            raise ProfileError(f"unknown profile mode {data['mode']!r}")
+        if not isinstance(data["origin"], str) or not isinstance(data["meta"], dict):
+            raise ProfileError("a profile's origin is a string and its meta an object")
+        if not isinstance(data["samples"], list):
+            raise ProfileError("a profile's samples are a list")
+        profile = cls(data["mode"], data["origin"], data["meta"])
+        for entry in data["samples"]:
+            _expect_keys(entry, ("stack", *WEIGHT_KEYS), "sample")
+            stack = entry["stack"]
+            if not isinstance(stack, list) or not all(isinstance(frame, str) for frame in stack):
+                raise ProfileError("a sample's stack is a list of strings")
+            for key in WEIGHT_KEYS:
+                _expect_weight(entry[key], int if key == "count" else (int, float))
+            profile.add(stack, entry["count"], entry["wall_s"], entry["cpu_s"])
         return profile
 
 
-# -- parsers -----------------------------------------------------------------------
+def _expect_keys(data: Any, keys: tuple[str, ...], what: str) -> None:
+    if not isinstance(data, dict) or set(data) != set(keys):
+        raise ProfileError(f"a {what} is an object with exactly the keys {', '.join(keys)}")
 
 
-def parse_folded(text: str, mode: str = "det", origin: str = "folded") -> Profile:
-    """Rebuild a profile from collapsed-stack text (counts only)."""
-    profile = Profile(mode=mode, origin=origin)
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        stack_part, _, weight_part = line.rpartition(" ")
-        if not stack_part or not weight_part.isdigit():
-            raise ValueError(f"malformed folded line: {line!r}")
-        profile.add(tuple(stack_part.split(";")), count=int(weight_part))
-    return profile
-
-
-def parse_speedscope(data: dict[str, Any]) -> Profile:
-    """Rebuild a profile from a speedscope document.
-
-    Prefers the embedded ``x-repro-profile`` block (lossless); falls
-    back to the standard frames/samples/weights arrays for documents
-    produced by other tools.
-    """
-    embedded = data.get("x-repro-profile")
-    if isinstance(embedded, dict):
-        return Profile.from_dict(embedded)
-    shared_frames = [frame["name"] for frame in data.get("shared", {}).get("frames", [])]
-    doc = data["profiles"][data.get("activeProfileIndex", 0)]
-    if doc.get("type") != "sampled":
-        raise ValueError(f"unsupported speedscope profile type {doc.get('type')!r}")
-    seconds = doc.get("unit") == "seconds"
-    profile = Profile(mode="wall" if seconds else "det", origin=data.get("name", "speedscope"))
-    for indices, weight in zip(doc["samples"], doc["weights"]):
-        stack = tuple(shared_frames[index] for index in indices)
-        if seconds:
-            profile.add(stack, count=1, wall_s=float(weight))
-        else:
-            profile.add(stack, count=int(weight))
-    return profile
+def _expect_weight(value: Any, kinds: type | tuple[type, ...]) -> None:
+    # bool is an int; a NaN fails the comparison; a count past the float
+    # range would overflow the reports' float sums
+    if isinstance(value, bool) or not isinstance(value, kinds) or not 0 <= value <= sys.float_info.max:
+        raise ProfileError(f"a sample weight is a finite non-negative number, not {value!r}")
 
 
 def load_profile(path: str) -> Profile:
-    """Load a recording: speedscope JSON, profile-dict JSON, or folded text."""
-    with open(path) as handle:
-        text = handle.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        data = json.loads(text)
-        if "profiles" in data or "x-repro-profile" in data:
-            return parse_speedscope(data)
+    """Read a recording ``prof record --out`` wrote: the profile dict.
+
+    Every failure is one :class:`ProfileError` naming ``path``; a
+    ``.folded`` file is refused, as folded text is an export only.
+    """
+    if path.endswith(".folded"):
+        raise ProfileError(
+            f"{path}: folded text is an export and cannot be read back; "
+            "record the profile to a JSON file instead"
+        )
+    try:
+        with open(path, "rb") as handle:
+            data = json.loads(handle.read())
+    except OSError as exc:
+        raise ProfileError(f"{path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ProfileError(f"{path}: not a JSON document ({exc})") from None
+    try:
         return Profile.from_dict(data)
-    return parse_folded(text)
+    except ProfileError as exc:
+        raise ProfileError(f"{path}: {exc}") from None
 
 
 # -- reports and diffs ---------------------------------------------------------------
@@ -345,7 +297,7 @@ def format_report(
     total_times = profile.total_times(weight_key)
     grand_total = profile.total(weight_key) or 1.0
     rows = []
-    for frame, self_value in sorted(self_times.items(), key=lambda kv: -kv[1])[:limit]:
+    for frame, self_value in sorted(self_times.items(), key=lambda kv: (-kv[1], kv[0]))[:limit]:
         rows.append(
             [
                 frame,
@@ -367,7 +319,7 @@ def format_report(
     if split:
         parts = ", ".join(
             f"{component}={value / grand_total:.1%}"
-            for component, value in sorted(split.items(), key=lambda kv: -kv[1])
+            for component, value in sorted(split.items(), key=lambda kv: (-kv[1], kv[0]))
         )
         out.append(f"by component: {parts}")
     counters = {

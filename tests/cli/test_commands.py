@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import main
+from repro.cli import demo, main
+from repro.obs import Observability
 from repro.obs.prof import workload
+
+from ..obs.openmetrics import parse_openmetrics
 
 
 def test_prof_ledger_rejects_unknown_params_before_any_work(monkeypatch, capsys):
@@ -33,6 +36,55 @@ def test_prof_report_reads_a_recording(tmp_path, capsys):
     capsys.readouterr()
     assert main(["prof", "report", str(recording)]) == 0
     assert "hot frames — mode det" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["det", "wall"])
+def test_a_recording_reads_back_losslessly(tmp_path, capsys, mode):
+    recording = tmp_path / "x.prof.json"
+    argv = ["prof", "record", "--mode", mode, "--publications", "2", "--out", str(recording)]
+    assert main(argv + ["--limit", "7"]) == 0
+    recorded = capsys.readouterr().out.split("\n", 1)[1]  # after the "recorded ... ->" line
+    assert main(["prof", "report", str(recording), "--limit", "7"]) == 0
+    assert capsys.readouterr().out == recorded
+
+
+@pytest.mark.parametrize("command", [["report"], ["diff", "{path}"]])
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("missing.prof.json", None, "missing.prof.json: No such file or directory"),
+        ("x.folded", "a;b 3\n", "x.folded: folded text is an export and cannot be read back"),
+        ("x.prof.json", '{"samples": 5}', "x.prof.json: a profile is an object with exactly"),
+    ],
+)
+def test_a_bad_recording_exits_with_one_line_naming_it(tmp_path, command, name, content, message):
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content)
+    argv = ["prof", command[0], str(path)] + [arg.format(path=path) for arg in command[1:]]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert message in str(excinfo.value.code)
+    assert "\n" not in str(excinfo.value.code)
+
+
+def test_demo_metrics_out_is_openmetrics(tmp_path, monkeypatch):
+    class Kept(Observability):
+        """The demo's bundle, kept so the test can read its registry."""
+
+        def __init__(self):
+            super().__init__()
+            kept.append(self)
+
+    kept: list[Observability] = []
+    monkeypatch.setattr(demo, "Observability", Kept)
+    out = tmp_path / "demo.prom"
+    assert main(["demo", "--metrics-out", str(out)]) == 0
+    text = out.read_text()
+    assert text.splitlines()[-1] == "# EOF"
+    (registry,) = [obs.metrics for obs in kept]
+    assert registry.counter_total("net.bytes") > 0
+    assert parse_openmetrics(text).total("p3s_net_bytes_total") == registry.counter_total("net.bytes")
 
 
 @pytest.mark.live

@@ -19,9 +19,10 @@ from repro.live.deployment import SERVICE_NAMES, LiveDeployment
 from repro.live.rpc import AddressBook, LiveRpcEndpoint
 from repro.live.services import LiveAnonymizationService
 from repro.live.telemetry import GAUGE_METRICS, telemetry_snapshot
-from repro.obs import Histogram, Observability, parse_openmetrics, to_openmetrics
+from repro.obs import Histogram, Observability, to_openmetrics
 from repro.pbe.schema import Interest
 
+from ..obs.openmetrics import parse_openmetrics
 from .conftest import run_async, scrape, small_config
 
 pytestmark = pytest.mark.live

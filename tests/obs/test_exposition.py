@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, parse_openmetrics, sanitize_metric_name, to_openmetrics
+from repro.obs import MetricsRegistry, sanitize_metric_name, to_openmetrics
+
+from .openmetrics import parse_openmetrics
 
 
 def test_sanitize_metric_name():

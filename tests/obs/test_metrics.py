@@ -1,8 +1,11 @@
-"""MetricsRegistry: counters, histograms, grouping, CSV export."""
+"""MetricsRegistry: counters, histograms, grouping, OpenMetrics export."""
 
 import pytest
 
+from repro.obs import to_openmetrics
 from repro.obs.metrics import MetricsRegistry
+
+from .openmetrics import parse_openmetrics
 
 
 class TestCounters:
@@ -150,12 +153,11 @@ class TestLifecycleAndExport:
         registry.clear()
         assert registry.empty
 
-    def test_csv_export(self):
+    def test_openmetrics_export(self):
         registry = MetricsRegistry()
         registry.inc("op.pairing", 3, component="alice")
         registry.observe("op.pairing.wall_s", 0.25, component="alice")
-        csv_text = registry.to_csv()
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "kind,name,labels,count,sum,mean,p95,max"
-        assert any(line.startswith("counter,op.pairing,component=alice,3,") for line in lines)
-        assert any(line.startswith("histogram,op.pairing.wall_s,") for line in lines)
+        parsed = parse_openmetrics(to_openmetrics(registry))
+        assert parsed.value("p3s_op_pairing_total", component="alice") == 3
+        assert parsed.value("p3s_op_pairing_wall_s_count", component="alice") == 1
+        assert parsed.value("p3s_op_pairing_wall_s_sum", component="alice") == 0.25

@@ -3,12 +3,17 @@ deterministic-replay contract, and the op-count sampler's cost property."""
 
 from __future__ import annotations
 
+import copy
+import json
 import threading
 import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.errors import ProfileError, ReproError
 from repro.obs.aggregate import TelemetryAggregator
 from repro.obs.observability import Observability
 from repro.obs.prof import (
@@ -22,12 +27,12 @@ from repro.obs.prof import (
     format_ledger,
     format_report,
     load_profile,
-    parse_folded,
-    parse_speedscope,
     record_demo,
 )
 from repro.obs.prof.sampler import _StackTable
 from repro.obs.prof.workload import run_demo_workload
+
+from ..hostile import hostile
 
 
 class TestProfileModel:
@@ -38,41 +43,55 @@ class TestProfileModel:
         profile.add(("ds", "ds.fan_out", "op.hve.match"), count=2)
         return profile
 
-    def test_folded_round_trip(self):
+    def test_dict_round_trip_is_lossless(self):
         profile = self._sample_profile()
-        text = profile.folded()
-        parsed = parse_folded(text)
-        assert {
-            stack: weight.count for stack, weight in parsed.samples.items()
-        } == {stack: weight.count for stack, weight in profile.samples.items()}
-        # deterministic ordering: re-rendering is byte-identical
-        assert parsed.folded() == text
+        profile.add(("pub", "op.pairing"), count=1, wall_s=0.1 + 0.2, cpu_s=1e-9)
+        back = Profile.from_dict(json.loads(json.dumps(profile.to_dict())))
+        assert back.to_dict() == profile.to_dict()
+        assert (back.mode, back.origin, back.meta) == ("det", "test-1", {"every": 4})
 
-    def test_folded_rejects_malformed_lines(self):
-        with pytest.raises(ValueError):
-            parse_folded("just-a-stack-no-weight\n")
-
-    def test_speedscope_round_trip_is_lossless(self):
+    def test_load_profile_reads_the_dict_only(self, tmp_path):
         profile = self._sample_profile()
-        document = profile.to_speedscope(name="demo")
-        assert document["$schema"].startswith("https://www.speedscope.app")
-        assert document["profiles"][0]["type"] == "sampled"
-        back = parse_speedscope(document)
-        assert back.origin == "test-1"
-        assert back.mode == "det"
-        assert back.meta["every"] == 4
-        assert back.folded() == profile.folded()
-
-    def test_load_profile_sniffs_both_formats(self, tmp_path):
-        import json
-
-        profile = self._sample_profile()
+        recording = tmp_path / "p.prof.json"
+        recording.write_text(json.dumps(profile.to_dict()))
+        assert load_profile(str(recording)).to_dict() == profile.to_dict()
         folded = tmp_path / "p.folded"
         folded.write_text(profile.folded())
-        speedscope = tmp_path / "p.prof.json"
-        speedscope.write_text(json.dumps(profile.to_speedscope()))
-        assert load_profile(str(folded)).folded() == profile.folded()
-        assert load_profile(str(speedscope)).folded() == profile.folded()
+        with pytest.raises(ProfileError, match="p.folded: folded text is an export"):
+            load_profile(str(folded))
+        recording.write_text('{"samples": 5}')
+        with pytest.raises(ProfileError, match="p.prof.json: a profile is an object"):
+            load_profile(str(recording))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"version": 2},
+            {"mode": "cpu"},
+            {"origin": 7},
+            {"meta": []},
+            {"samples": {}},
+            {"stack": ["a", 1]},
+            {"stack": "a;b"},
+            {"count": -1},
+            {"count": 1.5},
+            {"count": True},
+            {"count": 10**400},
+            {"wall_s": -0.5},
+            {"wall_s": float("nan")},
+            {"cpu_s": float("inf")},
+            {"extra": 1},
+        ],
+    )
+    def test_from_dict_rejects(self, change):
+        document = self._sample_profile().to_dict()
+        (key, value), = change.items()
+        if key in document:
+            document[key] = value
+        else:
+            document["samples"][0][key] = value
+        with pytest.raises(ProfileError):
+            Profile.from_dict(document)
 
     def test_merge_dedups_by_stack_and_sums_weights(self):
         one = self._sample_profile()
@@ -251,6 +270,13 @@ class TestAggregatorMerge:
         assert merged.total("count") == 13
         assert merged.samples[("ds", "ds.fan_out", "op.hve.match")].count == 13
 
+    def test_a_malformed_profile_is_refused_at_ingest_naming_the_service(self):
+        aggregator = TelemetryAggregator()
+        bad = {**self._profile_dict("wall-77-1"), "samples": 5}
+        with pytest.raises(ProfileError, match="service 'ds' sent a malformed profile"):
+            aggregator.ingest(_profiled("ds", bad))
+        assert aggregator.services() == []  # nothing of the snapshot was kept
+
     def test_hot_frames_rank_leaves(self):
         aggregator = TelemetryAggregator()
         profile = Profile(mode="det", origin="det-1")
@@ -261,6 +287,69 @@ class TestAggregatorMerge:
         assert frames[0][0] == "op.g1_exp"
         assert frames[0][2] == pytest.approx(0.9)
         assert aggregator.to_json()["profile"]["hot_frames"][0]["frame"] == "op.g1_exp"
+
+
+def _sample_documents() -> list[dict]:
+    det = Profile(mode="det", origin="det-1", meta={"every": 8, "seed": 7})
+    det.add(("pub", "pbe.encrypt", "op.g1_exp"), count=5)
+    det.add(("alice", "op.hve.match"), count=2)
+    wall = Profile(mode="wall", origin="wall-1", meta={"hz": 97.0, "ticks": 3})
+    wall.add(("ds", "ds.fan_out", "repro.crypto.field.fq_inv"), count=2, wall_s=0.0125, cpu_s=0.01)
+    wall.add((), count=1, wall_s=0.5, cpu_s=0.0)
+    return [det.to_dict(), wall.to_dict()]
+
+
+PROFILE_DOCUMENTS = _sample_documents()
+# the escaping shapes again, inside an otherwise whole document
+WHOLE = b'{"version": 1, "mode": "det", "origin": "o", "meta": {}, "samples": %s}'
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def grafted(draw) -> bytes:
+    """A valid profile document with one value — a top-level field, a
+    sample field, or one frame — replaced by any JSON value."""
+    document = copy.deepcopy(draw(st.sampled_from(PROFILE_DOCUMENTS)))
+    sample = draw(st.sampled_from(document["samples"]))
+    slots = [(document, key) for key in document] + [(sample, key) for key in sample]
+    slots += [(sample["stack"], index) for index in range(len(sample["stack"]))]
+    target, key = draw(st.sampled_from(slots))
+    target[key] = draw(JSON_VALUES)
+    return json.dumps(document).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile([json.dumps(d).encode() for d in PROFILE_DOCUMENTS], lambda blob: []) | grafted())
+@example(b"[]")
+@example(b'{"samples": 5}')
+@example(b'{"samples": [{"stack": 5}]}')
+@example(b'{"samples": [{"stack": ["a"], "count": "x"}]}')
+@example(b'{"samples": [{}]}')
+@example(WHOLE % b"5")
+@example(WHOLE % b'[{"stack": 5, "count": 1, "wall_s": 0, "cpu_s": 0}]')
+@example(WHOLE % b'[{"stack": ["a"], "count": "x", "wall_s": 0, "cpu_s": 0}]')
+@example(WHOLE % b'[{"stack": [1, 2], "count": 1, "wall_s": 0, "cpu_s": 0}]')
+@example(WHOLE % b"[{}]")
+def test_hostile_profile_documents_round_trip_or_are_rejected(blob):
+    """A profile document off the wire or the disk either decodes to a
+    profile that re-encodes to itself (and reports without failing), or is
+    rejected with a :class:`ReproError`."""
+    try:
+        data = json.loads(blob)
+    except ValueError:
+        return  # not JSON at all: the caller's JSON parser refuses it
+    try:
+        profile = Profile.from_dict(data)
+    except ReproError:
+        return
+    again = Profile.from_dict(json.loads(json.dumps(profile.to_dict())))
+    assert json.dumps(again.to_dict()) == json.dumps(profile.to_dict())
+    format_report(profile)
+    format_diff(diff_profiles(profile, again))
 
 
 class TestCostLedger:

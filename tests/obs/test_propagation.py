@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import P3SConfig, P3SSystem
-from repro.obs import Observability, spans_to_jsonl
+from repro.obs import Observability, spans_to_jsonl, to_openmetrics
 from repro.obs import hooks
 from repro.pbe import AttributeSpec, Interest, MetadataSchema
+
+from .openmetrics import parse_openmetrics
 
 
 SCHEMA = MetadataSchema([AttributeSpec("topic", ("a", "b", "c", "d"))])
@@ -105,7 +107,8 @@ class TestSpanPropagation:
         obs, _, _ = traced_run
         jsonl = spans_to_jsonl(obs.tracer.spans)
         assert len(jsonl.strip().splitlines()) == len(obs.tracer.spans)
-        assert "net.bytes" in obs.metrics.to_csv()
+        exposition = parse_openmetrics(to_openmetrics(obs.metrics))
+        assert exposition.total("p3s_net_bytes_total") == obs.metrics.counter_total("net.bytes") > 0
         tree = obs.format_tree()
         assert "publish [pub]" in tree
         assert "hve.match" in obs.format_ops()

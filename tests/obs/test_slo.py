@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.obs import parse_openmetrics, to_openmetrics
-from repro.obs.exposition import Exposition
+from repro.obs import to_openmetrics
 from repro.obs.slo import (
     CHAOS_WINDOWS,
     SLO_GAUGE_METRICS,
@@ -13,6 +12,8 @@ from repro.obs.slo import (
     chaos_slos,
     default_slos,
 )
+
+from .openmetrics import Exposition, parse_openmetrics
 
 
 def _latency_engine(threshold_s: float = 1.0) -> SloEngine:

@@ -24,7 +24,7 @@ PREFIXES = ("decode_", "deserialize_", "parse_", "from_bytes")
 OWED = "owed: ROADMAP item 1"
 
 # decoders of untrusted input whose names miss PREFIXES: "<path>:<qualified name>"
-EXPLICIT = {"pbe/schema.py:MetadataSchema.from_json"}
+EXPLICIT = {"pbe/schema.py:MetadataSchema.from_json", "obs/prof/model.py:Profile.from_dict"}
 
 # "<path under src/repro>:<qualified name>" -> why no hostile-bytes test names it
 ALLOWLIST = {
@@ -52,9 +52,6 @@ ALLOWLIST = {
     "store/codec.py:decode_item": OWED,
     "store/records.py:decode_payload": OWED,
     "store/records.py:decode_header": OWED,
-    "obs/exposition.py:parse_openmetrics": OWED,
-    "obs/prof/model.py:parse_folded": OWED,
-    "obs/prof/model.py:parse_speedscope": OWED,
 }
 
 

@@ -44,8 +44,6 @@ INSTRUMENTS = {
     "empty": "MetricsRegistry: 'nothing was recorded' (disabled/uninstalled observability)",
     "find": "Tracer: the spans of one name, in propagation assertions",
     "installed": "Observability: scoped install so a test cannot leak its sink into the next",
-    "parse_openmetrics": "obs/exposition: strict parser the tests round-trip every exposition through",
-    "render": "obs/exposition: the other half of that round trip (byte-identical re-emit)",
     # crypto: predicates and sizes the property tests are written in
     "is_one": "Fq2: identity predicate of the field/pairing property tests",
     "is_zero": "Fq2: zero predicate of the field property tests",
