@@ -7,11 +7,9 @@ come from real encodings rather than estimates.
 
 from __future__ import annotations
 
-import struct
-
-from ..crypto.field import Fq2
 from ..crypto.group import PairingGroup
-from ..errors import NotOnCurveError, ParameterError, PolicyError, SerializationError
+from ..errors import NotOnCurveError, PolicyError, SerializationError
+from ..reader import Reader, prefixed
 from .bsw07 import CPABECiphertext
 from .hybrid import HybridCiphertext
 from .policy import parse_policy, policy_to_string
@@ -24,31 +22,17 @@ __all__ = [
 ]
 
 
-def _pack_bytes(data: bytes) -> bytes:
-    return struct.pack(">I", len(data)) + data
-
-
-def _unpack_bytes(buffer: bytes, offset: int) -> tuple[bytes, int]:
-    if offset + 4 > len(buffer):
-        raise SerializationError("truncated length prefix")
-    (length,) = struct.unpack_from(">I", buffer, offset)
-    offset += 4
-    if offset + length > len(buffer):
-        raise SerializationError("truncated field")
-    return buffer[offset : offset + length], offset + length
-
-
 def serialize_ciphertext(group: PairingGroup, ciphertext: CPABECiphertext) -> bytes:
     parts = [
-        _pack_bytes(policy_to_string(ciphertext.policy).encode("utf-8")),
-        _pack_bytes(group.serialize_gt(ciphertext.c_tilde)),
-        _pack_bytes(group.serialize_g1(ciphertext.c)),
-        struct.pack(">I", len(ciphertext.leaf_components)),
+        prefixed(policy_to_string(ciphertext.policy).encode("utf-8")),
+        prefixed(group.serialize_gt(ciphertext.c_tilde)),
+        prefixed(group.serialize_g1(ciphertext.c)),
+        len(ciphertext.leaf_components).to_bytes(4, "big"),
     ]
     for attribute, c_y, c_y_prime in ciphertext.leaf_components:
-        parts.append(_pack_bytes(attribute.encode("utf-8")))
-        parts.append(_pack_bytes(group.serialize_g1(c_y)))
-        parts.append(_pack_bytes(group.serialize_g1(c_y_prime)))
+        parts.append(prefixed(attribute.encode("utf-8")))
+        parts.append(prefixed(group.serialize_g1(c_y)))
+        parts.append(prefixed(group.serialize_g1(c_y_prime)))
     return b"".join(parts)
 
 
@@ -62,38 +46,29 @@ def deserialize_ciphertext(group: PairingGroup, data: bytes) -> CPABECiphertext:
     one for one — is reported as the one error a receiver handles.  What
     decodes re-encodes to the bytes it came from.
     """
+    reader = Reader(data, SerializationError)
     try:
-        policy_text, offset = _unpack_bytes(data, 0)
-        c_tilde_raw, offset = _unpack_bytes(data, offset)
-        c_raw, offset = _unpack_bytes(data, offset)
-        if offset + 4 > len(data):
-            raise SerializationError("truncated leaf count")
-        (leaf_count,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        leaves = []
-        for _ in range(leaf_count):
-            attribute_raw, offset = _unpack_bytes(data, offset)
-            c_y_raw, offset = _unpack_bytes(data, offset)
-            c_y_prime_raw, offset = _unpack_bytes(data, offset)
-            leaves.append(
-                (
-                    attribute_raw.decode("utf-8"),
-                    group.deserialize_g1(c_y_raw),
-                    group.deserialize_g1(c_y_prime_raw),
-                )
+        policy_text = reader.utf8(reader.u32())
+        c_tilde_raw, c_raw = reader.prefixed(), reader.prefixed()
+        leaves = tuple(
+            (
+                reader.utf8(reader.u32()),
+                group.deserialize_g1(reader.prefixed()),
+                group.deserialize_g1(reader.prefixed()),
             )
-        if offset != len(data):
-            raise SerializationError("trailing bytes after CP-ABE ciphertext")
-        policy = parse_policy(policy_text.decode("utf-8"))
-        if policy_to_string(policy).encode("utf-8") != policy_text:
+            for _ in range(reader.count(reader.u32(), 12))  # three length prefixes a leaf
+        )
+        reader.end()
+        policy = parse_policy(policy_text)
+        if policy_to_string(policy) != policy_text:
             raise SerializationError("policy text is not in canonical form")
         ciphertext = CPABECiphertext(
             policy=policy,
             c_tilde=group.deserialize_gt(c_tilde_raw),
             c=group.deserialize_g1(c_raw),
-            leaf_components=tuple(leaves),
+            leaf_components=leaves,
         )
-    except (NotOnCurveError, ParameterError, PolicyError, UnicodeDecodeError) as exc:
+    except (NotOnCurveError, PolicyError) as exc:
         raise SerializationError(f"malformed CP-ABE ciphertext: {exc}") from exc
     if not ciphertext.labels_match_policy():
         raise SerializationError("leaf components do not match policy")
@@ -101,14 +76,13 @@ def deserialize_ciphertext(group: PairingGroup, data: bytes) -> CPABECiphertext:
 
 
 def serialize_hybrid(group: PairingGroup, ciphertext: HybridCiphertext) -> bytes:
-    return _pack_bytes(serialize_ciphertext(group, ciphertext.kem)) + _pack_bytes(
+    return prefixed(serialize_ciphertext(group, ciphertext.kem)) + prefixed(
         ciphertext.sealed
     )
 
 
 def deserialize_hybrid(group: PairingGroup, data: bytes) -> HybridCiphertext:
-    kem_raw, offset = _unpack_bytes(data, 0)
-    sealed, offset = _unpack_bytes(data, offset)
-    if offset != len(data):
-        raise SerializationError("trailing bytes after hybrid ciphertext")
+    reader = Reader(data, SerializationError)
+    kem_raw, sealed = reader.prefixed(), reader.prefixed()
+    reader.end()
     return HybridCiphertext(kem=deserialize_ciphertext(group, kem_raw), sealed=sealed)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import SerializationError
+from ..errors import ReproError, SerializationError
 
 # the topic every subscriber consumes and the DS fans metadata out on
 METADATA_TOPIC = "p3s.metadata"
@@ -50,6 +50,7 @@ __all__ = [
     "ok_reply",
     "error_reply",
     "split_reply",
+    "unhex",
     "BARE_ERROR",
 ]
 
@@ -133,6 +134,17 @@ def ok_reply(body: bytes) -> bytes:
 
 def error_reply(reason: str) -> bytes:
     return _ERR + reason.encode("utf-8")
+
+
+def unhex(text: str, error: type[ReproError], size: int | None = None) -> bytes:
+    """The bytes hex ``text`` spells (exactly ``size`` of them, if given), or ``error``."""
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError as exc:
+        raise error(f"not a hex string: {exc}") from None
+    if size not in (None, len(raw)):
+        raise error(f"{len(raw)} bytes where {size} belong")
+    return raw
 
 
 def split_reply(plaintext: bytes) -> tuple[bool, bytes]:

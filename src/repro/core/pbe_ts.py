@@ -23,15 +23,16 @@ from dataclasses import dataclass
 from ..crypto import precompute
 from ..crypto.pke import PKEKeyPair
 from ..crypto.signing import Certificate, VerifyKey
-from ..crypto.symmetric import SecretBox
+from ..crypto.symmetric import KEY_LEN, SecretBox
 from ..errors import CertificateError, ReproError, SchemaError, TokenRequestError
 from ..net.ports import ports_on
 from ..obs import hooks as obs
 from ..pbe.hve import HVE, HVEMasterKey
 from ..pbe.schema import ANY, Interest, MetadataSchema
 from ..pbe.serialize import serialize_hve_token
+from ..reader import expect_object, parse_json
 from .config import ComputeTimings
-from .messages import BARE_ERROR, RPC_TOKEN_REQUEST, error_reply, ok_reply, split_reply
+from .messages import BARE_ERROR, RPC_TOKEN_REQUEST, error_reply, ok_reply, split_reply, unhex
 
 __all__ = [
     "PBETokenServer",
@@ -159,15 +160,18 @@ class TokenIssuer:
         """Decrypt and parse one token request under the server's PKE key;
         a body of any other shape is a :class:`TokenRequestError`."""
         try:
-            body = json.loads(pke.decrypt(payload).decode("utf-8"))
-            if not isinstance(body, dict) or not all(
-                isinstance(body.get(name), str) for name in ("ks", "cert", "interest")
-            ):
-                raise ValueError("not an object of three strings")
-            session_key = bytes.fromhex(body["ks"])
-            certificate = Certificate.from_bytes(bytes.fromhex(body["cert"]), self.hve.group)
+            body = expect_object(
+                parse_json(pke.decrypt(payload), TokenRequestError),
+                {"cert": str, "interest": str, "ks": str},
+                "token request",
+                TokenRequestError,
+            )
+            session_key = unhex(body["ks"], TokenRequestError, KEY_LEN)
+            certificate = Certificate.from_bytes(
+                unhex(body["cert"], TokenRequestError), self.hve.group
+            )
             interest = Interest.from_json(body["interest"])
-        except (ReproError, ValueError) as exc:  # undecryptable, bad JSON/hex, bad fields
+        except ReproError as exc:  # undecryptable, bad JSON/hex, bad fields
             raise TokenRequestError(f"malformed token request: {exc}") from exc
         return session_key, certificate, interest
 

@@ -34,10 +34,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..crypto.pke import PKEKeyPair
-from ..crypto.symmetric import SecretBox
+from ..crypto.symmetric import KEY_LEN, SecretBox
 from ..errors import DecryptionError, RetrievalError
 from ..net.ports import ports_on
 from ..obs import hooks as obs
+from ..reader import expect_object, parse_json
 from ..store import MemoryEngine, StorageEngine
 from ..store.codec import NS_ITEMS, decode_item, encode_item
 from .config import ComputeTimings
@@ -49,6 +50,7 @@ from .messages import (
     error_reply,
     ok_reply,
     split_reply,
+    unhex,
 )
 
 __all__ = [
@@ -72,10 +74,12 @@ def decode_retrieval_request(pke: PKEKeyPair, payload: bytes) -> tuple[bytes, by
     addressed to this server's key.
     """
     try:
-        body = json.loads(pke.decrypt(payload).decode("utf-8"))
-        return bytes.fromhex(body["ks"]), bytes.fromhex(body["guid"])
-    except (DecryptionError, ValueError, KeyError) as exc:
+        plaintext = pke.decrypt(payload)
+    except DecryptionError as exc:
         raise RetrievalError(f"malformed retrieval request: {exc}") from exc
+    body = parse_json(plaintext, RetrievalError)
+    expect_object(body, {"ks": str, "guid": str}, "retrieval request", RetrievalError)
+    return unhex(body["ks"], RetrievalError, KEY_LEN), unhex(body["guid"], RetrievalError)
 
 
 def decode_retrieval_response(session_key: bytes, sealed: bytes) -> bytes:

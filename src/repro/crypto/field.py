@@ -186,17 +186,6 @@ class Fq2:
         :class:`~repro.crypto.comb.TableCache` builds)."""
         return PowerTable(self)
 
-    # -- misc ----------------------------------------------------------------
-
-    def to_bytes(self, byte_len: int) -> bytes:
-        """Fixed-width big-endian encoding ``a || b`` (each ``byte_len`` bytes)."""
-        return self.a.to_bytes(byte_len, "big") + self.b.to_bytes(byte_len, "big")
-
-    @classmethod
-    def from_bytes(cls, data: bytes, q: int) -> "Fq2":
-        half = len(data) // 2
-        return cls(int.from_bytes(data[:half], "big"), int.from_bytes(data[half:], "big"), q)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Fq2({self.a:#x}, {self.b:#x})"
 

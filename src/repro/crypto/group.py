@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import secrets
 
-from ..errors import ParameterError
+from ..errors import ParameterError, SerializationError
+from ..reader import Reader
 from .curve import Point, fixed_base_table, hash_to_point
 from .field import Fq2
 from .hashing import hash_bytes, hash_to_int
@@ -150,11 +151,6 @@ class PairingGroup:
         return 1 + self.params.q_bytes
 
     @property
-    def gt_bytes(self) -> int:
-        """Serialized size of a GT element."""
-        return 2 * self.params.q_bytes
-
-    @property
     def zr_bytes(self) -> int:
         return self.params.r_bytes
 
@@ -171,15 +167,18 @@ class PairingGroup:
         return Point.from_bytes_compressed(data, self.params)
 
     def serialize_gt(self, element: Fq2) -> bytes:
-        return element.to_bytes(self.params.q_bytes)
+        """Fixed-width big-endian ``a || b``, each coordinate ``q_bytes`` long."""
+        width = self.params.q_bytes
+        return element.a.to_bytes(width, "big") + element.b.to_bytes(width, "big")
 
     def deserialize_gt(self, data: bytes) -> Fq2:
-        if len(data) != self.gt_bytes:
-            raise ParameterError(f"GT encoding must be {self.gt_bytes} bytes, got {len(data)}")
-        element = Fq2.from_bytes(data, self.params.q)
-        if self.serialize_gt(element) != data:
-            raise ParameterError("GT encoding has a coordinate not below q")
-        return element
+        reader = Reader(data, SerializationError)
+        q, width = self.params.q, self.params.q_bytes
+        a, b = reader.uint(width), reader.uint(width)
+        reader.end()
+        if a >= q or b >= q:  # one encoding an element
+            raise SerializationError("GT encoding has a coordinate not below q")
+        return Fq2(a, b, q)
 
     def gt_to_key(self, element: Fq2, label: str = "gt-kem") -> bytes:
         """Derive a 32-byte symmetric key from a GT element (KEM step)."""

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import CertificateError, SerializationError
+from ..reader import Reader, expect_object, parse_json, prefixed
 from .curve import Point
 from .group import PairingGroup
 
@@ -32,11 +33,9 @@ class Signature:
 
     @classmethod
     def from_bytes(cls, data: bytes, group: PairingGroup) -> "Signature":
-        width = group.zr_bytes
-        if len(data) != 2 * width:
-            raise SerializationError("bad signature length")
-        challenge = int.from_bytes(data[:width], "big")
-        response = int.from_bytes(data[width:], "big")
+        reader, width = Reader(data, SerializationError), group.zr_bytes
+        challenge, response = reader.uint(width), reader.uint(width)
+        reader.end()
         if challenge >= group.order or response >= group.order:  # one encoding a signature
             raise SerializationError("signature scalar not below the group order")
         return cls(challenge, response)
@@ -131,34 +130,25 @@ class Certificate:
 
     def to_bytes(self, zr_bytes: int) -> bytes:
         body = self._payload(self.subject, self.role, self.not_after)
-        return len(body).to_bytes(4, "big") + body + self.signature.to_bytes(zr_bytes)
+        return prefixed(body) + self.signature.to_bytes(zr_bytes)
 
     @classmethod
     def from_bytes(cls, data: bytes, group: PairingGroup) -> "Certificate":
         """The certificate ``data`` encodes; anything but the one canonical
         encoding of string ``subject``/``role`` and a ``not_after`` that is
         ``None`` or a finite number is a :class:`SerializationError`."""
-        if len(data) < 4:
-            raise SerializationError("certificate too short")
-        body_len = int.from_bytes(data[:4], "big")
-        body = data[4 : 4 + body_len]
-        sig = Signature.from_bytes(data[4 + body_len :], group)
-        try:
-            fields = json.loads(body.decode("utf-8"))
-        except ValueError as exc:
-            raise SerializationError(f"malformed certificate body: {exc}") from exc
-        if not isinstance(fields, dict):
-            raise SerializationError("certificate body is not an object")
-        subject, role, not_after = (fields.get(name) for name in ("subject", "role", "not_after"))
-        if not (isinstance(subject, str) and isinstance(role, str) and _is_time(not_after)):
-            raise SerializationError("certificate field of the wrong type")
+        reader = Reader(data, SerializationError)
+        body = reader.prefixed()
+        signature = Signature.from_bytes(reader.rest(), group)
+        fields = expect_object(
+            parse_json(body, SerializationError),
+            {"not_after": (int, float, type(None)), "role": str, "subject": str},
+            "certificate body",
+            SerializationError,
+        )
+        subject, role, not_after = fields["subject"], fields["role"], fields["not_after"]
+        if isinstance(not_after, float) and not math.isfinite(not_after):
+            raise SerializationError("certificate not_after is not finite")
         if cls._payload(subject, role, not_after) != body:  # one encoding a certificate
             raise SerializationError("non-canonical certificate body")
-        return cls(subject, role, not_after, sig)
-
-
-def _is_time(value) -> bool:
-    """``None`` or a finite number (a bool is not one)."""
-    if value is None or (isinstance(value, int) and not isinstance(value, bool)):
-        return True
-    return isinstance(value, float) and math.isfinite(value)
+        return cls(subject, role, not_after, signature)

@@ -32,8 +32,9 @@ import secrets
 from ..errors import IntegrityError, ParameterError
 from .hashing import kdf
 
-__all__ = ["SecretBox", "NONCE_LEN", "TAG_LEN", "OVERHEAD"]
+__all__ = ["SecretBox", "KEY_LEN", "NONCE_LEN", "TAG_LEN", "OVERHEAD"]
 
+KEY_LEN = 32
 NONCE_LEN = 12
 TAG_LEN = 32
 OVERHEAD = NONCE_LEN + TAG_LEN
@@ -48,8 +49,8 @@ class SecretBox:
     """
 
     def __init__(self, key: bytes):
-        if len(key) != 32:
-            raise ParameterError("SecretBox key must be 32 bytes")
+        if len(key) != KEY_LEN:
+            raise ParameterError(f"SecretBox key must be {KEY_LEN} bytes")
         # The labels carry the format version: a value sealed under the
         # version-1 keystream must fail the tag, not authenticate and then
         # XOR to noise.
@@ -58,7 +59,7 @@ class SecretBox:
 
     @classmethod
     def generate_key(cls) -> bytes:
-        return secrets.token_bytes(32)
+        return secrets.token_bytes(KEY_LEN)
 
     def seal(self, plaintext: bytes, associated_data: bytes = b"") -> bytes:
         nonce = secrets.token_bytes(NONCE_LEN)

@@ -53,6 +53,7 @@ from ..errors import (
     TransportError,
 )
 from ..crypto.symmetric import SecretBox
+from ..reader import Reader, prefixed
 from .wire import MAX_FRAME_BYTES
 
 __all__ = ["ServiceKey", "ServerIdentity", "SecureChannel", "connect_channel", "accept_channel"]
@@ -230,13 +231,7 @@ async def connect_channel(
         nonce = secrets.token_bytes(16)
         sealed = server_key.public_key.encrypt(pre_master + nonce)
         name_bytes = client_name.encode("utf-8")
-        writer.write(
-            MAGIC
-            + struct.pack(">H", len(name_bytes))
-            + name_bytes
-            + struct.pack(">I", len(sealed))
-            + sealed
-        )
+        writer.write(MAGIC + struct.pack(">H", len(name_bytes)) + name_bytes + prefixed(sealed))
         await writer.drain()
         c2s_box, s2c_box = _derive_boxes(pre_master)
         channel = SecureChannel(
@@ -259,30 +254,38 @@ async def accept_channel(
     identity: ServerIdentity,
     timeout: float = HANDSHAKE_TIMEOUT_S,
 ) -> SecureChannel:
-    """Run the server side of the handshake on one accepted connection."""
+    """Run the server side of the handshake on one accepted connection.
+
+    The whole client hello is read under one ``timeout``, and whatever is
+    wrong with it is a :class:`HandshakeError` with the connection closed."""
     try:
-        magic = await asyncio.wait_for(reader.readexactly(len(MAGIC)), timeout)
-        if magic != MAGIC:
-            raise HandshakeError(f"bad protocol magic {magic!r}")
-        (name_len,) = struct.unpack(">H", await reader.readexactly(2))
-        client_name = (await reader.readexactly(name_len)).decode("utf-8")
-        (sealed_len,) = struct.unpack(">I", await reader.readexactly(4))
-        if sealed_len > MAX_FRAME_BYTES:
-            raise HandshakeError(f"oversized handshake ciphertext ({sealed_len} bytes)")
-        sealed = await asyncio.wait_for(reader.readexactly(sealed_len), timeout)
-    except (asyncio.IncompleteReadError, asyncio.TimeoutError, ConnectionError, OSError) as exc:
+        client_name, secret = await asyncio.wait_for(_read_hello(reader, identity), timeout)
+    except (HandshakeError, asyncio.IncompleteReadError, asyncio.TimeoutError, OSError) as exc:
         writer.close()
+        if isinstance(exc, HandshakeError):
+            raise
         raise HandshakeError(f"handshake read failed: {exc}") from exc
-    try:
-        secretes = identity.keypair.decrypt(sealed)
-    except DecryptionError as exc:
-        writer.close()
-        raise HandshakeError(f"client hello not addressed to {identity.name}: {exc}") from exc
-    if len(secretes) != 48:
-        writer.close()
-        raise HandshakeError("malformed client hello secret block")
-    pre_master, nonce = secretes[:32], secretes[32:]
+    pre_master, nonce = secret[:32], secret[32:]
     c2s_box, s2c_box = _derive_boxes(pre_master)
     channel = SecureChannel(reader, writer, s2c_box, c2s_box, identity.name, client_name)
     await channel.send_record(nonce)  # first s2c record: prove key possession
     return channel
+
+
+async def _read_hello(reader: asyncio.StreamReader, identity: ServerIdentity) -> tuple[str, bytes]:
+    """``(client name, pre_master || nonce)`` from one client hello."""
+    magic = await reader.readexactly(len(MAGIC))
+    if magic != MAGIC:
+        raise HandshakeError(f"bad protocol magic {magic!r}")
+    name_len = int.from_bytes(await reader.readexactly(2), "big")
+    client_name = Reader(await reader.readexactly(name_len), HandshakeError).utf8(name_len)
+    sealed_len = int.from_bytes(await reader.readexactly(4), "big")
+    if sealed_len > MAX_FRAME_BYTES:
+        raise HandshakeError(f"oversized handshake ciphertext ({sealed_len} bytes)")
+    try:
+        secret = identity.keypair.decrypt(await reader.readexactly(sealed_len))
+    except DecryptionError as exc:
+        raise HandshakeError(f"client hello not addressed to {identity.name}: {exc}") from exc
+    if len(secret) != 48:
+        raise HandshakeError("malformed client hello secret block")
+    return client_name, secret

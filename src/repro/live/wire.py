@@ -23,10 +23,11 @@ JMS frames (which nest one of the others as their body), strings and
 ``None``.  Unknown payload types are a :class:`~repro.errors.TransportError`
 at encode time — nothing silently pickles.
 
-Decoding reads bytes a peer chose: whatever is not a frame this module
-could have written — malformed JSON, text that is not UTF-8, a header
-that is not a JSON object, a type or source that is not a string,
-payloads nested deeper than :data:`MAX_PAYLOAD_DEPTH` — is a
+Decoding reads bytes a peer chose, through one :class:`~repro.reader.Reader`:
+whatever is not a frame this module could have written — a field cut
+short, bytes after the payload, malformed JSON, text that is not UTF-8,
+a header that is not a JSON object, a type or source that is not a
+string, payloads nested deeper than :data:`MAX_PAYLOAD_DEPTH` — is a
 :class:`~repro.errors.TransportError`, never another exception.
 """
 
@@ -41,6 +42,7 @@ from ..errors import TransportError
 from ..mq.messages import JmsFrame
 from ..net.transport import TransportMessage
 from ..obs.tracing import CONTEXT_HEADER, SpanContext
+from ..reader import Reader, prefixed
 
 __all__ = [
     "encode_frame",
@@ -64,39 +66,9 @@ _TAG_JMS = 5
 _TAG_STR = 6
 
 
-def _pack_bytes(data: bytes) -> bytes:
-    return struct.pack(">I", len(data)) + data
-
-
-def _unpack_bytes(buffer: bytes, offset: int) -> tuple[bytes, int]:
-    if offset + 4 > len(buffer):
-        raise TransportError("truncated frame: missing length prefix")
-    (length,) = struct.unpack_from(">I", buffer, offset)
-    offset += 4
-    if offset + length > len(buffer):
-        raise TransportError("truncated frame: body shorter than its length prefix")
-    return buffer[offset : offset + length], offset + length
-
-
-def _pack_str(text: str) -> bytes:
-    return _pack_bytes(text.encode("utf-8"))
-
-
-def _unpack_str(buffer: bytes, offset: int) -> tuple[str, int]:
-    raw, offset = _unpack_bytes(buffer, offset)
-    return _text(raw), offset
-
-
-def _text(raw: bytes) -> str:
+def _json_object(text: str, what: str) -> dict:
     try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TransportError(f"malformed frame: text is not UTF-8: {exc}") from exc
-
-
-def _json_object(raw: bytes, what: str) -> dict:
-    try:
-        value = json.loads(_text(raw))
+        value = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise TransportError(f"malformed {what}: {exc}") from exc
     if not isinstance(value, dict):
@@ -123,75 +95,66 @@ def encode_payload(payload: Any) -> bytes:
     if isinstance(payload, PayloadSubmission):
         return (
             bytes([_TAG_SUBMISSION])
-            + _pack_bytes(payload.guid)
+            + prefixed(payload.guid)
             + struct.pack(">d", payload.ttl_s)
             + payload.ciphertext
         )
     if isinstance(payload, AnonEnvelope):
         return (
             bytes([_TAG_ANON])
-            + _pack_str(payload.dst)
-            + _pack_str(payload.inner_type)
+            + prefixed(payload.dst.encode("utf-8"))
+            + prefixed(payload.inner_type.encode("utf-8"))
             + encode_payload(payload.inner_payload)
         )
     if isinstance(payload, JmsFrame):
         return (
             bytes([_TAG_JMS])
-            + _pack_str(payload.topic)
+            + prefixed(payload.topic.encode("utf-8"))
             + struct.pack(">Q", payload.message_id)
             + struct.pack(">I", payload.body_size)
-            + _pack_bytes(_encode_headers(payload.headers))
+            + prefixed(_encode_headers(payload.headers))
             + encode_payload(payload.body)
         )
     raise TransportError(f"no wire codec for payload type {type(payload).__name__}")
 
 
 def decode_payload(data: bytes) -> Any:
-    return _decode_payload(data, 0)
+    reader = Reader(data, TransportError)
+    payload = _read_payload(reader, 0)
+    reader.end()
+    return payload
 
 
-def _decode_payload(data: bytes, depth: int) -> Any:
-    if not data:
-        raise TransportError("empty payload encoding")
+def _read_payload(reader: Reader, depth: int) -> Any:
+    """One payload from ``reader``, its fields read in wire order: a leaf
+    takes the rest of it, a JMS frame or an envelope nests the next payload."""
     if depth > MAX_PAYLOAD_DEPTH:
         raise TransportError(f"payload nested deeper than {MAX_PAYLOAD_DEPTH}")
-    tag, body = data[0], data[1:]
+    tag = reader.u8()
     if tag == _TAG_NONE:
         return None
     if tag == _TAG_BYTES:
-        return body
+        return reader.rest()
     if tag == _TAG_STR:
-        return _text(body)
+        return reader.utf8(reader.remaining)
     if tag == _TAG_METADATA:
-        if len(body) < 4:
-            raise TransportError("truncated EncryptedMetadata payload")
-        (publication_id,) = struct.unpack_from(">I", body, 0)
-        return EncryptedMetadata(hve_bytes=body[4:], publication_id=publication_id)
+        return EncryptedMetadata(publication_id=reader.u32(), hve_bytes=reader.rest())
     if tag == _TAG_SUBMISSION:
-        guid, offset = _unpack_bytes(body, 0)
-        if offset + 8 > len(body):
-            raise TransportError("truncated PayloadSubmission payload")
-        (ttl_s,) = struct.unpack_from(">d", body, offset)
-        return PayloadSubmission(guid=guid, ciphertext=body[offset + 8 :], ttl_s=ttl_s)
+        guid, ttl_s = reader.prefixed(), reader.f64()
+        return PayloadSubmission(guid=guid, ciphertext=reader.rest(), ttl_s=ttl_s)
     if tag == _TAG_ANON:
-        dst, offset = _unpack_str(body, 0)
-        inner_type, offset = _unpack_str(body, offset)
         return AnonEnvelope(
-            dst=dst, inner_type=inner_type, inner_payload=_decode_payload(body[offset:], depth + 1)
+            dst=reader.utf8(reader.u32()),
+            inner_type=reader.utf8(reader.u32()),
+            inner_payload=_read_payload(reader, depth + 1),
         )
     if tag == _TAG_JMS:
-        topic, offset = _unpack_str(body, 0)
-        if offset + 12 > len(body):
-            raise TransportError("truncated JmsFrame payload")
-        (message_id,) = struct.unpack_from(">Q", body, offset)
-        (body_size,) = struct.unpack_from(">I", body, offset + 8)
-        headers_raw, offset = _unpack_bytes(body, offset + 12)
         return JmsFrame(
-            topic=topic,
-            body=_decode_payload(body[offset:], depth + 1),
-            body_size=body_size,
-            message_id=message_id,
-            headers=_decode_headers(headers_raw),
+            topic=reader.utf8(reader.u32()),
+            message_id=reader.u64(),
+            body_size=reader.u32(),
+            headers=_read_headers(reader),
+            body=_read_payload(reader, depth + 1),
         )
     raise TransportError(f"unknown payload tag {tag}")
 
@@ -213,8 +176,9 @@ def _encode_headers(headers: dict[str, Any]) -> bytes:
     return json.dumps(wire, separators=(",", ":")).encode("utf-8")
 
 
-def _decode_headers(raw: bytes) -> dict[str, Any]:
-    headers = _json_object(raw, "frame headers") if raw else {}
+def _read_headers(reader: Reader) -> dict[str, Any]:
+    n = reader.u32()
+    headers = _json_object(reader.utf8(n), "frame headers") if n else {}
     context = SpanContext.from_wire(headers.get(CONTEXT_HEADER))
     if context is not None:
         headers[CONTEXT_HEADER] = context
@@ -230,7 +194,7 @@ def encode_frame(message: TransportMessage) -> bytes:
         {"t": message.msg_type, "s": message.src},
         separators=(",", ":"),
     ).encode("utf-8")
-    header_block = _pack_bytes(_encode_headers(message.headers))
+    header_block = prefixed(_encode_headers(message.headers))
     return (
         struct.pack(">H", len(header))
         + header
@@ -241,19 +205,12 @@ def encode_frame(message: TransportMessage) -> bytes:
 
 def decode_frame(data: bytes) -> TransportMessage:
     """Parse one channel-record plaintext back into a frame."""
-    if len(data) < 2:
-        raise TransportError("truncated frame: missing header length")
-    (header_len,) = struct.unpack_from(">H", data, 0)
-    if 2 + header_len > len(data):
-        raise TransportError("truncated frame: header shorter than declared")
-    meta = _json_object(data[2 : 2 + header_len], "frame header")
+    reader = Reader(data, TransportError)
+    meta = _json_object(reader.utf8(reader.u16()), "frame header")
     msg_type, src = meta.get("t"), meta.get("s", "")
     if not (isinstance(msg_type, str) and isinstance(src, str)):
         raise TransportError("malformed frame header: type and source must be strings")
-    headers_raw, offset = _unpack_bytes(data, 2 + header_len)
-    return TransportMessage(
-        msg_type=msg_type,
-        payload=decode_payload(data[offset:]),
-        src=src,
-        headers=_decode_headers(headers_raw),
-    )
+    headers = _read_headers(reader)
+    payload = _read_payload(reader, 0)
+    reader.end()
+    return TransportMessage(msg_type=msg_type, payload=payload, src=src, headers=headers)

@@ -29,12 +29,12 @@ stack (dedup by ``(origin, stack)``), while four real processes sum.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from typing import Any, Iterable
 
 from ...errors import ProfileError
+from ...reader import expect_object, parse_json
 
 __all__ = [
     "Profile",
@@ -57,6 +57,7 @@ OVERFLOW_FRAME = "<overflow>"
 
 # Weight keys a caller may fold/diff by.
 WEIGHT_KEYS = ("count", "wall_s", "cpu_s")
+_SAMPLE_FIELDS = {"stack": list, "count": int, "wall_s": (int, float), "cpu_s": (int, float)}
 
 
 @dataclass
@@ -213,37 +214,27 @@ class Profile:
         list of strings, and every weight a non-negative finite number (a
         count an integer).
         """
-        _expect_keys(data, ("version", "mode", "origin", "meta", "samples"), "profile")
+        expect_object(
+            data,
+            {"version": int, "mode": str, "origin": str, "meta": dict, "samples": list},
+            "profile",
+            ProfileError,
+        )
         if data["version"] != PROFILE_VERSION:
             raise ProfileError(f"unknown profile version {data['version']!r}")
         if data["mode"] not in MODES:
             raise ProfileError(f"unknown profile mode {data['mode']!r}")
-        if not isinstance(data["origin"], str) or not isinstance(data["meta"], dict):
-            raise ProfileError("a profile's origin is a string and its meta an object")
-        if not isinstance(data["samples"], list):
-            raise ProfileError("a profile's samples are a list")
         profile = cls(data["mode"], data["origin"], data["meta"])
         for entry in data["samples"]:
-            _expect_keys(entry, ("stack", *WEIGHT_KEYS), "sample")
-            stack = entry["stack"]
-            if not isinstance(stack, list) or not all(isinstance(frame, str) for frame in stack):
+            expect_object(entry, _SAMPLE_FIELDS, "sample", ProfileError)
+            if not all(isinstance(frame, str) for frame in entry["stack"]):
                 raise ProfileError("a sample's stack is a list of strings")
-            for key in WEIGHT_KEYS:
-                _expect_weight(entry[key], int if key == "count" else (int, float))
-            profile.add(stack, entry["count"], entry["wall_s"], entry["cpu_s"])
+            # a NaN fails the comparison; a count past the float range would
+            # overflow the reports' float sums
+            if not all(0 <= entry[key] <= sys.float_info.max for key in WEIGHT_KEYS):
+                raise ProfileError("a sample's weights are finite non-negative numbers")
+            profile.add(entry["stack"], entry["count"], entry["wall_s"], entry["cpu_s"])
         return profile
-
-
-def _expect_keys(data: Any, keys: tuple[str, ...], what: str) -> None:
-    if not isinstance(data, dict) or set(data) != set(keys):
-        raise ProfileError(f"a {what} is an object with exactly the keys {', '.join(keys)}")
-
-
-def _expect_weight(value: Any, kinds: type | tuple[type, ...]) -> None:
-    # bool is an int; a NaN fails the comparison; a count past the float
-    # range would overflow the reports' float sums
-    if isinstance(value, bool) or not isinstance(value, kinds) or not 0 <= value <= sys.float_info.max:
-        raise ProfileError(f"a sample weight is a finite non-negative number, not {value!r}")
 
 
 def load_profile(path: str) -> Profile:
@@ -259,13 +250,9 @@ def load_profile(path: str) -> Profile:
         )
     try:
         with open(path, "rb") as handle:
-            data = json.loads(handle.read())
+            return Profile.from_dict(parse_json(handle.read(), ProfileError))
     except OSError as exc:
         raise ProfileError(f"{path}: {exc.strerror}") from None
-    except (ValueError, RecursionError) as exc:
-        raise ProfileError(f"{path}: not a JSON document ({exc})") from None
-    try:
-        return Profile.from_dict(data)
     except ProfileError as exc:
         raise ProfileError(f"{path}: {exc}") from None
 

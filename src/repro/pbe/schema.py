@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass, field
 
 from ..errors import SchemaError
+from ..reader import expect_object, parse_json
 from .encoding import bits_needed, encode_value, wildcard_bits
 
 __all__ = ["ANY", "AttributeSpec", "MetadataSchema", "Interest", "ENCODINGS"]
@@ -119,10 +120,7 @@ class Interest:
 
     @classmethod
     def from_json(cls, text: str) -> "Interest":
-        try:
-            raw = json.loads(text)
-        except ValueError as exc:
-            raise SchemaError(f"malformed interest JSON: {exc}") from exc
+        raw = parse_json(text, SchemaError)
         if not isinstance(raw, dict):
             raise SchemaError("interest JSON must be an object")
         return cls({name: (ANY if value == "*" else value) for name, value in raw.items()})
@@ -231,21 +229,18 @@ class MetadataSchema:
         """The schema :meth:`to_json` wrote, or :class:`SchemaError`: every
         name and value a string, every domain a list, no key missing,
         repeated or unknown, and a known encoding."""
-        try:
-            raw = json.loads(text, object_pairs_hook=_unique_keys)
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError(f"malformed schema JSON: {exc}") from exc
-        _expect_keys(raw, {"encoding", "attributes"}, "schema")
-        if not isinstance(raw["attributes"], list):
-            raise SchemaError("schema attributes must be a list")
+        raw = expect_object(
+            parse_json(text, SchemaError),
+            {"encoding": str, "attributes": list},
+            "schema",
+            SchemaError,
+        )
         specs = []
         for entry in raw["attributes"]:
-            _expect_keys(entry, {"name", "values"}, "attribute")
+            expect_object(entry, {"name": str, "values": list}, "attribute", SchemaError)
             name, values = entry["name"], entry["values"]
-            if not isinstance(values, list):
-                raise SchemaError(f"domain of attribute {name!r} must be a list")
-            if not all(isinstance(item, str) for item in [name, *values]):
-                raise SchemaError(f"attribute {name!r}: names and values must be strings")
+            if not all(isinstance(item, str) for item in values):
+                raise SchemaError(f"attribute {name!r}: values must be strings")
             specs.append(AttributeSpec(name, tuple(values)))
         return cls(specs, raw["encoding"])
 
@@ -259,15 +254,3 @@ class MetadataSchema:
             f"MetadataSchema({[spec.name for spec in self.attributes]}, "
             f"encoding={self.encoding!r}, n={self.vector_length})"
         )
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    keys = [key for key, _ in pairs]
-    if len(set(keys)) != len(keys):
-        raise SchemaError(f"repeated key in schema JSON: {keys}")
-    return dict(pairs)
-
-
-def _expect_keys(raw: object, keys: set[str], what: str) -> None:
-    if not isinstance(raw, dict) or set(raw) != keys:
-        raise SchemaError(f"a {what} must be an object with exactly the keys {sorted(keys)}")

@@ -6,6 +6,7 @@ import struct
 
 from ..crypto.group import PairingGroup
 from ..errors import SerializationError
+from ..reader import Reader
 from .hve import HVECiphertext, HVEToken
 
 __all__ = [
@@ -36,31 +37,23 @@ def serialize_hve_ciphertext(
 
 
 def deserialize_hve_ciphertext(group: PairingGroup, data: bytes) -> HVECiphertext:
-    if len(data) < 9:
-        raise SerializationError("HVE ciphertext too short")
-    flags, n, sealed_len = struct.unpack_from(">BII", data, 0)
+    reader = Reader(data, SerializationError)
+    flags, n, sealed_len = reader.u8(), reader.u32(), reader.u32()
     if flags not in (0, 1):
         raise SerializationError(f"unknown HVE ciphertext flags {flags:#x}")
     compressed = flags == 1
     point_len = group.g1_bytes_compressed if compressed else group.g1_bytes
     decode = group.deserialize_g1_compressed if compressed else group.deserialize_g1
-    expected = 9 + 2 * n * point_len + sealed_len
-    if len(data) != expected:
-        raise SerializationError(f"HVE ciphertext must be {expected} bytes, got {len(data)}")
-    offset = 9
-    x_components = []
-    for _ in range(n):
-        x_components.append(decode(data[offset : offset + point_len]))
-        offset += point_len
-    w_components = []
-    for _ in range(n):
-        w_components.append(decode(data[offset : offset + point_len]))
-        offset += point_len
+    # the exact length before the first (costly, on-curve checked) point
+    if reader.remaining != 2 * n * point_len + sealed_len:
+        raise SerializationError(
+            f"HVE ciphertext must be {9 + 2 * n * point_len + sealed_len} bytes, got {len(data)}"
+        )
     return HVECiphertext(
         n=n,
-        x_components=tuple(x_components),
-        w_components=tuple(w_components),
-        sealed=data[offset:],
+        x_components=tuple(decode(reader.take(point_len)) for _ in range(n)),
+        w_components=tuple(decode(reader.take(point_len)) for _ in range(n)),
+        sealed=reader.rest(),
     )
 
 
@@ -75,27 +68,19 @@ def serialize_hve_token(group: PairingGroup, token: HVEToken) -> bytes:
 
 
 def deserialize_hve_token(group: PairingGroup, data: bytes) -> HVEToken:
-    if len(data) < 8:
-        raise SerializationError("HVE token too short")
-    n, count = struct.unpack_from(">II", data, 0)
+    reader = Reader(data, SerializationError)
+    n, count = reader.u32(), reader.u32()
     point_len = group.g1_bytes
-    expected = 8 + 4 * count + 2 * count * point_len
-    if len(data) != expected:
-        raise SerializationError(f"HVE token must be {expected} bytes, got {len(data)}")
-    offset = 8
-    positions = []
-    for _ in range(count):
-        (position,) = struct.unpack_from(">I", data, offset)
-        positions.append(position)
-        offset += 4
-    components = []
-    for _ in range(count):
-        first = group.deserialize_g1(data[offset : offset + point_len])
-        offset += point_len
-        second = group.deserialize_g1(data[offset : offset + point_len])
-        offset += point_len
-        components.append((first, second))
-    return HVEToken(n=n, positions=tuple(positions), components=tuple(components))
+    if reader.remaining != count * (4 + 2 * point_len):
+        raise SerializationError(
+            f"HVE token must be {8 + count * (4 + 2 * point_len)} bytes, got {len(data)}"
+        )
+    positions = tuple(reader.u32() for _ in range(count))
+    components = tuple(
+        (group.deserialize_g1(reader.take(point_len)), group.deserialize_g1(reader.take(point_len)))
+        for _ in range(count)
+    )
+    return HVEToken(n=n, positions=positions, components=components)
 
 
 def hve_ciphertext_size(

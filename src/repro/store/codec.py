@@ -34,6 +34,7 @@ import hashlib
 import struct
 
 from ..errors import CorruptRecordError
+from ..reader import Reader
 
 __all__ = [
     "NS_ITEMS",
@@ -52,22 +53,17 @@ NS_ITEMS = "items"
 NS_TOKENS = "tokens"
 NS_SUBS = "subs"
 
-_ITEM_HEADER = struct.Struct(">ddd")
-
 
 def encode_item(
     stored_at: float, expires_at: float, wall_stored_at: float, ciphertext: bytes
 ) -> bytes:
-    return _ITEM_HEADER.pack(stored_at, expires_at, wall_stored_at) + ciphertext
+    return struct.pack(">ddd", stored_at, expires_at, wall_stored_at) + ciphertext
 
 
 def decode_item(value: bytes) -> tuple[float, float, float, bytes]:
     """Returns ``(stored_at, expires_at, wall_stored_at, ciphertext)``."""
-    try:
-        stored_at, expires_at, wall_stored_at = _ITEM_HEADER.unpack_from(value, 0)
-    except struct.error as exc:
-        raise CorruptRecordError(f"undecodable stored item: {exc}") from exc
-    return stored_at, expires_at, wall_stored_at, value[_ITEM_HEADER.size :]
+    reader = Reader(value, CorruptRecordError)
+    return reader.f64(), reader.f64(), reader.f64(), reader.rest()
 
 
 def token_key(subscriber: str, token: bytes) -> bytes:
@@ -83,16 +79,8 @@ def encode_token(subscriber: str, token: bytes) -> bytes:
 
 def decode_token(value: bytes) -> tuple[str, bytes]:
     """Returns ``(subscriber, token_bytes)``."""
-    try:
-        (name_len,) = struct.unpack_from(">H", value, 0)
-        if len(value) < 2 + name_len:
-            raise CorruptRecordError(
-                f"token registration names {name_len} bytes, holds {len(value) - 2}"
-            )
-        name = value[2 : 2 + name_len].decode("utf-8")
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise CorruptRecordError(f"undecodable token registration: {exc}") from exc
-    return name, value[2 + name_len :]
+    reader = Reader(value, CorruptRecordError)
+    return reader.utf8(reader.u16()), reader.rest()
 
 
 def sub_key(topic: str, client: str) -> bytes:

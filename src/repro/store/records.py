@@ -47,6 +47,7 @@ from typing import Iterator
 
 from ..crypto.symmetric import SecretBox
 from ..errors import CorruptRecordError, IntegrityError
+from ..reader import Reader, prefixed
 
 __all__ = [
     "OP_PUT",
@@ -82,7 +83,6 @@ HEADER_LEN = 8 + 1 + 8
 FLAG_SEALED = 0x01
 
 _FRAME_PREFIX = struct.Struct(">II")
-_PAYLOAD_FIXED = struct.Struct(">QB")
 
 
 @dataclass(frozen=True)
@@ -146,40 +146,26 @@ def encode_record(
         )
     payload = b"".join(
         (
-            _PAYLOAD_FIXED.pack(lsn, op),
+            struct.pack(">QB", lsn, op),
             bytes((len(ns_bytes),)),
             ns_bytes,
             struct.pack(">H", len(key)),
             key,
-            struct.pack(">I", len(value)),
-            value,
+            prefixed(value),
         )
     )
     return _FRAME_PREFIX.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def decode_payload(payload: bytes) -> Record:
-    try:
-        lsn, op = _PAYLOAD_FIXED.unpack_from(payload, 0)
-        offset = _PAYLOAD_FIXED.size
-        ns_len = payload[offset]
-        offset += 1
-        namespace = payload[offset : offset + ns_len].decode("utf-8")
-        offset += ns_len
-        (key_len,) = struct.unpack_from(">H", payload, offset)
-        offset += 2
-        key = payload[offset : offset + key_len]
-        offset += key_len
-        (value_len,) = struct.unpack_from(">I", payload, offset)
-        offset += 4
-        value = payload[offset : offset + value_len]
-        if offset + value_len != len(payload):
-            raise CorruptRecordError("record payload has trailing garbage")
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
-        raise CorruptRecordError(f"undecodable record payload: {exc}") from exc
+    reader = Reader(payload, CorruptRecordError)
+    lsn, op = reader.u64(), reader.u8()
     if op not in (OP_PUT, OP_TOMBSTONE):
         raise CorruptRecordError(f"unknown record op {op}")
-    return Record(lsn=lsn, op=op, namespace=namespace, key=bytes(key), value=bytes(value))
+    namespace = reader.utf8(reader.u8())
+    key, value = reader.take(reader.u16()), reader.prefixed()
+    reader.end()
+    return Record(lsn=lsn, op=op, namespace=namespace, key=key, value=value)
 
 
 def encode_header(magic: bytes, sealed: bool, base_lsn: int) -> bytes:
@@ -188,12 +174,15 @@ def encode_header(magic: bytes, sealed: bool, base_lsn: int) -> bytes:
 
 
 def decode_header(data: bytes, magic: bytes) -> tuple[bool, int]:
-    """Returns ``(sealed, base_lsn)``; raises on a wrong or short header."""
-    if len(data) < HEADER_LEN or data[:8] != magic:
+    """Returns ``(sealed, base_lsn)`` from the first :data:`HEADER_LEN`
+    bytes of ``data``; raises on a wrong, short or unknown header."""
+    reader = Reader(data, CorruptRecordError)
+    if reader.take(len(magic)) != magic:
         raise CorruptRecordError(f"bad store file header (expected {magic!r})")
-    flags = data[8]
-    (base_lsn,) = struct.unpack(">Q", data[9:HEADER_LEN])
-    return bool(flags & FLAG_SEALED), base_lsn
+    flags, base_lsn = reader.u8(), reader.u64()
+    if flags & ~FLAG_SEALED:
+        raise CorruptRecordError(f"unknown store file flags {flags:#x}")
+    return bool(flags), base_lsn
 
 
 def scan_frames(data: bytes, start: int, *, strict: bool) -> ScanResult:

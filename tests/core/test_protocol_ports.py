@@ -539,9 +539,21 @@ class TestTokenRequestExchange:
         assert ports.deliver("anon", RPC_TOKEN_REQUEST, stray) == (b"\x00", 1)
 
 
+# well-encrypted request bodies of the wrong shape: the first three escaped
+# decode_retrieval_request as a TypeError, and a short K_s decoded and only
+# failed at SecretBox, after the RS's item lookup
+WRONG_SHAPE_BODIES = {
+    "a list": b"[]",
+    "a number": b"5",
+    "ks not a string": b'{"ks": 5, "guid": "aa"}',
+    "K_s not 32 bytes": b'{"ks": "aa", "guid": "aa"}',
+}
+
+
 def _hostile(group, pke):
     """PKE ciphertexts a hostile peer can send: each too short to hold
-    an ephemeral point plus a sealed body, or cut inside the seal."""
+    an ephemeral point plus a sealed body, cut inside the seal, or a
+    well-encrypted body of the wrong shape."""
     sealed = pke.public.encrypt(b"{}")
     floor = pke_overhead(group)
     return {
@@ -550,17 +562,18 @@ def _hostile(group, pke):
         "point only": sealed[: group.g1_bytes],
         "seal cut below its overhead": sealed[: floor - 1],
         "seal cut by one byte": sealed[:-1],
+        **{case: pke.public.encrypt(body) for case, body in WRONG_SHAPE_BODIES.items()},
     }
 
 
 HOSTILE_CASES = ("empty", "one byte", "point only", "seal cut below its overhead",
-                 "seal cut by one byte")  # fmt: skip
+                 "seal cut by one byte", *WRONG_SHAPE_BODIES)  # fmt: skip
 
 
 class TestHostileRequestBytes:
-    """A short PKE ciphertext is refused as a bad request by both
-    decoders that face the anonymizer, never an escaped crypto error
-    (which would kill the RS / PBE-TS handler)."""
+    """A short PKE ciphertext or a body of the wrong shape is refused as a
+    bad request by both decoders that face the anonymizer, never an
+    escaped crypto or type error (which would kill the RS / PBE-TS handler)."""
 
     @pytest.mark.parametrize("case", HOSTILE_CASES)
     def test_retrieval_request_is_refused(self, group, case):
@@ -584,7 +597,8 @@ class TestHostileRequestBytes:
 
 
 WRONG_SHAPES = ("a list", "a string", "a number", "ks not a string",
-                "certificate body a list", "not_after not a number")  # fmt: skip
+                "certificate body a list", "not_after not a number", "K_s not 32 bytes",
+                "interest nested deep")  # fmt: skip
 
 
 @pytest.fixture(scope="module")
@@ -610,15 +624,19 @@ def wrong_shapes(group, ara):
         "ks not a string": dict(request, ks=5),
         "certificate body a list": certificate_body(b"[1]"),
         "not_after not a number": certificate_body(json.dumps(fields, sort_keys=True).encode()),
+        "K_s not 32 bytes": dict(request, ks="aa"),
+        "interest nested deep": dict(request, interest="[" * 100_000),
     }
     return credentials, {case: json.dumps(body).encode() for case, body in bodies.items()}
 
 
 class TestWrongShapeTokenRequests:
-    """A well-encrypted token request of the wrong shape is malformed.  Each
-    escaped the PBE-TS handler as a ``TypeError``: the first five from
-    ``open_request``, the last from ``authorize`` (``now > "x"``), before the
-    signature check — and a non-``ReproError`` is not refused and counted."""
+    """A well-encrypted token request of the wrong shape is malformed.  The
+    first six escaped the PBE-TS handler as a ``TypeError``: five from
+    ``open_request``, one from ``authorize`` (``now > "x"``), before the
+    signature check — and a non-``ReproError`` is not refused and counted.
+    A deeply nested interest escaped as a ``RecursionError``, and a short
+    ``K_s`` failed only at ``SecretBox``, after a token was minted."""
 
     @pytest.mark.parametrize("case", WRONG_SHAPES)
     def test_is_refused_as_malformed(self, group, ara, wrong_shapes, case):

@@ -7,6 +7,7 @@ from repro.crypto import precompute
 from repro.crypto.comb import ROW, WINDOW, shared_tables, signed_digits
 from repro.crypto.curve import Point
 from repro.crypto.field import Fq2, PowerTable, fq_inv, fq_is_square, fq_sqrt
+from repro.crypto.group import PairingGroup
 from repro.crypto.pairing import tate_pairing
 from repro.crypto.params import TOY
 from repro.errors import ParameterError
@@ -83,9 +84,10 @@ class TestFq2Basics:
     def test_bytes_roundtrip(self):
         e = Fq2(42, 4242, Q)
         width = TOY.q_bytes
-        data = e.to_bytes(width)
-        assert len(data) == 2 * width
-        assert Fq2.from_bytes(data, Q) == e
+        group = PairingGroup("TOY")
+        data = group.serialize_gt(e)
+        assert data == (42).to_bytes(width, "big") + (4242).to_bytes(width, "big")
+        assert group.deserialize_gt(data) == e
 
     def test_eq_other_type(self):
         assert Fq2.one(Q) != "one"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto.group import PairingGroup
 from repro.crypto.params import TOY
-from repro.errors import ParameterError
+from repro.errors import ParameterError, SerializationError
 
 
 class TestPairingGroup:
@@ -64,11 +64,11 @@ class TestPairingGroup:
     def test_gt_serialization_roundtrip(self):
         element = self.group.random_gt()
         data = self.group.serialize_gt(element)
-        assert len(data) == self.group.gt_bytes
+        assert len(data) == 2 * self.group.params.q_bytes
         assert self.group.deserialize_gt(data) == element
 
     def test_gt_bad_length(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(SerializationError):
             self.group.deserialize_gt(b"\x00" * 3)
 
     def test_gt_to_key_deterministic(self):

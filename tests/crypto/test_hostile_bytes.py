@@ -118,3 +118,22 @@ def test_hostile_pke_ciphertext_opens_or_is_rejected(blob):
     except ReproError:
         return
     assert plaintext in PLAINTEXTS
+
+
+GTS = [GROUP.serialize_gt(element) for element in (GROUP.gt_identity(), GROUP.random_gt())]
+# an odd length and a second encoding of one element: the two checks
+# deserialize_gt owns
+GT_ODD_LENGTH = GTS[1][:-1]
+GT_COORDINATE_ABOVE_Q = b"\xff" * GROUP.params.q_bytes + GTS[1][GROUP.params.q_bytes :]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hostile(GTS, no_length_fields))
+@example(GT_ODD_LENGTH)
+@example(GT_COORDINATE_ABOVE_Q)
+def test_hostile_gt_element_round_trips_or_is_rejected(blob):
+    try:
+        element = PairingGroup.deserialize_gt(GROUP, blob)
+    except ReproError:
+        return
+    assert GROUP.serialize_gt(element) == blob

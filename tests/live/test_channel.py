@@ -10,6 +10,7 @@ import pytest
 from repro.core.ara import RegistrationAuthority
 from repro.errors import HandshakeError, MessageLossError, TransportError
 from repro.live.channel import (
+    MAGIC,
     SecureChannel,
     ServerIdentity,
     ServiceKey,
@@ -128,6 +129,51 @@ class TestHandshake:
                 )
 
         run_async(scenario())
+
+
+# every one of these escaped accept_channel or held it past its timeout
+HOSTILE_HELLOS = {
+    # escaped as UnicodeDecodeError, and the writer was never closed
+    "name not UTF-8": MAGIC + struct.pack(">H", 2) + b"\xff\xfe" + struct.pack(">I", 0),
+    "stalls after the magic": MAGIC,  # still pending 3 s into a 0.5 s timeout
+}
+
+
+class TestHostileHello:
+    """A client hello is bytes nobody vouches for: each bad one is a
+    :class:`HandshakeError` out of ``accept_channel`` within its timeout,
+    with the connection closed."""
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_HELLOS))
+    def test_hostile_hello_is_a_handshake_error_and_closes(self, identity, case):
+        async def scenario():
+            outcome = asyncio.get_running_loop().create_future()
+
+            async def on_connection(reader, writer):
+                try:
+                    await accept_channel(reader, writer, identity, timeout=0.5)
+                    error = None
+                except Exception as exc:  # whatever escaped, for the assertion
+                    error = exc
+                if not outcome.done():
+                    outcome.set_result(error)
+
+            server = await asyncio.start_server(on_connection, "127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.sockets[0].getsockname()[1]
+            )
+            writer.write(HOSTILE_HELLOS[case])
+            await writer.drain()
+            error = await asyncio.wait_for(outcome, 3.0)
+            leftover = await asyncio.wait_for(reader.read(), 3.0)  # EOF once the server closed
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return error, leftover
+
+        error, leftover = run_async(scenario())
+        assert isinstance(error, HandshakeError), repr(error)
+        assert leftover == b""
 
 
 async def connected_pair(ara, identity) -> tuple[SecureChannel, SecureChannel]:

@@ -18,7 +18,13 @@ from hypothesis import example, given, settings
 
 from repro.core.messages import AnonEnvelope, EncryptedMetadata, PayloadSubmission
 from repro.errors import TransportError
-from repro.live.wire import MAX_PAYLOAD_DEPTH, decode_frame, encode_frame, encode_payload
+from repro.live.wire import (
+    MAX_PAYLOAD_DEPTH,
+    decode_frame,
+    decode_payload,
+    encode_frame,
+    encode_payload,
+)
 from repro.mq.messages import JmsFrame
 from repro.net.transport import TransportMessage
 from repro.obs.tracing import CONTEXT_HEADER, SpanContext
@@ -114,3 +120,16 @@ def test_the_deepest_accepted_nesting_round_trips():
     assert encode_frame(decode_frame(_frame(HEADER, payload=payload))).endswith(payload)
     with pytest.raises(TransportError, match="nested deeper"):
         decode_frame(_frame(HEADER, payload=_nested_envelopes(MAX_PAYLOAD_DEPTH + 1)))
+
+
+@pytest.mark.parametrize(
+    "payload", [b"\x00trailing", encode_payload(JmsFrame(topic="t", body=None)) + b"x"]
+)
+def test_hostile_payload_with_bytes_after_none_is_rejected(payload):
+    """``None`` is one tag byte: the bytes after it were dropped, so the
+    payload re-encoded shorter than it came (stable, so the property above
+    let it by)."""
+    with pytest.raises(TransportError, match="trailing"):
+        decode_payload(payload)
+    with pytest.raises(TransportError, match="trailing"):
+        decode_frame(_frame(HEADER, payload=payload))

@@ -1,19 +1,28 @@
-"""Hostile bytes at the DS's two registration decoders (ROADMAP item 1).
+"""Hostile bytes at the DS's two registration decoders and the RS's item
+decoder (ROADMAP item 1).
 
-A corrupt ``tokens`` or ``subs`` record must fail DS recovery with a
-:class:`~repro.errors.CorruptRecordError`, never another exception, and a
-record it accepts must re-encode to the very bytes it came from.
+A corrupt ``tokens``, ``subs`` or ``items`` record must fail recovery with
+a :class:`~repro.errors.CorruptRecordError`, never another exception, and
+a record it accepts must re-encode to the very bytes it came from.
 """
 
 import pytest
 from hypothesis import example, given, settings
 
 from repro.errors import CorruptRecordError, ReproError
-from repro.store.codec import decode_sub_key, decode_token, encode_token, sub_key
+from repro.store.codec import (
+    decode_item,
+    decode_sub_key,
+    decode_token,
+    encode_item,
+    encode_token,
+    sub_key,
+)
 
 from ..hostile import hostile
 
 TOKENS = [encode_token(name, token) for name, token in (("alice", b"\x00tok"), ("", b""), ("élan", b"t"))]
+ITEMS = [encode_item(1.5, 31.5, 1.7e9, b"ciphertext"), encode_item(0.0, -0.0, 1e300, b"")]
 SUB_KEYS = [sub_key(topic, client) for topic, client in (("news", "bob"), ("", ""), ("ü", "x\x00y"))]
 
 
@@ -37,6 +46,16 @@ def test_hostile_subscription_key_round_trips_or_is_rejected(blob):
     except ReproError:
         return
     assert sub_key(topic, client) == blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile(ITEMS, lambda blob: []))
+def test_hostile_stored_item_round_trips_or_is_rejected(blob):
+    try:
+        stored_at, expires_at, wall_stored_at, ciphertext = decode_item(blob)
+    except ReproError:
+        return
+    assert encode_item(stored_at, expires_at, wall_stored_at, ciphertext) == blob
 
 
 @pytest.mark.parametrize(
