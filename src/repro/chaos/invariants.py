@@ -154,7 +154,7 @@ def check_privacy(system, payloads: Iterable[bytes]) -> list[InvariantResult]:
     # CP-ABE pipeline must keep content sealed even across retried/
     # duplicated submissions and replica handoffs.  Scans raw engine
     # values (framing + ciphertext).
-    rs_shards = list(getattr(system, "rs_shards", {"rs": system.rs}).values())
+    rs_shards = list(system.rs_shards.values())
     stored = [
         value
         for rs in rs_shards

@@ -16,12 +16,10 @@ def _cmd_cluster_status(args) -> None:
 
         state = load_state(args.state)
         status = {
-            "sharded": state.plan.cluster is not None,
+            **state.plan.topology(),
             "roles": list(state.plan.service_names),
             "ports": dict(state.ports),
         }
-        if state.plan.cluster is not None:
-            status["cluster"] = state.plan.cluster.describe()
     else:
         # no bundle: stand up an in-process *simulated* sharded system,
         # run the demo scenario through it, and report live counters —

@@ -54,7 +54,7 @@ def _cmd_live_init(args) -> None:
     state = init_state(args.state, host=args.host, base_port=args.base_port, config=config)
     plan = ", ".join(f"{name}={port}" for name, port in state.ports.items())
     print(f"wrote deployment state to {args.state} ({plan})")
-    if state.plan.cluster is not None:
+    if state.plan.sharded:
         print(
             f"sharded topology: {len(state.plan.cluster.ds_names)} DS x "
             f"{len(state.plan.cluster.rs_names)} RS, "

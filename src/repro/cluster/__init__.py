@@ -27,7 +27,7 @@ identically — see ``docs/CLUSTER.md``.
 
 from .membership import Member, MembershipTable
 from .ring import DEFAULT_VNODES, HashRing
-from .router import ClusterMap, ds_shard_for, rs_replicas_for, shard_names
+from .router import ClusterMap, shard_names
 
 __all__ = [
     "DEFAULT_VNODES",
@@ -35,7 +35,5 @@ __all__ = [
     "Member",
     "MembershipTable",
     "ClusterMap",
-    "ds_shard_for",
-    "rs_replicas_for",
     "shard_names",
 ]

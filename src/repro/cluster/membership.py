@@ -10,13 +10,11 @@ flip a readiness probe.
 Time is always an explicit ``now`` argument, the same convention as
 :class:`repro.core.rs.RepositoryStore`: the simulator passes ``sim.now``,
 the live deployment passes its monotonic clock, and the semantics are
-identical on both substrates.  The table itself never reads a clock and
-never spawns a timer — the substrate owns the cadence (the simulator
-runs daemon heartbeat processes; the live services fold heartbeats into
-their existing ``_background`` loops).
-
-State changes emit ``cluster.*`` counters through :mod:`repro.obs` so
-`repro live top` and the chaos reports can see membership churn.
+identical on either substrate.  The table itself never reads a clock and
+never spawns a timer — the substrate owns the cadence.  Only the
+simulator has one: a sharded :class:`~repro.core.system.P3SSystem` runs
+a daemon heartbeat process; the live services run none, so failure
+detection is simulator-only.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Client-side routing: the :class:`ClusterMap` and its lookup helpers.
+"""Client-side routing: the :class:`ClusterMap`.
 
 The ClusterMap is the one routing artifact both substrates share.  It is
 built once at deployment bring-up, attached to the ARA's
@@ -21,9 +21,8 @@ Placement policy (see ``docs/CLUSTER.md`` for the rationale):
   Matching compute per publication still lands on exactly one shard,
   which is what scales.
 
-The module-level helpers (`ds_shard_for` …) degrade gracefully: with no
-``cluster`` on the directory (or a single shard) they return the classic
-single-node names, so every pre-cluster test and pickle keeps working.
+A single-node deployment is a map of one DS and one RS: every lookup
+answers ``"ds"``/``"rs"``, so there is one routing rule, not two.
 """
 
 from __future__ import annotations
@@ -32,13 +31,7 @@ from dataclasses import dataclass, field
 
 from .ring import DEFAULT_VNODES, HashRing
 
-__all__ = [
-    "ClusterMap",
-    "ds_shard_for",
-    "rs_replicas_for",
-    "shard_names",
-    "shard_topology",
-]
+__all__ = ["ClusterMap", "shard_names", "shard_topology"]
 
 
 def shard_names(prefix: str, n: int) -> list[str]:
@@ -120,48 +113,12 @@ class ClusterMap:
         }
 
 
-def shard_topology(config) -> tuple[list[str], list[str], ClusterMap | None]:
-    """``(ds_names, rs_names, cluster)`` for a deployment config.
-
-    1/1 shards without replication is the classic single-node topology:
-    bare names and no cluster machinery at all (``cluster`` is None).
-    """
-    ds_names = shard_names("ds", config.ds_shards)
+def shard_topology(config) -> ClusterMap:
+    """The :class:`ClusterMap` of a deployment config (1/1 shards: the
+    one-node map of ``"ds"`` and ``"rs"``)."""
     rs_names = shard_names("rs", config.rs_shards)
-    replication = max(1, min(config.rs_replication, len(rs_names)))
-    if len(ds_names) <= 1 and len(rs_names) <= 1 and replication <= 1:
-        return ds_names, rs_names, None
-    return ds_names, rs_names, ClusterMap(
-        ds_names=list(ds_names), rs_names=list(rs_names), rs_replication=replication
-    )
-
-
-# -- directory-aware helpers (single-node fallback built in) --------------------
-
-
-def _cluster_of(directory):
-    return getattr(directory, "cluster", None)
-
-
-def ds_shard_for(directory, guid: bytes) -> str:
-    """The DS shard that owns publication ``guid``."""
-    cluster = _cluster_of(directory)
-    if cluster is None or len(cluster.ds_names) <= 1:
-        return directory.ds_name
-    return cluster.ds_owner(guid)
-
-
-def rs_replicas_for(directory, guid: bytes) -> tuple[tuple[str, object], ...]:
-    """The ordered ``(rs_name, rs_public_key)`` replica set for ``guid``.
-
-    Retrieval walks this list with the existing bounded-backoff retry
-    (``replicas[attempt % len(replicas)]``), so a dead or partitioned
-    primary costs one retry, not the item.
-    """
-    cluster = _cluster_of(directory)
-    if cluster is None or len(cluster.rs_names) <= 1:
-        return ((directory.rs_name, directory.rs_public_key),)
-    return tuple(
-        (name, cluster.rs_public_keys.get(name, directory.rs_public_key))
-        for name in cluster.rs_replicas(guid)
+    return ClusterMap(
+        ds_names=shard_names("ds", config.ds_shards),
+        rs_names=rs_names,
+        rs_replication=max(1, min(config.rs_replication, len(rs_names))),
     )

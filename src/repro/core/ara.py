@@ -16,10 +16,11 @@ authority, is not part of the analysis", §6.1) and the performance models
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..abe.bsw07 import CPABEMasterKey, CPABEPublicKey, CPABESecretKey
 from ..abe.hybrid import HybridCPABE
+from ..cluster.router import ClusterMap
 from ..crypto.group import PairingGroup
 from ..crypto.pke import PKEPublicKey
 from ..crypto.signing import Certificate, SigningKeyPair, VerifyKey
@@ -46,20 +47,21 @@ TELEMETRY_CONTEXT = b"p3s-telemetry-request-v1:"
 class ServiceDirectory:
     """Contact information + public keys for the P3S services (§4.3:
     "contact information for the P3S services ... and their public key
-    certificates")."""
+    certificates").
 
-    ds_name: str = ""
-    rs_name: str = ""
+    ``cluster`` is the :class:`~repro.cluster.ClusterMap` that names every
+    DS and RS shard and holds each RS shard's PKE public key; a
+    single-node deployment's is the one-node map of ``"ds"`` and ``"rs"``
+    (the default; :meth:`DeploymentPlan.derive` installs the config's).
+    Credentials embed this directory by reference, so topology changes
+    made through the map reach every client without re-registration.
+    """
+
+    cluster: ClusterMap = field(default_factory=lambda: ClusterMap(["ds"], ["rs"]))
     pbe_ts_name: str = ""
     anonymizer_name: str = ""
-    rs_public_key: PKEPublicKey | None = None
     pbe_ts_public_key: PKEPublicKey | None = None
     ara_verify_key: VerifyKey | None = None
-    # repro.cluster.ClusterMap for sharded deployments, or None for the
-    # classic single-DS/single-RS topology.  Credentials embed this
-    # directory by reference, so topology changes made through the map
-    # (add_ds/add_rs) reach every client without re-registration.
-    cluster: object | None = None
 
 
 @dataclass(frozen=True)
@@ -109,13 +111,9 @@ class RegistrationAuthority:
     def install_service(
         self, role: str, name: str, public_key: PKEPublicKey | None = None
     ) -> None:
-        """Record a service's contact name (and PKE public key if it has one)."""
-        if role == "ds":
-            self.directory.ds_name = name
-        elif role == "rs":
-            self.directory.rs_name = name
-            self.directory.rs_public_key = public_key
-        elif role == "pbe_ts":
+        """Record a singleton service's contact name (and PKE public key if
+        it has one); DS and RS shards are named by the directory's map."""
+        if role == "pbe_ts":
             self.directory.pbe_ts_name = name
             self.directory.pbe_ts_public_key = public_key
         elif role == "anonymizer":

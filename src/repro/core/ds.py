@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from ..cluster.router import ClusterMap
 from ..errors import ReproError
 from ..mq.broker import Broker
 from ..mq.messages import JmsFrame
@@ -83,19 +84,16 @@ class DisseminationServer(Broker):
     def __init__(
         self,
         ports,
-        rs_name: str,
+        cluster: ClusterMap,
         group=None,
         vector_length: int | None = None,
         timings: ComputeTimings | None = None,
         match_workers: int = 0,
         store: StorageEngine | None = None,
-        cluster=None,
     ):
         super().__init__(ports)
-        self.rs_name = rs_name
-        # repro.cluster.ClusterMap (shared by reference through the
-        # ServiceDirectory): with one attached, payloads forward to the
-        # GUID's full RS replica set instead of the single rs_name
+        # shared by reference through the ServiceDirectory: a payload
+        # goes to its GUID's RS replica set
         self.cluster = cluster
         self.group = group
         self.vector_length = vector_length
@@ -302,8 +300,6 @@ class DisseminationServer(Broker):
 
     def _rs_targets(self, guid: bytes) -> tuple[str, ...]:
         """The RS shards this payload is written to (the replica set)."""
-        if self.cluster is None or len(self.cluster.rs_names) <= 1:
-            return (self.rs_name,)
         return self.cluster.rs_replicas(guid)
 
     def _forward_to_rs(self, frame: JmsFrame):

@@ -76,23 +76,20 @@ class DeploymentPlan:
     def derive(cls, config: P3SConfig) -> "DeploymentPlan":
         """Registration (§4.3) as a function of the config: mint the
         trust root and every service key, and publish the directory."""
-        ds_names, rs_names, cluster = shard_topology(config)
+        cluster = shard_topology(config)
+        # the plan's own lists: the map's DS list shrinks around dead shards
+        ds_names, rs_names = list(cluster.ds_names), list(cluster.rs_names)
         group = PairingGroup(config.param_set)
         ara = RegistrationAuthority(group, config.schema)
         rs_pkes = {name: PKEKeyPair(group) for name in rs_names}
         pbe_ts_pke = PKEKeyPair(group)
-        ara.install_service("ds", ds_names[0])
-        ara.install_service("rs", rs_names[0], rs_pkes[rs_names[0]].public)
         ara.install_service("pbe_ts", PBE_TS_NAME, pbe_ts_pke.public)
         ara.install_service("anonymizer", ANON_NAME)
-        if cluster is not None:
-            cluster.rs_public_keys.update(
-                (name, pke.public) for name, pke in rs_pkes.items()
-            )
-            # by reference: every credential embeds this directory, so
-            # all clients (and, pickled, every serve-* process) route
-            # through the same ClusterMap
-            ara.directory.cluster = cluster
+        cluster.rs_public_keys.update((name, pke.public) for name, pke in rs_pkes.items())
+        # by reference: every credential embeds this directory, so all
+        # clients (and, pickled, every serve-* process) route through
+        # the same ClusterMap
+        ara.directory.cluster = cluster
         return cls(config, ara, ds_names, rs_names, rs_pkes, pbe_ts_pke)
 
     @property
@@ -100,8 +97,22 @@ class DeploymentPlan:
         return self.ara.group
 
     @property
-    def cluster(self) -> ClusterMap | None:
+    def cluster(self) -> ClusterMap:
         return self.ara.directory.cluster
+
+    @property
+    def sharded(self) -> bool:
+        """More than one DS or RS shard: what failure detection and the
+        cluster report are for (a shard the map routes around still
+        counts)."""
+        return len(self.ds_names) > 1 or len(self.rs_names) > 1
+
+    def topology(self) -> dict:
+        """The topology half of the ``cluster status`` report."""
+        report: dict = {"sharded": self.sharded}
+        if self.sharded:
+            report["cluster"] = self.cluster.describe()
+        return report
 
     @property
     def service_names(self) -> tuple[str, ...]:
@@ -136,13 +147,12 @@ class DeploymentPlan:
         if role in self.ds_names:
             return ds_class(
                 ports,
-                self.rs_names[0],
+                self.cluster,
                 group=self.group,
                 vector_length=config.schema.vector_length,
                 timings=config.timings,
                 match_workers=config.match_workers,
                 store=self.open_store(role),
-                cluster=self.cluster,
             )
         if role in self.rs_names:
             store = RepositoryStore(t_g=config.t_g, engine=self.open_store(role), now=now)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 from ..abe.policy import PolicyNode
 from ..abe.serialize import serialize_hybrid
-from ..cluster.router import ds_shard_for
 from ..crypto.group import PairingGroup
 from ..mq.client import JmsConnection
 from ..obs import hooks as obs
@@ -128,9 +127,8 @@ class PublisherProtocol(P3SClient):
     def _publish_process(self, record: PublicationRecord, payload: bytes):
         record.submitted_at = self.ports.now()
         schema = self.credentials.schema
-        # both frames of one publication go to the DS shard owning its
-        # GUID (single-node deployments resolve to the one "ds")
-        broker = ds_shard_for(self.directory, record.guid)
+        # both frames of one publication go to the DS shard owning its GUID
+        broker = self.directory.cluster.ds_owner(record.guid)
         root = obs.start_span(
             "publish",
             component=self.name,

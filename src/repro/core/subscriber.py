@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..abe.serialize import deserialize_hybrid
-from ..cluster.router import rs_replicas_for
 from ..crypto.group import PairingGroup
 from ..crypto.symmetric import SecretBox
 from ..errors import (
@@ -322,15 +321,16 @@ class SubscriberProtocol(P3SClient):
         attempt = 0
         # the GUID's RS replica set: retries rotate through it, so a
         # dead or partitioned replica costs one retry, not the item
-        replicas = rs_replicas_for(self.directory, guid)
+        cluster = self.directory.cluster
+        replicas = cluster.rs_replicas(guid)
         for attempt in range(self.retrieval_retries + 1):
             if attempt:
                 yield self.ports.sleep(self.retry_delay_s)
-            rs_name, rs_public_key = replicas[attempt % len(replicas)]
+            rs_name = replicas[attempt % len(replicas)]
             session_key = SecretBox.generate_key()
             body = encode_retrieval_request(session_key, guid)
             yield self.ports.compute(self.timings.pke_op)
-            request = rs_public_key.encrypt(body)
+            request = cluster.rs_public_keys[rs_name].encrypt(body)
             try:
                 sealed = yield self._anonymized_call(
                     rs_name, RPC_RETRIEVE, request, span=span

@@ -16,13 +16,13 @@ Typical use::
     system.run()
     deliveries = system.deliveries_for(record)
 
-Horizontal scaling (:mod:`repro.cluster`, docs/CLUSTER.md): with
-``P3SConfig(ds_shards=K, rs_shards=M, rs_replication=N)`` the same call
-builds K dissemination shards and M repository shards behind a
-:class:`~repro.cluster.ClusterMap` carried in the ServiceDirectory.
-``system.ds`` / ``system.rs`` keep pointing at the first shard, so
-single-node code and tests run unchanged; ``system.ds_shards`` /
-``system.rs_shards`` hold the full tier.
+Horizontal scaling (:mod:`repro.cluster`, docs/CLUSTER.md): every
+deployment routes through the :class:`~repro.cluster.ClusterMap` carried
+in the ServiceDirectory — the default one names one DS and one RS, and
+``P3SConfig(ds_shards=K, rs_shards=M, rs_replication=N)`` builds K
+dissemination shards and M repository shards behind it.
+``system.ds`` / ``system.rs`` point at the first shard;
+``system.ds_shards`` / ``system.rs_shards`` hold the full tier.
 """
 
 from __future__ import annotations
@@ -79,15 +79,16 @@ class P3SSystem:
         self.pbe_ts = self.plan.service(PBE_TS_NAME, self.network.add_host(PBE_TS_NAME))
         self.anonymizer = self.plan.service(ANON_NAME, self.network.add_host(ANON_NAME))
 
-        # membership: every shard joins at epoch; a daemon heartbeat
-        # process keeps the table current on sharded deployments and
-        # routes new publications away from dead DS shards
+        # membership: every shard joins at epoch; on a sharded
+        # deployment a daemon heartbeat process keeps the table current
+        # and routes new publications away from dead DS shards (one node
+        # has nowhere else to route, so its event schedule stays bare)
         self.membership = MembershipTable(failure_timeout_s=FAILURE_TIMEOUT_S)
         for name in ds_names:
             self.membership.join(name, "ds", now=self.sim.now)
         for name in rs_names:
             self.membership.join(name, "rs", now=self.sim.now)
-        if self.cluster is not None:
+        if self.plan.sharded:
             self.sim.process(self._heartbeat_loop())
 
         for rs in self.rs_shards.values():
@@ -101,7 +102,7 @@ class P3SSystem:
         self.subscribers: dict[str, Subscriber] = {}
 
     @property
-    def cluster(self) -> ClusterMap | None:
+    def cluster(self) -> ClusterMap:
         return self.plan.cluster
 
     def _build_ds(self, name: str) -> DisseminationServer:
@@ -218,8 +219,8 @@ class P3SSystem:
 
     def cluster_status(self) -> dict:
         """JSON-friendly topology + membership report (`repro cluster status`)."""
-        status: dict = {
-            "sharded": self.cluster is not None,
+        return {
+            **self.plan.topology(),
             "ds_shards": list(self.ds_shards),
             "rs_shards": list(self.rs_shards),
             "membership": self.membership.snapshot(self.sim.now),
@@ -231,9 +232,6 @@ class P3SSystem:
                 for name, ds in self.ds_shards.items()
             },
         }
-        if self.cluster is not None:
-            status["cluster"] = self.cluster.describe()
-        return status
 
     def deliveries_for(self, record: PublicationRecord) -> list[Delivery]:
         """All deliveries of one publication, across every subscriber."""

@@ -155,3 +155,8 @@ class RetrievalError(P3SError):
 class ProfileError(ReproError):
     """A profile document that is not the one ``Profile.to_dict`` writes
     (a recording on disk, or a service's telemetry snapshot)."""
+
+
+class BenchFileError(ReproError, ValueError):
+    """A ``BENCH_*.json`` document that is not a v1 record file (or two
+    files recording one name)."""

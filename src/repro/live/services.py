@@ -120,10 +120,6 @@ class LiveDisseminationServer(_LiveService, DisseminationServer):
             not self.registered_tokens or self._match_pool is not None
         )
         checks["store_recovered"] = self.store.healthy
-        if self.cluster is not None:
-            # a DS shard that fell out of the routing ring (membership
-            # declared it dead) must read as not-ready until it rejoins
-            checks["cluster_member"] = self.name in self.cluster.ds_names
         return checks
 
     def extra_metrics(self) -> list[dict]:
@@ -143,21 +139,14 @@ class LiveDisseminationServer(_LiveService, DisseminationServer):
                     "labels": {},
                     "value": len(self.registered_tokens),
                 },
+                {"name": "cluster.ds_shards", "labels": {},
+                 "value": len(self.cluster.ds_names)},
+                {"name": "cluster.rs_shards", "labels": {},
+                 "value": len(self.cluster.rs_names)},
+                {"name": "cluster.rs_replication", "labels": {},
+                 "value": self.cluster.rs_replication},
             ]
         )
-        if self.cluster is not None:
-            samples.extend(
-                [
-                    {"name": "cluster.ds_shards", "labels": {},
-                     "value": len(self.cluster.ds_names)},
-                    {"name": "cluster.rs_shards", "labels": {},
-                     "value": len(self.cluster.rs_names)},
-                    {"name": "cluster.rs_replication", "labels": {},
-                     "value": self.cluster.rs_replication},
-                    {"name": "cluster.is_member", "labels": {"shard": self.name},
-                     "value": int(self.name in self.cluster.ds_names)},
-                ]
-            )
         samples.extend(_store_samples(self.store, self.recovered_registrations))
         return samples
 

@@ -30,6 +30,9 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
+from ..errors import BenchFileError
+from ..reader import expect_object, parse_json
+
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BenchRecord",
@@ -57,6 +60,26 @@ DEFAULT_TOLERANCES = {
 }
 FALLBACK_TOLERANCE = 0.75
 
+_DOCUMENT_FIELDS = {
+    "bench_schema": int,
+    "suite": str,
+    "workload": dict,
+    "seed": (int, type(None)),
+    "env": dict,
+    "records": list,
+}
+# every record carries these; the rest only when set (``to_dict`` drops
+# a None or empty field)
+_RECORD_FIELDS = {"name": str, "value": (int, float), "unit": str, "direction": str}
+_OPTIONAL_RECORD_FIELDS = {
+    "tolerance": (int, float),
+    "floor": (int, float),
+    "ceiling": (int, float),
+    "seed": int,
+    "source": str,
+}
+_NUMBERS = ("value", "tolerance", "floor", "ceiling")
+
 
 @dataclass
 class BenchRecord:
@@ -82,18 +105,25 @@ class BenchRecord:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any], source: str = "") -> "BenchRecord":
-        return cls(
-            name=data["name"],
-            value=float(data["value"]),
-            unit=data.get("unit", "ratio"),
-            direction=data.get("direction", "higher"),
-            tolerance=data.get("tolerance"),
-            floor=data.get("floor"),
-            ceiling=data.get("ceiling"),
-            seed=data.get("seed"),
-            source=data.get("source", source),
-        )
+    def from_dict(cls, data: Any, source: str = "") -> "BenchRecord":
+        """The record :meth:`to_dict` wrote, or :class:`BenchFileError`:
+        no key missing or unknown, name and unit non-empty, numbers
+        finite, ``direction`` one of ``higher``/``lower``."""
+        fields = dict(_RECORD_FIELDS)
+        if isinstance(data, dict):
+            fields.update(
+                (key, kind) for key, kind in _OPTIONAL_RECORD_FIELDS.items() if key in data
+            )
+        expect_object(data, fields, "bench record", BenchFileError)
+        if not (data["name"] and data["unit"]):
+            raise BenchFileError("a bench record's name and unit are non-empty")
+        # a NaN fails the comparison, and an integer past the float range
+        # would overflow the gate's arithmetic
+        if not all(abs(data[key]) <= sys.float_info.max for key in _NUMBERS if key in data):
+            raise BenchFileError(f"{data['name']}: a bench record's numbers are finite")
+        if data["direction"] not in ("higher", "lower"):
+            raise BenchFileError(f"{data['name']}: unknown direction {data['direction']!r}")
+        return cls(**{"source": source, **data, "value": float(data["value"])})
 
 
 def git_rev() -> str | None:
@@ -159,26 +189,31 @@ def write_bench(
 def load_bench_file(path: str) -> list[BenchRecord]:
     """Records from one v1 BENCH file.
 
-    Anything else raises ``ValueError`` (a silent empty read would make
-    the gate vacuously green).
+    Anything else raises :class:`BenchFileError` (a silent empty read
+    would make the gate vacuously green).
     """
-    with open(path) as handle:
-        doc = json.load(handle)
     source = os.path.basename(path)
-    if doc.get("bench_schema") == BENCH_SCHEMA_VERSION:
-        return [BenchRecord.from_dict(entry, source) for entry in doc.get("records", [])]
-    if isinstance(doc.get("bench_schema"), int):
-        raise ValueError(
-            f"{source}: unsupported bench_schema {doc['bench_schema']}"
-        )
-    raise ValueError(f"{source}: unrecognized benchmark document shape")
+    with open(path, "rb") as handle:
+        text = handle.read()
+    try:
+        doc = parse_json(text, BenchFileError)
+        version = doc.get("bench_schema") if isinstance(doc, dict) else None
+        if type(version) is not int:
+            raise BenchFileError("unrecognized benchmark document shape")
+        if version != BENCH_SCHEMA_VERSION:
+            raise BenchFileError(f"unsupported bench_schema {version}")
+        expect_object(doc, _DOCUMENT_FIELDS, "bench document", BenchFileError)
+        return [BenchRecord.from_dict(entry, source) for entry in doc["records"]]
+    except BenchFileError as exc:
+        raise BenchFileError(f"{source}: {exc}") from None
 
 
 def load_history(root: str) -> dict[str, BenchRecord]:
     """Every ``BENCH_*.json`` under ``root`` as one name → record map.
 
     A record name lives in exactly one file: a second file carrying it
-    raises ``ValueError`` rather than deciding which one the gate reads.
+    raises :class:`BenchFileError` rather than deciding which one the
+    gate reads.
     """
     history: dict[str, BenchRecord] = {}
     for entry in sorted(os.listdir(root)):
@@ -186,7 +221,7 @@ def load_history(root: str) -> dict[str, BenchRecord]:
             continue
         for record in load_bench_file(os.path.join(root, entry)):
             if record.name in history:
-                raise ValueError(
+                raise BenchFileError(
                     f"{record.name}: recorded in both {history[record.name].source} and {entry}"
                 )
             history[record.name] = record

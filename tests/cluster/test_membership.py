@@ -7,7 +7,8 @@ routes again once it heartbeats back.
 from __future__ import annotations
 
 from repro.cluster.membership import MembershipTable
-from repro.core.system import FAILURE_TIMEOUT_S, P3SSystem
+from repro.core.config import P3SConfig
+from repro.core.system import FAILURE_TIMEOUT_S, HEARTBEAT_INTERVAL_S, P3SSystem
 
 from ..live.conftest import small_config
 
@@ -72,6 +73,21 @@ class TestMembershipTable:
 
 
 class TestSimulatedFailureDetection:
+    def test_default_deployment_is_a_one_node_map_with_no_heartbeat(self):
+        system = P3SSystem(P3SConfig())
+        try:
+            cluster = system.ara.directory.cluster
+            assert cluster is system.cluster
+            assert (cluster.ds_names, cluster.rs_names) == (["ds"], ["rs"])
+            assert cluster.rs_public_keys == {"rs": system.rs.pke.public}
+            assert not system.plan.sharded
+            system.run(until=3 * HEARTBEAT_INTERVAL_S)
+            # nothing beat for either node: each has been silent since it joined
+            snapshot = system.membership.snapshot(system.now)
+            assert {row["name"]: row["silence_s"] for row in snapshot} == {"ds": 3.0, "rs": 3.0}
+        finally:
+            system.close()
+
     def test_crashed_ds_shard_leaves_and_rejoins_the_routing_ring(self):
         system = P3SSystem(small_config(ds_shards=2, rs_shards=2, rs_replication=2))
         try:

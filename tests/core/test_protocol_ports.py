@@ -206,8 +206,13 @@ def _frame(kind: str | None, body=b"", topic="p3s.publish") -> JmsFrame:
     return JmsFrame(topic=topic, body=body, body_size=wire_size_of(body), headers=headers)
 
 
+def _one_node() -> ClusterMap:
+    """The topology of a single-node deployment."""
+    return ClusterMap(["ds"], ["rs"])
+
+
 def _connected_ds(ports, subscribers, **options) -> DisseminationServer:
-    ds = DisseminationServer(ports, "rs", **options)
+    ds = DisseminationServer(ports, _one_node(), **options)
     for name in subscribers:
         ports.deliver(name, frames.CONNECT, JmsFrame())
         ports.deliver(name, frames.SUBSCRIBE, JmsFrame(topic=METADATA_TOPIC))
@@ -263,7 +268,7 @@ class TestDisseminationRouting:
 
     def test_subscribe_before_connect_is_rejected_and_not_persisted(self):
         ports = RecordingPorts("ds")
-        ds = DisseminationServer(ports, "rs")
+        ds = DisseminationServer(ports, _one_node())
         with pytest.raises(BrokerError):
             ports.deliver("rogue", frames.SUBSCRIBE, JmsFrame(topic=METADATA_TOPIC))
         assert ds.subscriptions[METADATA_TOPIC] == []
@@ -284,13 +289,13 @@ class TestDisseminationRouting:
 
 
 class TestRsTargets:
-    def test_single_rs_without_a_cluster_map(self):
-        ds = DisseminationServer(RecordingPorts("ds"), "rs")
+    def test_single_node_map_targets_the_one_rs(self):
+        ds = DisseminationServer(RecordingPorts("ds"), _one_node())
         assert ds._rs_targets(b"g" * 16) == ("rs",)
 
     def test_one_shard_cluster_keeps_the_configured_rs(self):
         cluster = ClusterMap(ds_names=["ds0", "ds1"], rs_names=["rs0"])
-        ds = DisseminationServer(RecordingPorts("ds0"), "rs0", cluster=cluster)
+        ds = DisseminationServer(RecordingPorts("ds0"), cluster)
         assert ds._rs_targets(b"g" * 16) == ("rs0",)
 
     def test_replica_set_comes_from_the_ring(self):
@@ -298,7 +303,7 @@ class TestRsTargets:
             ds_names=["ds0"], rs_names=["rs0", "rs1", "rs2"], rs_replication=2
         )
         ports = RecordingPorts("ds0")
-        ds = DisseminationServer(ports, "rs0", cluster=cluster)
+        ds = DisseminationServer(ports, cluster)
         guid = b"\x07" * 16
         assert ds._rs_targets(guid) == cluster.rs_replicas(guid)
         assert len(set(ds._rs_targets(guid))) == 2
@@ -350,14 +355,14 @@ class TestDelegatedMatching:
         is registered or recovered — not at the first matched publication."""
         engine = MemoryEngine()
         options = dict(group=group, vector_length=4, match_workers=0, store=engine)
-        ds = DisseminationServer(RecordingPorts("ds"), "rs", **options)
+        ds = DisseminationServer(RecordingPorts("ds"), _one_node(), **options)
         assert ds._match_pool is None
         ds.register_token("alice", tokens["hit"])
         assert ds._match_pool is not None
         ds.crash()
         assert ds._match_pool is None and ds.registered_tokens == []
 
-        reborn = DisseminationServer(RecordingPorts("ds"), "rs", **options)
+        reborn = DisseminationServer(RecordingPorts("ds"), _one_node(), **options)
         assert reborn._match_pool is None  # nothing recovered yet: memory is not durable
         assert reborn.recover_registrations() == 1
         assert reborn._match_pool is not None
@@ -417,7 +422,7 @@ class TestDelegatedMatching:
             engine.put(NS_TOKENS, b"k%d" % index, encode_token("mallory", token))
         engine.put(NS_TOKENS, b"honest", encode_token("alice", tokens["hit"]))
         ds = DisseminationServer(
-            RecordingPorts("ds"), "rs", group=group, vector_length=4, store=engine
+            RecordingPorts("ds"), _one_node(), group=group, vector_length=4, store=engine
         )
         try:
             assert ds.recover_registrations() == 1
@@ -448,7 +453,7 @@ class TestRegistryRoundTrip:
         assert len(engine.items(NS_TOKENS)) == 1
         assert len(engine.items(NS_SUBS)) == 1
 
-        reborn = DisseminationServer(RecordingPorts("ds"), "rs", store=engine)
+        reborn = DisseminationServer(RecordingPorts("ds"), _one_node(), store=engine)
         assert reborn.registered_tokens == [] and reborn.recovered_registrations == 0
         assert reborn.recover_registrations() == 2
         assert reborn.registered_tokens == [("alice", b"t1")]
@@ -762,7 +767,7 @@ class TestSubscriberRetrieval:
         )
         credentials = ara.register_subscriber(f"alice-{len(ara._registered)}", {"org"})
         directory = SimpleNamespace(
-            anonymizer_name="anon", cluster=cluster, rs_name="rs0", rs_public_key=None
+            anonymizer_name="anon", cluster=cluster
         )
         ports = RecordingPorts("alice", net)
         alice = SubscriberProtocol(

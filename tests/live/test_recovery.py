@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import ClusterMap
 from repro.core.system import P3SSystem
 from repro.errors import StorageError
 from repro.live.deployment import LiveDeployment
@@ -40,7 +41,7 @@ class TestRecoveredRegistrationsWarmPool:
 
         ds = LiveDisseminationServer(
             LiveRpcEndpoint("ds", AddressBook()),
-            "rs",
+            ClusterMap(["ds"], ["rs"]),
             group=group,
             vector_length=4,
             match_workers=1,
@@ -60,7 +61,7 @@ class TestRecoveredRegistrationsWarmPool:
         WalEngine(path).close()  # durable but empty store
         ds = LiveDisseminationServer(
             LiveRpcEndpoint("ds", AddressBook()),
-            "rs",
+            ClusterMap(["ds"], ["rs"]),
             group=group,
             match_workers=1,
             store=WalEngine(path),

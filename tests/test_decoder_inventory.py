@@ -28,6 +28,7 @@ EXPLICIT = {
     "pbe/schema.py:MetadataSchema.from_json",
     "obs/prof/model.py:Profile.from_dict",
     "live/channel.py:accept_channel",
+    "perf/bench.py:load_bench_file",
 }
 
 # "<path under src/repro>:<qualified name>" -> why no hostile-bytes test names it
