@@ -25,9 +25,9 @@ accelerate, and this module is the policy/observation surface over both:
   *or a CP-ABE secret key*, paired against a stream of ciphertexts) pays
   its line-function setup — the whole walk of ``T`` — once.  ~4x per
   token×ciphertext evaluation at TOY parameters; see
-  ``benchmarks/bench_match_fanout.py``.  The lines themselves are kept by
-  their consumers, per instance and LRU-bounded (``HVE._token_pre``,
-  ``CPABE._key_lines``): they are token / key material.
+  ``benchmarks/bench_match_fanout.py``.  The lines themselves are token /
+  key material: a token owns its own (``HVEToken.lines``), and a client's
+  ``CPABE`` keeps its keys' in an LRU (``CPABE._key_lines``).
 
 A comb table lives with whoever owns its base.  An ``HVEPublicKey``
 carries the tables of its own 2·Σ|Σ_i| points (``HVEPublicKey.tables``;
@@ -36,7 +36,7 @@ most, freed with the key, never serialized; 16 entries a row, 34 rows at
 ``PAPER``.  Every other base
 (``g``, CP-ABE, PKE and signing keys, the GT bases: a dozen or so on any
 workload) is served by value from one process-global, LRU-bounded cache
-(workers of a :class:`repro.par.MatchPool` each warm their own copy).
+(each worker process of a :class:`repro.par.MatchPool` warms its own copy).
 Both precomputed paths are bit-identical to the naive ones — enforced by
 ``tests/par/test_equivalence.py`` and the golden vectors in
 ``tests/crypto/vectors/``.

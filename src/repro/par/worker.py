@@ -1,86 +1,74 @@
-"""Worker-side evaluation for :class:`repro.par.MatchPool`.
-
-Every function here is module-level so it pickles by reference into
-:mod:`multiprocessing` workers.  A worker holds one process-global
-:class:`_WorkerState` — the pairing group, an :class:`~repro.pbe.hve.HVE`
-instance (whose per-token Miller-precomputation cache persists across
-chunks, so a subscription token matched against a stream of publications
-pays its line-function setup once per worker), and a digest-keyed
-deserialization cache for token bytes.
-
-The serial fallback in :mod:`repro.par.pool` drives the *same* state
-class in-process, so parallel and serial paths share one code path for
-the actual crypto — result equivalence is structural, not accidental.
+"""One token partition of a :class:`repro.par.MatchPool`: distinct tokens
+by their bytes, each decoded once and kept with the Miller lines it owns
+(:attr:`repro.pbe.hve.HVEToken.lines`).  The pool reaches an in-process
+partition and a worker process's (:func:`serve`) through the same
+``send``/``recv``, so serial and parallel results agree by construction.
 """
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
-
 from ..crypto.group import PairingGroup
 from ..crypto.params import TypeAParams
+from ..errors import ParameterError
 from ..pbe.hve import HVE, HVEToken
 from ..pbe.serialize import deserialize_hve_ciphertext, deserialize_hve_token
 
-__all__ = ["params_to_wire", "init_worker", "match_chunk", "WorkerState"]
-
-_TOKEN_CACHE_SIZE = 512
+__all__ = ["Partition", "serve"]
 
 
-def params_to_wire(params: TypeAParams) -> tuple:
-    """A picklable description of a parameter set (survives spawn starts,
-    where workers cannot inherit live objects)."""
-    return (params.name, params.r, params.h, params.q, params.gx, params.gy)
+class Partition:
+    def __init__(self, params: TypeAParams):
+        self.group = PairingGroup(params)
+        # one evaluation a (token, publication): a memo would never hit
+        self.hve = HVE(self.group, match_cache_size=0)
+        self.tokens: dict[bytes, HVEToken] = {}
 
-
-def _params_from_wire(wire: tuple) -> TypeAParams:
-    name, r, h, q, gx, gy = wire
-    return TypeAParams(name=name, r=r, h=h, q=q, gx=gx, gy=gy)
-
-
-class WorkerState:
-    """Per-process crypto state: group, HVE, token-deserialization cache."""
-
-    def __init__(self, params_wire: tuple):
-        self.group = PairingGroup(_params_from_wire(params_wire))
-        self.hve = HVE(self.group)
-        self._tokens: OrderedDict[bytes, HVEToken] = OrderedDict()
-
-    def token(self, token_bytes: bytes) -> HVEToken:
-        digest = hashlib.sha256(token_bytes).digest()
-        cached = self._tokens.get(digest)
-        if cached is not None:
-            self._tokens.move_to_end(digest)
-            return cached
-        token = deserialize_hve_token(self.group, token_bytes)
-        self._tokens[digest] = token
-        while len(self._tokens) > _TOKEN_CACHE_SIZE:
-            self._tokens.popitem(last=False)
-        return token
-
-    def match_chunk(
-        self, ciphertext_bytes: bytes, indexed_tokens: list[tuple[int, bytes]]
-    ) -> list[tuple[int, bytes | None]]:
-        """Evaluate one chunk; returns the indexed results."""
+    def apply(self, added: list, dropped: list, ciphertext_bytes: bytes) -> dict[bytes, bytes]:
+        """Take ``added``, let ``dropped`` go, and match every held token:
+        ``{token bytes: payload}`` of the matches.  Whatever raises does so
+        before the holdings change, so the pool's record of them holds."""
         ciphertext = deserialize_hve_ciphertext(self.group, ciphertext_bytes)
-        return [
-            (index, self.hve.query(self.token(token_bytes), ciphertext))
-            for index, token_bytes in indexed_tokens
-        ]
+        fresh = {data: deserialize_hve_token(self.group, data) for data in added}
+        if any(token.n != ciphertext.n for token in (*self.tokens.values(), *fresh.values())):
+            raise ParameterError("token and ciphertext vector lengths differ")
+        for data in dropped:
+            del self.tokens[data]
+        self.tokens.update(fresh)
+        matched = {}
+        for data, token in self.tokens.items():
+            payload = self.hve.query(token, ciphertext)
+            if payload is not None:
+                matched[data] = payload
+        return matched
+
+    def answer(self, request: tuple):
+        """:meth:`apply`'s result, or the exception it raised (handed back
+        over the pipe, and raised by the pool)."""
+        try:
+            return self.apply(*request)
+        except Exception as exc:
+            return exc
+
+    # the in-process partition is reached as a worker's pipe is
+    def send(self, request: tuple) -> None:
+        self._reply = self.answer(request)
+
+    def recv(self):
+        return self._reply
+
+    def alive(self) -> bool:
+        return True
+
+    def close(self) -> None:
+        self.tokens.clear()
 
 
-_state: WorkerState | None = None
-
-
-def init_worker(params_wire: tuple) -> None:
-    """Pool initializer: build the process-global :class:`WorkerState`."""
-    global _state
-    _state = WorkerState(params_wire)
-
-
-def match_chunk(job: tuple[bytes, list[tuple[int, bytes]]]):
-    """Pool task: ``(ciphertext_bytes, [(index, token_bytes), ...])``."""
-    assert _state is not None, "worker used before init_worker ran"
-    ciphertext_bytes, indexed_tokens = job
-    return _state.match_chunk(ciphertext_bytes, indexed_tokens)
+def serve(connection, params: TypeAParams) -> None:
+    """A worker process: answer requests until the pool hangs up."""
+    partition = Partition(params)
+    while True:
+        try:
+            request = connection.recv()
+        except EOFError:
+            return
+        connection.send(partition.answer(request))

@@ -68,8 +68,8 @@ class HVEPublicKey:
     ``t[i][σ]``, ``v[i][σ]`` are the bases ``T_{i,σ}``, ``V_{i,σ}``.
     ``tables`` holds the comb tables of this key's own 2·Σ|Σ_i| bases, each
     built on the base's first use (:mod:`repro.crypto.comb`) — key
-    material, as a token's Miller lines are (``HVE._token_pre``): freed with
-    the key, never compared, hashed or pickled (a copy starts with none).
+    material, as a token's Miller lines are (:attr:`HVEToken.lines`): freed
+    with the key, never compared, hashed or pickled (a copy starts with none).
     """
 
     alphabet: tuple[int, ...]
@@ -112,11 +112,21 @@ class HVEToken:
     pair ``(Y_i, L_i)`` for ``positions[i]``.  The interest vector itself
     is *not* stored — tokens do not reveal it directly (though see the
     token-security caveat in the module docstring).
+
+    ``lines`` holds the Miller lines of every component, built on the
+    token's first query: a token matched against a stream of ciphertexts
+    pays that setup once, for as long as it lives, with no cache to fall
+    out of.  Like a key's comb tables they are never compared, hashed or
+    pickled (a copy starts with none).
     """
 
     n: int
     positions: tuple[int, ...]
     components: tuple[tuple[Point, Point], ...]
+    lines: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        return HVEToken, (self.n, self.positions, self.components)
 
 
 @dataclass(frozen=True)
@@ -141,25 +151,17 @@ class HVE:
             pairings at all.  ``0`` disables the memo.
     """
 
-    _TOKEN_CACHE_SIZE = 128
-
     def __init__(self, group: PairingGroup, match_cache_size: int = 256):
         self.group = group
-        self._token_pre: OrderedDict[HVEToken, list] = OrderedDict()
         self._match_cache_size = match_cache_size
         self._match_memo: OrderedDict[tuple[HVEToken, HVECiphertext], bytes | None] = (
             OrderedDict()
         )
 
-    def clear_caches(self) -> None:
-        """Drop the token-precomputation and match memo caches."""
-        self._token_pre.clear()
-        self._match_memo.clear()
-
     def clear_match_memo(self) -> None:
-        """Drop only the (token, ciphertext) result memo.
+        """Drop the (token, ciphertext) result memo.
 
-        Token precomputations survive — this is how benchmarks measure
+        Tokens keep their Miller lines — this is how benchmarks measure
         the warm per-evaluation cost without memo hits short-circuiting
         repeated identical queries."""
         self._match_memo.clear()
@@ -262,11 +264,11 @@ class HVE:
         The pairing product is evaluated with a shared final
         exponentiation (:meth:`PairingGroup.multi_pair`) — the ablation
         bench ``bench_ablation_multipairing`` quantifies the saving — over
-        the token's Miller lines, computed on its first query and cached:
-        a subscription matched against a stream of ciphertexts pays the
-        setup once (~3.7x cheaper per ciphertext after).  The result is
-        bit-identical to the textbook multi-pairing
-        (``tests/pbe/reference.py``).
+        the token's Miller lines, computed on its first query and kept by
+        the token (:attr:`HVEToken.lines`): a subscription matched against
+        a stream of ciphertexts pays the setup once (~3.7x cheaper per
+        ciphertext after).  The result is bit-identical to the textbook
+        multi-pairing (``tests/pbe/reference.py``).
 
         ``Query`` is deterministic, so the result is memoised: evaluating
         the same (token, ciphertext) pair again — the ``matches()`` probe
@@ -306,22 +308,17 @@ class HVE:
 
     # -- internals ---------------------------------------------------------------------
 
-    def _token_precomputation(self, token: HVEToken) -> list:
-        """Per-component Miller lines for ``token``, cached LRU."""
-        cache = self._token_pre
-        entry = cache.get(token)
-        if entry is not None:
-            cache.move_to_end(token)
-            return entry
-        group = self.group
-        entry = [
-            (group.precompute_pairing(y_i), group.precompute_pairing(l_i))
-            for y_i, l_i in token.components
-        ]
-        cache[token] = entry
-        while len(cache) > self._TOKEN_CACHE_SIZE:
-            cache.popitem(last=False)
-        return entry
+    def _token_lines(self, token: HVEToken) -> tuple:
+        """Per-component Miller lines for ``token``, built on first use."""
+        lines = token.lines
+        if lines is None:
+            group = self.group
+            lines = tuple(
+                (group.precompute_pairing(y_i), group.precompute_pairing(l_i))
+                for y_i, l_i in token.components
+            )
+            object.__setattr__(token, "lines", lines)
+        return lines
 
     def _query_key(self, token: HVEToken, ciphertext: HVECiphertext) -> bytes:
         if token.n != ciphertext.n:
@@ -330,9 +327,7 @@ class HVE:
         # token's precomputed lines as the Miller argument — same GT
         # element, bit for bit, as ê(X_i, Y_i)·ê(W_i, L_i).
         entries = []
-        for i, (pre_y, pre_l) in zip(
-            token.positions, self._token_precomputation(token)
-        ):
+        for i, (pre_y, pre_l) in zip(token.positions, self._token_lines(token)):
             entries.append((pre_y, ciphertext.x_components[i]))
             entries.append((pre_l, ciphertext.w_components[i]))
         z = self.group.multi_pair_precomputed(entries)

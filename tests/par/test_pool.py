@@ -1,7 +1,7 @@
 """MatchPool: serial/parallel equivalence, ordering, lifecycle, metrics.
 
-The parallel jobs are real process-pool dispatches; on a single-core
-machine they still exercise chunking, reassembly and determinism.
+The parallel partitions are real worker processes; on a single-core
+machine they still exercise reconciliation, reassembly and determinism.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ EXPECTED_MATCH_INDICES = [0, 2, 4, 6]
 def test_serial_match_results(fixture_data):
     group, ct_bytes, tokens = fixture_data
     with MatchPool(group, workers=0) as pool:
-        assert not pool.parallel
+        assert len(pool.partitions) == 1
         results = pool.match(ct_bytes, tokens)
     assert len(results) == len(tokens)
     assert [i for i, r in enumerate(results) if r is not None] == EXPECTED_MATCH_INDICES
@@ -62,23 +62,20 @@ def test_parallel_identical_and_identically_ordered(fixture_data):
     group, ct_bytes, tokens = fixture_data
     with MatchPool(group, workers=0) as serial:
         expected = serial.match(ct_bytes, tokens)
-    # 7 tokens, at most two chunks per worker: 2+2+2+1 either way;
-    # reassembly is by token index whatever order the chunks finish in
+    # reassembly is by token bytes, whatever partition holds a token
     for workers in (2, 3):
-        obs = Observability()
-        with obs.installed(), MatchPool(group, workers=workers) as pool:
-            assert pool.parallel
+        with MatchPool(group, workers=workers) as pool:
+            assert len(pool.partitions) == workers
             assert pool.match(ct_bytes, tokens) == expected
-        assert obs.metrics.counter_total("op.par.chunk") == 4
 
 
-def test_parallel_chunk_size_one(fixture_data):
-    # fewer tokens than two per worker: every chunk is a single token
+def test_partitions_share_tokens_evenly(fixture_data):
+    # 7 distinct tokens on 4 partitions: 2+2+2+1, each token in one of them
     group, ct_bytes, tokens = fixture_data
-    obs = Observability()
-    with obs.installed(), MatchPool(group, workers=4) as pool:
+    with MatchPool(group, workers=4) as pool:
         results = pool.match(ct_bytes, tokens)
-    assert obs.metrics.counter_total("op.par.chunk") == len(tokens)
+        loads = sorted(list(pool._home.values()).count(i) for i in range(4))
+    assert loads == [1, 2, 2, 2]
     assert [i for i, r in enumerate(results) if r is not None] == EXPECTED_MATCH_INDICES
 
 

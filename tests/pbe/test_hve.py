@@ -1,6 +1,7 @@
 """IP08 HVE: match semantics, wildcards, collusion, serialization."""
 
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,10 +145,34 @@ class TestIsolationAndCollusion:
         ct = encrypt([1, 0, 1, 1, 0, 0])
         assert SCHEME.query(truncated, ct) is None
 
+    def test_one_position_token_is_deterministic(self):
+        """A one-position token's single share is y₀ itself, so equal
+        one-attribute interests give byte-equal tokens (docs/PROTOCOL.md:
+        under delegated matching the DS sees that equality); with two
+        positions the sharing is fresh each time."""
+        one = [None, 1, None, None, None, None]
+        two = [None, 1, 0, None, None, None]
+        assert serialize_hve_token(GROUP, token(one)) == serialize_hve_token(GROUP, token(one))
+        assert serialize_hve_token(GROUP, token(two)) != serialize_hve_token(GROUP, token(two))
+
     def test_two_mismatched_tokens_stay_mismatched(self):
         ct = encrypt([1, 1, 1, 1, 1, 1])
         assert SCHEME.query(token([0, None, None, None, None, None]), ct) is None
         assert SCHEME.query(token([None, 0, None, None, None, None]), ct) is None
+
+
+class TestTokenLines:
+    def test_a_token_keeps_its_lines_and_a_copy_starts_without(self):
+        held = token([1, 0, None, None, None, None])
+        assert held.lines is None
+        assert SCHEME.query(held, encrypt([1, 0, 1, 1, 0, 0])) == GUID
+        lines = held.lines
+        assert len(lines) == 2  # one (Y_i, L_i) pair a position
+        assert SCHEME.query(held, encrypt([1, 0, 0, 0, 0, 0])) == GUID
+        assert held.lines is lines  # built once, kept by the token
+        for copy in (pickle.loads(pickle.dumps(held)), dataclasses.replace(held)):
+            assert copy == held and hash(copy) == hash(held)
+            assert copy.lines is None
 
 
 class TestHVESerialization:

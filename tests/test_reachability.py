@@ -40,10 +40,8 @@ INSTRUMENTS = {
     "duplicate_dispatch": "chaos/proxy: deliver one live frame twice (dedup tests)",
     # obs: how an assertion reads what a run recorded
     "counter_value": "MetricsRegistry: one labelled counter, in op-count assertions",
-    "counter_total": "MetricsRegistry/TelemetryAggregator: one counter summed over its labels",
     "empty": "MetricsRegistry: 'nothing was recorded' (disabled/uninstalled observability)",
     "find": "Tracer: the spans of one name, in propagation assertions",
-    "installed": "Observability: scoped install so a test cannot leak its sink into the next",
     # crypto: predicates and sizes the property tests are written in
     "is_one": "Fq2: identity predicate of the field/pairing property tests",
     "is_zero": "Fq2: zero predicate of the field property tests",
