@@ -25,13 +25,13 @@ key tables built, the warm-up encryptions' time, and the p50 of each
 measured phase.  ``python benchmarks/bench_hve_alphabet.py [WORKLOAD
 SEED]`` prints the records, and the replay when given a workload.
 
-A record is the median of five reads.  ``P3S_PR33_RUNS`` names a directory
+A record is the median of five reads.  ``$P3S_BENCH_RUNS/hve_alphabet`` names a directory
 holding ``e2e/[<label>-]<workload>-<seed>.jsonl``: one line per
 ``benchmarks/e2e/run.py --workload … --seed …`` run of the alternating
 parent/change pairs, ``{"side", "pair", "result": <the harness's last
 stdout line>}`` (``traced-…``: ``--trace 1``).  The records are measured
 and their ceilings asserted on every run; ``BENCH_pr33.json`` is written
-only with ``P3S_PR33_RUNS`` and ``P3S_WRITE_BENCH=1``.
+only with ``$P3S_BENCH_RUNS/hve_alphabet`` and ``P3S_WRITE_BENCH=1``.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ import statistics
 import sys
 import time
 
-from bench_publisher_floor import e2e_reads
-from conftest import BenchRecord
+from conftest import BenchRecord, e2e_reads
 
 from repro.core.config import default_schema
 from repro.crypto.group import PairingGroup
@@ -146,7 +145,7 @@ def replay(workload: str, seed: int) -> dict[str, dict[str, float]]:
     return out
 
 
-def test_hve_alphabet_records(capsys, bench_writer):
+def test_hve_alphabet_records(capsys, bench_writer, bench_runs):
     reads: dict[str, list[float]] = {}
     for _ in range(READS):
         for name, read in measure().items():
@@ -169,7 +168,7 @@ def test_hve_alphabet_records(capsys, bench_writer):
 
     assert all(value[name] <= ceiling for name, ceiling in CEILING.items())
     assert all(value[name + ".bit"] > ceiling for name, ceiling in CEILING.items())
-    runs = os.environ.get("P3S_PR33_RUNS")
+    runs = bench_runs("hve_alphabet")
     if runs:
         bench_writer(
             "BENCH_pr33.json",

@@ -21,7 +21,7 @@ both under ``repro perf gate --smoke``:
 ``repro`` is on the path — how the parent's were read.  A record is the
 median of five reads.  The end-to-end evidence rides in
 ``workload.e2e_reads`` in the PR 20 shape
-(``bench_publisher_floor.e2e_reads``).  ``P3S_PR24_RUNS`` names a
+(``conftest.e2e_reads``).  ``$P3S_BENCH_RUNS/key_tables`` names a
 directory holding
 
 * ``parent.json`` — ``{name: [reads]}`` of this file's output over the
@@ -34,7 +34,7 @@ directory holding
   ``workloads.py`` with ``match_workers = 0``).
 
 The records are measured and their ceilings asserted on every run;
-``BENCH_pr24.json`` is written only with ``P3S_PR24_RUNS`` and
+``BENCH_pr24.json`` is written only with ``$P3S_BENCH_RUNS/key_tables`` and
 ``P3S_WRITE_BENCH=1``.
 """
 
@@ -46,8 +46,7 @@ import random
 import statistics
 import time
 
-from bench_publisher_floor import e2e_reads
-from conftest import BenchRecord
+from conftest import BenchRecord, e2e_reads
 
 BUILDS = "key_tables.TOY.builds_per_encrypt_varying"
 RATIO = "key_tables.TOY.encrypt_varying_over_constant"
@@ -94,12 +93,12 @@ def measure() -> dict[str, float]:
     return {BUILDS: len(builds) / ENCRYPTIONS, RATIO: statistics.median(ratios)}
 
 
-def test_key_tables_records(capsys, bench_writer):
+def test_key_tables_records(capsys, bench_writer, bench_runs):
     reads = {name: [] for name in (BUILDS, RATIO)}
     for _ in range(READS):
         for name, read in measure().items():
             reads[name].append(read)
-    runs = os.environ.get("P3S_PR24_RUNS")
+    runs = bench_runs("key_tables")
     if runs:
         with open(os.path.join(runs, "parent.json")) as handle:  # {name: [its reads]}
             reads.update({name + ".parent": values for name, values in json.load(handle).items()})

@@ -21,7 +21,7 @@ all under ``repro perf gate --smoke``:
 
 ``python benchmarks/bench_miller_lines.py`` prints the three over
 whichever ``repro`` is on the path — how the parent's were read.  A record
-is the median of five reads.  ``P3S_PR29_RUNS`` names a directory holding
+is the median of five reads.  ``$P3S_BENCH_RUNS/miller_lines`` names a directory holding
 
 * ``parent.json`` — ``{name: [reads]}`` of this file's output over the
   parent's ``src``;
@@ -33,7 +33,7 @@ is the median of five reads.  ``P3S_PR29_RUNS`` names a directory holding
   (``traced-…``: ``--trace 1``, for the per-layer attribution).
 
 The records are measured and their ceilings asserted on every run;
-``BENCH_pr29.json`` is written only with ``P3S_PR29_RUNS`` and
+``BENCH_pr29.json`` is written only with ``$P3S_BENCH_RUNS/miller_lines`` and
 ``P3S_WRITE_BENCH=1``.
 """
 
@@ -47,8 +47,7 @@ import statistics
 import time
 import tracemalloc
 
-from bench_publisher_floor import e2e_reads
-from conftest import BenchRecord
+from conftest import BenchRecord, e2e_reads
 
 LINES = "miller_lines.PAPER.lines_per_pair"
 KIB = "miller_lines.PAPER.line_kib_per_point"
@@ -98,12 +97,12 @@ def measure() -> dict[str, float]:
     }
 
 
-def test_miller_lines_records(capsys, bench_writer):
+def test_miller_lines_records(capsys, bench_writer, bench_runs):
     reads = {name: [] for name in CEILING}
     for _ in range(READS):
         for name, read in measure().items():
             reads[name].append(read)
-    runs = os.environ.get("P3S_PR29_RUNS")
+    runs = bench_runs("miller_lines")
     ablation = {}
     if runs:
         with open(os.path.join(runs, "parent.json")) as handle:  # {name: [its reads]}

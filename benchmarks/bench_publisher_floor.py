@@ -3,7 +3,7 @@ build cost on the parent commit and on this one — ``BENCH_pr20.json``.
 
 Two commits cannot be timed from one tree, so the test below measures
 nothing itself: it turns the reads of one sitting (same box, same hour, sides
-alternating) into records.  ``P3S_PR20_RUNS`` names a directory holding,
+alternating) into records.  ``$P3S_BENCH_RUNS/publisher_floor`` names a directory holding,
 for ``side`` in ``parent``/``change`` and each round ``N``:
 
 * ``<side>-N/result-sim-paper-trace.json`` — that commit's
@@ -27,7 +27,7 @@ parent's.  One ratio is machine-independent and carries a ceiling that
 ``repro perf gate --smoke`` checks: ``hve.encrypt_ms`` over 2n = 80
 single comb multiplications (``curve.fixed_base_mul_ms``) at ``PAPER`` —
 ≥ 1 while every multiplication pays its own inversion, ≈ 0.7 in
-lock-step.  Without ``P3S_PR20_RUNS`` the bench skips;
+lock-step.  Without ``$P3S_BENCH_RUNS/publisher_floor`` the bench skips;
 ``P3S_WRITE_BENCH=1`` writes the file.
 """
 
@@ -40,7 +40,7 @@ import statistics
 import time
 
 import pytest
-from conftest import BenchRecord
+from conftest import BenchRecord, e2e_reads
 
 RUNGS = ("hve.encrypt_ms", "curve.fixed_base_mul_ms", "curve.scalar_mul_ms")
 RATIO = "ladder.PAPER.hve.encrypt_over_fixed_base_mul"
@@ -84,24 +84,10 @@ def _reads(runs: str) -> dict[str, list[float]]:
     return reads
 
 
-def e2e_reads(runs: str) -> dict[str, dict[str, dict[str, list[float]]]]:
-    """``{"<workload>-<seed>": {side: {metric: [value of pair 1, 2, …]}}}``."""
-    out: dict[str, dict[str, dict[str, list[float]]]] = {}
-    for path in sorted(glob.glob(os.path.join(runs, "e2e", "*.jsonl"))):
-        with open(path) as handle:
-            rows = sorted((json.loads(line) for line in handle), key=lambda row: row["pair"])
-        sides = out[os.path.basename(path)[: -len(".jsonl")]] = {}
-        for row in rows:
-            assert row["result"]["correct"] and not row["result"]["failed"], (path, row)
-            for metric, entry in row["result"]["metrics"].items():
-                sides.setdefault(row["side"], {}).setdefault(metric, []).append(entry["value"])
-    return out
-
-
-def test_publisher_floor_records(capsys, bench_writer):
-    runs = os.environ.get("P3S_PR20_RUNS")
+def test_publisher_floor_records(capsys, bench_writer, bench_runs):
+    runs = bench_runs("publisher_floor")
     if not runs:
-        pytest.skip("P3S_PR20_RUNS names no directory of parent/change runs")
+        pytest.skip("P3S_BENCH_RUNS holds no publisher_floor/ directory of parent/change runs")
     reads = _reads(runs)
     value = {name: statistics.median(samples) for name, samples in reads.items()}
     records = [BenchRecord(name, value[name], "ms", direction="lower") for name in sorted(value)]

@@ -20,7 +20,7 @@ negative digit is a conjugated element).  Two records, both under
 
 ``python benchmarks/bench_signed_comb.py`` prints both over whichever
 ``repro`` is on the path — how the parent's were read.  A record is the
-median of five reads.  ``P3S_PR28_RUNS`` names a directory holding
+median of five reads.  ``$P3S_BENCH_RUNS/signed_comb`` names a directory holding
 
 * ``parent.json`` — ``{name: [reads]}`` of this file's output over the
   parent's ``src``;
@@ -33,7 +33,7 @@ median of five reads.  ``P3S_PR28_RUNS`` names a directory holding
   another run).
 
 The records are measured and their ceilings asserted on every run;
-``BENCH_pr28.json`` is written only with ``P3S_PR28_RUNS`` and
+``BENCH_pr28.json`` is written only with ``$P3S_BENCH_RUNS/signed_comb`` and
 ``P3S_WRITE_BENCH=1``.
 """
 
@@ -45,8 +45,7 @@ import random
 import statistics
 import time
 
-from bench_publisher_floor import e2e_reads
-from conftest import BenchRecord
+from conftest import BenchRecord, e2e_reads
 
 STEPS = "signed_comb.PAPER.steps_per_encrypt"
 RATIO = "signed_comb.PAPER.gt_exp_over_fq2_mul"
@@ -94,12 +93,12 @@ def measure() -> dict[str, float]:
     return {STEPS: float(len(steps)), RATIO: statistics.median(powers) / statistics.median(products)}
 
 
-def test_signed_comb_records(capsys, bench_writer):
+def test_signed_comb_records(capsys, bench_writer, bench_runs):
     reads = {name: [] for name in (STEPS, RATIO)}
     for _ in range(READS):
         for name, read in measure().items():
             reads[name].append(read)
-    runs = os.environ.get("P3S_PR28_RUNS")
+    runs = bench_runs("signed_comb")
     if runs:
         with open(os.path.join(runs, "parent.json")) as handle:  # {name: [its reads]}
             reads.update({name + ".parent": values for name, values in json.load(handle).items()})

@@ -16,12 +16,16 @@ Environment knobs:
   prototype constants).
 * ``P3S_WRITE_BENCH=1`` — write the ``BENCH_<x>.json`` a bench names at
   the repo root; unset (the default) leaves the committed record alone.
-* ``P3S_PR20_RUNS`` — the directory of parent/change harness runs
-  ``bench_publisher_floor.py`` turns into records (it skips without it).
-* ``P3S_PR24_RUNS`` — likewise for ``bench_key_tables.py`` (it measures
-  and asserts without it, and writes ``BENCH_pr24.json`` only with it).
+* ``P3S_BENCH_RUNS`` — the root of the parent/change harness runs that
+  the record benches turn into records: ``<root>/<suite>`` for each
+  bench's suite (``publisher_floor``, ``key_tables``, ``signed_comb``,
+  ``miller_lines``, ``hve_alphabet``), handed out by the ``bench_runs``
+  fixture.  Without it ``bench_publisher_floor.py`` skips and the others
+  measure and assert but write no ``BENCH_*.json``.
 """
 
+import glob
+import json
 import os
 import pathlib
 import sys
@@ -32,6 +36,7 @@ from repro.perf.bench import BenchRecord, write_bench
 from repro.perf.calibrate import calibrate
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+BENCH_RUNS = os.environ.get("P3S_BENCH_RUNS")
 # benchmarks/ is not a package; tests/ is, and holds the reference
 # implementations (tests/pbe/reference.py) the benches compare against
 sys.path.insert(0, str(REPO_ROOT))
@@ -58,6 +63,34 @@ def bench_writer():
     """``bench_writer(filename, suite, records, workload=..., seed=...)`` —
     the one way a bench commits numbers (see :func:`write_repo_bench`)."""
     return write_repo_bench
+
+
+@pytest.fixture()
+def bench_runs():
+    """``bench_runs(suite)`` — the directory of ``suite``'s parent/change
+    runs under ``P3S_BENCH_RUNS``, or ``None`` when there is none."""
+
+    def runs(suite: str) -> str | None:
+        if BENCH_RUNS is None:
+            return None
+        directory = os.path.join(BENCH_RUNS, suite)
+        return directory if os.path.isdir(directory) else None
+
+    return runs
+
+
+def e2e_reads(runs: str) -> dict[str, dict[str, dict[str, list[float]]]]:
+    """``{"<workload>-<seed>": {side: {metric: [value of pair 1, 2, …]}}}``."""
+    out: dict[str, dict[str, dict[str, list[float]]]] = {}
+    for path in sorted(glob.glob(os.path.join(runs, "e2e", "*.jsonl"))):
+        with open(path) as handle:
+            rows = sorted((json.loads(line) for line in handle), key=lambda row: row["pair"])
+        sides = out[os.path.basename(path)[: -len(".jsonl")]] = {}
+        for row in rows:
+            assert row["result"]["correct"] and not row["result"]["failed"], (path, row)
+            for metric, entry in row["result"]["metrics"].items():
+                sides.setdefault(row["side"], {}).setdefault(metric, []).append(entry["value"])
+    return out
 
 
 def param_set_name() -> str:

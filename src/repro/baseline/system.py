@@ -109,13 +109,8 @@ class BaselineSystem:
         bandwidth_bps: float = 10_000_000,
         latency_s: float = 0.045,
         timings: ComputeTimings | None = None,
-        obs=None,
     ):
         self.sim = Simulator()
-        self.obs = obs
-        if self.obs is not None:
-            self.obs.bind_clock(lambda: self.sim.now)
-            self.obs.install()
         self.network = Network(self.sim, default_bandwidth_bps=bandwidth_bps, latency_s=latency_s)
         self.timings = timings or ComputeTimings()
         self.broker = BaselineBroker(self.network.add_host("broker"), self.timings)

@@ -27,12 +27,13 @@ __all__ = ["SimFaultInjector"]
 class SimFaultInjector:
     """Evaluate a :class:`FaultSchedule` against live simulator traffic."""
 
-    def __init__(self, schedule: FaultSchedule, sim, epoch: float = 0.0):
+    def __init__(self, schedule: FaultSchedule, sim):
         self.schedule = schedule
         self.sim = sim
-        # fault windows are relative to the arming instant, so the
-        # (fault-free) subscription phase never shifts them
-        self.epoch = epoch
+        # fault windows are relative to the arming instant (time 0 until
+        # arm() moves it), so the fault-free subscription phase never
+        # shifts them
+        self.epoch = 0.0
         self._window_hits = [0] * len(schedule.faults)
         # (fault_index, kind, src, dst) -> times applied
         self.applied: Counter[tuple[int, str, str, str]] = Counter()

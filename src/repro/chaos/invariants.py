@@ -215,19 +215,15 @@ def scan_files_for(root: str, needle: bytes) -> list[str]:
 
 
 def check_durability(
-    committed: Mapping[bytes, bytes],
-    recovered: Mapping[bytes, bytes],
-    expired: Iterable[tuple[bytes, bytes]] = (),
-    store_root: str | None = None,
+    committed: Mapping[bytes, bytes], recovered: Mapping[bytes, bytes]
 ) -> list[InvariantResult]:
-    """Recovered state == committed state; expired ciphertext truly gone.
+    """Recovered state == committed state.
 
     ``committed`` is the key→value map whose writes completed before the
     crash (mirrored at the caller); ``recovered`` is what a fresh engine
-    over the same directory reports.  ``expired`` lists
-    ``(guid, ciphertext)`` pairs that were garbage-collected before the
-    crash — their ciphertext must not be recoverable from any file under
-    ``store_root`` (the verified-deletion guarantee, §4.3 "Deletion").
+    over the same directory reports.  Whether expired ciphertext is gone
+    from every store file (§4.3 "Deletion") is :func:`scan_files_for`'s
+    question.
     """
     results: list[InvariantResult] = []
     lost = sorted(key.hex() for key in committed if key not in recovered)
@@ -257,22 +253,6 @@ def check_durability(
             else f"keys resurrected by recovery: {resurrected}",
         )
     )
-    if store_root is not None:
-        lingering = {
-            guid.hex(): scan_files_for(store_root, ciphertext)
-            for guid, ciphertext in expired
-            if ciphertext and scan_files_for(store_root, ciphertext)
-        }
-        results.append(
-            InvariantResult(
-                "durability",
-                "durability.expired_ciphertext_absent",
-                not lingering,
-                "expired ciphertext found in no store file"
-                if not lingering
-                else f"expired ciphertext still on disk: {lingering}",
-            )
-        )
     return results
 
 

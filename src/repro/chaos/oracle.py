@@ -55,7 +55,6 @@ def generate_scenario(
     seed: int,
     n_subscribers: int = 3,
     n_publications: int = 4,
-    schema: MetadataSchema | None = None,
 ) -> Scenario:
     """A seeded pub/sub episode over :func:`chaos_schema`.
 
@@ -63,7 +62,7 @@ def generate_scenario(
     ``sub*`` pattern relies on the prefix); payloads are unique per
     publication so delivery multisets compare exactly.
     """
-    schema = schema or chaos_schema()
+    schema = chaos_schema()
     rng = random.Random(seed)
     topics = schema.attributes[0].values
     prios = schema.attributes[1].values

@@ -29,33 +29,30 @@ import random
 
 __all__ = ["FaultProxy", "interpose", "duplicate_dispatch"]
 
+# what an armed proxy does: tear every TEAR_EVERY_CONNS-th connection
+# after a seeded 2..TEAR_AFTER_CHUNKS_MAX relayed chunks, and hold every
+# DELAY_EVERY_CHUNKS-th chunk DELAY_S before forwarding it
+TEAR_EVERY_CONNS = 2
+TEAR_AFTER_CHUNKS_MAX = 4
+DELAY_EVERY_CHUNKS = 3
+DELAY_S = 0.02
+# duplicate_dispatch: every DUPLICATE_EVERY-th matching frame twice
+DUPLICATE_EVERY = 2
+
 
 class FaultProxy:
     """A fault-injecting TCP relay in front of one upstream service.
 
     Faults are derived from ``random.Random(seed)`` per accepted
-    connection: every ``tear_every_conns``-th connection (1-based) is
-    torn down abruptly after a seeded number of relayed chunks, and
-    when ``delay_every_chunks`` is set every N-th chunk in either
-    direction is held ``delay_s`` before forwarding.
+    connection: every :data:`TEAR_EVERY_CONNS`-th connection (1-based)
+    is torn down abruptly after a seeded number of relayed chunks, and
+    every :data:`DELAY_EVERY_CHUNKS`-th chunk in either direction is
+    held :data:`DELAY_S` before forwarding.
     """
 
-    def __init__(
-        self,
-        upstream_host: str,
-        upstream_port: int,
-        seed: int = 0,
-        tear_every_conns: int = 0,
-        tear_after_chunks_max: int = 6,
-        delay_every_chunks: int = 0,
-        delay_s: float = 0.05,
-    ):
+    def __init__(self, upstream_host: str, upstream_port: int, seed: int = 0):
         self.upstream_host = upstream_host
         self.upstream_port = upstream_port
-        self.tear_every_conns = tear_every_conns
-        self.tear_after_chunks_max = tear_after_chunks_max
-        self.delay_every_chunks = delay_every_chunks
-        self.delay_s = delay_s
         self.armed = False
         self.connections = 0
         self.chunks_relayed = 0
@@ -89,8 +86,8 @@ class FaultProxy:
         # connection) but only *enforced* while armed — long-lived
         # connections dialed during setup still tear once faults start
         tear_at: int | None = None
-        if self.tear_every_conns and conn_index % self.tear_every_conns == 0:
-            tear_at = self._rng.randint(2, max(2, self.tear_after_chunks_max))
+        if conn_index % TEAR_EVERY_CONNS == 0:
+            tear_at = self._rng.randint(2, TEAR_AFTER_CHUNKS_MAX)
         try:
             up_reader, up_writer = await asyncio.open_connection(
                 self.upstream_host, self.upstream_port
@@ -116,12 +113,9 @@ class FaultProxy:
                             writer.transport.abort()
                             up_writer.transport.abort()
                             return
-                        if (
-                            self.delay_every_chunks
-                            and chunk_count[0] % self.delay_every_chunks == 0
-                        ):
+                        if chunk_count[0] % DELAY_EVERY_CHUNKS == 0:
                             self.delays += 1
-                            await asyncio.sleep(self.delay_s)
+                            await asyncio.sleep(DELAY_S)
                     dst.write(data)
                     await dst.drain()
             except (ConnectionError, asyncio.CancelledError):
@@ -145,12 +139,7 @@ class FaultProxy:
                 pass
 
 
-async def interpose(
-    deployment,
-    names: list[str],
-    seed: int = 0,
-    **fault_kwargs,
-) -> dict[str, "FaultProxy"]:
+async def interpose(deployment, names: list[str], seed: int = 0) -> dict[str, "FaultProxy"]:
     """Put a :class:`FaultProxy` in front of each named live service.
 
     Re-registers each service's address-book entry with the proxy's
@@ -163,15 +152,16 @@ async def interpose(
     proxies: dict[str, FaultProxy] = {}
     for offset, name in enumerate(names):
         entry = deployment.addresses.resolve(name)
-        proxy = FaultProxy(entry.host, entry.port, seed=seed + offset, **fault_kwargs)
+        proxy = FaultProxy(entry.host, entry.port, seed=seed + offset)
         host, port = await proxy.start()
         deployment.addresses.register(name, host, port, entry.service_key)
         proxies[name] = proxy
     return proxies
 
 
-def duplicate_dispatch(endpoint, msg_type: str, every: int = 2) -> None:
-    """Duplicate every ``every``-th inbound ``msg_type`` frame on ``endpoint``.
+def duplicate_dispatch(endpoint, msg_type: str) -> None:
+    """Duplicate every :data:`DUPLICATE_EVERY`-th inbound ``msg_type``
+    frame on ``endpoint``.
 
     Installs a ``dispatch_fanout`` hook re-dispatching the decoded frame
     twice — application-level duplication, injected behind the AEAD
@@ -185,7 +175,7 @@ def duplicate_dispatch(endpoint, msg_type: str, every: int = 2) -> None:
         if message.msg_type != msg_type or message.headers.get("rpc"):
             return 1
         counter[0] += 1
-        if counter[0] % every == 0:
+        if counter[0] % DUPLICATE_EVERY == 0:
             return 2
         return 1
 

@@ -108,9 +108,18 @@ SLO_TICK_S = 0.05
 # (the ticket rule's 2.5s long window) fully drains and every fired
 # alert gets its chance to clear before `alerting.all_cleared` runs.
 SLO_CLEAR_MARGIN_S = 2.6
+# delivery-latency SLO threshold (simulated seconds) for the chaos
+# engine; sits above the fault-free ceiling (base pipeline + one natural
+# retrieve-before-store retry) so only injected faults breach it
+LATENCY_SLO_S = 0.8
+# The retry budget every subscriber is hardened to: the schedule
+# generator keeps loss windows and hit counts inside it.
+RETRIEVAL_RETRIES = 8
+RETRY_DELAY_S = 0.2
+CALL_TIMEOUT_S = 0.6
 
 
-def _slo_report(system, publisher, expected, epoch: float, prof: Profile) -> dict:
+def _slo_report(system, publisher, expected, epoch: float) -> dict:
     """Replay the run's delivery timeline through a chaos SLO engine.
 
     Every event is a deterministic function of simulated time, so the
@@ -128,7 +137,7 @@ def _slo_report(system, publisher, expected, epoch: float, prof: Profile) -> dic
     fault schedule's clock, and the engine is ticked on a fixed grid
     through ``SLO_CLEAR_MARGIN_S`` past the last event.
     """
-    engine = SloEngine(chaos_slos(latency_threshold_s=prof.latency_slo_s))
+    engine = SloEngine(chaos_slos(latency_threshold_s=LATENCY_SLO_S))
     submitted = {
         record.publication_id: record.submitted_at for record in publisher.published
     }
@@ -168,7 +177,6 @@ def run_chaos(
     seed: int,
     profile: str = "default",
     schedule: FaultSchedule | None = None,
-    data_dir: str | None = None,
     mutate=None,
 ) -> ChaosReport:
     """One seeded chaos run; see the module docstring for the phases.
@@ -179,8 +187,7 @@ def run_chaos(
     phase, before the fault window, so mutation tests can break the
     system on purpose (disable retries, disable dedup, taint an
     observation log) and prove the invariants catch it.
-    ``data_dir`` hosts the durable profiles' WAL; a temp directory is
-    used (and removed) when omitted.
+    A durable profile's WAL lives in a temp directory the run removes.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
@@ -192,9 +199,7 @@ def run_chaos(
             seed, prof, [spec.name for spec in scenario.subscribers], scenario.publisher_name
         )
 
-    own_tmp = data_dir is None and prof.durable
-    if own_tmp:
-        data_dir = tempfile.mkdtemp(prefix="p3s-chaos-")
+    data_dir = tempfile.mkdtemp(prefix="p3s-chaos-") if prof.durable else None
     # chaos always publishes reliably: the schedule generator may drop
     # publish frames (pub -> ds is in the retried pool), and the
     # PUBACK/retransmit protocol is what makes that loss recoverable
@@ -220,9 +225,9 @@ def run_chaos(
         def harden(subscriber) -> None:
             # retry hardening: the profile's loss windows stay inside
             # this budget, so delivery deviations are real bugs
-            subscriber.retrieval_retries = prof.retrieval_retries
-            subscriber.retry_delay_s = prof.retry_delay_s
-            subscriber.call_timeout_s = prof.call_timeout_s
+            subscriber.retrieval_retries = RETRIEVAL_RETRIES
+            subscriber.retry_delay_s = RETRY_DELAY_S
+            subscriber.call_timeout_s = CALL_TIMEOUT_S
 
         injector = SimFaultInjector(schedule, system.sim)
 
@@ -251,7 +256,7 @@ def run_chaos(
         invariants += check_liveness(system, expected, actual)
         slo_section = None
         if prof.alerts:
-            slo_section = _slo_report(system, publisher, expected, injector.epoch, prof)
+            slo_section = _slo_report(system, publisher, expected, injector.epoch)
             invariants += check_alerting(
                 slo_section, injector.applied_summary(), schedule.to_dict()
             )
@@ -289,7 +294,7 @@ def run_chaos(
     finally:
         if system is not None:
             system.close()
-        if own_tmp:
+        if data_dir is not None:
             shutil.rmtree(data_dir, ignore_errors=True)
 
 

@@ -119,15 +119,21 @@ class Fault:
         )
 
 
+# What every profile shares.  Fault start times are sampled inside
+# TRAFFIC_WINDOW_S: the simulator's publication burst completes within
+# ~0.3s of the epoch, so windows anchored later would never see a frame.
+TRAFFIC_WINDOW_S = 0.3
+MAX_EXTRA_DELAY_S = 0.6
+MAX_PARTITION_S = 0.9
+# loss stays inside the runner's retry budget (chaos/runner.py), so a
+# passing profile *should* pass — every delivery deviation is then a real
+# bug, not an over-aggressive schedule
+MAX_LOSS_HITS = 2
+
+
 @dataclass(frozen=True)
 class Profile:
-    """Shape parameters for one named schedule generator.
-
-    The retry-budget fields are consumed by the runner (they harden the
-    subscribers); the generator keeps loss windows and hit counts inside
-    that budget so a passing profile *should* pass — every delivery
-    deviation is then a real bug, not an over-aggressive schedule.
-    """
+    """Shape parameters for one named schedule generator."""
 
     name: str
     n_faults: int
@@ -135,17 +141,6 @@ class Profile:
     subscribers: int = 3
     publications: int = 4
     horizon_s: float = 2.5
-    # fault start times are sampled inside this window: the simulator's
-    # publication burst completes within ~0.3s of the epoch, so windows
-    # anchored later would never see a frame
-    traffic_window_s: float = 0.3
-    max_extra_delay_s: float = 0.6
-    max_partition_s: float = 0.9
-    max_loss_hits: int = 2
-    # subscriber hardening applied by the runner
-    retrieval_retries: int = 8
-    retry_delay_s: float = 0.2
-    call_timeout_s: float = 0.6
     # exercise the durability invariant against a WAL-backed RS
     durable: bool = False
     # -- sharded topology (repro.cluster) ---------------------------------
@@ -168,11 +163,6 @@ class Profile:
     # Opt-in per profile because the property-based suites run arbitrary
     # seeds on smoke/default, where alert materiality is not guaranteed.
     alerts: bool = False
-    # delivery-latency SLO threshold (simulated seconds) for the chaos
-    # engine; sits above the fault-free ceiling (base pipeline + one
-    # natural retrieve-before-store retry) so only injected faults
-    # breach it
-    latency_slo_s: float = 0.8
 
 
 PROFILES: dict[str, Profile] = {
@@ -273,10 +263,10 @@ class FaultSchedule:
         faults: list[Fault] = []
         for _ in range(prof.n_faults):
             kind = rng.choice(prof.kinds)
-            start = round(rng.uniform(0.0, prof.traffic_window_s), 3)
+            start = round(rng.uniform(0.0, TRAFFIC_WINDOW_S), 3)
             length = round(rng.uniform(0.3, prof.horizon_s * 0.5), 3)
             if kind == "partition":
-                end = round(start + min(length, prof.max_partition_s), 3)
+                end = round(start + min(length, MAX_PARTITION_S), 3)
                 faults.append(
                     Fault(kind, start, end, node=rng.choice(prof.partition_targets))
                 )
@@ -284,7 +274,7 @@ class FaultSchedule:
             end = round(start + length, 3)
             if kind == "drop":
                 src, dst = rng.choice(retried)
-                count = rng.randint(1, prof.max_loss_hits)
+                count = rng.randint(1, MAX_LOSS_HITS)
                 hits = tuple(sorted(rng.sample(range(1, 5), count)))
                 faults.append(Fault(kind, start, end, src, dst, hits=hits))
             elif kind == "duplicate":
@@ -295,11 +285,11 @@ class FaultSchedule:
             elif kind == "reorder":
                 src, dst = rng.choice(benign)
                 hits = (rng.randint(1, 3),)
-                extra = round(rng.uniform(0.05, prof.max_extra_delay_s), 3)
+                extra = round(rng.uniform(0.05, MAX_EXTRA_DELAY_S), 3)
                 faults.append(Fault(kind, start, end, src, dst, delay_s=extra, hits=hits))
             else:  # delay: every matching frame in the window
                 src, dst = rng.choice(benign)
-                extra = round(rng.uniform(0.02, prof.max_extra_delay_s), 3)
+                extra = round(rng.uniform(0.02, MAX_EXTRA_DELAY_S), 3)
                 faults.append(Fault(kind, start, end, src, dst, delay_s=extra))
         return cls(seed=seed, profile=prof.name, faults=tuple(faults))
 

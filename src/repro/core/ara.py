@@ -180,9 +180,7 @@ class RegistrationAuthority:
             certificate=Certificate.issue(self._signer, pseudonym, "subscriber", cert_not_after),
         )
 
-    def register_publisher(
-        self, name: str, cert_not_after: float | None = None
-    ) -> PublisherCredentials:
+    def register_publisher(self, name: str) -> PublisherCredentials:
         self._check_unregistered(name)
         self._registered[name] = "publisher"
         return PublisherCredentials(
@@ -191,7 +189,7 @@ class RegistrationAuthority:
             directory=self.directory,
             cpabe_public_key=self._cpabe_public,
             hve_public_key=self._hve_public,
-            certificate=Certificate.issue(self._signer, name, "publisher", cert_not_after),
+            certificate=Certificate.issue(self._signer, name, "publisher"),
         )
 
     def _check_unregistered(self, name: str) -> None:

@@ -90,10 +90,6 @@ class P3SConfig:
     # (installed process-wide on system construction), or None: every
     # instrumentation hook stays a no-op
     obs: object | None = None
-    # a repro.obs.prof sampler (StackSampler or DeterministicSampler) to
-    # attach to ``obs`` on system construction — started with the
-    # system, stopped by close().  Requires ``obs``; None: no profiling.
-    profiler: object | None = None
     # -- delegated matching (DS-side pre-filtering; see repro.core.ds) --
     # When True, subscribers register their PBE tokens with the DS, which
     # matches publications against them (via a repro.par.MatchPool) and
@@ -117,11 +113,11 @@ class P3SConfig:
     # WAL records between automatic snapshot+compaction passes
     store_snapshot_every: int = 1024
     # -- horizontal scaling (repro.cluster; see docs/CLUSTER.md) --
-    # Shard counts for the DS and RS tiers.  1/1 (default) is the
-    # classic single-node topology with no cluster machinery at all;
-    # anything larger builds a ClusterMap (consistent-hash rings over
-    # "ds0..", "rs0..") carried in the ServiceDirectory.  Publications
-    # route to the GUID's DS shard; RS items are written to
+    # Shard counts for the DS and RS tiers.  Every deployment routes
+    # through the ClusterMap carried in the ServiceDirectory: 1/1
+    # (default) is a map of one node of each role ("ds", "rs"); anything
+    # larger builds consistent-hash rings over "ds0..", "rs0..".
+    # Publications route to the GUID's DS shard; RS items are written to
     # ``rs_replication`` ring successors and retrieval fails over
     # across them.
     ds_shards: int = 1

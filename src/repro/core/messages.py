@@ -16,6 +16,8 @@ from ..errors import ReproError, SerializationError
 
 # the topic every subscriber consumes and the DS fans metadata out on
 METADATA_TOPIC = "p3s.metadata"
+# the topic a publisher's PUBLISH frames are addressed to
+PUBLISH_TOPIC = "p3s.publish"
 # P3S frame kinds carried in JMS headers / RPC message types
 KIND_METADATA = "p3s.metadata"
 KIND_PAYLOAD = "p3s.payload"

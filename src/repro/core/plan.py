@@ -44,18 +44,10 @@ CORE_SERVICES = (
 
 def install_observability(config: P3SConfig, clock) -> None:
     """Bind ``config.obs`` to the substrate's ``clock`` and make it the
-    process-wide sink of the instrumentation hooks; ``config.profiler``
-    is attached to it and started (the deployment's ``close()`` stops
-    it)."""
-    obs, profiler = config.obs, config.profiler
-    if profiler is not None and obs is None:
-        raise ValueError("P3SConfig(profiler=...) requires obs=Observability()")
-    if obs is not None:
-        obs.bind_clock(clock)
-        if profiler is not None:
-            obs.profiler = profiler
-            profiler.start()
-        obs.install()
+    process-wide sink of the instrumentation hooks."""
+    if config.obs is not None:
+        config.obs.bind_clock(clock)
+        config.obs.install()
 
 
 @dataclass
@@ -184,17 +176,16 @@ class DeploymentPlan:
             reliable_publish=self.config.reliable_publish,
         )
 
-    def subscriber(self, cls, ports, name: str, attributes: set[str], **overrides):
+    def subscriber(self, cls, ports, name: str, attributes: set[str], **options):
         """Register ``name`` with the ARA and build its (unstarted)
-        ``cls`` subscriber over ``ports``.  ``overrides`` are
-        per-subscriber options; one left at None takes the config's
-        value (``delegate_tokens``) or the class default."""
-        options = dict(
+        ``cls`` subscriber over ``ports``; ``options`` are the
+        substrate's per-subscriber ones (``on_payload``, …)."""
+        credentials = self.ara.register_subscriber(name, attributes)
+        return self._client(
+            cls,
+            credentials,
+            ports,
             use_anonymizer=self.config.use_anonymizer,
             delegate_tokens=self.config.delegated_matching,
+            **options,
         )
-        options.update(
-            (key, value) for key, value in overrides.items() if value is not None
-        )
-        credentials = self.ara.register_subscriber(name, attributes)
-        return self._client(cls, credentials, ports, **options)

@@ -35,7 +35,13 @@ from .ara import PublisherCredentials
 from .client import P3SClient
 from .config import ComputeTimings
 from .guid import random_guid
-from .messages import KIND_METADATA, KIND_PAYLOAD, EncryptedMetadata, PayloadSubmission
+from .messages import (
+    KIND_METADATA,
+    KIND_PAYLOAD,
+    PUBLISH_TOPIC,
+    EncryptedMetadata,
+    PayloadSubmission,
+)
 
 __all__ = [
     "Publisher",
@@ -91,10 +97,9 @@ class PublisherProtocol(P3SClient):
         connection: JmsConnection,
         group: PairingGroup,
         timings: ComputeTimings,
-        publish_topic: str = "p3s.publish",
         reliable_publish: bool = False,
     ):
-        super().__init__(credentials, connection, group, timings, publish_topic)
+        super().__init__(credentials, connection, group, timings, PUBLISH_TOPIC)
         # wait for the broker's PUBACK and retransmit on silence (the
         # docs/CHAOS.md publish-path gap, closed).  Opt-in like the
         # subscriber's call_timeout_s: on the simulator the ack timeout

@@ -90,8 +90,9 @@ class GuidDeduper:
     network's duplicate horizon, not the subscriber's lifetime.
     """
 
-    def __init__(self, capacity: int = 4096):
-        self.capacity = capacity
+    CAPACITY = 4096  # GUIDs remembered
+
+    def __init__(self):
         self._seen: set[bytes] = set()
         self._order: deque[bytes] = deque()
 
@@ -101,7 +102,7 @@ class GuidDeduper:
             return True
         self._seen.add(guid)
         self._order.append(guid)
-        if len(self._order) > self.capacity:
+        if len(self._order) > self.CAPACITY:
             self._seen.discard(self._order.popleft())
         return False
 
@@ -155,6 +156,12 @@ class SubscriberProtocol(P3SClient):
     """One P3S subscriber endpoint: subscription, local matching,
     retrieval."""
 
+    # Retrieval retries cover the protocol's inherent race (a fast
+    # matcher can ask before the DS→RS content submission lands) and a
+    # dead RS replica; each waits RETRY_DELAY_S first.
+    RETRIEVAL_RETRIES = 3
+    RETRY_DELAY_S = 0.25
+
     def __init__(
         self,
         credentials: SubscriberCredentials,
@@ -164,24 +171,21 @@ class SubscriberProtocol(P3SClient):
         use_anonymizer: bool = True,
         on_payload: Callable[[Delivery], None] | None = None,
         local_token_source=None,
-        retrieval_retries: int = 3,
-        retry_delay_s: float = 0.25,
-        call_timeout_s: float | None = None,
         delegate_tokens: bool = False,
     ):
         super().__init__(credentials, connection, group, timings, METADATA_TOPIC)
         self.use_anonymizer = use_anonymizer
         self.on_payload = on_payload
         self.local_token_source = local_token_source
-        self.retrieval_retries = retrieval_retries
-        self.retry_delay_s = retry_delay_s
-        # Bound on each anonymized RPC round trip.  None (the default)
-        # is the substrate's own: forever on the simulator — correct on
-        # a lossless network — and the endpoint's deadline on live TCP.
+        self.retrieval_retries = self.RETRIEVAL_RETRIES
+        self.retry_delay_s = self.RETRY_DELAY_S
+        # Bound on each anonymized RPC round trip.  None is the
+        # substrate's own: forever on the simulator — correct on a
+        # lossless network — and the endpoint's deadline on live TCP.
         # Chaos runs set it so a dropped request/response frame surfaces
         # as a TransportError and consumes a retry instead of wedging
         # the retrieval process.
-        self.call_timeout_s = call_timeout_s
+        self.call_timeout_s: float | None = None
         self._dedup: GuidDeduper | None = GuidDeduper()
         # Delegated matching (opt-in, privacy trade-off — see
         # repro.core.ds): hand each minted token to the DS so it can

@@ -148,7 +148,6 @@ class P3SSystem:
         attributes: set[str],
         on_payload=None,
         embedded_token_source: bool = False,
-        delegate_tokens: bool | None = None,
     ) -> Subscriber:
         """Register and connect a subscriber.
 
@@ -156,10 +155,6 @@ class P3SSystem:
         configuration: the ARA provisions PBE master material into the
         subscriber and tokens are minted locally, so the plaintext
         predicate never leaves the subscriber.
-
-        ``delegate_tokens`` (default: the config's ``delegated_matching``)
-        registers this subscriber's tokens with the DS for pre-filtered
-        fan-out — see :mod:`repro.core.ds` for the privacy trade-off.
         """
         token_source = None
         if embedded_token_source:
@@ -174,7 +169,6 @@ class P3SSystem:
             attributes,
             on_payload=on_payload,
             local_token_source=token_source,
-            delegate_tokens=delegate_tokens,
         )
         subscriber.start()
         self.subscribers[name] = subscriber
@@ -207,8 +201,6 @@ class P3SSystem:
 
     def close(self) -> None:
         """Release every shard's pool workers and store handles."""
-        if self.config.profiler is not None:
-            self.config.profiler.stop()
         for ds in self.ds_shards.values():
             ds.close_match_pool()
             ds.store.close()

@@ -12,6 +12,8 @@ import hmac
 
 __all__ = ["hash_bytes", "hash_to_int", "kdf"]
 
+KDF_BYTES = 32  # every derived key is one 256-bit key
+
 
 def hash_bytes(domain: str, *parts: bytes) -> bytes:
     """SHA-256 over length-prefixed parts under a domain-separation label."""
@@ -37,9 +39,11 @@ def hash_to_int(domain: str, modulus: int, *parts: bytes) -> int:
     return int.from_bytes(data, "big") % modulus
 
 
-def kdf(secret: bytes, label: str, length: int = 32, salt: bytes = b"") -> bytes:
-    """HKDF-style extract-and-expand keyed on HMAC-SHA256."""
-    prk = hmac.new(salt or b"\x00" * 32, secret, hashlib.sha256).digest()
+def kdf(secret: bytes, label: str) -> bytes:
+    """HKDF-style extract-and-expand keyed on HMAC-SHA256 (zero salt):
+    :data:`KDF_BYTES` bytes of key for ``label``."""
+    length = KDF_BYTES
+    prk = hmac.new(b"\x00" * 32, secret, hashlib.sha256).digest()
     output = b""
     block = b""
     counter = 1

@@ -46,8 +46,12 @@ _SMALL_PRIMES = (
 )
 
 
-def is_probable_prime(n: int, rounds: int = 40) -> bool:
-    """Miller-Rabin primality test with ``rounds`` random bases."""
+MILLER_RABIN_ROUNDS = 40  # error at most 4^-40 for a composite
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin primality test with :data:`MILLER_RABIN_ROUNDS`
+    random bases."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -61,7 +65,7 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
         d //= 2
         s += 1
     rng = random.Random(0xC0FFEE ^ n)  # deterministic bases: reproducible checks
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):

@@ -167,6 +167,9 @@ class SecureChannel:
             raise TransportError(
                 f"connection to {self.peer_name} lost: {exc}"
             ) from exc
+        except TransportError:
+            self._closed = True  # a bad length: the stream is out of step
+            raise
         (seq,) = struct.unpack_from(">Q", body, 0)
         expected = self._recv_seq
         if seq != expected:
@@ -252,14 +255,16 @@ async def accept_channel(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
     identity: ServerIdentity,
-    timeout: float = HANDSHAKE_TIMEOUT_S,
 ) -> SecureChannel:
     """Run the server side of the handshake on one accepted connection.
 
-    The whole client hello is read under one ``timeout``, and whatever is
-    wrong with it is a :class:`HandshakeError` with the connection closed."""
+    The whole client hello is read under one :data:`HANDSHAKE_TIMEOUT_S`,
+    and whatever is wrong with it is a :class:`HandshakeError` with the
+    connection closed."""
     try:
-        client_name, secret = await asyncio.wait_for(_read_hello(reader, identity), timeout)
+        client_name, secret = await asyncio.wait_for(
+            _read_hello(reader, identity), HANDSHAKE_TIMEOUT_S
+        )
     except (HandshakeError, asyncio.IncompleteReadError, asyncio.TimeoutError, OSError) as exc:
         writer.close()
         if isinstance(exc, HandshakeError):

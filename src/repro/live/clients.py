@@ -41,9 +41,12 @@ class LiveSubscriber(_LiveClient, SubscriberProtocol):
     decrypt pipeline.
     """
 
+    # loopback/LAN round trips, not the simulator's 45 ms WAN: retry
+    # sooner, and more often
+    RETRIEVAL_RETRIES = 10
+    RETRY_DELAY_S = 0.05
+
     def __init__(self, credentials, connection, group, timings, **options):
-        # loopback/LAN round trips, not the simulator's 45 ms WAN
-        options.setdefault("retry_delay_s", 0.05)
         super().__init__(credentials, connection, group, timings, **options)
         self._delivery_event = asyncio.Event()
 

@@ -145,9 +145,6 @@ class LiveDeployment:
         name: str,
         attributes: set[str],
         on_payload=None,
-        delegate_tokens: bool | None = None,
-        retrieval_retries: int = 10,
-        retry_delay_s: float = 0.05,
     ) -> LiveSubscriber:
         subscriber = self.plan.subscriber(
             LiveSubscriber,
@@ -155,9 +152,6 @@ class LiveDeployment:
             name,
             attributes,
             on_payload=on_payload,
-            delegate_tokens=delegate_tokens,
-            retrieval_retries=retrieval_retries,
-            retry_delay_s=retry_delay_s,
         )
         await subscriber.start()
         self.subscribers[name] = subscriber
@@ -165,17 +159,17 @@ class LiveDeployment:
 
     # -- telemetry --------------------------------------------------------------
 
-    def telemetry_client(self, name: str = "telemetry") -> TelemetryClient:
+    def telemetry_client(self) -> TelemetryClient:
         """The operator's poller over every third party's telemetry —
         the plan holds the ARA, whose signature makes it the operator."""
-        return TelemetryClient(self._client_endpoint(name), self.service_names, self.plan.ara)
+        return TelemetryClient(
+            self._client_endpoint("telemetry"), self.service_names, self.plan.ara
+        )
 
     # -- shutdown ---------------------------------------------------------------
 
     async def close(self) -> None:
         """Graceful teardown: clients first, then services."""
-        if self.config.profiler is not None:
-            self.config.profiler.stop()
         for publisher in self.publishers.values():
             await publisher.close()
         for subscriber in self.subscribers.values():

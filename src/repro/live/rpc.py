@@ -10,8 +10,9 @@ future with a deadline) and how a body runs (a task the endpoint owns).
 Connection management:
 
 * **dialing** — outbound connections are established on demand from the
-  :class:`AddressBook`, with bounded exponential-backoff retries
-  (``backoff_base * 2^attempt``, capped), then kept open and multiplexed;
+  :class:`AddressBook`, with :data:`RECONNECT_ATTEMPTS` attempts under
+  exponential backoff (``BACKOFF_BASE_S * 2^attempt``, capped at
+  :data:`BACKOFF_CAP_S`), then kept open and multiplexed;
 * **serving** — services call :meth:`start_server`; every accepted
   connection is handshaken and read.  A client's name is a claim, so an
   accepted channel becomes the way to its peer only for a name the
@@ -20,9 +21,9 @@ Connection management:
   the client opened, while a directory name is always reached over the
   channel this endpoint dialed.  A reply goes back over the channel its
   request came in on;
-* **timeouts** — every ``call`` has a deadline
-  (:class:`~repro.errors.TransportError` on expiry); handshakes and
-  dials have their own;
+* **timeouts** — every ``call`` has a deadline, :data:`CALL_TIMEOUT_S`
+  unless it names one (:class:`~repro.errors.TransportError` on
+  expiry); a dial's handshake has :data:`CONNECT_TIMEOUT_S`;
 * **graceful shutdown** — :meth:`close` stops the listener, closes every
   channel, cancels reader tasks, and fails pending waits instead of
   leaving them hanging;
@@ -51,6 +52,12 @@ from .channel import SecureChannel, ServerIdentity, ServiceKey, accept_channel, 
 from .wire import decode_frame, encode_frame
 
 __all__ = ["AddressBook", "LiveRpcEndpoint"]
+
+CALL_TIMEOUT_S = 15.0  # a call's deadline unless it names one
+CONNECT_TIMEOUT_S = 5.0  # one dial: TCP connect plus the channel handshake
+RECONNECT_ATTEMPTS = 5  # dials to one peer before a call fails
+BACKOFF_BASE_S = 0.05  # the sleep before the second dial, doubling after
+BACKOFF_CAP_S = 1.0  # the longest sleep between two dials
 
 
 @dataclass
@@ -96,22 +103,13 @@ class LiveRpcEndpoint(Endpoint):
         addresses: AddressBook,
         ara_verify_key: VerifyKey | None = None,
         identity: ServerIdentity | None = None,
-        call_timeout_s: float = 15.0,
-        connect_timeout_s: float = 5.0,
-        reconnect_attempts: int = 5,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 1.0,
     ):
         super().__init__()
         self._name = name
         self.addresses = addresses
         self.ara_verify_key = ara_verify_key
         self.identity = identity
-        self.call_timeout_s = call_timeout_s
-        self.connect_timeout_s = connect_timeout_s
-        self.reconnect_attempts = reconnect_attempts
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
+        self.call_timeout_s = CALL_TIMEOUT_S
         self._channels: dict[str, SecureChannel] = {}  # the way to each peer
         self._readers: dict[SecureChannel, asyncio.Task] = {}  # every adopted channel
         self._dial_locks: dict[str, asyncio.Lock] = {}
@@ -221,12 +219,13 @@ class LiveRpcEndpoint(Endpoint):
         """
         entry = self.addresses.resolve(dst)
         last_error: Exception | None = None
+        attempts = RECONNECT_ATTEMPTS
         try:
-            for attempt in range(self.reconnect_attempts):
+            for attempt in range(attempts):
                 if attempt:
                     self._backoff_peers.add(dst)
                     self.reconnects += 1
-                    delay = min(self.backoff_cap_s, self.backoff_base_s * (2 ** (attempt - 1)))
+                    delay = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** (attempt - 1)))
                     await asyncio.sleep(delay)
                 try:
                     channel = await connect_channel(
@@ -235,7 +234,7 @@ class LiveRpcEndpoint(Endpoint):
                         entry.service_key,
                         self.ara_verify_key,
                         self._name,
-                        timeout=self.connect_timeout_s,
+                        timeout=CONNECT_TIMEOUT_S,
                     )
                     self._adopt(dst, channel, dialed=True)
                     return channel
@@ -245,7 +244,7 @@ class LiveRpcEndpoint(Endpoint):
             self._backoff_peers.discard(dst)
         raise TransportError(
             f"{self._name}: could not reach {dst} after "
-            f"{self.reconnect_attempts} attempts: {last_error}"
+            f"{attempts} attempts: {last_error}"
         )
 
     # -- client side -----------------------------------------------------------

@@ -37,6 +37,8 @@ __all__ = [
     "run_on_live",
 ]
 
+DELIVERY_TIMEOUT_S = 60.0  # how long a subscriber's expected deliveries may take
+
 
 @dataclass(frozen=True)
 class SubscriberSpec:
@@ -155,14 +157,14 @@ async def play_on_live(
     deployment: LiveDeployment,
     scenario: Scenario,
     expected: DeliveryMap | None = None,
-    timeout_s: float = 60.0,
     settle_s: float = 0.2,
 ) -> DeliveryMap:
     """Subscribe everyone, publish everything, wait, and report what
     each subscriber delivered.
 
     ``expected`` (e.g. a prior :func:`run_on_simulator` result) tells the
-    player how many deliveries to await per subscriber; without it only
+    player how many deliveries to await per subscriber, for up to
+    :data:`DELIVERY_TIMEOUT_S` each; without it only
     ``settle_s`` of quiescence after the last publication is waited —
     fine for demos, racy for assertions.
     """
@@ -181,7 +183,9 @@ async def play_on_live(
     if expected is not None:
         await asyncio.gather(
             *(
-                deployment.subscribers[name].wait_for_deliveries(len(payloads), timeout_s)
+                deployment.subscribers[name].wait_for_deliveries(
+                    len(payloads), DELIVERY_TIMEOUT_S
+                )
                 for name, payloads in expected.items()
                 if payloads
             )
@@ -205,13 +209,12 @@ async def run_on_live(
     scenario: Scenario,
     config: P3SConfig | None = None,
     expected: DeliveryMap | None = None,
-    timeout_s: float = 60.0,
     settle_s: float = 0.2,
 ) -> DeliveryMap:
     """Execute ``scenario`` over real TCP sockets on localhost."""
     deployment = LiveDeployment(config)
     await deployment.start()
     try:
-        return await play_on_live(deployment, scenario, expected, timeout_s, settle_s)
+        return await play_on_live(deployment, scenario, expected, settle_s)
     finally:
         await deployment.close()

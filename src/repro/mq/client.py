@@ -51,6 +51,12 @@ from .messages import JmsFrame
 
 __all__ = ["JmsConnection", "JmsSession", "MessageProducer", "MessageConsumer"]
 
+# reliable publish: retransmissions after the first send, the wait for a
+# PUBACK, and the first backoff (doubling, plus as much again in jitter)
+PUBLISH_RETRIES = 4
+PUBACK_TIMEOUT_S = 1.0
+PUBLISH_BACKOFF_S = 0.2
+
 
 def _jitter_rng(*parts: Any) -> random.Random:
     """Deterministic per-(client, broker, seq, attempt) jitter source."""
@@ -68,23 +74,13 @@ class JmsConnection:
     attribute, used as the default publish target).
     """
 
-    def __init__(
-        self,
-        ports,
-        broker_name: str | Iterable[str],
-        publish_retries: int = 4,
-        puback_timeout_s: float = 1.0,
-        publish_backoff_s: float = 0.2,
-    ):
+    def __init__(self, ports, broker_name: str | Iterable[str]):
         names = (broker_name,) if isinstance(broker_name, str) else tuple(broker_name)
         if not names:
             raise BrokerError("connection needs at least one broker")
         self.ports = ports_on(ports)
         self.broker_names: list[str] = list(dict.fromkeys(names))
         self.broker_name = self.broker_names[0]
-        self.publish_retries = publish_retries
-        self.puback_timeout_s = puback_timeout_s
-        self.publish_backoff_s = publish_backoff_s
         self._listeners: dict[str, list[Callable]] = {}
         self._pub_seq = itertools.count(1)
         self._pending_acks: dict[tuple[str, int], Callable] = {}  # -> complete()
@@ -181,13 +177,14 @@ class JmsConnection:
         seq = next(self._pub_seq)
         frame.headers[frames.HDR_PUB_SEQ] = seq
         key = (target, seq)
+        retries = PUBLISH_RETRIES
         try:
-            for attempt in range(self.publish_retries + 1):
+            for attempt in range(retries + 1):
                 # armed before the frame leaves, so the PUBACK cannot
                 # beat it; one key for every attempt, so a late ack of
                 # an earlier transmission settles the current wait
                 acked, self._pending_acks[key] = self.ports.completable(
-                    self.puback_timeout_s, f"publish seq {seq} to {target}"
+                    PUBACK_TIMEOUT_S, f"publish seq {seq} to {target}"
                 )
                 if attempt:
                     self.publish_retransmits += 1
@@ -196,8 +193,8 @@ class JmsConnection:
                     yield acked
                     return True
                 except TransportError:
-                    if attempt < self.publish_retries:
-                        backoff = self.publish_backoff_s * (2**attempt)
+                    if attempt < retries:
+                        backoff = PUBLISH_BACKOFF_S * (2**attempt)
                         jitter = _jitter_rng(
                             self.client_name, target, seq, attempt
                         ).uniform(0.0, backoff)

@@ -62,10 +62,10 @@ class WireRecord:
 class Host:
     """A network endpoint with a bandwidth-limited egress interface."""
 
-    def __init__(self, network: "Network", name: str, bandwidth_bps: float):
+    def __init__(self, network: "Network", name: str):
         self.network = network
         self.name = name
-        self.bandwidth_bps = bandwidth_bps
+        self.bandwidth_bps = network.default_bandwidth_bps
         self.inbox: Store = network.sim.store()
         self._egress_free_at = 0.0
         # per-destination overrides (e.g. the DS→RS LAN hop)
@@ -104,10 +104,10 @@ class Network:
         self.trace: list[WireRecord] = []
         self._fault_injector: Callable[[str, str, Message, float], list[float]] | None = None
 
-    def add_host(self, name: str, bandwidth_bps: float | None = None) -> Host:
+    def add_host(self, name: str) -> Host:
         if name in self.hosts:
             raise RoutingError(f"duplicate host name {name!r}")
-        host = Host(self, name, bandwidth_bps or self.default_bandwidth_bps)
+        host = Host(self, name)
         self.hosts[name] = host
         return host
 

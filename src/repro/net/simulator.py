@@ -171,9 +171,10 @@ class Simulator:
     def _schedule_now(self, callback: Callable[[], None]) -> None:
         self.schedule(0.0, callback)
 
-    def timeout(self, delay: float, value: Any = None, daemon: bool = False) -> Event:
+    def timeout(self, delay: float, daemon: bool = False) -> Event:
+        """An event that fires (with value None) ``delay`` from now."""
         event = Event(self)
-        self.schedule(delay, lambda: event._mark_and_dispatch(value), daemon=daemon)
+        self.schedule(delay, lambda: event._mark_and_dispatch(None), daemon=daemon)
         return event
 
     def process(self, generator: Generator) -> Process:

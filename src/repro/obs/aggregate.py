@@ -34,7 +34,7 @@ from ..errors import ProfileError
 from .export import format_op_summary
 from .metrics import Histogram, MetricsRegistry
 
-__all__ = ["TelemetryAggregator", "DEFAULT_SPAN_TABLE_CAPACITY"]
+__all__ = ["TelemetryAggregator", "SPAN_TABLE_CAPACITY"]
 
 SERVICE_LABEL = "service"
 # what of a snapshot is its service's health document
@@ -44,19 +44,14 @@ HEALTH_FIELDS = ("service", "alive", "ready", "checks", "time")
 # grow without limit, so the table is an LRU over span identity — the
 # oldest-touched entries are evicted first and the eviction count is
 # exported (truncation is never silent).
-DEFAULT_SPAN_TABLE_CAPACITY = 8192
+SPAN_TABLE_CAPACITY = 8192
 
 
 class TelemetryAggregator:
     """Deployment-wide merge of per-service telemetry snapshots."""
 
-    def __init__(
-        self,
-        latency_window: int = 256,
-        span_table_capacity: int | None = DEFAULT_SPAN_TABLE_CAPACITY,
-    ):
+    def __init__(self, latency_window: int = 256):
         self.latency_window = latency_window
-        self.span_table_capacity = span_table_capacity
         self._health: dict[str, dict] = {}
         self._metrics: dict[str, dict] = {}
         # (signal, origin) -> (reporting services, latest value): what a
@@ -115,10 +110,9 @@ class TelemetryAggregator:
             if existing is None or (existing.get("end_s") is None and span.get("end_s") is not None):
                 self._spans[key] = span
             self._spans.move_to_end(key)
-        if self.span_table_capacity is not None:
-            while len(self._spans) > self.span_table_capacity:
-                self._spans.popitem(last=False)
-                self.span_evictions += 1
+        while len(self._spans) > SPAN_TABLE_CAPACITY:
+            self._spans.popitem(last=False)
+            self.span_evictions += 1
 
     def _keep_latest(self, signal: str, origin: str, service: str, value) -> None:
         services, _ = self._per_origin.get((signal, origin), (set(), None))
@@ -245,13 +239,13 @@ class TelemetryAggregator:
     def hot_frames(self, limit: int = 10) -> list[tuple[str, float, float]]:
         """Top frames by self weight: ``(frame, self, fraction)`` rows.
 
-        Weighted by wall seconds for wall profiles, sample counts for
-        deterministic ones — whatever the merged mode implies.
+        Weighted as the merged profile's mode implies
+        (:attr:`~repro.obs.prof.model.Profile.weight_key`).
         """
         profile = self.merged_profile()
         if not profile.samples:
             return []
-        weight_key = "wall_s" if profile.mode == "wall" else "count"
+        weight_key = profile.weight_key
         total = profile.total(weight_key) or 1.0
         ranked = sorted(
             profile.self_times(weight_key).items(), key=lambda kv: (-kv[1], kv[0])

@@ -26,20 +26,20 @@ from .metrics import MetricsRegistry
 
 __all__ = ["to_openmetrics", "sanitize_metric_name"]
 
-DEFAULT_NAMESPACE = "p3s"
+NAMESPACE = "p3s"  # the prefix of every exposed metric name
 SUMMARY_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
 _VALID_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _INVALID_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def sanitize_metric_name(name: str, namespace: str = DEFAULT_NAMESPACE) -> str:
+def sanitize_metric_name(name: str) -> str:
     """Map a repo metric name (``op.hve.match``) to a legal exposition
     name (``p3s_op_hve_match``)."""
     flat = _INVALID_CHARS.sub("_", name)
     if not flat or not _VALID_NAME.match(flat):
         flat = "_" + flat
-    return f"{namespace}_{flat}" if namespace else flat
+    return f"{NAMESPACE}_{flat}"
 
 
 def _escape_label_value(value: str) -> str:
@@ -67,8 +67,6 @@ def _format_value(value: float) -> str:
 def to_openmetrics(
     registry: MetricsRegistry,
     gauge_names: frozenset[str] | set[str] = frozenset(),
-    namespace: str = DEFAULT_NAMESPACE,
-    extra_labels: dict[str, str] | None = None,
 ) -> str:
     """Render ``registry`` in OpenMetrics text format.
 
@@ -77,32 +75,29 @@ def to_openmetrics(
     ``counter`` and gets the spec's ``_total`` sample suffix.
     Histograms render as ``summary`` families with exact nearest-rank
     quantiles (raw values are retained at this scale, so no buckets are
-    needed).  ``extra_labels`` is stamped onto every sample — the
-    aggregator uses it for the per-service label.
+    needed).
     """
-    stamp = dict(extra_labels or {})
     lines: list[str] = []
 
     by_counter: dict[str, list] = {}
     for (name, label_key), counter in sorted(registry.counters.items()):
         by_counter.setdefault(name, []).append((label_key, counter.value))
     for name, series in by_counter.items():
-        flat = sanitize_metric_name(name, namespace)
+        flat = sanitize_metric_name(name)
         kind = "gauge" if name in gauge_names else "counter"
         lines.append(f"# TYPE {flat} {kind}")
         sample_name = flat if kind == "gauge" else flat + "_total"
         for label_key, value in series:
-            labels = {**dict(label_key), **stamp}
-            lines.append(f"{sample_name}{_format_labels(labels)} {_format_value(value)}")
+            lines.append(f"{sample_name}{_format_labels(dict(label_key))} {_format_value(value)}")
 
     by_histogram: dict[str, list] = {}
     for (name, label_key), histogram in sorted(registry.histograms.items()):
         by_histogram.setdefault(name, []).append((label_key, histogram))
     for name, series in by_histogram.items():
-        flat = sanitize_metric_name(name, namespace)
+        flat = sanitize_metric_name(name)
         lines.append(f"# TYPE {flat} summary")
         for label_key, histogram in series:
-            labels = {**dict(label_key), **stamp}
+            labels = dict(label_key)
             top = histogram.top_exemplar
             for index, quantile in enumerate(SUMMARY_QUANTILES):
                 q_labels = {**labels, "quantile": f"{quantile:g}"}

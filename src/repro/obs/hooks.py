@@ -106,12 +106,12 @@ def observe(name: str, value: float, **labels: object) -> None:
     obs.metrics.observe(name, value, **labels)
 
 
-def instrument(op: str, component: str | None = None) -> Callable:
+def instrument(op: str) -> Callable:
     """Decorator: count calls to the wrapped function and time them.
 
     Records ``op.<op>`` (counter) and ``op.<op>.wall_s`` (wall-clock
-    histogram), attributed to ``component`` or the innermost active
-    span's component.  Disabled cost: one global check per call.
+    histogram), attributed to the innermost active span's component.
+    Disabled cost: one global check per call.
     """
 
     def decorate(fn: Callable) -> Callable:
@@ -123,7 +123,7 @@ def instrument(op: str, component: str | None = None) -> Callable:
             obs = _active
             if obs is None:
                 return fn(*args, **kwargs)
-            who = component or obs.tracer.current_component() or UNATTRIBUTED
+            who = obs.tracer.current_component() or UNATTRIBUTED
             started = time.perf_counter()
             try:
                 return fn(*args, **kwargs)

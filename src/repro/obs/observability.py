@@ -1,10 +1,10 @@
 """The :class:`Observability` bundle: one tracer + one metrics registry.
 
 This is the object experiments hold.  Pass it to a deployment via
-``P3SConfig(obs=...)`` (or ``BaselineSystem(obs=...)``); the system binds
-the tracer's clock to its simulator and installs the instance as the
-process-wide hook sink (:mod:`repro.obs.hooks`).  When no instance is
-installed every hook in the codebase is a no-op.
+``P3SConfig(obs=...)``; the system binds the tracer's clock to its
+simulator and installs the instance as the process-wide hook sink
+(:mod:`repro.obs.hooks`).  When no instance is installed every hook in
+the codebase is a no-op.
 
 Typical use::
 
@@ -36,6 +36,8 @@ from .tracing import Tracer
 
 __all__ = ["Observability"]
 
+SUMMARY_TRACES = 5  # span trees in the console summary
+
 
 class Observability:
     """Tracing + metrics for one (or several comparable) simulation runs.
@@ -45,25 +47,18 @@ class Observability:
     live services, left unbounded by default so experiment runs keep
     every span.
 
-    ``profiler`` attaches a profile sampler
+    ``profiler`` is the profile sampler attached to this instance
     (:class:`~repro.obs.prof.sampler.StackSampler` or
-    :class:`~repro.obs.prof.sampler.DeterministicSampler`): while this
-    instance is the active hook sink, every counted op is also offered
-    to ``profiler.on_op`` and the live telemetry plane exposes
-    ``profiler.profile()`` in every telemetry snapshot.  ``None`` (the
-    default) keeps profiling off — op hooks pay one extra attribute
-    load only when an instance is installed at all.
+    :class:`~repro.obs.prof.sampler.DeterministicSampler`), or ``None``:
+    while this instance is the active hook sink, every counted op is also
+    offered to ``profiler.on_op`` and the live telemetry plane exposes
+    ``profiler.profile()`` in every telemetry snapshot.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        span_capacity: int | None = None,
-        profiler: object | None = None,
-    ):
-        self.tracer = Tracer(clock, capacity=span_capacity)
+    def __init__(self, span_capacity: int | None = None):
+        self.tracer = Tracer(capacity=span_capacity)
         self.metrics = MetricsRegistry()
-        self.profiler = profiler
+        self.profiler: object | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -109,10 +104,11 @@ class Observability:
     def format_ops(self) -> str:
         return format_op_summary(self.metrics)
 
-    def summary(self, max_traces: int | None = 5) -> str:
-        """Console report: span trees plus the crypto-op breakdown."""
+    def summary(self) -> str:
+        """Console report: the first :data:`SUMMARY_TRACES` span trees plus
+        the crypto-op breakdown."""
         return (
-            self.format_tree(max_traces=max_traces)
+            self.format_tree(max_traces=SUMMARY_TRACES)
             + "\n\noperation counts by component:\n"
             + self.format_ops()
         )

@@ -55,7 +55,7 @@ MODES = ("wall", "det")
 # weight is preserved (memory stays flat, truncation is never silent).
 OVERFLOW_FRAME = "<overflow>"
 
-# Weight keys a caller may fold/diff by.
+# The weights a stack accumulates.
 WEIGHT_KEYS = ("count", "wall_s", "cpu_s")
 _SAMPLE_FIELDS = {"stack": list, "count": int, "wall_s": (int, float), "cpu_s": (int, float)}
 
@@ -139,6 +139,11 @@ class Profile:
     def sample_count(self) -> int:
         return sum(weight.count for weight in self.samples.values())
 
+    @property
+    def weight_key(self) -> str:
+        """What a report weighs frames by: wall seconds, or sample counts."""
+        return "wall_s" if self.mode == "wall" else "count"
+
     def total(self, weight_key: str = "count") -> float:
         return sum(weight.get(weight_key) for _, weight in sorted(self.samples.items()))
 
@@ -172,23 +177,20 @@ class Profile:
 
     # -- folded (collapsed-stack) text -------------------------------------------
 
-    def folded(self, weight_key: str = "count") -> str:
+    def folded(self) -> str:
         """Collapsed-stack flamegraph input, deterministically ordered.
 
-        Weights are integers (counts directly; seconds as microseconds)
-        because the flamegraph toolchain expects integral sample counts
-        — and because integral text is what makes the deterministic
-        mode's replay comparison *byte*-identical.
+        Weights are sample counts: integral, because the flamegraph
+        toolchain expects integral sample counts — and because integral
+        text is what makes the deterministic mode's replay comparison
+        *byte*-identical.
         """
         lines = []
         for stack in sorted(self.samples):
-            weight = self.samples[stack].get(weight_key)
-            if weight_key != "count":
-                weight = round(weight * 1e6)  # µs
-            value = int(weight)
-            if value <= 0 and self.samples[stack].count <= 0:
+            value = self.samples[stack].count
+            if value <= 0:
                 continue
-            lines.append(";".join(stack) + f" {max(value, 0)}")
+            lines.append(";".join(stack) + f" {value}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     # -- dict wire form --------------------------------------------------------------
@@ -260,26 +262,19 @@ def load_profile(path: str) -> Profile:
 # -- reports and diffs ---------------------------------------------------------------
 
 
-def _weight_key_for(profile: Profile) -> str:
-    return "wall_s" if profile.mode == "wall" else "count"
-
-
 def _format_weight(value: float, weight_key: str) -> str:
     if weight_key == "count":
         return f"{value:.0f}"
     return f"{value * 1000:.1f}ms"
 
 
-def format_report(
-    profile: Profile,
-    limit: int = 20,
-    weight_key: str | None = None,
-) -> str:
-    """Hot-frames table: self and total weight per frame, plus the
-    component split and sampler accounting footer."""
+def format_report(profile: Profile, limit: int = 20) -> str:
+    """Hot-frames table: self and total weight per frame (wall seconds
+    for a wall profile, sample counts otherwise), plus the component
+    split and sampler accounting footer."""
     from ...perf.report import format_table  # local import: avoid a cycle at module load
 
-    weight_key = weight_key or _weight_key_for(profile)
+    weight_key = profile.weight_key
     self_times = profile.self_times(weight_key)
     total_times = profile.total_times(weight_key)
     grand_total = profile.total(weight_key) or 1.0
@@ -338,17 +333,17 @@ class FrameDelta:
 def diff_profiles(
     before: Profile,
     after: Profile,
-    weight_key: str | None = None,
     normalize: bool = True,
 ) -> list[FrameDelta]:
-    """Rank frames by self-time delta between two recordings.
+    """Rank frames by self-time delta between two recordings, weighed
+    as ``after``'s mode weighs them.
 
     With ``normalize`` (the default) each profile's self weights are
     scaled to fractions of its own total first, so a longer second
     recording doesn't read as "everything regressed" — the ranking
     shows *shifts in where time goes*.  Sorted most-regressed first.
     """
-    weight_key = weight_key or _weight_key_for(after)
+    weight_key = after.weight_key
     self_before = before.self_times(weight_key)
     self_after = after.self_times(weight_key)
     scale_before = before.total(weight_key) or 1.0 if normalize else 1.0

@@ -37,6 +37,9 @@ __all__ = ["StackSampler", "DeterministicSampler", "start_default_profiler"]
 # Stack frames deeper than this are truncated (root side kept): protects
 # the table from pathological recursion blowing up stack cardinality.
 MAX_STACK_DEPTH = 64
+# Distinct stacks a sampler's table holds before new ones fold into the
+# overflow bucket.
+MAX_STACKS = 4096
 
 _origin_counter = itertools.count(1)
 
@@ -49,13 +52,13 @@ def _new_origin(kind: str) -> str:
 class _StackTable:
     """Bounded stack → weight aggregate shared by both samplers.
 
-    Once ``max_stacks`` distinct stacks exist, further *new* stacks fold
-    into the single :data:`OVERFLOW_FRAME` bucket — aggregate weight is
-    never dropped, only its resolution, and the fold is counted.
+    Once :data:`MAX_STACKS` distinct stacks exist, further *new* stacks
+    fold into the single :data:`OVERFLOW_FRAME` bucket — aggregate weight
+    is never dropped, only its resolution, and the fold is counted.
     """
 
-    def __init__(self, max_stacks: int):
-        self.max_stacks = max_stacks
+    def __init__(self):
+        self.max_stacks = MAX_STACKS
         self.samples: dict[Stack, list[float]] = {}  # [count, wall_s, cpu_s]
         self.overflowed = 0
 
@@ -93,12 +96,12 @@ def _frame_stack(frame: Any) -> list[str]:
 class StackSampler:
     """Background wall+CPU sampler over ``sys._current_frames()``.
 
-    Every tick captures the target thread stacks, prefixes the thread
-    that holds the tracer's span stack with ``(component, span-name)``
+    Every tick captures the main thread's stack — the thread that holds
+    the tracer's span stack — prefixes it with ``(component, span-name)``
     from the innermost active span (``unattributed`` outside any span),
-    and charges the tick's wall/CPU deltas to the sampled stacks.
+    and charges the tick's wall/CPU deltas to it.
 
-    ``max_stacks`` bounds the aggregate table (overflow folds to
+    The aggregate table is bounded (overflow folds to
     :data:`OVERFLOW_FRAME`).  ``obs`` pins which observability
     instance supplies span attribution; by default the process-global
     active one is read at every tick.
@@ -109,19 +112,16 @@ class StackSampler:
     def __init__(
         self,
         hz: float = 97.0,
-        max_stacks: int = 4096,
-        all_threads: bool = False,
         obs: "Observability | None" = None,
         origin: str | None = None,
     ):
         if hz <= 0:
             raise ValueError("hz must be positive")
         self.hz = hz
-        self.all_threads = all_threads
         self.origin = origin or _new_origin("wall")
         self._obs = obs
         self._lock = threading.Lock()
-        self._table = _StackTable(max_stacks)
+        self._table = _StackTable()
         self.ticks = 0
         self.self_s = 0.0  # sampler's own wall overhead, accounted
         self._stop = threading.Event()
@@ -189,31 +189,13 @@ class StackSampler:
         return ("unattributed",)
 
     def _sample_once(self, wall_dt: float, cpu_dt: float) -> None:
-        frames = sys._current_frames()
-        me = threading.get_ident()
-        targets: list[tuple[str, int, Any]] = []
-        threads = {t.ident: t.name for t in threading.enumerate()}
-        for ident, frame in frames.items():
-            if ident == me:
-                continue
-            if not self.all_threads and ident != self._main_ident:
-                continue
-            targets.append((threads.get(ident, f"tid-{ident}"), ident, frame))
-        if not targets:
+        frame = sys._current_frames().get(self._main_ident)
+        if frame is None or self._main_ident == threading.get_ident():
             return
-        prefix = self._attribution()
-        wall_share = wall_dt / len(targets)
-        cpu_share = cpu_dt / len(targets)
+        stack = (self._attribution() + tuple(_frame_stack(frame)))[:MAX_STACK_DEPTH]
         with self._lock:
             self.ticks += 1
-            for name, ident, frame in targets:
-                pystack = _frame_stack(frame)
-                if ident == self._main_ident:
-                    stack = prefix + tuple(pystack)
-                else:
-                    stack = (f"thread:{name}",) + tuple(pystack)
-                stack = stack[:MAX_STACK_DEPTH]
-                self._table.add(stack, 1, wall_share, cpu_share)
+            self._table.add(stack, 1, wall_dt, cpu_dt)
 
     # -- output ------------------------------------------------------------------
 
@@ -255,17 +237,15 @@ class DeterministicSampler:
         self,
         every: int = 64,
         seed: int | None = None,
-        max_stacks: int = 4096,
         obs: "Observability | None" = None,
-        origin: str | None = None,
     ):
         if every < 1:
             raise ValueError("every must be >= 1")
         self.every = every
         self.seed = seed
-        self.origin = origin or _new_origin("det")
+        self.origin = _new_origin("det")
         self._obs = obs
-        self._table = _StackTable(max_stacks)
+        self._table = _StackTable()
         self.ops_seen = 0
         self.samples_taken = 0
 

@@ -140,12 +140,12 @@ class SloSpec:
         return 1.0 - self.objective
 
 
-def default_slos(
-    latency_threshold_s: float = 1.0,
-    recovery_threshold_s: float = 2.0,
-    windows: tuple[BurnRateWindow, ...] = DEFAULT_WINDOWS,
-) -> tuple[SloSpec, ...]:
-    """The live-deployment SLO set (wall-clock windows)."""
+# the store-recovery SLO's bound on one shard's WAL replay
+RECOVERY_THRESHOLD_S = 2.0
+
+
+def default_slos(latency_threshold_s: float = 1.0) -> tuple[SloSpec, ...]:
+    """The live-deployment SLO set (wall-clock :data:`DEFAULT_WINDOWS`)."""
     return (
         SloSpec(
             name="delivery_latency",
@@ -154,7 +154,6 @@ def default_slos(
                 "end to end (reassembled traces)"
             ),
             objective=0.95,
-            windows=windows,
             threshold_s=latency_threshold_s,
             unit="deliveries",
         ),
@@ -162,27 +161,23 @@ def default_slos(
             name="publish_ack",
             description="deliveries pushed by the DS acknowledged by subscribers",
             objective=0.95,
-            windows=windows,
             unit="deliveries",
         ),
         SloSpec(
             name="store_recovery",
             description=(
-                f"per-shard store recovery (WAL replay) ≤ {recovery_threshold_s:g}s"
+                f"per-shard store recovery (WAL replay) ≤ {RECOVERY_THRESHOLD_S:g}s"
             ),
             objective=0.9,
-            windows=windows,
-            threshold_s=recovery_threshold_s,
+            threshold_s=RECOVERY_THRESHOLD_S,
             unit="recoveries",
         ),
     )
 
 
-def chaos_slos(
-    latency_threshold_s: float,
-    windows: tuple[BurnRateWindow, ...] = CHAOS_WINDOWS,
-) -> tuple[SloSpec, ...]:
-    """The chaos-run SLO set (simulated-time windows, oracle-backed).
+def chaos_slos(latency_threshold_s: float) -> tuple[SloSpec, ...]:
+    """The chaos-run SLO set (simulated-time :data:`CHAOS_WINDOWS`,
+    oracle-backed).
 
     Only deterministic signals appear here — the chaos report must stay
     bit-identical across replays, so anything driven by wall-clock time
@@ -195,7 +190,7 @@ def chaos_slos(
                 f"publish→deliver latency ≤ {latency_threshold_s:g}s simulated"
             ),
             objective=0.95,
-            windows=windows,
+            windows=CHAOS_WINDOWS,
             threshold_s=latency_threshold_s,
             unit="deliveries",
         ),
@@ -203,14 +198,14 @@ def chaos_slos(
             name="delivery_integrity",
             description="deliveries arriving exactly once (no duplicate suppressed)",
             objective=0.95,
-            windows=windows,
+            windows=CHAOS_WINDOWS,
             unit="deliveries",
         ),
         SloSpec(
             name="delivery_completeness",
             description="oracle-expected deliveries observed by quiescence",
             objective=0.95,
-            windows=windows,
+            windows=CHAOS_WINDOWS,
             unit="deliveries",
         ),
     )
@@ -504,16 +499,15 @@ class SloEngine:
 
     # -- export -----------------------------------------------------------------
 
-    def registry(self, now: float | None = None) -> MetricsRegistry:
-        """The ``slo_*`` series as a fresh :class:`MetricsRegistry`.
+    def registry(self) -> MetricsRegistry:
+        """The ``slo_*`` series at the last evaluation time, as a fresh
+        :class:`MetricsRegistry`.
 
         Rendered through :func:`~repro.obs.exposition.to_openmetrics`
         (pass :data:`SLO_GAUGE_METRICS` as ``gauge_names``) this is the
-        alerting surface a Prometheus stack would scrape.  ``now``
-        defaults to the last evaluation time.
+        alerting surface a Prometheus stack would scrape.
         """
-        if now is None:
-            now = self.last_evaluated_at if self.last_evaluated_at is not None else 0.0
+        now = self.last_evaluated_at if self.last_evaluated_at is not None else 0.0
         registry = MetricsRegistry()
         for name, spec in sorted(self.specs.items()):
             registry.inc("slo.objective", spec.objective, slo=name)

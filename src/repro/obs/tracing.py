@@ -142,8 +142,9 @@ def _parent_context(parent: "Span | SpanContext | None") -> SpanContext | None:
 class Tracer:
     """Span factory, store, and (synchronous) active-span stack.
 
-    ``clock`` supplies simulated time; the orchestrator binds it to
-    ``sim.now`` when the observability instance is installed.
+    ``clock`` supplies simulated time (0.0 until bound): the
+    orchestrator binds it to ``sim.now`` when the observability instance
+    is installed.
 
     Every span is recorded, into a
     :class:`~repro.obs.ring.FlightRecorder`: the SLO engine judges
@@ -154,12 +155,8 @@ class Tracer:
     evictions counted in :attr:`dropped_spans`.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        capacity: int | None = None,
-    ):
-        self.clock: Callable[[], float] = clock or (lambda: 0.0)
+    def __init__(self, capacity: int | None = None):
+        self.clock: Callable[[], float] = lambda: 0.0
         self.spans: FlightRecorder = FlightRecorder(capacity)
         self._stack: list[Span] = []
         self._next_span_id = 1

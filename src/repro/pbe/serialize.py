@@ -83,18 +83,16 @@ def deserialize_hve_token(group: PairingGroup, data: bytes) -> HVEToken:
     return HVEToken(n=n, positions=positions, components=components)
 
 
-def hve_ciphertext_size(
-    group: PairingGroup, n: int, payload_len: int, compressed: bool = False
-) -> int:
-    """Exact wire size: header + 2n G1 elements + AEAD-sealed payload.
+def hve_ciphertext_size(group: PairingGroup, n: int, payload_len: int) -> int:
+    """Exact wire size: header + 2n uncompressed G1 elements + AEAD-sealed
+    payload.
 
     At PAPER parameters with the paper's 40-bit metadata spec this is the
     "~10KB encrypted metadata" that dominates P3S dissemination cost.
     """
     from ..crypto.symmetric import OVERHEAD
 
-    point_len = group.g1_bytes_compressed if compressed else group.g1_bytes
-    return 9 + 2 * n * point_len + payload_len + OVERHEAD
+    return 9 + 2 * n * group.g1_bytes + payload_len + OVERHEAD
 
 
 def hve_token_size(group: PairingGroup, num_positions: int) -> int:

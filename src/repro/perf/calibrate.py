@@ -89,12 +89,15 @@ def _time_warm(fn, repetitions: int) -> float:
     return _time(fn, repetitions)
 
 
+# the payload the CP-ABE timings and overhead are measured on
+CALIBRATION_PAYLOAD_BYTES = 1024
+
+
 def calibrate(
     param_set: str = "TOY",
     vector_bits: int = 40,
     policy_attributes: int = 10,
     repetitions: int = 3,
-    payload_bytes: int = 1024,
 ) -> CalibrationResult:
     """Measure every model constant at the given parameter set.
 
@@ -147,13 +150,13 @@ def calibrate(
     attributes = {f"a{i}" for i in range(policy_attributes)}
     policy = " and ".join(sorted(attributes))
     key = cpabe.keygen(cpabe_master, attributes)
-    payload = b"\x07" * payload_bytes
+    payload = b"\x07" * CALIBRATION_PAYLOAD_BYTES
     cpabe_encrypt_s = _time_warm(
         lambda: cpabe.encrypt(cpabe_public, payload, policy), repetitions
     )
     abe_ciphertext = cpabe.encrypt(cpabe_public, payload, policy)
     cpabe_decrypt_s = _time_warm(lambda: cpabe.decrypt(key, abe_ciphertext), repetitions)
-    cpabe_overhead_bytes = len(serialize_hybrid(group, abe_ciphertext)) - payload_bytes
+    cpabe_overhead_bytes = len(serialize_hybrid(group, abe_ciphertext)) - len(payload)
 
     # PKE
     pke = PKEKeyPair(group)

@@ -54,7 +54,7 @@ class ParticipantView:
         return knowledge
 
 
-def combine_views(views: list[ParticipantView], name: str = "coalition") -> ParticipantView:
+def combine_views(views: list[ParticipantView]) -> ParticipantView:
     """The pooled view of colluding participants.
 
     Collusion unions knowledge; the paper notes this "does not reveal any
@@ -63,7 +63,7 @@ def combine_views(views: list[ParticipantView], name: str = "coalition") -> Part
     which the ``T_Y`` capability models: a coalition holding many tokens
     gains it.
     """
-    combined = ParticipantView(name=name, role="coalition")
+    combined = ParticipantView(name="coalition", role="coalition")
     token_holders = 0
     for view in views:
         combined.base_knowledge |= view.base_knowledge

@@ -80,9 +80,9 @@ class Gadget:
         self.graph.add_edge(gate_id, output)
         return gate_id
 
-    def add_dependency(self, source: str, target: str, attack: bool = False) -> None:
+    def add_dependency(self, source: str, target: str) -> None:
         """A single-input dependency (target derivable from source alone)."""
-        self.add_gate([source], target, label=f"{source}->{target}", attack=attack)
+        self.add_gate([source], target, label=f"{source}->{target}")
 
     # -- introspection ----------------------------------------------------------
 

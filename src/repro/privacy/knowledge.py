@@ -57,17 +57,16 @@ def closure(
     return known, log
 
 
-def derivation(
-    gadget: Gadget, known: set[str], target: str, include_attacks: bool = True
-) -> list[Derivation] | None:
-    """The minimal suffix of the derivation log that produces ``target``.
+def derivation(gadget: Gadget, known: set[str], target: str) -> list[Derivation] | None:
+    """The minimal suffix of the derivation log that produces ``target``,
+    attack gates included.
 
     Returns ``None`` when ``target`` is not derivable.  If ``target`` was
     known initially, returns the empty list.
     """
     if target in known:
         return []
-    closed, log = closure(gadget, known, include_attacks=include_attacks)
+    closed, log = closure(gadget, known)
     if target not in closed:
         return None
     # Walk backwards keeping only steps that feed the target.

@@ -82,7 +82,8 @@ def test_partition_plus_snapshot_crash_recovers_committed_state(durable_system):
 
     engine.put = tracked_put
     engine._faults = FaultPlan("snapshot.before_rename")
-    injector = SimFaultInjector(PARTITION, system.sim, epoch=system.now)
+    injector = SimFaultInjector(PARTITION, system.sim)
+    injector.arm(system.now)
     system.set_fault_injector(injector)
     # stagger the submissions so the 4th RS put (the snapshot trigger)
     # lands while earlier publications' retrievals are still retrying
@@ -132,7 +133,8 @@ def test_crash_free_partition_run_keeps_store_consistent(durable_system):
         for interest in spec.interests:
             system.subscribe(subscriber, interest)
     system.run()
-    injector = SimFaultInjector(PARTITION, system.sim, epoch=system.now)
+    injector = SimFaultInjector(PARTITION, system.sim)
+    injector.arm(system.now)
     system.set_fault_injector(injector)
     publisher = system.add_publisher(scenario.publisher_name)
     for publication in scenario.publications:

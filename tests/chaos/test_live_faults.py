@@ -45,19 +45,14 @@ async def _run_faulted(scenario, config, expected, seed):
             deployment,
             ["anon"],
             seed=seed,
-            tear_every_conns=2,
-            tear_after_chunks_max=4,
-            delay_every_chunks=3,
-            delay_s=0.02,
         )
         for spec in scenario.subscribers:
-            subscriber = await deployment.add_subscriber(
-                spec.name, set(spec.attributes), retry_delay_s=0.1
-            )
+            subscriber = await deployment.add_subscriber(spec.name, set(spec.attributes))
+            subscriber.retry_delay_s = 0.1
             # a torn connection must surface as a retryable timeout well
             # inside the test budget, not the 15s production default
             subscriber.connection.endpoint.call_timeout_s = 2.0
-            duplicate_dispatch(subscriber.connection.endpoint, frames.DELIVER, every=2)
+            duplicate_dispatch(subscriber.connection.endpoint, frames.DELIVER)
             for interest in spec.interests:
                 await subscriber.subscribe(interest)
         for proxy in proxies.values():
@@ -149,7 +144,7 @@ class TestLiveReliablePublish:
             deployment = LiveDeployment(P3SConfig(reliable_publish=True))
             await deployment.start()
             try:
-                duplicate_dispatch(deployment.ds.endpoint, frames.PUBLISH, every=2)
+                duplicate_dispatch(deployment.ds.endpoint, frames.PUBLISH)
                 delivered = await play_on_live(deployment, scenario, expected)
                 publisher = deployment.publishers[scenario.publisher_name]
                 return delivered, deployment.ds.duplicate_publishes, publisher.connection
@@ -161,9 +156,12 @@ class TestLiveReliablePublish:
         assert duplicate_publishes > 0  # the shim fired; the dedup window absorbed it
         assert connection.publish_failures == 0
 
-    def test_a_suppressed_publish_frame_is_retransmitted_and_delivered_once(self):
+    def test_a_suppressed_publish_frame_is_retransmitted_and_delivered_once(self, monkeypatch):
         from repro.core.config import P3SConfig
+        from repro.mq import client as mq_client
         from repro.pbe.schema import Interest
+
+        monkeypatch.setattr(mq_client, "PUBACK_TIMEOUT_S", 0.2)  # keep the test short
 
         async def run():
             deployment = LiveDeployment(P3SConfig(reliable_publish=True))
@@ -172,7 +170,6 @@ class TestLiveReliablePublish:
                 alice = await deployment.add_subscriber("alice", {"org:acme"})
                 await alice.subscribe(Interest({"attr00": "v01"}))
                 publisher = await deployment.add_publisher("pub")
-                publisher.connection.puback_timeout_s = 0.2  # keep the test short
                 lost = []
 
                 def lose_the_first_publish(message) -> int:

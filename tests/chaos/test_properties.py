@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chaos import Fault, FaultSchedule, run_chaos
 from repro.chaos.inject import SimFaultInjector
-from repro.chaos.schedule import PROFILES
+from repro.chaos.schedule import MAX_LOSS_HITS, MAX_PARTITION_S, PROFILES
 from repro.cluster.router import shard_names
 from repro.net.network import Message, Network
 from repro.net.simulator import Simulator
@@ -100,10 +100,10 @@ class TestScheduleProperties:
         for fault in FaultSchedule.generate(seed, profile, SUBS).faults:
             if fault.kind == "drop":
                 assert (fault.src, fault.dst) in retried
-                assert 1 <= len(fault.hits) <= prof.max_loss_hits
+                assert 1 <= len(fault.hits) <= MAX_LOSS_HITS
             elif fault.kind == "partition":
                 assert fault.node in prof.partition_targets
-                assert fault.end - fault.start <= prof.max_partition_s + 1e-9
+                assert fault.end - fault.start <= MAX_PARTITION_S + 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(schedule=budgeted_schedules, frames=st.integers(min_value=1, max_value=8))

@@ -39,7 +39,8 @@ def _ready_system(**config_overrides):
 
 def _arm(system, *faults):
     schedule = FaultSchedule(seed=0, profile="manual", faults=tuple(faults))
-    injector = SimFaultInjector(schedule, system.sim, epoch=system.now)
+    injector = SimFaultInjector(schedule, system.sim)
+    injector.arm(system.now)
     system.set_fault_injector(injector)
     return injector
 

@@ -57,6 +57,7 @@ from repro.crypto.group import PairingGroup
 from repro.crypto.pke import PKEKeyPair, pke_overhead
 from repro.crypto.symmetric import SecretBox
 from repro.errors import BrokerError, RetrievalError, TokenRequestError, TransportError
+from repro.mq import client as mq_client
 from repro.mq import messages as frames
 from repro.mq.client import JmsConnection
 from repro.mq.messages import JmsFrame
@@ -695,7 +696,7 @@ class TestJmsClient:
     def _client(self, brokers=("ds0", "ds1")):
         net: dict = {}
         ports = RecordingPorts("alice", net)
-        connection = JmsConnection(ports, brokers, publish_retries=2)
+        connection = JmsConnection(ports, brokers)
         connection.start()
         return net, ports, connection
 
@@ -741,11 +742,12 @@ class TestJmsClient:
         assert ds.published_count == 1 and ds.duplicate_publishes == 0
         assert connection._pending_acks == {}
 
-    def test_reliable_publish_gives_up_after_its_budget(self):
+    def test_reliable_publish_gives_up_after_its_budget(self, monkeypatch):
+        monkeypatch.setattr(mq_client, "PUBLISH_RETRIES", 2)
         _, ports, connection = self._client(brokers=("ds",))  # nobody is listening on "ds"
         producer = connection.create_session().create_producer("p3s.publish")
         assert run(producer.send(b"x", 1, reliable=True)) is False
-        assert len(ports.sent(frames.PUBLISH)) == 3  # 1 + publish_retries
+        assert len(ports.sent(frames.PUBLISH)) == 3  # 1 + PUBLISH_RETRIES
         assert connection.publish_failures == 1 and connection._pending_acks == {}
 
 
@@ -777,8 +779,6 @@ class TestSubscriberRetrieval:
             JmsConnection(ports, ("ds0", "ds1")),
             group,
             TIMINGS,
-            retrieval_retries=3,
-            retry_delay_s=0.25,
         )
         alice.start()
         guid = b"\x42" * 16

@@ -304,7 +304,8 @@ class TestFailureHandling:
 
         system = make_system(delegated_matching=True)
         alice = system.add_subscriber("alice", {"org:acme"})
-        mallory = system.add_subscriber("mallory", {"org:acme"}, delegate_tokens=False)
+        mallory = system.add_subscriber("mallory", {"org:acme"})
+        mallory.delegate_tokens = False
         system.subscribe(alice, Interest({"topic": "m&a"}))
         system.run()
         registered = list(system.ds.registered_tokens)

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import hashing
 from repro.crypto.hashing import hash_bytes, hash_to_int, kdf
 
 
@@ -43,18 +44,19 @@ class TestHashToInt:
 
 
 class TestKdf:
-    def test_length(self):
+    def test_length(self, monkeypatch):
         for n in (16, 32, 64, 100):
-            assert len(kdf(b"secret", "label", n)) == n
+            monkeypatch.setattr(hashing, "KDF_BYTES", n)
+            assert len(kdf(b"secret", "label")) == n
 
     def test_label_separation(self):
         assert kdf(b"secret", "enc") != kdf(b"secret", "mac")
 
-    def test_salt_changes_output(self):
-        assert kdf(b"secret", "l", salt=b"s1") != kdf(b"secret", "l", salt=b"s2")
-
     def test_deterministic(self):
-        assert kdf(b"secret", "l", 48) == kdf(b"secret", "l", 48)
+        assert kdf(b"secret", "l") == kdf(b"secret", "l")
 
-    def test_prefix_consistency(self):
-        assert kdf(b"secret", "l", 64)[:32] == kdf(b"secret", "l", 32)
+    def test_prefix_consistency(self, monkeypatch):
+        monkeypatch.setattr(hashing, "KDF_BYTES", 64)
+        long = kdf(b"secret", "l")
+        monkeypatch.setattr(hashing, "KDF_BYTES", 32)
+        assert long[:32] == kdf(b"secret", "l")

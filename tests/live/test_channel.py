@@ -8,7 +8,9 @@ import struct
 import pytest
 
 from repro.core.ara import RegistrationAuthority
-from repro.errors import HandshakeError, MessageLossError, TransportError
+from repro.crypto.symmetric import SecretBox
+from repro.errors import HandshakeError, MessageLossError, ReproError, TransportError
+from repro.live import channel as channel_module
 from repro.live.channel import (
     MAGIC,
     SecureChannel,
@@ -43,7 +45,7 @@ async def accept_one(identity):
 
     async def on_connection(reader, writer):
         try:
-            channel = await accept_channel(reader, writer, identity, timeout=10.0)
+            channel = await accept_channel(reader, writer, identity)
             if not accepted.done():
                 accepted.set_result(channel)
         except Exception as exc:  # surfaced to the test, not swallowed
@@ -145,13 +147,15 @@ class TestHostileHello:
     with the connection closed."""
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_HELLOS))
-    def test_hostile_hello_is_a_handshake_error_and_closes(self, identity, case):
+    def test_hostile_hello_is_a_handshake_error_and_closes(self, identity, case, monkeypatch):
+        monkeypatch.setattr(channel_module, "HANDSHAKE_TIMEOUT_S", 0.5)
+
         async def scenario():
             outcome = asyncio.get_running_loop().create_future()
 
             async def on_connection(reader, writer):
                 try:
-                    await accept_channel(reader, writer, identity, timeout=0.5)
+                    await accept_channel(reader, writer, identity)
                     error = None
                 except Exception as exc:  # whatever escaped, for the assertion
                     error = exc
@@ -254,3 +258,65 @@ class TestRecordProtection:
             await peer.close()
 
         run_async(scenario())
+
+
+class _FedReader(asyncio.StreamReader):
+    """A stream reader over fixed bytes that records each read's size."""
+
+    def __init__(self, data: bytes):
+        super().__init__()
+        self.asked: list[int] = []
+        self.feed_data(data)
+        self.feed_eof()
+
+    async def readexactly(self, n: int) -> bytes:
+        self.asked.append(n)
+        return await super().readexactly(n)
+
+
+def _sealed_record(box: SecretBox, seq: int, plaintext: bytes) -> bytes:
+    sealed = box.seal(plaintext, associated_data=struct.pack(">Q", seq))
+    return struct.pack(">IQ", len(sealed) + 8, seq) + sealed
+
+
+_KEY = bytes(range(32))
+_GOOD = _sealed_record(SecretBox(_KEY), 0, b"frame")
+# each a record stream a peer could send; none of them is one good record
+HOSTILE_RECORDS = {
+    "truncated header": _GOOD[:3],
+    "length below 8": struct.pack(">I", 3) + _GOOD[4:],
+    "length above MAX_FRAME_BYTES": struct.pack(">I", 0xFFFFFFFF) + _GOOD[4:],
+    "EOF mid-body": _GOOD[:-1],
+    "wrong sequence number": _sealed_record(SecretBox(_KEY), 1, b"frame"),
+    "garbled AEAD body": _GOOD[:-1] + bytes([_GOOD[-1] ^ 0x01]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_RECORDS))
+def test_hostile_record_is_rejected_and_closes_the_channel(case):
+    """A record stream is bytes nobody vouches for: each bad one is a
+    :class:`ReproError` out of ``recv_record``, the channel is closed
+    after it (the stream is out of step), and no read asked for more than
+    one record may hold."""
+
+    async def scenario():
+        reader = _FedReader(HOSTILE_RECORDS[case])
+        channel = SecureChannel(reader, None, SecretBox(_KEY), SecretBox(_KEY), "svc", "peer")
+        with pytest.raises(ReproError):
+            await SecureChannel.recv_record(channel)
+        return channel, reader.asked
+
+    channel, asked = run_async(scenario())
+    assert channel.closed
+    assert max(asked) <= channel_module.MAX_FRAME_BYTES
+    with pytest.raises(TransportError):  # closed channels stay closed
+        run_async(channel.recv_record())
+
+
+def test_a_good_fed_record_opens():
+    async def scenario():
+        channel = SecureChannel(_FedReader(_GOOD), None, SecretBox(_KEY), SecretBox(_KEY), "svc", "peer")
+        return await channel.recv_record(), channel
+
+    record, channel = run_async(scenario())
+    assert record == b"frame" and not channel.closed

@@ -135,9 +135,8 @@ class TestLiveObservables:
             deployment = LiveDeployment(config)
             await deployment.start()
             try:
-                alice = await deployment.add_subscriber(
-                    "alice", {"org"}, retrieval_retries=1, retry_delay_s=0.05
-                )
+                alice = await deployment.add_subscriber("alice", {"org"})
+                alice.retrieval_retries = 1
                 await alice.subscribe(Interest({"topic": "a"}))
                 publisher = await deployment.add_publisher("pub")
                 # TTL 0 + T_G 0: the item is dead on arrival at the RS

@@ -36,13 +36,13 @@ async def _run_traffic(deployment: LiveDeployment, publications: int = 2):
 
 class TestProfileRpc:
     def test_kind_profile_returns_the_samplers_snapshot(self, obs):
-        sampler = DeterministicSampler(every=2, obs=obs, origin="det-test-1")
+        sampler = DeterministicSampler(every=2, obs=obs)
         obs.profiler = sampler
 
         async def scenario():
             deployment = LiveDeployment(small_config(obs=obs))
             await deployment.start()
-            client = deployment.telemetry_client("probe")
+            client = deployment.telemetry_client()
             try:
                 await _run_traffic(deployment)
                 return await client.snapshot("ds")
@@ -53,7 +53,7 @@ class TestProfileRpc:
         snapshot = run_async(scenario())
         assert snapshot["service"] == "ds"
         profile = snapshot["profile"]
-        assert profile["origin"] == "det-test-1"
+        assert profile["origin"] == sampler.origin
         assert profile["mode"] == "det"
         assert profile["samples"], "traffic must have produced op samples"
         # the snapshot is non-destructive: a second poll sees >= the same
@@ -63,7 +63,7 @@ class TestProfileRpc:
         async def scenario():
             deployment = LiveDeployment(small_config(obs=obs))
             await deployment.start()
-            client = deployment.telemetry_client("probe")
+            client = deployment.telemetry_client()
             try:
                 return await client.snapshot("rs")
             finally:
@@ -79,7 +79,7 @@ class TestScrapeCollection:
     def test_scrape_merges_one_origin_across_cohosted_services(self, obs):
         # all four in-process services share one sampler: the aggregate
         # must carry ONE copy of its profile, attributed to all four
-        obs.profiler = DeterministicSampler(every=2, obs=obs, origin="det-shared")
+        obs.profiler = DeterministicSampler(every=2, obs=obs)
 
         async def scenario():
             deployment = LiveDeployment(small_config(obs=obs))
@@ -94,8 +94,8 @@ class TestScrapeCollection:
 
         aggregator = run_async(scenario())
         origins = aggregator.profile_origins()
-        assert list(origins) == ["det-shared"]
-        assert origins["det-shared"] == sorted(SERVICE_NAMES)
+        assert list(origins) == [obs.profiler.origin]
+        assert origins[obs.profiler.origin] == sorted(SERVICE_NAMES)
         merged = aggregator.merged_profile()
         single = obs.profiler.profile()
         assert merged.total("count") == single.total("count")

@@ -12,6 +12,7 @@ import pytest
 from repro.core.ara import RegistrationAuthority
 from repro.core.messages import RPC_STORE
 from repro.errors import TransportError
+from repro.live import rpc
 from repro.live.channel import ServerIdentity
 from repro.live.deployment import LiveDeployment
 from repro.live.rpc import AddressBook, LiveRpcEndpoint
@@ -158,15 +159,15 @@ class TestOneWayAndPush:
 
 
 class TestReconnectAndShutdown:
-    def test_unreachable_peer_backs_off_then_raises(self, ara, group):
+    def test_unreachable_peer_backs_off_then_raises(self, ara, group, monkeypatch):
+        monkeypatch.setattr(rpc, "RECONNECT_ATTEMPTS", 3)
+        monkeypatch.setattr(rpc, "BACKOFF_CAP_S", 0.2)
+        monkeypatch.setattr(rpc, "CONNECT_TIMEOUT_S", 1.0)
+
         async def scenario():
             server = await server_endpoint(ara, group)
             bound = await server.start_server()
-            client = client_endpoint(
-                ara, server, bound,
-                reconnect_attempts=3, backoff_base_s=0.05, backoff_cap_s=0.2,
-                connect_timeout_s=1.0,
-            )
+            client = client_endpoint(ara, server, bound)
             await server.close()  # nothing listening any more
             started = time.monotonic()
             with pytest.raises(TransportError, match="could not reach"):
@@ -178,12 +179,14 @@ class TestReconnectAndShutdown:
 
         run_async(scenario())
 
-    def test_reconnects_after_connection_drop(self, ara, group):
+    def test_reconnects_after_connection_drop(self, ara, group, monkeypatch):
+        monkeypatch.setattr(rpc, "BACKOFF_BASE_S", 0.01)
+
         async def scenario():
             server = await server_endpoint(ara, group)
             server.serve("echo", lambda src, msg: (msg.payload, 1))
             bound = await server.start_server()
-            client = client_endpoint(ara, server, bound, backoff_base_s=0.01)
+            client = client_endpoint(ara, server, bound)
             try:
                 assert await client.call("svc", "echo", b"one") == b"one"
                 # sever the established channel from the server side

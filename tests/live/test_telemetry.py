@@ -14,6 +14,7 @@ from repro.core.ara import TELEMETRY_CONTEXT, RegistrationAuthority
 from repro.core.messages import KIND_TELEMETRY
 from repro.crypto.signing import SigningKeyPair
 from repro.errors import TransportError
+from repro.live import rpc
 from repro.live.channel import ServerIdentity
 from repro.live.deployment import SERVICE_NAMES, LiveDeployment
 from repro.live.rpc import AddressBook, LiveRpcEndpoint
@@ -139,7 +140,7 @@ class TestExpositionOverRpc:
         async def scenario():
             deployment = LiveDeployment(small_config(obs=obs))
             await deployment.start()
-            client = deployment.telemetry_client("probe")
+            client = deployment.telemetry_client()
             try:
                 await _run_traffic(deployment)
                 snapshot = await client.snapshot("ds")
@@ -225,8 +226,12 @@ class TestFlightRecorderAcceptance:
 
 
 class TestBackoffReadiness:
-    def test_dial_backoff_fails_readiness_until_it_resolves(self, group):
+    def test_dial_backoff_fails_readiness_until_it_resolves(self, group, monkeypatch):
         config = small_config()
+        monkeypatch.setattr(rpc, "RECONNECT_ATTEMPTS", 4)
+        monkeypatch.setattr(rpc, "BACKOFF_BASE_S", 0.3)
+        monkeypatch.setattr(rpc, "BACKOFF_CAP_S", 0.6)
+        monkeypatch.setattr(rpc, "CONNECT_TIMEOUT_S", 0.5)
 
         async def scenario():
             ara = RegistrationAuthority(group, config.schema)
@@ -237,10 +242,6 @@ class TestBackoffReadiness:
                 book,
                 ara_verify_key=ara.directory.ara_verify_key,
                 identity=identity,
-                reconnect_attempts=4,
-                backoff_base_s=0.3,
-                backoff_cap_s=0.6,
-                connect_timeout_s=0.5,
             )
             service = LiveAnonymizationService(endpoint)
             host, port = await service.start()

@@ -74,12 +74,12 @@ class TestClockAndTimeouts:
         seen = []
 
         def proc():
-            value = yield sim.timeout(1.0, value="payload")
-            seen.append(value)
+            value = yield sim.timeout(1.0)
+            seen.append((sim.now, value))
 
         sim.process(proc())
         sim.run()
-        assert seen == ["payload"]
+        assert seen == [(1.0, None)]
 
 
 class TestEventsAndProcesses:

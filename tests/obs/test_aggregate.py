@@ -2,7 +2,7 @@
 merge, label-scoped metric merge, span reassembly, publish→deliver
 latency, and the drop count kept once per process."""
 
-from repro.obs import TelemetryAggregator
+from repro.obs import TelemetryAggregator, aggregate
 
 
 def _health(service: str, ready: bool = True, **checks: bool) -> dict:
@@ -233,8 +233,9 @@ def _trace_ids(agg) -> list[int]:
 
 
 class TestSpanTableBound:
-    def test_lru_eviction_with_counter(self):
-        agg = TelemetryAggregator(span_table_capacity=4)
+    def test_lru_eviction_with_counter(self, monkeypatch):
+        monkeypatch.setattr(aggregate, "SPAN_TABLE_CAPACITY", 4)
+        agg = TelemetryAggregator()
         for index in range(10):
             agg.ingest(_spans("ds", [_span(index, index, "publish", float(index), None)]))
         assert len(agg.spans()) == 4
@@ -242,8 +243,9 @@ class TestSpanTableBound:
         # oldest-touched evicted first: the survivors are the newest
         assert _trace_ids(agg) == [6, 7, 8, 9]
 
-    def test_re_seen_span_is_refreshed_not_evicted(self):
-        agg = TelemetryAggregator(span_table_capacity=3)
+    def test_re_seen_span_is_refreshed_not_evicted(self, monkeypatch):
+        monkeypatch.setattr(aggregate, "SPAN_TABLE_CAPACITY", 3)
+        agg = TelemetryAggregator()
         agg.ingest(_spans("ds", [_span(1, 1, "publish", 0.0, 0.1)]))
         agg.ingest(_spans("ds", [_span(2, 2, "publish", 1.0, 1.1)]))
         # trace 1 arrives again (second service's scrape): touched → MRU
@@ -253,18 +255,8 @@ class TestSpanTableBound:
         assert 1 in _trace_ids(agg)  # survived: it was re-touched
         assert 2 not in _trace_ids(agg)  # the actual LRU entry went
 
-    def test_unbounded_table_never_evicts(self):
-        agg = TelemetryAggregator(span_table_capacity=None)
-        for index in range(10_000):
-            agg.ingest(_spans("ds", [_span(index, index, "publish", 0.0, 0.1)]))
-        assert agg.span_evictions == 0
-        assert len(agg.spans()) == 10_000
-
     def test_default_capacity_is_sane(self):
-        from repro.obs.aggregate import DEFAULT_SPAN_TABLE_CAPACITY
-
-        assert DEFAULT_SPAN_TABLE_CAPACITY >= 1024
-        assert TelemetryAggregator().span_table_capacity == DEFAULT_SPAN_TABLE_CAPACITY
+        assert aggregate.SPAN_TABLE_CAPACITY >= 1024
 
 
 class TestServiceObservability:

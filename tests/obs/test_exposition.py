@@ -10,7 +10,7 @@ from .openmetrics import parse_openmetrics
 def test_sanitize_metric_name():
     assert sanitize_metric_name("op.hve.match") == "p3s_op_hve_match"
     assert sanitize_metric_name("live.net.tx_bytes") == "p3s_live_net_tx_bytes"
-    assert sanitize_metric_name("weird metric-name!", namespace="") == "weird_metric_name_"
+    assert sanitize_metric_name("weird metric-name!") == "p3s_weird_metric_name_"
 
 
 def test_counter_rendering_and_types():
@@ -63,17 +63,6 @@ def test_label_escaping_round_trips():
     assert "\n done" not in text.split("# EOF")[0].splitlines()[1]  # newline escaped
     parsed = parse_openmetrics(text)
     assert parsed.value("p3s_op_weird_total", component=hostile) == 1
-
-
-def test_extra_labels_stamped_on_every_sample():
-    registry = MetricsRegistry()
-    registry.inc("op.pairing", 5, component="ds")
-    registry.observe("op.pairing.wall_s", 0.1, component="ds")
-    parsed = parse_openmetrics(to_openmetrics(registry, extra_labels={"service": "ds"}))
-    assert parsed.value("p3s_op_pairing_total", component="ds", service="ds") == 5
-    assert parsed.value(
-        "p3s_op_pairing_wall_s_count", component="ds", service="ds"
-    ) == 1
 
 
 def test_float_values_survive():

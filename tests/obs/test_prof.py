@@ -29,6 +29,7 @@ from repro.obs.prof import (
     load_profile,
     record_demo,
 )
+from repro.obs.prof import sampler as sampler_module
 from repro.obs.prof.sampler import _StackTable
 from repro.obs.prof.workload import run_demo_workload
 
@@ -124,12 +125,13 @@ class TestProfileModel:
         assert "op.g1_exp" in report
         assert "pub=" in report and "ds=" in report
 
-    def test_stack_table_overflow_preserves_weight(self):
-        table = _StackTable(max_stacks=4)
+    def test_stack_table_overflow_preserves_weight(self, monkeypatch):
+        monkeypatch.setattr(sampler_module, "MAX_STACKS", 4)
+        table = _StackTable()
         for index in range(10):
             table.add((f"frame-{index}",), 1, 0.0, 0.0)
         profile = table.snapshot(Profile(mode="det"))
-        # cardinality capped at max_stacks + the overflow bucket...
+        # cardinality capped at MAX_STACKS + the overflow bucket...
         assert len(profile.samples) <= 5
         assert profile.samples[(OVERFLOW_FRAME,)].count == table.overflowed == 6
         # ...but no weight was dropped
@@ -137,8 +139,9 @@ class TestProfileModel:
 
 
 class TestStackSampler:
-    def test_stack_table_stays_bounded_under_soak(self):
-        sampler = StackSampler(hz=50.0, max_stacks=256)
+    def test_stack_table_stays_bounded_under_soak(self, monkeypatch):
+        monkeypatch.setattr(sampler_module, "MAX_STACKS", 256)
+        sampler = StackSampler(hz=50.0)
         errors: list[BaseException] = []
 
         def soak():

@@ -207,7 +207,7 @@ class TestIngest:
         assert (good, bad) == (3, 2)
 
     def test_store_recovery_once_per_observed_recovery(self):
-        engine = SloEngine(default_slos(recovery_threshold_s=2.0))
+        engine = SloEngine(default_slos())
         agg = _FakeAggregator()
         agg.counters["rs"] = {"store.recovery_s": 0.5}
         engine.ingest(agg, now=0.0)

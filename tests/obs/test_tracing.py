@@ -5,7 +5,8 @@ from repro.obs.tracing import CONTEXT_HEADER, Span, SpanContext, Tracer
 
 def make_tracer(start=0.0):
     clock = {"now": start}
-    tracer = Tracer(lambda: clock["now"])
+    tracer = Tracer()
+    tracer.clock = lambda: clock["now"]
     return tracer, clock
 
 

@@ -3,16 +3,16 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.perf import plot
 from repro.perf.plot import ascii_plot
 
 
 class TestAsciiPlot:
-    def test_basic_shape(self):
+    def test_basic_shape(self, monkeypatch):
+        monkeypatch.setattr(plot, "HEIGHT", 8)
         text = ascii_plot(
             [1_000, 10_000, 100_000],
             {"a": [1.0, 2.0, 4.0], "b": [4.0, 2.0, 1.0]},
-            width=40,
-            height=8,
             title="demo",
         )
         lines = text.splitlines()
@@ -23,19 +23,13 @@ class TestAsciiPlot:
         assert any("*" in line for line in body)
         assert any("o" in line for line in body)
 
-    def test_linear_scales(self):
-        text = ascii_plot(
-            [1, 2, 3], {"s": [5, 5, 5]}, log_x=False, log_y=False, height=4, width=20
-        )
-        assert "|" in text
-
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             ascii_plot([1, 2], {})
 
     def test_axis_labels_present(self):
-        text = ascii_plot([10, 1000], {"s": [1, 100]}, x_label="bytes", y_label="rate")
-        assert "bytes" in text
+        text = ascii_plot([10, 1000], {"s": [1, 100]}, y_label="rate")
+        assert "payload (bytes)" in text
         assert "(y: rate)" in text
 
 

@@ -28,6 +28,7 @@ EXPLICIT = {
     "pbe/schema.py:MetadataSchema.from_json",
     "obs/prof/model.py:Profile.from_dict",
     "live/channel.py:accept_channel",
+    "live/channel.py:SecureChannel.recv_record",
     "perf/bench.py:load_bench_file",
 }
 

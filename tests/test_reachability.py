@@ -38,6 +38,7 @@ INSTRUMENTS = {
     "interpose": "chaos/proxy: put a FaultProxy in front of one live service",
     "disarm": "chaos/proxy: stop injecting so a test can watch the deployment heal",
     "duplicate_dispatch": "chaos/proxy: deliver one live frame twice (dedup tests)",
+    "scan_files_for": "chaos/invariants: look for expired ciphertext in every store file (§4.3 deletion)",
     # obs: how an assertion reads what a run recorded
     "counter_value": "MetricsRegistry: one labelled counter, in op-count assertions",
     "empty": "MetricsRegistry: 'nothing was recorded' (disabled/uninstalled observability)",
