@@ -37,7 +37,6 @@ import glob
 import json
 import os
 import statistics
-import time
 
 import pytest
 from conftest import BenchRecord, e2e_reads
@@ -49,20 +48,20 @@ VECTOR_BITS = 40  # default_schema() under the bit encoding: 2n = 80 multiplicat
 
 
 def table_build_ms(repeats: int = 5) -> dict[str, float]:
-    """One full-width comb table of a fresh base, median of ``repeats``,
-    at ``TOY`` and ``PAPER`` — over whichever ``repro`` is on the path."""
-    from repro.crypto.curve import FixedBaseTable
+    """One whole comb table of a fresh base, at the width ``Point.comb_table``
+    builds and with every entry a scalar can select filled, median of
+    ``repeats``, at ``TOY`` and ``PAPER`` — over whichever ``repro`` is on
+    the path."""
+    from bench_comb_first_use import fill_scalars, whole_table_s
+
     from repro.crypto.group import PairingGroup
 
     out = {}
     for name in ("TOY", "PAPER"):
         group = PairingGroup(name)
-        samples = []
-        for _ in range(repeats):
-            base = group.generator * group.random_zr()
-            start = time.perf_counter()
-            FixedBaseTable(base, group.order.bit_length() + 4)
-            samples.append(time.perf_counter() - start)
+        scalars = fill_scalars(group)
+        bases = [group.generator * group.random_zr() for _ in range(repeats)]
+        samples = [whole_table_s(base, scalars) for base in bases]
         out[f"publisher_floor.{name}.table_build_ms"] = statistics.median(samples) * 1e3
     return out
 

@@ -13,6 +13,10 @@ group operation a digit and no doublings or squarings: at most 33 for a
 free in both groups: ``−(x, y) = (x, −y)`` on the curve, and an ``F_q²``
 element of norm 1 — every GT element — inverts by conjugation.
 
+A key's G1 table is not built whole up front: it fills an entry the first
+time a digit selects it (:mod:`repro.crypto.curve`).  A GT table adds a
+row at a time.
+
 A table lives with whoever owns its base (:class:`TableCache`): an HVE
 public key carries those of its own 2·Σ|Σ_i| points (one pair a symbol of
 each position: 4n for a binary key) — that many at most, freed with the
@@ -63,7 +67,9 @@ def signed_digits(k: int) -> list[int]:
 class TableCache:
     """Comb tables of a set of bases, keyed by value, and the use counts that
     earn them; each LRU-bounded (a key sizes both to its own bases: no eviction).
-    A base earns its table on the large use after ``promote_after`` of them.
+    A base earns its table on the large use after ``promote_after`` of them;
+    one that waited for it has proved hot and gets it whole (``fill``), a
+    key's own (``promote_after=0``) fills in as scalars ask.
 
     A base is a curve point or an ``F_q²`` element of norm 1, and builds its
     own table (``base.comb_table()``); one cache may hold both kinds."""
@@ -84,6 +90,8 @@ class TableCache:
         table = self.tables.get(base)
         if table is None:
             table = base.comb_table()
+            if self.promote_after:  # a base that earned its table by use is hot
+                table.fill()
             self.tables[base] = table
             self.counts.pop(base, None)
             while len(self.tables) > self.max_tables:

@@ -10,9 +10,9 @@ see one canonical form.  A modular inverse costs 40–55 field
 multiplications, so only the single-operation group law (``+``,
 ``double``) pays one per call.  A single scalar multiplication is a
 dependent chain: Jacobian coordinates, one inversion per result.  A batch
-of independent comb multiplications (:func:`mul_many`) and the rows of a
-comb table stay affine and walk in lock-step, one inversion per step.
-Both walks are :mod:`repro.crypto.jacobian`'s.
+of independent comb multiplications (:func:`mul_many`), with the table
+entries it fills, stays affine and walks in lock-step, one inversion per
+step.  Both walks are :mod:`repro.crypto.jacobian`'s.
 """
 
 from __future__ import annotations
@@ -36,25 +36,54 @@ __all__ = ["Point", "hash_to_point", "FixedBaseTable", "fixed_base_table", "mul_
 # group operations into at most ``b/5 + 1`` additions (no doublings at all);
 # which bases earn one, and who keeps it, is ``comb``'s ``TableCache``.
 #
+# A key's table fills in as scalars ask for it.  Construction walks one
+# doubling chain ``2^i·B`` (a row's entries 1, 2, 4, 8 and 16), normalised
+# once — about a ladder's work.  Any other entry is the sum of two entries
+# of its row, filled the first time a signed digit selects it
+# (``7 = 8 − 1``; ``11 = 12 − 1`` after ``12 = 8 + 4``), in at most two
+# lock-step rounds.
+# A base's first multiplication so costs about one and a half ladders
+# where a whole table costs about three; the rest of the table's work is
+# paid by the base's next few dozen uses, each filling the entries its
+# digits select, until the table is whole.  A shared base is filled whole
+# when it earns its table: it has proved hot by then (``comb``'s
+# ``TableCache``).
+#
 # A single multiplication (``FixedBaseTable.mul``) is a dependent chain: a
-# Jacobian accumulator, one inversion for the result.  A batch in hand at
-# once (``mul_many``: the 2n of one ``HVE.encrypt``) keeps its accumulators
-# affine and advances them in lock-step, one shared inversion per digit —
-# as the table build fills all its rows.  Having a batch is what selects
-# the walk.  Results are bit-identical to the naive ladder either way: the
-# group law is deterministic and every path computes the same multiple.
+# Jacobian accumulator, one inversion for the result; its fill rounds
+# invert once each.  A batch in hand at once (``mul_many``: the 2n of one
+# ``HVE.encrypt``) keeps its accumulators affine and advances them in
+# lock-step, one shared inversion per digit; the fill rounds of every
+# table it touches ride in its first steps' inversions, and an addend a
+# round fills joins its accumulator after that round.  Having a batch is
+# what selects the walk.  Results are bit-identical to the naive ladder
+# either way: the group law is deterministic and every path computes the
+# same multiple, in whatever order it adds.
 # ---------------------------------------------------------------------------
+
+_MISSING = object()  # a slot no digit has selected yet; infinity is None
+# each entry a row's doubling chain lacks as the sum of two of its row's: the
+# second on the chain, negated when negative; the first on it or, for 11
+# and 13, the 12 filled a round before
+_SPLIT = {
+    3: (2, 1), 5: (4, 1), 6: (4, 2), 7: (8, -1), 9: (8, 1), 10: (8, 2),
+    11: (12, -1), 12: (8, 4), 13: (12, 1), 14: (16, -2), 15: (16, -1),
+}
 
 
 class FixedBaseTable:
-    """Signed comb precomputation for one base point.
+    """Signed comb precomputation for one base point, filled as it is used.
 
     ``rows[j][d-1] = d · 32^j · B`` for ``d ∈ [1, 16]``, ``max_bits // 5 + 1``
     rows: enough for the signed digits of every scalar in ``[0, 2^max_bits)``
-    (:func:`~repro.crypto.comb.signed_digits`).  A negative digit selects
-    the negated entry ``(x, −y)``, so :meth:`mul` (and a :func:`mul_many`
-    batch) needs one lookup and addition per digit.  Larger scalars fall
-    back to the generic ladder.
+    (:func:`~repro.crypto.comb.signed_digits`).  An entry is a raw affine
+    pair, ``None`` at infinity (a base of small order runs out), or
+    :data:`_MISSING` until a digit first selects it; a slot goes from
+    missing to its value in one assignment, so a second reader that finds
+    it missing fills it again, with the same value.  A negative digit
+    selects the negated entry ``(x, −y)``, so :meth:`mul` (and a
+    :func:`mul_many` batch) needs one lookup and addition per digit.
+    Larger scalars fall back to the generic ladder.
     """
 
     __slots__ = ("base", "max_bits", "rows")
@@ -64,47 +93,112 @@ class FixedBaseTable:
             raise ValueError("cannot build a fixed-base table for the point at infinity")
         self.base = base
         self.max_bits = max_bits
-        params, q = base.params, base.params.q
-        # the row seeds 32^j·B: one doubling chain, normalised once (None
-        # once a base of small order has run out: 32^j·B = O) …
+        q = base.params.q
+        count = max_bits // WINDOW + 1
+        # the doubling chain 2^i·B, normalised once (None once a base of
+        # small order has run out: 2^i·B = O) — entry 2^e of every row
         chain = [(base.x, base.y, 1)]
-        for _ in range(max_bits // WINDOW):
-            X, Y, Z = chain[-1]
-            for _ in range(WINDOW):
-                X, Y, Z = double(X, Y, Z, q)[:3]
-            chain.append((X, Y, Z))
-        seeds = [entry and entry[:2] for entry in normalise(chain, q)]
-        # … then digit d of every row from digit d − 1, all rows in lock-step
-        digits = [seeds]
-        for _ in range(1, ROW):
-            digits.append(add_many(digits[-1], seeds, q))
-        self.rows = [[Point._from_affine(entry, params) for entry in row] for row in zip(*digits)]
+        for _ in range(1, WINDOW * count):
+            chain.append(double(*chain[-1], q)[:3])
+        chain = [entry and entry[:2] for entry in normalise(chain, q)]
+        self.rows = []
+        for j in range(count):
+            row = [_MISSING] * ROW
+            for e in range(WINDOW):
+                row[(1 << e) - 1] = chain[WINDOW * j + e]
+            self.rows.append(row)
 
-    def _addends(self, k: int) -> "list[tuple[int, int] | None]":
-        """The table entries ``k``'s signed digits select, lowest first, each
-        negated for a negative digit (``None`` for a zero digit or an entry
-        at infinity): their sum is ``k · B``.  ``k`` must be in
-        ``[0, 2^max_bits)``."""
+    def _digits(self, k: int) -> list[int]:
+        """``k``'s signed digits; ``k`` must be in ``[0, 2^max_bits)``."""
         if k < 0 or k.bit_length() > self.max_bits:
             raise ParameterError(f"scalar outside the comb table's [0, 2^{self.max_bits})")
-        q = self.base.params.q
-        addends = []
-        for row, digit in zip(self.rows, signed_digits(k)):
-            entry = row[abs(digit) - 1] if digit else None
-            if entry is None or entry.x is None:
-                addends.append(None)
-            else:
-                addends.append((entry.x, entry.y if digit > 0 else -entry.y % q))
-        return addends
+        return signed_digits(k)
+
+    def fill(self) -> None:
+        """Fill every entry now."""
+        _fill([(self, [d] * len(self.rows)) for d in range(1, ROW + 1)])
 
     def mul(self, k: int) -> "Point":
         """``k · B`` by table lookups; ``k`` must be in ``[0, 2^max_bits)``."""
         q = self.base.params.q
+        digits = self._digits(k)
+        _fill([(self, digits)])
         X, Y, Z = INFINITY
-        for entry in self._addends(k):
+        for row, digit in zip(self.rows, digits):
+            # the entry the digit selects, negated for a negative digit
+            entry = _signed(row[abs(digit) - 1], digit, q) if digit else None
             if entry is not None:
                 X, Y, Z, _ = add_affine(X, Y, Z, entry[0], entry[1], q)
         return Point._from_affine(normalise([(X, Y, Z)], q)[0], self.base.params)
+
+
+def _plan(walk: "list[tuple[FixedBaseTable, list[int]]]") -> "tuple[list[list], list[list[int]]]":
+    """The missing entries the digits of ``walk`` select, in tables on one
+    curve, as the lock-step rounds that fill them from their :data:`_SPLIT`
+    pairs (each once, however many digits select it; two rounds at most:
+    11 and 13 wait for 12), and for each walk the round after which each
+    digit's entry is there (0: it is already)."""
+    rounds: list[list[tuple[list, int]]] = []
+    filled_in: dict[tuple[int, int], int] = {}
+
+    def wait(row: list, d: int) -> int:
+        if row[d - 1] is not _MISSING:
+            return 0
+        key = (id(row), d)
+        if key not in filled_in:
+            filled_in[key] = wait(row, _SPLIT[d][0]) + 1
+            if len(rounds) < filled_in[key]:
+                rounds.append([])
+            rounds[filled_in[key] - 1].append((row, d))
+        return filled_in[key]
+
+    waits = [
+        [
+            wait(row, abs(digit)) if digit and row[abs(digit) - 1] is _MISSING else 0
+            for row, digit in zip(table.rows, digits)
+        ]
+        for table, digits in walk
+    ]
+    return rounds, waits
+
+
+def _operands(jobs: "list[tuple[list, int]]", q: int) -> "tuple[list, list]":
+    """The two terms of each ``(row, d)`` entry of a fill round."""
+    lhs, rhs = [], []
+    for row, d in jobs:
+        a, b = _SPLIT[d]
+        lhs.append(row[a - 1])
+        rhs.append(_signed(row[abs(b) - 1], b, q))
+    return lhs, rhs
+
+
+def _fill(walk: "list[tuple[FixedBaseTable, list[int]]]") -> None:
+    """Fill every missing entry the digits of ``walk`` select: one
+    :func:`add_many` (one inversion) a round."""
+    rounds, _ = _plan(walk)
+    q = walk[0][0].base.params.q
+    for jobs in rounds:
+        sums = add_many(*_operands(jobs, q), q)
+        for (row, d), entry in zip(jobs, sums):
+            row[d - 1] = entry
+
+
+def _order(table: FixedBaseTable, digits: list[int], waits: list[int]) -> "list[tuple]":
+    """One accumulator's ``(row, digit)`` a lock-step step: row order, but
+    an entry a fill round makes no earlier than the step after that round
+    (``(None, 0)``, a step that adds nothing, where none is ready)."""
+    if not any(waits):
+        return list(zip(table.rows, digits))
+    order: list[tuple[list | None, int]] = []
+    for j in sorted(range(len(digits)), key=waits.__getitem__):
+        order += [(None, 0)] * (waits[j] - len(order))
+        order.append((table.rows[j], digits[j]))
+    return order
+
+
+def _signed(entry: "tuple[int, int] | None", sign: int, q: int) -> "tuple[int, int] | None":
+    """``entry`` for a positive ``sign``, its negation ``(x, −y)`` for a negative one."""
+    return entry if entry is None or sign > 0 else (entry[0], -entry[1] % q)
 
 
 def fixed_base_table(point: "Point") -> FixedBaseTable:
@@ -132,9 +226,10 @@ def mul_many(pairs: "list[tuple[Point, int]]", owner: TableCache = shared_tables
     """``[base * k for base, k in pairs]`` for bases on one curve, each
     entry counted, promoted and served exactly as ``Point.__mul__`` would
     (from ``owner``, when the bases are one key's own); the comb-table
-    entries walk in lock-step, one inversion per digit for all of them."""
+    entries walk in lock-step, one inversion per digit for all of them,
+    and fill their tables' missing entries in the same steps."""
     results: list[Point | None] = []
-    walk = []  # (slot, table, k) of every entry a comb table serves
+    walk = []  # (slot, table, digits) of every entry a comb table serves
     for base, k in pairs:
         if base.params.q != pairs[0][0].params.q:
             raise ParameterError("mul_many: bases on different curves")
@@ -144,11 +239,23 @@ def mul_many(pairs: "list[tuple[Point, int]]", owner: TableCache = shared_tables
         if table is None:
             results.append(base.scalar_mul_windowed(k, 4 if k.bit_length() > 32 else 1))
         else:
-            walk.append((len(results), table, k))
+            walk.append((len(results), table, table._digits(k)))
             results.append(None)
+    if not walk:
+        return results
+    q = pairs[0][0].params.q
+    rounds, waits = _plan([(table, digits) for _, table, digits in walk])
+    orders = [_order(table, digits, wait) for (_, table, digits), wait in zip(walk, waits)]
     sums: list[tuple[int, int] | None] = [None] * len(walk)
-    for step in zip_longest(*(table._addends(k) for _, table, k in walk)):
-        sums = add_many(sums, step, pairs[0][0].params.q)
+    # fill round i rides along in step i's add_many; its entries join from step i + 1
+    for i, step in enumerate(zip_longest(*orders, fillvalue=(None, 0))):
+        jobs = rounds[i] if i < len(rounds) else []
+        lhs, rhs = _operands(jobs, q)
+        addends = [_signed(row[abs(d) - 1], d, q) if d else None for row, d in step]
+        sums = add_many(sums + lhs, addends + rhs, q)
+        for (row, d), entry in zip(jobs, sums[len(walk) :]):
+            row[d - 1] = entry
+        del sums[len(walk) :]
     for (slot, table, _), entry in zip(walk, sums):
         results[slot] = Point._from_affine(entry, table.base.params)
     return results
@@ -265,7 +372,8 @@ class Point:
 
     def comb_table(self) -> FixedBaseTable:
         """A new comb table for this base, as wide as ``r`` plus one digit
-        (what a :class:`~repro.crypto.comb.TableCache` builds)."""
+        (what a :class:`~repro.crypto.comb.TableCache` builds): its doubling
+        chain, the rest filled as scalars ask for it."""
         record_op("g1_exp.fb_build")
         return FixedBaseTable(self, self.params.r.bit_length() + WINDOW)
 

@@ -211,6 +211,9 @@ class PowerTable:
         self.max_bits = (base.q + 1).bit_length()
         self.rows: list[list[Fq2]] = []
 
+    def fill(self) -> None:
+        """Nothing up front: a row is added when an exponent first reaches it."""
+
     def pow(self, k: int) -> Fq2:
         """``B^k`` by table lookups, for ``k ≥ 0``."""
         digits = signed_digits(k)

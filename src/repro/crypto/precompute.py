@@ -14,11 +14,11 @@ accelerate, and this module is the policy/observation surface over both:
   signed radix-32 digits ``d ∈ [−15, 16]`` then cost one group operation
   each (a negative digit is a negated point, or a conjugated GT element).
   Tables are keyed by base and auto-promoted on a shared base's third
-  large use, and on an HVE key's own base's first.
-  One G1 multiplication walks its table (:class:`repro.crypto.curve.
-  FixedBaseTable`) in Jacobian form; a batch (``curve.mul_many``) and a
-  table's build, affine in lock-step.  A GT table
-  (:class:`repro.crypto.field.PowerTable`) grows a row at a time.
+  large use (filled whole), and on an HVE key's own base's first (filled
+  in as scalars ask: :class:`repro.crypto.curve.FixedBaseTable`; a GT
+  table, :class:`repro.crypto.field.PowerTable`, grows a row at a time).
+  One G1 multiplication walks its table in Jacobian form; a batch
+  (``curve.mul_many``), affine in lock-step.
 
 * **Miller-loop line precomputation** (:mod:`repro.crypto.pairing`) — a
   pairing argument reused across many pairings (an HVE subscription token
@@ -32,8 +32,8 @@ accelerate, and this module is the policy/observation surface over both:
 A comb table lives with whoever owns its base.  An ``HVEPublicKey``
 carries the tables of its own 2·Σ|Σ_i| points (``HVEPublicKey.tables``;
 4n for a binary key): key material like the lines above — that many at
-most, freed with the key, never serialized; 16 entries a row, 34 rows at
-``PAPER``.  Every other base
+most, freed with the key, never serialized; up to 16 entries a row, 34
+rows at ``PAPER``.  Every other base
 (``g``, CP-ABE, PKE and signing keys, the GT bases: a dozen or so on any
 workload) is served by value from one process-global, LRU-bounded cache
 (each worker process of a :class:`repro.par.MatchPool` warms its own copy).

@@ -67,7 +67,7 @@ class HVEPublicKey:
 
     ``t[i][σ]``, ``v[i][σ]`` are the bases ``T_{i,σ}``, ``V_{i,σ}``.
     ``tables`` holds the comb tables of this key's own 2·Σ|Σ_i| bases, each
-    built on the base's first use (:mod:`repro.crypto.comb`) — key
+    started on the base's first use (:mod:`repro.crypto.comb`) — key
     material, as a token's Miller lines are (:attr:`HVEToken.lines`): freed
     with the key, never compared, hashed or pickled (a copy starts with none).
     """

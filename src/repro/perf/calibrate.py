@@ -4,10 +4,10 @@ The paper feeds its analytic models "parameter values obtained from the
 current prototype".  This module does the same against this repository's
 own crypto: it times PBE encrypt/match/token-gen, CP-ABE encrypt/decrypt
 and PKE operations, and takes exact ciphertext sizes from the real
-serializers.  Every constant is a warm, steady-state figure — a key's
-comb tables are built and a token's, respectively a secret key's, Miller
-lines are cached, as they are for every publication after the first few
-— and the first-use costs are the separate ``*_cold_s`` fields.
+serializers.  Every constant is a warm figure — a key's comb tables
+serve every multiplication and a token's, respectively a secret key's,
+Miller lines are cached, as they are for every publication after the
+first few — and the first-use costs are the separate ``*_cold_s`` fields.
 The results plug into :class:`~repro.perf.params.ModelParams` (for the
 analytic models).
 """
@@ -49,8 +49,9 @@ class CalibrationResult:
     # Miller-loop precomputation (amortized away on every later query —
     # pbe_match_s is that warm steady-state cost).
     pbe_match_cold_s: float = 0.0
-    # First encryption under a public key: each of its 2n bases builds
-    # its comb table (a key's own bases are promoted on first use).
+    # First encryption under a public key: each of its 2n bases starts its
+    # comb table (a key's own bases are promoted on first use), about one
+    # and a half ladders a base (repro.crypto.curve, "Fixed-base").
     pbe_encrypt_cold_s: float = 0.0
 
     def as_model_params(self, base: ModelParams | None = None) -> ModelParams:

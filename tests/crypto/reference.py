@@ -2,11 +2,15 @@
 
 Nothing here touches the code under test beyond ``Point.__add__`` and
 ``Fq2.__mul__``: the single-operation group laws are the reference every
-faster path is held to.
+faster path is held to.  The one exception is :func:`eager_comb_rows`, the
+whole-table comb build that lazily filled tables are held to, entry for
+entry; it is itself checked against :func:`plain_mul`.
 """
 
+from repro.crypto.comb import ROW, WINDOW
 from repro.crypto.curve import Point
 from repro.crypto.field import Fq2, fq_is_square, fq_sqrt
+from repro.crypto.jacobian import add_many, double, normalise
 from repro.crypto.params import TOY
 
 
@@ -73,3 +77,22 @@ def small_order_point(order):
         if all(not plain_mul(point, d).is_infinity for d in range(1, order)):
             return point
     raise AssertionError(f"no point of order {order} found")
+
+
+def eager_comb_rows(base, max_bits):
+    """Every entry ``d · 32^j · base`` of a ``max_bits`` comb table, as raw
+    affine pairs (``None`` at infinity), built whole: the row seeds
+    ``32^j · base`` from one doubling chain, then digit ``d`` of every row
+    from digit ``d − 1``, all rows in lock-step."""
+    q = base.params.q
+    chain = [(base.x, base.y, 1)]
+    for _ in range(max_bits // WINDOW):
+        X, Y, Z = chain[-1]
+        for _ in range(WINDOW):
+            X, Y, Z = double(X, Y, Z, q)[:3]
+        chain.append((X, Y, Z))
+    seeds = [entry and entry[:2] for entry in normalise(chain, q)]
+    digits = [seeds]
+    for _ in range(1, ROW):
+        digits.append(add_many(digits[-1], seeds, q))
+    return [list(row) for row in zip(*digits)]

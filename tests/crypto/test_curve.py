@@ -3,17 +3,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import precompute
-from repro.crypto.comb import WINDOW, signed_digits
+from repro.crypto import curve, precompute
+from repro.crypto.comb import WINDOW, TableCache, shared_tables, signed_digits
 from repro.crypto.curve import FixedBaseTable, Point, fixed_base_table, hash_to_point, mul_many
 from repro.crypto.jacobian import add_many
 from repro.crypto.params import PAPER, TOY
 from repro.errors import NotOnCurveError, ParameterError, SerializationError
 
-from .reference import lifted_point, plain_mul, small_order_point
+from .reference import eager_comb_rows, lifted_point, plain_mul, small_order_point
 
 G = Point.generator(TOY)
 R = TOY.r
+CHAIN_DIGITS = (1, 2, 4, 8, 16)  # a row's entries on the doubling chain, there from construction
 
 scalars = st.integers(min_value=0, max_value=R - 1)
 
@@ -178,16 +179,23 @@ class TestLaddersAgainstAffineReference:
         """Every scalar a small table accepts — negated entries, rows and
         running sums at infinity included (a 2-torsion base has ``[B, O, B,
         O, …]`` rows and is its own negation), and the carries: the third
-        row is reached only by one running off the top of the second."""
+        row is reached only by one running off the top of the second.
+        Afterwards every entry a scalar can select is filled, with the
+        whole-table build's value, and no other entry is."""
         base = LADDER_POINTS[name]
         table = FixedBaseTable(base, max_bits=10)
         assert len(table.rows) == 3 and all(len(row) == 16 for row in table.rows)
-        for j, row in enumerate(table.rows):
-            for d, entry in enumerate(row, start=1):
-                assert entry == plain_mul(base, d * 32**j)
-        assert signed_digits((1 << 10) - 1) == [-1, 0, 1]
         for k in range(1 << 10):
             assert table.mul(k) == plain_mul(base, k)
+        assert signed_digits((1 << 10) - 1) == [-1, 0, 1]
+        eager = eager_comb_rows(base, 10)
+        for j, row in enumerate(table.rows):
+            for d, entry in enumerate(row, start=1):
+                assert eager[j][d - 1] == _raw(plain_mul(base, d * 32**j))
+                if j < 2 or d in CHAIN_DIGITS:
+                    assert entry == eager[j][d - 1], (j, d)
+                else:  # the top row's digit is a carry: 1 or nothing
+                    assert entry is curve._MISSING, (j, d)
 
     def test_comb_table_full_size(self):
         table = FixedBaseTable(G, max_bits=R.bit_length() + WINDOW)
@@ -321,5 +329,106 @@ class TestCombTableRange:
         with pytest.raises(ParameterError):
             table.mul(k)
         with pytest.raises(ParameterError):
-            table._addends(k)  # the digit selection both walks share
+            table._digits(k)  # the digit selection both walks share
         assert table.mul((1 << 9) - 1) == plain_mul(G, (1 << 9) - 1)
+
+
+# -- a comb table fills in as scalars ask for it -------------------------------------
+
+SMALL_ORDER = ("two_torsion", "order_4", "outside_subgroup")
+
+
+def _assert_missing_or_final(tables, eager):
+    for table, rows in zip(tables, eager):
+        for row, final in zip(table.rows, rows):
+            for entry, value in zip(row, final):
+                assert entry is curve._MISSING or entry == value
+
+
+@pytest.mark.usefixtures("clean_tables")
+class TestLazyCombTable:
+    def test_construction_holds_the_doubling_chain_and_a_mul_fills_what_it_selects(self):
+        table = G.comb_table()
+        eager = eager_comb_rows(G, table.max_bits)
+        k = R - 12345
+        selected = {(j, abs(d)) for j, d in enumerate(signed_digits(k)) if d}
+        selected |= {(j, 12) for j, d in selected if d in (11, 13)}  # their sums' first term
+        for fills in (set(), selected):
+            for j, row in enumerate(table.rows):
+                for d, entry in enumerate(row, start=1):
+                    if d in CHAIN_DIGITS or (j, d) in fills:
+                        assert entry == eager[j][d - 1], (j, d)
+                    else:
+                        assert entry is curve._MISSING, (j, d)
+            assert table.mul(k) == plain_mul(G, k)
+
+    def test_a_shared_base_gets_its_table_whole(self):
+        """Warmed explicitly or promoted by its third large use: it has proved hot."""
+        warmed, used = G * 7, G * 11
+        fixed_base_table(warmed)
+        for _ in range(3):
+            assert used * (R - 1) == plain_mul(used, R - 1)
+        for base in (warmed, used):
+            table = shared_tables.tables[base]
+            assert table.rows == eager_comb_rows(base, table.max_bits)
+
+    def test_whole_table_equals_the_eager_build(self):
+        for base in [G] + [LADDER_POINTS[name] for name in SMALL_ORDER]:
+            table = base.comb_table()
+            table.fill()
+            assert table.rows == eager_comb_rows(base, table.max_bits)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=R - 1), min_size=2, max_size=2),
+        st.lists(st.sampled_from(("fresh", "partly", "full")), min_size=5, max_size=5),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("mul"), st.integers(0, 4), scalars),
+                st.tuples(
+                    st.just("mul_many"),
+                    st.lists(st.tuples(st.integers(0, 4), scalars), min_size=1, max_size=4),
+                ),
+            ),
+            max_size=4,
+        ),
+        st.lists(scalars, min_size=5, max_size=5),
+    )
+    def test_any_interleaving_of_mul_and_mul_many(self, logs, states, ops, partly):
+        """Subgroup and small-order bases, each table fresh, partly filled
+        or whole: every result is the reference's, no slot is ever seen —
+        between any two lock-step rounds either — holding anything but
+        "missing" or its final value, and the whole table is the eager one."""
+        from unittest import mock
+
+        bases = [G * log for log in logs] + [LADDER_POINTS[name] for name in SMALL_ORDER]
+        tables = [base.comb_table() for base in bases]
+        eager = [eager_comb_rows(base, table.max_bits) for base, table in zip(bases, tables)]
+        owner = TableCache(len(bases), len(bases), promote_after=0)
+        for base, table, state, k in zip(bases, tables, states, partly):
+            owner.tables[base] = table
+            if state == "partly":
+                table.mul(k)
+            elif state == "full":
+                table.fill()
+        real = curve.add_many
+
+        def observed(lhs, rhs, q):
+            _assert_missing_or_final(tables, eager)
+            return real(lhs, rhs, q)
+
+        with mock.patch.object(curve, "add_many", observed):
+            for op in ops:
+                if op[0] == "mul":
+                    _, i, k = op
+                    got = [tables[i].mul(k)]
+                    pairs = [(bases[i], k)]
+                else:
+                    pairs = [(bases[i], k) for i, k in op[1]]
+                    got = mul_many(pairs, owner)
+                assert got == [base.scalar_mul_windowed(k) for base, k in pairs]
+                assert got == [plain_mul(base, k) for base, k in pairs]
+                _assert_missing_or_final(tables, eager)
+        for table, rows in zip(tables, eager):
+            table.fill()
+            assert table.rows == rows

@@ -11,9 +11,11 @@ import inspect
 import pytest
 
 from repro.crypto import curve, field, jacobian, pairing, precompute
-from repro.crypto.comb import ROW, WINDOW
-from repro.crypto.curve import FixedBaseTable, Point, hash_to_point
+from repro.crypto.comb import WINDOW, TableCache, signed_digits
+from repro.crypto.curve import FixedBaseTable, Point, hash_to_point, mul_many
 from repro.crypto.params import PAPER, TOY
+
+FILL_ROUNDS = 2  # a missing entry sums two of its row's; 11 and 13 wait a round for 12
 
 
 @pytest.fixture
@@ -56,8 +58,11 @@ def test_ladders_invert_once_per_result_or_batch(inversions, params):
     del inversions[:]
 
     table = FixedBaseTable(base, params.r.bit_length() + WINDOW)
-    assert len(inversions) == ROW  # the row seeds' normalisation, then one per digit 2…16
-    assert params is TOY or len(table.rows) > ROW  # at PAPER, 34 rows: never one per row
+    assert len(inversions) == 1  # the doubling chain's one normalisation
+    del inversions[:]
+
+    table.mul(k)  # fills what its digits select: two lock-step rounds at most
+    assert 1 < len(inversions) <= FILL_ROUNDS + 1
     del inversions[:]
 
     table.mul(k)  # a single multiplication keeps the Jacobian walk
@@ -83,7 +88,7 @@ def test_warm_hve_encrypt_inverts_once_per_window_not_once_per_point(inversions)
     x = [i % 2 for i in range(n)]
     obs = Observability()
     with obs.installed():
-        for _ in range(3):  # the third use of each base builds its table
+        for _ in range(3):  # a key base's first use builds its table
             hve.encrypt(public, x, b"warm-up")
         assert obs.metrics.counter_total("op.g1_exp.fb_build") == 2 * n
         before = {
@@ -93,11 +98,31 @@ def test_warm_hve_encrypt_inverts_once_per_window_not_once_per_point(inversions)
         del inversions[:]
         hve.encrypt(public, x, b"measured")
         digits = TOY.r.bit_length() // WINDOW + 1  # of a scalar below r
+        # the walk, its steps filling the entries no warm-up selected, and the KEM's one
         assert len(inversions) <= digits + 1 < 2 * n
         after = {name: obs.metrics.counter_total(name) for name in before}
     assert after["op.g1_exp"] - before["op.g1_exp"] == 2 * n
     assert after["op.g1_exp.fixed_base"] - before["op.g1_exp.fixed_base"] == 2 * n
     assert after["op.g1_exp.fb_build"] == before["op.g1_exp.fb_build"]
+
+
+@pytest.mark.parametrize("params", [TOY, PAPER], ids=["TOY", "PAPER"])
+def test_a_batch_fills_every_table_in_its_own_steps(inversions, params):
+    """Four fresh key bases in one batch: one inversion builds each table,
+    and the walk fills all four in its own steps — one inversion a signed
+    digit, cold or warm."""
+    bases = [hash_to_point(b"fill-%d" % i, params) for i in range(4)]
+    pairs = [(base, params.r - 12345 - i) for i, base in enumerate(bases)]
+    steps = max(len(signed_digits(k)) for _, k in pairs)
+    owner = TableCache(4, 4, promote_after=0)
+    del inversions[:]
+
+    cold = mul_many(pairs, owner)
+    assert len(inversions) == len(bases) + steps
+    del inversions[:]
+
+    assert mul_many(pairs, owner) == cold
+    assert len(inversions) == steps
 
 
 def test_plain_miller_walks_never_invert_and_a_precomputed_product_inverts_once(inversions):
