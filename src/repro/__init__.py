@@ -18,6 +18,13 @@ Top-level subpackages:
 * :mod:`repro.baseline` — the non-private centralized pub-sub baseline
 * :mod:`repro.privacy`  — gadget graphs and privacy analysis
 * :mod:`repro.perf`     — performance models and calibration
+* :mod:`repro.obs`      — tracing, metrics, SLOs and continuous profiling
+* :mod:`repro.live`     — the same protocol as real asyncio TCP services
+* :mod:`repro.store`    — durable RS/DS state: memory and sealed-WAL engines
+* :mod:`repro.cluster`  — sharded, replicated DS/RS clusters
+* :mod:`repro.chaos`    — seeded fault injection and invariant checking
+* :mod:`repro.par`      — the DS's token-partitioned match pool
+* :mod:`repro.cli`      — the ``python -m repro`` command line
 """
 
 __version__ = "1.0.0"

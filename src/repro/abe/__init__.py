@@ -2,7 +2,8 @@
 
 Public API::
 
-    from repro.abe import CPABE, HybridCPABE, parse_policy
+    from repro.abe.hybrid import HybridCPABE
+    from repro.crypto import PairingGroup
 
     group = PairingGroup("TOY")
     scheme = HybridCPABE(group)
@@ -11,30 +12,3 @@ Public API::
     ct = scheme.encrypt(public, b"payload", "org:acme and role:analyst")
     assert scheme.decrypt(key, ct) == b"payload"
 """
-
-from .policy import PolicyNode, parse_policy, policy_to_string
-from .bsw07 import CPABE, CPABECiphertext, CPABEMasterKey, CPABEPublicKey, CPABESecretKey
-from .hybrid import HybridCPABE, HybridCiphertext
-from .serialize import (
-    deserialize_ciphertext,
-    deserialize_hybrid,
-    serialize_ciphertext,
-    serialize_hybrid,
-)
-
-__all__ = [
-    "PolicyNode",
-    "parse_policy",
-    "policy_to_string",
-    "CPABE",
-    "CPABECiphertext",
-    "CPABEMasterKey",
-    "CPABEPublicKey",
-    "CPABESecretKey",
-    "HybridCPABE",
-    "HybridCiphertext",
-    "serialize_ciphertext",
-    "deserialize_ciphertext",
-    "serialize_hybrid",
-    "deserialize_hybrid",
-]

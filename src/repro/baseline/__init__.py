@@ -1,13 +1,5 @@
 """The non-private centralized pub-sub baseline (paper §6.2)."""
 
-from .broker import BaselineBroker, BaselinePublication
-from .system import BaselineDelivery, BaselinePublisher, BaselineSubscriber, BaselineSystem
+from .system import BaselineSystem
 
-__all__ = [
-    "BaselineBroker",
-    "BaselinePublication",
-    "BaselineSystem",
-    "BaselinePublisher",
-    "BaselineSubscriber",
-    "BaselineDelivery",
-]
+__all__ = ["BaselineSystem"]

@@ -12,42 +12,7 @@ bit-identically; ``--minimize`` shrinks a failing schedule to a
 1-minimal fault set.  See ``docs/CHAOS.md``.
 """
 
-from .inject import SimFaultInjector
-from .invariants import (
-    InvariantResult,
-    check_delivery,
-    check_durability,
-    check_liveness,
-    check_privacy,
-)
-from .oracle import chaos_schema, expected_deliveries, generate_scenario
-from .runner import ChaosReport, minimize, run_chaos
-from .schedule import (
-    FAULT_KINDS,
-    PROFILES,
-    Fault,
-    FaultSchedule,
-    Profile,
-    minimize_schedule,
-)
+from .runner import minimize, run_chaos
+from .schedule import PROFILES, FaultSchedule
 
-__all__ = [
-    "FAULT_KINDS",
-    "PROFILES",
-    "Fault",
-    "FaultSchedule",
-    "Profile",
-    "SimFaultInjector",
-    "InvariantResult",
-    "ChaosReport",
-    "chaos_schema",
-    "check_delivery",
-    "check_durability",
-    "check_liveness",
-    "check_privacy",
-    "expected_deliveries",
-    "generate_scenario",
-    "minimize",
-    "minimize_schedule",
-    "run_chaos",
-]
+__all__ = ["FaultSchedule", "PROFILES", "minimize", "run_chaos"]

@@ -25,15 +25,7 @@ sharded simulator deployment and a sharded live deployment route
 identically — see ``docs/CLUSTER.md``.
 """
 
-from .membership import Member, MembershipTable
-from .ring import DEFAULT_VNODES, HashRing
-from .router import ClusterMap, shard_names
+from .membership import MembershipTable
+from .router import ClusterMap
 
-__all__ = [
-    "DEFAULT_VNODES",
-    "HashRing",
-    "Member",
-    "MembershipTable",
-    "ClusterMap",
-    "shard_names",
-]
+__all__ = ["ClusterMap", "MembershipTable"]

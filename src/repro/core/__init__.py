@@ -6,47 +6,8 @@ components are importable for custom topologies and for the privacy
 analysis.
 """
 
-from .ara import (
-    PublisherCredentials,
-    RegistrationAuthority,
-    ServiceDirectory,
-    SubscriberCredentials,
-)
-from .anonymizer import AnonymizationService
-from .config import ComputeTimings, P3SConfig, default_schema
-from .ds import DisseminationServer
-from .guid import GUID_BYTES, random_guid
-from .messages import AnonEnvelope, EncryptedMetadata, PayloadSubmission
-from .embedded_ts import EmbeddedTokenSource
-from .pbe_ts import PBETokenServer, SubscriptionPolicy
-from .publisher import PublicationRecord, Publisher
-from .rs import RepositoryServer
-from .subscriber import Delivery, Subscriber, SubscriberStats
+from .config import ComputeTimings, P3SConfig
+from .pbe_ts import SubscriptionPolicy
 from .system import P3SSystem
 
-__all__ = [
-    "P3SSystem",
-    "P3SConfig",
-    "ComputeTimings",
-    "default_schema",
-    "RegistrationAuthority",
-    "ServiceDirectory",
-    "SubscriberCredentials",
-    "PublisherCredentials",
-    "DisseminationServer",
-    "RepositoryServer",
-    "PBETokenServer",
-    "SubscriptionPolicy",
-    "EmbeddedTokenSource",
-    "AnonymizationService",
-    "Publisher",
-    "PublicationRecord",
-    "Subscriber",
-    "SubscriberStats",
-    "Delivery",
-    "EncryptedMetadata",
-    "PayloadSubmission",
-    "AnonEnvelope",
-    "random_guid",
-    "GUID_BYTES",
-]
+__all__ = ["P3SSystem", "P3SConfig", "ComputeTimings", "SubscriptionPolicy"]

@@ -11,37 +11,6 @@ Everything the P3S schemes need, implemented from scratch:
   signatures and ARA-issued participant certificates.
 """
 
-from .field import Fq2
-from .curve import Point, hash_to_point
 from .group import PairingGroup
-from .pairing import multi_pairing, tate_pairing
-from .params import PAPER, PARAM_SETS, TEST, TOY, TypeAParams, generate_type_a_params
-from .pke import PKEKeyPair, PKEPublicKey
-from .signing import Certificate, Signature, SigningKeyPair, VerifyKey
-from .symmetric import SecretBox
-from .hashing import hash_bytes, hash_to_int, kdf
 
-__all__ = [
-    "Fq2",
-    "Point",
-    "hash_to_point",
-    "PairingGroup",
-    "multi_pairing",
-    "tate_pairing",
-    "TypeAParams",
-    "generate_type_a_params",
-    "TOY",
-    "TEST",
-    "PAPER",
-    "PARAM_SETS",
-    "PKEKeyPair",
-    "PKEPublicKey",
-    "SigningKeyPair",
-    "VerifyKey",
-    "Signature",
-    "Certificate",
-    "SecretBox",
-    "hash_bytes",
-    "hash_to_int",
-    "kdf",
-]
+__all__ = ["PairingGroup"]

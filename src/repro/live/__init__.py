@@ -19,53 +19,3 @@ No protocol rule lives here: the services and clients subclass the
 ports (:mod:`repro.net.ports`) — both substrates deliver identical
 plaintext sets for identical scenarios (``tests/live/test_parity.py``).
 """
-
-from .channel import SecureChannel, ServerIdentity, ServiceKey, accept_channel, connect_channel
-from .clients import LivePublisher, LiveSubscriber
-from .deployment import LiveDeployment
-from .rpc import AddressBook, LiveRpcEndpoint
-from .scenario import (
-    PublicationSpec,
-    Scenario,
-    SubscriberSpec,
-    default_scenario,
-    run_on_live,
-    run_on_simulator,
-)
-from .services import (
-    LiveAnonymizationService,
-    LiveDisseminationServer,
-    LivePBETokenServer,
-    LiveRepositoryServer,
-)
-from .telemetry import TelemetryClient, install_telemetry
-from .wire import decode_frame, decode_payload, encode_frame, encode_payload
-
-__all__ = [
-    "AddressBook",
-    "LiveRpcEndpoint",
-    "SecureChannel",
-    "ServerIdentity",
-    "ServiceKey",
-    "accept_channel",
-    "connect_channel",
-    "LivePublisher",
-    "LiveSubscriber",
-    "LiveDeployment",
-    "LiveAnonymizationService",
-    "LiveDisseminationServer",
-    "LivePBETokenServer",
-    "LiveRepositoryServer",
-    "Scenario",
-    "SubscriberSpec",
-    "PublicationSpec",
-    "default_scenario",
-    "run_on_simulator",
-    "run_on_live",
-    "TelemetryClient",
-    "install_telemetry",
-    "encode_frame",
-    "decode_frame",
-    "encode_payload",
-    "decode_payload",
-]

@@ -1,21 +1,1 @@
 """Mini-JMS message broker and client API (ActiveMQ stand-in)."""
-
-from .messages import ACK, CONNECT, DELIVER, FRAME_HEADER_BYTES, PUBLISH, SUBSCRIBE, UNSUBSCRIBE, JmsFrame
-from .broker import Broker
-from .client import JmsConnection, JmsSession, MessageConsumer, MessageProducer
-
-__all__ = [
-    "Broker",
-    "JmsConnection",
-    "JmsSession",
-    "MessageProducer",
-    "MessageConsumer",
-    "JmsFrame",
-    "FRAME_HEADER_BYTES",
-    "CONNECT",
-    "SUBSCRIBE",
-    "UNSUBSCRIBE",
-    "PUBLISH",
-    "DELIVER",
-    "ACK",
-]

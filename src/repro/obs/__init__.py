@@ -28,68 +28,16 @@ Pieces:
 * :mod:`~repro.obs.prof` — continuous profiling: span-attributed stack
   samplers (wall-clock and deterministic op-count modes), the profile
   dict recordings and the telemetry wire share, collapsed-stack export,
-  self-time diffs, and the crypto cost ledger.  Imported on demand
-  (``from repro.obs.prof import ...``), not re-exported here — the
-  ledger pulls in the crypto stack, which itself imports this package's
-  hooks;
+  self-time diffs, and the crypto cost ledger.  Imported as
+  ``from repro.obs.prof import ...``, not re-exported here: a package
+  re-exports only the names some caller in ``src/``, ``benchmarks/`` or
+  ``examples/`` imports through it, and no caller imports a profiler
+  name through ``repro.obs`` (``tests/test_reachability.py``);
 * :mod:`~repro.obs.observability` — the :class:`Observability` bundle
   experiments pass via ``P3SConfig(obs=...)``.
 """
 
-from .aggregate import TelemetryAggregator
-from .export import (
-    format_op_summary,
-    format_span_tree,
-    spans_to_jsonl,
-    write_spans_jsonl,
-)
-from .exposition import sanitize_metric_name, to_openmetrics
-from .hooks import active, active_profiler, instrument, record_op
-from .metrics import Counter, Histogram, MetricsRegistry
+from .exposition import to_openmetrics
 from .observability import Observability
-from .ring import DEFAULT_FLIGHT_RECORDER_CAPACITY, FlightRecorder
-from .slo import (
-    CHAOS_WINDOWS,
-    DEFAULT_WINDOWS,
-    SLO_GAUGE_METRICS,
-    Alert,
-    BurnRateWindow,
-    SloEngine,
-    SloSpec,
-    chaos_slos,
-    default_slos,
-)
-from .tracing import CONTEXT_HEADER, Span, SpanContext, Tracer
 
-__all__ = [
-    "Observability",
-    "SloEngine",
-    "SloSpec",
-    "BurnRateWindow",
-    "Alert",
-    "DEFAULT_WINDOWS",
-    "CHAOS_WINDOWS",
-    "SLO_GAUGE_METRICS",
-    "default_slos",
-    "chaos_slos",
-    "Tracer",
-    "Span",
-    "SpanContext",
-    "CONTEXT_HEADER",
-    "MetricsRegistry",
-    "Counter",
-    "Histogram",
-    "FlightRecorder",
-    "DEFAULT_FLIGHT_RECORDER_CAPACITY",
-    "TelemetryAggregator",
-    "to_openmetrics",
-    "sanitize_metric_name",
-    "record_op",
-    "instrument",
-    "active",
-    "active_profiler",
-    "spans_to_jsonl",
-    "write_spans_jsonl",
-    "format_span_tree",
-    "format_op_summary",
-]
+__all__ = ["Observability", "to_openmetrics"]

@@ -71,7 +71,7 @@ class Histogram:
 
     Raw values are kept (simulation scale makes this cheap) so any
     percentile can be computed exactly — :func:`nearest_rank`, the rule
-    :class:`repro.core.metrics.LatencyStats` uses too.
+    ``benchmarks/bench_live_rtt.py`` reads its RTT percentiles with too.
 
     ``exemplars`` holds up to :data:`MAX_EXEMPLARS` ``(value, trace_id)``
     pairs — the worst observations seen, each pointing at the trace that

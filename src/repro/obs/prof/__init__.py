@@ -30,31 +30,18 @@ deduplicating by (origin, stack), and ``repro prof record|report|
 diff|top`` is the offline surface.
 """
 
-from .ledger import LedgerRow, cost_ledger, format_ledger
-from .model import (
-    OVERFLOW_FRAME,
-    Profile,
-    StackWeight,
-    diff_profiles,
-    format_diff,
-    format_report,
-    load_profile,
-)
-from .sampler import DeterministicSampler, StackSampler, start_default_profiler
+from .ledger import cost_ledger, format_ledger
+from .model import diff_profiles, format_diff, format_report, load_profile
+from .sampler import StackSampler, start_default_profiler
 from .workload import record_demo
 
 __all__ = [
-    "Profile",
-    "StackWeight",
-    "OVERFLOW_FRAME",
     "diff_profiles",
     "format_diff",
     "format_report",
     "load_profile",
     "StackSampler",
-    "DeterministicSampler",
     "start_default_profiler",
-    "LedgerRow",
     "cost_ledger",
     "format_ledger",
     "record_demo",

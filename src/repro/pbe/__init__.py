@@ -20,37 +20,7 @@ Public API::
     assert hve.query(token, ct) == guid
 """
 
-from .encoding import bits_needed, encode_value, wildcard_bits
-from .hve import HVE, HVECiphertext, HVEMasterKey, HVEPublicKey, HVEToken, WILDCARD
+from .hve import HVE
 from .schema import ANY, ENCODINGS, AttributeSpec, Interest, MetadataSchema
-from .serialize import (
-    deserialize_hve_ciphertext,
-    deserialize_hve_token,
-    hve_ciphertext_size,
-    hve_token_size,
-    serialize_hve_ciphertext,
-    serialize_hve_token,
-)
 
-__all__ = [
-    "HVE",
-    "HVECiphertext",
-    "HVEMasterKey",
-    "HVEPublicKey",
-    "HVEToken",
-    "WILDCARD",
-    "ANY",
-    "ENCODINGS",
-    "AttributeSpec",
-    "Interest",
-    "MetadataSchema",
-    "bits_needed",
-    "encode_value",
-    "wildcard_bits",
-    "serialize_hve_ciphertext",
-    "deserialize_hve_ciphertext",
-    "serialize_hve_token",
-    "deserialize_hve_token",
-    "hve_ciphertext_size",
-    "hve_token_size",
-]
+__all__ = ["HVE", "ANY", "ENCODINGS", "AttributeSpec", "Interest", "MetadataSchema"]

@@ -1,33 +1,1 @@
 """Performance models, calibration, and reporting (paper §6.2)."""
-
-from .params import MESSAGE_SIZES, PAPER_PARAMS, ModelParams
-from .latency import LatencyBreakdown, baseline_latency, latency_ratio, p3s_latency
-from .throughput import (
-    ThroughputBreakdown,
-    baseline_throughput,
-    p3s_throughput,
-    throughput_ratio,
-)
-from .calibrate import CalibrationResult, calibrate
-from .report import format_rate, format_seconds, format_size, format_table, series_table
-
-__all__ = [
-    "ModelParams",
-    "PAPER_PARAMS",
-    "MESSAGE_SIZES",
-    "baseline_latency",
-    "p3s_latency",
-    "latency_ratio",
-    "LatencyBreakdown",
-    "baseline_throughput",
-    "p3s_throughput",
-    "throughput_ratio",
-    "ThroughputBreakdown",
-    "calibrate",
-    "CalibrationResult",
-    "format_table",
-    "format_size",
-    "format_seconds",
-    "format_rate",
-    "series_table",
-]

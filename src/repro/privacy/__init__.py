@@ -8,44 +8,16 @@
   mitigation.
 """
 
-from .gadget import Gadget, cpabe_gadget, pbe_gadget, pke_gadget, symmetric_gadget
-from .knowledge import Derivation, closure, derivation
-from .adversary import ParticipantView, ThreatModel, combine_views
 from .analysis import (
-    Exposure,
-    PrivacyReport,
-    analyze,
-    build_p3s_gadget,
-    default_views,
     epoch_of,
     token_accumulation_attack,
     token_probing_attack,
     with_epoch_attribute,
 )
-from .trace import VisibilityClaim, VisibilityReport, trace_visibility
 
 __all__ = [
-    "Gadget",
-    "pbe_gadget",
-    "cpabe_gadget",
-    "pke_gadget",
-    "symmetric_gadget",
-    "closure",
-    "derivation",
-    "Derivation",
-    "ThreatModel",
-    "ParticipantView",
-    "combine_views",
-    "analyze",
-    "PrivacyReport",
-    "Exposure",
-    "build_p3s_gadget",
-    "default_views",
     "token_probing_attack",
     "token_accumulation_attack",
     "with_epoch_attribute",
     "epoch_of",
-    "trace_visibility",
-    "VisibilityReport",
-    "VisibilityClaim",
 ]

@@ -19,38 +19,15 @@ See ``docs/PERSISTENCE.md`` for the record format, the recovery
 protocol, and the deletion/compaction guarantees.
 """
 
-from .codec import NS_ITEMS, NS_SUBS, NS_TOKENS
-from .engine import BACKENDS, MemoryEngine, StorageEngine, open_engine, open_service_engine
-from .faults import (
-    CRASH_POINTS,
-    FaultPlan,
-    SimulatedCrash,
-    corrupt_crc,
-    corrupt_length,
-    tear_tail,
-)
+from .engine import MemoryEngine, StorageEngine, open_service_engine
 from .inspect import format_inspection, inspect_store
-from .records import Record
-from .wal import RecoveryInfo, WalEngine
+from .wal import WalEngine
 
 __all__ = [
-    "BACKENDS",
-    "CRASH_POINTS",
-    "FaultPlan",
     "MemoryEngine",
-    "NS_ITEMS",
-    "NS_SUBS",
-    "NS_TOKENS",
-    "Record",
-    "RecoveryInfo",
-    "SimulatedCrash",
     "StorageEngine",
     "WalEngine",
-    "corrupt_crc",
-    "corrupt_length",
     "format_inspection",
     "inspect_store",
-    "open_engine",
     "open_service_engine",
-    "tear_tail",
 ]

@@ -14,8 +14,8 @@ import struct
 
 from hypothesis import example, given, settings
 
-from repro.abe import (
-    HybridCPABE,
+from repro.abe.hybrid import HybridCPABE
+from repro.abe.serialize import (
     deserialize_ciphertext,
     deserialize_hybrid,
     serialize_ciphertext,

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.abe import (
-    HybridCPABE,
+from repro.abe.hybrid import HybridCPABE
+from repro.abe.serialize import (
     deserialize_ciphertext,
     deserialize_hybrid,
     serialize_ciphertext,

@@ -11,12 +11,16 @@ physically absent from every store file (§4.3's verified deletion).
 
 import pytest
 
-from repro.chaos import Fault, FaultSchedule, SimFaultInjector, check_durability
+from repro.chaos import FaultSchedule
+from repro.chaos.inject import SimFaultInjector
+from repro.chaos.invariants import check_durability
+from repro.chaos.schedule import Fault
 from repro.chaos.invariants import scan_files_for
 from repro.chaos.oracle import chaos_schema, generate_scenario
 from repro.core.config import P3SConfig
 from repro.core.system import P3SSystem
-from repro.store import FaultPlan, SimulatedCrash, WalEngine
+from repro.store import WalEngine
+from repro.store.faults import FaultPlan, SimulatedCrash
 
 SEED = 13
 PARTITION = FaultSchedule(

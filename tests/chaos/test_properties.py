@@ -12,7 +12,8 @@ Two tiers, matching the cost of each property:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.chaos import Fault, FaultSchedule, run_chaos
+from repro.chaos import FaultSchedule, run_chaos
+from repro.chaos.schedule import Fault
 from repro.chaos.inject import SimFaultInjector
 from repro.chaos.schedule import MAX_LOSS_HITS, MAX_PARTITION_S, PROFILES
 from repro.cluster.router import shard_names

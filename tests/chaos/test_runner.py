@@ -10,13 +10,9 @@ than vacuously passing.
 
 import pytest
 
-from repro.chaos import (
-    Fault,
-    FaultSchedule,
-    check_durability,
-    minimize,
-    run_chaos,
-)
+from repro.chaos import FaultSchedule, minimize, run_chaos
+from repro.chaos.invariants import check_durability
+from repro.chaos.schedule import Fault
 from repro.chaos.invariants import scan_files_for
 from repro.cli import main
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import P3SConfig, P3SSystem, default_schema
+from repro.core import P3SConfig, P3SSystem
+from repro.core.config import default_schema
 from repro.core.ara import RegistrationAuthority
 from repro.core.config import ComputeTimings
 from repro.core.guid import GUID_BYTES, random_guid

@@ -8,7 +8,8 @@ import pytest
 
 from repro.live.deployment import SERVICE_NAMES, LiveDeployment
 from repro.obs import Observability
-from repro.obs.prof import DeterministicSampler, StackSampler
+from repro.obs.prof import StackSampler
+from repro.obs.prof.sampler import DeterministicSampler
 from repro.pbe.schema import Interest
 
 from .conftest import run_async, scrape, small_config

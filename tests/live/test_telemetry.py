@@ -20,7 +20,8 @@ from repro.live.deployment import SERVICE_NAMES, LiveDeployment
 from repro.live.rpc import AddressBook, LiveRpcEndpoint
 from repro.live.services import LiveAnonymizationService
 from repro.live.telemetry import GAUGE_METRICS, telemetry_snapshot
-from repro.obs import Histogram, Observability, to_openmetrics
+from repro.obs import Observability, to_openmetrics
+from repro.obs.metrics import Histogram
 from repro.pbe.schema import Interest
 
 from ..obs.openmetrics import parse_openmetrics

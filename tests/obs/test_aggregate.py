@@ -2,7 +2,8 @@
 merge, label-scoped metric merge, span reassembly, publish→deliver
 latency, and the drop count kept once per process."""
 
-from repro.obs import TelemetryAggregator, aggregate
+from repro.obs import aggregate
+from repro.obs.aggregate import TelemetryAggregator
 
 
 def _health(service: str, ready: bool = True, **checks: bool) -> dict:

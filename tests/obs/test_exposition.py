@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, sanitize_metric_name, to_openmetrics
+from repro.obs import to_openmetrics
+from repro.obs.exposition import sanitize_metric_name
+from repro.obs.metrics import MetricsRegistry
 
 from .openmetrics import parse_openmetrics
 

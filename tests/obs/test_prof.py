@@ -17,9 +17,6 @@ from repro.errors import ProfileError, ReproError
 from repro.obs.aggregate import TelemetryAggregator
 from repro.obs.observability import Observability
 from repro.obs.prof import (
-    OVERFLOW_FRAME,
-    DeterministicSampler,
-    Profile,
     StackSampler,
     cost_ledger,
     diff_profiles,
@@ -30,7 +27,8 @@ from repro.obs.prof import (
     record_demo,
 )
 from repro.obs.prof import sampler as sampler_module
-from repro.obs.prof.sampler import _StackTable
+from repro.obs.prof.model import OVERFLOW_FRAME, Profile
+from repro.obs.prof.sampler import DeterministicSampler, _StackTable
 from repro.obs.prof.workload import run_demo_workload
 
 from ..hostile import hostile

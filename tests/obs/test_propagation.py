@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import P3SConfig, P3SSystem
-from repro.obs import Observability, spans_to_jsonl, to_openmetrics
+from repro.obs import Observability, to_openmetrics
+from repro.obs.export import spans_to_jsonl
 from repro.obs import hooks
 from repro.pbe import AttributeSpec, Interest, MetadataSchema
 

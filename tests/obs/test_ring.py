@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs import DEFAULT_FLIGHT_RECORDER_CAPACITY, FlightRecorder, Tracer
+from repro.obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY, FlightRecorder
+from repro.obs.tracing import Tracer
 from repro.obs.tracing import Span
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from repro.crypto.group import PairingGroup
 from repro.errors import ParameterError, SchemaError
-from repro.pbe import ANY, HVE, AttributeSpec, HVEToken, Interest, MetadataSchema
+from repro.pbe import ANY, HVE, AttributeSpec, Interest, MetadataSchema
+from repro.pbe.hve import HVEToken
 from repro.pbe.serialize import serialize_hve_ciphertext, serialize_hve_token
 
 from ..crypto.golden_util import frozen_nonces

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 
 from repro.crypto.group import PairingGroup
 from repro.errors import ReproError
-from repro.pbe import (
-    HVE,
+from repro.pbe import HVE
+from repro.pbe.serialize import (
     deserialize_hve_ciphertext,
     deserialize_hve_token,
     serialize_hve_ciphertext,

@@ -4,8 +4,8 @@ import pytest
 
 from repro.crypto.group import PairingGroup
 from repro.errors import SerializationError
-from repro.pbe import (
-    HVE,
+from repro.pbe import HVE
+from repro.pbe.serialize import (
     deserialize_hve_ciphertext,
     hve_ciphertext_size,
     serialize_hve_ciphertext,

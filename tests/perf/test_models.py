@@ -2,17 +2,9 @@
 
 import pytest
 
-from repro.perf import (
-    MESSAGE_SIZES,
-    PAPER_PARAMS,
-    ModelParams,
-    baseline_latency,
-    baseline_throughput,
-    latency_ratio,
-    p3s_latency,
-    p3s_throughput,
-    throughput_ratio,
-)
+from repro.perf.latency import baseline_latency, latency_ratio, p3s_latency
+from repro.perf.params import MESSAGE_SIZES, PAPER_PARAMS, ModelParams
+from repro.perf.throughput import baseline_throughput, p3s_throughput, throughput_ratio
 
 
 class TestLatencyModel:

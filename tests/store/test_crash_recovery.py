@@ -13,7 +13,8 @@ A "crash" here drops the engine object without closing it (a real
 
 import pytest
 
-from repro.store import CRASH_POINTS, FaultPlan, SimulatedCrash, WalEngine
+from repro.store import WalEngine
+from repro.store.faults import CRASH_POINTS, FaultPlan, SimulatedCrash
 
 APPEND_POINTS = tuple(p for p in CRASH_POINTS if p.startswith("append."))
 COMPACT_POINTS = tuple(p for p in CRASH_POINTS if not p.startswith("append."))

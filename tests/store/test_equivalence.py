@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import P3SConfig, P3SSystem
 from repro.pbe import AttributeSpec, Interest, MetadataSchema
-from repro.store import BACKENDS
+from repro.store.engine import BACKENDS
 
 SCHEMA = MetadataSchema(
     [AttributeSpec("topic", ("a", "b", "c", "d")), AttributeSpec("prio", ("lo", "hi"))]

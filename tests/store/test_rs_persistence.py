@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.messages import PayloadSubmission
 from repro.core.rs import RepositoryStore
-from repro.store import BACKENDS, open_engine
+from repro.store.engine import BACKENDS, open_engine
 
 KEY = bytes(range(64, 96))
 # every backend that promises recovery is held to the same cases

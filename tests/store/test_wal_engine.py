@@ -5,15 +5,8 @@ import os
 import pytest
 
 from repro.errors import CorruptRecordError, RecoveryError, StorageError
-from repro.store import (
-    FaultPlan,
-    SimulatedCrash,
-    WalEngine,
-    corrupt_crc,
-    corrupt_length,
-    inspect_store,
-    tear_tail,
-)
+from repro.store import WalEngine, inspect_store
+from repro.store.faults import FaultPlan, SimulatedCrash, corrupt_crc, corrupt_length, tear_tail
 from repro.store.records import MAX_RECORD_LEN
 from repro.store.wal import LOG_NAME
 

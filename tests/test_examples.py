@@ -1,12 +1,14 @@
 """The shipped examples must run clean end to end (they assert internally)."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+REPO = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = REPO / "examples"
 
 
 @pytest.mark.parametrize(
@@ -31,3 +33,14 @@ def test_quickstart_output_content(capsys):
     assert "alice received" in output
     assert "bob received nothing" in output
     assert "anon" in output
+
+
+def test_readme_quickstart_runs(capsys):
+    """The README's Quickstart block (its first ``python`` fence) runs as
+    written, so the package-level names it imports stay importable."""
+    readme = (REPO / "README.md").read_text()
+    snippet = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(snippet, "README.md", "exec"), {"__name__": "__main__"})
+    output = capsys.readouterr().out
+    assert "ACME Q3 earnings leak imminent" in output
+    assert "['anon']" in output

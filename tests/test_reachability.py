@@ -15,6 +15,13 @@ class's own hierarchy (its bases and subclasses, by class name), and any
 other ``obj.<name>`` every definition of that name.  So the scan still
 under-reports (``obj.get`` reaches every ``get``); it exists to stop whole
 unreferenced paths from accumulating, not to prove liveness.
+
+Every re-export has a caller too: a name a package ``__init__`` imports
+from its own submodules, and does not use itself, must be imported
+through the package (``from repro.core import P3SConfig``, or a relative
+``from ..core import ...``) somewhere in ``src/``, ``benchmarks/`` or
+``examples/``.  A test imports any other name from the module that
+defines it.
 """
 
 from __future__ import annotations
@@ -180,3 +187,71 @@ def test_the_allowlist_is_short_and_not_stale():
     still_unreached = {name for name, _ in unreached()}
     stale = sorted(set(INSTRUMENTS) - still_unreached)
     assert not stale, f"INSTRUMENTS entries that now have a caller or no definition: {stale}"
+
+
+def _module_name(path: Path) -> str:
+    """The dotted module a file under ``src/`` defines (a package for an ``__init__``)."""
+    parts = path.relative_to(REPO / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imported_from(path: Path, node: ast.ImportFrom) -> str:
+    """The absolute module an ``import from`` names, relative ones resolved."""
+    if not node.level:
+        return node.module
+    package = _module_name(path).split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    base = package[: len(package) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def reexports():
+    """``(package, name, where)`` of every name a package ``__init__`` imports
+    from its own submodules and does not use itself."""
+    found = []
+    for path in sorted(SRC.rglob("__init__.py")):
+        tree = ast.parse(path.read_text())
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        package = _module_name(path)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if name not in used:
+                        found.append((package, name, f"{path.relative_to(REPO)}:{node.lineno}"))
+    return found
+
+
+def imports_through_packages():
+    """``{(module, name)}`` of every ``from <module> import <name>`` outside the tests."""
+    seen = set()
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = _imported_from(path, node)
+                seen.update((module, alias.name) for alias in node.names)
+    return seen
+
+
+def unused_reexports():
+    imported = imports_through_packages()
+    return [
+        f"{where} {package}.{name}"
+        for package, name, where in reexports()
+        if (package, name) not in imported
+    ]
+
+
+def test_every_reexport_has_a_caller_outside_the_tests():
+    unused = unused_reexports()
+    assert not unused, (
+        f"{len(unused)} names re-exported by a package __init__ that no caller in "
+        "src/, benchmarks/ or examples/ imports through the package (drop the "
+        "import and its __all__ entry; a test imports the name from the module "
+        "that defines it):\n  " + "\n  ".join(unused)
+    )
