@@ -6,6 +6,13 @@ central broker, subscribers register subscriptions with the broker, and
 the broker sends the payload whose metadata matches with a subscription
 to the subscriber."
 
+It is the AMQ stand-in (:class:`repro.mq.broker.Broker`) plus one rule,
+the same extension point the P3S DS overrides: a subscription is a JMS
+topic subscription whose topic is the interest's JSON, a publication is
+a JMS message whose headers (JMS properties) carry the plaintext
+metadata, and :meth:`BaselineBroker.on_publish` fans each publication
+out to every topic whose interest the metadata matches.
+
 The broker sees everything (that is the point of the comparison):
 plaintext metadata, plaintext subscriber interests, and who receives
 what.  Links still run over the TLS-like channel layer ("the baseline
@@ -20,94 +27,43 @@ apiece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core.config import ComputeTimings
-from ..net.channel import SecureChannelLayer
-from ..net.network import Host
+from ..mq.broker import Broker
+from ..mq.messages import JmsFrame
 from ..obs import hooks as obs
 from ..pbe.schema import Interest
 
-__all__ = ["BaselineBroker", "BaselinePublication"]
-
-MSG_SUBSCRIBE = "base.subscribe"
-MSG_PUBLISH = "base.publish"
-MSG_DELIVER = "base.deliver"
+__all__ = ["BaselineBroker"]
 
 
-@dataclass
-class BaselinePublication:
-    """A publish frame: plaintext metadata + payload, visible to the broker."""
+class BaselineBroker(Broker):
+    """Central broker: match in the clear, deliver to matchers only."""
 
-    publication_id: int
-    metadata: dict[str, str]
-    payload: bytes
-
-    @property
-    def wire_size(self) -> int:
-        metadata_size = sum(len(k) + len(v) + 2 for k, v in self.metadata.items())
-        return metadata_size + len(self.payload) + 16
-
-
-@dataclass
-class _Subscription:
-    subscriber: str
-    interest: Interest
-
-
-class BaselineBroker:
-    """Central broker process: match in the clear, deliver to matchers."""
-
-    def __init__(self, host: Host, timings: ComputeTimings):
-        self.host = host
+    def __init__(self, ports, timings: ComputeTimings):
+        super().__init__(ports)
         self.timings = timings
-        self.channel = SecureChannelLayer(host)
-        self.sim = host.network.sim
-        self.subscriptions: list[_Subscription] = []
-        self.published_count = 0
-        self.delivered_count = 0
-        self._started = False
 
-    @property
-    def name(self) -> str:
-        return self.host.name
+    def on_publish(self, src: str, frame: JmsFrame):
+        # a one-way handler cannot park on the simulator: the match runs
+        # as an activity of its own, as the DS's delegated match does
+        yield self.ports.spawn(self._match_and_fan_out(frame))
 
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.sim.process(self._serve())
-
-    def _serve(self):
-        while True:
-            src, message = yield self.channel.receive()
-            if message.msg_type == MSG_SUBSCRIBE:
-                self.subscriptions.append(_Subscription(src, message.payload))
-            elif message.msg_type == MSG_PUBLISH:
-                self.published_count += 1
-                yield from self._match_and_deliver(message)
-
-    def _match_and_deliver(self, message):
-        publication: BaselinePublication = message.payload
+    def _match_and_fan_out(self, frame: JmsFrame):
+        subscriptions = sum(len(clients) for clients in self.subscriptions.values())
         span = obs.start_span(
             "baseline.match",
             component=self.name,
-            parent=obs.extract(message.headers),
-            subscriptions=len(self.subscriptions),
+            parent=obs.extract(frame.headers),
+            subscriptions=subscriptions,
         )
         # The broker tests the publication against ALL registered
         # subscriptions (t2 = 0.05ms × N_s in the latency model).
-        yield self.sim.timeout(self.timings.baseline_match * max(1, len(self.subscriptions)))
+        yield self.ports.compute(self.timings.baseline_match * max(1, subscriptions))
+        # re-parent the propagated context so each delivery hangs off the match
+        obs.inject(frame.headers, span)
         matched = 0
-        for subscription in self.subscriptions:
-            if subscription.interest.matches(publication.metadata):
-                matched += 1
-                self.delivered_count += 1
-                self.channel.send(
-                    subscription.subscriber,
-                    MSG_DELIVER,
-                    publication,
-                    publication.wire_size,
-                    headers=obs.inject({}, span),
-                )
+        for topic in list(self.subscriptions):
+            if Interest.from_json(topic).matches(frame.headers):
+                matched += self.subscriber_count(topic)
+                yield from self.fan_out(topic, frame)
         obs.end_span(span, matched=matched)

@@ -1,19 +1,30 @@
-"""Orchestration for the baseline pub-sub system (mirror of P3SSystem)."""
+"""Orchestration for the baseline pub-sub system (mirror of P3SSystem).
+
+Publishers and subscribers are plain JMS clients
+(:class:`~repro.mq.client.JmsConnection`) on their simulator hosts, as
+P3S's are: a subscriber listens on its interest's topic, a publisher
+sends the payload as the body and the metadata as headers.
+"""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.config import ComputeTimings
-from ..net.channel import SecureChannelLayer
+from ..mq.client import JmsConnection
 from ..net.network import Network
 from ..net.simulator import Simulator
-from ..obs import hooks as obs_hooks
+from ..obs import hooks as obs
 from ..pbe.schema import Interest
-from .broker import MSG_DELIVER, MSG_PUBLISH, MSG_SUBSCRIBE, BaselineBroker, BaselinePublication
+from .broker import BaselineBroker
 
 __all__ = ["BaselineSystem", "BaselineSubscriber", "BaselinePublisher", "BaselineDelivery"]
+
+# the topic publications are addressed to; the broker routes on headers
+PUBLISH_TOPIC = "baseline"
+# the header naming a publication, beside its metadata attributes
+HDR_PUBLICATION_ID = "baseline-id"
 
 
 @dataclass(frozen=True)
@@ -23,82 +34,58 @@ class BaselineDelivery:
     delivered_at: float
 
 
-@dataclass
-class _SubscriberState:
-    name: str
-    channel: SecureChannelLayer
-    deliveries: list[BaselineDelivery] = field(default_factory=list)
+class _Client:
+    """A JMS connection to the broker from a host of its own."""
+
+    def __init__(self, system: "BaselineSystem", name: str):
+        self.system = system
+        self.name = name
+        self.connection = JmsConnection(system.network.add_host(name), system.broker.name)
+        self.connection.start()
+        self.session = self.connection.create_session()
 
 
-class BaselineSubscriber:
+class BaselineSubscriber(_Client):
     """Registers plaintext interests; receives matching payloads."""
 
     def __init__(self, system: "BaselineSystem", name: str):
-        self.system = system
-        self.name = name
-        self.channel = SecureChannelLayer(system.network.add_host(name))
+        super().__init__(system, name)
         self.deliveries: list[BaselineDelivery] = []
-        system.sim.process(self._receive_loop())
 
     def subscribe(self, interest: Interest) -> None:
-        # interest size on the wire: its JSON form
-        self.channel.send(
-            self.system.broker.name, MSG_SUBSCRIBE, interest, len(interest.to_json())
+        consumer = self.session.create_consumer(interest.to_json())
+        consumer.set_message_listener(self._on_frame)
+
+    def _on_frame(self, frame) -> None:
+        publication_id = frame.headers[HDR_PUBLICATION_ID]
+        self.deliveries.append(BaselineDelivery(publication_id, frame.body, self.system.sim.now))
+        obs.end_span(
+            obs.start_span(
+                "deliver",
+                component=self.name,
+                parent=obs.extract(frame.headers),
+                publication_id=publication_id,
+                bytes=len(frame.body),
+            )
         )
 
-    def _receive_loop(self):
-        while True:
-            _, message = yield self.channel.receive()
-            if message.msg_type != MSG_DELIVER:
-                continue
-            publication: BaselinePublication = message.payload
-            self.deliveries.append(
-                BaselineDelivery(
-                    publication_id=publication.publication_id,
-                    payload=publication.payload,
-                    delivered_at=self.system.sim.now,
-                )
-            )
-            obs_hooks.end_span(
-                obs_hooks.start_span(
-                    "deliver",
-                    component=self.name,
-                    parent=obs_hooks.extract(message.headers),
-                    publication_id=publication.publication_id,
-                    bytes=len(publication.payload),
-                )
-            )
 
-
-class BaselinePublisher:
+class BaselinePublisher(_Client):
     """Submits plaintext (metadata, payload) to the broker."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, system: "BaselineSystem", name: str):
-        self.system = system
-        self.name = name
-        self.channel = SecureChannelLayer(system.network.add_host(name))
-        self.published: list[tuple[int, float]] = []  # (publication_id, submitted_at)
+        super().__init__(system, name)
+        self.producer = self.session.create_producer(PUBLISH_TOPIC)
 
     def publish(self, metadata: dict[str, str], payload: bytes) -> int:
-        publication = BaselinePublication(
-            publication_id=next(self._ids), metadata=dict(metadata), payload=payload
-        )
-        self.published.append((publication.publication_id, self.system.sim.now))
-        with obs_hooks.span(
-            "publish",
-            component=self.name,
-            publication_id=publication.publication_id,
-        ) as span:
-            self.channel.send(
-                self.system.broker.name,
-                MSG_PUBLISH,
-                publication,
-                publication.wire_size,
-                headers=obs_hooks.inject({}, span),
+        publication_id = next(self.system.publication_ids)
+        metadata_size = sum(len(k) + len(v) + 2 for k, v in metadata.items())
+        with obs.span("publish", component=self.name, publication_id=publication_id) as span:
+            headers = {**metadata, HDR_PUBLICATION_ID: publication_id}
+            self.producer.send(
+                payload, metadata_size + len(payload), headers=obs.inject(headers, span)
             )
-        return publication.publication_id
+        return publication_id
 
 
 class BaselineSystem:
@@ -112,16 +99,13 @@ class BaselineSystem:
     ):
         self.sim = Simulator()
         self.network = Network(self.sim, default_bandwidth_bps=bandwidth_bps, latency_s=latency_s)
-        self.timings = timings or ComputeTimings()
-        self.broker = BaselineBroker(self.network.add_host("broker"), self.timings)
+        self.broker = BaselineBroker(self.network.add_host("broker"), timings or ComputeTimings())
         self.broker.start()
-        self.publishers: dict[str, BaselinePublisher] = {}
+        self.publication_ids = itertools.count(1)
         self.subscribers: dict[str, BaselineSubscriber] = {}
 
     def add_publisher(self, name: str) -> BaselinePublisher:
-        publisher = BaselinePublisher(self, name)
-        self.publishers[name] = publisher
-        return publisher
+        return BaselinePublisher(self, name)
 
     def add_subscriber(self, name: str) -> BaselineSubscriber:
         subscriber = BaselineSubscriber(self, name)

@@ -5,14 +5,15 @@ a message type, a headers dict, and a payload.  On the wire it is:
 
 .. code-block:: text
 
-    frame   := u16 header_len || header_json || payload
-    header  := {"t": msg_type, "s": src, "h": {...headers...}}   (UTF-8 JSON)
-    payload := tag u8 || body                                    (see codecs below)
+    frame        := u16 len || header_json || u32 len || headers_json || payload
+    header_json  := {"t": msg_type, "s": src}       (UTF-8 JSON)
+    headers_json := {...headers...}                 (UTF-8 JSON; length 0 reads as {})
+    payload      := tag u8 || body                  (see codecs below)
 
 Frames never travel bare: the secure channel (:mod:`repro.live.channel`)
 wraps each one in an authenticated-encryption record with a sequence
-number, and prefixes the record with a u32 length.  Everything in the
-header must therefore be JSON-serializable; the observability span
+number, and prefixes the record with a u32 length.  Every value in the
+headers must therefore be JSON-serializable; the observability span
 context (:class:`repro.obs.tracing.SpanContext`) is converted to its
 wire form on encode and rebuilt on decode, which is what lets one trace
 tree span multiple OS processes.
