@@ -1,23 +1,23 @@
 """Monic Miller lines on r's signed digits: how many lines a precomputed
 ``PAPER`` point holds, what they weigh, and what one subscriber query
-costs — ``BENCH_pr29.json``.
+costs — ``BENCH_pr44.json`` (``BENCH_pr29.json`` holds the first
+recording, on the generated ``PAPER`` whose random r drew 215 lines).
 
-A precomputed line used to be the triple ``(λ, x_T, y_T)``, evaluated in
-five multiplications; dividing it by ``y_Q`` (a factor in ``F_q*``, killed
-by the final exponentiation) makes it the monic ``a + i``, two stored
-integers ``(λ, c)`` and four multiplications.  The walk reads ``r``'s
-non-adjacent form, so ``PAPER`` draws 215 lines, not 239.  Three records,
-all under ``repro perf gate --smoke``:
+A precomputed line is the monic ``a + i``: two stored integers
+``(λ, c)``, four multiplications.  The walk reads ``r``'s non-adjacent
+form.  ``PAPER`` is PBC's ``a.param``, whose Solinas ``r = 2^159 + 2^107 +
+1`` has two non-zero digits, so a walk draws 159 tangents and one chord:
+160 lines.  Three records, all under ``repro perf gate --smoke``:
 
 * ``miller_lines.PAPER.lines_per_pair`` — lines one ``precompute_miller``
-  stores: an exact count (parent 239, ceiling 215);
+  stores: an exact count (parent 215, ceiling 160);
 * ``miller_lines.PAPER.line_kib_per_point`` — what ``tracemalloc`` sees
-  eight line sets hold, per set (parent 96.7, ceiling 70);
+  eight line sets hold, per set (parent 65.4, ceiling 55);
 * ``miller_lines.PAPER.query_over_fq2_mul`` — a warm 8-pair
   ``multi_pair_precomputed`` (one HVE query of the workloads: four
   positions, two pairings each) over one ``F_q²`` multiplication, medians:
-  a ratio that does not depend on the machine (parent ≈ 3600, ceiling
-  3200).
+  a ratio that does not depend on the machine (parent ≈ 3000, ceiling
+  2650).
 
 ``python benchmarks/bench_miller_lines.py`` prints the three over
 whichever ``repro`` is on the path — how the parent's were read.  A record
@@ -25,15 +25,13 @@ is the median of five reads.  ``$P3S_BENCH_RUNS/miller_lines`` names a directory
 
 * ``parent.json`` — ``{name: [reads]}`` of this file's output over the
   parent's ``src``;
-* ``binary.json`` — the same over a copy of this tree whose walk reads
-  ``r``'s binary digits (monic lines alone: the NAF ablation);
 * ``e2e/[<label>-]<workload>-<seed>.jsonl`` — one line per
   ``benchmarks/e2e/run.py --workload … --seed …`` run of the alternating
   pairs, ``{"side", "pair", "result": <the harness's last stdout line>}``
   (``traced-…``: ``--trace 1``, for the per-layer attribution).
 
 The records are measured and their ceilings asserted on every run;
-``BENCH_pr29.json`` is written only with ``$P3S_BENCH_RUNS/miller_lines`` and
+``BENCH_pr44.json`` is written only with ``$P3S_BENCH_RUNS/miller_lines`` and
 ``P3S_WRITE_BENCH=1``.
 """
 
@@ -52,7 +50,7 @@ from conftest import BenchRecord, e2e_reads
 LINES = "miller_lines.PAPER.lines_per_pair"
 KIB = "miller_lines.PAPER.line_kib_per_point"
 RATIO = "miller_lines.PAPER.query_over_fq2_mul"
-CEILING = {LINES: 215.0, KIB: 70.0, RATIO: 3200.0}
+CEILING = {LINES: 160.0, KIB: 55.0, RATIO: 2650.0}
 UNIT = {LINES: "count", KIB: "KiB", RATIO: "ratio"}
 PAIRS = 8
 QUERIES = 20
@@ -103,12 +101,9 @@ def test_miller_lines_records(capsys, bench_writer, bench_runs):
         for name, read in measure().items():
             reads[name].append(read)
     runs = bench_runs("miller_lines")
-    ablation = {}
     if runs:
         with open(os.path.join(runs, "parent.json")) as handle:  # {name: [its reads]}
             reads.update({name + ".parent": values for name, values in json.load(handle).items()})
-        with open(os.path.join(runs, "binary.json")) as handle:
-            ablation = {name + ".binary_walk": values for name, values in json.load(handle).items()}
     value = {name: statistics.median(values) for name, values in reads.items()}
     records = [
         BenchRecord(
@@ -129,17 +124,17 @@ def test_miller_lines_records(capsys, bench_writer, bench_runs):
     if runs:
         assert all(value[name + ".parent"] > ceiling for name, ceiling in CEILING.items())
         bench_writer(
-            "BENCH_pr29.json",
+            "BENCH_pr44.json",
             suite="miller_lines",
             seed=29,
             workload={
                 "harness": f"bench_miller_lines.measure: PAPER, {PAIRS} line sets under tracemalloc; "
                 f"{QUERIES} warm {PAIRS}-pair multi_pair_precomputed over {MULS} F_q2 products, "
                 f"medians; value = median of {READS} reads; .parent = the same file over the "
-                "parent's src; .binary_walk = over this tree walking r's binary digits",
-                "parent": "223ed50",
+                "parent's src, whose PAPER drew a random 160-bit r",
+                "parent": "3c92083",
                 "pairs": PAIRS,
-                "reads": {**reads, **ablation},
+                "reads": reads,
                 "e2e_reads": e2e_reads(runs),
             },
             records=records,

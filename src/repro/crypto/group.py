@@ -38,7 +38,7 @@ class PairingGroup:
 
     Args:
         params: a :class:`TypeAParams` instance or the name of a
-            precomputed set (``"TOY"``, ``"TEST"``, ``"PAPER"``).
+            shipped set (``"TOY"``, ``"TEST"``, ``"PAPER"``).
         rng: an optional :class:`random.Random`-like source for scalar
             sampling.  ``None`` (the default, and the only safe choice
             outside tests) uses :mod:`secrets`; tests pass a seeded

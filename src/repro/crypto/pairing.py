@@ -23,8 +23,9 @@ Four standard optimisations for even embedding degree are used:
   identity, in both walks.
 * **A signed-digit walk** — both walks read ``r``'s non-adjacent form
   (:func:`_naf_digits`); a −1 digit draws the chord through ``−P``, whose
-  extra vertical line is eliminated like the others.  ``PAPER``'s walk
-  draws 215 lines instead of 239.
+  extra vertical line is eliminated like the others.  ``PAPER``'s order,
+  PBC's Solinas prime ``2^159 + 2^107 + 1``, has two non-zero digits: its
+  walk draws 160 lines (159 tangents, one chord; the last is vertical).
 * **Inversion-free steps** — the plain loop carries ``T`` in Jacobian
   coordinates (:mod:`repro.crypto.jacobian`), whose steps hand back the
   slope as a fraction ``N / Z₃``; each line is multiplied through by its

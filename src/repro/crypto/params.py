@@ -1,4 +1,4 @@
-"""Type-A pairing parameters: generation and precomputed sets.
+"""Type-A pairing parameters: PBC's ``a.param`` and generated sets.
 
 A Type-A curve (the family used by PBC/jPBC, and therefore by both crypto
 libraries the P3S paper builds on) is the supersingular curve
@@ -11,14 +11,15 @@ cofactor ``h ≡ 0 (mod 4)`` (which forces ``q ≡ 3 (mod 4)``).  ``G1`` is the
 order-``r`` subgroup of ``E(F_q)`` and ``GT`` the order-``r`` subgroup of
 ``F_q²``.
 
-Three precomputed sets are shipped (see DESIGN.md §6):
+Three sets are shipped (see DESIGN.md §6):
 
-* ``TOY``    — fast unit tests and examples,
-* ``TEST``   — integration tests,
-* ``PAPER``  — 160-bit ``r`` / 512-bit ``q``, the strength class the paper's
-  prototype used (its CP-ABE security parameter is k = 384..512 bits).
+* ``TOY``    — fast unit tests and examples, generated;
+* ``TEST``   — integration tests, generated;
+* ``PAPER``  — PBC's ``a.param`` (cpabe's compiled-in curve, jPBC's
+  ``a.properties``), the paper prototype's curve: 512-bit ``q`` and the
+  Solinas prime ``r = 2^159 + 2^107 + 1``, so a Miller walk draws 160 lines.
 
-:func:`generate_type_a_params` reproduces how the precomputed sets were
+:func:`generate_type_a_params` reproduces how ``TOY`` and ``TEST`` were
 found, so nothing here is magic.
 """
 
@@ -150,7 +151,7 @@ def generate_type_a_params(
     Picks a random ``r_bits``-bit prime ``r`` and scans cofactors
     ``h ≡ 0 (mod 4)`` of about ``q_bits − r_bits`` bits until
     ``q = h·r − 1`` is prime.  With ``seed`` set the search is
-    deterministic (used to produce the precomputed sets below).
+    deterministic (used to produce ``TOY`` and ``TEST`` below).
     """
     if q_bits <= r_bits + 3:
         raise ParameterError("q_bits must exceed r_bits by at least 4 (cofactor of 4)")
@@ -172,20 +173,18 @@ def generate_type_a_params(
 
 
 # ---------------------------------------------------------------------------
-# Precomputed sets — produced by generate_type_a_params(..., seed=...); see
-# tests/crypto/test_params.py which re-validates every invariant.
+# The shipped sets; tests/crypto/test_params.py re-validates every invariant.
+# TOY and TEST are generated at import (seeds chosen once; a few ms).  PAPER
+# is a.param, whose file fixes no generator: ours is the first from x = 1.
 # ---------------------------------------------------------------------------
-
-def _make(name: str, r_bits: int, q_bits: int, seed: int) -> TypeAParams:
-    params = generate_type_a_params(r_bits, q_bits, name=name, seed=seed)
-    return params
-
-
-# Generating at import time keeps the constants honest and costs little:
-# the deterministic seeds below were chosen once; Miller-Rabin on the three
-# sets takes a few milliseconds.
-TOY = _make("TOY", r_bits=64, q_bits=160, seed=2012)
-TEST = _make("TEST", r_bits=112, q_bits=256, seed=2012)
-PAPER = _make("PAPER", r_bits=160, q_bits=512, seed=2012)
+TOY = generate_type_a_params(64, 160, name="TOY", seed=2012)
+TEST = generate_type_a_params(112, 256, name="TEST", seed=2012)
+_A_R = 2**159 + 2**107 + 1
+_A_H = int("12016012264891146079388821366740534204802954401251311822919615131047207289"
+           "359704531102844802183906537786776")
+_A_Q = int("87807107996633125224377819847540498158068831994142082110286533992664756308"
+           "80222957078625179422662221423155858769582317459277713367317481324925129998"
+           "224791")
+PAPER = TypeAParams("PAPER", _A_R, _A_H, _A_Q, *_find_generator(_A_Q, _A_R, _A_H))
 
 PARAM_SETS = {"TOY": TOY, "TEST": TEST, "PAPER": PAPER}

@@ -1,7 +1,11 @@
 """Validation of precomputed Type-A parameter sets and the generator."""
 
+import random
+
 import pytest
 
+from repro.crypto.group import PairingGroup
+from repro.crypto.pairing import _naf_digits, precompute_miller
 from repro.crypto.params import (
     PAPER,
     PARAM_SETS,
@@ -52,6 +56,28 @@ class TestPrecomputedSets:
     def test_byte_widths(self):
         assert PAPER.q_bytes == 64
         assert PAPER.r_bytes == 20
+
+
+class TestPaperIsPbcAParam:
+    """``PAPER`` is PBC's ``a.param``, the curve the paper's prototype ran on."""
+
+    def test_constants(self):
+        assert (PAPER.q, PAPER.h, PAPER.r) == (
+            8780710799663312522437781984754049815806883199414208211028653399266475630880222957078625179422662221423155858769582317459277713367317481324925129998224791,
+            12016012264891146079388821366740534204802954401251311822919615131047207289359704531102844802183906537786776,
+            2**159 + 2**107 + 1,
+        )
+
+    def test_solinas_order_adds_twice(self):
+        assert sum(1 for digit in _naf_digits(PAPER.r) if digit) == 2
+
+    def test_a_point_stores_160_lines(self):
+        # 159 tangents and the chord at 2^107; the last chord, through
+        # (r - 1)P = -P, is the vertical line the walk eliminates
+        point = PairingGroup("PAPER", rng=random.Random(44)).random_g1()
+        steps = precompute_miller(point).steps
+        assert sum(len(step) for step in steps) == 160
+        assert [i for i, step in enumerate(steps) if len(step) == 2] == [51]
 
 
 class TestGeneration:
