@@ -1,7 +1,7 @@
 """PR-3 live transport: loopback RTT and publish→deliver latency.
 
 Three measurements over real TCP sockets on 127.0.0.1, all through the
-full secure stack (length-prefixed frames, per-record AEAD, ECIES
+full secure stack (length-prefixed frames, per-record AEAD, trace-DH
 handshake):
 
 * **rpc echo RTT** — one `LiveRpcEndpoint.call` round-trip with a

@@ -15,9 +15,11 @@ form.  ``PAPER`` is PBC's ``a.param``, whose Solinas ``r = 2^159 + 2^107 +
   eight line sets hold, per set (parent 65.4, ceiling 55);
 * ``miller_lines.PAPER.query_over_fq2_mul`` — a warm 8-pair
   ``multi_pair_precomputed`` (one HVE query of the workloads: four
-  positions, two pairings each) over one ``F_q²`` multiplication, medians:
-  a ratio that does not depend on the machine (parent ≈ 3000, ceiling
-  2650).
+  positions, two pairings each) over one ``F_q²`` multiplication: a ratio
+  that does not depend on the machine (parent ≈ 3000, ceiling 2650).
+  Each repetition times one query and 1000 products back to back, so a
+  change in the box's speed moves both; a read is the median of the
+  repetitions' ratios.
 
 ``python benchmarks/bench_miller_lines.py`` prints the three over
 whichever ``repro`` is on the path — how the parent's were read.  A record
@@ -76,23 +78,16 @@ def measure() -> dict[str, float]:
 
     entries = list(zip(held, points[PAIRS:]))
     group.multi_pair_precomputed(entries)
-    queries = []
+    a, b = group.random_gt(), group.random_gt()
+    ratios = []  # each query and its products back to back: box drift moves both
     for _ in range(QUERIES):
         start = time.perf_counter()
         group.multi_pair_precomputed(entries)
-        queries.append(time.perf_counter() - start)
-    a, b = group.random_gt(), group.random_gt()
-    products = []
-    for _ in range(20):
-        start = time.perf_counter()
+        middle = time.perf_counter()
         for _ in range(MULS):
             a * b
-        products.append((time.perf_counter() - start) / MULS)
-    return {
-        LINES: float(lines),
-        KIB: kib,
-        RATIO: statistics.median(queries) / statistics.median(products),
-    }
+        ratios.append((middle - start) / (time.perf_counter() - middle) * MULS)
+    return {LINES: float(lines), KIB: kib, RATIO: statistics.median(ratios)}
 
 
 def test_miller_lines_records(capsys, bench_writer, bench_runs):
@@ -129,8 +124,9 @@ def test_miller_lines_records(capsys, bench_writer, bench_runs):
             seed=29,
             workload={
                 "harness": f"bench_miller_lines.measure: PAPER, {PAIRS} line sets under tracemalloc; "
-                f"{QUERIES} warm {PAIRS}-pair multi_pair_precomputed over {MULS} F_q2 products, "
-                f"medians; value = median of {READS} reads; .parent = the same file over the "
+                f"{QUERIES} warm {PAIRS}-pair multi_pair_precomputed, each timed back to back with "
+                f"{MULS} F_q2 products, median of the ratios; value = median of {READS} reads; "
+                ".parent = the same file over the "
                 "parent's src, whose PAPER drew a random 160-bit r",
                 "parent": "3c92083",
                 "pairs": PAIRS,

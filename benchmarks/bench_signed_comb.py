@@ -14,9 +14,11 @@ negative digit is a conjugated element).  Two records, both under
   inversion, in one warm n = 40 encryption, counted by wrapping
   ``curve.add_many``: an exact count (parent 40, ceiling 33);
 * ``signed_comb.PAPER.gt_exp_over_fq2_mul`` — a warm GT exponentiation by a
-  fresh exponent below ``r`` over one ``F_q²`` multiplication, medians:
+  fresh exponent below ``r`` over one ``F_q²`` multiplication:
   machine-independent (square-and-multiply pays ~160 squarings and ~80
-  multiplications; ceiling 120).
+  multiplications; ceiling 120).  Each repetition times one power and
+  1000 products back to back, so a change in the box's speed moves both;
+  a read is the median of the repetitions' ratios.
 
 ``python benchmarks/bench_signed_comb.py`` prints both over whichever
 ``repro`` is on the path — how the parent's were read.  A record is the
@@ -77,20 +79,17 @@ def measure() -> dict[str, float]:
         curve.add_many = add_many
 
     base = public.y_gt  # warm since those encryptions, as Y is on every publisher
-    powers = []
+    a, b = group.gt_generator, base
+    ratios = []  # each power and its products back to back: box drift moves both
     for exponent in [group.random_zr() for _ in range(POWERS)]:
         start = time.perf_counter()
         base**exponent
-        powers.append(time.perf_counter() - start)
-    a, b = group.gt_generator, base
-    products = []
-    for _ in range(20):
-        start = time.perf_counter()
+        middle = time.perf_counter()
         for _ in range(MULS):
             a * b
-        products.append((time.perf_counter() - start) / MULS)
+        ratios.append((middle - start) / (time.perf_counter() - middle) * MULS)
     precompute.clear_caches()
-    return {STEPS: float(len(steps)), RATIO: statistics.median(powers) / statistics.median(products)}
+    return {STEPS: float(len(steps)), RATIO: statistics.median(ratios)}
 
 
 def test_signed_comb_records(capsys, bench_writer, bench_runs):
@@ -128,7 +127,8 @@ def test_signed_comb_records(capsys, bench_writer, bench_runs):
             workload={
                 "harness": "bench_signed_comb.measure: PAPER, n = 40, one warm encryption "
                 "counted through a wrapped curve.add_many; Y to "
-                f"{POWERS} fresh exponents below r over {MULS} F_q2 products, medians; "
+                f"{POWERS} fresh exponents below r, each timed back to back with {MULS} F_q2 "
+                "products, median of the ratios; "
                 f"value = median of {READS} reads; .parent = the same file over the parent's src",
                 "parent": "018cb77",
                 "vector_bits": VECTOR_BITS,

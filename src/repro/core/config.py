@@ -39,7 +39,7 @@ class ComputeTimings:
     pbe_token_gen: float = 0.030
     cpabe_encrypt: float = 0.003
     cpabe_decrypt: float = 0.012
-    pke_op: float = 0.002  # one ECIES encrypt/decrypt
+    pke_op: float = 0.002  # one server-key encrypt/decrypt (TLS/RSA in the prototype)
     symmetric_per_byte: float = 25e-9  # ~40 MB/s bulk crypto
     baseline_match: float = 0.00005  # "simple XPath matching ... roughly .05ms"
 

@@ -20,10 +20,10 @@ row at a time.
 A table lives with whoever owns its base (:class:`TableCache`): an HVE
 public key carries those of its own 2·Σ|Σ_i| points (one pair a symbol of
 each position: 4n for a binary key) — that many at most, freed with the
-key — and every other base (``g``, CP-ABE, PKE and signing keys, the GT
-bases: a dozen or so on any workload) is served by value from one
-process-global cache, :data:`shared_tables`, LRU-bounded because nothing
-else bounds it.
+key — and every other base (``g``, CP-ABE and signing keys, the GT bases,
+the servers' PKE keys: a dozen or so on any workload) is served by value
+from one process-global cache, :data:`shared_tables`, LRU-bounded because
+nothing else bounds it.
 
 Tables are promoted automatically, on a base's first large (>32-bit) use
 that its owner's rule admits.  The shared cache admits a base on its

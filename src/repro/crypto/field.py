@@ -20,7 +20,7 @@ from ..errors import ParameterError
 from ..obs.hooks import record_op
 from .comb import ROW, shared_tables, signed_digits
 
-__all__ = ["Fq2", "PowerTable", "fq_inv", "fq_batch_inv", "fq_sqrt", "fq_is_square"]
+__all__ = ["Fq2", "PowerTable", "fq_inv", "fq_batch_inv", "fq_sqrt", "fq_is_square", "lucas_ladder"]
 
 
 def fq_inv(a: int, q: int) -> int:
@@ -77,6 +77,20 @@ def fq_sqrt(a: int, q: int) -> int:
     if (root * root) % q != a % q:
         raise ParameterError("fq_sqrt called on a non-residue")
     return root
+
+
+def lucas_ladder(trace: int, k: int, q: int) -> tuple[int, int]:
+    """``(V_k, V_{k+1})`` modulo ``q`` of ``V_0 = 2``, ``V_1 = trace``,
+    ``V_{j+1} = trace·V_j − V_{j−1}``: for ``u`` of norm 1 and ``trace =
+    u + ū``, ``V_k = u^k + ū^k``.  One squaring and one multiplication a bit
+    of ``k`` (``V_{2j} = V_j² − 2``, ``V_{2j+1} = V_j·V_{j+1} − trace``)."""
+    v0, v1 = 2, trace % q
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            v0, v1 = (v0 * v1 - trace) % q, (v1 * v1 - 2) % q
+        else:
+            v0, v1 = (v0 * v0 - 2) % q, (v0 * v1 - trace) % q
+    return v0, v1
 
 
 class Fq2:

@@ -47,7 +47,7 @@ import functools
 from ..errors import ParameterError
 from ..obs.hooks import record_op
 from .curve import Point
-from .field import Fq2, fq_batch_inv, fq_inv
+from .field import Fq2, fq_batch_inv, fq_inv, lucas_ladder
 from .jacobian import add_affine, double, normalise
 from .params import TypeAParams
 
@@ -129,10 +129,8 @@ def final_exponentiation(f: Fq2, params: TypeAParams) -> Fq2:
 
     Split as ``(q − 1) · (q + 1)/r``.  The first factor is the cheap
     Frobenius step ``u = f̄ / f`` (conjugation is ``f^q`` in ``F_q²``), and
-    ``u`` has norm 1, so ``u^h`` for ``h = (q + 1)/r`` comes from the Lucas
-    sequence ``V_k = u^k + ū^k`` over raw ints — ``V_{2k} = V_k² − 2``,
-    ``V_{2k+1} = V_k·V_{k+1} − P`` with ``P = V_1 = 2·Re(u)`` — at one
-    squaring and one multiplication per exponent bit:
+    ``u`` has norm 1, so ``u^h``, ``h = (q + 1)/r``, comes from the Lucas
+    sequence ``V_k`` of ``P = V_1 = 2·Re(u)`` (:func:`~repro.crypto.field.lucas_ladder`):
 
         Re(u^h) = V_h / 2,    Im(u^h) = (P·V_h − 2·V_{h+1}) / (4·Im(u)).
 
@@ -152,12 +150,7 @@ def final_exponentiation(f: Fq2, params: TypeAParams) -> Fq2:
     w = fq_inv(norm * ab8 % q, q)
     trace = 2 * (a + b) * (a - b) * (w * ab8 % q) % q  # P = 2·Re(u) = 2(a² − b²)/n
     inv_4im = -norm * norm * w % q  # 1/(4·Im u) = −n/(8ab)
-    v0, v1 = trace, (trace * trace - 2) % q  # (V_1, V_2): the leading bit of h
-    for bit in bin((q + 1) // params.r)[3:]:
-        if bit == "1":
-            v0, v1 = (v0 * v1 - trace) % q, (v1 * v1 - 2) % q
-        else:
-            v0, v1 = (v0 * v0 - 2) % q, (v0 * v1 - trace) % q
+    v0, v1 = lucas_ladder(trace, (q + 1) // params.r, q)
     return Fq2(v0 * ((q + 1) >> 1), (trace * v0 - 2 * v1) * inv_4im, q)
 
 

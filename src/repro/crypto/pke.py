@@ -1,78 +1,86 @@
-"""Public-key encryption (ECIES-style KEM-DEM over G1).
+"""Public-key encryption: a trace-Diffie-Hellman KEM in GT plus a DEM.
 
-P3S uses server public keys in two protocol steps (paper §4.3):
-
-* the subscriber encrypts ``(K_s, certificate, predicate)`` to the
-  **PBE-TS** public key when requesting a token, and
-* the subscriber encrypts ``(K_s, GUID)`` to the **RS** public key when
-  retrieving a payload.
-
-The paper's prototype would use the servers' TLS/RSA certificates; we
-provide the equivalent over the pairing group's G1 so no extra number
-theory is needed: an ephemeral Diffie-Hellman KEM plus the
-:class:`~repro.crypto.symmetric.SecretBox` DEM.
+P3S encrypts ``(K_s, certificate, predicate)`` to the PBE-TS key and
+``(K_s, GUID)`` to the RS key (paper §4.3; the prototype used TLS/RSA
+certificates).  A key is ``Y = ĝ^sk`` in GT; a ciphertext is the trace
+``t = Tr(ĝ^eph)`` and a :class:`~repro.crypto.symmetric.SecretBox` seal
+under ``KDF(Tr(Y^eph))``; decryption computes ``Tr(Y^eph) = V_sk(t)``
+by a Lucas ladder.  ``t`` must pass ``t ≠ 2`` and ``V_r(t) = 2`` (order
+exactly ``r``) before the DEM is tried.  docs/PROTOCOL.md, "Servers'
+PKE", has the security argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import DecryptionError, ReproError
-from .curve import Point
+from ..errors import DecryptionError, SerializationError
+from .field import Fq2, lucas_ladder
 from .group import PairingGroup
 from .hashing import kdf
 from .symmetric import OVERHEAD, SecretBox
 
 __all__ = ["PKEKeyPair", "PKEPublicKey", "pke_overhead"]
 
+KDF_LABEL = "pke-trace-dem"
+
+
+def _trace(element: Fq2) -> int:
+    return 2 * element.a % element.q
+
+
+def _of_order_r(trace: int, group: PairingGroup) -> bool:
+    """Whether ``trace`` is the trace of an element of GT other than 1."""
+    q = group.params.q
+    return trace < q and trace != 2 and lucas_ladder(trace, group.order, q)[0] == 2
+
 
 @dataclass(frozen=True)
 class PKEPublicKey:
-    """An encryption-only public key ``pk = sk·g``."""
+    """An encryption-only public key ``Y = ĝ^sk``."""
 
     group: PairingGroup
-    point: Point
+    element: Fq2
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        """ECIES encrypt: ``eph·g || SecretBox_{KDF(eph·pk)}(plaintext)``."""
-        eph = self.group.random_zr()
-        ephemeral_public = self.group.generator * eph
-        shared = self.point * eph
-        key = kdf(self.group.serialize_g1(shared), "pke-dem")
-        box = SecretBox(key)
-        return self.group.serialize_g1(ephemeral_public) + box.seal(plaintext)
+        """``Tr(ĝ^eph) || SecretBox_{KDF(Tr(Y^eph))}(plaintext)``, both
+        powers served from the shared comb tables."""
+        group, eph, width = self.group, self.group.random_zr(), self.group.params.q_bytes
+        key = kdf(_trace(self.element**eph).to_bytes(width, "big"), KDF_LABEL)
+        ephemeral = _trace(group.gt_generator**eph).to_bytes(width, "big")
+        return ephemeral + SecretBox(key).seal(plaintext)
 
     def to_bytes(self) -> bytes:
-        return self.group.serialize_g1(self.point)
+        return self.group.serialize_gt(self.element)
 
     @classmethod
     def from_bytes(cls, data: bytes, group: PairingGroup) -> "PKEPublicKey":
-        return cls(group, group.deserialize_g1(data))
+        element = group.deserialize_gt(data)
+        if element.norm() != 1 or not _of_order_r(_trace(element), group):
+            raise SerializationError("PKE public key is not an element of order r")
+        return cls(group, element)
 
 
 class PKEKeyPair:
-    """Key pair for the ECIES-style scheme; holds the secret scalar."""
+    """Key pair for the trace-DH scheme; holds the secret exponent."""
 
     def __init__(self, group: PairingGroup, secret: int | None = None):
         self.group = group
         self._secret = secret if secret is not None else group.random_zr()
-        self.public = PKEPublicKey(group, group.generator * self._secret)
+        self.public = PKEPublicKey(group, group.gt_generator**self._secret)
 
     def decrypt(self, ciphertext: bytes) -> bytes:
-        point_len = self.group.g1_bytes
-        if len(ciphertext) < point_len + OVERHEAD:
-            # a DecryptionError like every other bad ciphertext, so the
-            # request decoders that feed this hostile bytes refuse cleanly
+        q, width = self.group.params.q, self.group.params.q_bytes
+        if len(ciphertext) < width + OVERHEAD:
+            # a DecryptionError like any bad ciphertext: request decoders refuse it cleanly
             raise DecryptionError("PKE ciphertext too short")
-        try:
-            ephemeral_public = self.group.deserialize_g1(ciphertext[:point_len])
-        except ReproError as exc:  # not a canonical encoding, or not on the curve
-            raise DecryptionError(f"bad ephemeral point: {exc}") from exc
-        shared = ephemeral_public * self._secret
-        key = kdf(self.group.serialize_g1(shared), "pke-dem")
-        return SecretBox(key).open(ciphertext[point_len:])
+        trace = int.from_bytes(ciphertext[:width], "big")
+        if not _of_order_r(trace, self.group):
+            raise DecryptionError("ephemeral trace is not of an element of order r")
+        shared = lucas_ladder(trace, self._secret, q)[0].to_bytes(width, "big")
+        return SecretBox(kdf(shared, KDF_LABEL)).open(ciphertext[width:])
 
 
 def pke_overhead(group: PairingGroup) -> int:
-    """Ciphertext expansion in bytes (ephemeral point + DEM overhead)."""
-    return group.g1_bytes + OVERHEAD
+    """Ciphertext expansion in bytes (ephemeral trace + DEM overhead)."""
+    return group.params.q_bytes + OVERHEAD

@@ -6,19 +6,12 @@ what is left — doublings and squarings, and the point arithmetic of a
 fixed pairing argument.  The mechanics live next to the arithmetic they
 accelerate, and this module is the policy/observation surface over both:
 
-* **Signed-digit comb tables** (:mod:`repro.crypto.comb`) — the group
-  generator ``g`` and the HVE/CP-ABE public-key bases are multiplied by
-  fresh scalars on every setup, encrypt and token-gen call, and the GT
-  bases ``Y``, ``ê(g,g)^α`` and ``ê(g,g)`` are raised to fresh powers.
-  A table stores ``d · 32^j`` times its base for ``d = 1…16``; a scalar's
-  signed radix-32 digits ``d ∈ [−15, 16]`` then cost one group operation
-  each (a negative digit is a negated point, or a conjugated GT element).
-  Tables are keyed by base and auto-promoted on a shared base's third
-  large use (filled whole), and on an HVE key's own base's first (filled
-  in as scalars ask: :class:`repro.crypto.curve.FixedBaseTable`; a GT
-  table, :class:`repro.crypto.field.PowerTable`, grows a row at a time).
-  One G1 multiplication walks its table in Jacobian form; a batch
-  (``curve.mul_many``), affine in lock-step.
+* **Signed-digit comb tables** (:mod:`repro.crypto.comb`, which says
+  which bases earn one and who keeps it) — one group operation per signed
+  radix-32 digit of a fresh scalar, on the generator ``g``, the HVE and
+  CP-ABE key points and the GT bases (``Y``, ``ê(g,g)^α``, ``ê(g,g)``, a
+  server's PKE key).  One G1 multiplication walks its table in Jacobian
+  form; a batch (``curve.mul_many``), affine in lock-step.
 
 * **Miller-loop line precomputation** (:mod:`repro.crypto.pairing`) — a
   pairing argument reused across many pairings (an HVE subscription token
@@ -29,14 +22,6 @@ accelerate, and this module is the policy/observation surface over both:
   key material: a token owns its own (``HVEToken.lines``), and a client's
   ``CPABE`` keeps its keys' in an LRU (``CPABE._key_lines``).
 
-A comb table lives with whoever owns its base.  An ``HVEPublicKey``
-carries the tables of its own 2·Σ|Σ_i| points (``HVEPublicKey.tables``;
-4n for a binary key): key material like the lines above — that many at
-most, freed with the key, never serialized; up to 16 entries a row, 34
-rows at ``PAPER``.  Every other base
-(``g``, CP-ABE, PKE and signing keys, the GT bases: a dozen or so on any
-workload) is served by value from one process-global, LRU-bounded cache
-(each worker process of a :class:`repro.par.MatchPool` warms its own copy).
 Both precomputed paths are bit-identical to the naive ones — enforced by
 ``tests/par/test_equivalence.py`` and the golden vectors in
 ``tests/crypto/vectors/``.

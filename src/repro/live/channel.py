@@ -12,8 +12,8 @@ binding — the "public key certificates" the ARA distributes in §4.3):
    signature over ``name || PKE public key`` (see
    :meth:`repro.core.ara.RegistrationAuthority.sign_service_key`).
 2. ``client → server`` (cleartext): ``MAGIC || client_name ||
-   PKE_encrypt(server_pk, pre_master(32) || nonce(16))`` — an
-   ECIES-style key transport under the server's key
+   PKE_encrypt(server_pk, pre_master(32) || nonce(16))`` — a
+   trace-Diffie-Hellman key transport in GT under the server's key
    (:mod:`repro.crypto.pke`).
 3. Both sides derive directional record keys with the KDF:
    ``k_c2s = kdf(pre_master, "live-c2s")``, ``k_s2c = kdf(pre_master,

@@ -35,8 +35,8 @@ def test_lengths_equal_the_parent_commit():
     group = PairingGroup("TOY")
     assert (NONCE_LEN, TAG_LEN, OVERHEAD) == (12, 32, 44)
 
-    assert pke_overhead(group) == 85
-    assert len(PKEKeyPair(group).public.encrypt(b"x" * 100)) == 185
+    assert pke_overhead(group) == 64
+    assert len(PKEKeyPair(group).public.encrypt(b"x" * 100)) == 164
 
     hve = HVE(group)
     public, _master = hve.setup(8)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.crypto import precompute
 from repro.crypto.comb import ROW, WINDOW, shared_tables, signed_digits
 from repro.crypto.curve import Point
-from repro.crypto.field import Fq2, PowerTable, fq_inv, fq_is_square, fq_sqrt
+from repro.crypto.field import Fq2, PowerTable, fq_inv, fq_is_square, fq_sqrt, lucas_ladder
 from repro.crypto.group import PairingGroup
 from repro.crypto.pairing import tate_pairing
 from repro.crypto.params import TOY
@@ -191,3 +191,18 @@ class TestGtComb:
         assert GT in shared_tables.tables and shared_tables.counts
         precompute.clear_caches()
         assert not shared_tables.tables and not shared_tables.counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([GT, GT**12345, UNITARY, Fq2(Q - 1, 0, Q)]),
+    st.integers(0, 1 << 200) | edges,
+)
+def test_lucas_ladder_is_the_trace_of_a_power(base, k):
+    """``(V_k, V_{k+1})`` of ``Tr(u)`` are the traces of ``u^k`` and
+    ``u^(k+1)`` for every ``u`` of norm 1: what the PKE and the final
+    exponentiation read."""
+    trace = 2 * base.a % Q
+    assert lucas_ladder(trace, k, Q) == tuple(
+        2 * plain_pow(base, e).a % Q for e in (k, k + 1)
+    )

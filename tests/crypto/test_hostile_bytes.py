@@ -22,6 +22,7 @@ from repro.crypto.signing import Certificate, Signature, SigningKeyPair
 from repro.errors import ReproError
 
 from ..hostile import hostile
+from .test_pke_small_order import NOT_ORDER_R, SMALL_ORDER_TRACES, hostile_ciphertexts
 
 GROUP = PairingGroup("TOY")
 WIDTH = GROUP.zr_bytes
@@ -36,9 +37,14 @@ CERTIFICATES = [
 ]
 SIGNATURES = [ARA.sign(message).to_bytes(WIDTH) for message in (b"", b"ds", b"x" * 40)]
 KEYS = [PKEKeyPair(GROUP) for _ in range(2)]
-PUBLIC_KEYS = [keys.public.to_bytes() for keys in KEYS]
+# beside the valid encodings, the small-order ones the KEM refuses
+PUBLIC_KEYS = [keys.public.to_bytes() for keys in KEYS] + [
+    GROUP.serialize_gt(element) for element in NOT_ORDER_R.values()
+]
 PLAINTEXTS = (b"", b"(K_s, certificate, predicate)")
-CIPHERTEXTS = [KEYS[0].public.encrypt(plaintext) for plaintext in PLAINTEXTS]
+CIPHERTEXTS = [KEYS[0].public.encrypt(plaintext) for plaintext in PLAINTEXTS] + [
+    hostile_ciphertexts(trace)[0] for trace in SMALL_ORDER_TRACES.values()
+]
 
 
 def no_length_fields(blob: bytes) -> list:

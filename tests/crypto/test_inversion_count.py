@@ -229,3 +229,24 @@ def test_warm_cpabe_decryption_is_one_multi_pairing(decrypt_counts):
         "fq_inv": 1 + 1,
         "pairings": 3,
     }
+
+
+def test_pke_runs_no_curve_multiplication_and_a_warm_decrypt_no_inversion(inversions):
+    """The KEM lives in GT: encryption is two comb-table powers, and
+    decryption two Lucas ladders over the ephemeral's trace."""
+    from repro.crypto.group import PairingGroup
+    from repro.crypto.pke import PKEKeyPair
+    from repro.obs import Observability
+
+    keys = PKEKeyPair(PairingGroup("TOY"))
+    sealed = keys.public.encrypt(b"warm-up")
+    keys.decrypt(sealed)
+    obs = Observability()
+    with obs.installed():
+        del inversions[:]
+        assert keys.decrypt(sealed) == b"warm-up"
+        assert obs.metrics.counter_total("op.g1_exp") == 0
+        assert inversions == []
+        keys.decrypt(keys.public.encrypt(b"measured"))
+        assert obs.metrics.counter_total("op.g1_exp") == 0
+        assert obs.metrics.counter_total("op.gt_exp") == 2

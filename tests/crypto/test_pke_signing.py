@@ -1,4 +1,4 @@
-"""ECIES-style PKE and Schnorr signature / certificate tests."""
+"""Trace-DH PKE and Schnorr signature / certificate tests."""
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -53,7 +53,6 @@ INSTRUMENTS = {
     # crypto: predicates and sizes the property tests are written in
     "is_one": "Fq2: identity predicate of the field/pairing property tests",
     "is_zero": "Fq2: zero predicate of the field property tests",
-    "pke_overhead": "crypto/pke: the pinned ciphertext expansion; sizes the hostile-frame floor",
     "gaps_detected": "SecureChannelLayer: how a test sees that a sequence gap was noticed",
     # privacy/analysis: the §6.1 structural analysis is exercised by tests/privacy only
     "analyze": "privacy/analysis: run the gadget analysis under a threat model",
