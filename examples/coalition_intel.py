@@ -16,7 +16,7 @@ Demonstrates three P3S capabilities on a coalition feed:
 Run:  python examples/coalition_intel.py
 """
 
-from repro.core import P3SConfig, P3SSystem
+from repro.core import P3SConfig, P3SSystem, Recorder
 from repro.pbe import ANY, AttributeSpec, Interest, MetadataSchema
 
 
@@ -36,10 +36,11 @@ def main() -> None:
         "gbr-analyst": ({"country:gbr"}, Interest({"region": "east", "domain": ANY})),
         "fra-analyst": ({"country:fra"}, Interest({"domain": "cyber"})),
     }
-    for name, (attributes, interest) in analysts.items():
-        subscriber = system.add_subscriber(name, attributes=attributes)
-        system.subscribe(subscriber, interest)
-    system.run()
+    with Recorder() as recorder:  # what the token server opens
+        for name, (attributes, interest) in analysts.items():
+            subscriber = system.add_subscriber(name, attributes=attributes)
+            system.subscribe(subscriber, interest)
+        system.run()
 
     fusion_cell = system.add_publisher("fusion-cell")
     system.run()
@@ -70,9 +71,9 @@ def main() -> None:
 
     print("\n=== Interest privacy across partners ===")
     print("PBE-TS saw predicates (unlinkable to countries):")
-    for _, predicate in system.pbe_ts.observed_predicates:
-        print(f"   {predicate}")
-    assert set(system.pbe_ts.observed_sources) == {"anon"}
+    for _, _, interest in recorder.seen("request"):
+        print(f"   {interest.to_json()}")
+    assert set(recorder.seen("source", system.pbe_ts.name)) == {"anon"}
     print("No coalition partner can tell that USA watches eastern SIGINT.")
 
     # === Deletion based on publisher intent ===

@@ -15,7 +15,7 @@ or rival firm — learned who is interested in what.
 Run:  python examples/ma_deal_feed.py
 """
 
-from repro.core import P3SConfig, P3SSystem
+from repro.core import P3SConfig, P3SSystem, Recorder
 from repro.pbe import ANY, AttributeSpec, Interest, MetadataSchema
 
 COMPANIES = ("lehman", "acme", "globex", "initech")
@@ -29,6 +29,7 @@ def main() -> None:
         ]
     )
     system = P3SSystem(P3SConfig(schema=schema))
+    recorder = Recorder()  # takes down what each server opens, for the audit
 
     # Three rival firms; each quietly watches a different target.
     # All are accredited deal participants (CP-ABE attribute "accredited").
@@ -36,7 +37,8 @@ def main() -> None:
     for firm, target in watchlist.items():
         subscriber = system.add_subscriber(firm, attributes={"accredited"})
         system.subscribe(subscriber, Interest({"company": target, "event": ANY}))
-    system.run()
+    with recorder:
+        system.run()
 
     # A newswire publishes deal events; "need to know" = accredited only.
     newswire = system.add_publisher("newswire")
@@ -51,7 +53,8 @@ def main() -> None:
         newswire.publish(metadata, payload, policy="accredited", ttl_s=3600.0)
         for metadata, payload in events
     ]
-    system.run()
+    with recorder:
+        system.run()
 
     print("=== Deliveries (need-to-know respected) ===")
     for firm in watchlist:
@@ -66,12 +69,13 @@ def main() -> None:
     # The broker (DS) fan-outs ciphertext to everyone — it cannot tell who
     # cares about Lehman; it only counts frames and sizes.
     print(f"DS observed: {dict(system.ds.publications_by_publisher)} publications, "
-          f"{len(system.ds.observed_sizes)} ciphertext frames (sizes only)")
+          f"{len(recorder.seen('frame', system.ds.name))} ciphertext frames (sizes only)")
     # The token server saw three predicates — but from 'anon', unlinkable
     # to firms.
-    print(f"PBE-TS observed predicates: {[p for _, p in system.pbe_ts.observed_predicates]}")
-    print(f"PBE-TS observed requesters: {sorted(set(system.pbe_ts.observed_sources))}")
-    assert set(system.pbe_ts.observed_sources) == {"anon"}
+    requesters = recorder.seen("source", system.pbe_ts.name)
+    print(f"PBE-TS observed predicates: {[i.to_json() for _, _, i in recorder.seen('request')]}")
+    print(f"PBE-TS observed requesters: {sorted(set(requesters))}")
+    assert set(requesters) == {"anon"}
     # The repository served payloads to anonymous requesters; the Globex
     # item was never requested (nobody watched Globex) — and the RS can
     # see that, but not what the item was about.

@@ -18,7 +18,7 @@ plaintext room subscription never leaves the client.
 Run:  python examples/private_chat.py
 """
 
-from repro.core import P3SConfig, P3SSystem
+from repro.core import P3SConfig, P3SSystem, Recorder
 from repro.pbe import AttributeSpec, Interest, MetadataSchema
 
 
@@ -38,12 +38,13 @@ def main() -> None:
         "raj": "deal-team",
         "eve": "watercooler",  # eve is NOT on the deal team
     }
-    for user, room in members.items():
-        subscriber = system.add_subscriber(
-            user, attributes={f"member:{room}"}, embedded_token_source=True
-        )
-        system.subscribe(subscriber, Interest({"room": room, "kind": "chat"}))
-    system.run()
+    with Recorder() as recorder:  # what the token server opens
+        for user, room in members.items():
+            subscriber = system.add_subscriber(
+                user, attributes={f"member:{room}"}, embedded_token_source=True
+            )
+            system.subscribe(subscriber, Interest({"room": room, "kind": "chat"}))
+        system.run()
 
     # Everyone also publishes through their own publisher endpoint.
     senders = {user: system.add_publisher(f"{user}-out") for user in members}
@@ -72,9 +73,9 @@ def main() -> None:
     assert eve.stats.metadata_seen == 3
 
     print("\n=== What the infrastructure knows ===")
-    print(f"PBE-TS predicates observed: {system.pbe_ts.observed_predicates} "
+    print(f"PBE-TS predicates observed: {recorder.seen('request')} "
           "(embedded token sources → nothing)")
-    assert system.pbe_ts.observed_predicates == []
+    assert recorder.seen("request") == []
     print(f"DS relayed {sum(system.ds.publications_by_publisher.values())} messages "
           "without seeing rooms or text")
     print(f"RS stores {system.rs.item_count} sealed messages it cannot read")

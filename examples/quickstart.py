@@ -8,7 +8,7 @@ dissemination, anonymous retrieval, and CP-ABE access control.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import P3SConfig, P3SSystem
+from repro.core import P3SConfig, P3SSystem, Recorder
 from repro.obs import Observability
 from repro.pbe import ANY, AttributeSpec, Interest, MetadataSchema
 
@@ -25,12 +25,14 @@ def main() -> None:
     system = P3SSystem(P3SConfig(schema=schema, obs=obs))
 
     # 2. Subscribers register with the ARA (getting CP-ABE keys for their
-    #    attributes) and obtain PBE tokens for their interests.
+    #    attributes) and obtain PBE tokens for their interests.  The
+    #    recorder takes down what the token server opens, for step 5.
     alice = system.add_subscriber("alice", attributes={"org:acme"})
     bob = system.add_subscriber("bob", attributes={"org:acme"})
-    system.subscribe(alice, Interest({"topic": "finance", "priority": ANY}))
-    system.subscribe(bob, Interest({"topic": "weather"}))
-    system.run()
+    with Recorder() as recorder:
+        system.subscribe(alice, Interest({"topic": "finance", "priority": ANY}))
+        system.subscribe(bob, Interest({"topic": "weather"}))
+        system.run()
     print(f"alice holds {len(alice.tokens)} PBE token(s); bob holds {len(bob.tokens)}")
 
     # 3. A publisher publishes one item: metadata is PBE-encrypted, the
@@ -57,8 +59,9 @@ def main() -> None:
     # 5. What the infrastructure learned:
     print(f"DS saw {system.ds.publications_by_publisher['carol']} publication(s) from carol "
           f"— sizes only, no metadata, no content")
-    print(f"PBE-TS saw predicates {[p for _, p in system.pbe_ts.observed_predicates]} "
-          f"from sources {sorted(set(system.pbe_ts.observed_sources))} (anonymized)")
+    predicates = [interest.to_json() for _, _, interest in recorder.seen("request")]
+    sources = sorted(set(recorder.seen("source", system.pbe_ts.name)))
+    print(f"PBE-TS saw predicates {predicates} from sources {sources} (anonymized)")
     print(f"RS stored {system.rs.stored_count} encrypted payload(s), "
           f"served {system.rs.request_count(record.guid)} anonymous request(s)")
 

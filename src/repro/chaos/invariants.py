@@ -9,7 +9,8 @@ faulted execution:
 * **privacy** — the §6.1 visibility claims (reused verbatim from
   :func:`repro.privacy.trace.trace_visibility`) still hold, and
   additionally no payload plaintext sits in RS-persisted state and no
-  subscriber identity leaked into RS/PBE-TS observation logs — retries
+  subscriber identity is among the request sources the RS/PBE-TS
+  opened (the run's :class:`~repro.core.sightings.Recorder`) — retries
   and duplicates must not widen what any honest-but-curious component
   sees;
 * **durability** — state recovered after a (simulated) crash equals the
@@ -137,10 +138,11 @@ def check_delivery(
 # -- privacy ----------------------------------------------------------------
 
 
-def check_privacy(system, payloads: Iterable[bytes]) -> list[InvariantResult]:
-    """§6.1 visibility claims + at-rest plaintext + identity-leak scans."""
+def check_privacy(system, recorder, payloads: Iterable[bytes]) -> list[InvariantResult]:
+    """§6.1 visibility claims + at-rest plaintext + identity-leak scans,
+    over the sightings ``recorder`` took during the run."""
     results: list[InvariantResult] = []
-    report = trace_visibility(system)
+    report = trace_visibility(system, recorder)
     for claim in report.claims:
         results.append(
             InvariantResult(
@@ -178,13 +180,11 @@ def check_privacy(system, payloads: Iterable[bytes]) -> list[InvariantResult]:
             else f"payload plaintext found in RS store: {leaked}",
         )
     )
-    # No subscriber identity in the request sources any server logged —
+    # No subscriber identity in the request sources any server opened —
     # anonymization must hold across every retry attempt, not just the
     # first request.
     subscriber_names = set(system.subscribers)
-    seen = set(system.pbe_ts.observed_sources)
-    for rs in rs_shards:
-        seen |= set(rs.observed_sources)
+    seen = set(recorder.seen("source", system.pbe_ts.name, *(rs.name for rs in rs_shards)))
     identified = sorted(subscriber_names & seen)
     results.append(
         InvariantResult(

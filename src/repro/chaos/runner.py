@@ -33,6 +33,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 from ..core.config import P3SConfig
+from ..core.sightings import Recorder
 from ..core.system import P3SSystem
 from ..live.scenario import delivered, play_on_simulator
 from ..obs.slo import SloEngine, chaos_slos
@@ -185,8 +186,8 @@ def run_chaos(
     different faults — the replay and minimization entry point).
     ``mutate(system)`` is a test seam: called after the subscription
     phase, before the fault window, so mutation tests can break the
-    system on purpose (disable retries, disable dedup, taint an
-    observation log) and prove the invariants catch it.
+    system on purpose (disable retries, disable dedup, report a sighting
+    no server should have) and prove the invariants catch it.
     A durable profile's WAL lives in a temp directory the run removes.
     """
     if profile not in PROFILES:
@@ -239,7 +240,8 @@ def run_chaos(
             injector.arm(system.now)
             system.set_fault_injector(injector)
 
-        publisher = play_on_simulator(system, scenario, harden, open_fault_window)
+        with Recorder() as recorder:  # what the servers opened, for the privacy checks
+            publisher = play_on_simulator(system, scenario, harden, open_fault_window)
         system.set_fault_injector(None)  # ran through the fault window, to quiescence
 
         actual = delivered(system.subscribers)
@@ -250,7 +252,7 @@ def run_chaos(
 
         invariants: list[InvariantResult] = []
         invariants += check_delivery(expected, actual, delivered_ids)
-        invariants += check_privacy(system, [p.payload for p in scenario.publications])
+        invariants += check_privacy(system, recorder, [p.payload for p in scenario.publications])
         if prof.durable:
             invariants += _check_store_durability(system, data_dir)
         invariants += check_liveness(system, expected, actual)

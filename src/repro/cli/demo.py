@@ -9,7 +9,7 @@ from ..pbe import ANY, HVE, AttributeSpec, Interest, MetadataSchema
 
 
 def _cmd_demo(args) -> None:
-    from ..core import P3SConfig, P3SSystem
+    from ..core import P3SConfig, P3SSystem, Recorder
 
     observability = None
     if args.trace or args.trace_out or args.metrics_out:
@@ -20,16 +20,20 @@ def _cmd_demo(args) -> None:
     ])
     system = P3SSystem(P3SConfig(schema=schema, obs=observability))
     try:
-        alice = system.add_subscriber("alice", {"clearance"})
-        system.subscribe(alice, Interest({"topic": "alpha"}))
-        system.run()
-        publisher = system.add_publisher("pub")
-        system.run()
-        record = publisher.publish({"topic": "alpha"}, b"hello, private world", policy="clearance")
-        system.run()
+        with Recorder() as recorder:
+            alice = system.add_subscriber("alice", {"clearance"})
+            system.subscribe(alice, Interest({"topic": "alpha"}))
+            system.run()
+            publisher = system.add_publisher("pub")
+            system.run()
+            record = publisher.publish(
+                {"topic": "alpha"}, b"hello, private world", policy="clearance"
+            )
+            system.run()
         (delivery,) = system.deliveries_for(record)
+        sources = sorted(set(recorder.seen("source", system.pbe_ts.name)))
         print(f"delivered {delivery.payload!r} in {delivery.delivered_at - record.submitted_at:.3f}s "
-              f"(simulated); PBE-TS saw sources {sorted(set(system.pbe_ts.observed_sources))}")
+              f"(simulated); PBE-TS saw sources {sources}")
         if observability is not None:
             if args.trace:
                 print()

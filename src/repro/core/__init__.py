@@ -8,6 +8,7 @@ analysis.
 
 from .config import ComputeTimings, P3SConfig
 from .pbe_ts import SubscriptionPolicy
+from .sightings import Recorder
 from .system import P3SSystem
 
-__all__ = ["P3SSystem", "P3SConfig", "ComputeTimings", "SubscriptionPolicy"]
+__all__ = ["P3SSystem", "P3SConfig", "ComputeTimings", "SubscriptionPolicy", "Recorder"]

@@ -11,7 +11,10 @@ real requester.  Inner payloads are already end-to-end encrypted under
 the destination's PKE key, and responses are super-encrypted under the
 requester's session key K_s — so the relay itself learns only
 (requester, destination, sizes, timing), which is what the paper's model
-assumes of an anonymizing channel.
+assumes of an anonymizing channel.  The relay is a trace boundary too:
+its ``anon.forward`` span hangs off the requester's (whom it knows
+anyway), but the forwarded request carries no trace context, so the
+destination's span starts a trace of its own.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from ..net.ports import ports_on
 from ..obs import hooks as obs
 from .messages import RPC_ANON_FORWARD, AnonEnvelope, wire_size_of
+from .sightings import opened
 
 __all__ = ["AnonymizationService"]
 
@@ -31,8 +35,6 @@ class AnonymizationService:
     def __init__(self, ports):
         self.ports = ports_on(ports)
         self.forwarded_count = 0
-        # what the relay itself could record: (requester, destination) pairs
-        self.observed_links: list[tuple[str, str]] = []
         self.ports.serve(RPC_ANON_FORWARD, self._handle_forward)
 
     @property
@@ -44,7 +46,7 @@ class AnonymizationService:
 
     def _handle_forward(self, src: str, message):
         envelope: AnonEnvelope = message.payload
-        self.observed_links.append((src, envelope.dst))
+        opened(self.name, "link", (src, envelope.dst))
         self.forwarded_count += 1
         span = obs.start_span(
             "anon.forward",
@@ -57,7 +59,6 @@ class AnonymizationService:
             envelope.inner_type,
             envelope.inner_payload,
             wire_size_of(envelope.inner_payload),
-            headers=obs.inject({}, span),
         )
         obs.end_span(span)
         return (response, wire_size_of(response))

@@ -69,6 +69,7 @@ from .messages import (
     RPC_STORE,
     PayloadSubmission,
 )
+from .sightings import opened
 
 __all__ = ["DisseminationServer"]
 
@@ -110,16 +111,15 @@ class DisseminationServer(Broker):
         if self.store.durable:
             self.recovered_registrations = self.recover_registrations()
         # HBC-observable state (§6.1: "the DS knows the per-publisher
-        # publication rate and number of items published by each publisher",
-        # and "the size of payloads and the size of encrypted PBE metadata").
+        # publication rate and number of items published by each publisher";
+        # the frame sizes it sees are reported as sightings, never kept).
         self.publications_by_publisher: dict[str, int] = defaultdict(int)
-        self.observed_sizes: list[tuple[str, int]] = []
 
     def on_publish(self, src: str, frame: JmsFrame):
         kind = frame.headers.get("p3s-kind")
         if kind == KIND_METADATA:
             self.publications_by_publisher[src] += 1
-            self.observed_sizes.append((KIND_METADATA, frame.body_size))
+            opened(self.name, "frame", (KIND_METADATA, frame.body_size))
             if self.registered_tokens and self.group is not None:
                 # an activity of its own: matching takes time, and the
                 # DS keeps serving frames meanwhile
@@ -137,7 +137,7 @@ class DisseminationServer(Broker):
                     obs.inject(frame.headers, span)
                     yield from self.fan_out(METADATA_TOPIC, frame)
         elif kind == KIND_PAYLOAD:
-            self.observed_sizes.append((KIND_PAYLOAD, frame.body_size))
+            opened(self.name, "frame", (KIND_PAYLOAD, frame.body_size))
             yield from self._forward_to_rs(frame)
         elif kind == KIND_TOKEN_REG:
             self.register_token(src, frame.body)

@@ -8,10 +8,10 @@ key as the 3-tuple ``(K_s, subscriber certificate, plaintext predicate)``
 but cannot bind them to subscriber identities.  The token is returned
 super-encrypted under ``K_s``.
 
-The server deliberately records every plaintext predicate it sees
-(:attr:`observed_predicates`): the paper calls out "the PBE-TS sees the
-plaintext predicate" as a known exposure, and the privacy analysis in
-:mod:`repro.privacy.analysis` asserts over exactly this observation log.
+The paper calls out "the PBE-TS sees the plaintext predicate" as a
+known exposure.  The server sees it and keeps nothing of it: the issuer
+reports each (subject, time, predicate) it opens as a sighting
+(:mod:`repro.core.sightings`), which only a harness records.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from ..pbe.serialize import serialize_hve_token
 from ..reader import expect_object, parse_json
 from .config import ComputeTimings
 from .messages import BARE_ERROR, RPC_TOKEN_REQUEST, error_reply, ok_reply, split_reply, unhex
+from .sightings import opened
 
 __all__ = [
     "PBETokenServer",
@@ -116,8 +117,7 @@ class TokenIssuer:
     """The PBE-TS's substrate-free token-minting engine.
 
     Holds the HVE master material, the certificate trust root, the
-    subscription policy, the per-subject quota counters, and the
-    honest-but-curious observation logs.
+    subscription policy and the per-subject quota counters.
     :class:`PBETokenServer` puts the modelled compute time between
     these calls (no time at all on the live substrate) — both substrates
     mint identical tokens for identical requests because this is the
@@ -140,9 +140,6 @@ class TokenIssuer:
         # Token generation is nothing but fixed-base scalar multiplications
         # of g; warm its comb table so even the first request is fast.
         precompute.warm_generator(hve.group)
-        # What this (honest-but-curious) server inevitably learns:
-        self.observed_predicates: list[tuple[float, str]] = []
-        self.observed_subjects: list[str] = []  # certificate pseudonyms
         self.tokens_issued = 0
         self._issued_by_subject: dict[str, int] = defaultdict(int)
 
@@ -176,15 +173,14 @@ class TokenIssuer:
         return session_key, certificate, interest
 
     def authorize(self, certificate: Certificate, interest: Interest, now: float) -> None:
-        """Validate the certificate, log the observation, enforce policy.
+        """Validate the certificate, report the sighting, enforce policy.
 
         Raises :class:`CertificateError` / :class:`TokenRequestError` on
-        refusal; the predicate is logged as soon as the certificate
-        checks out (the paper's exposure: the PBE-TS *sees* it either way).
+        refusal; the predicate is seen as soon as the certificate checks
+        out (the paper's exposure: the PBE-TS *sees* it either way).
         """
         certificate.validate(self._ara_verify_key, "subscriber", now=now)
-        self.observed_subjects.append(certificate.subject)
-        self.observed_predicates.append((now, interest.to_json()))
+        opened("issuer", "request", (certificate.subject, now, interest))
         if self.subscription_policy is not None:
             self.subscription_policy.check(
                 certificate.subject,
@@ -211,7 +207,7 @@ class PBETokenServer:
         self.issuer = issuer
         self.pke = pke
         self.timings = timings
-        self.observed_sources: list[str] = []  # transport-level view
+        self.token_requests = 0
         self.ports.serve(RPC_TOKEN_REQUEST, self._handle_token_request)
 
     @property
@@ -221,21 +217,9 @@ class PBETokenServer:
     def start(self) -> None:
         self.ports.start()
 
-    @property
-    def subscription_policy(self) -> SubscriptionPolicy | None:
-        return self.issuer.subscription_policy
-
-    # engine observation logs, surfaced under their historical names
-    @property
-    def observed_predicates(self) -> list[tuple[float, str]]:
-        return self.issuer.observed_predicates
-
-    @property
-    def observed_subjects(self) -> list[str]:
-        return self.issuer.observed_subjects
-
     def _handle_token_request(self, src: str, message):
-        self.observed_sources.append(src)  # with the anonymizer this is never a subscriber
+        self.token_requests += 1
+        opened(self.name, "source", src)  # with the anonymizer never a subscriber
         span = obs.start_span(
             "pbe_ts.token_request",
             component=self.name,

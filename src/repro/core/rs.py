@@ -52,6 +52,7 @@ from .messages import (
     split_reply,
     unhex,
 )
+from .sightings import opened
 
 __all__ = [
     "RepositoryServer",
@@ -270,8 +271,6 @@ class RepositoryServer:
         # a durable repro.store backend it survives process death too.
         self.store = store
         self.crashed = False
-        # HBC-observable state (consumed by the privacy analysis):
-        self.observed_sources: list[str] = []
         self.ports.serve(RPC_STORE, self._handle_store)
         self.ports.serve(RPC_RETRIEVE, self._handle_retrieve)
 
@@ -311,7 +310,7 @@ class RepositoryServer:
     def _handle_retrieve(self, src: str, message):
         if self.crashed:
             return (b"", 1)  # degenerate reply; requester's unseal fails
-        self.observed_sources.append(src)
+        opened(self.name, "source", src)
         span = obs.start_span(
             "rs.retrieve", component=self.name, parent=obs.extract(message.headers)
         )

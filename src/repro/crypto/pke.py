@@ -64,9 +64,9 @@ class PKEPublicKey:
 class PKEKeyPair:
     """Key pair for the trace-DH scheme; holds the secret exponent."""
 
-    def __init__(self, group: PairingGroup, secret: int | None = None):
+    def __init__(self, group: PairingGroup):
         self.group = group
-        self._secret = secret if secret is not None else group.random_zr()
+        self._secret = group.random_zr()
         self.public = PKEPublicKey(group, group.gt_generator**self._secret)
 
     def decrypt(self, ciphertext: bytes) -> bytes:

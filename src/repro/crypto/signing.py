@@ -67,9 +67,9 @@ class VerifyKey:
 class SigningKeyPair:
     """Schnorr signing key; ``sign`` produces ``(c, s)`` with ``s = k − c·sk``."""
 
-    def __init__(self, group: PairingGroup, secret: int | None = None):
+    def __init__(self, group: PairingGroup):
         self.group = group
-        self._secret = secret if secret is not None else group.random_zr()
+        self._secret = group.random_zr()
         self.verify_key = VerifyKey(group, group.generator * self._secret)
 
     def sign(self, message: bytes) -> Signature:

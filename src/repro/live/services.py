@@ -204,15 +204,7 @@ class LivePBETokenServer(_LiveService, PBETokenServer):
     clock = staticmethod(time.time)  # certificate validity is calendar time
 
     def extra_metrics(self) -> list[dict]:
-        samples = super().extra_metrics()
-        samples.append(
-            {
-                "name": "pbe_ts.token_requests",
-                "labels": {},
-                "value": len(self.observed_sources),
-            }
-        )
-        return samples
+        return [{"name": "pbe_ts.token_requests", "labels": {}, "value": self.token_requests}]
 
 
 class LiveAnonymizationService(_LiveService, AnonymizationService):
@@ -220,8 +212,4 @@ class LiveAnonymizationService(_LiveService, AnonymizationService):
     so the RS/PBE-TS see the relay — never the subscriber — as the caller."""
 
     def extra_metrics(self) -> list[dict]:
-        samples = super().extra_metrics()
-        samples.append(
-            {"name": "anon.forwarded", "labels": {}, "value": self.forwarded_count}
-        )
-        return samples
+        return [{"name": "anon.forwarded", "labels": {}, "value": self.forwarded_count}]

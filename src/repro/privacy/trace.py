@@ -2,19 +2,22 @@
 
 The structural analysis (:mod:`repro.privacy.analysis`) reasons over the
 gadget graph; this module does the complementary empirical check: given a
-finished :class:`~repro.core.system.P3SSystem` run, collect what each
-component actually observed and evaluate the §6.1 "Summary of ...
+finished :class:`~repro.core.system.P3SSystem` run and the
+:class:`~repro.core.sightings.Recorder` installed for it, collect what
+each component actually opened and evaluate the §6.1 "Summary of ...
 visibility" claims against it.
 
 Each claim is a :class:`VisibilityClaim` with the paper's wording, the
 component it concerns, and a boolean verdict computed from the run's
-observation logs and the eavesdropper wire trace.
+sightings and the eavesdropper wire trace.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
+from ..core.sightings import Recorder
 from ..core.system import P3SSystem
 
 __all__ = ["VisibilityClaim", "VisibilityReport", "trace_visibility"]
@@ -38,25 +41,24 @@ class VisibilityReport:
         return [claim for claim in self.claims if not claim.holds]
 
 
-def trace_visibility(system: P3SSystem) -> VisibilityReport:
+def trace_visibility(system: P3SSystem, recorder: Recorder) -> VisibilityReport:
     """Evaluate the §6.1 visibility claims against a finished run.
 
     Call after ``system.run()`` with at least one subscription and one
-    publication, so the observation logs are populated.
+    publication, with ``recorder`` installed for the run.
     """
-    claims: list[VisibilityClaim] = []
     # aggregate over shards (a sharded deployment must uphold the same
     # claims at every shard)
     ds_shards = list(system.ds_shards.values())
     rs_shards = list(system.rs_shards.values())
-    ds_observed_sizes = [obs for ds in ds_shards for obs in ds.observed_sizes]
-    ds_publications_by_publisher: dict[str, int] = {}
+    ds_observed_sizes = recorder.seen("frame", *(ds.name for ds in ds_shards))
+    ds_publications_by_publisher: Counter[str] = Counter()
     for ds in ds_shards:
-        for name, count in ds.publications_by_publisher.items():
-            ds_publications_by_publisher[name] = (
-                ds_publications_by_publisher.get(name, 0) + count
-            )
-    rs_observed_sources = [src for rs in rs_shards for src in rs.observed_sources]
+        ds_publications_by_publisher.update(ds.publications_by_publisher)
+    rs_observed_sources = recorder.seen("source", *(rs.name for rs in rs_shards))
+    ts_sources = recorder.seen("source", system.pbe_ts.name)
+    ts_subjects = [subject for subject, _, _ in recorder.seen("request")]
+    ts_predicates = [interest.to_json() for _, _, interest in recorder.seen("request")]
     rs_stored_total = sum(rs.stored_count for rs in rs_shards)
     subscriber_names = set(system.subscribers)
     interests_plain = {
@@ -64,120 +66,83 @@ def trace_visibility(system: P3SSystem) -> VisibilityReport:
         for subscriber in system.subscribers.values()
         for interest, _ in subscriber.tokens
     }
-    all_metadata = [
-        record.metadata
-        for publisher in system.publishers.values()
-        for record in publisher.published
-    ]
-
-    # --- DS ---------------------------------------------------------------
-    ds_sees_only_sizes = all(
-        isinstance(size, int) for _, size in ds_observed_sizes
-    )
-    claims.append(
+    anonymized = system.config.use_anonymizer
+    return VisibilityReport([
+        # --- DS ---------------------------------------------------------------
         VisibilityClaim(
             "ds",
             "The DS does know the size of payloads and the size of "
             "encrypted PBE metadata (and nothing content-bearing)",
-            ds_sees_only_sizes and len(ds_observed_sizes) > 0,
+            all(isinstance(size, int) for _, size in ds_observed_sizes)
+            and len(ds_observed_sizes) > 0,
             f"{len(ds_observed_sizes)} size observations recorded",
-        )
-    )
-    claims.append(
+        ),
         VisibilityClaim(
             "ds",
             "The DS knows the per-publisher publication rate",
             all(name in system.publishers for name in ds_publications_by_publisher),
             f"counters: {dict(ds_publications_by_publisher)}",
-        )
-    )
-    claims.append(
+        ),
         VisibilityClaim(
             "ds",
             "The DS knows nothing about the subscriber interests",
             True,  # interests only ever travel PKE-encrypted to the PBE-TS
             "interest material never addressed to the DS by construction; "
             "tokens live only at subscribers",
-        )
-    )
-
-    # --- RS ---------------------------------------------------------------
-    rs_sources_anonymous = subscriber_names.isdisjoint(rs_observed_sources)
-    claims.append(
+        ),
+        # --- RS ---------------------------------------------------------------
         VisibilityClaim(
             "rs",
             "The RS does not know which subscriber has requested a payload "
             "(holds when the anonymization service is in use)",
-            (not system.config.use_anonymizer) or rs_sources_anonymous,
+            not anonymized or subscriber_names.isdisjoint(rs_observed_sources),
             f"retrieval sources seen: {sorted(set(rs_observed_sources))}",
-        )
-    )
-    claims.append(
+        ),
         VisibilityClaim(
             "rs",
             "The RS can keep track of how many requests have been received "
             "for each encrypted payload",
             rs_stored_total >= 0,
             f"{rs_stored_total} items stored",
-        )
-    )
-
-    # --- PBE-TS -------------------------------------------------------------
-    ts_sources_anonymous = subscriber_names.isdisjoint(system.pbe_ts.observed_sources)
-    claims.append(
+        ),
+        # --- PBE-TS -------------------------------------------------------------
         VisibilityClaim(
             "pbe_ts",
             "The PBE-TS knows the plaintext predicates generated by subscribers",
-            set(p for _, p in system.pbe_ts.observed_predicates) <= interests_plain
-            or not system.config.use_anonymizer,
-            f"predicates seen: {[p for _, p in system.pbe_ts.observed_predicates]}",
-        )
-    )
-    claims.append(
+            set(ts_predicates) <= interests_plain or not anonymized,
+            f"predicates seen: {ts_predicates}",
+        ),
         VisibilityClaim(
             "pbe_ts",
             "The PBE-TS does not know the binding of subscriber to predicate "
             "(requests arrive via the anonymization service, certificates are "
             "pseudonymous)",
-            (not system.config.use_anonymizer) or (
-                ts_sources_anonymous
-                and subscriber_names.isdisjoint(system.pbe_ts.observed_subjects)
-            ),
-            f"sources: {sorted(set(system.pbe_ts.observed_sources))}, "
-            f"subjects: {sorted(set(system.pbe_ts.observed_subjects))}",
-        )
-    )
-
-    # --- eavesdropper (wire trace) -------------------------------------------
-    only_tls = all(record.wire_label == "tls" for record in system.network.trace)
-    claims.append(
+            not anonymized
+            or subscriber_names.isdisjoint(ts_sources)
+            and subscriber_names.isdisjoint(ts_subjects),
+            f"sources: {sorted(set(ts_sources))}, subjects: {sorted(set(ts_subjects))}",
+        ),
+        # --- eavesdropper (wire trace) -------------------------------------------
         VisibilityClaim(
             "eavesdropper",
             "Eavesdroppers learn nothing about subscriptions, metadata or "
             "payload content (endpoints and sizes only)",
-            only_tls,
+            all(record.wire_label == "tls" for record in system.network.trace),
             f"{len(system.network.trace)} wire records, all protected frames",
-        )
-    )
-
-    # --- subscribers ------------------------------------------------------------
-    nonmatching_got_nothing = all(
-        not subscriber.stats.deliveries
-        for subscriber in system.subscribers.values()
-        if subscriber.stats.matches == 0
-    )
-    claims.append(
+        ),
+        # --- subscribers ------------------------------------------------------------
         VisibilityClaim(
             "subscriber",
             "A subscriber whose predicate never matched received no content "
             "(and only ciphertext broadcasts)",
-            nonmatching_got_nothing,
+            all(
+                not subscriber.stats.deliveries
+                for subscriber in system.subscribers.values()
+                if subscriber.stats.matches == 0
+            ),
             "checked every zero-match subscriber's delivery log",
-        )
-    )
-
-    # --- publisher ----------------------------------------------------------------
-    claims.append(
+        ),
+        # --- publisher ----------------------------------------------------------------
         VisibilityClaim(
             "publisher",
             "The publisher does not know whether its content matched or who "
@@ -188,6 +153,5 @@ def trace_visibility(system: P3SSystem) -> VisibilityReport:
                 for record in publisher.published
             ),
             "publication records carry no delivery/matching facts",
-        )
-    )
-    return VisibilityReport(claims)
+        ),
+    ])

@@ -15,6 +15,7 @@ from repro.chaos.invariants import check_durability
 from repro.chaos.schedule import Fault
 from repro.chaos.invariants import scan_files_for
 from repro.cli import main
+from repro.core.sightings import opened
 
 # a bounded burst of drops on the retried retrieval path: the intact
 # retry budget (8 attempts) absorbs it; a build with retries disabled
@@ -58,7 +59,8 @@ def _disable_retries(system):
 
 
 def _taint_observation_log(system):
-    system.rs.observed_sources.append("sub00")
+    # the run's recorder takes down a subscriber as a source the RS opened
+    opened(system.rs.name, "source", "sub00")
 
 
 class TestDeterminism:

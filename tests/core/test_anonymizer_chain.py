@@ -6,7 +6,7 @@ second relay, the chain routes hop by hop — each relay learns only its
 predecessor and successor, like a (cryptography-free) mix cascade.
 """
 
-from repro.core import P3SConfig, P3SSystem
+from repro.core import P3SConfig, P3SSystem, Recorder
 from repro.core.anonymizer import AnonymizationService
 from repro.core.messages import RPC_ANON_FORWARD, RPC_TOKEN_REQUEST, AnonEnvelope
 from repro.core.pbe_ts import decode_token_response, encode_token_request
@@ -49,16 +49,17 @@ class TestAnonymizerChain:
             responses.append(sealed)
 
         system.sim.process(run_request())
-        system.run()
+        with Recorder() as recorder:
+            system.run()
 
         token_bytes = decode_token_response(session_key, responses[0])
         assert token_bytes  # the token came back through both relays
 
         # hop-by-hop visibility: each relay knows only its neighbours,
         # and the PBE-TS saw the *second* relay as the requester
-        assert ("alice", "anon2") in system.anonymizer.observed_links
-        assert ("anon", "pbe-ts") in relay2.observed_links
-        assert set(system.pbe_ts.observed_sources) == {"anon2"}
+        assert ("alice", "anon2") in recorder.seen("link", system.anonymizer.name)
+        assert ("anon", "pbe-ts") in recorder.seen("link", relay2.name)
+        assert set(recorder.seen("source", system.pbe_ts.name)) == {"anon2"}
 
     def test_chain_latency_exceeds_single_hop(self):
         """Each extra hop costs one more store-and-forward RTT."""

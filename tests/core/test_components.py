@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import P3SConfig, P3SSystem
+from repro.core import P3SConfig, P3SSystem, Recorder
 from repro.core.config import default_schema
 from repro.core.ara import RegistrationAuthority
 from repro.core.config import ComputeTimings
@@ -194,9 +194,10 @@ class TestAnonymizer:
         system = P3SSystem(P3SConfig(schema=small_schema()))
         alice = system.add_subscriber("alice", {"a"})
         system.subscribe(alice, Interest({"topic": "a"}))
-        system.run()
-        assert ("alice", "pbe-ts") in system.anonymizer.observed_links
-        assert "alice" not in system.pbe_ts.observed_sources
+        with Recorder() as recorder:
+            system.run()
+        assert ("alice", "pbe-ts") in recorder.seen("link", system.anonymizer.name)
+        assert "alice" not in recorder.seen("source", system.pbe_ts.name)
 
 
 class TestConfig:

@@ -1,6 +1,6 @@
 """§8 future-work extension: embedded per-subscriber token generation."""
 
-from repro.core import P3SConfig, P3SSystem
+from repro.core import P3SConfig, P3SSystem, Recorder
 from repro.pbe import AttributeSpec, Interest, MetadataSchema
 
 
@@ -14,11 +14,12 @@ class TestEmbeddedTokenSource:
         system = make_system()
         alice = system.add_subscriber("alice", {"org:acme"}, embedded_token_source=True)
         system.subscribe(alice, Interest({"topic": "a"}))
-        system.run()
+        with Recorder() as recorder:
+            system.run()
         assert len(alice.tokens) == 1
         # the centralized PBE-TS never saw the predicate or any request
-        assert system.pbe_ts.observed_predicates == []
-        assert system.pbe_ts.observed_sources == []
+        assert recorder.seen("request") == []
+        assert recorder.seen("source", system.pbe_ts.name) == []
         assert alice.local_token_source.tokens_minted == 1
 
     def test_locally_minted_token_matches(self):
@@ -41,9 +42,10 @@ class TestEmbeddedTokenSource:
         central = system.add_subscriber("c", {"org:acme"})
         system.subscribe(embedded, Interest({"topic": "a"}))
         system.subscribe(central, Interest({"topic": "a"}))
-        system.run()
+        with Recorder() as recorder:
+            system.run()
         # only the centralized subscriber's predicate reached the PBE-TS
-        assert len(system.pbe_ts.observed_predicates) == 1
+        assert len(recorder.seen("request")) == 1
         publisher = system.add_publisher("bob")
         system.run()
         record = publisher.publish({"topic": "a"}, b"x", policy="org:acme")

@@ -52,6 +52,7 @@ from repro.core.rs import (
     decode_retrieval_response,
     encode_retrieval_request,
 )
+from repro.core.sightings import Recorder
 from repro.core.subscriber import SubscriberProtocol
 from repro.crypto.group import PairingGroup
 from repro.crypto.pke import PKEKeyPair, pke_overhead
@@ -232,13 +233,14 @@ class TestDisseminationRouting:
         ports = RecordingPorts("ds")
         ds = _connected_ds(ports, ["carol", "alice", "bob"])
         envelope = EncryptedMetadata(hve_bytes=b"x" * 40, publication_id=1)
-        _publish(ds, "pub", _frame(KIND_METADATA, envelope))
+        with Recorder() as recorder:
+            _publish(ds, "pub", _frame(KIND_METADATA, envelope))
         assert ports.sent(frames.DELIVER) == ["carol", "alice", "bob"]
         delivered = [p for _, kind, p, _ in ports.casts if kind == frames.DELIVER]
         assert all(f.topic == METADATA_TOPIC and f.body is envelope for f in delivered)
         assert len({f.message_id for f in delivered}) == 1  # one delivery frame, fanned out
         assert ds.publications_by_publisher == {"pub": 1}
-        assert ds.observed_sizes == [(KIND_METADATA, 40)]
+        assert recorder.seen("frame", "ds") == [(KIND_METADATA, 40)]
         assert ports.spawned == 0
 
     def test_payload_is_forwarded_to_the_rs_only(self):
@@ -478,10 +480,11 @@ class TestRepositoryExchange:
         assert rs.holds(b"g" * 16)
         session_key = SecretBox.generate_key()
         request = rs.pke.public.encrypt(encode_retrieval_request(session_key, b"g" * 16))
-        sealed, size = ports.deliver("anon", RPC_RETRIEVE, request)
+        with Recorder() as recorder:
+            sealed, size = ports.deliver("anon", RPC_RETRIEVE, request)
         assert size == len(sealed)
         assert decode_retrieval_response(session_key, sealed) == b"ciphertext"
-        assert rs.observed_sources == ["anon"]
+        assert recorder.seen("source", "rs") == ["anon"]
         assert ports.computed[0] == TIMINGS.pke_op and len(ports.computed) == 2
 
     def test_expiry_follows_the_ports_clock(self, group):
@@ -526,10 +529,11 @@ class TestTokenRequestExchange:
         body = encode_token_request(
             session_key, credentials.certificate, Interest({"topic": "a"}), group.zr_bytes
         )
-        sealed, _ = ports.deliver("anon", RPC_TOKEN_REQUEST, server.pke.public.encrypt(body))
+        with Recorder() as recorder:
+            sealed, _ = ports.deliver("anon", RPC_TOKEN_REQUEST, server.pke.public.encrypt(body))
         token = deserialize_hve_token(group, decode_token_response(session_key, sealed))
         assert token is not None and server.issuer.tokens_issued == 1
-        assert server.observed_sources == ["anon"]
+        assert recorder.seen("source", "pbe-ts") == ["anon"] and server.token_requests == 1
         assert ports.computed[:2] == [TIMINGS.pke_op, TIMINGS.pbe_token_gen]
 
     def test_malformed_request_gets_the_bare_error(self, group, ara):
@@ -669,9 +673,10 @@ class TestWrongShapeTokenRequests:
         body = encode_token_request(
             session_key, credentials.certificate, Interest({"topic": "a"}), group.zr_bytes
         )
-        sealed, _ = ports.deliver("anon", RPC_TOKEN_REQUEST, server.pke.public.encrypt(body))
+        with Recorder() as recorder:
+            sealed, _ = ports.deliver("anon", RPC_TOKEN_REQUEST, server.pke.public.encrypt(body))
         assert deserialize_hve_token(group, decode_token_response(session_key, sealed)) is not None
-        assert server.issuer.tokens_issued == 1 and len(server.observed_predicates) == 1
+        assert server.issuer.tokens_issued == 1 and len(recorder.seen("request")) == 1
 
 
 class TestAnonymizerRelay:
@@ -684,9 +689,10 @@ class TestAnonymizerRelay:
             RPC_RETRIEVE, lambda src, message: (seen.append(src), (b"reply", 5))[1]
         )
         envelope = AnonEnvelope(dst="rs", inner_type=RPC_RETRIEVE, inner_payload=b"req")
-        assert relay_ports.deliver("alice", RPC_ANON_FORWARD, envelope) == (b"reply", 5)
+        with Recorder() as recorder:
+            assert relay_ports.deliver("alice", RPC_ANON_FORWARD, envelope) == (b"reply", 5)
         assert seen == ["anon"]  # the RS never sees alice
-        assert relay.observed_links == [("alice", "rs")] and relay.forwarded_count == 1
+        assert recorder.seen("link", "anon") == [("alice", "rs")] and relay.forwarded_count == 1
 
 
 # -- JMS client ---------------------------------------------------------------------
@@ -794,11 +800,12 @@ class TestSubscriberRetrieval:
         order = world.cluster.rs_replicas(world.guid)
         # only the *second* replica ever got the payload
         world.replicas[order[1]].ports.deliver("ds", RPC_STORE, world.submission)
-        run(world.alice._retrieve_process(world.guid, 7))
+        with Recorder() as recorder:
+            run(world.alice._retrieve_process(world.guid, 7))
         (delivery,) = world.alice.stats.deliveries
         assert delivery.payload == b"the payload" and delivery.publication_id == 7
-        assert world.replicas[order[0]].observed_sources == ["anon"]  # asked first: a miss
-        assert world.replicas[order[1]].observed_sources == ["anon"]
+        assert recorder.seen("source", order[0]) == ["anon"]  # asked first: a miss
+        assert recorder.seen("source", order[1]) == ["anon"]
         assert world.ports.slept == [0.25]
         assert world.ports.calls == [("anon", RPC_ANON_FORWARD)] * 2
 
@@ -807,12 +814,13 @@ class TestSubscriberRetrieval:
         for rs in world.replicas.values():
             rs.ports.deliver("ds", RPC_STORE, world.submission)
         world.ports.call_failures = [TransportError("timed out"), TransportError("timed out")]
-        run(world.alice._retrieve_process(world.guid, 1))
+        with Recorder() as recorder:
+            run(world.alice._retrieve_process(world.guid, 1))
         assert len(world.alice.stats.deliveries) == 1
         assert len(world.ports.calls) == 3 and world.ports.slept == [0.25, 0.25]
         # attempts 0 and 1 never arrived; attempt 2 wrapped round to replica 0
-        assert world.replicas[order[0]].observed_sources == ["anon"]
-        assert world.replicas[order[1]].observed_sources == []
+        assert recorder.seen("source", order[0]) == ["anon"]
+        assert recorder.seen("source", order[1]) == []
 
     def test_budget_exhausted_is_a_failed_fetch(self, world):
         world.ports.call_failures = [TransportError("x")] * 4

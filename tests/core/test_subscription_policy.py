@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import P3SConfig, P3SSystem, SubscriptionPolicy
+from repro.core import P3SConfig, P3SSystem, Recorder, SubscriptionPolicy
 from repro.errors import TokenRequestError
 from repro.pbe import ANY, AttributeSpec, Interest, MetadataSchema
 
@@ -28,9 +28,11 @@ class TestPseudonymity:
         system = make_system()
         alice = system.add_subscriber("alice", {"org:acme"})
         system.subscribe(alice, Interest({"topic": "a"}))
-        system.run()
-        assert system.pbe_ts.observed_subjects
-        assert "alice" not in system.pbe_ts.observed_subjects
+        with Recorder() as recorder:
+            system.run()
+        subjects = [subject for subject, _, _ in recorder.seen("request")]
+        assert subjects
+        assert "alice" not in subjects
 
     def test_distinct_subscribers_distinct_pseudonyms(self):
         system = make_system()

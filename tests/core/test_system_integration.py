@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import P3SConfig, P3SSystem
+from repro.core import P3SConfig, P3SSystem, Recorder
 from repro.pbe import ANY, AttributeSpec, Interest, MetadataSchema
 
 
@@ -184,18 +184,20 @@ class TestPrivacyObservables:
         system = make_system()
         alice = system.add_subscriber("alice", {"org:acme"})
         system.subscribe(alice, Interest({"topic": "m&a"}))
-        system.run()
+        with Recorder() as recorder:
+            system.run()
         # the paper's known exposure: plaintext predicates at the PBE-TS...
-        assert any("m&a" in p for _, p in system.pbe_ts.observed_predicates)
+        assert any("m&a" in i.to_json() for _, _, i in recorder.seen("request"))
         # ...but with the anonymizer the source is never the subscriber
-        assert set(system.pbe_ts.observed_sources) == {"anon"}
+        assert set(recorder.seen("source", system.pbe_ts.name)) == {"anon"}
 
     def test_without_anonymizer_identity_leaks_to_servers(self):
         system = make_system(use_anonymizer=False)
         alice = system.add_subscriber("alice", {"org:acme"})
         system.subscribe(alice, Interest({"topic": "m&a"}))
-        system.run()
-        assert "alice" in system.pbe_ts.observed_sources
+        with Recorder() as recorder:
+            system.run()
+        assert "alice" in recorder.seen("source", system.pbe_ts.name)
 
     def test_rs_sees_request_counts_not_content(self):
         system = make_system()
@@ -206,9 +208,10 @@ class TestPrivacyObservables:
         bob = system.add_publisher("bob")
         system.run()
         record = bob.publish(METADATA, b"payload", policy="org:acme")
-        system.run()
+        with Recorder() as recorder:
+            system.run()
         assert system.rs.request_count(record.guid) == 2
-        assert set(system.rs.observed_sources) == {"anon"}
+        assert set(recorder.seen("source", system.rs.name)) == {"anon"}
 
     def test_ds_sees_sizes_and_rates_only(self):
         system = make_system()
@@ -219,9 +222,10 @@ class TestPrivacyObservables:
         system.run()
         bob.publish(METADATA, b"p1", policy="org:acme")
         bob.publish(METADATA, b"p2", policy="org:acme")
-        system.run()
+        with Recorder() as recorder:
+            system.run()
         assert system.ds.publications_by_publisher["bob"] == 2
-        kinds = {kind for kind, _ in system.ds.observed_sizes}
+        kinds = {kind for kind, _ in recorder.seen("frame", system.ds.name)}
         assert kinds == {"p3s.metadata", "p3s.payload"}
 
     def test_publisher_learns_nothing_about_delivery(self):

@@ -20,6 +20,7 @@ from repro.live.scenario import (
     run_on_simulator,
 )
 from repro.core.config import P3SConfig, default_schema
+from repro.core.sightings import Recorder
 from repro.pbe.schema import ENCODINGS, Interest, MetadataSchema
 
 from .conftest import run_async, small_config
@@ -90,36 +91,37 @@ class TestLiveObservables:
             deployment = LiveDeployment(small_config())
             await deployment.start()
             try:
-                alice = await deployment.add_subscriber("alice", {"org"})
-                await alice.subscribe(Interest({"topic": "a"}))
-                carol = await deployment.add_subscriber("carol", {"other"})
-                await carol.subscribe(Interest({"topic": "a"}))
-                publisher = await deployment.add_publisher("pub")
-                await publisher.publish(
-                    dict(_metadata(topic="a")), b"observable", policy="org"
-                )
-                await alice.wait_for_deliveries(1, timeout_s=60.0)
-                # carol matches but is denied; wait for her attempt to finish
-                for _ in range(200):
-                    if carol.stats.access_denied:
-                        break
-                    await asyncio.sleep(0.05)
-                # subscriber-side stats mirror the simulator's semantics
-                assert alice.stats.metadata_seen == 1
-                assert alice.stats.matches == 1
-                assert len(alice.stats.deliveries) == 1
-                assert carol.stats.access_denied == 1
-                assert carol.stats.deliveries == []
-                # service-side HBC observables populated over the real wire
-                assert deployment.ds.publications_by_publisher["pub"] == 1
-                assert deployment.ds.delivered_count >= 2
-                assert deployment.rs.store.stored_count == 1
-                assert deployment.rs.store.item_count == 1
-                assert deployment.pbe_ts.issuer.tokens_issued == 2
-                # the anonymizer hid subscriber identities from RS/PBE-TS
-                assert set(deployment.pbe_ts.observed_sources) == {"anon"}
-                assert set(deployment.rs.observed_sources) == {"anon"}
-                assert ("alice", "pbe-ts") in deployment.anonymizer.observed_links
+                with Recorder() as recorder:  # what each server opens
+                    alice = await deployment.add_subscriber("alice", {"org"})
+                    await alice.subscribe(Interest({"topic": "a"}))
+                    carol = await deployment.add_subscriber("carol", {"other"})
+                    await carol.subscribe(Interest({"topic": "a"}))
+                    publisher = await deployment.add_publisher("pub")
+                    await publisher.publish(
+                        dict(_metadata(topic="a")), b"observable", policy="org"
+                    )
+                    await alice.wait_for_deliveries(1, timeout_s=60.0)
+                    # carol matches but is denied; wait for her attempt to finish
+                    for _ in range(200):
+                        if carol.stats.access_denied:
+                            break
+                        await asyncio.sleep(0.05)
+                    # subscriber-side stats mirror the simulator's semantics
+                    assert alice.stats.metadata_seen == 1
+                    assert alice.stats.matches == 1
+                    assert len(alice.stats.deliveries) == 1
+                    assert carol.stats.access_denied == 1
+                    assert carol.stats.deliveries == []
+                    # service-side HBC observables populated over the real wire
+                    assert deployment.ds.publications_by_publisher["pub"] == 1
+                    assert deployment.ds.delivered_count >= 2
+                    assert deployment.rs.store.stored_count == 1
+                    assert deployment.rs.store.item_count == 1
+                    assert deployment.pbe_ts.issuer.tokens_issued == 2
+                    # the anonymizer hid subscriber identities from RS/PBE-TS
+                    assert set(recorder.seen("source", "pbe-ts")) == {"anon"}
+                    assert set(recorder.seen("source", "rs")) == {"anon"}
+                    assert ("alice", "pbe-ts") in recorder.seen("link", "anon")
             finally:
                 await deployment.close()
 

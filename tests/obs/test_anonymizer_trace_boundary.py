@@ -1,8 +1,9 @@
-"""The anonymizer as a trace boundary (ROADMAP item 3's first deliverable).
+"""The anonymizer as a trace boundary.
 
 A fetch relayed through the anonymizer must not carry the trace of the
 publication it fetches, nor a token request the trace of the subscriber
-asking for it; today both do, so these pins are expected to fail.
+asking for it: the relay forwards no trace context, so the RS's and the
+PBE-TS's spans start traces of their own.
 """
 
 import pytest
@@ -36,20 +37,17 @@ def one(spans, name, component=None):
     return span
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: the anonymizer forwards the publication's trace to the RS",
-)
 def test_a_retrieval_does_not_carry_the_publication_trace(spans):
     assert one(spans, "rs.retrieve").trace_id != one(spans, "publish").trace_id
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: the anonymizer forwards the subscriber's trace to the PBE-TS",
-)
 def test_a_token_request_does_not_carry_the_subscriber_trace(spans):
     assert (
         one(spans, "pbe_ts.token_request").trace_id
         != one(spans, "subscribe", "alice").trace_id
     )
+
+
+def test_the_relay_hop_still_hangs_off_the_requester(spans):
+    subscribe = one(spans, "subscribe", "alice")
+    assert subscribe.trace_id in {s.trace_id for s in spans if s.name == "anon.forward"}

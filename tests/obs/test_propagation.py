@@ -64,11 +64,14 @@ class TestSpanPropagation:
         # all three subscribers match-test the broadcast; two match + retrieve
         assert names.count("subscriber.match") == 3
         assert names.count("subscriber.retrieve") == 2
-        assert names.count("rs.retrieve") == 2
+        assert names.count("anon.forward") == 2
         assert names.count("abe.decrypt") == 2
         assert names.count("deliver") == 2
-        # everything hangs off the ONE publish trace
+        # everything hangs off the ONE publish trace, up to the anonymizer:
+        # the RS's side of a fetch starts a trace of its own
+        assert names.count("rs.retrieve") == 0
         assert {span.trace_id for span in tree} == {root.trace_id}
+        assert all(s.parent_id is None for s in obs.tracer.find("rs.retrieve"))
 
     def test_hop_parentage(self, traced_run):
         obs, system, _ = traced_run
@@ -170,8 +173,9 @@ class TestLiveSpanPropagation:
     """The same publish trace, reassembled across real TCP sockets.
 
     Span context rides in the live wire-frame headers, so every hop —
-    publisher → DS fan-out → subscriber match → RS retrieve → delivery —
-    must land in ONE trace even though each leg crossed a socket.
+    publisher → DS fan-out → subscriber match → anonymizer → delivery —
+    must land in ONE trace even though each leg crossed a socket.  The
+    anonymizer forwards no context: the RS's retrieve is a root.
     """
 
     def _run_live(self, obs):
@@ -214,7 +218,7 @@ class TestLiveSpanPropagation:
                 "rs.store",
                 "subscriber.match",
                 "subscriber.retrieve",
-                "rs.retrieve",
+                "anon.forward",
                 "abe.decrypt",
                 "deliver",
             ):
@@ -223,7 +227,8 @@ class TestLiveSpanPropagation:
             # despite every parent/child edge crossing a socket boundary
             assert {span.trace_id for span in tree} == {root.trace_id}
             components = {span.component for span in tree}
-            assert {"pub", "ds", "rs", "alice"} <= components
+            assert {"pub", "ds", "rs", "alice", "anon"} <= components
+            assert "rs.retrieve" not in names
         finally:
             obs.uninstall()
 
@@ -237,14 +242,14 @@ class TestLiveSpanPropagation:
             (rs_retrieve,) = obs.tracer.find("rs.retrieve")
             # DS→subscriber edge restored from wire headers
             assert match.parent_id == fan_out.span_id
-            # subscriber→RS request edge restored from RPC headers,
-            # with the anonymizer hop interposed exactly as in the simulator
+            # subscriber→anonymizer request edge restored from RPC headers,
+            # exactly as in the simulator; the relayed request carries none
             assert retrieve.parent_id == match.span_id
             anon_hops = [
                 s for s in obs.tracer.find("anon.forward")
-                if s.span_id == rs_retrieve.parent_id
+                if s.parent_id == retrieve.span_id
             ]
             assert len(anon_hops) == 1
-            assert anon_hops[0].parent_id == retrieve.span_id
+            assert rs_retrieve.parent_id is None
         finally:
             obs.uninstall()

@@ -69,8 +69,6 @@ KEPT = {
         "privacy/analysis: the §6.1 views with and without §4.1's anonymizer"
     ),
     # injection seams for determinism and reference comparison
-    "PKEKeyPair.secret": "crypto/pke: the golden-vector secret a test pins a keypair to",
-    "SigningKeyPair.secret": "crypto/signing: the golden-vector secret a test pins a key to",
     "RepositoryStore.wall_clock": "core/rs: an injected wall clock; a recovery test sets time",
     "open_engine.faults": "store/engine: the crash-point plan of the WAL recovery tests",
     "FaultPlan.hit": "store/faults: which visit of the armed crash point crashes",
