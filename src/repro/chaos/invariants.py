@@ -7,11 +7,13 @@ faulted execution:
   (:mod:`repro.chaos.oracle`): nothing missing, no phantoms, and no
   duplicate deliveries even when the wire duplicated frames;
 * **privacy** — the §6.1 visibility claims (reused verbatim from
-  :func:`repro.privacy.trace.trace_visibility`) still hold, and
-  additionally no payload plaintext sits in RS-persisted state and no
-  subscriber identity is among the request sources the RS/PBE-TS
-  opened (the run's :class:`~repro.core.sightings.Recorder`) — retries
-  and duplicates must not widen what any honest-but-curious component
+  :func:`repro.privacy.trace.trace_visibility`) still hold, no payload
+  plaintext sits in RS-persisted state, and what every RS and PBE-TS
+  shard opened (the run's :class:`~repro.core.sightings.Recorder`)
+  stays inside its row of the may-know table
+  (:mod:`repro.privacy.may_know`), judged by
+  :func:`repro.privacy.trace.servers_keep_to_rows` — retries and
+  duplicates must not widen what any honest-but-curious component
   sees;
 * **durability** — state recovered after a (simulated) crash equals the
   committed pre-crash state, and TTL-expired ciphertext does not
@@ -36,10 +38,10 @@ in ``tests/chaos/``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
-from ..privacy.trace import trace_visibility
+from ..privacy.trace import servers_keep_to_rows, trace_visibility
 
 __all__ = [
     "InvariantResult",
@@ -58,18 +60,19 @@ DeliveryMap = Mapping[str, tuple[bytes, ...]]
 class InvariantResult:
     """One checked invariant: family, name, verdict, evidence."""
 
-    family: str  # delivery | privacy | durability | liveness
+    family: str  # delivery | privacy | durability | liveness | alerting
     name: str
     passed: bool
     detail: str
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
+
+
+def _row(name: str, passed: bool, held: str, broken: str) -> InvariantResult:
+    """One checked invariant of the family ``name`` starts with; its detail
+    says why it held, or what broke it."""
+    return InvariantResult(name.partition(".")[0], name, passed, held if passed else broken)
 
 
 def _decode(payloads: Iterable[bytes]) -> list[str]:
@@ -90,49 +93,30 @@ def check_delivery(
     delivery, in delivery order — the duplicate check is per publication
     id, which is stable across runs (GUIDs are randomized per run).
     """
-    results: list[InvariantResult] = []
     mismatches = {
         name: {"expected": _decode(expected.get(name, ())), "actual": _decode(got)}
         for name, got in sorted(actual.items())
         if tuple(expected.get(name, ())) != tuple(got)
     }
-    results.append(
-        InvariantResult(
-            "delivery",
-            "delivery.matches_oracle",
-            not mismatches,
-            "delivered sets equal the plaintext oracle" if not mismatches else str(mismatches),
-        )
-    )
     phantoms = {
         name: _decode(p for p in got if p not in expected.get(name, ()))
         for name, got in sorted(actual.items())
         if any(p not in expected.get(name, ()) for p in got)
     }
-    results.append(
-        InvariantResult(
-            "delivery",
-            "delivery.no_phantoms",
-            not phantoms,
-            "no subscriber received an unmatched payload" if not phantoms else str(phantoms),
-        )
-    )
     duplicates = {}
     for name, ids in sorted((delivered_ids or {}).items()):
         repeated = sorted({i for i in ids if ids.count(i) > 1})
         if repeated:
             duplicates[name] = repeated
-    results.append(
-        InvariantResult(
-            "delivery",
-            "delivery.no_duplicates",
-            not duplicates,
-            "every publication delivered at most once per subscriber"
-            if not duplicates
-            else f"publication ids delivered more than once: {duplicates}",
-        )
-    )
-    return results
+    return [
+        _row("delivery.matches_oracle", not mismatches,
+             "delivered sets equal the plaintext oracle", str(mismatches)),
+        _row("delivery.no_phantoms", not phantoms,
+             "no subscriber received an unmatched payload", str(phantoms)),
+        _row("delivery.no_duplicates", not duplicates,
+             "every publication delivered at most once per subscriber",
+             f"publication ids delivered more than once: {duplicates}"),
+    ]
 
 
 # -- privacy ----------------------------------------------------------------
@@ -141,25 +125,18 @@ def check_delivery(
 def check_privacy(system, recorder, payloads: Iterable[bytes]) -> list[InvariantResult]:
     """§6.1 visibility claims + at-rest plaintext + identity-leak scans,
     over the sightings ``recorder`` took during the run."""
-    results: list[InvariantResult] = []
-    report = trace_visibility(system, recorder)
-    for claim in report.claims:
-        results.append(
-            InvariantResult(
-                "privacy",
-                f"privacy.visibility.{claim.component}",
-                claim.holds,
-                claim.claim if claim.holds else f"{claim.claim} — {claim.evidence}",
-            )
-        )
+    results = [
+        _row(f"privacy.visibility.{claim.component}", claim.holds,
+             claim.claim, f"{claim.claim} — {claim.evidence}")
+        for claim in trace_visibility(system, recorder).claims
+    ]
     # No payload plaintext in anything any RS shard persisted: the
     # CP-ABE pipeline must keep content sealed even across retried/
     # duplicated submissions and replica handoffs.  Scans raw engine
     # values (framing + ciphertext).
-    rs_shards = list(system.rs_shards.values())
     stored = [
         value
-        for rs in rs_shards
+        for rs in system.rs_shards.values()
         for _key, value in rs.store.engine.items("items")
     ]
     payload_list = list(payloads)
@@ -170,32 +147,18 @@ def check_privacy(system, recorder, payloads: Iterable[bytes]) -> list[Invariant
             if payload and any(payload in value for value in stored)
         )
     )
-    results.append(
-        InvariantResult(
-            "privacy",
-            "privacy.no_plaintext_at_rs",
-            not leaked,
-            f"scanned {len(stored)} stored values for {len(payload_list)} payloads"
-            if not leaked
-            else f"payload plaintext found in RS store: {leaked}",
-        )
-    )
-    # No subscriber identity in the request sources any server opened —
-    # anonymization must hold across every retry attempt, not just the
-    # first request.
-    subscriber_names = set(system.subscribers)
-    seen = set(recorder.seen("source", system.pbe_ts.name, *(rs.name for rs in rs_shards)))
-    identified = sorted(subscriber_names & seen)
-    results.append(
-        InvariantResult(
-            "privacy",
-            "privacy.no_subscriber_identity_at_servers",
-            not system.config.use_anonymizer or not identified,
-            f"RS/PBE-TS request sources: {sorted(seen)}"
-            if not identified
-            else f"subscriber identities reached servers: {identified}",
-        )
-    )
+    results.append(_row(
+        "privacy.no_plaintext_at_rs", not leaked,
+        f"scanned {len(stored)} stored values for {len(payload_list)} payloads",
+        f"payload plaintext found in RS store: {leaked}",
+    ))
+    # No server learned what its may-know row withholds (a subscriber's
+    # identity, with the anonymizer in use) — across every retry attempt,
+    # not just the first request.
+    kept_to_rows, evidence = servers_keep_to_rows(system, recorder)
+    results.append(InvariantResult(
+        "privacy", "privacy.no_subscriber_identity_at_servers", kept_to_rows, evidence
+    ))
     return results
 
 
@@ -225,35 +188,21 @@ def check_durability(
     from every store file (§4.3 "Deletion") is :func:`scan_files_for`'s
     question.
     """
-    results: list[InvariantResult] = []
     lost = sorted(key.hex() for key in committed if key not in recovered)
     corrupt = sorted(
         key.hex()
         for key in committed
         if key in recovered and recovered[key] != committed[key]
     )
-    results.append(
-        InvariantResult(
-            "durability",
-            "durability.committed_recovered",
-            not lost and not corrupt,
-            f"all {len(committed)} committed items recovered intact"
-            if not lost and not corrupt
-            else f"lost: {lost}, corrupt: {corrupt}",
-        )
-    )
     resurrected = sorted(key.hex() for key in recovered if key not in committed)
-    results.append(
-        InvariantResult(
-            "durability",
-            "durability.no_resurrection",
-            not resurrected,
-            "no deleted/uncommitted key reappeared"
-            if not resurrected
-            else f"keys resurrected by recovery: {resurrected}",
-        )
-    )
-    return results
+    return [
+        _row("durability.committed_recovered", not lost and not corrupt,
+             f"all {len(committed)} committed items recovered intact",
+             f"lost: {lost}, corrupt: {corrupt}"),
+        _row("durability.no_resurrection", not resurrected,
+             "no deleted/uncommitted key reappeared",
+             f"keys resurrected by recovery: {resurrected}"),
+    ]
 
 
 # -- alerting ---------------------------------------------------------------
@@ -318,31 +267,8 @@ def check_alerting(
     }
     fired = {alert["slo"] for alert in slo_report.get("alerts", [])}
 
-    results: list[InvariantResult] = []
     silent = sorted(must_fire - fired)
-    results.append(
-        InvariantResult(
-            "alerting",
-            "alerting.expected_fired",
-            not silent,
-            f"every material fault family alerted (fired: {sorted(fired)})"
-            if not silent
-            else f"material faults fired no alert for: {silent} "
-            f"(fired: {sorted(fired)}, applied: {applied_faults})",
-        )
-    )
     spurious = sorted(fired - may_fire)
-    results.append(
-        InvariantResult(
-            "alerting",
-            "alerting.no_spurious",
-            not spurious,
-            "no alert fired without an applied fault to explain it"
-            if not spurious
-            else f"alerts fired with no explaining fault: {spurious} "
-            f"(applied: {applied_faults})",
-        )
-    )
     stuck = sorted(
         {
             f"{alert['slo']}:{alert['severity']}:{alert['window']}"
@@ -350,17 +276,18 @@ def check_alerting(
             if alert.get("cleared_at") is None
         }
     )
-    results.append(
-        InvariantResult(
-            "alerting",
-            "alerting.all_cleared",
-            not stuck,
-            "every fired alert cleared after recovery"
-            if not stuck
-            else f"alerts still active at end of run: {stuck}",
-        )
-    )
-    return results
+    return [
+        _row("alerting.expected_fired", not silent,
+             f"every material fault family alerted (fired: {sorted(fired)})",
+             f"material faults fired no alert for: {silent} "
+             f"(fired: {sorted(fired)}, applied: {applied_faults})"),
+        _row("alerting.no_spurious", not spurious,
+             "no alert fired without an applied fault to explain it",
+             f"alerts fired with no explaining fault: {spurious} (applied: {applied_faults})"),
+        _row("alerting.all_cleared", not stuck,
+             "every fired alert cleared after recovery",
+             f"alerts still active at end of run: {stuck}"),
+    ]
 
 
 # -- liveness ---------------------------------------------------------------
@@ -372,31 +299,16 @@ def check_liveness(
     actual: DeliveryMap,
 ) -> list[InvariantResult]:
     """After the fault window: everything matched delivers, nothing wedges."""
-    results: list[InvariantResult] = []
     missing = {
         name: _decode(p for p in payloads if p not in actual.get(name, ()))
         for name, payloads in sorted(expected.items())
         if any(p not in actual.get(name, ()) for p in payloads)
     }
-    results.append(
-        InvariantResult(
-            "liveness",
-            "liveness.eventual_delivery",
-            not missing,
-            "every oracle-matched publication was delivered"
-            if not missing
-            else f"matched but never delivered: {missing}",
-        )
-    )
-    quiescent = system.sim.quiescent
-    results.append(
-        InvariantResult(
-            "liveness",
-            "liveness.quiescent",
-            quiescent,
-            "simulation reached quiescence (only daemon events remain)"
-            if quiescent
-            else f"{system.sim.pending_events} events pending, non-daemon work stuck",
-        )
-    )
-    return results
+    return [
+        _row("liveness.eventual_delivery", not missing,
+             "every oracle-matched publication was delivered",
+             f"matched but never delivered: {missing}"),
+        _row("liveness.quiescent", system.sim.quiescent,
+             "simulation reached quiescence (only daemon events remain)",
+             f"{system.sim.pending_events} events pending, non-daemon work stuck"),
+    ]

@@ -202,6 +202,7 @@ class DisseminationServer(Broker):
 
     def register_token(self, src: str, token_bytes: bytes) -> None:
         entry = (src, bytes(token_bytes))
+        opened(self.name, "token", entry)
         if entry not in self.registered_tokens and self._admissible(entry[1]):
             self.registered_tokens.append(entry)
             self.store.put(

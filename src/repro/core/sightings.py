@@ -5,10 +5,12 @@ opens it, and keeps none of it.  By ``what``: ``"frame"``, the DS's
 ``(kind, body size)``; ``"source"``, a request's transport source at the
 RS or the PBE-TS; ``"request"``, the token issuer's (party ``"issuer"``)
 ``(certificate subject, time, Interest)``; ``"link"``, the anonymizer's
-``(requester, destination)``.  With no recorder installed :func:`opened`
-costs one global load and one comparison, as :mod:`repro.obs.hooks`
-does; it feeds no exporter, since a sighting can carry a plaintext
-interest.
+``(requester, destination)``; ``"token"``, the DS's ``(client, token
+bytes)`` of a delegated-matching registration.  With no recorder
+installed :func:`opened` costs one global load and one comparison, as
+:mod:`repro.obs.hooks` does; it feeds no exporter, since a sighting can
+carry a plaintext interest.  What each sighting reveals, and who may
+learn it, is :mod:`repro.privacy.may_know`'s to say.
 """
 
 from __future__ import annotations

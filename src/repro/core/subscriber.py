@@ -218,8 +218,7 @@ class SubscriberProtocol(P3SClient):
             yield self.ports.compute(self.timings.pbe_token_gen)
             with obs.attach(root):
                 token = self.local_token_source.gen_token(interest)
-            self.tokens.append((interest, token))
-            yield from self._register_with_ds(token, KIND_TOKEN_REG)
+            yield from self._hold(interest, token)
             obs.end_span(root, local=True)
             return token
         session_key = SecretBox.generate_key()
@@ -239,10 +238,16 @@ class SubscriberProtocol(P3SClient):
             obs.end_span(root, status="refused")
             raise TokenRequestError(f"{self.name}: token request failed: {exc}") from exc
         token = deserialize_hve_token(self.group, token_bytes)
-        self.tokens.append((interest, token))
-        yield from self._register_with_ds(token, KIND_TOKEN_REG)
+        yield from self._hold(interest, token)
         obs.end_span(root, status="ok")
         return token
+
+    def _hold(self, interest: Interest, token: HVEToken):
+        """Keep ``token`` as the one token for ``interest``: a re-subscription
+        first drops the token (and DS registration) held for it."""
+        yield from self._unsubscribe_process(interest)
+        self.tokens.append((interest, token))
+        yield from self._register_with_ds(token, KIND_TOKEN_REG)
 
     def _register_with_ds(self, token: HVEToken, kind: str):
         if not self.delegate_tokens:

@@ -3,6 +3,7 @@
 * :mod:`repro.privacy.gadget` — information-dependency graphs (Fig. 5).
 * :mod:`repro.privacy.knowledge` — knowledge closure + derivations.
 * :mod:`repro.privacy.adversary` — HBC / colluding / malicious models.
+* :mod:`repro.privacy.may_know` — what each party may learn, written once.
 * :mod:`repro.privacy.analysis` — the P3S analysis, the two token
   attacks run against the real HVE scheme, and the time-stamped-token
   mitigation.

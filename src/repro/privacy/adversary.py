@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-__all__ = ["ThreatModel", "ParticipantView", "combine_views", "P3S_ROLES"]
+__all__ = ["ThreatModel", "ParticipantView", "combine_views"]
 
 
 class ThreatModel(enum.Enum):
@@ -25,17 +25,14 @@ class ThreatModel(enum.Enum):
     MALICIOUS = "malicious"
 
 
-P3S_ROLES = ("publisher", "subscriber", "ds", "rs", "pbe_ts", "anonymizer", "eavesdropper")
-
-
 @dataclass
 class ParticipantView:
     """What one participant starts out knowing, per its protocol role.
 
-    ``base_knowledge`` holds gadget element names; ``capabilities`` holds
-    the ability-style elements (``X`` = can encrypt arbitrary metadata,
-    ``Y``/``T_Y`` = can request / has accumulated many tokens) that attack
-    gates consume.
+    ``base_knowledge`` holds gadget element names (a party's row of
+    :mod:`repro.privacy.may_know`); ``capabilities`` holds ability-style
+    elements a view gains beyond it, such as a coalition's ``T_Y`` (has
+    accumulated many tokens), that attack gates consume.
     """
 
     name: str

@@ -4,7 +4,7 @@ Three layers, mirroring §6.1:
 
 1. **Structural analysis** — :func:`build_p3s_gadget` merges the four
    scheme gadgets into the protocol-level dependency graph;
-   :func:`default_views` encodes what each participant role is privy to;
+   :func:`default_views` starts each role from its may-know row;
    :func:`analyze` closes each view's knowledge and reports which
    *sensitive* elements each role can reach under each threat model.
 
@@ -31,6 +31,7 @@ from ..pbe.schema import ANY, AttributeSpec, Interest, MetadataSchema
 from .adversary import ParticipantView, ThreatModel, combine_views
 from .gadget import Gadget, cpabe_gadget, pbe_gadget, pke_gadget, symmetric_gadget
 from .knowledge import Derivation, closure, derivation
+from .may_know import may_know
 
 __all__ = [
     "build_p3s_gadget",
@@ -69,52 +70,12 @@ def build_p3s_gadget() -> Gadget:
 
 
 def default_views(use_anonymizer: bool = True) -> dict[str, ParticipantView]:
-    """Per-role initial knowledge, straight from the §4.3 message flows."""
-    views = {
-        "publisher": ParticipantView(
-            name="publisher",
-            role="publisher",
-            base_knowledge={
-                "guid", "x", "payload", "policy", "pp_abe", "pk_pbe", "pid",
-                "a_pid_x", "ct_pbe", "ct_abe",
-            },
-            capabilities={"X"},  # publishers encrypt arbitrary metadata
-        ),
-        "subscriber": ParticipantView(
-            name="subscriber",
-            role="subscriber",
-            base_knowledge={
-                "y", "sid", "a_sid_y", "t_y", "ct_pbe", "attrs", "sk_attrs",
-                "rs_access", "k_s",
-            },
-        ),
-        "ds": ParticipantView(
-            name="ds",
-            role="ds",
-            base_knowledge={"ct_pbe", "ct_abe", "guid", "pid"},
-        ),
-        "rs": ParticipantView(
-            name="rs",
-            role="rs",
-            base_knowledge={"ct_abe", "guid", "pke_sk", "rs_access"},
-        ),
-        "pbe_ts": ParticipantView(
-            name="pbe_ts",
-            role="pbe_ts",
-            # the PBE-TS sees plaintext predicates and holds the master key
-            base_knowledge={"y", "sk_pbe", "pk_pbe"},
-        ),
-        "eavesdropper": ParticipantView(
-            name="eavesdropper",
-            role="eavesdropper",
-            base_knowledge={"guid"},  # footnote 1: GUIDs may travel in the clear
-        ),
+    """Per-role initial knowledge: each party's may-know row
+    (:mod:`repro.privacy.may_know`) for the §4.3 message flows."""
+    return {
+        party: ParticipantView(name=party, role=party, base_knowledge=set(row))
+        for party, row in may_know(use_anonymizer, delegated_matching=False).items()
     }
-    if not use_anonymizer:
-        # without the anonymizer, PBE-TS and RS see requester identities
-        views["pbe_ts"].base_knowledge.add("sid")
-        views["rs"].base_knowledge.add("sid")
-    return views
 
 
 @dataclass(frozen=True)
@@ -159,14 +120,10 @@ def analyze(
         pooled = combine_views([views[name] for name in colluding])
         views = dict(views)
         views[pooled.name] = pooled
-    include_attacks = model is not ThreatModel.HBC or True
-    # Attack gates encode what a participant COULD compute from what it
-    # holds; under plain HBC the capabilities simply are not present, so
-    # leaving attack gates enabled is sound and keeps the analysis uniform.
     report = PrivacyReport(model=model)
     for name, view in views.items():
         initial = view.knowledge_under(model)
-        closed, _ = closure(gadget, initial, include_attacks=include_attacks)
+        closed, _ = closure(gadget, initial)
         for element in gadget.sensitive_elements():
             if element in closed and element not in initial:
                 evidence = derivation(gadget, initial, element) or []

@@ -96,12 +96,10 @@ class Gadget:
             if data.get("kind") == "info" and data.get("sensitive")
         ]
 
-    def gates(self, include_attacks: bool = True) -> list[_GateRecord]:
+    def gates(self) -> list[_GateRecord]:
         records = []
         for node, data in self.graph.nodes(data=True):
             if data.get("kind") != "and":
-                continue
-            if not include_attacks and data.get("attack"):
                 continue
             inputs = tuple(sorted(self.graph.predecessors(node)))
             outputs = list(self.graph.successors(node))

@@ -31,19 +31,16 @@ class Derivation:
     attack: bool
 
 
-def closure(
-    gadget: Gadget, known: set[str], include_attacks: bool = True
-) -> tuple[set[str], list[Derivation]]:
+def closure(gadget: Gadget, known: set[str]) -> tuple[set[str], list[Derivation]]:
     """Saturate ``known`` over the gadget's gates.
 
-    Returns the closed knowledge set and the ordered derivation log.
-    With ``include_attacks=False`` only intended-protocol gates fire
-    (the HBC view); with ``True`` the orange attack edges fire too
-    (what a participant *could* compute).
+    Returns the closed knowledge set and the ordered derivation log.  The
+    orange attack edges fire too (what a participant *could* compute);
+    each step says whether it was one.
     """
     known = set(known)
     log: list[Derivation] = []
-    gates = gadget.gates(include_attacks=include_attacks)
+    gates = gadget.gates()
     changed = True
     while changed:
         changed = False
@@ -58,8 +55,7 @@ def closure(
 
 
 def derivation(gadget: Gadget, known: set[str], target: str) -> list[Derivation] | None:
-    """The minimal suffix of the derivation log that produces ``target``,
-    attack gates included.
+    """The minimal suffix of the derivation log that produces ``target``.
 
     Returns ``None`` when ``target`` is not derivable.  If ``target`` was
     known initially, returns the empty list.

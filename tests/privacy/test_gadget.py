@@ -27,8 +27,7 @@ class TestGadgetConstruction:
         g = Gadget("test")
         g.add_gate(["a"], "b", "normal")
         g.add_gate(["c"], "d", "attack", attack=True)
-        assert len(g.gates(include_attacks=True)) == 2
-        assert len(g.gates(include_attacks=False)) == 1
+        assert sorted(gate.attack for gate in g.gates()) == [False, True]
 
     def test_merge_with_rename(self):
         g1 = Gadget("one")
@@ -59,13 +58,12 @@ class TestClosure:
         closed, _ = closure(g, {"a", "b"})
         assert "c" in closed
 
-    def test_attacks_excludable(self):
+    def test_attack_gates_fire(self):
         g = Gadget("test")
         g.add_gate(["a"], "secret", "leak", attack=True)
-        closed_with, _ = closure(g, {"a"}, include_attacks=True)
-        closed_without, _ = closure(g, {"a"}, include_attacks=False)
-        assert "secret" in closed_with
-        assert "secret" not in closed_without
+        closed, log = closure(g, {"a"})
+        assert "secret" in closed
+        assert [step.attack for step in log] == [True]
 
     def test_derivation_path(self):
         g = Gadget("test")
@@ -90,18 +88,18 @@ class TestSchemeGadgets:
     def test_pbe_gadget_query_semantics(self):
         """ct + token yields m; either alone does not."""
         g = pbe_gadget()
-        closed, _ = closure(g, {"ct_pbe", "t_y"}, include_attacks=False)
+        closed, _ = closure(g, {"ct_pbe", "t_y"})
         assert "m" in closed
-        closed, _ = closure(g, {"ct_pbe"}, include_attacks=False)
+        closed, _ = closure(g, {"ct_pbe"})
         assert "m" not in closed
-        closed, _ = closure(g, {"t_y"}, include_attacks=False)
+        closed, _ = closure(g, {"t_y"})
         assert "m" not in closed
 
     def test_pbe_gadget_token_does_not_reveal_y_without_encrypt(self):
         g = pbe_gadget()
-        closed, _ = closure(g, {"t_y"}, include_attacks=True)
+        closed, _ = closure(g, {"t_y"})
         assert "y" not in closed
-        closed, _ = closure(g, {"t_y", "X", "pk_pbe"}, include_attacks=True)
+        closed, _ = closure(g, {"t_y", "X", "pk_pbe"})
         assert "y" in closed  # the token-probing attack
 
     def test_cpabe_policy_in_the_clear(self):

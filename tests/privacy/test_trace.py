@@ -8,12 +8,12 @@ from repro.pbe import AttributeSpec, Interest, MetadataSchema
 from repro.privacy.trace import trace_visibility
 
 
-def run_scenario(use_anonymizer=True):
+def run_scenario(**settings):
     """A finished run and the recorder installed for it."""
     schema = MetadataSchema(
         [AttributeSpec("topic", ("a", "b", "c", "d"))]
     )
-    system = P3SSystem(P3SConfig(schema=schema, use_anonymizer=use_anonymizer))
+    system = P3SSystem(P3SConfig(schema=schema, **settings))
     with Recorder() as recorder:
         matcher = system.add_subscriber("matcher", {"org"})
         bystander = system.add_subscriber("bystander", {"org"})
@@ -61,3 +61,18 @@ class TestTraceVisibility:
     def test_the_ds_is_held_to_three_claims(self):
         report = trace_visibility(*run_scenario())
         assert len([c for c in report.claims if c.component == "ds"]) == 3
+
+    @pytest.mark.parametrize("delegated", [False, True], ids=["local", "delegated"])
+    def test_the_ds_interest_claim_follows_the_matching_mode(self, delegated):
+        """Delegated matching hands the DS every token (core/ds), so the DS
+        knows nothing about interests only while matching stays local."""
+        system, recorder = run_scenario(delegated_matching=delegated)
+        (claim,) = [
+            c for c in trace_visibility(system, recorder).claims
+            if c.claim == "The DS knows nothing about the subscriber interests"
+        ]
+        assert claim.holds is not delegated
+        registrations = recorder.seen("token", *system.ds_shards)
+        assert len(registrations) == (2 if delegated else 0)  # one per subscriber
+        if delegated:
+            assert claim.evidence.startswith("2 token registrations opened")
