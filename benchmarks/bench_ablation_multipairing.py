@@ -22,12 +22,12 @@ ceilings asserted on every run; ``P3S_WRITE_BENCH=1`` writes the file.
 from __future__ import annotations
 
 import json
-import random
 import statistics
 import time
 
 from conftest import BenchRecord
 
+from repro.crypto import randomness
 from repro.crypto.group import PairingGroup
 from repro.crypto.pairing import multi_pairing, tate_pairing
 
@@ -45,9 +45,10 @@ def naive_product(group: PairingGroup, pairs):
     return result
 
 
+@randomness.seeded(40)
 def measure() -> dict[str, float]:
     """Both ratios, one read; the two evaluations are checked to agree."""
-    group = PairingGroup("PAPER", rng=random.Random(40))
+    group = PairingGroup("PAPER")
     out = {}
     for count in PAIR_COUNTS:
         pairs = [(group.random_g1(), group.random_g1()) for _ in range(count)]

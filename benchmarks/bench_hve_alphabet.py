@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import statistics
 import sys
 import time
@@ -46,6 +45,7 @@ import time
 from conftest import BenchRecord, e2e_reads
 
 from repro.core.config import default_schema
+from repro.crypto import randomness
 from repro.crypto.group import PairingGroup
 from repro.pbe import ENCODINGS, HVE, Interest, MetadataSchema
 
@@ -68,9 +68,10 @@ def _metadata(schema: MetadataSchema) -> dict[str, str]:
     return {spec.name: spec.values[i % len(spec.values)] for i, spec in enumerate(schema.attributes)}
 
 
+@randomness.seeded(33)
 def measure() -> dict[str, float]:
     """The three records and their ``.bit`` twins, one read."""
-    group = PairingGroup("PAPER", rng=random.Random(33))
+    group = PairingGroup("PAPER")
     a, b = group.random_gt(), group.random_gt()
     products = []
     for _ in range(20):
@@ -119,10 +120,7 @@ def replay(workload: str, seed: int) -> dict[str, dict[str, float]]:
     out = {}
     for encoding, promote_after in RULES:
         schema = schema_for(encoding)
-        group = PairingGroup(spec.config.get("param_set", "TOY"), rng=random.Random(seed))
-        hve = HVE(group)
-        public, _ = hve.setup(schema.alphabet_sizes)
-        public.tables.promote_after = promote_after  # the program always runs 0
+        hve = HVE(PairingGroup(spec.config.get("param_set", "TOY")))
 
         def encrypt_ms(publications) -> list[float]:
             times = []
@@ -133,9 +131,12 @@ def replay(workload: str, seed: int) -> dict[str, dict[str, float]]:
                 times.append(1000 * (time.perf_counter() - start))
             return times
 
-        warmup = encrypt_ms(inputs.warmup)
-        latency = encrypt_ms(inputs.latency)
-        throughput = encrypt_ms(inputs.throughput)
+        with randomness.seeded(seed):  # every rule draws the same scalars
+            public, _ = hve.setup(schema.alphabet_sizes)
+            public.tables.promote_after = promote_after  # the program always runs 0
+            warmup = encrypt_ms(inputs.warmup)
+            latency = encrypt_ms(inputs.latency)
+            throughput = encrypt_ms(inputs.throughput)
         out[f"{encoding}-{promote_after}"] = {
             "tables": float(len(public.tables.tables)),
             "warmup_s": sum(warmup) / 1000,

@@ -46,6 +46,7 @@ from conftest import BenchRecord
 from tests.pbe.reference import naive_query
 
 from repro.core.config import default_schema
+from repro.crypto import randomness
 from repro.crypto.group import PairingGroup
 from repro.obs import Observability
 from repro.par import MatchPool
@@ -135,7 +136,7 @@ def _churn_world(rng: random.Random):
     interests, whose tokens are deterministic, so 16 registrations are 10
     distinct byte strings; and ``RATIO_PUBLICATIONS`` ciphertexts."""
     schema = default_schema()
-    group = PairingGroup("TOY", rng=rng)
+    group = PairingGroup("TOY")
     hve = HVE(group)
     public, master = hve.setup(schema.alphabet_sizes)
     n = schema.vector_length
@@ -215,6 +216,7 @@ def partitions_over_serial(group, registry: list[bytes], ciphertexts: list[bytes
     return statistics.median(times[2]) / statistics.median(times[0])
 
 
+@randomness.seeded(0x38)
 def test_token_partitions(capsys, bench_writer):
     rng = random.Random(0x38)
     group, hve, public, master, registry, ciphertexts = _churn_world(rng)

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import statistics
 import time
 
@@ -60,12 +59,19 @@ READS = 5
 
 def measure() -> dict[str, float]:
     """Both records over whichever ``repro`` is on the path."""
+    from repro.crypto import randomness
+
+    with randomness.seeded(28):
+        return _measure()
+
+
+def _measure() -> dict[str, float]:
     from repro.crypto import curve, precompute
     from repro.crypto.group import PairingGroup
     from repro.pbe.hve import HVE
 
     precompute.clear_caches()
-    group = PairingGroup("PAPER", rng=random.Random(28))
+    group = PairingGroup("PAPER")
     hve = HVE(group)
     public, _ = hve.setup(VECTOR_BITS)
     x = [i % 2 for i in range(VECTOR_BITS)]

@@ -55,7 +55,6 @@ class FaultProxy:
         self.upstream_port = upstream_port
         self.armed = False
         self.connections = 0
-        self.chunks_relayed = 0
         self.tears = 0
         self.delays = 0
         self._rng = random.Random(seed)
@@ -104,7 +103,6 @@ class FaultProxy:
                     if not data:
                         break
                     chunk_count[0] += 1
-                    self.chunks_relayed += 1
                     if self.armed:
                         if tear_at is not None and chunk_count[0] >= tear_at:
                             self.tears += 1

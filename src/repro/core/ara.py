@@ -15,7 +15,6 @@ authority, is not part of the analysis", §6.1) and the performance models
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass, field
 
 from ..abe.bsw07 import CPABEMasterKey, CPABEPublicKey, CPABESecretKey
@@ -23,6 +22,7 @@ from ..abe.hybrid import HybridCPABE
 from ..cluster.router import ClusterMap
 from ..crypto.group import PairingGroup
 from ..crypto.pke import PKEPublicKey
+from ..crypto.randomness import draw_bytes
 from ..crypto.signing import Certificate, SigningKeyPair, VerifyKey
 from ..errors import RegistrationError
 from ..pbe.hve import HVE, HVEMasterKey, HVEPublicKey
@@ -104,7 +104,6 @@ class RegistrationAuthority:
         self._hve_public, self._hve_master = self._hve.setup(schema.alphabet_sizes)
 
         self._registered: dict[str, str] = {}  # name -> role
-        self._pseudonyms: dict[str, str] = {}  # certificate pseudonym -> name
 
     # -- service provisioning (deployment time) -----------------------------
 
@@ -166,12 +165,10 @@ class RegistrationAuthority:
         the PBE-TS sees the certificate next to the plaintext predicate
         (Fig. 3), so an identity-bearing certificate would defeat the
         anonymizer and let it form the subscriber↔interest association.
-        The ARA (trusted) keeps the pseudonym↔name mapping internally.
         """
         self._check_unregistered(name)
         self._registered[name] = "subscriber"
-        pseudonym = f"sub-{secrets.token_hex(8)}"
-        self._pseudonyms[pseudonym] = name
+        pseudonym = f"sub-{draw_bytes('pseudonym', 8).hex()}"
         return SubscriberCredentials(
             name=name,
             schema=self.schema,

@@ -78,8 +78,8 @@ class DisseminationServer(Broker):
     """The DS: a topic broker with P3S publication handling grafted on.
 
     ``group``/``vector_length``/``timings``/``match_workers`` enable
-    delegated matching; without a ``group`` the DS never decodes a
-    registered token and always broadcasts (the baseline architecture).
+    delegated matching (the plan's only then); without a ``group`` the DS
+    refuses token frames unopened and always broadcasts.
     """
 
     def __init__(
@@ -139,6 +139,8 @@ class DisseminationServer(Broker):
         elif kind == KIND_PAYLOAD:
             opened(self.name, "frame", (KIND_PAYLOAD, frame.body_size))
             yield from self._forward_to_rs(frame)
+        elif kind in (KIND_TOKEN_REG, KIND_TOKEN_UNREG) and self.group is None:
+            obs.record_op("ds.token_rejected")  # no matcher: refused unopened
         elif kind == KIND_TOKEN_REG:
             self.register_token(src, frame.body)
         elif kind == KIND_TOKEN_UNREG:

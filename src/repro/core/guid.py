@@ -8,7 +8,7 @@ so guessability would let non-matching parties fetch payloads.
 
 from __future__ import annotations
 
-import secrets
+from ..crypto.randomness import draw_bytes
 
 __all__ = ["GUID_BYTES", "random_guid"]
 
@@ -17,4 +17,4 @@ GUID_BYTES = 16  # 128-bit space; paper's model uses ~10-byte GUIDs
 
 def random_guid() -> bytes:
     """A fresh unguessable GUID."""
-    return secrets.token_bytes(GUID_BYTES)
+    return draw_bytes("guid", GUID_BYTES)

@@ -140,7 +140,7 @@ class DeploymentPlan:
             return ds_class(
                 ports,
                 self.cluster,
-                group=self.group,
+                group=self.group if config.delegated_matching else None,
                 vector_length=config.schema.vector_length,
                 timings=config.timings,
                 match_workers=config.match_workers,

@@ -14,8 +14,6 @@ paper's prototype is written against jPBC/PBC.  It bundles:
 
 from __future__ import annotations
 
-import secrets
-
 from ..errors import ParameterError, SerializationError
 from ..reader import Reader
 from .curve import Point, fixed_base_table, hash_to_point
@@ -29,6 +27,7 @@ from .pairing import (
     tate_pairing,
 )
 from .params import PARAM_SETS, TypeAParams
+from .randomness import draw_below
 
 __all__ = ["PairingGroup"]
 
@@ -39,11 +38,6 @@ class PairingGroup:
     Args:
         params: a :class:`TypeAParams` instance or the name of a
             shipped set (``"TOY"``, ``"TEST"``, ``"PAPER"``).
-        rng: an optional :class:`random.Random`-like source for scalar
-            sampling.  ``None`` (the default, and the only safe choice
-            outside tests) uses :mod:`secrets`; tests pass a seeded
-            instance to freeze key material for the golden known-answer
-            vectors in ``tests/crypto/vectors/``.
 
     Construction warms the process-wide fixed-base comb table for the
     generator (shared across every group instance on the same parameter
@@ -51,7 +45,7 @@ class PairingGroup:
     the fast path.
     """
 
-    def __init__(self, params: TypeAParams | str = "TOY", rng=None):
+    def __init__(self, params: TypeAParams | str = "TOY"):
         if isinstance(params, str):
             try:
                 params = PARAM_SETS[params]
@@ -61,7 +55,6 @@ class PairingGroup:
                 ) from None
         self.params = params
         self.generator = Point.generator(params)
-        self._rng = rng
         self._gt_generator: Fq2 | None = None
         fixed_base_table(self.generator)
 
@@ -85,14 +78,10 @@ class PairingGroup:
     # -- sampling ---------------------------------------------------------------
 
     def random_zr(self, nonzero: bool = True) -> int:
-        """Uniform scalar in ``[0, r)`` (``[1, r)`` when ``nonzero``)."""
-        low = 1 if nonzero else 0
+        """Uniform scalar in ``[0, r)`` (``[1, r)`` when ``nonzero``), via :mod:`.randomness`."""
         while True:
-            if self._rng is not None:
-                value = self._rng.randrange(self.params.r)
-            else:
-                value = secrets.randbelow(self.params.r)
-            if value >= low:
+            value = draw_below("scalar", self.params.r)
+            if value or not nonzero:
                 return value
 
     def random_g1(self) -> Point:
@@ -133,9 +122,8 @@ class PairingGroup:
     def multi_pair_precomputed(
         self, entries: list[tuple[MillerPrecomputed | None, Point]]
     ) -> Fq2:
-        """``Π ê(P_j, Q_j)`` with every ``P_j`` precomputed — bit-identical
-        to :meth:`multi_pair` on the argument-swapped pairs (the pairing
-        is symmetric on G1)."""
+        """``Π ê(P_j, Q_j)`` walking each ``P_j``'s precomputed lines:
+        bit-identical to :meth:`multi_pair` on the same pairs."""
         return multi_pairing_precomputed(entries, self.params)
 
     # -- serialization ------------------------------------------------------------------

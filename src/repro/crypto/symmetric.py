@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import hmac
 import hashlib
-import secrets
 
 from ..errors import IntegrityError, ParameterError
 from .hashing import kdf
+from .randomness import draw_bytes
 
 __all__ = ["SecretBox", "KEY_LEN", "NONCE_LEN", "TAG_LEN", "OVERHEAD"]
 
@@ -59,10 +59,10 @@ class SecretBox:
 
     @classmethod
     def generate_key(cls) -> bytes:
-        return secrets.token_bytes(KEY_LEN)
+        return draw_bytes("key", KEY_LEN)
 
     def seal(self, plaintext: bytes, associated_data: bytes = b"") -> bytes:
-        nonce = secrets.token_bytes(NONCE_LEN)
+        nonce = draw_bytes("nonce", NONCE_LEN)
         ciphertext = self._keystream_xor(nonce, plaintext)
         tag = self._tag(nonce, ciphertext, associated_data)
         return nonce + ciphertext + tag

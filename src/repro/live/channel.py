@@ -38,13 +38,13 @@ certificates inside token requests.
 from __future__ import annotations
 
 import asyncio
-import secrets
 import struct
 from dataclasses import dataclass
 
 from ..core.ara import SERVICE_KEY_CONTEXT
 from ..crypto.hashing import kdf
 from ..crypto.pke import PKEKeyPair, PKEPublicKey
+from ..crypto.randomness import draw_bytes
 from ..crypto.signing import Signature, VerifyKey
 from ..errors import (
     DecryptionError,
@@ -117,10 +117,7 @@ class SecureChannel:
         self._recv_seq = 0
         self._send_lock = asyncio.Lock()
         self._closed = False
-        self.bytes_sent = 0
         self.bytes_received = 0
-        self.records_sent = 0
-        self.records_received = 0
 
     @property
     def closed(self) -> bool:
@@ -147,8 +144,6 @@ class SecureChannel:
                 raise TransportError(
                     f"send to {self.peer_name} failed: {exc}"
                 ) from exc
-            self.bytes_sent += len(wire)
-            self.records_sent += 1
             return len(wire)
 
     async def recv_record(self) -> bytes:
@@ -179,7 +174,6 @@ class SecureChannel:
                 f"expected seq {expected}, got {seq}"
             )
         self._recv_seq += 1
-        self.records_received += 1
         try:
             return self._recv_box.open(body[8:], associated_data=_seq_bytes(seq))
         except DecryptionError as exc:
@@ -230,8 +224,8 @@ async def connect_channel(
     except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
         raise TransportError(f"connect to {server_key.name} at {host}:{port} failed: {exc}") from exc
     try:
-        pre_master = secrets.token_bytes(32)
-        nonce = secrets.token_bytes(16)
+        pre_master = draw_bytes("key", 32)
+        nonce = draw_bytes("nonce", 16)
         sealed = server_key.public_key.encrypt(pre_master + nonce)
         name_bytes = client_name.encode("utf-8")
         writer.write(MAGIC + struct.pack(">H", len(name_bytes)) + name_bytes + prefixed(sealed))

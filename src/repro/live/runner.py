@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from ..core.config import P3SConfig
 from ..core.plan import DeploymentPlan
+from ..crypto.randomness import draw_bytes
 from ..errors import RegistrationError
 from .channel import ServerIdentity
 from .deployment import LiveDeployment
@@ -85,7 +86,7 @@ def init_state(
     if config.data_dir is not None:
         os.makedirs(config.data_dir, exist_ok=True)
         plan.store_keys = {
-            role: os.urandom(32) for role in (*plan.rs_names, *plan.ds_names)
+            role: draw_bytes("key", 32) for role in (*plan.rs_names, *plan.ds_names)
         }
     roles = plan.service_names
     state = DeploymentState(

@@ -52,12 +52,12 @@ top``.
 from __future__ import annotations
 
 import json
-import secrets
 import time
 from typing import Any, Iterable
 
 from ..core.ara import TELEMETRY_CONTEXT
 from ..core.messages import KIND_TELEMETRY
+from ..crypto.randomness import draw_bytes
 from ..crypto.signing import Signature
 from ..errors import CertificateError, TransportError
 from ..obs import hooks
@@ -91,7 +91,7 @@ GAUGE_METRICS = frozenset(
 MAX_HISTOGRAM_VALUES = 1024
 
 # this process's identity in every snapshot it hands over
-ORIGIN = secrets.token_hex(8)
+ORIGIN = draw_bytes("pseudonym", 8).hex()
 
 
 def _endpoint_samples(endpoint: LiveRpcEndpoint) -> list[dict[str, Any]]:

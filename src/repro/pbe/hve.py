@@ -323,9 +323,9 @@ class HVE:
     def _query_key(self, token: HVEToken, ciphertext: HVECiphertext) -> bytes:
         if token.n != ciphertext.n:
             raise ParameterError("token and ciphertext vector lengths differ")
-        # ê is symmetric on G1, so pair (token, ciphertext) with the
-        # token's precomputed lines as the Miller argument — same GT
-        # element, bit for bit, as ê(X_i, Y_i)·ê(W_i, L_i).
+        # Π ê(Y_i, X_i)·ê(L_i, W_i): the PBE-TS minted the token's points, so
+        # their lines drive the Miller loop; the ciphertext's, off the wire, are
+        # only evaluated, where a small-order part drops out (docs/PROTOCOL.md).
         entries = []
         for i, (pre_y, pre_l) in zip(token.positions, self._token_lines(token)):
             entries.append((pre_y, ciphertext.x_components[i]))

@@ -84,7 +84,6 @@ class FaultPlan:
         self.point = point
         self.hit = hit
         self.hits: Counter[str] = Counter()
-        self.fired = False
 
     def would_fire(self, point: str) -> bool:
         """Record one visit; True when this is the armed point's Nth hit.
@@ -94,7 +93,6 @@ class FaultPlan:
         """
         self.hits[point] += 1
         if point == self.point and self.hits[point] == self.hit:
-            self.fired = True
             return True
         return False
 

@@ -10,6 +10,7 @@ re-encodes to the very bytes it came from, or is rejected with a
 escaped is pinned below as an ``@example``.
 """
 
+import dataclasses
 import struct
 
 from hypothesis import example, given, settings
@@ -24,20 +25,44 @@ from repro.abe.serialize import (
 from repro.crypto.group import PairingGroup
 from repro.errors import ReproError
 
+from ..crypto.reference import small_order_point
 from ..hostile import hostile, prefixed_fields
 
 GROUP = PairingGroup("TOY")
 SCHEME = HybridCPABE(GROUP)
 PUBLIC, _MASTER = SCHEME.setup()
 POLICIES = ("org:acme", "a and b", "2 of (a, b, c)", "(a or b) and c")
-HYBRIDS = [
-    serialize_hybrid(GROUP, SCHEME.encrypt(PUBLIC, payload, policy))
+PLAIN_HYBRIDS = [
+    SCHEME.encrypt(PUBLIC, payload, policy)
     for policy, payload in zip(POLICIES, (b"", b"payload", b"x" * 40, b"\x00"))
 ]
-CIPHERTEXTS = [
-    serialize_ciphertext(GROUP, SCHEME.abe.encrypt(PUBLIC, GROUP.random_gt(), policy))
-    for policy in POLICIES
+PLAIN_CIPHERTEXTS = [SCHEME.abe.encrypt(PUBLIC, GROUP.random_gt(), policy) for policy in POLICIES]
+
+
+def _shifted(ciphertext, torsion, target: str):
+    """``ciphertext`` with a small-order part on ``C``, or on the first
+    leaf's ``C_y`` or ``C'_y``."""
+    if target == "C":
+        return dataclasses.replace(ciphertext, c=ciphertext.c + torsion)
+    (attribute, c_y, c_y_prime), *rest = ciphertext.leaf_components
+    if target == "C_y":
+        c_y += torsion
+    else:
+        c_y_prime += torsion
+    return dataclasses.replace(ciphertext, leaf_components=((attribute, c_y, c_y_prime), *rest))
+
+
+# beside the valid encodings, ones whose points carry a small-order part:
+# they decode (the curve is checked, not the subgroup) and change no
+# plaintext (tests/crypto/test_small_order_points.py)
+SHIFTED = [
+    _shifted(PLAIN_CIPHERTEXTS[1], small_order_point(order), target)
+    for order, target in ((2, "C"), (3, "C_y"), (900, "C'_y"))
 ]
+HYBRIDS = [serialize_hybrid(GROUP, hybrid) for hybrid in PLAIN_HYBRIDS] + [
+    serialize_hybrid(GROUP, dataclasses.replace(PLAIN_HYBRIDS[1], kem=kem)) for kem in SHIFTED
+]
+CIPHERTEXTS = [serialize_ciphertext(GROUP, c) for c in PLAIN_CIPHERTEXTS + SHIFTED]
 
 
 def ciphertext_fields(blob: bytes, offset: int = 0) -> list[tuple[int, str]]:

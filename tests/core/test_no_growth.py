@@ -8,6 +8,9 @@ ticks past their expiry.  After a warm-up round, every list, dict, set
 and deque attribute of the DS, RS, PBE-TS, token issuer and anonymizer
 must keep its size from one round to the next: what a party saw is
 reported where it is opened (:mod:`repro.core.sightings`), never kept.
+
+The clients are held to the same rule, their ``stats`` included, and do
+not meet it yet (:data:`CLIENTS_GROW`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,15 @@ PUBLICATIONS = ("a", "b", "c", "a", "b", "d")  # one round's topics
 ROUNDS = 4  # a warm-up round, then three that must not grow anything
 TTL_S = 1.0
 LIVE_GC_S = 0.1
+CLIENTS_GROW = pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP 16 and 6(a): SubscriberStats.deliveries (each payload) and "
+        "PublisherProtocol.published keep an entry per publication, and "
+        "SubscriberStats.duplicate_suppressed_at one per suppressed duplicate; "
+        "benchmarks/e2e/drivers.py reads len(s.stats.deliveries), so the fix is a harness edit"
+    ),
+)
 
 
 def container_sizes(parties) -> dict[str, int]:
@@ -48,6 +60,14 @@ def parties_of(deployment) -> dict:
     }
 
 
+def clients_of(publisher, subscribers) -> dict:
+    return {
+        "publisher": publisher,
+        **subscribers,
+        **{f"{name}.stats": subscriber.stats for name, subscriber in subscribers.items()},
+    }
+
+
 def assert_flat_after_warm_up(sizes: list[dict[str, int]]) -> None:
     grown = {
         name: [round_sizes[name] for round_sizes in sizes]
@@ -57,7 +77,9 @@ def assert_flat_after_warm_up(sizes: list[dict[str, int]]) -> None:
     assert not grown, f"containers that changed size after the warm-up round: {grown}"
 
 
-def test_no_party_collection_grows_on_the_simulator():
+@pytest.fixture(scope="module")
+def simulator_rounds():
+    """``(server sizes, client sizes)`` a round, and the deliveries made."""
     system = P3SSystem(P3SConfig(schema=SCHEMA, t_g=0.0, rs_gc_interval_s=TTL_S))
     subscribers = {name: system.add_subscriber(name, {"org"}) for name in INTERESTS}
     for name, subscriber in subscribers.items():
@@ -65,7 +87,7 @@ def test_no_party_collection_grows_on_the_simulator():
     system.run()
     publisher = system.add_publisher("pub")
     system.run()
-    sizes = []
+    servers, clients = [], []
     for _ in range(ROUNDS):
         for name, subscriber in subscribers.items():
             subscriber.unsubscribe(INTERESTS[name])
@@ -76,14 +98,26 @@ def test_no_party_collection_grows_on_the_simulator():
         system.run()
         system.run(until=system.now + 3 * TTL_S)  # GC ticks past every expiry
         assert system.rs.item_count == 0
-        sizes.append(container_sizes(parties_of(system)))
-    delivered = sum(len(s.stats.deliveries) for s in subscribers.values())
+        servers.append(container_sizes(parties_of(system)))
+        clients.append(container_sizes(clients_of(publisher, subscribers)))
+    delivered = sum(len(subscriber.stats.deliveries) for subscriber in subscribers.values())
+    return servers, clients, delivered
+
+
+def test_no_party_collection_grows_on_the_simulator(simulator_rounds):
+    servers, _, delivered = simulator_rounds
     assert delivered == ROUNDS * 4  # two "a" and two "b" items a round were fetched
-    assert_flat_after_warm_up(sizes)
+    assert_flat_after_warm_up(servers)
 
 
-@pytest.mark.live
-def test_no_party_collection_grows_over_tcp():
+@CLIENTS_GROW
+def test_no_client_collection_grows_on_the_simulator(simulator_rounds):
+    assert_flat_after_warm_up(simulator_rounds[1])
+
+
+@pytest.fixture(scope="module")
+def tcp_rounds():
+    """``(server sizes, client sizes)`` a round over loopback TCP."""
     from repro.live.deployment import LiveDeployment
 
     async def scenario():
@@ -96,7 +130,7 @@ def test_no_party_collection_grows_over_tcp():
             for name, subscriber in subscribers.items():
                 await subscriber.subscribe(INTERESTS[name])
             publisher = await deployment.add_publisher("pub")
-            sizes = []
+            servers, clients = [], []
             for round_index in range(ROUNDS):
                 for name, subscriber in subscribers.items():
                     await subscriber.unsubscribe(INTERESTS[name])
@@ -110,9 +144,21 @@ def test_no_party_collection_grows_over_tcp():
                         break
                     await asyncio.sleep(LIVE_GC_S)
                 assert deployment.rs.item_count == 0
-                sizes.append(container_sizes(parties_of(deployment)))
-            assert_flat_after_warm_up(sizes)
+                servers.append(container_sizes(parties_of(deployment)))
+                clients.append(container_sizes(clients_of(publisher, subscribers)))
+            return servers, clients
         finally:
             await deployment.close()
 
-    asyncio.run(asyncio.wait_for(scenario(), 120.0))
+    return asyncio.run(asyncio.wait_for(scenario(), 120.0))
+
+
+@pytest.mark.live
+def test_no_party_collection_grows_over_tcp(tcp_rounds):
+    assert_flat_after_warm_up(tcp_rounds[0])
+
+
+@pytest.mark.live
+@CLIENTS_GROW
+def test_no_client_collection_grows_over_tcp(tcp_rounds):
+    assert_flat_after_warm_up(tcp_rounds[1])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import random
 from types import SimpleNamespace
 
 import pytest
@@ -54,6 +53,7 @@ from repro.core.rs import (
 )
 from repro.core.sightings import Recorder
 from repro.core.subscriber import SubscriberProtocol
+from repro.crypto import randomness
 from repro.crypto.group import PairingGroup
 from repro.crypto.pke import PKEKeyPair, pke_overhead
 from repro.crypto.symmetric import SecretBox
@@ -195,7 +195,8 @@ class RecordingPorts:
 
 @pytest.fixture(scope="module")
 def group():
-    return PairingGroup("TOY", rng=random.Random(0x9012))
+    with randomness.seeded(0x9012):
+        yield PairingGroup("TOY")
 
 
 @pytest.fixture(scope="module")
@@ -252,14 +253,34 @@ class TestDisseminationRouting:
         assert ports.sent(frames.DELIVER) == []
         assert ds.publications_by_publisher == {}  # the rate is counted on metadata
 
-    def test_token_frames_edit_the_registry_and_go_nowhere(self):
+    def test_token_frames_edit_the_registry_and_go_nowhere(self, group):
+        hve = HVE(group)
+        token = serialize_hve_token(group, hve.gen_token(hve.setup(4)[1], [1, None, None, None]))
+        ports = RecordingPorts("ds")
+        ds = _connected_ds(ports, ["alice"], group=group, vector_length=4)
+        try:
+            _publish(ds, "alice", _frame(KIND_TOKEN_REG, token))
+            assert ds.registered_tokens == [("alice", token)]
+            _publish(ds, "alice", _frame(KIND_TOKEN_UNREG, token))
+            assert ds.registered_tokens == []
+            assert ports.casts == []
+        finally:
+            ds.close_match_pool()
+
+    def test_a_ds_without_a_matcher_refuses_token_frames_unopened(self):
+        """Only a delegated-matching plan hands the DS a group: without one,
+        a client's token frames leave no entry, write, pool or sighting."""
         ports = RecordingPorts("ds")
         ds = _connected_ds(ports, ["alice"])
-        _publish(ds, "alice", _frame(KIND_TOKEN_REG, b"tok"))
-        assert ds.registered_tokens == [("alice", b"tok")]
-        _publish(ds, "alice", _frame(KIND_TOKEN_UNREG, b"tok"))
-        assert ds.registered_tokens == []
-        assert ports.casts == []
+        obs = Observability()
+        with obs.installed(), Recorder() as recorder:
+            _publish(ds, "alice", _frame(KIND_TOKEN_REG, b"tok"))
+            _publish(ds, "alice", _frame(KIND_TOKEN_UNREG, b"tok"))
+        assert obs.metrics.counter_total("op.ds.token_rejected") == 2
+        assert ds.registered_tokens == [] and ds.store.items(NS_TOKENS) == []
+        assert ds._match_pool is None and recorder.seen("token", "ds") == []
+        _publish(ds, "pub", _frame(KIND_METADATA, EncryptedMetadata(b"x", 1)))
+        assert ports.sent(frames.DELIVER) == ["alice"] and ports.spawned == 0
 
     def test_unmarked_frames_are_plain_jms(self):
         ports = RecordingPorts("ds")

@@ -5,10 +5,11 @@ outputs of the Tate pairing, IP08 HVE encrypt/token/match, and BSW07
 setup/keygen under fixed seeds.  Determinism needs two things:
 
 * every Zr scalar drawn through :meth:`PairingGroup.random_zr` comes from
-  a seeded ``random.Random`` (the group's ``rng`` parameter), and
-* the SecretBox nonces inside HVE ciphertexts come from a counter-based
-  stream instead of ``secrets.token_bytes`` (the :func:`frozen_nonces`
-  context manager patches it for the duration).
+  a seeded ``random.Random``, and
+* the SecretBox keys and nonces inside HVE ciphertexts come from a
+  counter-based stream (:class:`CounterStream`),
+
+both installed through :func:`repro.crypto.randomness.seeded`.
 
 :func:`derive_vectors` is the single source of truth: the regen script
 (``tests/crypto/vectors/make_vectors.py``) serializes its output, and
@@ -19,14 +20,12 @@ evaluation, serialization layout, or sealing breaks the test loudly.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import random
-
 import struct
 
 from repro.abe.bsw07 import CPABE
-from repro.crypto import symmetric
+from repro.crypto import randomness
 from repro.crypto.group import PairingGroup
 from repro.crypto.pairing import tate_pairing
 from repro.pbe.hve import HVE
@@ -44,22 +43,23 @@ HVE_Y_MISS = [0, 0, None, None, None, None, 1, None]
 BSW07_ATTRIBUTES = {"org:acme", "role:analyst", "clearance:2"}
 
 
-@contextlib.contextmanager
-def frozen_nonces(label: bytes = b"p3s-golden-nonce"):
-    """Replace SecretBox's nonce source with a deterministic counter stream."""
-    real = symmetric.secrets.token_bytes
-    counter = 0
+class CounterStream:
+    """Bytes the vectors were frozen under: SHA-256 of ``label`` and a
+    counter, one digest a draw."""
 
-    def fake(n: int) -> bytes:
-        nonlocal counter
-        counter += 1
-        return hashlib.sha256(label + counter.to_bytes(8, "big")).digest()[:n]
+    def __init__(self, label: bytes = b"p3s-golden-nonce"):
+        self.label, self.counter = label, 0
 
-    symmetric.secrets.token_bytes = fake
-    try:
-        yield
-    finally:
-        symmetric.secrets.token_bytes = real
+    def randbytes(self, n: int) -> bytes:
+        self.counter += 1
+        return hashlib.sha256(self.label + self.counter.to_bytes(8, "big")).digest()[:n]
+
+
+def frozen_nonces(label: bytes = b"p3s-golden-nonce", **stand_ins):
+    """A seeded block whose SecretBox keys and nonces share one
+    :class:`CounterStream`, as the vectors were frozen under."""
+    stream = CounterStream(label)
+    return randomness.seeded(SEED, key=stream, nonce=stream, **stand_ins)
 
 
 def _sha256(data: bytes) -> str:
@@ -127,8 +127,8 @@ def derive_vectors() -> dict:
     data["tate"] = tate_cases
 
     # -- HVE: setup → encrypt → tokens → query -------------------------------
-    hve_group = PairingGroup(PARAM_SET, rng=random.Random(SEED ^ 0x48E5))
-    with frozen_nonces():
+    hve_group = PairingGroup(PARAM_SET)
+    with frozen_nonces(scalar=random.Random(SEED ^ 0x48E5)):
         hve = HVE(hve_group)
         public, master = hve.setup(HVE_N)
         ciphertext = hve.encrypt(public, HVE_X, HVE_PAYLOAD)
@@ -148,10 +148,11 @@ def derive_vectors() -> dict:
     }
 
     # -- BSW07: setup → keygen -----------------------------------------------
-    abe_group = PairingGroup(PARAM_SET, rng=random.Random(SEED ^ 0xB59))
+    abe_group = PairingGroup(PARAM_SET)
     cpabe = CPABE(abe_group)
-    abe_public, abe_master = cpabe.setup()
-    key = cpabe.keygen(abe_master, BSW07_ATTRIBUTES)
+    with randomness.seeded(SEED, scalar=random.Random(SEED ^ 0xB59)):
+        abe_public, abe_master = cpabe.setup()
+        key = cpabe.keygen(abe_master, BSW07_ATTRIBUTES)
     data["bsw07"] = {
         "attributes": sorted(BSW07_ATTRIBUTES),
         "public_key_sha256": _sha256(_cpabe_public_key_bytes(abe_group, abe_public)),

@@ -24,6 +24,7 @@ import pytest
 from repro.core.config import P3SConfig, default_schema
 from repro.core.system import P3SSystem
 from repro.crypto.curve import Point, fixed_base_table
+from repro.crypto import randomness
 from repro.crypto.group import PairingGroup
 from repro.crypto.pairing import (
     final_exponentiation,
@@ -159,10 +160,9 @@ def test_multi_pairing_precomputed_bit_identical(group, rng):
 # -- HVE precomputed query path ------------------------------------------------
 
 
+@randomness.seeded(SEED ^ 1)
 def test_hve_precompute_query_equivalent(group):
-    hve_rng = random.Random(SEED ^ 1)
-    seeded = PairingGroup("TOY", rng=hve_rng)
-    hve = HVE(seeded)
+    hve = HVE(group)
     public, master = hve.setup(6)
     x = [1, 0, 1, 0, 1, 1]
     ct = hve.encrypt(public, x, b"guid-equivalence")
@@ -177,7 +177,7 @@ def test_hve_precompute_query_equivalent(group):
     ]
     for y, matches in interests:
         token = hve.gen_token(master, y)
-        expected = naive_query(seeded, token, ct)
+        expected = naive_query(group, token, ct)
         assert (expected == b"guid-equivalence") is matches, y
         assert hve.query(token, ct) == expected, y  # cold: builds the token's lines
         hve.clear_match_memo()

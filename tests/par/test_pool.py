@@ -6,10 +6,10 @@ machine they still exercise reconciliation, reassembly and determinism.
 
 from __future__ import annotations
 
-import random
 
 import pytest
 
+from repro.crypto import randomness
 from repro.crypto.group import PairingGroup
 from repro.obs import Observability
 from repro.par import MatchPool
@@ -18,8 +18,9 @@ from repro.pbe.serialize import serialize_hve_ciphertext, serialize_hve_token
 
 
 @pytest.fixture(scope="module")
+@randomness.seeded(0x9001)
 def fixture_data():
-    group = PairingGroup("TOY", rng=random.Random(0x9001))
+    group = PairingGroup("TOY")
     hve = HVE(group)
     public, master = hve.setup(6)
     x = [1, 0, 1, 0, 0, 1]

@@ -151,8 +151,8 @@ class TestBinaryIsIP08:
     Y = [1, None, 0, None, 1, None]
 
     def _run(self, setup, encrypt, gen_token):
-        group = PairingGroup("TOY", rng=random.Random(33))
-        with frozen_nonces():
+        group = PairingGroup("TOY")
+        with frozen_nonces(scalar=random.Random(33)):
             public, master = setup(group, self.N)
             ciphertext = encrypt(group, public, self.X, GUID)
             token = gen_token(group, master, self.Y)

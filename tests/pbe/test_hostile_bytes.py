@@ -9,6 +9,7 @@ allocation sized by a length the sender chose).  A crash this finds is
 pinned below as an ``@example``.
 """
 
+import dataclasses
 import struct
 from typing import Callable
 
@@ -24,6 +25,7 @@ from repro.pbe.serialize import (
     serialize_hve_token,
 )
 
+from ..crypto.reference import small_order_point
 from ..hostile import hostile
 
 
@@ -44,15 +46,39 @@ class CountingGroup(PairingGroup):
 GROUP = CountingGroup("TOY")
 SCHEME = HVE(GROUP)
 PUBLIC, MASTER = SCHEME.setup(4)
-CIPHERTEXTS = [
-    serialize_hve_ciphertext(GROUP, SCHEME.encrypt(PUBLIC, x, payload), compressed=compressed)
+# beside the valid encodings, ones whose first point carries a small-order
+# part: they decode (the curve is checked, not the subgroup) and change no
+# verdict (tests/crypto/test_small_order_points.py)
+TORSION = [small_order_point(order) for order in (2, 3, 900)]
+PLAIN_CIPHERTEXTS = [
+    SCHEME.encrypt(PUBLIC, x, payload)
     for x, payload in (([1, 0, 1, 0], b"guid-0123456789a"), ([0, 0, 1, 1], b""))
+]
+PLAIN_TOKENS = [
+    SCHEME.gen_token(MASTER, y) for y in ([1, None, None, 0], [None, 0, None, None], [1, 0, 1, 0])
+]
+
+
+def _shifted(points: tuple, torsion) -> tuple:
+    return (points[0] + torsion,) + points[1:]
+
+
+SHIFTED_CIPHERTEXTS = [
+    dataclasses.replace(c, x_components=_shifted(c.x_components, t))
+    for c, t in zip(PLAIN_CIPHERTEXTS * 2, TORSION)
+]
+SHIFTED_TOKENS = [
+    dataclasses.replace(
+        token, components=(_shifted(token.components[0], t),) + token.components[1:]
+    )
+    for token, t in zip(PLAIN_TOKENS, TORSION)
+]
+CIPHERTEXTS = [
+    serialize_hve_ciphertext(GROUP, ciphertext, compressed=compressed)
+    for ciphertext in PLAIN_CIPHERTEXTS + SHIFTED_CIPHERTEXTS
     for compressed in (False, True)
 ]
-TOKENS = [
-    serialize_hve_token(GROUP, SCHEME.gen_token(MASTER, y))
-    for y in ([1, None, None, 0], [None, 0, None, None], [1, 0, 1, 0])
-]
+TOKENS = [serialize_hve_token(GROUP, token) for token in PLAIN_TOKENS + SHIFTED_TOKENS]
 
 
 def header_fields(layout: str) -> Callable[[bytes], list[tuple[int, str]]]:

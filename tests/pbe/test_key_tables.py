@@ -15,7 +15,7 @@ import weakref
 
 import pytest
 
-from repro.crypto import comb, curve, precompute
+from repro.crypto import comb, curve, precompute, randomness
 from repro.crypto.group import PairingGroup
 from repro.crypto.hashing import kdf
 from repro.crypto.symmetric import SecretBox
@@ -29,10 +29,11 @@ N = comb.MAX_TABLES // 2 + 1
 COUNTERS = ("op.g1_exp", "op.g1_exp.fixed_base", "op.g1_exp.fb_build")
 
 
+@randomness.seeded(24)
 def warm_key():
     """``(hve, public)``: every one of the key's 4n bases past its third use."""
     assert 4 * N > 2 * comb.MAX_TABLES
-    hve = HVE(PairingGroup("TOY", rng=random.Random(24)))
+    hve = HVE(PairingGroup("TOY"))
     public, _ = hve.setup(N)
     for bit in (0, 1):
         for _ in range(3):
@@ -72,12 +73,12 @@ def test_random_vectors_build_nothing_once_every_base_is_warm(warm):
 def test_ciphertext_is_the_table_less_one_bit_for_bit(warm):
     hve, public, _ = warm
     group, vectors = hve.group, random.Random(2)
-    for _ in range(3):
+    for seed in range(3):
         x = [vectors.randrange(2) for _ in range(N)]
-        state = group._rng.getstate()
-        ciphertext = hve.encrypt(public, x, b"payload")
-        group._rng.setstate(state)
-        xs, ws, s = naive_encrypt_points(group, public, x)
+        with randomness.seeded(seed):
+            ciphertext = hve.encrypt(public, x, b"payload")
+        with randomness.seeded(seed):  # the same scalars again
+            xs, ws, s = naive_encrypt_points(group, public, x)
         assert (ciphertext.x_components, ciphertext.w_components) == (xs, ws)
         key = kdf(group.serialize_gt(plain_pow(public.y_gt, s)), "hve-kem")
         assert SecretBox(key).open(ciphertext.sealed) == b"payload"
@@ -120,10 +121,11 @@ def test_the_ad_hoc_cache_never_sees_a_key_base(warm):
     assert len(public.tables.tables) == 4 * N
 
 
+@randomness.seeded(33)
 def test_a_key_builds_each_base_table_on_its_first_use():
     """A key's bases are never one-shot: a 16-symbol position's base, used by
     about one encryption in sixteen, gets its table the first time."""
-    hve = HVE(PairingGroup("TOY", rng=random.Random(33)))
+    hve = HVE(PairingGroup("TOY"))
     public, _ = hve.setup([16, 16, 2])
     hve.encrypt(public, [3, 15, 1], b"first")
     assert len(public.tables.tables) == 6 and not public.tables.counts

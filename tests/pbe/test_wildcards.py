@@ -9,10 +9,10 @@ position.
 
 from __future__ import annotations
 
-import random
 
 import pytest
 
+from repro.crypto import randomness
 from repro.crypto.group import PairingGroup
 from repro.errors import ParameterError
 from repro.pbe.hve import HVE
@@ -23,8 +23,9 @@ PAYLOAD = b"wildcard-sweep!!"
 
 
 @pytest.fixture(scope="module")
+@randomness.seeded(0x111D)
 def setup():
-    group = PairingGroup("TOY", rng=random.Random(0x111D))
+    group = PairingGroup("TOY")
     hve = HVE(group)
     public, master = hve.setup(N)
     ciphertext = hve.encrypt(public, X, PAYLOAD)

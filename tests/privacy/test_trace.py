@@ -4,8 +4,12 @@ import pytest
 
 from repro.core import P3SConfig, P3SSystem, Recorder
 from repro.core.sightings import opened
+from repro.obs import Observability
 from repro.pbe import AttributeSpec, Interest, MetadataSchema
 from repro.privacy.trace import trace_visibility
+from repro.store.codec import NS_TOKENS
+
+DS_INTEREST_CLAIM = "The DS knows nothing about the subscriber interests"
 
 
 def run_scenario(**settings):
@@ -69,10 +73,35 @@ class TestTraceVisibility:
         system, recorder = run_scenario(delegated_matching=delegated)
         (claim,) = [
             c for c in trace_visibility(system, recorder).claims
-            if c.claim == "The DS knows nothing about the subscriber interests"
+            if c.claim == DS_INTEREST_CLAIM
         ]
         assert claim.holds is not delegated
         registrations = recorder.seen("token", *system.ds_shards)
         assert len(registrations) == (2 if delegated else 0)  # one per subscriber
         if delegated:
             assert claim.evidence.startswith("2 token registrations opened")
+
+
+def test_a_ds_without_delegated_matching_refuses_a_clients_tokens():
+    """``P3SConfig()`` hands the DS no matcher: a subscriber that delegates
+    its tokens anyway has them refused unopened, and keeps the broadcast."""
+    system = P3SSystem(P3SConfig(schema=MetadataSchema([AttributeSpec("topic", ("a", "b"))])))
+    obs = Observability()
+    with obs.installed(), Recorder() as recorder:
+        subscriber = system.add_subscriber("matcher", {"org"})
+        subscriber.delegate_tokens = True
+        system.subscribe(subscriber, Interest({"topic": "a"}))
+        system.run()
+        publisher = system.add_publisher("pub")
+        system.run()
+        publisher.publish({"topic": "b"}, b"miss", policy="org")
+        system.run()
+    ds = system.ds
+    assert ds.registered_tokens == [] and ds.store.items(NS_TOKENS) == []
+    assert ds._match_pool is None
+    assert obs.metrics.counter_total("op.ds.token_rejected") == 1
+    assert subscriber.stats.metadata_seen == 1  # a miss still reaches it: broadcast
+    (claim,) = [
+        c for c in trace_visibility(system, recorder).claims if c.claim == DS_INTEREST_CLAIM
+    ]
+    assert claim.holds, claim.evidence
