@@ -20,7 +20,8 @@ import pytest
 from conftest import BenchRecord
 
 from repro.crypto.group import PairingGroup
-from repro.pbe.serialize import hve_ciphertext_size
+from repro.pbe.hve import HVE
+from repro.pbe.serialize import serialize_hve_ciphertext
 from repro.perf.latency import baseline_latency, p3s_latency
 from repro.perf.params import ModelParams
 from repro.perf.report import format_seconds, format_table
@@ -37,12 +38,15 @@ FLOOR, CEILING = 0.3, 1.5
 
 def small_model() -> ModelParams:
     group = PairingGroup("TOY")
+    hve = HVE(group)
+    # the simulated schema (perf.validation): one 8-valued attribute, one
+    # position; its ciphertext's size does not depend on the alphabet
+    ciphertext = hve.encrypt(hve.setup(1)[0], [0], b"\x00" * 16)
     return ModelParams(
         num_subscribers=10,
         match_fraction=0.2,
         broker_threads=1,
-        # the simulated schema (perf.validation): one 8-valued attribute, one position
-        encrypted_metadata_bytes=hve_ciphertext_size(group, 1, 16),
+        encrypted_metadata_bytes=len(serialize_hve_ciphertext(group, ciphertext)),
     )
 
 

@@ -120,7 +120,7 @@ class DisseminationServer(Broker):
         if kind == KIND_METADATA:
             self.publications_by_publisher[src] += 1
             opened(self.name, "frame", (KIND_METADATA, frame.body_size))
-            if self.registered_tokens and self.group is not None:
+            if self.registered_tokens:
                 # an activity of its own: matching takes time, and the
                 # DS keeps serving frames meanwhile
                 self.ports.spawn(self._delegated_fan_out(frame))
@@ -186,14 +186,14 @@ class DisseminationServer(Broker):
         subscriber's delivery, for every later publication.  A token
         must decode, be for this deployment's vector length (the ``n``
         of every ciphertext the DS relays) and index it in strictly
-        increasing positions below ``n``.  Anything else is counted and
-        dropped at the door."""
-        if self.group is None:
-            return True  # never decoded: this DS only broadcasts
+        increasing positions below ``n``.  Anything else — and every token,
+        on a DS without a matcher — is counted and dropped at the door."""
+        token = None
         try:
-            token = deserialize_hve_token(self.group, token_bytes)
+            if self.group is not None:
+                token = deserialize_hve_token(self.group, token_bytes)
         except ReproError:
-            token = None
+            pass
         if token is not None and token.n == self.vector_length and all(
             previous < position < token.n
             for previous, position in zip((-1, *token.positions), token.positions)
@@ -217,8 +217,7 @@ class DisseminationServer(Broker):
         matching, so the pool exists from here on: readiness
         (``match_pool_warm``) must not wait for a first publication — a
         readiness-gated deployment would never send one."""
-        if self.group is not None:
-            self.match_pool
+        self.match_pool
 
     def unregister_token(self, src: str, token_bytes: bytes) -> None:
         entry = (src, bytes(token_bytes))
@@ -261,12 +260,19 @@ class DisseminationServer(Broker):
         lanes = -(-len(tokens) // effective_workers)  # ceil
         if self.timings is not None:
             yield self.ports.compute(lanes * self.timings.pbe_match)
-        matched = yield self.ports.offload(
-            pool.match_indices,
-            envelope.hve_bytes,
-            [token for _, token in tokens],
-            span=span,
-        )
+        try:
+            matched = yield self.ports.offload(
+                pool.match_indices,
+                envelope.hve_bytes,
+                [token for _, token in tokens],
+                span=span,
+            )
+        except ReproError:
+            # a publisher's bytes no partition could decode: counted and
+            # dropped, as a subscriber drops them under broadcast
+            obs.record_op("ds.metadata_rejected")
+            obs.end_span(span, status="refused")
+            return
         matched_names = {tokens[index][0] for index in matched}
         token_holders = {name for name, _ in tokens}
         delivery = self.delivery_frame(METADATA_TOPIC, frame)

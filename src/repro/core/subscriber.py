@@ -36,6 +36,7 @@ from ..crypto.symmetric import SecretBox
 from ..errors import (
     DecryptionError,
     GuidMismatchError,
+    ReproError,
     RetrievalError,
     SerializationError,
     TokenRequestError,
@@ -291,7 +292,15 @@ class SubscriberProtocol(P3SClient):
             publication_id=envelope.publication_id,
         )
         with obs.attach(span):
-            ciphertext = deserialize_hve_ciphertext(self.group, envelope.hve_bytes)
+            try:
+                ciphertext = deserialize_hve_ciphertext(
+                    self.group, envelope.hve_bytes, self.credentials.schema.vector_length
+                )
+            except ReproError:
+                # a publisher's bytes, not a protocol fault: counted and dropped
+                obs.record_op("subscriber.metadata_rejected")
+                obs.end_span(span, status="refused")
+                return
         guid = None
         attempts = 0
         for _, token in self.tokens:

@@ -411,41 +411,6 @@ class Point:
             raise SerializationError(f"not a canonical point encoding (tag {tag:#x})")
         return cls(x, y, params)  # membership check on by default
 
-    def to_bytes_compressed(self) -> bytes:
-        """SEC1-style compressed encoding: tag (parity of y) then ``x``.
-
-        Halves every ciphertext's group-element footprint — this is the
-        encoding behind the paper's ``c_A = 2Vk + m`` size estimate.
-        Decompression costs one square root (cheap: ``q ≡ 3 (mod 4)``).
-        """
-        width = self.params.q_bytes
-        if self.is_infinity:
-            return b"\x00" + b"\x00" * width
-        tag = 0x03 if self.y & 1 else 0x02
-        return bytes([tag]) + self.x.to_bytes(width, "big")
-
-    @classmethod
-    def from_bytes_compressed(cls, data: bytes, params: TypeAParams) -> "Point":
-        width = params.q_bytes
-        if len(data) != 1 + width:
-            raise SerializationError(
-                f"compressed point encoding must be {1 + width} bytes, got {len(data)}"
-            )
-        tag = data[0]
-        x = int.from_bytes(data[1:], "big")
-        q = params.q
-        if tag == 0x00 and x == 0:
-            return cls.infinity(params)
-        if tag not in (0x02, 0x03) or x >= q or (x == 0 and tag == 0x03):  # one encoding a point
-            raise SerializationError(f"not a canonical compressed point encoding (tag {tag:#x})")
-        rhs = (x * x * x + x) % q
-        if not fq_is_square(rhs, q):
-            raise NotOnCurveError(f"x = {x:#x} is not on the curve")
-        y = fq_sqrt(rhs, q)
-        if (y & 1) != (tag == 0x03):
-            y = q - y
-        return cls(x, y, params, check=False)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_infinity:
             return "Point(infinity)"

@@ -130,13 +130,8 @@ class PairingGroup:
 
     @property
     def g1_bytes(self) -> int:
-        """Serialized size of a G1 element (uncompressed)."""
+        """Serialized size of a G1 element."""
         return 1 + 2 * self.params.q_bytes
-
-    @property
-    def g1_bytes_compressed(self) -> int:
-        """Serialized size of a compressed G1 element."""
-        return 1 + self.params.q_bytes
 
     @property
     def zr_bytes(self) -> int:
@@ -147,12 +142,6 @@ class PairingGroup:
 
     def deserialize_g1(self, data: bytes) -> Point:
         return Point.from_bytes(data, self.params)
-
-    def serialize_g1_compressed(self, point: Point) -> bytes:
-        return point.to_bytes_compressed()
-
-    def deserialize_g1_compressed(self, data: bytes) -> Point:
-        return Point.from_bytes_compressed(data, self.params)
 
     def serialize_gt(self, element: Fq2) -> bytes:
         """Fixed-width big-endian ``a || b``, each coordinate ``q_bytes`` long."""

@@ -27,10 +27,16 @@ class Partition:
         """Take ``added``, let ``dropped`` go, and match every held token:
         ``{token bytes: payload}`` of the matches.  Whatever raises does so
         before the holdings change, so the pool's record of them holds."""
-        ciphertext = deserialize_hve_ciphertext(self.group, ciphertext_bytes)
         fresh = {data: deserialize_hve_token(self.group, data) for data in added}
-        if any(token.n != ciphertext.n for token in (*self.tokens.values(), *fresh.values())):
-            raise ParameterError("token and ciphertext vector lengths differ")
+        held = [token for data, token in self.tokens.items() if data not in dropped]
+        lengths = {token.n for token in (*held, *fresh.values())}
+        if len(lengths) > 1:
+            raise ParameterError("token vector lengths differ")
+        # the tokens' one length is the only n a ciphertext may have; with
+        # no token held there is nothing to match, so nothing is decoded
+        ciphertext = (
+            deserialize_hve_ciphertext(self.group, ciphertext_bytes, *lengths) if lengths else None
+        )
         for data in dropped:
             del self.tokens[data]
         self.tokens.update(fresh)

@@ -22,7 +22,7 @@ from ..abe.serialize import serialize_hybrid
 from ..crypto.group import PairingGroup
 from ..crypto.pke import PKEKeyPair
 from ..pbe.hve import HVE
-from ..pbe.serialize import hve_token_size, serialize_hve_ciphertext
+from ..pbe.serialize import serialize_hve_ciphertext, serialize_hve_token
 from .params import ModelParams
 
 __all__ = ["CalibrationResult", "calibrate"]
@@ -176,7 +176,7 @@ def calibrate(
         pke_op_s=pke_op_s,
         encrypted_metadata_bytes=encrypted_metadata_bytes,
         cpabe_overhead_bytes=cpabe_overhead_bytes,
-        token_bytes=hve_token_size(group, vector_bits // 2),
+        token_bytes=len(serialize_hve_token(group, token)),
         pbe_match_cold_s=pbe_match_cold_s,
         pbe_encrypt_cold_s=pbe_encrypt_cold_s,
     )

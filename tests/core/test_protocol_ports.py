@@ -226,6 +226,16 @@ def _publish(ds, src: str, frame: JmsFrame) -> None:
     ds.ports.deliver(src, frames.PUBLISH, frame)
 
 
+def _hostile_metadata(group, valid: bytes) -> list[EncryptedMetadata]:
+    """What a publisher can put in a metadata frame that no receiver may
+    decode: an unknown leading byte, a truncated body, and a well-formed
+    ciphertext one position long."""
+    hve = HVE(group)
+    short = serialize_hve_ciphertext(group, hve.encrypt(hve.setup(1)[0], [0], b"guid-0123456789a"))
+    bodies = [b"\x02" + valid[1:], valid[:2], short]
+    return [EncryptedMetadata(body, publication_id) for publication_id, body in enumerate(bodies)]
+
+
 # -- DS ----------------------------------------------------------------------------
 
 
@@ -438,6 +448,25 @@ class TestDelegatedMatching:
         finally:
             ds.close_match_pool()
 
+    def test_hostile_metadata_frames_are_counted_not_raised(self, group, tokens):
+        ports = RecordingPorts("ds")
+        ds = _connected_ds(
+            ports, ["alice"], group=group, vector_length=4, timings=TIMINGS, match_workers=0
+        )
+        obs = Observability()
+        try:
+            ds.register_token("alice", tokens["hit"])
+            with obs.installed():
+                for envelope in _hostile_metadata(group, tokens["hve_bytes"]):
+                    _publish(ds, "mallory", _frame(KIND_METADATA, envelope))
+            assert obs.metrics.counter_total("op.ds.metadata_rejected") == 3
+            assert ports.sent(frames.DELIVER) == []
+            envelope = EncryptedMetadata(hve_bytes=tokens["hve_bytes"], publication_id=9)
+            _publish(ds, "pub", _frame(KIND_METADATA, envelope))
+            assert ports.sent(frames.DELIVER) == ["alice"]
+        finally:
+            ds.close_match_pool()
+
     def test_hostile_tokens_already_on_disk_are_not_recovered(self, group, tokens):
         """The same door on the way back in: a registry written before the
         check existed (or by other hands) must not re-arm the failure."""
@@ -455,34 +484,61 @@ class TestDelegatedMatching:
             ds.close_match_pool()
 
     def test_without_a_group_tokens_are_recorded_but_never_matched(self):
+        """Seen (the sighting is recorded), then refused: a DS without a
+        matcher admits no token, so it never commits to delegated matching."""
         ports = RecordingPorts("ds")
         ds = _connected_ds(ports, ["alice"])
-        ds.register_token("alice", b"tok")
-        assert ds._match_pool is None
+        obs = Observability()
+        with obs.installed(), Recorder() as recorder:
+            ds.register_token("alice", b"tok")
+        assert recorder.seen("token", "ds") == [("alice", b"tok")]
+        assert obs.metrics.counter_total("op.ds.token_rejected") == 1
+        assert ds.registered_tokens == [] and ds._match_pool is None
         _publish(ds, "pub", _frame(KIND_METADATA, EncryptedMetadata(b"x", 1)))
         assert ports.sent(frames.DELIVER) == ["alice"] and ports.spawned == 0
 
 
 class TestRegistryRoundTrip:
-    def test_put_delete_recover_against_memory_engine(self):
+    def test_put_delete_recover_against_memory_engine(self, group):
+        hve = HVE(group)
+        master = hve.setup(4)[1]
+        t1, t2 = (
+            serialize_hve_token(group, hve.gen_token(master, y))
+            for y in ([1, None, None, None], [0, None, None, None])
+        )
         engine = MemoryEngine()
-        ds = _connected_ds(RecordingPorts("ds"), ["alice", "bob"], store=engine)
-        ds.register_token("alice", b"t1")
-        ds.register_token("alice", b"t1")  # idempotent
-        ds.register_token("bob", b"t2")
-        assert len(engine.items(NS_TOKENS)) == 2
-        assert len(engine.items(NS_SUBS)) == 2
-        ds.unregister_token("bob", b"t2")
-        ds.ports.deliver("bob", frames.UNSUBSCRIBE, JmsFrame(topic=METADATA_TOPIC))
-        assert len(engine.items(NS_TOKENS)) == 1
-        assert len(engine.items(NS_SUBS)) == 1
+        options = dict(group=group, vector_length=4, match_workers=0, store=engine)
+        ds = _connected_ds(RecordingPorts("ds"), ["alice", "bob"], **options)
+        reborn = DisseminationServer(RecordingPorts("ds"), _one_node(), **options)
+        try:
+            ds.register_token("alice", t1)
+            ds.register_token("alice", t1)  # idempotent
+            ds.register_token("bob", t2)
+            assert len(engine.items(NS_TOKENS)) == 2
+            assert len(engine.items(NS_SUBS)) == 2
+            ds.unregister_token("bob", t2)
+            ds.ports.deliver("bob", frames.UNSUBSCRIBE, JmsFrame(topic=METADATA_TOPIC))
+            assert len(engine.items(NS_TOKENS)) == 1
+            assert len(engine.items(NS_SUBS)) == 1
 
-        reborn = DisseminationServer(RecordingPorts("ds"), _one_node(), store=engine)
-        assert reborn.registered_tokens == [] and reborn.recovered_registrations == 0
-        assert reborn.recover_registrations() == 2
-        assert reborn.registered_tokens == [("alice", b"t1")]
-        assert reborn.subscriptions[METADATA_TOPIC] == ["alice"]
-        assert reborn.recover_registrations() == 0  # nothing new the second time
+            assert reborn.registered_tokens == [] and reborn.recovered_registrations == 0
+            assert reborn.recover_registrations() == 2
+            assert reborn.registered_tokens == [("alice", t1)]
+            assert reborn.subscriptions[METADATA_TOPIC] == ["alice"]
+            assert reborn.recover_registrations() == 0  # nothing new the second time
+        finally:
+            ds.close_match_pool()
+            reborn.close_match_pool()
+
+        # a DS without a matcher recovers the subscriptions but refuses the
+        # stored token, so no pool is owed: it stays match_pool_warm
+        obs = Observability()
+        with obs.installed():
+            plain = DisseminationServer(RecordingPorts("ds"), _one_node(), store=engine)
+            assert plain.recover_registrations() == 1
+        assert obs.metrics.counter_total("op.ds.token_rejected") == 1
+        assert plain.subscriptions[METADATA_TOPIC] == ["alice"]
+        assert plain.registered_tokens == [] and plain._match_pool is None
 
 
 # -- RS, PBE-TS, anonymizer --------------------------------------------------------
@@ -801,7 +857,8 @@ class TestSubscriberRetrieval:
         ports = RecordingPorts("alice", net)
         alice = SubscriberProtocol(
             SimpleNamespace(
-                name="alice", directory=directory, cpabe_secret_key=credentials.cpabe_secret_key
+                name="alice", schema=SCHEMA, directory=directory,
+                cpabe_secret_key=credentials.cpabe_secret_key,
             ),
             JmsConnection(ports, ("ds0", "ds1")),
             group,
@@ -890,6 +947,29 @@ class TestSubscriberRetrieval:
         assert len(delivered) == 1 and alice.stats.matches == 2
         assert alice.stats.duplicates_suppressed == 1
         assert alice.stats.duplicate_suppressed_at == [4.5]
+
+    def test_hostile_metadata_frames_are_counted_not_raised(self, world, group, ara):
+        for rs in world.replicas.values():
+            rs.ports.deliver("ds", RPC_STORE, world.submission)
+        alice = world.alice
+        hve = HVE(group)
+        master_key, _ = ara.provision_pbe_ts()
+        interest = Interest({"topic": "a"})
+        alice.tokens.append(
+            (interest, hve.gen_token(master_key, SCHEMA.encode_interest(interest)))
+        )
+        valid = encrypt_metadata_envelope(
+            hve, group, ara.hve_public_key, SCHEMA, {"topic": "a", "prio": "hi"}, world.guid
+        )
+        obs = Observability()
+        with obs.installed():
+            for envelope in _hostile_metadata(group, valid):
+                run(alice._match_process(envelope))
+        assert obs.metrics.counter_total("op.subscriber.metadata_rejected") == 3
+        assert alice.stats.metadata_seen == 3 and alice.stats.matches == 0
+        run(alice._match_process(EncryptedMetadata(valid, publication_id=3)))
+        (delivery,) = alice.stats.deliveries
+        assert delivery.payload == b"the payload" and delivery.publication_id == 3
 
     def test_token_registration_reaches_every_ds_shard(self, world, group, ara):
         alice = world.alice

@@ -328,3 +328,43 @@ class TestFailureHandling:
         assert [d.payload for d in alice.stats.deliveries] == [b"deal update"]
         assert len(system.deliveries_for(record)) == 1  # mallory declared no interest
         system.close()
+
+    @pytest.mark.parametrize("delegated", [False, True])
+    def test_hostile_metadata_frames_do_not_stop_the_run(self, delegated):
+        """A publisher's metadata frame that is no ciphertext of this
+        deployment used to raise out of ``system.run()``: from the
+        subscriber's match, or under delegated matching from the DS's
+        pool.  The party that decodes it now counts it and drops it."""
+        from repro.core.messages import KIND_METADATA, EncryptedMetadata
+        from repro.obs import Observability
+        from repro.pbe.hve import HVE
+        from repro.pbe.serialize import serialize_hve_ciphertext
+
+        system = make_system(delegated_matching=delegated)
+        alice = system.add_subscriber("alice", {"org:acme"})
+        system.subscribe(alice, Interest({"topic": "m&a"}))
+        mallory = system.add_publisher("mallory")
+        system.run()
+        hve = HVE(system.group)
+        one_position = serialize_hve_ciphertext(
+            system.group, hve.encrypt(hve.setup(1)[0], [0], b"guid-0123456789a")
+        )
+        bodies = [b"\x02" + one_position[1:], one_position[:2], one_position]
+
+        def hostile():
+            for publication_id, body in enumerate(bodies, start=100):
+                envelope = EncryptedMetadata(body, publication_id)
+                headers = {"p3s-kind": KIND_METADATA}
+                yield mallory._send_to_ds(envelope, envelope.wire_size, headers, "ds")
+
+        obs = Observability()
+        with obs.installed():
+            mallory.ports.drive(hostile())
+            system.run()
+            record = mallory.publish(METADATA, b"deal update", policy="org:acme")
+            system.run()
+        refusers = ["ds", "subscriber"] if delegated else ["subscriber", "ds"]
+        assert obs.metrics.counter_total(f"op.{refusers[0]}.metadata_rejected") == 3
+        assert obs.metrics.counter_total(f"op.{refusers[1]}.metadata_rejected") == 0
+        assert [d.payload for d in system.deliveries_for(record)] == [b"deal update"]
+        system.close()

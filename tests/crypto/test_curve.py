@@ -168,6 +168,10 @@ class TestLaddersAgainstAffineReference:
         for k in LADDER_SCALARS:
             assert point.scalar_mul_windowed(k, window) == plain_mul(point, k)
 
+    def test_windowed_mul_matches_plain_ladder(self):
+        for scalar in (1, 2, 255, (1 << 64) + 12345, R - 1):
+            assert G.scalar_mul_windowed(scalar) == plain_mul(G, scalar)
+
     def test_doubling_the_two_torsion_point_is_infinity(self):
         torsion = Point(0, 0, TOY)
         assert torsion.double().is_infinity

@@ -74,6 +74,24 @@ class TestRecoveredRegistrationsWarmPool:
             run_async(ds.close())
 
 
+    def test_a_ds_without_a_matcher_stays_ready_over_stored_tokens(self, tmp_path, group):
+        """Delegated matching off: the stored token is refused, not
+        recovered into a registry that no pool would ever serve."""
+        path = str(tmp_path / "ds")
+        hve = HVE(group)
+        token = serialize_hve_token(group, hve.gen_token(hve.setup(4)[1], [1, None, None, 0]))
+        with WalEngine(path) as engine:
+            engine.put(NS_TOKENS, token_key("alice", token), encode_token("alice", token))
+        ds = LiveDisseminationServer(
+            LiveRpcEndpoint("ds", AddressBook()), ClusterMap(["ds"], ["rs"]), store=WalEngine(path)
+        )
+        try:
+            assert ds.recovered_registrations == 0 and ds.registered_tokens == []
+            assert ds.health_checks()["match_pool_warm"]
+        finally:
+            run_async(ds.close())
+
+
 class TestDeploymentHonoursTheStoreConfig:
     """``P3SConfig``'s store fields reach the live RS/DS engines exactly
     as they reach the simulator's (both realise one DeploymentPlan)."""

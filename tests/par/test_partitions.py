@@ -59,7 +59,7 @@ def world():
     reference = HVE(group, match_cache_size=0)
     expected = {
         (c, t): reference.query(
-            deserialize_hve_token(group, t), deserialize_hve_ciphertext(group, c)
+            deserialize_hve_token(group, t), deserialize_hve_ciphertext(group, c, len(ALPHABET))
         )
         for c in ciphertexts
         for t in tokens

@@ -38,14 +38,11 @@ class CountingGroup(PairingGroup):
         self.decoded += 1
         return super().deserialize_g1(data)
 
-    def deserialize_g1_compressed(self, data):
-        self.decoded += 1
-        return super().deserialize_g1_compressed(data)
-
 
 GROUP = CountingGroup("TOY")
 SCHEME = HVE(GROUP)
-PUBLIC, MASTER = SCHEME.setup(4)
+N = 4
+PUBLIC, MASTER = SCHEME.setup(N)
 # beside the valid encodings, ones whose first point carries a small-order
 # part: they decode (the curve is checked, not the subgroup) and change no
 # verdict (tests/crypto/test_small_order_points.py)
@@ -74,9 +71,8 @@ SHIFTED_TOKENS = [
     for token, t in zip(PLAIN_TOKENS, TORSION)
 ]
 CIPHERTEXTS = [
-    serialize_hve_ciphertext(GROUP, ciphertext, compressed=compressed)
+    serialize_hve_ciphertext(GROUP, ciphertext)
     for ciphertext in PLAIN_CIPHERTEXTS + SHIFTED_CIPHERTEXTS
-    for compressed in (False, True)
 ]
 TOKENS = [serialize_hve_token(GROUP, token) for token in PLAIN_TOKENS + SHIFTED_TOKENS]
 
@@ -93,11 +89,16 @@ def _patched(blob, at, replacement):
 
 
 # found by the property (accepted, but re-encoded differently: two byte
-# strings for one value), now rejected by ``Point.from_bytes*``
+# strings for one value), now rejected by ``Point.from_bytes``
 INFINITY_WITH_COORDINATES = _patched(TOKENS[0], 8 + 4 * 2, b"\x00")  # tag 0x04 -> 0x00
 CIPHERTEXT_INFINITY_WITH_COORDINATES = _patched(CIPHERTEXTS[0], 9, b"\x00")
-COORDINATE_ABOVE_Q = _patched(CIPHERTEXTS[1], 9, b"\x02" + b"\xff" * GROUP.params.q_bytes)
-TWO_TORSION_ODD_ROOT = _patched(CIPHERTEXTS[1], 9, b"\x03" + b"\x00" * GROUP.params.q_bytes)
+COORDINATE_ABOVE_Q = _patched(CIPHERTEXTS[1], 9, b"\x04" + b"\xff" * GROUP.params.q_bytes)
+# the compressed encoding's leading byte: the format is retired, so a
+# ciphertext that claims it is refused before its first point
+RETIRED_ENCODING = _patched(CIPHERTEXTS[0], 0, b"\x01")
+# well formed, but one position long: refused by its n, not by its points
+ANOTHER_LENGTH = serialize_hve_ciphertext(GROUP, SCHEME.encrypt(SCHEME.setup(1)[0], [0], b""))
+HEADER = struct.pack(">BI", 0, N)  # the leading byte and the receiver's n
 
 
 def round_trips_or_is_rejected(blob, decode, encode):
@@ -107,7 +108,7 @@ def round_trips_or_is_rejected(blob, decode, encode):
     except ReproError:
         return
     finally:
-        assert GROUP.decoded <= len(blob) // GROUP.g1_bytes_compressed
+        assert GROUP.decoded <= len(blob) // GROUP.g1_bytes
     assert encode(GROUP, value) == blob
 
 
@@ -115,12 +116,15 @@ def round_trips_or_is_rejected(blob, decode, encode):
 @given(hostile(CIPHERTEXTS, header_fields(">BII")))
 @example(CIPHERTEXT_INFINITY_WITH_COORDINATES)
 @example(COORDINATE_ABOVE_Q)
-@example(TWO_TORSION_ODD_ROOT)
+@example(RETIRED_ENCODING)
+@example(ANOTHER_LENGTH)
 def test_hostile_ciphertext_round_trips_or_is_rejected(blob):
-    def encode(group, value):
-        return serialize_hve_ciphertext(group, value, compressed=blob[0] == 1)
+    def decode(group, data):
+        return deserialize_hve_ciphertext(group, data, N)
 
-    round_trips_or_is_rejected(blob, deserialize_hve_ciphertext, encode)
+    round_trips_or_is_rejected(blob, decode, serialize_hve_ciphertext)
+    if blob[: len(HEADER)] != HEADER:  # another leading byte or n: no point decoded
+        assert GROUP.decoded == 0
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.curve import Point
 from repro.crypto.group import PairingGroup
+from repro.crypto.symmetric import OVERHEAD
 from repro.errors import ParameterError, SerializationError
 from repro.pbe.hve import HVE, HVEToken
 from repro.pbe.serialize import (
     deserialize_hve_ciphertext,
     deserialize_hve_token,
-    hve_ciphertext_size,
-    hve_token_size,
     serialize_hve_ciphertext,
     serialize_hve_token,
 )
@@ -179,22 +178,31 @@ class TestHVESerialization:
     def test_ciphertext_roundtrip(self):
         ct = encrypt([1, 0, 1, 1, 0, 0])
         blob = serialize_hve_ciphertext(GROUP, ct)
-        assert len(blob) == hve_ciphertext_size(GROUP, N, len(GUID))
-        restored = deserialize_hve_ciphertext(GROUP, blob)
+        restored = deserialize_hve_ciphertext(GROUP, blob, N)
+        assert serialize_hve_ciphertext(GROUP, restored) == blob
         assert SCHEME.query(token([1, 0, None, None, None, None]), restored) == GUID
 
     def test_token_roundtrip(self):
         tok = token([1, 0, None, None, None, 1])
         blob = serialize_hve_token(GROUP, tok)
-        assert len(blob) == hve_token_size(GROUP, 3)
         restored = deserialize_hve_token(GROUP, blob)
+        assert serialize_hve_token(GROUP, restored) == blob
         ct = encrypt([1, 0, 1, 1, 0, 1])
         assert SCHEME.query(restored, ct) == GUID
 
     def test_truncated_ciphertext_rejected(self):
         blob = serialize_hve_ciphertext(GROUP, encrypt([1] * N))
         with pytest.raises(SerializationError):
-            deserialize_hve_ciphertext(GROUP, blob[:-1])
+            deserialize_hve_ciphertext(GROUP, blob[:-1], N)
+
+    def test_unknown_flags_rejected(self):
+        """The leading byte is 0, the one encoding; any other is refused."""
+        blob = bytearray(serialize_hve_ciphertext(GROUP, encrypt([1, 1, 0, 0, 1, 1])))
+        assert blob[0] == 0
+        for flags in (0x01, 0x7F):
+            blob[0] = flags
+            with pytest.raises(SerializationError):
+                deserialize_hve_ciphertext(GROUP, bytes(blob), N)
 
     def test_truncated_token_rejected(self):
         blob = serialize_hve_token(GROUP, token([1] + [None] * (N - 1)))
@@ -212,15 +220,18 @@ class TestHVESerialization:
                 components = list(getattr(ct, field))
                 components[i] = two_torsion
                 hostile = dataclasses.replace(ct, **{field: tuple(components)})
-                decoded = deserialize_hve_ciphertext(GROUP, serialize_hve_ciphertext(GROUP, hostile))
+                decoded = deserialize_hve_ciphertext(
+                    GROUP, serialize_hve_ciphertext(GROUP, hostile), N
+                )
                 assert getattr(decoded, field)[i] == two_torsion
                 assert SCHEME.query(token(bits), decoded) is None
         assert SCHEME.query(token(bits), ct) == GUID
 
     def test_size_formulas_track_n(self):
+        """docs/PROTOCOL.md's layout: a 9-byte header, 2n points, and the
+        sealed payload (the GUID plus the box's overhead)."""
         for n in (1, 4, 16):
             public, master = SCHEME.setup(n)
             ct = SCHEME.encrypt(public, [0] * n, GUID)
-            assert len(serialize_hve_ciphertext(GROUP, ct)) == hve_ciphertext_size(
-                GROUP, n, len(GUID)
-            )
+            size = 9 + 2 * n * GROUP.g1_bytes + len(GUID) + OVERHEAD
+            assert len(serialize_hve_ciphertext(GROUP, ct)) == size

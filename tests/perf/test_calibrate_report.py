@@ -24,10 +24,16 @@ class TestCalibration:
 
     def test_sizes_match_serializers(self, result):
         from repro.crypto.group import PairingGroup
-        from repro.pbe.serialize import hve_ciphertext_size
+        from repro.pbe.hve import HVE
+        from repro.pbe.serialize import serialize_hve_ciphertext, serialize_hve_token
 
         group = PairingGroup("TOY")
-        assert result.encrypted_metadata_bytes == hve_ciphertext_size(group, 6, 16)
+        hve = HVE(group)
+        public, master = hve.setup(6)
+        ciphertext = hve.encrypt(public, [0] * 6, b"\x00" * 16)
+        token = hve.gen_token(master, [0, 1, 0, None, None, None])
+        assert result.encrypted_metadata_bytes == len(serialize_hve_ciphertext(group, ciphertext))
+        assert result.token_bytes == len(serialize_hve_token(group, token))
         assert result.cpabe_overhead_bytes > 0
 
     def test_as_model_params(self, result):

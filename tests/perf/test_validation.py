@@ -18,10 +18,13 @@ def small_model(payload_bytes):
     # substitute the real encrypted-metadata size the simulation will use
     # (n=3 bits → tiny) so the model and simulation describe the same system
     from repro.crypto.group import PairingGroup
-    from repro.pbe.serialize import hve_ciphertext_size
+    from repro.pbe.hve import HVE
+    from repro.pbe.serialize import serialize_hve_ciphertext
 
     group = PairingGroup("TOY")
-    p_e = hve_ciphertext_size(group, 3, 16)
+    hve = HVE(group)
+    ciphertext = hve.encrypt(hve.setup(3)[0], [0, 1, 0], b"\x00" * 16)
+    p_e = len(serialize_hve_ciphertext(group, ciphertext))
     return SMALL.with_(encrypted_metadata_bytes=p_e)
 
 

@@ -35,13 +35,9 @@ EXPLICIT = {
 # "<path under src/repro>:<qualified name>" -> why no hostile-bytes test names it
 ALLOWLIST = {
     "crypto/curve.py:Point.from_bytes": "reached through PairingGroup.deserialize_g1",
-    "crypto/curve.py:Point.from_bytes_compressed": "reached through PairingGroup.deserialize_g1_compressed",
     "crypto/group.py:PairingGroup.deserialize_g1": (
         "every HVE ciphertext and token point: tests/pbe/test_hostile_bytes.py counts it "
         "through CountingGroup"
-    ),
-    "crypto/group.py:PairingGroup.deserialize_g1_compressed": (
-        "as deserialize_g1, for the compressed encodings"
     ),
     "obs/tracing.py:SpanContext.from_wire": (
         "any JSON value, under tests/obs/test_context_wire.py's property (older than tests/hostile.py)"
