@@ -12,16 +12,17 @@ each system (``baseline``, ``p3s``) and payload size (``1KB``,
 ``100KB``, ``1MB``) — the simulated latency over the modelled one,
 floor 0.3 and ceiling 1.5 (the band asserted below).  The simulation
 runs on modelled compute time, so the values are the same on every
-machine.
-``P3S_WRITE_BENCH=1`` writes the file.
+machine: :func:`latency_against_model` computes them, and
+``tests/perf/test_validation.py`` loads this module to recompute them
+against the committed file, so a change that moves them re-records it
+(the module therefore imports ``BenchRecord`` from ``repro.perf.bench``,
+not through ``conftest``).  ``P3S_WRITE_BENCH=1`` writes the file.
 """
-
-import pytest
-from conftest import BenchRecord
 
 from repro.crypto.group import PairingGroup
 from repro.pbe.hve import HVE
 from repro.pbe.serialize import serialize_hve_ciphertext
+from repro.perf.bench import BenchRecord
 from repro.perf.latency import baseline_latency, p3s_latency
 from repro.perf.params import ModelParams
 from repro.perf.report import format_seconds, format_table
@@ -31,16 +32,17 @@ from repro.perf.validation import (
     simulate_p3s_throughput,
 )
 
-SIZES = [1_000, 100_000, 1_000_000]
-LABELS = {1_000: "1KB", 100_000: "100KB", 1_000_000: "1MB"}
+PAYLOAD_LABELS = {1_000: "1KB", 100_000: "100KB", 1_000_000: "1MB"}
 FLOOR, CEILING = 0.3, 1.5
 
 
-def small_model() -> ModelParams:
+def validation_params() -> ModelParams:
+    """The deployment the records describe: N_s = 10, a fifth of them
+    matching, one broker thread, and the size of the simulated schema's
+    real HVE ciphertext (one position; its size does not depend on the
+    alphabet)."""
     group = PairingGroup("TOY")
     hve = HVE(group)
-    # the simulated schema (perf.validation): one 8-valued attribute, one
-    # position; its ciphertext's size does not depend on the alphabet
     ciphertext = hve.encrypt(hve.setup(1)[0], [0], b"\x00" * 16)
     return ModelParams(
         num_subscribers=10,
@@ -50,29 +52,36 @@ def small_model() -> ModelParams:
     )
 
 
+def latency_against_model() -> dict[str, tuple[float, float]]:
+    """``{"sim_vs_model.<system>.<size>.sim_over_model": (modelled,
+    simulated)}``: the worst-case delivery latency of the baseline and of
+    P3S at each of :data:`PAYLOAD_LABELS`, 2 of 10 subscribers matching."""
+    params = validation_params()
+    latencies = {}
+    for size, label in PAYLOAD_LABELS.items():
+        latencies[f"sim_vs_model.baseline.{label}.sim_over_model"] = (
+            baseline_latency(size, params).total,
+            simulate_baseline_latency(size, params, 10, 2).value,
+        )
+        latencies[f"sim_vs_model.p3s.{label}.sim_over_model"] = (
+            p3s_latency(size, params).total,
+            simulate_p3s_latency(size, params, 10, 2).value,
+        )
+    return latencies
+
+
 def test_latency_model_vs_simulation(benchmark, capsys, bench_writer):
-    params = small_model()
-
-    def run_all():
-        rows = []
-        for size in SIZES:
-            model_b = baseline_latency(size, params).total
-            sim_b = simulate_baseline_latency(size, params, 10, 2).value
-            model_p = p3s_latency(size, params).total
-            sim_p = simulate_p3s_latency(size, params, 10, 2).value
-            rows.append((size, model_b, sim_b, model_p, sim_p))
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    latencies = benchmark.pedantic(latency_against_model, rounds=1, iterations=1)
     table = [
         [
-            f"{size//1000} KB",
-            format_seconds(model_b),
-            format_seconds(sim_b),
-            format_seconds(model_p),
-            format_seconds(sim_p),
+            label,
+            *(
+                format_seconds(value)
+                for system in ("baseline", "p3s")
+                for value in latencies[f"sim_vs_model.{system}.{label}.sim_over_model"]
+            ),
         ]
-        for size, model_b, sim_b, model_p, sim_p in rows
+        for label in PAYLOAD_LABELS.values()
     ]
     with capsys.disabled():
         print()
@@ -83,9 +92,8 @@ def test_latency_model_vs_simulation(benchmark, capsys, bench_writer):
                 title="Model vs simulation — worst-case latency (N_s=10, f=20%)",
             )
         )
-    for size, model_b, sim_b, model_p, sim_p in rows:
-        assert FLOOR * model_b < sim_b < CEILING * model_b
-        assert FLOOR * model_p < sim_p < CEILING * model_p
+    for name, (model, simulated) in latencies.items():
+        assert FLOOR * model < simulated < CEILING * model, name
     bench_writer(
         "BENCH_pr42.json",
         suite="sim_vs_model",
@@ -95,15 +103,9 @@ def test_latency_model_vs_simulation(benchmark, capsys, bench_writer):
         },
         records=[
             BenchRecord(
-                f"sim_vs_model.{system}.{LABELS[size]}.sim_over_model",
-                simulated / model,
-                "ratio",
-                direction="lower",
-                floor=FLOOR,
-                ceiling=CEILING,
+                name, simulated / model, "ratio", direction="lower", floor=FLOOR, ceiling=CEILING
             )
-            for size, model_b, sim_b, model_p, sim_p in rows
-            for system, model, simulated in (("baseline", model_b, sim_b), ("p3s", model_p, sim_p))
+            for name, (model, simulated) in latencies.items()
         ],
     )
 
@@ -111,7 +113,7 @@ def test_latency_model_vs_simulation(benchmark, capsys, bench_writer):
 def test_throughput_model_vs_simulation(benchmark, capsys):
     from repro.perf.throughput import p3s_throughput
 
-    params = small_model()
+    params = validation_params()
 
     def run():
         model = p3s_throughput(1_000, params).total

@@ -49,11 +49,17 @@ def write_repo_bench(
     workload: dict | None = None,
     seed: int | None = None,
 ) -> pathlib.Path | None:
-    """Write ``BENCH_<x>.json`` at the repo root iff ``P3S_WRITE_BENCH=1``;
-    returns the written path, or ``None`` when nothing was written."""
+    """Write ``BENCH_<x>.json`` at the repo root iff ``P3S_WRITE_BENCH=1``,
+    keeping the file's ``workload.superseded``; returns the written path,
+    or ``None`` when nothing was written."""
     if not os.environ.get("P3S_WRITE_BENCH"):
         return None
     target = REPO_ROOT / filename
+    if target.exists():
+        # a retired record's last value outlives re-records of its file
+        superseded = json.loads(target.read_text())["workload"].get("superseded")
+        if superseded is not None:
+            workload = {**(workload or {}), "superseded": superseded}
     write_bench(str(target), suite, records, workload=workload, seed=seed)
     return target
 

@@ -97,7 +97,9 @@ class P3SConfig:
     # interest privacy at the DS for bandwidth; delivery sets are
     # unchanged (tests/par/test_equivalence.py proves it).
     delegated_matching: bool = False
-    # MatchPool size for the DS: values <= 1 are the serial in-process path.
+    # The most worker processes the DS's MatchPool forks, and only once its
+    # registry holds repro.par.pool.SPLIT_AT distinct tokens (256 at TOY, 4
+    # at PAPER); below that, and for values <= 1, it matches in process.
     match_workers: int = 0
     # -- durable persistence (repro.store; see docs/PERSISTENCE.md) --
     # Backend for RS items and DS registrations: "memory" (default, the

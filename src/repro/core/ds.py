@@ -244,9 +244,10 @@ class DisseminationServer(Broker):
     def _delegated_fan_out(self, frame: JmsFrame):
         """Match the publication against registered tokens, then fan out
         only to matching (or token-less) subscribers, in subscription
-        order.  Modelled compute time is the pool makespan: the token
-        batch split across ``effective_workers`` lanes at ``pbe_match``
-        per evaluation."""
+        order.  Modelled compute time is the pool makespan: the distinct
+        tokens (the pool evaluates byte-equal registrations once) split
+        across the lanes the pool matches them on, at ``pbe_match`` per
+        evaluation."""
         tokens = list(self.registered_tokens)
         envelope = frame.body
         span = obs.start_span(
@@ -256,10 +257,10 @@ class DisseminationServer(Broker):
             tokens=len(tokens),
         )
         pool = self.match_pool
-        effective_workers = max(1, pool.workers)
-        lanes = -(-len(tokens) // effective_workers)  # ceil
+        distinct = len({token for _, token in tokens})
         if self.timings is not None:
-            yield self.ports.compute(lanes * self.timings.pbe_match)
+            makespan = -(-distinct // pool.lanes(distinct))  # ceil
+            yield self.ports.compute(makespan * self.timings.pbe_match)
         try:
             matched = yield self.ports.offload(
                 pool.match_indices,

@@ -1,10 +1,14 @@
 """``MatchPool`` — one publication against every registered token.
 
 Each distinct token byte string lives in exactly one partition
-(:class:`repro.par.worker.Partition`) with its Miller lines: one partition
-in process (``workers <= 1``), or one worker process a partition behind a
-pipe.  :meth:`MatchPool.match` reconciles the partitions with its token
-list (only new and gone tokens move), then sends each the ciphertext bytes
+(:class:`repro.par.worker.Partition`) with its Miller lines.  A pool holds
+one partition in process until the distinct tokens it is asked to match
+reach its parameter set's :data:`SPLIT_AT`; only then, and only with
+``workers >= 2``, does it replace that partition with ``workers`` worker
+processes, one partition each behind a pipe, and it stays split until
+:meth:`MatchPool.close`.
+:meth:`MatchPool.match` reconciles the partitions with its token list
+(only new and gone tokens move), then sends each the ciphertext bytes
 alone.  A dead worker comes back as an empty partition that the next
 reconciliation refills; a lock serialises every exchange, so the live DS
 may match on several threads at once.  Metrics: counters ``par.match``
@@ -21,7 +25,14 @@ from ..crypto.group import PairingGroup
 from ..obs.hooks import observe, record_op
 from . import worker as worker_mod
 
-__all__ = ["MatchPool"]
+__all__ = ["MatchPool", "SPLIT_AT"]
+
+# Distinct tokens, by parameter set, from which two worker partitions beat
+# one in process on wall time (benchmarks/bench_match_pool.py,
+# BENCH_pr53.json).  Below it a worker costs its resident set, a pickle
+# and a pipe round trip a publication, and a second ciphertext decode.  A
+# set the sweep does not time splits at the largest of these.
+SPLIT_AT = {"TOY": 256, "PAPER": 4}
 
 
 class _WorkerPartition:
@@ -58,8 +69,10 @@ class MatchPool:
 
     Args:
         group: the :class:`PairingGroup` tokens/ciphertexts live in.
-        workers: partitions, each in its own process; values ``<= 1``
-            select one in-process partition.
+        workers: the most partitions, each in its own process, that the
+            pool splits into once asked to match its parameter set's
+            :data:`SPLIT_AT` distinct tokens; values ``<= 1`` keep one
+            in-process partition always.
     """
 
     def __init__(self, group: PairingGroup, workers: int = 0):
@@ -70,18 +83,30 @@ class MatchPool:
         self._lock = threading.Lock()
 
     def start(self) -> "MatchPool":
-        """Create the partitions now, not in the first :meth:`match`."""
+        """Create the in-process partition now, not in the first :meth:`match`."""
         if self.partitions is None:
-            self.partitions = [self._partition() for _ in range(max(1, self.workers))]
+            self.partitions = [worker_mod.Partition(self.group.params)]
         return self
 
-    def _partition(self):
-        kind = _WorkerPartition if self.workers >= 2 else worker_mod.Partition
-        return kind(self.group.params)
+    def lanes(self, distinct: int) -> int:
+        """The partitions a match of ``distinct`` distinct tokens runs on."""
+        if self.partitions is not None and len(self.partitions) > 1:
+            return len(self.partitions)
+        split_at = SPLIT_AT.get(self.group.params.name, max(SPLIT_AT.values()))
+        return self.workers if self.workers >= 2 and distinct >= split_at else 1
+
+    def _split(self, distinct: int) -> None:
+        """Past the break-even, the one in-process partition gives way to
+        ``workers`` worker partitions, which the reconciliation fills."""
+        if len(self.partitions) < self.lanes(distinct):
+            self.partitions[0].close()  # emptied first: no fork inherits its tokens
+            self.partitions = [_WorkerPartition(self.group.params) for _ in range(self.workers)]
+            self._home.clear()
 
     def _restart(self, index: int) -> None:
-        self.partitions[index].close()
-        self.partitions[index] = self._partition()
+        dead = self.partitions[index]
+        dead.close()
+        self.partitions[index] = type(dead)(self.group.params)
         self._home = {data: home for data, home in self._home.items() if home != index}
 
     def close(self) -> None:
@@ -118,7 +143,7 @@ class MatchPool:
 
     def _reconcile(self, wanted: dict[bytes, None]) -> list[tuple[list, list]]:
         """Per partition, the ``(added, dropped)`` that make it hold ``wanted``."""
-        self.start()
+        self.start()._split(len(wanted))
         for index, partition in enumerate(self.partitions):
             if not partition.alive():
                 self._restart(index)

@@ -63,6 +63,7 @@ from repro.mq import messages as frames
 from repro.mq.client import JmsConnection
 from repro.mq.messages import JmsFrame
 from repro.obs import Observability
+from repro.par import pool as pool_mod
 from repro.pbe.hve import HVE
 from repro.pbe.schema import AttributeSpec, Interest, MetadataSchema
 from repro.pbe.serialize import (
@@ -379,8 +380,33 @@ class TestDelegatedMatching:
             # dave holds no token: he still gets the baseline broadcast
             assert ports.sent(frames.DELIVER) == ["dave", "alice", "carol"]
             assert ports.spawned == 1  # the match ran as an activity of its own
-            # modelled makespan: 4 tokens on one serial lane
-            assert ports.computed == [4 * TIMINGS.pbe_match]
+            # modelled makespan: 4 registrations, 2 distinct tokens, one serial lane
+            assert ports.computed == [2 * TIMINGS.pbe_match]
+        finally:
+            ds.close_match_pool()
+
+    @pytest.mark.parametrize("split_at, lanes", [(3, 1), (2, 2)], ids=["below", "at"])
+    def test_modelled_match_time_is_distinct_tokens_over_lanes_in_use(
+        self, group, tokens, monkeypatch, split_at, lanes
+    ):
+        """The pool evaluates byte-equal registrations once, and splits over
+        its two workers only at ``SPLIT_AT`` distinct tokens: five
+        registrations of two tokens cost two evaluations on one lane below
+        it, one on each of two lanes at it."""
+        monkeypatch.setitem(pool_mod.SPLIT_AT, "TOY", split_at)
+        ports = RecordingPorts("ds")
+        names = ["alice", "bob", "carol", "dave", "erin"]
+        ds = _connected_ds(
+            ports, names, group=group, vector_length=4, timings=TIMINGS, match_workers=2
+        )
+        try:
+            for name, kind in zip(names, ["hit", "miss", "miss", "hit", "hit"]):
+                ds.register_token(name, tokens[kind])
+            envelope = EncryptedMetadata(hve_bytes=tokens["hve_bytes"], publication_id=9)
+            _publish(ds, "pub", _frame(KIND_METADATA, envelope))
+            assert ports.computed == [2 // lanes * TIMINGS.pbe_match]
+            assert len(ds.match_pool.partitions) == lanes
+            assert ports.sent(frames.DELIVER) == ["alice", "dave", "erin"]
         finally:
             ds.close_match_pool()
 

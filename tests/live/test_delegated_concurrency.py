@@ -6,7 +6,9 @@ several reconciliations of the :class:`repro.par.MatchPool` partitions
 overlap in time.  With publications in flight together and subscribers
 churning the registry (one of them re-registering a stable subscriber's
 token bytes), every stable subscriber must deliver exactly what the
-interest oracle says: the pool serialises its pipe exchanges.
+interest oracle says: the pool serialises its pipe exchanges.  Its few
+tokens are far below ``SPLIT_AT``, so the test lowers the constant: the
+pool matches on its two workers from the first publication.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import asyncio
 
 import pytest
 
+from repro.par import pool as pool_mod
 from repro.pbe.schema import Interest
 
 from .conftest import run_async, small_config
@@ -48,8 +51,10 @@ def _oracle() -> dict[str, tuple[bytes, ...]]:
     }
 
 
-def test_concurrent_publications_and_churn_deliver_the_oracle_sets():
+def test_concurrent_publications_and_churn_deliver_the_oracle_sets(monkeypatch):
     from repro.live.deployment import LiveDeployment
+
+    monkeypatch.setitem(pool_mod.SPLIT_AT, "TOY", 1)
 
     async def scenario():
         config = small_config(delegated_matching=True, match_workers=2)
@@ -90,6 +95,7 @@ def test_concurrent_publications_and_churn_deliver_the_oracle_sets():
                 for name in STABLE
             }
             assert deployment.ds.match_workers == 2
+            assert len(deployment.ds.match_pool.partitions) == 2
             return expected, delivered
         finally:
             await deployment.close()

@@ -12,11 +12,17 @@ is that contract:
 * ``HVE.query`` vs the textbook multi-pairing of ``tests/pbe/reference.py``;
 * a delegated-matching deployment vs the baseline broadcast deployment —
   byte-identical delivery sets, on ``default_schema()`` under both
-  encodings.
+  encodings;
+* the DS's match pool forks its workers only at ``SPLIT_AT`` distinct
+  tokens: `sim-churn`'s registry forks none, crossing the constant forks
+  exactly ``match_workers``, and delivery sets equal those of
+  ``match_workers=0`` either way.
 """
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
 import random
 
 import pytest
@@ -36,6 +42,7 @@ from repro.crypto.pairing import (
     tate_pairing,
     tate_pairing_precomputed,
 )
+from repro.par import pool as pool_mod
 from repro.pbe.hve import HVE
 from repro.pbe.schema import ENCODINGS, Interest, MetadataSchema
 
@@ -230,3 +237,86 @@ def test_delegated_matching_delivery_sets_identical():
     assert all(other == first for other in rest), payloads
     assert first["alice"] and first["carol"]
     assert not first["bobby"]
+
+
+# -- the match pool forks past SPLIT_AT only -----------------------------------
+
+BASE = {f"attr{i:02d}": "v00" for i in range(10)}
+
+
+def _children() -> int:
+    return len(multiprocessing.active_children())
+
+
+def _delegated_run(match_workers: int, rounds, crash: bool = False):
+    """A delegated deployment on ``default_schema()``: each round subscribes
+    ``(subscriber, interest)`` pairs, then publishes its metadata.  Returns
+    each subscriber's delivered payloads, the live child processes after
+    each round (and after a DS crash, with ``crash``), and the DS's
+    registrations and partitions at the last round."""
+    system = P3SSystem(
+        P3SConfig(schema=default_schema(), delegated_matching=True, match_workers=match_workers)
+    )
+    try:
+        publisher = system.add_publisher("pub")
+        children, held = [], None
+        for number, (subscriptions, metadata) in enumerate(rounds):
+            for name, interest in subscriptions:
+                if name not in system.subscribers:
+                    system.add_subscriber(name, attributes={"org:acme"})
+                system.subscribe(system.subscribers[name], interest)
+            system.run()
+            for index, attributes in enumerate(metadata):
+                payload = b"round-%d-%d" % (number, index)
+                publisher.publish({**BASE, **attributes}, payload, policy="org:acme")
+            system.run()
+            children.append(_children())
+            held = (list(system.ds.registered_tokens), len(system.ds.match_pool.partitions))
+        if crash:
+            system.ds.crash()
+            children.append(_children())
+    finally:
+        system.close()
+    delivered = {
+        name: sorted(delivery.payload for delivery in subscriber.stats.deliveries)
+        for name, subscriber in system.subscribers.items()
+    }
+    return delivered, children, held
+
+
+def test_a_sim_churn_shaped_registry_forks_no_worker():
+    """`sim-churn`'s DS: 16 subscribers, one-attribute interests, so 16
+    registrations of 10 distinct tokens, under ``match_workers=2``."""
+    subscriptions = [(f"s{i:02d}", Interest({f"attr{i % 10:02d}": "v01"})) for i in range(16)]
+    metadata = [{"attr00": "v01"}, {"attr03": "v01", "attr07": "v01"}, {"attr05": "v02"}]
+    before = _children()
+    pooled, children, (registry, partitions) = _delegated_run(2, [(subscriptions, metadata)])
+    assert len(registry) == 16 and len({token for _, token in registry}) == 10
+    assert pool_mod.SPLIT_AT["TOY"] > 10
+    assert children == [before] and partitions == 1
+    serial, _, _ = _delegated_run(0, [(subscriptions, metadata)])
+    assert pooled == serial
+    assert pooled["s00"] == pooled["s10"] == [b"round-0-0"] and pooled["s03"] == [b"round-0-1"]
+
+
+def test_crossing_split_at_forks_exactly_match_workers():
+    """Real tokens up to the real ``SPLIT_AT``: one short of it forks
+    nothing, the last one forks ``match_workers`` workers, a DS crash
+    reaps them, and every subscriber receives what it does at
+    ``match_workers=0``."""
+    split_at = pool_mod.SPLIT_AT["TOY"]
+    cells = [{f"attr{a:02d}": f"v{v:02d}"} for v in range(16) for a in range(10)]
+    cells += [{**x, **y} for x, y in itertools.combinations(cells, 2) if x.keys() != y.keys()]
+    interests = [Interest(cell) for cell in cells[:split_at]]
+    subscriptions = [(f"s{i % 4}", interest) for i, interest in enumerate(interests)]
+    rounds = [
+        (subscriptions[:-1], [{"attr00": "v00"}, {"attr01": "v03"}]),
+        (subscriptions[-1:], [{"attr02": "v05"}, dict(cells[split_at - 1])]),
+    ]
+    before = _children()
+    pooled, children, (registry, partitions) = _delegated_run(2, rounds, crash=True)
+    assert len({token for _, token in registry}) == split_at
+    assert children == [before, before + 2, before] and partitions == 2
+    serial, serial_children, _ = _delegated_run(0, rounds)
+    assert serial_children == [before, before]
+    assert pooled == serial and all(pooled.values())

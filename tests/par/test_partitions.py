@@ -8,6 +8,9 @@
 * a killed worker is an empty partition that the next match refills;
 * a hostile ciphertext raises and leaves the partitions as they were;
 * no cliff: with 200 tokens, a warm publication builds no Miller lines.
+
+The module's few tokens are far below ``SPLIT_AT``, so the ``world``
+fixture lowers it: a two-worker pool here splits at any count.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from repro.crypto.group import PairingGroup
 from repro.errors import ReproError
 from repro.obs import Observability
 from repro.par import MatchPool
+from repro.par import pool as pool_mod
 from repro.pbe.hve import HVE
 from repro.pbe.serialize import (
     deserialize_hve_ciphertext,
@@ -66,7 +70,9 @@ def world():
     }
     assert any(expected.values()) and not all(expected.values())
     serial, parallel = MatchPool(group, workers=0), MatchPool(group, workers=2)
-    yield group, tokens, ciphertexts, expected, serial.start(), parallel.start()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(pool_mod.SPLIT_AT, "TOY", 1)
+        yield group, tokens, ciphertexts, expected, serial.start(), parallel.start()
     serial.close()
     parallel.close()
 
@@ -112,6 +118,7 @@ def test_a_killed_worker_gives_the_same_results_next_match(world):
     want = [expected[ciphertexts[0], token] for token in tokens]
     with MatchPool(group, workers=2) as pool:
         assert pool.match(ciphertexts[0], tokens) == want
+        assert len(pool.partitions) == 2
         victim = pool.partitions[0]
         victim.process.kill()
         victim.process.join()

@@ -69,7 +69,7 @@ class TestCommittedHistory:
     """The committed history is one format: every root BENCH file is v1."""
 
     EXPECTED = {
-        "BENCH_pr2.json": {"match_fanout.pool4_speedup"},
+        "BENCH_pr53.json": {"match_pool.TOY.break_even_tokens"},
         "BENCH_pr3.json": {"live_substrate.rpc_echo_p95_ms", "live_substrate.live_over_sim"},
         "BENCH_pr6.json": {"store.wal_fsync_records_per_s"},
         "BENCH_pr8.json": {"cluster.speedup_ds2"},
@@ -81,7 +81,7 @@ class TestCommittedHistory:
     }
     # one document in each shape a bench once wrote privately (PR 2/3/4/6/8/9)
     OLD_SHAPES = [
-        {"match_fanout": {"precompute_speedup": 10.5, "pool4_speedup": 7.6}},
+        {"match_fanout": {"precompute_speedup": 10.5, "fixed_base_speedup": 4.5}},
         {"rpc_echo_rtt": {"p95_ms": 2.8}, "burst_throughput": {"publications_per_s": 44.5}},
         {"scrape_sweep": {"p95_ms": 39.3}, "flight_recorder_tax": {"overhead_pct": 18.1}},
         {"append_throughput": {"wal_fsync": {"records_per_s": 5702.0}}},
@@ -113,7 +113,7 @@ class TestCommittedHistory:
             assert expected <= set(history)
         assert history["prof.det_recovery"].source == "BENCH_pr10.json"
         assert history["match_fanout.precompute_speedup"].source == "BENCH_pr15.json"
-        assert history["match_fanout.pool4_speedup"].source == "BENCH_pr2.json"
+        assert history["match_pool.TOY.break_even_tokens"].source == "BENCH_pr53.json"
         for record in history.values():
             if record.floor is not None:
                 assert record.value >= record.floor, record.name
@@ -210,4 +210,4 @@ class TestGate:
 
     def test_smoke_report_mentions_sources(self):
         report = run_gate(root=REPO_ROOT, smoke=True)
-        assert any("BENCH_pr2.json" in check.detail for check in report.checks)
+        assert any("BENCH_pr53.json" in check.detail for check in report.checks)

@@ -1,7 +1,12 @@
-"""Analytic models vs full protocol simulation: band agreement."""
+"""Analytic models vs full protocol simulation: band agreement, and the
+committed ``sim_vs_model`` records recomputed."""
+
+import importlib.util
+import os
 
 import pytest
 
+from repro.perf.bench import load_bench_file
 from repro.perf.latency import baseline_latency, p3s_latency
 from repro.perf.params import ModelParams
 from repro.perf.validation import (
@@ -74,3 +79,23 @@ class TestThroughputAgreement:
         params = small_model(1_000)
         point = simulate_p3s_throughput(1_000, params, 6, 3, num_publications=5)
         assert point.num_matching == 3  # the helper asserts full delivery internally
+
+
+def test_the_committed_sim_over_model_records_are_this_trees():
+    """The six ``sim_vs_model`` ratios run on modelled compute time, so they
+    are exact: recomputed here, they must equal what ``BENCH_pr42.json``
+    commits.  A change that moves them re-records the file
+    (``P3S_WRITE_BENCH=1 pytest benchmarks/bench_sim_vs_model.py``)."""
+    root = os.path.join(os.path.dirname(__file__), "..", "..")
+    spec = importlib.util.spec_from_file_location(
+        "bench_sim_vs_model", os.path.join(root, "benchmarks", "bench_sim_vs_model.py")
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)  # the bench computes the records; it is not run
+    committed = {
+        record.name: record.value
+        for record in load_bench_file(os.path.join(root, "BENCH_pr42.json"))
+    }
+    latencies = bench.latency_against_model()
+    fresh = {name: simulated / model for name, (model, simulated) in latencies.items()}
+    assert fresh == pytest.approx(committed, rel=1e-9, abs=0)
