@@ -51,6 +51,22 @@ Records, all in ``BENCH_pr53.json`` under ``repro perf gate --smoke``:
 Wall and CPU ratios are medians over the passes.  The whole sweep, every
 pass's reads, is the file's ``workload.sweep``.  ``P3S_WRITE_BENCH=1``
 writes the file; the bench takes about ten minutes on a 2-vCPU box.
+
+``test_first_publications_after_a_split`` asks what a pool's first
+publications after its split cost (``BENCH_pr55_split.json``, reported,
+no bound).  At 10 and 64 distinct ``TOY`` tokens it builds fresh pools,
+two workers with ``SPLIT_AT["TOY"]`` lowered to the count (the first
+publication splits) and one in process as the control, and times each of
+their first ``FIRST_PUBS`` publications and then ``WARM_PUBS`` warm ones,
+counting minor page faults in this process and the workers (copy-on-write
+faults are minor faults).  Per count, ``first_pub_after_split_over_warm``
+is publication 1 (fork, token shipping, Miller lines) over the warm
+median, ``first_pubs_after_split_over_warm`` publications 2 to 5 over it,
+``first_pub_in_process_over_warm`` and ``first_pubs_in_process_over_warm``
+the same for the control, and
+``minor_faults_first_pubs_over_warm`` the split pool's faults a
+publication in 2 to 5 over its warm publications'; each a median over
+``TRIALS`` fresh pools.
 """
 
 from __future__ import annotations
@@ -59,6 +75,7 @@ import gc
 import itertools
 import os
 import random
+import resource
 import statistics
 import time
 import tracemalloc
@@ -121,16 +138,19 @@ def world(param_set: str, count: int, rng: random.Random):
     return group, tokens, ciphertexts
 
 
-def cpu_s(pool: MatchPool) -> float:
-    """CPU seconds of this process and of the pool's worker processes."""
-    total = time.process_time()
-    for partition in pool.partitions:
+def worker_stats(pool: MatchPool):
+    """Each worker process's ``/proc/<pid>/stat`` fields after its name."""
+    for partition in pool.partitions or ():
         process = getattr(partition, "process", None)
         if process is not None:
             with open(f"/proc/{process.pid}/stat") as handle:
-                fields = handle.read().rsplit(")", 1)[1].split()
-            total += (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
-    return total
+                yield handle.read().rsplit(")", 1)[1].split()
+
+
+def cpu_s(pool: MatchPool) -> float:
+    """CPU seconds of this process and of the pool's worker processes."""
+    ticks = sum(int(fields[11]) + int(fields[12]) for fields in worker_stats(pool))
+    return time.process_time() + ticks / os.sysconf("SC_CLK_TCK")
 
 
 def read(pool: MatchPool, tokens: list[bytes], ciphertexts: list[bytes]) -> tuple[float, float]:
@@ -309,3 +329,111 @@ def test_match_pool_break_even(capsys, bench_writer, monkeypatch):
     # the shape the constant rests on, asserted on every run
     assert paper[max(paper)]["wall_ratio"] < 1.0 and toy[max(toy)]["wall_ratio"] < 1.0
     assert item9["pairings_per_pub"] == 4 * 1024
+
+
+FIRST_PUBS = 5
+WARM_PUBS = 20
+TRIALS = 5
+SPLIT_COUNTS = (10, 64)
+
+
+def minor_faults(pool: MatchPool) -> int:
+    """Minor page faults of this process and of the pool's worker processes."""
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    return own + sum(int(fields[7]) for fields in worker_stats(pool))
+
+
+def fresh_pool_reads(group, tokens, ciphertexts, workers: int) -> dict[str, list[float]]:
+    """Wall seconds and minor faults of each publication of a fresh pool:
+    ``FIRST_PUBS`` first, then ``WARM_PUBS`` warm."""
+    reads: dict[str, list[float]] = {"wall_s": [], "minor_faults": []}
+    with MatchPool(group, workers=workers) as pool:
+        for index in range(FIRST_PUBS + WARM_PUBS):
+            faults, wall = minor_faults(pool), time.perf_counter()
+            pool.match(ciphertexts[index % len(ciphertexts)], tokens)
+            wall = time.perf_counter() - wall
+            reads["wall_s"].append(wall)
+            reads["minor_faults"].append(minor_faults(pool) - faults)
+        assert len(pool.partitions) == workers
+    return reads
+
+
+def against_warm(reads: dict[str, list[float]]) -> dict[str, float]:
+    """One fresh pool's first publications against its own warm ones."""
+    wall, faults = reads["wall_s"], reads["minor_faults"]
+    warm = statistics.median(wall[FIRST_PUBS:])
+    faults_next = statistics.mean(faults[1:FIRST_PUBS])
+    faults_warm = statistics.mean(faults[FIRST_PUBS:])
+    return {
+        "first_over_warm": wall[0] / warm,
+        "next_over_warm": statistics.median(wall[1:FIRST_PUBS]) / warm,
+        "faults_next_over_warm": faults_next / max(faults_warm, 1),
+        "warm_ms": warm * 1e3,
+        "faults_next": faults_next,
+        "faults_warm": faults_warm,
+    }
+
+
+@randomness.seeded(0x55)
+def test_first_publications_after_a_split(capsys, bench_writer, monkeypatch):
+    rng = random.Random(0x55)
+    trials: dict[int, dict[str, list[dict]]] = {}
+    for count in SPLIT_COUNTS:
+        monkeypatch.setitem(pool_mod.SPLIT_AT, "TOY", count)  # the first publication splits
+        group, tokens, ciphertexts = world("TOY", count, rng)
+        trials[count] = {"split": [], "in_process": []}
+        for trial in range(TRIALS):
+            for arm, workers in (("split", 2), ("in_process", 1))[:: 1 if trial % 2 else -1]:
+                reads = fresh_pool_reads(group, tokens, ciphertexts, workers)
+                trials[count][arm].append({"reads": reads, **against_warm(reads)})
+
+    def median_of(count: int, arm: str, key: str) -> float:
+        return statistics.median(trial[key] for trial in trials[count][arm])
+
+    sources = {  # record -> (arm, per-pool ratio)
+        "first_pub_after_split_over_warm": ("split", "first_over_warm"),
+        "first_pubs_after_split_over_warm": ("split", "next_over_warm"),
+        "first_pub_in_process_over_warm": ("in_process", "first_over_warm"),
+        "first_pubs_in_process_over_warm": ("in_process", "next_over_warm"),
+        "minor_faults_first_pubs_over_warm": ("split", "faults_next_over_warm"),
+    }
+    values = {
+        f"match_pool.TOY.{name}_{count}": median_of(count, *source)
+        for count in SPLIT_COUNTS
+        for name, source in sources.items()
+    }
+    with capsys.disabled():
+        print(f"\nfirst publications after a split ({TRIALS} fresh pools each):")
+        for name, value in values.items():
+            print(f"  {name:58s} {value:7.3f}")
+        for count in SPLIT_COUNTS:
+            for arm in trials[count]:
+                warm, faults_next, faults_warm = (
+                    median_of(count, arm, key) for key in ("warm_ms", "faults_next", "faults_warm")
+                )
+                print(
+                    f"  {count:3d} tokens {arm:10s} warm {warm:6.2f} ms, minor faults a "
+                    f"publication: 2-5 {faults_next:7.1f}, warm {faults_warm:7.1f}"
+                )
+    bench_writer(
+        "BENCH_pr55_split.json",
+        suite="match_pool_split",
+        workload={
+            "harness": (
+                "bench_match_pool.test_first_publications_after_a_split: default_schema(), "
+                f"TOY, {TRIALS} fresh pools an arm at each of {list(SPLIT_COUNTS)} distinct "
+                "tokens, the arm that goes first alternating; split = MatchPool(workers=2) with "
+                "SPLIT_AT['TOY'] monkeypatched to the count, in_process = MatchPool(workers=1); "
+                f"each pool times its first {FIRST_PUBS} publications and then {WARM_PUBS} warm "
+                "ones (perf_counter), and counts minor faults (getrusage + the workers' "
+                "/proc/<pid>/stat minflt); first_pub = publication 1 over the warm median, "
+                "first_pubs = the median of publications 2-5 over it, minor_faults = mean "
+                "faults a publication in 2-5 over the warm mean (at least 1); "
+                "value = median over the pools"
+            ),
+            "trials": {str(count): arms for count, arms in trials.items()},
+        },
+        records=[
+            BenchRecord(name, value, "ratio", direction="lower") for name, value in values.items()
+        ],
+    )

@@ -117,7 +117,7 @@ class TokenIssuer:
     """The PBE-TS's substrate-free token-minting engine.
 
     Holds the HVE master material, the certificate trust root, the
-    subscription policy and the per-subject quota counters.
+    subscription policy, and per subject its quota and verified certificate.
     :class:`PBETokenServer` puts the modelled compute time between
     these calls (no time at all on the live substrate) — both substrates
     mint identical tokens for identical requests because this is the
@@ -142,6 +142,8 @@ class TokenIssuer:
         precompute.warm_generator(hve.group)
         self.tokens_issued = 0
         self._issued_by_subject: dict[str, int] = defaultdict(int)
+        # per subject, the certificate bytes whose signature checked out
+        self._verified_by_subject: dict[str, bytes] = {}
 
     @classmethod
     def provisioned_by(cls, ara, config) -> "TokenIssuer":
@@ -153,9 +155,10 @@ class TokenIssuer:
 
     def open_request(
         self, pke: PKEKeyPair, payload: bytes
-    ) -> tuple[bytes, Certificate, Interest]:
-        """Decrypt and parse one token request under the server's PKE key;
-        a body of any other shape is a :class:`TokenRequestError`."""
+    ) -> tuple[bytes, Certificate, bytes, Interest]:
+        """Decrypt and parse one token request under the server's PKE key
+        into ``(K_s, certificate, its bytes as carried, interest)``; a body
+        of any other shape is a :class:`TokenRequestError`."""
         try:
             body = expect_object(
                 parse_json(pke.decrypt(payload), TokenRequestError),
@@ -164,22 +167,30 @@ class TokenIssuer:
                 TokenRequestError,
             )
             session_key = unhex(body["ks"], TokenRequestError, KEY_LEN)
-            certificate = Certificate.from_bytes(
-                unhex(body["cert"], TokenRequestError), self.hve.group
-            )
+            cert_bytes = unhex(body["cert"], TokenRequestError)
+            certificate = Certificate.from_bytes(cert_bytes, self.hve.group)
             interest = Interest.from_json(body["interest"])
         except ReproError as exc:  # undecryptable, bad JSON/hex, bad fields
             raise TokenRequestError(f"malformed token request: {exc}") from exc
-        return session_key, certificate, interest
+        return session_key, certificate, cert_bytes, interest
 
-    def authorize(self, certificate: Certificate, interest: Interest, now: float) -> None:
+    def authorize(
+        self, certificate: Certificate, cert_bytes: bytes, interest: Interest, now: float
+    ) -> None:
         """Validate the certificate, report the sighting, enforce policy.
 
+        Role and expiry are checked on every request; the signature once
+        per subject and exact ``cert_bytes``, never per equal ``Certificate``
+        (``5`` and ``5.0`` are equal fields but differently signed bodies).
         Raises :class:`CertificateError` / :class:`TokenRequestError` on
         refusal; the predicate is seen as soon as the certificate checks
         out (the paper's exposure: the PBE-TS *sees* it either way).
         """
-        certificate.validate(self._ara_verify_key, "subscriber", now=now)
+        if self._verified_by_subject.get(certificate.subject) == cert_bytes:
+            certificate.check_claims("subscriber", now)
+        else:
+            certificate.validate(self._ara_verify_key, "subscriber", now=now)
+            self._verified_by_subject[certificate.subject] = cert_bytes
         opened("issuer", "request", (certificate.subject, now, interest))
         if self.subscription_policy is not None:
             self.subscription_policy.check(
@@ -228,7 +239,7 @@ class PBETokenServer:
         yield self.ports.compute(self.timings.pke_op)
         try:
             with obs.attach(span):
-                session_key, certificate, interest = self.issuer.open_request(
+                session_key, certificate, cert_bytes, interest = self.issuer.open_request(
                     self.pke, message.payload
                 )
         except TokenRequestError:
@@ -236,7 +247,7 @@ class PBETokenServer:
             return (BARE_ERROR, 1)  # cannot even recover K_s; reply with a bare error
         status = "ok"
         try:
-            self.issuer.authorize(certificate, interest, now=self.ports.now())
+            self.issuer.authorize(certificate, cert_bytes, interest, now=self.ports.now())
             yield self.ports.compute(self.timings.pbe_token_gen)
             with obs.attach(span):
                 token_bytes = self.issuer.mint(certificate.subject, interest)

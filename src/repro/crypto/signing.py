@@ -120,13 +120,18 @@ class Certificate:
 
     def validate(self, verify_key: VerifyKey, expected_role: str, now: float = 0.0) -> None:
         """Raise :class:`CertificateError` unless the certificate is valid."""
+        self.check_claims(expected_role, now)
+        payload = self._payload(self.subject, self.role, self.not_after)
+        if not verify_key.verify(payload, self.signature):
+            raise CertificateError("certificate signature invalid")
+
+    def check_claims(self, expected_role: str, now: float) -> None:
+        """Raise :class:`CertificateError` unless the role is ``expected_role``
+        and ``now`` is within the validity window; the signature is not checked."""
         if self.role != expected_role:
             raise CertificateError(f"certificate role {self.role!r} != {expected_role!r}")
         if self.not_after is not None and now > self.not_after:
             raise CertificateError(f"certificate for {self.subject!r} expired")
-        payload = self._payload(self.subject, self.role, self.not_after)
-        if not verify_key.verify(payload, self.signature):
-            raise CertificateError("certificate signature invalid")
 
     def to_bytes(self, zr_bytes: int) -> bytes:
         body = self._payload(self.subject, self.role, self.not_after)
