@@ -12,5 +12,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["networkx>=2.8"],
+    install_requires=[],
 )

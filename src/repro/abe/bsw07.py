@@ -30,8 +30,7 @@ AES session key.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..crypto.curve import Point
 from ..crypto.field import Fq2
@@ -63,16 +62,19 @@ class CPABEMasterKey:
 
 @dataclass(frozen=True)
 class CPABESecretKey:
-    """A client key for attribute set ``attributes``."""
+    """A client key for attribute set ``attributes``.
+
+    ``lines`` maps each key point a decryption has paired with (``D`` and
+    each used ``D_j``, ``D'_j``) to its Miller lines, built on that
+    point's first pairing: the key owns them, as a token owns its own
+    (:attr:`repro.pbe.hve.HVEToken.lines`).  They are never compared or
+    hashed (a copy made with ``dataclasses.replace`` starts with none).
+    """
 
     attributes: frozenset[str]
     d: Point  # g^{(α+r)/β}
     components: dict[str, tuple[Point, Point]]  # j -> (D_j, D'_j)
-
-    def __hash__(self) -> int:
-        # ``components`` is a dict, so the generated field-wise hash cannot
-        # work; ``d`` carries the per-key randomizer and tells keys apart
-        return hash(self.d)
+    lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -94,29 +96,18 @@ class CPABECiphertext:
 
 
 _ATTRIBUTE_MEMO_SIZE = 1024  # hashed attribute points kept per CPABE instance
-_KEY_CACHE_SIZE = 8  # secret keys whose Miller lines are kept per CPABE instance
 
 
 class CPABE:
     """The BSW07 scheme over a :class:`PairingGroup`.
 
-    An instance that decrypts keeps, per secret key, the Miller lines of
-    the key points it has paired with (``D`` and each used ``D_j``,
-    ``D'_j``) in a small LRU.  The lines are key material: they live on
-    this instance only and are never serialised; :meth:`clear_caches`
-    drops them.
+    A decryption pairs over the Miller lines of the secret key's points,
+    which the key itself keeps (:attr:`CPABESecretKey.lines`).
     """
 
     def __init__(self, group: PairingGroup):
         self.group = group
         self._attribute_points: dict[str, Point] = {}
-        # key -> {key point: its Miller lines}, for the points paired with so far
-        self._key_lines: OrderedDict[CPABESecretKey, dict] = OrderedDict()
-
-    def clear_caches(self) -> None:
-        """Drop the cached key lines and the hashed-attribute memo."""
-        self._key_lines.clear()
-        self._attribute_points.clear()
 
     # -- Setup ---------------------------------------------------------------
 
@@ -192,7 +183,7 @@ class CPABE:
             raise MalformedCiphertextError("ciphertext leaf components do not match its policy")
         group = self.group
         order = group.order
-        lines = self._lines_for(key)
+        lines = key.lines
 
         def lines_of(point: Point):
             if point not in lines:
@@ -244,16 +235,6 @@ class CPABE:
         for coefficient in reversed(coefficients):
             result = (result * x + coefficient) % order
         return result
-
-    def _lines_for(self, key: CPABESecretKey) -> dict:
-        """``key``'s entry in the bounded LRU of Miller lines, filled by
-        :meth:`decrypt` as key points are first paired."""
-        cache = self._key_lines
-        lines = cache.setdefault(key, {})
-        cache.move_to_end(key)
-        while len(cache) > _KEY_CACHE_SIZE:
-            cache.popitem(last=False)
-        return lines
 
     def _leaf_coefficients(
         self, node: PolicyNode, attributes: frozenset[str], z: int, first: int

@@ -81,9 +81,6 @@ class PolicyNode:
             result.extend(child.leaves())
         return result
 
-    def attributes(self) -> set[str]:
-        return {leaf.attribute for leaf in self.leaves()}
-
     # -- satisfaction --------------------------------------------------------------
 
     def satisfied_by(self, attributes: set[str]) -> bool:

@@ -79,12 +79,6 @@ class MembershipTable:
                 died.append(member.name)
         return died
 
-    # -- queries ---------------------------------------------------------------
-
-    def is_alive(self, name: str) -> bool:
-        member = self.members.get(name)
-        return member is not None and member.alive
-
     def alive(self, role: str | None = None) -> list[str]:
         return [
             m.name

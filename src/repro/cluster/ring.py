@@ -101,18 +101,3 @@ class HashRing:
             share[owner] += point - previous
             previous = point
         return {node: arc / _RING_SPACE for node, arc in sorted(share.items())}
-
-    # -- equality / debugging --------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HashRing)
-            and self.nodes == other.nodes
-            and self.vnodes == other.vnodes
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nodes, self.vnodes))
-
-    def __repr__(self) -> str:
-        return f"HashRing(nodes={list(self.nodes)}, vnodes={self.vnodes})"

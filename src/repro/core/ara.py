@@ -146,14 +146,6 @@ class RegistrationAuthority:
         """
         return self._signer.sign(TELEMETRY_CONTEXT + service.encode("utf-8"))
 
-    @property
-    def cpabe_public_key(self) -> CPABEPublicKey:
-        return self._cpabe_public
-
-    @property
-    def hve_public_key(self) -> HVEPublicKey:
-        return self._hve_public
-
     # -- client registration (Fig. 2) -------------------------------------------
 
     def register_subscriber(

@@ -148,7 +148,7 @@ class DisseminationServer(Broker):
         else:
             # plain JMS traffic keeps working unchanged (§5: the top-level
             # JMS interface is retained)
-            yield from super().on_publish(src, frame)
+            yield from self.fan_out(frame.topic, frame)
 
     # -- durable registrations -------------------------------------------------
 
@@ -230,10 +230,6 @@ class DisseminationServer(Broker):
     def _subscribe(self, client: str, topic: str) -> None:
         super()._subscribe(client, topic)
         self.store.put(NS_SUBS, sub_key(topic, client), b"")
-
-    def _unsubscribe(self, client: str, topic: str) -> None:
-        super()._unsubscribe(client, topic)
-        self.store.delete(NS_SUBS, sub_key(topic, client))
 
     @property
     def match_pool(self) -> MatchPool:

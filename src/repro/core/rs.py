@@ -230,9 +230,6 @@ class RepositoryStore:
             self.engine.compact()
         return removed
 
-    def compact(self) -> dict:
-        return self.engine.compact()
-
     def holds(self, guid: bytes, now: float) -> bool:
         item = self._items.get(guid)
         return item is not None and now < item.expires_at

@@ -107,9 +107,6 @@ class GuidDeduper:
             self._seen.discard(self._order.popleft())
         return False
 
-    def __len__(self) -> int:
-        return len(self._order)
-
 
 def open_delivery(cpabe, group, secret_key, guid, ciphertext_bytes):
     """CP-ABE-decrypt one retrieved payload and verify its embedded GUID.

@@ -282,12 +282,6 @@ class Point:
         if check and not self._on_curve():
             raise NotOnCurveError(f"({x:#x}, {y:#x}) is not on y^2 = x^3 + x")
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def infinity(cls, params: TypeAParams) -> "Point":
-        return cls(None, None, params)
-
     @classmethod
     def generator(cls, params: TypeAParams) -> "Point":
         return cls(params.gx, params.gy, params, check=False)
@@ -326,7 +320,7 @@ class Point:
         x1, y1, x2, y2 = self.x, self.y, other.x, other.y
         if x1 == x2:
             if (y1 + y2) % q == 0:
-                return Point.infinity(self.params)
+                return Point(None, None, self.params)
             lam = (3 * x1 * x1 + 1) * fq_inv(2 * y1, q) % q
         else:
             lam = (y2 - y1) * fq_inv(x2 - x1, q) % q
@@ -366,7 +360,7 @@ class Point:
         if k < 0:
             return (-self).scalar_mul_windowed(-k, window_bits)
         if k == 0 or self.is_infinity:
-            return Point.infinity(self.params)
+            return Point(None, None, self.params)
         result = scalar_mul(self.x, self.y, k, self.params.q, window_bits)
         return Point._from_affine(result, self.params)
 
@@ -381,7 +375,7 @@ class Point:
     def _from_affine(cls, entry: tuple | None, params: TypeAParams) -> "Point":
         """Wrap one :func:`jacobian.normalise` result (``None`` = infinity)."""
         if entry is None:
-            return cls.infinity(params)
+            return cls(None, None, params)
         return cls(entry[0], entry[1], params, check=False)
 
     # -- serialization -------------------------------------------------------------
@@ -406,15 +400,10 @@ class Point:
         x = int.from_bytes(data[1 : 1 + width], "big")
         y = int.from_bytes(data[1 + width :], "big")
         if tag == 0x00 and x == y == 0:
-            return cls.infinity(params)
+            return cls(None, None, params)
         if tag != 0x04 or x >= params.q or y >= params.q:  # one encoding a point
             raise SerializationError(f"not a canonical point encoding (tag {tag:#x})")
         return cls(x, y, params)  # membership check on by default
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_infinity:
-            return "Point(infinity)"
-        return f"Point({self.x:#x}, {self.y:#x})"
 
 
 def hash_to_point(label: bytes, params: TypeAParams) -> Point:

@@ -130,19 +130,6 @@ class Fq2:
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.q))
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "Fq2") -> "Fq2":
-        q = self.q
-        return Fq2(self.a + other.a, self.b + other.b, q)
-
-    def __sub__(self, other: "Fq2") -> "Fq2":
-        q = self.q
-        return Fq2(self.a - other.a, self.b - other.b, q)
-
-    def __neg__(self) -> "Fq2":
-        return Fq2(-self.a, -self.b, self.q)
-
     def __mul__(self, other: "Fq2") -> "Fq2":
         # (a + bi)(c + di) = (ac − bd) + ((a+b)(c+d) − ac − bd)·i
         q = self.q
@@ -199,9 +186,6 @@ class Fq2:
         """A new comb table for this base (what a
         :class:`~repro.crypto.comb.TableCache` builds)."""
         return PowerTable(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Fq2({self.a:#x}, {self.b:#x})"
 
 
 class PowerTable:

@@ -160,6 +160,3 @@ class PairingGroup:
     def gt_to_key(self, element: Fq2, label: str = "gt-kem") -> bytes:
         """Derive a 32-byte symmetric key from a GT element (KEM step)."""
         return hash_bytes(label, self.serialize_gt(element))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PairingGroup({self.params.describe()})"

@@ -115,12 +115,6 @@ class TypeAParams:
     def r_bytes(self) -> int:
         return (self.r.bit_length() + 7) // 8
 
-    def describe(self) -> str:
-        return (
-            f"TypeA[{self.name}] |r|={self.r.bit_length()} bits, "
-            f"|q|={self.q.bit_length()} bits, h={self.h.bit_length()}-bit cofactor"
-        )
-
 
 def _find_generator(q: int, r: int, h: int, seed: int = 1) -> tuple[int, int]:
     """Deterministically find a generator of the order-``r`` subgroup.

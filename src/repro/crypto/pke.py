@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import DecryptionError, SerializationError
+from ..errors import DecryptionError
 from .field import Fq2, lucas_ladder
 from .group import PairingGroup
 from .hashing import kdf
@@ -52,13 +52,6 @@ class PKEPublicKey:
 
     def to_bytes(self) -> bytes:
         return self.group.serialize_gt(self.element)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, group: PairingGroup) -> "PKEPublicKey":
-        element = group.deserialize_gt(data)
-        if element.norm() != 1 or not _of_order_r(_trace(element), group):
-            raise SerializationError("PKE public key is not an element of order r")
-        return cls(group, element)
 
 
 class PKEKeyPair:

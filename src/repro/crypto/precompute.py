@@ -19,8 +19,8 @@ accelerate, and this module is the policy/observation surface over both:
   its line-function setup — the whole walk of ``T`` — once.  ~4x per
   token×ciphertext evaluation at TOY parameters; see
   ``benchmarks/bench_match_fanout.py``.  The lines themselves are token /
-  key material: a token owns its own (``HVEToken.lines``), and a client's
-  ``CPABE`` keeps its keys' in an LRU (``CPABE._key_lines``).
+  key material: a token owns its own (``HVEToken.lines``), and a CP-ABE
+  secret key its own (``CPABESecretKey.lines``).
 
 Both precomputed paths are bit-identical to the naive ones — enforced by
 ``tests/par/test_equivalence.py`` and the golden vectors in

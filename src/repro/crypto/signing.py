@@ -60,9 +60,6 @@ class VerifyKey:
         )
         return expected == signature.challenge
 
-    def to_bytes(self) -> bytes:
-        return self.group.serialize_g1(self.point)
-
 
 class SigningKeyPair:
     """Schnorr signing key; ``sign`` produces ``(c, s)`` with ``s = k − c·sk``."""

@@ -92,10 +92,6 @@ class MessageLossError(TransportError):
     failures cause message loss")."""
 
 
-class ChannelClosedError(NetworkError):
-    """Operation on a closed secure channel."""
-
-
 class RoutingError(NetworkError):
     """No route / unknown host in the simulated network."""
 

@@ -90,9 +90,6 @@ class AddressBook:
             raise TransportError(f"no address for {name!r} in the service directory")
         return entry
 
-    def to_dict(self) -> dict[str, tuple[str, int]]:
-        return {name: (e.host, e.port) for name, e in self._entries.items()}
-
 
 class LiveRpcEndpoint(Endpoint):
     """RPC + one-way messaging endpoint for one live P3S party."""
@@ -124,7 +121,7 @@ class LiveRpcEndpoint(Endpoint):
         self.reconnects = 0
         self.pending_high_water = 0
         self._backoff_peers: set[str] = set()
-        # Chaos seam (repro.chaos.proxy.duplicate_dispatch): when set,
+        # Chaos seam (duplicate_dispatch, tests/chaos/proxy.py): when set,
         # called once per decoded inbound frame; the returned count is
         # how many times the frame is dispatched — >1 injects
         # application-level duplicate records *behind* the AEAD record

@@ -49,7 +49,6 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "encode_payload",
-    "decode_payload",
     "MAX_FRAME_BYTES",
 ]
 
@@ -117,13 +116,6 @@ def encode_payload(payload: Any) -> bytes:
             + encode_payload(payload.body)
         )
     raise TransportError(f"no wire codec for payload type {type(payload).__name__}")
-
-
-def decode_payload(data: bytes) -> Any:
-    reader = Reader(data, TransportError)
-    payload = _read_payload(reader, 0)
-    reader.end()
-    return payload
 
 
 def _read_payload(reader: Reader, depth: int) -> Any:

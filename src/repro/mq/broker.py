@@ -59,7 +59,6 @@ class Broker:
         for msg_type, handler in (
             (frames.CONNECT, self.on_connect),
             (frames.SUBSCRIBE, self._on_subscribe),
-            (frames.UNSUBSCRIBE, self._on_unsubscribe),
             (frames.PUBLISH, self._on_publish_frame),
             (frames.ACK, self._on_ack),
         ):
@@ -87,9 +86,6 @@ class Broker:
     def _on_subscribe(self, src: str, message) -> None:
         self._subscribe(src, message.payload.topic)
 
-    def _on_unsubscribe(self, src: str, message) -> None:
-        self._unsubscribe(src, message.payload.topic)
-
     def _on_ack(self, src: str, message) -> None:
         self.acked_count += 1
 
@@ -101,8 +97,9 @@ class Broker:
         yield from self.on_publish(src, frame)
 
     def on_publish(self, src: str, frame: JmsFrame):
-        """Default JMS behaviour: fan the frame out to all topic subscribers."""
-        yield from self.fan_out(frame.topic, frame)
+        """What an accepted PUBLISH does: the DS matches and forwards it,
+        the baseline broker filters it by its headers (a generator)."""
+        raise NotImplementedError
 
     # -- reliable publish (PUBACK + dedup) ----------------------------------------
 
@@ -140,10 +137,6 @@ class Broker:
             raise BrokerError(f"subscribe from unconnected client {client!r}")
         if client not in self.subscriptions[topic]:
             self.subscriptions[topic].append(client)
-
-    def _unsubscribe(self, client: str, topic: str) -> None:
-        if client in self.subscriptions[topic]:
-            self.subscriptions[topic].remove(client)
 
     def delivery_frame(self, topic: str, frame: JmsFrame) -> JmsFrame:
         return JmsFrame(

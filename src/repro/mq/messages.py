@@ -13,7 +13,6 @@ from typing import Any
 
 CONNECT = "jms.connect"
 SUBSCRIBE = "jms.subscribe"
-UNSUBSCRIBE = "jms.unsubscribe"
 PUBLISH = "jms.publish"
 DELIVER = "jms.deliver"
 ACK = "jms.ack"
@@ -32,7 +31,6 @@ HDR_PUB_SEQ = "jms-pub-seq"
 __all__ = [
     "CONNECT",
     "SUBSCRIBE",
-    "UNSUBSCRIBE",
     "PUBLISH",
     "DELIVER",
     "ACK",

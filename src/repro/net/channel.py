@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import ChannelClosedError
 from .network import Host, Message
 
 __all__ = ["SecureChannelLayer", "TLS_RECORD_OVERHEAD"]
@@ -51,10 +50,6 @@ class SecureChannelLayer:
     def __init__(self, host: Host):
         self.host = host
         self._peers: dict[str, _PeerState] = {}
-        self._closed = False
-
-    def close(self) -> None:
-        self._closed = True
 
     def _peer(self, name: str) -> _PeerState:
         if name not in self._peers:
@@ -70,8 +65,6 @@ class SecureChannelLayer:
         headers: dict[str, Any] | None = None,
     ) -> float:
         """Send one protected record; returns predicted arrival time."""
-        if self._closed:
-            raise ChannelClosedError(f"channel layer on {self.host.name} is closed")
         state = self._peer(dst)
         message = Message(
             msg_type=msg_type,

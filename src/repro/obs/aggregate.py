@@ -183,10 +183,6 @@ class TelemetryAggregator:
                     merged.observe(entry["name"], value, **labels)
         return merged
 
-    def counter_total(self, name: str) -> float:
-        """Deployment-wide total of one counter name."""
-        return self.merged_registry().counter_total(name)
-
     def service_counter_total(self, service: str, name: str) -> float:
         """One service's total of one counter name (all label sets)."""
         snapshot = self._metrics.get(service, {})
@@ -257,9 +253,6 @@ class TelemetryAggregator:
     def spans(self) -> list[dict]:
         """Every accumulated span, ordered by start time."""
         return sorted(self._spans.values(), key=lambda s: (s.get("start_s") or 0.0))
-
-    def trace(self, trace_id: int) -> list[dict]:
-        return [span for (t, _), span in sorted(self._spans.items()) if t == trace_id]
 
     def publish_deliver_trace_latencies(self) -> dict[int, float]:
         """End-to-end publish→deliver seconds keyed by trace id.

@@ -45,7 +45,6 @@ __all__ = [
     "attach",
     "inject",
     "extract",
-    "current_component",
 ]
 
 UNATTRIBUTED = "unattributed"
@@ -209,8 +208,3 @@ def extract(headers: dict[str, Any] | None) -> SpanContext | None:
     if _active is None:
         return None
     return Tracer.extract(headers)
-
-
-def current_component() -> str | None:
-    obs = _active
-    return None if obs is None else obs.tracer.current_component()

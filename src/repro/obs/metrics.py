@@ -55,9 +55,6 @@ class Counter:
     labels: _LabelKey
     value: float = 0
 
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
 
 # Exemplars retained per histogram series: the largest-valued
 # observations with an attached trace id, so an alerting quantile links
@@ -183,10 +180,6 @@ class MetricsRegistry:
     @property
     def empty(self) -> bool:
         return not self.counters and not self.histograms
-
-    def clear(self) -> None:
-        self.counters.clear()
-        self.histograms.clear()
 
     # -- snapshots (the telemetry plane's JSON view) ----------------------------
 

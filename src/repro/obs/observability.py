@@ -75,10 +75,6 @@ class Observability:
         """Stop receiving hook data (only if currently installed)."""
         hooks.deactivate(self)
 
-    @property
-    def active(self) -> bool:
-        return hooks.active() is self
-
     @contextlib.contextmanager
     def installed(self):
         """Scoped installation: ``with obs.installed(): ...``."""
@@ -87,11 +83,6 @@ class Observability:
             yield self
         finally:
             self.uninstall()
-
-    def reset(self) -> None:
-        """Drop all recorded spans and metrics (keeps the clock binding)."""
-        self.tracer.clear()
-        self.metrics.clear()
 
     # -- export conveniences ----------------------------------------------------
 
@@ -111,10 +102,4 @@ class Observability:
             self.format_tree(max_traces=SUMMARY_TRACES)
             + "\n\noperation counts by component:\n"
             + self.format_ops()
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Observability(spans={len(self.tracer.spans)}, "
-            f"counters={len(self.metrics.counters)}, active={self.active})"
         )

@@ -148,13 +148,6 @@ class StackSampler:
             self._thread = None
         return self
 
-    def __enter__(self) -> "StackSampler":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
-
     # -- hook surface (uniform with DeterministicSampler) -----------------------
 
     def on_op(self, op: str, count: int = 1) -> None:
@@ -256,12 +249,6 @@ class DeterministicSampler:
 
     def stop(self) -> "DeterministicSampler":
         return self
-
-    def __enter__(self) -> "DeterministicSampler":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
 
     # -- the op hook --------------------------------------------------------------
 

@@ -70,40 +70,5 @@ class FlightRecorder:
             self._spans = deque(span for span in self._spans if not span.finished)
         return finished
 
-    def snapshot(self) -> "list[Span]":
-        """Non-destructive copy, oldest first."""
-        return list(self._spans)
-
-    def clear(self) -> None:
-        """Drop everything (the ``dropped`` count stays)."""
-        self._spans.clear()
-
-    # -- list compatibility ----------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    def __bool__(self) -> bool:
-        return bool(self._spans)
-
     def __iter__(self) -> "Iterator[Span]":
         return iter(self._spans)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._spans)[index]
-        return self._spans[index]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FlightRecorder):
-            return list(self._spans) == list(other._spans)
-        if isinstance(other, (list, tuple)):
-            return list(self._spans) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        bound = "∞" if self.capacity is None else str(self.capacity)
-        return (
-            f"FlightRecorder(len={len(self._spans)}, capacity={bound}, "
-            f"dropped={self.dropped})"
-        )

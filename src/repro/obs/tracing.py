@@ -268,10 +268,6 @@ class Tracer:
         for child in self.children_of(span):
             yield from self.walk(child, depth + 1)
 
-    def clear(self) -> None:
-        self.spans.clear()
-        self._stack.clear()
-
     # -- propagation ---------------------------------------------------------------
 
     @staticmethod

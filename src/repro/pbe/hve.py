@@ -116,17 +116,14 @@ class HVEToken:
     ``lines`` holds the Miller lines of every component, built on the
     token's first query: a token matched against a stream of ciphertexts
     pays that setup once, for as long as it lives, with no cache to fall
-    out of.  Like a key's comb tables they are never compared, hashed or
-    pickled (a copy starts with none).
+    out of.  Like a key's comb tables they are never compared or hashed (a
+    copy made with ``dataclasses.replace`` starts with none).
     """
 
     n: int
     positions: tuple[int, ...]
     components: tuple[tuple[Point, Point], ...]
     lines: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __reduce__(self):
-        return HVEToken, (self.n, self.positions, self.components)
 
 
 @dataclass(frozen=True)
@@ -145,10 +142,14 @@ class HVE:
     Args:
         group: the pairing group.
         match_cache_size: entries in the (token, ciphertext) → result
-            memo.  ``Query`` is deterministic, so a repeated evaluation —
-            the ``matches()``-then-``query()`` pattern of the delegated
-            matcher, or a re-broadcast ciphertext — early-exits with no
-            pairings at all.  ``0`` disables the memo.
+            memo; ``0`` disables it.  No served path repeats a pair: the
+            delegated matcher's partitions build ``HVE(group,
+            match_cache_size=0)`` and query each pair once, and a
+            subscriber queries each publication once a token.  Measured on
+            the four ``benchmarks/e2e`` workloads (10 s each, seed 2012),
+            the memo scored 0 hits in 1,563 queries.  It stays only as
+            long as ``benchmarks/e2e/ladder.py``, which the benchmark
+            freezes, builds its warm-query rung with this argument.
     """
 
     def __init__(self, group: PairingGroup, match_cache_size: int = 256):
@@ -270,14 +271,14 @@ class HVE:
         ciphertext after).  The result is bit-identical to the textbook
         multi-pairing (``tests/pbe/reference.py``).
 
-        ``Query`` is deterministic, so the result is memoised: evaluating
-        the same (token, ciphertext) pair again — the ``matches()`` probe
-        the delegated matcher runs before the subscriber's own ``query()``,
-        or a re-broadcast ciphertext — early-exits without re-running a
-        single pairing.  IP08 itself cannot short-circuit *within* one
-        evaluation: every non-wildcard position's factors are needed
-        before the product is distinguishable from random, which is
-        exactly the attribute-hiding property.
+        ``Query`` is deterministic, so the result is memoised: the same
+        (token, ciphertext) pair evaluated again early-exits without a
+        pairing.  No served path asks twice (0 hits in 1,563 queries on
+        the benchmark's workloads; see the class docstring).  IP08 itself
+        cannot short-circuit *within* one evaluation: every non-wildcard
+        position's factors are needed before the product is
+        distinguishable from random, which is exactly the attribute-hiding
+        property.
         """
         memo_key = None
         if self._match_cache_size:
@@ -300,11 +301,6 @@ class HVE:
             return None
         record_op("hve.match_hit")
         return payload
-
-    def matches(self, token: HVEToken, ciphertext: HVECiphertext) -> bool:
-        """Predicate-only form of :meth:`query` (shares its memo, so a
-        ``matches`` probe followed by ``query`` costs one evaluation)."""
-        return self.query(token, ciphertext) is not None
 
     # -- internals ---------------------------------------------------------------------
 

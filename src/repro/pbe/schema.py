@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 
 from ..errors import SchemaError
-from ..reader import expect_object, parse_json
+from ..reader import parse_json
 from .encoding import bits_needed, encode_value, wildcard_bits
 
 __all__ = ["ANY", "AttributeSpec", "MetadataSchema", "Interest", "ENCODINGS"]
@@ -46,9 +46,6 @@ class _Any:
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
-
-    def __repr__(self) -> str:
-        return "ANY"
 
 
 ANY = _Any()
@@ -164,12 +161,6 @@ class MetadataSchema:
         attribute count under ``"symbol"``."""
         return len(self.alphabet_sizes)
 
-    def attribute(self, name: str) -> AttributeSpec:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise SchemaError(f"unknown attribute {name!r}") from None
-
     # -- encoding ----------------------------------------------------------------
 
     def _positions(self, spec: AttributeSpec, index: int | None) -> list[int | None]:
@@ -211,46 +202,3 @@ class MetadataSchema:
             wanted = interest.constraints.get(spec.name, ANY)
             symbols.extend(self._positions(spec, None if wanted is ANY else spec.index_of(wanted)))
         return symbols
-
-    # -- (de)serialization — the ARA ships the schema to clients -----------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "encoding": self.encoding,
-                "attributes": [
-                    {"name": spec.name, "values": list(spec.values)} for spec in self.attributes
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str | bytes) -> "MetadataSchema":
-        """The schema :meth:`to_json` wrote, or :class:`SchemaError`: every
-        name and value a string, every domain a list, no key missing,
-        repeated or unknown, and a known encoding."""
-        raw = expect_object(
-            parse_json(text, SchemaError),
-            {"encoding": str, "attributes": list},
-            "schema",
-            SchemaError,
-        )
-        specs = []
-        for entry in raw["attributes"]:
-            expect_object(entry, {"name": str, "values": list}, "attribute", SchemaError)
-            name, values = entry["name"], entry["values"]
-            if not all(isinstance(item, str) for item in values):
-                raise SchemaError(f"attribute {name!r}: values must be strings")
-            specs.append(AttributeSpec(name, tuple(values)))
-        return cls(specs, raw["encoding"])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MetadataSchema):
-            return NotImplemented
-        return (self.attributes, self.encoding) == (other.attributes, other.encoding)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MetadataSchema({[spec.name for spec in self.attributes]}, "
-            f"encoding={self.encoding!r}, n={self.vector_length})"
-        )

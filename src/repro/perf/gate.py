@@ -54,10 +54,6 @@ class GateReport:
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    @property
-    def failures(self) -> list[GateCheck]:
-        return [check for check in self.checks if not check.passed]
-
 
 def _bound_checks(name: str, record: BenchRecord, value: float, label: str) -> list[GateCheck]:
     """``value`` against the record's absolute floor and ceiling, where set."""
@@ -393,6 +389,7 @@ def format_gate(report: GateReport) -> str:
     verdict = (
         "perf gate: PASS"
         if report.passed
-        else f"perf gate: FAIL ({len(report.failures)} of {len(report.checks)} checks)"
+        else f"perf gate: FAIL ({sum(not check.passed for check in report.checks)} of "
+        f"{len(report.checks)} checks)"
     )
     return table + "\n" + verdict

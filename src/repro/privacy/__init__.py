@@ -1,12 +1,13 @@
-"""Privacy analysis: the paper's gadget framework, made executable.
+"""Privacy (§6.1): what each party may learn, and the attacks it allows.
 
-* :mod:`repro.privacy.gadget` — information-dependency graphs (Fig. 5).
-* :mod:`repro.privacy.knowledge` — knowledge closure + derivations.
-* :mod:`repro.privacy.adversary` — HBC / colluding / malicious models.
 * :mod:`repro.privacy.may_know` — what each party may learn, written once.
-* :mod:`repro.privacy.analysis` — the P3S analysis, the two token
-  attacks run against the real HVE scheme, and the time-stamped-token
-  mitigation.
+* :mod:`repro.privacy.trace` — a run's sightings held to those rows.
+* :mod:`repro.privacy.analysis` — the two token attacks run against the
+  real HVE scheme, and the time-stamped-token mitigation.
+
+The paper's gadget framework (dependency graphs, knowledge closure,
+threat models) is the tests' model of the may-know table, under
+``tests/privacy/``.
 """
 
 from .analysis import (

@@ -1,21 +1,17 @@
-"""The P3S privacy analysis: gadget tracing + executable attacks.
+"""The P3S privacy analysis (§6.1): executable attacks and their mitigation.
 
-Three layers, mirroring §6.1:
+The structural half — the gadgets, their knowledge closure and the
+threat models — is a model the tests check the may-know table against
+(``tests/privacy/structural.py``); no entry point runs it.
 
-1. **Structural analysis** — :func:`build_p3s_gadget` merges the four
-   scheme gadgets into the protocol-level dependency graph;
-   :func:`default_views` starts each role from its may-know row;
-   :func:`analyze` closes each view's knowledge and reports which
-   *sensitive* elements each role can reach under each threat model.
-
-2. **Executable attacks** — the two weaknesses the gadget reveals are
+1. **Executable attacks** — the two weaknesses the gadget reveals are
    implemented against the *real* HVE scheme:
    :func:`token_probing_attack` (no token security: a token plus the
    ability to encrypt recovers the interest vector) and
    :func:`token_accumulation_attack` (a large token set recovers the
    attribute vector of any ciphertext).
 
-3. **Mitigation** — :func:`with_epoch_attribute` implements the paper's
+2. **Mitigation** — :func:`with_epoch_attribute` implements the paper's
    proposed fix ("time-stamp publications and tokens, making tokens
    active only within a configurable period of time ... using time as an
    additional metadata attribute"), giving token expiry/revocation.
@@ -23,22 +19,11 @@ Three layers, mirroring §6.1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..errors import SchemaError
-from ..pbe.hve import HVE, HVECiphertext, HVEMasterKey, HVEPublicKey, HVEToken
+from ..pbe.hve import HVE, HVECiphertext, HVEPublicKey, HVEToken
 from ..pbe.schema import ANY, AttributeSpec, Interest, MetadataSchema
-from .adversary import ParticipantView, ThreatModel, combine_views
-from .gadget import Gadget, cpabe_gadget, pbe_gadget, pke_gadget, symmetric_gadget
-from .knowledge import Derivation, closure, derivation
-from .may_know import may_know
 
 __all__ = [
-    "build_p3s_gadget",
-    "default_views",
-    "analyze",
-    "PrivacyReport",
-    "Exposure",
     "token_probing_attack",
     "token_accumulation_attack",
     "with_epoch_attribute",
@@ -47,99 +32,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# 1. Structural analysis
-# ---------------------------------------------------------------------------
-
-def build_p3s_gadget() -> Gadget:
-    """The protocol-level gadget: PBE + CP-ABE + PKE + symmetric, fused.
-
-    Renames fuse the scheme gadgets onto P3S's information elements: the
-    PBE plaintext *is* the GUID; the CP-ABE plaintext *is* (GUID,
-    payload); the RS hands out ``ct_abe`` to anyone presenting the GUID.
-    """
-    g = Gadget("p3s")
-    g.merge(pbe_gadget(), rename={"m": "guid"})
-    g.merge(cpabe_gadget())
-    g.merge(pke_gadget())
-    g.merge(symmetric_gadget())
-    # Retrieval: knowing the GUID and being able to reach the RS yields the
-    # CP-ABE ciphertext (that is the whole point of the PBE match).
-    g.add_element("rs_access", description="ability to send retrieval requests to the RS")
-    g.add_gate(["guid", "rs_access"], "ct_abe", "RS-Retrieve")
-    return g
-
-
-def default_views(use_anonymizer: bool = True) -> dict[str, ParticipantView]:
-    """Per-role initial knowledge: each party's may-know row
-    (:mod:`repro.privacy.may_know`) for the §4.3 message flows."""
-    return {
-        party: ParticipantView(name=party, role=party, base_knowledge=set(row))
-        for party, row in may_know(use_anonymizer, delegated_matching=False).items()
-    }
-
-
-@dataclass(frozen=True)
-class Exposure:
-    """One sensitive element reachable by one participant."""
-
-    participant: str
-    element: str
-    via_attack: bool
-    evidence: tuple[Derivation, ...]
-
-
-@dataclass
-class PrivacyReport:
-    """Outcome of one structural analysis run."""
-
-    model: ThreatModel
-    exposures: list[Exposure] = field(default_factory=list)
-
-    def exposed(self, participant: str, element: str) -> bool:
-        return any(
-            e.participant == participant and e.element == element for e in self.exposures
-        )
-
-    def exposures_for(self, participant: str) -> list[Exposure]:
-        return [e for e in self.exposures if e.participant == participant]
-
-
-def analyze(
-    model: ThreatModel,
-    views: dict[str, ParticipantView] | None = None,
-    colluding: list[str] | None = None,
-) -> PrivacyReport:
-    """Close every view's knowledge and collect sensitive-element exposures.
-
-    Knowledge a role starts with (e.g. a subscriber's own interest) is not
-    reported as an exposure — only *derived* knowledge is.
-    """
-    gadget = build_p3s_gadget()
-    views = views or default_views()
-    if model is ThreatModel.COLLUDING_HBC and colluding:
-        pooled = combine_views([views[name] for name in colluding])
-        views = dict(views)
-        views[pooled.name] = pooled
-    report = PrivacyReport(model=model)
-    for name, view in views.items():
-        initial = view.knowledge_under(model)
-        closed, _ = closure(gadget, initial)
-        for element in gadget.sensitive_elements():
-            if element in closed and element not in initial:
-                evidence = derivation(gadget, initial, element) or []
-                report.exposures.append(
-                    Exposure(
-                        participant=name,
-                        element=element,
-                        via_attack=any(step.attack for step in evidence),
-                        evidence=tuple(evidence),
-                    )
-                )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# 2. Executable attacks (real crypto)
+# 1. Executable attacks (real crypto)
 # ---------------------------------------------------------------------------
 
 def token_probing_attack(
@@ -226,7 +119,7 @@ def token_accumulation_attack(
 
 
 # ---------------------------------------------------------------------------
-# 3. Mitigation: time-stamped tokens (epoch attribute)
+# 2. Mitigation: time-stamped tokens (epoch attribute)
 # ---------------------------------------------------------------------------
 
 def with_epoch_attribute(schema: MetadataSchema, num_epochs: int = 16) -> MetadataSchema:

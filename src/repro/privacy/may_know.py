@@ -1,8 +1,8 @@
 """What each party may learn (§6.1), written once.
 
-A row per party: the gadget elements (:mod:`repro.privacy.gadget`) it may
-learn under a deployment's settings.  The structural analysis starts each
-party's knowledge from its row (:func:`repro.privacy.analysis.default_views`);
+A row per party: the gadget elements (``tests/privacy/gadget.py``) it may
+learn under a deployment's settings.  The tests' structural analysis starts
+each party's knowledge from its row (``tests/privacy/structural.py``);
 a run is held to the rows by what its sightings (:mod:`repro.core.sightings`)
 reveal (:mod:`repro.privacy.trace`, and through it the chaos privacy
 invariants).  Edit a cell here and every reader moves with it.

@@ -42,9 +42,6 @@ class VisibilityClaim:
 class VisibilityReport:
     claims: list[VisibilityClaim]
 
-    def failures(self) -> list[VisibilityClaim]:
-        return [claim for claim in self.claims if not claim.holds]
-
 
 def _outside_rows(system: P3SSystem, recorder: Recorder):
     """The servers' may-know rows, and what each row's shards' sightings

@@ -51,20 +51,9 @@ class StorageEngine:
         """Tombstone ``key``; idempotent, returns the tombstone's LSN."""
         raise NotImplementedError
 
-    def get(self, namespace: str, key: bytes) -> bytes | None:
-        raise NotImplementedError
-
     def items(self, namespace: str) -> list[tuple[bytes, bytes]]:
         """The live (non-tombstoned) entries of one namespace."""
         raise NotImplementedError
-
-    def count(self, namespace: str) -> int:
-        return len(self.items(namespace))
-
-    def compact(self) -> dict:
-        """Rewrite the backend so tombstoned/overwritten values are gone
-        from its files; returns compaction stats."""
-        return {"backend": self.backend, "dropped_records": 0}
 
     def close(self) -> None:
         pass
@@ -111,9 +100,6 @@ class MemoryEngine(StorageEngine):
         self._tombstones += 1
         self._namespaces.get(namespace, {}).pop(bytes(key), None)
         return self._lsn
-
-    def get(self, namespace: str, key: bytes) -> bytes | None:
-        return self._namespaces.get(namespace, {}).get(bytes(key))
 
     def items(self, namespace: str) -> list[tuple[bytes, bytes]]:
         return list(self._namespaces.get(namespace, {}).items())

@@ -312,9 +312,6 @@ class WalEngine(StorageEngine):
     def delete(self, namespace: str, key: bytes) -> int:
         return self._append(OP_TOMBSTONE, namespace, key, b"")
 
-    def get(self, namespace: str, key: bytes) -> bytes | None:
-        return self._live.get(namespace, {}).get(bytes(key))
-
     def items(self, namespace: str) -> list[tuple[bytes, bytes]]:
         return list(self._live.get(namespace, {}).items())
 

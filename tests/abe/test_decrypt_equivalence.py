@@ -1,10 +1,11 @@
 """``CPABE.decrypt`` (one fixed-argument multi-pairing) against the textbook
 recursion in :mod:`tests.abe.reference`, bit for bit, plus the properties of
-the per-key line cache."""
+the Miller lines a secret key owns."""
+
+import dataclasses
 
 import pytest
 
-from repro.abe import bsw07
 from repro.abe.bsw07 import CPABE, CPABECiphertext
 from repro.crypto import randomness
 from repro.crypto.group import PairingGroup
@@ -83,7 +84,7 @@ def test_lines_are_built_only_for_the_key_points_a_decryption_uses(toy):
     scheme = CPABE(toy.group)
     key, ciphertext, message = toy.pair("attr:0 or attr:1", set(TEN))
     assert scheme.decrypt(key, ciphertext) == message
-    assert set(scheme._key_lines[key]) == {key.d, *key.components["attr:0"]}
+    assert set(key.lines) == {key.d, *key.components["attr:0"]}
 
 
 def test_unsatisfied_policy_is_refused_before_any_pairing_work(toy, monkeypatch):
@@ -97,21 +98,29 @@ def test_unsatisfied_policy_is_refused_before_any_pairing_work(toy, monkeypatch)
     monkeypatch.setattr(toy.group, "multi_pair_precomputed", no_pairing_work)
     with pytest.raises(PolicyNotSatisfiedError):
         scheme.decrypt(key, ciphertext)
-    assert not scheme._key_lines
+    assert not key.lines
 
 
-def test_key_line_cache_is_bounded_and_clearable(toy, monkeypatch):
-    monkeypatch.setattr(bsw07, "_KEY_CACHE_SIZE", 3)
-    scheme = CPABE(toy.group)
-    ciphertext = scheme.encrypt(toy.public, toy.group.random_gt(), "a")
-    keys = [scheme.keygen(toy.master, {"a"}) for _ in range(4)]
-    for key in keys:
-        scheme.decrypt(key, ciphertext)
-    assert list(scheme._key_lines) == keys[1:]  # N + 1 keys evict the oldest
-    scheme.decrypt(keys[1], ciphertext)
-    assert list(scheme._key_lines) == [keys[2], keys[3], keys[1]]  # LRU, not FIFO
-    scheme.clear_caches()
-    assert not scheme._key_lines and not scheme._attribute_points
+def test_a_key_builds_its_lines_once(toy, monkeypatch):
+    """The lines live on the key, not on a scheme instance: a second
+    decryption, by this instance or another, builds none; a copy of the
+    key starts with none and is still the same key."""
+    key, ciphertext, message = toy.pair("a", {"a"})
+    built = []
+    precompute = toy.group.precompute_pairing
+
+    def counted(point):
+        built.append(point)
+        return precompute(point)
+
+    monkeypatch.setattr(toy.group, "precompute_pairing", counted)
+    assert CPABE(toy.group).decrypt(key, ciphertext) == message
+    assert len(built) == 3  # D, D_a and D'_a
+    assert CPABE(toy.group).decrypt(key, ciphertext) == message
+    assert toy.scheme.decrypt(key, ciphertext) == message
+    assert len(built) == 3
+    twin = dataclasses.replace(key)
+    assert not twin.lines and twin == key
 
 
 @pytest.mark.parametrize(

@@ -121,7 +121,7 @@ def test_partition_plus_snapshot_crash_recovers_committed_state(durable_system):
         assert scan_files_for(rs_dir, expired_ciphertext) == []
         # and the reopened store is writable again
         recovered_engine.put("items", b"post-crash", b"ok")
-        assert recovered_engine.get("items", b"post-crash") == b"ok"
+        assert dict(recovered_engine.items("items")).get(b"post-crash") == b"ok"
     finally:
         recovered_engine.close()
 

@@ -19,7 +19,6 @@ import asyncio
 
 import pytest
 
-from repro.chaos.proxy import FaultProxy, duplicate_dispatch, interpose
 from repro.live.deployment import LiveDeployment
 from repro.live.scenario import default_scenario, play_on_live, run_on_simulator
 from repro.mq import messages as frames
@@ -27,6 +26,7 @@ from repro.obs import Observability
 from repro.obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY
 
 from ..live.conftest import run_async, scrape
+from .proxy import FaultProxy, duplicate_dispatch, interpose
 
 pytestmark = pytest.mark.live
 

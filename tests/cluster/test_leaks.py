@@ -45,7 +45,7 @@ def one_token_splits(monkeypatch):
 def _match_one(system, ds, tokens: list[bytes]) -> None:
     """One publication through ``ds``'s pool: forks its workers, if any."""
     ciphertext = encrypt_metadata_envelope(
-        HVE(system.group), system.group, system.ara.hve_public_key, system.config.schema,
+        HVE(system.group), system.group, system.ara._hve_public, system.config.schema,
         {"topic": "a", "prio": "lo"}, b"\x00" * 16,
     )  # fmt: skip
     ds.match_pool.match(ciphertext, tokens)

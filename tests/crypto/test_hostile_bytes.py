@@ -17,12 +17,12 @@ import json
 from hypothesis import example, given, settings
 
 from repro.crypto.group import PairingGroup
-from repro.crypto.pke import PKEKeyPair, PKEPublicKey
+from repro.crypto.pke import PKEKeyPair
 from repro.crypto.signing import Certificate, Signature, SigningKeyPair
 from repro.errors import ReproError
 
 from ..hostile import hostile
-from .test_pke_small_order import NOT_ORDER_R, SMALL_ORDER_TRACES, hostile_ciphertexts
+from .test_pke_small_order import SMALL_ORDER_TRACES, hostile_ciphertexts
 
 GROUP = PairingGroup("TOY")
 WIDTH = GROUP.zr_bytes
@@ -37,10 +37,6 @@ CERTIFICATES = [
 ]
 SIGNATURES = [ARA.sign(message).to_bytes(WIDTH) for message in (b"", b"ds", b"x" * 40)]
 KEYS = [PKEKeyPair(GROUP) for _ in range(2)]
-# beside the valid encodings, the small-order ones the KEM refuses
-PUBLIC_KEYS = [keys.public.to_bytes() for keys in KEYS] + [
-    GROUP.serialize_gt(element) for element in NOT_ORDER_R.values()
-]
 PLAINTEXTS = (b"", b"(K_s, certificate, predicate)")
 CIPHERTEXTS = [KEYS[0].public.encrypt(plaintext) for plaintext in PLAINTEXTS] + [
     hostile_ciphertexts(trace)[0] for trace in SMALL_ORDER_TRACES.values()
@@ -102,16 +98,6 @@ def test_hostile_certificate_round_trips_or_is_rejected(blob):
         certificate.validate(ARA.verify_key, "subscriber", now=1.0)
     except ReproError:
         pass
-
-
-@settings(max_examples=200, deadline=None)
-@given(hostile(PUBLIC_KEYS, no_length_fields))
-def test_hostile_pke_public_key_round_trips_or_is_rejected(blob):
-    try:
-        public = PKEPublicKey.from_bytes(blob, GROUP)
-    except ReproError:
-        return
-    assert public.to_bytes() == blob
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.group import PairingGroup
-from repro.crypto.pke import PKEKeyPair, PKEPublicKey, pke_overhead
+from repro.crypto.pke import PKEKeyPair, pke_overhead
 from repro.crypto.signing import Certificate, Signature, SigningKeyPair
 from repro.errors import CertificateError, DecryptionError, IntegrityError, SerializationError
 
@@ -40,11 +40,6 @@ class TestPKE:
         sealed[5] ^= 0xFF
         with pytest.raises(DecryptionError):
             self.keys.decrypt(bytes(sealed))
-
-    def test_public_key_roundtrip(self):
-        data = self.keys.public.to_bytes()
-        restored = PKEPublicKey.from_bytes(data, GROUP)
-        assert self.keys.decrypt(restored.encrypt(b"via restored key")) == b"via restored key"
 
     @settings(max_examples=10, deadline=None)
     @given(st.binary(max_size=128))

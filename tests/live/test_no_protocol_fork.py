@@ -41,7 +41,7 @@ FORBIDDEN_MODULES = ("repro.store.codec", "repro.par")
 ROUTING_KINDS = {"KIND_METADATA", "KIND_PAYLOAD", "KIND_TOKEN_REG", "KIND_TOKEN_UNREG"}
 # the JMS frame types a client or broker casts, by constant name and by
 # wire value; wire.py is the codec and may name anything it encodes
-JMS_FRAME_TYPES = {"CONNECT", "SUBSCRIBE", "UNSUBSCRIBE", "PUBLISH", "ACK", "PUBACK"}
+JMS_FRAME_TYPES = {"CONNECT", "SUBSCRIBE", "PUBLISH", "ACK", "PUBACK"}
 JMS_WIRE_VALUES = {getattr(frames, name): name for name in JMS_FRAME_TYPES}
 CODEC_MODULE = "wire.py"
 

@@ -109,7 +109,7 @@ class TestMetricsAggregation:
                 expected[name] = expected.get(name, 0) + counter.value
         assert expected, "traffic should have produced service-attributed ops"
         for name, total in expected.items():
-            assert aggregator.counter_total(name) == total, name
+            assert aggregator.merged_registry().counter_total(name) == total, name
         # and the DS protocol counters came through under their service:
         # each publication is two PUBLISH frames (metadata + payload)
         assert aggregator.service_counter_total("ds", "ds.published") == 4
@@ -181,7 +181,7 @@ class TestFlightRecorderAcceptance:
                     # stay flat at the bound
                     await _run_traffic(deployment, publications=6)
                     assert obs.tracer.dropped_spans > 0
-                    assert len(obs.tracer.spans) <= capacity
+                    assert len(list(obs.tracer.spans)) <= capacity
                     aggregator = await scrape(deployment)
                     # phase 2 — polled traffic, the pattern `live top`
                     # drives: scraping between publications reassembles
@@ -203,7 +203,7 @@ class TestFlightRecorderAcceptance:
                     # drains are exactly-once: a second sweep adds nothing
                     aggregator = await scrape(deployment, aggregator)
                     assert len(aggregator.spans()) == first_count
-                    assert len(obs.tracer.spans) <= capacity
+                    assert len(list(obs.tracer.spans)) <= capacity
                     return aggregator
                 finally:
                     await deployment.close()

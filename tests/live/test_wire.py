@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.messages import AnonEnvelope, EncryptedMetadata, PayloadSubmission
 from repro.errors import TransportError
-from repro.live.wire import decode_frame, decode_payload, encode_frame, encode_payload
+from repro.live.wire import decode_frame, encode_frame, encode_payload
 from repro.mq.messages import JmsFrame
 from repro.net.transport import TransportMessage
 from repro.obs.tracing import CONTEXT_HEADER, SpanContext
@@ -16,6 +16,13 @@ pytestmark = pytest.mark.live
 
 def roundtrip(message: TransportMessage) -> TransportMessage:
     return decode_frame(encode_frame(message))
+
+
+def decode_payload(data: bytes):
+    """A payload as the frame decoder reads it: the last part of a frame
+    (a ``None`` payload is its one tag byte)."""
+    empty = encode_frame(TransportMessage(msg_type="t", payload=None, src="s"))
+    return decode_frame(empty[:-1] + data).payload
 
 
 class TestPayloadCodecs:

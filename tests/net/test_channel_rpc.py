@@ -1,8 +1,5 @@
 """Secure channel layer and RPC endpoint tests."""
 
-import pytest
-
-from repro.errors import ChannelClosedError
 from repro.net.channel import TLS_RECORD_OVERHEAD, SecureChannelLayer
 from repro.net.network import Network
 from repro.net.rpc import RpcEndpoint
@@ -55,13 +52,6 @@ class TestSecureChannel:
             a.send("b", "t", None, 10)
         sim.run()
         assert b.gaps_detected("a") == 1
-
-    def test_closed_channel_rejects_send(self):
-        _, _, a, _ = make_pair()
-        a.close()
-        with pytest.raises(ChannelClosedError):
-            a.send("b", "t", None, 10)
-
 
 class TestRpc(RpcContract):
     """The contract on the simulator; the clock is simulated, so waits are free."""

@@ -77,7 +77,7 @@ class TestMetricsMerge:
         merged = agg.merged_registry()
         assert merged.counter_value("op.g1_exp", component="ds", service="ds") == 5
         assert merged.counter_value("op.g1_exp", component="rs", service="rs") == 7
-        assert agg.counter_total("op.g1_exp") == 12
+        assert agg.merged_registry().counter_total("op.g1_exp") == 12
         assert agg.service_counter_total("ds", "op.g1_exp") == 5
 
     def test_same_name_different_labels_within_one_service(self):
@@ -100,7 +100,7 @@ class TestMetricsMerge:
         agg = TelemetryAggregator()
         for total in (10, 25):
             agg.ingest(_snapshot("ds", [{"name": "ds.published", "labels": {}, "value": total}]))
-        assert agg.counter_total("ds.published") == 25
+        assert agg.merged_registry().counter_total("ds.published") == 25
 
     def test_histograms_merge_with_service_label(self):
         agg = TelemetryAggregator()

@@ -144,14 +144,12 @@ class TestSeriesSnapshots:
 
 
 class TestLifecycleAndExport:
-    def test_empty_and_clear(self):
+    def test_empty(self):
         registry = MetricsRegistry()
         assert registry.empty
         registry.inc("c")
         registry.observe("h", 1.0)
         assert not registry.empty
-        registry.clear()
-        assert registry.empty
 
     def test_openmetrics_export(self):
         registry = MetricsRegistry()

@@ -167,14 +167,17 @@ class TestStackSampler:
         try:
             sampler = StackSampler(hz=250.0, obs=obs)
             deadline = time.perf_counter() + 0.4
-            with sampler:
+            sampler.start()
+            try:
                 with obs.tracer.span("pbe.encrypt", "pub"):
                     while time.perf_counter() < deadline:
                         sum(i * i for i in range(500))
+            finally:
+                sampler.stop()
             profile = sampler.profile()
         finally:
             obs.uninstall()
-        assert sampler._thread is None  # the context manager stopped it
+        assert sampler._thread is None  # stop() joined it
         assert profile.meta["ticks"] > 0
         roots = {stack[0] for stack in profile.samples}
         assert "pub" in roots

@@ -110,7 +110,7 @@ class TestSpanPropagation:
     def test_exports_nonempty(self, traced_run):
         obs, _, _ = traced_run
         jsonl = spans_to_jsonl(obs.tracer.spans)
-        assert len(jsonl.strip().splitlines()) == len(obs.tracer.spans)
+        assert len(jsonl.strip().splitlines()) == len(list(obs.tracer.spans))
         exposition = parse_openmetrics(to_openmetrics(obs.metrics))
         assert exposition.total("p3s_net_bytes_total") == obs.metrics.counter_total("net.bytes") > 0
         tree = obs.format_tree()
@@ -141,7 +141,7 @@ class TestDisabledMode:
         system, record = run_system(obs=None)
         assert len(system.deliveries_for(record)) == 2
         assert sentinel.metrics.empty
-        assert sentinel.tracer.spans == []
+        assert list(sentinel.tracer.spans) == []
         assert hooks.active() is None
 
     def test_host_byte_counters_run_without_observability(self):
@@ -160,7 +160,7 @@ class TestDisabledMode:
         try:
             first.install()
             second.install()
-            assert not first.active and second.active
+            assert hooks.active() is second
             hooks.record_op("pairing")
             assert first.metrics.empty
             assert second.metrics.counter_total("op.pairing") == 1

@@ -1,5 +1,7 @@
 """Tracer: span lifecycle, stack discipline, context inject/extract."""
 
+import pytest
+
 from repro.obs.tracing import CONTEXT_HEADER, Span, SpanContext, Tracer
 
 
@@ -21,7 +23,7 @@ class TestSpanLifecycle:
         assert span.duration == 2.5
         assert span.attributes["status"] == "ok"
         assert span.wall_duration >= 0.0
-        assert tracer.spans == [span]
+        assert list(tracer.spans) == [span]
 
     def test_root_span_gets_fresh_trace(self):
         tracer, _ = make_tracer()
@@ -54,6 +56,15 @@ class TestSpanLifecycle:
                 assert inner.parent_id == outer.span_id
         assert tracer.current_span() is None
         assert outer.finished and inner.finished
+
+    def test_a_scoped_span_records_the_error_that_ends_it(self):
+        tracer, _ = make_tracer()
+        with pytest.raises(ValueError):
+            with tracer.span("work", component="c1"):
+                raise ValueError("refused")
+        (span,) = tracer.spans
+        assert span.finished and span.attributes["error"] == "ValueError('refused')"
+        assert tracer.current_span() is None
 
     def test_attach_pushes_without_ending(self):
         tracer, _ = make_tracer()

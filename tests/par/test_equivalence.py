@@ -65,7 +65,7 @@ def reference_mul(point: Point, k: int) -> Point:
     """Plain double-and-add, independent of every production fast path."""
     if k < 0:
         return reference_mul(-point, -k)
-    result = Point.infinity(point.params)
+    result = Point(None, None, point.params)
     addend = point
     while k:
         if k & 1:

@@ -1,14 +1,10 @@
 """Metadata schema and interest predicate tests."""
 
-import json
-
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import ReproError, SchemaError
-from repro.pbe.schema import ANY, ENCODINGS, AttributeSpec, Interest, MetadataSchema
-
-from ..hostile import hostile
+from repro.errors import SchemaError
+from repro.pbe.schema import ANY, AttributeSpec, Interest, MetadataSchema
 
 ATTRIBUTES = [
     AttributeSpec("topic", ("m&a", "earnings", "litigation", "markets")),
@@ -96,11 +92,6 @@ class TestMetadataSchema:
         with pytest.raises(SchemaError):
             self.schema.encode_interest(Interest({"bogus": "x"}))
 
-    def test_attribute_lookup(self):
-        assert self.schema.attribute("topic").name == "topic"
-        with pytest.raises(SchemaError):
-            self.schema.attribute("bogus")
-
     def test_duplicate_names_rejected(self):
         spec = AttributeSpec("a", ("x", "y"))
         with pytest.raises(SchemaError):
@@ -109,20 +100,6 @@ class TestMetadataSchema:
     def test_empty_schema_rejected(self):
         with pytest.raises(SchemaError):
             MetadataSchema([])
-
-    def test_json_roundtrip(self):
-        for encoding in ENCODINGS:
-            schema = make_schema(encoding)
-            restored = MetadataSchema.from_json(schema.to_json())
-            assert restored == schema and restored.encoding == encoding
-            assert restored.vector_length == schema.vector_length
-            assert restored.to_json() == schema.to_json()
-        assert make_schema("bit") != make_schema("symbol")
-
-    def test_malformed_json(self):
-        with pytest.raises(SchemaError):
-            MetadataSchema.from_json('{"not": "a list"}')
-
 
 class TestSymbolEncoding:
     """The default: one position per attribute, its domain the alphabet."""
@@ -148,55 +125,6 @@ class TestSymbolEncoding:
     def test_unknown_encoding_rejected(self):
         with pytest.raises(SchemaError):
             MetadataSchema(ATTRIBUTES, "trit")
-
-
-def _document(encoding="symbol", attributes=None, **extra):
-    attributes = attributes if attributes is not None else [{"name": "a", "values": ["x", "y"]}]
-    return json.dumps({"encoding": encoding, "attributes": attributes, **extra})
-
-
-class TestStrictDecoder:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            _document(attributes=[{"name": "a", "values": "xy"}]),  # a string is no domain
-            _document(attributes=[{"name": 5, "values": ["x", "y"]}]),
-            _document(attributes=[{"name": "a", "values": ["x", 2]}]),
-            _document(attributes=[{"name": "a", "values": ["x", None]}]),
-            _document(attributes=[{"name": "a", "values": {"x": 1, "y": 2}}]),
-            _document(attributes=[{"name": "a", "values": ["x", "y"], "extra": 1}]),
-            _document(attributes=[{"name": "a"}]),
-            _document(attributes={"name": "a", "values": ["x", "y"]}),
-            _document(attributes=["a"]),
-            _document(encoding="trit"),
-            _document(encoding=None),
-            _document(extra=1),
-            '{"encoding": "bit", "encoding": "symbol", "attributes": []}',
-            '[{"name": "a", "values": ["x", "y"]}]',  # the bare list carries no encoding
-            "[" * 5000,
-            "",
-        ],
-    )
-    def test_rejects(self, text):
-        with pytest.raises(SchemaError):
-            MetadataSchema.from_json(text)
-
-
-SCHEMA_DOCUMENTS = [make_schema(encoding).to_json().encode() for encoding in ENCODINGS]
-
-
-@settings(max_examples=300, deadline=None)
-@given(hostile(SCHEMA_DOCUMENTS, lambda blob: []))
-@example(b'{"encoding": "symbol", "attributes": [{"name": "a", "values": "xy"}]}')
-@example(b'{"encoding": "symbol", "attributes": [{"name": 5, "values": ["x", "y"]}]}')
-def test_hostile_schema_json_round_trips_or_is_rejected(blob):
-    """A schema document either decodes to a schema that re-encodes to one
-    that decodes to it again, or is rejected with a :class:`ReproError`."""
-    try:
-        schema = MetadataSchema.from_json(blob)
-    except ReproError:
-        return
-    assert MetadataSchema.from_json(schema.to_json()) == schema
 
 
 class TestInterestSemantics:

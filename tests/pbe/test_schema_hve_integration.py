@@ -58,7 +58,7 @@ class TestPipeline:
     def test_exhaustive_value_sweep(self, pipeline):
         """Every (published value, subscribed value) combination behaves."""
         schema, hve, _, _ = pipeline
-        topics = schema.attribute("topic").values
+        topics = next(spec for spec in schema.attributes if spec.name == "topic").values
         for published in topics:
             ct = publish(
                 pipeline, {"topic": published, "company": "acme", "urgency": "routine"}

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from ..errors import ReproError
+from repro.errors import ReproError
 
 __all__ = ["Gadget", "pbe_gadget", "cpabe_gadget", "pke_gadget", "symmetric_gadget"]
 

@@ -4,8 +4,8 @@ import copy
 
 import pytest
 
-from repro.privacy.adversary import ParticipantView, ThreatModel, combine_views
-from repro.privacy.analysis import analyze, build_p3s_gadget, default_views
+from .adversary import ParticipantView, ThreatModel, combine_views
+from .structural import analyze, build_p3s_gadget, default_views
 
 
 class TestHBCVisibility:
@@ -112,7 +112,7 @@ class TestViews:
 class TestP3SGadget:
     def test_retrieval_path(self):
         """guid + RS access yields the ABE ciphertext, then key yields payload."""
-        from repro.privacy.knowledge import closure
+        from .knowledge import closure
 
         g = build_p3s_gadget()
         closed, _ = closure(g, {"guid", "rs_access", "sk_attrs"})
@@ -120,7 +120,7 @@ class TestP3SGadget:
         assert "payload" in closed
 
     def test_no_guid_no_payload(self):
-        from repro.privacy.knowledge import closure
+        from .knowledge import closure
 
         g = build_p3s_gadget()
         closed, _ = closure(g, {"rs_access", "sk_attrs"})

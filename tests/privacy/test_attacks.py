@@ -78,7 +78,7 @@ class TestTokenAccumulation:
             ("topic", value): hve.gen_token(
                 master, schema.encode_interest(Interest({"topic": value}))
             )
-            for value in schema.attribute("topic").values
+            for value in next(spec for spec in schema.attributes if spec.name == "topic").values
         }
         ciphertext = hve.encrypt(
             public, schema.encode_metadata({"topic": "d", "prio": "lo"}), b"guid"
@@ -94,7 +94,8 @@ class TestTimestampedTokenMitigation:
         schema, *_ = setting
         extended = with_epoch_attribute(schema, num_epochs=4)
         assert extended.vector_length == schema.vector_length + 1  # one symbol position
-        assert extended.attribute("epoch").values == ("e0", "e1", "e2", "e3")
+        epoch = next(spec for spec in extended.attributes if spec.name == "epoch")
+        assert epoch.values == ("e0", "e1", "e2", "e3")
         bits = MetadataSchema(schema.attributes, "bit")
         assert with_epoch_attribute(bits, num_epochs=4).vector_length == bits.vector_length + 2
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.privacy.gadget import Gadget, GadgetError, cpabe_gadget, pbe_gadget
-from repro.privacy.knowledge import closure, derivation
+from .gadget import Gadget, GadgetError, cpabe_gadget, pbe_gadget
+from .knowledge import closure, derivation
 
 
 class TestGadgetConstruction:

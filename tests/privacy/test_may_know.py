@@ -9,11 +9,11 @@ import pytest
 from repro.chaos.invariants import check_privacy
 from repro.core.sightings import opened
 from repro.pbe import Interest
-from repro.privacy.adversary import ThreatModel
-from repro.privacy.analysis import analyze
 from repro.privacy.may_know import MAY_KNOW, may_know, reveals
 from repro.privacy.trace import trace_visibility
 
+from .adversary import ThreatModel
+from .structural import analyze
 from .test_trace import run_scenario
 
 SUBSCRIBERS = {"alice"}

@@ -78,7 +78,7 @@ class TestAppendCrashes:
         assert recovered.recovery.clean == (point != "append.partial_write")
         # and the reopened store accepts writes again
         recovered.put("items", b"post-crash", b"ok")
-        assert recovered.get("items", b"post-crash") == b"ok"
+        assert dict(recovered.items("items")).get(b"post-crash") == b"ok"
         recovered.close()
 
     @pytest.mark.parametrize("point", APPEND_POINTS)
@@ -92,7 +92,7 @@ class TestAppendCrashes:
         with pytest.raises(SimulatedCrash):
             engine.put("items", b"next", b"v")
         recovered = WalEngine(path)
-        assert recovered.get("items", b"victim") is None
+        assert dict(recovered.items("items")).get(b"victim") is None
         recovered.close()
 
 

@@ -6,9 +6,11 @@ import pytest
 
 from repro.errors import CorruptRecordError, RecoveryError, StorageError
 from repro.store import WalEngine, inspect_store
-from repro.store.faults import FaultPlan, SimulatedCrash, corrupt_crc, corrupt_length, tear_tail
+from repro.store.faults import FaultPlan, SimulatedCrash
 from repro.store.records import MAX_RECORD_LEN
 from repro.store.wal import LOG_NAME
+
+from .damage import corrupt_crc, corrupt_length, tear_tail
 
 KEY = bytes(range(32))
 
@@ -29,13 +31,13 @@ class TestRoundtrip:
             engine.put("items", b"b", b"beta")
             engine.put("subs", b"t\x00alice", b"")
             engine.delete("items", b"a")
-            assert engine.get("items", b"a") is None
-            assert engine.get("items", b"b") == b"beta"
+            assert dict(engine.items("items")).get(b"a") is None
+            assert dict(engine.items("items")).get(b"b") == b"beta"
         with WalEngine(path) as engine:
             assert engine.recovery.log_records_replayed == 4
             assert engine.recovery.clean
-            assert engine.get("items", b"a") is None
-            assert engine.get("items", b"b") == b"beta"
+            assert dict(engine.items("items")).get(b"a") is None
+            assert dict(engine.items("items")).get(b"b") == b"beta"
             assert engine.items("subs") == [(b"t\x00alice", b"")]
             assert engine.status()["last_committed_lsn"] == 4
 
@@ -45,12 +47,12 @@ class TestRoundtrip:
             for generation in range(3):
                 engine.put("items", b"k", f"gen-{generation}".encode())
         with WalEngine(path) as engine:
-            assert engine.get("items", b"k") == b"gen-2"
+            assert dict(engine.items("items")).get(b"k") == b"gen-2"
 
     def test_delete_is_idempotent_and_missing_key_is_none(self, tmp_path):
         with WalEngine(str(tmp_path / "store")) as engine:
             engine.delete("items", b"ghost")
-            assert engine.get("items", b"ghost") is None
+            assert dict(engine.items("items")).get(b"ghost") is None
             assert engine.items("items") == []
 
 
@@ -66,10 +68,10 @@ class TestVerifiedDeletion:
             assert secret in all_store_bytes(path)  # tombstoned, bytes remain
             engine.compact()
             assert secret not in all_store_bytes(path)
-            assert engine.get("items", b"kept") == b"still-live"
+            assert dict(engine.items("items")).get(b"kept") == b"still-live"
         with WalEngine(path) as engine:
-            assert engine.get("items", b"doomed") is None
-            assert engine.get("items", b"kept") == b"still-live"
+            assert dict(engine.items("items")).get(b"doomed") is None
+            assert dict(engine.items("items")).get(b"kept") == b"still-live"
 
     def test_sealed_values_never_touch_disk_in_the_clear(self, tmp_path):
         path = str(tmp_path / "store")
@@ -79,7 +81,7 @@ class TestVerifiedDeletion:
             engine.compact()
         assert plaintext not in all_store_bytes(path)
         with WalEngine(path, key=KEY) as engine:
-            assert engine.get("items", b"g") == plaintext
+            assert dict(engine.items("items")).get(b"g") == plaintext
 
     def test_sealing_flag_mismatch_refuses_to_open(self, tmp_path):
         path = str(tmp_path / "store")
@@ -106,7 +108,7 @@ class TestVerifiedDeletion:
         with WalEngine(path, snapshot_every=8) as engine:
             # replay cost is bounded by snapshot_every, not history length
             assert engine.recovery.log_records_replayed < 8
-            assert engine.count("items") == 20
+            assert len(engine.items("items")) == 20
 
 
 class TestCorruption:
@@ -122,7 +124,7 @@ class TestCorruption:
         with WalEngine(path) as engine:
             assert not engine.recovery.clean
             assert engine.recovery.torn_bytes > 0
-            assert engine.count("items") == 4  # last record lost, prefix intact
+            assert len(engine.items("items")) == 4  # last record lost, prefix intact
             assert engine.status()["last_committed_lsn"] == 4
         with WalEngine(path) as engine:
             assert engine.recovery.clean  # the tail was truncated off
@@ -132,7 +134,7 @@ class TestCorruption:
         self.fill(path)
         corrupt_crc(os.path.join(path, LOG_NAME), record_index=-1)
         with WalEngine(path) as engine:
-            assert engine.count("items") == 4
+            assert len(engine.items("items")) == 4
 
     def test_corrupt_middle_record_raises_not_truncates(self, tmp_path):
         """A bad CRC with committed records after it is corruption, not a

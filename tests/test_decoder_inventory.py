@@ -25,7 +25,6 @@ OWED = "owed: ROADMAP item 1"
 
 # decoders of untrusted input whose names miss PREFIXES: "<path>:<qualified name>"
 EXPLICIT = {
-    "pbe/schema.py:MetadataSchema.from_json",
     "obs/prof/model.py:Profile.from_dict",
     "live/channel.py:accept_channel",
     "live/channel.py:SecureChannel.recv_record",

@@ -28,7 +28,6 @@ class TestHierarchy:
         assert issubclass(errors.CertificateError, errors.P3SError)
 
     def test_network_family(self):
-        assert issubclass(errors.ChannelClosedError, errors.NetworkError)
         assert issubclass(errors.RoutingError, errors.NetworkError)
 
     def test_one_catch_all_at_boundary(self):

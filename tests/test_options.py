@@ -65,9 +65,6 @@ KEPT = {
     ),
     # paper-defined modes
     "P3SConfig.use_anonymizer": "§4.1: the anonymization service is optional in the paper",
-    "default_views.use_anonymizer": (
-        "privacy/analysis: the §6.1 views with and without §4.1's anonymizer"
-    ),
     # injection seams for determinism and reference comparison
     "RepositoryStore.wall_clock": "core/rs: an injected wall clock; a recovery test sets time",
     "open_engine.faults": "store/engine: the crash-point plan of the WAL recovery tests",
