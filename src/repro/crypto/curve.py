@@ -76,14 +76,17 @@ class FixedBaseTable:
 
     ``rows[j][d-1] = d · 32^j · B`` for ``d ∈ [1, 16]``, ``max_bits // 5 + 1``
     rows: enough for the signed digits of every scalar in ``[0, 2^max_bits)``
-    (:func:`~repro.crypto.comb.signed_digits`).  An entry is a raw affine
-    pair, ``None`` at infinity (a base of small order runs out), or
-    :data:`_MISSING` until a digit first selects it; a slot goes from
-    missing to its value in one assignment, so a second reader that finds
-    it missing fills it again, with the same value.  A negative digit
-    selects the negated entry ``(x, −y)``, so :meth:`mul` (and a
-    :func:`mul_many` batch) needs one lookup and addition per digit.
-    Larger scalars fall back to the generic ladder.
+    (:func:`~repro.crypto.comb.signed_digits`).  An entry is its affine
+    pair packed into one int, ``x << |q| | y`` (68 bytes at ``TOY``, 164 at
+    ``PAPER``, where a tuple of two ints took 152 and 248), ``None`` at
+    infinity (a base of small order runs out), or :data:`_MISSING` until a
+    digit first selects it; the 2-torsion point ``(0, 0)`` packs to ``0``,
+    so no entry is ever tested for truth.  A slot goes from missing to its
+    value in one assignment, so a second reader that finds it missing
+    fills it again, with the same value.  A negative digit selects the
+    negated entry ``(x, −y)``, so :meth:`mul` (and a :func:`mul_many`
+    batch) needs one lookup, unpacking and addition per digit.  Larger
+    scalars fall back to the generic ladder.
     """
 
     __slots__ = ("base", "max_bits", "rows")
@@ -100,7 +103,7 @@ class FixedBaseTable:
         chain = [(base.x, base.y, 1)]
         for _ in range(1, WINDOW * count):
             chain.append(double(*chain[-1], q)[:3])
-        chain = [entry and entry[:2] for entry in normalise(chain, q)]
+        chain = [_pack(entry, q) for entry in normalise(chain, q)]
         self.rows = []
         for j in range(count):
             row = [_MISSING] * ROW
@@ -167,7 +170,7 @@ def _operands(jobs: "list[tuple[list, int]]", q: int) -> "tuple[list, list]":
     lhs, rhs = [], []
     for row, d in jobs:
         a, b = _SPLIT[d]
-        lhs.append(row[a - 1])
+        lhs.append(_signed(row[a - 1], 1, q))
         rhs.append(_signed(row[abs(b) - 1], b, q))
     return lhs, rhs
 
@@ -180,7 +183,7 @@ def _fill(walk: "list[tuple[FixedBaseTable, list[int]]]") -> None:
     for jobs in rounds:
         sums = add_many(*_operands(jobs, q), q)
         for (row, d), entry in zip(jobs, sums):
-            row[d - 1] = entry
+            row[d - 1] = _pack(entry, q)
 
 
 def _order(table: FixedBaseTable, digits: list[int], waits: list[int]) -> "list[tuple]":
@@ -196,9 +199,20 @@ def _order(table: FixedBaseTable, digits: list[int], waits: list[int]) -> "list[
     return order
 
 
-def _signed(entry: "tuple[int, int] | None", sign: int, q: int) -> "tuple[int, int] | None":
-    """``entry`` for a positive ``sign``, its negation ``(x, −y)`` for a negative one."""
-    return entry if entry is None or sign > 0 else (entry[0], -entry[1] % q)
+def _pack(entry: "tuple | None", q: int) -> "int | None":
+    """An affine ``(x, y, …)`` as the table entry ``x << |q| | y``."""
+    return None if entry is None else entry[0] << q.bit_length() | entry[1]
+
+
+def _signed(entry: "int | None", sign: int, q: int) -> "tuple[int, int] | None":
+    """The affine pair of a packed ``entry`` for a positive ``sign``, its
+    negation ``(x, −y)`` for a negative one."""
+    if entry is None:
+        return None
+    shift = q.bit_length()
+    x = entry >> shift
+    y = entry - (x << shift)
+    return (x, y) if sign > 0 else (x, -y % q)
 
 
 def fixed_base_table(point: "Point") -> FixedBaseTable:
@@ -254,7 +268,7 @@ def mul_many(pairs: "list[tuple[Point, int]]", owner: TableCache = shared_tables
         addends = [_signed(row[abs(d) - 1], d, q) if d else None for row, d in step]
         sums = add_many(sums + lhs, addends + rhs, q)
         for (row, d), entry in zip(jobs, sums[len(walk) :]):
-            row[d - 1] = entry
+            row[d - 1] = _pack(entry, q)
         del sums[len(walk) :]
     for (slot, table, _), entry in zip(walk, sums):
         results[slot] = Point._from_affine(entry, table.base.params)

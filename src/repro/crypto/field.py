@@ -151,21 +151,12 @@ class Fq2:
         """``a² + b²``, which is ``self^(q+1)``: 1 for every GT element."""
         return (self.a * self.a + self.b * self.b) % self.q
 
-    def inverse(self) -> "Fq2":
-        # 1/(a + bi) = (a − bi) / (a² + b²)
-        q = self.q
-        norm = self.norm()
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero in F_q2")
-        inv_norm = fq_inv(norm, q)
-        return Fq2(self.a * inv_norm, -self.b * inv_norm, q)
-
     def __pow__(self, exponent: int) -> "Fq2":
         """``self^exponent``; an element of norm 1 (every GT element) is
         served from its shared comb table once it has earned one
-        (:mod:`repro.crypto.comb`), anything else by square-and-multiply."""
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
+        (:mod:`repro.crypto.comb`), anything else by square-and-multiply.
+        A negative exponent is taken modulo the norm-1 group's order
+        ``q + 1``; outside that group it is refused."""
         record_op("gt_exp")
         q = self.q
         if self.norm() == 1:
@@ -173,6 +164,8 @@ class Fq2:
             table = shared_tables.lookup(self, exponent.bit_length())
             if table is not None:
                 return table.pow(exponent)
+        elif exponent < 0:
+            raise ValueError("a negative power of an F_q2 element of norm other than 1")
         result = Fq2.one(q)
         base = self
         while exponent:

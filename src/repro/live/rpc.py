@@ -121,13 +121,6 @@ class LiveRpcEndpoint(Endpoint):
         self.reconnects = 0
         self.pending_high_water = 0
         self._backoff_peers: set[str] = set()
-        # Chaos seam (duplicate_dispatch, tests/chaos/proxy.py): when set,
-        # called once per decoded inbound frame; the returned count is
-        # how many times the frame is dispatched — >1 injects
-        # application-level duplicate records *behind* the AEAD record
-        # layer, whose strict sequence numbers make on-the-wire
-        # duplication impossible by design.  0 suppresses the frame.
-        self.dispatch_fanout: Callable[[TransportMessage], int] | None = None
 
     @property
     def name(self) -> str:
@@ -344,9 +337,7 @@ class LiveRpcEndpoint(Endpoint):
                 self.rx_frames[peer] += 1
                 message = decode_frame(record)
                 message.src = channel.peer_name  # trust the handshake, not the frame
-                copies = 1 if self.dispatch_fanout is None else self.dispatch_fanout(message)
-                for _ in range(copies):
-                    self._dispatch(message, channel)
+                self._dispatch(message, channel)
         except MessageLossError:
             obs.record_op("live.record_gap")
             await channel.close()

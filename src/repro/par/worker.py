@@ -19,8 +19,7 @@ __all__ = ["Partition", "serve"]
 class Partition:
     def __init__(self, params: TypeAParams):
         self.group = PairingGroup(params)
-        # one evaluation a (token, publication): a memo would never hit
-        self.hve = HVE(self.group, match_cache_size=0)
+        self.hve = HVE(self.group)
         self.tokens: dict[bytes, HVEToken] = {}
 
     def apply(self, added: list, dropped: list, ciphertext_bytes: bytes) -> dict[bytes, bytes]:

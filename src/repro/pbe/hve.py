@@ -44,7 +44,6 @@ resistance: components from different tokens use incompatible sharings of
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -139,33 +138,25 @@ class HVECiphertext:
 class HVE:
     """The IP08 scheme over a :class:`PairingGroup`.
 
+    An ``HVE`` holds nothing but its group: a query keeps no ciphertext
+    and no result, so a subscriber's memory is its keys and tokens, not
+    the publications it has matched.
+
     Args:
         group: the pairing group.
-        match_cache_size: entries in the (token, ciphertext) → result
-            memo; ``0`` disables it.  No served path repeats a pair: the
-            delegated matcher's partitions build ``HVE(group,
-            match_cache_size=0)`` and query each pair once, and a
-            subscriber queries each publication once a token.  Measured on
-            the four ``benchmarks/e2e`` workloads (10 s each, seed 2012),
-            the memo scored 0 hits in 1,563 queries.  It stays only as
-            long as ``benchmarks/e2e/ladder.py``, which the benchmark
-            freezes, builds its warm-query rung with this argument.
+        match_cache_size: must be ``0``.  It sized a (token, ciphertext)
+            → result memo that no served path ever hit (0 hits in 1,563
+            queries on the benchmark's four workloads) while it held up
+            to 256 ciphertexts a client; the memo is gone.  The keyword
+            stays only because ``benchmarks/e2e/ladder.py``, which the
+            benchmark freezes, passes it; the yardstick revision
+            (ROADMAP 6(a)) deletes it.
     """
 
-    def __init__(self, group: PairingGroup, match_cache_size: int = 256):
+    def __init__(self, group: PairingGroup, match_cache_size: int = 0):
+        if match_cache_size:
+            raise ParameterError("HVE keeps no match memo: match_cache_size must be 0")
         self.group = group
-        self._match_cache_size = match_cache_size
-        self._match_memo: OrderedDict[tuple[HVEToken, HVECiphertext], bytes | None] = (
-            OrderedDict()
-        )
-
-    def clear_match_memo(self) -> None:
-        """Drop the (token, ciphertext) result memo.
-
-        Tokens keep their Miller lines — this is how benchmarks measure
-        the warm per-evaluation cost without memo hits short-circuiting
-        repeated identical queries."""
-        self._match_memo.clear()
 
     # -- Setup ------------------------------------------------------------
 
@@ -271,33 +262,15 @@ class HVE:
         ciphertext after).  The result is bit-identical to the textbook
         multi-pairing (``tests/pbe/reference.py``).
 
-        ``Query`` is deterministic, so the result is memoised: the same
-        (token, ciphertext) pair evaluated again early-exits without a
-        pairing.  No served path asks twice (0 hits in 1,563 queries on
-        the benchmark's workloads; see the class docstring).  IP08 itself
-        cannot short-circuit *within* one evaluation: every non-wildcard
-        position's factors are needed before the product is
-        distinguishable from random, which is exactly the attribute-hiding
-        property.
+        IP08 cannot short-circuit *within* one evaluation: every
+        non-wildcard position's factors are needed before the product is
+        distinguishable from random, which is exactly the
+        attribute-hiding property.
         """
-        memo_key = None
-        if self._match_cache_size:
-            memo_key = (token, ciphertext)
-            memo = self._match_memo
-            if memo_key in memo:
-                memo.move_to_end(memo_key)
-                record_op("hve.match_memo_hit")
-                return memo[memo_key]
         candidate_key = self._query_key(token, ciphertext)
         try:
             payload = SecretBox(candidate_key).open(ciphertext.sealed)
         except DecryptionError:
-            payload = None
-        if memo_key is not None:
-            self._match_memo[memo_key] = payload
-            while len(self._match_memo) > self._match_cache_size:
-                self._match_memo.popitem(last=False)
-        if payload is None:
             return None
         record_op("hve.match_hit")
         return payload

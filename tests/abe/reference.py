@@ -9,14 +9,14 @@ Lagrange recombination at every gate, its own Lagrange arithmetic, no cache.
 from repro.crypto.field import Fq2
 from repro.crypto.pairing import tate_pairing
 
-from ..crypto.reference import plain_pow
+from ..crypto.reference import inverse, plain_pow
 
 
 def reference_decrypt(group, key, ciphertext) -> Fq2:
     """``C̃ · A / ê(C, D)`` with ``A = DecryptNode(root)`` (BSW07 §4.2)."""
     components = iter(ciphertext.leaf_components)
     a = _decrypt_node(group, ciphertext.policy, key, components)
-    return ciphertext.c_tilde * a * tate_pairing(ciphertext.c, key.d).inverse()
+    return ciphertext.c_tilde * a * inverse(tate_pairing(ciphertext.c, key.d))
 
 
 def _decrypt_node(group, node, key, components):
@@ -28,7 +28,7 @@ def _decrypt_node(group, node, key, components):
         if attribute not in key.attributes:
             return None
         d_j, d_j_prime = key.components[attribute]
-        return tate_pairing(d_j, c_y) * tate_pairing(d_j_prime, c_y_prime).inverse()
+        return tate_pairing(d_j, c_y) * inverse(tate_pairing(d_j_prime, c_y_prime))
     values = {
         index: value
         for index, child in enumerate(node.children, start=1)

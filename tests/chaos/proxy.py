@@ -11,11 +11,11 @@ possible on the live stack:
   never duplicates bytes: the AEAD record layer's strict sequence
   numbers make wire-level duplication a channel-fatal
   ``MessageLossError`` *by design*.
-* :func:`duplicate_dispatch` — application-level record duplication via
-  the ``dispatch_fanout`` seam on :class:`~repro.live.rpc.LiveRpcEndpoint`,
-  re-dispatching selected decoded frames so the subscriber's GUID dedup
-  boundary is exercised where duplication can actually occur (broker
-  redelivery, client retransmission).
+* :func:`duplicate_dispatch` — application-level record duplication:
+  :func:`dispatch_fanout` wraps a :class:`~repro.live.rpc.LiveRpcEndpoint`'s
+  ``_dispatch`` to re-dispatch selected decoded frames, so the
+  subscriber's GUID dedup boundary is exercised where duplication can
+  actually occur (broker redelivery, client retransmission).
 
 Proxies start *disarmed* (pure relays); :meth:`FaultProxy.arm` turns
 faults on once setup traffic (handshakes, subscriptions) is done, so a
@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import random
 
-__all__ = ["FaultProxy", "interpose", "duplicate_dispatch"]
+__all__ = ["FaultProxy", "interpose", "dispatch_fanout", "duplicate_dispatch"]
 
 # what an armed proxy does: tear every TEAR_EVERY_CONNS-th connection
 # after a seeded 2..TEAR_AFTER_CHUNKS_MAX relayed chunks, and hold every
@@ -157,13 +157,27 @@ async def interpose(deployment, names: list[str], seed: int = 0) -> dict[str, "F
     return proxies
 
 
+def dispatch_fanout(endpoint, copies) -> None:
+    """Dispatch each decoded inbound frame of ``endpoint`` ``copies(message)``
+    times: more than once injects application-level duplicate records
+    *behind* the AEAD record layer, whose strict sequence numbers make
+    on-the-wire duplication impossible by design; 0 suppresses the frame."""
+    dispatch = endpoint._dispatch
+
+    def fanned_out(message, channel) -> None:
+        for _ in range(copies(message)):
+            dispatch(message, channel)
+
+    endpoint._dispatch = fanned_out
+
+
 def duplicate_dispatch(endpoint, msg_type: str) -> None:
     """Duplicate every :data:`DUPLICATE_EVERY`-th inbound ``msg_type``
     frame on ``endpoint``.
 
-    Installs a ``dispatch_fanout`` hook re-dispatching the decoded frame
-    twice — application-level duplication, injected behind the AEAD
-    record layer where it can really happen.  RPC requests/responses are
+    Re-dispatches the decoded frame twice (:func:`dispatch_fanout`) —
+    application-level duplication, injected behind the AEAD record layer
+    where it can really happen.  RPC requests/responses are
     never duplicated (correlation ids make that a no-op anyway); this
     targets one-way pushes such as the DS's ``jms.deliver``.
     """
@@ -177,4 +191,4 @@ def duplicate_dispatch(endpoint, msg_type: str) -> None:
             return 2
         return 1
 
-    endpoint.dispatch_fanout = fanout
+    dispatch_fanout(endpoint, fanout)

@@ -26,7 +26,7 @@ from repro.obs import Observability
 from repro.obs.ring import DEFAULT_FLIGHT_RECORDER_CAPACITY
 
 from ..live.conftest import run_async, scrape
-from .proxy import FaultProxy, duplicate_dispatch, interpose
+from .proxy import FaultProxy, dispatch_fanout, duplicate_dispatch, interpose
 
 pytestmark = pytest.mark.live
 
@@ -178,7 +178,7 @@ class TestLiveReliablePublish:
                         return 0  # never dispatched: no PUBACK, no fan-out
                     return 1
 
-                deployment.ds.endpoint.dispatch_fanout = lose_the_first_publish
+                dispatch_fanout(deployment.ds.endpoint, lose_the_first_publish)
                 metadata = {f"attr{i:02d}": "v00" for i in range(10)} | {"attr00": "v01"}
                 await publisher.publish(metadata, b"only once", policy="org:acme")
                 await alice.wait_for_deliveries(1, 30.0)

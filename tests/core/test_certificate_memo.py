@@ -3,9 +3,12 @@
 ``TokenIssuer.authorize`` remembers, per certificate subject, the exact
 certificate bytes whose signature it verified.  A request carrying those
 bytes again skips the signature check only: its role and expiry are
-checked on every request.  Each hostile request below comes after a good
-certificate was remembered; it must be refused with ``CertificateError``,
-mint no token, and leave the remembered certificate served as before.
+checked on every request, and the issuer forgets a certificate once its
+``not_after`` is behind its clock.  Each hostile request below comes after
+a good certificate was remembered; it must be refused with
+``CertificateError``, mint no token, and leave the remembered certificate
+served as before, unless the request came after that certificate's
+``not_after``: then it was forgotten, and is checked in full again.
 """
 
 from __future__ import annotations
@@ -137,8 +140,9 @@ def test_a_hostile_request_after_a_remembered_certificate_is_refused(
         serve(world, issuer, make(world), now=now)
     assert issuer.tokens_issued == 1
     checked = len(verifications)
-    assert serve(world, issuer, good(world))  # still remembered: no second check
-    assert issuer.tokens_issued == 2 and len(verifications) == checked
+    forgotten = now > NOT_AFTER
+    assert serve(world, issuer, good(world))  # remembered unless it lapsed: no second check
+    assert issuer.tokens_issued == 2 and len(verifications) == checked + forgotten
 
 
 def test_a_renewed_certificate_is_verified_once_and_replaces_the_entry(
@@ -162,3 +166,21 @@ def test_a_refused_certificate_never_enters_the_memo(world, issuer, verification
         with pytest.raises(CertificateError):
             serve(world, issuer, forged)
     assert len(verifications) == 2 and issuer.tokens_issued == 0
+
+
+def test_a_certificate_is_forgotten_once_its_not_after_has_passed(world, issuer, verifications):
+    """50 subjects valid until t = 1, one request each at t = 0.5: 50
+    entries; one request at t = 2 leaves none (it is refused: its
+    certificate lapsed too), and no more expiry records than entries."""
+    subjects = [f"sub-{index}" for index in range(50)]
+    carried = [
+        cert_bytes(world, Certificate.issue(world.signer, subject, "subscriber", 1.0))
+        for subject in subjects
+    ]
+    for certificate in carried:
+        serve(world, issuer, certificate, now=0.5)
+    assert len(issuer._verified_by_subject) == len(issuer._verified_expiry) == 50
+    with pytest.raises(CertificateError):
+        serve(world, issuer, carried[0], now=2.0)
+    assert issuer._verified_by_subject == {} and issuer._verified_expiry == []
+    assert len(verifications) == 50

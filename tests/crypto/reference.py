@@ -1,7 +1,8 @@
 """Affine reference arithmetic for the ladder, comb and Miller-loop tests.
 
 Nothing here touches the code under test beyond ``Point.__add__`` and
-``Fq2.__mul__``: the single-operation group laws are the reference every
+``Fq2.__mul__`` (and :func:`repro.crypto.field.fq_inv` for :func:`inverse`):
+the single-operation group laws are the reference every
 faster path is held to.  The one exception is :func:`eager_comb_rows`, the
 whole-table comb build that lazily filled tables are held to, entry for
 entry; it is itself checked against :func:`plain_mul`.
@@ -9,7 +10,7 @@ entry; it is itself checked against :func:`plain_mul`.
 
 from repro.crypto.comb import ROW, WINDOW
 from repro.crypto.curve import Point
-from repro.crypto.field import Fq2, fq_is_square, fq_sqrt
+from repro.crypto.field import Fq2, fq_inv, fq_is_square, fq_sqrt
 from repro.crypto.jacobian import add_many, double, normalise
 from repro.crypto.params import TOY
 
@@ -27,11 +28,22 @@ def plain_mul(point, k):
     return result
 
 
+def inverse(element):
+    """``1/(a + bi) = (a − bi) / (a² + b²)`` in ``F_q²`` (the program
+    inverts only in ``F_q``: in GT the inverse is the conjugate)."""
+    q = element.q
+    norm = element.norm()
+    if norm == 0:
+        raise ZeroDivisionError("inverse of zero in F_q2")
+    inv_norm = fq_inv(norm, q)
+    return Fq2(element.a * inv_norm, -element.b * inv_norm, q)
+
+
 def plain_pow(element, k):
     """Square-and-multiply in ``F_q²``: nothing but ``Fq2.__mul__`` (and
-    ``Fq2.inverse`` for a negative ``k``) — no comb table, no reduction."""
+    :func:`inverse` for a negative ``k``) — no comb table, no reduction."""
     if k < 0:
-        element, k = element.inverse(), -k
+        element, k = inverse(element), -k
     result = Fq2.one(element.q)
     while k:
         if k & 1:

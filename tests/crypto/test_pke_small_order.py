@@ -26,6 +26,8 @@ from repro.crypto.pke import PKEKeyPair
 from repro.crypto.symmetric import SecretBox
 from repro.errors import DecryptionError
 
+from .reference import inverse
+
 GROUP = PairingGroup("TOY")
 Q, WIDTH = GROUP.params.q, GROUP.params.q_bytes
 
@@ -34,7 +36,7 @@ def norm_one_of_order(divisor: int) -> Fq2:
     """A norm-1 element whose order divides ``divisor`` (and is not 1)."""
     for seed in range(2, 100):
         f = Fq2(seed, 1, Q)
-        z = f.conjugate() * f.inverse()  # f^(q−1): norm 1
+        z = f.conjugate() * inverse(f)  # f^(q−1): norm 1
         element = z ** ((Q + 1) // divisor)
         if not element.is_one():
             return element

@@ -60,7 +60,7 @@ def world():
             for i, x in enumerate(VECTORS)
         ]
     # the reference: every (ciphertext, token) pair through a plain HVE.query
-    reference = HVE(group, match_cache_size=0)
+    reference = HVE(group)
     expected = {
         (c, t): reference.query(
             deserialize_hve_token(group, t), deserialize_hve_ciphertext(group, c, len(ALPHABET))

@@ -51,3 +51,11 @@ def test_a_pke_ciphertext_carries_its_committed_overhead():
         sealed = PKEKeyPair(group).public.encrypt(plaintext)
     for fresh in (pke_overhead(group), len(sealed) - len(plaintext)):
         assert_is_committed("BENCH_pr45.json", "pke.TOY.ciphertext_overhead_bytes", fresh)
+
+
+def test_a_served_client_holds_its_committed_bytes():
+    served_memory = bench("bench_served_memory")
+    fresh, _ = served_memory.counts()
+    assert len(fresh) == 3
+    for name, value in fresh.items():
+        assert_is_committed("BENCH_pr57.json", name, value)

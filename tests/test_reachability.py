@@ -48,7 +48,6 @@ INSTRUMENTS = {
     # crypto: predicates and sizes the property tests are written in
     "is_one": "Fq2: identity predicate of the field/pairing property tests",
     "is_zero": "Fq2: zero predicate of the field property tests",
-    "inverse": "Fq2: tests/crypto/reference.plain_pow's negative exponents",
     "gaps_detected": "SecureChannelLayer: how a test sees that a sequence gap was noticed",
 }
 
@@ -176,8 +175,8 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
 def test_the_allowlist_is_short_and_not_stale():
     """An entry names a definition; whether an entry point now runs it is
     the execution audit's check (``tests/test_execution_audit.py``), which
-    a name cannot settle: a reference implementation such as
-    ``Fq2.inverse`` is named by a branch no entry point takes."""
+    a name cannot settle: a definition named only by a branch no entry
+    point takes is reachable by name and still never runs."""
     assert len(INSTRUMENTS) <= 25
     defined = {name for name, *_ in definitions()}
     stale = sorted(set(INSTRUMENTS) - defined)
