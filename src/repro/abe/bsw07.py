@@ -9,8 +9,9 @@ from the per-key randomizer ``r`` baked into every key component.
 Algorithms (notation as in the paper's §3.2 definition):
 
 * ``Setup() → (PP, MSK)`` — ``PP = (g, h=g^β, f=g^{1/β}, ê(g,g)^α)``,
-  ``MSK = (β, g^α)``.
-* ``KeyGen(MSK, S) → SK`` — ``D = g^{(α+r)/β}``; per attribute ``j``:
+  ``MSK = (β, α)``: BSW07 keeps ``g^α``, which ``α`` determines.
+* ``KeyGen(MSK, S) → SK`` — ``D = g^{(α+r)/β}``, one multiplication of
+  ``g`` by ``(α + r)·β⁻¹ mod r``; per attribute ``j``:
   ``D_j = g^r·H(j)^{r_j}``, ``D'_j = g^{r_j}``.
 * ``Encrypt(PP, M, A) → CT_A`` — shares ``s`` down the tree with one
   degree-(k−1) polynomial per gate; ``C̃ = M·ê(g,g)^{αs}``, ``C = h^s``,
@@ -57,7 +58,7 @@ class CPABEMasterKey:
     """Master secret MSK — held only by the ARA."""
 
     beta: int
-    g_alpha: Point  # g^α
+    alpha: int  # BSW07's MSK holds g^α; D = g^{(α+r)/β} needs only α
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class CPABE:
             f=g * pow(beta, -1, group.order),
             e_gg_alpha=group.gt_generator**alpha,
         )
-        master = CPABEMasterKey(beta=beta, g_alpha=g * alpha)
+        master = CPABEMasterKey(beta=beta, alpha=alpha)
         return public, master
 
     # -- KeyGen ---------------------------------------------------------------
@@ -133,8 +134,8 @@ class CPABE:
             raise PolicyError("attribute set must be non-empty")
         group = self.group
         r = group.random_zr()
-        beta_inv = pow(master.beta, -1, group.order)
-        d = (master.g_alpha + group.generator * r) * beta_inv
+        order = group.order
+        d = group.generator * ((master.alpha + r) * pow(master.beta, -1, order) % order)
         components: dict[str, tuple[Point, Point]] = {}
         g_r = group.generator * r
         for attribute in sorted(attributes):

@@ -15,7 +15,9 @@ element of norm 1 — every GT element — inverts by conjugation.
 
 A key's G1 table is not built whole up front: it fills an entry the first
 time a digit selects it (:mod:`repro.crypto.curve`).  A GT table adds a
-row at a time.
+row at a time.  The generator's G1 table alone is wider,
+:data:`GENERATOR_WINDOW` bits a digit: built whole once a process, it
+serves every ``g · k``.
 
 A table lives with whoever owns its base (:class:`TableCache`): an HVE
 public key carries those of its own 2·Σ|Σ_i| points (one pair a symbol of
@@ -39,28 +41,36 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-__all__ = ["WINDOW", "signed_digits", "TableCache", "shared_tables"]
+__all__ = ["WINDOW", "GENERATOR_WINDOW", "signed_digits", "TableCache", "shared_tables"]
 
 WINDOW = 5  # digit width in bits: a row holds the 2^(WINDOW−1) = 16 positive digits
 ROW = 1 << (WINDOW - 1)
+# The digit width of the generator's G1 table, by parameter set: the
+# window with the fastest token mint of those whose build one HVE.setup
+# repays (benchmarks/bench_generator_comb.py, BENCH_pr58.json).  The table
+# is built whole once a process and serves every g · k; a set the sweep
+# does not time uses WINDOW.
+GENERATOR_WINDOW = {"TOY": 8, "PAPER": 8}
 _PROMOTE_AFTER = 2  # large uses a shared base must make before a table is built
 MAX_TABLES = 128
 _MAX_COUNTS = 4096
 
 
-def signed_digits(k: int) -> list[int]:
-    """``k ≥ 0`` in signed radix ``2^WINDOW``, lowest digit first.
+def signed_digits(k: int, window: int = WINDOW) -> list[int]:
+    """``k ≥ 0`` in signed radix ``2^window``, lowest digit first.
 
-    Every digit lies in ``[1 − ROW, ROW]`` and ``Σ d_j · 2^(WINDOW·j) = k``;
-    a ``b``-bit ``k`` has at most ``b // WINDOW + 1`` digits (the last one
-    only when a carry runs off the top)."""
+    Every digit lies in ``[1 − 2^(window−1), 2^(window−1)]`` and
+    ``Σ d_j · 2^(window·j) = k``; a ``b``-bit ``k`` has at most
+    ``b // window + 1`` digits (the last one only when a carry runs off
+    the top)."""
+    half, mask = 1 << (window - 1), (1 << window) - 1
     digits = []
     while k:
-        digit = k & ((1 << WINDOW) - 1)
-        if digit > ROW:
-            digit -= 1 << WINDOW
+        digit = k & mask
+        if digit > half:
+            digit -= 1 << window
         digits.append(digit)
-        k = (k - digit) >> WINDOW
+        k = (k - digit) >> window
     return digits
 
 

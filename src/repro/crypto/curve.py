@@ -18,11 +18,12 @@ step.  Both walks are :mod:`repro.crypto.jacobian`'s.
 from __future__ import annotations
 
 import hashlib
+from functools import cache
 from itertools import zip_longest
 
 from ..errors import NotOnCurveError, ParameterError, SerializationError
 from ..obs.hooks import record_op
-from .comb import ROW, WINDOW, TableCache, shared_tables, signed_digits
+from .comb import GENERATOR_WINDOW, WINDOW, TableCache, shared_tables, signed_digits
 from .field import fq_inv, fq_is_square, fq_sqrt
 from .jacobian import INFINITY, add_affine, add_many, double, normalise, scalar_mul
 from .params import TypeAParams
@@ -33,8 +34,12 @@ __all__ = ["Point", "hash_to_point", "FixedBaseTable", "fixed_base_table", "mul_
 # Fixed-base precomputation: the G1 half of :mod:`repro.crypto.comb`.
 #
 # A signed comb table turns a ``b``-bit scalar multiplication from ~``1.5·b``
-# group operations into at most ``b/5 + 1`` additions (no doublings at all);
-# which bases earn one, and who keeps it, is ``comb``'s ``TableCache``.
+# group operations into at most ``b/w + 1`` additions (no doublings at all)
+# for its window ``w``; which bases earn one, and who keeps it, is
+# ``comb``'s ``TableCache``.  Every table's window is 5 (16 entries a row)
+# but the generator's, which is built whole once a process and serves every
+# ``g · k``: it is ``GENERATOR_WINDOW`` bits wide (8: at ``PAPER`` 21 rows
+# of 128 entries, 21 additions a multiplication where window 5 takes 34).
 #
 # A key's table fills in as scalars ask for it.  Construction walks one
 # doubling chain ``2^i·B`` (a row's entries 1, 2, 4, 8 and 16), normalised
@@ -62,20 +67,33 @@ __all__ = ["Point", "hash_to_point", "FixedBaseTable", "fixed_base_table", "mul_
 # ---------------------------------------------------------------------------
 
 _MISSING = object()  # a slot no digit has selected yet; infinity is None
-# each entry a row's doubling chain lacks as the sum of two of its row's: the
-# second on the chain, negated when negative; the first on it or, for 11
-# and 13, the 12 filled a round before
-_SPLIT = {
-    3: (2, 1), 5: (4, 1), 6: (4, 2), 7: (8, -1), 9: (8, 1), 10: (8, 2),
-    11: (12, -1), 12: (8, 4), 13: (12, 1), 14: (16, -2), 15: (16, -1),
-}
+
+
+@cache
+def _split(row: int) -> "dict[int, tuple[int, int]]":
+    """How a ``row``-entry row fills each entry its doubling chain lacks:
+    digit ``d = m·2^t`` (``m`` odd) is ``a + b`` for ``b = ±2^t``, on the
+    chain and negated when negative, and ``a = (m ± 1)·2^t``, the
+    neighbour that is a multiple of ``2^(t+2)`` — for ``m = 3`` the lower,
+    ``2^(t+1)``, as both are on the chain.  ``a`` is on the chain or filled
+    a round before (``7 = 8 − 1``; ``11 = 12 − 1`` after ``12 = 8 + 4``): two
+    rounds at most for 16 or 32 entries, three for 64 or 128."""
+    split = {}
+    for d in range(3, row + 1):
+        low = d & -d
+        if d != low:
+            a = d - low if d == 3 * low or (d - low) % (4 * low) == 0 else d + low
+            split[d] = (a, d - a)
+    return split
 
 
 class FixedBaseTable:
     """Signed comb precomputation for one base point, filled as it is used.
 
-    ``rows[j][d-1] = d · 32^j · B`` for ``d ∈ [1, 16]``, ``max_bits // 5 + 1``
-    rows: enough for the signed digits of every scalar in ``[0, 2^max_bits)``
+    ``rows[j][d-1] = d · 2^(w·j) · B`` for ``d ∈ [1, 2^(w−1)]``, ``max_bits
+    // w + 1`` rows, for the table's ``window`` ``w`` (5, 16 entries a
+    row, for every base but the generator: :meth:`Point.comb_table`):
+    enough for the signed digits of every scalar in ``[0, 2^max_bits)``
     (:func:`~repro.crypto.comb.signed_digits`).  An entry is its affine
     pair packed into one int, ``x << |q| | y`` (68 bytes at ``TOY``, 164 at
     ``PAPER``, where a tuple of two ints took 152 and 248), ``None`` at
@@ -89,37 +107,51 @@ class FixedBaseTable:
     scalars fall back to the generic ladder.
     """
 
-    __slots__ = ("base", "max_bits", "rows")
+    __slots__ = ("base", "max_bits", "window", "rows")
 
-    def __init__(self, base: "Point", max_bits: int):
+    def __init__(self, base: "Point", max_bits: int, window: int = WINDOW):
         if base.is_infinity:
             raise ValueError("cannot build a fixed-base table for the point at infinity")
         self.base = base
         self.max_bits = max_bits
+        self.window = window
         q = base.params.q
-        count = max_bits // WINDOW + 1
+        count = max_bits // window + 1
         # the doubling chain 2^i·B, normalised once (None once a base of
         # small order has run out: 2^i·B = O) — entry 2^e of every row
         chain = [(base.x, base.y, 1)]
-        for _ in range(1, WINDOW * count):
+        for _ in range(1, window * count):
             chain.append(double(*chain[-1], q)[:3])
         chain = [_pack(entry, q) for entry in normalise(chain, q)]
         self.rows = []
         for j in range(count):
-            row = [_MISSING] * ROW
-            for e in range(WINDOW):
-                row[(1 << e) - 1] = chain[WINDOW * j + e]
+            row = [_MISSING] * (1 << (window - 1))
+            for e in range(window):
+                row[(1 << e) - 1] = chain[window * j + e]
             self.rows.append(row)
 
     def _digits(self, k: int) -> list[int]:
         """``k``'s signed digits; ``k`` must be in ``[0, 2^max_bits)``."""
         if k < 0 or k.bit_length() > self.max_bits:
             raise ParameterError(f"scalar outside the comb table's [0, 2^{self.max_bits})")
-        return signed_digits(k)
+        return signed_digits(k, self.window)
 
     def fill(self) -> None:
-        """Fill every entry now."""
-        _fill([(self, [d] * len(self.rows)) for d in range(1, ROW + 1)])
+        """Fill every entry now, a span of every row at a time: entry ``d``
+        in ``(2^e, 2^(e+1))`` is entry ``2^e`` plus entry ``d − 2^e``, there
+        from a span before — one :func:`add_many` a span."""
+        q = self.base.params.q
+        half = 2
+        while half < len(self.rows[0]):
+            jobs = [
+                (row, d) for row in self.rows for d in range(half + 1, 2 * half)
+                if row[d - 1] is _MISSING
+            ]
+            lhs = [_signed(row[half - 1], 1, q) for row, _ in jobs]
+            rhs = [_signed(row[d - half - 1], 1, q) for row, d in jobs]
+            for (row, d), entry in zip(jobs, add_many(lhs, rhs, q)):
+                row[d - 1] = _pack(entry, q)
+            half *= 2
 
     def mul(self, k: int) -> "Point":
         """``k · B`` by table lookups; ``k`` must be in ``[0, 2^max_bits)``."""
@@ -137,10 +169,10 @@ class FixedBaseTable:
 
 def _plan(walk: "list[tuple[FixedBaseTable, list[int]]]") -> "tuple[list[list], list[list[int]]]":
     """The missing entries the digits of ``walk`` select, in tables on one
-    curve, as the lock-step rounds that fill them from their :data:`_SPLIT`
-    pairs (each once, however many digits select it; two rounds at most:
-    11 and 13 wait for 12), and for each walk the round after which each
-    digit's entry is there (0: it is already)."""
+    curve, as the lock-step rounds that fill them from their :func:`_split`
+    pairs (each once, however many digits select it; in a 16-entry row two
+    rounds at most: 11 and 13 wait for 12), and for each walk the round
+    after which each digit's entry is there (0: it is already)."""
     rounds: list[list[tuple[list, int]]] = []
     filled_in: dict[tuple[int, int], int] = {}
 
@@ -149,7 +181,7 @@ def _plan(walk: "list[tuple[FixedBaseTable, list[int]]]") -> "tuple[list[list], 
             return 0
         key = (id(row), d)
         if key not in filled_in:
-            filled_in[key] = wait(row, _SPLIT[d][0]) + 1
+            filled_in[key] = wait(row, _split(len(row))[d][0]) + 1
             if len(rounds) < filled_in[key]:
                 rounds.append([])
             rounds[filled_in[key] - 1].append((row, d))
@@ -169,7 +201,7 @@ def _operands(jobs: "list[tuple[list, int]]", q: int) -> "tuple[list, list]":
     """The two terms of each ``(row, d)`` entry of a fill round."""
     lhs, rhs = [], []
     for row, d in jobs:
-        a, b = _SPLIT[d]
+        a, b = _split(len(row))[d]
         lhs.append(_signed(row[a - 1], 1, q))
         rhs.append(_signed(row[abs(b) - 1], b, q))
     return lhs, rhs
@@ -381,9 +413,14 @@ class Point:
     def comb_table(self) -> FixedBaseTable:
         """A new comb table for this base, as wide as ``r`` plus one digit
         (what a :class:`~repro.crypto.comb.TableCache` builds): its doubling
-        chain, the rest filled as scalars ask for it."""
+        chain, the rest filled as scalars ask for it.  The generator's rows
+        are :data:`~repro.crypto.comb.GENERATOR_WINDOW` bits wide, any other
+        base's :data:`~repro.crypto.comb.WINDOW`."""
         record_op("g1_exp.fb_build")
-        return FixedBaseTable(self, self.params.r.bit_length() + WINDOW)
+        params = self.params
+        is_generator = self.x == params.gx and self.y == params.gy
+        window = GENERATOR_WINDOW.get(params.name, WINDOW) if is_generator else WINDOW
+        return FixedBaseTable(self, params.r.bit_length() + WINDOW, window)
 
     @classmethod
     def _from_affine(cls, entry: tuple | None, params: TypeAParams) -> "Point":

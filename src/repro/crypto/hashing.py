@@ -43,13 +43,13 @@ def kdf(secret: bytes, label: str) -> bytes:
     """HKDF-style extract-and-expand keyed on HMAC-SHA256 (zero salt):
     :data:`KDF_BYTES` bytes of key for ``label``."""
     length = KDF_BYTES
-    prk = hmac.new(b"\x00" * 32, secret, hashlib.sha256).digest()
+    prk = hmac.digest(b"\x00" * 32, secret, "sha256")
     output = b""
     block = b""
     counter = 1
     info = b"repro:kdf:" + label.encode("utf-8")
     while len(output) < length:
-        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
+        block = hmac.digest(prk, block + info + bytes([counter]), "sha256")
         output += block
         counter += 1
     return output[:length]

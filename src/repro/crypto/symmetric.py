@@ -86,9 +86,5 @@ class SecretBox:
         return mixed.to_bytes(size, "little")
 
     def _tag(self, nonce: bytes, ciphertext: bytes, associated_data: bytes) -> bytes:
-        mac = hmac.new(self._mac_key, digestmod=hashlib.sha256)
-        mac.update(len(associated_data).to_bytes(8, "big"))
-        mac.update(associated_data)
-        mac.update(nonce)
-        mac.update(ciphertext)
-        return mac.digest()
+        message = len(associated_data).to_bytes(8, "big") + associated_data + nonce + ciphertext
+        return hmac.digest(self._mac_key, message, "sha256")

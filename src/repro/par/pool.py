@@ -17,7 +17,6 @@ may match on several threads at once.  Metrics: counters ``par.match``
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
 
@@ -39,6 +38,8 @@ class _WorkerPartition:
     """A partition in its own process, reached over a pipe."""
 
     def __init__(self, params):
+        import multiprocessing  # here, not at the top: a pool that never splits never loads it
+
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         self.connection, child = context.Pipe()

@@ -94,7 +94,9 @@ def _cpabe_public_key_bytes(group, public) -> bytes:
 
 
 def _cpabe_master_key_bytes(group, master) -> bytes:
-    return master.beta.to_bytes(group.zr_bytes, "big") + group.serialize_g1(master.g_alpha)
+    # BSW07's MSK (β, g^α); the key holds α
+    g_alpha = group.generator * master.alpha
+    return master.beta.to_bytes(group.zr_bytes, "big") + group.serialize_g1(g_alpha)
 
 
 def _cpabe_secret_key_bytes(group, key) -> bytes:

@@ -8,7 +8,7 @@ whole-table comb build that lazily filled tables are held to, entry for
 entry; it is itself checked against :func:`plain_mul`.
 """
 
-from repro.crypto.comb import ROW, WINDOW
+from repro.crypto.comb import WINDOW
 from repro.crypto.curve import Point
 from repro.crypto.field import Fq2, fq_inv, fq_is_square, fq_sqrt
 from repro.crypto.jacobian import add_many, double, normalise
@@ -91,20 +91,20 @@ def small_order_point(order):
     raise AssertionError(f"no point of order {order} found")
 
 
-def eager_comb_rows(base, max_bits):
-    """Every entry ``d · 32^j · base`` of a ``max_bits`` comb table, as raw
-    affine pairs (``None`` at infinity), built whole: the row seeds
-    ``32^j · base`` from one doubling chain, then digit ``d`` of every row
-    from digit ``d − 1``, all rows in lock-step."""
+def eager_comb_rows(base, max_bits, window=WINDOW):
+    """Every entry ``d · 2^(window·j) · base`` of a ``max_bits`` comb table,
+    as raw affine pairs (``None`` at infinity), built whole: the row seeds
+    ``2^(window·j) · base`` from one doubling chain, then digit ``d`` of
+    every row from digit ``d − 1``, all rows in lock-step."""
     q = base.params.q
     chain = [(base.x, base.y, 1)]
-    for _ in range(max_bits // WINDOW):
+    for _ in range(max_bits // window):
         X, Y, Z = chain[-1]
-        for _ in range(WINDOW):
+        for _ in range(window):
             X, Y, Z = double(X, Y, Z, q)[:3]
         chain.append((X, Y, Z))
     seeds = [entry and entry[:2] for entry in normalise(chain, q)]
     digits = [seeds]
-    for _ in range(1, ROW):
+    for _ in range(1, 1 << (window - 1)):
         digits.append(add_many(digits[-1], seeds, q))
     return [list(row) for row in zip(*digits)]

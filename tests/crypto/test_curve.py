@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import curve, precompute
-from repro.crypto.comb import WINDOW, TableCache, shared_tables, signed_digits
+from repro.crypto.comb import GENERATOR_WINDOW, WINDOW, TableCache, shared_tables, signed_digits
 from repro.crypto.curve import FixedBaseTable, Point, fixed_base_table, hash_to_point, mul_many
 from repro.crypto.jacobian import add_many
 from repro.crypto.params import PAPER, TOY
@@ -328,17 +328,23 @@ class TestMulMany:
 class TestCombTableRange:
     def test_fixed_base_table_has_one_width(self):
         """It took a ``max_bits`` that a cache hit silently ignored.  One
-        width, one row shape: ``|r|`` plus a digit, 16 signed entries a row
-        — at ``PAPER`` 34 rows, 544 entries (the unsigned 4-bit table had 615)."""
+        width, ``|r|`` plus a digit, and one row shape a parameter set: the
+        generator's rows hold the signed entries of its set's
+        ``GENERATOR_WINDOW`` — at ``PAPER`` fewer rows than window 5's 34 —
+        and every other base's the 16 of window 5."""
         import inspect
 
         assert list(inspect.signature(fixed_base_table).parameters) == ["point"]
         for params in (TOY, PAPER):
             table = fixed_base_table(Point.generator(params))
+            window = GENERATOR_WINDOW.get(params.name, WINDOW)
+            assert table.window == window
             assert table.max_bits == params.r.bit_length() + WINDOW
-            assert len(table.rows) == table.max_bits // WINDOW + 1
-            assert all(len(row) == 16 for row in table.rows)
-        assert sum(map(len, table.rows)) == 544 <= 615
+            assert len(table.rows) == table.max_bits // window + 1
+            assert all(len(row) == 1 << (window - 1) for row in table.rows)
+        assert len(table.rows) < table.max_bits // WINDOW + 1 == 34
+        other = fixed_base_table(G * 3)
+        assert other.window == WINDOW and all(len(row) == 16 for row in other.rows)
         assert fixed_base_table(G) is fixed_base_table(G)
 
     @pytest.mark.parametrize("k", [-1, 1 << 9, (1 << 12) + 1, 1 << 200])
@@ -366,7 +372,7 @@ def _assert_missing_or_final(tables, eager):
 @pytest.mark.usefixtures("clean_tables")
 class TestLazyCombTable:
     def test_construction_holds_the_doubling_chain_and_a_mul_fills_what_it_selects(self):
-        table = G.comb_table()
+        table = FixedBaseTable(G, R.bit_length() + WINDOW)  # a key's width: 16 entries a row
         eager = eager_comb_rows(G, table.max_bits)
         k = R - 12345
         selected = {(j, abs(d)) for j, d in enumerate(signed_digits(k)) if d}
@@ -388,13 +394,13 @@ class TestLazyCombTable:
             assert used * (R - 1) == plain_mul(used, R - 1)
         for base in (warmed, used):
             table = shared_tables.tables[base]
-            assert unpacked(table) == eager_comb_rows(base, table.max_bits)
+            assert unpacked(table) == eager_comb_rows(base, table.max_bits, table.window)
 
     def test_whole_table_equals_the_eager_build(self):
         for base in [G] + [LADDER_POINTS[name] for name in SMALL_ORDER]:
             table = base.comb_table()
             table.fill()
-            assert unpacked(table) == eager_comb_rows(base, table.max_bits)
+            assert unpacked(table) == eager_comb_rows(base, table.max_bits, table.window)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -421,7 +427,7 @@ class TestLazyCombTable:
 
         bases = [G * log for log in logs] + [LADDER_POINTS[name] for name in SMALL_ORDER]
         tables = [base.comb_table() for base in bases]
-        eager = [eager_comb_rows(base, table.max_bits) for base, table in zip(bases, tables)]
+        eager = [eager_comb_rows(base, t.max_bits, t.window) for base, t in zip(bases, tables)]
         owner = TableCache(len(bases), len(bases), promote_after=0)
         for base, table, state, k in zip(bases, tables, states, partly):
             owner.tables[base] = table
@@ -450,3 +456,80 @@ class TestLazyCombTable:
         for table, rows in zip(tables, eager):
             table.fill()
             assert unpacked(table) == rows
+
+
+# -- the generator's table is as wide as its parameter set's GENERATOR_WINDOW --------
+
+
+class TestGeneratorWindow:
+    def test_split_of_a_16_entry_row(self):
+        """The lazy fill's split: each entry off the doubling chain is a
+        chain entry, or one filled a round before, plus a signed chain entry."""
+        assert curve._split(16) == {
+            3: (2, 1), 5: (4, 1), 6: (4, 2), 7: (8, -1), 9: (8, 1), 10: (8, 2),
+            11: (12, -1), 12: (8, 4), 13: (12, 1), 14: (16, -2), 15: (16, -1),
+        }
+
+    @pytest.mark.parametrize("row", [2, 4, 8, 16, 32, 64, 128, 256])
+    def test_every_split_sums_to_its_digit_in_few_rounds(self, row):
+        split = curve._split(row)
+        on_chain = {1 << e for e in range(row.bit_length())}
+        assert set(split) == set(range(1, row + 1)) - on_chain
+        rounds = dict.fromkeys(on_chain, 0)
+        for d in sorted(split, key=lambda d: -(d & -d)):  # a is the coarser neighbour
+            a, b = split[d]
+            assert a + b == d and abs(b) in on_chain and 1 <= a <= row
+            rounds[d] = rounds[a] + 1
+        assert max(rounds.values()) <= max(1, row.bit_length() // 2)
+
+    @pytest.mark.parametrize("window", [2, 6, 8])
+    @pytest.mark.parametrize("name", ["generator", "two_torsion", "outside_subgroup"])
+    def test_whole_wide_table_equals_the_eager_build(self, name, window):
+        base = LADDER_POINTS[name]
+        table = FixedBaseTable(base, R.bit_length() + WINDOW, window)
+        assert len(table.rows) == table.max_bits // window + 1
+        table.fill()
+        assert unpacked(table) == eager_comb_rows(base, table.max_bits, window)
+
+    def test_g_times_k_is_one_point_at_every_window(self):
+        """Random scalars and the edges: 0, 1, ``r − 1`` and ``2^(w·j) ± 1``
+        for every row ``j`` — a digit carried into the row above or not —
+        on whole tables and on lazily filled ones alike."""
+        import random
+
+        bits = R.bit_length() + WINDOW
+        draw = random.Random(58)
+        shared = [0, 1, 2, R - 1, R, (1 << bits) - 1] + [draw.randrange(R) for _ in range(24)]
+        for window in range(5, 10):
+            whole, lazy = FixedBaseTable(G, bits, window), FixedBaseTable(G, bits, window)
+            whole.fill()
+            edges = [(1 << window * j) + sign for j in range(1, len(whole.rows)) for sign in (-1, 1)]
+            ks = [k for k in shared + edges if k.bit_length() <= bits]
+            expected = [plain_mul(G, k) for k in ks]
+            assert [whole.mul(k) for k in ks] == expected, window
+            assert [lazy.mul(k) for k in ks] == expected, window
+            owner = TableCache(1, 1, promote_after=0)
+            owner.tables[G] = FixedBaseTable(G, bits, window)
+            assert mul_many([(G, k) for k in ks], owner) == expected, window
+
+    @pytest.mark.usefixtures("clean_tables")
+    def test_a_wide_build_counts_one_fb_build(self, monkeypatch):
+        """The generator takes its set's window, on the warm-up path and
+        when promoted by use after the caches were cleared; every other base
+        keeps window 5."""
+        from repro.obs import Observability
+
+        monkeypatch.setitem(GENERATOR_WINDOW, "TOY", 7)
+        obs = Observability()
+        with obs.installed():
+            table = fixed_base_table(G)
+            assert obs.metrics.counter_total("op.g1_exp.fb_build") == 1
+            assert table.window == 7 and len(table.rows[0]) == 64
+            assert unpacked(table) == eager_comb_rows(G, table.max_bits, 7)
+            assert G * (R - 1) == plain_mul(G, R - 1)
+            precompute.clear_caches()
+            for _ in range(3):
+                G * (R - 2)
+            assert shared_tables.tables[G].window == 7
+            assert fixed_base_table(G * 3).window == WINDOW
+            assert obs.metrics.counter_total("op.g1_exp.fb_build") == 3

@@ -160,3 +160,19 @@ def test_split_at_is_the_committed_break_even():
     split_at = max(pool_mod.SPLIT_AT.values())
     pool = MatchPool(PairingGroup("TEST"), workers=2)
     assert (pool.lanes(split_at - 1), pool.lanes(split_at)) == (1, 2)
+
+
+def test_importing_the_system_loads_no_multiprocessing():
+    """Only a pool that splits into worker partitions needs
+    ``multiprocessing`` (and, with it, ``pickle``): a process that never
+    splits one never loads either."""
+    import subprocess
+    import sys
+
+    path = os.pathsep.join([os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH", "")])
+    code = "import sys, repro.core.system; print(sorted({'multiprocessing', 'pickle'} & sys.modules.keys()))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"

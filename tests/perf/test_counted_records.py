@@ -59,3 +59,22 @@ def test_a_served_client_holds_its_committed_bytes():
     assert len(fresh) == 3
     for name, value in fresh.items():
         assert_is_committed("BENCH_pr57.json", name, value)
+
+
+def test_the_generator_comb_makes_its_committed_additions():
+    generator_comb = bench("bench_generator_comb")
+    fresh, parent = generator_comb.counts()
+    assert len(fresh) == 2
+    for name, value in fresh.items():
+        assert_is_committed("BENCH_pr58.json", name, value)
+        assert value <= parent[name]  # window 5's
+
+
+def test_generator_window_is_the_sweeps():
+    """``GENERATOR_WINDOW`` holds the window the committed sweep chose."""
+    from repro.crypto.comb import GENERATOR_WINDOW
+
+    records = load_bench_file(os.path.join(ROOT, "BENCH_pr58.json"))
+    chosen = {record.name: record.value for record in records}
+    for name in ("TOY", "PAPER"):
+        assert GENERATOR_WINDOW[name] == chosen[f"generator_comb.{name}.window"], name
