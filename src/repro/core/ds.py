@@ -100,12 +100,13 @@ class DisseminationServer(Broker):
         self.vector_length = vector_length
         self.timings = timings
         self.match_workers = match_workers
-        # Delegated-matching registry: (subscriber name, serialized token).
+        # Delegated-matching registry: (subscriber name, serialized token)
+        # keys in registration order, each a constant-time lookup.
         # In-process state is lost on crash, like subscriptions; both
         # write through to the store engine, so with a durable backend
         # restart() recovers them instead of waiting for re-registration.
         self.store = store if store is not None else MemoryEngine()
-        self.registered_tokens: list[tuple[str, bytes]] = []
+        self.registered_tokens: dict[tuple[str, bytes], None] = {}
         self._match_pool: MatchPool | None = None
         self.recovered_registrations = 0
         if self.store.durable:
@@ -166,7 +167,7 @@ class DisseminationServer(Broker):
         for _key, value in self.store.items(NS_TOKENS):
             entry = decode_token(value)
             if entry not in self.registered_tokens and self._admissible(entry[1]):
-                self.registered_tokens.append(entry)
+                self.registered_tokens[entry] = None
                 recovered += 1
         for key, _value in self.store.items(NS_SUBS):
             topic, client = decode_sub_key(key)
@@ -206,7 +207,7 @@ class DisseminationServer(Broker):
         entry = (src, bytes(token_bytes))
         opened(self.name, "token", entry)
         if entry not in self.registered_tokens and self._admissible(entry[1]):
-            self.registered_tokens.append(entry)
+            self.registered_tokens[entry] = None
             self.store.put(
                 NS_TOKENS, token_key(src, entry[1]), encode_token(src, entry[1])
             )
@@ -222,7 +223,7 @@ class DisseminationServer(Broker):
     def unregister_token(self, src: str, token_bytes: bytes) -> None:
         entry = (src, bytes(token_bytes))
         if entry in self.registered_tokens:
-            self.registered_tokens.remove(entry)
+            del self.registered_tokens[entry]
             self.store.delete(NS_TOKENS, token_key(src, entry[1]))
 
     # -- durable subscription table --------------------------------------------

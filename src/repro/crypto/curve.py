@@ -121,7 +121,8 @@ class FixedBaseTable:
         # small order has run out: 2^i·B = O) — entry 2^e of every row
         chain = [(base.x, base.y, 1)]
         for _ in range(1, window * count):
-            chain.append(double(*chain[-1], q)[:3])
+            X, Y, Z, _ = double(*chain[-1], q)
+            chain.append((X, Y, Z))
         chain = [_pack(entry, q) for entry in normalise(chain, q)]
         self.rows = []
         for j in range(count):

@@ -102,9 +102,6 @@ class PairingGroup:
 
     # -- pairing ----------------------------------------------------------------------
 
-    def pair(self, p: Point, q: Point) -> Fq2:
-        return tate_pairing(p, q)
-
     def multi_pair(self, pairs: list[tuple[Point, Point]]) -> Fq2:
         return multi_pairing(pairs, self.params)
 

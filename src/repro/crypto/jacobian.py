@@ -26,20 +26,19 @@ __all__ = ["INFINITY", "double", "add_affine", "add_many", "normalise", "multipl
 INFINITY = (1, 1, 0)
 
 
-def double(X: int, Y: int, Z: int, q: int) -> tuple[int, int, int, int, int, int]:
-    """``2·(X : Y : Z)`` as ``(X3, Y3, Z3, M, YY, ZZ)``.
+def double(X: int, Y: int, Z: int, q: int) -> tuple[int, int, int, int]:
+    """``2·(X : Y : Z)`` as ``(X3, Y3, Z3, M)``.
 
-    The tangent at the input has slope ``M / Z3`` with ``M = 3X² + Z⁴``;
-    ``YY = Y²`` and ``ZZ = Z²`` are handed back because the tangent's value
-    at another point reuses them.  A 2-torsion input (``Y = 0``) or infinity
-    gives ``Z3 = 0``, infinity, with no special case.
+    The tangent at the input has slope ``M / Z3`` with ``M = 3X² + Z⁴``.
+    A 2-torsion input (``Y = 0``) or infinity gives ``Z3 = 0``, infinity,
+    with no special case.
     """
     YY = Y * Y % q
     ZZ = Z * Z % q
     S = 4 * X * YY % q
     M = (3 * X * X + ZZ * ZZ) % q
     X3 = (M * M - 2 * S) % q
-    return X3, (M * (S - X3) - 8 * YY * YY) % q, 2 * Y * Z % q, M, YY, ZZ
+    return X3, (M * (S - X3) - 8 * YY * YY) % q, 2 * Y * Z % q, M
 
 
 def add_affine(X: int, Y: int, Z: int, x2: int, y2: int, q: int) -> tuple[int, int, int, int]:
@@ -56,7 +55,7 @@ def add_affine(X: int, Y: int, Z: int, x2: int, y2: int, q: int) -> tuple[int, i
     if not H:
         if R:
             return 1, 1, 0, 0
-        return double(x2, y2, 1, q)[:4]
+        return double(x2, y2, 1, q)
     HH = H * H % q
     HHH = H * HH % q
     V = X * HH % q
@@ -134,7 +133,7 @@ def scalar_mul(x: int, y: int, k: int, q: int, window_bits: int) -> tuple[int, i
     for digit in reversed(digits):
         if Z:
             for _ in range(window_bits):
-                X, Y, Z = double(X, Y, Z, q)[:3]
+                X, Y, Z, _ = double(X, Y, Z, q)
         entry = table[digit - 1] if digit else None
         if entry is not None:
             X, Y, Z, _ = add_affine(X, Y, Z, entry[0], entry[1], q)

@@ -20,19 +20,20 @@ Four standard optimisations for even embedding degree are used:
   the pair ``(λ, c)``; one batched inversion gives every pair's ``1/y_Q``.
   The 2-torsion point ``(0, 0)`` has no ``1/y_Q``, and it needs none: all
   its line values lie in ``F_q``, so a pair with it contributes the
-  identity, in both walks.
-* **A signed-digit walk** — both walks read ``r``'s non-adjacent form
+  identity.
+* **A signed-digit walk** — the walk reads ``r``'s non-adjacent form
   (:func:`_naf_digits`); a −1 digit draws the chord through ``−P``, whose
   extra vertical line is eliminated like the others.  ``PAPER``'s order,
   PBC's Solinas prime ``2^159 + 2^107 + 1``, has two non-zero digits: its
   walk draws 160 lines (159 tangents, one chord; the last is vertical).
-* **Inversion-free steps** — the plain loop carries ``T`` in Jacobian
-  coordinates (:mod:`repro.crypto.jacobian`), whose steps hand back the
-  slope as a fraction ``N / Z₃``; each line is multiplied through by its
-  denominator, a factor in ``F_q*`` that the final exponentiation kills
-  for the same reason.  A raw Miller value is therefore defined only up to
-  ``F_q*``; :func:`precompute_miller` divides the slopes out in one batch
-  and stores monic lines.
+* **One walk, then lines** — every pairing, served or not, evaluates
+  lines: :func:`_lines` walks ``T`` once in Jacobian coordinates
+  (:mod:`repro.crypto.jacobian`) and divides every slope out with one
+  batched inversion, and :func:`_line_product` is the one evaluation
+  loop.  :func:`precompute_miller` keeps a point's lines for reuse (an
+  HVE token's, a CP-ABE key's); :func:`miller_loop`,
+  :func:`tate_pairing` and :func:`multi_pairing` draw them afresh and
+  drop them.
 
 :func:`multi_pairing` computes ``Π ê(P_j, Q_j)`` sharing the accumulator
 squaring and the final exponentiation across all pairs — the dominant cost
@@ -67,49 +68,13 @@ __all__ = [
 @functools.lru_cache(maxsize=8)
 def _naf_digits(r: int) -> tuple[int, ...]:
     """``r``'s non-adjacent form, most significant digit first, without its
-    leading 1: the one digit string both Miller walks read."""
+    leading 1: the digit string Miller's walk reads."""
     digits = []
     while r:
         digit = 2 - (r & 3) if r & 1 else 0
         digits.append(digit)
         r = (r - digit) >> 1
     return tuple(reversed(digits[:-1]))
-
-
-def _miller_product(pairs: list[tuple[Point, Point]], params: TypeAParams) -> Fq2:
-    """``Π_j f_{r,P_j}(ψ(Q_j))`` over finite pairs, up to a factor in ``F_q*``.
-
-    Identity: ``Π_j f_j² · l_j = (Π_j f_j)² · Π_j l_j``, so a single
-    ``F_q²`` accumulator (raw ints) serves every pair: per Miller step one
-    squaring in total plus one line multiplication per pair.  A pair whose
-    ``Q`` is ``(0, 0)`` draws no lines (its values lie in ``F_q``).
-    """
-    q = params.q
-    # [X, Y, Z, xp, yp, xq, yq] per pair: the running point T, then constants
-    live = [[p.x, p.y, 1, p.x, p.y, qp.x, qp.y] for p, qp in pairs if qp.y]
-    f_a, f_b = 1, 0
-    for digit in _naf_digits(params.r):
-        f_a, f_b = (f_a + f_b) * (f_a - f_b) % q, 2 * f_a * f_b % q
-        for state in live:
-            X, Y, Z, xp, yp, xq, yq = state
-            if not Z:
-                continue  # T = O: no more lines from this pair
-            # f <- f · l_{T,T}(ψQ), the tangent scaled by Z3·Z²;  T <- 2T
-            X3, Y3, Z3, M, YY, ZZ = double(X, Y, Z, q)
-            line_a = (M * (xq * ZZ % q + X) - 2 * YY) % q
-            line_b = yq * (Z3 * ZZ % q) % q
-            f_a, f_b = (f_a * line_a - f_b * line_b) % q, (f_a * line_b + f_b * line_a) % q
-            if digit and Z3:
-                # f <- f · l_{T,±P}(ψQ), the chord through ±P scaled by Z3;  T <- T ± P
-                if digit < 0:
-                    yp = q - yp
-                X3, Y3, Z3, R = add_affine(X3, Y3, Z3, xp, yp, q)
-                if Z3:  # else T = ∓P: vertical line, eliminated like the denominators
-                    line_a = (R * (xq + xp) - yp * Z3) % q
-                    line_b = yq * Z3 % q
-                    f_a, f_b = (f_a * line_a - f_b * line_b) % q, (f_a * line_b + f_b * line_a) % q
-            state[0], state[1], state[2] = X3, Y3, Z3
-    return Fq2(f_a, f_b, q)
 
 
 def miller_loop(p: Point, q_point: Point) -> Fq2:
@@ -121,7 +86,7 @@ def miller_loop(p: Point, q_point: Point) -> Fq2:
     """
     if p.is_infinity or q_point.is_infinity:
         raise ParameterError("miller_loop requires finite points")
-    return _miller_product([(p, q_point)], p.params)
+    return _line_product([(_lines(p), q_point)], p.params)
 
 
 def final_exponentiation(f: Fq2, params: TypeAParams) -> Fq2:
@@ -164,7 +129,7 @@ def tate_pairing(p: Point, q_point: Point) -> Fq2:
     if p.is_infinity or q_point.is_infinity:
         return Fq2.one(params.q)
     record_op("pairing")
-    return final_exponentiation(miller_loop(p, q_point), params)
+    return final_exponentiation(_line_product([(_lines(p), q_point)], params), params)
 
 
 class MillerPrecomputed:
@@ -191,12 +156,10 @@ class MillerPrecomputed:
         self.steps = steps
 
 
-def precompute_miller(p: Point) -> MillerPrecomputed:
-    """Walk Miller's loop for ``P`` once, recording every line coefficient."""
+def _lines(p: Point) -> MillerPrecomputed:
+    """Walk Miller's loop for a finite ``P`` once, recording every line
+    coefficient — the one walk of ``T`` in this module."""
     params = p.params
-    if p.is_infinity:
-        raise ParameterError("precompute_miller requires a finite point")
-    record_op("pairing.precompute")
     q = params.q
     xp, yp = p.x, p.y
     # Line k is drawn at chain[k] and lands on chain[k+1]; its slope is
@@ -214,7 +177,7 @@ def precompute_miller(p: Point) -> MillerPrecomputed:
             if slot:
                 X, Y, Z, numer = add_affine(X, Y, Z, xp, yp if digit > 0 else q - yp, q)
             else:
-                X, Y, Z, numer = double(X, Y, Z, q)[:4]
+                X, Y, Z, numer = double(X, Y, Z, q)
             chain.append((X, Y, Z))
             if Z:
                 drawn.append(len(numerators))
@@ -226,6 +189,14 @@ def precompute_miller(p: Point) -> MillerPrecomputed:
         lam = numer * points[k + 1][2] % q
         lines.append((lam, (lam * points[k][0] - points[k][1]) % q))
     return MillerPrecomputed(params, [tuple(lines[k] for k in drawn) for drawn in shape])
+
+
+def precompute_miller(p: Point) -> MillerPrecomputed:
+    """``P``'s Miller lines, kept by the caller for fixed-argument pairings."""
+    if p.is_infinity:
+        raise ParameterError("precompute_miller requires a finite point")
+    record_op("pairing.precompute")
+    return _lines(p)
 
 
 def _line_product(entries: list[tuple[MillerPrecomputed, Point]], params: TypeAParams) -> Fq2:
@@ -254,7 +225,7 @@ def _line_product(entries: list[tuple[MillerPrecomputed, Point]], params: TypeAP
 
 def miller_eval(pre: MillerPrecomputed, q_point: Point) -> Fq2:
     """``f_{r,P}(ψ(Q))`` from precomputed lines — :func:`miller_loop` of the
-    original point up to a factor in ``F_q*``, with no point arithmetic."""
+    original point, with no point arithmetic."""
     if q_point.is_infinity:
         raise ParameterError("miller_eval requires a finite point")
     return _line_product([(pre, q_point)], pre.params)
@@ -263,8 +234,8 @@ def miller_eval(pre: MillerPrecomputed, q_point: Point) -> Fq2:
 def tate_pairing_precomputed(pre: MillerPrecomputed, q_point: Point) -> Fq2:
     """``ê(P, Q)`` with ``P``'s Miller lines precomputed.
 
-    Bit-identical to ``tate_pairing(P, Q)``: the two Miller values differ
-    by a factor in ``F_q*``, which the final exponentiation kills.
+    Bit-identical to ``tate_pairing(P, Q)``, which draws the same lines
+    and drops them.
     """
     if q_point.is_infinity:
         return Fq2.one(pre.params.q)
@@ -303,8 +274,8 @@ def multi_pairing_precomputed(
 def multi_pairing(pairs: list[tuple[Point, Point]], params: TypeAParams) -> Fq2:
     """Compute ``Π_j ê(P_j, Q_j)`` with shared squaring and one final exp.
 
-    Every pair shares one Miller accumulator (:func:`_miller_product`) and
-    the expensive final exponentiation is paid once in total.
+    Every pair's lines share one Miller accumulator (:func:`_line_product`)
+    and the expensive final exponentiation is paid once in total.
     """
     q = params.q
     live = []
@@ -312,9 +283,9 @@ def multi_pairing(pairs: list[tuple[Point, Point]], params: TypeAParams) -> Fq2:
         if p.params.q != q or qp.params.q != q:
             raise ParameterError("multi_pairing arguments use mismatched parameters")
         if not (p.is_infinity or qp.is_infinity):  # else: contributes the identity
-            live.append((p, qp))
+            live.append((_lines(p), qp))
     if not live:
         return Fq2.one(q)
     record_op("pairing", len(live))
     record_op("multi_pairing")
-    return final_exponentiation(_miller_product(live, params), params)
+    return final_exponentiation(_line_product(live, params), params)

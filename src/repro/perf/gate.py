@@ -147,10 +147,12 @@ def match_workload(vector_bits: int, tokens: int, publications: int):
 def probe_match_speedups(
     vector_bits: int = 8, tokens: int = 8, publications: int = 3, scalar_muls: int = 32
 ) -> tuple[dict[str, float], dict[str, Any]]:
-    """``match_fanout.precompute_speedup``: the textbook multi-pairing of
-    every (token, ciphertext) pair over a warm ``HVE.query`` of the same
-    pairs.  ``match_fanout.fixed_base_speedup``: the windowed ladder over
-    the generator's comb table, same scalars."""
+    """``match_fanout.precompute_speedup``, the precomputed-lines ablation:
+    the multi-pairing of every (token, ciphertext) pair, which walks the
+    token's lines afresh for every pairing, over a warm ``HVE.query`` of
+    the same pairs, which evaluates the lines the token keeps.
+    ``match_fanout.fixed_base_speedup``: the windowed ladder over the
+    generator's comb table, same scalars."""
     import random
 
     from ..crypto import precompute
@@ -162,8 +164,8 @@ def probe_match_speedups(
         for token in token_list:
             pairs = []
             for i, (y_i, l_i) in zip(token.positions, token.components):
-                pairs.append((ciphertext.x_components[i], y_i))
-                pairs.append((ciphertext.w_components[i], l_i))
+                pairs.append((y_i, ciphertext.x_components[i]))
+                pairs.append((l_i, ciphertext.w_components[i]))
             group.multi_pair(pairs)
     naive_s = time.perf_counter() - start
 

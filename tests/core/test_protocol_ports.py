@@ -271,9 +271,9 @@ class TestDisseminationRouting:
         ds = _connected_ds(ports, ["alice"], group=group, vector_length=4)
         try:
             _publish(ds, "alice", _frame(KIND_TOKEN_REG, token))
-            assert ds.registered_tokens == [("alice", token)]
+            assert list(ds.registered_tokens) == [("alice", token)]
             _publish(ds, "alice", _frame(KIND_TOKEN_UNREG, token))
-            assert ds.registered_tokens == []
+            assert list(ds.registered_tokens) == []
             assert ports.casts == []
         finally:
             ds.close_match_pool()
@@ -288,7 +288,7 @@ class TestDisseminationRouting:
             _publish(ds, "alice", _frame(KIND_TOKEN_REG, b"tok"))
             _publish(ds, "alice", _frame(KIND_TOKEN_UNREG, b"tok"))
         assert obs.metrics.counter_total("op.ds.token_rejected") == 2
-        assert ds.registered_tokens == [] and ds.store.items(NS_TOKENS) == []
+        assert list(ds.registered_tokens) == [] and ds.store.items(NS_TOKENS) == []
         assert ds._match_pool is None and recorder.seen("token", "ds") == []
         _publish(ds, "pub", _frame(KIND_METADATA, EncryptedMetadata(b"x", 1)))
         assert ports.sent(frames.DELIVER) == ["alice"] and ports.spawned == 0
@@ -420,7 +420,7 @@ class TestDelegatedMatching:
         ds.register_token("alice", tokens["hit"])
         assert ds._match_pool is not None
         ds.crash()
-        assert ds._match_pool is None and ds.registered_tokens == []
+        assert ds._match_pool is None and list(ds.registered_tokens) == []
 
         reborn = DisseminationServer(RecordingPorts("ds"), _one_node(), **options)
         assert reborn._match_pool is None  # nothing recovered yet: memory is not durable
@@ -464,7 +464,7 @@ class TestDelegatedMatching:
                 for frame_body in hostile.values():
                     _publish(ds, "mallory", _frame(KIND_TOKEN_REG, frame_body))
             assert obs.metrics.counter_total("op.ds.token_rejected") == len(hostile)
-            assert ds.registered_tokens == registered
+            assert list(ds.registered_tokens) == registered
             assert len(ds.store.items(NS_TOKENS)) == 1
             # the honest subscriber's delivery is untouched; mallory holds no
             # token, so she gets the baseline broadcast
@@ -505,7 +505,7 @@ class TestDelegatedMatching:
         )
         try:
             assert ds.recover_registrations() == 1
-            assert ds.registered_tokens == [("alice", tokens["hit"])]
+            assert list(ds.registered_tokens) == [("alice", tokens["hit"])]
         finally:
             ds.close_match_pool()
 
@@ -519,7 +519,7 @@ class TestDelegatedMatching:
             ds.register_token("alice", b"tok")
         assert recorder.seen("token", "ds") == [("alice", b"tok")]
         assert obs.metrics.counter_total("op.ds.token_rejected") == 1
-        assert ds.registered_tokens == [] and ds._match_pool is None
+        assert list(ds.registered_tokens) == [] and ds._match_pool is None
         _publish(ds, "pub", _frame(KIND_METADATA, EncryptedMetadata(b"x", 1)))
         assert ports.sent(frames.DELIVER) == ["alice"] and ports.spawned == 0
 
@@ -545,9 +545,9 @@ class TestRegistryRoundTrip:
             ds.unregister_token("bob", t2)
             assert len(engine.items(NS_TOKENS)) == 1
 
-            assert reborn.registered_tokens == [] and reborn.recovered_registrations == 0
+            assert list(reborn.registered_tokens) == [] and reborn.recovered_registrations == 0
             assert reborn.recover_registrations() == 3
-            assert reborn.registered_tokens == [("alice", t1)]
+            assert list(reborn.registered_tokens) == [("alice", t1)]
             assert sorted(reborn.subscriptions[METADATA_TOPIC]) == ["alice", "bob"]
             assert reborn.recover_registrations() == 0  # nothing new the second time
         finally:
@@ -562,7 +562,7 @@ class TestRegistryRoundTrip:
             assert plain.recover_registrations() == 2
         assert obs.metrics.counter_total("op.ds.token_rejected") == 1
         assert sorted(plain.subscriptions[METADATA_TOPIC]) == ["alice", "bob"]
-        assert plain.registered_tokens == [] and plain._match_pool is None
+        assert list(plain.registered_tokens) == [] and plain._match_pool is None
 
 
 # -- RS, PBE-TS, anonymizer --------------------------------------------------------

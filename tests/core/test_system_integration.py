@@ -319,7 +319,7 @@ class TestFailureHandling:
 
         mallory.ports.drive(hostile())
         system.run()
-        assert system.ds.registered_tokens == registered
+        assert list(system.ds.registered_tokens) == registered
         assert len(system.ds.store.items(NS_TOKENS)) == len(registered) == 1
 
         bob = system.add_publisher("bob")

@@ -101,7 +101,7 @@ def eager_comb_rows(base, max_bits, window=WINDOW):
     for _ in range(max_bits // window):
         X, Y, Z = chain[-1]
         for _ in range(window):
-            X, Y, Z = double(X, Y, Z, q)[:3]
+            X, Y, Z, _ = double(X, Y, Z, q)
         chain.append((X, Y, Z))
     seeds = [entry and entry[:2] for entry in normalise(chain, q)]
     digits = [seeds]

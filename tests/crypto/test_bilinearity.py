@@ -28,26 +28,26 @@ def rng() -> random.Random:
 
 def test_bilinear_in_both_arguments(group, rng):
     g = group.generator
-    base = group.pair(g, g)
+    base = tate_pairing(g, g)
     for _ in range(5):
         a = rng.randrange(1, group.order)
         b = rng.randrange(1, group.order)
-        assert group.pair(g * a, g * b) == base ** (a * b % group.order)
+        assert tate_pairing(g * a, g * b) == base ** (a * b % group.order)
 
 
 def test_bilinear_factor_moves_between_arguments(group, rng):
     g = group.generator
     a = rng.randrange(1, group.order)
     b = rng.randrange(1, group.order)
-    assert group.pair(g * a, g * b) == group.pair(g, g * (a * b % group.order))
-    assert group.pair(g * a, g * b) == group.pair(g * (a * b % group.order), g)
+    assert tate_pairing(g * a, g * b) == tate_pairing(g, g * (a * b % group.order))
+    assert tate_pairing(g * a, g * b) == tate_pairing(g * (a * b % group.order), g)
 
 
 def test_symmetry_on_g1(group, rng):
     g = group.generator
     p = g * rng.randrange(1, group.order)
     q = g * rng.randrange(1, group.order)
-    assert group.pair(p, q) == group.pair(q, p)
+    assert tate_pairing(p, q) == tate_pairing(q, p)
 
 
 def test_identity_absorbs(group, rng):
@@ -55,12 +55,12 @@ def test_identity_absorbs(group, rng):
     p = g * rng.randrange(1, group.order)
     infinity = g * group.order
     assert infinity.is_infinity
-    assert group.pair(p, infinity) == group.gt_identity()
-    assert group.pair(infinity, p) == group.gt_identity()
+    assert tate_pairing(p, infinity) == group.gt_identity()
+    assert tate_pairing(infinity, p) == group.gt_identity()
 
 
 def test_nondegenerate(group):
-    assert group.pair(group.generator, group.generator) != group.gt_identity()
+    assert tate_pairing(group.generator, group.generator) != group.gt_identity()
 
 
 def test_order_r_in_gt(group, rng):
@@ -75,4 +75,4 @@ def test_bilinearity_holds_on_precomputed_path(group, rng):
     b = rng.randrange(1, group.order)
     p, q = g * a, g * b
     pre = group.precompute_pairing(p)
-    assert group.multi_pair_precomputed([(pre, q)]) == group.pair(g, g) ** (a * b % group.order)
+    assert group.multi_pair_precomputed([(pre, q)]) == tate_pairing(g, g) ** (a * b % group.order)

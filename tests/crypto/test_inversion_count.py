@@ -125,14 +125,14 @@ def test_a_batch_fills_every_table_in_its_own_steps(inversions, params):
     assert len(inversions) == steps
 
 
-def test_plain_miller_walks_never_invert_and_a_precomputed_product_inverts_once(inversions):
+def test_a_walk_and_an_evaluation_invert_once_each(inversions):
+    """Every pairing evaluates lines: one inversion normalises a walk's
+    every slope and base point, and one makes an evaluation's lines monic.
+    A cold pairing pays both: three inversions with the final
+    exponentiation's."""
     g = Point.generator(TOY)
     p, q = g * 1234567, g * 7654321
     del inversions[:]
-
-    pairing.miller_loop(p, q)
-    pairing._miller_product([(p, q), (q, p), (g, g)], TOY)
-    assert inversions == []
 
     pre = pairing.precompute_miller(p)  # every slope and base point in one batch
     assert len(inversions) == 1
@@ -142,13 +142,22 @@ def test_plain_miller_walks_never_invert_and_a_precomputed_product_inverts_once(
     assert len(inversions) == 1
     del inversions[:]
 
-    # one batch for every pair's 1/y_Q, then the final exponentiation's f̄ / f
+    pairing.miller_loop(p, q)  # the walk, then the evaluation
+    assert len(inversions) == 1 + 1
+    del inversions[:]
+
+    pairing.tate_pairing(p, q)  # ... then the final exponentiation's f̄ / f
+    assert len(inversions) == 1 + 1 + 1
+    del inversions[:]
+
+    # one batch for every pair's 1/y_Q, then the final exponentiation's
     pairing.multi_pairing_precomputed([(pre, q), (pre, g), (None, g), (pre, q)], TOY)
     assert len(inversions) == 1 + 1
     del inversions[:]
 
-    pairing.multi_pairing([(p, q), (q, g)], TOY)  # the final exponentiation's f̄ / f
-    assert len(inversions) == 1
+    # a walk a pair, one batch for every 1/y_Q, the final exponentiation's
+    pairing.multi_pairing([(p, q), (q, p), (g, g)], TOY)
+    assert len(inversions) == 3 + 1 + 1
 
 
 @pytest.fixture

@@ -151,8 +151,8 @@ class TestMillerBranches:
         assert self.reduced(miller_loop(p, qp)) == expected
         assert self.reduced(miller_eval(precompute_miller(p), qp)) == expected
         assert multi_pairing([(p, qp)], TOY) == expected
-        # a raw Miller value is one representative of a coset of F_q*, on
-        # either walk: Jacobian denominators, or the monic lines' 1/y_Q
+        # a raw Miller value is one representative of a coset of F_q*: the
+        # monic lines are divided by y_Q
         for raw in (miller_loop(p, qp), miller_eval(precompute_miller(p), qp)):
             ratio = raw * inverse(reference_miller(p, qp))
             assert ratio.b == 0 and not ratio.is_zero()

@@ -86,7 +86,7 @@ class TestRecoveredRegistrationsWarmPool:
             LiveRpcEndpoint("ds", AddressBook()), ClusterMap(["ds"], ["rs"]), store=WalEngine(path)
         )
         try:
-            assert ds.recovered_registrations == 0 and ds.registered_tokens == []
+            assert ds.recovered_registrations == 0 and list(ds.registered_tokens) == []
             assert ds.health_checks()["match_pool_warm"]
         finally:
             run_async(ds.close())

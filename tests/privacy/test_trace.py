@@ -97,7 +97,7 @@ def test_a_ds_without_delegated_matching_refuses_a_clients_tokens():
         publisher.publish({"topic": "b"}, b"miss", policy="org")
         system.run()
     ds = system.ds
-    assert ds.registered_tokens == [] and ds.store.items(NS_TOKENS) == []
+    assert list(ds.registered_tokens) == [] and ds.store.items(NS_TOKENS) == []
     assert ds._match_pool is None
     assert obs.metrics.counter_total("op.ds.token_rejected") == 1
     assert subscriber.stats.metadata_seen == 1  # a miss still reaches it: broadcast

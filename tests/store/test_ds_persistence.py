@@ -53,9 +53,9 @@ class TestDurableDSRestart:
         tokens_before = list(system.ds.registered_tokens)
 
         system.ds.crash()
-        assert system.ds.registered_tokens == []  # in-process copy died
+        assert list(system.ds.registered_tokens) == []  # in-process copy died
         system.ds.restart()
-        assert system.ds.registered_tokens == tokens_before
+        assert list(system.ds.registered_tokens) == tokens_before
 
         publisher = system.add_publisher("bob")
         system.run()
@@ -73,11 +73,11 @@ class TestDurableDSRestart:
         assert len(system.ds.registered_tokens) == 1
         alice.unsubscribe(interest)
         system.run()
-        assert system.ds.registered_tokens == []
+        assert list(system.ds.registered_tokens) == []
         system.ds.crash()
         system.ds.restart()
         # the tombstoned registration must not be resurrected
-        assert system.ds.registered_tokens == []
+        assert list(system.ds.registered_tokens) == []
         system.ds.close_match_pool()
 
     def test_store_files_land_under_data_dir(self, tmp_path):
